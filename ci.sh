@@ -123,10 +123,13 @@ if [[ "$fast" -eq 0 ]]; then
     # fixpoint loop must run resolve-free — `intern.hot.resolves` counts
     # any id -> Term materialization outside an `intern::boundary` scope,
     # and the bin exits non-zero if either gate fails. The greps re-check
-    # the emitted JSON so a silent bin regression can't pass.
-    echo "== intern smoke (--quick, journal pinned + resolve gate) =="
+    # the emitted JSON so a silent bin regression can't pass. Boundary
+    # scopes can hide a boxed hot path from that counter (the PA probe did
+    # 1.5M boundary resolves here before it moved onto ids), so resolves
+    # inside them are capped too: fewer than one per journal record.
+    echo "== intern smoke (journal pinned + resolve gates) =="
     intern_out=$(mktemp /tmp/bench_intern.XXXXXX.json)
-    cargo run -q --release -p sensorlog-bench --bin intern -- --quick --out "$intern_out"
+    cargo run -q --release -p sensorlog-bench --bin intern -- --out "$intern_out"
     python3 -m json.tool "$intern_out" > /dev/null
     grep -q '"hash": "3c1ec08c6289dba4"' "$intern_out" || {
         echo "intern smoke: journal hash drifted (flat representation is visible in the trace)"; exit 1; }
@@ -134,6 +137,11 @@ if [[ "$fast" -eq 0 ]]; then
         echo "intern smoke: hot-path resolves in the engine fixpoint loop"; exit 1; }
     grep -q '"deploy_hot": 0' "$intern_out" || {
         echo "intern smoke: hot-path resolves in the deployment loop"; exit 1; }
+    python3 - "$intern_out" <<'PY' || { echo "intern smoke: deploy_boundary exceeds the journal record count (a boxed path is hiding in a boundary scope)"; exit 1; }
+import json, sys
+r = json.load(open(sys.argv[1]))
+sys.exit(r["resolves"]["deploy_boundary"] > r["journal"]["records"])
+PY
     rm -f "$intern_out"
 
     # `sensorlog explain` end-to-end: a recursive 3-link chain whose proof

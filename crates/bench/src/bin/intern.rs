@@ -1,11 +1,10 @@
-//! Interned-tuple / trie-index microbenchmarks, exported as
-//! `BENCH_intern.json`.
+//! Interned-tuple representation gates.
 //!
 //! ```text
-//! intern [--quick] [--out BENCH_intern.json]
+//! intern [--out <file>]
 //! ```
 //!
-//! Three checks, matching what the flat-representation work changed:
+//! Two checks, matching what the flat-representation work changed:
 //!
 //! * **journal pin** — the 50-node logicH deployment that anchors the
 //!   provenance smoke, re-run here and compared against the pre-refactor
@@ -15,36 +14,24 @@
 //!   centralized `Engine` fixpoint and across the deployment run. Every
 //!   boxed-`Term` materialization is supposed to happen inside a declared
 //!   `intern::boundary` scope (display, lineage, aggregate folds, builtin
-//!   calls, message encode); a hot-path delta of anything but zero means
-//!   a resolve leaked into the fixpoint loop.
-//! * **probe** — join-probe throughput on logicH / logicJ shaped
-//!   relations at 1k / 10k nodes: the trie probe + flat id matcher
-//!   against an in-bench replica of the PR 3 path (per-signature
-//!   `HashMap<Vec<Term>, Vec<Tuple>>` postings + boxed `sem_match_args`).
-//!   The replica is built on boxed terms exactly as the old `IndexStore`
-//!   stored them, so the ratio isolates the representation change.
+//!   calls, geographic hashing); a hot-path delta of anything but zero
+//!   means a resolve leaked into the fixpoint loop. The boundary delta is
+//!   reported so `ci.sh` can hold it below the run's journal record count.
 //!
-//! `--quick` runs the pin + gate only (the CI smoke); the committed
-//! `BENCH_intern.json` comes from a full run.
+//! The JSON goes to `--out`, or to stdout. The committed
+//! `BENCH_intern.json` is the PR 9 record, which also timed the trie probe
+//! against a boxed replica of the PR 3 index; that comparison left with
+//! the boxed matcher.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use sensorlog_core::deploy::{DeployConfig, Deployment};
 use sensorlog_core::workload::graph_edges;
 use sensorlog_core::{RtConfig, Strategy};
-use sensorlog_eval::eval_body::sem_match_args;
-use sensorlog_eval::relation::{Relation, TupleMeta};
 use sensorlog_eval::{Database, Engine};
 use sensorlog_logic::builtin::BuiltinRegistry;
-use sensorlog_logic::flat::{flat_eval, flat_is_ground, flat_match_args, FlatSubst};
 use sensorlog_logic::intern;
-use sensorlog_logic::parser::parse_term;
-use sensorlog_logic::unify::Subst;
 use sensorlog_logic::{Symbol, Term, Tuple};
 use sensorlog_netsim::{SimConfig, Topology};
-use std::collections::HashMap;
 use std::process::ExitCode;
-use std::time::Instant;
 
 const LOGIC_H: &str = r#"
     .output h.
@@ -125,286 +112,6 @@ fn run_engine_gate() -> (u64, u64) {
     (after.hot - before.hot, after.boundary - before.boundary)
 }
 
-// ---------------------------------------------------------------- probe
-
-/// In-bench replica of the PR 3 probe path: the per-signature hash
-/// `IndexStore` kept `HashMap<Vec<Term>, Vec<Tuple>>` postings with
-/// `Arc<[Term]>`-backed tuples, and `select` cloned the postings into the
-/// caller's sink exactly like the trie path does today.
-struct BoxedIndex {
-    cols: Vec<usize>,
-    map: HashMap<Vec<Term>, Vec<std::sync::Arc<[Term]>>>,
-}
-
-impl BoxedIndex {
-    fn build(tuples: &[std::sync::Arc<[Term]>], cols: &[usize]) -> Self {
-        let mut map: HashMap<Vec<Term>, Vec<std::sync::Arc<[Term]>>> = HashMap::new();
-        for t in tuples {
-            let key: Vec<Term> = cols.iter().map(|&c| t[c].clone()).collect();
-            map.entry(key).or_default().push(t.clone());
-        }
-        BoxedIndex {
-            cols: cols.to_vec(),
-            map,
-        }
-    }
-
-    fn select(&self, key: &[Term], out: &mut Vec<std::sync::Arc<[Term]>>) {
-        debug_assert_eq!(key.len(), self.cols.len());
-        if let Some(postings) = self.map.get(key) {
-            out.extend(postings.iter().cloned());
-        }
-    }
-}
-
-/// One probe workload: a relation, the bound-column signature the join
-/// planner would derive, and the atom argument pattern the matcher binds.
-struct Pattern {
-    rel: Relation,
-    boxed: Vec<std::sync::Arc<[Term]>>,
-    cols: Vec<usize>,
-    args: Vec<Term>,
-}
-
-struct ProbeRow {
-    program: &'static str,
-    nodes: usize,
-    flat_ops_per_sec: f64,
-    boxed_ops_per_sec: f64,
-    speedup: f64,
-    bindings: u64,
-}
-
-fn pattern(tuples: Vec<Tuple>, cols: Vec<usize>, args: &[&str]) -> Pattern {
-    let mut rel = Relation::new();
-    rel.register_index(&cols);
-    let boxed: Vec<std::sync::Arc<[Term]>> =
-        intern::boundary(|| tuples.iter().map(|t| t.terms().into()).collect());
-    for t in tuples {
-        rel.insert(t, TupleMeta::default());
-    }
-    let args: Vec<Term> = args
-        .iter()
-        .map(|s| parse_term(s).expect("pattern term parses"))
-        .collect();
-    Pattern {
-        rel,
-        boxed,
-        cols,
-        args,
-    }
-}
-
-/// BFS shortest-path tree over the grid: the converged contents of
-/// logicH's `h(Parent, Node, Depth)` and logicJ's `j(Node, Depth)`.
-fn tree(topo: &Topology) -> Vec<(i64, i64, i64)> {
-    let n = topo.nodes().count();
-    let mut depth = vec![i64::MAX; n];
-    let mut parent = vec![0i64; n];
-    let mut queue = std::collections::VecDeque::new();
-    depth[0] = 0;
-    queue.push_back(0usize);
-    let mut out = vec![(0i64, 0i64, 0i64)];
-    while let Some(a) = queue.pop_front() {
-        for &b in topo.neighbors(sensorlog_netsim::NodeId(a as u32)) {
-            let b = b.0 as usize;
-            if depth[b] == i64::MAX {
-                depth[b] = depth[a] + 1;
-                parent[b] = a as i64;
-                out.push((a as i64, b as i64, depth[b]));
-                queue.push_back(b);
-            }
-        }
-    }
-    out
-}
-
-/// Probe throughput for one program shape at one scale. Each "op" is one
-/// full hot-loop iteration as the join walk runs it: compute the bound
-/// columns and probe key from the carried substitution, probe the index,
-/// then clone the substitution and bind every matching tuple through the
-/// matcher — the flat/trie path vs the boxed PR 3 replica (`Subst` was a
-/// `HashMap<Symbol, Term>`, cloned per candidate, with `apply`-based
-/// matching), on identical key streams.
-fn bench_probe(program: &'static str, m: u32, probes: usize) -> ProbeRow {
-    let topo = Topology::square_grid(m);
-    let nodes = topo.nodes().count();
-    let g_tuples: Vec<Tuple> = topo
-        .nodes()
-        .flat_map(|a| {
-            topo.neighbors(a)
-                .iter()
-                .map(move |&b| Tuple::new(vec![Term::Int(a.0 as i64), Term::Int(b.0 as i64)]))
-        })
-        .collect();
-    let spt = tree(&topo);
-
-    // The recursive rule's inner loop: probe g by source, then the tree
-    // relation by the column the planner binds (logicH: h(_, X, D) keyed
-    // on column 1; logicJ: j(X, D) keyed on column 0).
-    let mut pats = vec![pattern(g_tuples, vec![0], &["X", "Y"])];
-    if program == "logicH" {
-        let h_tuples: Vec<Tuple> = spt
-            .iter()
-            .map(|&(p, n, d)| Tuple::new(vec![Term::Int(p), Term::Int(n), Term::Int(d)]))
-            .collect();
-        pats.push(pattern(h_tuples, vec![1], &["W", "X", "D"]));
-    } else {
-        let j_tuples: Vec<Tuple> = spt
-            .iter()
-            .map(|&(_, n, d)| Tuple::new(vec![Term::Int(n), Term::Int(d)]))
-            .collect();
-        pats.push(pattern(j_tuples, vec![0], &["X", "D"]));
-    }
-
-    let reg = BuiltinRegistry::standard();
-    let x = Symbol::intern("X");
-    // A carried binding that never participates in the probe — real rule
-    // walks arrive at each literal with earlier bindings in tow, and the
-    // per-candidate substitution clone pays for all of them.
-    let z = Symbol::intern("Zctx");
-
-    // Warm the tries to steady state: probe every key once, untimed, so
-    // the timed section measures the maintained index at temperature. This
-    // is the fixpoint loop's regime — the same keys are re-probed across
-    // rules and iterations — and is applied identically to both paths.
-    let mut out = Vec::new();
-    let mut cols: Vec<usize> = Vec::new();
-    let mut key: Vec<sensorlog_logic::ConstId> = Vec::new();
-    for k in 0..nodes as i64 {
-        let mut ctx = FlatSubst::new();
-        ctx.bind(x, intern::intern_int(k));
-        ctx.bind(z, intern::intern_int(7));
-        for p in &pats {
-            cols.clear();
-            key.clear();
-            for (i, a) in p.args.iter().enumerate() {
-                if flat_is_ground(a, &ctx) {
-                    if let Ok(v) = flat_eval(&reg, a, &ctx) {
-                        cols.push(i);
-                        key.push(v);
-                    }
-                }
-            }
-            out.clear();
-            p.rel.select(&cols, &key, &mut out);
-        }
-    }
-    let boxed_idx: Vec<BoxedIndex> = pats
-        .iter()
-        .map(|p| BoxedIndex::build(&p.boxed, &p.cols))
-        .collect();
-    // Same full-key warm pass for the PR 3 replica.
-    let mut warm_out: Vec<std::sync::Arc<[Term]>> = Vec::new();
-    for k in 0..nodes as i64 {
-        let mut ctx = Subst::new();
-        ctx.bind(x, Term::Int(k));
-        ctx.bind(z, Term::Int(7));
-        for (p, idx) in pats.iter().zip(&boxed_idx) {
-            let mut key: Vec<Term> = Vec::new();
-            for a in &p.args {
-                let g = ctx.apply(a);
-                if g.is_ground() {
-                    if let Ok(v) = reg.eval_term(&g) {
-                        key.push(v);
-                    }
-                }
-            }
-            warm_out.clear();
-            idx.select(&key, &mut warm_out);
-        }
-    }
-
-    // Interleave repetitions of both timed loops and keep the best run of
-    // each: on a shared machine a single timing is hostage to whatever else
-    // is scheduled, and min-of-N on identical work converges to the actual
-    // cost. Identical seeds per rep keep the key streams — and therefore
-    // the binding counts — reproducible.
-    const REPS: usize = 3;
-    let mut flat_best = f64::INFINITY;
-    let mut boxed_best = f64::INFINITY;
-    let mut bindings = 0u64;
-    for _ in 0..REPS {
-        let mut rng = StdRng::seed_from_u64(0x1247e4 + m as u64);
-        let mut flat_bindings = 0u64;
-        let t0 = Instant::now();
-        for _ in 0..probes {
-            let n = rng.gen_range(0..nodes as i64);
-            let mut ctx = FlatSubst::new();
-            ctx.bind(x, intern::intern_int(n));
-            ctx.bind(z, intern::intern_int(7));
-            for p in &pats {
-                cols.clear();
-                key.clear();
-                for (i, a) in p.args.iter().enumerate() {
-                    if flat_is_ground(a, &ctx) {
-                        if let Ok(v) = flat_eval(&reg, a, &ctx) {
-                            cols.push(i);
-                            key.push(v);
-                        }
-                    }
-                }
-                out.clear();
-                p.rel.select(&cols, &key, &mut out);
-                for t in &out {
-                    let mut s = ctx.clone();
-                    if flat_match_args(&reg, &p.args, t.ids(), &mut s) {
-                        flat_bindings += 1;
-                    }
-                }
-            }
-        }
-        flat_best = flat_best.min(t0.elapsed().as_secs_f64());
-
-        let mut rng = StdRng::seed_from_u64(0x1247e4 + m as u64);
-        let mut boxed_bindings = 0u64;
-        let mut boxed_out: Vec<std::sync::Arc<[Term]>> = Vec::new();
-        let t0 = Instant::now();
-        for _ in 0..probes {
-            let n = rng.gen_range(0..nodes as i64);
-            let mut ctx = Subst::new();
-            ctx.bind(x, Term::Int(n));
-            ctx.bind(z, Term::Int(7));
-            for (p, idx) in pats.iter().zip(&boxed_idx) {
-                let mut bkey: Vec<Term> = Vec::new();
-                for a in &p.args {
-                    let g = ctx.apply(a);
-                    if g.is_ground() {
-                        if let Ok(v) = reg.eval_term(&g) {
-                            bkey.push(v);
-                        }
-                    }
-                }
-                boxed_out.clear();
-                idx.select(&bkey, &mut boxed_out);
-                for t in &boxed_out {
-                    let mut s = ctx.clone();
-                    if sem_match_args(&reg, &p.args, t, &mut s) {
-                        boxed_bindings += 1;
-                    }
-                }
-            }
-        }
-        boxed_best = boxed_best.min(t0.elapsed().as_secs_f64());
-        assert_eq!(
-            flat_bindings, boxed_bindings,
-            "flat and boxed probe paths disagree on {program} at {nodes} nodes"
-        );
-        bindings = flat_bindings;
-    }
-    let flat_ops = probes as f64 / flat_best;
-    let boxed_ops = probes as f64 / boxed_best;
-
-    ProbeRow {
-        program,
-        nodes,
-        flat_ops_per_sec: flat_ops,
-        boxed_ops_per_sec: boxed_ops,
-        speedup: flat_ops / boxed_ops,
-        bindings,
-    }
-}
-
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
@@ -414,8 +121,7 @@ fn flag(args: &[String], name: &str) -> Option<String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = flag(&args, "--out").unwrap_or_else(|| "BENCH_intern.json".into());
+    let out_path = flag(&args, "--out");
 
     let (engine_hot, engine_boundary) = run_engine_gate();
     eprintln!("engine gate: hot resolves {engine_hot}, boundary {engine_boundary}");
@@ -445,66 +151,17 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let rows: Vec<ProbeRow> = if quick {
-        Vec::new()
-    } else {
-        // 32² = 1024 ≈ 1k nodes, 100² = 10k nodes.
-        let mut rows = Vec::new();
-        for program in ["logicH", "logicJ"] {
-            for (m, probes) in [(32u32, 200_000usize), (100, 50_000)] {
-                let row = bench_probe(program, m, probes);
-                eprintln!(
-                    "{}: {} nodes, flat {:.0} ops/s, boxed {:.0} ops/s, {:.2}x",
-                    row.program,
-                    row.nodes,
-                    row.flat_ops_per_sec,
-                    row.boxed_ops_per_sec,
-                    row.speedup
-                );
-                rows.push(row);
-            }
-        }
-        rows
-    };
-
-    let mut s = String::new();
-    s.push_str("{\n  \"bench\": \"intern\",\n");
-    s.push_str(&format!("  \"quick\": {quick},\n"));
-    s.push_str(&format!(
-        "  \"journal\": {{\"hash\": \"{:016x}\", \"records\": {}, \"matches_pre_refactor_pin\": true}},\n",
-        pin.hash, pin.records
-    ));
-    s.push_str(&format!(
-        "  \"resolves\": {{\"engine_hot\": {engine_hot}, \"engine_boundary\": {engine_boundary}, \
-         \"deploy_hot\": {}, \"deploy_boundary\": {}}},\n",
-        pin.hot_delta, pin.boundary_delta
-    ));
-    s.push_str("  \"probe\": [");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"program\": \"{}\", \"nodes\": {}, \"flat_ops_per_sec\": {:.0}, \
-             \"boxed_ops_per_sec\": {:.0}, \"speedup\": {:.2}, \"bindings\": {}}}",
-            r.program, r.nodes, r.flat_ops_per_sec, r.boxed_ops_per_sec, r.speedup, r.bindings
-        ));
+    let s = format!(
+        "{{\n  \"bench\": \"intern\",\n  \
+         \"journal\": {{\"hash\": \"{:016x}\", \"records\": {}, \"matches_pre_refactor_pin\": true}},\n  \
+         \"resolves\": {{\"engine_hot\": {engine_hot}, \"engine_boundary\": {engine_boundary}, \
+         \"deploy_hot\": {}, \"deploy_boundary\": {}}}\n}}\n",
+        pin.hash, pin.records, pin.hot_delta, pin.boundary_delta
+    );
+    match out_path {
+        Some(path) => std::fs::write(path, &s).expect("write bench artifact"),
+        None => print!("{s}"),
     }
-    if !rows.is_empty() {
-        s.push_str("\n  ");
-    }
-    s.push_str("]\n}\n");
-
-    std::fs::write(&out_path, &s).expect("write bench artifact");
-    if !quick {
-        let min = rows.iter().map(|r| r.speedup).fold(f64::MAX, f64::min);
-        eprintln!("intern OK: min speedup {min:.2}x -> {out_path}");
-        if min < 2.0 {
-            eprintln!("intern: speedup below the 2x acceptance floor");
-            return ExitCode::FAILURE;
-        }
-    } else {
-        eprintln!("intern OK (quick): pin + resolve gate -> {out_path}");
-    }
+    eprintln!("intern OK: pin + resolve gate");
     ExitCode::SUCCESS
 }

@@ -1,4 +1,4 @@
-//! Scheduler + join microbenchmarks, exported as `BENCH_sched.json`.
+//! Scheduler + index-probe microbenchmarks, exported as `BENCH_sched.json`.
 //!
 //! ```text
 //! sched [--quick] [--out BENCH_sched.json]
@@ -13,43 +13,25 @@
 //!   populations of 100 / 1k / 10k / 100k events ("nodes": steady state is
 //!   roughly one in-flight event per node). Also pure enqueue (fill from
 //!   empty) and pure dequeue (drain) ops/sec.
-//! * **probe** — `Relation::select` through a maintained hash index vs the
-//!   filtered-scan baseline, ops/sec at growing relation sizes.
-//! * **join** — end-to-end semi-naive evaluation of the logicH / logicJ
-//!   shortest-path-tree programs on a grid EDB, `EvalConfig::use_index`
-//!   on vs off, wall-clock speedup.
+//! * **probe** — `Relation::select` through a maintained trie index vs the
+//!   filtered-scan baseline (`Relation::scan_into`), ops/sec at growing
+//!   relation sizes.
 //!
 //! `--quick` shrinks every dimension so CI can prove the harness end-to-end
 //! (runs, exits 0, JSON parses) in well under a second; the committed
-//! `BENCH_sched.json` comes from a full run.
+//! `BENCH_sched.json` comes from a full run and still carries the `join`
+//! rows of the engine-level indexed-vs-scan comparison, recorded before the
+//! engines' scan switch was removed.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sensorlog_eval::relation::{Relation, TupleMeta};
-use sensorlog_eval::{Database, Engine, EvalConfig};
-use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::intern;
-use sensorlog_logic::{Symbol, Term, Tuple};
-use sensorlog_netsim::{SimTime, TimerWheel, Topology};
+use sensorlog_logic::{Term, Tuple};
+use sensorlog_netsim::{SimTime, TimerWheel};
 use std::collections::BinaryHeap;
 use std::process::ExitCode;
 use std::time::Instant;
-
-const LOGIC_H: &str = r#"
-    .output h.
-    h(0, 0, 0).
-    h(0, X, 1) :- g(0, X).
-    hp(Y, D + 1) :- h(_, Y, D'), (D + 1) > D', h(_, X, D), g(X, Y).
-    h(X, Y, D + 1) :- g(X, Y), h(_, X, D), not hp(Y, D + 1).
-"#;
-
-const LOGIC_J: &str = r#"
-    .output j.
-    j(0, 0).
-    j(X, 1) :- g(0, X).
-    jp(Y, D + 1) :- j(Y, D'), (D + 1) > D', j(X, D), g(X, Y).
-    j(Y, D + 1) :- g(X, Y), j(X, D), not jp(Y, D + 1).
-"#;
 
 /// The bounded per-hop delay window the simulator draws from
 /// (`SimConfig::hop_delay` default), which is what makes the calendar-queue
@@ -174,63 +156,13 @@ fn bench_probe(tuples: usize, probes: usize) -> ProbeRow {
     for _ in 0..scan_probes {
         out.clear();
         let key = intern::intern_int(rng.gen_range(0..keys));
-        out.extend(scan.tuples().filter(|t| t.id(0) == key).cloned());
+        scan.scan_into(&[0], &[key], &mut out);
     }
     let scan_ops = scan_probes as f64 / t0.elapsed().as_secs_f64();
     ProbeRow {
         tuples,
         indexed_ops_per_sec: idx_ops,
         scan_ops_per_sec: scan_ops,
-    }
-}
-
-struct JoinRow {
-    program: &'static str,
-    grid: u32,
-    indexed_ms: f64,
-    scan_ms: f64,
-    index_hits: u64,
-    index_builds: u64,
-}
-
-/// Semi-naive logicH/logicJ on an m×m grid EDB, indexed vs forced-scan.
-fn bench_join(program: &'static str, src: &str, out_pred: &str, m: u32) -> JoinRow {
-    let topo = Topology::square_grid(m);
-    let mut edb = Database::new();
-    let g = Symbol::intern("g");
-    for a in topo.nodes() {
-        for &b in topo.neighbors(a) {
-            edb.insert(
-                g,
-                Tuple::new(vec![Term::Int(a.0 as i64), Term::Int(b.0 as i64)]),
-            );
-        }
-    }
-    let run = |use_index: bool| {
-        let mut engine =
-            Engine::from_source(src, BuiltinRegistry::standard()).expect("bench program compiles");
-        engine.config = EvalConfig {
-            use_index,
-            ..EvalConfig::default()
-        };
-        let t0 = Instant::now();
-        let out = engine.run(&edb).expect("bench program evaluates");
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        assert!(
-            out.len_of(Symbol::intern(out_pred)) > 0,
-            "join bench produced no output"
-        );
-        (ms, out.index_stats())
-    };
-    let (indexed_ms, stats) = run(true);
-    let (scan_ms, _) = run(false);
-    JoinRow {
-        program,
-        grid: m,
-        indexed_ms,
-        scan_ms,
-        index_hits: stats.hits,
-        index_builds: stats.builds,
     }
 }
 
@@ -288,22 +220,6 @@ fn main() -> ExitCode {
         .map(|&t| bench_probe(t, if quick { 20_000 } else { 500_000 }))
         .collect();
 
-    let join_grid = if quick { 6 } else { 14 };
-    let join_rows = vec![
-        bench_join("logicH", LOGIC_H, "h", join_grid),
-        bench_join("logicJ", LOGIC_J, "j", join_grid),
-    ];
-    for j in &join_rows {
-        eprintln!(
-            "join {} grid={}: indexed {:.1} ms vs scan {:.1} ms ({:.2}x)",
-            j.program,
-            j.grid,
-            j.indexed_ms,
-            j.scan_ms,
-            j.scan_ms / j.indexed_ms
-        );
-    }
-
     // Hand-rolled JSON — stable field order, no external deps.
     let mut s = String::new();
     s.push_str("{\n");
@@ -343,21 +259,6 @@ fn main() -> ExitCode {
             if i + 1 < probe_rows.len() { "," } else { "" }
         ));
     }
-    s.push_str("  ],\n  \"join\": [\n");
-    for (i, r) in join_rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"program\": \"{}\", \"grid\": {}, \"indexed_ms\": {:.2}, \"scan_ms\": {:.2}, \
-             \"speedup\": {:.2}, \"index_hits\": {}, \"index_builds\": {}}}{}\n",
-            r.program,
-            r.grid,
-            r.indexed_ms,
-            r.scan_ms,
-            r.scan_ms / r.indexed_ms,
-            r.index_hits,
-            r.index_builds,
-            if i + 1 < join_rows.len() { "," } else { "" }
-        ));
-    }
     s.push_str("  ]\n}\n");
 
     if let Err(e) = std::fs::write(&out_path, &s) {
@@ -365,10 +266,9 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!(
-        "sched OK: {} queue rows, {} probe rows, {} join rows -> {out_path}",
+        "sched OK: {} queue rows, {} probe rows -> {out_path}",
         queue_rows.len(),
-        probe_rows.len(),
-        join_rows.len()
+        probe_rows.len()
     );
     ExitCode::SUCCESS
 }

@@ -212,6 +212,8 @@ mod sizing_tests {
     use super::*;
     use crate::partial::Partial;
     use crate::tupleid::TupleId;
+    use sensorlog_logic::flat::FlatSubst;
+    use sensorlog_logic::intern::intern_int;
     use sensorlog_logic::Term;
 
     #[test]
@@ -222,12 +224,16 @@ mod sizing_tests {
             seq: 0,
         };
         let update = FactRecord::insert(Symbol::intern("r1"), Tuple::new(vec![Term::Int(1)]), id);
-        let mk_partial = |n_bindings: usize| Partial {
-            bindings: (0..n_bindings)
-                .map(|i| (Symbol::intern(&format!("V{i}")), Term::Int(i as i64)))
-                .collect(),
-            bound: vec![true, false],
-            inputs: vec![(0, id)],
+        let mk_partial = |n_bindings: usize| {
+            let mut bindings = FlatSubst::new();
+            for i in 0..n_bindings {
+                bindings.bind(Symbol::intern(&format!("V{i}")), intern_int(i as i64));
+            }
+            Partial {
+                bindings,
+                bound: vec![true, false],
+                inputs: vec![(0, id)],
+            }
         };
         let small = ProbeMsg {
             update: update.clone(),

@@ -13,41 +13,26 @@
 
 use crate::plan::DistProgram;
 use crate::tupleid::TupleId;
-use sensorlog_eval::eval_body::sem_match_args;
+use sensorlog_eval::eval_body::{bound_key, eval_check, ground_atom, Check};
 use sensorlog_eval::relation::Database;
-use sensorlog_logic::ast::{Literal, Rule};
+use sensorlog_logic::ast::{Atom, Literal, Rule};
+use sensorlog_logic::flat::{flat_match_args, FlatSubst};
 use sensorlog_logic::intern;
-use sensorlog_logic::unify::Subst;
-use sensorlog_logic::{Symbol, Term, Tuple};
+use sensorlog_logic::{Symbol, Tuple};
 use sensorlog_netsim::SimTime;
 
 /// A partial result: bindings accumulated so far plus the derivation
 /// inputs. `bound` has one flag per body literal (true for the pinned
 /// occurrence and every joined positive subgoal; checks flip their flag
 /// when they evaluate).
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, Debug)]
 pub struct Partial {
-    pub bindings: Vec<(Symbol, Term)>,
+    pub bindings: FlatSubst,
     pub bound: Vec<bool>,
     pub inputs: Vec<(u16, TupleId)>,
 }
 
 impl Partial {
-    pub fn subst(&self) -> Subst {
-        let mut s = Subst::new();
-        for (v, t) in &self.bindings {
-            s.bind(*v, t.clone());
-        }
-        s
-    }
-
-    fn absorb(&mut self, s: &Subst) {
-        // Keep bindings sorted by variable for canonical comparison.
-        let mut all: Vec<(Symbol, Term)> = s.iter().map(|(v, t)| (*v, t.clone())).collect();
-        all.sort_by_key(|(v, _)| *v);
-        self.bindings = all;
-    }
-
     /// All positive subgoals joined and all checks passed?
     pub fn is_complete(&self, shape: &RuleShape) -> bool {
         shape
@@ -61,7 +46,7 @@ impl Partial {
     pub fn byte_size(&self) -> usize {
         self.bindings
             .iter()
-            .map(|(v, t)| v.as_str().len() + t.byte_size())
+            .map(|(v, id)| v.as_str().len() + intern::entry(id).byte_size as usize)
             .sum::<usize>()
             + self.inputs.len() * 18
             + self.bound.len() / 8
@@ -115,13 +100,12 @@ pub fn seed_partial(
     id: TupleId,
 ) -> Option<Partial> {
     let atom = rule.body[occ].atom().expect("relational occurrence");
-    let mut s = Subst::new();
-    let terms = intern::boundary(|| tuple.terms());
-    if !sem_match_args(&prog.reg, &atom.args, &terms, &mut s) {
+    let mut bindings = FlatSubst::new();
+    if !flat_match_args(&prog.reg, &atom.args, tuple.ids(), &mut bindings) {
         return None;
     }
     let mut p = Partial {
-        bindings: Vec::new(),
+        bindings,
         bound: vec![false; rule.body.len()],
         inputs: Vec::new(),
     };
@@ -129,7 +113,6 @@ pub fn seed_partial(
     if !negated {
         p.inputs.push((occ as u16, id));
     }
-    p.absorb(&s);
     Some(p)
 }
 
@@ -160,45 +143,31 @@ pub struct LocalCtx<'a> {
 }
 
 impl<'a> LocalCtx<'a> {
-    /// Does this replica participate in the probe (window, tombstone, and
-    /// timestamp-tie discipline)?
+    /// Does this replica participate in the probe? Theorem 3 visibility
+    /// (window, tombstone) plus the timestamp-tie discipline.
     fn participates(&self, pred: Symbol, tuple: &Tuple) -> bool {
         let Some(m) = self.db.relation(pred).and_then(|r| r.meta(tuple)) else {
             return false;
         };
-        if m.gen_ts > self.tau {
-            return false;
-        }
-        if m.gen_ts == self.tau {
-            match (self.id_of)(pred, tuple) {
-                Some(id) if id <= self.update_id => {}
-                _ => return false,
-            }
-        }
-        if let Some(w) = self.prog.windows.get(&pred).copied() {
-            if m.gen_ts + w <= self.tau {
-                return false;
-            }
-        }
-        match m.del_ts {
-            Some(d) => d >= self.tau,
-            None => true,
-        }
+        m.visible_at(self.tau, self.prog.windows.get(&pred).copied())
+            && (m.gen_ts < self.tau
+                || (self.id_of)(pred, tuple).is_some_and(|id| id <= self.update_id))
     }
 
-    fn visible(&self, pred: Symbol, tuple: &Tuple) -> bool {
-        self.participates(pred, tuple)
-    }
-
-    fn visible_tuples(&self, pred: Symbol) -> Vec<Tuple> {
-        match self.db.relation(pred) {
-            Some(r) => r
-                .tuples()
-                .filter(|t| self.generous || self.participates(pred, t))
-                .cloned()
-                .collect(),
-            None => Vec::new(),
+    /// Local fragments that can extend a partial at `atom`: an id-filtered
+    /// scan on the columns `subst` already binds, then the participation
+    /// filter on what the scan returned.
+    fn candidates(&self, atom: &Atom, subst: &FlatSubst) -> Vec<Tuple> {
+        let Some(rel) = self.db.relation(atom.pred) else {
+            return Vec::new();
+        };
+        let (cols, key) = bound_key(&self.prog.reg, atom, subst);
+        let mut out = Vec::new();
+        rel.scan_into(&cols, &key, &mut out);
+        if !self.generous {
+            out.retain(|t| self.participates(atom.pred, t));
         }
+        out
     }
 }
 
@@ -236,44 +205,24 @@ fn grow(
     min_lit: usize,
     out: &mut Vec<Partial>,
 ) {
-    // 1. Evaluate any newly-evaluable checks; kill on failure or error.
-    let subst = p.subst();
-    for &i in &shape.checks {
-        if p.bound[i] {
-            continue;
+    let reg = &ctx.prog.reg;
+    // 1. Evaluate any newly-evaluable checks; kill on failure or error. An
+    // `==` assignment binds a variable, which can make a check earlier in
+    // the body evaluable: go round again while bindings grow.
+    loop {
+        let before = p.bindings.len();
+        for &i in &shape.checks {
+            if p.bound[i] {
+                continue;
+            }
+            match eval_check(reg, &rule.body[i], &mut p.bindings) {
+                Ok(Check::Holds) => p.bound[i] = true,
+                Ok(Check::Unbound) => {} // not yet evaluable
+                Ok(Check::Fails) | Err(_) => return,
+            }
         }
-        match &rule.body[i] {
-            Literal::Cmp(op, l, r) => {
-                let lg = subst.apply(l);
-                let rg = subst.apply(r);
-                if lg.is_ground() && rg.is_ground() {
-                    match ctx.prog.reg.compare(*op, &lg, &rg) {
-                        Ok(true) => p.bound[i] = true,
-                        _ => return, // failed or errored: kill
-                    }
-                } // else: not yet evaluable
-            }
-            Literal::Builtin(atom) => {
-                let args: Option<Vec<Term>> = atom
-                    .args
-                    .iter()
-                    .map(|a| {
-                        let g = subst.apply(a);
-                        if g.is_ground() {
-                            ctx.prog.reg.eval_term(&g).ok()
-                        } else {
-                            None
-                        }
-                    })
-                    .collect();
-                if let Some(args) = args {
-                    match ctx.prog.reg.call_pred(atom.pred, &args) {
-                        Ok(true) => p.bound[i] = true,
-                        _ => return,
-                    }
-                }
-            }
-            _ => unreachable!("checks contains only Cmp/Builtin"),
+        if p.bindings.len() == before {
+            break;
         }
     }
 
@@ -284,20 +233,8 @@ fn grow(
             continue;
         }
         if let Literal::Neg(atom) = &rule.body[i] {
-            let ground: Option<Vec<Term>> = atom
-                .args
-                .iter()
-                .map(|a| {
-                    let g = subst.apply(a);
-                    if g.is_ground() {
-                        ctx.prog.reg.eval_term(&g).ok()
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            if let Some(args) = ground {
-                if ctx.visible(atom.pred, &Tuple::new(args)) {
+            if let Ok(Some(t)) = ground_atom(reg, atom, &p.bindings) {
+                if ctx.participates(atom.pred, &t) {
                     return; // killed
                 }
             }
@@ -309,28 +246,25 @@ fn grow(
     // 3. Extend with local fragments (ascending literal order within this
     // node avoids generating the same combination twice).
     for &i in &shape.positives {
-        if i < min_lit || p.bound[i] {
+        if i < min_lit || p.bound[i] || restrict.is_some_and(|r| r != i) {
             continue;
         }
-        if let Some(r) = restrict {
-            if i != r {
-                continue;
-            }
-        }
         if let Literal::Pos(atom) = &rule.body[i] {
-            for t in ctx.visible_tuples(atom.pred) {
-                let mut s = p.subst();
-                let terms = intern::boundary(|| t.terms());
-                if sem_match_args(&ctx.prog.reg, &atom.args, &terms, &mut s) {
+            for t in ctx.candidates(atom, &p.bindings) {
+                let mut bindings = p.bindings.clone();
+                if flat_match_args(reg, &atom.args, t.ids(), &mut bindings) {
                     // A visible fragment without an id means its id record
                     // raced an expiry: skip the match rather than panic.
                     let Some(id) = (ctx.id_of)(atom.pred, &t) else {
                         continue;
                     };
-                    let mut q = p.clone();
+                    let mut q = Partial {
+                        bindings,
+                        bound: p.bound.clone(),
+                        inputs: p.inputs.clone(),
+                    };
                     q.bound[i] = true;
                     q.inputs.push((i as u16, id));
-                    q.absorb(&s);
                     grow(ctx, rule, shape, q, pinned, restrict, i + 1, out);
                 }
             }
@@ -465,6 +399,33 @@ mod tests {
     }
 
     #[test]
+    fn tombstoned_negation_stops_killing_after_del_ts() {
+        let prog = prog();
+        let rule = &prog.analysis.program.rules[0];
+        let shape = RuleShape::of(rule);
+        let (_, et) = fact("e(1, 2)");
+        let seed = seed_partial(&prog, rule, 0, false, &et, tid(0, 5)).unwrap();
+        let mut db = Database::new();
+        let (fp, ft) = fact("f(2, 9)");
+        let (bp, bt) = fact("bad(9)");
+        db.relation_mut(fp).insert(ft.clone(), TupleMeta::at(3));
+        db.relation_mut(bp).insert(bt.clone(), TupleMeta::at(2));
+        db.relation_mut(bp).mark_deleted(&bt, 8);
+        let ids = move |p: Symbol, t: &Tuple| (p == fp && *t == ft).then(|| tid(4, 3));
+        let completed = |tau| {
+            let c = ctx(&prog, &db, &ids, tau);
+            process_partials(&c, rule, &shape, vec![seed.clone()], None, None)
+                .iter()
+                .filter(|p| p.is_complete(&shape))
+                .count()
+        };
+        // A probe from before the deletion still sees bad(9) and is killed;
+        // one from after it is not.
+        assert_eq!(completed(5), 0);
+        assert_eq!(completed(10), 1);
+    }
+
+    #[test]
     fn visibility_respected() {
         let prog = prog();
         let rule = &prog.analysis.program.rules[0];
@@ -490,10 +451,10 @@ mod tests {
         assert!(seed.inputs.is_empty());
         assert!(seed.bound[3]);
         // Z is bound to 9 by the pin.
-        assert!(seed
-            .bindings
-            .iter()
-            .any(|(v, t)| v.as_str() == "Z" && *t == Term::Int(9)));
+        assert_eq!(
+            seed.bindings.get(Symbol::intern("Z")),
+            Some(intern::intern_int(9))
+        );
     }
 
     #[test]

@@ -15,6 +15,7 @@ use crate::plan::DistProgram;
 use crate::prov::{ProvRecord, Provenance};
 use crate::strategy::{PassMode, Strategy};
 use crate::tupleid::{DerivationKey, FactRecord, TupleId};
+use sensorlog_eval::eval_body::instantiate_head;
 use sensorlog_eval::relation::{Database, TupleMeta};
 use sensorlog_eval::{IncrementalEngine, Update, UpdateKind};
 use sensorlog_logic::{Symbol, Tuple};
@@ -959,10 +960,9 @@ impl SensorlogNode {
                             keep.push(p); // keep checking negations
                         } else {
                             let key = DerivationKey::new(rule.id, p.inputs.clone());
-                            let head = instantiate(&self.prog, rule, &p);
-                            match head {
-                                Some(tuple) => emissions.push((rule.head.pred, tuple, key, sign)),
-                                None => { /* head eval failed: drop */ }
+                            // A head whose evaluation fails is dropped.
+                            if let Ok(tuple) = instantiate_head(rule, &p.bindings, &self.prog.reg) {
+                                emissions.push((rule.head.pred, tuple, key, sign));
                             }
                         }
                     } else if !end_of_walk {
@@ -1689,20 +1689,6 @@ fn sent_counter(kind: &'static str) -> &'static str {
         "centroid" => "sent_centroid",
         _ => "sent_other",
     }
-}
-
-/// Evaluate the rule head under a completed partial.
-fn instantiate(prog: &DistProgram, rule: &sensorlog_logic::Rule, p: &Partial) -> Option<Tuple> {
-    let subst = p.subst();
-    let mut terms = Vec::with_capacity(rule.head.args.len());
-    for a in &rule.head.args {
-        let g = subst.apply(a);
-        if !g.is_ground() {
-            return None;
-        }
-        terms.push(prog.reg.eval_term(&g).ok()?);
-    }
-    Some(Tuple::new(terms))
 }
 
 impl App for SensorlogNode {

@@ -91,6 +91,49 @@ fn two_stream_join_matches_oracle_on_all_strategies() {
     }
 }
 
+/// `==` with one unbound side is an assignment in the in-network join
+/// exactly as in the centralized engine: the partial binds `Y` and
+/// completes. The check behind it in body order (`Y > 15`) only becomes
+/// evaluable once the assignment has run.
+#[test]
+fn eq_assignment_binds_in_network() {
+    const ASSIGN: &str = r#"
+        .output q.
+        q(X, Y) :- p(X), r(X), Y > 15, Y == X * 10.
+    "#;
+    for strategy in [
+        Strategy::Perpendicular { band_width: 1.0 },
+        Strategy::Centroid,
+    ] {
+        let mut d = Deployment::new(
+            ASSIGN,
+            BuiltinRegistry::standard(),
+            Topology::square_grid(4),
+            config_with(strategy),
+        )
+        .unwrap();
+        let events = vec![
+            ev(10, 1, "p", "p(1)", UpdateKind::Insert),
+            ev(120, 14, "r", "r(1)", UpdateKind::Insert),
+            ev(300, 7, "p", "p(2)", UpdateKind::Insert),
+            ev(410, 12, "r", "r(2)", UpdateKind::Insert),
+            ev(500, 3, "r", "r(3)", UpdateKind::Insert),
+            ev(600, 9, "p", "p(3)", UpdateKind::Insert),
+        ];
+        d.schedule_all(events.clone());
+        d.run(120_000);
+        let report = oracle::check(&d, &events, sym("q"));
+        assert!(
+            report.exact(),
+            "{}: missing {:?} spurious {:?}",
+            strategy.name(),
+            report.missing,
+            report.spurious
+        );
+        assert_eq!(report.expected, 2);
+    }
+}
+
 #[test]
 fn deletion_retracts_join_results() {
     for strategy in all_strategies() {

@@ -29,8 +29,6 @@ pub struct CountingEngine {
     occurrences: HashMap<Symbol, Vec<(usize, usize, bool)>>,
     pub body_evals: u64,
     pub max_cascade: usize,
-    /// Probe via relation indexes; disable for the scan A/B baseline.
-    pub use_index: bool,
 }
 
 impl CountingEngine {
@@ -66,7 +64,6 @@ impl CountingEngine {
             occurrences,
             body_evals: 0,
             max_cascade: 1_000_000,
-            use_index: true,
         })
     }
 
@@ -144,8 +141,6 @@ impl CountingEngine {
                 db: &self.db,
                 reg: &self.reg,
                 filter: Some(&filter),
-                vis: None,
-                use_index: self.use_index,
             };
             self.body_evals += 1;
             let sols = ev.solutions(&rule.body, FlatSubst::new(), Some((li, &u.tuple)))?;

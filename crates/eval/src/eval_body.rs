@@ -8,9 +8,13 @@
 //!   incremental evaluation seed there);
 //! * a **tuple filter** excluding one tuple at chosen literal positions —
 //!   the "old state for occurrences after the updated one" staircase that
-//!   makes self-join deltas exact;
-//! * optional **timestamp visibility** (Theorem 3's window discipline) for
-//!   the distributed runtime.
+//!   makes self-join deltas exact.
+//!
+//! The per-literal steps — [`bound_key`], [`eval_check`], [`ground_atom`],
+//! and `logic::flat::flat_match_args` for positive atoms — are the one
+//! body-literal kernel: the in-network join (`core::partial`) and the
+//! provenance `why_not` walk call the same functions and add only their own
+//! traversal policy.
 
 use crate::error::EvalError;
 use crate::relation::Database;
@@ -18,9 +22,7 @@ use sensorlog_logic::ast::{Atom, CmpOp, Literal, Rule};
 use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::flat::{flat_compare, flat_eval, flat_is_ground, flat_match_args, FlatSubst};
 use sensorlog_logic::intern::{self, ConstId};
-use sensorlog_logic::unify::Subst;
 use sensorlog_logic::{Symbol, Term, Tuple};
-use std::collections::BTreeMap;
 
 /// Excludes `tuple` from matching `pred` at the given body literal indexes.
 #[derive(Clone, Debug)]
@@ -30,68 +32,100 @@ pub struct TupleFilter {
     pub literal_indexes: Vec<usize>,
 }
 
-/// Timestamp visibility for probes (Theorem 3): only tuples visible at
-/// `tau` under each predicate's window participate.
-#[derive(Clone, Debug)]
-pub struct Visibility<'a> {
-    pub tau: u64,
-    pub windows: &'a BTreeMap<Symbol, u64>,
-}
-
-/// Semantic pattern match: like `sensorlog_logic::unify::match_args`, but evaluates interpreted
-/// function symbols in ground pattern positions and *solves* linear stage
-/// patterns — `D + 1` matched against `2` binds `D = 1`. This is what lets
-/// XY rules like `h(X, Y, D + 1) :- …, not hp(Y, D + 1)` react to an
-/// incoming `hp(0, 2)` tuple (the paper's term-matching operator extended
-/// to interpreted arithmetic).
-pub fn sem_match(reg: &BuiltinRegistry, pat: &Term, val: &Term, s: &mut Subst) -> bool {
-    let p = s.apply(pat);
-    if p.is_ground() {
-        return match reg.eval_term(&p) {
-            Ok(v) => &v == val,
-            Err(_) => false,
-        };
-    }
-    match (&p, val) {
-        (Term::Var(v), _) => {
-            s.bind(*v, val.clone());
-            true
-        }
-        (Term::App(f, args), Term::Int(n)) if args.len() == 2 => {
-            let solve = |v: sensorlog_logic::Symbol, bound: Option<i64>, s: &mut Subst| match bound
-            {
-                Some(x) => {
-                    s.bind(v, Term::Int(x));
-                    true
-                }
-                None => false,
-            };
-            match (f.as_str(), &args[0], &args[1]) {
-                ("add", Term::Var(v), Term::Int(k)) => solve(*v, n.checked_sub(*k), s),
-                ("add", Term::Int(k), Term::Var(v)) => solve(*v, n.checked_sub(*k), s),
-                ("sub", Term::Var(v), Term::Int(k)) => solve(*v, n.checked_add(*k), s),
-                _ => false,
+/// Columns of `atom` that are ground under `subst`, with their id key.
+/// Interpreted functions are evaluated so `D + 1` keys on the stored
+/// integer; a column whose evaluation errors is left unkeyed (the match
+/// step rejects it).
+pub fn bound_key(
+    reg: &BuiltinRegistry,
+    atom: &Atom,
+    subst: &FlatSubst,
+) -> (Vec<usize>, Vec<ConstId>) {
+    let mut cols = Vec::new();
+    let mut key = Vec::new();
+    for (i, a) in atom.args.iter().enumerate() {
+        if flat_is_ground(a, subst) {
+            if let Ok(v) = flat_eval(reg, a, subst) {
+                cols.push(i);
+                key.push(v);
             }
         }
-        (Term::App(f, pargs), Term::App(g, vargs))
-            if f == g && pargs.len() == vargs.len() && !reg.is_func(*f) =>
-        {
-            pargs
-                .iter()
-                .zip(vargs.iter())
-                .all(|(pp, vv)| sem_match(reg, pp, vv, s))
-        }
-        _ => false,
     }
+    (cols, key)
 }
 
-/// [`sem_match`] over an argument list.
-pub fn sem_match_args(reg: &BuiltinRegistry, pats: &[Term], vals: &[Term], s: &mut Subst) -> bool {
-    pats.len() == vals.len()
-        && pats
-            .iter()
-            .zip(vals.iter())
-            .all(|(p, v)| sem_match(reg, p, v, s))
+/// Outcome of [`eval_check`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Check {
+    Holds,
+    Fails,
+    /// Some variable the check needs is still unbound.
+    Unbound,
+}
+
+/// Evaluate a `Cmp` or `Builtin` literal under `subst`. `==` with exactly
+/// one side an unbound variable is an assignment and binds it.
+pub fn eval_check(
+    reg: &BuiltinRegistry,
+    lit: &Literal,
+    subst: &mut FlatSubst,
+) -> Result<Check, EvalError> {
+    let holds = match lit {
+        Literal::Cmp(op, l, r) => match (flat_is_ground(l, subst), flat_is_ground(r, subst)) {
+            (true, true) => flat_compare(reg, *op, l, r, subst)?,
+            (l_ground, r_ground) if *op == CmpOp::Eq && (l_ground || r_ground) => {
+                // A non-ground side that is a `Var` is necessarily unbound
+                // (flat bindings are ground).
+                let (var, val) = if r_ground { (l, r) } else { (r, l) };
+                let Term::Var(v) = var else {
+                    return Ok(Check::Unbound);
+                };
+                let id = flat_eval(reg, val, subst)?;
+                subst.bind(*v, id);
+                true
+            }
+            _ => return Ok(Check::Unbound),
+        },
+        Literal::Builtin(atom) => {
+            let Some(ids) = ground_args(reg, atom, subst)? else {
+                return Ok(Check::Unbound);
+            };
+            // The procedural-builtin boundary: cross it once with resolved
+            // terms.
+            let args: Vec<Term> = intern::boundary(|| intern::resolve_slice(&ids));
+            reg.call_pred(atom.pred, &args)?
+        }
+        Literal::Pos(_) | Literal::Neg(_) => {
+            return Err(EvalError::Internal(format!("`{lit}` is not a check")))
+        }
+    };
+    Ok(if holds { Check::Holds } else { Check::Fails })
+}
+
+fn ground_args(
+    reg: &BuiltinRegistry,
+    atom: &Atom,
+    subst: &FlatSubst,
+) -> Result<Option<Vec<ConstId>>, EvalError> {
+    let mut ids = Vec::with_capacity(atom.args.len());
+    for a in atom.args.iter() {
+        if !flat_is_ground(a, subst) {
+            return Ok(None);
+        }
+        ids.push(flat_eval(reg, a, subst)?);
+    }
+    Ok(Some(ids))
+}
+
+/// Instantiate `atom` (a negated subgoal, a rule head) under `subst`,
+/// evaluating interpreted functions; `None` while any argument still has an
+/// unbound variable.
+pub fn ground_atom(
+    reg: &BuiltinRegistry,
+    atom: &Atom,
+    subst: &FlatSubst,
+) -> Result<Option<Tuple>, EvalError> {
+    Ok(ground_args(reg, atom, subst)?.map(Tuple::from_ids))
 }
 
 /// One satisfying assignment of a rule body. The substitution is flat
@@ -110,10 +144,6 @@ pub struct BodyEval<'a> {
     pub db: &'a Database,
     pub reg: &'a BuiltinRegistry,
     pub filter: Option<&'a TupleFilter>,
-    pub vis: Option<Visibility<'a>>,
-    /// When false, positive-literal probes bypass the relation indexes and
-    /// run as filtered scans — the A/B baseline for `EvalConfig::use_index`.
-    pub use_index: bool,
 }
 
 impl<'a> BodyEval<'a> {
@@ -122,8 +152,6 @@ impl<'a> BodyEval<'a> {
             db,
             reg,
             filter: None,
-            vis: None,
-            use_index: true,
         }
     }
 
@@ -206,155 +234,54 @@ impl<'a> BodyEval<'a> {
                 }
                 Ok(())
             }
-            Literal::Cmp(op, l, r) => {
-                match (flat_is_ground(l, &subst), flat_is_ground(r, &subst)) {
-                    (true, true) => {
-                        if flat_compare(self.reg, *op, l, r, &subst)? {
-                            self.walk(body, order, step + 1, subst, pinned, inputs, out)?;
-                        }
-                        Ok(())
-                    }
-                    (false, true) if *op == CmpOp::Eq => {
-                        // Assignment: bind the left variable. (A non-ground
-                        // side that is a `Var` is necessarily unbound — flat
-                        // bindings are ground.)
-                        if let Term::Var(v) = l {
-                            let mut s = subst;
-                            let id = flat_eval(self.reg, r, &s)?;
-                            s.bind(*v, id);
-                            self.walk(body, order, step + 1, s, pinned, inputs, out)?;
-                            Ok(())
-                        } else {
-                            let lg = intern::boundary(|| subst.to_subst().apply(l));
-                            Err(EvalError::Internal(format!(
-                                "cannot assign to non-variable `{lg}`"
-                            )))
-                        }
-                    }
-                    (true, false) if *op == CmpOp::Eq => {
-                        if let Term::Var(v) = r {
-                            let mut s = subst;
-                            let id = flat_eval(self.reg, l, &s)?;
-                            s.bind(*v, id);
-                            self.walk(body, order, step + 1, s, pinned, inputs, out)?;
-                            Ok(())
-                        } else {
-                            let rg = intern::boundary(|| subst.to_subst().apply(r));
-                            Err(EvalError::Internal(format!(
-                                "cannot assign to non-variable `{rg}`"
-                            )))
-                        }
-                    }
-                    _ => Err(EvalError::Internal(format!(
-                        "comparison `{lit}` reached with unbound variables"
+            Literal::Cmp(..) | Literal::Builtin(_) => {
+                let mut s = subst;
+                match eval_check(self.reg, lit, &mut s)? {
+                    Check::Holds => self.walk(body, order, step + 1, s, pinned, inputs, out),
+                    Check::Fails => Ok(()),
+                    Check::Unbound => Err(EvalError::Internal(format!(
+                        "`{lit}` reached with unbound variables"
                     ))),
                 }
-            }
-            Literal::Builtin(atom) => {
-                // Evaluate arguments flat, then cross the procedural-builtin
-                // boundary once with resolved terms.
-                let mut ids: Vec<ConstId> = Vec::with_capacity(atom.args.len());
-                for a in atom.args.iter() {
-                    if flat_is_ground(a, &subst) {
-                        ids.push(flat_eval(self.reg, a, &subst)?);
-                    } else {
-                        return Err(EvalError::Internal(format!(
-                            "builtin `{lit}` reached with unbound variables"
-                        )));
-                    }
-                }
-                let args: Vec<Term> = intern::boundary(|| intern::resolve_slice(&ids));
-                if self.reg.call_pred(atom.pred, &args)? {
-                    self.walk(body, order, step + 1, subst, pinned, inputs, out)?;
-                }
-                Ok(())
             }
         }
     }
 
-    /// Candidate tuples for a positive atom, honoring filter + visibility,
-    /// using the relation index on the currently-ground positions.
+    /// Candidate tuples for a positive atom, honoring the filter, using the
+    /// relation index on the currently-ground positions.
     fn candidates(&self, atom: &Atom, subst: &FlatSubst, lit_idx: usize) -> Vec<Tuple> {
         let rel = match self.db.relation(atom.pred) {
             Some(r) => r,
             None => return Vec::new(),
         };
-        let mut cols: Vec<usize> = Vec::new();
-        let mut key: Vec<ConstId> = Vec::new();
-        for (i, a) in atom.args.iter().enumerate() {
-            if flat_is_ground(a, subst) {
-                // Evaluate interpreted functions in the key so `d + 1`
-                // matches stored integers.
-                if let Ok(v) = flat_eval(self.reg, a, subst) {
-                    cols.push(i);
-                    key.push(v);
-                }
-            }
-        }
+        let (cols, key) = bound_key(self.reg, atom, subst);
         let mut raw = Vec::new();
         if cols.is_empty() {
-            raw.extend(rel.tuples().cloned());
-        } else if self.use_index {
-            rel.select(&cols, &key, &mut raw);
+            rel.scan_into(&cols, &key, &mut raw);
         } else {
-            // Forced-scan baseline: same result set and canonical order as
-            // `select`, without touching the index machinery or its stats.
-            raw.extend(
-                rel.tuples()
-                    .filter(|t| {
-                        cols.iter().all(|&c| c < t.arity())
-                            && cols.iter().zip(key.iter()).all(|(&c, &k)| t.id(c) == k)
-                    })
-                    .cloned(),
-            );
+            rel.select(&cols, &key, &mut raw);
         }
-        raw.retain(|t| {
-            if let Some(f) = self.filter {
-                if f.pred == atom.pred && f.literal_indexes.contains(&lit_idx) && *t == f.tuple {
-                    return false;
-                }
+        if let Some(f) = self.filter {
+            if f.pred == atom.pred && f.literal_indexes.contains(&lit_idx) {
+                raw.retain(|t| *t != f.tuple);
             }
-            if let Some(vis) = &self.vis {
-                let meta = rel.meta(t).expect("selected tuple has meta");
-                if !meta.visible_at(vis.tau, vis.windows.get(&atom.pred).copied()) {
-                    return false;
-                }
-            }
-            true
-        });
+        }
         raw
     }
 
-    /// `true` when no visible tuple matches the (fully ground) negated atom.
+    /// `true` when no stored tuple matches the (fully ground) negated atom.
     fn neg_holds(&self, atom: &Atom, subst: &FlatSubst, lit_idx: usize) -> Result<bool, EvalError> {
-        let mut ids: Vec<ConstId> = Vec::with_capacity(atom.args.len());
-        for a in atom.args.iter() {
-            if flat_is_ground(a, subst) {
-                ids.push(flat_eval(self.reg, a, subst)?);
-            } else {
-                return Err(EvalError::Internal(format!(
-                    "negated subgoal `{}` reached with unbound variables",
-                    atom
-                )));
-            }
-        }
-        let t = Tuple::from_ids(ids);
-        let rel = match self.db.relation(atom.pred) {
-            Some(r) => r,
-            None => return Ok(true),
+        let Some(t) = ground_atom(self.reg, atom, subst)? else {
+            return Err(EvalError::Internal(format!(
+                "negated subgoal `{atom}` reached with unbound variables"
+            )));
         };
         if let Some(f) = self.filter {
             if f.pred == atom.pred && f.literal_indexes.contains(&lit_idx) && t == f.tuple {
                 return Ok(true); // excluded from the check
             }
         }
-        match rel.meta(&t) {
-            None => Ok(true),
-            Some(m) => match &self.vis {
-                Some(vis) => Ok(!m.visible_at(vis.tau, vis.windows.get(&atom.pred).copied())),
-                None => Ok(false),
-            },
-        }
+        Ok(!self.db.contains(atom.pred, &t))
     }
 }
 
@@ -377,24 +304,14 @@ pub fn instantiate_head(
     reg: &BuiltinRegistry,
 ) -> Result<Tuple, EvalError> {
     debug_assert!(rule.agg.is_none(), "aggregate heads use aggregate::finish");
-    let mut ids: Vec<ConstId> = Vec::with_capacity(rule.head.args.len());
-    for a in rule.head.args.iter() {
-        if flat_is_ground(a, subst) {
-            ids.push(flat_eval(reg, a, subst)?);
-        } else {
-            return Err(EvalError::Internal(format!(
-                "head argument `{a}` unbound in rule #{}",
-                rule.id
-            )));
-        }
-    }
-    Ok(Tuple::from_ids(ids))
+    ground_atom(reg, &rule.head, subst)?.ok_or_else(|| {
+        EvalError::Internal(format!("head of rule #{} has unbound variables", rule.id))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::relation::TupleMeta;
     use sensorlog_logic::parser::{parse_fact, parse_rule};
 
     fn db_with(facts: &[&str]) -> Database {
@@ -530,8 +447,6 @@ mod tests {
             db: &db,
             reg: &reg,
             filter: Some(&filter),
-            vis: None,
-            use_index: true,
         };
         // e(1,1) join e(1,1) exists, but occurrence 1 excludes the tuple.
         let sols = ev.solutions(&rule.body, FlatSubst::new(), None).unwrap();
@@ -555,96 +470,11 @@ mod tests {
             db: &db,
             reg: &reg,
             filter: Some(&filter0),
-            vis: None,
-            use_index: true,
         };
         let sols = ev0
             .solutions(&rule.body, FlatSubst::new(), Some((1, &pin)))
             .unwrap();
         assert!(sols.is_empty());
-    }
-
-    #[test]
-    fn visibility_hides_future_and_expired() {
-        let rule = parse_rule("q(X) :- p(X).").unwrap();
-        let mut db = Database::new();
-        let p = Symbol::intern("p");
-        db.relation_mut(p).insert(tup("1"), TupleMeta::at(100));
-        db.relation_mut(p).insert(tup("2"), TupleMeta::at(500));
-        let reg = BuiltinRegistry::standard();
-        let mut windows = BTreeMap::new();
-        windows.insert(p, 300u64);
-        let ev = BodyEval {
-            db: &db,
-            reg: &reg,
-            filter: None,
-            vis: Some(Visibility {
-                tau: 350,
-                windows: &windows,
-            }),
-            use_index: true,
-        };
-        let sols = ev.solutions(&rule.body, FlatSubst::new(), None).unwrap();
-        // tau=350: p(1) gen 100 within window (100+300>350), p(2) in future.
-        assert_eq!(sols.len(), 1);
-        // tau=550: p(1) expired (100+300<=550), p(2) visible (gen 500).
-        let ev2 = BodyEval {
-            db: &db,
-            reg: &reg,
-            filter: None,
-            vis: Some(Visibility {
-                tau: 550,
-                windows: &windows,
-            }),
-            use_index: true,
-        };
-        let sols = ev2.solutions(&rule.body, FlatSubst::new(), None).unwrap();
-        assert_eq!(sols.len(), 1);
-        assert_eq!(sols[0].inputs[0].2, tup("2"));
-    }
-
-    #[test]
-    fn negation_sees_tombstones_under_visibility() {
-        let rule = parse_rule("q(X) :- p(X), not s(X).").unwrap();
-        let mut db = Database::new();
-        let (p, s) = (Symbol::intern("p"), Symbol::intern("s"));
-        db.relation_mut(p).insert(tup("1"), TupleMeta::at(0));
-        db.relation_mut(s).insert(tup("1"), TupleMeta::at(10));
-        db.relation_mut(s).mark_deleted(&tup("1"), 50);
-        let reg = BuiltinRegistry::standard();
-        let windows = BTreeMap::new();
-        // At tau=30 the s-tuple is alive (deleted later): q empty.
-        let ev = BodyEval {
-            db: &db,
-            reg: &reg,
-            filter: None,
-            vis: Some(Visibility {
-                tau: 30,
-                windows: &windows,
-            }),
-            use_index: true,
-        };
-        assert!(ev
-            .solutions(&rule.body, FlatSubst::new(), None)
-            .unwrap()
-            .is_empty());
-        // At tau=60 the s-tuple is deleted: q(1) holds.
-        let ev = BodyEval {
-            db: &db,
-            reg: &reg,
-            filter: None,
-            vis: Some(Visibility {
-                tau: 60,
-                windows: &windows,
-            }),
-            use_index: true,
-        };
-        assert_eq!(
-            ev.solutions(&rule.body, FlatSubst::new(), None)
-                .unwrap()
-                .len(),
-            1
-        );
     }
 
     #[test]

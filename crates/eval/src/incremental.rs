@@ -132,9 +132,6 @@ pub struct IncrementalEngine {
     /// [`EvalError::DerivationCycle`] instead of silently keeping zombie
     /// support. Off by default (costs a DFS per derivation).
     pub check_local_recursion: bool,
-    /// Probe via relation indexes (planner-registered, maintained through
-    /// insert/delete). Disable for the scan A/B baseline.
-    pub use_index: bool,
     /// Opt-in per-firing lineage capture (the continuous-engine analogue of
     /// [`crate::EvalConfig::record_lineage`]). `None` = disabled: one
     /// branch per derivation transition, no allocation.
@@ -188,7 +185,6 @@ impl IncrementalEngine {
             profiler: Profiler::disabled(),
             max_cascade: 1_000_000,
             check_local_recursion: false,
-            use_index: true,
             lineage: None,
         })
     }
@@ -351,8 +347,6 @@ impl IncrementalEngine {
                 db: &self.db,
                 reg: &self.reg,
                 filter: Some(&filter),
-                vis: None,
-                use_index: self.use_index,
             };
             self.stats.body_evals += 1;
             let sols = ev.solutions(&rule.body, FlatSubst::new(), Some((li, &u.tuple)))?;
@@ -529,8 +523,7 @@ impl IncrementalEngine {
             }
         }
         let seed = FlatSubst::from_subst(&boxed_seed).expect("group-key bindings are ground");
-        let mut ev = BodyEval::new(&self.db, &self.reg);
-        ev.use_index = self.use_index;
+        let ev = BodyEval::new(&self.db, &self.reg);
         self.stats.body_evals += 1;
         let sols = ev.solutions(&rule.body, seed, None)?;
         // Keep only solutions matching this exact group key (head args may

@@ -33,7 +33,7 @@ pub mod seminaive;
 pub mod window;
 
 pub use error::EvalError;
-pub use eval_body::{BodyEval, Solution, TupleFilter, Visibility};
+pub use eval_body::{BodyEval, Solution, TupleFilter};
 pub use incremental::{IncrementalEngine, Update, UpdateKind};
 pub use lineage::{AtomId, LineageLog, LineageRecord, EDB_RULE};
 pub use planner::{plan_probes, program_signatures};

@@ -20,9 +20,8 @@ use crate::relation::{Database, TupleMeta};
 use sensorlog_logic::analyze::{Analysis, ProgramClass};
 use sensorlog_logic::ast::Literal;
 use sensorlog_logic::builtin::BuiltinRegistry;
-use sensorlog_logic::flat::FlatSubst;
+use sensorlog_logic::flat::{flat_match_args, FlatSubst};
 use sensorlog_logic::intern;
-use sensorlog_logic::unify::{match_args, Subst};
 use sensorlog_logic::{Symbol, Tuple};
 use sensorlog_telemetry::Profiler;
 use std::collections::{HashSet, VecDeque};
@@ -39,8 +38,6 @@ pub struct RederiveEngine {
     /// over-delete/rederive passes separately.
     pub profiler: Profiler,
     pub max_cascade: usize,
-    /// Probe via relation indexes; disable for the scan A/B baseline.
-    pub use_index: bool,
     /// Opt-in per-firing lineage capture. DRed tracks no derivations, so
     /// over-deletion retracts an atom's entire recorded proof set and
     /// rederivation re-records the surviving witness.
@@ -68,7 +65,6 @@ impl RederiveEngine {
             body_evals: 0,
             profiler: Profiler::disabled(),
             max_cascade: 1_000_000,
-            use_index: true,
             lineage: None,
         })
     }
@@ -141,8 +137,7 @@ impl RederiveEngine {
                     if negated {
                         // An insert into a negated subgoal can only delete;
                         // over-delete the affected heads, then rederive.
-                        let mut ev = BodyEval::new(&self.db, &self.reg);
-                        ev.use_index = self.use_index;
+                        let ev = BodyEval::new(&self.db, &self.reg);
                         self.body_evals += 1;
                         let sols =
                             ev.solutions(&rule.body, FlatSubst::new(), Some((li, &tuple)))?;
@@ -160,8 +155,7 @@ impl RederiveEngine {
                             }
                         }
                     } else {
-                        let mut ev = BodyEval::new(&self.db, &self.reg);
-                        ev.use_index = self.use_index;
+                        let ev = BodyEval::new(&self.db, &self.reg);
                         self.body_evals += 1;
                         let sols =
                             ev.solutions(&rule.body, FlatSubst::new(), Some((li, &tuple)))?;
@@ -240,8 +234,7 @@ impl RederiveEngine {
                     if !matches_occ {
                         continue;
                     }
-                    let mut ev = BodyEval::new(&self.db, &self.reg);
-                    ev.use_index = self.use_index;
+                    let ev = BodyEval::new(&self.db, &self.reg);
                     self.body_evals += 1;
                     let sols = ev.solutions(&rule.body, FlatSubst::new(), Some((li, &tuple)))?;
                     let mut heads = Vec::new();
@@ -310,8 +303,7 @@ impl RederiveEngine {
                     if !is_neg_occ {
                         continue;
                     }
-                    let mut ev = BodyEval::new(&self.db, &self.reg);
-                    ev.use_index = self.use_index;
+                    let ev = BodyEval::new(&self.db, &self.reg);
                     self.body_evals += 1;
                     let sols = ev.solutions(&rule.body, FlatSubst::new(), Some((li, &tuple)))?;
                     let mut fresh = Vec::new();
@@ -337,18 +329,12 @@ impl RederiveEngine {
             if rule.head.pred != pred {
                 continue;
             }
-            // Seed by syntactic match against the (resolved) casualty — a
-            // boundary op; the resulting ground bindings re-intern for the
-            // flat body walk.
-            let boxed_seed = intern::boundary(|| {
-                let terms = tuple.terms();
-                let mut s = Subst::new();
-                match_args(&rule.head.args, &terms, &mut s).then_some(s)
-            });
-            let seed = match boxed_seed.and_then(|s| FlatSubst::from_subst(&s)) {
-                Some(s) => s,
-                None => continue,
-            };
+            // Seed with the same semantic head match the forward direction
+            // inverts: `q(X + 1)` against `q(2)` binds `X = 1`.
+            let mut seed = FlatSubst::new();
+            if !flat_match_args(&self.reg, &rule.head.args, tuple.ids(), &mut seed) {
+                continue;
+            }
             // The casualty itself must not self-justify: exclude it from
             // every positive occurrence of its own predicate.
             let filter = TupleFilter {
@@ -360,8 +346,6 @@ impl RederiveEngine {
                 db: &self.db,
                 reg: &self.reg,
                 filter: Some(&filter),
-                vis: None,
-                use_index: self.use_index,
             };
             self.body_evals += 1;
             let sols = ev.solutions(&rule.body, seed, None)?;
@@ -430,6 +414,20 @@ mod tests {
         assert!(e.db.contains(sym("q"), &tup("1")), "rederived via b");
         e.apply(del("b(1)", 4)).unwrap();
         assert!(!e.db.contains(sym("q"), &tup("1")));
+    }
+
+    #[test]
+    fn alternative_derivation_through_interpreted_head_survives() {
+        let src = r#"
+            q(X + 1) :- a(X).
+            q(Z) :- b(Z).
+        "#;
+        let mut e = RederiveEngine::from_source(src, BuiltinRegistry::standard()).unwrap();
+        e.apply(ins("a(1)", 1)).unwrap();
+        e.apply(ins("b(2)", 2)).unwrap();
+        e.apply(del("b(2)", 3)).unwrap();
+        assert!(e.db.contains(sym("q"), &tup("2")), "rederived via a(1)");
+        assert_matches_oracle(&e, src);
     }
 
     #[test]

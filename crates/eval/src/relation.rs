@@ -31,7 +31,7 @@ impl TupleMeta {
         }
     }
 
-    /// Visibility under the timestamp discipline of Theorem 3: a probe with
+    /// Theorem 3's timestamp discipline: a probe with
     /// update-timestamp `tau` over a window of `window` ms sees tuples with
     /// `gen_ts ≤ tau`, `gen_ts > tau − window`, and no deletion-timestamp
     /// `< tau`.
@@ -761,8 +761,17 @@ impl Relation {
         idx.built.push((spec, trie));
     }
 
-    /// Filtered scan over the canonical `BTreeMap` order.
-    fn scan_into(&self, cols: &[usize], key: &[ConstId], out: &mut Vec<Tuple>) {
+    /// The id-filtered scan: tuples whose ids at `cols` equal `key` (all of
+    /// them when `cols` is empty), in canonical tuple order, touching no
+    /// index machinery or stats. [`Relation::select`] falls back to it, and
+    /// the distributed runtime probes its small per-node fragment stores
+    /// with it directly — a trie per node costs more heap than it saves.
+    pub fn scan_into(&self, cols: &[usize], key: &[ConstId], out: &mut Vec<Tuple>) {
+        if cols.is_empty() {
+            // Exact size hint: the whole relation lands in one allocation.
+            out.extend(self.tuples.keys().cloned());
+            return;
+        }
         out.extend(
             self.tuples
                 .keys()

@@ -41,10 +41,6 @@ pub struct EvalConfig {
     pub max_stages: usize,
     /// Max total derived tuples.
     pub max_tuples: usize,
-    /// Probe positive literals through the planner-registered relation
-    /// indexes. `false` forces filtered scans — the A/B baseline the
-    /// scheduler bench compares against.
-    pub use_index: bool,
     /// Record per-firing lineage (rule id, substitution, premise atoms →
     /// derived atom) into a [`crate::lineage::LineageLog`]. Consumed via
     /// [`Engine::run_with_lineage`]; plain [`Engine::run`] ignores it and
@@ -58,7 +54,6 @@ impl Default for EvalConfig {
             max_iterations: 100_000,
             max_stages: 100_000,
             max_tuples: 10_000_000,
-            use_index: true,
             record_lineage: false,
         }
     }
@@ -133,9 +128,7 @@ impl Engine {
         lin: &mut Option<LineageLog>,
     ) -> Result<Database, EvalError> {
         let mut db = edb.clone();
-        if self.config.use_index {
-            crate::planner::register_program_indexes(&mut db, &self.analysis.program.rules);
-        }
+        crate::planner::register_program_indexes(&mut db, &self.analysis.program.rules);
         let prog = &self.analysis.program;
         let idb = prog.idb_preds();
         for scc in &self.sccs {
@@ -186,8 +179,7 @@ impl Engine {
         // non-recursive means no rule references the head).
         let mut pending: Vec<(Symbol, Tuple)> = Vec::new();
         for rule in rules {
-            let mut ev = BodyEval::new(db, &self.reg);
-            ev.use_index = self.config.use_index;
+            let ev = BodyEval::new(db, &self.reg);
             let sols = ev.solutions(&rule.body, FlatSubst::new(), None)?;
             if rule.agg.is_some() {
                 let outs = aggregate_rule(rule, &sols, &self.reg)?;
@@ -227,8 +219,7 @@ impl Engine {
         let mut delta: HashMap<Symbol, Vec<Tuple>> = HashMap::new();
         let mut round0: Vec<(Symbol, Tuple)> = Vec::new();
         for rule in rules {
-            let mut ev = BodyEval::new(db, &self.reg);
-            ev.use_index = self.config.use_index;
+            let ev = BodyEval::new(db, &self.reg);
             let sols = ev.solutions(&rule.body, FlatSubst::new(), None)?;
             debug_assert!(rule.agg.is_none(), "aggregates cannot be recursive");
             for sol in &sols {
@@ -266,8 +257,7 @@ impl Engine {
                     let empty = Vec::new();
                     let dts = delta.get(&atom.pred).unwrap_or(&empty);
                     for dt in dts {
-                        let mut ev = BodyEval::new(db, &self.reg);
-                        ev.use_index = self.config.use_index;
+                        let ev = BodyEval::new(db, &self.reg);
                         let sols = ev.solutions(&rule.body, FlatSubst::new(), Some((idx, dt)))?;
                         for sol in &sols {
                             let t = instantiate_head(rule, &sol.subst, &self.reg)?;
@@ -313,8 +303,7 @@ impl Engine {
             )
         });
         for rule in &import {
-            let mut ev = BodyEval::new(db, &self.reg);
-            ev.use_index = self.config.use_index;
+            let ev = BodyEval::new(db, &self.reg);
             let sols = ev.solutions(&rule.body, FlatSubst::new(), None)?;
             for sol in &sols {
                 let t = instantiate_head(rule, &sol.subst, &self.reg)?;
@@ -363,8 +352,7 @@ impl Engine {
                             seed.bind(v, intern::intern_int(stage - off));
                         }
                     }
-                    let mut ev = BodyEval::new(db, &self.reg);
-                    ev.use_index = self.config.use_index;
+                    let ev = BodyEval::new(db, &self.reg);
                     let sols = ev.solutions(&rule.body, seed, None)?;
                     let mut new_tuples = Vec::new();
                     for sol in &sols {

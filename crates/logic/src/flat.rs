@@ -2,8 +2,9 @@
 //! matching and comparisons over interned [`ConstId`]s.
 //!
 //! This is the id-space mirror of the boxed machinery ([`crate::unify`] +
-//! [`BuiltinRegistry::eval_term`] + the body evaluator's `sem_match`): every
-//! function here reproduces its boxed counterpart's semantics *exactly* —
+//! [`BuiltinRegistry::eval_term`]; the boxed semantic matcher survives only
+//! as the oracle of `eval/tests/match_parity.rs`): every function here
+//! reproduces its boxed counterpart's semantics *exactly* —
 //! same results, same error cases — while touching only pool entries, so
 //! the fixpoint inner loop performs zero id → `Term` resolves. Cold paths
 //! (non-arithmetic builtin functions, error-message construction) fall back
@@ -397,9 +398,9 @@ fn arg_view(a: &Term, s: &FlatSubst) -> ArgView {
     }
 }
 
-/// Semantic pattern match against an interned value — the id-space mirror
-/// of the body evaluator's `sem_match`: ground (under `s`) patterns are
-/// evaluated and compared by id; an unbound variable binds; 2-ary `add`/
+/// Semantic pattern match against an interned value, the one matcher of
+/// every body-literal walk: ground (under `s`) patterns are evaluated and
+/// compared by id; an unbound variable binds; 2-ary `add`/
 /// `sub` patterns against an integer solve linearly; uninterpreted
 /// applications descend structurally.
 pub fn flat_match(reg: &BuiltinRegistry, pat: &Term, vid: ConstId, s: &mut FlatSubst) -> bool {

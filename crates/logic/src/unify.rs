@@ -115,15 +115,6 @@ pub fn match_term(pattern: &Term, value: &Term, subst: &mut Subst) -> bool {
     }
 }
 
-/// Match a sequence of patterns against a ground tuple.
-pub fn match_args(patterns: &[Term], values: &[Term], subst: &mut Subst) -> bool {
-    patterns.len() == values.len()
-        && patterns
-            .iter()
-            .zip(values.iter())
-            .all(|(p, v)| match_term(p, v, subst))
-}
-
 fn occurs(v: Symbol, t: &Term, subst: &Subst) -> bool {
     match t {
         Term::Var(u) => {

@@ -13,13 +13,14 @@
 //! cyclic rule firings (e.g. transitive closure re-deriving a premise).
 
 use sensorlog_core::{DerivationKey, ProvRecord, TupleId};
-use sensorlog_eval::eval_body::sem_match_args;
+use sensorlog_eval::eval_body::{eval_check, Check};
 use sensorlog_eval::UpdateKind;
 use sensorlog_logic::boundness::order_literals;
 use sensorlog_logic::builtin::BuiltinRegistry;
+use sensorlog_logic::flat::{flat_match_args, FlatSubst};
 use sensorlog_logic::intern;
 use sensorlog_logic::unify::Subst;
-use sensorlog_logic::{Atom, CmpOp, Literal, Program, Rule, Symbol, Term, Tuple};
+use sensorlog_logic::{Atom, Literal, Program, Rule, Symbol, Term, Tuple};
 use sensorlog_netsim::{Journal, NodeId, SimTime, TraceEvent};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
@@ -489,13 +490,8 @@ impl ProvDag {
         let mut attempts = Vec::new();
         let mut any_head = false;
         for rule in rules {
-            let mut s0 = Subst::new();
-            if !sem_match_args(
-                reg,
-                &rule.head.args,
-                &intern::boundary(|| tuple.terms()),
-                &mut s0,
-            ) {
+            let mut s0 = FlatSubst::new();
+            if !flat_match_args(reg, &rule.head.args, tuple.ids(), &mut s0) {
                 continue;
             }
             any_head = true;
@@ -512,27 +508,32 @@ impl ProvDag {
 
     /// Beam-walk one rule body over the live DAG. `Ok(())` means some
     /// binding satisfies every subgoal; `Err` carries the first failure.
-    fn walk_rule(&self, rule: &Rule, reg: &BuiltinRegistry, s0: Subst) -> Result<(), FailedRule> {
+    fn walk_rule(
+        &self,
+        rule: &Rule,
+        reg: &BuiltinRegistry,
+        s0: FlatSubst,
+    ) -> Result<(), FailedRule> {
         // Cap the binding frontier so pathological joins stay cheap; a
         // truncated beam can only under-report `Derivable`, never invent a
         // spurious failure position for satisfiable prefixes.
         const BEAM: usize = 256;
+        let extend = |a: &Atom, t: &Tuple, s: &FlatSubst| {
+            let mut s2 = s.clone();
+            flat_match_args(reg, &a.args, t.ids(), &mut s2).then_some(s2)
+        };
         let order = order_literals(&rule.body, None);
         let mut beam = vec![s0];
         for &li in &order {
             let lit = &rule.body[li];
-            let mut next: Vec<Subst> = Vec::new();
+            let mut next: Vec<FlatSubst> = Vec::new();
+            let (mut negated, mut retracted) = (false, false);
             match lit {
                 Literal::Pos(a) => {
+                    let live = self.live_tuples(a.pred);
                     'outer: for s in &beam {
-                        for t in self.live_tuples(a.pred) {
-                            let mut s2 = s.clone();
-                            if sem_match_args(
-                                reg,
-                                &a.args,
-                                &intern::boundary(|| t.terms()),
-                                &mut s2,
-                            ) {
+                        for t in &live {
+                            if let Some(s2) = extend(a, t, s) {
                                 next.push(s2);
                                 if next.len() >= BEAM {
                                     break 'outer;
@@ -541,122 +542,60 @@ impl ProvDag {
                         }
                     }
                     if next.is_empty() {
-                        let retracted = beam.iter().any(|s| {
-                            self.retracted_tuples(a.pred).into_iter().any(|t| {
-                                let mut s2 = s.clone();
-                                sem_match_args(
-                                    reg,
-                                    &a.args,
-                                    &intern::boundary(|| t.terms()),
-                                    &mut s2,
-                                )
-                            })
-                        });
-                        return Err(self.fail(rule, li, lit, false, retracted, &beam[0]));
+                        let dead = self.retracted_tuples(a.pred);
+                        retracted = beam
+                            .iter()
+                            .any(|s| dead.iter().any(|t| extend(a, t, s).is_some()));
                     }
                 }
                 Literal::Neg(a) => {
-                    for s in &beam {
-                        let blocked = self.live_tuples(a.pred).into_iter().any(|t| {
-                            let mut s2 = s.clone();
-                            sem_match_args(reg, &a.args, &intern::boundary(|| t.terms()), &mut s2)
-                        });
-                        if !blocked {
-                            next.push(s.clone());
-                        }
-                    }
-                    if next.is_empty() {
-                        return Err(self.fail(rule, li, lit, true, false, &beam[0]));
-                    }
+                    negated = true;
+                    let live = self.live_tuples(a.pred);
+                    next.extend(
+                        beam.iter()
+                            .filter(|s| !live.iter().any(|t| extend(a, t, s).is_some()))
+                            .cloned(),
+                    );
                 }
-                Literal::Cmp(op, l, r) => {
+                // Checks go through the engine's own step, `==` assignment
+                // included; one that errors or is not yet evaluable fails.
+                Literal::Cmp(..) | Literal::Builtin(_) => {
                     for s in &beam {
-                        let lg = s.apply(l);
-                        let rg = s.apply(r);
-                        match (lg.is_ground(), rg.is_ground()) {
-                            (true, true) if reg.compare(*op, &lg, &rg).unwrap_or(false) => {
-                                next.push(s.clone());
-                            }
-                            // Mirror the engine: `Eq` with one unbound side
-                            // acts as an assignment.
-                            (false, true) if *op == CmpOp::Eq => {
-                                if let Term::Var(v) = lg {
-                                    if let Ok(val) = reg.eval_term(&rg) {
-                                        let mut s2 = s.clone();
-                                        s2.bind(v, val);
-                                        next.push(s2);
-                                    }
-                                }
-                            }
-                            (true, false) if *op == CmpOp::Eq => {
-                                if let Term::Var(v) = rg {
-                                    if let Ok(val) = reg.eval_term(&lg) {
-                                        let mut s2 = s.clone();
-                                        s2.bind(v, val);
-                                        next.push(s2);
-                                    }
-                                }
-                            }
-                            _ => {}
+                        let mut s2 = s.clone();
+                        if matches!(eval_check(reg, lit, &mut s2), Ok(Check::Holds)) {
+                            next.push(s2);
                         }
-                    }
-                    if next.is_empty() {
-                        return Err(self.fail(rule, li, lit, false, false, &beam[0]));
-                    }
-                }
-                Literal::Builtin(a) => {
-                    for s in &beam {
-                        let args: Option<Vec<Term>> = a
-                            .args
-                            .iter()
-                            .map(|t| {
-                                let g = s.apply(t);
-                                if g.is_ground() {
-                                    reg.eval_term(&g).ok()
-                                } else {
-                                    None
-                                }
-                            })
-                            .collect();
-                        if let Some(args) = args {
-                            if reg.call_pred(a.pred, &args).unwrap_or(false) {
-                                next.push(s.clone());
-                            }
-                        }
-                    }
-                    if next.is_empty() {
-                        return Err(self.fail(rule, li, lit, false, false, &beam[0]));
                     }
                 }
             }
-            next.truncate(BEAM);
+            if next.is_empty() {
+                return Err(fail(rule, li, negated, retracted, &beam[0]));
+            }
             beam = next;
         }
         Ok(())
     }
+}
 
-    fn fail(
-        &self,
-        rule: &Rule,
-        lit_idx: usize,
-        lit: &Literal,
-        negated: bool,
-        retracted: bool,
-        witness: &Subst,
-    ) -> FailedRule {
-        let mut bound: Vec<(Symbol, Term)> = witness
-            .iter()
-            .map(|(v, t)| (*v, witness.apply(t)))
-            .collect();
-        bound.sort_by_key(|(v, _)| v.as_str().to_string());
-        FailedRule {
-            rule_id: rule.id,
-            lit_idx,
-            literal: render_literal(lit, witness),
-            negated,
-            retracted,
-            witness: bound,
-        }
+/// The failure report for body literal `lit_idx` under `witness`. Rendering
+/// for people is the one place the walk resolves ids back to terms.
+fn fail(
+    rule: &Rule,
+    lit_idx: usize,
+    negated: bool,
+    retracted: bool,
+    witness: &FlatSubst,
+) -> FailedRule {
+    let witness = intern::boundary(|| witness.to_subst());
+    let mut bound: Vec<(Symbol, Term)> = witness.iter().map(|(v, t)| (*v, t.clone())).collect();
+    bound.sort_by_key(|(v, _)| v.as_str().to_string());
+    FailedRule {
+        rule_id: rule.id,
+        lit_idx,
+        literal: render_literal(&rule.body[lit_idx], &witness),
+        negated,
+        retracted,
+        witness: bound,
     }
 }
 
