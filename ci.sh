@@ -144,6 +144,13 @@ sys.exit(r["resolves"]["deploy_boundary"] > r["journal"]["records"])
 PY
     rm -f "$intern_out"
 
+    # The repo benchmark's self-check: BENCHMARK.json equals the binary's
+    # declaration, `--quick` runs all six workloads reference-exact, and
+    # benchmark/src still compiles against the frozen API surface. PRs may
+    # not edit benchmark/, so this is where breaking it shows.
+    echo "== benchmark self-check (declaration, --quick, frozen API surface) =="
+    benchmark/check.sh
+
     # `sensorlog explain` end-to-end: a recursive 3-link chain whose proof
     # tree must span the grid and name the EDB leaf, with the latency-
     # critical chain attached.

@@ -22,6 +22,7 @@ use sensorlog_logic::{Symbol, Tuple};
 use sensorlog_netsim::{App, Ctx, MsgMeta, NodeId, SimTime, Topology, TopologyKind};
 use sensorlog_netstack::ght;
 use sensorlog_telemetry::{Histogram, Scope, Telemetry, SIM_MS_BUCKETS};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
@@ -292,6 +293,9 @@ pub struct NodeStats {
     /// `ToCenter` arriving at a non-center node). Kept separate from radio
     /// losses: these drops are routing/protocol-level.
     pub routing_drops: u64,
+    /// Updates the Centroid center's engine refused with an `EvalError`
+    /// (cascade limit, derivation cycle): the fact is lost to the result.
+    pub center_apply_errors: u64,
 }
 
 enum TimerAction {
@@ -353,6 +357,9 @@ pub struct SensorlogNode {
     /// Live owned-entry count per predicate (`owned` is keyed by
     /// (pred, tuple); this avoids a full scan on every delta).
     owned_per_pred: HashMap<Symbol, usize>,
+    /// Derivation keys stored across all of `owned`, kept in step with it
+    /// for the same reason ([`Self::derivation_count`] is the walk).
+    owned_derivations: usize,
     /// Output-predicate transitions observed at this owner.
     pub output_log: Vec<(Symbol, Tuple, UpdateKind, SimTime)>,
     /// Telemetry handle shared across the deployment (disabled by default;
@@ -443,6 +450,7 @@ impl SensorlogNode {
             stats: NodeStats::default(),
             peak_pred_stored: BTreeMap::new(),
             owned_per_pred: HashMap::new(),
+            owned_derivations: 0,
             output_log: Vec::new(),
             tele,
             hop_lag: Histogram::new(SIM_MS_BUCKETS),
@@ -543,9 +551,10 @@ impl SensorlogNode {
         }
         let entry = self.owned.entry((pred, tuple.clone())).or_default();
         entry.id = Some(id);
-        entry
-            .counts
-            .insert(DerivationKey::new(usize::MAX, Vec::new()), 1);
+        let key = DerivationKey::new(usize::MAX, Vec::new());
+        if entry.counts.insert(key, 1).is_none() {
+            self.owned_derivations += 1;
+        }
         entry.propagated_live = true;
         self.note_pred_stored(pred);
         self.log_output(pred, &tuple, UpdateKind::Insert, ctx.local_time);
@@ -652,7 +661,7 @@ impl SensorlogNode {
         out
     }
 
-    /// Current stored derivation count.
+    /// Current stored derivation count, by walking the owned entries.
     pub fn derivation_count(&self) -> usize {
         self.owned.values().map(|o| o.counts.len()).sum()
     }
@@ -1072,13 +1081,27 @@ impl SensorlogNode {
             // clamp makes both idempotent while still letting a delete
             // overtake its insert (transient -1) and letting the structural
             // checker catch genuine underflow on fault-free runs.
-            let c = entry.counts.entry(key).or_insert(0);
-            *c = if sign > 0 {
-                (*c + 1).min(1)
-            } else {
-                (*c - 1).max(-1)
+            // Stored counts are never zero: a key that cancels leaves.
+            let step = |c: i64| {
+                if sign > 0 {
+                    (c + 1).min(1)
+                } else {
+                    (c - 1).max(-1)
+                }
             };
-            entry.counts.retain(|_, &mut c| c != 0);
+            match entry.counts.entry(key) {
+                Entry::Occupied(mut e) => {
+                    *e.get_mut() = step(*e.get());
+                    if *e.get() == 0 {
+                        e.remove();
+                        self.owned_derivations -= 1;
+                    }
+                }
+                Entry::Vacant(e) => {
+                    e.insert(step(0));
+                    self.owned_derivations += 1;
+                }
+            }
             let live = entry_live(
                 &self.liveness,
                 &self.rule_body_preds,
@@ -1109,8 +1132,8 @@ impl SensorlogNode {
             let tag = self.arm_timer(TimerAction::Holddown(pred, tuple));
             ctx.set_timer(holddown, tag);
         }
-        let total: usize = self.owned.values().map(|o| o.counts.len()).sum();
-        self.stats.peak_derivations = self.stats.peak_derivations.max(total);
+        debug_assert_eq!(self.owned_derivations, self.derivation_count());
+        self.stats.peak_derivations = self.stats.peak_derivations.max(self.owned_derivations);
         self.note_pred_stored(pred);
     }
 
@@ -1212,7 +1235,11 @@ impl SensorlogNode {
             kind: fact.kind,
             ts: fact.tau,
         };
-        let _ = engine.apply(upd);
+        if engine.apply(upd).is_err() {
+            self.stats.center_apply_errors += 1;
+            self.tele
+                .bump(Scope::Pred(fact.pred.as_str()), "center_apply_errors");
+        }
         if self.prov.is_enabled() {
             // The fed fact keeps its source-minted id (the source already
             // emitted the `Edb` record); deletes reuse the generation id,
@@ -1758,10 +1785,12 @@ impl App for SensorlogNode {
                     let stale = entry
                         .id
                         .is_none_or(|id| id.ts.saturating_add(w) < ctx.local_time);
-                    if stale && !entry.holddown_armed && self.owned.remove(&(pred, tuple)).is_some()
-                    {
-                        if let Some(c) = self.owned_per_pred.get_mut(&pred) {
-                            *c = c.saturating_sub(1);
+                    if stale && !entry.holddown_armed {
+                        if let Some(gone) = self.owned.remove(&(pred, tuple)) {
+                            self.owned_derivations -= gone.counts.len();
+                            if let Some(c) = self.owned_per_pred.get_mut(&pred) {
+                                *c = c.saturating_sub(1);
+                            }
                         }
                     }
                 }

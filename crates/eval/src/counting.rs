@@ -55,7 +55,7 @@ impl CountingEngine {
             }
         }
         let mut db = Database::new();
-        crate::planner::register_program_indexes(&mut db, &analysis.program.rules);
+        crate::planner::register_program_indexes(&mut db, &analysis);
         Ok(CountingEngine {
             analysis,
             reg,

@@ -19,6 +19,7 @@
 use crate::error::EvalError;
 use crate::relation::Database;
 use sensorlog_logic::ast::{Atom, CmpOp, Literal, Rule};
+use sensorlog_logic::boundness::order_literals;
 use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::flat::{flat_compare, flat_eval, flat_is_ground, flat_match_args, FlatSubst};
 use sensorlog_logic::intern::{self, ConstId};
@@ -158,14 +159,17 @@ impl<'a> BodyEval<'a> {
     /// All solutions of `body`, optionally pinning literal `pinned.0` to
     /// tuple `pinned.1` (works for positive *and* negated literals — a
     /// pinned negated literal is matched positively and skipped as a check,
-    /// which is exactly the `T_s1` construction of Sec. IV-B).
+    /// which is exactly the `T_s1` construction of Sec. IV-B). Literals run
+    /// in [`order_literals`] order, planned from the variables `seed`
+    /// binds: a seeded rule opens at a literal the seed keys.
     pub fn solutions(
         &self,
         body: &[Literal],
         seed: FlatSubst,
         pinned: Option<(usize, &Tuple)>,
     ) -> Result<Vec<Solution>, EvalError> {
-        let order = order_body(body, pinned.map(|(i, _)| i));
+        let bound: Vec<Symbol> = seed.iter().map(|(v, _)| v).collect();
+        let order = order_literals(body, pinned.map(|(i, _)| i), &bound);
         let mut out = Vec::new();
         let mut inputs = Vec::new();
         self.walk(body, &order, 0, seed, pinned, &mut inputs, &mut out)?;
@@ -257,7 +261,7 @@ impl<'a> BodyEval<'a> {
         let (cols, key) = bound_key(self.reg, atom, subst);
         let mut raw = Vec::new();
         if cols.is_empty() {
-            rel.scan_into(&cols, &key, &mut raw);
+            rel.full_scan(&mut raw);
         } else {
             rel.select(&cols, &key, &mut raw);
         }
@@ -283,17 +287,6 @@ impl<'a> BodyEval<'a> {
         }
         Ok(!self.db.contains(atom.pred, &t))
     }
-}
-
-/// Evaluation order of body literals: the pinned literal (if any) first,
-/// then greedily — fully-bound checks and assignments as early as possible,
-/// positive subgoals preferring those with at least one bound argument.
-///
-/// Thin wrapper over [`sensorlog_logic::boundness::order_literals`], the
-/// shared boundness analysis also consumed by the safety check and the
-/// `sensorlog check` lints.
-pub fn order_body(body: &[Literal], pinned: Option<usize>) -> Vec<usize> {
-    sensorlog_logic::boundness::order_literals(body, pinned)
 }
 
 /// Instantiate a (non-aggregate) rule head under a solution substitution,
@@ -478,19 +471,24 @@ mod tests {
     }
 
     #[test]
-    fn order_body_puts_checks_after_binders() {
-        let rule = parse_rule("q(L) :- not cov(L), veh(L), dist(L, L) <= 5.").unwrap();
-        let order = order_body(&rule.body, None);
-        // veh (idx 1) first, then the bound check/negation in some order.
-        assert_eq!(order[0], 1);
-        assert!(order.contains(&0) && order.contains(&2));
-    }
-
-    #[test]
-    fn order_body_with_pin_starts_at_pin() {
-        let rule = parse_rule("q(X, Z) :- e(X, Y), e(Y, Z).").unwrap();
-        let order = order_body(&rule.body, Some(1));
-        assert_eq!(order, vec![1, 0]);
+    fn seeded_solutions_probe_instead_of_scanning() {
+        // Written order opens at `e`; with S seeded the plan opens at
+        // `p(S, X)` keyed on S, and no literal runs without a bound column.
+        let rule = parse_rule("q(X, Y) :- e(X, Y), p(S, X).").unwrap();
+        let db = db_with(&["e(1, 2)", "e(3, 4)", "p(7, 1)", "p(8, 3)"]);
+        let reg = BuiltinRegistry::standard();
+        let ev = BodyEval::new(&db, &reg);
+        let mut seed = FlatSubst::new();
+        seed.bind(Symbol::intern("S"), intern::intern_int(7));
+        let sols = ev.solutions(&rule.body, seed, None).unwrap();
+        assert_eq!(sols.len(), 1);
+        assert_eq!(
+            instantiate_head(&rule, &sols[0].subst, &reg).unwrap(),
+            tup("1, 2")
+        );
+        assert_eq!(db.index_stats().full_scans, 0);
+        ev.solutions(&rule.body, FlatSubst::new(), None).unwrap();
+        assert_eq!(db.index_stats().full_scans, 1);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use crate::aggregate::aggregate_rule;
 use crate::error::EvalError;
-use crate::eval_body::{instantiate_head, BodyEval, TupleFilter};
+use crate::eval_body::{ground_atom, instantiate_head, BodyEval, TupleFilter};
 use crate::lineage::LineageLog;
 use crate::relation::{Database, TupleMeta};
 use crate::seminaive::effective_windows;
@@ -36,6 +36,7 @@ use sensorlog_logic::intern;
 use sensorlog_logic::unify::{match_term, Subst};
 use sensorlog_logic::{Symbol, Term, Tuple};
 use sensorlog_telemetry::Profiler;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 
@@ -112,6 +113,9 @@ pub struct IncrementalEngine {
     pub db: Database,
     windows: BTreeMap<Symbol, u64>,
     derivs: HashMap<(Symbol, Tuple), HashMap<Derivation, i64>>,
+    /// Entries across all of `derivs`, kept in step with it so the
+    /// per-update peak needs no walk ([`Self::derivation_count`] audits it).
+    deriv_entries: usize,
     /// Current head tuple per (agg rule id, group key).
     agg_groups: HashMap<(usize, Vec<Term>), Tuple>,
     /// rule index: pred → [(rule index in program, literal idx, negated)]
@@ -170,13 +174,14 @@ impl IncrementalEngine {
         let windows = effective_windows(&analysis);
         let idb = analysis.program.idb_preds();
         let mut db = Database::new();
-        crate::planner::register_program_indexes(&mut db, &analysis.program.rules);
-        Ok(IncrementalEngine {
+        crate::planner::register_program_indexes(&mut db, &analysis);
+        let mut engine = IncrementalEngine {
             analysis,
             reg,
             db,
             windows,
             derivs: HashMap::new(),
+            deriv_entries: 0,
             agg_groups: HashMap::new(),
             occurrences,
             idb,
@@ -186,7 +191,38 @@ impl IncrementalEngine {
             max_cascade: 1_000_000,
             check_local_recursion: false,
             lineage: None,
-        })
+        };
+        engine.assert_ground_facts()?;
+        Ok(engine)
+    }
+
+    /// Ground empty-body rules (`h(0, 0, 0).`) hold from the start: no
+    /// update ever pins them, so each is entered in the ledger as a
+    /// derivation with no inputs and its insertion cascaded here. A caller
+    /// that later feeds the same fact as an update hits the duplicate path.
+    fn assert_ground_facts(&mut self) -> Result<(), EvalError> {
+        let mut facts: Vec<(usize, Symbol, Tuple)> = Vec::new();
+        for r in &self.analysis.program.rules {
+            if r.body.is_empty() && r.agg.is_none() {
+                if let Some(t) = ground_atom(&self.reg, &r.head, &FlatSubst::new())? {
+                    facts.push((r.id, r.head.pred, t));
+                }
+            }
+        }
+        for (rule_id, pred, tuple) in facts {
+            let d = Derivation {
+                rule_id,
+                inputs: Vec::new(),
+            };
+            // Keyed by rule id, so never already present.
+            self.derivs
+                .entry((pred, tuple.clone()))
+                .or_default()
+                .insert(d, 1);
+            self.deriv_entries += 1;
+            self.apply(Update::insert(pred, tuple, 0))?;
+        }
+        Ok(())
     }
 
     /// Enable/disable per-firing lineage capture. Enabling starts a fresh
@@ -212,7 +248,8 @@ impl IncrementalEngine {
         IncrementalEngine::new(analysis, reg)
     }
 
-    /// Number of stored derivation entries (the space-overhead metric).
+    /// Number of stored derivation entries (the space-overhead metric),
+    /// counted by walking the ledger.
     pub fn derivation_count(&self) -> usize {
         self.derivs.values().map(HashMap::len).sum()
     }
@@ -241,7 +278,8 @@ impl IncrementalEngine {
                 queue.push_back(d);
             }
         }
-        self.stats.max_derivations = self.stats.max_derivations.max(self.derivation_count());
+        debug_assert_eq!(self.deriv_entries, self.derivation_count());
+        self.stats.max_derivations = self.stats.max_derivations.max(self.deriv_entries);
         Ok(emitted)
     }
 
@@ -263,7 +301,9 @@ impl IncrementalEngine {
         for (p, w) in preds {
             let expired = self.db.relation_mut(p).expire(w, now);
             for t in expired {
-                self.derivs.remove(&(p, t));
+                if let Some(ledger) = self.derivs.remove(&(p, t)) {
+                    self.deriv_entries -= ledger.len();
+                }
             }
         }
     }
@@ -418,8 +458,20 @@ impl IncrementalEngine {
             let was_live = map.values().any(|&c| c > 0);
             let d_count = map.get(&d).copied().unwrap_or(0);
             let lin_d = self.lineage.is_some().then(|| d.clone());
-            *map.entry(d).or_insert(0) += sign;
-            map.retain(|_, &mut c| c != 0);
+            // Stored counts are never zero: an entry that cancels leaves.
+            match map.entry(d) {
+                Entry::Occupied(mut e) => {
+                    *e.get_mut() += sign;
+                    if *e.get() == 0 {
+                        e.remove();
+                        self.deriv_entries -= 1;
+                    }
+                }
+                Entry::Vacant(e) => {
+                    e.insert(sign);
+                    self.deriv_entries += 1;
+                }
+            }
             let now_live = map.values().any(|&c| c > 0);
             // Lineage: per-derivation liveness transitions, not per-atom —
             // a second derivation of an already-live atom is still a new
@@ -793,20 +845,12 @@ mod tests {
             h(X, Y, D + 1) :- g(X, Y), h(_, X, D), not hp(Y, D + 1).
         "#;
         let mut e = engine(src);
-        // The base fact rule has an empty body; seed it manually via a
-        // surrogate: empty-body rules don't react to updates, so bootstrap
-        // by inserting the root fact as if derived.
-        // Instead: drive g edges; h(0,0,0) must come from the fact rule —
-        // emulate with an explicit root update on a base-less variant:
         let mut ts = 1;
         let mut drive = |e: &mut IncrementalEngine, a: i64, b: i64| {
             e.apply(ins(&format!("g({a}, {b})"), ts)).unwrap();
             e.apply(ins(&format!("g({b}, {a})"), ts + 1)).unwrap();
             ts += 2;
         };
-        // Without h(0,0,0) the import fact is missing; insert it directly
-        // as a derived seed through the db (fact rules are static):
-        e.db.insert(sym("h"), tup("0, 0, 0"));
         drive(&mut e, 0, 1);
         drive(&mut e, 1, 2);
         assert!(e.db.contains(sym("h"), &tup("0, 1, 1")));
@@ -815,6 +859,29 @@ mod tests {
         drive(&mut e, 0, 2);
         assert!(e.db.contains(sym("h"), &tup("0, 2, 1")));
         assert!(!e.db.contains(sym("h"), &tup("1, 2, 2")));
+    }
+
+    #[test]
+    fn ground_facts_are_live_after_new() {
+        // No update is ever applied: the facts and everything derivable
+        // from them must already be there, ledger included.
+        let src = r#"
+            root(0).
+            edge(0, 1).
+            reach(X) :- root(X).
+            reach(Y) :- reach(X), edge(X, Y).
+            far(Y) :- reach(Y), not root(Y).
+        "#;
+        let mut e = engine(src);
+        assert_eq!(e.db.sorted(sym("reach")), vec![tup("0"), tup("1")]);
+        assert_eq!(e.db.sorted(sym("far")), vec![tup("1")]);
+        assert_matches_oracle(&e, src);
+        // root, edge, reach(0), reach(1), far(1).
+        assert_eq!(e.derivation_count(), 5);
+        // Feeding a ground fact again (the Centroid runtime does) is a
+        // duplicate, not a second generation.
+        assert!(e.apply(ins("root(0)", 5)).unwrap().is_empty());
+        assert_eq!(e.derivation_count(), 5);
     }
 
     #[test]

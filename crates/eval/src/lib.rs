@@ -36,6 +36,6 @@ pub use error::EvalError;
 pub use eval_body::{BodyEval, Solution, TupleFilter};
 pub use incremental::{IncrementalEngine, Update, UpdateKind};
 pub use lineage::{AtomId, LineageLog, LineageRecord, EDB_RULE};
-pub use planner::{plan_probes, program_signatures};
+pub use planner::program_signatures;
 pub use relation::{Database, IndexStatsSnapshot, Relation, TupleMeta};
 pub use seminaive::{effective_windows, Engine, EvalConfig};

@@ -1,74 +1,46 @@
 //! Static probe planning: which index signature each body literal probes.
 //!
-//! [`order_body`] fixes the literal evaluation order; this module replays
-//! that order *statically*, tracking which variables are bound at each
-//! step, and derives for every positive literal the set of argument
+//! [`order_literals`] fixes the literal evaluation order; [`probe_plan`]
+//! replays that order *statically*, tracking which variables are bound at
+//! each step, and derives for every positive literal the set of argument
 //! positions that will be ground when the literal is probed — its
 //! **bound-position signature**. The signature is what [`Relation::select`]
-//! keys its persistent hash indexes on, so planning and probing agree by
+//! keys its persistent indexes on, so planning and probing agree by
 //! construction: the dynamic ground-column set computed per substitution is
 //! exactly the static bound set whenever the rule is safe (matching a
 //! positive atom binds all of its variables; seeds and pins bind theirs).
 //!
 //! [`program_signatures`] enumerates the signatures a program can probe —
-//! the unpinned order of every rule plus each pinned variant the semi-naive
-//! and incremental engines actually use — so engines can register them all
-//! up front and every probe lands on a maintained index instead of a scan.
+//! every [`rule_signatures`] variant of every rule: the unpinned order, each
+//! pinned variant the semi-naive and incremental engines use, and for the
+//! staged rules of an XY component the order seeded with the stage variable
+//! that `Engine::eval_xy` runs — so engines register them all up front and
+//! every probe lands on a maintained index instead of a scan. The one seed
+//! not modeled is the incremental engine's aggregate group key; such a
+//! signature is promoted on use.
 //!
-//! [`order_body`]: crate::eval_body::order_body
+//! [`order_literals`]: sensorlog_logic::boundness::order_literals
+//! [`probe_plan`]: sensorlog_logic::boundness::probe_plan
 //! [`Relation::select`]: crate::relation::Relation::select
 
-use crate::eval_body::order_body;
-use sensorlog_logic::ast::{Literal, Rule};
-use sensorlog_logic::boundness;
-use sensorlog_logic::unify::Subst;
+use sensorlog_logic::analyze::Analysis;
+use sensorlog_logic::ast::Literal;
+use sensorlog_logic::boundness::rule_signatures;
 use sensorlog_logic::Symbol;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Per-literal probe signatures for one evaluation order. `plan[i]` is the
-/// sorted bound-column set literal `i` probes with; empty means full scan
-/// (or a literal that is never probed: pinned, negated, comparison,
-/// builtin).
-///
-/// Thin wrapper over [`boundness::probe_plan`], the shared analysis also
-/// consumed by the safety check and the `sensorlog check` lints.
-pub fn plan_probes(
-    body: &[Literal],
-    order: &[usize],
-    pinned: Option<usize>,
-    seed: &Subst,
-) -> Vec<Vec<usize>> {
-    boundness::probe_plan(body, order, pinned, seed)
-}
-
-/// Every probe signature the engines can hit for `rules`: for each rule,
-/// the unpinned evaluation order plus one pinned variant per relational
-/// literal (semi-naive pins positive SCC occurrences; the incremental
-/// engine pins positive *and* negated occurrences). Seeds are not modeled —
-/// a seeded variable only ever *adds* bound columns, and the resulting
-/// larger signature is promoted on use.
-pub fn program_signatures<'a, R>(rules: R) -> BTreeMap<Symbol, BTreeSet<Vec<usize>>>
-where
-    R: IntoIterator<Item = &'a Rule>,
-{
+/// Every probe signature the engines can hit for the analyzed program: the
+/// non-empty probe column sets of positive literals across the
+/// [`rule_signatures`] of every rule.
+pub fn program_signatures(analysis: &Analysis) -> BTreeMap<Symbol, BTreeSet<Vec<usize>>> {
     let mut out: BTreeMap<Symbol, BTreeSet<Vec<usize>>> = BTreeMap::new();
-    let seed = Subst::new();
-    for rule in rules {
-        let mut pins: Vec<Option<usize>> = vec![None];
-        for (i, lit) in rule.body.iter().enumerate() {
-            if matches!(lit, Literal::Pos(_) | Literal::Neg(_)) {
-                pins.push(Some(i));
-            }
-        }
-        for pinned in pins {
-            let order = order_body(&rule.body, pinned);
-            let plan = plan_probes(&rule.body, &order, pinned, &seed);
-            for (i, cols) in plan.iter().enumerate() {
-                if cols.is_empty() {
-                    continue;
-                }
-                if let Literal::Pos(a) = &rule.body[i] {
-                    out.entry(a.pred).or_default().insert(cols.clone());
+    for rule in &analysis.program.rules {
+        for sig in rule_signatures(rule, &analysis.xy) {
+            for (lit, cols) in rule.body.iter().zip(sig.plan) {
+                if let Literal::Pos(a) = lit {
+                    if !cols.is_empty() {
+                        out.entry(a.pred).or_default().insert(cols);
+                    }
                 }
             }
         }
@@ -79,11 +51,8 @@ where
 /// Register every signature from [`program_signatures`] on `db`, so probes
 /// land on maintained indexes from the first iteration. Registration is
 /// policy, not data — it survives [`crate::relation::Relation::clone`].
-pub fn register_program_indexes<'a, R>(db: &mut crate::relation::Database, rules: R)
-where
-    R: IntoIterator<Item = &'a Rule>,
-{
-    for (pred, sigs) in program_signatures(rules) {
+pub fn register_program_indexes(db: &mut crate::relation::Database, analysis: &Analysis) {
+    for (pred, sigs) in program_signatures(analysis) {
         for cols in sigs {
             db.register_index(pred, &cols);
         }
@@ -93,50 +62,14 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sensorlog_logic::parser::parse_rule;
-    use sensorlog_logic::Term;
-
-    #[test]
-    fn join_plan_binds_second_literal() {
-        let rule = parse_rule("q(X, Z) :- e(X, Y), e(Y, Z).").unwrap();
-        let order = order_body(&rule.body, None);
-        let plan = plan_probes(&rule.body, &order, None, &Subst::new());
-        // First literal scans, second probes on its join column.
-        assert_eq!(plan[order[0]], Vec::<usize>::new());
-        assert_eq!(plan[order[1]], vec![0]);
-    }
-
-    #[test]
-    fn pinned_literal_is_not_probed_but_binds() {
-        let rule = parse_rule("q(X, Z) :- e(X, Y), e(Y, Z).").unwrap();
-        let order = order_body(&rule.body, Some(1));
-        let plan = plan_probes(&rule.body, &order, Some(1), &Subst::new());
-        assert!(plan[1].is_empty(), "pinned literal never probes");
-        assert_eq!(plan[0], vec![1], "e(X, Y) probes on Y bound by the pin");
-    }
-
-    #[test]
-    fn constants_and_assignments_count_as_bound() {
-        let rule = parse_rule("q(X) :- Y == 3, p(7, Y, X).").unwrap();
-        let order = order_body(&rule.body, None);
-        let plan = plan_probes(&rule.body, &order, None, &Subst::new());
-        assert_eq!(plan[1], vec![0, 1], "constant col 0 + assigned col 1");
-    }
-
-    #[test]
-    fn seed_variables_are_bound() {
-        let rule = parse_rule("q(X) :- p(S, X).").unwrap();
-        let order = order_body(&rule.body, None);
-        let mut seed = Subst::new();
-        seed.bind(Symbol::intern("S"), Term::Int(4));
-        let plan = plan_probes(&rule.body, &order, None, &seed);
-        assert_eq!(plan[0], vec![0]);
-    }
+    use sensorlog_logic::builtin::BuiltinRegistry;
+    use sensorlog_logic::{analyze, parse_program};
 
     #[test]
     fn program_signatures_cover_pinned_variants() {
-        let rule = parse_rule("t(X, Y) :- t(X, Z), e(Z, Y).").unwrap();
-        let sigs = program_signatures(std::iter::once(&rule));
+        let prog = parse_program("t(X, Y) :- e(X, Y).\nt(X, Y) :- t(X, Z), e(Z, Y).").unwrap();
+        let analysis = analyze(&prog, &BuiltinRegistry::standard()).unwrap();
+        let sigs = program_signatures(&analysis);
         let e = sigs.get(&Symbol::intern("e")).unwrap();
         // Unpinned: e probed on Z (col 0). Pinned on e: t probed on Z.
         assert!(e.contains(&vec![0]));

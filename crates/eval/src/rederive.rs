@@ -57,7 +57,7 @@ impl RederiveEngine {
             ));
         }
         let mut db = Database::new();
-        crate::planner::register_program_indexes(&mut db, &analysis.program.rules);
+        crate::planner::register_program_indexes(&mut db, &analysis);
         Ok(RederiveEngine {
             analysis,
             reg,

@@ -53,7 +53,8 @@ impl TupleMeta {
 
 /// An unregistered signature is probed by scanning this many times before
 /// it is promoted to a persistent index — a safety net for probe paths the
-/// static planner doesn't enumerate (seeded XY stages, ad-hoc queries).
+/// static planner doesn't enumerate (aggregate group-key seeds, ad-hoc
+/// queries).
 const PROMOTE_AFTER: u32 = 4;
 
 /// A compressed (path-merged) byte-trie node. Keys are concatenated
@@ -481,6 +482,10 @@ pub struct IndexStats {
     /// Builds that re-created a trie dropped by [`Relation::clone`] — the
     /// silent cost of the clone-drops-cache policy, made visible.
     pub rebuilds: AtomicU64,
+    /// Body literals evaluated with no bound column ([`Relation::full_scan`]):
+    /// the whole relation is enumerated. An evaluator that does this per
+    /// stage or per delta costs relation size, not frontier size.
+    pub full_scans: AtomicU64,
 }
 
 /// Owned snapshot of [`IndexStats`].
@@ -490,6 +495,7 @@ pub struct IndexStatsSnapshot {
     pub builds: u64,
     pub scans: u64,
     pub rebuilds: u64,
+    pub full_scans: u64,
 }
 
 impl IndexStatsSnapshot {
@@ -498,6 +504,7 @@ impl IndexStatsSnapshot {
         self.builds += other.builds;
         self.scans += other.scans;
         self.rebuilds += other.rebuilds;
+        self.full_scans += other.full_scans;
     }
 }
 
@@ -660,6 +667,7 @@ impl Relation {
             builds: self.stats.builds.load(Ordering::Relaxed),
             scans: self.stats.scans.load(Ordering::Relaxed),
             rebuilds: self.stats.rebuilds.load(Ordering::Relaxed),
+            full_scans: self.stats.full_scans.load(Ordering::Relaxed),
         }
     }
 
@@ -781,6 +789,13 @@ impl Relation {
                 })
                 .cloned(),
         );
+    }
+
+    /// Every tuple, in canonical order: a body literal evaluated with no
+    /// bound column. Counted in [`IndexStats::full_scans`].
+    pub fn full_scan(&self, out: &mut Vec<Tuple>) {
+        self.stats.full_scans.fetch_add(1, Ordering::Relaxed);
+        self.scan_into(&[], &[], out);
     }
 
     /// Drop expired tuples: `gen_ts + window ≤ now`. Returns the expired

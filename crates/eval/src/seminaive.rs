@@ -26,7 +26,7 @@ use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::depgraph::DepGraph;
 use sensorlog_logic::flat::FlatSubst;
 use sensorlog_logic::intern::{self, Val};
-use sensorlog_logic::xy::{stage_expr, StageExpr, XyInfo};
+use sensorlog_logic::xy::{StageExpr, XyInfo};
 use sensorlog_logic::{analyze, Symbol, Tuple};
 use sensorlog_telemetry::Profiler;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -128,7 +128,7 @@ impl Engine {
         lin: &mut Option<LineageLog>,
     ) -> Result<Database, EvalError> {
         let mut db = edb.clone();
-        crate::planner::register_program_indexes(&mut db, &self.analysis.program.rules);
+        crate::planner::register_program_indexes(&mut db, &self.analysis);
         let prog = &self.analysis.program;
         let idb = prog.idb_preds();
         for scc in &self.sccs {
@@ -294,14 +294,16 @@ impl Engine {
         info: &XyInfo,
         lin: &mut Option<LineageLog>,
     ) -> Result<(), EvalError> {
-        let scc_set: BTreeSet<Symbol> = info.scc.iter().copied().collect();
         // Import rules (no SCC subgoal in the body) run once up front: they
         // bootstrap the staged tables (base cases like `h(a, a, 0).`).
-        let (import, staged): (Vec<&&Rule>, Vec<&&Rule>) = rules.iter().partition(|r| {
-            !r.body.iter().any(
-                |l| matches!(l, Literal::Pos(a) | Literal::Neg(a) if scc_set.contains(&a.pred)),
-            )
-        });
+        let mut staged: Vec<(&Rule, StageExpr)> = Vec::new();
+        let mut import: Vec<&Rule> = Vec::new();
+        for &rule in rules {
+            match info.staged_head(rule) {
+                Some(head_stage) => staged.push((rule, head_stage)),
+                None => import.push(rule),
+            }
+        }
         for rule in &import {
             let ev = BodyEval::new(db, &self.reg);
             let sols = ev.solutions(&rule.body, FlatSubst::new(), None)?;
@@ -333,21 +335,19 @@ impl Engine {
                 });
             }
             for &pred in &info.stage_order {
-                for rule in &staged {
+                for &(rule, head_stage) in &staged {
                     if rule.head.pred != pred {
                         continue;
                     }
                     let hpos = info.stage_pos[&pred];
-                    let hexpr = stage_expr(&rule.head.args[hpos]).ok_or_else(|| {
-                        EvalError::Internal(format!("rule #{} lost its stage shape", rule.id))
-                    })?;
+                    // Binding the head's stage variable is what makes a
+                    // stage cost its frontier: `solutions` plans from the
+                    // seed, so the rule opens at the literal it keys
+                    // (`h(_, X, D)` with `D` bound) instead of a scan.
                     let mut seed = FlatSubst::new();
-                    match hexpr {
-                        StageExpr::Const(c) => {
-                            if c != stage {
-                                continue;
-                            }
-                        }
+                    match head_stage {
+                        StageExpr::Const(c) if c != stage => continue,
+                        StageExpr::Const(_) => {}
                         StageExpr::Linear(v, off) => {
                             seed.bind(v, intern::intern_int(stage - off));
                         }
@@ -622,6 +622,34 @@ mod tests {
                 .unwrap()
         };
         assert_eq!(depth_of(3), 2);
+    }
+
+    /// A stage costs its frontier, not its relations: the stage loop seeds
+    /// the stage variable, so no body literal of a staged rule runs without
+    /// a bound column, however many stages the input takes. Planned from an
+    /// empty bound set instead, each stage scans `h` (rule `hp`) and `g`
+    /// (rule `h`), and the count grows by two per stage.
+    #[test]
+    fn logich_full_scans_do_not_grow_with_stages() {
+        let e = engine(
+            r#"
+            h(0, 0, 0).
+            h(0, X, 1) :- g(0, X).
+            hp(Y, D + 1) :- h(_, Y, D'), (D + 1) > D', h(_, X, D), g(X, Y).
+            h(X, Y, D + 1) :- g(X, Y), h(_, X, D), not hp(Y, D + 1).
+            "#,
+        );
+        let full_scans = |nodes: i64| {
+            let mut edb = Database::new();
+            for a in 0..nodes - 1 {
+                edb.insert(sym("g"), tup(&format!("{a}, {}", a + 1)));
+                edb.insert(sym("g"), tup(&format!("{}, {a}", a + 1)));
+            }
+            let out = e.run(&edb).unwrap();
+            assert_eq!(out.len_of(sym("h")), nodes as usize);
+            out.index_stats().full_scans
+        };
+        assert_eq!(full_scans(40), full_scans(10));
     }
 
     #[test]

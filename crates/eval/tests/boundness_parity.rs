@@ -1,22 +1,21 @@
 //! Parity regression between the shared boundness analysis
-//! (`sensorlog_logic::boundness`) and the eval-side planner that consumes
-//! it. `order_body` / `plan_probes` are thin wrappers today, but any future
-//! divergence — a planner-local reordering tweak, a changed pin set —
-//! would silently desynchronize the static analyzer's lints from what the
-//! engines actually execute. These tests pin the contract: for every rule
-//! of the reference programs, the shared `rule_signatures` and the
-//! planner's order/plan agree for the unpinned order and every pinned
-//! variant, and `program_signatures` registers exactly the probe columns
-//! the shared analysis derives.
+//! (`sensorlog_logic::boundness`) and the eval-side consumers of it. A
+//! divergence — a planner-local reordering tweak, a changed pin set, a seed
+//! the evaluator binds but the planner does not model — would silently
+//! desynchronize the static analyzer's lints and the registered indexes
+//! from what the engines actually execute. These tests pin the contract on
+//! the reference programs: `rule_signatures` enumerates exactly the
+//! variants the engines evaluate (unpinned, every pin, and the stage-seeded
+//! order of staged XY rules), `program_signatures` registers exactly the
+//! probe columns of those signatures, and a batch run probes nothing else.
 
-use sensorlog_eval::eval_body::order_body;
-use sensorlog_eval::planner::{plan_probes, program_signatures};
+use sensorlog_eval::planner::program_signatures;
+use sensorlog_eval::{Database, Engine};
 use sensorlog_logic::absint::anchor_vars;
 use sensorlog_logic::ast::Literal;
 use sensorlog_logic::boundness::{rule_bound_vars, rule_signatures};
 use sensorlog_logic::parser::parse_program;
-use sensorlog_logic::unify::Subst;
-use sensorlog_logic::Symbol;
+use sensorlog_logic::{analyze, Analysis, BuiltinRegistry, Symbol, Term, Tuple};
 use std::collections::{BTreeMap, BTreeSet};
 
 const LOGIC_H: &str = r#"
@@ -35,44 +34,65 @@ const LOGIC_J: &str = r#"
     j(Y, D + 1) :- g(X, Y), j(X, D), not jp(Y, D + 1).
 "#;
 
-/// For every rule and every pin variant the engines evaluate, the planner
-/// reproduces exactly the order and probe plan of the shared analysis.
+fn analysis_of(src: &str) -> Analysis {
+    analyze(&parse_program(src).unwrap(), &BuiltinRegistry::standard()).unwrap()
+}
+
+/// The shared analysis enumerates the unpinned order, one pin per
+/// relational literal, and — for the staged rules only — the order seeded
+/// with the head's stage variable, which opens at the literal that variable
+/// keys and leaves no positive literal without a bound column.
 #[test]
-fn planner_matches_shared_signatures() {
-    for (label, src) in [("logicH", LOGIC_H), ("logicJ", LOGIC_J)] {
-        let prog = parse_program(src).unwrap();
-        let seed = Subst::new();
-        for (ri, rule) in prog.rules.iter().enumerate() {
-            let sigs = rule_signatures(rule);
-            // The shared analysis enumerates the unpinned order plus one
-            // pin per relational literal — nothing more, nothing less.
+fn signatures_cover_every_engine_variant() {
+    // (order, plan) of the stage-seeded variant of rules #2 and #3.
+    type Seeded = (Vec<usize>, Vec<Vec<usize>>);
+    let expect: [(&str, &str, [Seeded; 2]); 2] = [
+        (
+            "logicH",
+            LOGIC_H,
+            [
+                (vec![2, 3, 0, 1], vec![vec![1], vec![], vec![2], vec![0]]),
+                (vec![1, 0, 2], vec![vec![0], vec![2], vec![]]),
+            ],
+        ),
+        (
+            "logicJ",
+            LOGIC_J,
+            [
+                (vec![2, 3, 0, 1], vec![vec![0], vec![], vec![1], vec![0]]),
+                (vec![1, 0, 2], vec![vec![0], vec![1], vec![]]),
+            ],
+        ),
+    ];
+    let d = Symbol::intern("D");
+    for (label, src, seeded) in expect {
+        let a = analysis_of(src);
+        for (ri, rule) in a.program.rules.iter().enumerate() {
+            let sigs = rule_signatures(rule, &a.xy);
             let rel = rule
                 .body
                 .iter()
                 .filter(|l| matches!(l, Literal::Pos(_) | Literal::Neg(_)))
                 .count();
+            let staged = ri >= 2;
             assert_eq!(
                 sigs.len(),
-                rel + 1,
+                rel + 1 + staged as usize,
                 "{label} rule #{ri}: wrong signature count"
             );
             assert_eq!(
-                sigs[0].pinned, None,
-                "{label} rule #{ri}: first is unpinned"
+                (sigs[0].pinned, sigs[0].seed.is_empty()),
+                (None, true),
+                "{label} rule #{ri}: first is unpinned and unseeded"
             );
-            for sig in &sigs {
-                let order = order_body(&rule.body, sig.pinned);
-                assert_eq!(
-                    order, sig.order,
-                    "{label} rule #{ri} pin {:?}: order diverged",
-                    sig.pinned
-                );
-                let plan = plan_probes(&rule.body, &order, sig.pinned, &seed);
-                assert_eq!(
-                    plan, sig.plan,
-                    "{label} rule #{ri} pin {:?}: probe plan diverged",
-                    sig.pinned
-                );
+            let n_seeded = sigs.iter().filter(|s| !s.seed.is_empty()).count();
+            assert_eq!(n_seeded, staged as usize, "{label} rule #{ri}");
+            if staged {
+                let sig = sigs.last().unwrap();
+                assert_eq!((sig.pinned, &sig.seed), (None, &vec![d]));
+                let (order, plan) = &seeded[ri - 2];
+                assert_eq!(&sig.order, order, "{label} rule #{ri}: seeded order");
+                assert_eq!(&sig.plan, plan, "{label} rule #{ri}: seeded plan");
             }
         }
     }
@@ -110,30 +130,79 @@ fn frontier_anchors_are_planner_bound() {
 
 /// `program_signatures` (what the engines register as indexes) is exactly
 /// the set of non-empty probe column sets of positive literals across the
-/// shared per-rule signatures.
-#[test]
-fn registered_indexes_match_shared_plans() {
-    for (label, src) in [("logicH", LOGIC_H), ("logicJ", LOGIC_J)] {
-        let prog = parse_program(src).unwrap();
-        let mut expected: BTreeMap<Symbol, BTreeSet<Vec<usize>>> = BTreeMap::new();
-        for rule in &prog.rules {
-            for sig in rule_signatures(rule) {
-                for (i, cols) in sig.plan.iter().enumerate() {
-                    if cols.is_empty() {
-                        continue;
-                    }
-                    if let Literal::Pos(a) = &rule.body[i] {
-                        expected.entry(a.pred).or_default().insert(cols.clone());
-                    }
+/// shared per-rule signatures — the stage-seeded ones included.
+fn assert_registered(label: &str, src: &str, want: &[(&str, &[&[usize]])]) {
+    let a = analysis_of(src);
+    let mut expected: BTreeMap<Symbol, BTreeSet<Vec<usize>>> = BTreeMap::new();
+    for rule in &a.program.rules {
+        for sig in rule_signatures(rule, &a.xy) {
+            for (i, cols) in sig.plan.iter().enumerate() {
+                if cols.is_empty() {
+                    continue;
+                }
+                if let Literal::Pos(a) = &rule.body[i] {
+                    expected.entry(a.pred).or_default().insert(cols.clone());
                 }
             }
         }
-        let got = program_signatures(&prog.rules);
-        assert_eq!(got, expected, "{label}: registered index set diverged");
-        // Sanity: the reference programs do exercise indexed probes.
-        assert!(
-            expected.values().any(|s| !s.is_empty()),
-            "{label}: no indexed probes at all"
+    }
+    let got = program_signatures(&a);
+    assert_eq!(got, expected, "{label}: registered index set diverged");
+    let want: BTreeMap<Symbol, BTreeSet<Vec<usize>>> = want
+        .iter()
+        .map(|(p, sets)| (Symbol::intern(p), sets.iter().map(|c| c.to_vec()).collect()))
+        .collect();
+    assert_eq!(got, want, "{label}: registered columns");
+}
+
+#[test]
+fn registered_indexes_match_shared_plans() {
+    // `h[2]`, `g[0]`, `h[1]` are what the stage loop probes.
+    assert_registered(
+        "logicH",
+        LOGIC_H,
+        &[("g", &[&[0], &[1]]), ("h", &[&[1], &[2], &[1, 2]])],
+    );
+    assert_registered(
+        "logicJ",
+        LOGIC_J,
+        &[("g", &[&[0], &[1]]), ("j", &[&[0], &[1], &[0, 1]])],
+    );
+}
+
+/// What the planner registers is what the stage loop probes: a batch run
+/// serves every keyed probe from a registered index — none by a filtered
+/// scan of an unplanned signature, none by promote-after-4 — and builds no
+/// trie the planner did not name.
+#[test]
+fn batch_run_probes_only_registered_indexes() {
+    let mut edb = Database::new();
+    for i in 0..8i64 {
+        for (a, b) in [(i, i + 1), (i + 1, i)] {
+            edb.insert(
+                Symbol::intern("g"),
+                Tuple::new(vec![Term::Int(a), Term::Int(b)]),
+            );
+        }
+    }
+    for (label, src) in [("logicH", LOGIC_H), ("logicJ", LOGIC_J)] {
+        let engine = Engine::from_source(src, BuiltinRegistry::standard()).unwrap();
+        let out = engine.run(&edb).unwrap();
+        let stats = out.index_stats();
+        assert!(stats.hits > 0, "{label}: no indexed probe at all");
+        assert_eq!(
+            stats.scans, 0,
+            "{label}: a probe missed the planned indexes"
         );
+        let planned = program_signatures(&engine.analysis);
+        for pred in out.preds() {
+            let rel = out.relation(pred).unwrap();
+            let registered: BTreeSet<Vec<usize>> = rel.registered_indexes().into_iter().collect();
+            assert_eq!(
+                registered,
+                planned.get(&pred).cloned().unwrap_or_default(),
+                "{label}: {pred} promoted a signature the planner did not register"
+            );
+        }
     }
 }

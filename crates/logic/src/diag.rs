@@ -10,10 +10,12 @@
 //!    `S`, and topology parameters — evaluated against [`BoundParams`] and
 //!    cross-validated at runtime by `core::invariants`.
 //! 2. **Plan lints**: cartesian-product joins (a positive subgoal probed
-//!    with no bound column), negated IDB subgoals forcing multi-pass
-//!    evaluation, and dead predicates/rules unreachable from any declared
-//!    `.output`. The boundness signatures come from [`crate::boundness`],
-//!    the same analysis `eval::planner` derives its index signatures from.
+//!    with no bound column), staged XY rules that still open with a scan
+//!    once their stage variable is bound, negated IDB subgoals forcing
+//!    multi-pass evaluation, and dead predicates/rules unreachable from any
+//!    declared `.output`. The boundness signatures come from
+//!    [`crate::boundness`], the same analysis `eval::planner` derives its
+//!    index signatures from.
 //! 3. **Communication planes**: each rule is statically labeled
 //!    local / neighbor-broadcast / tree-routed (the paper's PA/GPA plan
 //!    split), and rules that widen the plane of an already tree-routed
@@ -24,14 +26,13 @@
 
 use crate::analyze::{analyze, Analysis, AnalyzeError};
 use crate::ast::{Literal, Program, Rule};
-use crate::boundness;
+use crate::boundness::RuleSignature;
 use crate::builtin::BuiltinRegistry;
 use crate::depgraph::DepGraph;
 use crate::parser::parse_program;
 use crate::span::Span;
 use crate::symbol::Symbol;
 use crate::term::Term;
-use crate::unify::Subst;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -664,54 +665,75 @@ pub fn check_analysis(analysis: &Analysis, params: &BoundParams) -> Report {
         }
     }
 
-    // Pass 2: plan lints.
+    // Pass 2: plan lints. A staged rule of an XY component is replayed the
+    // way the batch engine's stage loop runs it: stage variable bound.
     let idb = prog.idb_preds();
     for rule in &prog.rules {
-        let order = boundness::order_literals(&rule.body, None);
-        let plan = boundness::probe_plan(&rule.body, &order, None, &Subst::new());
-        for (pos_in_order, &i) in order.iter().enumerate() {
-            if pos_in_order == 0 {
-                continue; // the first literal always scans
+        let stage_var = analysis.xy.iter().find_map(|info| info.stage_seed(rule));
+        let sig = RuleSignature::new(rule, None, stage_var.into_iter().collect());
+        let mut opening = true;
+        for &i in &sig.order {
+            let Literal::Pos(a) = &rule.body[i] else {
+                continue;
+            };
+            let opens = opening;
+            opening = false;
+            if !sig.plan[i].is_empty() || a.args.is_empty() {
+                continue;
             }
-            if let Literal::Pos(a) = &rule.body[i] {
-                if plan[i].is_empty() && !a.args.is_empty() {
-                    // No bound column: every already-bound tuple pairs with
-                    // every tuple of `a` — a cartesian product. If a later
-                    // comparison constrains the pairing, the join is still
-                    // index-less but selective: downgrade to info.
-                    let a_vars: BTreeSet<Symbol> = a.vars().into_iter().collect();
-                    let constrained = rule.body.iter().any(|l| {
-                        if let Literal::Cmp(..) = l {
-                            let mut vs = Vec::new();
-                            l.collect_vars(&mut vs);
-                            vs.iter().any(|v| a_vars.contains(v))
-                                && vs.iter().any(|v| !a_vars.contains(v))
-                        } else {
-                            false
-                        }
-                    });
-                    let (code, sev, what) = if constrained {
-                        (
-                            "plan.no-index",
-                            Severity::Info,
-                            "comparison-constrained but index-less join",
-                        )
-                    } else {
-                        ("plan.cartesian-join", Severity::Warning, "cartesian join")
-                    };
+            if opens {
+                // The opening literal of an unseeded order always scans,
+                // once. Under the stage loop the scan repeats every stage.
+                if let Some(v) = stage_var {
                     rep.push(
-                        code,
-                        sev,
+                        "plan.stage-rescan",
+                        Severity::Warning,
                         Some(rule.id),
                         Some(a.pred),
                         rule.spans.lit(i),
                         format!(
-                            "rule #{}: subgoal `{}` is probed with no bound column ({})",
-                            rule.id, a.pred, what
+                            "rule #{}: with stage variable `{v}` bound, evaluation still opens \
+                             at `{}` with no bound column — the relation is rescanned every stage",
+                            rule.id, a.pred
                         ),
                     );
                 }
+                continue;
             }
+            // No bound column: every already-bound tuple pairs with every
+            // tuple of `a` — a cartesian product. If a later comparison
+            // constrains the pairing, the join is still index-less but
+            // selective: downgrade to info.
+            let a_vars: BTreeSet<Symbol> = a.vars().into_iter().collect();
+            let constrained = rule.body.iter().any(|l| {
+                if let Literal::Cmp(..) = l {
+                    let mut vs = Vec::new();
+                    l.collect_vars(&mut vs);
+                    vs.iter().any(|v| a_vars.contains(v)) && vs.iter().any(|v| !a_vars.contains(v))
+                } else {
+                    false
+                }
+            });
+            let (code, sev, what) = if constrained {
+                (
+                    "plan.no-index",
+                    Severity::Info,
+                    "comparison-constrained but index-less join",
+                )
+            } else {
+                ("plan.cartesian-join", Severity::Warning, "cartesian join")
+            };
+            rep.push(
+                code,
+                sev,
+                Some(rule.id),
+                Some(a.pred),
+                rule.spans.lit(i),
+                format!(
+                    "rule #{}: subgoal `{}` is probed with no bound column ({})",
+                    rule.id, a.pred, what
+                ),
+            );
         }
         // Negated IDB subgoals force the negated predicate's stratum to
         // fully evaluate before this rule can fire (multi-pass).

@@ -136,6 +136,34 @@ pub struct XyInfo {
     pub stage_order: Vec<Symbol>,
 }
 
+impl XyInfo {
+    /// Head stage expression of a *staged* rule of this component: head in
+    /// the SCC and at least one SCC subgoal in the body. `None` for import
+    /// rules (no SCC subgoal — they run once, before the stage loop) and for
+    /// rules of other components.
+    pub fn staged_head(&self, rule: &Rule) -> Option<StageExpr> {
+        let pos = *self.stage_pos.get(&rule.head.pred)?;
+        let staged = rule
+            .body
+            .iter()
+            .any(|l| matches!(l, Literal::Pos(a) | Literal::Neg(a) if self.scc.contains(&a.pred)));
+        if !staged {
+            return None;
+        }
+        stage_expr(rule.head.args.get(pos)?)
+    }
+
+    /// The variable the stage loop binds before it evaluates `rule`: the
+    /// head's stage variable. `None` when the rule is not staged, or its
+    /// head stage is a constant (it runs at that one stage, unseeded).
+    pub fn stage_seed(&self, rule: &Rule) -> Option<Symbol> {
+        match self.staged_head(rule)? {
+            StageExpr::Linear(v, _) => Some(v),
+            StageExpr::Const(_) => None,
+        }
+    }
+}
+
 /// Why the XY check failed.
 #[derive(Clone, Debug, PartialEq)]
 pub enum XyError {

@@ -171,6 +171,63 @@ fn cartesian_join_report_is_pinned() {
     assert!(!rep.has_errors() && rep.has_warnings());
 }
 
+// ------------------------------------- stage variable inside a compound
+
+/// logicJ with the link relation keyed on `at(D, X)`: binding the stage
+/// variable grounds no whole column of `hop`, so the stage loop opens rule
+/// #2 with a scan of `hop` at every stage.
+const STAGE_RESCAN: &str = "\
+.base g.
+.base hop.
+.window g 1000.
+.window hop 1000.
+.output j.
+j(0, 0).
+jp(Y, D + 1) :- j(Y, D'), (D + 1) > D', j(X, D), g(X, Y).
+j(Y, D + 1) :- hop(at(D, X), Y), j(X, D), not jp(Y, D + 1).
+";
+
+const STAGE_RESCAN_JSON: &str = r#"{
+  "diagnostics": [
+    {"code": "mem.bound", "severity": "info", "rule": null, "pred": "j", "line": 6, "col": 1, "start": 65, "end": 73, "message": "static tuple bound for `j`: (1 + S * E(hop)) = 50501", "suggestions": []},
+    {"code": "mem.bound", "severity": "info", "rule": null, "pred": "jp", "line": 7, "col": 1, "start": 74, "end": 131, "message": "static tuple bound for `jp`: S * E(g) = 50500", "suggestions": []},
+    {"code": "plan.stage-rescan", "severity": "warning", "rule": 2, "pred": "hop", "line": 8, "col": 16, "start": 147, "end": 163, "message": "rule #2: with stage variable `D` bound, evaluation still opens at `hop` with no bound column — the relation is rescanned every stage", "suggestions": []},
+    {"code": "plan.negation-multipass", "severity": "info", "rule": 2, "pred": "jp", "line": 8, "col": 43, "start": 174, "end": 190, "message": "rule #2: negated derived subgoal `jp` forces multi-pass (stratum-ordered) evaluation", "suggestions": []},
+    {"code": "comm.plane", "severity": "info", "rule": null, "pred": "j", "line": 6, "col": 1, "start": 65, "end": 73, "message": "predicate `j` evaluates on the neighbor-broadcast plane", "suggestions": []},
+    {"code": "comm.plane", "severity": "info", "rule": null, "pred": "jp", "line": 7, "col": 1, "start": 74, "end": 131, "message": "predicate `jp` evaluates on the neighbor-broadcast plane", "suggestions": []},
+    {"code": "cost.comm-estimate", "severity": "info", "rule": null, "pred": "j", "line": 6, "col": 1, "start": 65, "end": 73, "message": "estimated messages attributable to `j` (neighbor-broadcast plane): 20 * (1 + S * E(hop)) * N = 101002000", "suggestions": []},
+    {"code": "cost.comm-estimate", "severity": "info", "rule": null, "pred": "jp", "line": 7, "col": 1, "start": 74, "end": 131, "message": "estimated messages attributable to `jp` (neighbor-broadcast plane): 8 * S * E(g) * N = 40400000", "suggestions": []},
+    {"code": "cost.holddown-implicit", "severity": "info", "rule": null, "pred": "jp", "line": 7, "col": 1, "start": 74, "end": 131, "message": "XY-staged predicate `jp` has no `.holddown` declaration; the planner default (100 ms) applies silently", "suggestions": [{"start": 0, "end": 0, "replacement": ".holddown jp 100.\n", "note": "declare the retraction hold-down for `jp` explicitly", "machine_applicable": true}]},
+    {"code": "cost.holddown-implicit", "severity": "info", "rule": null, "pred": "j", "line": 6, "col": 1, "start": 65, "end": 73, "message": "XY-staged predicate `j` has no `.holddown` declaration; the planner default (2100 ms) applies silently", "suggestions": [{"start": 0, "end": 0, "replacement": ".holddown j 2100.\n", "note": "declare the retraction hold-down for `j` explicitly", "machine_applicable": true}]}
+  ],
+  "bounds": {
+    "g": {"formula": "E(g)", "value": 500},
+    "hop": {"formula": "E(hop)", "value": 500},
+    "j": {"formula": "(1 + S * E(hop))", "value": 50501},
+    "jp": {"formula": "S * E(g)", "value": 50500}
+  },
+  "planes": {
+    "g": "local",
+    "hop": "local",
+    "j": "neighbor-broadcast",
+    "jp": "neighbor-broadcast"
+  }
+}
+"#;
+
+#[test]
+fn stage_rescan_report_is_pinned() {
+    let rep = assert_golden("stage-rescan", STAGE_RESCAN, STAGE_RESCAN_JSON);
+    let warnings: Vec<_> = rep
+        .diags
+        .iter()
+        .filter(|d| d.severity >= sensorlog_logic::diag::Severity::Warning)
+        .collect();
+    assert_eq!(warnings.len(), 1);
+    assert_eq!(warnings[0].code, "plan.stage-rescan");
+    assert!(warnings[0].message.contains("stage variable `D`"));
+}
+
 // ------------------------------------------------ broken: dead predicate
 
 const DEAD: &str = "\
@@ -328,6 +385,7 @@ fn all_source_diags_carry_spans() {
         ("logicJ", LOGIC_J),
         ("unsafe", UNSAFE),
         ("cartesian", CARTESIAN),
+        ("stage-rescan", STAGE_RESCAN),
         ("dead", DEAD),
         ("non-xy", NON_XY),
         ("unwindowed", UNWINDOWED),

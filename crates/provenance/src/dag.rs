@@ -522,7 +522,7 @@ impl ProvDag {
             let mut s2 = s.clone();
             flat_match_args(reg, &a.args, t.ids(), &mut s2).then_some(s2)
         };
-        let order = order_literals(&rule.body, None);
+        let order = order_literals(&rule.body, None, &[]);
         let mut beam = vec![s0];
         for &li in &order {
             let lit = &rule.body[li];

@@ -108,6 +108,43 @@ fn example3_logich_in_network_equals_flood_tree_depths() {
     }
 }
 
+/// Every link of the grid is advertised, those into the sink included:
+/// `g(1, 0)` and `g(4, 0)` would re-derive the root at depth 2 unless
+/// `hp(0, 2)` blocks it, and `hp(0, 2)` needs the static fact `h(0, 0, 0)`
+/// to be live wherever the rules run — at the owners under PA, inside the
+/// central engine under Centroid.
+#[test]
+fn logich_with_links_into_the_sink_is_exact_under_centroid_and_pa() {
+    let program = include_str!("../examples/programs/sptree.dl");
+    let topo = Topology::square_grid(4);
+    let events = graph_edges(&topo, 100, 1);
+    for strategy in [
+        Strategy::Centroid,
+        Strategy::Perpendicular { band_width: 1.0 },
+    ] {
+        let config = DeployConfig {
+            rt: RtConfig {
+                strategy,
+                ..RtConfig::default()
+            },
+            ..DeployConfig::default()
+        };
+        let mut d =
+            Deployment::new(program, BuiltinRegistry::standard(), topo.clone(), config).unwrap();
+        d.schedule_all(events.clone());
+        d.run(100_000_000);
+        let report = oracle::check(&d, &events, sym("h"));
+        assert_eq!(report.expected, 25, "{strategy:?}");
+        assert!(
+            report.exact(),
+            "{strategy:?}: missing {:?} spurious {:?}",
+            report.missing,
+            report.spurious
+        );
+        assert!(d.node_stats().iter().all(|s| s.center_apply_errors == 0));
+    }
+}
+
 #[test]
 fn centralized_engines_agree_on_mixed_updates() {
     // Batch, incremental, and DRed engines must agree on the same net EDB.
