@@ -5,6 +5,12 @@
 //! everywhere else. Interned strings live for the lifetime of the process
 //! (they are leaked), which is the usual trade-off for a query engine whose
 //! vocabulary is bounded by the program text plus the data constants.
+//!
+//! **Reads take no lock.** `id → &'static str` lives in an append-only
+//! table of [`OnceLock`] pages: [`Symbol::intern`]'s miss path fills the
+//! slot under the interner's write lock *before* the id is handed out, and
+//! `as_str` / `cmp` / `Display` read the slot with two acquire loads. Only
+//! `intern` itself (string → id) goes through the lock.
 
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -15,14 +21,17 @@ use std::sync::OnceLock;
 ///
 /// Ordering of two symbols follows the *string* ordering of their contents,
 /// not creation order, so that term ordering is deterministic across runs
-/// regardless of interning order. (This costs a string comparison per `cmp`,
-/// which is fine: ordering is only used for canonical output and BTree keys.)
+/// regardless of interning order. A `cmp` of two distinct symbols is two
+/// lock-free table reads plus a string comparison, which matters because
+/// `Symbol` keys `BTreeMap`s on the per-message path (`Database::rels`, the
+/// compiled program's occurrence / window / holddown maps).
 #[derive(Copy, Clone, PartialEq, Eq, Hash)]
 pub struct Symbol(u32);
 
+/// String → id, and the next id. Guarded by the interner lock.
 struct Interner {
     map: HashMap<&'static str, u32>,
-    strings: Vec<&'static str>,
+    len: u32,
 }
 
 fn interner() -> &'static RwLock<Interner> {
@@ -30,9 +39,28 @@ fn interner() -> &'static RwLock<Interner> {
     INTERNER.get_or_init(|| {
         RwLock::new(Interner {
             map: HashMap::new(),
-            strings: Vec::new(),
+            len: 0,
         })
     })
+}
+
+/// Page `p` holds `1 << (FIRST_PAGE_BITS + p)` slots, so [`PAGE_COUNT`]
+/// pages cover every `u32` id and a page, once allocated, never moves.
+const FIRST_PAGE_BITS: u32 = 10;
+const PAGE_COUNT: usize = (u32::BITS - FIRST_PAGE_BITS + 1) as usize;
+
+type Page = Box<[OnceLock<&'static str>]>;
+
+/// Id → string. Written only by [`Symbol::intern`]'s miss path (under the
+/// interner write lock), read without any lock.
+static PAGES: [OnceLock<Page>; PAGE_COUNT] = [const { OnceLock::new() }; PAGE_COUNT];
+
+/// `(page, slot)` of `id`.
+#[inline]
+fn locate(id: u32) -> (usize, usize) {
+    let n = id as u64 + (1 << FIRST_PAGE_BITS);
+    let top = u64::BITS - 1 - n.leading_zeros();
+    ((top - FIRST_PAGE_BITS) as usize, (n - (1 << top)) as usize)
 }
 
 impl Symbol {
@@ -56,15 +84,31 @@ impl Symbol {
             return Symbol(id);
         }
         let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        let id = u32::try_from(guard.strings.len()).expect("interner overflow");
-        guard.strings.push(leaked);
+        let id = guard.len;
+        guard.len = id.checked_add(1).expect("interner overflow");
+        // Publish the string before the id can reach anyone: readers learn
+        // an id only from this return value or from `map` under the lock.
+        let (page, slot) = locate(id);
+        PAGES[page]
+            .get_or_init(|| {
+                (0..1usize << (FIRST_PAGE_BITS + page as u32))
+                    .map(|_| OnceLock::new())
+                    .collect()
+            })[slot]
+            .set(leaked)
+            .expect("symbol slot filled twice");
         guard.map.insert(leaked, id);
         Symbol(id)
     }
 
-    /// The interned string.
+    /// The interned string. Lock-free (see the module docs).
+    #[inline]
     pub fn as_str(self) -> &'static str {
-        interner().read().strings[self.0 as usize]
+        let (page, slot) = locate(self.0);
+        PAGES[page]
+            .get()
+            .and_then(|p| p[slot].get())
+            .expect("symbol id was published by intern")
     }
 
     /// Raw id, useful as a compact map key.
@@ -153,5 +197,87 @@ mod tests {
         }
         // Same string interned from different threads must agree.
         assert_eq!(Symbol::intern("sym_3"), all[0][3]);
+    }
+
+    #[test]
+    fn page_layout_is_dense_and_in_range() {
+        assert_eq!(locate(0), (0, 0));
+        assert_eq!(locate(1023), (0, 1023));
+        assert_eq!(locate(1024), (1, 0));
+        assert_eq!(locate(3071), (1, 2047));
+        assert_eq!(locate(3072), (2, 0));
+        let (page, slot) = locate(u32::MAX);
+        assert_eq!(page, PAGE_COUNT - 1);
+        assert!(slot < 1 << (FIRST_PAGE_BITS as usize + page));
+    }
+
+    /// Readers take no lock, so they must never see an id whose string is
+    /// not there yet, and growing the table must never disturb what is
+    /// already in it.
+    #[test]
+    fn lock_free_reads_race_with_interning() {
+        use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering::*};
+        use std::sync::Barrier;
+
+        const WRITERS: usize = 2;
+        const READERS: usize = 8;
+        const FRESH: usize = 10_000;
+        let names: Vec<String> = (0..64).map(|i| format!("race_pre_{i:03}")).collect();
+        // Interned back to front, so id order is the reverse of string order.
+        let mut pre: Vec<Symbol> = names.iter().rev().map(|n| Symbol::intern(n)).collect();
+        pre.reverse();
+        // The newest symbol each writer has interned, handed to the readers
+        // the way any id crosses threads: through a release / acquire pair.
+        let latest: Vec<AtomicU32> = (0..WRITERS).map(|w| AtomicU32::new(pre[w].0)).collect();
+        let writers_done = AtomicUsize::new(0);
+        let start = Barrier::new(WRITERS + READERS);
+        std::thread::scope(|s| {
+            for w in 0..WRITERS {
+                let (latest, writers_done, start) = (&latest, &writers_done, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for j in 0..FRESH {
+                        let name = format!("race_fresh_{w}_{j}");
+                        let sym = Symbol::intern(&name);
+                        assert_eq!(sym.as_str(), name);
+                        latest[w].store(sym.0, Release);
+                    }
+                    writers_done.fetch_add(1, Release);
+                });
+            }
+            for _ in 0..READERS {
+                let (latest, writers_done, start) = (&latest, &writers_done, &start);
+                let (pre, names) = (&pre, &names);
+                s.spawn(move || {
+                    start.wait();
+                    let mut last_round = false;
+                    loop {
+                        for (i, (sym, name)) in pre.iter().zip(names).enumerate() {
+                            assert_eq!(sym.as_str(), name);
+                            if i > 0 {
+                                assert!(pre[i - 1] < *sym, "ordering of old symbols moved");
+                            }
+                        }
+                        for (w, slot) in latest.iter().enumerate() {
+                            let got = Symbol(slot.load(Acquire)).as_str();
+                            assert!(
+                                got.starts_with(&format!("race_fresh_{w}_"))
+                                    || got == names[w],
+                                "writer {w} published `{got}`"
+                            );
+                        }
+                        if last_round {
+                            break;
+                        }
+                        last_round = writers_done.load(Acquire) == WRITERS;
+                    }
+                });
+            }
+        });
+        for w in 0..WRITERS {
+            let last = format!("race_fresh_{w}_{}", FRESH - 1);
+            assert_eq!(Symbol(latest[w].load(Acquire)).as_str(), last);
+            assert_eq!(Symbol::intern(&last).0, latest[w].load(Acquire));
+        }
     }
 }
