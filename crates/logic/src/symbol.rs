@@ -89,12 +89,11 @@ impl Symbol {
         // Publish the string before the id can reach anyone: readers learn
         // an id only from this return value or from `map` under the lock.
         let (page, slot) = locate(id);
-        PAGES[page]
-            .get_or_init(|| {
-                (0..1usize << (FIRST_PAGE_BITS + page as u32))
-                    .map(|_| OnceLock::new())
-                    .collect()
-            })[slot]
+        PAGES[page].get_or_init(|| {
+            (0..1usize << (FIRST_PAGE_BITS + page as u32))
+                .map(|_| OnceLock::new())
+                .collect()
+        })[slot]
             .set(leaked)
             .expect("symbol slot filled twice");
         guard.map.insert(leaked, id);
@@ -261,8 +260,7 @@ mod tests {
                         for (w, slot) in latest.iter().enumerate() {
                             let got = Symbol(slot.load(Acquire)).as_str();
                             assert!(
-                                got.starts_with(&format!("race_fresh_{w}_"))
-                                    || got == names[w],
+                                got.starts_with(&format!("race_fresh_{w}_")) || got == names[w],
                                 "writer {w} published `{got}`"
                             );
                         }

@@ -4,29 +4,45 @@
 //! [`sensorlog_telemetry::MetricsRegistry`]: the bespoke counter fields the
 //! bench experiments used to poke at (`tx_by_kind`, `lost`, `delivered`)
 //! are gone, replaced by registry-backed accessors with the same names.
-//! Per-node counters pre-resolve their registry ids at construction so the
-//! hot path stays a `Vec`-indexed add, exactly as cheap as the old struct
-//! fields. "Communication cost" in the experiment harness still means
-//! `total_tx` unless stated otherwise; "load balance" compares
-//! `max_node_load` against the mean.
+//! Per-node counters pre-resolve their registry ids at construction, and
+//! per-kind counters the first time a kind moves them, so the hot path
+//! stays a `Vec`-indexed add, exactly as cheap as the old struct fields: a
+//! delivery never walks the registry's key map. "Communication cost" in
+//! the experiment harness still means `total_tx` unless stated otherwise;
+//! "load balance" compares `max_node_load` against the mean.
 
 use crate::topology::NodeId;
 use crate::trace::DropReason;
 use sensorlog_telemetry::{CounterId, MetricsRegistry, Scope};
 use std::collections::BTreeMap;
 
-/// Registry counter name for one loss reason ("lost_air", "lost_dead", ...).
-/// The plain "lost" counter stays the all-reasons total so the conservation
-/// invariant (`tx == rx + lost`) and every pre-fault-plane accessor are
-/// unchanged.
-fn reason_counter(reason: DropReason) -> &'static str {
-    match reason {
-        DropReason::Loss => "lost_air",
-        DropReason::DeadNode => "lost_dead",
-        DropReason::Retries => "lost_retries",
-        DropReason::Partition => "lost_partition",
-    }
+/// Counters kept per message kind: `tx`, `rx`, `lost`, then one per
+/// [`DropReason`] at [`kind_reason`]. The plain "lost" counter stays the
+/// all-reasons total so the conservation invariant (`tx == rx + lost`) and
+/// every pre-fault-plane accessor are unchanged.
+pub(crate) const KIND_SLOTS: usize = KIND_REASON0 + DropReason::COUNT;
+pub(crate) const KIND_TX: usize = 0;
+pub(crate) const KIND_RX: usize = 1;
+pub(crate) const KIND_LOST: usize = 2;
+const KIND_REASON0: usize = 3;
+
+/// Slot of the per-reason loss counter.
+#[inline]
+pub(crate) fn kind_reason(reason: DropReason) -> usize {
+    KIND_REASON0 + reason.index()
 }
+
+/// Registry counter name of each slot (reasons in [`DropReason::index`]
+/// order).
+const KIND_COUNTERS: [&str; KIND_SLOTS] = [
+    "tx",
+    "rx",
+    "lost",
+    "lost_air",
+    "lost_dead",
+    "lost_retries",
+    "lost_partition",
+];
 
 /// Radio energy model (defaults loosely follow mica2-class motes: sending
 /// is ~1.5× the cost of receiving, with a fixed per-packet overhead).
@@ -72,6 +88,10 @@ struct NodeIds {
 pub struct Metrics {
     reg: MetricsRegistry,
     per_node: Vec<NodeIds>,
+    /// Registry ids of each kind's counters, resolved the first time the
+    /// counter moves — so a kind only gets a "tx" key if it ever
+    /// transmitted, etc. Linear-scanned: simulations use a handful of kinds.
+    per_kind: Vec<(&'static str, [Option<CounterId>; KIND_SLOTS])>,
     pub energy: EnergyModel,
 }
 
@@ -89,27 +109,50 @@ impl Metrics {
         Metrics {
             reg,
             per_node,
+            per_kind: Vec::new(),
             energy: EnergyModel::default(),
         }
+    }
+
+    /// Add `n` to `kind`'s counter in `slot`; the registry's key map is
+    /// walked only the first time this (kind, slot) pair is seen.
+    #[inline]
+    fn add_kind_slot(&mut self, kind: &'static str, slot: usize, n: u64) {
+        let pos = match self.per_kind.iter().position(|(k, _)| *k == kind) {
+            Some(pos) => pos,
+            None => {
+                self.per_kind.push((kind, [None; KIND_SLOTS]));
+                self.per_kind.len() - 1
+            }
+        };
+        let id = match self.per_kind[pos].1[slot] {
+            Some(id) => id,
+            None => {
+                let id = self.reg.counter(Scope::Kind(kind), KIND_COUNTERS[slot]);
+                self.per_kind[pos].1[slot] = Some(id);
+                id
+            }
+        };
+        self.reg.inc_by(id, n);
     }
 
     pub fn record_tx(&mut self, node: NodeId, bytes: usize, kind: &'static str) {
         let ids = self.per_node[node.index()];
         self.reg.inc(ids.tx);
         self.reg.inc_by(ids.tx_bytes, bytes as u64);
-        self.reg.bump(Scope::Kind(kind), "tx", 1);
+        self.add_kind_slot(kind, KIND_TX, 1);
     }
 
     pub fn record_rx(&mut self, node: NodeId, bytes: usize, kind: &'static str) {
         let ids = self.per_node[node.index()];
         self.reg.inc(ids.rx);
         self.reg.inc_by(ids.rx_bytes, bytes as u64);
-        self.reg.bump(Scope::Kind(kind), "rx", 1);
+        self.add_kind_slot(kind, KIND_RX, 1);
     }
 
     pub fn record_loss(&mut self, kind: &'static str, reason: DropReason) {
-        self.reg.bump(Scope::Kind(kind), "lost", 1);
-        self.reg.bump(Scope::Kind(kind), reason_counter(reason), 1);
+        self.add_kind_slot(kind, KIND_LOST, 1);
+        self.add_kind_slot(kind, kind_reason(reason), 1);
     }
 
     /// Batch-merge of `n` transmissions totalling `bytes` from `node` — the
@@ -129,36 +172,13 @@ impl Metrics {
         self.reg.inc_by(ids.rx_bytes, bytes);
     }
 
-    /// Batch-merge of per-kind counters. Zero deltas are skipped so the set
-    /// of registry keys stays identical to what the serial per-call path
-    /// would have created (a kind only gets a "tx" counter if it ever
-    /// transmitted, etc.).
-    pub(crate) fn add_kind(
-        &mut self,
-        kind: &'static str,
-        tx: u64,
-        rx: u64,
-        lost: u64,
-        reasons: [u64; DropReason::COUNT],
-    ) {
-        if tx > 0 {
-            self.reg.bump(Scope::Kind(kind), "tx", tx);
-        }
-        if rx > 0 {
-            self.reg.bump(Scope::Kind(kind), "rx", rx);
-        }
-        if lost > 0 {
-            self.reg.bump(Scope::Kind(kind), "lost", lost);
-        }
-        for reason in [
-            DropReason::Loss,
-            DropReason::DeadNode,
-            DropReason::Retries,
-            DropReason::Partition,
-        ] {
-            let n = reasons[reason.index()];
+    /// Batch-merge of one kind's counters, indexed by slot. Zero deltas are
+    /// skipped so the set of registry keys stays identical to what the
+    /// serial per-call path would have created.
+    pub(crate) fn add_kind(&mut self, kind: &'static str, counts: [u64; KIND_SLOTS]) {
+        for (slot, &n) in counts.iter().enumerate() {
             if n > 0 {
-                self.reg.bump(Scope::Kind(kind), reason_counter(reason), n);
+                self.add_kind_slot(kind, slot, n);
             }
         }
     }
@@ -219,13 +239,8 @@ impl Metrics {
     /// [`DropReason::index`]; entries always sum to [`Metrics::lost`].
     pub fn lost_by_reason(&self) -> [u64; DropReason::COUNT] {
         let mut out = [0u64; DropReason::COUNT];
-        for reason in [
-            DropReason::Loss,
-            DropReason::DeadNode,
-            DropReason::Retries,
-            DropReason::Partition,
-        ] {
-            out[reason.index()] = self.by_kind(reason_counter(reason)).values().sum();
+        for (i, total) in out.iter_mut().enumerate() {
+            *total = self.by_kind(KIND_COUNTERS[KIND_REASON0 + i]).values().sum();
         }
         out
     }

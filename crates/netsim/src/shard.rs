@@ -35,8 +35,10 @@
 //! registry, but nothing on the event path reads it.
 
 use crate::faults::LinkState;
-use crate::metrics::Metrics;
-use crate::sim::{App, Event, EventQueue, Lane, LaneSink, NodeRng, SchedStats, SimConfig};
+use crate::metrics::{kind_reason, Metrics, KIND_LOST, KIND_RX, KIND_SLOTS, KIND_TX};
+use crate::sim::{
+    App, Event, EventQueue, Lane, LaneSink, NodeRng, SchedStats, SendHists, SimConfig,
+};
 use crate::sim::{SimTime, Simulator};
 use crate::topology::{NodeId, Topology};
 use crate::trace::{DropReason, TraceEvent, TraceRecord};
@@ -107,9 +109,8 @@ pub(crate) struct LaneMetrics {
     /// Nodes with nonzero deltas since the last flush, in first-touch order.
     touched: Vec<u32>,
     dirty: Vec<bool>,
-    /// `(kind, [tx, rx, lost, lost-by-reason…])` deltas since the last
-    /// flush (the trailing [`DropReason::COUNT`] slots attribute losses).
-    kinds: Vec<(&'static str, [u64; 3 + DropReason::COUNT])>,
+    /// Per-kind deltas since the last flush, in [`Metrics`]' slot layout.
+    kinds: Vec<(&'static str, [u64; KIND_SLOTS])>,
 }
 
 impl LaneMetrics {
@@ -136,11 +137,11 @@ impl LaneMetrics {
     }
 
     #[inline]
-    fn kind_slot(&mut self, kind: &'static str) -> &mut [u64; 3 + DropReason::COUNT] {
+    fn kind_slot(&mut self, kind: &'static str) -> &mut [u64; KIND_SLOTS] {
         if let Some(pos) = self.kinds.iter().position(|(k, _)| *k == kind) {
             return &mut self.kinds[pos].1;
         }
-        self.kinds.push((kind, [0; 3 + DropReason::COUNT]));
+        self.kinds.push((kind, [0; KIND_SLOTS]));
         &mut self.kinds.last_mut().expect("just pushed").1
     }
 
@@ -149,7 +150,7 @@ impl LaneMetrics {
         self.tx[i] += 1;
         self.txb[i] += bytes as u64;
         self.touch(i);
-        self.kind_slot(kind)[0] += 1;
+        self.kind_slot(kind)[KIND_TX] += 1;
     }
 
     fn rx(&mut self, node: NodeId, bytes: usize, kind: &'static str) {
@@ -157,13 +158,13 @@ impl LaneMetrics {
         self.rx[i] += 1;
         self.rxb[i] += bytes as u64;
         self.touch(i);
-        self.kind_slot(kind)[1] += 1;
+        self.kind_slot(kind)[KIND_RX] += 1;
     }
 
     fn loss(&mut self, kind: &'static str, reason: DropReason) {
         let slot = self.kind_slot(kind);
-        slot[2] += 1;
-        slot[3 + reason.index()] += 1;
+        slot[KIND_LOST] += 1;
+        slot[kind_reason(reason)] += 1;
     }
 
     /// Merge accumulated deltas into `m` and reset to empty.
@@ -185,10 +186,7 @@ impl LaneMetrics {
         }
         self.touched.clear();
         for (kind, counts) in self.kinds.drain(..) {
-            let [tx, rx, lost] = [counts[0], counts[1], counts[2]];
-            let mut reasons = [0u64; DropReason::COUNT];
-            reasons.copy_from_slice(&counts[3..]);
-            m.add_kind(kind, tx, rx, lost, reasons);
+            m.add_kind(kind, counts);
         }
     }
 }
@@ -383,6 +381,7 @@ struct RegionTask<'a, A: App> {
     apps: &'a mut [A],
     rngs: &'a mut [NodeRng],
     counters: &'a mut [u32],
+    send_hists: &'a mut [SendHists],
 }
 
 struct WindowResult {
@@ -416,6 +415,7 @@ fn run_window<A: App>(task: RegionTask<'_, A>, shared: Shared<'_>) -> WindowResu
         apps: task.apps,
         rngs: task.rngs,
         counters: task.counters,
+        send_hists: task.send_hists,
         base: task.base,
         events_processed: &mut events,
         batched_msgs: &mut batched,
@@ -527,6 +527,7 @@ where
         let mut apps: &mut [A] = &mut self.apps;
         let mut rngs: &mut [NodeRng] = &mut self.rngs;
         let mut counters: &mut [u32] = &mut self.counters;
+        let mut send_hists: &mut [SendHists] = &mut self.send_hists;
         let mut tasks = Vec::with_capacity(nregions);
         for (region, (wheel, scratch)) in sq.wheels.iter_mut().zip(sq.lanes.iter_mut()).enumerate()
         {
@@ -537,6 +538,8 @@ where
             rngs = rest;
             let (c, rest) = std::mem::take(&mut counters).split_at_mut(len as usize);
             counters = rest;
+            let (h, rest) = std::mem::take(&mut send_hists).split_at_mut(len as usize);
+            send_hists = rest;
             tasks.push(RegionTask {
                 region,
                 base,
@@ -545,6 +548,7 @@ where
                 apps: a,
                 rngs: r,
                 counters: c,
+                send_hists: h,
             });
         }
         let results: Vec<WindowResult> = if self.shard_threads && nregions > 1 {

@@ -20,7 +20,7 @@ use crate::trace::{DropReason, TraceEvent, TraceRecord, TraceSink};
 use crate::wheel::TimerWheel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sensorlog_telemetry::{Scope, Telemetry, BYTES_BUCKETS, SIM_MS_BUCKETS};
+use sensorlog_telemetry::{HistId, Scope, Telemetry, BYTES_BUCKETS, SIM_MS_BUCKETS};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -234,6 +234,19 @@ impl NodeRng {
     }
 }
 
+/// Telemetry histograms one node's sends record into, each resolved by key
+/// the first time that node records into it and by id from then on — so the
+/// set of histograms a run creates is what keyed `observe` calls would have
+/// created.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct SendHists {
+    /// `Scope::Node(n)` / `"tx_bytes"`.
+    tx_bytes: Option<HistId>,
+    /// `Scope::Global` / `"hop_delay_ms"` (cached per node so region
+    /// workers share nothing mutable).
+    hop_delay: Option<HistId>,
+}
+
 /// Scheduler operation counters, exported as `sched.*` telemetry gauges by
 /// the deployment layer. Plain fields on the hot path; zero-cost to skip.
 #[derive(Clone, Copy, Debug, Default)]
@@ -356,8 +369,8 @@ impl<'a, M> Ctx<'a, M> {
     where
         M: Clone,
     {
-        let neighbors: Vec<NodeId> = self.topo.neighbors(self.node).to_vec();
-        for n in neighbors {
+        let topo = self.topo; // `&'a`, so it outlives the `sends` borrow
+        for &n in topo.neighbors(self.node) {
             self.sends.push((n, msg.clone()));
         }
     }
@@ -416,6 +429,7 @@ pub(crate) struct Lane<'a, A: App> {
     pub(crate) apps: &'a mut [A],
     pub(crate) rngs: &'a mut [NodeRng],
     pub(crate) counters: &'a mut [u32],
+    pub(crate) send_hists: &'a mut [SendHists],
     /// First node id covered by the mutable slices above.
     pub(crate) base: u32,
     pub(crate) events_processed: &'a mut u64,
@@ -485,8 +499,14 @@ impl<'a, A: App> Lane<'a, A> {
         for (to, msg) in sends {
             let bytes = msg.size_bytes();
             let kind = msg.kind();
-            self.telemetry
-                .observe(Scope::Node(from.0), "tx_bytes", BYTES_BUCKETS, bytes as u64);
+            let from_i = self.idx(from);
+            self.telemetry.observe_cached(
+                &mut self.send_hists[from_i].tx_bytes,
+                Scope::Node(from.0),
+                "tx_bytes",
+                BYTES_BUCKETS,
+                bytes as u64,
+            );
             // A downed link is a loss probability of 1 — same RNG draw
             // pattern as lossy air, so healing a link never shifts the
             // sender's stream relative to a run where it stayed up.
@@ -512,7 +532,7 @@ impl<'a, A: App> Lane<'a, A> {
             // Retransmission backoff is exponential: 5, 10, 20, … ms.
             let mut delivered = false;
             let mut extra_delay: SimTime = 0;
-            let rng_i = self.idx(from);
+            let rng_i = from_i;
             for attempt in 0..=self.config.retries {
                 sink.record_tx(from, bytes, kind);
                 sink.emit(now, || TraceEvent::Send {
@@ -559,7 +579,8 @@ impl<'a, A: App> Lane<'a, A> {
             if let Some(jitter) = self.links.reorder_jitter(now) {
                 delay += self.rngs[rng_i].gen_range(0, jitter);
             }
-            self.telemetry.observe(
+            self.telemetry.observe_cached(
+                &mut self.send_hists[from_i].hop_delay,
                 Scope::Global,
                 "hop_delay_ms",
                 SIM_MS_BUCKETS,
@@ -795,6 +816,8 @@ pub struct Simulator<A: App> {
     /// it never touches the RNGs or the event queue, so enabling it cannot
     /// change a run's journal.
     pub(crate) telemetry: Telemetry,
+    /// Per-node histogram ids in `telemetry`'s registry.
+    pub(crate) send_hists: Vec<SendHists>,
     /// Shard backend: use worker threads for lockstep windows (default).
     /// Off = the same windows run inline on the calling thread.
     pub(crate) shard_threads: bool,
@@ -840,6 +863,7 @@ impl<A: App> Simulator<A> {
         let failed = vec![false; apps.len()];
         let epochs = vec![0u32; apps.len()];
         let counters = vec![0u32; apps.len()];
+        let send_hists = vec![SendHists::default(); apps.len()];
         let queue = EventQueue::new(config.sched, topo.len());
         let mut sim = Simulator {
             topo,
@@ -864,6 +888,7 @@ impl<A: App> Simulator<A> {
             trace_seq: 0,
             max_queue_depth: 0,
             telemetry: Telemetry::disabled(),
+            send_hists,
             shard_threads: true,
             shard_threshold: crate::shard::PAR_THRESHOLD,
         };
@@ -899,6 +924,7 @@ impl<A: App> Simulator<A> {
                 apps: &mut self.apps,
                 rngs: &mut self.rngs,
                 counters: &mut self.counters,
+                send_hists: &mut self.send_hists,
                 base: 0,
                 events_processed: &mut self.events_processed,
                 batched_msgs: &mut self.batched_msgs,
@@ -931,6 +957,7 @@ impl<A: App> Simulator<A> {
     /// cover per-node message sizes and hop delays.
     pub fn set_telemetry(&mut self, tele: Telemetry) {
         self.telemetry = tele;
+        self.send_hists.fill(SendHists::default());
     }
 
     pub fn telemetry(&self) -> &Telemetry {
@@ -963,6 +990,14 @@ impl<A: App> Simulator<A> {
             });
             self.trace_seq += 1;
         }
+    }
+
+    /// Size of one queued event. [`Event`] is crate-private; this is how a
+    /// test outside the crate bounds what every timer-wheel slot pays per
+    /// pending entry.
+    #[doc(hidden)]
+    pub fn queued_event_bytes() -> usize {
+        std::mem::size_of::<Event<A::Msg>>()
     }
 
     /// High-water mark of the pending event queue over the whole run.
@@ -1259,6 +1294,43 @@ mod tests {
         // Messages were counted: every node broadcast once to each neighbor.
         assert!(sim.metrics.total_tx() > 0);
         assert_eq!(sim.metrics.tx_by_kind()["ping"], sim.metrics.total_tx());
+    }
+
+    /// The per-message path holds pre-resolved metric ids: however many
+    /// messages a run delivers, `sim.metrics` walks its registry's key map
+    /// the same number of times (4 per node in `Metrics::new`, one per
+    /// kind for its first tx and first rx). A keyed `bump` in `record_tx` /
+    /// `record_rx` would add two walks per delivery.
+    #[test]
+    fn keyed_registry_walks_do_not_grow_with_traffic() {
+        struct Chatty {
+            per_node: usize,
+        }
+        impl App for Chatty {
+            type Msg = Ping;
+            fn on_start(&mut self, ctx: &mut Ctx<Ping>) {
+                for _ in 0..self.per_node {
+                    ctx.broadcast(Ping);
+                }
+            }
+            fn on_message(&mut self, _: &mut Ctx<Ping>, _: NodeId, _: Ping) {}
+        }
+        let run = |per_node: usize| {
+            let mut sim = Simulator::new(Topology::square_grid(6), SimConfig::default(), {
+                move |_, _| Chatty { per_node }
+            });
+            sim.run_to_quiescence(100_000);
+            (
+                sim.metrics.delivered(),
+                sim.metrics.registry().keyed_walks(),
+            )
+        };
+        let (light_rx, light_walks) = run(1);
+        let (heavy_rx, heavy_walks) = run(20);
+        assert_eq!(heavy_rx, 20 * light_rx, "the heavy run must carry 20x");
+        assert!(light_rx >= 100);
+        assert_eq!(light_walks, 4 * 36 + 2);
+        assert_eq!(heavy_walks, light_walks);
     }
 
     #[test]

@@ -131,6 +131,27 @@ impl Telemetry {
         }
     }
 
+    /// [`Self::observe`] for a per-event site: `cache` holds the histogram's
+    /// id once the first call has resolved `(scope, name)` by key, so later
+    /// calls index instead of walking the key map. The histogram is still
+    /// created by the first observation, exactly as with `observe`. `cache`
+    /// belongs to this handle's registry; reset it when the handle changes.
+    #[inline]
+    pub fn observe_cached(
+        &self,
+        cache: &mut Option<HistId>,
+        scope: Scope,
+        name: &'static str,
+        bounds: &'static [u64],
+        v: u64,
+    ) {
+        if let Some(inner) = &self.inner {
+            let mut reg = inner.registry.lock();
+            let id = *cache.get_or_insert_with(|| reg.histogram(scope, name, bounds));
+            reg.observe_id(id, v);
+        }
+    }
+
     /// Open a wall-time span for `phase`; the elapsed time is recorded when
     /// the returned guard drops. Disabled handles return an inert guard.
     #[inline]

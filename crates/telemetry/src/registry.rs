@@ -66,6 +66,8 @@ pub struct MetricsRegistry {
     gauges: Vec<u64>,
     hist_index: BTreeMap<Key, usize>,
     hists: Vec<Histogram>,
+    /// Get-or-create calls so far ([`Self::keyed_walks`]).
+    keyed_walks: u64,
 }
 
 impl MetricsRegistry {
@@ -73,10 +75,21 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
+    /// How many times a `(scope, name)` key was looked up to get or create
+    /// a metric — every [`Self::counter`] / [`Self::gauge`] /
+    /// [`Self::histogram`] call, hit or miss, including the ones inside
+    /// the keyed conveniences ([`Self::bump`], [`Self::gauge_max`],
+    /// [`Self::observe`], …). A per-event path that holds pre-resolved ids
+    /// leaves this flat however many events it records; tests gate on that.
+    pub fn keyed_walks(&self) -> u64 {
+        self.keyed_walks
+    }
+
     // ---- counters ----
 
     /// Get-or-create the counter `(scope, name)` and return its dense id.
     pub fn counter(&mut self, scope: Scope, name: &'static str) -> CounterId {
+        self.keyed_walks += 1;
         let key = Key { scope, name };
         if let Some(&i) = self.counter_index.get(&key) {
             return CounterId(i);
@@ -102,8 +115,13 @@ impl MetricsRegistry {
         self.counters[id.0]
     }
 
-    /// One-shot convenience: look up and add in one call (a `BTreeMap`
-    /// access; fine off the hot path).
+    /// One-shot convenience: look up and add in one call — a walk of the
+    /// key map per call, so not for anything that runs once per simulated
+    /// message. Callers today: per-predicate and fault-plane counters
+    /// behind an enabled [`crate::Telemetry`] handle (`Telemetry::add`),
+    /// the end-of-run rollup in `core::Deployment::telemetry_snapshot`,
+    /// [`Self::merge_from`], benches and tests. `netsim::Metrics` and the
+    /// simulator's telemetry histograms hold pre-resolved ids instead.
     pub fn bump(&mut self, scope: Scope, name: &'static str, n: u64) {
         let id = self.counter(scope, name);
         self.counters[id.0] += n;
@@ -126,6 +144,7 @@ impl MetricsRegistry {
     // ---- gauges ----
 
     pub fn gauge(&mut self, scope: Scope, name: &'static str) -> GaugeId {
+        self.keyed_walks += 1;
         let key = Key { scope, name };
         if let Some(&i) = self.gauge_index.get(&key) {
             return GaugeId(i);
@@ -177,6 +196,7 @@ impl MetricsRegistry {
         name: &'static str,
         bounds: &'static [u64],
     ) -> HistId {
+        self.keyed_walks += 1;
         let key = Key { scope, name };
         if let Some(&i) = self.hist_index.get(&key) {
             debug_assert_eq!(self.hists[i].bounds(), bounds, "histogram bounds drift");
