@@ -8,7 +8,7 @@ use crate::table::{f2, Table};
 use sensorlog_core::deploy::{DeployConfig, Deployment};
 use sensorlog_core::oracle;
 use sensorlog_core::workload::UniformStreams;
-use sensorlog_core::{RtConfig, Strategy};
+use sensorlog_core::{NetInfo, RtConfig, Strategy};
 use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::Symbol;
 use sensorlog_netsim::{NodeId, SimConfig, Topology};
@@ -73,8 +73,7 @@ pub fn fig13() -> Table {
             "Centroid sound",
         ],
     );
-    let topo = Topology::square_grid(8);
-    let center = Strategy::center(&topo);
+    let center = NetInfo::new(Topology::square_grid(8)).center();
     let corner = NodeId(0);
     for (label, victim) in [("center (the server)", center), ("corner node", corner)] {
         let (pa_c, pa_s) = run_with_failure(Strategy::Perpendicular { band_width: 1.0 }, victim);

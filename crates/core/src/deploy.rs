@@ -98,6 +98,8 @@ pub struct Deployment {
     pub sim: Simulator<SensorlogNode>,
     pub prog: Arc<DistProgram>,
     pub strategy: Strategy,
+    /// The routing context every node shares.
+    net: Arc<NetInfo>,
     schedule: Vec<WorkloadEvent>,
     /// Insert events applied per base predicate — the observed `E(p)` the
     /// static memory bounds are evaluated against at cross-validation time.
@@ -138,6 +140,7 @@ impl Deployment {
                 .collect::<Vec<_>>(),
         );
         let prog2 = Arc::clone(&prog);
+        let net2 = Arc::clone(&net);
         let tele = config.telemetry.clone();
         let durables: Vec<Arc<Mutex<DurableStore>>> = match &cfg.faults {
             Some(f) => (0..topo.len())
@@ -154,7 +157,7 @@ impl Deployment {
                 id,
                 Arc::clone(&prog2),
                 Arc::clone(&cfg),
-                Arc::clone(&net),
+                Arc::clone(&net2),
                 Arc::clone(&shapes),
                 tele.clone(),
             )
@@ -169,6 +172,7 @@ impl Deployment {
             sim,
             prog,
             strategy: config.rt.strategy,
+            net,
             schedule: Vec::new(),
             injected: BTreeMap::new(),
             applied: Vec::new(),
@@ -186,7 +190,7 @@ impl Deployment {
         let facts = self.prog.static_facts.clone();
         for (pred, tuple) in facts {
             let owner = match self.strategy {
-                Strategy::Centroid => Strategy::center(self.sim.topology()),
+                Strategy::Centroid => self.net.center(),
                 _ => ght::owner_of(self.sim.topology(), pred, &tuple),
             };
             self.sim.invoke(owner, |node, ctx| {
@@ -492,6 +496,12 @@ impl Deployment {
             .map(|n| n.stats.peak_replicas + n.stats.peak_derivations)
             .max()
             .unwrap_or(0)
+    }
+
+    /// The routing context shared by every node (topology, next hops,
+    /// network depth, Centroid's centre).
+    pub fn net(&self) -> &NetInfo {
+        &self.net
     }
 
     /// Access the node application at `id`.

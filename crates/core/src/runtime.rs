@@ -36,6 +36,8 @@ pub struct NetInfo {
     /// (grid diameter, or BFS eccentricity of node 0 off-grid). Scales
     /// per-hop latency estimates up to end-to-end bounds; always ≥ 1.
     depth: SimTime,
+    /// Centroid's central server ([`Strategy::center`] of `topo`).
+    center: NodeId,
 }
 
 impl NetInfo {
@@ -48,10 +50,18 @@ impl NetInfo {
             ),
         };
         NetInfo {
+            center: Strategy::center(&topo),
             topo,
             next_hop_tbl,
             depth: depth.max(1),
         }
+    }
+
+    /// The central server for Centroid: the node closest to the deployment
+    /// centroid. A scan of every node, so it is done once here rather than
+    /// per update.
+    pub fn center(&self) -> NodeId {
+        self.center
     }
 
     /// Network depth in hops (≥ 1).
@@ -404,15 +414,14 @@ impl SensorlogNode {
         shapes: Arc<Vec<RuleShape>>,
         tele: Telemetry,
     ) -> SensorlogNode {
-        let center_engine =
-            if cfg.strategy == Strategy::Centroid && Strategy::center(&net.topo) == id {
-                let mut engine = IncrementalEngine::new(prog.analysis.clone(), prog.reg.clone())
-                    .expect("centroid engine");
-                engine.profiler = tele.profiler();
-                Some(engine)
-            } else {
-                None
-            };
+        let center_engine = if cfg.strategy == Strategy::Centroid && net.center() == id {
+            let mut engine = IncrementalEngine::new(prog.analysis.clone(), prog.reg.clone())
+                .expect("centroid engine");
+            engine.profiler = tele.profiler();
+            Some(engine)
+        } else {
+            None
+        };
         let mut idb = HashSet::new();
         let mut rule_body_preds: HashMap<usize, Vec<Option<Symbol>>> = HashMap::new();
         for rule in &prog.analysis.program.rules {
@@ -711,7 +720,7 @@ impl SensorlogNode {
             return;
         }
         if self.cfg.strategy == Strategy::Centroid {
-            let center = Strategy::center(&self.net.topo);
+            let center = self.net.center();
             if center == self.id {
                 self.feed_center(ctx.local_time, &fact);
             } else {
@@ -1240,6 +1249,13 @@ impl SensorlogNode {
             self.tele
                 .bump(Scope::Pred(fact.pred.as_str()), "center_apply_errors");
         }
+        // The central store is this node's memory (Sec. V): Centroid's
+        // hotspot is exactly what the per-node peak exists to show.
+        self.stats.peak_replicas = self.stats.peak_replicas.max(engine.db.total_tuples());
+        self.stats.peak_derivations = self
+            .stats
+            .peak_derivations
+            .max(engine.stats.max_derivations);
         if self.prov.is_enabled() {
             // The fed fact keeps its source-minted id (the source already
             // emitted the `Edb` record); deletes reuse the generation id,
@@ -1847,6 +1863,18 @@ mod tests {
         assert_eq!(net.next_hop(NodeId(0), NodeId(2)), None);
         assert_eq!(net.next_hop(NodeId(3), NodeId(1)), None);
         assert_eq!(net.next_hop(NodeId(2), NodeId(3)), Some(NodeId(3)));
+    }
+
+    #[test]
+    fn netinfo_center_is_the_strategy_center() {
+        for topo in [
+            Topology::grid(6, 5),
+            Topology::grid(9, 1), // a line
+            Topology::random_geometric(40, 6.0, 1.8, 3).unwrap(),
+        ] {
+            let expect = Strategy::center(&topo);
+            assert_eq!(NetInfo::new(topo).center(), expect);
+        }
     }
 
     #[test]

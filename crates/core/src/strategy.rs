@@ -105,7 +105,8 @@ impl Strategy {
     }
 
     /// The central server for Centroid: the node closest to the deployment
-    /// centroid.
+    /// centroid. O(n); `NetInfo::new` computes it once and everything on a
+    /// deployment reads `NetInfo::center`.
     pub fn center(topo: &Topology) -> NodeId {
         let (sx, sy) = topo
             .nodes()

@@ -44,7 +44,7 @@ pub fn check_provenance(d: &Deployment, preds: &[Symbol]) -> InvariantReport {
             .into_iter()
             .filter(|t| {
                 let owner = match d.strategy {
-                    Strategy::Centroid => Strategy::center(d.sim.topology()),
+                    Strategy::Centroid => d.net().center(),
                     _ => ght::owner_of(d.sim.topology(), pred, t),
                 };
                 !d.sim.is_failed(owner)

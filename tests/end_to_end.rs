@@ -145,6 +145,37 @@ fn logich_with_links_into_the_sink_is_exact_under_centroid_and_pa() {
     }
 }
 
+/// Sec. V's per-node memory under Centroid is the central server's store:
+/// every link fact is held there, and nowhere else holds anything.
+#[test]
+fn centroid_peak_node_memory_is_held_by_the_centre() {
+    let program = include_str!("../examples/programs/sptree.dl");
+    let topo = Topology::square_grid(4);
+    let events = graph_edges(&topo, 100, 1);
+    let config = DeployConfig {
+        rt: RtConfig {
+            strategy: Strategy::Centroid,
+            ..RtConfig::default()
+        },
+        ..DeployConfig::default()
+    };
+    let mut d = Deployment::new(program, BuiltinRegistry::standard(), topo, config).unwrap();
+    d.schedule_all(events.clone());
+    d.run(100_000_000);
+    let g_facts = events.len();
+    assert!(g_facts > 0);
+    assert!(d.peak_node_memory() >= g_facts, "{}", d.peak_node_memory());
+    let centre = d.net().center();
+    for (i, s) in d.node_stats().iter().enumerate() {
+        let mem = s.peak_replicas + s.peak_derivations;
+        if i == centre.index() {
+            assert_eq!(mem, d.peak_node_memory());
+        } else {
+            assert_eq!(mem, 0, "node {i} stores nothing under Centroid");
+        }
+    }
+}
+
 #[test]
 fn centralized_engines_agree_on_mixed_updates() {
     // Batch, incremental, and DRed engines must agree on the same net EDB.
