@@ -18,6 +18,7 @@ use crate::tupleid::{DerivationKey, FactRecord, TupleId};
 use sensorlog_eval::eval_body::instantiate_head;
 use sensorlog_eval::relation::{Database, TupleMeta};
 use sensorlog_eval::{IncrementalEngine, Update, UpdateKind};
+use sensorlog_logic::intern::{IdHashMap, IdHashSet};
 use sensorlog_logic::{Symbol, Tuple};
 use sensorlog_netsim::{App, Ctx, MsgMeta, NodeId, SimTime, Topology, TopologyKind};
 use sensorlog_netstack::ght;
@@ -335,14 +336,20 @@ pub struct SensorlogNode {
     shapes: Arc<Vec<RuleShape>>,
     /// Replicated stream fragments (with gen/del timestamps).
     frags: Database,
-    frag_ids: HashMap<(Symbol, Tuple), TupleId>,
+    /// The generation stored for each tuple in `frags`; the two change
+    /// together. (Id-hashed like `flood_seen` and `timers`: the per-message
+    /// maps whose keys are all process-minted ids. Read in sorted order or
+    /// not iterated at all.)
+    frag_ids: IdHashMap<(Symbol, Tuple), TupleId>,
+    /// Tuples in `frags`, kept in step with it ([`Self::replica_count`]).
+    replicas: usize,
     /// Derived tuples this node owns under the geographic hash.
     owned: HashMap<(Symbol, Tuple), Owned>,
     /// Tuples this node generated (for delete-by-value at the source).
     my_facts: HashMap<(Symbol, Tuple), TupleId>,
     /// Flood dedup (NaiveBroadcast storage).
-    flood_seen: HashSet<(TupleId, UpdateKind)>,
-    timers: HashMap<u64, TimerAction>,
+    flood_seen: IdHashSet<(TupleId, UpdateKind)>,
+    timers: IdHashMap<u64, TimerAction>,
     next_tag: u64,
     seq: u32,
     /// Centroid baseline: the central server's engine (center node only).
@@ -445,11 +452,12 @@ impl SensorlogNode {
             net,
             shapes,
             frags: Database::new(),
-            frag_ids: HashMap::new(),
+            frag_ids: IdHashMap::default(),
+            replicas: 0,
             owned: HashMap::new(),
             my_facts: HashMap::new(),
-            flood_seen: HashSet::new(),
-            timers: HashMap::new(),
+            flood_seen: IdHashSet::default(),
+            timers: IdHashMap::default(),
             next_tag: 0,
             seq: 0,
             center_engine,
@@ -603,7 +611,8 @@ impl SensorlogNode {
 
     /// Current replica count (fragment tuples stored here).
     pub fn replica_count(&self) -> usize {
-        self.frags.total_tuples()
+        debug_assert_eq!(self.replicas, self.frags.total_tuples());
+        self.replicas
     }
 
     /// Join-index activity on this node: fragment-store probes plus, on a
@@ -788,48 +797,49 @@ impl SensorlogNode {
         // late-arriving insert.
         self.tele
             .bump(Scope::Pred(fact.pred.as_str()), "replicas_stored");
-        let key = (fact.pred, fact.tuple.clone());
-        let stored = self.frag_ids.get(&key).copied();
-        match fact.kind {
-            UpdateKind::Insert => match stored {
-                // Same generation already here (possibly tombstoned by an
-                // overtaking delete), or a newer one: nothing to do.
-                Some(old) if old >= fact.id => {}
-                _ => {
-                    let rel = self.frags.relation_mut(fact.pred);
-                    rel.remove(&fact.tuple); // reset meta of any older gen
-                    rel.insert(fact.tuple.clone(), TupleMeta::at(fact.tau));
-                    self.frag_ids.insert(key, fact.id);
-                }
-            },
-            UpdateKind::Delete => match stored {
-                // Tombstone the matching generation (Sec. IV-B: replicas
-                // stay for concurrent probes and expire later).
-                Some(old) if old == fact.id => {
-                    self.frags
-                        .relation_mut(fact.pred)
-                        .mark_deleted(&fact.tuple, fact.tau);
-                }
-                // A newer generation is stored: this delete is stale.
-                Some(old) if old > fact.id => {}
-                // Delete overtook (or outlived) the insert walk: store a
-                // tombstoned replica so probes between gen and del still
-                // see it, and later probes don't.
-                _ => {
-                    let rel = self.frags.relation_mut(fact.pred);
-                    rel.remove(&fact.tuple);
-                    rel.insert(
-                        fact.tuple.clone(),
-                        TupleMeta {
-                            gen_ts: fact.id.ts,
-                            del_ts: Some(fact.tau),
-                        },
-                    );
-                    self.frag_ids.insert(key, fact.id);
-                }
-            },
+        let stored = self.frag_ids.entry((fact.pred, fact.tuple.clone()));
+        let old = match &stored {
+            Entry::Occupied(e) => Some(*e.get()),
+            Entry::Vacant(_) => None,
+        };
+        // `Some(meta)`: this update becomes the stored generation.
+        let replace = match fact.kind {
+            // Same generation already here (possibly tombstoned by an
+            // overtaking delete), or a newer one: nothing to do.
+            UpdateKind::Insert if old.is_some_and(|old| old >= fact.id) => None,
+            UpdateKind::Insert => Some(TupleMeta::at(fact.tau)),
+            // Tombstone the matching generation (Sec. IV-B: replicas stay
+            // for concurrent probes and expire later).
+            UpdateKind::Delete if old == Some(fact.id) => {
+                self.frags
+                    .relation_mut(fact.pred)
+                    .mark_deleted(&fact.tuple, fact.tau);
+                None
+            }
+            // A newer generation is stored: this delete is stale.
+            UpdateKind::Delete if old.is_some_and(|old| old > fact.id) => None,
+            // Delete overtook (or outlived) the insert walk: store a
+            // tombstoned replica so probes between gen and del still see
+            // it, and later probes don't.
+            UpdateKind::Delete => Some(TupleMeta {
+                gen_ts: fact.id.ts,
+                del_ts: Some(fact.tau),
+            }),
+        };
+        if let Some(meta) = replace {
+            let rel = self.frags.relation_mut(fact.pred);
+            // An older generation's meta must go; without one stored the
+            // tuple is not in `frags` at all.
+            if old.is_some() && rel.remove(&fact.tuple) {
+                self.replicas -= 1;
+            }
+            if rel.insert(fact.tuple.clone(), meta) {
+                self.replicas += 1;
+            }
+            stored.insert_entry(fact.id);
         }
-        self.stats.peak_replicas = self.stats.peak_replicas.max(self.frags.total_tuples());
+        debug_assert_eq!(self.replicas, self.frags.total_tuples());
+        self.stats.peak_replicas = self.stats.peak_replicas.max(self.replicas);
         self.note_pred_stored(fact.pred);
         // Retention timer for windowed streams (Sec. IV-B): the replica
         // must outlive every probe that may legally join with it —
@@ -1788,7 +1798,9 @@ impl App for SensorlogNode {
             Some(TimerAction::LeaseTick) => self.lease_tick(ctx),
             Some(TimerAction::RefreshTick) => self.refresh_tick(ctx),
             Some(TimerAction::ExpireReplica(pred, tuple)) => {
-                self.frags.remove(pred, &tuple);
+                if self.frags.remove(pred, &tuple) {
+                    self.replicas -= 1;
+                }
                 self.frag_ids.remove(&(pred, tuple));
             }
             Some(TimerAction::ExpireOwned(pred, tuple)) => {

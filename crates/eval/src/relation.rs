@@ -8,7 +8,7 @@
 //! prefix signature (see DESIGN.md, "Tuple representation & trie indexes").
 
 use parking_lot::RwLock;
-use sensorlog_logic::intern::{self, ConstId};
+use sensorlog_logic::intern::{self, ConstId, IdHashMap};
 use sensorlog_logic::{Symbol, Tuple};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -189,31 +189,6 @@ impl TrieNode {
 /// wholesale (simple, bounded, and a full repopulation is just trie walks).
 const MEMO_CAP: usize = 1 << 16;
 
-/// FNV-1a for the probe memo: keys are a handful of sort-key bytes, where
-/// SipHash's setup cost dominates the actual mixing. Never iterated, so the
-/// weaker hash cannot affect any observable order.
-struct Fnv(u64);
-
-impl Default for Fnv {
-    fn default() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl std::hash::Hasher for Fnv {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Longest probe (bound-column count) the memo serves; wider probes walk
 /// the trie every time. Join plans bind a handful of columns.
 const MEMO_KEY_MAX: usize = 4;
@@ -245,7 +220,8 @@ impl MemoKey {
     }
 }
 
-type MemoMap = HashMap<MemoKey, Memoized, std::hash::BuildHasherDefault<Fnv>>;
+/// Never iterated, so the id hasher cannot affect any observable order.
+type MemoMap = IdHashMap<MemoKey, Memoized>;
 
 /// Memoized probe results. Most probes return zero or one tuple (keyed
 /// relations); storing those inline skips the postings-vector indirection

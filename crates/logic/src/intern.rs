@@ -59,6 +59,38 @@ use std::sync::OnceLock;
 /// Dense handle of an interned ground value.
 pub type ConstId = u32;
 
+/// FNV-1a, the hasher for maps keyed by fixed-width ids ([`ConstId`]s,
+/// symbols, tuple ids, timer tags): a few words of key, where SipHash's
+/// set-up costs more than the mixing. Ids are minted by this process, so
+/// nobody can craft colliding keys; keep the default hasher for keys that
+/// come from outside. The iteration order of such a map is a function of
+/// the ids (first-touch order) — never expose it without sorting.
+pub struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl std::hash::Hasher for Fnv {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// `HashMap` / `HashSet` over [`Fnv`].
+pub type IdHashMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<Fnv>>;
+pub type IdHashSet<K> = std::collections::HashSet<K, std::hash::BuildHasherDefault<Fnv>>;
+
 /// An interned ground value. `App` children are themselves interned.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Val {
