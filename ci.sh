@@ -22,6 +22,25 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test (workspace) =="
 cargo test --workspace -q
 
+# Count gates on the per-message path, named here so that renaming or
+# filtering one away fails CI instead of passing silently. They compare
+# counts, not timings, so they run under --fast too:
+#  - netsim: `Metrics` must not walk its registry's key map per delivery
+#    (the same flood with 20x the traffic performs the same number of walks);
+#  - core: a queued simulator event must stay 32 bytes whatever `Payload`
+#    is (an inline message grew sptree_centroid's heap 27.4 -> 44.0 MB).
+# The boundary-resolve cap (tests/boundary_sites.rs) ran with the workspace
+# tests above.
+echo "== count gates (keyed registry walks, queued event size) =="
+for gate in \
+    "sensorlog-netsim sim::tests::keyed_registry_walks_do_not_grow_with_traffic" \
+    "sensorlog-core msg::tests::queued_event_stays_payload_independent"; do
+    read -r crate name <<<"$gate"
+    out=$(cargo test -q -p "$crate" --lib -- --exact "$name" 2>&1) || { echo "$out"; exit 1; }
+    grep -q "test result: ok. 1 passed" <<<"$out" || {
+        echo "count gate $name did not run (renamed or filtered out?)"; exit 1; }
+done
+
 if [[ "$fast" -eq 0 ]]; then
     echo "== cargo build --release (workspace, timed) =="
     build_start=$SECONDS

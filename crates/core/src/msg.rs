@@ -187,6 +187,22 @@ mod tests {
         )
     }
 
+    /// Every pending timer-wheel entry is one queued event, and wheel slots
+    /// keep their capacity, so the simulator's heap scales with this size.
+    /// It is payload-independent today because deliveries queue a
+    /// `Vec<Payload>`. Carrying the first message inline in `Deliver` saves
+    /// that allocation but was measured and rejected (ISSUE 14):
+    /// `sptree_centroid` peak heap 27.4 -> 44.0 MB, and `run_s` worse.
+    #[test]
+    fn queued_event_stays_payload_independent() {
+        let bytes = sensorlog_netsim::Simulator::<crate::SensorlogNode>::queued_event_bytes();
+        assert!(
+            bytes <= 32,
+            "a queued event grew to {bytes} B (Payload is {} B)",
+            std::mem::size_of::<Payload>()
+        );
+    }
+
     #[test]
     fn kinds_and_sizes() {
         let store = Payload::StoreWalk {

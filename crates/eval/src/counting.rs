@@ -9,7 +9,7 @@
 //! set-of-derivations approach. This engine exists for the Fig. 11 ablation.
 
 use crate::error::EvalError;
-use crate::eval_body::{instantiate_head, BodyEval, TupleFilter};
+use crate::eval_body::{ground_facts, instantiate_head, BodyEval, TupleFilter};
 use crate::relation::{Database, TupleMeta};
 use sensorlog_logic::analyze::{Analysis, ProgramClass};
 use sensorlog_logic::ast::Literal;
@@ -56,7 +56,7 @@ impl CountingEngine {
         }
         let mut db = Database::new();
         crate::planner::register_program_indexes(&mut db, &analysis);
-        Ok(CountingEngine {
+        let mut engine = CountingEngine {
             analysis,
             reg,
             db,
@@ -64,7 +64,14 @@ impl CountingEngine {
             occurrences,
             body_evals: 0,
             max_cascade: 1_000_000,
-        })
+        };
+        // Ground empty-body rules hold from the start: one derivation each,
+        // cascaded like any insertion.
+        for (_, pred, tuple) in ground_facts(&engine.analysis.program, &engine.reg)? {
+            *engine.counts.entry((pred, tuple.clone())).or_insert(0) += 1;
+            engine.apply(Update::insert(pred, tuple, 0))?;
+        }
+        Ok(engine)
     }
 
     pub fn from_source(src: &str, reg: BuiltinRegistry) -> Result<CountingEngine, EvalError> {
@@ -229,6 +236,36 @@ mod tests {
         assert!(!e.db.contains(sym("uncov"), &tup("10")));
         e.apply(del("friendly(12)", 3)).unwrap();
         assert!(e.db.contains(sym("uncov"), &tup("10")));
+    }
+
+    #[test]
+    fn ground_facts_are_live_after_new_and_survive_base_updates() {
+        let src = r#"
+            p(1). p(2).
+            q(X) :- p(X), not b(X).
+        "#;
+        let mut e = CountingEngine::from_source(src, BuiltinRegistry::standard()).unwrap();
+        let oracle =
+            crate::seminaive::Engine::from_source(src, BuiltinRegistry::standard()).unwrap();
+        let matches_oracle = |e: &CountingEngine| {
+            let mut edb = Database::new();
+            for t in e.db.sorted(sym("b")) {
+                edb.insert(sym("b"), t);
+            }
+            let expect = oracle.run(&edb).unwrap();
+            for p in [sym("p"), sym("q")] {
+                assert_eq!(e.db.sorted(p), expect.sorted(p), "divergence on {p}");
+            }
+        };
+        // No update applied yet: the semi-naive fixpoint is already there.
+        assert_eq!(e.db.sorted(sym("q")), vec![tup("1"), tup("2")]);
+        matches_oracle(&e);
+        e.apply(ins("b(1)", 1)).unwrap();
+        assert_eq!(e.db.sorted(sym("q")), vec![tup("2")]);
+        matches_oracle(&e);
+        e.apply(del("b(1)", 2)).unwrap();
+        assert_eq!(e.db.sorted(sym("q")), vec![tup("1"), tup("2")]);
+        matches_oracle(&e);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use crate::error::EvalError;
 use crate::relation::Database;
-use sensorlog_logic::ast::{Atom, CmpOp, Literal, Rule};
+use sensorlog_logic::ast::{Atom, CmpOp, Literal, Program, Rule};
 use sensorlog_logic::boundness::order_literals;
 use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::flat::{flat_compare, flat_eval, flat_is_ground, flat_match_args, FlatSubst};
@@ -127,6 +127,25 @@ pub fn ground_atom(
     subst: &FlatSubst,
 ) -> Result<Option<Tuple>, EvalError> {
     Ok(ground_args(reg, atom, subst)?.map(Tuple::from_ids))
+}
+
+/// The program's ground empty-body rules (`h(0, 0, 0).`) as `(rule id,
+/// predicate, tuple)`. They hold before any update is applied and no update
+/// ever pins them, so every maintenance engine asserts them when it is
+/// built. Aggregate rules and heads that keep a variable are not facts.
+pub fn ground_facts(
+    program: &Program,
+    reg: &BuiltinRegistry,
+) -> Result<Vec<(usize, Symbol, Tuple)>, EvalError> {
+    let mut facts = Vec::new();
+    for r in &program.rules {
+        if r.body.is_empty() && r.agg.is_none() {
+            if let Some(t) = ground_atom(reg, &r.head, &FlatSubst::new())? {
+                facts.push((r.id, r.head.pred, t));
+            }
+        }
+    }
+    Ok(facts)
 }
 
 /// One satisfying assignment of a rule body. The substitution is flat

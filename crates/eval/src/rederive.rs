@@ -14,7 +14,7 @@
 //! fixpoint in stratum order.
 
 use crate::error::EvalError;
-use crate::eval_body::{instantiate_head, BodyEval, TupleFilter};
+use crate::eval_body::{ground_facts, instantiate_head, BodyEval, TupleFilter};
 use crate::lineage::LineageLog;
 use crate::relation::{Database, TupleMeta};
 use sensorlog_logic::analyze::{Analysis, ProgramClass};
@@ -58,7 +58,7 @@ impl RederiveEngine {
         }
         let mut db = Database::new();
         crate::planner::register_program_indexes(&mut db, &analysis);
-        Ok(RederiveEngine {
+        let mut engine = RederiveEngine {
             analysis,
             reg,
             db,
@@ -66,7 +66,13 @@ impl RederiveEngine {
             profiler: Profiler::disabled(),
             max_cascade: 1_000_000,
             lineage: None,
-        })
+        };
+        // Ground empty-body rules hold from the start; `rederivable` finds
+        // them again through their (empty) bodies.
+        for (_, pred, tuple) in ground_facts(&engine.analysis.program, &engine.reg)? {
+            engine.apply(Update::insert(pred, tuple, 0))?;
+        }
+        Ok(engine)
     }
 
     /// Enable/disable per-firing lineage capture (fresh log on enable).
@@ -385,6 +391,24 @@ mod tests {
     fn del(fact: &str, ts: u64) -> Update {
         let (p, args) = parse_fact(fact).unwrap();
         Update::delete(p, Tuple::new(args), ts)
+    }
+
+    #[test]
+    fn ground_facts_are_live_after_new_and_survive_base_updates() {
+        let src = r#"
+            p(1). p(2).
+            q(X) :- p(X), not b(X).
+        "#;
+        let mut e = RederiveEngine::from_source(src, BuiltinRegistry::standard()).unwrap();
+        // No update applied yet: the semi-naive fixpoint is already there.
+        assert_eq!(e.db.sorted(sym("q")), vec![tup("1"), tup("2")]);
+        assert_matches_oracle(&e, src);
+        e.apply(ins("b(1)", 1)).unwrap();
+        assert_eq!(e.db.sorted(sym("q")), vec![tup("2")]);
+        assert_matches_oracle(&e, src);
+        e.apply(del("b(1)", 2)).unwrap();
+        assert_eq!(e.db.sorted(sym("q")), vec![tup("1"), tup("2")]);
+        assert_matches_oracle(&e, src);
     }
 
     fn assert_matches_oracle(e: &RederiveEngine, src: &str) {

@@ -272,10 +272,10 @@ mod tests {
                 });
             }
         });
-        for w in 0..WRITERS {
+        for (w, slot) in latest.iter().enumerate() {
             let last = format!("race_fresh_{w}_{}", FRESH - 1);
-            assert_eq!(Symbol(latest[w].load(Acquire)).as_str(), last);
-            assert_eq!(Symbol::intern(&last).0, latest[w].load(Acquire));
+            assert_eq!(Symbol(slot.load(Acquire)).as_str(), last);
+            assert_eq!(Symbol::intern(&last).0, slot.load(Acquire));
         }
     }
 }
