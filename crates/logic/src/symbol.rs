@@ -24,24 +24,16 @@ use std::sync::OnceLock;
 /// regardless of interning order. A `cmp` of two distinct symbols is two
 /// lock-free table reads plus a string comparison, which matters because
 /// `Symbol` keys `BTreeMap`s on the per-message path (`Database::rels`, the
-/// compiled program's occurrence / window / holddown maps).
+/// compiled program's window / holddown maps).
 #[derive(Copy, Clone, PartialEq, Eq, Hash)]
 pub struct Symbol(u32);
 
-/// String → id, and the next id. Guarded by the interner lock.
-struct Interner {
-    map: HashMap<&'static str, u32>,
-    len: u32,
-}
+/// String → id; the next id is its length. Guarded by the interner lock.
+type Interner = HashMap<&'static str, u32>;
 
 fn interner() -> &'static RwLock<Interner> {
     static INTERNER: OnceLock<RwLock<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| {
-        RwLock::new(Interner {
-            map: HashMap::new(),
-            len: 0,
-        })
-    })
+    INTERNER.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
 /// Page `p` holds `1 << (FIRST_PAGE_BITS + p)` slots, so [`PAGE_COUNT`]
@@ -75,19 +67,18 @@ impl Symbol {
     pub fn intern(s: &str) -> Symbol {
         {
             let guard = interner().read();
-            if let Some(&id) = guard.map.get(s) {
+            if let Some(&id) = guard.get(s) {
                 return Symbol(id);
             }
         }
         let mut guard = interner().write();
-        if let Some(&id) = guard.map.get(s) {
+        if let Some(&id) = guard.get(s) {
             return Symbol(id);
         }
         let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        let id = guard.len;
-        guard.len = id.checked_add(1).expect("interner overflow");
+        let id = u32::try_from(guard.len()).expect("interner overflow");
         // Publish the string before the id can reach anyone: readers learn
-        // an id only from this return value or from `map` under the lock.
+        // an id only from this return value or from the map under the lock.
         let (page, slot) = locate(id);
         PAGES[page].get_or_init(|| {
             (0..1usize << (FIRST_PAGE_BITS + page as u32))
@@ -96,7 +87,7 @@ impl Symbol {
         })[slot]
             .set(leaked)
             .expect("symbol slot filled twice");
-        guard.map.insert(leaked, id);
+        guard.insert(leaked, id);
         Symbol(id)
     }
 

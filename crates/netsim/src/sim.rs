@@ -532,7 +532,6 @@ impl<'a, A: App> Lane<'a, A> {
             // Retransmission backoff is exponential: 5, 10, 20, … ms.
             let mut delivered = false;
             let mut extra_delay: SimTime = 0;
-            let rng_i = from_i;
             for attempt in 0..=self.config.retries {
                 sink.record_tx(from, bytes, kind);
                 sink.emit(now, || TraceEvent::Send {
@@ -542,7 +541,7 @@ impl<'a, A: App> Lane<'a, A> {
                     bytes,
                     attempt,
                 });
-                if p > 0.0 && self.rngs[rng_i].gen_f64() < p {
+                if p > 0.0 && self.rngs[from_i].gen_f64() < p {
                     sink.record_loss(kind, attempt_reason);
                     extra_delay += 5u64 << attempt.min(5);
                     continue;
@@ -568,7 +567,7 @@ impl<'a, A: App> Lane<'a, A> {
             }
             let (lo, hi) = self.config.hop_delay;
             let mut delay = if hi > lo {
-                self.rngs[rng_i].gen_range(lo, hi)
+                self.rngs[from_i].gen_range(lo, hi)
             } else {
                 lo
             };
@@ -577,7 +576,7 @@ impl<'a, A: App> Lane<'a, A> {
             // happens while a window is open, so the fault-free stream is
             // untouched.
             if let Some(jitter) = self.links.reorder_jitter(now) {
-                delay += self.rngs[rng_i].gen_range(0, jitter);
+                delay += self.rngs[from_i].gen_range(0, jitter);
             }
             self.telemetry.observe_cached(
                 &mut self.send_hists[from_i].hop_delay,
@@ -591,9 +590,9 @@ impl<'a, A: App> Lane<'a, A> {
             // own delay draw. The copy is a full transmission (tx recorded,
             // journaled) so message-conservation accounting still balances.
             if let Some(pdup) = self.links.dup_prob(now) {
-                if self.rngs[rng_i].gen_f64() < pdup {
+                if self.rngs[from_i].gen_f64() < pdup {
                     let ddelay = if hi > lo {
-                        self.rngs[rng_i].gen_range(lo, hi)
+                        self.rngs[from_i].gen_range(lo, hi)
                     } else {
                         lo
                     };
