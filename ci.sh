@@ -28,13 +28,16 @@ cargo test --workspace -q
 #  - netsim: `Metrics` must not walk its registry's key map per delivery
 #    (the same flood with 20x the traffic performs the same number of walks);
 #  - core: a queued simulator event must stay 32 bytes whatever `Payload`
-#    is (an inline message grew sptree_centroid's heap 27.4 -> 44.0 MB).
+#    is (an inline message grew sptree_centroid's heap 27.4 -> 44.0 MB);
+#  - eval: no engine may make a keyed probe on a signature it did not
+#    register (an unplanned evaluation order is a filtered scan per probe).
 # The boundary-resolve cap (tests/boundary_sites.rs) ran with the workspace
 # tests above.
-echo "== count gates (keyed registry walks, queued event size) =="
+echo "== count gates (keyed registry walks, queued event size, unplanned probes) =="
 for gate in \
     "sensorlog-netsim sim::tests::keyed_registry_walks_do_not_grow_with_traffic" \
-    "sensorlog-core msg::tests::queued_event_stays_payload_independent"; do
+    "sensorlog-core msg::tests::queued_event_stays_payload_independent" \
+    "sensorlog-eval planner::tests::engines_probe_only_planned_signatures"; do
     read -r crate name <<<"$gate"
     out=$(cargo test -q -p "$crate" --lib -- --exact "$name" 2>&1) || { echo "$out"; exit 1; }
     grep -q "test result: ok. 1 passed" <<<"$out" || {

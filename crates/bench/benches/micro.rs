@@ -45,9 +45,6 @@ fn bench_relation_select(c: &mut Criterion) {
     }
     let rel = db.relation(p).unwrap();
     let key = sensorlog_logic::intern::intern_term(&Term::Int(7)).unwrap();
-    // Warm the index.
-    let mut out = Vec::new();
-    rel.select(&[0], &[key], &mut out);
     c.bench_function("relation select indexed (10k tuples)", |b| {
         b.iter(|| {
             let mut out = Vec::new();

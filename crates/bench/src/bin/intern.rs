@@ -19,9 +19,9 @@
 //!   reported so `ci.sh` can hold it below the run's journal record count.
 //!
 //! The JSON goes to `--out`, or to stdout. The committed
-//! `BENCH_intern.json` is the PR 9 record, which also timed the trie probe
-//! against a boxed replica of the PR 3 index; that comparison left with
-//! the boxed matcher.
+//! `BENCH_intern.json` is the PR 9 record, which also timed that PR's
+//! trie probe against a boxed replica of the PR 3 index; that comparison
+//! left with the boxed matcher, and the trie after it.
 
 use sensorlog_core::deploy::{DeployConfig, Deployment};
 use sensorlog_core::workload::graph_edges;

@@ -13,9 +13,9 @@
 //!   populations of 100 / 1k / 10k / 100k events ("nodes": steady state is
 //!   roughly one in-flight event per node). Also pure enqueue (fill from
 //!   empty) and pure dequeue (drain) ops/sec.
-//! * **probe** — `Relation::select` through a maintained trie index vs the
-//!   filtered-scan baseline (`Relation::scan_into`), ops/sec at growing
-//!   relation sizes.
+//! * **probe** — `Relation::select` on a column prefix (a range of the
+//!   relation's ordered map) vs the filtered-scan baseline
+//!   (`Relation::scan_into`), ops/sec at growing relation sizes.
 //!
 //! `--quick` shrinks every dimension so CI can prove the harness end-to-end
 //! (runs, exits 0, JSON parses) in well under a second; the committed
@@ -122,26 +122,21 @@ struct ProbeRow {
     scan_ops_per_sec: f64,
 }
 
-/// `Relation::select` through a maintained index vs a filtered scan.
+/// `Relation::select` as an ordered range vs a filtered scan.
 fn bench_probe(tuples: usize, probes: usize) -> ProbeRow {
-    let mut indexed = Relation::new();
-    indexed.register_index(&[0]);
-    let mut scan = Relation::new();
+    let mut rel = Relation::new();
     let keys = (tuples / 4).max(1) as i64;
     for i in 0..tuples {
         let t = Tuple::new(vec![Term::Int(i as i64 % keys), Term::Int(i as i64)]);
-        indexed.insert(t.clone(), TupleMeta::default());
-        scan.insert(t, TupleMeta::default());
+        rel.insert(t, TupleMeta::default());
     }
     let mut rng = StdRng::seed_from_u64(0x9806E);
     let mut out = Vec::new();
-    // Warm: build the maintained index before timing.
-    indexed.select(&[0], &[intern::intern_int(0)], &mut out);
 
     let t0 = Instant::now();
     for _ in 0..probes {
         out.clear();
-        indexed.select(
+        rel.select(
             &[0],
             &[intern::intern_int(rng.gen_range(0..keys))],
             &mut out,
@@ -156,7 +151,7 @@ fn bench_probe(tuples: usize, probes: usize) -> ProbeRow {
     for _ in 0..scan_probes {
         out.clear();
         let key = intern::intern_int(rng.gen_range(0..keys));
-        scan.scan_into(&[0], &[key], &mut out);
+        rel.scan_into(&[0], &[key], &mut out);
     }
     let scan_ops = scan_probes as f64 / t0.elapsed().as_secs_f64();
     ProbeRow {

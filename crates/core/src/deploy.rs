@@ -410,9 +410,7 @@ impl Deployment {
             idx.merge(n.index_stats());
         }
         rollup.bump(Scope::Global, "join.index.hits", idx.hits);
-        rollup.bump(Scope::Global, "join.index.builds", idx.builds);
         rollup.bump(Scope::Global, "join.index.scans", idx.scans);
-        rollup.bump(Scope::Global, "join.index.rebuilds", idx.rebuilds);
         // Boxed-term resolves at the intern boundary (display, lineage,
         // aggregates, message encode). Hot-path resolves must stay zero —
         // gated by the `intern` bench smoke in CI, surfaced here for

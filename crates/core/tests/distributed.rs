@@ -621,9 +621,8 @@ fn telemetry_reports_sched_and_index_counters() {
     assert!(snap.counter("global", "sched.ring_pushes") > 0);
     // The Centroid center runs an incremental engine whose registered
     // join indexes must have been exercised.
-    let idx = snap.counter("global", "join.index.hits")
-        + snap.counter("global", "join.index.builds")
-        + snap.counter("global", "join.index.scans");
+    let idx =
+        snap.counter("global", "join.index.hits") + snap.counter("global", "join.index.scans");
     assert!(idx > 0, "no index activity recorded");
 }
 

@@ -175,6 +175,12 @@ impl IncrementalEngine {
         let idb = analysis.program.idb_preds();
         let mut db = Database::new();
         crate::planner::register_program_indexes(&mut db, &analysis);
+        // `recompute_agg_group` evaluates an aggregate rule seeded with its
+        // group key.
+        crate::planner::register_head_seeded_indexes(
+            &mut db,
+            analysis.program.rules.iter().filter(|r| r.agg.is_some()),
+        );
         let mut engine = IncrementalEngine {
             analysis,
             reg,

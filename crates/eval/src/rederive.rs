@@ -58,6 +58,8 @@ impl RederiveEngine {
         }
         let mut db = Database::new();
         crate::planner::register_program_indexes(&mut db, &analysis);
+        // `rederivable` evaluates every rule seeded with a casualty's head.
+        crate::planner::register_head_seeded_indexes(&mut db, analysis.program.rules.iter());
         let mut engine = RederiveEngine {
             analysis,
             reg,

@@ -2,15 +2,15 @@
 //!
 //! A [`Relation`] is a set of ground tuples with per-tuple metadata
 //! (generation timestamp, optional deletion timestamp — Definition 2 / the
-//! tombstone discipline of Sec. IV-B). Hot relations are additionally backed
-//! by byte-trie indexes over column-permuted sort keys of the interned
-//! constant ids, so one persistent structure answers every bound-column
-//! prefix signature (see DESIGN.md, "Tuple representation & trie indexes").
+//! tombstone discipline of Sec. IV-B) in one ordered map. `Tuple` order is
+//! column-lexicographic value order, so a probe on a column prefix is a
+//! range of that map; a registered non-prefix signature is the same range
+//! over a second map keyed by the column-permuted tuple (see DESIGN.md,
+//! "Tuple representation & ordered indexes").
 
-use parking_lot::RwLock;
-use sensorlog_logic::intern::{self, ConstId, IdHashMap};
+use sensorlog_logic::intern::ConstId;
 use sensorlog_logic::{Symbol, Tuple};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-tuple metadata.
@@ -51,479 +51,92 @@ impl TupleMeta {
     }
 }
 
-/// An unregistered signature is probed by scanning this many times before
-/// it is promoted to a persistent index — a safety net for probe paths the
-/// static planner doesn't enumerate (aggregate group-key seeds, ad-hoc
-/// queries).
-const PROMOTE_AFTER: u32 = 4;
-
-/// A compressed (path-merged) byte-trie node. Keys are concatenated
-/// order-preserving sort keys of the tuple's interned constants in the
-/// trie's column permutation; sort keys are prefix-free, so concatenation
-/// is injective and memcmp order on keys equals the permuted column-
-/// lexicographic tuple order.
-#[derive(Clone, Debug, Default)]
-struct TrieNode {
-    /// Path bytes below the incoming edge byte (path compression).
-    prefix: Vec<u8>,
-    /// Tuple whose full key ends exactly here.
-    leaf: Option<Tuple>,
-    /// Edge bytes, ascending. Parallel to `child_nodes`: searching a dense
-    /// byte array touches a couple of cache lines even at full fan-out,
-    /// where a `Vec<(u8, TrieNode)>` would stride ~100 bytes per element.
-    child_bytes: Vec<u8>,
-    /// Child nodes, parallel to `child_bytes` — ascending-byte traversal
-    /// yields canonical order.
-    child_nodes: Vec<TrieNode>,
+/// Whether the ascending signature `cols` is the run `0..k`: a prefix of
+/// `Tuple`'s own column order, which the primary map serves. Any other
+/// signature is served by the map keyed on `cols ++ ascending(rest)`.
+fn is_prefix(cols: &[usize]) -> bool {
+    cols.iter().enumerate().all(|(i, &c)| i == c)
 }
 
-impl TrieNode {
-    fn insert(&mut self, key: &[u8], t: Tuple) {
-        let common = self
-            .prefix
-            .iter()
-            .zip(key.iter())
-            .take_while(|(a, b)| a == b)
-            .count();
-        if common < self.prefix.len() {
-            // Split this node at the divergence point.
-            let split_byte = self.prefix[common];
-            let child = TrieNode {
-                prefix: self.prefix[common + 1..].to_vec(),
-                leaf: self.leaf.take(),
-                child_bytes: std::mem::take(&mut self.child_bytes),
-                child_nodes: std::mem::take(&mut self.child_nodes),
-            };
-            self.prefix.truncate(common);
-            self.child_bytes.push(split_byte);
-            self.child_nodes.push(child);
-        }
-        // Here self.prefix.len() == common (either it always was, or the
-        // split above truncated it).
-        if key.len() == common {
-            self.leaf = Some(t);
-            return;
-        }
-        let rest = &key[common..];
-        match self.child_bytes.binary_search(&rest[0]) {
-            Ok(i) => self.child_nodes[i].insert(&rest[1..], t),
-            Err(i) => {
-                self.child_bytes.insert(i, rest[0]);
-                self.child_nodes.insert(
-                    i,
-                    TrieNode {
-                        prefix: rest[1..].to_vec(),
-                        leaf: Some(t),
-                        child_bytes: Vec::new(),
-                        child_nodes: Vec::new(),
-                    },
-                );
-            }
-        }
+/// `t`'s ids in `spec ++ ascending(rest)` column order: its key in the
+/// secondary map of `spec`. Among tuples equal on the spec columns this
+/// order is canonical tuple order. `None` if `t` lacks a spec column — no
+/// probe on `spec` can match it, so it is not stored.
+fn permuted(spec: &[usize], t: &Tuple) -> Option<Tuple> {
+    let ids = t.ids();
+    if spec.iter().any(|&c| c >= ids.len()) {
+        return None;
     }
-
-    /// Remove `key`; returns true if a leaf was removed. Empty children are
-    /// pruned (paths are not re-merged — harmless for correctness).
-    fn remove(&mut self, key: &[u8]) -> bool {
-        if key.len() < self.prefix.len() || key[..self.prefix.len()] != self.prefix[..] {
-            return false;
-        }
-        let rest = &key[self.prefix.len()..];
-        if rest.is_empty() {
-            return self.leaf.take().is_some();
-        }
-        if let Ok(i) = self.child_bytes.binary_search(&rest[0]) {
-            let removed = self.child_nodes[i].remove(&rest[1..]);
-            if removed
-                && self.child_nodes[i].leaf.is_none()
-                && self.child_nodes[i].child_bytes.is_empty()
-            {
-                self.child_bytes.remove(i);
-                self.child_nodes.remove(i);
-            }
-            removed
-        } else {
-            false
-        }
+    let rest = (0..ids.len()).filter(|c| !spec.contains(c));
+    let order = spec.iter().copied().chain(rest);
+    if ids.len() > Tuple::INLINE {
+        return Some(Tuple::from_ids(order.map(|c| ids[c]).collect()));
     }
-
-    /// Append every tuple whose key starts with `probe` (a whole-column
-    /// boundary in the key encoding), in key order — which is canonical
-    /// tuple order among the matches. Iterative: the descent is the probe
-    /// hot path and a call frame per byte is measurable.
-    fn collect_prefix(&self, mut probe: &[u8], out: &mut Vec<Tuple>) {
-        let mut node = self;
-        loop {
-            let n = node.prefix.len().min(probe.len());
-            if node.prefix[..n] != probe[..n] {
-                return;
-            }
-            if probe.len() <= node.prefix.len() {
-                node.collect_all(out);
-                return;
-            }
-            probe = &probe[node.prefix.len()..];
-            match node.child_bytes.binary_search(&probe[0]) {
-                Ok(i) => {
-                    node = &node.child_nodes[i];
-                    probe = &probe[1..];
-                }
-                Err(_) => return,
-            }
-        }
+    let mut buf = [0; Tuple::INLINE];
+    for (slot, c) in buf.iter_mut().zip(order) {
+        *slot = ids[c];
     }
-
-    fn collect_all(&self, out: &mut Vec<Tuple>) {
-        // Leaf before children: a full key that ends here is a strict
-        // prefix of every key below, i.e. the shorter tuple sorts first.
-        if let Some(t) = &self.leaf {
-            out.push(t.clone());
-        }
-        for c in &self.child_nodes {
-            c.collect_all(out);
-        }
-    }
-}
-
-/// Cap on memoized probe entries per trie; past this the memo is cleared
-/// wholesale (simple, bounded, and a full repopulation is just trie walks).
-const MEMO_CAP: usize = 1 << 16;
-
-/// Longest probe (bound-column count) the memo serves; wider probes walk
-/// the trie every time. Join plans bind a handful of columns.
-const MEMO_KEY_MAX: usize = 4;
-
-/// Memo key: the probe's interned key ids in bound-column (ascending)
-/// order, zero-padded. Unambiguous per trie: the signatures a canonical
-/// spec serves have pairwise-distinct lengths — ascending-run sigs
-/// `[0..k]` all share the identity trie, and any other sorted sig is its
-/// own canon (stripping only fires on full `{0..max}` runs) — so
-/// `(len, ids)` identifies the probe. Keying on ids keeps the memo hit
-/// path entirely free of pool-entry derefs.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct MemoKey {
-    len: u8,
-    ids: [ConstId; MEMO_KEY_MAX],
-}
-
-impl MemoKey {
-    fn new(ids: &[ConstId]) -> Option<MemoKey> {
-        if ids.len() > MEMO_KEY_MAX {
-            return None;
-        }
-        let mut k = MemoKey {
-            len: ids.len() as u8,
-            ids: [0; MEMO_KEY_MAX],
-        };
-        k.ids[..ids.len()].copy_from_slice(ids);
-        Some(k)
-    }
-}
-
-/// Never iterated, so the id hasher cannot affect any observable order.
-type MemoMap = IdHashMap<MemoKey, Memoized>;
-
-/// Memoized probe results. Most probes return zero or one tuple (keyed
-/// relations); storing those inline skips the postings-vector indirection
-/// on the hit path.
-#[derive(Clone, Debug)]
-enum Memoized {
-    Zero,
-    One(Tuple),
-    Many(Vec<Tuple>),
-}
-
-impl Memoized {
-    fn of(results: &[Tuple]) -> Memoized {
-        match results {
-            [] => Memoized::Zero,
-            [t] => Memoized::One(t.clone()),
-            _ => Memoized::Many(results.to_vec()),
-        }
-    }
-
-    fn extend_into(&self, out: &mut Vec<Tuple>) {
-        match self {
-            Memoized::Zero => {}
-            Memoized::One(t) => out.push(t.clone()),
-            Memoized::Many(v) => out.extend(v.iter().cloned()),
-        }
-    }
-}
-
-/// One built trie: tuples keyed on the column permutation
-/// `spec ++ ascending(complement)`. Tuples missing a spec column (arity too
-/// small) are not stored; probes exclude them by key-length anyway.
-#[derive(Clone, Debug)]
-struct Trie {
-    spec: Spec,
-    root: TrieNode,
-    /// Materialized probe results, keyed by probe bytes. A radix descent
-    /// into a large cold trie is a chain of dependent cache misses; the
-    /// fixpoint loop re-probes the same keys across rules and iterations,
-    /// so repeated probes are served at hash-lookup speed from here while
-    /// the trie itself remains the source of canonical order. Entries are
-    /// invalidated on insert/remove at every whole-column prefix of the
-    /// mutated tuple's key (probes are column-aligned by construction).
-    memo: MemoMap,
-}
-
-impl Trie {
-    fn new(spec: Spec) -> Trie {
-        Trie {
-            spec,
-            root: TrieNode::default(),
-            memo: MemoMap::default(),
-        }
-    }
-
-    /// Full key of `t` under this trie's permutation; `None` if the tuple
-    /// lacks a spec column.
-    fn key_bytes(&self, t: &Tuple) -> Option<Vec<u8>> {
-        let a = t.arity();
-        if self.spec.iter().any(|c| c >= a) {
-            return None;
-        }
-        let mut out = Vec::with_capacity(a * 10);
-        for c in self.spec.iter() {
-            out.extend_from_slice(&intern::entry(t.id(c)).sort_key);
-        }
-        for c in 0..a {
-            if !self.spec.contains(c) {
-                out.extend_from_slice(&intern::entry(t.id(c)).sort_key);
-            }
-        }
-        Some(out)
-    }
-
-    /// Drop memo entries whose probe `t` answers (or could start
-    /// answering). The identity trie serves the ascending-run signatures
-    /// `[0..k]`, so every id prefix of `t` is a candidate key; any other
-    /// spec serves exactly its own signature.
-    fn invalidate_memo(&mut self, t: &Tuple) {
-        if self.memo.is_empty() {
-            return;
-        }
-        let a = t.arity();
-        if self.spec.len == 0 {
-            for k in 1..=a.min(MEMO_KEY_MAX) {
-                if let Some(mk) = MemoKey::new(&t.ids()[..k]) {
-                    self.memo.remove(&mk);
-                }
-            }
-        } else {
-            let mut ids = [0; MEMO_KEY_MAX];
-            let n = self.spec.len as usize;
-            if n <= MEMO_KEY_MAX && self.spec.iter().all(|c| c < a) {
-                for (i, c) in self.spec.iter().enumerate() {
-                    ids[i] = t.id(c);
-                }
-                self.memo.remove(&MemoKey { len: n as u8, ids });
-            }
-        }
-    }
-
-    fn insert(&mut self, t: &Tuple) {
-        if let Some(k) = self.key_bytes(t) {
-            self.invalidate_memo(t);
-            self.root.insert(&k, t.clone());
-        }
-    }
-
-    fn remove(&mut self, t: &Tuple) {
-        if let Some(k) = self.key_bytes(t) {
-            self.invalidate_memo(t);
-            self.root.remove(&k);
-        }
-    }
-}
-
-/// An inline bound-column signature: up to [`Spec::MAX`] column positions,
-/// each `< 256`. Copyable and comparable as two machine words, so the probe
-/// hot path never allocates or hashes a `Vec<usize>`. Signatures that don't
-/// fit (absurdly wide probes) fall back to the filtered scan in
-/// [`Relation::select`], which is always correct.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
-struct Spec {
-    len: u8,
-    cols: [u8; Spec::MAX],
-}
-
-impl Spec {
-    const MAX: usize = 15;
-
-    fn from_cols(cols: &[usize]) -> Option<Spec> {
-        if cols.len() > Spec::MAX || cols.iter().any(|&c| c > u8::MAX as usize) {
-            return None;
-        }
-        let mut s = Spec {
-            len: cols.len() as u8,
-            cols: [0; Spec::MAX],
-        };
-        for (i, &c) in cols.iter().enumerate() {
-            s.cols[i] = c as u8;
-        }
-        Some(s)
-    }
-
-    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.cols[..self.len as usize].iter().map(|&c| c as usize)
-    }
-
-    fn contains(&self, c: usize) -> bool {
-        self.cols[..self.len as usize].contains(&(c as u8))
-    }
-
-    fn to_vec(self) -> Vec<usize> {
-        self.iter().collect()
-    }
-}
-
-/// Canonical trie spec serving a probe on bound columns `cols` (ascending):
-/// strip trailing columns that the default ascending completion would place
-/// next anyway. `canon([0]) == canon([0, 1]) == []` — the identity-order
-/// trie serves every ascending-prefix signature — while `canon([1]) == [1]`
-/// and `canon([0, 2]) == [0, 2]` get their own permutations. A probe on
-/// `cols` is answerable by trie `S` iff `cols` equals the first
-/// `cols.len()` columns of `S`'s permutation; this canon is the unique
-/// such suffix-stripped spec, so equal-prefix probes share one structure.
-fn canon_spec(spec: Spec) -> Spec {
-    let mut spec = spec;
-    while spec.len > 0 {
-        let last = spec.cols[spec.len as usize - 1];
-        // mex of the (ascending) prefix = first gap.
-        let mut mex = 0;
-        for &c in &spec.cols[..spec.len as usize - 1] {
-            if c == mex {
-                mex += 1;
-            } else {
-                break;
-            }
-        }
-        if last == mex {
-            spec.len -= 1;
-            spec.cols[spec.len as usize] = 0;
-        } else {
-            break;
-        }
-    }
-    spec
-}
-
-/// Index machinery behind one lock: built tries (keyed by canonical spec),
-/// the registered (persistent) probe signatures, and scan counts driving
-/// auto-promotion.
-#[derive(Debug, Default)]
-struct TrieStore {
-    /// Built tries, canonical spec → trie, few enough that a linear scan
-    /// over inline [`Spec`] keys beats hashing. Maintained on
-    /// insert/remove; one trie serves every probe signature with the same
-    /// canonical spec.
-    built: Vec<(Spec, Trie)>,
-    /// Persistent probe signatures — the bound-position sets the planner
-    /// probes (`crate::planner`). Registration survives
-    /// [`Relation::clone`]; the trie itself is rebuilt on first probe and
-    /// maintained from then on.
-    registered: BTreeSet<Spec>,
-    /// Probe counts for unregistered signatures (promotion heuristic).
-    scan_counts: HashMap<Spec, u32>,
-    /// Canonical specs whose built tries a clone dropped — the next build
-    /// of one of these counts as a rebuild (`join.index.rebuilds`).
-    dropped_by_clone: BTreeSet<Spec>,
-}
-
-impl TrieStore {
-    fn built_get(&self, spec: Spec) -> Option<&Trie> {
-        self.built.iter().find(|(s, _)| *s == spec).map(|(_, t)| t)
-    }
-
-    fn built_get_mut(&mut self, spec: Spec) -> Option<&mut Trie> {
-        self.built
-            .iter_mut()
-            .find(|(s, _)| *s == spec)
-            .map(|(_, t)| t)
-    }
+    Some(Tuple::from_slice(&buf[..ids.len()]))
 }
 
 /// Probe counters for `join.index.*` telemetry. Relaxed atomics: probes
 /// take `&self`, and the counts are only read for snapshots.
 #[derive(Debug, Default)]
 pub struct IndexStats {
-    /// Probes served by a maintained trie.
+    /// Probes served as a range of an ordered map.
     pub hits: AtomicU64,
-    /// Trie builds (first probe of a registered/promoted signature).
-    pub builds: AtomicU64,
-    /// Probes served by a filtered scan (unregistered signature).
+    /// Probes served by a filtered scan (unregistered non-prefix signature).
     pub scans: AtomicU64,
-    /// Builds that re-created a trie dropped by [`Relation::clone`] — the
-    /// silent cost of the clone-drops-cache policy, made visible.
-    pub rebuilds: AtomicU64,
     /// Body literals evaluated with no bound column ([`Relation::full_scan`]):
     /// the whole relation is enumerated. An evaluator that does this per
     /// stage or per delta costs relation size, not frontier size.
     pub full_scans: AtomicU64,
 }
 
+/// A clone's counters start at zero: they count probes against the clone.
+impl Clone for IndexStats {
+    fn clone(&self) -> IndexStats {
+        IndexStats::default()
+    }
+}
+
 /// Owned snapshot of [`IndexStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IndexStatsSnapshot {
     pub hits: u64,
-    pub builds: u64,
     pub scans: u64,
-    pub rebuilds: u64,
     pub full_scans: u64,
 }
 
 impl IndexStatsSnapshot {
     pub fn merge(&mut self, other: IndexStatsSnapshot) {
         self.hits += other.hits;
-        self.builds += other.builds;
         self.scans += other.scans;
-        self.rebuilds += other.rebuilds;
         self.full_scans += other.full_scans;
     }
 }
 
-/// A set of ground tuples with metadata and persistent trie indexes.
+/// A set of ground tuples with metadata, ordered for keyed probes.
 ///
 /// Tuples are kept in a `BTreeMap` so iteration order is the canonical tuple
 /// order, identical across processes. This matters in the distributed
 /// runtime: iteration order here feeds join-probe solution order and hence
 /// message emission order; with a hash map the order would vary with the
 /// per-process hasher seed and replays would diverge under message loss.
-/// Trie enumeration preserves the same canonical order: keys are
-/// order-preserving sort keys, and equal-prefix matches differ only in the
-/// ascending remaining columns.
-#[derive(Debug, Default)]
+/// Probes preserve the same canonical order: a range of the primary map is
+/// in it by definition, and a range of a secondary map holds tuples equal
+/// on the permuted-first columns, ordered by the ascending rest.
+#[derive(Clone, Debug, Default)]
 pub struct Relation {
     tuples: BTreeMap<Tuple, TupleMeta>,
-    /// See [`TrieStore`]. `RwLock` because trie building and promotion
-    /// happen during `&self` lookups.
-    indexes: RwLock<TrieStore>,
+    /// Registered probe signatures — the bound-position sets the planner
+    /// probes (`crate::planner`).
+    registered: BTreeSet<Vec<usize>>,
+    /// One map per registered non-prefix signature, [`permuted`] key →
+    /// tuple, built at registration and maintained by insert/remove. Few
+    /// enough that a linear scan beats hashing the signature.
+    secondary: Vec<(Vec<usize>, BTreeMap<Tuple, Tuple>)>,
     stats: IndexStats,
-}
-
-impl Clone for Relation {
-    fn clone(&self) -> Relation {
-        // Built tries are a cache: don't copy them. Registrations are
-        // *policy* and survive the clone — the planner's signatures keep
-        // paying off after the semi-naive engine clones its working EDB.
-        // Dropped specs are remembered so the rebuild cost shows up in
-        // `join.index.rebuilds` instead of vanishing silently.
-        let src = self.indexes.read();
-        let mut dropped = src.dropped_by_clone.clone();
-        dropped.extend(src.built.iter().map(|(s, _)| *s));
-        Relation {
-            tuples: self.tuples.clone(),
-            indexes: RwLock::new(TrieStore {
-                built: Vec::new(),
-                registered: src.registered.clone(),
-                scan_counts: HashMap::new(),
-                dropped_by_clone: dropped,
-            }),
-            stats: IndexStats::default(),
-        }
-    }
 }
 
 impl Relation {
@@ -567,9 +180,10 @@ impl Relation {
             }
             std::collections::btree_map::Entry::Vacant(e) => {
                 e.insert(meta);
-                let mut idx = self.indexes.write();
-                for (_, trie) in idx.built.iter_mut() {
-                    trie.insert(&t);
+                for (spec, map) in &mut self.secondary {
+                    if let Some(k) = permuted(spec, &t) {
+                        map.insert(k, t.clone());
+                    }
                 }
                 true
             }
@@ -578,15 +192,15 @@ impl Relation {
 
     /// Physically remove a tuple; returns true if it was present.
     pub fn remove(&mut self, t: &Tuple) -> bool {
-        if self.tuples.remove(t).is_some() {
-            let mut idx = self.indexes.write();
-            for (_, trie) in idx.built.iter_mut() {
-                trie.remove(t);
-            }
-            true
-        } else {
-            false
+        if self.tuples.remove(t).is_none() {
+            return false;
         }
+        for (spec, map) in &mut self.secondary {
+            if let Some(k) = permuted(spec, t) {
+                map.remove(&k);
+            }
+        }
+        true
     }
 
     /// Record a tombstone without removing the tuple (distributed replicas:
@@ -602,154 +216,94 @@ impl Relation {
         }
     }
 
-    /// Register `cols` as a persistent index signature: the serving trie is
-    /// built on the first probe and maintained through insert/delete from
-    /// then on, and the registration survives [`Clone`]. `cols` must be
-    /// sorted and non-empty.
+    fn secondary_of(&self, cols: &[usize]) -> Option<&BTreeMap<Tuple, Tuple>> {
+        self.secondary
+            .iter()
+            .find(|(spec, _)| spec == cols)
+            .map(|(_, map)| map)
+    }
+
+    /// Register `cols` as a probe signature. A non-prefix signature gets
+    /// its secondary map built from the current tuples here and maintained
+    /// through insert/remove from then on; a prefix signature needs nothing
+    /// beyond the primary map. `cols` must be sorted and non-empty.
     pub fn register_index(&mut self, cols: &[usize]) {
         debug_assert!(!cols.is_empty() && cols.windows(2).all(|w| w[0] < w[1]));
-        if let Some(spec) = Spec::from_cols(cols) {
-            self.indexes.write().registered.insert(spec);
+        self.registered.insert(cols.to_vec());
+        if !is_prefix(cols) && self.secondary_of(cols).is_none() {
+            let map = self
+                .tuples
+                .keys()
+                .filter_map(|t| Some((permuted(cols, t)?, t.clone())))
+                .collect();
+            self.secondary.push((cols.to_vec(), map));
         }
     }
 
     /// Registered index signatures, sorted.
     pub fn registered_indexes(&self) -> Vec<Vec<usize>> {
-        self.indexes
-            .read()
-            .registered
-            .iter()
-            .map(|s| s.to_vec())
-            .collect()
-    }
-
-    /// Canonical specs of currently built tries, sorted.
-    pub fn built_tries(&self) -> Vec<Vec<usize>> {
-        let mut v: Vec<Vec<usize>> = self
-            .indexes
-            .read()
-            .built
-            .iter()
-            .map(|(s, _)| s.to_vec())
-            .collect();
-        v.sort();
-        v
+        self.registered.iter().cloned().collect()
     }
 
     /// Probe counters (see [`IndexStats`]).
     pub fn index_stats(&self) -> IndexStatsSnapshot {
         IndexStatsSnapshot {
             hits: self.stats.hits.load(Ordering::Relaxed),
-            builds: self.stats.builds.load(Ordering::Relaxed),
             scans: self.stats.scans.load(Ordering::Relaxed),
-            rebuilds: self.stats.rebuilds.load(Ordering::Relaxed),
             full_scans: self.stats.full_scans.load(Ordering::Relaxed),
         }
     }
 
-    /// Full enumeration of the trie serving probe signature `cols`, in trie
-    /// (key) order — diagnostics and the index-maintenance property test.
-    /// `None` if no trie is built for the signature's canonical spec.
+    /// Full enumeration of the map serving probe signature `cols`, in its
+    /// key order — diagnostics and the index-maintenance property test.
+    /// `None` if the signature would be served by a scan.
     pub fn index_contents(&self, cols: &[usize]) -> Option<Vec<Tuple>> {
-        let spec = canon_spec(Spec::from_cols(cols)?);
-        let idx = self.indexes.read();
-        let trie = idx.built_get(spec)?;
-        let mut out = Vec::new();
-        trie.root.collect_all(&mut out);
-        Some(out)
+        if is_prefix(cols) {
+            return Some(self.tuples.keys().cloned().collect());
+        }
+        Some(self.secondary_of(cols)?.values().cloned().collect())
     }
 
     /// Tuples whose argument values at `cols` equal the interned `key`, in
     /// canonical tuple order. `cols` must be sorted and non-empty.
     ///
-    /// Probe policy: a built trie whose column permutation starts with
-    /// `cols` answers directly (one trie per *canonical spec* serves every
-    /// signature sharing that prefix — `[0]`, `[0,1]`, … all hit the
-    /// identity trie); a registered (or promoted) signature builds its trie
-    /// on first probe and keeps it maintained; anything else is a filtered
-    /// scan — cheap for one-shot probes, counted toward promotion so a hot
-    /// unregistered signature stops rescanning after [`PROMOTE_AFTER`]
-    /// probes.
+    /// A prefix signature (`[0]`, `[0, 1]`, …) is the range of the primary
+    /// map that starts with `key`; a registered non-prefix signature is the
+    /// same range of its secondary map, whose keys start with the `cols`
+    /// columns in order; anything else is a filtered scan, counted in
+    /// [`IndexStats::scans`]. O(log n + matches) unless it scans.
     pub fn select(&self, cols: &[usize], key: &[ConstId], out: &mut Vec<Tuple>) {
-        debug_assert!(!cols.is_empty());
-        let Some(sig) = Spec::from_cols(cols) else {
-            // A signature too wide for the inline spec: filtered scan.
+        debug_assert!(!cols.is_empty() && cols.len() == key.len());
+        // A shorter tuple sorts before its extensions, so `key` itself is
+        // the lower bound of everything that starts with it.
+        let lo = Tuple::from_slice(key);
+        let starts_with_key = |k: &Tuple| k.ids().starts_with(key);
+        if is_prefix(cols) {
+            self.stats.hits.fetch_add(1, Ordering::Relaxed);
+            out.extend(
+                self.tuples
+                    .range(&lo..)
+                    .take_while(|(t, _)| starts_with_key(t))
+                    .map(|(t, _)| t.clone()),
+            );
+        } else if let Some(map) = self.secondary_of(cols) {
+            self.stats.hits.fetch_add(1, Ordering::Relaxed);
+            out.extend(
+                map.range(&lo..)
+                    .take_while(|(k, _)| starts_with_key(k))
+                    .map(|(_, t)| t.clone()),
+            );
+        } else {
             self.stats.scans.fetch_add(1, Ordering::Relaxed);
             self.scan_into(cols, key, out);
-            return;
-        };
-        let spec = canon_spec(sig);
-        {
-            let idx = self.indexes.read();
-            if let Some(trie) = idx.built_get(spec) {
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                let memo_key = MemoKey::new(key);
-                if let Some(mk) = &memo_key {
-                    if let Some(v) = trie.memo.get(mk) {
-                        v.extend_into(out);
-                        return;
-                    }
-                }
-                let start = out.len();
-                PROBE_BUF.with(|buf| {
-                    let mut probe = buf.borrow_mut();
-                    probe_bytes(trie, cols, key, &mut probe);
-                    trie.root.collect_prefix(&probe, out);
-                });
-                let Some(mk) = memo_key else {
-                    return;
-                };
-                // Memoize the cold walk. Mutation needs `&mut Relation`, so
-                // nothing can invalidate between the walk above and this
-                // write — concurrent selects at worst store the same entry.
-                let results = Memoized::of(&out[start..]);
-                drop(idx);
-                let mut idx = self.indexes.write();
-                if let Some(trie) = idx.built_get_mut(spec) {
-                    if trie.memo.len() >= MEMO_CAP {
-                        trie.memo.clear();
-                    }
-                    trie.memo.insert(mk, results);
-                }
-                return;
-            }
         }
-        let mut idx = self.indexes.write();
-        let promote = idx.registered.contains(&sig) || {
-            let c = idx.scan_counts.entry(sig).or_insert(0);
-            *c += 1;
-            *c >= PROMOTE_AFTER
-        };
-        if !promote {
-            drop(idx);
-            self.stats.scans.fetch_add(1, Ordering::Relaxed);
-            self.scan_into(cols, key, out);
-            return;
-        }
-        // Build the trie (and keep it: insert/remove maintain it).
-        self.stats.builds.fetch_add(1, Ordering::Relaxed);
-        if idx.dropped_by_clone.remove(&spec) {
-            self.stats.rebuilds.fetch_add(1, Ordering::Relaxed);
-        }
-        let mut trie = Trie::new(spec);
-        for t in self.tuples.keys() {
-            trie.insert(t);
-        }
-        PROBE_BUF.with(|buf| {
-            let mut probe = buf.borrow_mut();
-            probe_bytes(&trie, cols, key, &mut probe);
-            trie.root.collect_prefix(&probe, out);
-        });
-        idx.scan_counts.remove(&sig);
-        idx.registered.insert(sig);
-        idx.built.push((spec, trie));
     }
 
     /// The id-filtered scan: tuples whose ids at `cols` equal `key` (all of
     /// them when `cols` is empty), in canonical tuple order, touching no
-    /// index machinery or stats. [`Relation::select`] falls back to it, and
-    /// the distributed runtime probes its small per-node fragment stores
-    /// with it directly — a trie per node costs more heap than it saves.
+    /// index or stats. [`Relation::select`] falls back to it, and the
+    /// distributed runtime probes its small per-node fragment stores with
+    /// it directly — a secondary map per node costs more heap than it saves.
     pub fn scan_into(&self, cols: &[usize], key: &[ConstId], out: &mut Vec<Tuple>) {
         if cols.is_empty() {
             // Exact size hint: the whole relation lands in one allocation.
@@ -788,31 +342,6 @@ impl Relation {
             self.remove(t);
         }
         expired
-    }
-}
-
-thread_local! {
-    /// Reusable probe-key buffer: probes are frequent and keys are tiny, so
-    /// the hot path must not allocate per call.
-    static PROBE_BUF: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Probe key bytes for `trie` into `out`: the bound values' sort keys in
-/// the trie's column permutation order (spec columns first, remaining bound
-/// columns ascending). By construction of [`canon_spec`] the bound set is
-/// exactly the first `cols.len()` columns of the permutation, so this is a
-/// whole-column-aligned key prefix.
-fn probe_bytes(trie: &Trie, cols: &[usize], key: &[ConstId], out: &mut Vec<u8>) {
-    debug_assert_eq!(cols.len(), key.len());
-    out.clear();
-    let id_at = |c: usize| key[cols.binary_search(&c).expect("probe col missing")];
-    for c in trie.spec.iter() {
-        out.extend_from_slice(&intern::entry(id_at(c)).sort_key);
-    }
-    for &c in cols {
-        if !trie.spec.contains(c) {
-            out.extend_from_slice(&intern::entry(id_at(c)).sort_key);
-        }
     }
 }
 
@@ -866,13 +395,10 @@ impl Database {
 
     /// Sorted tuples of a relation — deterministic views for tests/output.
     pub fn sorted(&self, p: Symbol) -> Vec<Tuple> {
-        let mut v: Vec<Tuple> = self
-            .rels
+        self.rels
             .get(&p)
             .map(|r| r.tuples().cloned().collect())
-            .unwrap_or_default();
-        v.sort();
-        v
+            .unwrap_or_default()
     }
 
     /// Register a persistent index signature on relation `p` (see
@@ -905,7 +431,7 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sensorlog_logic::Term;
+    use sensorlog_logic::{intern, Term};
 
     fn tup(v: Vec<i64>) -> Tuple {
         Tuple::new(v.into_iter().map(Term::Int).collect())
@@ -960,7 +486,7 @@ mod tests {
         r.select(&[0], &[id(1)], &mut out);
         let expect = (0..10).filter(|i| i % 3 == 1).count();
         assert_eq!(out.len(), expect);
-        // Mutations keep the built trie consistent.
+        // Mutations are visible to the next probe.
         r.insert(tup(vec![1, 100]), TupleMeta::default());
         r.remove(&tup(vec![1, 1]));
         out.clear();
@@ -983,33 +509,41 @@ mod tests {
     }
 
     #[test]
-    fn one_trie_serves_prefix_compatible_signatures() {
+    fn prefix_signatures_need_no_registration() {
         let mut r = Relation::new();
-        r.register_index(&[0]);
-        r.register_index(&[0, 1]);
         for i in 0..6 {
             r.insert(tup(vec![i % 2, i % 3, i]), TupleMeta::default());
         }
         let mut out = Vec::new();
         r.select(&[0], &[id(1)], &mut out);
-        assert_eq!(r.index_stats().builds, 1);
+        let expect: Vec<Tuple> = [vec![1, 0, 3], vec![1, 1, 1], vec![1, 2, 5]]
+            .into_iter()
+            .map(tup)
+            .collect();
+        assert_eq!(out, expect, "a range of the primary map is canonical order");
         out.clear();
-        // Same canonical spec ([]) — no second build, straight hit.
         r.select(&[0, 1], &[id(1), id(2)], &mut out);
-        let s = r.index_stats();
-        assert_eq!((s.builds, s.hits), (1, 1));
         assert_eq!(out, vec![tup(vec![1, 2, 5])]);
-        assert_eq!(r.built_tries(), vec![Vec::<usize>::new()]);
-        // A non-prefix signature gets its own permutation.
+        let s = r.index_stats();
+        assert_eq!((s.hits, s.scans), (2, 0));
+        // A non-prefix signature scans until it is registered, then has its
+        // own permutation.
         out.clear();
-        r.register_index(&[2]);
         r.select(&[2], &[id(4)], &mut out);
         assert_eq!(out, vec![tup(vec![0, 1, 4])]);
-        assert_eq!(r.built_tries(), vec![vec![], vec![2]]);
+        assert_eq!(r.index_stats().scans, 1);
+        assert!(r.index_contents(&[2]).is_none());
+        r.register_index(&[2]);
+        out.clear();
+        r.select(&[2], &[id(4)], &mut out);
+        assert_eq!(out, vec![tup(vec![0, 1, 4])]);
+        let s = r.index_stats();
+        assert_eq!((s.hits, s.scans), (3, 1));
+        assert_eq!(r.registered_indexes(), vec![vec![2]]);
     }
 
     #[test]
-    fn trie_results_in_canonical_order() {
+    fn secondary_results_in_canonical_order() {
         let mut r = Relation::new();
         r.register_index(&[1]);
         let rows = [
@@ -1029,7 +563,87 @@ mod tests {
             .map(tup)
             .collect();
         expect.sort();
-        assert_eq!(out, expect, "trie enumeration is canonical tuple order");
+        assert_eq!(
+            out, expect,
+            "secondary enumeration is canonical tuple order"
+        );
+    }
+
+    /// Every key present at `cols` (plus one absent) probes to exactly the
+    /// filtered scan, row for row, without scanning.
+    fn assert_probes_equal_scans(r: &Relation, cols: &[usize]) {
+        let mut keys: BTreeSet<Vec<ConstId>> = r
+            .tuples()
+            .filter(|t| cols.iter().all(|&c| c < t.arity()))
+            .map(|t| cols.iter().map(|&c| t.id(c)).collect())
+            .collect();
+        keys.insert(cols.iter().map(|_| id(-77)).collect());
+        for key in keys {
+            let (mut probed, mut scanned) = (Vec::new(), Vec::new());
+            r.select(cols, &key, &mut probed);
+            r.scan_into(cols, &key, &mut scanned);
+            assert_eq!(probed, scanned, "cols {cols:?} key {key:?}");
+        }
+        assert_eq!(r.index_stats().scans, 0);
+    }
+
+    #[test]
+    fn non_prefix_probe_on_mixed_arities_equals_scan() {
+        let mut r = Relation::new();
+        r.register_index(&[1]);
+        for v in [
+            vec![1],
+            vec![2],
+            vec![1, 5],
+            vec![2, 5],
+            vec![2, 6],
+            vec![1, 5, 9],
+            vec![3, 5, 0],
+            vec![0, 6, 5],
+        ] {
+            r.insert(tup(v), TupleMeta::default());
+        }
+        assert_probes_equal_scans(&r, &[1]);
+
+        let mut r = Relation::new();
+        r.register_index(&[0, 2]);
+        for v in [
+            vec![1, 2, 3],
+            vec![1, 9, 3],
+            vec![1, 2, 3, 4],
+            vec![1, 0, 3, 0],
+            vec![2, 2, 3],
+            vec![1, 3, 2, 3],
+        ] {
+            r.insert(tup(v), TupleMeta::default());
+        }
+        assert_probes_equal_scans(&r, &[0, 2]);
+    }
+
+    #[test]
+    fn registering_a_populated_relation_builds_at_once_and_clone_keeps_it() {
+        let mut r = Relation::new();
+        for i in 0..5 {
+            r.insert(tup(vec![i, i * 10]), TupleMeta::default());
+        }
+        r.register_index(&[1]);
+        let c = r.clone();
+        for rel in [&r, &c] {
+            let mut out = Vec::new();
+            rel.select(&[1], &[id(20)], &mut out);
+            assert_eq!(out, vec![tup(vec![2, 20])]);
+            let s = rel.index_stats();
+            assert_eq!((s.hits, s.scans), (1, 0));
+        }
+        assert_eq!(c.registered_indexes(), vec![vec![1]]);
+        // The clone is maintained independently of the original.
+        let mut c = c;
+        c.remove(&tup(vec![2, 20]));
+        let mut out = Vec::new();
+        c.select(&[1], &[id(20)], &mut out);
+        assert!(out.is_empty());
+        r.select(&[1], &[id(20)], &mut out);
+        assert_eq!(out.len(), 1);
     }
 
     #[test]
@@ -1087,89 +701,36 @@ mod tests {
         assert!(sorted[0] < sorted[1]);
     }
 
+    /// Ids on both sides of the pre-seeded small-int boundary (4095 | 4096),
+    /// negative ints, floats, strings and compound terms, as rows and as
+    /// probe keys: ranges must cut where value order says, not id order.
     #[test]
-    fn unregistered_signature_promotes_after_repeated_scans() {
-        let mut r = Relation::new();
-        for i in 0..5 {
-            r.insert(tup(vec![i, i * 10]), TupleMeta::default());
-        }
-        let mut out = Vec::new();
-        for _ in 0..PROMOTE_AFTER {
-            out.clear();
-            r.select(&[1], &[id(20)], &mut out);
-        }
-        let s = r.index_stats();
-        assert_eq!(s.scans, (PROMOTE_AFTER - 1) as u64);
-        assert_eq!(s.builds, 1, "the PROMOTE_AFTER-th probe builds the trie");
-        out.clear();
-        r.select(&[1], &[id(20)], &mut out);
-        assert_eq!(r.index_stats().hits, 1);
-        assert_eq!(out, vec![tup(vec![2, 20])]);
-    }
-
-    #[test]
-    fn registration_survives_clone_and_rebuilds_on_probe() {
-        let mut r = Relation::new();
-        r.register_index(&[0]);
-        r.insert(tup(vec![1, 2]), TupleMeta::default());
-        let mut out = Vec::new();
-        r.select(&[0], &[id(1)], &mut out);
-        assert_eq!(r.index_stats().builds, 1);
-        assert_eq!(r.index_stats().rebuilds, 0);
-        let c = r.clone();
-        assert_eq!(c.registered_indexes(), vec![vec![0]]);
-        assert_eq!(c.index_stats().builds, 0, "stats reset on clone");
-        out.clear();
-        c.select(&[0], &[id(1)], &mut out);
-        let s = c.index_stats();
-        assert_eq!(s.builds, 1, "first probe after clone rebuilds");
-        assert_eq!(
-            s.rebuilds, 1,
-            "rebuild of a clone-dropped trie is counted separately"
-        );
-        assert_eq!(out.len(), 1);
-        // A second clone before any probe chains the dropped set through.
-        let c2 = c.clone().clone();
-        out.clear();
-        c2.select(&[0], &[id(1)], &mut out);
-        assert_eq!(c2.index_stats().rebuilds, 1);
-    }
-
-    #[test]
-    fn clone_drops_index_cache_but_keeps_tuples() {
-        let mut r = Relation::new();
-        r.insert(tup(vec![1, 2]), TupleMeta::default());
-        let mut out = Vec::new();
-        r.select(&[0], &[id(1)], &mut out);
-        let c = r.clone();
-        assert_eq!(c.len(), 1);
-        let mut out2 = Vec::new();
-        c.select(&[0], &[id(1)], &mut out2);
-        assert_eq!(out2.len(), 1);
-    }
-
-    #[test]
-    fn trie_probe_matches_fresh_scan_on_strings_and_apps() {
-        let mut r = Relation::new();
-        r.register_index(&[0]);
-        let rows: Vec<Vec<Term>> = vec![
-            vec![Term::atom("a"), Term::Int(1)],
-            vec![Term::atom("a"), Term::float(1.5)],
-            vec![Term::atom("ab"), Term::Int(2)],
-            vec![Term::str("a"), Term::Int(3)],
-            vec![
-                Term::app("loc", vec![Term::Int(1), Term::Int(2)]),
-                Term::Int(4),
-            ],
+    fn probes_match_scans_across_the_small_int_boundary_and_sorts() {
+        let vals = [
+            Term::Int(-3),
+            Term::Int(0),
+            Term::Int(4095),
+            Term::Int(4096),
+            Term::Int(70_000),
+            Term::float(-0.5),
+            Term::float(4095.5),
+            Term::atom("a"),
+            Term::atom("ab"),
+            Term::str("a"),
+            Term::app("loc", vec![Term::Int(1), Term::Int(4096)]),
         ];
-        for v in &rows {
-            r.insert(Tuple::new(v.clone()), TupleMeta::default());
+        let mut r = Relation::new();
+        r.register_index(&[1]);
+        for (i, a) in vals.iter().enumerate() {
+            for b in &vals[i % 3..] {
+                r.insert(Tuple::new(vec![a.clone(), b.clone()]), TupleMeta::default());
+            }
+            r.insert(Tuple::new(vec![a.clone()]), TupleMeta::default());
         }
-        let probe = intern::intern_term(&Term::atom("a")).unwrap();
-        let mut out = Vec::new();
-        r.select(&[0], &[probe], &mut out);
-        let expect: Vec<Tuple> = r.tuples().filter(|t| t.id(0) == probe).cloned().collect();
-        assert_eq!(out, expect);
-        assert_eq!(out.len(), 2);
+        let sorted: Vec<&Tuple> = r.tuples().collect();
+        assert!(sorted.windows(2).all(|w| w[0].terms() < w[1].terms()));
+        assert_probes_equal_scans(&r, &[0]);
+        assert_probes_equal_scans(&r, &[1]);
+        assert_probes_equal_scans(&r, &[0, 1]);
     }
 }

@@ -171,9 +171,9 @@ fn registered_indexes_match_shared_plans() {
 }
 
 /// What the planner registers is what the stage loop probes: a batch run
-/// serves every keyed probe from a registered index — none by a filtered
-/// scan of an unplanned signature, none by promote-after-4 — and builds no
-/// trie the planner did not name.
+/// serves every keyed probe from an ordered map — none by a filtered scan
+/// of an unplanned signature — and registers nothing the planner did not
+/// name.
 #[test]
 fn batch_run_probes_only_registered_indexes() {
     let mut edb = Database::new();
@@ -201,7 +201,7 @@ fn batch_run_probes_only_registered_indexes() {
             assert_eq!(
                 registered,
                 planned.get(&pred).cloned().unwrap_or_default(),
-                "{label}: {pred} promoted a signature the planner did not register"
+                "{label}: {pred} holds a signature the planner did not register"
             );
         }
     }

@@ -1,13 +1,12 @@
-//! Property tests: trie index maintenance is equivalent to rebuild, and
-//! probes equal fresh scans under interleaved insert/delete.
+//! Property tests: index maintenance is equivalent to rebuild, and probes
+//! equal fresh scans under interleaved insert/delete.
 //!
 //! After every random batch of inserts and deletes, the contents of a
-//! maintained trie (built once, updated through `insert`/`remove`) must
-//! equal a trie built from scratch on a fresh clone of the same tuples —
-//! same tuples, same canonical order. This is the invariant that lets
-//! `Relation::select` serve probes from a long-lived index without ever
-//! re-scanning, and the oracle that justifies deleting the per-signature
-//! hash-index store.
+//! maintained index (registered once, updated through `insert`/`remove`)
+//! must equal those of a fresh `Relation` given the same tuples and the
+//! same registrations — same tuples, same canonical order. This is the
+//! invariant that lets `Relation::select` serve probes from long-lived
+//! ordered maps without ever re-scanning.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -32,31 +31,26 @@ fn op() -> impl Strategy<Value = (bool, i64, i64, i64)> {
     (any::<bool>(), 0i64..6, 0i64..6, 0i64..6)
 }
 
-/// Rebuild-from-scratch reference: clone drops built tries but keeps the
-/// registration, so the first probe rebuilds from current tuples only.
+/// Rebuild-from-scratch reference: a fresh relation with `r`'s tuples
+/// inserted and `cols` registered.
 fn fresh_contents(r: &Relation, cols: &[usize]) -> Vec<Tuple> {
-    let f = r.clone();
-    let mut sink = Vec::new();
-    // Probe with a key that may or may not exist — the probe forces the
-    // build; contents are read back independently of the key.
-    let key: Vec<ConstId> = cols.iter().map(|_| id(0)).collect();
-    f.select(cols, &key, &mut sink);
+    let mut f = Relation::new();
+    f.register_index(cols);
+    for t in r.tuples() {
+        f.insert(t.clone(), TupleMeta::default());
+    }
     f.index_contents(cols)
-        .expect("registered index builds on first probe")
+        .expect("a registered index is built at registration")
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn maintained_trie_equals_fresh_rebuild(batches in vec(vec(op(), 1..20), 1..8)) {
+    fn maintained_index_equals_fresh_rebuild(batches in vec(vec(op(), 1..20), 1..8)) {
         let mut r = Relation::new();
         r.register_index(&[0]);
         r.register_index(&[1, 2]);
-        // Force both tries to exist before any mutation.
-        let mut sink = Vec::new();
-        r.select(&[0], &[id(0)], &mut sink);
-        r.select(&[1, 2], &[id(0), id(0)], &mut sink);
 
         for batch in &batches {
             for &(ins, a, b, c) in batch {
@@ -68,7 +62,7 @@ proptest! {
             }
             for cols in [&[0usize][..], &[1usize, 2][..]] {
                 let maintained = r.index_contents(cols)
-                    .expect("maintained trie stays built across mutations");
+                    .expect("a registered index stays built across mutations");
                 let rebuilt = fresh_contents(&r, cols);
                 prop_assert_eq!(&maintained, &rebuilt);
             }
@@ -102,11 +96,11 @@ proptest! {
             .filter(|t| t.id(1) == id(key))
             .cloned()
             .collect();
-        prop_assert_eq!(probed, scanned, "trie probe must equal filtered scan");
+        prop_assert_eq!(probed, scanned, "indexed probe must equal filtered scan");
     }
 
     /// Mixed value sorts (ints, strings, compound terms) and mixed arities
-    /// share one trie: probes must still equal fresh scans.
+    /// share one ordered map: probes must still equal fresh scans.
     #[test]
     fn mixed_sort_probe_matches_scan(
         ops in vec((any::<bool>(), 0u8..3, 0i64..4), 0..50),

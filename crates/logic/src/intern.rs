@@ -18,16 +18,16 @@
 //!
 //! **Sort keys.** `sort_key(a) < sort_key(b)` (memcmp) iff
 //! `resolve(a) < resolve(b)` under `Term`'s derived `Ord` (variant order
-//! `Int < Float < Str < Atom < App`, symbols by string content). Keys are
-//! also what the relation byte-tries are built from, so one trie per column
-//! priority serves every bound-column prefix signature while enumerating in
+//! `Int < Float < Str < Atom < App`, symbols by string content). `Tuple`'s
+//! `Ord` compares column by column through [`cmp_ids`], so a relation's
+//! ordered map answers every bound-column prefix probe as a range, in
 //! canonical tuple order. The encoding:
 //!
 //! * `Int`  — tag `1`, then an order-preserving varint: a length byte with
 //!   the sign folded in (`0x80 + k` for non-negative values spanning `k`
 //!   minimal big-endian bytes, `0x7F - k` for negatives spanning `k`
 //!   minimal two's-complement bytes), then the `k` payload bytes. Small
-//!   magnitudes take 2–3 bytes total, which keeps relation tries shallow;
+//!   magnitudes take 2–3 bytes total;
 //! * `Float`— tag `2`, then the total-order bits of [`F64`] big-endian;
 //! * `Str`  — tag `3`, then the bytes with `0x00` escaped to `0x00 0xFF`,
 //!   then an unescaped `0x00` terminator;
@@ -37,7 +37,7 @@
 //!
 //! Continuation bytes after a terminator are always tags `1..=6`, i.e.
 //! strictly between `0x00` and `0xFF`, which makes the concatenation
-//! order-correct and injective (see DESIGN.md "Tuple representation & trie
+//! order-correct and injective (see DESIGN.md "Tuple representation & ordered
 //! indexes" for the argument).
 //!
 //! **Resolve accounting.** Each id → `Term` materialization is counted,
@@ -137,7 +137,7 @@ struct Pool {
 }
 
 // Entry pointers live in a lock-free two-level page table so the hot path
-// ([`entry`], and through it every trie probe and id comparison) never
+// ([`entry`], and through it every id comparison) never
 // touches the pool lock. Pages are allocated under the pool write lock and
 // published with release stores; ids are handed out only after their slot
 // is written.
@@ -366,7 +366,11 @@ pub fn entry(id: ConstId) -> &'static Entry {
 /// Order two ids by value — exactly `resolve(a).cmp(&resolve(b))`.
 #[inline]
 pub fn cmp_ids(a: ConstId, b: ConstId) -> Ordering {
-    if a == b {
+    if a.max(b) < SMALL_INTS as ConstId {
+        // Pre-seeded small ints are their own ids: id order is value order,
+        // and the comparison touches no pool entry.
+        a.cmp(&b)
+    } else if a == b {
         Ordering::Equal
     } else {
         entry(a).sort_key.cmp(&entry(b).sort_key)
@@ -519,8 +523,12 @@ mod tests {
             Term::Int(-1),
             Term::Int(0),
             Term::Int(1),
+            // Either side of the pre-seeded range `cmp_ids` compares by id.
+            Term::Int(SMALL_INTS - 1),
+            Term::Int(SMALL_INTS),
             Term::Int(i64::MAX),
             Term::float(-1.5),
+            Term::float(4095.5),
             Term::float(0.0),
             Term::float(2.25),
             Term::float(f64::NAN),
@@ -547,6 +555,11 @@ mod tests {
                     cmp_ids(ia, ib),
                     a.cmp(b),
                     "sort_key order diverges for {a} vs {b}"
+                );
+                assert_eq!(
+                    cmp_ids(ia, ib),
+                    entry(ia).sort_key.cmp(&entry(ib).sort_key),
+                    "id fast path diverges from sort keys for {a} vs {b}"
                 );
             }
         }

@@ -299,6 +299,9 @@ impl Clone for Tuple {
 }
 
 impl Tuple {
+    /// Largest arity stored inline (no heap allocation).
+    pub const INLINE: usize = TUPLE_INLINE;
+
     /// Construct from ground terms, interning each into the constant pool.
     /// Panics if any term is non-ground: facts are ground by construction
     /// everywhere upstream.
@@ -323,16 +326,26 @@ impl Tuple {
     }
 
     /// Construct directly from interned ids (the flat evaluation path).
-    pub fn from_ids(ids_vec: Vec<ConstId>) -> Tuple {
-        if ids_vec.len() <= TUPLE_INLINE {
-            let mut ids = [0 as ConstId; TUPLE_INLINE];
-            ids[..ids_vec.len()].copy_from_slice(&ids_vec);
+    pub fn from_ids(ids: Vec<ConstId>) -> Tuple {
+        if ids.len() <= TUPLE_INLINE {
+            Tuple::from_slice(&ids)
+        } else {
+            Tuple(TupleRepr::Heap(ids.into()))
+        }
+    }
+
+    /// [`Tuple::from_ids`] for borrowed ids: up to [`Tuple::INLINE`] ids
+    /// are copied inline with no allocation (range bounds, permuted keys).
+    pub fn from_slice(ids: &[ConstId]) -> Tuple {
+        if ids.len() <= TUPLE_INLINE {
+            let mut inline = [0 as ConstId; TUPLE_INLINE];
+            inline[..ids.len()].copy_from_slice(ids);
             Tuple(TupleRepr::Inline {
-                len: ids_vec.len() as u8,
-                ids,
+                len: ids.len() as u8,
+                ids: inline,
             })
         } else {
-            Tuple(TupleRepr::Heap(ids_vec.into()))
+            Tuple(TupleRepr::Heap(ids.into()))
         }
     }
 

@@ -5,7 +5,7 @@
 //! lists, extreme integers, and the `F64` edge cases (`-0.0`, `NaN`) — and
 //! the pool's sort keys reproduce boxed `Term` order exactly. These are the
 //! invariants that let the evaluators keep only ids on the hot path and the
-//! trie index rely on memcmp over concatenated sort keys.
+//! relations' ordered maps compare tuples by their columns' sort keys.
 
 use proptest::prelude::*;
 use sensorlog_logic::intern;
@@ -77,7 +77,7 @@ proptest! {
         prop_assert_eq!(ia == ib, a == b);
     }
 
-    /// Pool order (memcmp over sort keys, what the trie index walks)
+    /// Pool order (memcmp over sort keys, what `Tuple`'s `Ord` compares)
     /// equals boxed `Term` order.
     #[test]
     fn sort_key_order_matches_term_order(a in ground_term(), b in ground_term()) {
