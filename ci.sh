@@ -69,102 +69,43 @@ if [[ "$fast" -eq 0 ]]; then
         cargo run -q --release --bin sensorlog -- fix "$f" --dry-run
     done
 
-    # Frontier-bound tightness smoke: the 5x5 sweep must keep every
-    # finite bound sound (>= live tuples, >= per-node peak), no looser
-    # than the legacy S·Σ bound, and within 10x of the live count (the
-    # bin exits non-zero on any gate breach). The pinned worst-case
-    # tightness ratios anchor the quick artifact across processes; the
-    # committed BENCH_diag.json is the full-budget run.
-    echo "== diag smoke (--quick, tightness ratios pinned) =="
-    diag_out=$(mktemp /tmp/bench_diag.XXXXXX.json)
-    cargo run -q --release -p sensorlog-bench --bin diag -- --quick --out "$diag_out"
-    python3 -m json.tool "$diag_out" > /dev/null
-    grep -q '"pred": "h", "legacy": 4186, "frontier": 161, "live": 41, "peak_node": 21, "tightness": 3' "$diag_out" || {
-        echo "diag smoke: logicH-5x5 h tightness drifted from the pin"; exit 1; }
-    grep -q '"pred": "hp", "legacy": 2080, "frontier": 240, "live": 24, "peak_node": 10, "tightness": 10' "$diag_out" || {
-        echo "diag smoke: logicH-5x5 hp tightness drifted from the pin"; exit 1; }
-    grep -q '"mirror": {"legacy": "unbounded", "frontier": 4800}' "$diag_out" || {
-        echo "diag smoke: windowed mirror recursion no longer gets its finite frontier bound"; exit 1; }
-    rm -f "$diag_out"
-
-    # Telemetry pipeline end-to-end + snapshot-schema golden check; writes
-    # BENCH_smoke.json (gitignored) as the inspectable artifact.
-    echo "== bench smoke (--quick) =="
-    cargo run -q --release -p sensorlog-bench --bin smoke -- --quick
-
-    # Scheduler/index microbench on a tiny budget: must exit 0 and emit
-    # parseable JSON. The committed BENCH_sched.json is the full-budget
-    # artifact; the smoke run writes to a scratch path and is discarded.
-    echo "== sched microbench smoke (--quick) =="
-    sched_out=$(mktemp /tmp/bench_sched.XXXXXX.json)
-    cargo run -q --release -p sensorlog-bench --bin sched -- --quick --out "$sched_out"
-    python3 -m json.tool "$sched_out" > /dev/null
-    rm -f "$sched_out"
-
-    # Region-sharded scheduler smoke: a 2-worker quick run whose journal
-    # must match the single-wheel oracle hash computed in the same process
-    # (the bin exits non-zero on any divergence), plus the pinned quick
-    # trace hash as a cross-process regression anchor.
-    echo "== shard scaling smoke (--quick, 2-worker journal pinned) =="
-    shard_out=$(mktemp /tmp/bench_shard.XXXXXX.json)
-    cargo run -q --release -p sensorlog-bench --bin shard -- --quick --out "$shard_out"
-    python3 -m json.tool "$shard_out" > /dev/null
-    grep -q '"hash": "454242ed8c28a208"' "$shard_out" || {
-        echo "shard smoke: quick trace hash drifted (journal no longer matches the pin)"; exit 1; }
-    rm -f "$shard_out"
-
-    # Fault-plane chaos smoke: a scripted crash/partition scenario under
-    # heap, wheel, and 2-worker shard whose journals must agree in-process
-    # (the bin exits non-zero on divergence or on any convergence-to-oracle
-    # violation), plus the pinned cross-backend journal hash as the
-    # cross-process regression anchor. The same scenario produces the
-    # committed BENCH_chaos.json, which pins the identical hash.
-    echo "== chaos smoke (--quick, fault-plane journal pinned) =="
-    chaos_out=$(mktemp /tmp/bench_chaos.XXXXXX.json)
-    cargo run -q --release -p sensorlog-bench --bin chaos -- --quick --out "$chaos_out"
-    python3 -m json.tool "$chaos_out" > /dev/null
-    grep -q '"hash": "bc026db128c91410"' "$chaos_out" || {
-        echo "chaos smoke: quick journal hash drifted (fault-plane trace no longer matches the pin)"; exit 1; }
-    rm -f "$chaos_out"
-
-    # Provenance overhead smoke: a 50-node logicH run, provenance off vs
-    # on. The bin exits non-zero unless the two journals are identical
-    # (pure-observer contract) and a sampled derived tuple proves
-    # end-to-end; the pinned hash anchors the disabled-provenance trace
-    # across processes.
-    echo "== provenance smoke (--quick, pure-observer journal pinned) =="
-    prov_out=$(mktemp /tmp/bench_prov.XXXXXX.json)
-    cargo run -q --release -p sensorlog-bench --bin prov -- --quick --out "$prov_out"
-    python3 -m json.tool "$prov_out" > /dev/null
-    grep -q '"hash": "3c1ec08c6289dba4"' "$prov_out" || {
-        echo "prov smoke: quick journal hash drifted (provenance plane perturbed the trace, or the sim changed)"; exit 1; }
-    rm -f "$prov_out"
-
-    # Intern smoke: the flat-tuple representation must be invisible in the
-    # trace (deployment journal matches the pre-refactor pin) and the
-    # fixpoint loop must run resolve-free — `intern.hot.resolves` counts
-    # any id -> Term materialization outside an `intern::boundary` scope,
-    # and the bin exits non-zero if either gate fails. The greps re-check
-    # the emitted JSON so a silent bin regression can't pass. Boundary
-    # scopes can hide a boxed hot path from that counter (the PA probe did
-    # 1.5M boundary resolves here before it moved onto ids), so resolves
-    # inside them are capped too: fewer than one per journal record.
-    echo "== intern smoke (journal pinned + resolve gates) =="
-    intern_out=$(mktemp /tmp/bench_intern.XXXXXX.json)
-    cargo run -q --release -p sensorlog-bench --bin intern -- --out "$intern_out"
-    python3 -m json.tool "$intern_out" > /dev/null
-    grep -q '"hash": "3c1ec08c6289dba4"' "$intern_out" || {
-        echo "intern smoke: journal hash drifted (flat representation is visible in the trace)"; exit 1; }
-    grep -q '"engine_hot": 0' "$intern_out" || {
-        echo "intern smoke: hot-path resolves in the engine fixpoint loop"; exit 1; }
-    grep -q '"deploy_hot": 0' "$intern_out" || {
-        echo "intern smoke: hot-path resolves in the deployment loop"; exit 1; }
-    python3 - "$intern_out" <<'PY' || { echo "intern smoke: deploy_boundary exceeds the journal record count (a boxed path is hiding in a boundary scope)"; exit 1; }
+    # Every bench case at CI size, in one process, into one report schema.
+    # The driver checks its own gates (journal pins, resolve counts, bound
+    # soundness, convergence, tx counts) and exits non-zero naming any that
+    # fail, and prints each case's elapsed time. What is checked here is
+    # that no gate went missing: the names it printed must be exactly this
+    # list, so deleting or renaming a gate fails CI. `bench_cases` must equal
+    # `bench --list` (crates/bench/tests/parallel_driver.rs).
+    echo "== bench --quick (all cases; gate set pinned) =="
+    bench_cases="smoke micro sched shard chaos prov intern diag scale"
+    bench_gates="smoke.snapshot_schema_is_golden smoke.snapshot_plausible
+        shard.wheel_journal_pin shard.shard1_journal_equals_wheel
+        shard.shard2_journal_equals_wheel shard.shard4_journal_equals_wheel
+        shard.shard8_journal_equals_wheel
+        chaos.wheel_journal_equals_heap chaos.shard2_journal_equals_heap chaos.heap_journal_pin
+        chaos.convergence_violations
+        prov.journal_pin prov.journal_identical_off_vs_on prov.records_when_disabled
+        prov.sampled_critical_path_is_causal
+        intern.engine_hot_resolves intern.journal_pin intern.deploy_hot_resolves
+        intern.boundary_resolves_le_journal_records
+        diag.logicH_5x5_h_pin diag.logicH_5x5_hp_pin diag.frontier_unbounded
+        diag.frontier_looser_than_legacy diag.frontier_unsound diag.frontier_over_10x_live
+        diag.mirror_legacy_frontier
+        scale.tx_50_nodes scale.tx_98_nodes"
+    bench_out=$(mktemp /tmp/bench.XXXXXX.json)
+    cargo run -q --release -p sensorlog-bench --bin bench -- --quick $bench_cases --out "$bench_out"
+    python3 - "$bench_out" $bench_gates <<'PY'
 import json, sys
-r = json.load(open(sys.argv[1]))
-sys.exit(r["resolves"]["deploy_boundary"] > r["journal"]["records"])
+reports, want = json.load(open(sys.argv[1])), sys.argv[2:]
+for r in reports:
+    assert list(r) == ["host", "case", "quick", "rows", "gates"] and r["quick"] is True, r["case"]
+    assert all(list(g) == ["name", "want", "got", "ok"] and g["ok"] for g in r["gates"]), r["case"]
+got = [f'{r["case"]}.{g["name"]}' for r in reports for g in r["gates"]]
+if sorted(got) != sorted(want):
+    sys.exit(f"bench gate set changed: missing {sorted(set(want) - set(got))}, "
+             f"unlisted {sorted(set(got) - set(want))}")
 PY
-    rm -f "$intern_out"
+    rm -f "$bench_out"
 
     # The repo benchmark's self-check: BENCHMARK.json equals the binary's
     # declaration, `--quick` runs all six workloads reference-exact, and

@@ -2,6 +2,7 @@
 //! vs delete-rederive — the three options of Sec. IV-A) and Fig. 12
 //! (magic-set transformation ablation, Sec. V).
 
+use crate::common::sym;
 use crate::table::{f2, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -11,7 +12,7 @@ use sensorlog_eval::relation::Database;
 use sensorlog_eval::{Engine, IncrementalEngine, Update};
 use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::magic::{magic_transform, Query};
-use sensorlog_logic::{analyze, parse_program, Atom, Symbol, Term, Tuple};
+use sensorlog_logic::{analyze, parse_program, Atom, Term, Tuple};
 use std::time::Instant;
 
 /// Coverage by *any* suppressor in the epoch group: cov tuples accumulate
@@ -22,10 +23,6 @@ const UNCOV: &str = r#"
     cov(V, K) :- sight(V, K), supp(S, K).
     alert(V, K) :- not cov(V, K), sight(V, K).
 "#;
-
-fn sym(s: &str) -> Symbol {
-    Symbol::intern(s)
-}
 
 fn tup2(a: i64, b: i64) -> Tuple {
     Tuple::new(vec![Term::Int(a), Term::Int(b)])

@@ -4,23 +4,19 @@
 //! network", Sec. III-A). We crash a node mid-run and measure what fraction
 //! of the expected results each strategy can still produce/serve.
 
+use crate::common::sym;
 use crate::table::{f2, Table};
 use sensorlog_core::deploy::{DeployConfig, Deployment};
 use sensorlog_core::oracle;
 use sensorlog_core::workload::UniformStreams;
 use sensorlog_core::{NetInfo, RtConfig, Strategy};
 use sensorlog_logic::builtin::BuiltinRegistry;
-use sensorlog_logic::Symbol;
 use sensorlog_netsim::{NodeId, SimConfig, Topology};
 
 const JOIN3: &str = r#"
     .output q.
     q(X, Y) :- r1(N1, X, K), r2(N2, Y, K).
 "#;
-
-fn sym(s: &str) -> Symbol {
-    Symbol::intern(s)
-}
 
 /// One run: crash `victim` halfway through the workload; return
 /// (completeness, soundness).

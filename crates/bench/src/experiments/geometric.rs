@@ -5,6 +5,7 @@
 //! vertical path intersects with every horizontal path"). Coordinate bands
 //! play the role of rows/columns on connected random geometric graphs.
 
+use crate::common::sym;
 use crate::table::{f2, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -13,17 +14,13 @@ use sensorlog_core::oracle;
 use sensorlog_core::{RtConfig, Strategy};
 use sensorlog_eval::UpdateKind;
 use sensorlog_logic::builtin::BuiltinRegistry;
-use sensorlog_logic::{Symbol, Term, Tuple};
+use sensorlog_logic::{Term, Tuple};
 use sensorlog_netsim::{SimConfig, Topology};
 
 const JOIN3: &str = r#"
     .output q.
     q(X, Y) :- r1(N1, X, K), r2(N2, Y, K).
 "#;
-
-fn sym(s: &str) -> Symbol {
-    Symbol::intern(s)
-}
 
 /// Random workload over a geometric topology (one reading per node per
 /// stream, selective keys).

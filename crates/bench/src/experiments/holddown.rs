@@ -6,21 +6,14 @@
 //! transient insert/retract pairs escape into the network — correct at
 //! quiescence, but paid for in messages.
 
+use crate::common::{tree_depths_correct, LOGIC_J};
 use crate::table::Table;
 use sensorlog_core::deploy::{DeployConfig, Deployment};
 use sensorlog_core::workload::graph_edges;
 use sensorlog_core::{PlanTiming, RtConfig, Strategy};
 use sensorlog_logic::builtin::BuiltinRegistry;
-use sensorlog_logic::{Symbol, Term};
+use sensorlog_logic::Symbol;
 use sensorlog_netsim::Topology;
-
-const LOGIC_J: &str = r#"
-    .output j.
-    j(0, 0).
-    j(X, 1) :- g(0, X).
-    jp(Y, D + 1) :- j(Y, D'), (D + 1) > D', j(X, D), g(X, Y).
-    j(Y, D + 1) :- g(X, Y), j(X, D), not jp(Y, D + 1).
-"#;
 
 /// Returns (messages, quiesced?, tree correct at cutoff).
 fn run_with(timing: PlanTiming, m: u32) -> (u64, bool, bool) {
@@ -42,20 +35,7 @@ fn run_with(timing: PlanTiming, m: u32) -> (u64, bool, bool) {
     d.run(60_000);
     let quiesced = d.sim.is_quiescent();
     let results = d.results(Symbol::intern("j"));
-    // Correct iff every node appears exactly at its BFS depth.
-    let mut ok = true;
-    for node in topo.nodes() {
-        let (x, y) = topo.grid_coords(node).unwrap();
-        let want = (x + y) as i64;
-        let depths: Vec<i64> = results
-            .iter()
-            .filter(|t| t.get(0) == Term::Int(node.0 as i64))
-            .map(|t| t.get(1).as_i64().unwrap())
-            .collect();
-        if depths.is_empty() || depths.iter().any(|&d| d != want) {
-            ok = false;
-        }
-    }
+    let ok = tree_depths_correct(&topo, &results, 0);
     (d.metrics().total_tx(), quiesced, ok)
 }
 

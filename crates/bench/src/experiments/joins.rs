@@ -1,36 +1,13 @@
 //! Join experiments: Figs. 4–7 (communication cost vs. network size, load
 //! balance, multi-stream one-pass vs. multiple-pass, spatial constraints).
 
-use crate::common::{join_strategies, run_case, run_cases, CaseSpec, RunPoint};
+use crate::common::{join_strategies, join_workload, run_cases, sym, CaseSpec, RunPoint, JOIN2};
 use crate::table::{f2, Table};
 use sensorlog_core::deploy::WorkloadEvent;
-use sensorlog_core::workload::UniformStreams;
 use sensorlog_core::{PassMode, Strategy};
 use sensorlog_eval::UpdateKind;
-use sensorlog_logic::{Symbol, Term, Tuple};
+use sensorlog_logic::{Term, Tuple};
 use sensorlog_netsim::{SimConfig, Topology};
-
-const JOIN2: &str = r#"
-    .output q.
-    q(X, Y) :- r1(N1, X, K), r2(N2, Y, K).
-"#;
-
-fn sym(s: &str) -> Symbol {
-    Symbol::intern(s)
-}
-
-fn join_workload(topo: &Topology, preds: &[&str], groups: u32, seed: u64) -> Vec<WorkloadEvent> {
-    UniformStreams {
-        preds: preds.iter().map(|p| sym(p)).collect(),
-        interval: 8_000,
-        duration: 16_000,
-        delete_fraction: 0.0,
-        delete_lag: 0,
-        groups,
-        seed,
-    }
-    .events(topo)
-}
 
 /// One (strategy, m) cell of the Fig. 4/5 sweep.
 fn sweep_spec(strategy: Strategy, m: u32) -> CaseSpec {
@@ -195,17 +172,18 @@ pub fn fig7() -> Table {
             }
         }
         let _ = value;
-        let p = run_case(
-            &src,
+        let p = CaseSpec {
+            src: src.clone(),
             topo,
-            Strategy::Perpendicular { band_width: 1.0 },
-            PassMode::OnePass,
-            SimConfig::default(),
-            Some(radius),
+            strategy: Strategy::Perpendicular { band_width: 1.0 },
+            pass_mode: PassMode::OnePass,
+            sim: SimConfig::default(),
+            spatial_radius: Some(radius),
             events,
-            sym("q"),
-            120_000_000,
-        );
+            output: sym("q"),
+            horizon: 120_000_000,
+        }
+        .run();
         assert!(
             p.completeness > 0.999,
             "truncation must preserve spatially-constrained joins (r={radius}): {}",

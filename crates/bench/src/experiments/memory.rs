@@ -3,19 +3,11 @@
 //! of tuples stored at any node is at most 2 to 3 times its degree" for the
 //! shortest-path program).
 
-use crate::common::run_case;
-use crate::experiments::sptree::LOGIC_J;
+use crate::common::{join_workload, sptree_deployment, sym, CaseSpec, JOIN2, LOGIC_J};
 use crate::table::Table;
-use sensorlog_core::deploy::{DeployConfig, Deployment};
-use sensorlog_core::workload::{graph_edges, UniformStreams};
-use sensorlog_core::{PassMode, RtConfig, Strategy};
-use sensorlog_logic::builtin::BuiltinRegistry;
-use sensorlog_logic::Symbol;
+use sensorlog_core::workload::UniformStreams;
+use sensorlog_core::{PassMode, Strategy};
 use sensorlog_netsim::{SimConfig, Topology};
-
-fn sym(s: &str) -> Symbol {
-    Symbol::intern(s)
-}
 
 /// Table 1 rows: program, grid, peak replicas (max node), peak derivations
 /// (max node), peak total items.
@@ -37,27 +29,19 @@ pub fn table1() -> Table {
     // Two-stream join on 8x8.
     {
         let topo = Topology::square_grid(8);
-        let events = UniformStreams {
-            preds: vec![sym("r1"), sym("r2")],
-            interval: 8_000,
-            duration: 16_000,
-            delete_fraction: 0.0,
-            delete_lag: 0,
-            groups: 32,
-            seed: 9,
-        }
-        .events(&topo);
-        let p = run_case(
-            ".output q.\nq(X, Y) :- r1(N1, X, K), r2(N2, Y, K).\n",
+        let events = join_workload(&topo, &["r1", "r2"], 32, 9);
+        let p = CaseSpec {
+            src: JOIN2.to_string(),
             topo,
-            Strategy::Perpendicular { band_width: 1.0 },
-            PassMode::OnePass,
-            SimConfig::default(),
-            None,
+            strategy: Strategy::Perpendicular { band_width: 1.0 },
+            pass_mode: PassMode::OnePass,
+            sim: SimConfig::default(),
+            spatial_radius: None,
             events,
-            sym("q"),
-            30_000_000,
-        );
+            output: sym("q"),
+            horizon: 30_000_000,
+        }
+        .run();
         assert_dominates(&p, "join2");
         t.row(vec![
             "join2".into(),
@@ -82,21 +66,23 @@ pub fn table1() -> Table {
             seed: 10,
         }
         .events(&topo);
-        let p = run_case(
-            r#"
+        let p = CaseSpec {
+            src: r#"
             .output alert.
             cov(V, K) :- sight(N, V, K), supp(N, S, K).
             alert(V, K) :- not cov(V, K), sight(N, V, K).
-            "#,
+            "#
+            .to_string(),
             topo,
-            Strategy::Perpendicular { band_width: 1.0 },
-            PassMode::OnePass,
-            SimConfig::default(),
-            None,
+            strategy: Strategy::Perpendicular { band_width: 1.0 },
+            pass_mode: PassMode::OnePass,
+            sim: SimConfig::default(),
+            spatial_radius: None,
             events,
-            sym("alert"),
-            60_000_000,
-        );
+            output: sym("alert"),
+            horizon: 60_000_000,
+        }
+        .run();
         assert_dominates(&p, "uncov");
         t.row(vec![
             "uncov".into(),
@@ -110,17 +96,7 @@ pub fn table1() -> Table {
 
     // Shortest-path tree (logicJ) on 4x4 with detailed per-node split.
     {
-        let topo = Topology::square_grid(4);
-        let cfg = DeployConfig {
-            rt: RtConfig {
-                strategy: Strategy::Perpendicular { band_width: 1.0 },
-                ..RtConfig::default()
-            },
-            ..DeployConfig::default()
-        };
-        let mut d =
-            Deployment::new(LOGIC_J, BuiltinRegistry::standard(), topo.clone(), cfg).unwrap();
-        d.schedule_all(graph_edges(&topo, 100, 200));
+        let mut d = sptree_deployment(LOGIC_J, (4, 4), SimConfig::default(), 200);
         d.run(200_000_000);
         let stats = d.node_stats();
         let max_rep = stats.iter().map(|s| s.peak_replicas).max().unwrap_or(0);

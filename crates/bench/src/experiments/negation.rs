@@ -3,14 +3,14 @@
 //! communication by phase and verifies exactness against the oracle for
 //! growing delete fractions.
 
-use crate::common::run_case;
+use crate::common::{sym, CaseSpec};
 use crate::table::{f2, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sensorlog_core::deploy::WorkloadEvent;
 use sensorlog_core::{PassMode, Strategy};
 use sensorlog_eval::UpdateKind;
-use sensorlog_logic::{Symbol, Term, Tuple};
+use sensorlog_logic::{Term, Tuple};
 use sensorlog_netsim::{SimConfig, Topology};
 
 /// Per-epoch alert with negation: a sighting is covered when a suppressor
@@ -21,10 +21,6 @@ const ALERT: &str = r#"
     cov(V, K) :- sight(V, K), supp(V, K).
     alert(V, K) :- not cov(V, K), sight(V, K).
 "#;
-
-fn sym(s: &str) -> Symbol {
-    Symbol::intern(s)
-}
 
 /// Epoch workload: every node sights every epoch; every 4th node has a
 /// suppressor, a `frac` fraction of which are later deleted.
@@ -85,17 +81,18 @@ pub fn fig10() -> Table {
     for frac in [0.0f64, 0.25, 0.5] {
         let topo = Topology::square_grid(8);
         let events = alert_events(&topo, 2, frac, 23);
-        let p = run_case(
-            ALERT,
+        let p = CaseSpec {
+            src: ALERT.to_string(),
             topo,
-            Strategy::Perpendicular { band_width: 1.0 },
-            PassMode::OnePass,
-            SimConfig::default(),
-            None,
+            strategy: Strategy::Perpendicular { band_width: 1.0 },
+            pass_mode: PassMode::OnePass,
+            sim: SimConfig::default(),
+            spatial_radius: None,
             events,
-            sym("alert"),
-            120_000_000,
-        );
+            output: sym("alert"),
+            horizon: 120_000_000,
+        }
+        .run();
         assert!(
             p.completeness > 0.999 && p.soundness > 0.999,
             "lossless negation maintenance must be exact at frac={frac}: compl {} sound {}",

@@ -1,23 +1,13 @@
 //! Fig. 9 (robustness under message loss) and Table 2 (the testbed
 //! profile: clock skew + jittered delays + asymmetric links).
 
-use crate::common::{run_case, run_cases, CaseSpec};
+use crate::common::{join_workload, run_cases, sym, CaseSpec, JOIN2};
 use crate::table::{f2, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sensorlog_core::workload::UniformStreams;
 use sensorlog_core::{PassMode, Strategy};
-use sensorlog_logic::Symbol;
 use sensorlog_netsim::{SimConfig, Topology};
-
-const JOIN2: &str = r#"
-    .output q.
-    q(X, Y) :- r1(N1, X, K), r2(N2, Y, K).
-"#;
-
-fn sym(s: &str) -> Symbol {
-    Symbol::intern(s)
-}
 
 /// Fig. 9: result completeness vs per-transmission loss probability, PA vs
 /// Centroid on an 8×8 grid.
@@ -43,16 +33,7 @@ pub fn fig9() -> Table {
         ] {
             for retries in [0u32, 3] {
                 let topo = Topology::square_grid(8);
-                let events = UniformStreams {
-                    preds: vec![sym("r1"), sym("r2")],
-                    interval: 8_000,
-                    duration: 16_000,
-                    delete_fraction: 0.0,
-                    delete_lag: 0,
-                    groups: 32,
-                    seed: 5,
-                }
-                .events(&topo);
+                let events = join_workload(&topo, &["r1", "r2"], 32, 5);
                 specs.push(CaseSpec {
                     src: JOIN2.to_string(),
                     topo,
@@ -129,17 +110,18 @@ pub fn table2() -> Table {
         }
         .events(&topo);
         let n_events = events.len();
-        let p = run_case(
-            JOIN2,
+        let p = CaseSpec {
+            src: JOIN2.to_string(),
             topo,
-            Strategy::Perpendicular { band_width: 1.0 },
-            PassMode::OnePass,
+            strategy: Strategy::Perpendicular { band_width: 1.0 },
+            pass_mode: PassMode::OnePass,
             sim,
-            None,
+            spatial_radius: None,
             events,
-            sym("q"),
-            30_000_000,
-        );
+            output: sym("q"),
+            horizon: 30_000_000,
+        }
+        .run();
         t.row(vec![
             format!("{m}x{m}"),
             n_events.to_string(),

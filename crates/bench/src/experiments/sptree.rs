@@ -9,63 +9,20 @@
 //! * `flood` — the hand-written BFS beacon protocol (the Kairos-style
 //!   procedural comparator).
 
+use crate::common::{sptree_deployment, tree_depths_correct, LOGIC_H, LOGIC_J};
 use crate::table::Table;
-use sensorlog_core::deploy::{DeployConfig, Deployment};
-use sensorlog_core::workload::graph_edges;
-use sensorlog_core::{RtConfig, Strategy};
-use sensorlog_logic::builtin::BuiltinRegistry;
-use sensorlog_logic::{Symbol, Term};
-use sensorlog_netsim::NodeId;
-use sensorlog_netsim::{SimConfig, Topology};
+use sensorlog_logic::Symbol;
+use sensorlog_netsim::{NodeId, SimConfig, Topology};
 use sensorlog_netstack::flood::run_flood;
-
-pub const LOGIC_H: &str = r#"
-    .output h.
-    h(0, 0, 0).
-    h(0, X, 1) :- g(0, X).
-    hp(Y, D + 1) :- h(_, Y, D'), (D + 1) > D', h(_, X, D), g(X, Y).
-    h(X, Y, D + 1) :- g(X, Y), h(_, X, D), not hp(Y, D + 1).
-"#;
-
-pub const LOGIC_J: &str = r#"
-    .output j.
-    j(0, 0).
-    j(X, 1) :- g(0, X).
-    jp(Y, D + 1) :- j(Y, D'), (D + 1) > D', j(X, D), g(X, Y).
-    j(Y, D + 1) :- g(X, Y), j(X, D), not jp(Y, D + 1).
-"#;
 
 /// Run one deductive tree construction; returns (messages, converged-at ms,
 /// depths correct?).
 fn run_deductive(src: &str, out_pred: &str, m: u32) -> (u64, u64, bool) {
     let topo = Topology::square_grid(m);
-    let cfg = DeployConfig {
-        rt: RtConfig {
-            strategy: Strategy::Perpendicular { band_width: 1.0 },
-            ..RtConfig::default()
-        },
-        sim: SimConfig::default(),
-        ..DeployConfig::default()
-    };
-    let mut d = Deployment::new(src, BuiltinRegistry::standard(), topo.clone(), cfg).unwrap();
-    d.schedule_all(graph_edges(&topo, 100, 200));
+    let mut d = sptree_deployment(src, (m, m), SimConfig::default(), 200);
     let converged = d.run(200_000_000);
     let results = d.results(Symbol::intern(out_pred));
-    // Verify BFS depths: node (x, y) at depth x + y from corner 0.
-    let depth_pos = if out_pred == "h" { (1, 2) } else { (0, 1) };
-    let mut ok = true;
-    for node in topo.nodes() {
-        let (x, y) = topo.grid_coords(node).unwrap();
-        let want = (x + y) as i64;
-        let depths: Vec<i64> = results
-            .iter()
-            .filter(|t| t.get(depth_pos.0) == Term::Int(node.0 as i64))
-            .map(|t| t.get(depth_pos.1).as_i64().unwrap())
-            .collect();
-        if depths.is_empty() || depths.iter().any(|&d| d != want) {
-            ok = false;
-        }
-    }
+    let ok = tree_depths_correct(&topo, &results, usize::from(out_pred == "h"));
     (d.metrics().total_tx(), converged, ok)
 }
 

@@ -14,68 +14,49 @@
 //!   snapshot too but deliberately left out of the table: it varies run to
 //!   run, while counts and sim-ms are deterministic.
 
-use crate::common::run_case;
+use crate::common::{
+    join_workload, sptree_deployment_observed, CaseSpec, RunPoint, JOIN2, LOGIC_H, LOGIC_J,
+};
 use crate::table::Table;
-use sensorlog_core::deploy::{DeployConfig, Deployment};
-use sensorlog_core::workload::{graph_edges, UniformStreams};
-use sensorlog_core::{PassMode, RtConfig, Strategy};
-use sensorlog_logic::builtin::BuiltinRegistry;
+use sensorlog_core::prov::Provenance;
+use sensorlog_core::{PassMode, Strategy};
 use sensorlog_logic::Symbol;
 use sensorlog_netsim::{SimConfig, Topology};
 use sensorlog_telemetry::{Snapshot, Telemetry};
-
-use super::sptree::{LOGIC_H, LOGIC_J};
-
-const JOIN2: &str = r#"
-    .output q.
-    q(X, Y) :- r1(N1, X, K), r2(N2, Y, K).
-"#;
 
 /// Run one shortest-path-tree program with telemetry enabled and return
 /// its snapshot (the sptree experiment itself runs blind; here the
 /// breakdown is the point).
 fn sptree_snapshot(src: &str, m: u32) -> Snapshot {
-    let topo = Topology::square_grid(m);
-    let cfg = DeployConfig {
-        rt: RtConfig {
-            strategy: Strategy::Perpendicular { band_width: 1.0 },
-            ..RtConfig::default()
-        },
-        sim: SimConfig::default(),
-        telemetry: Telemetry::enabled(),
-        ..DeployConfig::default()
-    };
-    let mut d = Deployment::new(src, BuiltinRegistry::standard(), topo.clone(), cfg).unwrap();
-    d.schedule_all(graph_edges(&topo, 100, 200));
+    let mut d = sptree_deployment_observed(
+        src,
+        (m, m),
+        SimConfig::default(),
+        Provenance::disabled(),
+        Telemetry::enabled(),
+        200,
+    );
     d.run(200_000_000);
     d.telemetry_snapshot()
 }
 
-/// Run the two-stream join under `strategy` and return the point snapshot.
-fn join_snapshot(strategy: Strategy, m: u32) -> Snapshot {
+/// Run the two-stream join under `strategy` on an `m × m` grid (the `bench
+/// smoke` case reports the same run).
+pub fn join_point(strategy: Strategy, m: u32) -> RunPoint {
     let topo = Topology::square_grid(m);
-    let events = UniformStreams {
-        preds: vec![Symbol::intern("r1"), Symbol::intern("r2")],
-        interval: 8_000,
-        duration: 16_000,
-        delete_fraction: 0.0,
-        delete_lag: 0,
-        groups: m * m * 2,
-        seed: 41 + m as u64,
-    }
-    .events(&topo);
-    run_case(
-        JOIN2,
+    let events = join_workload(&topo, &["r1", "r2"], m * m * 2, 41 + m as u64);
+    CaseSpec {
+        src: JOIN2.to_string(),
         topo,
         strategy,
-        PassMode::OnePass,
-        SimConfig::default(),
-        None,
+        pass_mode: PassMode::OnePass,
+        sim: SimConfig::default(),
+        spatial_radius: None,
         events,
-        Symbol::intern("q"),
-        30_000_000,
-    )
-    .snapshot
+        output: Symbol::intern("q"),
+        horizon: 30_000_000,
+    }
+    .run()
 }
 
 /// The four runs both tables report, labelled.
@@ -85,9 +66,12 @@ fn runs() -> Vec<(&'static str, Snapshot)> {
         ("logicJ m=4", sptree_snapshot(LOGIC_J, 4)),
         (
             "PA join m=6",
-            join_snapshot(Strategy::Perpendicular { band_width: 1.0 }, 6),
+            join_point(Strategy::Perpendicular { band_width: 1.0 }, 6).snapshot,
         ),
-        ("Centroid join m=6", join_snapshot(Strategy::Centroid, 6)),
+        (
+            "Centroid join m=6",
+            join_point(Strategy::Centroid, 6).snapshot,
+        ),
     ]
 }
 

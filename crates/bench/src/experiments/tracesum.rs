@@ -7,17 +7,11 @@
 //! high-water mark. The loss-free rows double as a sanity check that the
 //! streaming trace counters agree with the radio metrics.
 
-use crate::common::{join_strategies, run_case};
+use crate::common::{join_strategies, join_workload, CaseSpec, JOIN2};
 use crate::table::Table;
-use sensorlog_core::workload::UniformStreams;
 use sensorlog_core::{PassMode, Strategy};
 use sensorlog_logic::Symbol;
 use sensorlog_netsim::{SimConfig, Topology};
-
-const JOIN2: &str = r#"
-    .output q.
-    q(X, Y) :- r1(N1, X, K), r2(N2, Y, K).
-"#;
 
 fn strategy_name(s: Strategy) -> &'static str {
     match s {
@@ -48,16 +42,7 @@ pub fn table3() -> Table {
     for loss in [0.0f64, 0.1] {
         for strategy in join_strategies() {
             let topo = Topology::square_grid(8);
-            let events = UniformStreams {
-                preds: vec![Symbol::intern("r1"), Symbol::intern("r2")],
-                interval: 8_000,
-                duration: 16_000,
-                delete_fraction: 0.0,
-                delete_lag: 0,
-                groups: 128,
-                seed: 49,
-            }
-            .events(&topo);
+            let events = join_workload(&topo, &["r1", "r2"], 128, 49);
             let sim = SimConfig {
                 loss_prob: loss,
                 // One retry, not two: with p=0.1 a message dies with
@@ -68,17 +53,18 @@ pub fn table3() -> Table {
                 retries: if loss > 0.0 { 1 } else { 0 },
                 ..SimConfig::default()
             };
-            let p = run_case(
-                JOIN2,
+            let p = CaseSpec {
+                src: JOIN2.to_string(),
                 topo,
                 strategy,
-                PassMode::OnePass,
+                pass_mode: PassMode::OnePass,
                 sim,
-                None,
+                spatial_radius: None,
                 events,
-                Symbol::intern("q"),
-                30_000_000,
-            );
+                output: Symbol::intern("q"),
+                horizon: 30_000_000,
+            }
+            .run();
             // The trace layer and the radio metrics count the same
             // transmissions through independent code paths.
             assert_eq!(p.trace.sends, p.total_tx, "trace vs metrics mismatch");

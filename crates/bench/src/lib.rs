@@ -9,8 +9,10 @@
 //! cargo run --release -p sensorlog-bench --bin figures -- fig4 fig8
 //! ```
 
+pub mod cases;
 pub mod common;
 pub mod experiments;
+pub mod report;
 pub mod table;
 
 pub use table::Table;

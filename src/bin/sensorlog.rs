@@ -115,7 +115,7 @@ const DEPLOY_USAGE: &str = "usage: sensorlog deploy <program.dl> --grid <m> [opt
   --grid <m>           deploy on an m x m simulated grid (required)
   --events <file>      workload script: `+<at_ms> @<node> fact(args).`
   --strategy <s>       pa|centroid|broadcast|local (default pa)
-  --loss <p>           per-link loss probability
+  --loss <p>           per-link loss probability, in [0, 1]
   --seed <n>           simulator RNG seed
   --horizon <ms>       sim-time horizon (default 600000000)
   --trace <file>       persist the replayable event journal as JSONL
@@ -127,7 +127,7 @@ const EXPLAIN_USAGE: &str =
   --grid <m>           deploy on an m x m simulated grid (required)
   --events <file>      workload script: `+<at_ms> @<node> fact(args).`
   --strategy <s>       pa|centroid|broadcast|local (default pa)
-  --loss <p>           per-link loss probability
+  --loss <p>           per-link loss probability, in [0, 1]
   --seed <n>           simulator RNG seed
   --horizon <ms>       sim-time horizon (default 600000000)
   --dot <file>         write the proof DAG as GraphViz DOT (live tuples only)
@@ -331,14 +331,16 @@ fn cmd_run(args: &[String]) -> Result<(), AnyError> {
     Ok(())
 }
 
-fn cmd_deploy(args: &[String]) -> Result<(), AnyError> {
-    if wants_help(args, DEPLOY_USAGE) {
-        return Ok(());
-    }
-    let (src, prog) = load_program(args)?;
+/// The options `deploy` and `explain` share — `--grid`, `--strategy`,
+/// `--loss`, `--seed`, `--horizon` — checked where they enter: an empty
+/// grid or a loss outside [0, 1] is an error, not a panic or a silent clamp.
+fn grid_run_args(args: &[String], cmd: &str) -> Result<(u32, Strategy, SimConfig, u64), AnyError> {
     let m: u32 = flag(args, "--grid")
-        .ok_or("deploy requires --grid <m>")?
+        .ok_or(format!("{cmd} requires --grid <m>"))?
         .parse()?;
+    if m == 0 {
+        return Err("--grid must be at least 1".into());
+    }
     let strategy = match flag(args, "--strategy").as_deref() {
         None | Some("pa") => Strategy::Perpendicular { band_width: 1.0 },
         Some("centroid") => Strategy::Centroid,
@@ -349,6 +351,9 @@ fn cmd_deploy(args: &[String]) -> Result<(), AnyError> {
     let mut sim = SimConfig::default();
     if let Some(p) = flag(args, "--loss") {
         sim.loss_prob = p.parse()?;
+        if !(0.0..=1.0).contains(&sim.loss_prob) {
+            return Err(format!("--loss must be a probability in [0, 1], got `{p}`").into());
+        }
     }
     if let Some(s) = flag(args, "--seed") {
         sim.seed = s.parse()?;
@@ -357,6 +362,33 @@ fn cmd_deploy(args: &[String]) -> Result<(), AnyError> {
         .map(|h| h.parse())
         .transpose()?
         .unwrap_or(600_000_000);
+    Ok((m, strategy, sim, horizon))
+}
+
+/// The `--events` script (empty without the option), every event checked
+/// to sit on the `m × m` grid.
+fn load_events(args: &[String], m: u32) -> Result<Vec<WorkloadEvent>, AnyError> {
+    let Some(path) = flag(args, "--events") else {
+        return Ok(Vec::new());
+    };
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
+    let events = WorkloadEvent::parse_script(&text)?;
+    if let Some(bad) = events
+        .iter()
+        .find(|ev| ev.node.index() >= (m as usize).pow(2))
+    {
+        return Err(format!("event node {} outside the {m}x{m} grid", bad.node).into());
+    }
+    eprintln!("scheduled {} events", events.len());
+    Ok(events)
+}
+
+fn cmd_deploy(args: &[String]) -> Result<(), AnyError> {
+    if wants_help(args, DEPLOY_USAGE) {
+        return Ok(());
+    }
+    let (src, prog) = load_program(args)?;
+    let (m, strategy, sim, horizon) = grid_run_args(args, "deploy")?;
 
     let trace_path = flag(args, "--trace");
     let metrics_path = flag(args, "--metrics");
@@ -381,15 +413,7 @@ fn cmd_deploy(args: &[String]) -> Result<(), AnyError> {
     let _ = prog;
     let journal = trace_path.as_ref().map(|_| d.attach_journal());
 
-    let mut events = Vec::new();
-    if let Some(path) = flag(args, "--events") {
-        let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-        events = WorkloadEvent::parse_script(&text)?;
-        if let Some(bad) = events.iter().find(|ev| ev.node.index() >= n_nodes) {
-            return Err(format!("event node {} outside the {m}x{m} grid", bad.node).into());
-        }
-        eprintln!("scheduled {} events", events.len());
-    }
+    let events = load_events(args, m)?;
     d.schedule_all(events.clone());
     let converged = d.run(horizon);
 
@@ -454,30 +478,10 @@ fn cmd_explain(args: &[String]) -> Result<(), AnyError> {
         return Ok(());
     }
     let (src, _prog) = load_program(args)?;
-    let m: u32 = flag(args, "--grid")
-        .ok_or("explain requires --grid <m>")?
-        .parse()?;
+    let (m, strategy, sim, horizon) = grid_run_args(args, "explain")?;
     let atom_src = flag(args, "--why").ok_or("explain requires --why '<atom>'")?;
     let (pred, terms) = parse_fact(&atom_src).map_err(|e| format!("--why `{atom_src}`: {e}"))?;
     let tuple = Tuple::new(terms);
-    let strategy = match flag(args, "--strategy").as_deref() {
-        None | Some("pa") => Strategy::Perpendicular { band_width: 1.0 },
-        Some("centroid") => Strategy::Centroid,
-        Some("broadcast") => Strategy::NaiveBroadcast,
-        Some("local") => Strategy::LocalStorage,
-        Some(other) => return Err(format!("unknown strategy `{other}`").into()),
-    };
-    let mut sim = SimConfig::default();
-    if let Some(p) = flag(args, "--loss") {
-        sim.loss_prob = p.parse()?;
-    }
-    if let Some(s) = flag(args, "--seed") {
-        sim.seed = s.parse()?;
-    }
-    let horizon: u64 = flag(args, "--horizon")
-        .map(|h| h.parse())
-        .transpose()?
-        .unwrap_or(600_000_000);
 
     let topo = Topology::square_grid(m);
     let n_nodes = topo.len();
@@ -496,15 +500,7 @@ fn cmd_explain(args: &[String]) -> Result<(), AnyError> {
     // attempt counts, and loss flags.
     let journal = d.attach_journal();
 
-    let mut events = Vec::new();
-    if let Some(path) = flag(args, "--events") {
-        let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-        events = WorkloadEvent::parse_script(&text)?;
-        if let Some(bad) = events.iter().find(|ev| ev.node.index() >= n_nodes) {
-            return Err(format!("event node {} outside the {m}x{m} grid", bad.node).into());
-        }
-        eprintln!("scheduled {} events", events.len());
-    }
+    let events = load_events(args, m)?;
     d.schedule_all(events);
     let converged = d.run(horizon);
 

@@ -1,8 +1,9 @@
-//! End-to-end tests for `sensorlog fix`: the machine-applicable rewrite
-//! applier must be idempotent, `--dry-run` must never touch the file, and
-//! applying fixes to the seed examples must not change what the programs
-//! compute (the rewrites are declarations and plane-local rule splits, not
-//! semantic edits).
+//! End-to-end tests of the `sensorlog` binary. `fix`: the machine-applicable
+//! rewrite applier must be idempotent, `--dry-run` must never touch the
+//! file, and applying fixes to the seed examples must not change what the
+//! programs compute (the rewrites are declarations and plane-local rule
+//! splits, not semantic edits). `deploy` / `explain`: out-of-range `--grid`
+//! and `--loss` are reported as errors, never panics or silent clamps.
 
 use sensorlog::logic::diag::{check_source, fix_source, BoundParams};
 use sensorlog::prelude::*;
@@ -24,6 +25,41 @@ fn examples() -> Vec<(String, String)> {
     }
     assert!(out.len() >= 5, "example corpus went missing");
     out
+}
+
+/// `--grid 0` used to panic in `Topology::grid` (exit 101) and `--loss`
+/// outside [0, 1] was accepted silently (1.5 behaved as 1.0).
+#[test]
+fn deploy_and_explain_reject_empty_grid_and_non_probability_loss() {
+    let bad: [&[&str]; 4] = [
+        &["--grid", "0"],
+        &["--grid", "4", "--loss", "1.5"],
+        &["--grid", "4", "--loss", "-0.5"],
+        &["--grid", "4", "--loss", "nan"],
+    ];
+    for cmd in ["deploy", "explain"] {
+        let run = |opts: &[&str]| {
+            bin()
+                .args([cmd, "examples/explain/reach.dl"])
+                .args(["--events", "examples/explain/chain_events.txt"])
+                .args(["--why", "reach(1, 4)"])
+                .args(opts)
+                .output()
+                .unwrap()
+        };
+        for opts in bad {
+            let out = run(opts);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{cmd} {opts:?}: {stderr}");
+            assert!(stderr.starts_with("error: --"), "{cmd} {opts:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{cmd} {opts:?}: {stderr}");
+        }
+        // The bounds themselves are valid.
+        for loss in ["0", "1"] {
+            let out = run(&["--grid", "4", "--loss", loss]);
+            assert!(out.status.success(), "{cmd} --loss {loss}");
+        }
+    }
 }
 
 /// `fix_source` reaches a true fixpoint: running it on its own output
