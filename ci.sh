@@ -30,14 +30,19 @@ cargo test --workspace -q
 #  - core: a queued simulator event must stay 32 bytes whatever `Payload`
 #    is (an inline message grew sptree_centroid's heap 27.4 -> 44.0 MB);
 #  - eval: no engine may make a keyed probe on a signature it did not
-#    register (an unplanned evaluation order is a filtered scan per probe).
+#    register (an unplanned evaluation order is a filtered scan per probe);
+#  - core: a node's join looks its fragments up through `Relation::probe`,
+#    so prefix signatures are ranges of the fragment map (pinned hits /
+#    scans / full scans of a 5x5 logicH run; the old whole-fragment scan
+#    counted nothing and reads 0 / 0 / 0).
 # The boundary-resolve cap (tests/boundary_sites.rs) ran with the workspace
 # tests above.
-echo "== count gates (keyed registry walks, queued event size, unplanned probes) =="
+echo "== count gates (keyed registry walks, queued event size, unplanned probes, node probe ranges) =="
 for gate in \
     "sensorlog-netsim sim::tests::keyed_registry_walks_do_not_grow_with_traffic" \
     "sensorlog-core msg::tests::queued_event_stays_payload_independent" \
-    "sensorlog-eval planner::tests::engines_probe_only_planned_signatures"; do
+    "sensorlog-eval planner::tests::engines_probe_only_planned_signatures" \
+    "sensorlog-core deploy::tests::node_probes_are_ranges_of_the_fragment_map"; do
     read -r crate name <<<"$gate"
     out=$(cargo test -q -p "$crate" --lib -- --exact "$name" 2>&1) || { echo "$out"; exit 1; }
     grep -q "test result: ok. 1 passed" <<<"$out" || {
@@ -91,7 +96,8 @@ if [[ "$fast" -eq 0 ]]; then
         diag.logicH_5x5_h_pin diag.logicH_5x5_hp_pin diag.frontier_unbounded
         diag.frontier_looser_than_legacy diag.frontier_unsound diag.frontier_over_10x_live
         diag.mirror_legacy_frontier
-        scale.tx_50_nodes scale.tx_98_nodes"
+        scale.tx_50_nodes scale.tx_98_nodes
+        scale.logicJ_tx_50_nodes scale.logicJ_tx_98_nodes"
     bench_out=$(mktemp /tmp/bench.XXXXXX.json)
     cargo run -q --release -p sensorlog-bench --bin bench -- --quick $bench_cases --out "$bench_out"
     python3 - "$bench_out" $bench_gates <<'PY'

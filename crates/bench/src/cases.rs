@@ -726,48 +726,76 @@ fn diag(quick: bool, r: &mut Report) {
 
 // ---------------------------------------------------------------- scale
 
-/// The ROADMAP re-anchor recipe: `(grid, pinned tx)` at 50 / 98 / 200
-/// nodes; `--quick` runs the first two.
-const SCALE: [((u32, u32), u64); 3] =
-    [((10, 5), 17_166), ((14, 7), 105_373), ((20, 10), 1_839_501)];
+/// The ROADMAP re-anchor recipe's grids: 50 / 98 / 200 nodes; `--quick`
+/// runs the first two.
+const SCALE_GRIDS: [(u32, u32); 3] = [(10, 5), (14, 7), (20, 10)];
 
-/// How loss-free logicH under PA scales in node count (seed 17, links
-/// 200 ms apart, telemetry on): wall, tx, and the `core.join.probe` phase's
-/// calls, share of wall and cost per call, then the least-squares exponent
-/// of each in node count. Gates are the tx counts; timings are rows.
+/// `(label, source, gate prefix, pinned tx per grid)`: Example 3's tree
+/// program and the improved one of Secs. V/VI, so a change to the node
+/// probe is priced on two programs.
+const SCALE: [(&str, &str, &str, [u64; 3]); 2] = [
+    ("logicH", LOGIC_H, "", [17_166, 105_373, 1_839_501]),
+    ("logicJ", LOGIC_J, "logicJ_", [7_180, 24_107, 182_766]),
+];
+
+/// How the loss-free tree programs under PA scale in node count (seed 17,
+/// links 200 ms apart, telemetry on): wall, tx, and the `core.join.probe`
+/// phase's count, share of wall and cost per count — split into partials per
+/// count and cost per partial, so the table says which of the two carries
+/// the growth — with the share of fragment lookups served as a range, then
+/// the least-squares exponent of each in node count. (The phase is both
+/// spanned and `record_sim`ed, so its count ticks twice per call: per-call
+/// figures are twice the `per_probe` columns, at every size alike.) Gates
+/// are the tx counts; timings are rows.
 fn scale(quick: bool, r: &mut Report) {
-    let sizes = if quick { &SCALE[..2] } else { &SCALE[..] };
-    let mut points = Vec::new();
-    for &(grid, tx_pin) in sizes {
-        let nodes = u64::from(grid.0 * grid.1);
-        let mut d = sptree_deployment_observed(
-            LOGIC_H,
-            grid,
-            seed17(),
-            Provenance::disabled(),
-            Telemetry::enabled(),
-            200,
-        );
-        let (_, wall_s) = timed(|| d.run(2_000_000));
-        let tx = d.metrics().total_tx();
-        let snap = d.telemetry_snapshot();
-        let probe = snap.phase("core.join.probe").expect("PA run probes");
-        let probe_s = probe.wall_ns as f64 / 1e9;
-        let us_per_probe = probe_s * 1e6 / probe.count as f64;
-        r.gate(&format!("tx_{nodes}_nodes"), tx_pin, tx);
+    let sizes = if quick { 2 } else { SCALE_GRIDS.len() };
+    for (program, src, gate_prefix, tx_pins) in SCALE {
+        let mut points = Vec::new();
+        for (&grid, tx_pin) in SCALE_GRIDS.iter().zip(tx_pins).take(sizes) {
+            let nodes = u64::from(grid.0 * grid.1);
+            let mut d = sptree_deployment_observed(
+                src,
+                grid,
+                seed17(),
+                Provenance::disabled(),
+                Telemetry::enabled(),
+                200,
+            );
+            let (_, wall_s) = timed(|| d.run(2_000_000));
+            let tx = d.metrics().total_tx();
+            let snap = d.telemetry_snapshot();
+            let probe = snap.phase("core.join.probe").expect("PA run probes");
+            let probe_s = probe.wall_ns as f64 / 1e9;
+            let us_per_probe = probe_s * 1e6 / probe.count as f64;
+            let partials = snap
+                .merged_hist("probe.partials_in")
+                .expect("probes carry partials")
+                .sum as f64;
+            let ns_per_partial = probe.wall_ns as f64 / partials;
+            let lookups = |how| snap.counter("global", how) as f64;
+            let ranged = lookups("join.index.hits");
+            let walked = lookups("join.index.scans") + lookups("join.index.full_scans");
+            r.gate(&format!("{gate_prefix}tx_{nodes}_nodes"), tx_pin, tx);
+            r.row(row![
+                "program" => program, "nodes" => nodes, "wall_s" => wall_s, "tx" => tx,
+                "results" => d.results(d.prog.outputs[0]).len(), "probe_calls" => probe.count,
+                "probe_share" => probe_s / wall_s, "us_per_probe" => us_per_probe,
+                "partials_per_probe" => partials / probe.count as f64,
+                "ns_per_partial" => ns_per_partial,
+                "lookups" => (ranged + walked) as u64, "ranged_share" => ranged / (ranged + walked),
+            ]);
+            points.push((
+                nodes as f64,
+                [wall_s, tx as f64, us_per_probe, ns_per_partial],
+            ));
+        }
+        let exponent = |i: usize| {
+            let series: Vec<(f64, f64)> = points.iter().map(|(n, ys)| (*n, ys[i])).collect();
+            fit_exponent(&series)
+        };
         r.row(row![
-            "nodes" => nodes, "wall_s" => wall_s, "tx" => tx,
-            "results" => d.results(sym("h")).len(), "probe_calls" => probe.count,
-            "probe_share" => probe_s / wall_s, "us_per_probe" => us_per_probe,
+            "program" => program, "fit" => "exponent in node count", "wall_s" => exponent(0),
+            "tx" => exponent(1), "us_per_probe" => exponent(2), "ns_per_partial" => exponent(3),
         ]);
-        points.push((nodes as f64, [wall_s, tx as f64, us_per_probe]));
     }
-    let exponent = |i: usize| {
-        let series: Vec<(f64, f64)> = points.iter().map(|(n, ys)| (*n, ys[i])).collect();
-        fit_exponent(&series)
-    };
-    r.row(row![
-        "fit" => "exponent in node count", "wall_s" => exponent(0), "tx" => exponent(1),
-        "us_per_probe" => exponent(2),
-    ]);
 }

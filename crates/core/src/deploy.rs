@@ -411,6 +411,7 @@ impl Deployment {
         }
         rollup.bump(Scope::Global, "join.index.hits", idx.hits);
         rollup.bump(Scope::Global, "join.index.scans", idx.scans);
+        rollup.bump(Scope::Global, "join.index.full_scans", idx.full_scans);
         // Boxed-term resolves at the intern boundary (display, lineage,
         // aggregates, message encode). Hot-path resolves must stay zero —
         // gated by the `intern` bench smoke in CI, surfaced here for
@@ -593,6 +594,118 @@ mod tests {
         // The JSONL round-trip holds on real runtime output too.
         let text = crate::prov::to_jsonl(&recs);
         assert_eq!(crate::prov::from_jsonl(&text).unwrap(), recs);
+    }
+
+    /// `q(X) :- a(X), X >= 0, …, b(X).` with `lits` body literals: the two
+    /// positives sit at the first and the last bit of `Partial::bound`.
+    fn wide_rule(lits: usize) -> String {
+        let checks = "X >= 0, ".repeat(lits - 2);
+        format!(".output q.\nq(X) :- a(X), {checks}b(X).")
+    }
+
+    #[test]
+    fn a_64_literal_rule_compiles_and_converges() {
+        let topo = sensorlog_netsim::Topology::square_grid(3);
+        let mut d = Deployment::new(
+            &wide_rule(64),
+            BuiltinRegistry::standard(),
+            topo,
+            DeployConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(d.prog.analysis.program.rules[0].body.len(), 64);
+        let ev = |at, node, pred: &str, x| WorkloadEvent {
+            at,
+            node: NodeId(node),
+            pred: Symbol::intern(pred),
+            tuple: Tuple::new(vec![Term::Int(x)]),
+            kind: UpdateKind::Insert,
+        };
+        d.schedule_all([
+            ev(10, 0, "a", 1),
+            ev(20, 8, "b", 1),
+            ev(30, 4, "a", 2),
+            ev(40, 2, "b", 3),
+        ]);
+        d.run(60_000);
+        assert!(d.sim.is_quiescent());
+        let q = Symbol::intern("q");
+        assert_eq!(
+            d.results(q),
+            BTreeSet::from([Tuple::new(vec![Term::Int(1)])])
+        );
+        let report = crate::invariants::check_convergence(&d, &[q]);
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+    }
+
+    #[test]
+    fn a_65_literal_rule_is_rejected_where_the_mask_ends() {
+        let src = wide_rule(65);
+        let err = Deployment::new(
+            &src,
+            BuiltinRegistry::standard(),
+            sensorlog_netsim::Topology::square_grid(2),
+            DeployConfig::default(),
+        )
+        .err()
+        .expect("65 literals do not fit the mask");
+        let crate::plan::CompileError::BodyTooLong {
+            rule_id,
+            literals,
+            span,
+        } = &err
+        else {
+            panic!("unexpected error: {err}");
+        };
+        assert_eq!((*rule_id, *literals), (0, 65));
+        // The span is the 65th literal, `b(X)`.
+        assert_eq!(&src[span.start as usize..span.end as usize], "b(X)");
+        assert_eq!(
+            (span.line, span.col as usize),
+            (2, src.lines().nth(1).unwrap().len() - 4)
+        );
+        assert!(err.to_string().starts_with("rule #0 at 2:"), "{err}");
+    }
+
+    /// The count gate of "node probes are ranges": loss-free logicH under PA
+    /// on a 5×5 grid, seed 17. Every lookup a node's join makes goes through
+    /// `Relation::probe` and is counted by how it was served: `g` on `[0]`
+    /// (362) and `[0, 1]` (2,699) are ranges of the fragment map (`hits`);
+    /// `h` on `[1]` (1,224), `[1, 2]` (223) and `[2]` (108) and `g` on `[1]`
+    /// (297) are no prefix of the stored order and walk (`scans`); `h` with
+    /// nothing bound yet (354) is the whole fragment (`full_scans`). The
+    /// parent's `scan_into` touched no counter, so pointing `candidates`
+    /// back at it reads 0 / 0 / 0 here.
+    #[test]
+    fn node_probes_are_ranges_of_the_fragment_map() {
+        let src = r#"
+            .output h.
+            h(0, 0, 0).
+            h(0, X, 1) :- g(0, X).
+            hp(Y, D + 1) :- h(_, Y, D'), (D + 1) > D', h(_, X, D), g(X, Y).
+            h(X, Y, D + 1) :- g(X, Y), h(_, X, D), not hp(Y, D + 1).
+        "#;
+        let topo = sensorlog_netsim::Topology::square_grid(5);
+        let config = DeployConfig {
+            sim: SimConfig {
+                seed: 17,
+                ..SimConfig::default()
+            },
+            ..DeployConfig::default()
+        };
+        let mut d =
+            Deployment::new(src, BuiltinRegistry::standard(), topo.clone(), config).unwrap();
+        d.schedule_all(crate::workload::graph_edges(&topo, 100, 200));
+        d.run(2_000_000);
+        assert!(d.sim.is_quiescent());
+        let mut stats = sensorlog_eval::IndexStatsSnapshot::default();
+        for id in topo.nodes() {
+            stats.merge(d.node(id).index_stats());
+        }
+        assert_eq!(
+            (stats.hits, stats.scans, stats.full_scans),
+            (3_061, 1_852, 354)
+        );
     }
 
     #[test]

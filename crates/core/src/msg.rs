@@ -247,7 +247,8 @@ mod sizing_tests {
             }
             Partial {
                 bindings,
-                bound: vec![true, false],
+                bound: 0b01,
+                lits: 2,
                 inputs: vec![(0, id)],
             }
         };

@@ -13,33 +13,39 @@
 
 use crate::plan::DistProgram;
 use crate::tupleid::TupleId;
-use sensorlog_eval::eval_body::{bound_key, eval_check, ground_atom, Check};
+use sensorlog_eval::eval_body::{bound_key, eval_check, ground_atom, BoundKey, Check};
 use sensorlog_eval::relation::Database;
-use sensorlog_logic::ast::{Atom, Literal, Rule};
+use sensorlog_logic::ast::{Literal, Rule};
 use sensorlog_logic::flat::{flat_match_args, FlatSubst};
 use sensorlog_logic::intern;
 use sensorlog_logic::{Symbol, Tuple};
 use sensorlog_netsim::SimTime;
 
+/// Most body literals a distributed rule may have: the width of
+/// [`Partial::bound`]. `plan::compile` rejects wider rules.
+pub const MAX_BODY_LITERALS: usize = u64::BITS as usize;
+
 /// A partial result: bindings accumulated so far plus the derivation
-/// inputs. `bound` has one flag per body literal (true for the pinned
-/// occurrence and every joined positive subgoal; checks flip their flag
-/// when they evaluate).
+/// inputs. `bound` has one bit per body literal, bit `i` for literal `i`
+/// (set for the pinned occurrence and every joined positive subgoal; checks
+/// set theirs when they evaluate).
 #[derive(Clone, Debug)]
 pub struct Partial {
     pub bindings: FlatSubst,
-    pub bound: Vec<bool>,
+    pub bound: u64,
+    /// Body literals of the rule: the width of `bound` on the wire.
+    pub lits: u8,
     pub inputs: Vec<(u16, TupleId)>,
 }
 
 impl Partial {
+    pub fn is_bound(&self, lit: usize) -> bool {
+        self.bound & (1 << lit) != 0
+    }
+
     /// All positive subgoals joined and all checks passed?
     pub fn is_complete(&self, shape: &RuleShape) -> bool {
-        shape
-            .positives
-            .iter()
-            .chain(shape.checks.iter())
-            .all(|&i| self.bound[i])
+        self.bound & shape.complete == shape.complete
     }
 
     /// Approximate wire size.
@@ -49,7 +55,7 @@ impl Partial {
             .map(|(v, id)| v.as_str().len() + intern::entry(id).byte_size as usize)
             .sum::<usize>()
             + self.inputs.len() * 18
-            + self.bound.len() / 8
+            + self.lits as usize / 8
             + 4
     }
 }
@@ -63,20 +69,32 @@ pub struct RuleShape {
     pub negations: Vec<usize>,
     /// Indexes of comparisons and builtin predicates.
     pub checks: Vec<usize>,
+    /// [`Partial::bound`] of a complete result: every positive and check.
+    pub complete: u64,
 }
 
 impl RuleShape {
     pub fn of(rule: &Rule) -> RuleShape {
+        assert!(
+            rule.body.len() <= MAX_BODY_LITERALS,
+            "rule #{} was not compiled: {} body literals",
+            rule.id,
+            rule.body.len()
+        );
         let mut shape = RuleShape {
             positives: Vec::new(),
             negations: Vec::new(),
             checks: Vec::new(),
+            complete: 0,
         };
         for (i, lit) in rule.body.iter().enumerate() {
             match lit {
                 Literal::Pos(_) => shape.positives.push(i),
                 Literal::Neg(_) => shape.negations.push(i),
                 Literal::Cmp(..) | Literal::Builtin(_) => shape.checks.push(i),
+            }
+            if !matches!(lit, Literal::Neg(_)) {
+                shape.complete |= 1 << i;
             }
         }
         shape
@@ -104,16 +122,16 @@ pub fn seed_partial(
     if !flat_match_args(&prog.reg, &atom.args, tuple.ids(), &mut bindings) {
         return None;
     }
-    let mut p = Partial {
+    Some(Partial {
         bindings,
-        bound: vec![false; rule.body.len()],
-        inputs: Vec::new(),
-    };
-    p.bound[occ] = true;
-    if !negated {
-        p.inputs.push((occ as u16, id));
-    }
-    Some(p)
+        bound: 1 << occ,
+        lits: rule.body.len() as u8,
+        inputs: if negated {
+            Vec::new()
+        } else {
+            vec![(occ as u16, id)]
+        },
+    })
 }
 
 /// Local fragment lookup context at a node.
@@ -143,32 +161,59 @@ pub struct LocalCtx<'a> {
 }
 
 impl<'a> LocalCtx<'a> {
+    /// The sliding window of `pred`, if it has one.
+    fn window(&self, pred: Symbol) -> Option<u64> {
+        self.prog.windows.get(&pred).copied()
+    }
+
     /// Does this replica participate in the probe? Theorem 3 visibility
-    /// (window, tombstone) plus the timestamp-tie discipline.
+    /// (window, tombstone) plus the timestamp-tie discipline. The ground
+    /// negation kill's test; [`LocalCtx::candidates`] applies the same two
+    /// rules to the positive subgoals' matches.
     fn participates(&self, pred: Symbol, tuple: &Tuple) -> bool {
         let Some(m) = self.db.relation(pred).and_then(|r| r.meta(tuple)) else {
             return false;
         };
-        m.visible_at(self.tau, self.prog.windows.get(&pred).copied())
+        m.visible_at(self.tau, self.window(pred))
             && (m.gen_ts < self.tau
                 || (self.id_of)(pred, tuple).is_some_and(|id| id <= self.update_id))
     }
 
-    /// Local fragments that can extend a partial at `atom`: an id-filtered
-    /// scan on the columns `subst` already binds, then the participation
-    /// filter on what the scan returned.
-    fn candidates(&self, atom: &Atom, subst: &FlatSubst) -> Vec<Tuple> {
-        let Some(rel) = self.db.relation(atom.pred) else {
-            return Vec::new();
+    /// Visit, in canonical tuple order and with their ids, the local
+    /// fragments of `pred` that can extend a partial whose bindings give
+    /// `key`: a probe of the fragment store, each match tested for
+    /// participation from the metadata the probe hands over. A fragment
+    /// without an id means its id record raced an expiry: it is skipped
+    /// rather than joined.
+    fn candidates(&self, pred: Symbol, key: &BoundKey, mut visit: impl FnMut(&Tuple, TupleId)) {
+        let Some(rel) = self.db.relation(pred) else {
+            return;
         };
-        let (cols, key) = bound_key(&self.prog.reg, atom, subst);
-        let mut out = Vec::new();
-        rel.scan_into(&cols, &key, &mut out);
-        if !self.generous {
-            out.retain(|t| self.participates(atom.pred, t));
-        }
-        out
+        let window = self.window(pred);
+        rel.probe(key.cols(), key.ids(), |t, m| {
+            if !self.generous && !m.visible_at(self.tau, window) {
+                return;
+            }
+            let Some(id) = (self.id_of)(pred, t) else {
+                return;
+            };
+            if self.generous || m.gen_ts < self.tau || id <= self.update_id {
+                visit(t, id);
+            }
+        });
     }
+}
+
+/// What one pass over a rule's partials did at a node: the inside of
+/// `core.join.probe` as counts (`probe.*` histograms in the runtime).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ProbeWork {
+    /// Partials the probe arrived with.
+    pub partials_in: u64,
+    /// Participating local fragments offered to a partial.
+    pub candidates: u64,
+    /// Candidates that matched and became a new partial.
+    pub extensions: u64,
 }
 
 /// Process one rule's partial set at one node: evaluate newly-bound checks,
@@ -186,10 +231,12 @@ pub fn process_partials(
     partials: Vec<Partial>,
     pinned: Option<usize>,
     restrict: Option<usize>,
+    work: &mut ProbeWork,
 ) -> Vec<Partial> {
-    let mut out: Vec<Partial> = Vec::new();
+    work.partials_in += partials.len() as u64;
+    let mut out: Vec<Partial> = Vec::with_capacity(partials.len());
     for p in partials {
-        grow(ctx, rule, shape, p, pinned, restrict, 0, &mut out);
+        grow(ctx, rule, shape, p, pinned, restrict, 0, &mut out, work);
     }
     out
 }
@@ -204,6 +251,7 @@ fn grow(
     restrict: Option<usize>,
     min_lit: usize,
     out: &mut Vec<Partial>,
+    work: &mut ProbeWork,
 ) {
     let reg = &ctx.prog.reg;
     // 1. Evaluate any newly-evaluable checks; kill on failure or error. An
@@ -212,11 +260,11 @@ fn grow(
     loop {
         let before = p.bindings.len();
         for &i in &shape.checks {
-            if p.bound[i] {
+            if p.is_bound(i) {
                 continue;
             }
             match eval_check(reg, &rule.body[i], &mut p.bindings) {
-                Ok(Check::Holds) => p.bound[i] = true,
+                Ok(Check::Holds) => p.bound |= 1 << i,
                 Ok(Check::Unbound) => {} // not yet evaluable
                 Ok(Check::Fails) | Err(_) => return,
             }
@@ -241,33 +289,38 @@ fn grow(
         }
     }
 
-    out.push(p.clone());
+    // The partial survives as itself, ahead of its extensions; they are
+    // built from it where it now lives, so it is never copied. (`out` grows
+    // under the recursion: index, don't borrow.)
+    let at = out.len();
+    out.push(p);
 
     // 3. Extend with local fragments (ascending literal order within this
     // node avoids generating the same combination twice).
     for &i in &shape.positives {
-        if i < min_lit || p.bound[i] || restrict.is_some_and(|r| r != i) {
+        if i < min_lit || out[at].is_bound(i) || restrict.is_some_and(|r| r != i) {
             continue;
         }
         if let Literal::Pos(atom) = &rule.body[i] {
-            for t in ctx.candidates(atom, &p.bindings) {
-                let mut bindings = p.bindings.clone();
+            let key = bound_key(reg, atom, &out[at].bindings);
+            ctx.candidates(atom.pred, &key, |t, id| {
+                work.candidates += 1;
+                let base = &out[at];
+                let mut bindings = base.bindings.clone();
                 if flat_match_args(reg, &atom.args, t.ids(), &mut bindings) {
-                    // A visible fragment without an id means its id record
-                    // raced an expiry: skip the match rather than panic.
-                    let Some(id) = (ctx.id_of)(atom.pred, &t) else {
-                        continue;
-                    };
-                    let mut q = Partial {
+                    work.extensions += 1;
+                    let mut inputs = Vec::with_capacity(base.inputs.len() + 1);
+                    inputs.extend_from_slice(&base.inputs);
+                    inputs.push((i as u16, id));
+                    let q = Partial {
                         bindings,
-                        bound: p.bound.clone(),
-                        inputs: p.inputs.clone(),
+                        bound: base.bound | 1 << i,
+                        lits: base.lits,
+                        inputs,
                     };
-                    q.bound[i] = true;
-                    q.inputs.push((i as u16, id));
-                    grow(ctx, rule, shape, q, pinned, restrict, i + 1, out);
+                    grow(ctx, rule, shape, q, pinned, restrict, i + 1, out, work);
                 }
-            }
+            });
         }
     }
 }
@@ -349,12 +402,17 @@ mod tests {
             }
         };
         let c = ctx(&prog, &db, &ids, 10);
-        let out = process_partials(&c, rule, &shape, vec![seed.clone()], None, None);
+        let mut work = ProbeWork::default();
+        let out = process_partials(&c, rule, &shape, vec![seed.clone()], None, None, &mut work);
         // The original plus the completed extension.
         assert_eq!(out.len(), 2);
         let complete: Vec<_> = out.iter().filter(|p| p.is_complete(&shape)).collect();
         assert_eq!(complete.len(), 1);
         assert_eq!(complete[0].inputs.len(), 2);
+        assert_eq!(
+            (work.partials_in, work.candidates, work.extensions),
+            (1, 1, 1)
+        );
         let _ = ep;
     }
 
@@ -372,7 +430,8 @@ mod tests {
         db.relation_mut(fp).insert(ft.clone(), TupleMeta::at(3));
         let ids = move |p: Symbol, t: &Tuple| (p == fp && *t == ft).then(|| tid(4, 3));
         let c = ctx(&prog, &db, &ids, 10);
-        let out = process_partials(&c, rule, &shape, vec![seed], None, None);
+        let mut work = ProbeWork::default();
+        let out = process_partials(&c, rule, &shape, vec![seed], None, None, &mut work);
         assert_eq!(out.len(), 1);
         assert!(!out[0].is_complete(&shape));
     }
@@ -391,7 +450,8 @@ mod tests {
         db.relation_mut(bp).insert(bt, TupleMeta::at(2));
         let ids = move |p: Symbol, t: &Tuple| (p == fp && *t == ft).then(|| tid(4, 3));
         let c = ctx(&prog, &db, &ids, 10);
-        let out = process_partials(&c, rule, &shape, vec![seed], None, None);
+        let mut work = ProbeWork::default();
+        let out = process_partials(&c, rule, &shape, vec![seed], None, None, &mut work);
         // The completed extension (Z = 9) is killed by bad(9); only the
         // incomplete original survives.
         assert_eq!(out.len(), 1);
@@ -414,7 +474,8 @@ mod tests {
         let ids = move |p: Symbol, t: &Tuple| (p == fp && *t == ft).then(|| tid(4, 3));
         let completed = |tau| {
             let c = ctx(&prog, &db, &ids, tau);
-            process_partials(&c, rule, &shape, vec![seed.clone()], None, None)
+            let mut work = ProbeWork::default();
+            process_partials(&c, rule, &shape, vec![seed.clone()], None, None, &mut work)
                 .iter()
                 .filter(|p| p.is_complete(&shape))
                 .count()
@@ -438,7 +499,8 @@ mod tests {
         db.relation_mut(fp).insert(ft.clone(), TupleMeta::at(50));
         let ids = move |p: Symbol, t: &Tuple| (p == fp && *t == ft).then(|| tid(4, 50));
         let c = ctx(&prog, &db, &ids, 10);
-        let out = process_partials(&c, rule, &shape, vec![seed], None, None);
+        let mut work = ProbeWork::default();
+        let out = process_partials(&c, rule, &shape, vec![seed], None, None, &mut work);
         assert_eq!(out.len(), 1); // no extension
     }
 
@@ -449,7 +511,7 @@ mod tests {
         let (_, bt) = fact("bad(9)");
         let seed = seed_partial(&prog, rule, 3, true, &bt, tid(7, 8)).unwrap();
         assert!(seed.inputs.is_empty());
-        assert!(seed.bound[3]);
+        assert!(seed.is_bound(3));
         // Z is bound to 9 by the pin.
         assert_eq!(
             seed.bindings.get(Symbol::intern("Z")),
@@ -470,7 +532,8 @@ mod tests {
         let ids = move |p: Symbol, t: &Tuple| (p == fp && *t == ft).then(|| tid(4, 3));
         let c = ctx(&prog, &db, &ids, 10);
         // Restricting to literal 0 (already bound) blocks the f-extension.
-        let out = process_partials(&c, rule, &shape, vec![seed], None, Some(0));
+        let mut work = ProbeWork::default();
+        let out = process_partials(&c, rule, &shape, vec![seed], None, Some(0), &mut work);
         assert_eq!(out.len(), 1);
     }
 
@@ -495,9 +558,130 @@ mod tests {
         db.relation_mut(tp).insert(t2, TupleMeta::at(1));
         let ids = move |_p: Symbol, _t: &Tuple| Some(tid(9, 1));
         let c = ctx(&prog, &db, &ids, 10);
-        let out = process_partials(&c, rule, &shape, vec![seed], None, None);
+        let mut work = ProbeWork::default();
+        let out = process_partials(&c, rule, &shape, vec![seed], None, None, &mut work);
         // original + two completions
         assert_eq!(out.len(), 3);
         assert_eq!(out.iter().filter(|p| p.is_complete(&shape)).count(), 2);
+        assert_eq!(
+            (work.partials_in, work.candidates, work.extensions),
+            (1, 2, 2)
+        );
+    }
+
+    /// The parent's candidate definition, kept here as the reference: the
+    /// id-filtered scan of the whole fragment, then — unless `generous` — a
+    /// second descent per match for its metadata and the participation
+    /// test, then (what `grow` did) dropping matches without an id.
+    fn scan_then_participates(
+        c: &LocalCtx<'_>,
+        pred: Symbol,
+        key: &BoundKey,
+    ) -> Vec<(Tuple, TupleId)> {
+        let rel = c.db.relation(pred).unwrap();
+        let mut out = Vec::new();
+        rel.scan_into(key.cols(), key.ids(), &mut out);
+        if !c.generous {
+            out.retain(|t| {
+                let m = rel.meta(t).unwrap();
+                m.visible_at(c.tau, c.prog.windows.get(&pred).copied())
+                    && (m.gen_ts < c.tau || (c.id_of)(pred, t).is_some_and(|id| id <= c.update_id))
+            });
+        }
+        out.into_iter()
+            .filter_map(|t| Some(((c.id_of)(pred, &t)?, t)))
+            .map(|(id, t)| (t, id))
+            .collect()
+    }
+
+    /// Random fragment stores around a probe at `tau`: generations before
+    /// the window, inside it, at `tau` and after it; tombstones before, at
+    /// and after `tau`; ids missing, and same-instant ids on both sides of
+    /// (and equal to) the update's. On every signature of a binary atom —
+    /// unkeyed, the prefix `[0]`, the non-prefix `[1]`, and `[0, 1]` — the
+    /// candidate visit must be the parent's scan-then-filter, row for row,
+    /// strict and generous.
+    #[test]
+    fn candidate_visit_equals_scan_then_participates() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use sensorlog_logic::Term;
+        use std::collections::HashMap;
+
+        let prog = compile_source(
+            ".window f 30.\n.output q.\nq(X, Z) :- e(X, Y), f(Y, Z).",
+            BuiltinRegistry::standard(),
+            PlanTiming::default(),
+        )
+        .unwrap();
+        let atom = prog.analysis.program.rules[0].body[1].atom().unwrap();
+        let (f, tau) = (atom.pred, 100);
+        assert_eq!(prog.windows.get(&f), Some(&30));
+        let update_id = TupleId {
+            node: NodeId(3),
+            ts: tau,
+            seq: 1,
+        };
+        let mut rng = StdRng::seed_from_u64(0xF16);
+        let (mut visited, mut dropped) = (0, 0);
+        for _ in 0..400 {
+            let mut db = Database::new();
+            let mut ids: HashMap<Tuple, TupleId> = HashMap::new();
+            db.relation_mut(f); // an empty store is a case too
+            for _ in 0..rng.gen_range(0..14) {
+                let t = Tuple::new(vec![
+                    Term::Int(rng.gen_range(0..4)),
+                    Term::Int(rng.gen_range(0..4)),
+                ]);
+                let gen_ts = [40, 70, 71, 99, tau, tau, tau + 1][rng.gen_range(0..7)];
+                db.relation_mut(f).insert(t.clone(), TupleMeta::at(gen_ts));
+                if let Some(del) =
+                    [None, None, Some(tau - 1), Some(tau), Some(tau + 5)][rng.gen_range(0..5)]
+                {
+                    db.relation_mut(f).mark_deleted(&t, del);
+                }
+                if rng.gen_range(0..6) > 0 {
+                    let id = TupleId {
+                        node: NodeId(rng.gen_range(2..5)),
+                        ts: gen_ts,
+                        seq: rng.gen_range(0..3),
+                    };
+                    ids.insert(t, id);
+                }
+            }
+            let id_of = |_: Symbol, t: &Tuple| ids.get(t).copied();
+            for generous in [false, true] {
+                let c = LocalCtx {
+                    prog: &prog,
+                    db: &db,
+                    id_of: &id_of,
+                    tau,
+                    update_id,
+                    generous,
+                };
+                for bind in 0..4 {
+                    let mut subst = FlatSubst::new();
+                    for (bit, var) in [(1, "Y"), (2, "Z")] {
+                        if bind & bit != 0 {
+                            subst
+                                .bind(Symbol::intern(var), intern::intern_int(rng.gen_range(0..4)));
+                        }
+                    }
+                    let key = bound_key(&prog.reg, atom, &subst);
+                    let mut got = Vec::new();
+                    c.candidates(f, &key, |t, id| got.push((t.clone(), id)));
+                    let want = scan_then_participates(&c, f, &key);
+                    assert_eq!(got, want, "generous {generous} cols {:?}", key.cols());
+                    visited += got.len();
+                    let mut all = Vec::new();
+                    db.relation(f)
+                        .unwrap()
+                        .scan_into(key.cols(), key.ids(), &mut all);
+                    dropped += all.len() - got.len();
+                }
+            }
+        }
+        // The generator reaches both outcomes, many times over.
+        assert!(visited > 1_000 && dropped > 1_000, "{visited} / {dropped}");
     }
 }

@@ -10,9 +10,11 @@
 //! following the certified stage-local order, so retractions (`hp`) settle
 //! before the tuples they block (`h`) propagate.
 
+use crate::partial::MAX_BODY_LITERALS;
 use sensorlog_logic::analyze::Analysis;
 use sensorlog_logic::ast::Literal;
 use sensorlog_logic::builtin::BuiltinRegistry;
+use sensorlog_logic::span::Span;
 use sensorlog_logic::Symbol;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -34,6 +36,14 @@ pub enum CompileError {
     AggregatesUnsupported {
         rule_id: usize,
     },
+    /// A probe tracks which body literals a partial result has joined in
+    /// one `u64` (`partial::Partial::bound`). `span` is the first literal
+    /// past the limit.
+    BodyTooLong {
+        rule_id: usize,
+        literals: usize,
+        span: Span,
+    },
     Analyze(String),
 }
 
@@ -43,6 +53,14 @@ impl fmt::Display for CompileError {
             CompileError::AggregatesUnsupported { rule_id } => write!(
                 f,
                 "rule #{rule_id}: aggregates are evaluated via the TAG substrate, not the GPA runtime"
+            ),
+            CompileError::BodyTooLong {
+                rule_id,
+                literals,
+                span,
+            } => write!(
+                f,
+                "rule #{rule_id} at {span}: {literals} body literals; the GPA runtime joins at most {MAX_BODY_LITERALS} per rule"
             ),
             CompileError::Analyze(e) => write!(f, "{e}"),
         }
@@ -100,6 +118,13 @@ pub fn compile(
     for r in &prog.rules {
         if r.agg.is_some() {
             return Err(CompileError::AggregatesUnsupported { rule_id: r.id });
+        }
+        if r.body.len() > MAX_BODY_LITERALS {
+            return Err(CompileError::BodyTooLong {
+                rule_id: r.id,
+                literals: r.body.len(),
+                span: r.spans.lit(MAX_BODY_LITERALS),
+            });
         }
     }
 

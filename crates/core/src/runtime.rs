@@ -10,7 +10,7 @@
 
 use crate::durable::DurableStore;
 use crate::msg::{Payload, ProbeMsg, RuleWork};
-use crate::partial::{process_partials, seed_partial, LocalCtx, Partial, RuleShape};
+use crate::partial::{process_partials, seed_partial, LocalCtx, Partial, ProbeWork, RuleShape};
 use crate::plan::DistProgram;
 use crate::prov::{ProvRecord, Provenance};
 use crate::strategy::{PassMode, Strategy};
@@ -22,7 +22,7 @@ use sensorlog_logic::intern::{IdHashMap, IdHashSet};
 use sensorlog_logic::{Symbol, Tuple};
 use sensorlog_netsim::{App, Ctx, MsgMeta, NodeId, SimTime, Topology, TopologyKind};
 use sensorlog_netstack::ght;
-use sensorlog_telemetry::{Histogram, Scope, Telemetry, SIM_MS_BUCKETS};
+use sensorlog_telemetry::{HistId, Histogram, Scope, Telemetry, SIM_MS_BUCKETS};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
@@ -309,6 +309,12 @@ pub struct NodeStats {
     pub center_apply_errors: u64,
 }
 
+/// The inside of one `core.join.probe` call, by the update's predicate:
+/// partials the probe arrived with, participating local fragments offered to
+/// them, and the new partials that came of it ([`ProbeWork`]).
+const PROBE_HISTS: [&str; 3] = ["probe.partials_in", "probe.candidates", "probe.extensions"];
+const PROBE_COUNT_BUCKETS: &[u64] = &[1, 4, 16, 64, 256, 1_024, 4_096, 16_384];
+
 enum TimerAction {
     StartJoin(FactRecord),
     Holddown(Symbol, Tuple),
@@ -382,6 +388,10 @@ pub struct SensorlogNode {
     /// Telemetry handle shared across the deployment (disabled by default;
     /// a pure observer — it never touches timers, messages, or the RNG).
     tele: Telemetry,
+    /// Ids of the [`PROBE_HISTS`] histograms per update predicate, resolved
+    /// by the first probe of that predicate (telemetry on only; a program's
+    /// few predicates are searched linearly).
+    probe_hists: Vec<(Symbol, [Option<HistId>; 3])>,
     /// Always-on per-hop result-lag histogram feeding the adaptive holddown
     /// default. Deliberately NOT behind the telemetry handle: its samples
     /// are pure simulated-time values (deterministic for a fixed seed), and
@@ -470,6 +480,7 @@ impl SensorlogNode {
             owned_derivations: 0,
             output_log: Vec::new(),
             tele,
+            probe_hists: Vec::new(),
             hop_lag: Histogram::new(SIM_MS_BUCKETS),
             prov: Provenance::disabled(),
             durable: None,
@@ -934,6 +945,7 @@ impl SensorlogNode {
             .bump(Scope::Pred(probe.update.pred.as_str()), "probes_processed");
 
         let mut emissions: Vec<(Symbol, Tuple, DerivationKey, i8)> = Vec::new();
+        let mut work = ProbeWork::default();
         {
             let frag_ids = &self.frag_ids;
             let id_of = move |p: Symbol, t: &Tuple| frag_ids.get(&(p, t.clone())).copied();
@@ -974,7 +986,8 @@ impl SensorlogNode {
                     None
                 };
                 let incoming = std::mem::take(&mut workitem.partials);
-                let processed = process_partials(&lctx, rule, shape, incoming, pinned, restrict);
+                let processed =
+                    process_partials(&lctx, rule, shape, incoming, pinned, restrict, &mut work);
                 let needs_full_walk = shape.has_negation_other_than(pinned);
                 let sign = match (sign_base, workitem.negated) {
                     (UpdateKind::Insert, false) | (UpdateKind::Delete, true) => 1i8,
@@ -986,9 +999,9 @@ impl SensorlogNode {
                         if needs_full_walk && !end_of_walk {
                             keep.push(p); // keep checking negations
                         } else {
-                            let key = DerivationKey::new(rule.id, p.inputs.clone());
                             // A head whose evaluation fails is dropped.
                             if let Ok(tuple) = instantiate_head(rule, &p.bindings, &self.prog.reg) {
+                                let key = DerivationKey::new(rule.id, p.inputs);
                                 emissions.push((rule.head.pred, tuple, key, sign));
                             }
                         }
@@ -997,6 +1010,21 @@ impl SensorlogNode {
                     }
                 }
                 workitem.partials = keep;
+            }
+        }
+        if self.tele.is_enabled() {
+            let pred = probe.update.pred;
+            let known = self.probe_hists.iter().position(|(p, _)| *p == pred);
+            let at = known.unwrap_or_else(|| {
+                self.probe_hists.push((pred, [None; 3]));
+                self.probe_hists.len() - 1
+            });
+            let counts = [work.partials_in, work.candidates, work.extensions];
+            let ids = self.probe_hists[at].1.iter_mut();
+            for ((id, name), v) in ids.zip(PROBE_HISTS).zip(counts) {
+                let scope = Scope::Pred(pred.as_str());
+                self.tele
+                    .observe_cached(id, scope, name, PROBE_COUNT_BUCKETS, v);
             }
         }
 

@@ -33,26 +33,65 @@ pub struct TupleFilter {
     pub literal_indexes: Vec<usize>,
 }
 
+/// A probe key: the columns of an atom that are ground under a
+/// substitution, ascending, with their ids. Held on the stack for atoms of
+/// arity ≤ [`Tuple::INLINE`] — one is built per candidate lookup in every
+/// engine and in the in-network join.
+pub struct BoundKey {
+    len: usize,
+    cols: [usize; Tuple::INLINE],
+    ids: [ConstId; Tuple::INLINE],
+    /// The whole key of an atom wider than [`Tuple::INLINE`] (`len` stays 0).
+    spill: (Vec<usize>, Vec<ConstId>),
+}
+
+impl BoundKey {
+    /// The bound columns, ascending.
+    pub fn cols(&self) -> &[usize] {
+        if self.spill.0.is_empty() {
+            &self.cols[..self.len]
+        } else {
+            &self.spill.0
+        }
+    }
+
+    /// The id at each bound column, parallel to [`BoundKey::cols`].
+    pub fn ids(&self) -> &[ConstId] {
+        if self.spill.1.is_empty() {
+            &self.ids[..self.len]
+        } else {
+            &self.spill.1
+        }
+    }
+}
+
 /// Columns of `atom` that are ground under `subst`, with their id key.
 /// Interpreted functions are evaluated so `D + 1` keys on the stored
 /// integer; a column whose evaluation errors is left unkeyed (the match
 /// step rejects it).
-pub fn bound_key(
-    reg: &BuiltinRegistry,
-    atom: &Atom,
-    subst: &FlatSubst,
-) -> (Vec<usize>, Vec<ConstId>) {
-    let mut cols = Vec::new();
-    let mut key = Vec::new();
+pub fn bound_key(reg: &BuiltinRegistry, atom: &Atom, subst: &FlatSubst) -> BoundKey {
+    let mut key = BoundKey {
+        len: 0,
+        cols: [0; Tuple::INLINE],
+        ids: [0; Tuple::INLINE],
+        spill: (Vec::new(), Vec::new()),
+    };
+    let wide = atom.args.len() > Tuple::INLINE;
     for (i, a) in atom.args.iter().enumerate() {
         if flat_is_ground(a, subst) {
             if let Ok(v) = flat_eval(reg, a, subst) {
-                cols.push(i);
-                key.push(v);
+                if wide {
+                    key.spill.0.push(i);
+                    key.spill.1.push(v);
+                } else {
+                    key.cols[key.len] = i;
+                    key.ids[key.len] = v;
+                    key.len += 1;
+                }
             }
         }
     }
-    (cols, key)
+    key
 }
 
 /// Outcome of [`eval_check`].
@@ -277,13 +316,9 @@ impl<'a> BodyEval<'a> {
             Some(r) => r,
             None => return Vec::new(),
         };
-        let (cols, key) = bound_key(self.reg, atom, subst);
+        let key = bound_key(self.reg, atom, subst);
         let mut raw = Vec::new();
-        if cols.is_empty() {
-            rel.full_scan(&mut raw);
-        } else {
-            rel.select(&cols, &key, &mut raw);
-        }
+        rel.select(key.cols(), key.ids(), &mut raw);
         if let Some(f) = self.filter {
             if f.pred == atom.pred && f.literal_indexes.contains(&lit_idx) {
                 raw.retain(|t| *t != f.tuple);
@@ -406,6 +441,26 @@ mod tests {
         // The pattern arg `X + 1` must be evaluated before index lookup.
         let out = solutions_of("q(X) :- p(X), r(X + 1).", &["p(1)", "p(5)", "r(2)"]);
         assert_eq!(out, vec![tup("1")]);
+    }
+
+    #[test]
+    fn wide_atom_keys_past_the_inline_columns() {
+        // Nine columns: the key of `w` lives in `BoundKey`'s spill.
+        let out = solutions_of(
+            "q(A) :- r(K), w(A, 1, 2, 3, 4, 5, 6, 7, K).",
+            &[
+                "r(8)",
+                "w(10, 1, 2, 3, 4, 5, 6, 7, 8)",
+                "w(11, 1, 2, 3, 4, 5, 6, 7, 9)",
+                "w(12, 1, 2, 3, 4, 5, 6, 0, 8)",
+            ],
+        );
+        assert_eq!(out, vec![tup("10")]);
+        let reg = BuiltinRegistry::standard();
+        let rule = parse_rule("q(A) :- w(A, 1, 2, 3, 4, 5, 6, 7, K).").unwrap();
+        let key = bound_key(&reg, rule.body[0].atom().unwrap(), &FlatSubst::new());
+        assert_eq!(key.cols(), [1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(key.ids().len(), 7);
     }
 
     #[test]

@@ -79,6 +79,14 @@ fn permuted(spec: &[usize], t: &Tuple) -> Option<Tuple> {
     Some(Tuple::from_slice(&buf[..ids.len()]))
 }
 
+/// Whether `t` has every column of `cols` and its ids there equal `key`.
+fn matches_at(t: &Tuple, cols: &[usize], key: &[ConstId]) -> bool {
+    let ids = t.ids();
+    cols.iter()
+        .zip(key)
+        .all(|(&c, &k)| ids.get(c).is_some_and(|&id| id == k))
+}
+
 /// Probe counters for `join.index.*` telemetry. Relaxed atomics: probes
 /// take `&self`, and the counts are only read for snapshots.
 #[derive(Debug, Default)]
@@ -87,7 +95,7 @@ pub struct IndexStats {
     pub hits: AtomicU64,
     /// Probes served by a filtered scan (unregistered non-prefix signature).
     pub scans: AtomicU64,
-    /// Body literals evaluated with no bound column ([`Relation::full_scan`]):
+    /// Probes with no bound column (a body literal nothing keys yet):
     /// the whole relation is enumerated. An evaluator that does this per
     /// stage or per delta costs relation size, not frontier size.
     pub full_scans: AtomicU64,
@@ -264,68 +272,93 @@ impl Relation {
         Some(self.secondary_of(cols)?.values().cloned().collect())
     }
 
-    /// Tuples whose argument values at `cols` equal the interned `key`, in
-    /// canonical tuple order. `cols` must be sorted and non-empty.
+    /// The one lookup: visit every tuple whose ids at `cols` equal `key`
+    /// (every tuple when `cols` is empty) in canonical tuple order, with its
+    /// metadata where the map that served the lookup holds it. `cols` must
+    /// be sorted.
     ///
     /// A prefix signature (`[0]`, `[0, 1]`, …) is the range of the primary
     /// map that starts with `key`; a registered non-prefix signature is the
     /// same range of its secondary map, whose keys start with the `cols`
-    /// columns in order; anything else is a filtered scan, counted in
-    /// [`IndexStats::scans`]. O(log n + matches) unless it scans.
-    pub fn select(&self, cols: &[usize], key: &[ConstId], out: &mut Vec<Tuple>) {
-        debug_assert!(!cols.is_empty() && cols.len() == key.len());
+    /// columns in order (and which holds no metadata); any other keyed
+    /// signature is a filtered walk, counted in [`IndexStats::scans`], and
+    /// an unkeyed one is the whole map, counted in
+    /// [`IndexStats::full_scans`]. O(log n + matches) unless it walks.
+    fn lookup<'a>(
+        &'a self,
+        cols: &[usize],
+        key: &[ConstId],
+        mut visit: impl FnMut(&'a Tuple, Option<&'a TupleMeta>),
+    ) {
+        debug_assert!(cols.len() == key.len());
+        if cols.is_empty() {
+            self.stats.full_scans.fetch_add(1, Ordering::Relaxed);
+            self.tuples.iter().for_each(|(t, m)| visit(t, Some(m)));
+            return;
+        }
         // A shorter tuple sorts before its extensions, so `key` itself is
         // the lower bound of everything that starts with it.
         let lo = Tuple::from_slice(key);
         let starts_with_key = |k: &Tuple| k.ids().starts_with(key);
         if is_prefix(cols) {
             self.stats.hits.fetch_add(1, Ordering::Relaxed);
-            out.extend(
-                self.tuples
-                    .range(&lo..)
-                    .take_while(|(t, _)| starts_with_key(t))
-                    .map(|(t, _)| t.clone()),
-            );
+            self.tuples
+                .range(&lo..)
+                .take_while(|(t, _)| starts_with_key(t))
+                .for_each(|(t, m)| visit(t, Some(m)));
         } else if let Some(map) = self.secondary_of(cols) {
             self.stats.hits.fetch_add(1, Ordering::Relaxed);
-            out.extend(
-                map.range(&lo..)
-                    .take_while(|(k, _)| starts_with_key(k))
-                    .map(|(_, t)| t.clone()),
-            );
+            map.range(&lo..)
+                .take_while(|(k, _)| starts_with_key(k))
+                .for_each(|(_, t)| visit(t, None));
         } else {
             self.stats.scans.fetch_add(1, Ordering::Relaxed);
-            self.scan_into(cols, key, out);
+            self.tuples
+                .iter()
+                .filter(|(t, _)| matches_at(t, cols, key))
+                .for_each(|(t, m)| visit(t, Some(m)));
         }
     }
 
-    /// The id-filtered scan: tuples whose ids at `cols` equal `key` (all of
-    /// them when `cols` is empty), in canonical tuple order, touching no
-    /// index or stats. [`Relation::select`] falls back to it, and the
-    /// distributed runtime probes its small per-node fragment stores with
-    /// it directly — a secondary map per node costs more heap than it saves.
-    pub fn scan_into(&self, cols: &[usize], key: &[ConstId], out: &mut Vec<Tuple>) {
+    /// Visit what matches `key` at `cols` ([`Relation::lookup`]: a range
+    /// where the signature allows one), tuple and metadata, borrowing both
+    /// from the store. The distributed runtime's node join
+    /// (`core::partial`) reads its fragment stores through this; metadata
+    /// costs a second descent only under a secondary map, which no node
+    /// store registers.
+    pub fn probe<'a>(
+        &'a self,
+        cols: &[usize],
+        key: &[ConstId],
+        mut visit: impl FnMut(&'a Tuple, &'a TupleMeta),
+    ) {
+        self.lookup(cols, key, |t, m| {
+            visit(t, m.unwrap_or_else(|| &self.tuples[t]))
+        });
+    }
+
+    /// The tuples matching `key` at `cols` ([`Relation::lookup`]), cloned
+    /// into `out`: the engines' candidate lookup.
+    pub fn select(&self, cols: &[usize], key: &[ConstId], out: &mut Vec<Tuple>) {
         if cols.is_empty() {
-            // Exact size hint: the whole relation lands in one allocation.
-            out.extend(self.tuples.keys().cloned());
-            return;
+            // The whole relation lands in one allocation.
+            out.reserve(self.tuples.len());
         }
+        self.lookup(cols, key, |t, _| out.push(t.clone()));
+    }
+
+    /// What a probe means, written as the id-filtered scan of every tuple:
+    /// those whose ids at `cols` equal `key` (all of them when `cols` is
+    /// empty), in canonical tuple order, touching no index or stats. The
+    /// reference the probe tests compare against, and the `micro` bench
+    /// case's baseline.
+    pub fn scan_into(&self, cols: &[usize], key: &[ConstId], out: &mut Vec<Tuple>) {
         out.extend(
             self.tuples
                 .keys()
-                .filter(|t| {
-                    cols.iter().all(|&c| c < t.arity())
-                        && cols.iter().zip(key.iter()).all(|(&c, &k)| t.id(c) == k)
-                })
+                .filter(|t| matches_at(t, cols, key))
                 .cloned(),
         );
-    }
-
-    /// Every tuple, in canonical order: a body literal evaluated with no
-    /// bound column. Counted in [`IndexStats::full_scans`].
-    pub fn full_scan(&self, out: &mut Vec<Tuple>) {
-        self.stats.full_scans.fetch_add(1, Ordering::Relaxed);
-        self.scan_into(&[], &[], out);
     }
 
     /// Drop expired tuples: `gen_ts + window ≤ now`. Returns the expired
@@ -569,55 +602,104 @@ mod tests {
         );
     }
 
-    /// Every key present at `cols` (plus one absent) probes to exactly the
-    /// filtered scan, row for row, without scanning.
-    fn assert_probes_equal_scans(r: &Relation, cols: &[usize]) {
+    /// A store whose every tuple has its own metadata: generation `i` for
+    /// the `i`-th row, every third one tombstoned.
+    fn store(rows: impl IntoIterator<Item = Tuple>) -> Relation {
+        let mut r = Relation::new();
+        for (i, t) in rows.into_iter().enumerate() {
+            r.insert(t.clone(), TupleMeta::at(i as u64));
+            if i % 3 == 0 {
+                r.mark_deleted(&t, 1_000 + i as u64);
+            }
+        }
+        r
+    }
+
+    /// On every key present at `cols` (plus one absent), the borrowing
+    /// probe, `select` and the filtered scan agree row for row — tuple and
+    /// metadata — and the lookups were ranges (`hits`) or walks (`scans`)
+    /// as `ranged` says.
+    fn assert_probes_equal_scans(r: &Relation, cols: &[usize], ranged: bool) {
         let mut keys: BTreeSet<Vec<ConstId>> = r
             .tuples()
             .filter(|t| cols.iter().all(|&c| c < t.arity()))
             .map(|t| cols.iter().map(|&c| t.id(c)).collect())
             .collect();
         keys.insert(cols.iter().map(|_| id(-77)).collect());
-        for key in keys {
-            let (mut probed, mut scanned) = (Vec::new(), Vec::new());
-            r.select(cols, &key, &mut probed);
-            r.scan_into(cols, &key, &mut scanned);
-            assert_eq!(probed, scanned, "cols {cols:?} key {key:?}");
+        let before = r.index_stats();
+        for key in &keys {
+            let (mut probed, mut selected, mut scanned) = (Vec::new(), Vec::new(), Vec::new());
+            r.probe(cols, key, |t, m| probed.push((t.clone(), *m)));
+            r.select(cols, key, &mut selected);
+            r.scan_into(cols, key, &mut scanned);
+            assert_eq!(selected, scanned, "cols {cols:?} key {key:?}");
+            let with_meta: Vec<(Tuple, TupleMeta)> = scanned
+                .into_iter()
+                .map(|t| {
+                    let m = *r.meta(&t).unwrap();
+                    (t, m)
+                })
+                .collect();
+            assert_eq!(probed, with_meta, "cols {cols:?} key {key:?}");
         }
-        assert_eq!(r.index_stats().scans, 0);
+        let (after, lookups) = (r.index_stats(), 2 * keys.len() as u64);
+        let (hits, scans) = (after.hits - before.hits, after.scans - before.scans);
+        let want = if ranged { (lookups, 0) } else { (0, lookups) };
+        assert_eq!((hits, scans), want, "cols {cols:?}");
     }
 
     #[test]
     fn non_prefix_probe_on_mixed_arities_equals_scan() {
-        let mut r = Relation::new();
+        let mut r = store(
+            [
+                vec![1],
+                vec![2],
+                vec![1, 5],
+                vec![2, 5],
+                vec![2, 6],
+                vec![1, 5, 9],
+                vec![3, 5, 0],
+                vec![0, 6, 5],
+            ]
+            .map(tup),
+        );
+        assert_probes_equal_scans(&r, &[1], false);
         r.register_index(&[1]);
-        for v in [
-            vec![1],
-            vec![2],
-            vec![1, 5],
-            vec![2, 5],
-            vec![2, 6],
-            vec![1, 5, 9],
-            vec![3, 5, 0],
-            vec![0, 6, 5],
-        ] {
-            r.insert(tup(v), TupleMeta::default());
-        }
-        assert_probes_equal_scans(&r, &[1]);
+        assert_probes_equal_scans(&r, &[1], true);
+        assert_probes_equal_scans(&r, &[0], true);
+        assert_probes_equal_scans(&r, &[0, 1], true);
+        assert_probes_equal_scans(&r, &[2], false);
+        assert_probes_equal_scans(&r, &[1, 2], false);
 
-        let mut r = Relation::new();
+        let mut r = store(
+            [
+                vec![1, 2, 3],
+                vec![1, 9, 3],
+                vec![1, 2, 3, 4],
+                vec![1, 0, 3, 0],
+                vec![2, 2, 3],
+                vec![1, 3, 2, 3],
+            ]
+            .map(tup),
+        );
         r.register_index(&[0, 2]);
-        for v in [
-            vec![1, 2, 3],
-            vec![1, 9, 3],
-            vec![1, 2, 3, 4],
-            vec![1, 0, 3, 0],
-            vec![2, 2, 3],
-            vec![1, 3, 2, 3],
-        ] {
-            r.insert(tup(v), TupleMeta::default());
-        }
-        assert_probes_equal_scans(&r, &[0, 2]);
+        assert_probes_equal_scans(&r, &[0, 2], true);
+        assert_probes_equal_scans(&r, &[0, 3], false);
+    }
+
+    #[test]
+    fn unkeyed_probe_is_the_whole_store_and_counts_as_a_full_scan() {
+        let r = store([vec![2, 1], vec![1], vec![1, 7, 7], vec![0, 3]].map(tup));
+        let (mut probed, mut selected, mut scanned) = (Vec::new(), Vec::new(), Vec::new());
+        r.probe(&[], &[], |t, m| probed.push((t.clone(), *m)));
+        r.select(&[], &[], &mut selected);
+        r.scan_into(&[], &[], &mut scanned);
+        assert_eq!(selected, scanned);
+        let stored: Vec<(Tuple, TupleMeta)> = r.iter().map(|(t, m)| (t.clone(), *m)).collect();
+        assert_eq!(probed, stored);
+        assert_eq!(scanned.len(), 4);
+        let s = r.index_stats();
+        assert_eq!((s.hits, s.scans, s.full_scans), (0, 0, 2));
     }
 
     #[test]
@@ -719,18 +801,20 @@ mod tests {
             Term::str("a"),
             Term::app("loc", vec![Term::Int(1), Term::Int(4096)]),
         ];
-        let mut r = Relation::new();
-        r.register_index(&[1]);
+        let mut rows = Vec::new();
         for (i, a) in vals.iter().enumerate() {
             for b in &vals[i % 3..] {
-                r.insert(Tuple::new(vec![a.clone(), b.clone()]), TupleMeta::default());
+                rows.push(Tuple::new(vec![a.clone(), b.clone()]));
             }
-            r.insert(Tuple::new(vec![a.clone()]), TupleMeta::default());
+            rows.push(Tuple::new(vec![a.clone()]));
         }
+        let mut r = store(rows);
         let sorted: Vec<&Tuple> = r.tuples().collect();
         assert!(sorted.windows(2).all(|w| w[0].terms() < w[1].terms()));
-        assert_probes_equal_scans(&r, &[0]);
-        assert_probes_equal_scans(&r, &[1]);
-        assert_probes_equal_scans(&r, &[0, 1]);
+        assert_probes_equal_scans(&r, &[1], false);
+        r.register_index(&[1]);
+        assert_probes_equal_scans(&r, &[0], true);
+        assert_probes_equal_scans(&r, &[1], true);
+        assert_probes_equal_scans(&r, &[0, 1], true);
     }
 }

@@ -78,25 +78,42 @@ proptest! {
         }
     }
 
+    /// The borrowing probe, `select` and the filtered scan agree row for
+    /// row — tuple and metadata — under interleaved inserts, removes and
+    /// tombstones, on a prefix signature, a registered non-prefix one and an
+    /// unregistered one.
     #[test]
     fn probe_results_match_scan(ops in vec(op(), 0..60), key in 0i64..6) {
         let mut r = Relation::new();
         r.register_index(&[1]);
-        for &(ins, a, b, c) in &ops {
+        for (i, &(ins, a, b, c)) in ops.iter().enumerate() {
             if ins {
-                r.insert(tup(a, b, c), TupleMeta::default());
-            } else {
+                r.insert(tup(a, b, c), TupleMeta::at(i as u64));
+            } else if c % 2 == 0 {
                 r.remove(&tup(a, b, c));
+            } else {
+                r.mark_deleted(&tup(a, b, c), i as u64);
             }
         }
-        let mut probed = Vec::new();
-        r.select(&[1], &[id(key)], &mut probed);
-        let scanned: Vec<Tuple> = r
-            .tuples()
-            .filter(|t| t.id(1) == id(key))
-            .cloned()
-            .collect();
-        prop_assert_eq!(probed, scanned, "indexed probe must equal filtered scan");
+        for col in 0..3 {
+            let (mut probed, mut selected, mut scanned) = (Vec::new(), Vec::new(), Vec::new());
+            r.probe(&[col], &[id(key)], |t, m| probed.push((t.clone(), *m)));
+            r.select(&[col], &[id(key)], &mut selected);
+            r.scan_into(&[col], &[id(key)], &mut scanned);
+            let filtered: Vec<(Tuple, TupleMeta)> = r
+                .iter()
+                .filter(|(t, _)| t.id(col) == id(key))
+                .map(|(t, m)| (t.clone(), *m))
+                .collect();
+            prop_assert_eq!(&selected, &scanned, "select must equal the filtered scan");
+            prop_assert_eq!(
+                filtered.iter().map(|(t, _)| t.clone()).collect::<Vec<_>>(),
+                scanned
+            );
+            prop_assert_eq!(probed, filtered, "the probe hands over each row's own metadata");
+        }
+        let s = r.index_stats();
+        prop_assert_eq!((s.hits, s.scans), (4, 2), "[0] and [1] are ranges, [2] walks");
     }
 
     /// Mixed value sorts (ints, strings, compound terms) and mixed arities
