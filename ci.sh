@@ -84,6 +84,7 @@ if [[ "$fast" -eq 0 ]]; then
     echo "== bench --quick (all cases; gate set pinned) =="
     bench_cases="smoke micro sched shard chaos prov intern diag scale"
     bench_gates="smoke.snapshot_schema_is_golden smoke.snapshot_plausible
+        micro.inc_ledger_keys_equal_live_tuples
         shard.wheel_journal_pin shard.shard1_journal_equals_wheel
         shard.shard2_journal_equals_wheel shard.shard4_journal_equals_wheel
         shard.shard8_journal_equals_wheel

@@ -19,7 +19,7 @@ use sensorlog_core::runtime::{FaultPlaneCfg, RtConfig};
 use sensorlog_core::workload::UniformStreams;
 use sensorlog_core::Strategy;
 use sensorlog_eval::relation::{Relation, TupleMeta};
-use sensorlog_eval::{Database, Engine};
+use sensorlog_eval::{Database, Engine, IncrementalEngine, Update};
 use sensorlog_logic::absint::frontier;
 use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::diag::{memory_bounds, BoundParams};
@@ -137,7 +137,8 @@ fn ns_per_call<T>(iters: u32, mut f: impl FnMut() -> T) -> f64 {
 
 /// The inner loops no `BENCHMARK.json` per-layer metric covers: a prefix
 /// probe as a range of the relation's ordered map against the filtered
-/// scan, nested-term matching, and one TAG epoch.
+/// scan, nested-term matching, one TAG epoch, and the set-of-derivations
+/// engine's cost per update with what its ledger holds afterwards.
 fn micro(quick: bool, r: &mut Report) {
     let (sizes, probes): (&[usize], u32) = if quick {
         (&[1_000], 20_000)
@@ -187,6 +188,49 @@ fn micro(quick: bool, r: &mut Report) {
         run_epoch(&topo, &tree, &readings, SimConfig::default()).1
     });
     r.row(row!["loop" => "tag_epoch_8x8", "ns_per_call" => ns]);
+
+    // The repo benchmark's `engine_incr` stream: every node of a grid emits
+    // one reading per second on both streams of the join, 30 % of them
+    // deleted 6 s later. The ledger must forget what was retracted: the
+    // join derives each tuple once, so its keys are the live tuples.
+    let (m, groups) = if quick { (6, 72) } else { (12, 288) };
+    let updates: Vec<Update> = UniformStreams {
+        preds: vec![sym("r1"), sym("r2")],
+        interval: 1_000,
+        duration: 16_000,
+        delete_fraction: 0.3,
+        delete_lag: 6_000,
+        groups,
+        seed: 17,
+    }
+    .events(&Topology::square_grid(m))
+    .into_iter()
+    .map(|e| Update {
+        pred: e.pred,
+        tuple: e.tuple,
+        kind: e.kind,
+        ts: e.at,
+    })
+    .collect();
+    let n = updates.len();
+    let mut engine =
+        IncrementalEngine::from_source(JOIN2, BuiltinRegistry::standard()).expect("join compiles");
+    let ((), secs) = timed(|| {
+        for u in updates {
+            engine.apply(u).expect("join update applies");
+        }
+    });
+    let derivations = engine.derivation_count();
+    r.row(row![
+        "loop" => "inc_apply", "updates" => n, "derivations" => derivations,
+        "inc_apply_us_per_update" => secs * 1e6 / n as f64,
+        "inc_ledger_bytes_per_derivation" => engine.ledger_bytes() / derivations.max(1),
+    ]);
+    r.gate(
+        "inc_ledger_keys_equal_live_tuples",
+        engine.db.len_of(sym("q")),
+        engine.ledger_keys(),
+    );
 }
 
 // ---------------------------------------------------------------- sched

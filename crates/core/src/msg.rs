@@ -203,6 +203,16 @@ mod tests {
         );
     }
 
+    /// Every node of a deployment carries one `SensorlogNode` inline, so
+    /// its size is multiplied by the grid (1,800 on the largest benchmark
+    /// workload). State only some nodes have goes behind a pointer: the
+    /// Centroid centre's engine, inline, was half of a 1,632 B node.
+    #[test]
+    fn node_carries_no_inline_engine() {
+        let bytes = std::mem::size_of::<crate::SensorlogNode>();
+        assert!(bytes <= 824, "a node grew to {bytes} B");
+    }
+
     #[test]
     fn kinds_and_sizes() {
         let store = Payload::StoreWalk {

@@ -358,8 +358,9 @@ pub struct SensorlogNode {
     timers: IdHashMap<u64, TimerAction>,
     next_tag: u64,
     seq: u32,
-    /// Centroid baseline: the central server's engine (center node only).
-    pub center_engine: Option<IncrementalEngine>,
+    /// Centroid baseline: the central server's engine (center node only —
+    /// boxed, so the other nodes carry a pointer, not an empty engine).
+    pub center_engine: Option<Box<IncrementalEngine>>,
     /// Provenance-plane bindings at a Centroid center: ground atom →
     /// tuple id (fed EDB facts keep their source id; derived heads get a
     /// center-minted id). Empty unless this node is the center and the
@@ -435,7 +436,7 @@ impl SensorlogNode {
             let mut engine = IncrementalEngine::new(prog.analysis.clone(), prog.reg.clone())
                 .expect("centroid engine");
             engine.profiler = tele.profiler();
-            Some(engine)
+            Some(Box::new(engine))
         } else {
             None
         };

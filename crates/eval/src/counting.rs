@@ -9,16 +9,16 @@
 //! set-of-derivations approach. This engine exists for the Fig. 11 ablation.
 
 use crate::error::EvalError;
-use crate::eval_body::{ground_facts, instantiate_head, BodyEval, TupleFilter};
+use crate::eval_body::{ground_facts, instantiate_head};
+use crate::planner::DeltaPlans;
 use crate::relation::{Database, TupleMeta};
 use sensorlog_logic::analyze::{Analysis, ProgramClass};
-use sensorlog_logic::ast::Literal;
 use sensorlog_logic::builtin::BuiltinRegistry;
-use sensorlog_logic::flat::FlatSubst;
 use sensorlog_logic::{Symbol, Tuple};
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 
-use crate::incremental::{Update, UpdateKind};
+use crate::incremental::{cascade, Update, UpdateKind};
 
 /// Counting engine: tuple → signed derivation count.
 pub struct CountingEngine {
@@ -26,7 +26,7 @@ pub struct CountingEngine {
     pub reg: BuiltinRegistry,
     pub db: Database,
     counts: HashMap<(Symbol, Tuple), i64>,
-    occurrences: HashMap<Symbol, Vec<(usize, usize, bool)>>,
+    plans: DeltaPlans,
     pub body_evals: u64,
     pub max_cascade: usize,
 }
@@ -39,29 +39,19 @@ impl CountingEngine {
                 "counting maintenance supports non-recursive programs only".into(),
             ));
         }
-        let mut occurrences: HashMap<Symbol, Vec<(usize, usize, bool)>> = HashMap::new();
-        for (ri, r) in analysis.program.rules.iter().enumerate() {
-            if r.agg.is_some() {
-                return Err(EvalError::Internal(
-                    "counting maintenance does not support aggregates".into(),
-                ));
-            }
-            for (li, lit) in r.body.iter().enumerate() {
-                match lit {
-                    Literal::Pos(a) => occurrences.entry(a.pred).or_default().push((ri, li, false)),
-                    Literal::Neg(a) => occurrences.entry(a.pred).or_default().push((ri, li, true)),
-                    _ => {}
-                }
-            }
+        if analysis.program.rules.iter().any(|r| r.agg.is_some()) {
+            return Err(EvalError::Internal(
+                "counting maintenance does not support aggregates".into(),
+            ));
         }
         let mut db = Database::new();
-        crate::planner::register_program_indexes(&mut db, &analysis);
+        let plans = DeltaPlans::compile(&analysis, &mut db);
         let mut engine = CountingEngine {
             analysis,
             reg,
             db,
             counts: HashMap::new(),
-            occurrences,
+            plans,
             body_evals: 0,
             max_cascade: 1_000_000,
         };
@@ -88,26 +78,10 @@ impl CountingEngine {
     }
 
     pub fn apply(&mut self, update: Update) -> Result<Vec<Update>, EvalError> {
-        let mut queue = VecDeque::from([update]);
-        let mut emitted = Vec::new();
-        let mut steps = 0usize;
-        while let Some(u) = queue.pop_front() {
-            steps += 1;
-            if steps > self.max_cascade {
-                return Err(EvalError::LimitExceeded {
-                    what: "update cascade",
-                    limit: self.max_cascade,
-                });
-            }
-            for d in self.process_one(&u)? {
-                emitted.push(d.clone());
-                queue.push_back(d);
-            }
-        }
-        Ok(emitted)
+        cascade(update, self.max_cascade, |u, out| self.process_one(u, out))
     }
 
-    fn process_one(&mut self, u: &Update) -> Result<Vec<Update>, EvalError> {
+    fn process_one(&mut self, u: &Update, out: &mut Vec<Update>) -> Result<(), EvalError> {
         match u.kind {
             UpdateKind::Insert => {
                 if !self
@@ -115,70 +89,52 @@ impl CountingEngine {
                     .relation_mut(u.pred)
                     .insert(u.tuple.clone(), TupleMeta::at(u.ts))
                 {
-                    return Ok(Vec::new());
+                    return Ok(());
                 }
             }
             UpdateKind::Delete => {
                 if !self.db.contains(u.pred, &u.tuple) {
-                    return Ok(Vec::new());
+                    return Ok(());
                 }
             }
         }
-        let occs = self.occurrences.get(&u.pred).cloned().unwrap_or_default();
         let mut deltas: Vec<(Symbol, Tuple, i64)> = Vec::new();
-        for (ri, li, negated) in occs {
-            let rule = &self.analysis.program.rules[ri];
-            let mut excluded = Vec::new();
-            for (rj, lj, _) in self.occurrences.get(&u.pred).into_iter().flatten() {
-                if *rj == ri
-                    && match u.kind {
-                        UpdateKind::Insert => *lj > li,
-                        UpdateKind::Delete => *lj < li,
-                    }
-                {
-                    excluded.push(*lj);
-                }
-            }
-            let filter = TupleFilter {
-                pred: u.pred,
-                tuple: u.tuple.clone(),
-                literal_indexes: excluded,
-            };
-            let ev = BodyEval {
-                db: &self.db,
-                reg: &self.reg,
-                filter: Some(&filter),
-            };
-            self.body_evals += 1;
-            let sols = ev.solutions(&rule.body, FlatSubst::new(), Some((li, &u.tuple)))?;
-            let sign = match (u.kind, negated) {
-                (UpdateKind::Insert, false) | (UpdateKind::Delete, true) => 1,
-                (UpdateKind::Insert, true) | (UpdateKind::Delete, false) => -1,
-            };
-            for sol in &sols {
-                let head = instantiate_head(rule, &sol.subst, &self.reg)?;
-                deltas.push((rule.head.pred, head, sign));
-            }
-        }
+        let rules = &self.analysis.program.rules;
+        let reg = &self.reg;
+        self.body_evals += self.plans.for_each_delta(
+            rules,
+            &self.db,
+            reg,
+            (u.kind, u.pred, &u.tuple),
+            None,
+            |ri, sign, subst, _| {
+                let head = instantiate_head(&rules[ri], &subst, reg)?;
+                deltas.push((rules[ri].head.pred, head, sign));
+                Ok(())
+            },
+        )?;
         if u.kind == UpdateKind::Delete {
             self.db.remove(u.pred, &u.tuple);
         }
-        let mut out = Vec::new();
         for (pred, tuple, sign) in deltas {
-            let c = self.counts.entry((pred, tuple.clone())).or_insert(0);
-            let was = *c > 0;
-            *c += sign;
-            let now = *c > 0;
-            if *c == 0 {
-                self.counts.remove(&(pred, tuple.clone()));
-            }
+            let mut entry = match self.counts.entry((pred, tuple)) {
+                Entry::Occupied(e) => e,
+                Entry::Vacant(e) => e.insert_entry(0),
+            };
+            let was = *entry.get() > 0;
+            *entry.get_mut() += sign;
+            let now = *entry.get() > 0;
+            let tuple = &entry.key().1;
             if !was && now {
-                out.push(Update::insert(pred, tuple, u.ts));
+                out.push(Update::insert(pred, tuple.clone(), u.ts));
             } else if was && !now {
-                out.push(Update::delete(pred, tuple, u.ts));
+                out.push(Update::delete(pred, tuple.clone(), u.ts));
+            }
+            if *entry.get() == 0 {
+                entry.remove();
             }
         }
-        Ok(out)
+        Ok(())
     }
 }
 

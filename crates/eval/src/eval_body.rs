@@ -10,6 +10,14 @@
 //!   the "old state for occurrences after the updated one" staircase that
 //!   makes self-join deltas exact.
 //!
+//! The walk is streaming: candidates are visited where the relation stores
+//! them and each solution is handed to a sink as it completes
+//! ([`BodyEval::for_each`], which takes its literal order as an argument —
+//! the maintenance engines pass one compiled with the program, see
+//! `planner::DeltaPlans`). [`BodyEval::solutions`] is a collector over that
+//! same walk, for the callers that need every solution at once: the batch
+//! engine, aggregates, lineage.
+//!
 //! The per-literal steps — [`bound_key`], [`eval_check`], [`ground_atom`],
 //! and `logic::flat::flat_match_args` for positive atoms — are the one
 //! body-literal kernel: the in-network join (`core::partial`) and the
@@ -26,11 +34,17 @@ use sensorlog_logic::intern::{self, ConstId};
 use sensorlog_logic::{Symbol, Term, Tuple};
 
 /// Excludes `tuple` from matching `pred` at the given body literal indexes.
-#[derive(Clone, Debug)]
-pub struct TupleFilter {
+#[derive(Clone, Copy, Debug)]
+pub struct TupleFilter<'a> {
     pub pred: Symbol,
-    pub tuple: Tuple,
-    pub literal_indexes: Vec<usize>,
+    pub tuple: &'a Tuple,
+    pub literal_indexes: &'a [usize],
+}
+
+impl TupleFilter<'_> {
+    fn excludes_at(&self, pred: Symbol, lit_idx: usize) -> bool {
+        self.pred == pred && self.literal_indexes.contains(&lit_idx)
+    }
 }
 
 /// A probe key: the columns of an atom that are ground under a
@@ -168,7 +182,7 @@ pub fn ground_atom(
     Ok(ground_args(reg, atom, subst)?.map(Tuple::from_ids))
 }
 
-/// The program's ground empty-body rules (`h(0, 0, 0).`) as `(rule id,
+/// The program's ground empty-body rules (`h(0, 0, 0).`) as `(rule index,
 /// predicate, tuple)`. They hold before any update is applied and no update
 /// ever pins them, so every maintenance engine asserts them when it is
 /// built. Aggregate rules and heads that keep a variable are not facts.
@@ -177,10 +191,10 @@ pub fn ground_facts(
     reg: &BuiltinRegistry,
 ) -> Result<Vec<(usize, Symbol, Tuple)>, EvalError> {
     let mut facts = Vec::new();
-    for r in &program.rules {
+    for (i, r) in program.rules.iter().enumerate() {
         if r.body.is_empty() && r.agg.is_none() {
             if let Some(t) = ground_atom(reg, &r.head, &FlatSubst::new())? {
-                facts.push((r.id, r.head.pred, t));
+                facts.push((i, r.head.pred, t));
             }
         }
     }
@@ -198,11 +212,27 @@ pub struct Solution {
     pub inputs: Vec<(usize, Symbol, Tuple)>,
 }
 
+/// The positive subgoal matches of one solution as the walk hands them to
+/// its sink: `(literal index, tuple)` ascending by literal index — body
+/// order, whichever literal was pinned — borrowed from the store or the pin.
+pub type Inputs<'s, 'a> = &'s [(usize, &'a Tuple)];
+
+/// [`Inputs`] as [`Solution::inputs`] owns them.
+pub fn owned_inputs(body: &[Literal], inputs: Inputs) -> Vec<(usize, Symbol, Tuple)> {
+    inputs
+        .iter()
+        .map(|&(i, t)| {
+            let pred = body[i].atom().expect("inputs are relational literals").pred;
+            (i, pred, t.clone())
+        })
+        .collect()
+}
+
 /// Body evaluator over a database snapshot.
 pub struct BodyEval<'a> {
     pub db: &'a Database,
     pub reg: &'a BuiltinRegistry,
-    pub filter: Option<&'a TupleFilter>,
+    pub filter: Option<TupleFilter<'a>>,
 }
 
 impl<'a> BodyEval<'a> {
@@ -215,91 +245,112 @@ impl<'a> BodyEval<'a> {
     }
 
     /// All solutions of `body`, optionally pinning literal `pinned.0` to
-    /// tuple `pinned.1` (works for positive *and* negated literals — a
-    /// pinned negated literal is matched positively and skipped as a check,
-    /// which is exactly the `T_s1` construction of Sec. IV-B). Literals run
-    /// in [`order_literals`] order, planned from the variables `seed`
-    /// binds: a seeded rule opens at a literal the seed keys.
+    /// tuple `pinned.1`: [`BodyEval::for_each`] collected, with the literals
+    /// in [`order_literals`] order planned from the variables `seed` binds —
+    /// a seeded rule opens at a literal the seed keys.
     pub fn solutions(
         &self,
         body: &[Literal],
         seed: FlatSubst,
-        pinned: Option<(usize, &Tuple)>,
+        pinned: Option<(usize, &'a Tuple)>,
     ) -> Result<Vec<Solution>, EvalError> {
         let bound: Vec<Symbol> = seed.iter().map(|(v, _)| v).collect();
         let order = order_literals(body, pinned.map(|(i, _)| i), &bound);
         let mut out = Vec::new();
-        let mut inputs = Vec::new();
-        self.walk(body, &order, 0, seed, pinned, &mut inputs, &mut out)?;
+        self.for_each(body, &order, seed, pinned, &mut |subst, inputs| {
+            out.push(Solution {
+                subst,
+                inputs: owned_inputs(body, inputs),
+            });
+            Ok(())
+        })?;
         Ok(out)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Hand every solution of `body`, its literals evaluated in `order`, to
+    /// `sink` as it completes. `pinned` fixes literal `pinned.0` to tuple
+    /// `pinned.1` (works for positive *and* negated literals — a pinned
+    /// negated literal is matched positively and skipped as a check, which
+    /// is exactly the `T_s1` construction of Sec. IV-B); `order` must have
+    /// been planned for that pin and for the variables `seed` binds.
+    pub fn for_each(
+        &self,
+        body: &[Literal],
+        order: &[usize],
+        seed: FlatSubst,
+        pinned: Option<(usize, &'a Tuple)>,
+        sink: &mut impl FnMut(FlatSubst, Inputs<'_, 'a>) -> Result<(), EvalError>,
+    ) -> Result<(), EvalError> {
+        self.walk(body, order, seed, pinned, &mut Vec::new(), sink)
+    }
+
+    /// One step of the walk: `order[0]` under `subst`, then the rest.
     fn walk(
         &self,
         body: &[Literal],
         order: &[usize],
-        step: usize,
         subst: FlatSubst,
-        pinned: Option<(usize, &Tuple)>,
-        inputs: &mut Vec<(usize, Symbol, Tuple)>,
-        out: &mut Vec<Solution>,
+        pinned: Option<(usize, &'a Tuple)>,
+        inputs: &mut Vec<(usize, &'a Tuple)>,
+        sink: &mut impl FnMut(FlatSubst, Inputs<'_, 'a>) -> Result<(), EvalError>,
     ) -> Result<(), EvalError> {
-        if step == order.len() {
-            // Canonical input order (by literal index): derivations must
-            // compare equal regardless of which literal was pinned.
-            let mut inputs = inputs.clone();
-            inputs.sort_by_key(|(i, _, _)| *i);
-            out.push(Solution { subst, inputs });
-            return Ok(());
-        }
-        let idx = order[step];
+        let Some((&idx, rest)) = order.split_first() else {
+            return sink(subst, inputs);
+        };
         let lit = &body[idx];
+        let pin = pinned.and_then(|(pi, pt)| (pi == idx).then_some(pt));
         match lit {
             Literal::Pos(atom) => {
-                if let Some((pi, pt)) = pinned {
-                    if pi == idx {
-                        let mut s = subst;
-                        if flat_match_args(self.reg, &atom.args, pt.ids(), &mut s) {
-                            inputs.push((idx, atom.pred, pt.clone()));
-                            self.walk(body, order, step + 1, s, pinned, inputs, out)?;
-                            inputs.pop();
-                        }
+                // Inputs stay sorted by literal index, so derivations
+                // compare equal regardless of which literal was pinned.
+                let at = inputs.partition_point(|&(i, _)| i < idx);
+                let mut extend = |t: &'a Tuple, mut s: FlatSubst| {
+                    if !flat_match_args(self.reg, &atom.args, t.ids(), &mut s) {
                         return Ok(());
                     }
+                    inputs.insert(at, (idx, t));
+                    let walked = self.walk(body, rest, s, pinned, inputs, sink);
+                    inputs.remove(at);
+                    walked
+                };
+                if let Some(pt) = pin {
+                    return extend(pt, subst);
                 }
-                let candidates = self.candidates(atom, &subst, idx);
-                for t in candidates {
-                    let mut s = subst.clone();
-                    if flat_match_args(self.reg, &atom.args, t.ids(), &mut s) {
-                        inputs.push((idx, atom.pred, t.clone()));
-                        self.walk(body, order, step + 1, s, pinned, inputs, out)?;
-                        inputs.pop();
+                let Some(rel) = self.db.relation(atom.pred) else {
+                    return Ok(());
+                };
+                let excluded = self
+                    .filter
+                    .filter(|f| f.excludes_at(atom.pred, idx))
+                    .map(|f| f.tuple);
+                let key = bound_key(self.reg, atom, &subst);
+                // The visit cannot stop the lookup: after an error the
+                // remaining candidates are skipped.
+                let mut walked = Ok(());
+                rel.lookup(key.cols(), key.ids(), |t, _| {
+                    if walked.is_ok() && excluded != Some(t) {
+                        walked = extend(t, subst.clone());
                     }
-                }
-                Ok(())
+                });
+                walked
             }
             Literal::Neg(atom) => {
-                if let Some((pi, pt)) = pinned {
-                    if pi == idx {
-                        // Pinned negated literal: match positively, skip the
-                        // negation check for this occurrence (Sec. IV-B).
-                        let mut s = subst;
-                        if flat_match_args(self.reg, &atom.args, pt.ids(), &mut s) {
-                            self.walk(body, order, step + 1, s, pinned, inputs, out)?;
-                        }
-                        return Ok(());
-                    }
-                }
-                if self.neg_holds(atom, &subst, idx)? {
-                    self.walk(body, order, step + 1, subst, pinned, inputs, out)?;
+                let mut s = subst;
+                let holds = match pin {
+                    // Pinned negated literal: match positively, skip the
+                    // negation check for this occurrence (Sec. IV-B).
+                    Some(pt) => flat_match_args(self.reg, &atom.args, pt.ids(), &mut s),
+                    None => self.neg_holds(atom, &s, idx)?,
+                };
+                if holds {
+                    self.walk(body, rest, s, pinned, inputs, sink)?;
                 }
                 Ok(())
             }
             Literal::Cmp(..) | Literal::Builtin(_) => {
                 let mut s = subst;
                 match eval_check(self.reg, lit, &mut s)? {
-                    Check::Holds => self.walk(body, order, step + 1, s, pinned, inputs, out),
+                    Check::Holds => self.walk(body, rest, s, pinned, inputs, sink),
                     Check::Fails => Ok(()),
                     Check::Unbound => Err(EvalError::Internal(format!(
                         "`{lit}` reached with unbound variables"
@@ -307,24 +358,6 @@ impl<'a> BodyEval<'a> {
                 }
             }
         }
-    }
-
-    /// Candidate tuples for a positive atom, honoring the filter, using the
-    /// relation index on the currently-ground positions.
-    fn candidates(&self, atom: &Atom, subst: &FlatSubst, lit_idx: usize) -> Vec<Tuple> {
-        let rel = match self.db.relation(atom.pred) {
-            Some(r) => r,
-            None => return Vec::new(),
-        };
-        let key = bound_key(self.reg, atom, subst);
-        let mut raw = Vec::new();
-        rel.select(key.cols(), key.ids(), &mut raw);
-        if let Some(f) = self.filter {
-            if f.pred == atom.pred && f.literal_indexes.contains(&lit_idx) {
-                raw.retain(|t| *t != f.tuple);
-            }
-        }
-        raw
     }
 
     /// `true` when no stored tuple matches the (fully ground) negated atom.
@@ -335,7 +368,7 @@ impl<'a> BodyEval<'a> {
             )));
         };
         if let Some(f) = self.filter {
-            if f.pred == atom.pred && f.literal_indexes.contains(&lit_idx) && t == f.tuple {
+            if f.excludes_at(atom.pred, lit_idx) && t == *f.tuple {
                 return Ok(true); // excluded from the check
             }
         }
@@ -505,15 +538,16 @@ mod tests {
         let rule = parse_rule("q(X, Z) :- e(X, Y), e(Y, Z).").unwrap();
         let db = db_with(&["e(1, 1)"]);
         let reg = BuiltinRegistry::standard();
+        let pin = tup("1, 1");
         let filter = TupleFilter {
             pred: Symbol::intern("e"),
-            tuple: tup("1, 1"),
-            literal_indexes: vec![1],
+            tuple: &pin,
+            literal_indexes: &[1],
         };
         let ev = BodyEval {
             db: &db,
             reg: &reg,
-            filter: Some(&filter),
+            filter: Some(filter),
         };
         // e(1,1) join e(1,1) exists, but occurrence 1 excludes the tuple.
         let sols = ev.solutions(&rule.body, FlatSubst::new(), None).unwrap();
@@ -521,22 +555,18 @@ mod tests {
         // A pin overrides the filter at its own occurrence: pinning
         // occurrence 1 to the filtered tuple still yields the solution
         // via occurrence 0 (where the filter does not apply).
-        let pin = tup("1, 1");
         let sols = ev
             .solutions(&rule.body, FlatSubst::new(), Some((1, &pin)))
             .unwrap();
         assert_eq!(sols.len(), 1);
         // Filtering occurrence 0 instead kills it: the delta staircase
         // (old state before the updated occurrence).
-        let filter0 = TupleFilter {
-            pred: Symbol::intern("e"),
-            tuple: tup("1, 1"),
-            literal_indexes: vec![0],
-        };
         let ev0 = BodyEval {
-            db: &db,
-            reg: &reg,
-            filter: Some(&filter0),
+            filter: Some(TupleFilter {
+                literal_indexes: &[0],
+                ..filter
+            }),
+            ..ev
         };
         let sols = ev0
             .solutions(&rule.body, FlatSubst::new(), Some((1, &pin)))

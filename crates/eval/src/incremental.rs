@@ -24,20 +24,22 @@
 
 use crate::aggregate::aggregate_rule;
 use crate::error::EvalError;
-use crate::eval_body::{ground_facts, instantiate_head, BodyEval, TupleFilter};
+use crate::eval_body::{ground_facts, instantiate_head, owned_inputs, BodyEval};
 use crate::lineage::LineageLog;
+use crate::planner::DeltaPlans;
 use crate::relation::{Database, TupleMeta};
 use crate::seminaive::effective_windows;
 use sensorlog_logic::analyze::Analysis;
-use sensorlog_logic::ast::{Literal, Rule};
+use sensorlog_logic::ast::Rule;
 use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::flat::FlatSubst;
 use sensorlog_logic::intern;
 use sensorlog_logic::unify::{match_term, Subst};
 use sensorlog_logic::{Symbol, Term, Tuple};
 use sensorlog_telemetry::Profiler;
+use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
 /// Insert or delete.
@@ -87,13 +89,98 @@ impl fmt::Display for Update {
     }
 }
 
-/// One derivation of a derived tuple: the rule used plus the positive
-/// subgoal matches, keyed by literal position (Definition 2 extended with
-/// the rule ID, as the paper specifies).
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+/// Run `step` on `update` and then on every update the steps append to
+/// their output, in that order — a cascade is FIFO over what it emits, so
+/// the queue is a cursor into the result. At most `max_steps` steps.
+pub(crate) fn cascade(
+    update: Update,
+    max_steps: usize,
+    mut step: impl FnMut(&Update, &mut Vec<Update>) -> Result<(), EvalError>,
+) -> Result<Vec<Update>, EvalError> {
+    let mut emitted: Vec<Update> = Vec::new();
+    let mut produced: Vec<Update> = Vec::new();
+    step(&update, &mut produced)?;
+    emitted.append(&mut produced);
+    let mut next = 0;
+    while let Some(u) = emitted.get(next) {
+        next += 1;
+        if next >= max_steps {
+            return Err(EvalError::LimitExceeded {
+                what: "update cascade",
+                limit: max_steps,
+            });
+        }
+        step(u, &mut produced)?;
+        emitted.append(&mut produced);
+    }
+    Ok(emitted)
+}
+
+/// One derivation of a derived tuple (Definition 2 extended with the rule
+/// ID, as the paper specifies): the rule used plus the tuple each of its
+/// positive subgoals matched, in body order. Which literal and predicate an
+/// input belongs to is read off the rule.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Derivation {
-    pub rule_id: usize,
-    pub inputs: Vec<(usize, Symbol, Tuple)>,
+    /// Index of the rule in the program (its [`Rule::id`] as parsed).
+    pub rule_id: u32,
+    pub inputs: Box<[Tuple]>,
+}
+
+/// The ledger's order: any total order does, so ids compare as integers
+/// rather than by the values they intern.
+impl Ord for Derivation {
+    fn cmp(&self, other: &Derivation) -> Ordering {
+        (self.rule_id.cmp(&other.rule_id)).then_with(|| {
+            self.inputs
+                .iter()
+                .map(Tuple::ids)
+                .cmp(other.inputs.iter().map(Tuple::ids))
+        })
+    }
+}
+
+impl PartialOrd for Derivation {
+    fn partial_cmp(&self, other: &Derivation) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// The ledger entry of one derived tuple: its derivations with their signed
+/// counts. Stored counts are never zero and a `Support` in the ledger is
+/// never empty — but a negative count (a derivation blocked before its
+/// positive part appeared, or blocked more than once) must stay until later
+/// blocker deletions balance it, however long the tuple is dead.
+#[derive(Default)]
+struct Support {
+    /// Entries with a positive count; the tuple is live iff there is one.
+    live: u32,
+    /// Sorted by derivation.
+    entries: Vec<(Derivation, i64)>,
+}
+
+impl Support {
+    /// Add `sign` to the count of `d` and return what it was before.
+    fn add(&mut self, d: Derivation, sign: i64) -> i64 {
+        let before = match self.entries.binary_search_by(|(e, _)| e.cmp(&d)) {
+            Ok(i) => {
+                let count = &mut self.entries[i].1;
+                let before = *count;
+                *count += sign;
+                if *count == 0 {
+                    self.entries.remove(i);
+                }
+                before
+            }
+            Err(i) => {
+                self.entries.insert(i, (d, sign));
+                0
+            }
+        };
+        self.live -= u32::from(before > 0);
+        self.live += u32::from(before + sign > 0);
+        before
+    }
 }
 
 /// Counters exposed for the experiments (state size = the paper's "space
@@ -112,14 +199,13 @@ pub struct IncrementalEngine {
     pub reg: BuiltinRegistry,
     pub db: Database,
     windows: BTreeMap<Symbol, u64>,
-    derivs: HashMap<(Symbol, Tuple), HashMap<Derivation, i64>>,
+    derivs: HashMap<(Symbol, Tuple), Support>,
     /// Entries across all of `derivs`, kept in step with it so the
     /// per-update peak needs no walk ([`Self::derivation_count`] audits it).
     deriv_entries: usize,
     /// Current head tuple per (agg rule id, group key).
     agg_groups: HashMap<(usize, Vec<Term>), Tuple>,
-    /// rule index: pred → [(rule index in program, literal idx, negated)]
-    occurrences: HashMap<Symbol, Vec<(usize, usize, bool)>>,
+    plans: DeltaPlans,
     /// Derived predicates (for stale-update suppression).
     idb: BTreeSet<Symbol>,
     /// Predicates defined by aggregate rules (liveness via `agg_groups`).
@@ -161,20 +247,10 @@ impl IncrementalEngine {
             )));
         }
 
-        let mut occurrences: HashMap<Symbol, Vec<(usize, usize, bool)>> = HashMap::new();
-        for (ri, r) in analysis.program.rules.iter().enumerate() {
-            for (li, lit) in r.body.iter().enumerate() {
-                match lit {
-                    Literal::Pos(a) => occurrences.entry(a.pred).or_default().push((ri, li, false)),
-                    Literal::Neg(a) => occurrences.entry(a.pred).or_default().push((ri, li, true)),
-                    _ => {}
-                }
-            }
-        }
         let windows = effective_windows(&analysis);
         let idb = analysis.program.idb_preds();
         let mut db = Database::new();
-        crate::planner::register_program_indexes(&mut db, &analysis);
+        let plans = DeltaPlans::compile(&analysis, &mut db);
         // `recompute_agg_group` evaluates an aggregate rule seeded with its
         // group key.
         crate::planner::register_head_seeded_indexes(
@@ -189,7 +265,7 @@ impl IncrementalEngine {
             derivs: HashMap::new(),
             deriv_entries: 0,
             agg_groups: HashMap::new(),
-            occurrences,
+            plans,
             idb,
             agg_heads,
             stats: IncStats::default(),
@@ -207,16 +283,14 @@ impl IncrementalEngine {
     /// derivation with no inputs and its insertion cascaded here. A caller
     /// that later feeds the same fact as an update hits the duplicate path.
     fn assert_ground_facts(&mut self) -> Result<(), EvalError> {
-        for (rule_id, pred, tuple) in ground_facts(&self.analysis.program, &self.reg)? {
+        for (rule, pred, tuple) in ground_facts(&self.analysis.program, &self.reg)? {
             let d = Derivation {
-                rule_id,
-                inputs: Vec::new(),
+                rule_id: rule as u32,
+                inputs: Box::default(),
             };
-            // Keyed by rule id, so never already present.
-            self.derivs
-                .entry((pred, tuple.clone()))
-                .or_default()
-                .insert(d, 1);
+            // Keyed by rule, so never already present.
+            let support = self.derivs.entry((pred, tuple.clone())).or_default();
+            support.add(d, 1);
             self.deriv_entries += 1;
             self.apply(Update::insert(pred, tuple, 0))?;
         }
@@ -249,33 +323,37 @@ impl IncrementalEngine {
     /// Number of stored derivation entries (the space-overhead metric),
     /// counted by walking the ledger.
     pub fn derivation_count(&self) -> usize {
-        self.derivs.values().map(HashMap::len).sum()
+        self.derivs.values().map(|s| s.entries.len()).sum()
+    }
+
+    /// Tuples the ledger holds an entry for: the live derived tuples, plus
+    /// the dead ones a negative count is still owed on.
+    pub fn ledger_keys(&self) -> usize {
+        self.derivs.len()
+    }
+
+    /// Approximate heap bytes of the ledger: its table and every entry
+    /// vector at capacity, plus the input slices.
+    pub fn ledger_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let table = self.derivs.capacity() * (size_of::<((Symbol, Tuple), Support)>() + 1);
+        let supports = self.derivs.values().map(|s| {
+            let inputs: usize = s.entries.iter().map(|(d, _)| d.inputs.len()).sum();
+            s.entries.capacity() * size_of::<(Derivation, i64)>() + inputs * size_of::<Tuple>()
+        });
+        table + supports.sum::<usize>()
     }
 
     /// Apply one base-stream update and cascade to quiescence. Returns every
     /// derived-stream update emitted (in emission order).
     pub fn apply(&mut self, update: Update) -> Result<Vec<Update>, EvalError> {
         let _span = self.profiler.span("inc.apply");
-        let mut queue: VecDeque<Update> = VecDeque::new();
-        let mut emitted: Vec<Update> = Vec::new();
-        queue.push_back(update);
-        let mut steps = 0usize;
-        while let Some(u) = queue.pop_front() {
-            steps += 1;
-            if steps > self.max_cascade {
-                return Err(EvalError::LimitExceeded {
-                    what: "update cascade",
-                    limit: self.max_cascade,
-                });
-            }
-            let produced = self.process_one(&u)?;
+        let emitted = cascade(update, self.max_cascade, |u, out| {
+            self.process_one(u, out)?;
             self.stats.updates_processed += 1;
-            for d in produced {
-                self.stats.derived_emitted += 1;
-                emitted.push(d.clone());
-                queue.push_back(d);
-            }
-        }
+            Ok(())
+        })?;
+        self.stats.derived_emitted += emitted.len() as u64;
         debug_assert_eq!(self.deriv_entries, self.derivation_count());
         self.stats.max_derivations = self.stats.max_derivations.max(self.deriv_entries);
         Ok(emitted)
@@ -299,8 +377,8 @@ impl IncrementalEngine {
         for (p, w) in preds {
             let expired = self.db.relation_mut(p).expire(w, now);
             for t in expired {
-                if let Some(ledger) = self.derivs.remove(&(p, t)) {
-                    self.deriv_entries -= ledger.len();
+                if let Some(support) = self.derivs.remove(&(p, t)) {
+                    self.deriv_entries -= support.entries.len();
                 }
             }
         }
@@ -310,12 +388,13 @@ impl IncrementalEngine {
     fn is_live(&self, pred: Symbol, tuple: &Tuple) -> bool {
         self.derivs
             .get(&(pred, tuple.clone()))
-            .is_some_and(|m| m.values().any(|&c| c > 0))
+            .is_some_and(|s| s.live > 0)
     }
 
     /// Process one update: physical application, delta computation for every
     /// occurrence, derivation bookkeeping, aggregate group recomputation.
-    fn process_one(&mut self, u: &Update) -> Result<Vec<Update>, EvalError> {
+    /// The derived updates it causes are appended to `out`.
+    fn process_one(&mut self, u: &Update, out: &mut Vec<Update>) -> Result<(), EvalError> {
         // Stale-update suppression: a queued derived insert whose tuple has
         // already been re-retracted in the ledger (or a delete that was
         // re-asserted) is dropped. This is what keeps XY-style
@@ -324,8 +403,8 @@ impl IncrementalEngine {
         if self.idb.contains(&u.pred) && !self.agg_heads.contains(&u.pred) {
             let live = self.is_live(u.pred, &u.tuple);
             match u.kind {
-                UpdateKind::Insert if !live => return Ok(Vec::new()),
-                UpdateKind::Delete if live => return Ok(Vec::new()),
+                UpdateKind::Insert if !live => return Ok(()),
+                UpdateKind::Delete if live => return Ok(()),
                 _ => {}
             }
         }
@@ -337,12 +416,12 @@ impl IncrementalEngine {
                     .relation_mut(u.pred)
                     .insert(u.tuple.clone(), TupleMeta::at(u.ts))
                 {
-                    return Ok(Vec::new()); // duplicate: not a generation
+                    return Ok(()); // duplicate: not a generation
                 }
             }
             UpdateKind::Delete => {
                 if !self.db.contains(u.pred, &u.tuple) {
-                    return Ok(Vec::new());
+                    return Ok(());
                 }
             }
         }
@@ -356,88 +435,62 @@ impl IncrementalEngine {
             }
         }
 
-        // Delta computation per occurrence.
-        let occs = self.occurrences.get(&u.pred).cloned().unwrap_or_default();
-        let mut deltas: Vec<(Symbol, Tuple, Derivation, i64, Option<FlatSubst>)> = Vec::new();
+        // Delta computation per occurrence. A delta's last field is its
+        // lineage witness, taken only when a log is attached: the
+        // substitution and the premises as the log records them.
+        type Witness = (FlatSubst, Vec<(usize, Symbol, Tuple)>);
+        let mut deltas: Vec<(Symbol, Tuple, Derivation, i64, Option<Witness>)> = Vec::new();
         let mut agg_dirty: Vec<(usize, Vec<Term>)> = Vec::new();
-        for (ri, li, negated) in occs {
-            let rule = &self.analysis.program.rules[ri];
-            // Staircase filter over same-pred occurrences (see module doc).
-            let mut excluded: Vec<usize> = Vec::new();
-            for (rj, lj, _) in self.occurrences.get(&u.pred).into_iter().flatten() {
-                if *rj != ri {
-                    continue;
-                }
-                let exclude = match u.kind {
-                    UpdateKind::Insert => *lj > li, // later occurrences: old state
-                    UpdateKind::Delete => *lj < li, // earlier occurrences: new state
-                };
-                if exclude {
-                    excluded.push(*lj);
-                }
-            }
-            let filter = TupleFilter {
-                pred: u.pred,
-                tuple: u.tuple.clone(),
-                literal_indexes: excluded,
-            };
-            let ev = BodyEval {
-                db: &self.db,
-                reg: &self.reg,
-                filter: Some(&filter),
-            };
-            self.stats.body_evals += 1;
-            let sols = ev.solutions(&rule.body, FlatSubst::new(), Some((li, &u.tuple)))?;
-            if rule.agg.is_some() {
-                // Record affected groups; recomputed below against the
-                // post-update state.
-                for sol in &sols {
-                    let key = self.group_key(rule, &sol.subst)?;
-                    if !agg_dirty.contains(&(ri, key.clone())) {
-                        agg_dirty.push((ri, key));
+        let rules = &self.analysis.program.rules;
+        let reg = &self.reg;
+        let witnessed = self.lineage.is_some();
+        self.stats.body_evals += self.plans.for_each_delta(
+            rules,
+            &self.db,
+            reg,
+            (u.kind, u.pred, &u.tuple),
+            None,
+            |ri, sign, subst, inputs| {
+                let rule = &rules[ri];
+                if rule.agg.is_some() {
+                    // Record affected groups; recomputed below against the
+                    // post-update state.
+                    let slot = (ri, group_key(rule, &subst, reg)?);
+                    if !agg_dirty.contains(&slot) {
+                        agg_dirty.push(slot);
                     }
+                    return Ok(());
                 }
-                continue;
-            }
-            let sign = match (u.kind, negated) {
-                (UpdateKind::Insert, false) | (UpdateKind::Delete, true) => 1,
-                (UpdateKind::Insert, true) | (UpdateKind::Delete, false) => -1,
-            };
-            for sol in &sols {
-                let head = instantiate_head(rule, &sol.subst, &self.reg)?;
+                let head = instantiate_head(rule, &subst, reg)?;
                 // Drop directly self-supporting derivations (head among its
                 // own inputs): sound, and it keeps 1-cycles out of the
                 // tuple dependency graph. Longer cycles are outside the
                 // supported class — the paper's *locally non-recursive*
                 // restriction (Sec. IV-C); use the rederivation engine for
                 // general recursive programs with deletions.
-                if sol
-                    .inputs
-                    .iter()
-                    .any(|(_, p, t)| *p == rule.head.pred && *t == head)
+                if (rule.positive_atoms().zip(inputs))
+                    .any(|(a, &(_, t))| a.pred == rule.head.pred && *t == head)
                 {
-                    continue;
+                    return Ok(());
                 }
                 let d = Derivation {
-                    rule_id: rule.id,
-                    inputs: sol.inputs.clone(),
+                    rule_id: ri as u32,
+                    inputs: inputs.iter().map(|&(_, t)| t.clone()).collect(),
                 };
-                let witness = self.lineage.is_some().then(|| sol.subst.clone());
+                let witness = witnessed.then(|| (subst, owned_inputs(&rule.body, inputs)));
                 deltas.push((rule.head.pred, head, d, sign, witness));
-            }
-        }
+                Ok(())
+            },
+        )?;
 
         // Physical removal for deletes happens *after* the delta pass (the
         // old state must be joinable), before aggregate recomputation.
-        // NOTE: the derivation map of a deleted tuple is *not* dropped here:
-        // negative counts (derivations blocked before their positive part
-        // appeared, or blocked more than once) must survive so later
-        // blocker deletions balance the ledger. GC happens at window expiry.
+        // NOTE: the ledger entry of a deleted tuple is *not* dropped here:
+        // negative counts must survive so later blocker deletions balance
+        // the ledger (see [`Support`]).
         if u.kind == UpdateKind::Delete {
             self.db.remove(u.pred, &u.tuple);
         }
-
-        let mut out: Vec<Update> = Vec::new();
 
         // Optional locally-non-recursive runtime check (Sec. IV-C): the
         // dependency graph over derived tuples must stay acyclic.
@@ -451,83 +504,83 @@ impl IncrementalEngine {
 
         // Derivation bookkeeping with liveness transitions.
         for (pred, tuple, d, sign, witness) in deltas {
-            let key = (pred, tuple.clone());
-            let map = self.derivs.entry(key).or_default();
-            let was_live = map.values().any(|&c| c > 0);
-            let d_count = map.get(&d).copied().unwrap_or(0);
-            let lin_d = self.lineage.is_some().then(|| d.clone());
-            // Stored counts are never zero: an entry that cancels leaves.
-            match map.entry(d) {
-                Entry::Occupied(mut e) => {
-                    *e.get_mut() += sign;
-                    if *e.get() == 0 {
-                        e.remove();
-                        self.deriv_entries -= 1;
-                    }
-                }
-                Entry::Vacant(e) => {
-                    e.insert(sign);
-                    self.deriv_entries += 1;
-                }
-            }
-            let now_live = map.values().any(|&c| c > 0);
+            let mut entry = match self.derivs.entry((pred, tuple)) {
+                Entry::Occupied(e) => e,
+                Entry::Vacant(e) => e.insert_entry(Support::default()),
+            };
+            let support = entry.get_mut();
+            let was_live = support.live > 0;
+            let rule_id = rules[d.rule_id as usize].id;
+            let d_count = support.add(d, sign);
+            let now_live = support.live > 0;
+            // Stored counts are never zero: an entry that cancels has left.
+            self.deriv_entries += usize::from(d_count == 0);
+            self.deriv_entries -= usize::from(d_count + sign == 0);
+            let tuple = &entry.key().1;
             // Lineage: per-derivation liveness transitions, not per-atom —
             // a second derivation of an already-live atom is still a new
             // proof alternative.
-            if let Some(dd) = lin_d {
+            if let (Some((subst, premises)), Some(log)) = (witness, self.lineage.as_mut()) {
                 let d_now = d_count + sign > 0;
                 if (d_count > 0) != d_now {
-                    if let Some(log) = self.lineage.as_mut() {
-                        let boxed = witness.as_ref().map(|w| intern::boundary(|| w.to_subst()));
-                        log.record_firing(
-                            dd.rule_id,
-                            if d_now { 1 } else { -1 },
-                            pred,
-                            &tuple,
-                            &dd.inputs,
-                            boxed.as_ref(),
-                            u.ts,
-                        );
-                    }
+                    let boxed = intern::boundary(|| subst.to_subst());
+                    let sign = if d_now { 1 } else { -1 };
+                    log.record_firing(rule_id, sign, pred, tuple, &premises, Some(&boxed), u.ts);
                 }
             }
-            if !was_live && now_live {
-                out.push(Update::insert(pred, tuple, u.ts));
-            } else if was_live && !now_live {
-                out.push(Update::delete(pred, tuple, u.ts));
+            if was_live != now_live {
+                let kind = if now_live {
+                    UpdateKind::Insert
+                } else {
+                    UpdateKind::Delete
+                };
+                out.push(Update {
+                    pred,
+                    tuple: tuple.clone(),
+                    kind,
+                    ts: u.ts,
+                });
+            }
+            // A key whose last entry left goes with it: an empty `Support`
+            // owes nothing.
+            if entry.get().entries.is_empty() {
+                entry.remove();
             }
         }
 
         // Aggregate groups: recompute against the post-update state.
         for (ri, key) in agg_dirty {
-            let rule = &self.analysis.program.rules[ri];
-            out.extend(self.recompute_agg_group(rule.clone(), key, u.ts)?);
+            self.recompute_agg_group(ri, key, u.ts, out)?;
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Would adding derivation `d` for `(pred, tuple)` close a cycle in the
     /// tuple dependency graph? DFS through the *live* derivations of the
     /// inputs.
     fn derivation_closes_cycle(&self, pred: Symbol, tuple: &Tuple, d: &Derivation) -> bool {
+        let rules = &self.analysis.program.rules;
+        let inputs_of = |d: &Derivation| {
+            (rules[d.rule_id as usize]
+                .positive_atoms()
+                .zip(d.inputs.iter()))
+            .map(|(a, t)| (a.pred, t.clone()))
+            .collect::<Vec<_>>()
+        };
         let target = (pred, tuple.clone());
-        let mut stack: Vec<(Symbol, Tuple)> =
-            d.inputs.iter().map(|(_, p, t)| (*p, t.clone())).collect();
+        let mut stack: Vec<(Symbol, Tuple)> = inputs_of(d);
         let mut seen: std::collections::HashSet<(Symbol, Tuple)> = stack.iter().cloned().collect();
         while let Some(key) = stack.pop() {
             if key == target {
                 return true;
             }
-            if let Some(map) = self.derivs.get(&key) {
-                for (dd, &c) in map {
-                    if c <= 0 {
-                        continue;
-                    }
-                    for (_, p, t) in &dd.inputs {
-                        let k = (*p, t.clone());
-                        if seen.insert(k.clone()) {
-                            stack.push(k);
-                        }
+            let Some(support) = self.derivs.get(&key) else {
+                continue;
+            };
+            for (dd, _) in support.entries.iter().filter(|(_, c)| *c > 0) {
+                for k in inputs_of(dd) {
+                    if seen.insert(k.clone()) {
+                        stack.push(k);
                     }
                 }
             }
@@ -535,41 +588,22 @@ impl IncrementalEngine {
         false
     }
 
-    fn group_key(&self, rule: &Rule, subst: &FlatSubst) -> Result<Vec<Term>, EvalError> {
-        // Group keys are boxed terms (aggregate machinery is off the hot
-        // path); resolve the flat bindings once.
-        let subst = intern::boundary(|| subst.to_subst());
-        rule.head
-            .args
-            .iter()
-            .map(|a| {
-                let g = subst.apply(a);
-                if g.is_ground() {
-                    self.reg.eval_term(&g).map_err(EvalError::from)
-                } else {
-                    Err(EvalError::Internal(format!(
-                        "group key `{a}` unbound in rule #{}",
-                        rule.id
-                    )))
-                }
-            })
-            .collect()
-    }
-
-    /// Re-evaluate one aggregate group from scratch and diff against the
-    /// stored result.
+    /// Re-evaluate one aggregate group from scratch, diff against the
+    /// stored result and append the difference to `out`.
     fn recompute_agg_group(
         &mut self,
-        rule: Rule,
+        ri: usize,
         key: Vec<Term>,
         ts: u64,
-    ) -> Result<Vec<Update>, EvalError> {
+        out: &mut Vec<Update>,
+    ) -> Result<(), EvalError> {
         let _span = self.profiler.span("inc.agg_group");
+        let rule = &self.analysis.program.rules[ri];
         // Seed the body with the group key by matching head args.
         let mut boxed_seed = Subst::new();
         for (pat, val) in rule.head.args.iter().zip(key.iter()) {
             if !match_term(pat, val, &mut boxed_seed) {
-                return Ok(Vec::new()); // key shape impossible (stale)
+                return Ok(()); // key shape impossible (stale)
             }
         }
         let seed = FlatSubst::from_subst(&boxed_seed).expect("group-key bindings are ground");
@@ -580,39 +614,54 @@ impl IncrementalEngine {
         // not functionally pin every solution).
         let mut matching = Vec::new();
         for s in sols {
-            if self.group_key(&rule, &s.subst)? == key {
+            if group_key(rule, &s.subst, &self.reg)? == key {
                 matching.push(s);
             }
         }
         let new_tuple = if matching.is_empty() {
             None
         } else {
-            aggregate_rule(&rule, &matching, &self.reg)?
+            aggregate_rule(rule, &matching, &self.reg)?
                 .into_iter()
                 .next()
         };
+        let pred = rule.head.pred;
         let slot = (rule.id, key);
-        let old = self.agg_groups.get(&slot).cloned();
-        let mut out = Vec::new();
-        match (old, new_tuple) {
-            (Some(o), Some(n)) if o == n => {}
-            (Some(o), Some(n)) => {
-                self.agg_groups.insert(slot, n.clone());
-                out.push(Update::delete(rule.head.pred, o, ts));
-                out.push(Update::insert(rule.head.pred, n, ts));
-            }
-            (None, Some(n)) => {
-                self.agg_groups.insert(slot, n.clone());
-                out.push(Update::insert(rule.head.pred, n, ts));
-            }
-            (Some(o), None) => {
-                self.agg_groups.remove(&slot);
-                out.push(Update::delete(rule.head.pred, o, ts));
-            }
-            (None, None) => {}
+        let old = match &new_tuple {
+            Some(n) => self.agg_groups.insert(slot, n.clone()),
+            None => self.agg_groups.remove(&slot),
+        };
+        if old != new_tuple {
+            out.extend(old.map(|o| Update::delete(pred, o, ts)));
+            out.extend(new_tuple.map(|n| Update::insert(pred, n, ts)));
         }
-        Ok(out)
+        Ok(())
     }
+}
+
+fn group_key(
+    rule: &Rule,
+    subst: &FlatSubst,
+    reg: &BuiltinRegistry,
+) -> Result<Vec<Term>, EvalError> {
+    // Group keys are boxed terms (aggregate machinery is off the hot
+    // path); resolve the flat bindings once.
+    let subst = intern::boundary(|| subst.to_subst());
+    rule.head
+        .args
+        .iter()
+        .map(|a| {
+            let g = subst.apply(a);
+            if g.is_ground() {
+                reg.eval_term(&g).map_err(EvalError::from)
+            } else {
+                Err(EvalError::Internal(format!(
+                    "group key `{a}` unbound in rule #{}",
+                    rule.id
+                )))
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -742,10 +791,70 @@ mod tests {
                 !e.db.contains(sym("uncov"), &tup("10, 1")),
                 "still covered by the other friendly"
             );
+            // Blocked exactly once (`cov` went live once): the alert's one
+            // derivation cancelled to zero and took its key with it.
+            assert!(!e.derivs.contains_key(&(sym("uncov"), tup("10, 1"))));
             e.apply(del(&f(order[1] as i64), 5)).unwrap();
             assert!(e.db.contains(sym("uncov"), &tup("10, 1")));
+            assert_eq!(e.derivs[&(sym("uncov"), tup("10, 1"))].live, 1);
             assert_matches_oracle(&e, src);
         }
+    }
+
+    #[test]
+    fn negative_count_keeps_its_key_until_balanced() {
+        // A blocker that expires silently and comes back blocks the same
+        // derivation a second time: the count goes to -1 on a dead tuple.
+        // That entry is a debt, not garbage — dropping its key would make
+        // the blocker's deletion raise an alert nothing supports.
+        let src = r#"
+            .window s 100.
+            q(X) :- a(X), not s(X).
+        "#;
+        let key = (sym("q"), tup("1"));
+        let mut e = engine(src);
+        e.apply(ins("a(1)", 5)).unwrap();
+        e.apply(ins("s(1)", 10)).unwrap();
+        assert!(!e.derivs.contains_key(&key), "+1 - 1: the entry left");
+        e.advance_time(200);
+        assert!(!e.db.contains(sym("s"), &tup("1")));
+        e.apply(ins("s(1)", 210)).unwrap();
+        let support = &e.derivs[&key];
+        assert_eq!((support.live, support.entries[0].1), (0, -1));
+        assert_eq!((e.ledger_keys(), e.deriv_entries), (1, 1));
+        assert!(!e.db.contains(sym("q"), &tup("1")));
+        // The balancing deletion: back to zero, no alert, key gone.
+        assert!(e.apply(del("s(1)", 220)).unwrap().is_empty());
+        assert_eq!((e.ledger_keys(), e.deriv_entries), (0, 0));
+        assert!(!e.db.contains(sym("q"), &tup("1")));
+    }
+
+    #[test]
+    fn retracted_tuples_leave_the_ledger() {
+        // Stream distinct join pairs in and delete them all: the ledger
+        // must not remember the tuples it once supported.
+        let src = "q(X, Y) :- r1(X, K), r2(Y, K).";
+        let mut e = engine(src);
+        let n = 40;
+        for k in 0..n {
+            e.apply(ins(&format!("r1({k}, {k})"), k)).unwrap();
+            e.apply(ins(&format!("r2({}, {k})", k + 100), k)).unwrap();
+        }
+        assert_eq!(e.db.len_of(sym("q")), n as usize);
+        assert_eq!((e.ledger_keys(), e.deriv_entries), (n as usize, n as usize));
+        for k in 0..n {
+            // One side first for even keys, the other for odd.
+            let (first, second) = (format!("r1({k}, {k})"), format!("r2({}, {k})", k + 100));
+            let (first, second) = if k % 2 == 0 {
+                (first, second)
+            } else {
+                (second, first)
+            };
+            e.apply(del(&first, n + k)).unwrap();
+            e.apply(del(&second, n + k)).unwrap();
+        }
+        assert_eq!(e.db.total_tuples(), 0);
+        assert_eq!((e.ledger_keys(), e.deriv_entries), (0, 0));
     }
 
     #[test]

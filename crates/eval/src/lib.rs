@@ -6,8 +6,9 @@
 //!
 //! * [`relation`] — tuples with timestamps/tombstones, indexed relations,
 //!   databases;
-//! * [`eval_body`] — the local join machinery: body solutions, delta
-//!   pinning, self-join staircase filters, Theorem-3 visibility;
+//! * [`eval_body`] — the local join machinery: a streaming body walk (and
+//!   its collector, `solutions`), delta pinning, self-join staircase
+//!   filters, Theorem-3 visibility;
 //! * [`aggregate`] — head aggregates over all-solutions;
 //! * [`seminaive`] — batch engine: semi-naive fixpoint, stratified negation,
 //!   XY-staged evaluation (the correctness oracle);
@@ -17,7 +18,8 @@
 //! * [`lineage`] — opt-in per-firing lineage capture with compact interned
 //!   atoms (the provenance plane's local layer);
 //! * [`planner`] — static probe planning: the bound-position signatures
-//!   each body literal probes with, driving persistent index registration;
+//!   each body literal probes with, driving persistent index registration,
+//!   and the delta plans the three maintenance engines' one delta pass reads;
 //! * [`window`] — sliding-window expiry.
 
 pub mod aggregate;

@@ -20,16 +20,27 @@
 //! seeded with the casualty, an aggregate group recomputed from its key —
 //! add those plans with [`register_head_seeded_indexes`].
 //!
+//! [`DeltaPlans`] is the same idea for the maintenance engines' delta pass:
+//! which rules an update can fire, in which literal order, under which
+//! staircase exclusions, is a function of the program, so it is compiled
+//! when an engine is built and [`DeltaPlans::for_each_delta`] — the one
+//! delta pass all three engines run — reads it per update.
+//!
 //! [`order_literals`]: sensorlog_logic::boundness::order_literals
 //! [`probe_plan`]: sensorlog_logic::boundness::probe_plan
 //! [`Relation::select`]: crate::relation::Relation::select
 
+use crate::error::EvalError;
+use crate::eval_body::{BodyEval, Inputs, TupleFilter};
+use crate::incremental::UpdateKind;
 use crate::relation::Database;
 use sensorlog_logic::analyze::Analysis;
 use sensorlog_logic::ast::{Literal, Rule};
 use sensorlog_logic::boundness::{rule_signatures, RuleSignature};
-use sensorlog_logic::Symbol;
-use std::collections::{BTreeMap, BTreeSet};
+use sensorlog_logic::builtin::BuiltinRegistry;
+use sensorlog_logic::flat::FlatSubst;
+use sensorlog_logic::{Symbol, Tuple};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// The non-empty probe column sets of `rule`'s positive literals under one
 /// evaluation order's `plan`.
@@ -84,10 +95,118 @@ pub fn register_head_seeded_indexes<'a>(db: &mut Database, rules: impl Iterator<
     }
 }
 
+/// One relational body literal an update can pin, with what a delta on it
+/// needs that the program fixes.
+#[derive(Debug)]
+struct Occurrence {
+    /// Index of the rule in `program.rules`.
+    rule: usize,
+    literal: usize,
+    negated: bool,
+    /// The rule's literal order with this one pinned and nothing seeded.
+    order: Vec<usize>,
+    /// The staircase's exclusion lists (`incremental`'s module doc): the
+    /// same-predicate literals later in the rule, which see the old state
+    /// on an insert, and the earlier ones, which see the new state on a
+    /// delete.
+    later: Vec<usize>,
+    earlier: Vec<usize>,
+}
+
+/// A program's delta plans: per predicate, its [`Occurrence`]s in rule,
+/// then literal, order.
+#[derive(Debug)]
+pub(crate) struct DeltaPlans {
+    by_pred: HashMap<Symbol, Vec<Occurrence>>,
+}
+
+impl DeltaPlans {
+    /// Compile `analysis`'s program, registering on `db` every signature
+    /// its evaluation orders probe ([`register_program_indexes`]) from the
+    /// same pass over [`rule_signatures`] that yields the pinned orders.
+    pub(crate) fn compile(analysis: &Analysis, db: &mut Database) -> DeltaPlans {
+        let mut by_pred: HashMap<Symbol, Vec<Occurrence>> = HashMap::new();
+        for (rule, r) in analysis.program.rules.iter().enumerate() {
+            for sig in rule_signatures(r, &analysis.xy) {
+                for (pred, cols) in probed(r, sig.plan) {
+                    db.register_index(pred, &cols);
+                }
+                let Some(literal) = sig.pinned else {
+                    continue;
+                };
+                let pred = r.body[literal].atom().expect("pins are relational").pred;
+                let same_pred = r.body.iter().enumerate().filter_map(|(lj, l)| match l {
+                    Literal::Pos(b) | Literal::Neg(b) if b.pred == pred => Some(lj),
+                    _ => None,
+                });
+                by_pred.entry(pred).or_default().push(Occurrence {
+                    rule,
+                    literal,
+                    negated: matches!(r.body[literal], Literal::Neg(_)),
+                    order: sig.order,
+                    later: same_pred.clone().filter(|&lj| lj > literal).collect(),
+                    earlier: same_pred.filter(|&lj| lj < literal).collect(),
+                });
+            }
+        }
+        DeltaPlans { by_pred }
+    }
+
+    /// The delta pass of Sec. IV-B: for every occurrence of `pred` in
+    /// `rules` (the program these plans were compiled from) — only the
+    /// positive or only the negated ones when `negated` says so — pin it to
+    /// `tuple` and hand `sink` each solution of the rest of the body over
+    /// `db` under the staircase convention, as `(rule index, sign,
+    /// substitution, inputs)`: sign `+1` for an insert at a positive
+    /// occurrence or a delete at a negated one, `-1` otherwise. Returns the
+    /// number of bodies evaluated.
+    pub(crate) fn for_each_delta<'a>(
+        &'a self,
+        rules: &[Rule],
+        db: &'a Database,
+        reg: &'a BuiltinRegistry,
+        (kind, pred, tuple): (UpdateKind, Symbol, &'a Tuple),
+        negated: Option<bool>,
+        mut sink: impl FnMut(usize, i64, FlatSubst, Inputs<'_, 'a>) -> Result<(), EvalError>,
+    ) -> Result<u64, EvalError> {
+        let mut body_evals = 0;
+        for occ in self.by_pred.get(&pred).into_iter().flatten() {
+            if negated.is_some_and(|n| n != occ.negated) {
+                continue;
+            }
+            let rule = &rules[occ.rule];
+            let (excluded, sign) = match (kind, occ.negated) {
+                (UpdateKind::Insert, false) => (&occ.later, 1),
+                (UpdateKind::Insert, true) => (&occ.later, -1),
+                (UpdateKind::Delete, false) => (&occ.earlier, -1),
+                (UpdateKind::Delete, true) => (&occ.earlier, 1),
+            };
+            let filter = TupleFilter {
+                pred,
+                tuple,
+                literal_indexes: excluded,
+            };
+            let ev = BodyEval {
+                db,
+                reg,
+                filter: (!excluded.is_empty()).then_some(filter),
+            };
+            body_evals += 1;
+            ev.for_each(
+                &rule.body,
+                &occ.order,
+                FlatSubst::new(),
+                Some((occ.literal, tuple)),
+                &mut |subst, inputs| sink(occ.rule, sign, subst, inputs),
+            )?;
+        }
+        Ok(body_evals)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sensorlog_logic::builtin::BuiltinRegistry;
     use sensorlog_logic::{analyze, parse_program};
 
     #[test]
@@ -101,6 +220,33 @@ mod tests {
         let t = sigs.get(&Symbol::intern("t")).unwrap();
         assert!(t.contains(&vec![1]), "t probed on Z when e is the delta");
     }
+
+    /// `bench::common`'s `LOGIC_H`, `LOGIC_J` and `JOIN2` rule for rule, a
+    /// negation program and an aggregate one.
+    const PROGRAMS: [(&str, &str); 5] = [
+        (
+            "logicH",
+            "h(0, 0, 0).
+             h(0, X, 1) :- g(0, X).
+             hp(Y, D + 1) :- h(_, Y, D'), (D + 1) > D', h(_, X, D), g(X, Y).
+             h(X, Y, D + 1) :- g(X, Y), h(_, X, D), not hp(Y, D + 1).",
+        ),
+        (
+            "logicJ",
+            "j(0, 0).
+             j(X, 1) :- g(0, X).
+             jp(Y, D + 1) :- j(Y, D'), (D + 1) > D', j(X, D), g(X, Y).
+             j(Y, D + 1) :- g(X, Y), j(X, D), not jp(Y, D + 1).",
+        ),
+        ("join", "q(X, Y) :- r1(N1, X, K), r2(N2, Y, K)."),
+        (
+            "negation",
+            r#"cov(L, T) :- veh("enemy", L, T), veh("friendly", F, T), dist(L, F) <= 8.
+               uncov(L, T) :- not cov(L, T), veh("enemy", L, T)."#,
+        ),
+        // Group key on column 1: the regroup probes a non-prefix order.
+        ("aggregate", "cnt(K, count<N>) :- r(N, K)."),
+    ];
 
     fn assert_only_planned_probes(label: &str, engine: &str, db: &Database) {
         let stats = db.index_stats();
@@ -142,44 +288,17 @@ mod tests {
                 )
             })
             .collect();
-        let cases = [
-            (
-                "logicH",
-                "h(0, 0, 0).
-                 h(0, X, 1) :- g(0, X).
-                 hp(Y, D + 1) :- h(_, Y, D'), (D + 1) > D', h(_, X, D), g(X, Y).
-                 h(X, Y, D + 1) :- g(X, Y), h(_, X, D), not hp(Y, D + 1).",
-                links.as_str(),
-            ),
-            (
-                "logicJ",
-                "j(0, 0).
-                 j(X, 1) :- g(0, X).
-                 jp(Y, D + 1) :- j(Y, D'), (D + 1) > D', j(X, D), g(X, Y).
-                 j(Y, D + 1) :- g(X, Y), j(X, D), not jp(Y, D + 1).",
-                links.as_str(),
-            ),
-            (
-                "join",
-                "q(X, Y) :- r1(N1, X, K), r2(N2, Y, K).",
-                readings.as_str(),
-            ),
-            (
-                "negation",
-                r#"cov(L, T) :- veh("enemy", L, T), veh("friendly", F, T), dist(L, F) <= 8.
-                   uncov(L, T) :- not cov(L, T), veh("enemy", L, T)."#,
-                r#"veh("enemy", 1, 5). veh("friendly", 3, 5). veh("enemy", 40, 5).
-                   veh("enemy", 41, 6). veh("friendly", 44, 6). veh("friendly", 90, 6)."#,
-            ),
-            // Group key on column 1: the regroup probes a non-prefix order.
-            (
-                "aggregate",
-                "cnt(K, count<N>) :- r(N, K).",
-                "r(1, 7). r(2, 7). r(3, 8). r(4, 8). r(5, 9).",
-            ),
+        let negation_facts = r#"veh("enemy", 1, 5). veh("friendly", 3, 5). veh("enemy", 40, 5).
+            veh("enemy", 41, 6). veh("friendly", 44, 6). veh("friendly", 90, 6)."#;
+        let facts = [
+            links.as_str(),
+            links.as_str(),
+            readings.as_str(),
+            negation_facts,
+            "r(1, 7). r(2, 7). r(3, 8). r(4, 8). r(5, 9).",
         ];
         let reg = BuiltinRegistry::standard;
-        for (label, src, facts) in cases {
+        for ((label, src), facts) in PROGRAMS.into_iter().zip(facts) {
             let analysis = analyze(&parse_program(src).unwrap(), &reg()).unwrap();
             let facts: Vec<(Symbol, Tuple)> = parse_facts(facts)
                 .unwrap()
@@ -211,6 +330,65 @@ mod tests {
             drive!(IncrementalEngine, "incremental");
             drive!(CountingEngine, "counting");
             drive!(RederiveEngine, "rederive");
+        }
+    }
+
+    /// What `apply` reads is what a per-call plan would have been: for
+    /// every program under `examples/programs/` and every one of
+    /// [`PROGRAMS`], each relational body literal has one compiled
+    /// occurrence, its order is `order_literals` pinned there, and what
+    /// that order probes is what `register_program_indexes` registers.
+    #[test]
+    fn delta_plans_equal_the_per_call_plans() {
+        use sensorlog_logic::boundness::{order_literals, probe_plan};
+
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/programs");
+        let mut sources: Vec<(String, String)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|f| f.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "dl"))
+            .map(|p| {
+                (
+                    p.display().to_string(),
+                    std::fs::read_to_string(&p).unwrap(),
+                )
+            })
+            .collect();
+        assert!(sources.len() >= 6, "example programs not found in {dir}");
+        sources.extend(PROGRAMS.map(|(label, src)| (label.to_string(), src.to_string())));
+        for (label, src) in sources {
+            let reg = BuiltinRegistry::standard();
+            let analysis = analyze(&parse_program(&src).unwrap(), &reg).unwrap();
+            let plans = DeltaPlans::compile(&analysis, &mut Database::new());
+            let registered = program_signatures(&analysis);
+            let rules = &analysis.program.rules;
+            let mut compiled: Vec<(usize, usize)> = Vec::new();
+            for (pred, occ) in
+                (plans.by_pred.iter()).flat_map(|(p, occs)| occs.iter().map(move |o| (*p, o)))
+            {
+                let rule = &rules[occ.rule];
+                let pin = Some(occ.literal);
+                match &rule.body[occ.literal] {
+                    Literal::Pos(a) => assert!(a.pred == pred && !occ.negated, "{label}"),
+                    Literal::Neg(a) => assert!(a.pred == pred && occ.negated, "{label}"),
+                    other => panic!("{label}: `{other}` is not relational"),
+                }
+                assert_eq!(occ.order, order_literals(&rule.body, pin, &[]), "{label}");
+                for (p, cols) in probed(rule, probe_plan(&rule.body, &occ.order, pin, &[])) {
+                    assert!(registered[&p].contains(&cols), "{label}: {p} on {cols:?}");
+                }
+                compiled.push((occ.rule, occ.literal));
+            }
+            compiled.sort_unstable();
+            let relational: Vec<(usize, usize)> = (rules.iter().enumerate())
+                .flat_map(|(ri, r)| {
+                    let is_rel = |l: &Literal| matches!(l, Literal::Pos(_) | Literal::Neg(_));
+                    (0..r.body.len())
+                        .filter(move |&li| is_rel(&r.body[li]))
+                        .map(move |li| (ri, li))
+                })
+                .collect();
+            assert_eq!(compiled, relational, "{label}");
         }
     }
 }

@@ -14,11 +14,11 @@
 //! fixpoint in stratum order.
 
 use crate::error::EvalError;
-use crate::eval_body::{ground_facts, instantiate_head, BodyEval, TupleFilter};
+use crate::eval_body::{ground_facts, instantiate_head, owned_inputs, BodyEval, TupleFilter};
 use crate::lineage::LineageLog;
+use crate::planner::DeltaPlans;
 use crate::relation::{Database, TupleMeta};
 use sensorlog_logic::analyze::{Analysis, ProgramClass};
-use sensorlog_logic::ast::Literal;
 use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::flat::{flat_match_args, FlatSubst};
 use sensorlog_logic::intern;
@@ -28,11 +28,15 @@ use std::collections::{HashSet, VecDeque};
 
 use crate::incremental::{Update, UpdateKind};
 
+/// Candidate head tuples of one delta step.
+type Heads = Vec<(Symbol, Tuple)>;
+
 /// DRed-style maintenance engine.
 pub struct RederiveEngine {
     pub analysis: Analysis,
     pub reg: BuiltinRegistry,
     pub db: Database,
+    plans: DeltaPlans,
     pub body_evals: u64,
     /// Phase profiler (disabled by default): times insert cascades and the
     /// over-delete/rederive passes separately.
@@ -57,13 +61,14 @@ impl RederiveEngine {
             ));
         }
         let mut db = Database::new();
-        crate::planner::register_program_indexes(&mut db, &analysis);
+        let plans = DeltaPlans::compile(&analysis, &mut db);
         // `rederivable` evaluates every rule seeded with a casualty's head.
         crate::planner::register_head_seeded_indexes(&mut db, analysis.program.rules.iter());
         let mut engine = RederiveEngine {
             analysis,
             reg,
             db,
+            plans,
             body_evals: 0,
             profiler: Profiler::disabled(),
             max_cascade: 1_000_000,
@@ -109,6 +114,55 @@ impl RederiveEngine {
         }
     }
 
+    /// The heads `(gained, lost)` when `tuple` of `pred` is inserted or
+    /// deleted: the shared delta pass over the current database, restricted
+    /// to the positive or the negated occurrences when `negated` says so.
+    /// DRed keeps no counts, so a head is only a candidate — the caller
+    /// decides against the database. Gained firings go to the lineage log.
+    fn delta(
+        &mut self,
+        (kind, pred, tuple): (UpdateKind, Symbol, &Tuple),
+        negated: Option<bool>,
+        tau: u64,
+    ) -> Result<(Heads, Heads), EvalError> {
+        let (mut gained, mut lost) = (Vec::new(), Vec::new());
+        let rules = &self.analysis.program.rules;
+        let (reg, lineage) = (&self.reg, &mut self.lineage);
+        self.body_evals += self.plans.for_each_delta(
+            rules,
+            &self.db,
+            reg,
+            (kind, pred, tuple),
+            negated,
+            |ri, sign, subst, inputs| {
+                let rule = &rules[ri];
+                let head = instantiate_head(rule, &subst, reg)?;
+                if sign < 0 {
+                    lost.push((rule.head.pred, head));
+                    return Ok(());
+                }
+                // Record even when the head already exists — an alternative
+                // derivation is still a proof (the log deduplicates).
+                if let Some(log) = lineage.as_mut() {
+                    let boxed = intern::boundary(|| subst.to_subst());
+                    let premises = owned_inputs(&rule.body, inputs);
+                    log.record_firing(
+                        rule.id,
+                        1,
+                        rule.head.pred,
+                        &head,
+                        &premises,
+                        Some(&boxed),
+                        tau,
+                    );
+                }
+                gained.push((rule.head.pred, head));
+                Ok(())
+            },
+        )?;
+        Ok((gained, lost))
+    }
+
     /// Insert: semi-naive delta cascade (sign-free — presence is the state).
     fn insert(&mut self, u: Update) -> Result<(), EvalError> {
         let _span = self.profiler.span("dred.insert");
@@ -124,7 +178,25 @@ impl RederiveEngine {
                 log.record_edb(u.pred, &u.tuple, 1, u.ts);
             }
         }
-        let mut queue: VecDeque<(Symbol, Tuple)> = VecDeque::from([(u.pred, u.tuple.clone())]);
+        let ts = u.ts;
+        self.cascade(VecDeque::from([(u.pred, u.tuple)]), ts)
+    }
+
+    /// Store `heads`; those that were new are returned, for a cascade to
+    /// propagate.
+    fn store(&mut self, mut heads: Heads, ts: u64) -> Heads {
+        heads.retain(|(p, t)| {
+            let rel = self.db.relation_mut(*p);
+            rel.insert(t.clone(), TupleMeta::at(ts))
+        });
+        heads
+    }
+
+    /// Propagate tuples that were just stored. Each step evaluates every
+    /// occurrence against one state, stores what it gains, and only then
+    /// over-deletes what it blocks — so a head gained from a tuple the same
+    /// step retracts is in the database for that retraction to find.
+    fn cascade(&mut self, mut queue: VecDeque<(Symbol, Tuple)>, ts: u64) -> Result<(), EvalError> {
         let mut steps = 0;
         while let Some((pred, tuple)) = queue.pop_front() {
             steps += 1;
@@ -134,75 +206,17 @@ impl RederiveEngine {
                     limit: self.max_cascade,
                 });
             }
-            for ri in 0..self.analysis.program.rules.len() {
-                let rule = self.analysis.program.rules[ri].clone();
-                for (li, lit) in rule.body.iter().enumerate() {
-                    let negated = match lit {
-                        Literal::Pos(a) if a.pred == pred => false,
-                        Literal::Neg(a) if a.pred == pred => true,
-                        _ => continue,
-                    };
-                    if negated {
-                        // An insert into a negated subgoal can only delete;
-                        // over-delete the affected heads, then rederive.
-                        let ev = BodyEval::new(&self.db, &self.reg);
-                        self.body_evals += 1;
-                        let sols =
-                            ev.solutions(&rule.body, FlatSubst::new(), Some((li, &tuple)))?;
-                        let mut victims = Vec::new();
-                        for s in &sols {
-                            victims.push((
-                                rule.head.pred,
-                                instantiate_head(&rule, &s.subst, &self.reg)?,
-                            ));
-                        }
-                        drop(sols);
-                        for (p, t) in victims {
-                            if self.db.contains(p, &t) {
-                                self.delete(Update::delete(p, t, u.ts))?;
-                            }
-                        }
-                    } else {
-                        let ev = BodyEval::new(&self.db, &self.reg);
-                        self.body_evals += 1;
-                        let sols =
-                            ev.solutions(&rule.body, FlatSubst::new(), Some((li, &tuple)))?;
-                        let mut fresh = Vec::new();
-                        for s in &sols {
-                            let t = instantiate_head(&rule, &s.subst, &self.reg)?;
-                            let witness = self
-                                .lineage
-                                .is_some()
-                                .then(|| (s.inputs.clone(), s.subst.clone()));
-                            fresh.push((t, witness));
-                        }
-                        for (t, witness) in fresh {
-                            // Record even when the head already exists — an
-                            // alternative derivation is still a proof (the
-                            // log deduplicates).
-                            if let (Some((inputs, subst)), Some(log)) =
-                                (&witness, self.lineage.as_mut())
-                            {
-                                let boxed = intern::boundary(|| subst.to_subst());
-                                log.record_firing(
-                                    rule.id,
-                                    1,
-                                    rule.head.pred,
-                                    &t,
-                                    inputs,
-                                    Some(&boxed),
-                                    u.ts,
-                                );
-                            }
-                            if self
-                                .db
-                                .relation_mut(rule.head.pred)
-                                .insert(t.clone(), TupleMeta::at(u.ts))
-                            {
-                                queue.push_back((rule.head.pred, t));
-                            }
-                        }
-                    }
+            // Retracted while it waited: nothing follows from it.
+            if !self.db.contains(pred, &tuple) {
+                continue;
+            }
+            let (gained, lost) = self.delta((UpdateKind::Insert, pred, &tuple), None, ts)?;
+            queue.extend(self.store(gained, ts));
+            // An insert into a negated subgoal can only delete: over-delete
+            // the affected heads, then rederive.
+            for (p, t) in lost {
+                if self.db.contains(p, &t) {
+                    self.delete(Update::delete(p, t, ts))?;
                 }
             }
         }
@@ -216,11 +230,12 @@ impl RederiveEngine {
             return Ok(());
         }
         // Phase 1: over-delete. Collect everything with a derivation
-        // through the frontier, walking until closure.
+        // through the frontier, walking until closure. (A *delete* on a
+        // negated subgoal can only create tuples; handled in phase 3.)
+        let root = (u.pred, u.tuple);
         let mut overdeleted: Vec<(Symbol, Tuple)> = Vec::new();
-        let mut frontier: VecDeque<(Symbol, Tuple)> = VecDeque::from([(u.pred, u.tuple.clone())]);
-        let mut seen: HashSet<(Symbol, Tuple)> = HashSet::new();
-        seen.insert((u.pred, u.tuple.clone()));
+        let mut frontier: VecDeque<(Symbol, Tuple)> = VecDeque::from([root.clone()]);
+        let mut seen: HashSet<(Symbol, Tuple)> = HashSet::from([root.clone()]);
         let mut steps = 0;
         while let Some((pred, tuple)) = frontier.pop_front() {
             steps += 1;
@@ -230,46 +245,25 @@ impl RederiveEngine {
                     limit: self.max_cascade,
                 });
             }
-            for ri in 0..self.analysis.program.rules.len() {
-                let rule = self.analysis.program.rules[ri].clone();
-                for (li, lit) in rule.body.iter().enumerate() {
-                    let matches_occ = match lit {
-                        Literal::Pos(a) if a.pred == pred => true,
-                        // A *delete* on a negated subgoal can only create
-                        // tuples; handled in phase 3.
-                        _ => false,
-                    };
-                    if !matches_occ {
-                        continue;
-                    }
-                    let ev = BodyEval::new(&self.db, &self.reg);
-                    self.body_evals += 1;
-                    let sols = ev.solutions(&rule.body, FlatSubst::new(), Some((li, &tuple)))?;
-                    let mut heads = Vec::new();
-                    for s in &sols {
-                        heads.push(instantiate_head(&rule, &s.subst, &self.reg)?);
-                    }
-                    for t in heads {
-                        let key = (rule.head.pred, t.clone());
-                        if self.db.contains(rule.head.pred, &t) && seen.insert(key.clone()) {
-                            frontier.push_back(key);
-                        }
-                    }
+            let (_, lost) = self.delta((UpdateKind::Delete, pred, &tuple), Some(false), u.ts)?;
+            for key in lost {
+                if self.db.contains(key.0, &key.1) && seen.insert(key.clone()) {
+                    frontier.push_back(key);
                 }
             }
-            if (pred, tuple.clone()) != (u.pred, u.tuple.clone()) {
+            if (pred, &tuple) != (root.0, &root.1) {
                 overdeleted.push((pred, tuple));
             }
         }
         // Physically remove the base tuple and all casualties.
-        self.db.remove(u.pred, &u.tuple);
+        self.db.remove(root.0, &root.1);
         for (p, t) in &overdeleted {
             self.db.remove(*p, t);
         }
         // Lineage: over-deletion kills every recorded proof of each
         // casualty (and the root); phase 2 re-records survivors' witnesses.
         if let Some(log) = self.lineage.as_mut() {
-            log.retract_atom(u.pred, &u.tuple, u.ts);
+            log.retract_atom(root.0, &root.1, u.ts);
             for (p, t) in &overdeleted {
                 log.retract_atom(*p, t, u.ts);
             }
@@ -299,32 +293,12 @@ impl RederiveEngine {
             }
         }
 
-        // Phase 3: deletions may *unblock* negated subgoals. Find rules with
-        // a negated occurrence of any deleted pred and derive additions.
-        let mut unblock_frontier: Vec<(Symbol, Tuple)> = vec![(u.pred, u.tuple.clone())];
-        unblock_frontier.extend(remaining.iter().cloned());
-        for (pred, tuple) in unblock_frontier {
-            for ri in 0..self.analysis.program.rules.len() {
-                let rule = self.analysis.program.rules[ri].clone();
-                for (li, lit) in rule.body.iter().enumerate() {
-                    let is_neg_occ = matches!(lit, Literal::Neg(a) if a.pred == pred);
-                    if !is_neg_occ {
-                        continue;
-                    }
-                    let ev = BodyEval::new(&self.db, &self.reg);
-                    self.body_evals += 1;
-                    let sols = ev.solutions(&rule.body, FlatSubst::new(), Some((li, &tuple)))?;
-                    let mut fresh = Vec::new();
-                    for s in &sols {
-                        fresh.push(instantiate_head(&rule, &s.subst, &self.reg)?);
-                    }
-                    for t in fresh {
-                        if !self.db.contains(rule.head.pred, &t) {
-                            self.insert(Update::insert(rule.head.pred, t, u.ts))?;
-                        }
-                    }
-                }
-            }
+        // Phase 3: deletions may *unblock* negated subgoals. Derive the
+        // additions from the negated occurrences of every deleted tuple.
+        for (pred, tuple) in std::iter::once(root).chain(remaining) {
+            let (gained, _) = self.delta((UpdateKind::Delete, pred, &tuple), Some(true), u.ts)?;
+            let fresh = self.store(gained, u.ts);
+            self.cascade(fresh.into(), u.ts)?;
         }
         Ok(())
     }
@@ -332,8 +306,7 @@ impl RederiveEngine {
     /// Can `tuple` of `pred` be derived from the current database?
     fn rederivable(&mut self, pred: Symbol, tuple: &Tuple, tau: u64) -> Result<bool, EvalError> {
         let _span = self.profiler.span("dred.rederive");
-        for ri in 0..self.analysis.program.rules.len() {
-            let rule = self.analysis.program.rules[ri].clone();
+        for rule in &self.analysis.program.rules {
             if rule.head.pred != pred {
                 continue;
             }
@@ -345,15 +318,15 @@ impl RederiveEngine {
             }
             // The casualty itself must not self-justify: exclude it from
             // every positive occurrence of its own predicate.
-            let filter = TupleFilter {
-                pred,
-                tuple: tuple.clone(),
-                literal_indexes: (0..rule.body.len()).collect(),
-            };
+            let every_literal: Vec<usize> = (0..rule.body.len()).collect();
             let ev = BodyEval {
                 db: &self.db,
                 reg: &self.reg,
-                filter: Some(&filter),
+                filter: Some(TupleFilter {
+                    pred,
+                    tuple,
+                    literal_indexes: &every_literal,
+                }),
             };
             self.body_evals += 1;
             let sols = ev.solutions(&rule.body, seed, None)?;
@@ -495,6 +468,46 @@ mod tests {
         e.apply(del("friendly(12)", 3)).unwrap();
         assert!(e.db.contains(sym("uncov"), &tup("10")));
         assert_matches_oracle(&e, src);
+    }
+
+    #[test]
+    fn one_step_gains_and_blocks_through_the_same_tuple() {
+        // A step evaluates every occurrence against one state, so a head
+        // can be gained through a tuple the same step goes on to retract
+        // (`w` needs `v`, which `p` blocks; `h2` needs `b`, which the
+        // unblocked `h1` blocks). Whatever the rule order, the retraction
+        // must find that head — and nothing may follow from it meanwhile.
+        let insert_blocks = [
+            "v(X) :- a(X), not p(X).",
+            "w(X) :- p(X), v(X).",
+            "z(X) :- w(X).",
+        ];
+        let delete_unblocks = [
+            "h1(X) :- a(X), not p(X).",
+            "b(X) :- a(X), not h1(X).",
+            "h2(X) :- b(X), not p(X).",
+            "z(X) :- h2(X).",
+        ];
+        for rules in [&insert_blocks[..], &delete_unblocks[..]] {
+            for reversed in [false, true] {
+                let mut rules = rules.to_vec();
+                if reversed {
+                    rules.reverse();
+                }
+                let src = rules.join("\n");
+                let mut e = RederiveEngine::from_source(&src, BuiltinRegistry::standard()).unwrap();
+                let stream = [
+                    ins("a(1)", 1),
+                    ins("p(1)", 2),
+                    del("p(1)", 3),
+                    ins("p(1)", 4),
+                ];
+                for u in stream {
+                    e.apply(u).unwrap();
+                    assert_matches_oracle(&e, &src);
+                }
+            }
+        }
     }
 
     #[test]

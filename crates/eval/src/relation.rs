@@ -284,7 +284,7 @@ impl Relation {
     /// signature is a filtered walk, counted in [`IndexStats::scans`], and
     /// an unkeyed one is the whole map, counted in
     /// [`IndexStats::full_scans`]. O(log n + matches) unless it walks.
-    fn lookup<'a>(
+    pub(crate) fn lookup<'a>(
         &'a self,
         cols: &[usize],
         key: &[ConstId],
@@ -338,7 +338,7 @@ impl Relation {
     }
 
     /// The tuples matching `key` at `cols` ([`Relation::lookup`]), cloned
-    /// into `out`: the engines' candidate lookup.
+    /// into `out`. The engines' body walk visits the same lookup in place.
     pub fn select(&self, cols: &[usize], key: &[ConstId], out: &mut Vec<Tuple>) {
         if cols.is_empty() {
             // The whole relation lands in one allocation.

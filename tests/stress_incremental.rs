@@ -4,7 +4,12 @@
 //! Kept from the root-cause harness for the cross-process seed flake:
 //! these sweeps established the *centralized* engines were deterministic,
 //! narrowing the fault to the distributed layer's iteration order.
+//!
+//! Every seed ends by retracting what is still live: an engine that ran a
+//! stream and gave it all back must hold no tuple and no bookkeeping.
 
+use sensorlog::eval::counting::CountingEngine;
+use sensorlog::eval::rederive::RederiveEngine;
 use sensorlog::prelude::*;
 use std::collections::BTreeSet;
 
@@ -43,6 +48,7 @@ fn stress_incremental_tc() {
         let mut rng = R(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
         let n_ops = 1 + (rng.next() % 30) as usize;
         let mut inc = IncrementalEngine::from_source(TC, BuiltinRegistry::standard()).unwrap();
+        let mut dred = RederiveEngine::from_source(TC, BuiltinRegistry::standard()).unwrap();
         let mut live: BTreeSet<(i64, i64)> = BTreeSet::new();
         let mut ops_log = Vec::new();
         for i in 0..n_ops {
@@ -58,7 +64,8 @@ fn stress_incremental_tc() {
                 live.remove(&(a, b));
                 Update::delete(sym("e"), tuple2(a, b), i as u64)
             };
-            inc.apply(u).unwrap();
+            inc.apply(u.clone()).unwrap();
+            dred.apply(u).unwrap();
         }
         let engine = Engine::from_source(TC, BuiltinRegistry::standard()).unwrap();
         let mut edb = Database::new();
@@ -66,12 +73,31 @@ fn stress_incremental_tc() {
             edb.insert(sym("e"), tuple2(a, b));
         }
         let expect = engine.run(&edb).unwrap();
-        assert_eq!(
-            inc.db.sorted(sym("t")),
-            expect.sorted(sym("t")),
-            "seed {seed} ops {ops_log:?}"
-        );
+        for db in [&inc.db, &dred.db] {
+            assert_eq!(
+                db.sorted(sym("t")),
+                expect.sorted(sym("t")),
+                "seed {seed} ops {ops_log:?}"
+            );
+        }
+        for &(a, b) in &live {
+            let u = Update::delete(sym("e"), tuple2(a, b), n_ops as u64);
+            inc.apply(u.clone()).unwrap();
+            dred.apply(u).unwrap();
+        }
+        assert_drained(&inc, &format!("seed {seed} ops {ops_log:?}"));
+        assert_eq!(dred.db.total_tuples(), 0, "seed {seed} ops {ops_log:?}");
     }
+}
+
+/// After every base fact is retracted: no tuple, no ledger key, no entry.
+fn assert_drained(inc: &IncrementalEngine, case: &str) {
+    assert_eq!(inc.db.total_tuples(), 0, "{case}");
+    assert_eq!(
+        (inc.ledger_keys(), inc.derivation_count()),
+        (0, 0),
+        "ledger not drained: {case}"
+    );
 }
 
 #[test]
@@ -84,6 +110,7 @@ fn stress_incremental_negation() {
         let mut rng = R(seed.wrapping_mul(0x2545F4914F6CDD1D) | 1);
         let n_ops = 1 + (rng.next() % 35) as usize;
         let mut inc = IncrementalEngine::from_source(PROG, BuiltinRegistry::standard()).unwrap();
+        let mut dred = RederiveEngine::from_source(PROG, BuiltinRegistry::standard()).unwrap();
         let mut live: BTreeSet<(bool, i64, i64)> = BTreeSet::new();
         let mut ops_log = Vec::new();
         for i in 0..n_ops {
@@ -100,7 +127,8 @@ fn stress_incremental_negation() {
                 live.remove(&(is_supp, v, k));
                 Update::delete(pred, tuple2(v, k), i as u64)
             };
-            inc.apply(u).unwrap();
+            inc.apply(u.clone()).unwrap();
+            dred.apply(u).unwrap();
         }
         let engine = Engine::from_source(PROG, BuiltinRegistry::standard()).unwrap();
         let mut edb = Database::new();
@@ -109,16 +137,23 @@ fn stress_incremental_negation() {
             edb.insert(pred, tuple2(v, k));
         }
         let expect = engine.run(&edb).unwrap();
-        assert_eq!(
-            inc.db.sorted(sym("alert")),
-            expect.sorted(sym("alert")),
-            "seed {seed} ops {ops_log:?}"
-        );
-        assert_eq!(
-            inc.db.sorted(sym("cov")),
-            expect.sorted(sym("cov")),
-            "seed {seed} ops {ops_log:?}"
-        );
+        for db in [&inc.db, &dred.db] {
+            for out in ["alert", "cov"] {
+                assert_eq!(
+                    db.sorted(sym(out)),
+                    expect.sorted(sym(out)),
+                    "seed {seed} ops {ops_log:?}"
+                );
+            }
+        }
+        for &(is_supp, v, k) in &live {
+            let pred = if is_supp { sym("supp") } else { sym("sight") };
+            let u = Update::delete(pred, tuple2(v, k), n_ops as u64);
+            inc.apply(u.clone()).unwrap();
+            dred.apply(u).unwrap();
+        }
+        assert_drained(&inc, &format!("seed {seed} ops {ops_log:?}"));
+        assert_eq!(dred.db.total_tuples(), 0, "seed {seed} ops {ops_log:?}");
     }
 }
 
@@ -129,7 +164,6 @@ fn stress_counting_engine() {
         q(X, Y) :- a(X, Z), b(Z, Y).
         p(X, Y) :- a(X, Y), not b(X, Y).
     "#;
-    use sensorlog::eval::counting::CountingEngine;
     for seed in SEEDS {
         let mut rng = R(seed.wrapping_mul(0xDA942042E4DD58B5) | 1);
         let n_ops = 1 + (rng.next() % 30) as usize;
@@ -167,6 +201,16 @@ fn stress_counting_engine() {
         assert_eq!(
             cnt.db.sorted(sym("p")),
             expect.sorted(sym("p")),
+            "seed {seed} ops {ops_log:?}"
+        );
+        for &(is_a, x, y) in &live {
+            let pred = if is_a { sym("a") } else { sym("b") };
+            cnt.apply(Update::delete(pred, tuple2(x, y), n_ops as u64))
+                .unwrap();
+        }
+        assert_eq!(
+            (cnt.db.total_tuples(), cnt.state_size()),
+            (0, 0),
             "seed {seed} ops {ops_log:?}"
         );
     }
