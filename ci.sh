@@ -34,15 +34,20 @@ cargo test --workspace -q
 #  - core: a node's join looks its fragments up through `Relation::probe`,
 #    so prefix signatures are ranges of the fragment map (pinned hits /
 #    scans / full scans of a 5x5 logicH run; the old whole-fragment scan
-#    counted nothing and reads 0 / 0 / 0).
+#    counted nothing and reads 0 / 0 / 0);
+#  - core: every next hop of a deployment is decided by `netstack::Router`
+#    (its hop counters add up to the per-predicate sent counters `route()`
+#    bumps, and off-grid it built one table per destination routed to; a
+#    second router in `core` reads 0 here).
 # The boundary-resolve cap (tests/boundary_sites.rs) ran with the workspace
 # tests above.
-echo "== count gates (keyed registry walks, queued event size, unplanned probes, node probe ranges) =="
+echo "== count gates (keyed registry walks, queued event size, unplanned probes, node probe ranges, router hops) =="
 for gate in \
     "sensorlog-netsim sim::tests::keyed_registry_walks_do_not_grow_with_traffic" \
     "sensorlog-core msg::tests::queued_event_stays_payload_independent" \
     "sensorlog-eval planner::tests::engines_probe_only_planned_signatures" \
-    "sensorlog-core deploy::tests::node_probes_are_ranges_of_the_fragment_map"; do
+    "sensorlog-core deploy::tests::node_probes_are_ranges_of_the_fragment_map" \
+    "sensorlog-core deploy::tests::deployment_hops_are_router_hops"; do
     read -r crate name <<<"$gate"
     out=$(cargo test -q -p "$crate" --lib -- --exact "$name" 2>&1) || { echo "$out"; exit 1; }
     grep -q "test result: ok. 1 passed" <<<"$out" || {

@@ -22,7 +22,8 @@ pub fn fig14() -> Table {
         let n = topo.len();
         let readings: Vec<f64> = (0..n).map(|i| i as f64).collect();
         let root = NodeId(0);
-        let tag = run_tag(&query, &topo, root, &readings, SimConfig::default());
+        let tag = run_tag(&query, &topo, root, &readings, SimConfig::default())
+            .expect("loss-free epoch on a connected grid");
         let central = run_central_collection(&query, &topo, root, &readings);
         let oracle = oracle_value(AVG, &query, &readings).unwrap();
         assert!((tag.value - oracle).abs() < 1e-9, "TAG diverged at m={m}");

@@ -124,19 +124,22 @@ pub struct AggRun {
 }
 
 /// Run the query over per-node readings via TAG (one reading per node).
+/// `None` when the epoch has no answer: TAG's child counting does not
+/// survive a lost partial, so under `config.loss_prob > 0` the root may
+/// never finish. Nodes `root` cannot reach are not aggregated.
 pub fn run_tag(
     query: &AggQuery,
     topo: &Topology,
     root: NodeId,
     readings: &[f64],
     config: SimConfig,
-) -> AggRun {
+) -> Option<AggRun> {
     let tree = GatherTree::bfs(topo, root);
     let (partial, messages) = run_epoch(topo, &tree, readings, config);
-    AggRun {
-        value: partial.finish(query.op),
+    Some(AggRun {
+        value: partial?.finish(query.op),
         messages,
-    }
+    })
 }
 
 /// The baseline: every reading travels to the root, which aggregates
@@ -230,7 +233,7 @@ mod tests {
         // Distinct readings: the set/bag semantic gap (module doc) vanishes.
         let readings: Vec<f64> = (0..25).map(|i| i as f64).collect();
         let root = NodeId(0);
-        let tag = run_tag(&q, &topo, root, &readings, SimConfig::default());
+        let tag = run_tag(&q, &topo, root, &readings, SimConfig::default()).unwrap();
         let central = run_central_collection(&q, &topo, root, &readings);
         let oracle = oracle_value(AVG, &q, &readings).unwrap();
         assert!((tag.value - oracle).abs() < 1e-9);
@@ -252,12 +255,36 @@ mod tests {
             ("q(avg<V>) :- r(N, V).", 4.0),
         ] {
             let q = compile_aggregate(&parse_program(src).unwrap()).unwrap();
-            let run = run_tag(&q, &topo, NodeId(0), &readings, SimConfig::default());
+            let run = run_tag(&q, &topo, NodeId(0), &readings, SimConfig::default()).unwrap();
             assert!(
                 (run.value - expect).abs() < 1e-9,
                 "{src}: got {} want {expect}",
                 run.value
             );
         }
+    }
+
+    /// Regression: the caller's `SimConfig` reaches the epoch, and total
+    /// loss used to panic inside `netstack::tag::run_epoch`.
+    #[test]
+    fn an_epoch_without_an_answer_is_none() {
+        let q = compile_aggregate(&parse_program(AVG).unwrap()).unwrap();
+        let lossy = SimConfig {
+            loss_prob: 1.0,
+            ..SimConfig::default()
+        };
+        let run = run_tag(&q, &Topology::square_grid(3), NodeId(0), &[1.0; 9], lossy);
+        assert!(run.is_none());
+        // Two components: the root answers for its own.
+        let topo = Topology::from_positions(vec![(0.0, 0.0), (1.0, 0.0), (9.0, 0.0)], 1.5);
+        let run = run_tag(
+            &q,
+            &topo,
+            NodeId(0),
+            &[2.0, 4.0, 100.0],
+            SimConfig::default(),
+        )
+        .unwrap();
+        assert_eq!((run.value, run.messages), (3.0, 1));
     }
 }

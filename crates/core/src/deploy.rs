@@ -129,7 +129,7 @@ impl Deployment {
         // τc must agree with the simulator's skew bound (Theorem 3).
         rt.tau_c = rt.tau_c.max(config.sim.clock_skew_max);
         let prog = Arc::new(compile_source(src, reg, config.plan)?);
-        let net = Arc::new(NetInfo::new(topo.clone()));
+        let net = Arc::new(NetInfo::new(topo.clone()).with_telemetry(config.telemetry.clone()));
         let cfg = Arc::new(rt);
         let shapes = Arc::new(
             prog.analysis
@@ -185,8 +185,11 @@ impl Deployment {
     }
 
     /// Inject the program's ground facts (empty-body rules) at their owner
-    /// nodes.
+    /// nodes (an empty topology has no node to own them).
     fn inject_static_facts(&mut self) {
+        if self.sim.topology().is_empty() {
+            return;
+        }
         let facts = self.prog.static_facts.clone();
         for (pred, tuple) in facts {
             let owner = match self.strategy {
@@ -667,6 +670,132 @@ mod tests {
         assert!(err.to_string().starts_with("rule #0 at 2:"), "{err}");
     }
 
+    const LOGIC_H: &str = r#"
+        .output h.
+        h(0, 0, 0).
+        h(0, X, 1) :- g(0, X).
+        hp(Y, D + 1) :- h(_, Y, D'), (D + 1) > D', h(_, X, D), g(X, Y).
+        h(X, Y, D + 1) :- g(X, Y), h(_, X, D), not hp(Y, D + 1).
+    "#;
+
+    /// Loss-free logicH under PA on a 5×5 grid, seed 17, run to quiescence.
+    fn logic_h_5x5(config: DeployConfig) -> Deployment {
+        let topo = sensorlog_netsim::Topology::square_grid(5);
+        let config = DeployConfig {
+            sim: SimConfig {
+                seed: 17,
+                ..SimConfig::default()
+            },
+            ..config
+        };
+        let mut d =
+            Deployment::new(LOGIC_H, BuiltinRegistry::standard(), topo.clone(), config).unwrap();
+        d.schedule_all(crate::workload::graph_edges(&topo, 100, 200));
+        d.run(2_000_000);
+        assert!(d.sim.is_quiescent());
+        d
+    }
+
+    /// The hop decisions `layer:netstack` counted, against what `route()`
+    /// counted per predicate and what the provenance plane saw leave.
+    /// Returns (`grid_hops`, `bfs_tables_built`, destinations routed to).
+    fn assert_hops_are_router_hops(d: &Deployment) -> (u64, u64, BTreeSet<NodeId>) {
+        let snap = d.telemetry_snapshot();
+        let net = |name: &str| snap.counter("layer:netstack", name);
+        let routed: u64 = ["store", "probe", "result", "centroid", "other"]
+            .iter()
+            .map(|kind| snap.counter_sum("pred:", &format!("sent_{kind}")))
+            .sum();
+        let decided = net("grid_hops") + net("bfs_hops");
+        assert!(decided > 0, "the deployment never asked the router");
+        assert_eq!(decided + net("unreachable"), routed);
+        assert_eq!(
+            snap.counter_sum("pred:", "routing_drops"),
+            net("unreachable")
+        );
+        // Every decision that found a hop left a `Hop` record naming its
+        // destination (fault plane off: every routed payload has an origin).
+        let dests: Vec<NodeId> = d
+            .provenance_records()
+            .iter()
+            .filter_map(|r| match r {
+                ProvRecord::Hop { dest, .. } => Some(*dest),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(dests.len() as u64, decided);
+        (
+            net("grid_hops"),
+            net("bfs_tables_built"),
+            dests.into_iter().collect(),
+        )
+    }
+
+    /// The count gate of "one router": deployment traffic is routed by
+    /// `netstack::Router` and nothing else. At the parent commit `core`
+    /// carried its own copy of the next-hop arithmetic and every
+    /// `layer:netstack` counter of a deployment read 0.
+    #[test]
+    fn deployment_hops_are_router_hops() {
+        let observed = || DeployConfig {
+            telemetry: Telemetry::enabled(),
+            provenance: Provenance::enabled(),
+            ..DeployConfig::default()
+        };
+        let (grid_hops, tables, _) = assert_hops_are_router_hops(&logic_h_5x5(observed()));
+        assert!(grid_hops > 0 && tables == 0, "grids route by coordinate");
+
+        // Off-grid, a table exists per destination routed to — not per node.
+        let topo = sensorlog_netsim::Topology::random_geometric(60, 7.0, 1.7, 11).unwrap();
+        let config = DeployConfig {
+            rt: RtConfig {
+                strategy: Strategy::Perpendicular { band_width: 1.7 },
+                tau_s: 4_000,
+                tau_j: 8_000,
+                ..RtConfig::default()
+            },
+            ..observed()
+        };
+        let src = ".output q.\nq(X, Y) :- r1(X, T), r2(Y, T).";
+        let mut d = Deployment::new(src, BuiltinRegistry::standard(), topo, config).unwrap();
+        let ev = |at, node, pred: &str, x| WorkloadEvent {
+            at,
+            node: NodeId(node),
+            pred: Symbol::intern(pred),
+            tuple: Tuple::new(vec![Term::Int(x), Term::Int(7)]),
+            kind: UpdateKind::Insert,
+        };
+        d.schedule_all([ev(500, 3, "r1", 1), ev(900, 41, "r2", 2)]);
+        d.run(60_000_000);
+        assert_eq!(d.results(Symbol::intern("q")).len(), 1);
+        let (grid_hops, tables, dests) = assert_hops_are_router_hops(&d);
+        assert_eq!((grid_hops, tables), (0, dests.len() as u64));
+        assert!(0 < tables && tables < 60, "{tables} tables for 60 nodes");
+    }
+
+    /// Regression: `NetInfo::new` used to index node 0 of whatever it was
+    /// given, so deploying on no nodes panicked before anything ran.
+    #[test]
+    fn empty_and_single_node_topologies_deploy_and_run() {
+        for positions in [vec![], vec![(2.5, 2.5)]] {
+            let topo = sensorlog_netsim::Topology::from_positions(positions, 1.0);
+            let net = NetInfo::new(topo.clone());
+            assert_eq!(net.depth(), 1);
+            let mut d = Deployment::new(
+                LOGIC_H,
+                BuiltinRegistry::standard(),
+                topo.clone(),
+                DeployConfig::default(),
+            )
+            .unwrap();
+            let end = d.run(60_000);
+            assert!(d.sim.is_quiescent());
+            assert!(end == 0 || !topo.is_empty(), "nothing to wait for");
+            // The program's one static fact lives at its owner, if any.
+            assert_eq!(d.results(Symbol::intern("h")).len(), topo.len());
+        }
+    }
+
     /// The count gate of "node probes are ranges": loss-free logicH under PA
     /// on a 5×5 grid, seed 17. Every lookup a node's join makes goes through
     /// `Relation::probe` and is counted by how it was served: `g` on `[0]`
@@ -678,26 +807,8 @@ mod tests {
     /// back at it reads 0 / 0 / 0 here.
     #[test]
     fn node_probes_are_ranges_of_the_fragment_map() {
-        let src = r#"
-            .output h.
-            h(0, 0, 0).
-            h(0, X, 1) :- g(0, X).
-            hp(Y, D + 1) :- h(_, Y, D'), (D + 1) > D', h(_, X, D), g(X, Y).
-            h(X, Y, D + 1) :- g(X, Y), h(_, X, D), not hp(Y, D + 1).
-        "#;
         let topo = sensorlog_netsim::Topology::square_grid(5);
-        let config = DeployConfig {
-            sim: SimConfig {
-                seed: 17,
-                ..SimConfig::default()
-            },
-            ..DeployConfig::default()
-        };
-        let mut d =
-            Deployment::new(src, BuiltinRegistry::standard(), topo.clone(), config).unwrap();
-        d.schedule_all(crate::workload::graph_edges(&topo, 100, 200));
-        d.run(2_000_000);
-        assert!(d.sim.is_quiescent());
+        let d = logic_h_5x5(DeployConfig::default());
         let mut stats = sensorlog_eval::IndexStatsSnapshot::default();
         for id in topo.nodes() {
             stats.merge(d.node(id).index_stats());

@@ -20,19 +20,20 @@ use sensorlog_eval::relation::{Database, TupleMeta};
 use sensorlog_eval::{IncrementalEngine, Update, UpdateKind};
 use sensorlog_logic::intern::{IdHashMap, IdHashSet};
 use sensorlog_logic::{Symbol, Tuple};
-use sensorlog_netsim::{App, Ctx, MsgMeta, NodeId, SimTime, Topology, TopologyKind};
-use sensorlog_netstack::ght;
+use sensorlog_netsim::{App, Ctx, MsgMeta, NodeId, SimTime, Topology};
+use sensorlog_netstack::{ght, GatherTree, Router};
 use sensorlog_telemetry::{HistId, Histogram, Scope, Telemetry, SIM_MS_BUCKETS};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
-/// Shared routing context: the topology plus (off-grid) precomputed BFS
-/// next-hop tables.
+/// Shared routing context: the topology, the next-hop oracle over it, and
+/// the two whole-network facts the runtime scales its timers and picks its
+/// server by.
 #[derive(Debug)]
 pub struct NetInfo {
     pub topo: Topology,
-    next_hop_tbl: Option<Vec<Vec<u32>>>,
+    router: Router,
     /// Network depth in hops: the longest route a message can take
     /// (grid diameter, or BFS eccentricity of node 0 off-grid). Scales
     /// per-hop latency estimates up to end-to-end bounds; always ≥ 1.
@@ -43,19 +44,22 @@ pub struct NetInfo {
 
 impl NetInfo {
     pub fn new(topo: Topology) -> NetInfo {
-        let (next_hop_tbl, depth) = match topo.kind {
-            TopologyKind::Grid { cols, rows } => (None, (cols + rows).saturating_sub(2) as SimTime),
-            _ => (
-                Some(build_next_hop(&topo)),
-                bfs_eccentricity(&topo, NodeId(0)),
-            ),
+        let depth = match topo.grid_dims() {
+            Some((cols, rows)) => (cols + rows).saturating_sub(2),
+            None => GatherTree::bfs(&topo, NodeId(0)).max_depth(),
         };
         NetInfo {
             center: Strategy::center(&topo),
+            router: Router::new(&topo),
             topo,
-            next_hop_tbl,
-            depth: depth.max(1),
+            depth: (depth as SimTime).max(1),
         }
+    }
+
+    /// Count the router's hop decisions into `tele` (`layer:netstack`).
+    pub(crate) fn with_telemetry(mut self, tele: Telemetry) -> NetInfo {
+        self.router = self.router.with_telemetry(tele);
+        self
     }
 
     /// The central server for Centroid: the node closest to the deployment
@@ -70,66 +74,14 @@ impl NetInfo {
         self.depth
     }
 
-    /// Next hop from `from` toward `dest` (`from != dest`). `None` when
-    /// `dest` is unreachable from `from` (disconnected topology) — callers
-    /// on the message path must treat that as a routed drop, not a panic.
+    /// Next hop from `from` toward `dest` (`from != dest`), as the
+    /// [`Router`] decides it. `None` when `dest` is unreachable from `from`
+    /// (disconnected topology) — callers on the message path must treat
+    /// that as a routed drop, not a panic.
     pub fn next_hop(&self, from: NodeId, dest: NodeId) -> Option<NodeId> {
         debug_assert_ne!(from, dest);
-        if let (Some((fx, fy)), Some((dx, dy))) =
-            (self.topo.grid_coords(from), self.topo.grid_coords(dest))
-        {
-            let (nx, ny) = if fx != dx {
-                (if dx > fx { fx + 1 } else { fx - 1 }, fy)
-            } else {
-                (fx, if dy > fy { fy + 1 } else { fy - 1 })
-            };
-            return self.topo.node_at(nx, ny);
-        }
-        let tbl = self.next_hop_tbl.as_ref()?;
-        match tbl[dest.index()][from.index()] {
-            u32::MAX => None, // BFS never reached `from` from `dest`
-            hop => Some(NodeId(hop)),
-        }
+        self.router.next_hop(&self.topo, from, dest)
     }
-}
-
-fn build_next_hop(topo: &Topology) -> Vec<Vec<u32>> {
-    let n = topo.len();
-    let mut out = vec![vec![u32::MAX; n]; n];
-    for dest in topo.nodes() {
-        let tbl = &mut out[dest.index()];
-        let mut seen = vec![false; n];
-        seen[dest.index()] = true;
-        let mut q = std::collections::VecDeque::from([dest]);
-        while let Some(v) = q.pop_front() {
-            for &w in topo.neighbors(v) {
-                if !seen[w.index()] {
-                    seen[w.index()] = true;
-                    tbl[w.index()] = v.0;
-                    q.push_back(w);
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Max BFS hop distance from `root` to any reachable node.
-fn bfs_eccentricity(topo: &Topology, root: NodeId) -> SimTime {
-    let mut dist = vec![u64::MAX; topo.len()];
-    dist[root.index()] = 0;
-    let mut ecc = 0;
-    let mut q = std::collections::VecDeque::from([root]);
-    while let Some(v) = q.pop_front() {
-        for &w in topo.neighbors(v) {
-            if dist[w.index()] == u64::MAX {
-                dist[w.index()] = dist[v.index()] + 1;
-                ecc = ecc.max(dist[w.index()]);
-                q.push_back(w);
-            }
-        }
-    }
-    ecc
 }
 
 /// Runtime timing/strategy configuration, shared by all nodes.
@@ -1861,7 +1813,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn netinfo_grid_routes_without_tables() {
+    fn netinfo_asks_the_router() {
         let net = NetInfo::new(Topology::square_grid(4));
         // x first, then y.
         let from = NodeId(0); // (0,0)
@@ -1870,39 +1822,6 @@ mod tests {
         assert_eq!(hop, Some(NodeId(1))); // (1,0)
         let hop2 = net.next_hop(NodeId(3), dest); // (3,0) -> up
         assert_eq!(hop2, Some(NodeId(7))); // (3,1)
-    }
-
-    #[test]
-    fn netinfo_geometric_uses_bfs_tables() {
-        let topo = Topology::random_geometric(20, 4.0, 1.7, 5).unwrap();
-        let net = NetInfo::new(topo.clone());
-        // Hop chains always terminate at the destination.
-        for (a, b) in [(0u32, 19u32), (5, 12)] {
-            let (mut cur, dest) = (NodeId(a), NodeId(b));
-            let mut hops = 0;
-            while cur != dest {
-                let nxt = net.next_hop(cur, dest).expect("connected topology");
-                assert!(topo.are_neighbors(cur, nxt), "{cur}->{nxt} not a link");
-                cur = nxt;
-                hops += 1;
-                assert!(hops <= topo.len(), "routing loop");
-            }
-        }
-    }
-
-    #[test]
-    fn netinfo_disconnected_returns_none_not_panic() {
-        // Two 2-node islands far apart: cross-island routes must be None.
-        let topo = Topology::from_positions(
-            vec![(0.0, 0.0), (1.0, 0.0), (100.0, 0.0), (101.0, 0.0)],
-            1.5,
-        );
-        assert!(!topo.is_connected());
-        let net = NetInfo::new(topo);
-        assert_eq!(net.next_hop(NodeId(0), NodeId(1)), Some(NodeId(1)));
-        assert_eq!(net.next_hop(NodeId(0), NodeId(2)), None);
-        assert_eq!(net.next_hop(NodeId(3), NodeId(1)), None);
-        assert_eq!(net.next_hop(NodeId(2), NodeId(3)), Some(NodeId(3)));
     }
 
     #[test]

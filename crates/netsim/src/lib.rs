@@ -35,7 +35,7 @@ pub mod wheel;
 pub use faults::{FaultEvent, FaultKind, FaultSchedule, LinkState, RandomFaults};
 pub use metrics::{EnergyModel, Metrics, NodeCounters};
 pub use sim::{App, Ctx, MsgMeta, Sched, SchedStats, SimConfig, SimTime, Simulator};
-pub use topology::{ConnectivityError, NodeId, Topology, TopologyKind};
+pub use topology::{Bfs, ConnectivityError, NodeId, Topology, TopologyKind};
 pub use trace::{
     DropReason, Journal, ReplayChecker, SharedJournal, SharedSummary, TraceEvent, TraceRecord,
     TraceSink, TraceSummary,

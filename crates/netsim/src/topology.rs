@@ -4,6 +4,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Node identifier: index into the topology's node list.
@@ -65,6 +66,16 @@ pub struct Topology {
     adjacency: Vec<Vec<NodeId>>,
 }
 
+/// Breadth-first tree from one root ([`Topology::bfs`]).
+#[derive(Clone, Debug)]
+pub struct Bfs {
+    /// The node each node was first reached from: `None` for the root and
+    /// for every node the root cannot reach.
+    pub parent: Vec<Option<NodeId>>,
+    /// Hop distance from the root; `u32::MAX` when unreachable.
+    pub dist: Vec<u32>,
+}
+
 impl Topology {
     /// `cols × rows` grid with unit spacing. Node `(x, y)` has id
     /// `y * cols + x` — x grows rightward, y upward.
@@ -124,25 +135,10 @@ impl Topology {
         const ATTEMPTS: u32 = 200;
         let mut rng = StdRng::seed_from_u64(seed);
         for _attempt in 0..ATTEMPTS {
-            let positions: Vec<(f64, f64)> = (0..n)
+            let positions = (0..n)
                 .map(|_| (rng.gen::<f64>() * side, rng.gen::<f64>() * side))
                 .collect();
-            let mut adjacency = vec![Vec::new(); n];
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    let (x1, y1) = positions[i];
-                    let (x2, y2) = positions[j];
-                    if (x1 - x2).powi(2) + (y1 - y2).powi(2) <= radius * radius {
-                        adjacency[i].push(NodeId(j as u32));
-                        adjacency[j].push(NodeId(i as u32));
-                    }
-                }
-            }
-            let topo = Topology {
-                kind: TopologyKind::Geometric { side, radius },
-                positions,
-                adjacency,
-            };
+            let topo = Topology::unit_disk(side, positions, radius);
             if topo.is_connected() {
                 return Ok(topo);
             }
@@ -160,11 +156,15 @@ impl Topology {
     /// does *not* require connectivity — testbed layouts and
     /// partition/fault experiments need disconnected graphs.
     pub fn from_positions(positions: Vec<(f64, f64)>, radius: f64) -> Topology {
-        let n = positions.len();
         let side = positions
             .iter()
             .flat_map(|&(x, y)| [x, y])
             .fold(0.0f64, f64::max);
+        Topology::unit_disk(side, positions, radius)
+    }
+
+    fn unit_disk(side: f64, positions: Vec<(f64, f64)>, radius: f64) -> Topology {
+        let n = positions.len();
         let mut adjacency = vec![Vec::new(); n];
         for i in 0..n {
             for j in (i + 1)..n {
@@ -243,47 +243,39 @@ impl Topology {
         ((x1 - x2).powi(2) + (y1 - y2).powi(2)).sqrt()
     }
 
-    /// BFS connectivity check.
-    pub fn is_connected(&self) -> bool {
-        if self.is_empty() {
-            return true;
+    /// Breadth-first search from `root`, neighbors in adjacency order — the
+    /// one graph traversal every routing table, gathering tree, depth and
+    /// connectivity answer is read from. A `root` outside the topology
+    /// (any root of an empty one) reaches nothing.
+    pub fn bfs(&self, root: NodeId) -> Bfs {
+        let mut parent = vec![None; self.len()];
+        let mut dist = vec![u32::MAX; self.len()];
+        let mut queue = VecDeque::new();
+        if let Some(d) = dist.get_mut(root.index()) {
+            *d = 0;
+            queue.push_back(root);
         }
-        let mut seen = vec![false; self.len()];
-        let mut stack = vec![NodeId(0)];
-        seen[0] = true;
-        let mut count = 1;
-        while let Some(v) = stack.pop() {
-            for &w in self.neighbors(v) {
-                if !seen[w.index()] {
-                    seen[w.index()] = true;
-                    count += 1;
-                    stack.push(w);
-                }
-            }
-        }
-        count == self.len()
-    }
-
-    /// Hop distance (BFS); `None` if unreachable.
-    pub fn hop_distance(&self, a: NodeId, b: NodeId) -> Option<usize> {
-        if a == b {
-            return Some(0);
-        }
-        let mut dist = vec![usize::MAX; self.len()];
-        dist[a.index()] = 0;
-        let mut queue = std::collections::VecDeque::from([a]);
         while let Some(v) = queue.pop_front() {
             for &w in self.neighbors(v) {
-                if dist[w.index()] == usize::MAX {
+                if dist[w.index()] == u32::MAX {
                     dist[w.index()] = dist[v.index()] + 1;
-                    if w == b {
-                        return Some(dist[w.index()]);
-                    }
+                    parent[w.index()] = Some(v);
                     queue.push_back(w);
                 }
             }
         }
-        None
+        Bfs { parent, dist }
+    }
+
+    /// Whether node 0 reaches every node (vacuously true when empty).
+    pub fn is_connected(&self) -> bool {
+        self.bfs(NodeId(0)).dist.iter().all(|&d| d != u32::MAX)
+    }
+
+    /// Hop distance; `None` if unreachable.
+    pub fn hop_distance(&self, a: NodeId, b: NodeId) -> Option<usize> {
+        let d = self.bfs(a).dist[b.index()];
+        (d != u32::MAX).then_some(d as usize)
     }
 
     /// The node whose position is closest to `(x, y)` (geographic-hash
@@ -306,6 +298,91 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `hop_distance` as it was before [`Topology::bfs`]: its own loop with
+    /// an early exit at `b`.
+    fn old_hop_distance(t: &Topology, a: NodeId, b: NodeId) -> Option<usize> {
+        if a == b {
+            return Some(0);
+        }
+        let mut dist = vec![usize::MAX; t.len()];
+        dist[a.index()] = 0;
+        let mut queue = VecDeque::from([a]);
+        while let Some(v) = queue.pop_front() {
+            for &w in t.neighbors(v) {
+                if dist[w.index()] == usize::MAX {
+                    dist[w.index()] = dist[v.index()] + 1;
+                    if w == b {
+                        return Some(dist[w.index()]);
+                    }
+                    queue.push_back(w);
+                }
+            }
+        }
+        None
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Grid, connected geometric and (mostly) disconnected inputs: the
+        /// one traversal gives the old per-pair answers, and its parents
+        /// are links one hop closer to the root.
+        #[test]
+        fn bfs_agrees_with_the_old_hop_distance(
+            kind in 0u32..3,
+            n in 1usize..36,
+            seed in 0u64..10_000,
+            root in 0usize..36,
+        ) {
+            let topo = match kind {
+                0 => Topology::grid(1 + n as u32 % 6, 1 + n as u32 / 6),
+                1 => Topology::random_geometric(n, 4.0, 1.8, seed).unwrap(),
+                _ => {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let at = |rng: &mut StdRng| rng.gen::<f64>() * 10.0;
+                    Topology::from_positions((0..n).map(|_| (at(&mut rng), at(&mut rng))).collect(), 1.5)
+                }
+            };
+            let root = NodeId((root % topo.len()) as u32);
+            let bfs = topo.bfs(root);
+            for v in topo.nodes() {
+                let d = bfs.dist[v.index()];
+                let want = old_hop_distance(&topo, root, v);
+                prop_assert_eq!((d != u32::MAX).then_some(d as usize), want);
+                prop_assert_eq!(topo.hop_distance(root, v), want);
+                match bfs.parent[v.index()] {
+                    Some(p) => {
+                        prop_assert!(topo.are_neighbors(p, v));
+                        prop_assert_eq!(bfs.dist[p.index()] + 1, d);
+                    }
+                    None => prop_assert!(v == root || want.is_none()),
+                }
+            }
+            let all_reached = topo.nodes().all(|v| old_hop_distance(&topo, NodeId(0), v).is_some());
+            prop_assert_eq!(topo.is_connected(), all_reached);
+            if kind < 2 {
+                prop_assert!(all_reached);
+            }
+        }
+    }
+
+    #[test]
+    fn bfs_is_safe_without_a_root() {
+        let empty = Topology::from_positions(vec![], 1.0);
+        let bfs = empty.bfs(NodeId(0));
+        assert!(bfs.parent.is_empty() && bfs.dist.is_empty());
+        assert!(empty.is_connected());
+        // A root outside a non-empty topology reaches nothing either.
+        let line = Topology::grid(3, 1);
+        assert!(line.bfs(NodeId(9)).dist.iter().all(|&d| d == u32::MAX));
+        // Two islands: the far one is unreachable, not a panic.
+        let split = Topology::from_positions(vec![(0.0, 0.0), (1.0, 0.0), (9.0, 0.0)], 1.5);
+        assert!(!split.is_connected());
+        assert_eq!(split.hop_distance(NodeId(0), NodeId(2)), None);
+        assert_eq!(split.bfs(NodeId(0)).parent, [None, Some(NodeId(0)), None]);
+    }
 
     #[test]
     fn grid_shape() {

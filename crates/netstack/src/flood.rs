@@ -8,7 +8,6 @@
 //! in-network evaluation against this hand-written protocol.
 
 use sensorlog_netsim::{App, Ctx, MsgMeta, NodeId, SimConfig, Simulator, Topology};
-use sensorlog_telemetry::{Scope, Telemetry};
 
 #[derive(Clone, Debug)]
 pub struct DistBeacon {
@@ -29,7 +28,6 @@ pub struct FloodNode {
     pub root: NodeId,
     pub dist: Option<u32>,
     pub parent: Option<NodeId>,
-    pub broadcasts: u32,
 }
 
 impl App for FloodNode {
@@ -38,7 +36,6 @@ impl App for FloodNode {
     fn on_start(&mut self, ctx: &mut Ctx<DistBeacon>) {
         if self.id == self.root {
             self.dist = Some(0);
-            self.broadcasts += 1;
             ctx.broadcast(DistBeacon { dist: 0 });
         }
     }
@@ -48,7 +45,6 @@ impl App for FloodNode {
         if self.dist.is_none_or(|cur| d < cur) {
             self.dist = Some(d);
             self.parent = Some(from);
-            self.broadcasts += 1;
             ctx.broadcast(DistBeacon { dist: d });
         }
     }
@@ -64,45 +60,15 @@ pub struct FloodResult {
 
 /// Run the procedural baseline; deterministic for a given config seed.
 pub fn run_flood(topo: &Topology, root: NodeId, config: SimConfig) -> FloodResult {
-    run_flood_with(topo, root, config, Telemetry::disabled())
-}
-
-/// [`run_flood`] with a telemetry handle: the simulator records per-node
-/// tx/rx counters and hop-delay histograms into the shared registry, the
-/// whole run is timed under the `flood.run` phase, and per-node broadcast
-/// counts land under `Scope::Layer("flood")`.
-pub fn run_flood_with(
-    topo: &Topology,
-    root: NodeId,
-    config: SimConfig,
-    tele: Telemetry,
-) -> FloodResult {
-    let _span = tele.span("flood.run");
     let mut sim = Simulator::new(topo.clone(), config, move |id, _| FloodNode {
         id,
         root,
         dist: None,
         parent: None,
-        broadcasts: 0,
     });
-    sim.set_telemetry(tele.clone());
     let converged_at = sim.run_to_quiescence(100_000_000);
-    tele.record_sim("flood.run", converged_at);
-    for id in topo.nodes() {
-        tele.add(
-            Scope::Layer("flood"),
-            "broadcasts",
-            sim.node(id).broadcasts as u64,
-        );
-    }
     FloodResult {
-        tree: topo
-            .nodes()
-            .map(|id| {
-                let n = sim.node(id);
-                (n.parent, n.dist)
-            })
-            .collect(),
+        tree: sim.nodes().map(|n| (n.parent, n.dist)).collect(),
         total_messages: sim.metrics.total_tx(),
         converged_at,
     }
@@ -111,16 +77,26 @@ pub fn run_flood_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::GatherTree;
 
+    /// Loss-free, the protocol settles on the BFS tree's depths: on a grid
+    /// (Manhattan distance from the corner) and off it, every node reached.
     #[test]
     fn flood_computes_bfs_distances() {
-        let topo = Topology::square_grid(5);
-        let res = run_flood(&topo, NodeId(0), SimConfig::default());
-        for id in topo.nodes() {
-            let (x, y) = topo.grid_coords(id).unwrap();
-            assert_eq!(res.tree[id.index()].1, Some(x + y));
+        for topo in [
+            Topology::square_grid(5),
+            Topology::random_geometric(30, 5.0, 1.7, 9).unwrap(),
+        ] {
+            let res = run_flood(&topo, NodeId(0), SimConfig::default());
+            let oracle = GatherTree::bfs(&topo, NodeId(0));
+            for id in topo.nodes() {
+                assert_eq!(res.tree[id.index()].1, Some(oracle.depth[id.index()]));
+                if let Some((x, y)) = topo.grid_coords(id) {
+                    assert_eq!(res.tree[id.index()].1, Some(x + y));
+                }
+            }
+            assert!(res.total_messages > 0);
         }
-        assert!(res.total_messages > 0);
     }
 
     #[test]

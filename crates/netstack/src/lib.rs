@@ -3,18 +3,20 @@
 //! Network services layered on the simulator, used by the distributed
 //! deductive engine and the baselines:
 //!
-//! * [`router`] — grid coordinate routing, greedy geographic routing with
-//!   BFS fallback;
+//! * [`router`] — the one next-hop oracle: x-then-y on grids, a lazily
+//!   built BFS parent table per destination everywhere else, plus the fault
+//!   plane's greedy detour step;
 //! * [`ght`] — geographic hashing: derived tuples meet at their owner node
 //!   (Sec. III-B);
 //! * [`regions`] — PA storage/join regions: grid rows & columns, coordinate
 //!   bands for general topologies, spatial-constraint truncation
 //!   (Sec. III-A);
-//! * [`tree`] — data-gathering spanning trees (BFS + the distributed
-//!   beacon protocol);
+//! * [`tree`] — data-gathering spanning trees (`Topology::bfs` rooted at
+//!   the sink);
 //! * [`tag`] — TAG-style in-network aggregation (the paper's citation \[32\]);
 //! * [`flood`] — the hand-written procedural shortest-path-tree protocol
-//!   (the Kairos-style comparator for Example 3).
+//!   (the Kairos-style comparator for Example 3; also how such a tree is
+//!   built in-network).
 
 pub mod flood;
 pub mod ght;

@@ -128,45 +128,32 @@ impl App for TagNode {
 }
 
 /// Run one TAG epoch over `readings` (indexed by node); returns the root's
-/// partial and the total message count.
+/// partial and the total message count. The partial is `None` when the root
+/// never heard from every child — child counting has no answer to a lost
+/// partial: the parent waits, and so does every ancestor. It covers the
+/// root's component only: nodes the tree does not reach have no parent to
+/// send to.
 pub fn run_epoch(
     topo: &Topology,
     tree: &GatherTree,
     readings: &[f64],
     config: SimConfig,
-) -> (Partial, u64) {
+) -> (Option<Partial>, u64) {
     assert_eq!(readings.len(), topo.len());
-    // `make_app` is now `'static` (restartable nodes need the factory for
-    // the node's whole lifetime), so hand it owned per-node init data
-    // instead of borrowing `tree` and `readings`.
-    let init: Vec<(Option<NodeId>, usize, f64)> = topo
-        .nodes()
-        .map(|id| {
-            (
-                tree.parent[id.index()],
-                tree.children(id).len(),
-                readings[id.index()],
-            )
-        })
-        .collect();
-    let mut sim = Simulator::new(topo.clone(), config, move |id, _| {
-        let (parent, expected_children, reading) = init[id.index()];
-        TagNode {
-            id,
-            parent,
-            expected_children,
-            reading,
-            acc: None,
-            received: 0,
-            result: None,
-        }
+    let parent = tree.parent.clone();
+    let children = tree.child_counts();
+    let readings = readings.to_vec();
+    let mut sim = Simulator::new(topo.clone(), config, move |id, _| TagNode {
+        id,
+        parent: parent[id.index()],
+        expected_children: children[id.index()],
+        reading: readings[id.index()],
+        acc: None,
+        received: 0,
+        result: None,
     });
     sim.run_to_quiescence(10_000_000);
-    let root_result = sim
-        .node(tree.root)
-        .result
-        .expect("root must finish in a loss-free epoch");
-    (root_result, sim.metrics.total_tx())
+    (sim.node(tree.root).result, sim.metrics.total_tx())
 }
 
 #[cfg(test)]
@@ -180,6 +167,7 @@ mod tests {
         let tree = GatherTree::bfs(&topo, NodeId(0));
         let readings: Vec<f64> = (0..16).map(|i| i as f64).collect();
         let (p, msgs) = run_epoch(&topo, &tree, &readings, SimConfig::default());
+        let p = p.expect("loss-free epoch on a connected grid");
         assert_eq!(p.finish(TagOp::Sum), 120.0);
         assert_eq!(p.finish(TagOp::Count), 16.0);
         assert_eq!(p.finish(TagOp::Min), 0.0);
@@ -198,6 +186,33 @@ mod tests {
         // Naive: each reading travels depth hops to the root.
         let naive: u64 = topo.nodes().map(|n| tree.depth[n.index()] as u64).sum();
         assert!(tag_msgs < naive, "TAG {tag_msgs} !< naive {naive}");
+    }
+
+    /// Regression: both used to panic in `run_epoch` ("root must finish in
+    /// a loss-free epoch") instead of reporting that the epoch has no answer.
+    #[test]
+    fn an_epoch_the_root_cannot_finish_is_none_not_a_panic() {
+        let topo = Topology::square_grid(3);
+        let tree = GatherTree::bfs(&topo, NodeId(0));
+        let lossy = SimConfig {
+            loss_prob: 1.0,
+            ..SimConfig::default()
+        };
+        let (p, msgs) = run_epoch(&topo, &tree, &[1.0; 9], lossy);
+        assert_eq!(p, None);
+        assert!(msgs > 0, "leaves still transmit; every partial is lost");
+        // Two components: the epoch answers for the root's side only (nodes
+        // the tree does not reach have no parent to send to).
+        let topo = Topology::from_positions(
+            vec![(0.0, 0.0), (1.0, 0.0), (100.0, 0.0), (101.0, 0.0)],
+            1.5,
+        );
+        for (root, want) in [(NodeId(0), Some(3.0)), (NodeId(2), Some(7.0))] {
+            let tree = GatherTree::bfs(&topo, root);
+            let (p, msgs) = run_epoch(&topo, &tree, &[1.0, 2.0, 3.0, 4.0], SimConfig::default());
+            assert_eq!(p.map(|p| p.finish(TagOp::Sum)), want);
+            assert_eq!(msgs, 1);
+        }
     }
 
     #[test]

@@ -1,16 +1,13 @@
 //! Data-gathering spanning tree (the substrate for TAG-style aggregation,
 //! Sec. IV-C "We can use specialized distributed techniques such as TAG").
 //!
-//! A BFS tree rooted at the sink. [`GatherTree`] is the precomputed
-//! structure; [`build_distributed`] runs the classic beacon-flood protocol
-//! on the simulator and reports its message cost (it must agree with the
-//! precomputed tree on hop counts).
+//! [`GatherTree`] is [`Topology::bfs`] rooted at the sink. The protocol that
+//! builds the same tree in-network — a beacon flood — is [`crate::flood`].
 
-use sensorlog_netsim::{App, Ctx, MsgMeta, NodeId, SimConfig, Simulator, Topology};
-use sensorlog_telemetry::Telemetry;
-use std::collections::VecDeque;
+use sensorlog_netsim::{Bfs, NodeId, Topology};
 
-/// A rooted spanning tree: parent pointers + depth per node.
+/// A rooted spanning tree: parent pointers + depth per node (`u32::MAX`
+/// for nodes the root cannot reach).
 #[derive(Clone, Debug)]
 pub struct GatherTree {
     pub root: NodeId,
@@ -21,40 +18,25 @@ pub struct GatherTree {
 impl GatherTree {
     /// BFS tree from `root`.
     pub fn bfs(topo: &Topology, root: NodeId) -> GatherTree {
-        let mut parent = vec![None; topo.len()];
-        let mut depth = vec![u32::MAX; topo.len()];
-        depth[root.index()] = 0;
-        let mut q = VecDeque::from([root]);
-        while let Some(v) = q.pop_front() {
-            for &w in topo.neighbors(v) {
-                if depth[w.index()] == u32::MAX {
-                    depth[w.index()] = depth[v.index()] + 1;
-                    parent[w.index()] = Some(v);
-                    q.push_back(w);
-                }
-            }
-        }
+        let Bfs { parent, dist } = topo.bfs(root);
         GatherTree {
             root,
             parent,
-            depth,
+            depth: dist,
         }
     }
 
-    /// Children of a node.
-    pub fn children(&self, n: NodeId) -> Vec<NodeId> {
-        self.parent
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| **p == Some(n))
-            .map(|(i, _)| NodeId(i as u32))
-            .collect()
+    /// Number of children of every node, in one pass over `parent`.
+    pub(crate) fn child_counts(&self) -> Vec<usize> {
+        let mut counts = vec![0; self.parent.len()];
+        for p in self.parent.iter().flatten() {
+            counts[p.index()] += 1;
+        }
+        counts
     }
 
-    pub fn is_leaf(&self, n: NodeId) -> bool {
-        self.children(n).is_empty()
-    }
-
+    /// Depth of the deepest reachable node (0 for an empty or single-node
+    /// tree).
     pub fn max_depth(&self) -> u32 {
         self.depth
             .iter()
@@ -63,89 +45,6 @@ impl GatherTree {
             .max()
             .unwrap_or(0)
     }
-}
-
-/// Beacon message of the distributed tree protocol.
-#[derive(Clone, Debug)]
-pub struct Beacon {
-    pub depth: u32,
-}
-
-impl MsgMeta for Beacon {
-    fn size_bytes(&self) -> usize {
-        4
-    }
-    fn kind(&self) -> &'static str {
-        "beacon"
-    }
-}
-
-/// Node state of the distributed tree protocol.
-pub struct TreeNode {
-    pub id: NodeId,
-    pub root: NodeId,
-    pub parent: Option<NodeId>,
-    pub depth: Option<u32>,
-}
-
-impl App for TreeNode {
-    type Msg = Beacon;
-
-    fn on_start(&mut self, ctx: &mut Ctx<Beacon>) {
-        if self.id == self.root {
-            self.depth = Some(0);
-            ctx.broadcast(Beacon { depth: 0 });
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<Beacon>, from: NodeId, msg: Beacon) {
-        let new_depth = msg.depth + 1;
-        if self.depth.is_none_or(|d| new_depth < d) {
-            self.depth = Some(new_depth);
-            self.parent = Some(from);
-            ctx.broadcast(Beacon { depth: new_depth });
-        }
-    }
-}
-
-/// Run the distributed tree construction; returns (tree, message count).
-pub fn build_distributed(topo: &Topology, root: NodeId, config: SimConfig) -> (GatherTree, u64) {
-    build_distributed_with(topo, root, config, Telemetry::disabled())
-}
-
-/// [`build_distributed`] with a telemetry handle: beacon traffic lands in
-/// the shared registry and the protocol run is timed as `tree.build`.
-pub fn build_distributed_with(
-    topo: &Topology,
-    root: NodeId,
-    config: SimConfig,
-    tele: Telemetry,
-) -> (GatherTree, u64) {
-    let _span = tele.span("tree.build");
-    let mut sim = Simulator::new(topo.clone(), config, move |id, _| TreeNode {
-        id,
-        root,
-        parent: None,
-        depth: None,
-    });
-    sim.set_telemetry(tele.clone());
-    let converged_at = sim.run_to_quiescence(10_000_000);
-    tele.record_sim("tree.build", converged_at);
-    let mut parent = vec![None; topo.len()];
-    let mut depth = vec![u32::MAX; topo.len()];
-    for id in topo.nodes() {
-        let n = sim.node(id);
-        parent[id.index()] = n.parent;
-        depth[id.index()] = n.depth.unwrap_or(u32::MAX);
-    }
-    (
-        GatherTree {
-            root,
-            parent,
-            depth,
-        },
-        sim.metrics.total_tx(),
-    )
 }
 
 #[cfg(test)]
@@ -169,28 +68,25 @@ mod tests {
     fn children_partition() {
         let topo = Topology::square_grid(4);
         let t = GatherTree::bfs(&topo, NodeId(0));
-        let mut count = 0;
+        let counts = t.child_counts();
+        // Every non-root has exactly one parent.
+        assert_eq!(counts.iter().sum::<usize>(), topo.len() - 1);
         for id in topo.nodes() {
-            count += t.children(id).len();
+            let children = t.parent.iter().filter(|p| **p == Some(id)).count();
+            assert_eq!(counts[id.index()], children);
         }
-        assert_eq!(count, topo.len() - 1); // every non-root has one parent
     }
 
     #[test]
-    fn distributed_matches_bfs_depths() {
-        let topo = Topology::square_grid(4);
-        let (tree, msgs) = build_distributed(&topo, NodeId(0), SimConfig::default());
-        let oracle = GatherTree::bfs(&topo, NodeId(0));
-        assert_eq!(tree.depth, oracle.depth);
-        assert!(msgs > 0);
-    }
-
-    #[test]
-    fn distributed_on_geometric() {
-        let topo = Topology::random_geometric(30, 5.0, 1.7, 9).unwrap();
-        let (tree, _) = build_distributed(&topo, NodeId(0), SimConfig::default());
-        for id in topo.nodes() {
-            assert!(tree.depth[id.index()] != u32::MAX, "{id} unreached");
-        }
+    fn unreachable_nodes_have_no_depth_and_count_for_nobody() {
+        let topo = Topology::from_positions(vec![(0.0, 0.0), (1.0, 0.0), (9.0, 0.0)], 1.5);
+        let t = GatherTree::bfs(&topo, NodeId(0));
+        assert_eq!(t.depth, [0, 1, u32::MAX]);
+        assert_eq!(t.child_counts(), [1, 0, 0]);
+        assert_eq!(t.max_depth(), 1);
+        assert_eq!(
+            GatherTree::bfs(&Topology::from_positions(vec![], 1.0), NodeId(0)).max_depth(),
+            0
+        );
     }
 }

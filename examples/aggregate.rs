@@ -36,7 +36,8 @@ fn main() {
         })
         .collect();
 
-    let tag = run_tag(&query, &topo, root, &readings, SimConfig::default());
+    let tag = run_tag(&query, &topo, root, &readings, SimConfig::default())
+        .expect("loss-free epoch on a connected grid");
     let central = run_central_collection(&query, &topo, root, &readings);
     let oracle = oracle_value(QUERY, &query, &readings).expect("oracle evaluates");
 
