@@ -38,16 +38,20 @@ cargo test --workspace -q
 #  - core: every next hop of a deployment is decided by `netstack::Router`
 #    (its hop counters add up to the per-predicate sent counters `route()`
 #    bumps, and off-grid it built one table per destination routed to; a
-#    second router in `core` reads 0 here).
+#    second router in `core` reads 0 here);
+#  - logic: the id table under both interners (`pages::Pages`) is read
+#    without a lock while it grows — the one concurrency test of the table
+#    every tuple comparison reads through.
 # The boundary-resolve cap (tests/boundary_sites.rs) ran with the workspace
 # tests above.
-echo "== count gates (keyed registry walks, queued event size, unplanned probes, node probe ranges, router hops) =="
+echo "== count gates (keyed registry walks, queued event size, unplanned probes, node probe ranges, router hops, id table race) =="
 for gate in \
     "sensorlog-netsim sim::tests::keyed_registry_walks_do_not_grow_with_traffic" \
     "sensorlog-core msg::tests::queued_event_stays_payload_independent" \
     "sensorlog-eval planner::tests::engines_probe_only_planned_signatures" \
     "sensorlog-core deploy::tests::node_probes_are_ranges_of_the_fragment_map" \
-    "sensorlog-core deploy::tests::deployment_hops_are_router_hops"; do
+    "sensorlog-core deploy::tests::deployment_hops_are_router_hops" \
+    "sensorlog-logic pages::tests::lock_free_reads_race_with_publishing"; do
     read -r crate name <<<"$gate"
     out=$(cargo test -q -p "$crate" --lib -- --exact "$name" 2>&1) || { echo "$out"; exit 1; }
     grep -q "test result: ok. 1 passed" <<<"$out" || {

@@ -787,10 +787,8 @@ const SCALE: [(&str, &str, &str, [u64; 3]); 2] = [
 /// phase's count, share of wall and cost per count — split into partials per
 /// count and cost per partial, so the table says which of the two carries
 /// the growth — with the share of fragment lookups served as a range, then
-/// the least-squares exponent of each in node count. (The phase is both
-/// spanned and `record_sim`ed, so its count ticks twice per call: per-call
-/// figures are twice the `per_probe` columns, at every size alike.) Gates
-/// are the tx counts; timings are rows.
+/// the least-squares exponent of each in node count. Gates are the tx
+/// counts; timings are rows.
 fn scale(quick: bool, r: &mut Report) {
     let sizes = if quick { 2 } else { SCALE_GRIDS.len() };
     for (program, src, gate_prefix, tx_pins) in SCALE {

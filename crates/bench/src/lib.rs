@@ -9,6 +9,8 @@
 //! cargo run --release -p sensorlog-bench --bin figures -- fig4 fig8
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cases;
 pub mod common;
 pub mod experiments;

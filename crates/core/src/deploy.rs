@@ -819,6 +819,26 @@ mod tests {
         );
     }
 
+    /// One `process_probe` / `apply_result` call is one tick of its phase,
+    /// although the phase takes the call's wall time and its sim-time lag.
+    /// With a `record_sim` beside the span both phases read exactly twice
+    /// the node counters.
+    #[test]
+    fn a_phase_counts_each_call_once() {
+        let d = logic_h_5x5(DeployConfig {
+            telemetry: Telemetry::enabled(),
+            ..DeployConfig::default()
+        });
+        let snap = d.telemetry_snapshot();
+        let probes: u64 = d.node_stats().iter().map(|s| s.probes_processed).sum();
+        assert!(probes > 0);
+        assert_eq!(snap.phase("core.join.probe").unwrap().count, probes);
+        assert_eq!(
+            snap.phase("core.result.apply").unwrap().count,
+            snap.counter_sum("pred:", "deriv_deltas")
+        );
+    }
+
     #[test]
     fn script_skips_comments_and_blanks() {
         let evs = WorkloadEvent::parse_script(

@@ -52,6 +52,8 @@
 //! assert!(report.exact(), "missing {:?} spurious {:?}", report.missing, report.spurious);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod agg;
 pub mod deploy;
 pub mod durable;

@@ -886,14 +886,15 @@ impl SensorlogNode {
 
     /// Run the join-computation step at this node (Fig. 1) and forward.
     fn process_probe(&mut self, ctx: &mut Ctx<Payload>, mut probe: ProbeMsg) {
-        let _span = self.tele.span("core.join.probe");
-        self.stats.probes_processed += 1;
         let tau = probe.update.tau;
-        let sign_base = probe.update.kind;
         // Sim-time age of the update at the moment its probe reaches us —
         // the in-network join latency the paper bounds with τs + τc.
-        self.tele
-            .record_sim("core.join.probe", ctx.local_time.saturating_sub(tau));
+        let _span = self
+            .tele
+            .span("core.join.probe")
+            .with_sim(ctx.local_time.saturating_sub(tau));
+        self.stats.probes_processed += 1;
+        let sign_base = probe.update.kind;
         self.tele
             .bump(Scope::Pred(probe.update.pred.as_str()), "probes_processed");
 
@@ -1046,7 +1047,10 @@ impl SensorlogNode {
         tau: SimTime,
         origin: TupleId,
     ) {
-        let _span = self.tele.span("core.result.apply");
+        // Sim-time lag between the originating update and its derivation
+        // delta landing at the owner (storage + join + result routing).
+        let lag = ctx.local_time.saturating_sub(tau);
+        let _span = self.tele.span("core.result.apply").with_sim(lag);
         self.tele.bump(Scope::Pred(pred.as_str()), "deriv_deltas");
         self.prov.record_with(|| ProvRecord::Deriv {
             owner: self.id,
@@ -1058,10 +1062,6 @@ impl SensorlogNode {
             origin,
             at: ctx.local_time,
         });
-        // Sim-time lag between the originating update and its derivation
-        // delta landing at the owner (storage + join + result routing).
-        let lag = ctx.local_time.saturating_sub(tau);
-        self.tele.record_sim("core.result.apply", lag);
         // Per-hop estimate: the end-to-end lag spread over the network
         // depth. Feeds the adaptive holddown default for predicates with
         // no declared `.holddown`.

@@ -22,6 +22,8 @@
 //!   and the delta plans the three maintenance engines' one delta pass reads;
 //! * [`window`] — sliding-window expiry.
 
+#![forbid(unsafe_code)]
+
 pub mod aggregate;
 pub mod counting;
 pub mod error;

@@ -8,6 +8,16 @@
 //! operations; the boxed [`Term`] representation survives only at the
 //! parser / builtin / display boundary behind explicit [`resolve`] calls.
 //!
+//! **Reads take no lock.** `ConstId → &'static Entry` lives in the
+//! append-only `pages::Pages` table this module shares with [`crate::symbol`]:
+//! the miss path of [`intern_val`] publishes the entry under the pool's
+//! write lock *before* the id is handed out, and [`entry`] / [`cmp_ids`] /
+//! [`resolve`] read the slot with two acquire loads — from any thread, which
+//! is what `Sched::Shard`'s workers do. The table covers every `u32` id, so
+//! the pool has no size ceiling of its own. Only value → id goes through the
+//! lock, a `std::sync::RwLock` whose poison is ignored: a panic under it
+//! leaves the map and the table as they were.
+//!
 //! **Determinism.** Id assignment is first-touch order, which is
 //! deterministic for a deterministic workload — but nothing observable
 //! depends on it: every ordered structure (relation iteration, journal
@@ -47,14 +57,14 @@
 //! resolves; `ci.sh` enforces this with the `intern.boundary.resolves`
 //! gauge.
 
+use crate::pages::Pages;
 use crate::symbol::Symbol;
 use crate::term::{Term, F64};
-use parking_lot::RwLock;
 use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering as AtomicOrdering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::{OnceLock, PoisonError, RwLock};
 
 /// Dense handle of an interned ground value.
 pub type ConstId = u32;
@@ -131,50 +141,22 @@ pub struct Entry {
     pub sort_key: Box<[u8]>,
 }
 
-struct Pool {
-    map: HashMap<Val, ConstId>,
-    len: u32,
-}
+/// Value → id; the next id is its length. Guarded by the pool lock.
+type Pool = HashMap<Val, ConstId>;
 
-// Entry pointers live in a lock-free two-level page table so the hot path
-// ([`entry`], and through it every id comparison) never
-// touches the pool lock. Pages are allocated under the pool write lock and
-// published with release stores; ids are handed out only after their slot
-// is written.
-const PAGE_BITS: u32 = 12;
-const PAGE_SIZE: usize = 1 << PAGE_BITS;
-const PAGES: usize = 16_384; // 2^26 interned constants max
+/// `ConstId → &Entry`: the table [`entry`] — and through it every id
+/// comparison — reads without touching the pool lock.
+static ENTRIES: Pages<Entry> = Pages::new();
 
-struct Page([AtomicPtr<Entry>; PAGE_SIZE]);
-
-fn page_table() -> &'static [AtomicPtr<Page>; PAGES] {
-    static TABLE: OnceLock<Box<[AtomicPtr<Page>; PAGES]>> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        // Safety: AtomicPtr is repr(transparent) over *mut and zero-init
-        // is the null pointer.
-        unsafe {
-            Box::from_raw(Box::into_raw(vec![0usize; PAGES].into_boxed_slice())
-                as *mut [AtomicPtr<Page>; PAGES])
-        }
-    })
-}
-
-/// Store `e` at slot `id`, allocating the page if needed. Caller holds the
-/// pool write lock (or is the pool initializer), so slot writes never race.
-fn publish_entry(id: ConstId, e: &'static Entry) {
-    let table = page_table();
-    let pi = (id >> PAGE_BITS) as usize;
-    assert!(pi < PAGES, "const pool exceeds supported size");
-    let mut page = table[pi].load(AtomicOrdering::Acquire);
-    if page.is_null() {
-        let fresh: Box<Page> = unsafe {
-            Box::from_raw(Box::into_raw(vec![0usize; PAGE_SIZE].into_boxed_slice()) as *mut Page)
-        };
-        page = Box::into_raw(fresh);
-        table[pi].store(page, AtomicOrdering::Release);
-    }
-    unsafe { &(*page).0[id as usize & (PAGE_SIZE - 1)] }
-        .store(e as *const Entry as *mut Entry, AtomicOrdering::Release);
+/// Give `entry` the next id: publish it in [`ENTRIES`], *then* let the map
+/// hand the id out. The caller holds the pool write lock (or is the pool's
+/// initializer), so ids never race.
+fn push(pool: &mut Pool, entry: Entry) -> ConstId {
+    let id = ConstId::try_from(pool.len()).expect("const pool overflow");
+    let entry: &'static Entry = Box::leak(Box::new(entry));
+    ENTRIES.publish(id, entry);
+    pool.insert(entry.val.clone(), id);
+    id
 }
 
 /// Small non-negative integers are pre-seeded at pool init so stage
@@ -185,20 +167,9 @@ const SMALL_INTS: i64 = 4096;
 fn pool() -> &'static RwLock<Pool> {
     static POOL: OnceLock<RwLock<Pool>> = OnceLock::new();
     POOL.get_or_init(|| {
-        let mut p = Pool {
-            map: HashMap::new(),
-            len: 0,
-        };
+        let mut p = Pool::new();
         for n in 0..SMALL_INTS {
-            let val = Val::Int(n);
-            let entry: &'static Entry = Box::leak(Box::new(Entry {
-                byte_size: 8,
-                sort_key: int_sort_key(n),
-                val: val.clone(),
-            }));
-            publish_entry(p.len, entry);
-            p.map.insert(val, p.len);
-            p.len += 1;
+            push(&mut p, build_entry(Val::Int(n)));
         }
         RwLock::new(p)
     })
@@ -286,23 +257,18 @@ fn build_entry(val: Val) -> Entry {
 /// Intern a ground value (children of `App` must already be interned).
 pub fn intern_val(val: Val) -> ConstId {
     {
-        let guard = pool().read();
-        if let Some(&id) = guard.map.get(&val) {
+        let guard = pool().read().unwrap_or_else(PoisonError::into_inner);
+        if let Some(&id) = guard.get(&val) {
             return id;
         }
     }
     // Build the entry outside the write lock: it reads child entries.
-    let entry = build_entry(val.clone());
-    let mut guard = pool().write();
-    if let Some(&id) = guard.map.get(&val) {
+    let entry = build_entry(val);
+    let mut guard = pool().write().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&id) = guard.get(&entry.val) {
         return id;
     }
-    let leaked: &'static Entry = Box::leak(Box::new(entry));
-    let id = guard.len;
-    publish_entry(id, leaked);
-    guard.map.insert(val, id);
-    guard.len += 1;
-    id
+    push(&mut guard, entry)
 }
 
 /// Intern an integer. Lock-free for small non-negative values.
@@ -350,17 +316,15 @@ pub fn intern_term(t: &Term) -> Option<ConstId> {
 
 /// Flat access to an interned entry. Does **not** count as a resolve: the
 /// hot path inspects entries (tags, ints, sort keys) without rebuilding
-/// terms. Lock-free: two acquire loads through the page table.
+/// terms. Lock-free: two acquire loads through `ENTRIES`.
 #[inline]
 pub fn entry(id: ConstId) -> &'static Entry {
-    // Small ids can come straight off the `intern_int` fast path without
-    // the pool (and its pre-seeded pages) ever being initialized.
-    let _ = pool();
-    let page = page_table()[(id >> PAGE_BITS) as usize].load(AtomicOrdering::Acquire);
-    debug_assert!(!page.is_null(), "entry({id}) before interning");
-    let e = unsafe { &(*page).0[id as usize & (PAGE_SIZE - 1)] }.load(AtomicOrdering::Acquire);
-    debug_assert!(!e.is_null(), "entry({id}) before interning");
-    unsafe { &*e }
+    ENTRIES.get(id).unwrap_or_else(|| {
+        // A small id can come straight off the `intern_int` fast path before
+        // the pool, which pre-seeds those, was ever touched.
+        let _ = pool();
+        ENTRIES.get(id).expect("entry() of an id nobody interned")
+    })
 }
 
 /// Order two ids by value — exactly `resolve(a).cmp(&resolve(b))`.
@@ -379,7 +343,7 @@ pub fn cmp_ids(a: ConstId, b: ConstId) -> Ordering {
 
 /// Number of interned constants (diagnostics).
 pub fn pool_len() -> usize {
-    pool().read().len as usize
+    pool().read().unwrap_or_else(PoisonError::into_inner).len()
 }
 
 // ---------------------------------------------------------------------------
@@ -562,6 +526,82 @@ mod tests {
                     "id fast path diverges from sort keys for {a} vs {b}"
                 );
             }
+        }
+    }
+
+    /// `Sched::Shard`'s case: worker threads read entries, compare and
+    /// resolve ids while other threads intern. A reader must never see an
+    /// id whose entry is not there yet or is half built, and interning must
+    /// never disturb the value or the order of older ids.
+    #[test]
+    fn lock_free_entry_reads_race_with_interning() {
+        use crate::pages::tests::race;
+        use std::sync::atomic::{AtomicU32, Ordering::*};
+
+        const WRITERS: usize = 2;
+        const FRESH: i64 = 5_000;
+        const BASE: i64 = 7_000_000_000; // nobody else's ints, and >= SMALL_INTS
+        let pre_terms: Vec<Term> = (0..64)
+            .map(|i| Term::app("race_pre", vec![Term::Int(BASE - 64 + i)]))
+            .collect();
+        // Interned back to front, so id order is the reverse of value order.
+        let mut pre: Vec<ConstId> = pre_terms
+            .iter()
+            .rev()
+            .map(|t| intern_term(t).unwrap())
+            .collect();
+        pre.reverse();
+        // Step `j` of every writer: a fresh int, a fresh atom and a nested
+        // `App` over both. The writers intern the same values, so each one
+        // also finds ids the other has just published through the map.
+        let fresh = |j: i64| {
+            let n = Term::Int(BASE + j);
+            let inner = Term::app("race_inner", vec![n.clone()]);
+            Term::app(
+                "race",
+                vec![n, Term::atom(&format!("race_atom_{j}")), inner],
+            )
+        };
+        let first = intern_term(&fresh(0)).unwrap();
+        let check_fresh = |id: ConstId| {
+            let Val::App(_, kids) = &entry(id).val else {
+                panic!("entry({id}) is not an application");
+            };
+            let j = entry(kids[0]).val.as_i64().unwrap() - BASE;
+            let term = resolve(id);
+            assert_eq!(term, fresh(j), "id {id} resolves to something else");
+            assert_eq!(entry(id).byte_size as usize, term.byte_size());
+            assert_eq!(intern_term(&term), Some(id), "value of {id} has another id");
+            assert_eq!(cmp_ids(first, id), 0.cmp(&j), "fresh ids order by value");
+            j
+        };
+        // The newest id each writer has interned, handed to the readers the
+        // way any id crosses threads: through a release / acquire pair.
+        let latest: Vec<AtomicU32> = (0..WRITERS).map(|_| AtomicU32::new(first)).collect();
+        race(
+            WRITERS,
+            8,
+            |w| {
+                for j in 1..=FRESH {
+                    let id = intern_term(&fresh(j)).unwrap();
+                    assert_eq!(check_fresh(id), j);
+                    latest[w].store(id, Release);
+                }
+            },
+            || {
+                for (i, (&id, term)) in pre.iter().zip(&pre_terms).enumerate() {
+                    assert_eq!(resolve(id), *term);
+                    if i > 0 {
+                        let order = cmp_ids(pre[i - 1], id);
+                        assert_eq!(order, Ordering::Less, "order of old ids moved");
+                    }
+                }
+                let (a, b) = (latest[0].load(Acquire), latest[1].load(Acquire));
+                assert_eq!(cmp_ids(a, b), check_fresh(a).cmp(&check_fresh(b)));
+            },
+        );
+        for slot in &latest {
+            assert_eq!(check_fresh(slot.load(Acquire)), FRESH);
         }
     }
 

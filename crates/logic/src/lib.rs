@@ -36,6 +36,8 @@
 //! assert_eq!(analysis.class, ProgramClass::NonRecursive);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod absint;
 pub mod analyze;
 pub mod ast;
@@ -47,6 +49,7 @@ pub mod flat;
 pub mod intern;
 pub mod lexer;
 pub mod magic;
+mod pages;
 pub mod parser;
 pub mod safety;
 pub mod span;

@@ -6,16 +6,18 @@
 //! (they are leaked), which is the usual trade-off for a query engine whose
 //! vocabulary is bounded by the program text plus the data constants.
 //!
-//! **Reads take no lock.** `id → &'static str` lives in an append-only
-//! table of [`OnceLock`] pages: [`Symbol::intern`]'s miss path fills the
-//! slot under the interner's write lock *before* the id is handed out, and
-//! `as_str` / `cmp` / `Display` read the slot with two acquire loads. Only
-//! `intern` itself (string → id) goes through the lock.
+//! **Reads take no lock.** `id → &'static str` lives in the append-only
+//! `pages::Pages` table this module shares with [`crate::intern`]:
+//! [`Symbol::intern`]'s miss path publishes the string under the interner's
+//! write lock *before* the id is handed out, and `as_str` / `cmp` /
+//! `Display` read the slot with two acquire loads. Only `intern` itself
+//! (string → id) goes through the lock, a `std::sync::RwLock` whose poison
+//! is ignored: a panic under it leaves the map and the table as they were.
 
-use parking_lot::RwLock;
+use crate::pages::Pages;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{OnceLock, PoisonError, RwLock};
 
 /// An interned string. Cheap to copy, hash and compare.
 ///
@@ -36,24 +38,9 @@ fn interner() -> &'static RwLock<Interner> {
     INTERNER.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
-/// Page `p` holds `1 << (FIRST_PAGE_BITS + p)` slots, so [`PAGE_COUNT`]
-/// pages cover every `u32` id and a page, once allocated, never moves.
-const FIRST_PAGE_BITS: u32 = 10;
-const PAGE_COUNT: usize = (u32::BITS - FIRST_PAGE_BITS + 1) as usize;
-
-type Page = Box<[OnceLock<&'static str>]>;
-
 /// Id → string. Written only by [`Symbol::intern`]'s miss path (under the
 /// interner write lock), read without any lock.
-static PAGES: [OnceLock<Page>; PAGE_COUNT] = [const { OnceLock::new() }; PAGE_COUNT];
-
-/// `(page, slot)` of `id`.
-#[inline]
-fn locate(id: u32) -> (usize, usize) {
-    let n = id as u64 + (1 << FIRST_PAGE_BITS);
-    let top = u64::BITS - 1 - n.leading_zeros();
-    ((top - FIRST_PAGE_BITS) as usize, (n - (1 << top)) as usize)
-}
+static PAGES: Pages<str> = Pages::new();
 
 impl Symbol {
     /// Crate-internal raw handle — used only as inline-array filler in
@@ -66,12 +53,12 @@ impl Symbol {
     /// Intern `s`, returning its unique handle.
     pub fn intern(s: &str) -> Symbol {
         {
-            let guard = interner().read();
+            let guard = interner().read().unwrap_or_else(PoisonError::into_inner);
             if let Some(&id) = guard.get(s) {
                 return Symbol(id);
             }
         }
-        let mut guard = interner().write();
+        let mut guard = interner().write().unwrap_or_else(PoisonError::into_inner);
         if let Some(&id) = guard.get(s) {
             return Symbol(id);
         }
@@ -79,14 +66,7 @@ impl Symbol {
         let id = u32::try_from(guard.len()).expect("interner overflow");
         // Publish the string before the id can reach anyone: readers learn
         // an id only from this return value or from the map under the lock.
-        let (page, slot) = locate(id);
-        PAGES[page].get_or_init(|| {
-            (0..1usize << (FIRST_PAGE_BITS + page as u32))
-                .map(|_| OnceLock::new())
-                .collect()
-        })[slot]
-            .set(leaked)
-            .expect("symbol slot filled twice");
+        PAGES.publish(id, leaked);
         guard.insert(leaked, id);
         Symbol(id)
     }
@@ -94,10 +74,8 @@ impl Symbol {
     /// The interned string. Lock-free (see the module docs).
     #[inline]
     pub fn as_str(self) -> &'static str {
-        let (page, slot) = locate(self.0);
-        PAGES[page]
-            .get()
-            .and_then(|p| p[slot].get())
+        PAGES
+            .get(self.0)
             .expect("symbol id was published by intern")
     }
 
@@ -189,28 +167,15 @@ mod tests {
         assert_eq!(Symbol::intern("sym_3"), all[0][3]);
     }
 
-    #[test]
-    fn page_layout_is_dense_and_in_range() {
-        assert_eq!(locate(0), (0, 0));
-        assert_eq!(locate(1023), (0, 1023));
-        assert_eq!(locate(1024), (1, 0));
-        assert_eq!(locate(3071), (1, 2047));
-        assert_eq!(locate(3072), (2, 0));
-        let (page, slot) = locate(u32::MAX);
-        assert_eq!(page, PAGE_COUNT - 1);
-        assert!(slot < 1 << (FIRST_PAGE_BITS as usize + page));
-    }
-
-    /// Readers take no lock, so they must never see an id whose string is
-    /// not there yet, and growing the table must never disturb what is
-    /// already in it.
+    /// Readers take no lock, so they must never see a symbol whose string
+    /// is not there yet, and interning must never disturb the content or
+    /// the order of older symbols (the table's own race is `pages::tests`).
     #[test]
     fn lock_free_reads_race_with_interning() {
-        use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering::*};
-        use std::sync::Barrier;
+        use crate::pages::tests::race;
+        use std::sync::atomic::{AtomicU32, Ordering::*};
 
         const WRITERS: usize = 2;
-        const READERS: usize = 8;
         const FRESH: usize = 10_000;
         let names: Vec<String> = (0..64).map(|i| format!("race_pre_{i:03}")).collect();
         // Interned back to front, so id order is the reverse of string order.
@@ -219,54 +184,36 @@ mod tests {
         // The newest symbol each writer has interned, handed to the readers
         // the way any id crosses threads: through a release / acquire pair.
         let latest: Vec<AtomicU32> = (0..WRITERS).map(|w| AtomicU32::new(pre[w].0)).collect();
-        let writers_done = AtomicUsize::new(0);
-        let start = Barrier::new(WRITERS + READERS);
-        std::thread::scope(|s| {
-            for w in 0..WRITERS {
-                let (latest, writers_done, start) = (&latest, &writers_done, &start);
-                s.spawn(move || {
-                    start.wait();
-                    for j in 0..FRESH {
-                        let name = format!("race_fresh_{w}_{j}");
-                        let sym = Symbol::intern(&name);
-                        assert_eq!(sym.as_str(), name);
-                        latest[w].store(sym.0, Release);
+        race(
+            WRITERS,
+            8,
+            |w| {
+                // Both writers intern the same names, so each one also finds
+                // ids the other has just published through the map.
+                for j in 0..FRESH {
+                    let name = format!("race_fresh_{j}");
+                    let sym = Symbol::intern(&name);
+                    assert_eq!(sym.as_str(), name);
+                    latest[w].store(sym.0, Release);
+                }
+            },
+            || {
+                for (i, (sym, name)) in pre.iter().zip(&names).enumerate() {
+                    assert_eq!(sym.as_str(), name);
+                    if i > 0 {
+                        assert!(pre[i - 1] < *sym, "ordering of old symbols moved");
                     }
-                    writers_done.fetch_add(1, Release);
-                });
-            }
-            for _ in 0..READERS {
-                let (latest, writers_done, start) = (&latest, &writers_done, &start);
-                let (pre, names) = (&pre, &names);
-                s.spawn(move || {
-                    start.wait();
-                    let mut last_round = false;
-                    loop {
-                        for (i, (sym, name)) in pre.iter().zip(names).enumerate() {
-                            assert_eq!(sym.as_str(), name);
-                            if i > 0 {
-                                assert!(pre[i - 1] < *sym, "ordering of old symbols moved");
-                            }
-                        }
-                        for (w, slot) in latest.iter().enumerate() {
-                            let got = Symbol(slot.load(Acquire)).as_str();
-                            assert!(
-                                got.starts_with(&format!("race_fresh_{w}_")) || got == names[w],
-                                "writer {w} published `{got}`"
-                            );
-                        }
-                        if last_round {
-                            break;
-                        }
-                        last_round = writers_done.load(Acquire) == WRITERS;
-                    }
-                });
-            }
-        });
-        for (w, slot) in latest.iter().enumerate() {
-            let last = format!("race_fresh_{w}_{}", FRESH - 1);
-            assert_eq!(Symbol(slot.load(Acquire)).as_str(), last);
-            assert_eq!(Symbol::intern(&last).0, slot.load(Acquire));
-        }
+                }
+                for (w, slot) in latest.iter().enumerate() {
+                    let got = Symbol(slot.load(Acquire)).as_str();
+                    assert!(
+                        got.starts_with("race_fresh_") || got == names[w],
+                        "writer {w} published `{got}`"
+                    );
+                }
+            },
+        );
+        let last = Symbol::intern(&format!("race_fresh_{}", FRESH - 1));
+        assert!(latest.iter().all(|slot| slot.load(Acquire) == last.0));
     }
 }

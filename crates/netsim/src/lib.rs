@@ -24,6 +24,8 @@
 //! windows — byte-identical journals, pinned in
 //! `tests/trace_stability.rs`.
 
+#![forbid(unsafe_code)]
+
 pub mod faults;
 pub mod metrics;
 pub(crate) mod shard;

@@ -18,6 +18,8 @@
 //!   (the Kairos-style comparator for Example 3; also how such a tree is
 //!   built in-network).
 
+#![forbid(unsafe_code)]
+
 pub mod flood;
 pub mod ght;
 pub mod regions;

@@ -98,7 +98,7 @@ impl Router {
     /// One registry lock and one `Vec` index per hop with telemetry on;
     /// one branch with it off.
     fn count(&self, hop: Hop) {
-        if let Some(mut reg) = self.tele.registry_mut() {
+        if let Some(mut reg) = self.tele.registry() {
             let name = ["grid_hops", "bfs_hops", "unreachable"][hop as usize];
             let id = self.hop_ids[hop as usize]
                 .get_or_init(|| reg.counter(Scope::Layer("netstack"), name));

@@ -21,6 +21,8 @@
 //! into an invariant: every tuple the centralized oracle expects must have
 //! a well-founded proof whose leaves are live EDB facts.
 
+#![forbid(unsafe_code)]
+
 pub mod dag;
 pub mod explain;
 pub mod invariants;

@@ -28,6 +28,8 @@
 //! assert!(snap.to_jsonl().contains("\"type\":\"counter\""));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod export;
 mod histogram;
 mod profiler;
@@ -38,9 +40,7 @@ pub use histogram::{Histogram, MergeError};
 pub use profiler::{PhaseStat, Profiler, Span};
 pub use registry::{CounterId, GaugeId, HistId, Key, MetricsRegistry, Scope};
 
-use parking_lot::Mutex;
-use std::sync::Arc;
-use std::sync::MutexGuard;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Standard byte-size buckets (upper-inclusive bounds) for message-size
 /// histograms.
@@ -48,6 +48,12 @@ pub const BYTES_BUCKETS: &[u64] = &[8, 16, 32, 64, 128, 256, 512, 1024];
 
 /// Standard latency buckets in simulated milliseconds.
 pub const SIM_MS_BUCKETS: &[u64] = &[10, 50, 100, 500, 1_000, 5_000, 10_000, 50_000];
+
+/// Lock `m`, ignoring poison: a recording call that panicked has left its
+/// counters at worst one tick short, which is no reason to lose the rest.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 struct TelemetryInner {
     registry: Mutex<MetricsRegistry>,
@@ -103,7 +109,7 @@ impl Telemetry {
     #[inline]
     pub fn add(&self, scope: Scope, name: &'static str, n: u64) {
         if let Some(inner) = &self.inner {
-            inner.registry.lock().bump(scope, name, n);
+            lock(&inner.registry).bump(scope, name, n);
         }
     }
 
@@ -111,7 +117,7 @@ impl Telemetry {
     #[inline]
     pub fn gauge_max(&self, scope: Scope, name: &'static str, v: u64) {
         if let Some(inner) = &self.inner {
-            inner.registry.lock().gauge_max(scope, name, v);
+            lock(&inner.registry).gauge_max(scope, name, v);
         }
     }
 
@@ -119,7 +125,7 @@ impl Telemetry {
     #[inline]
     pub fn gauge_set(&self, scope: Scope, name: &'static str, v: u64) {
         if let Some(inner) = &self.inner {
-            inner.registry.lock().gauge_set(scope, name, v);
+            lock(&inner.registry).gauge_set(scope, name, v);
         }
     }
 
@@ -127,7 +133,7 @@ impl Telemetry {
     #[inline]
     pub fn observe(&self, scope: Scope, name: &'static str, bounds: &'static [u64], v: u64) {
         if let Some(inner) = &self.inner {
-            inner.registry.lock().observe(scope, name, bounds, v);
+            lock(&inner.registry).observe(scope, name, bounds, v);
         }
     }
 
@@ -146,7 +152,7 @@ impl Telemetry {
         v: u64,
     ) {
         if let Some(inner) = &self.inner {
-            let mut reg = inner.registry.lock();
+            let mut reg = lock(&inner.registry);
             let id = *cache.get_or_insert_with(|| reg.histogram(scope, name, bounds));
             reg.observe_id(id, v);
         }
@@ -180,12 +186,7 @@ impl Telemetry {
 
     /// Locked access to the registry; `None` when disabled.
     pub fn registry(&self) -> Option<MutexGuard<'_, MetricsRegistry>> {
-        self.inner.as_ref().map(|i| i.registry.lock())
-    }
-
-    /// Locked mutable access to the registry; `None` when disabled.
-    pub fn registry_mut(&self) -> Option<MutexGuard<'_, MetricsRegistry>> {
-        self.inner.as_ref().map(|i| i.registry.lock())
+        self.inner.as_ref().map(|i| lock(&i.registry))
     }
 
     /// Export everything recorded so far. Disabled handles export an empty
@@ -193,7 +194,7 @@ impl Telemetry {
     pub fn snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::default();
         if let Some(inner) = &self.inner {
-            snap.absorb_registry(&inner.registry.lock());
+            snap.absorb_registry(&lock(&inner.registry));
             snap.absorb_profiler(&inner.profiler);
         }
         snap

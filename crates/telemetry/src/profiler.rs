@@ -4,18 +4,20 @@
 //! disabled [`Profiler`] is a `None` and both `span()` and `record_sim()`
 //! are a single branch. Wall time is measured with `Instant` on guard drop;
 //! simulated time is recorded explicitly by the instrumented code (the
-//! simulator's clock, not ours). Wall times never feed anything
-//! determinism-sensitive — they are export-only.
+//! simulator's clock, not ours) — through [`Span::with_sim`] where the call
+//! is spanned as well, so that one call is one count. Wall times never feed
+//! anything determinism-sensitive — they are export-only.
 
-use parking_lot::Mutex;
+use crate::lock;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Aggregate for one phase name.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseStat {
-    /// Number of completed spans plus `record_sim` calls.
+    /// Number of recordings: one per completed span (whether or not it
+    /// carried sim time), one per `record_sim` / `record_wall_ns` call.
     pub count: u64,
     /// Total wall time across spans, nanoseconds.
     pub wall_ns: u64,
@@ -24,6 +26,15 @@ pub struct PhaseStat {
 }
 
 type Phases = Arc<Mutex<BTreeMap<&'static str, PhaseStat>>>;
+
+/// One recording against `phase`.
+fn record(phases: &Phases, phase: &'static str, wall_ns: u64, sim_ms: u64) {
+    let mut map = lock(phases);
+    let stat = map.entry(phase).or_default();
+    stat.count += 1;
+    stat.wall_ns += wall_ns;
+    stat.sim_ms += sim_ms;
+}
 
 /// Cheap clone-handle; all clones share one phase table.
 #[derive(Clone, Default)]
@@ -65,6 +76,7 @@ impl Profiler {
         match &self.phases {
             Some(p) => Span {
                 inner: Some((Arc::clone(p), phase, Instant::now())),
+                sim_ms: 0,
             },
             None => Span::inert(),
         }
@@ -74,27 +86,21 @@ impl Profiler {
     #[inline]
     pub fn record_sim(&self, phase: &'static str, dt: u64) {
         if let Some(p) = &self.phases {
-            let mut map = p.lock();
-            let stat = map.entry(phase).or_default();
-            stat.count += 1;
-            stat.sim_ms += dt;
+            record(p, phase, 0, dt);
         }
     }
 
     /// Add raw wall nanoseconds to `phase` (for pre-measured intervals).
     pub fn record_wall_ns(&self, phase: &'static str, ns: u64) {
         if let Some(p) = &self.phases {
-            let mut map = p.lock();
-            let stat = map.entry(phase).or_default();
-            stat.count += 1;
-            stat.wall_ns += ns;
+            record(p, phase, ns, 0);
         }
     }
 
     /// Snapshot of all phases, sorted by name.
     pub fn phases(&self) -> Vec<(&'static str, PhaseStat)> {
         match &self.phases {
-            Some(p) => p.lock().iter().map(|(k, v)| (*k, *v)).collect(),
+            Some(p) => lock(p).iter().map(|(k, v)| (*k, *v)).collect(),
             None => Vec::new(),
         }
     }
@@ -103,23 +109,36 @@ impl Profiler {
 /// Wall-time span guard returned by [`Profiler::span`].
 pub struct Span {
     inner: Option<(Phases, &'static str, Instant)>,
+    sim_ms: u64,
 }
 
 impl Span {
     /// The no-op guard of a disabled profiler.
     pub fn inert() -> Self {
-        Span { inner: None }
+        Span {
+            inner: None,
+            sim_ms: 0,
+        }
+    }
+
+    /// Also add `dt` simulated milliseconds to the phase when the guard
+    /// drops: the call's wall time and sim time land as one recording, where
+    /// a `record_sim` beside the span would count the call twice.
+    pub fn with_sim(mut self, dt: u64) -> Span {
+        self.sim_ms += dt;
+        self
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some((phases, phase, start)) = self.inner.take() {
-            let ns = start.elapsed().as_nanos() as u64;
-            let mut map = phases.lock();
-            let stat = map.entry(phase).or_default();
-            stat.count += 1;
-            stat.wall_ns += ns;
+            record(
+                &phases,
+                phase,
+                start.elapsed().as_nanos() as u64,
+                self.sim_ms,
+            );
         }
     }
 }
@@ -162,6 +181,15 @@ mod tests {
         assert_eq!(stat.sim_ms, 150);
         assert_eq!(stat.count, 2);
         assert_eq!(stat.wall_ns, 0);
+    }
+
+    #[test]
+    fn a_span_carrying_sim_time_is_one_recording() {
+        let p = Profiler::enabled();
+        drop(p.span("probe").with_sim(120));
+        drop(p.span("probe").with_sim(30));
+        let stat = p.phases()[0].1;
+        assert_eq!((stat.count, stat.sim_ms), (2, 150));
     }
 
     #[test]

@@ -51,6 +51,8 @@
 //! assert_eq!(out.len_of(Symbol::intern("uncov")), 1); // only the one at 90
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use sensorlog_core as core;
 pub use sensorlog_eval as eval;
 pub use sensorlog_logic as logic;
