@@ -58,6 +58,35 @@ for gate in \
         echo "count gate $name did not run (renamed or filtered out?)"; exit 1; }
 done
 
+# One set-of-derivations ledger: `eval::Support`, stored by the incremental
+# engine and by `core::runtime::Owned`. A second one would start like this.
+echo "== one derivation ledger (no HashMap<DerivationKey under crates/) =="
+if grep -rn 'HashMap<DerivationKey' crates/; then
+    echo "a second derivation ledger: count derivation keys in eval::Support"; exit 1
+fi
+
+# ROADMAP item 8's repro (crates/bench/tests/staggered_arrivals.rs), gated in
+# both directions: the sizes that are oracle-exact today must run and pass,
+# and the ignored 6x6 case must run and *fail* — when it passes, item 8 is
+# fixed and the gate below says what to do about it.
+echo "== staggered arrivals (exact where exact today; the item-8 repro still fails) =="
+out=$(cargo test -q -p sensorlog-bench --test staggered_arrivals -- \
+    --exact tree_programs_are_oracle_exact_where_arrivals_settle 2>&1) || { echo "$out"; exit 1; }
+grep -q "test result: ok. 1 passed" <<<"$out" || {
+    echo "staggered_arrivals did not run (renamed or filtered out?)"; exit 1; }
+if out=$(cargo test -q -p sensorlog-bench --test staggered_arrivals -- \
+    --ignored --exact logich_6x6_links_200ms_apart_is_oracle_exact 2>&1); then
+    echo "$out"
+    if grep -q "test result: ok. 1 passed" <<<"$out"; then
+        echo "item 8 fixed? drop the #[ignore] and promote it to a \`scale.results_equal_oracle_*\` gate"
+    else
+        echo "the item-8 repro did not run (renamed or filtered out?)"
+    fi
+    exit 1
+fi
+grep -q "test result: FAILED. 0 passed; 1 failed" <<<"$out" || {
+    echo "$out"; echo "the item-8 repro did not run (renamed, or the build broke?)"; exit 1; }
+
 if [[ "$fast" -eq 0 ]]; then
     echo "== cargo build --release (workspace, timed) =="
     build_start=$SECONDS

@@ -13,11 +13,11 @@ use crate::row;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sensorlog_core::deploy::{DeployConfig, Deployment};
-use sensorlog_core::invariants;
 use sensorlog_core::prov::{to_jsonl, ProvRecord, Provenance};
 use sensorlog_core::runtime::{FaultPlaneCfg, RtConfig};
 use sensorlog_core::workload::UniformStreams;
 use sensorlog_core::Strategy;
+use sensorlog_core::{invariants, oracle};
 use sensorlog_eval::relation::{Relation, TupleMeta};
 use sensorlog_eval::{Database, Engine, IncrementalEngine, Update};
 use sensorlog_logic::absint::frontier;
@@ -788,7 +788,8 @@ const SCALE: [(&str, &str, &str, [u64; 3]); 2] = [
 /// count and cost per partial, so the table says which of the two carries
 /// the growth — with the share of fragment lookups served as a range, then
 /// the least-squares exponent of each in node count. Gates are the tx
-/// counts; timings are rows.
+/// counts; timings are rows, and so — until item 8 closes — is the oracle's
+/// count beside the run's (`results` / `oracle` / `spurious`).
 fn scale(quick: bool, r: &mut Report) {
     let sizes = if quick { 2 } else { SCALE_GRIDS.len() };
     for (program, src, gate_prefix, tx_pins) in SCALE {
@@ -818,9 +819,13 @@ fn scale(quick: bool, r: &mut Report) {
             let ranged = lookups("join.index.hits");
             let walked = lookups("join.index.scans") + lookups("join.index.full_scans");
             r.gate(&format!("{gate_prefix}tx_{nodes}_nodes"), tx_pin, tx);
+            // Not gates (ROADMAP item 8 is open): what the oracle wants beside
+            // what the run holds, so a wrong count stops looking like a result.
+            let held = oracle::check(&d, d.applied_events(), d.prog.outputs[0]);
             r.row(row![
                 "program" => program, "nodes" => nodes, "wall_s" => wall_s, "tx" => tx,
-                "results" => d.results(d.prog.outputs[0]).len(), "probe_calls" => probe.count,
+                "results" => held.found, "oracle" => held.expected,
+                "spurious" => held.spurious.len(), "probe_calls" => probe.count,
                 "probe_share" => probe_s / wall_s, "us_per_probe" => us_per_probe,
                 "partials_per_probe" => partials / probe.count as f64,
                 "ns_per_partial" => ns_per_partial,

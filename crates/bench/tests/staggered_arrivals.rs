@@ -1,0 +1,54 @@
+//! ROADMAP item 8's repro, committed: the tree programs under PA with the
+//! grid's links arriving one by one.
+//!
+//! What is right today stays right — both programs are oracle-exact on 5×5
+//! with links 200 ms apart and on 10×5 with links 20 ms apart (nothing else
+//! asserts a tree above 5×5). What is wrong today is written down as an
+//! ignored test: logicH on 6×6 with links 200 ms apart quiesces holding
+//! three `h` tuples the oracle does not derive. `ci.sh` runs the ignored test
+//! and requires it to *fail*, so the day item 8 is fixed CI says so.
+
+use sensorlog_bench::common::{seed17, sptree_deployment, LOGIC_H, LOGIC_J};
+use sensorlog_core::oracle::{self, OracleReport};
+
+/// Run `src` on `grid` with links `spacing` ms apart (the `bench scale`
+/// recipe: seed 17, loss-free, PA) and hold its output against the oracle.
+fn tree_run(src: &str, grid: (u32, u32), spacing: u64) -> (u64, OracleReport) {
+    let mut d = sptree_deployment(src, grid, seed17(), spacing);
+    d.run(2_000_000);
+    let report = oracle::check(&d, d.applied_events(), d.prog.outputs[0]);
+    (d.metrics().total_tx(), report)
+}
+
+#[test]
+fn tree_programs_are_oracle_exact_where_arrivals_settle() {
+    for (program, src) in [("logicH", LOGIC_H), ("logicJ", LOGIC_J)] {
+        for (grid, spacing) in [((5, 5), 200), ((10, 5), 20)] {
+            let (_, report) = tree_run(src, grid, spacing);
+            assert!(
+                report.exact() && report.expected > 0,
+                "{program} {grid:?} @ {spacing} ms: {} expected, {} found, spurious {:?}",
+                report.expected,
+                report.found,
+                report.spurious
+            );
+        }
+    }
+}
+
+/// Fails today: 61 expected, 64 found (tx 4,773) — `h(30, 24, 6)`,
+/// `h(31, 25, 7)`, `h(31, 30, 7)` are never retracted.
+#[test]
+#[ignore = "ROADMAP item 8"]
+fn logich_6x6_links_200ms_apart_is_oracle_exact() {
+    let (tx, report) = tree_run(LOGIC_H, (6, 6), 200);
+    assert!(
+        report.exact(),
+        "tx {tx}: {} expected, {} found, {} spurious {:?}, {} missing",
+        report.expected,
+        report.found,
+        report.spurious.len(),
+        report.spurious,
+        report.missing.len()
+    );
+}

@@ -74,4 +74,4 @@ pub use plan::{compile_source, DistProgram, PlanTiming};
 pub use prov::{ProvRecord, Provenance};
 pub use runtime::{NetInfo, RtConfig, SensorlogNode};
 pub use strategy::{PassMode, Strategy};
-pub use tupleid::{DerivationKey, FactRecord, TupleId};
+pub use tupleid::{clamp_absorbs, DerivationKey, FactRecord, TupleId};

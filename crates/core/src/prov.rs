@@ -602,7 +602,7 @@ mod tests {
 
     #[test]
     fn key_and_id_strings_round_trip() {
-        let key = DerivationKey::new(usize::MAX, Vec::new());
+        let key = DerivationKey::new(sensorlog_eval::EDB_RULE, Vec::new());
         assert_eq!(parse_key(&key_str(&key)).unwrap(), key);
         let id = tid(9, u64::MAX, 42);
         assert_eq!(parse_id(&id_str(id)).unwrap(), id);

@@ -14,18 +14,18 @@ use crate::partial::{process_partials, seed_partial, LocalCtx, Partial, ProbeWor
 use crate::plan::DistProgram;
 use crate::prov::{ProvRecord, Provenance};
 use crate::strategy::{PassMode, Strategy};
-use crate::tupleid::{DerivationKey, FactRecord, TupleId};
+use crate::tupleid::{clamp_absorbs, DerivationKey, FactRecord, TupleId};
 use sensorlog_eval::eval_body::instantiate_head;
 use sensorlog_eval::relation::{Database, TupleMeta};
-use sensorlog_eval::{IncrementalEngine, Update, UpdateKind};
+use sensorlog_eval::{IncrementalEngine, Support, Update, UpdateKind, EDB_RULE};
 use sensorlog_logic::intern::{IdHashMap, IdHashSet};
-use sensorlog_logic::{Symbol, Tuple};
+use sensorlog_logic::{Literal, Program, Symbol, Tuple};
 use sensorlog_netsim::{App, Ctx, MsgMeta, NodeId, SimTime, Topology};
 use sensorlog_netstack::{ght, GatherTree, Router};
 use sensorlog_telemetry::{HistId, Histogram, Scope, Telemetry, SIM_MS_BUCKETS};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Shared routing context: the topology, the next-hop oracle over it, and
 /// the two whole-network facts the runtime scales its timers and picks its
@@ -173,75 +173,131 @@ impl Default for LiveEntry {
 #[derive(Debug, Default)]
 struct Owned {
     id: Option<TupleId>,
-    counts: HashMap<DerivationKey, i64>,
+    /// Its set of derivations: the ledger the centralized engine keeps per
+    /// derived tuple, keyed here by the derivation keys the deltas carry.
+    support: Support<DerivationKey>,
     /// The liveness last propagated into the network.
     propagated_live: bool,
     holddown_armed: bool,
 }
 
-impl Owned {
-    fn live(&self) -> bool {
-        self.counts.values().any(|&c| c > 0)
-    }
+/// The derived tuples this node owns under the geographic hash, with the
+/// two counts kept in step with the map so no delta pays a walk of it.
+#[derive(Debug, Default)]
+struct OwnedTable {
+    entries: HashMap<(Symbol, Tuple), Owned>,
+    /// Entries per predicate.
+    per_pred: HashMap<Symbol, usize>,
+    /// Derivation keys stored across all entries
+    /// ([`SensorlogNode::derivation_count`] is the walk).
+    derivations: usize,
 }
 
-/// Is a single derivation still supported, given what we believe about the
-/// liveness of its inputs' origin nodes? Free function (not a method) so
-/// callers holding `&mut` borrows into `owned` can still consult it.
-///
-/// A derivation dies when any input's origin is believed dead, or when a
-/// *derived* (IDB) input predates its origin's current incarnation — the
-/// owner lost that entry in the crash, so the old id will never be
-/// retracted through the normal delete path. Base-fact inputs are exempt
-/// from the incarnation check: recovery re-announces them with their
-/// original (pre-crash) ids.
-fn key_live(
-    liveness: &HashMap<NodeId, LiveEntry>,
-    rule_body_preds: &HashMap<usize, Vec<Option<Symbol>>>,
-    idb: &HashSet<Symbol>,
-    key: &DerivationKey,
-) -> bool {
-    if key.rule_id == usize::MAX {
-        return true; // static fact: no network inputs
-    }
-    key.inputs.iter().all(|(lit, id)| {
-        let Some(e) = liveness.get(&id.node) else {
-            return true; // never heard anything: presumed alive
+impl OwnedTable {
+    /// Count one derivation delta into the entry of `(pred, tuple)` — which
+    /// its first delta creates — unless the clamp absorbs it.
+    fn book(&mut self, pred: Symbol, tuple: &Tuple, key: DerivationKey, sign: i8) -> &mut Owned {
+        let entry = match self.entries.entry((pred, tuple.clone())) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                *self.per_pred.entry(pred).or_insert(0) += 1;
+                e.insert(Owned::default())
+            }
         };
-        if !e.alive {
-            return false;
+        if !clamp_absorbs(entry.support.count(&key), sign) {
+            let before = entry.support.add(key, i64::from(sign));
+            // Stored counts are never zero: a key that cancels leaves.
+            self.derivations += usize::from(before == 0);
+            self.derivations -= usize::from(before + i64::from(sign) == 0);
         }
-        if e.boot_ts > id.ts {
-            let is_idb = rule_body_preds
-                .get(&key.rule_id)
-                .and_then(|preds| preds.get(*lit as usize))
-                .and_then(|p| *p)
-                .is_some_and(|p| idb.contains(&p));
-            if is_idb {
-                return false;
+        entry
+    }
+
+    fn remove(&mut self, pred: Symbol, tuple: Tuple) {
+        if let Some(gone) = self.entries.remove(&(pred, tuple)) {
+            self.derivations -= gone.support.entries().len();
+            if let Some(c) = self.per_pred.get_mut(&pred) {
+                *c = c.saturating_sub(1);
             }
         }
-        true
-    })
+    }
 }
 
-/// Owner-side liveness of a derived tuple under the fault plane: at least
-/// one positively counted derivation whose inputs all survive the current
-/// liveness view. With the plane off this is exactly [`Owned::live`].
-fn entry_live(
-    liveness: &HashMap<NodeId, LiveEntry>,
-    rule_body_preds: &HashMap<usize, Vec<Option<Symbol>>>,
-    idb: &HashSet<Symbol>,
-    faults_on: bool,
-    entry: &Owned,
-) -> bool {
-    if !faults_on {
-        return entry.live();
+/// What decides whether a stored derivation still counts: the fault plane's
+/// view of its peers, and which rule inputs are derived. One struct (not
+/// fields of the node) so callers holding `&mut` borrows into `owned` can
+/// still consult it.
+#[derive(Debug, Default)]
+struct LiveView {
+    /// What we believe about each peer (fault plane only; empty otherwise).
+    peers: HashMap<NodeId, LiveEntry>,
+    /// Derived (IDB) predicates: heads of some rule. A derived input minted
+    /// before its owner's current incarnation booted is stale — the owner
+    /// lost that entry in the crash.
+    idb: HashSet<Symbol>,
+    /// Rule id → body-literal predicates (`None` for non-relational
+    /// literals), for the IDB-staleness filter.
+    rule_body_preds: HashMap<usize, Vec<Option<Symbol>>>,
+}
+
+impl LiveView {
+    fn of(program: &Program) -> LiveView {
+        let mut view = LiveView::default();
+        for rule in &program.rules {
+            view.idb.insert(rule.head.pred);
+            let preds = rule.body.iter().map(|lit| match lit {
+                Literal::Pos(a) | Literal::Neg(a) => Some(a.pred),
+                _ => None,
+            });
+            view.rule_body_preds.insert(rule.id, preds.collect());
+        }
+        view
     }
-    entry
-        .counts
-        .iter()
-        .any(|(k, &c)| c > 0 && key_live(liveness, rule_body_preds, idb, k))
+
+    /// Is a single derivation still supported, given what we believe about
+    /// the liveness of its inputs' origin nodes?
+    ///
+    /// A derivation dies when any input's origin is believed dead, or when a
+    /// *derived* (IDB) input predates its origin's current incarnation — the
+    /// owner lost that entry in the crash, so the old id will never be
+    /// retracted through the normal delete path. Base-fact inputs are exempt
+    /// from the incarnation check: recovery re-announces them with their
+    /// original (pre-crash) ids.
+    fn key_live(&self, key: &DerivationKey) -> bool {
+        if key.rule_id == EDB_RULE {
+            return true; // static fact: no network inputs
+        }
+        key.inputs.iter().all(|(lit, id)| {
+            let Some(e) = self.peers.get(&id.node) else {
+                return true; // never heard anything: presumed alive
+            };
+            let is_idb = || {
+                (self.rule_body_preds.get(&key.rule_id))
+                    .and_then(|preds| preds.get(*lit as usize))
+                    .and_then(|p| *p)
+                    .is_some_and(|p| self.idb.contains(&p))
+            };
+            e.alive && !(e.boot_ts > id.ts && is_idb())
+        })
+    }
+
+    /// Owner-side liveness of a derived tuple — the one predicate: at least
+    /// one positively counted derivation whose inputs all survive the
+    /// current view. With nothing known of any peer (always, with the fault
+    /// plane off) every key survives and this is the ledger's own answer.
+    fn live(&self, entry: &Owned) -> bool {
+        if self.peers.is_empty() {
+            return entry.support.is_live();
+        }
+        (entry.support.entries().iter()).any(|(k, c)| *c > 0 && self.key_live(k))
+    }
+
+    /// The guard of the owner's one outgoing transition: the entry's
+    /// liveness differs from what the network was last told, and no
+    /// holddown is already debouncing it.
+    fn wants_holddown(&self, entry: &Owned) -> bool {
+        !entry.holddown_armed && self.live(entry) != entry.propagated_live
+    }
 }
 
 /// Per-node resource/activity counters (Sec. V memory accounting, Table 1).
@@ -276,13 +332,20 @@ enum TimerAction {
     /// Silently expire an owned derived tuple (window-based, no join
     /// phase — "independently expiring a tuple after sufficient time").
     ExpireOwned(Symbol, Tuple),
-    /// Fault plane: periodic 1-hop aliveness beacon.
-    HeartbeatTick,
-    /// Fault plane: periodic lease check — silent neighbors are declared
-    /// dead and their death flooded.
-    LeaseTick,
-    /// Fault plane: periodic source-driven refresh + liveness anti-entropy.
-    RefreshTick,
+    /// Fault plane: one of its periodic duties is due.
+    Tick(Tick),
+}
+
+/// The fault plane's periodic duties.
+#[derive(Clone, Copy, Debug)]
+enum Tick {
+    /// 1-hop aliveness beacon.
+    Heartbeat,
+    /// Lease check — silent neighbors are declared dead and their death
+    /// flooded.
+    Lease,
+    /// Source-driven refresh + liveness anti-entropy.
+    Refresh,
 }
 
 /// The sensorlog node application.
@@ -302,7 +365,7 @@ pub struct SensorlogNode {
     /// Tuples in `frags`, kept in step with it ([`Self::replica_count`]).
     replicas: usize,
     /// Derived tuples this node owns under the geographic hash.
-    owned: HashMap<(Symbol, Tuple), Owned>,
+    owned: OwnedTable,
     /// Tuples this node generated (for delete-by-value at the source).
     my_facts: HashMap<(Symbol, Tuple), TupleId>,
     /// Flood dedup (NaiveBroadcast storage).
@@ -330,12 +393,6 @@ pub struct SensorlogNode {
     /// entries), cross-validated against the static memory bounds of
     /// `logic::diag` by `crate::invariants::check_static_bounds`.
     pub peak_pred_stored: BTreeMap<Symbol, usize>,
-    /// Live owned-entry count per predicate (`owned` is keyed by
-    /// (pred, tuple); this avoids a full scan on every delta).
-    owned_per_pred: HashMap<Symbol, usize>,
-    /// Derivation keys stored across all of `owned`, kept in step with it
-    /// for the same reason ([`Self::derivation_count`] is the walk).
-    owned_derivations: usize,
     /// Output-predicate transitions observed at this owner.
     pub output_log: Vec<(Symbol, Tuple, UpdateKind, SimTime)>,
     /// Telemetry handle shared across the deployment (disabled by default;
@@ -360,19 +417,12 @@ pub struct SensorlogNode {
     /// the deployment harness so it survives the app being rebuilt on
     /// restart — that is the whole point of a durable store.
     durable: Option<Arc<Mutex<DurableStore>>>,
-    /// What we believe about each peer (fault plane only; empty otherwise).
-    liveness: HashMap<NodeId, LiveEntry>,
+    /// Peer liveness and the rule facts the liveness filter reads.
+    view: LiveView,
     /// Local time we last heard a heartbeat from each neighbor.
     last_hb: HashMap<NodeId, SimTime>,
     /// Local boot time of this incarnation (0 until `on_start`).
     boot_ts: SimTime,
-    /// Derived (IDB) predicates: heads of some rule. A derived input minted
-    /// before its owner's current incarnation booted is stale — the owner
-    /// lost that entry in the crash.
-    idb: HashSet<Symbol>,
-    /// Rule id → body-literal predicates (`None` for non-relational
-    /// literals), for the IDB-staleness filter.
-    rule_body_preds: HashMap<usize, Vec<Option<Symbol>>>,
 }
 
 impl SensorlogNode {
@@ -392,24 +442,9 @@ impl SensorlogNode {
         } else {
             None
         };
-        let mut idb = HashSet::new();
-        let mut rule_body_preds: HashMap<usize, Vec<Option<Symbol>>> = HashMap::new();
-        for rule in &prog.analysis.program.rules {
-            idb.insert(rule.head.pred);
-            let preds = rule
-                .body
-                .iter()
-                .map(|lit| match lit {
-                    sensorlog_logic::Literal::Pos(a) | sensorlog_logic::Literal::Neg(a) => {
-                        Some(a.pred)
-                    }
-                    _ => None,
-                })
-                .collect();
-            rule_body_preds.insert(rule.id, preds);
-        }
         SensorlogNode {
             id,
+            view: LiveView::of(&prog.analysis.program),
             prog,
             cfg,
             net,
@@ -417,7 +452,7 @@ impl SensorlogNode {
             frags: Database::new(),
             frag_ids: IdHashMap::default(),
             replicas: 0,
-            owned: HashMap::new(),
+            owned: OwnedTable::default(),
             my_facts: HashMap::new(),
             flood_seen: IdHashSet::default(),
             timers: IdHashMap::default(),
@@ -429,19 +464,14 @@ impl SensorlogNode {
             center_seq: 0x8000_0000,
             stats: NodeStats::default(),
             peak_pred_stored: BTreeMap::new(),
-            owned_per_pred: HashMap::new(),
-            owned_derivations: 0,
             output_log: Vec::new(),
             tele,
             probe_hists: Vec::new(),
             hop_lag: Histogram::new(SIM_MS_BUCKETS),
             prov: Provenance::disabled(),
             durable: None,
-            liveness: HashMap::new(),
             last_hb: HashMap::new(),
             boot_ts: 0,
-            idb,
-            rule_body_preds,
         }
     }
 
@@ -467,9 +497,15 @@ impl SensorlogNode {
         self
     }
 
+    /// This node's durable store, locked (`None` with the fault plane off).
+    fn durable_store(&self) -> Option<MutexGuard<'_, DurableStore>> {
+        let store = self.durable.as_ref()?;
+        Some(store.lock().expect("a node panicked holding its store"))
+    }
+
     /// Record the current stored-item count for `pred` into its peak.
     fn note_pred_stored(&mut self, pred: Symbol) {
-        let cur = self.frags.len_of(pred) + self.owned_per_pred.get(&pred).copied().unwrap_or(0);
+        let cur = self.frags.len_of(pred) + self.owned.per_pred.get(&pred).copied().unwrap_or(0);
         let peak = self.peak_pred_stored.entry(pred).or_insert(0);
         *peak = (*peak).max(cur);
     }
@@ -484,64 +520,42 @@ impl SensorlogNode {
         self.tele.bump(Scope::Pred(pred.as_str()), "generated");
         let id = self.fresh_id(ctx);
         self.my_facts.insert((pred, tuple.clone()), id);
-        if let Some(d) = &self.durable {
-            d.lock().unwrap().log_insert(pred, tuple.clone(), id);
+        if let Some(mut d) = self.durable_store() {
+            d.log_insert(pred, tuple.clone(), id);
         }
-        let fact = FactRecord::insert(pred, tuple, id);
-        self.prov.record_with(|| ProvRecord::Edb {
-            node: self.id,
-            pred: fact.pred,
-            tuple: fact.tuple.clone(),
-            id: fact.id,
-            kind: fact.kind,
-            tau: fact.tau,
-        });
-        self.initiate_update(ctx, fact);
+        self.source_update(ctx, FactRecord::insert(pred, tuple, id));
     }
 
     /// A previously generated reading was retracted at this node.
     pub fn retract(&mut self, ctx: &mut Ctx<Payload>, pred: Symbol, tuple: Tuple) {
-        let Some(&id) = self.my_facts.get(&(pred, tuple.clone())) else {
+        let Some(id) = self.my_facts.remove(&(pred, tuple.clone())) else {
             return; // unknown tuple: nothing to delete
         };
         self.tele.bump(Scope::Pred(pred.as_str()), "retracted");
-        self.my_facts.remove(&(pred, tuple.clone()));
-        if let Some(d) = &self.durable {
-            d.lock()
-                .unwrap()
-                .log_delete(pred, tuple.clone(), id, ctx.local_time);
+        let now = ctx.local_time;
+        if let Some(mut d) = self.durable_store() {
+            d.log_delete(pred, tuple.clone(), id, now);
         }
-        let fact = FactRecord::delete(pred, tuple, id, ctx.local_time);
-        self.prov.record_with(|| ProvRecord::Edb {
-            node: self.id,
-            pred: fact.pred,
-            tuple: fact.tuple.clone(),
-            id: fact.id,
-            kind: fact.kind,
-            tau: fact.tau,
-        });
-        self.initiate_update(ctx, fact);
+        self.source_update(ctx, FactRecord::delete(pred, tuple, id, now));
     }
 
     /// Inject a derived fact directly at its owner (static facts from
     /// empty-body rules, t = 0).
     pub fn inject_static(&mut self, ctx: &mut Ctx<Payload>, pred: Symbol, tuple: Tuple) {
         let id = self.fresh_id(ctx);
-        if !self.owned.contains_key(&(pred, tuple.clone())) {
-            *self.owned_per_pred.entry(pred).or_insert(0) += 1;
-        }
-        let entry = self.owned.entry((pred, tuple.clone())).or_default();
+        let key = DerivationKey::new(EDB_RULE, Vec::new());
+        let entry = self.owned.book(pred, &tuple, key, 1);
         entry.id = Some(id);
-        let key = DerivationKey::new(usize::MAX, Vec::new());
-        if entry.counts.insert(key, 1).is_none() {
-            self.owned_derivations += 1;
-        }
         entry.propagated_live = true;
         self.note_pred_stored(pred);
         self.log_output(pred, &tuple, UpdateKind::Insert, ctx.local_time);
-        let fact = FactRecord::insert(pred, tuple, id);
-        // Static facts are proof leaves like base EDB facts — recorded as
-        // `Edb` at their owner.
+        self.source_update(ctx, FactRecord::insert(pred, tuple, id));
+    }
+
+    /// An update enters the network here, at the node that holds the fact:
+    /// record it as a proof leaf (`Edb` — static facts are leaves at their
+    /// owner like base facts at their source) and run the update pipeline.
+    fn source_update(&mut self, ctx: &mut Ctx<Payload>, fact: FactRecord) {
         self.prov.record_with(|| ProvRecord::Edb {
             node: self.id,
             pred: fact.pred,
@@ -553,22 +567,10 @@ impl SensorlogNode {
         self.initiate_update(ctx, fact);
     }
 
-    /// Liveness of one owned entry under the current fault-plane view.
-    fn entry_is_live(&self, entry: &Owned) -> bool {
-        entry_live(
-            &self.liveness,
-            &self.rule_body_preds,
-            &self.idb,
-            self.cfg.faults.is_some(),
-            entry,
-        )
-    }
-
     /// Live result tuples of `pred` owned by this node.
     pub fn owned_live(&self, pred: Symbol) -> Vec<Tuple> {
-        self.owned
-            .iter()
-            .filter(|((p, _), o)| *p == pred && self.entry_is_live(o))
+        (self.owned.entries.iter())
+            .filter(|((p, _), o)| *p == pred && self.view.live(o))
             .map(|((_, t), _)| t.clone())
             .collect()
     }
@@ -595,10 +597,10 @@ impl SensorlogNode {
     /// Every per-derivation-key count with its owning (pred, tuple) —
     /// at quiescence all of these must be non-negative.
     pub fn derivation_count_entries(&self) -> Vec<(Symbol, Tuple, i64)> {
-        let mut out: Vec<(Symbol, Tuple, i64)> = self
-            .owned
-            .iter()
-            .flat_map(|((p, t), o)| o.counts.values().map(move |&c| (*p, t.clone(), c)))
+        let mut out: Vec<(Symbol, Tuple, i64)> = (self.owned.entries.iter())
+            .flat_map(|((p, t), o)| {
+                (o.support.entries().iter()).map(move |&(_, c)| (*p, t.clone(), c))
+            })
             .collect();
         out.sort();
         out
@@ -620,8 +622,7 @@ impl SensorlogNode {
                 .map(|((p, t), &id)| (id, *p, t.clone())),
         );
         out.extend(
-            self.owned
-                .iter()
+            (self.owned.entries.iter())
                 .filter_map(|((p, t), o)| o.id.map(|id| (id, *p, t.clone()))),
         );
         out.sort();
@@ -632,10 +633,8 @@ impl SensorlogNode {
     /// liveness state differing from what was last propagated. Must be
     /// empty once the network quiesces.
     pub fn unsettled_owned(&self) -> Vec<(Symbol, Tuple)> {
-        let mut out: Vec<(Symbol, Tuple)> = self
-            .owned
-            .iter()
-            .filter(|(_, o)| o.holddown_armed || self.entry_is_live(o) != o.propagated_live)
+        let mut out: Vec<(Symbol, Tuple)> = (self.owned.entries.iter())
+            .filter(|(_, o)| o.holddown_armed || self.view.wants_holddown(o))
             .map(|((p, t), _)| (*p, t.clone()))
             .collect();
         out.sort();
@@ -644,7 +643,9 @@ impl SensorlogNode {
 
     /// Current stored derivation count, by walking the owned entries.
     pub fn derivation_count(&self) -> usize {
-        self.owned.values().map(|o| o.counts.len()).sum()
+        (self.owned.entries.values())
+            .map(|o| o.support.entries().len())
+            .sum()
     }
 
     /// The facts this node generated and still holds, with their ids
@@ -671,10 +672,10 @@ impl SensorlogNode {
             seq: self.seq,
         };
         self.seq += 1;
-        if let Some(d) = &self.durable {
+        if let Some(mut d) = self.durable_store() {
             // Persist the high-water mark so a restarted incarnation never
             // re-mints an id this one used.
-            d.lock().unwrap().note_seq(id.seq);
+            d.note_seq(id.seq);
         }
         id
     }
@@ -738,8 +739,7 @@ impl SensorlogNode {
 
         // Join phase after τs + τc (Sec. IV-A).
         let delay = self.cfg.tau_s + self.cfg.tau_c;
-        let tag = self.arm_timer(TimerAction::StartJoin(fact));
-        ctx.set_timer(delay, tag);
+        self.set_timer(ctx, delay, TimerAction::StartJoin(fact));
     }
 
     fn send_store_walk(&mut self, ctx: &mut Ctx<Payload>, fact: &FactRecord, walk: Vec<NodeId>) {
@@ -813,8 +813,8 @@ impl SensorlogNode {
                     (self.cfg.tau_s + self.cfg.tau_c) + self.cfg.tau_j + (w + self.cfg.tau_c);
                 let expire_at = fact.tau.saturating_add(retention);
                 let delay = expire_at.saturating_sub(ctx.local_time).max(1);
-                let tag = self.arm_timer(TimerAction::ExpireReplica(fact.pred, fact.tuple.clone()));
-                ctx.set_timer(delay, tag);
+                let expire = TimerAction::ExpireReplica(fact.pred, fact.tuple.clone());
+                self.set_timer(ctx, delay, expire);
             }
         }
     }
@@ -982,12 +982,26 @@ impl SensorlogNode {
             }
         }
 
+        // Each result goes to the owner the geographic hash names for it.
         let origin = probe.update.id;
         for (pred, tuple, key, sign) in emissions {
             self.stats.results_emitted += 1;
             self.tele
                 .bump(Scope::Pred(pred.as_str()), "results_emitted");
-            self.emit_deriv_delta(ctx, pred, tuple, key, sign, tau, origin);
+            let owner = ght::owner_of(&self.net.topo, pred, &tuple);
+            if owner == self.id {
+                self.handle_deriv_delta(ctx, pred, tuple, key, sign, tau, origin);
+            } else {
+                let payload = Payload::DerivDelta {
+                    pred,
+                    tuple,
+                    key,
+                    sign,
+                    tau,
+                    origin,
+                };
+                self.route(ctx, owner, payload);
+            }
         }
 
         // Forward.
@@ -1006,33 +1020,6 @@ impl SensorlogNode {
         }
         // else: traversal done; undischarged partials discarded
         // ("the partial results generated at the last node are discarded").
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn emit_deriv_delta(
-        &mut self,
-        ctx: &mut Ctx<Payload>,
-        pred: Symbol,
-        tuple: Tuple,
-        key: DerivationKey,
-        sign: i8,
-        tau: SimTime,
-        origin: TupleId,
-    ) {
-        let owner = ght::owner_of(&self.net.topo, pred, &tuple);
-        if owner == self.id {
-            self.handle_deriv_delta(ctx, pred, tuple, key, sign, tau, origin);
-        } else {
-            let payload = Payload::DerivDelta {
-                pred,
-                tuple,
-                key,
-                sign,
-                tau,
-                origin,
-            };
-            self.route(ctx, owner, payload);
-        }
     }
 
     /// Owner-side derivation bookkeeping + holddown arming.
@@ -1066,74 +1053,33 @@ impl SensorlogNode {
         // depth. Feeds the adaptive holddown default for predicates with
         // no declared `.holddown`.
         self.hop_lag.observe(lag / self.net.depth());
-        if !self.owned.contains_key(&(pred, tuple.clone())) {
-            *self.owned_per_pred.entry(pred).or_insert(0) += 1;
-        }
-        let needs_holddown = {
-            let faults_on = self.cfg.faults.is_some();
-            let entry = self.owned.entry((pred, tuple.clone())).or_default();
-            // Counts are clamped to [-1, 1] per derivation key: a source-
-            // driven refresh re-announces live facts with their original
-            // ids, so the same derivation (same key — keys embed input ids)
-            // can legitimately arrive more than once, and repeated
-            // tombstone replays can over-deliver the matching delete. The
-            // clamp makes both idempotent while still letting a delete
-            // overtake its insert (transient -1) and letting the structural
-            // checker catch genuine underflow on fault-free runs.
-            // Stored counts are never zero: a key that cancels leaves.
-            let step = |c: i64| {
-                if sign > 0 {
-                    (c + 1).min(1)
-                } else {
-                    (c - 1).max(-1)
-                }
-            };
-            match entry.counts.entry(key) {
-                Entry::Occupied(mut e) => {
-                    *e.get_mut() = step(*e.get());
-                    if *e.get() == 0 {
-                        e.remove();
-                        self.owned_derivations -= 1;
-                    }
-                }
-                Entry::Vacant(e) => {
-                    e.insert(step(0));
-                    self.owned_derivations += 1;
-                }
-            }
-            let live = entry_live(
-                &self.liveness,
-                &self.rule_body_preds,
-                &self.idb,
-                faults_on,
-                entry,
-            );
-            let needed = !entry.holddown_armed && live != entry.propagated_live;
-            if needed {
-                entry.holddown_armed = true;
-            }
-            needed
-        };
+        let entry = self.owned.book(pred, &tuple, key, sign);
+        let wants_holddown = self.view.wants_holddown(entry);
         // Windowed derived streams: owned state expires with the window
         // (silent, Sec. II-B). Re-armed on each delta so the entry outlives
         // its last activity by one window.
-        if let Some(&w) = self.prog.windows.get(&pred).copied().as_ref() {
-            let tag = self.arm_timer(TimerAction::ExpireOwned(pred, tuple.clone()));
-            ctx.set_timer(w + self.cfg.tau_c + 1, tag);
+        if let Some(&w) = self.prog.windows.get(&pred) {
+            let expire = TimerAction::ExpireOwned(pred, tuple.clone());
+            self.set_timer(ctx, w + self.cfg.tau_c + 1, expire);
         }
-        if needs_holddown {
-            let holddown = self
-                .prog
-                .holddown
-                .get(&pred)
-                .copied()
-                .unwrap_or_else(|| self.default_holddown());
-            let tag = self.arm_timer(TimerAction::Holddown(pred, tuple));
-            ctx.set_timer(holddown, tag);
+        if wants_holddown {
+            self.arm_holddown(ctx, pred, tuple);
         }
-        debug_assert_eq!(self.owned_derivations, self.derivation_count());
-        self.stats.peak_derivations = self.stats.peak_derivations.max(self.owned_derivations);
+        debug_assert_eq!(self.owned.derivations, self.derivation_count());
+        self.stats.peak_derivations = self.stats.peak_derivations.max(self.owned.derivations);
         self.note_pred_stored(pred);
+    }
+
+    /// Start debouncing a liveness transition of the owned `(pred, tuple)`:
+    /// its holddown (declared, else the adaptive default) runs from now.
+    fn arm_holddown(&mut self, ctx: &mut Ctx<Payload>, pred: Symbol, tuple: Tuple) {
+        let slot = (pred, tuple);
+        if let Some(entry) = self.owned.entries.get_mut(&slot) {
+            entry.holddown_armed = true;
+        }
+        let holddown =
+            (self.prog.holddown.get(&pred).copied()).unwrap_or_else(|| self.default_holddown());
+        self.set_timer(ctx, holddown, TimerAction::Holddown(pred, slot.1));
     }
 
     /// Holddown for predicates with no declared `.holddown`: p95 observed
@@ -1164,44 +1110,34 @@ impl SensorlogNode {
     /// finalizing a derived fact").
     fn fire_holddown(&mut self, ctx: &mut Ctx<Payload>, pred: Symbol, tuple: Tuple) {
         let now = ctx.local_time;
-        let faults_on = self.cfg.faults.is_some();
-        let Some(entry) = self.owned.get_mut(&(pred, tuple.clone())) else {
+        let slot = (pred, tuple);
+        let Some(entry) = self.owned.entries.get_mut(&slot) else {
             return;
         };
         entry.holddown_armed = false;
-        let live = entry_live(
-            &self.liveness,
-            &self.rule_body_preds,
-            &self.idb,
-            faults_on,
-            entry,
-        );
+        let live = self.view.live(entry);
         if live == entry.propagated_live {
             return; // transition debounced away
         }
         entry.propagated_live = live;
+        let minted = entry.id;
         self.tele.bump(Scope::Pred(pred.as_str()), "holddown_fired");
         let fact = if live {
-            let id = TupleId {
-                node: self.id,
-                ts: now,
-                seq: self.seq,
-            };
-            self.seq += 1;
-            if let Some(d) = &self.durable {
-                d.lock().unwrap().note_seq(id.seq);
+            // A new generation of the tuple: it gets its own id.
+            let id = self.fresh_id(ctx);
+            if let Some(entry) = self.owned.entries.get_mut(&slot) {
+                entry.id = Some(id);
             }
-            entry.id = Some(id);
-            FactRecord::insert(pred, tuple.clone(), id)
+            FactRecord::insert(pred, slot.1.clone(), id)
         } else {
-            let Some(id) = entry.id else {
+            let Some(id) = minted else {
                 // Died before its insert was ever propagated (the holddown
                 // debounced the whole lifetime away at arming time but the
                 // flag raced): nothing in the network to retract.
                 self.stats.routing_drops += 1;
                 return;
             };
-            FactRecord::delete(pred, tuple.clone(), id, now)
+            FactRecord::delete(pred, slot.1.clone(), id, now)
         };
         self.prov.record_with(|| ProvRecord::Mint {
             owner: self.id,
@@ -1211,7 +1147,7 @@ impl SensorlogNode {
             kind: fact.kind,
             at: now,
         });
-        self.log_output(pred, &tuple, fact.kind, now);
+        self.log_output(pred, &slot.1, fact.kind, now);
         self.initiate_update(ctx, fact);
     }
 
@@ -1332,7 +1268,7 @@ impl SensorlogNode {
     // ------------------------------------------------------------------
 
     fn believes_dead(&self, n: NodeId) -> bool {
-        self.liveness.get(&n).is_some_and(|e| !e.alive)
+        self.view.peers.get(&n).is_some_and(|e| !e.alive)
     }
 
     /// Boot-time fault-plane setup, shared by first start and restart:
@@ -1343,46 +1279,54 @@ impl SensorlogNode {
             return;
         };
         self.boot_ts = ctx.local_time;
-        let nbrs: Vec<NodeId> = ctx.neighbors().to_vec();
-        for nb in nbrs {
+        for nb in ctx.neighbors().to_vec() {
             // Grace period: a neighbor gets a full lease from our boot
             // before we may declare it dead.
             self.last_hb.insert(nb, ctx.local_time);
         }
-        self.liveness.insert(
-            self.id,
-            LiveEntry {
-                version: ctx.local_time,
-                alive: true,
-                boot_ts: self.boot_ts,
-            },
-        );
-        ctx.broadcast(Payload::Heartbeat {
-            version: ctx.local_time,
-            boot_ts: self.boot_ts,
-        });
-        if ctx.local_time < f.active_until {
-            let tag = self.arm_timer(TimerAction::HeartbeatTick);
-            ctx.set_timer(f.heartbeat_ms, tag);
-            let tag = self.arm_timer(TimerAction::LeaseTick);
-            ctx.set_timer(f.lease_ms, tag);
-            let tag = self.arm_timer(TimerAction::RefreshTick);
-            ctx.set_timer(f.refresh_ms, tag);
+        self.announce_self(ctx);
+        for tick in [Tick::Heartbeat, Tick::Lease, Tick::Refresh] {
+            self.arm_tick(ctx, &f, tick);
         }
     }
 
-    fn handle_heartbeat(
-        &mut self,
-        ctx: &mut Ctx<Payload>,
-        from: NodeId,
-        version: SimTime,
-        boot_ts: SimTime,
-    ) {
-        if self.cfg.faults.is_none() {
-            return;
+    /// Tell the 1-hop neighborhood we are alive, at a version (our local
+    /// time) kept current so death rumors can be compared against it.
+    fn announce_self(&mut self, ctx: &mut Ctx<Payload>) {
+        let (version, boot_ts) = (ctx.local_time, self.boot_ts);
+        let own = LiveEntry {
+            version,
+            alive: true,
+            boot_ts,
+        };
+        self.view.peers.insert(self.id, own);
+        ctx.broadcast(Payload::Heartbeat { version, boot_ts });
+    }
+
+    /// Arm `tick`'s next period — unless local time has passed the plane's
+    /// `active_until`, so a healed network can quiesce.
+    fn arm_tick(&mut self, ctx: &mut Ctx<Payload>, f: &FaultPlaneCfg, tick: Tick) {
+        if ctx.local_time < f.active_until {
+            let period = match tick {
+                Tick::Heartbeat => f.heartbeat_ms,
+                Tick::Lease => f.lease_ms,
+                Tick::Refresh => f.refresh_ms,
+            };
+            self.set_timer(ctx, period, TimerAction::Tick(tick));
         }
-        self.last_hb.insert(from, ctx.local_time);
-        self.apply_liveness(ctx, from, version, true, boot_ts);
+    }
+
+    /// A periodic fault-plane timer fired: do its duty, then re-arm it.
+    fn fire_tick(&mut self, ctx: &mut Ctx<Payload>, tick: Tick) {
+        let Some(f) = self.cfg.faults.clone() else {
+            return;
+        };
+        match tick {
+            Tick::Heartbeat => self.announce_self(ctx),
+            Tick::Lease => self.lease_tick(ctx, f.lease_ms),
+            Tick::Refresh => self.refresh_tick(ctx),
+        }
+        self.arm_tick(ctx, &f, tick);
     }
 
     /// Merge one liveness observation; flood it onward and rescan owned
@@ -1404,14 +1348,12 @@ impl SensorlogNode {
             if !alive {
                 // Rumors of our death: out-version them.
                 let v = ctx.local_time.max(version + 1);
-                self.liveness.insert(
-                    self.id,
-                    LiveEntry {
-                        version: v,
-                        alive: true,
-                        boot_ts: self.boot_ts,
-                    },
-                );
+                let own = LiveEntry {
+                    version: v,
+                    alive: true,
+                    boot_ts: self.boot_ts,
+                };
+                self.view.peers.insert(self.id, own);
                 self.tele
                     .bump(Scope::Layer("core.faults"), "death_rebuttals");
                 ctx.broadcast(Payload::Liveness {
@@ -1423,7 +1365,7 @@ impl SensorlogNode {
             }
             return;
         }
-        let e = self.liveness.entry(subject).or_default();
+        let e = self.view.peers.entry(subject).or_default();
         let supersedes = version > e.version || (version == e.version && e.alive && !alive);
         let boot_news = boot_ts > e.boot_ts;
         if !supersedes && !boot_news {
@@ -1454,45 +1396,30 @@ impl SensorlogNode {
     /// retraction path of Theorem 3 driven by failure detection instead of
     /// an explicit delete.
     fn rescan_owned(&mut self, ctx: &mut Ctx<Payload>) {
-        let mut arm: Vec<(Symbol, Tuple)> = self
-            .owned
-            .iter()
-            .filter(|(_, o)| !o.holddown_armed && self.entry_is_live(o) != o.propagated_live)
+        let mut arm: Vec<(Symbol, Tuple)> = (self.owned.entries.iter())
+            .filter(|(_, o)| self.view.wants_holddown(o))
             .map(|((p, t), _)| (*p, t.clone()))
             .collect();
         arm.sort();
         for (pred, tuple) in arm {
-            if let Some(o) = self.owned.get_mut(&(pred, tuple.clone())) {
-                o.holddown_armed = true;
-            }
-            let holddown = self
-                .prog
-                .holddown
-                .get(&pred)
-                .copied()
-                .unwrap_or_else(|| self.default_holddown());
-            let tag = self.arm_timer(TimerAction::Holddown(pred, tuple));
-            ctx.set_timer(holddown, tag);
+            self.arm_holddown(ctx, pred, tuple);
         }
     }
 
     /// Lease check: any neighbor we believe alive but have not heard from
     /// for two lease periods is declared dead and the death flooded.
-    fn lease_tick(&mut self, ctx: &mut Ctx<Payload>) {
-        let Some(f) = self.cfg.faults.clone() else {
-            return;
-        };
+    fn lease_tick(&mut self, ctx: &mut Ctx<Payload>, lease_ms: SimTime) {
         let now = ctx.local_time;
         let nbrs: Vec<NodeId> = ctx.neighbors().to_vec();
         let suspects: Vec<(NodeId, SimTime)> = nbrs
             .into_iter()
             .filter(|nb| {
                 let heard = self.last_hb.get(nb).copied().unwrap_or(0);
-                let believed_alive = self.liveness.get(nb).is_none_or(|e| e.alive);
-                believed_alive && now.saturating_sub(heard) > f.lease_ms
+                let believed_alive = self.view.peers.get(nb).is_none_or(|e| e.alive);
+                believed_alive && now.saturating_sub(heard) > lease_ms
             })
             .map(|nb| {
-                let boot = self.liveness.get(&nb).map(|e| e.boot_ts).unwrap_or(0);
+                let boot = self.view.peers.get(&nb).map(|e| e.boot_ts).unwrap_or(0);
                 (nb, boot)
             })
             .collect();
@@ -1500,26 +1427,15 @@ impl SensorlogNode {
             self.tele.bump(Scope::Layer("core.faults"), "suspicions");
             self.apply_liveness(ctx, nb, now, false, boot);
         }
-        if now < f.active_until {
-            let tag = self.arm_timer(TimerAction::LeaseTick);
-            ctx.set_timer(f.lease_ms, tag);
-        }
     }
 
-    /// Source-driven refresh: re-announce our live base facts (original
-    /// ids — idempotent at replicas and owners thanks to generation dedup
-    /// and clamped counts), re-send recent tombstones whose walks a crash
-    /// or partition may have cut short, and exchange a 1-hop liveness
-    /// digest so healed partitions relearn deaths and reboots they missed.
+    /// Source-driven refresh: exchange a 1-hop liveness digest so healed
+    /// partitions relearn deaths and reboots they missed, then replay our
+    /// facts ([`Self::replay_facts`]).
     fn refresh_tick(&mut self, ctx: &mut Ctx<Payload>) {
-        let Some(f) = self.cfg.faults.clone() else {
-            return;
-        };
         self.tele
             .bump(Scope::Layer("core.faults"), "refresh_rounds");
-        let mut entries: Vec<(NodeId, SimTime, bool, SimTime)> = self
-            .liveness
-            .iter()
+        let mut entries: Vec<(NodeId, SimTime, bool, SimTime)> = (self.view.peers.iter())
             .filter(|&(&n, e)| n != self.id && (!e.alive || e.boot_ts > 0))
             .map(|(&n, e)| (n, e.version, e.alive, e.boot_ts))
             .collect();
@@ -1527,13 +1443,15 @@ impl SensorlogNode {
         if !entries.is_empty() {
             ctx.broadcast(Payload::LivenessDigest { entries });
         }
-        let mut facts: Vec<(Symbol, Tuple, TupleId)> = self
-            .my_facts
-            .iter()
-            .map(|(&(p, ref t), &id)| (p, t.clone(), id))
-            .collect();
-        facts.sort();
-        for (pred, tuple, id) in facts {
+        self.replay_facts(ctx);
+    }
+
+    /// Re-announce our live base facts (original ids — idempotent at
+    /// replicas and owners thanks to generation dedup and clamped counts)
+    /// and re-send the durable store's recent tombstones, whose walks a
+    /// crash or partition may have cut short.
+    fn replay_facts(&mut self, ctx: &mut Ctx<Payload>) {
+        for (pred, tuple, id) in self.my_fact_records() {
             // Replays keep the original id (idempotence at replicas and
             // owners) but probe at *current* time: an original-tau replay
             // would re-derive historical joins with partners deleted since
@@ -1543,47 +1461,18 @@ impl SensorlogNode {
             rec.tau = ctx.local_time;
             self.initiate_update(ctx, rec);
         }
-        let deletes: Vec<FactRecord> = match &self.durable {
-            Some(d) => d.lock().unwrap().recent_deletes().to_vec(),
-            None => Vec::new(),
-        };
-        for del in deletes {
+        let deletes = self.durable_store().map(|d| d.recent_deletes().to_vec());
+        for del in deletes.unwrap_or_default() {
             self.initiate_update(ctx, del);
         }
-        if ctx.local_time < f.active_until {
-            let tag = self.arm_timer(TimerAction::RefreshTick);
-            ctx.set_timer(f.refresh_ms, tag);
-        }
     }
 
-    fn heartbeat_tick(&mut self, ctx: &mut Ctx<Payload>) {
-        let Some(f) = self.cfg.faults.clone() else {
-            return;
-        };
-        // Keep our own version current so death rumors can be compared.
-        self.liveness.insert(
-            self.id,
-            LiveEntry {
-                version: ctx.local_time,
-                alive: true,
-                boot_ts: self.boot_ts,
-            },
-        );
-        ctx.broadcast(Payload::Heartbeat {
-            version: ctx.local_time,
-            boot_ts: self.boot_ts,
-        });
-        if ctx.local_time < f.active_until {
-            let tag = self.arm_timer(TimerAction::HeartbeatTick);
-            ctx.set_timer(f.heartbeat_ms, tag);
-        }
-    }
-
-    fn arm_timer(&mut self, action: TimerAction) -> u64 {
+    /// Arm a timer: `action` runs after `delay` ms of local time.
+    fn set_timer(&mut self, ctx: &mut Ctx<Payload>, delay: SimTime, action: TimerAction) {
         let tag = self.next_tag;
         self.next_tag += 1;
         self.timers.insert(tag, action);
-        tag
+        ctx.set_timer(delay, tag);
     }
 
     fn route(&mut self, ctx: &mut Ctx<Payload>, dest: NodeId, payload: Payload) {
@@ -1731,32 +1620,23 @@ impl App for SensorlogNode {
         self.boot_tick(ctx);
     }
 
-    /// Crash recovery: replay the durable store — restore the sequence
-    /// high-water mark, re-announce surviving base facts with their
-    /// ORIGINAL ids, and re-send the recent-tombstone window — then run the
-    /// normal boot path (new incarnation heartbeat, timers).
+    /// Crash recovery: run the normal boot path (new incarnation heartbeat,
+    /// timers), then replay the durable store — restore the sequence
+    /// high-water mark and the surviving base facts with their ORIGINAL
+    /// ids, and re-announce them and the recent-tombstone window as a
+    /// refresh round does.
     fn on_restart(&mut self, ctx: &mut Ctx<Payload>) {
         self.boot_tick(ctx);
-        if let Some(d) = self.durable.clone() {
-            let r = d.lock().unwrap().recover();
+        if let Some(r) = self.durable_store().map(|mut d| d.recover()) {
             self.seq = self.seq.max(r.next_seq);
             self.tele.add(
                 Scope::Layer("core.faults"),
                 "recovery_replays",
                 (r.facts.len() + r.recent_deletes.len()) as u64,
             );
-            for (pred, tuple, id) in r.facts {
-                self.my_facts.insert((pred, tuple.clone()), id);
-                // Original id, current probe time — same rationale as the
-                // refresh replay: don't resurrect joins with partners
-                // deleted while this node was down.
-                let mut rec = FactRecord::insert(pred, tuple, id);
-                rec.tau = ctx.local_time;
-                self.initiate_update(ctx, rec);
-            }
-            for del in r.recent_deletes {
-                self.initiate_update(ctx, del);
-            }
+            let facts = r.facts.into_iter();
+            self.my_facts.extend(facts.map(|(p, t, id)| ((p, t), id)));
+            self.replay_facts(ctx);
         }
     }
 
@@ -1764,7 +1644,10 @@ impl App for SensorlogNode {
         match msg {
             // Heartbeats are 1-hop and identified by their radio sender.
             Payload::Heartbeat { version, boot_ts } => {
-                self.handle_heartbeat(ctx, from, version, boot_ts)
+                if self.cfg.faults.is_some() {
+                    self.last_hb.insert(from, ctx.local_time);
+                    self.apply_liveness(ctx, from, version, true, boot_ts);
+                }
             }
             other => self.handle_payload(ctx, other),
         }
@@ -1774,9 +1657,7 @@ impl App for SensorlogNode {
         match self.timers.remove(&tag) {
             Some(TimerAction::StartJoin(fact)) => self.start_join(ctx, fact),
             Some(TimerAction::Holddown(pred, tuple)) => self.fire_holddown(ctx, pred, tuple),
-            Some(TimerAction::HeartbeatTick) => self.heartbeat_tick(ctx),
-            Some(TimerAction::LeaseTick) => self.lease_tick(ctx),
-            Some(TimerAction::RefreshTick) => self.refresh_tick(ctx),
+            Some(TimerAction::Tick(tick)) => self.fire_tick(ctx, tick),
             Some(TimerAction::ExpireReplica(pred, tuple)) => {
                 if self.frags.remove(pred, &tuple) {
                     self.replicas -= 1;
@@ -1788,18 +1669,13 @@ impl App for SensorlogNode {
                 // re-armed a fresher timer otherwise).
                 if let (Some(&w), Some(entry)) = (
                     self.prog.windows.get(&pred),
-                    self.owned.get(&(pred, tuple.clone())),
+                    self.owned.entries.get(&(pred, tuple.clone())),
                 ) {
                     let stale = entry
                         .id
                         .is_none_or(|id| id.ts.saturating_add(w) < ctx.local_time);
                     if stale && !entry.holddown_armed {
-                        if let Some(gone) = self.owned.remove(&(pred, tuple)) {
-                            self.owned_derivations -= gone.counts.len();
-                            if let Some(c) = self.owned_per_pred.get_mut(&pred) {
-                                *c = c.saturating_sub(1);
-                            }
-                        }
+                        self.owned.remove(pred, tuple);
                     }
                 }
             }
@@ -1907,7 +1783,7 @@ mod tests {
     /// survive reboots (recovery re-announces them with original ids).
     #[test]
     fn key_live_filters_dead_and_stale_inputs() {
-        let node = test_node(RtConfig {
+        let mut node = test_node(RtConfig {
             faults: Some(FaultPlaneCfg::default()),
             ..RtConfig::default()
         });
@@ -1919,41 +1795,92 @@ mod tests {
         };
         // Inputs at body literals 0 (r1) and 1 (r2) — both base predicates.
         let key = DerivationKey::new(rule_id, vec![(0, mk(3, 100)), (1, mk(7, 200))]);
-        let mut liveness: HashMap<NodeId, LiveEntry> = HashMap::new();
-        let live =
-            |lv: &HashMap<NodeId, LiveEntry>, k| key_live(lv, &node.rule_body_preds, &node.idb, k);
-        assert!(live(&liveness, &key), "no knowledge: presumed alive");
-        liveness.insert(
-            NodeId(3),
-            LiveEntry {
-                version: 500,
-                alive: false,
-                boot_ts: 0,
-            },
-        );
-        assert!(!live(&liveness, &key), "dead input origin kills the key");
-        liveness.insert(
-            NodeId(3),
-            LiveEntry {
-                version: 900,
-                alive: true,
-                boot_ts: 800, // rebooted after minting ts=100
-            },
-        );
+        let view = &mut node.view;
+        assert!(view.key_live(&key), "no knowledge: presumed alive");
+        let dead = LiveEntry {
+            version: 500,
+            alive: false,
+            boot_ts: 0,
+        };
+        view.peers.insert(NodeId(3), dead);
+        assert!(!view.key_live(&key), "dead input origin kills the key");
+        let rebooted = LiveEntry {
+            version: 900,
+            alive: true,
+            boot_ts: 800, // rebooted after minting ts=100
+        };
+        view.peers.insert(NodeId(3), rebooted);
         assert!(
-            live(&liveness, &key),
+            view.key_live(&key),
             "base-fact inputs survive reboots (recovery replays them)"
         );
         // A derived (IDB) input minted before its owner's reboot is stale.
-        let idb_key = DerivationKey::new(usize::MAX - 1, vec![(0, mk(3, 100))]);
-        let mut body = HashMap::new();
-        body.insert(usize::MAX - 1, vec![Some(Symbol::intern("q"))]);
+        let idb_key = DerivationKey::new(EDB_RULE - 1, vec![(0, mk(3, 100))]);
+        let body = vec![Some(Symbol::intern("q"))];
+        view.rule_body_preds.insert(EDB_RULE - 1, body);
         assert!(
-            !key_live(&liveness, &body, &node.idb, &idb_key),
+            !view.key_live(&idb_key),
             "stale IDB input (minted before owner reboot) kills the key"
         );
         // Static facts are immune.
-        let static_key = DerivationKey::new(usize::MAX, Vec::new());
-        assert!(live(&liveness, &static_key));
+        assert!(view.key_live(&DerivationKey::new(EDB_RULE, Vec::new())));
+    }
+
+    /// The owner's ledger under redelivery: a refresh replays a `+1`, a
+    /// tombstone replay over-delivers the `-1`. The stored count of the key
+    /// never leaves {-1, 1} (a zero leaves the ledger), the in-step
+    /// derivation counter equals the walk at every step, and liveness is the
+    /// ledger's. (`provenance::invariants` replays the same sequence through
+    /// `on_message` and holds the DAG's liveness against this node's.)
+    #[test]
+    fn replayed_insert_and_overdelivered_delete_stay_clamped() {
+        let mut d = crate::Deployment::new(
+            ".output q.\nq(X, Y) :- r1(X, T), r2(Y, T).",
+            sensorlog_logic::builtin::BuiltinRegistry::standard(),
+            Topology::square_grid(3),
+            crate::DeployConfig::default(),
+        )
+        .unwrap();
+        let (q, owner) = (Symbol::intern("q"), NodeId(4));
+        let tuple = Tuple::new(vec![
+            sensorlog_logic::Term::Int(1),
+            sensorlog_logic::Term::Int(2),
+        ]);
+        let id = |n: u32, ts: SimTime| TupleId {
+            node: NodeId(n),
+            ts,
+            seq: 0,
+        };
+        let key = DerivationKey::new(0, vec![(0, id(0, 10)), (1, id(8, 20))]);
+        // (delta, stored count afterwards; 0 = the key left the ledger)
+        let steps = [
+            (1, 1),
+            (1, 1),
+            (-1, 0),
+            (-1, -1),
+            (-1, -1),
+            (1, 0),
+            (1, 1),
+            (1, 1),
+        ];
+        for (sign, want) in steps {
+            d.sim.invoke(owner, |node, ctx| {
+                node.handle_deriv_delta(ctx, q, tuple.clone(), key.clone(), sign, 20, id(8, 20));
+            });
+            let node = d.node(owner);
+            let stored: Vec<i64> = (node.derivation_count_entries().iter())
+                .map(|&(_, _, c)| c)
+                .collect();
+            assert_eq!(stored, if want == 0 { vec![] } else { vec![want] });
+            assert_eq!(node.derivation_count(), node.owned.derivations);
+            assert_eq!(
+                node.owned_live(q),
+                if want > 0 {
+                    vec![tuple.clone()]
+                } else {
+                    vec![]
+                }
+            );
+        }
     }
 }

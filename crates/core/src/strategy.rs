@@ -65,17 +65,7 @@ impl Strategy {
             Strategy::LocalStorage => vec![node],
             Strategy::Centroid => return None,
         };
-        Some(match spatial_radius {
-            Some(r) => {
-                let t = regions::truncate(topo, &region, node, r);
-                if t.is_empty() {
-                    vec![node]
-                } else {
-                    t
-                }
-            }
-            None => region,
-        })
+        Some(within(topo, region, node, spatial_radius))
     }
 
     /// Ordered join-computation region for an update at `node`.
@@ -91,17 +81,7 @@ impl Strategy {
             Strategy::LocalStorage => all_nodes_snake(topo),
             Strategy::Centroid => return None,
         };
-        Some(match spatial_radius {
-            Some(r) => {
-                let t = regions::truncate(topo, &region, node, r);
-                if t.is_empty() {
-                    vec![node]
-                } else {
-                    t
-                }
-            }
-            None => region,
-        })
+        Some(within(topo, region, node, spatial_radius))
     }
 
     /// The central server for Centroid: the node closest to the deployment
@@ -114,6 +94,21 @@ impl Strategy {
             .fold((0.0, 0.0), |(ax, ay), (x, y)| (ax + x, ay + y));
         let n = topo.len() as f64;
         topo.closest_node(sx / n, sy / n)
+    }
+}
+
+/// `region` cut down to the spatial-constraint radius around `node`, when
+/// there is one (Fig. 7 experiments); never empty — `node` itself is the
+/// region of last resort.
+fn within(topo: &Topology, region: Vec<NodeId>, node: NodeId, radius: Option<f64>) -> Vec<NodeId> {
+    let Some(r) = radius else {
+        return region;
+    };
+    let t = regions::truncate(topo, &region, node, r);
+    if t.is_empty() {
+        vec![node]
+    } else {
+        t
     }
 }
 

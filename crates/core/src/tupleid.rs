@@ -71,7 +71,7 @@ impl FactRecord {
 /// derived tuple t is the list of the tuple-IDs that join to yield t, one
 /// from each of the data streams corresponding to the non-negated subgoals
 /// … we also include the ID of the rule", Definition 2).
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct DerivationKey {
     pub rule_id: usize,
     pub inputs: Vec<(u16, TupleId)>,
@@ -88,6 +88,21 @@ impl DerivationKey {
     pub fn byte_size(&self) -> usize {
         4 + self.inputs.len() * 18
     }
+}
+
+/// The owner-side clamp: does a ledger already holding `stored` for a
+/// derivation key absorb one more delta of `sign`? Per-key counts live in
+/// `[-1, 1]` — a source-driven refresh re-announces live facts with their
+/// original ids, so the same derivation (same key: keys embed input ids) can
+/// legitimately arrive more than once, and repeated tombstone replays can
+/// over-deliver the matching delete. Skipping the add when the stored count
+/// already equals the sign makes both idempotent while still letting a
+/// delete overtake its insert (transient -1) and letting the structural
+/// checker catch genuine underflow on fault-free runs. The one statement of
+/// the rule: owners and the provenance DAG's replay of their records both
+/// ask it before they count.
+pub fn clamp_absorbs(stored: i64, sign: i8) -> bool {
+    stored == i64::from(sign)
 }
 
 #[cfg(test)]

@@ -146,23 +146,35 @@ impl PartialOrd for Derivation {
     }
 }
 
-/// The ledger entry of one derived tuple: its derivations with their signed
-/// counts. Stored counts are never zero and a `Support` in the ledger is
-/// never empty — but a negative count (a derivation blocked before its
-/// positive part appeared, or blocked more than once) must stay until later
-/// blocker deletions balance it, however long the tuple is dead.
-#[derive(Default)]
-struct Support {
+/// The signed-count derivation ledger of one derived tuple — the
+/// set-of-derivations approach's state (Sec. IV-A), and the workspace's only
+/// copy of it: this engine keys it by [`Derivation`], an owner node of the
+/// distributed runtime by the derivation key its deltas carry. Stored counts
+/// are never zero — a count that cancels takes its key with it — but a
+/// negative count (a derivation blocked before its positive part appeared,
+/// or blocked more than once) must stay until later blocker deletions
+/// balance it, however long the tuple is dead.
+#[derive(Debug)]
+pub struct Support<K: Ord> {
     /// Entries with a positive count; the tuple is live iff there is one.
     live: u32,
-    /// Sorted by derivation.
-    entries: Vec<(Derivation, i64)>,
+    /// Sorted by key.
+    entries: Vec<(K, i64)>,
 }
 
-impl Support {
-    /// Add `sign` to the count of `d` and return what it was before.
-    fn add(&mut self, d: Derivation, sign: i64) -> i64 {
-        let before = match self.entries.binary_search_by(|(e, _)| e.cmp(&d)) {
+impl<K: Ord> Default for Support<K> {
+    fn default() -> Self {
+        Support {
+            live: 0,
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl<K: Ord> Support<K> {
+    /// Add `sign` to the count of `k` and return what it was before.
+    pub fn add(&mut self, k: K, sign: i64) -> i64 {
+        let before = match self.entries.binary_search_by(|(e, _)| e.cmp(&k)) {
             Ok(i) => {
                 let count = &mut self.entries[i].1;
                 let before = *count;
@@ -173,13 +185,31 @@ impl Support {
                 before
             }
             Err(i) => {
-                self.entries.insert(i, (d, sign));
+                self.entries.insert(i, (k, sign));
                 0
             }
         };
         self.live -= u32::from(before > 0);
         self.live += u32::from(before + sign > 0);
         before
+    }
+
+    /// The stored count of `k`; 0 when it has none.
+    pub fn count(&self, k: &K) -> i64 {
+        match self.entries.binary_search_by(|(e, _)| e.cmp(k)) {
+            Ok(i) => self.entries[i].1,
+            Err(_) => 0,
+        }
+    }
+
+    /// Does some key hold a positive count?
+    pub fn is_live(&self) -> bool {
+        self.live > 0
+    }
+
+    /// Every stored key with its (non-zero) count, in key order.
+    pub fn entries(&self) -> &[(K, i64)] {
+        &self.entries
     }
 }
 
@@ -199,7 +229,7 @@ pub struct IncrementalEngine {
     pub reg: BuiltinRegistry,
     pub db: Database,
     windows: BTreeMap<Symbol, u64>,
-    derivs: HashMap<(Symbol, Tuple), Support>,
+    derivs: HashMap<(Symbol, Tuple), Support<Derivation>>,
     /// Entries across all of `derivs`, kept in step with it so the
     /// per-update peak needs no walk ([`Self::derivation_count`] audits it).
     deriv_entries: usize,
@@ -336,7 +366,8 @@ impl IncrementalEngine {
     /// vector at capacity, plus the input slices.
     pub fn ledger_bytes(&self) -> usize {
         use std::mem::size_of;
-        let table = self.derivs.capacity() * (size_of::<((Symbol, Tuple), Support)>() + 1);
+        let table =
+            self.derivs.capacity() * (size_of::<((Symbol, Tuple), Support<Derivation>)>() + 1);
         let supports = self.derivs.values().map(|s| {
             let inputs: usize = s.entries.iter().map(|(d, _)| d.inputs.len()).sum();
             s.entries.capacity() * size_of::<(Derivation, i64)>() + inputs * size_of::<Tuple>()
@@ -359,16 +390,6 @@ impl IncrementalEngine {
         Ok(emitted)
     }
 
-    /// Convenience: apply a batch in timestamp order.
-    pub fn apply_all(&mut self, mut updates: Vec<Update>) -> Result<Vec<Update>, EvalError> {
-        updates.sort_by_key(|u| u.ts);
-        let mut out = Vec::new();
-        for u in updates {
-            out.extend(self.apply(u)?);
-        }
-        Ok(out)
-    }
-
     /// Expire tuples past their stream's sliding window ("independently
     /// expiring a tuple after sufficient time" — silent, no join phase).
     /// Derivation entries of expired derived tuples are garbage-collected.
@@ -388,7 +409,7 @@ impl IncrementalEngine {
     fn is_live(&self, pred: Symbol, tuple: &Tuple) -> bool {
         self.derivs
             .get(&(pred, tuple.clone()))
-            .is_some_and(|s| s.live > 0)
+            .is_some_and(Support::is_live)
     }
 
     /// Process one update: physical application, delta computation for every
@@ -509,10 +530,10 @@ impl IncrementalEngine {
                 Entry::Vacant(e) => e.insert_entry(Support::default()),
             };
             let support = entry.get_mut();
-            let was_live = support.live > 0;
+            let was_live = support.is_live();
             let rule_id = rules[d.rule_id as usize].id;
             let d_count = support.add(d, sign);
-            let now_live = support.live > 0;
+            let now_live = support.is_live();
             // Stored counts are never zero: an entry that cancels has left.
             self.deriv_entries += usize::from(d_count == 0);
             self.deriv_entries -= usize::from(d_count + sign == 0);
@@ -724,6 +745,50 @@ mod tests {
                 expect.sorted(p),
                 "divergence on predicate {p}"
             );
+        }
+    }
+
+    #[test]
+    fn support_count_that_cancels_leaves() {
+        let mut s: Support<u8> = Support::default();
+        assert_eq!((s.add(7, 1), s.count(&7), s.is_live()), (0, 1, true));
+        assert_eq!(s.add(7, -1), 1);
+        assert_eq!((s.count(&7), s.is_live()), (0, false));
+        assert!(s.entries().is_empty(), "no zero count is ever stored");
+    }
+
+    #[test]
+    fn support_negative_count_keeps_its_key() {
+        let mut s: Support<u8> = Support::default();
+        assert_eq!(s.add(3, -1), 0);
+        assert_eq!((s.entries(), s.is_live()), (&[(3, -1)][..], false));
+        // A second key going live does not touch the debt.
+        s.add(1, 1);
+        assert_eq!((s.entries(), s.is_live()), (&[(1, 1), (3, -1)][..], true));
+        // Balanced: the key goes, the other one still supports the tuple.
+        assert_eq!(s.add(3, 1), -1);
+        assert_eq!((s.entries(), s.is_live()), (&[(1, 1)][..], true));
+    }
+
+    #[test]
+    fn support_liveness_tracks_a_random_signed_stream() {
+        // A fixed LCG: 4,000 ±1 deltas over 6 keys, counts drifting both ways.
+        let mut s: Support<u8> = Support::default();
+        let mut model: BTreeMap<u8, i64> = BTreeMap::new();
+        let mut x: u64 = 17;
+        for _ in 0..4_000 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let (k, sign) = ((x >> 33) as u8 % 6, if x >> 63 == 0 { 1 } else { -1 });
+            let before = s.add(k, sign);
+            let c = model.entry(k).or_insert(0);
+            assert_eq!(before, *c);
+            *c += sign;
+            assert_eq!(s.count(&k), *c);
+            assert_eq!(s.is_live(), s.entries().iter().any(|&(_, c)| c > 0));
+            let stored: Vec<(u8, i64)> = (model.iter().filter(|(_, &c)| c != 0))
+                .map(|(&k, &c)| (k, c))
+                .collect();
+            assert_eq!(s.entries(), &stored[..], "sorted, and never a zero");
         }
     }
 

@@ -13,14 +13,14 @@
 //! * [`seminaive`] — batch engine: semi-naive fixpoint, stratified negation,
 //!   XY-staged evaluation (the correctness oracle);
 //! * [`incremental`] — continuous maintenance under inserts/deletes with the
-//!   paper's **set-of-derivations** approach (Sec. IV), plus the
+//!   paper's **set-of-derivations** approach (Sec. IV) over [`Support`],
+//!   the signed-count ledger the distributed owners share, plus the
 //!   [`counting`] and [`rederive`] alternatives it compares against;
 //! * [`lineage`] — opt-in per-firing lineage capture with compact interned
 //!   atoms (the provenance plane's local layer);
 //! * [`planner`] — static probe planning: the bound-position signatures
 //!   each body literal probes with, driving persistent index registration,
-//!   and the delta plans the three maintenance engines' one delta pass reads;
-//! * [`window`] — sliding-window expiry.
+//!   and the delta plans the three maintenance engines' one delta pass reads.
 
 #![forbid(unsafe_code)]
 
@@ -34,11 +34,10 @@ pub mod planner;
 pub mod rederive;
 pub mod relation;
 pub mod seminaive;
-pub mod window;
 
 pub use error::EvalError;
 pub use eval_body::{BodyEval, Solution, TupleFilter};
-pub use incremental::{IncrementalEngine, Update, UpdateKind};
+pub use incremental::{IncrementalEngine, Support, Update, UpdateKind};
 pub use lineage::{AtomId, LineageLog, LineageRecord, EDB_RULE};
 pub use planner::program_signatures;
 pub use relation::{Database, IndexStatsSnapshot, Relation, TupleMeta};

@@ -405,10 +405,6 @@ impl Database {
         self.relation_mut(p).insert(t, TupleMeta::default())
     }
 
-    pub fn insert_at(&mut self, p: Symbol, t: Tuple, gen_ts: u64) -> bool {
-        self.relation_mut(p).insert(t, TupleMeta::at(gen_ts))
-    }
-
     pub fn remove(&mut self, p: Symbol, t: &Tuple) -> bool {
         self.relation_mut(p).remove(t)
     }

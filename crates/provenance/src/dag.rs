@@ -2,8 +2,8 @@
 //!
 //! [`ProvDag::build`] folds a deployment's raw [`ProvRecord`] log into
 //! per-atom state, mirroring the owner-side bookkeeping of the runtime:
-//! derivation-key counts are clamped to `[-1, 1]` exactly as
-//! `handle_deriv_delta` clamps them, EDB liveness follows the last
+//! derivation-key counts are clamped to `[-1, 1]` by the rule the owners
+//! apply (`sensorlog_core::clamp_absorbs`), EDB liveness follows the last
 //! insert/delete transition, and tuple-id bindings come from `Edb` and
 //! `Mint` records. Liveness of derived atoms is then computed as a
 //! well-founded fixpoint (an atom is live iff some positive derivation key
@@ -12,7 +12,7 @@
 //! so they are acyclic by construction even when the record log contains
 //! cyclic rule firings (e.g. transitive closure re-deriving a premise).
 
-use sensorlog_core::{DerivationKey, ProvRecord, TupleId};
+use sensorlog_core::{clamp_absorbs, DerivationKey, ProvRecord, TupleId};
 use sensorlog_eval::eval_body::{eval_check, Check};
 use sensorlog_eval::UpdateKind;
 use sensorlog_logic::boundness::order_literals;
@@ -187,9 +187,11 @@ impl ProvDag {
                         st.keys.last_mut().unwrap()
                     }
                 };
-                // Mirror the owner's clamp: refresh re-announces can
-                // legitimately re-deliver the same key.
-                entry.count = (entry.count + i64::from(*sign)).clamp(-1, 1);
+                // The owner's clamp, asked of the owner's own rule: refresh
+                // re-announces can legitimately re-deliver the same key.
+                if !clamp_absorbs(entry.count, *sign) {
+                    entry.count += i64::from(*sign);
+                }
                 if *sign > 0 {
                     entry.tau = *tau;
                     entry.origin = Some(*origin);

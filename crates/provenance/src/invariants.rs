@@ -118,7 +118,7 @@ mod tests {
     use super::*;
     use crate::explain::Explain;
     use sensorlog_core::DeployConfig;
-    use sensorlog_core::Provenance;
+    use sensorlog_core::{ProvRecord, Provenance};
     use sensorlog_eval::UpdateKind;
     use sensorlog_logic::builtin::BuiltinRegistry;
     use sensorlog_logic::{Term, Tuple};
@@ -164,6 +164,71 @@ mod tests {
         let absent = Tuple::new(vec![Term::Int(9), Term::Int(9)]);
         let ex = d.explain(q, &absent);
         assert!(!ex.is_proof());
+    }
+
+    /// The clamp has one definition (`sensorlog_core::clamp_absorbs`), asked
+    /// by the owner's ledger and by the DAG's replay of the owner's records:
+    /// redeliver the run's own `q` derivation — a replayed `+1`, then `-1`s
+    /// past zero, then `+1`s back — through the owner's message handler, and
+    /// after every delivery the DAG built from the records so far agrees
+    /// with the owner on whether `q(1, 2)` is live, and the owner's stored
+    /// count for the key is -1 or 1 or gone.
+    #[test]
+    fn dag_and_owner_agree_on_liveness_under_redelivery() {
+        use sensorlog_core::msg::Payload;
+        use sensorlog_netsim::App;
+        let (mut d, _events) = join_deployment();
+        let q = Symbol::intern("q");
+        let t = Tuple::new(vec![Term::Int(1), Term::Int(2)]);
+        let (owner, key, tau, origin) = (d.provenance_records().into_iter())
+            .find_map(|r| match r {
+                ProvRecord::Deriv {
+                    owner,
+                    pred,
+                    key,
+                    tau,
+                    origin,
+                    ..
+                } if pred == q => Some((owner, key, tau, origin)),
+                _ => None,
+            })
+            .expect("the run derived q");
+        // (delta, is q(1, 2) live afterwards) — the run left the count at 1.
+        let steps = [
+            (1, true),
+            (-1, false),
+            (-1, false),
+            (-1, false),
+            (1, false),
+            (1, true),
+        ];
+        for (sign, want_live) in steps {
+            let (tuple, key) = (t.clone(), key.clone());
+            d.sim.invoke(owner, |node, ctx| {
+                let delta = Payload::DerivDelta {
+                    pred: q,
+                    tuple,
+                    key,
+                    sign,
+                    tau,
+                    origin,
+                };
+                node.on_message(ctx, owner, delta);
+            });
+            let node = d.node(owner);
+            assert_eq!(
+                node.owned_live(q).contains(&t),
+                want_live,
+                "owner after {sign}"
+            );
+            let dag = ProvDag::build(&d.provenance_records());
+            assert_eq!(dag.atom_live(q, &t), want_live, "dag after {sign}");
+            let counts = node.derivation_count_entries();
+            assert!(
+                counts.iter().all(|&(_, _, c)| c == 1 || c == -1),
+                "{counts:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Exporters: JSONL snapshot (the stable machine format feeding
-//! `BENCH_*.json`), Prometheus-style text, and a human-readable table.
+//! The exporter: a JSONL snapshot, the stable machine format feeding
+//! `BENCH.json` and `sensorlog deploy --metrics`.
 //!
 //! The JSONL schema is covered by [`Snapshot::schema_fingerprint`]: the
 //! fingerprint is derived from the same per-record field lists the writer
@@ -259,124 +259,6 @@ impl Snapshot {
         }
         out
     }
-
-    // ---- Prometheus-style text ----
-
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for c in &self.counters {
-            writeln!(
-                out,
-                "sensorlog_{}{{scope=\"{}\"}} {}",
-                prom_name(&c.name),
-                prom_label_escape(&c.scope),
-                c.value
-            )
-            .unwrap();
-        }
-        for g in &self.gauges {
-            writeln!(
-                out,
-                "sensorlog_{}{{scope=\"{}\"}} {}",
-                prom_name(&g.name),
-                prom_label_escape(&g.scope),
-                g.value
-            )
-            .unwrap();
-        }
-        for h in &self.hists {
-            let name = prom_name(&h.name);
-            let scope = prom_label_escape(&h.scope);
-            let mut cum = 0u64;
-            for (b, c) in h.bounds.iter().zip(&h.counts) {
-                cum += c;
-                writeln!(
-                    out,
-                    "sensorlog_{name}_bucket{{scope=\"{scope}\",le=\"{b}\"}} {cum}"
-                )
-                .unwrap();
-            }
-            writeln!(
-                out,
-                "sensorlog_{name}_bucket{{scope=\"{scope}\",le=\"+Inf\"}} {}",
-                h.count
-            )
-            .unwrap();
-            writeln!(out, "sensorlog_{name}_sum{{scope=\"{scope}\"}} {}", h.sum).unwrap();
-            writeln!(
-                out,
-                "sensorlog_{name}_count{{scope=\"{scope}\"}} {}",
-                h.count
-            )
-            .unwrap();
-        }
-        for p in &self.phases {
-            let name = prom_name(&p.name);
-            writeln!(out, "sensorlog_phase_count{{phase=\"{name}\"}} {}", p.count).unwrap();
-            writeln!(
-                out,
-                "sensorlog_phase_wall_ns{{phase=\"{name}\"}} {}",
-                p.wall_ns
-            )
-            .unwrap();
-            writeln!(
-                out,
-                "sensorlog_phase_sim_ms{{phase=\"{name}\"}} {}",
-                p.sim_ms
-            )
-            .unwrap();
-        }
-        out
-    }
-
-    // ---- human-readable table ----
-
-    pub fn to_table(&self) -> String {
-        let mut out = String::new();
-        if !self.counters.is_empty() {
-            out.push_str("counters:\n");
-            for c in &self.counters {
-                writeln!(out, "  {:<28} {:<20} {:>12}", c.scope, c.name, c.value).unwrap();
-            }
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("gauges:\n");
-            for g in &self.gauges {
-                writeln!(out, "  {:<28} {:<20} {:>12}", g.scope, g.name, g.value).unwrap();
-            }
-        }
-        if !self.hists.is_empty() {
-            out.push_str("histograms:\n");
-            for h in &self.hists {
-                let mean = if h.count == 0 {
-                    0.0
-                } else {
-                    h.sum as f64 / h.count as f64
-                };
-                writeln!(
-                    out,
-                    "  {:<28} {:<20} n={:<8} mean={:<10.1} max={}",
-                    h.scope, h.name, h.count, mean, h.max
-                )
-                .unwrap();
-            }
-        }
-        if !self.phases.is_empty() {
-            out.push_str("phases:\n");
-            for p in &self.phases {
-                writeln!(
-                    out,
-                    "  {:<28} n={:<8} wall={:>10.3}ms sim={:>8}ms",
-                    p.name,
-                    p.count,
-                    p.wall_ns as f64 / 1e6,
-                    p.sim_ms
-                )
-                .unwrap();
-            }
-        }
-        out
-    }
 }
 
 fn json_str(s: &str) -> String {
@@ -408,28 +290,6 @@ fn json_u64s(xs: &[u64]) -> String {
         write!(out, "{x}").unwrap();
     }
     out.push(']');
-    out
-}
-
-fn prom_name(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect()
-}
-
-/// Escape a label *value* per the Prometheus exposition format: backslash,
-/// double quote, and newline must be escaped (`\\`, `\"`, `\n`) or the
-/// emitted line is unparseable / splits into two samples.
-fn prom_label_escape(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
-        }
-    }
     out
 }
 
@@ -489,72 +349,6 @@ mod tests {
         assert!(fp.contains("counter: type scope name value"));
         assert!(fp.contains("hist: type scope name bounds counts overflow count sum min max"));
         assert!(fp.contains("phase: type name count wall_ns sim_ms"));
-    }
-
-    #[test]
-    fn prometheus_rendering_cumulates_buckets() {
-        let s = sample();
-        let p = s.to_prometheus();
-        assert!(p.contains(r#"sensorlog_sent_probe{scope="pred:path"} 7"#));
-        assert!(p.contains(r#"le="+Inf""#));
-        assert!(p.contains("sensorlog_phase_sim_ms"));
-    }
-
-    #[test]
-    fn prometheus_escapes_hostile_label_values() {
-        // A scope carrying backslash, quote, and newline (e.g. a predicate
-        // named from untrusted program source) must not break the
-        // exposition format or split a sample across lines.
-        let mut snap = Snapshot::default();
-        snap.counters.push(CounterRow {
-            scope: "pred:a\\b\"c\nd".into(),
-            name: "sent_probe".into(),
-            value: 1,
-        });
-        snap.hists.push(HistRow {
-            scope: "line1\nline2".into(),
-            name: "tx_bytes".into(),
-            bounds: vec![8],
-            counts: vec![1],
-            overflow: 0,
-            count: 1,
-            sum: 4,
-            min: 4,
-            max: 4,
-        });
-        let p = snap.to_prometheus();
-        assert!(
-            p.contains(r#"scope="pred:a\\b\"c\nd""#),
-            "counter label not escaped:\n{p}"
-        );
-        assert!(
-            p.contains(r#"scope="line1\nline2""#),
-            "histogram label not escaped:\n{p}"
-        );
-        // Every line must still be a well-formed `name{labels} value`
-        // sample: no raw newline may have leaked into a label value.
-        for line in p.lines() {
-            assert!(
-                line.is_empty() || line.ends_with(|c: char| c.is_ascii_digit()),
-                "split sample line: {line:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn prom_label_escape_is_minimal() {
-        assert_eq!(prom_label_escape("plain"), "plain");
-        assert_eq!(prom_label_escape("a\\b"), "a\\\\b");
-        assert_eq!(prom_label_escape("a\"b"), "a\\\"b");
-        assert_eq!(prom_label_escape("a\nb"), "a\\nb");
-    }
-
-    #[test]
-    fn table_rendering_mentions_every_section() {
-        let t = sample().to_table();
-        for section in ["counters:", "gauges:", "histograms:", "phases:"] {
-            assert!(t.contains(section), "missing {section}");
-        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! registry (counters / gauges / fixed-bucket histograms keyed by
 //! `(scope, name)`), a span-based phase profiler with zero-cost-when-disabled
 //! guards (the same `Option`-gated pattern as `netsim`'s `TraceSink`), and
-//! exporters (JSONL snapshot, Prometheus-style text, human-readable table).
+//! one exporter (the JSONL snapshot).
 //!
 //! Handles are `Arc<Mutex<…>>` clones so the sharded simulator's region
 //! workers can record from their lockstep windows; the hot per-event paths

@@ -437,14 +437,20 @@ fn cmd_deploy(args: &[String]) -> Result<(), AnyError> {
         d.metrics().max_node_load(),
         d.metrics().total_energy_uj() / 1000.0
     );
-    if !events.is_empty() && d.metrics().lost() == 0 {
-        let report = sensorlog::core::oracle::check(&d, &events, d.prog.outputs[0]);
+    // Every output predicate is held against the oracle; a program with none
+    // (no rule, no `.output`) has nothing to check.
+    if !events.is_empty() && d.metrics().lost() == 0 && !d.prog.outputs.is_empty() {
+        let (mut expected, mut missing, mut spurious) = (0, 0, 0);
+        for &p in &d.prog.outputs {
+            let report = sensorlog::core::oracle::check(&d, &events, p);
+            expected += report.expected;
+            missing += report.missing.len();
+            spurious += report.spurious.len();
+        }
+        let exact = missing == 0 && spurious == 0;
         eprintln!(
-            "-- oracle: {} ({} expected, {} missing, {} spurious)",
-            if report.exact() { "exact" } else { "DIVERGED" },
-            report.expected,
-            report.missing.len(),
-            report.spurious.len()
+            "-- oracle: {} ({expected} expected, {missing} missing, {spurious} spurious)",
+            if exact { "exact" } else { "DIVERGED" },
         );
     }
     if let (Some(path), Some(journal)) = (&trace_path, journal) {

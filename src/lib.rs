@@ -20,8 +20,7 @@
 //!   (Generalized) Perpendicular Approach with storage/join phases, derived
 //!   stream hashing, and distributed set-of-derivations maintenance;
 //! * [`telemetry`] — workspace-wide observability: deterministic metrics
-//!   registry, span-based phase profiler, and JSONL/Prometheus/table
-//!   exporters;
+//!   registry, span-based phase profiler, and the JSONL snapshot exporter;
 //! * [`provenance`] — the derivation provenance plane: the cross-node
 //!   causal DAG, `why` / `why-not` / critical-path queries, and the
 //!   proof-checking invariant behind `sensorlog explain`.

@@ -3,7 +3,8 @@
 //! file, and applying fixes to the seed examples must not change what the
 //! programs compute (the rewrites are declarations and plane-local rule
 //! splits, not semantic edits). `deploy` / `explain`: out-of-range `--grid`
-//! and `--loss` are reported as errors, never panics or silent clamps.
+//! and `--loss` are reported as errors, never panics or silent clamps, and
+//! a program with no output predicate deploys without an oracle line.
 
 use sensorlog::logic::diag::{check_source, fix_source, BoundParams};
 use sensorlog::prelude::*;
@@ -60,6 +61,34 @@ fn deploy_and_explain_reject_empty_grid_and_non_probability_loss() {
             assert!(out.status.success(), "{cmd} --loss {loss}");
         }
     }
+}
+
+/// A program with no rule and no `.output` has no output predicate: `deploy`
+/// used to index `outputs[0]` for its oracle line and die with "index out of
+/// bounds". It runs the events, exits 0 and prints no oracle line; a program
+/// with an output still gets exactly one.
+#[test]
+fn deploy_of_a_rule_less_program_prints_no_oracle_line() {
+    let dir = std::env::temp_dir().join(format!("sensorlog_ruleless_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let deploy = |prog: &str, events: &str| {
+        let (prog_path, events_path) = (dir.join("p.dl"), dir.join("events.txt"));
+        std::fs::write(&prog_path, prog).unwrap();
+        std::fs::write(&events_path, events).unwrap();
+        let out = bin()
+            .args(["deploy", prog_path.to_str().unwrap(), "--grid", "3"])
+            .args(["--events", events_path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "deploy failed: {stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        stderr.matches("-- oracle:").count()
+    };
+    assert_eq!(deploy(".window v 1000.\n", "+100 @0 v(2).\n"), 0);
+    let join = ".output q.\nq(X, Y) :- r1(X, T), r2(Y, T).\n";
+    assert_eq!(deploy(join, "+100 @0 r1(1, 7).\n+200 @8 r2(2, 7).\n"), 1);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `fix_source` reaches a true fixpoint: running it on its own output
