@@ -41,17 +41,25 @@ cargo test --workspace -q
 #    second router in `core` reads 0 here);
 #  - logic: the id table under both interners (`pages::Pages`) is read
 #    without a lock while it grows — the one concurrency test of the table
-#    every tuple comparison reads through.
+#    every tuple comparison reads through;
+#  - core: a node's pending expiries are one queue with its head armed, so
+#    the simulator never holds as many events as the network holds windowed
+#    replicas (a timer per replica does), each generation still leaves at
+#    exactly tau + retention, and — the two regressions beside it — an
+#    expiry drops only the generation it was queued for, replica or owned.
 # The boundary-resolve cap (tests/boundary_sites.rs) ran with the workspace
 # tests above.
-echo "== count gates (keyed registry walks, queued event size, unplanned probes, node probe ranges, router hops, id table race) =="
+echo "== count gates (keyed registry walks, queued event size, unplanned probes, node probe ranges, router hops, id table race, expiry queue) =="
 for gate in \
     "sensorlog-netsim sim::tests::keyed_registry_walks_do_not_grow_with_traffic" \
     "sensorlog-core msg::tests::queued_event_stays_payload_independent" \
     "sensorlog-eval planner::tests::engines_probe_only_planned_signatures" \
     "sensorlog-core deploy::tests::node_probes_are_ranges_of_the_fragment_map" \
     "sensorlog-core deploy::tests::deployment_hops_are_router_hops" \
-    "sensorlog-logic pages::tests::lock_free_reads_race_with_publishing"; do
+    "sensorlog-logic pages::tests::lock_free_reads_race_with_publishing" \
+    "sensorlog-core deploy::tests::windowed_replicas_do_not_queue_a_timer_each" \
+    "sensorlog-core runtime::tests::an_older_generations_expiry_leaves_the_newer_replica" \
+    "sensorlog-core runtime::tests::an_earlier_deltas_expiry_leaves_the_rearmed_owned_entry"; do
     read -r crate name <<<"$gate"
     out=$(cargo test -q -p "$crate" --lib -- --exact "$name" 2>&1) || { echo "$out"; exit 1; }
     grep -q "test result: ok. 1 passed" <<<"$out" || {
@@ -63,6 +71,14 @@ done
 echo "== one derivation ledger (no HashMap<DerivationKey under crates/) =="
 if grep -rn 'HashMap<DerivationKey' crates/; then
     echo "a second derivation ledger: count derivation keys in eval::Support"; exit 1
+fi
+
+# One record of a replica: its entry in the node's fragment store, whose
+# metadata carries the stored generation's id. The parent kept the ids in a
+# second map beside it, under this name.
+echo "== one replica store (no frag_ids under crates/ or src/) =="
+if grep -rn 'frag_ids' crates src; then
+    echo "a second record of a replica: keep its id in the fragment store's TupleMeta"; exit 1
 fi
 
 # ROADMAP item 8's repro (crates/bench/tests/staggered_arrivals.rs), gated in

@@ -819,6 +819,100 @@ mod tests {
         );
     }
 
+    /// Example 1 under PA on a 6×6 grid, seed 17: vehicles sighted every
+    /// second for 20 s, `veh` windowed to 8 s, so a replica is retained for
+    /// τs + τj + τw = 12,500 ms. Sightings are scheduled, not run.
+    fn battlefield_6x6(config: DeployConfig) -> Deployment {
+        let src = r#"
+            .window veh 8000.
+            .output uncov.
+            cov(L, T)   :- veh("enemy", L, T), veh("friendly", F, T), dist(L, F) <= 8.
+            uncov(L, T) :- not cov(L, T), veh("enemy", L, T).
+        "#;
+        let topo = sensorlog_netsim::Topology::square_grid(6);
+        let config = DeployConfig {
+            sim: SimConfig {
+                seed: 17,
+                ..SimConfig::default()
+            },
+            ..config
+        };
+        let mut d =
+            Deployment::new(src, BuiltinRegistry::standard(), topo.clone(), config).unwrap();
+        let sightings = crate::workload::VehicleWorkload {
+            n_enemy: 8,
+            n_friendly: 8,
+            interval: 1_000,
+            duration: 20_000,
+            seed: 17,
+        };
+        d.schedule_all(sightings.events(&topo));
+        d
+    }
+
+    /// The count gate of "one expiry queue per node". Just before the first
+    /// expiry the simulator has never held as many pending events as the
+    /// network holds replicas (171 against 1,638) — with a timer per
+    /// replica, the parent's scheme, it held more (2,302: one per owned
+    /// `cov` / `uncov` delta too). Run on past the window, each generation
+    /// still leaves at exactly τ + retention, from every node of its row at
+    /// once; and the observers see none of it: the journal is the same bytes
+    /// with telemetry and provenance on.
+    #[test]
+    fn windowed_replicas_do_not_queue_a_timer_each() {
+        let mut d = battlefield_6x6(DeployConfig::default());
+        let journal = d.attach_journal();
+        let sighted: Vec<SimTime> = (d.schedule.iter())
+            .filter(|e| e.kind == UpdateKind::Insert)
+            .map(|e| e.at)
+            .collect();
+        assert!(sighted.len() >= 200, "{} sightings", sighted.len());
+        // Replicas of a sighting away from its source: 5 along a row of 6.
+        let veh = Symbol::intern("veh");
+        let held = |d: &Deployment| -> usize {
+            let away = |n: &SensorlogNode| {
+                let bound = n.id_bindings().into_iter();
+                bound
+                    .filter(|(id, p, _)| *p == veh && id.node != n.id)
+                    .count()
+            };
+            d.sim.nodes().map(away).sum()
+        };
+        // The first sighting (1 s) leaves at 13.5 s: until then everything
+        // stored is still stored, `cov` and `uncov` replicas included, and
+        // each has an expiry pending.
+        d.run(13_499);
+        let stored: usize = d.sim.nodes().map(|n| n.replica_count()).sum();
+        assert!(held(&d) >= 5 * 100 && stored > held(&d));
+        assert!(
+            d.sim.max_queue_depth() < stored,
+            "a timer per replica again?"
+        );
+        for tau in (1_000..20_000).step_by(1_000) {
+            let leaving = 5 * sighted.iter().filter(|&&at| at == tau).count();
+            assert!(leaving > 0);
+            d.run(tau + 12_499);
+            let before = held(&d);
+            d.run(tau + 12_500);
+            assert_eq!(before - held(&d), leaving, "generation of {tau}");
+        }
+        assert_eq!(held(&d), 0);
+        d.run(2_000_000);
+        assert!(d.sim.is_quiescent());
+        let plain = journal.take();
+
+        let mut observed = battlefield_6x6(DeployConfig {
+            telemetry: Telemetry::enabled(),
+            provenance: Provenance::enabled(),
+            ..DeployConfig::default()
+        });
+        let journal = observed.attach_journal();
+        observed.run(2_000_000);
+        let observed = journal.take();
+        assert_eq!(plain.first_divergence(&observed), None);
+        assert_eq!(plain.content_hash(), observed.content_hash());
+    }
+
     /// One `process_probe` / `apply_result` call is one tick of its phase,
     /// although the phase takes the call's wall time and its sim-time lag.
     /// With a `record_sim` beside the span both phases read exactly twice

@@ -14,7 +14,7 @@
 use crate::plan::DistProgram;
 use crate::tupleid::TupleId;
 use sensorlog_eval::eval_body::{bound_key, eval_check, ground_atom, BoundKey, Check};
-use sensorlog_eval::relation::Database;
+use sensorlog_eval::relation::{Database, TupleMeta};
 use sensorlog_logic::ast::{Literal, Rule};
 use sensorlog_logic::flat::{flat_match_args, FlatSubst};
 use sensorlog_logic::intern;
@@ -134,12 +134,14 @@ pub fn seed_partial(
     })
 }
 
+/// A node's fragment store: its replicas, each entry carrying the id of the
+/// generation stored (derivation inputs, and the tie-break of Definition 2).
+pub type Fragments = Database<TupleId>;
+
 /// Local fragment lookup context at a node.
 pub struct LocalCtx<'a> {
     pub prog: &'a DistProgram,
-    pub db: &'a Database,
-    /// IDs of locally stored tuples, for derivation inputs.
-    pub id_of: &'a dyn Fn(Symbol, &Tuple) -> Option<TupleId>,
+    pub db: &'a Fragments,
     /// Probe event timestamp (Theorem 3 visibility).
     pub tau: SimTime,
     /// The probe's update tuple ID: ties in local timestamps serialize by
@@ -166,39 +168,32 @@ impl<'a> LocalCtx<'a> {
         self.prog.windows.get(&pred).copied()
     }
 
-    /// Does this replica participate in the probe? Theorem 3 visibility
-    /// (window, tombstone) plus the timestamp-tie discipline. The ground
-    /// negation kill's test; [`LocalCtx::candidates`] applies the same two
-    /// rules to the positive subgoals' matches.
+    /// Does a replica with metadata `m` take part in the probe? Theorem 3
+    /// visibility (window, tombstone) plus the timestamp-tie discipline.
+    fn admits(&self, m: &TupleMeta<TupleId>, window: Option<u64>) -> bool {
+        m.visible_at(self.tau, window) && (m.gen_ts < self.tau || m.extra <= self.update_id)
+    }
+
+    /// The ground negation kill's test: is `tuple` stored here and does it
+    /// take part in the probe?
     fn participates(&self, pred: Symbol, tuple: &Tuple) -> bool {
-        let Some(m) = self.db.relation(pred).and_then(|r| r.meta(tuple)) else {
-            return false;
-        };
-        m.visible_at(self.tau, self.window(pred))
-            && (m.gen_ts < self.tau
-                || (self.id_of)(pred, tuple).is_some_and(|id| id <= self.update_id))
+        (self.db.relation(pred))
+            .and_then(|r| r.meta(tuple))
+            .is_some_and(|m| self.admits(m, self.window(pred)))
     }
 
     /// Visit, in canonical tuple order and with their ids, the local
     /// fragments of `pred` that can extend a partial whose bindings give
     /// `key`: a probe of the fragment store, each match tested for
-    /// participation from the metadata the probe hands over. A fragment
-    /// without an id means its id record raced an expiry: it is skipped
-    /// rather than joined.
+    /// participation from the metadata the probe hands over.
     fn candidates(&self, pred: Symbol, key: &BoundKey, mut visit: impl FnMut(&Tuple, TupleId)) {
         let Some(rel) = self.db.relation(pred) else {
             return;
         };
         let window = self.window(pred);
         rel.probe(key.cols(), key.ids(), |t, m| {
-            if !self.generous && !m.visible_at(self.tau, window) {
-                return;
-            }
-            let Some(id) = (self.id_of)(pred, t) else {
-                return;
-            };
-            if self.generous || m.gen_ts < self.tau || id <= self.update_id {
-                visit(t, id);
+            if self.generous || self.admits(m, window) {
+                visit(t, m.extra);
             }
         });
     }
@@ -329,7 +324,6 @@ fn grow(
 mod tests {
     use super::*;
     use crate::plan::{compile_source, PlanTiming};
-    use sensorlog_eval::relation::TupleMeta;
     use sensorlog_logic::builtin::BuiltinRegistry;
     use sensorlog_logic::parse_fact;
     use sensorlog_netsim::NodeId;
@@ -359,16 +353,19 @@ mod tests {
         .unwrap()
     }
 
-    fn ctx<'a>(
-        prog: &'a DistProgram,
-        db: &'a Database,
-        ids: &'a dyn Fn(Symbol, &Tuple) -> Option<TupleId>,
-        tau: SimTime,
-    ) -> LocalCtx<'a> {
+    /// A live replica of the generation `id`, stored at `gen_ts`.
+    fn stored(gen_ts: u64, id: TupleId) -> TupleMeta<TupleId> {
+        TupleMeta {
+            gen_ts,
+            del_ts: None,
+            extra: id,
+        }
+    }
+
+    fn ctx<'a>(prog: &'a DistProgram, db: &'a Fragments, tau: SimTime) -> LocalCtx<'a> {
         LocalCtx {
             prog,
             db,
-            id_of: ids,
             tau,
             // Tests probe with the largest possible ID so equal-timestamp
             // replicas always participate.
@@ -391,17 +388,10 @@ mod tests {
         assert!(!seed.is_complete(&shape));
 
         // A node holding f(2, 9) extends the partial to completion.
-        let mut db = Database::new();
+        let mut db = Fragments::default();
         let (fp, ft) = fact("f(2, 9)");
-        db.relation_mut(fp).insert(ft.clone(), TupleMeta::at(3));
-        let ids = move |p: Symbol, t: &Tuple| {
-            if p == fp && *t == ft {
-                Some(tid(4, 3))
-            } else {
-                None
-            }
-        };
-        let c = ctx(&prog, &db, &ids, 10);
+        db.relation_mut(fp).insert(ft, stored(3, tid(4, 3)));
+        let c = ctx(&prog, &db, 10);
         let mut work = ProbeWork::default();
         let out = process_partials(&c, rule, &shape, vec![seed.clone()], None, None, &mut work);
         // The original plus the completed extension.
@@ -425,11 +415,10 @@ mod tests {
         let seed = seed_partial(&prog, rule, 0, false, &et, tid(0, 5)).unwrap();
         // f(2, -3) binds Z = -3, failing Z > 0: the extension dies, the
         // original survives.
-        let mut db = Database::new();
+        let mut db = Fragments::default();
         let (fp, ft) = fact("f(2, -3)");
-        db.relation_mut(fp).insert(ft.clone(), TupleMeta::at(3));
-        let ids = move |p: Symbol, t: &Tuple| (p == fp && *t == ft).then(|| tid(4, 3));
-        let c = ctx(&prog, &db, &ids, 10);
+        db.relation_mut(fp).insert(ft, stored(3, tid(4, 3)));
+        let c = ctx(&prog, &db, 10);
         let mut work = ProbeWork::default();
         let out = process_partials(&c, rule, &shape, vec![seed], None, None, &mut work);
         assert_eq!(out.len(), 1);
@@ -443,13 +432,12 @@ mod tests {
         let shape = RuleShape::of(rule);
         let (_, et) = fact("e(1, 2)");
         let seed = seed_partial(&prog, rule, 0, false, &et, tid(0, 5)).unwrap();
-        let mut db = Database::new();
+        let mut db = Fragments::default();
         let (fp, ft) = fact("f(2, 9)");
         let (bp, bt) = fact("bad(9)");
-        db.relation_mut(fp).insert(ft.clone(), TupleMeta::at(3));
-        db.relation_mut(bp).insert(bt, TupleMeta::at(2));
-        let ids = move |p: Symbol, t: &Tuple| (p == fp && *t == ft).then(|| tid(4, 3));
-        let c = ctx(&prog, &db, &ids, 10);
+        db.relation_mut(fp).insert(ft, stored(3, tid(4, 3)));
+        db.relation_mut(bp).insert(bt, stored(2, tid(5, 2)));
+        let c = ctx(&prog, &db, 10);
         let mut work = ProbeWork::default();
         let out = process_partials(&c, rule, &shape, vec![seed], None, None, &mut work);
         // The completed extension (Z = 9) is killed by bad(9); only the
@@ -465,15 +453,14 @@ mod tests {
         let shape = RuleShape::of(rule);
         let (_, et) = fact("e(1, 2)");
         let seed = seed_partial(&prog, rule, 0, false, &et, tid(0, 5)).unwrap();
-        let mut db = Database::new();
+        let mut db = Fragments::default();
         let (fp, ft) = fact("f(2, 9)");
         let (bp, bt) = fact("bad(9)");
-        db.relation_mut(fp).insert(ft.clone(), TupleMeta::at(3));
-        db.relation_mut(bp).insert(bt.clone(), TupleMeta::at(2));
+        db.relation_mut(fp).insert(ft, stored(3, tid(4, 3)));
+        db.relation_mut(bp).insert(bt.clone(), stored(2, tid(5, 2)));
         db.relation_mut(bp).mark_deleted(&bt, 8);
-        let ids = move |p: Symbol, t: &Tuple| (p == fp && *t == ft).then(|| tid(4, 3));
         let completed = |tau| {
-            let c = ctx(&prog, &db, &ids, tau);
+            let c = ctx(&prog, &db, tau);
             let mut work = ProbeWork::default();
             process_partials(&c, rule, &shape, vec![seed.clone()], None, None, &mut work)
                 .iter()
@@ -494,11 +481,10 @@ mod tests {
         let (_, et) = fact("e(1, 2)");
         let seed = seed_partial(&prog, rule, 0, false, &et, tid(0, 5)).unwrap();
         // Fragment generated *after* the probe's tau is invisible.
-        let mut db = Database::new();
+        let mut db = Fragments::default();
         let (fp, ft) = fact("f(2, 9)");
-        db.relation_mut(fp).insert(ft.clone(), TupleMeta::at(50));
-        let ids = move |p: Symbol, t: &Tuple| (p == fp && *t == ft).then(|| tid(4, 50));
-        let c = ctx(&prog, &db, &ids, 10);
+        db.relation_mut(fp).insert(ft, stored(50, tid(4, 50)));
+        let c = ctx(&prog, &db, 10);
         let mut work = ProbeWork::default();
         let out = process_partials(&c, rule, &shape, vec![seed], None, None, &mut work);
         assert_eq!(out.len(), 1); // no extension
@@ -526,11 +512,10 @@ mod tests {
         let shape = RuleShape::of(rule);
         let (_, et) = fact("e(1, 2)");
         let seed = seed_partial(&prog, rule, 0, false, &et, tid(0, 5)).unwrap();
-        let mut db = Database::new();
+        let mut db = Fragments::default();
         let (fp, ft) = fact("f(2, 9)");
-        db.relation_mut(fp).insert(ft.clone(), TupleMeta::at(3));
-        let ids = move |p: Symbol, t: &Tuple| (p == fp && *t == ft).then(|| tid(4, 3));
-        let c = ctx(&prog, &db, &ids, 10);
+        db.relation_mut(fp).insert(ft, stored(3, tid(4, 3)));
+        let c = ctx(&prog, &db, 10);
         // Restricting to literal 0 (already bound) blocks the f-extension.
         let mut work = ProbeWork::default();
         let out = process_partials(&c, rule, &shape, vec![seed], None, Some(0), &mut work);
@@ -551,13 +536,12 @@ mod tests {
         let shape = RuleShape::of(rule);
         let (_, st) = fact("s(1, 2)");
         let seed = seed_partial(&prog, rule, 0, false, &st, tid(0, 5)).unwrap();
-        let mut db = Database::new();
+        let mut db = Fragments::default();
         let (tp, t1) = fact("t(2, 7)");
         let (_, t2) = fact("t(2, 8)");
-        db.relation_mut(tp).insert(t1, TupleMeta::at(1));
-        db.relation_mut(tp).insert(t2, TupleMeta::at(1));
-        let ids = move |_p: Symbol, _t: &Tuple| Some(tid(9, 1));
-        let c = ctx(&prog, &db, &ids, 10);
+        db.relation_mut(tp).insert(t1, stored(1, tid(9, 1)));
+        db.relation_mut(tp).insert(t2, stored(1, tid(9, 1)));
+        let c = ctx(&prog, &db, 10);
         let mut work = ProbeWork::default();
         let out = process_partials(&c, rule, &shape, vec![seed], None, None, &mut work);
         // original + two completions
@@ -569,10 +553,10 @@ mod tests {
         );
     }
 
-    /// The parent's candidate definition, kept here as the reference: the
-    /// id-filtered scan of the whole fragment, then — unless `generous` — a
-    /// second descent per match for its metadata and the participation
-    /// test, then (what `grow` did) dropping matches without an id.
+    /// The candidate definition written out, kept here as the reference:
+    /// the id-filtered scan of the whole fragment, then — unless `generous`
+    /// — a second descent per match for its metadata and the participation
+    /// test, then one more for the id.
     fn scan_then_participates(
         c: &LocalCtx<'_>,
         pred: Symbol,
@@ -585,28 +569,29 @@ mod tests {
             out.retain(|t| {
                 let m = rel.meta(t).unwrap();
                 m.visible_at(c.tau, c.prog.windows.get(&pred).copied())
-                    && (m.gen_ts < c.tau || (c.id_of)(pred, t).is_some_and(|id| id <= c.update_id))
+                    && (m.gen_ts < c.tau || m.extra <= c.update_id)
             });
         }
         out.into_iter()
-            .filter_map(|t| Some(((c.id_of)(pred, &t)?, t)))
-            .map(|(id, t)| (t, id))
+            .map(|t| {
+                let id = rel.meta(&t).unwrap().extra;
+                (t, id)
+            })
             .collect()
     }
 
     /// Random fragment stores around a probe at `tau`: generations before
     /// the window, inside it, at `tau` and after it; tombstones before, at
-    /// and after `tau`; ids missing, and same-instant ids on both sides of
-    /// (and equal to) the update's. On every signature of a binary atom —
-    /// unkeyed, the prefix `[0]`, the non-prefix `[1]`, and `[0, 1]` — the
-    /// candidate visit must be the parent's scan-then-filter, row for row,
-    /// strict and generous.
+    /// and after `tau`; same-instant ids on both sides of (and equal to)
+    /// the update's, and ids whose `ts` is not the stored `gen_ts` (a
+    /// refresh replay's). On every signature of a binary atom — unkeyed,
+    /// the prefix `[0]`, the non-prefix `[1]`, and `[0, 1]` — the candidate
+    /// visit must be the scan-then-filter, row for row, strict and generous.
     #[test]
     fn candidate_visit_equals_scan_then_participates() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         use sensorlog_logic::Term;
-        use std::collections::HashMap;
 
         let prog = compile_source(
             ".window f 30.\n.output q.\nq(X, Z) :- e(X, Y), f(Y, Z).",
@@ -625,8 +610,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xF16);
         let (mut visited, mut dropped) = (0, 0);
         for _ in 0..400 {
-            let mut db = Database::new();
-            let mut ids: HashMap<Tuple, TupleId> = HashMap::new();
+            let mut db = Fragments::default();
             db.relation_mut(f); // an empty store is a case too
             for _ in 0..rng.gen_range(0..14) {
                 let t = Tuple::new(vec![
@@ -634,30 +618,23 @@ mod tests {
                     Term::Int(rng.gen_range(0..4)),
                 ]);
                 let gen_ts = [40, 70, 71, 99, tau, tau, tau + 1][rng.gen_range(0..7)];
-                db.relation_mut(f).insert(t.clone(), TupleMeta::at(gen_ts));
+                let id = TupleId {
+                    node: NodeId(rng.gen_range(2..5)),
+                    ts: if rng.gen_range(0..6) > 0 { gen_ts } else { 40 },
+                    seq: rng.gen_range(0..3),
+                };
+                db.relation_mut(f).insert(t.clone(), stored(gen_ts, id));
                 if let Some(del) =
                     [None, None, Some(tau - 1), Some(tau), Some(tau + 5)][rng.gen_range(0..5)]
                 {
                     db.relation_mut(f).mark_deleted(&t, del);
                 }
-                if rng.gen_range(0..6) > 0 {
-                    let id = TupleId {
-                        node: NodeId(rng.gen_range(2..5)),
-                        ts: gen_ts,
-                        seq: rng.gen_range(0..3),
-                    };
-                    ids.insert(t, id);
-                }
             }
-            let id_of = |_: Symbol, t: &Tuple| ids.get(t).copied();
             for generous in [false, true] {
                 let c = LocalCtx {
-                    prog: &prog,
-                    db: &db,
-                    id_of: &id_of,
-                    tau,
-                    update_id,
                     generous,
+                    update_id,
+                    ..ctx(&prog, &db, tau)
                 };
                 for bind in 0..4 {
                     let mut subst = FlatSubst::new();

@@ -10,21 +10,25 @@
 
 use crate::durable::DurableStore;
 use crate::msg::{Payload, ProbeMsg, RuleWork};
-use crate::partial::{process_partials, seed_partial, LocalCtx, Partial, ProbeWork, RuleShape};
+use crate::partial::{
+    process_partials, seed_partial, Fragments, LocalCtx, Partial, ProbeWork, RuleShape,
+};
 use crate::plan::DistProgram;
 use crate::prov::{ProvRecord, Provenance};
 use crate::strategy::{PassMode, Strategy};
 use crate::tupleid::{clamp_absorbs, DerivationKey, FactRecord, TupleId};
 use sensorlog_eval::eval_body::instantiate_head;
-use sensorlog_eval::relation::{Database, TupleMeta};
+use sensorlog_eval::relation::TupleMeta;
 use sensorlog_eval::{IncrementalEngine, Support, Update, UpdateKind, EDB_RULE};
 use sensorlog_logic::intern::{IdHashMap, IdHashSet};
 use sensorlog_logic::{Literal, Program, Symbol, Tuple};
 use sensorlog_netsim::{App, Ctx, MsgMeta, NodeId, SimTime, Topology};
 use sensorlog_netstack::{ght, GatherTree, Router};
 use sensorlog_telemetry::{HistId, Histogram, Scope, Telemetry, SIM_MS_BUCKETS};
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Shared routing context: the topology, the next-hop oracle over it, and
@@ -179,6 +183,9 @@ struct Owned {
     /// The liveness last propagated into the network.
     propagated_live: bool,
     holddown_armed: bool,
+    /// Windowed predicates: the tag of the expiry its latest delta queued
+    /// ([`Expiring::Owned`]) — the only one that may drop the entry.
+    expiry: Option<u64>,
 }
 
 /// The derived tuples this node owns under the geographic hash, with the
@@ -326,14 +333,35 @@ const PROBE_COUNT_BUCKETS: &[u64] = &[1, 4, 16, 64, 256, 1_024, 4_096, 16_384];
 enum TimerAction {
     StartJoin(FactRecord),
     Holddown(Symbol, Tuple),
-    /// Drop a replicated fragment whose retention elapsed (Sec. IV-B
-    /// "Tuple Expiry": (τs + τc) + τj + (τw + τc) after generation).
-    ExpireReplica(Symbol, Tuple),
-    /// Silently expire an owned derived tuple (window-based, no join
-    /// phase — "independently expiring a tuple after sufficient time").
-    ExpireOwned(Symbol, Tuple),
     /// Fault plane: one of its periodic duties is due.
     Tick(Tick),
+}
+
+/// What leaves the node when its time comes. Each names the generation it
+/// was queued for: one that is no longer the stored one expires nothing.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Expiring {
+    /// Drop the replica of generation `id` once its retention elapsed
+    /// (Sec. IV-B "Tuple Expiry": (τs + τc) + τj + (τw + τc) after
+    /// generation).
+    Replica(Symbol, Tuple, TupleId),
+    /// Silently expire an owned derived tuple (window-based, no join
+    /// phase — "independently expiring a tuple after sufficient time"),
+    /// unless a later delta queued a later expiry ([`Owned::expiry`]).
+    Owned(Symbol, Tuple),
+}
+
+/// One entry of a node's expiry queue ([`SensorlogNode::expiries`]),
+/// ordered by due local time, then by timer tag: queueing order, the order
+/// a node's same-tick timers fire in. (Tags are unique, so the derived
+/// order never reads further.)
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Expiry {
+    due: SimTime,
+    tag: u64,
+    what: Expiring,
+    /// A simulator timer for it is in flight.
+    armed: bool,
 }
 
 /// The fault plane's periodic duties.
@@ -355,20 +383,25 @@ pub struct SensorlogNode {
     cfg: Arc<RtConfig>,
     net: Arc<NetInfo>,
     shapes: Arc<Vec<RuleShape>>,
-    /// Replicated stream fragments (with gen/del timestamps).
-    frags: Database,
-    /// The generation stored for each tuple in `frags`; the two change
-    /// together. (Id-hashed like `flood_seen` and `timers`: the per-message
-    /// maps whose keys are all process-minted ids. Read in sorted order or
-    /// not iterated at all.)
-    frag_ids: IdHashMap<(Symbol, Tuple), TupleId>,
+    /// Replicated stream fragments: the one record of a replica — tuple,
+    /// gen/del timestamps and the id of the generation stored.
+    frags: Fragments,
     /// Tuples in `frags`, kept in step with it ([`Self::replica_count`]).
     replicas: usize,
+    /// Pending expiries, earliest first: the only record of when a replica
+    /// or an owned entry goes. Each takes a timer tag when queued and fires
+    /// as that timer at exactly its due time, but only the head is armed in
+    /// the simulator (an expiry is armed when it becomes the head, so armed
+    /// ones fire in queue order), and pending events do not scale with
+    /// stored replicas.
+    expiries: BinaryHeap<Reverse<Expiry>>,
     /// Derived tuples this node owns under the geographic hash.
     owned: OwnedTable,
     /// Tuples this node generated (for delete-by-value at the source).
     my_facts: HashMap<(Symbol, Tuple), TupleId>,
-    /// Flood dedup (NaiveBroadcast storage).
+    /// Flood dedup (NaiveBroadcast storage). (Id-hashed like `timers`: the
+    /// per-message maps whose keys are all process-minted ids. Never
+    /// iterated.)
     flood_seen: IdHashSet<(TupleId, UpdateKind)>,
     timers: IdHashMap<u64, TimerAction>,
     next_tag: u64,
@@ -449,9 +482,9 @@ impl SensorlogNode {
             cfg,
             net,
             shapes,
-            frags: Database::new(),
-            frag_ids: IdHashMap::default(),
+            frags: Fragments::default(),
             replicas: 0,
+            expiries: BinaryHeap::new(),
             owned: OwnedTable::default(),
             my_facts: HashMap::new(),
             flood_seen: IdHashSet::default(),
@@ -616,11 +649,10 @@ impl SensorlogNode {
                 .iter()
                 .map(|((p, t), &id)| (id, *p, t.clone())),
         );
-        out.extend(
-            self.frag_ids
-                .iter()
-                .map(|((p, t), &id)| (id, *p, t.clone())),
-        );
+        for p in self.frags.preds() {
+            let stored = self.frags.relation(p).into_iter().flat_map(|r| r.iter());
+            out.extend(stored.map(|(t, m)| (m.extra, p, t.clone())));
+        }
         out.extend(
             (self.owned.entries.iter())
                 .filter_map(|((p, t), o)| o.id.map(|id| (id, *p, t.clone()))),
@@ -760,52 +792,40 @@ impl SensorlogNode {
         // late-arriving insert.
         self.tele
             .bump(Scope::Pred(fact.pred.as_str()), "replicas_stored");
-        let stored = self.frag_ids.entry((fact.pred, fact.tuple.clone()));
-        let old = match &stored {
-            Entry::Occupied(e) => Some(*e.get()),
-            Entry::Vacant(_) => None,
-        };
-        // `Some(meta)`: this update becomes the stored generation.
-        let replace = match fact.kind {
-            // Same generation already here (possibly tombstoned by an
-            // overtaking delete), or a newer one: nothing to do.
-            UpdateKind::Insert if old.is_some_and(|old| old >= fact.id) => None,
-            UpdateKind::Insert => Some(TupleMeta::at(fact.tau)),
-            // Tombstone the matching generation (Sec. IV-B: replicas stay
-            // for concurrent probes and expire later).
-            UpdateKind::Delete if old == Some(fact.id) => {
-                self.frags
-                    .relation_mut(fact.pred)
-                    .mark_deleted(&fact.tuple, fact.tau);
-                None
-            }
-            // A newer generation is stored: this delete is stale.
-            UpdateKind::Delete if old.is_some_and(|old| old > fact.id) => None,
-            // Delete overtook (or outlived) the insert walk: store a
-            // tombstoned replica so probes between gen and del still see
-            // it, and later probes don't.
-            UpdateKind::Delete => Some(TupleMeta {
-                gen_ts: fact.id.ts,
-                del_ts: Some(fact.tau),
-            }),
-        };
-        if let Some(meta) = replace {
-            let rel = self.frags.relation_mut(fact.pred);
-            // An older generation's meta must go; without one stored the
-            // tuple is not in `frags` at all.
-            if old.is_some() && rel.remove(&fact.tuple) {
-                self.replicas -= 1;
-            }
-            if rel.insert(fact.tuple.clone(), meta) {
-                self.replicas += 1;
-            }
-            stored.insert_entry(fact.id);
-        }
+        let rel = self.frags.relation_mut(fact.pred);
+        // `Some(meta)`: this update becomes the stored generation, in place
+        // of an older one's entry if there is one.
+        let new = rel.update(fact.tuple.clone(), |stored| {
+            let (gen_ts, del_ts) = match (fact.kind, stored) {
+                // Same generation already here (possibly tombstoned by an
+                // overtaking delete), or a newer one: nothing to do.
+                (UpdateKind::Insert, Some(old)) if old.extra >= fact.id => return None,
+                (UpdateKind::Insert, _) => (fact.tau, None),
+                // A newer generation is stored: this delete is stale.
+                (UpdateKind::Delete, Some(old)) if old.extra > fact.id => return None,
+                // Tombstone the matching generation (Sec. IV-B: replicas
+                // stay for concurrent probes and expire later).
+                (UpdateKind::Delete, Some(old)) if old.extra == fact.id => {
+                    old.tombstone(fact.tau);
+                    return None;
+                }
+                // Delete overtook (or outlived) the insert walk: store a
+                // tombstoned replica so probes between gen and del still
+                // see it, and later probes don't.
+                (UpdateKind::Delete, _) => (fact.id.ts, Some(fact.tau)),
+            };
+            Some(TupleMeta {
+                gen_ts,
+                del_ts,
+                extra: fact.id,
+            })
+        });
+        self.replicas += usize::from(new);
         debug_assert_eq!(self.replicas, self.frags.total_tuples());
         self.stats.peak_replicas = self.stats.peak_replicas.max(self.replicas);
         self.note_pred_stored(fact.pred);
-        // Retention timer for windowed streams (Sec. IV-B): the replica
-        // must outlive every probe that may legally join with it —
+        // Retention of windowed streams (Sec. IV-B): the replica must
+        // outlive every probe that may legally join with it —
         // (τs + τc) + τj + (τw + τc) past its generation timestamp.
         if fact.kind == UpdateKind::Insert {
             if let Some(&w) = self.prog.windows.get(&fact.pred) {
@@ -813,8 +833,8 @@ impl SensorlogNode {
                     (self.cfg.tau_s + self.cfg.tau_c) + self.cfg.tau_j + (w + self.cfg.tau_c);
                 let expire_at = fact.tau.saturating_add(retention);
                 let delay = expire_at.saturating_sub(ctx.local_time).max(1);
-                let expire = TimerAction::ExpireReplica(fact.pred, fact.tuple.clone());
-                self.set_timer(ctx, delay, expire);
+                let replica = Expiring::Replica(fact.pred, fact.tuple.clone(), fact.id);
+                self.expire_in(ctx, delay, replica);
             }
         }
     }
@@ -901,12 +921,9 @@ impl SensorlogNode {
         let mut emissions: Vec<(Symbol, Tuple, DerivationKey, i8)> = Vec::new();
         let mut work = ProbeWork::default();
         {
-            let frag_ids = &self.frag_ids;
-            let id_of = move |p: Symbol, t: &Tuple| frag_ids.get(&(p, t.clone())).copied();
             let lctx = LocalCtx {
                 prog: self.prog.as_ref(),
                 db: &self.frags,
-                id_of: &id_of,
                 tau,
                 update_id: probe.update.id,
                 // Fault-plane delete probes match generously so re-driven
@@ -1053,15 +1070,16 @@ impl SensorlogNode {
         // depth. Feeds the adaptive holddown default for predicates with
         // no declared `.holddown`.
         self.hop_lag.observe(lag / self.net.depth());
-        let entry = self.owned.book(pred, &tuple, key, sign);
-        let wants_holddown = self.view.wants_holddown(entry);
         // Windowed derived streams: owned state expires with the window
-        // (silent, Sec. II-B). Re-armed on each delta so the entry outlives
-        // its last activity by one window.
-        if let Some(&w) = self.prog.windows.get(&pred) {
-            let expire = TimerAction::ExpireOwned(pred, tuple.clone());
-            self.set_timer(ctx, w + self.cfg.tau_c + 1, expire);
-        }
+        // (silent, Sec. II-B). Queued anew by each delta so the entry
+        // outlives its last activity by one window.
+        let expiry = (self.prog.windows.get(&pred).copied()).map(|w| {
+            let owned = Expiring::Owned(pred, tuple.clone());
+            self.expire_in(ctx, w + self.cfg.tau_c + 1, owned)
+        });
+        let entry = self.owned.book(pred, &tuple, key, sign);
+        entry.expiry = expiry;
+        let wants_holddown = self.view.wants_holddown(entry);
         if wants_holddown {
             self.arm_holddown(ctx, pred, tuple);
         }
@@ -1475,6 +1493,64 @@ impl SensorlogNode {
         ctx.set_timer(delay, tag);
     }
 
+    /// Queue `what` to expire after `delay` ms of local time; returns the
+    /// timer tag it will fire as.
+    fn expire_in(&mut self, ctx: &mut Ctx<Payload>, delay: SimTime, what: Expiring) -> u64 {
+        let tag = self.next_tag;
+        self.next_tag += 1;
+        self.expiries.push(Reverse(Expiry {
+            due: ctx.local_time + delay,
+            tag,
+            what,
+            armed: false,
+        }));
+        self.arm_next_expiry(ctx);
+        tag
+    }
+
+    /// Keep the head of the expiry queue armed: a no-op unless the head
+    /// moved earlier or the armed one just fired.
+    fn arm_next_expiry(&mut self, ctx: &mut Ctx<Payload>) {
+        // (`peek_mut` re-sifts the heap when written through: look first.)
+        if self.expiries.peek().is_some_and(|head| !head.0.armed) {
+            if let Some(mut head) = self.expiries.peek_mut() {
+                head.0.armed = true;
+                ctx.set_timer(head.0.due.saturating_sub(ctx.local_time), head.0.tag);
+            }
+        }
+    }
+
+    /// The head of the expiry queue came due as timer `tag`: drop what it
+    /// names if that generation is still the stored one, then arm the next.
+    fn fire_expiry(&mut self, ctx: &mut Ctx<Payload>, tag: u64) {
+        let Some(head) = self.expiries.peek_mut().filter(|head| head.0.tag == tag) else {
+            return; // no timer of ours
+        };
+        match PeekMut::pop(head).0.what {
+            Expiring::Replica(pred, tuple, id) => {
+                let rel = self.frags.relation_mut(pred);
+                if rel.meta(&tuple).is_some_and(|m| m.extra == id) && rel.remove(&tuple) {
+                    self.replicas -= 1;
+                }
+            }
+            Expiring::Owned(pred, tuple) => {
+                // The latest delta's expiry, and genuinely past the window.
+                if let (Some(&w), Some(entry)) = (
+                    self.prog.windows.get(&pred),
+                    self.owned.entries.get(&(pred, tuple.clone())),
+                ) {
+                    let stale = entry
+                        .id
+                        .is_none_or(|id| id.ts.saturating_add(w) < ctx.local_time);
+                    if entry.expiry == Some(tag) && stale && !entry.holddown_armed {
+                        self.owned.remove(pred, tuple);
+                    }
+                }
+            }
+        }
+        self.arm_next_expiry(ctx);
+    }
+
     fn route(&mut self, ctx: &mut Ctx<Payload>, dest: NodeId, payload: Payload) {
         debug_assert_ne!(dest, self.id);
         if self.tele.is_enabled() {
@@ -1658,28 +1734,8 @@ impl App for SensorlogNode {
             Some(TimerAction::StartJoin(fact)) => self.start_join(ctx, fact),
             Some(TimerAction::Holddown(pred, tuple)) => self.fire_holddown(ctx, pred, tuple),
             Some(TimerAction::Tick(tick)) => self.fire_tick(ctx, tick),
-            Some(TimerAction::ExpireReplica(pred, tuple)) => {
-                if self.frags.remove(pred, &tuple) {
-                    self.replicas -= 1;
-                }
-                self.frag_ids.remove(&(pred, tuple));
-            }
-            Some(TimerAction::ExpireOwned(pred, tuple)) => {
-                // Only expire if genuinely past the window (a later delta
-                // re-armed a fresher timer otherwise).
-                if let (Some(&w), Some(entry)) = (
-                    self.prog.windows.get(&pred),
-                    self.owned.entries.get(&(pred, tuple.clone())),
-                ) {
-                    let stale = entry
-                        .id
-                        .is_none_or(|id| id.ts.saturating_add(w) < ctx.local_time);
-                    if stale && !entry.holddown_armed {
-                        self.owned.remove(pred, tuple);
-                    }
-                }
-            }
-            None => {}
+            // Not a timer of its own: the expiry queue's head.
+            None => self.fire_expiry(ctx, tag),
         }
     }
 }
@@ -1687,6 +1743,7 @@ impl App for SensorlogNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{prop, prop_assert, prop_assert_eq, proptest, ProptestConfig};
 
     #[test]
     fn netinfo_asks_the_router() {
@@ -1834,18 +1891,8 @@ mod tests {
     /// `on_message` and holds the DAG's liveness against this node's.)
     #[test]
     fn replayed_insert_and_overdelivered_delete_stay_clamped() {
-        let mut d = crate::Deployment::new(
-            ".output q.\nq(X, Y) :- r1(X, T), r2(Y, T).",
-            sensorlog_logic::builtin::BuiltinRegistry::standard(),
-            Topology::square_grid(3),
-            crate::DeployConfig::default(),
-        )
-        .unwrap();
-        let (q, owner) = (Symbol::intern("q"), NodeId(4));
-        let tuple = Tuple::new(vec![
-            sensorlog_logic::Term::Int(1),
-            sensorlog_logic::Term::Int(2),
-        ]);
+        let mut d = deploy(".output q.\nq(X, Y) :- r1(X, T), r2(Y, T).", 3);
+        let (q, owner, tuple) = (Symbol::intern("q"), NodeId(4), ints(&[1, 2]));
         let id = |n: u32, ts: SimTime| TupleId {
             node: NodeId(n),
             ts,
@@ -1881,6 +1928,207 @@ mod tests {
                     vec![]
                 }
             );
+        }
+    }
+
+    const WINDOWED_JOIN: &str =
+        ".window r1 1000.\n.window r2 1000.\n.output q.\nq(X, Y) :- r1(X, T), r2(Y, T).";
+
+    fn deploy(src: &str, m: u32) -> crate::Deployment {
+        crate::Deployment::new(
+            src,
+            sensorlog_logic::builtin::BuiltinRegistry::standard(),
+            Topology::square_grid(m),
+            crate::DeployConfig::default(),
+        )
+        .unwrap()
+    }
+
+    fn ints(v: &[i64]) -> Tuple {
+        Tuple::new(v.iter().map(|&i| sensorlog_logic::Term::Int(i)).collect())
+    }
+
+    /// Regression: an expiry removed whatever was stored under its
+    /// `(pred, tuple)`, so a tuple deleted and generated again inside its
+    /// retention died with its *first* generation — here at 100 + 5,500
+    /// instead of 3,000 + 5,500 (retention: τs + τj + τw = 1,500 + 3,000 +
+    /// 1,000), on all four nodes of the source's row.
+    #[test]
+    fn an_older_generations_expiry_leaves_the_newer_replica() {
+        let mut d = deploy(WINDOWED_JOIN, 4);
+        let (r1, t) = (Symbol::intern("r1"), ints(&[1, 5]));
+        let ev = |at, kind| crate::WorkloadEvent {
+            at,
+            node: NodeId(5),
+            pred: r1,
+            tuple: t.clone(),
+            kind,
+        };
+        d.schedule_all([
+            ev(100, UpdateKind::Insert),
+            ev(1_000, UpdateKind::Delete),
+            ev(3_000, UpdateKind::Insert),
+        ]);
+        let mut replicas_at = |at| {
+            d.run(at);
+            let stored = d.sim.nodes().flat_map(|n| n.id_bindings());
+            // The source also binds the id in `my_facts`.
+            let gens: Vec<SimTime> = stored.map(|(id, _, _)| id.ts).collect();
+            let held: usize = d.sim.nodes().map(|n| n.replica_count()).sum();
+            (held, gens.iter().filter(|&&ts| ts == 3_000).count())
+        };
+        assert_eq!(replicas_at(2_000), (4, 0), "first generation, tombstoned");
+        assert_eq!(replicas_at(5_599), (4, 5), "second generation stored");
+        assert_eq!(
+            replicas_at(5_600),
+            (4, 5),
+            "the first one's expiry is stale"
+        );
+        assert_eq!(replicas_at(8_499), (4, 5));
+        assert_eq!(replicas_at(8_500), (0, 1), "expired at 3,000 + 5,500");
+        assert!(d.sim.is_quiescent());
+    }
+
+    /// The owned-side twin: an entry outlives its *last* delta by one
+    /// window. An earlier delta's expiry used to drop it as soon as its id
+    /// was a window old — here at 600 + 1,001 with all three derivations,
+    /// although the delta at 1,000 had queued the expiry for 2,001.
+    #[test]
+    fn an_earlier_deltas_expiry_leaves_the_rearmed_owned_entry() {
+        let mut d = deploy(
+            ".window q 1000.\n.output q.\nq(X, Y) :- r1(X, T), r2(Y, T).",
+            3,
+        );
+        let (q, owner, tuple) = (Symbol::intern("q"), NodeId(4), ints(&[1, 2]));
+        let id = |n: u32, ts: SimTime| TupleId {
+            node: NodeId(n),
+            ts,
+            seq: 0,
+        };
+        for at in [100, 600, 1_000] {
+            d.sim.run_until(at);
+            let key = DerivationKey::new(0, vec![(0, id(0, at)), (1, id(8, at))]);
+            d.sim.invoke(owner, |node, ctx| {
+                node.handle_deriv_delta(ctx, q, tuple.clone(), key, 1, at, id(8, at));
+            });
+        }
+        for (at, want) in [(1_101, 3), (1_601, 3), (2_000, 3), (2_001, 0)] {
+            d.sim.run_until(at);
+            assert_eq!(d.node(owner).derivation_count(), want, "at {at}");
+            assert_eq!(d.node(owner).owned_live(q).len(), want.min(1), "at {at}");
+        }
+        assert!(d.sim.is_quiescent());
+    }
+
+    /// What `store_replica` and the expiry queue must leave in the store,
+    /// written as the decision table over a plain map and a list.
+    #[derive(Default)]
+    struct StoreModel {
+        stored: BTreeMap<Tuple, TupleMeta<TupleId>>,
+        /// (due, tuple, generation), in queueing order.
+        pending: Vec<(SimTime, Tuple, TupleId)>,
+    }
+
+    impl StoreModel {
+        fn store(&mut self, fact: &FactRecord, now: SimTime) {
+            let (t, id) = (fact.tuple.clone(), fact.id);
+            let meta = |gen_ts, del_ts| TupleMeta {
+                gen_ts,
+                del_ts,
+                extra: id,
+            };
+            let old = self.stored.get(&t).map(|m| m.extra);
+            match fact.kind {
+                UpdateKind::Insert => {
+                    if old.is_none_or(|old| old < id) {
+                        self.stored.insert(t.clone(), meta(fact.tau, None));
+                    }
+                    // τs + τj + τw of `WINDOWED_JOIN` under the defaults.
+                    self.pending.push(((fact.tau + 5_500).max(now + 1), t, id));
+                }
+                UpdateKind::Delete if old == Some(id) => {
+                    let m = self.stored.get_mut(&t).unwrap();
+                    m.del_ts = Some(m.del_ts.map_or(fact.tau, |d| d.min(fact.tau)));
+                }
+                UpdateKind::Delete if old.is_some_and(|old| old > id) => {}
+                UpdateKind::Delete => {
+                    self.stored.insert(t, meta(id.ts, Some(fact.tau)));
+                }
+            }
+        }
+
+        fn expire(&mut self, now: SimTime) {
+            let mut due: Vec<(SimTime, Tuple, TupleId)> = Vec::new();
+            self.pending
+                .retain(|e| e.0 > now || (due.push(e.clone()), false).1);
+            due.sort_by_key(|e| e.0); // stable: queueing order within a tick
+            for (_, t, id) in due {
+                if self.stored.get(&t).is_some_and(|m| m.extra == id) {
+                    self.stored.remove(&t);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random insert / delete / re-insert / replay-with-later-τ / wait
+        /// sequences through `store_replica` at one node: after every step
+        /// the fragment store, `replica_count()` and `id_bindings()` say
+        /// what the model says, a delete of generation g never touches a
+        /// stored g′ ≠ g, and in the end every generation whose insert came
+        /// has expired (a tombstone whose insert never does waits for it).
+        #[test]
+        fn replica_store_views_agree_under_random_histories(
+            steps in prop::collection::vec((0u8..4, 0i64..3, 0u32..4, 1u64..4_000), 1..48)
+        ) {
+            let mut d = deploy(WINDOWED_JOIN, 3);
+            let (r1, at) = (Symbol::intern("r1"), NodeId(4));
+            let mut model = StoreModel::default();
+            for (op, k, g, dt) in steps {
+                let now = d.sim.now();
+                let tuple = ints(&[k, 5]);
+                // Generation `g` of tuple `k`, minted at 1,000·g by node 7.
+                let id = TupleId { node: NodeId(7), ts: 1_000 * SimTime::from(g), seq: k as u32 };
+                let fact = match op {
+                    0 => FactRecord::insert(r1, tuple.clone(), id),
+                    // A refresh replay: the original id, stored at today's τ.
+                    1 => FactRecord { tau: now, ..FactRecord::insert(r1, tuple.clone(), id) },
+                    2 => FactRecord::delete(r1, tuple.clone(), id, now),
+                    _ => {
+                        d.sim.run_until(now + dt);
+                        model.expire(now + dt);
+                        continue;
+                    }
+                };
+                let before = d.node(at).frags.relation(r1).and_then(|r| r.meta(&tuple).copied());
+                d.sim.invoke(at, |node, ctx| node.store_replica(ctx, &fact));
+                model.store(&fact, now);
+                let node = d.node(at);
+                let after = node.frags.relation(r1).and_then(|r| r.meta(&tuple).copied());
+                if op == 2 && after.is_some_and(|m| m.extra != id) {
+                    prop_assert_eq!(before, after, "a delete of {id} touched another generation");
+                }
+                let stored: Vec<(Tuple, TupleMeta<TupleId>)> = (node.frags.relation(r1).into_iter())
+                    .flat_map(|r| r.iter().map(|(t, m)| (t.clone(), *m)))
+                    .collect();
+                let want: Vec<(Tuple, TupleMeta<TupleId>)> =
+                    model.stored.iter().map(|(t, m)| (t.clone(), *m)).collect();
+                prop_assert_eq!(&stored, &want);
+                prop_assert_eq!(node.replica_count(), want.len());
+                let mut bound: Vec<(TupleId, Symbol, Tuple)> =
+                    want.into_iter().map(|(t, m)| (m.extra, r1, t)).collect();
+                bound.sort();
+                prop_assert_eq!(node.id_bindings(), bound);
+            }
+            let end = d.sim.run_to_quiescence(SimTime::MAX);
+            prop_assert!(end <= 4_000 * 48 + 5_500);
+            model.expire(end);
+            let node = d.node(at);
+            prop_assert!(node.expiries.is_empty() && model.pending.is_empty());
+            prop_assert_eq!(node.replica_count(), model.stored.len());
+            prop_assert!(model.stored.values().all(|m| m.del_ts.is_some()));
         }
     }
 }

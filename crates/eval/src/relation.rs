@@ -2,7 +2,8 @@
 //!
 //! A [`Relation`] is a set of ground tuples with per-tuple metadata
 //! (generation timestamp, optional deletion timestamp — Definition 2 / the
-//! tombstone discipline of Sec. IV-B) in one ordered map. `Tuple` order is
+//! tombstone discipline of Sec. IV-B — and whatever else the store's owner
+//! keeps per tuple, [`TupleMeta::extra`]) in one ordered map. `Tuple` order is
 //! column-lexicographic value order, so a probe on a column prefix is a
 //! range of that map; a registered non-prefix signature is the same range
 //! over a second map keyed by the column-permuted tuple (see DESIGN.md,
@@ -13,14 +14,17 @@ use sensorlog_logic::{Symbol, Tuple};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Per-tuple metadata.
+/// Per-tuple metadata. `X` is the store owner's own per-tuple record: the
+/// engines keep none (`()`, which costs nothing), a sensor node keeps the
+/// stored generation's tuple id there, so a replica is one entry of one map.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub struct TupleMeta {
+pub struct TupleMeta<X = ()> {
     /// Generation timestamp (simulated ms; 0 for batch evaluation).
     pub gen_ts: u64,
     /// Tombstone: local timestamp of deletion, if deleted (Sec. IV-B keeps
     /// deleted replicas around with their deletion-timestamp recorded).
     pub del_ts: Option<u64>,
+    pub extra: X,
 }
 
 impl TupleMeta {
@@ -28,7 +32,15 @@ impl TupleMeta {
         TupleMeta {
             gen_ts,
             del_ts: None,
+            extra: (),
         }
+    }
+}
+
+impl<X> TupleMeta<X> {
+    /// Record a deletion at `del_ts`; of two, the earlier stands.
+    pub fn tombstone(&mut self, del_ts: u64) {
+        self.del_ts = Some(self.del_ts.map_or(del_ts, |d| d.min(del_ts)));
     }
 
     /// Theorem 3's timestamp discipline: a probe with
@@ -134,9 +146,9 @@ impl IndexStatsSnapshot {
 /// Probes preserve the same canonical order: a range of the primary map is
 /// in it by definition, and a range of a secondary map holds tuples equal
 /// on the permuted-first columns, ordered by the ascending rest.
-#[derive(Clone, Debug, Default)]
-pub struct Relation {
-    tuples: BTreeMap<Tuple, TupleMeta>,
+#[derive(Clone, Debug)]
+pub struct Relation<X = ()> {
+    tuples: BTreeMap<Tuple, TupleMeta<X>>,
     /// Registered probe signatures — the bound-position sets the planner
     /// probes (`crate::planner`).
     registered: BTreeSet<Vec<usize>>,
@@ -147,11 +159,25 @@ pub struct Relation {
     stats: IndexStats,
 }
 
+/// Hand-written so that `X` needs no `Default`.
+impl<X> Default for Relation<X> {
+    fn default() -> Relation<X> {
+        Relation {
+            tuples: BTreeMap::new(),
+            registered: BTreeSet::new(),
+            secondary: Vec::new(),
+            stats: IndexStats::default(),
+        }
+    }
+}
+
 impl Relation {
     pub fn new() -> Relation {
         Relation::default()
     }
+}
 
+impl<X> Relation<X> {
     pub fn len(&self) -> usize {
         self.tuples.len()
     }
@@ -164,11 +190,11 @@ impl Relation {
         self.tuples.contains_key(t)
     }
 
-    pub fn meta(&self, t: &Tuple) -> Option<&TupleMeta> {
+    pub fn meta(&self, t: &Tuple) -> Option<&TupleMeta<X>> {
         self.tuples.get(t)
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = (&Tuple, &TupleMeta)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&Tuple, &TupleMeta<X>)> {
         self.tuples.iter()
     }
 
@@ -180,19 +206,41 @@ impl Relation {
     /// tuple keeps the *earlier* generation timestamp ("later duplicates …
     /// are not considered as generations", Sec. III-B) but clears any
     /// tombstone.
-    pub fn insert(&mut self, t: Tuple, meta: TupleMeta) -> bool {
-        match self.tuples.entry(t.clone()) {
+    pub fn insert(&mut self, t: Tuple, meta: TupleMeta<X>) -> bool {
+        self.update(t, |stored| match stored {
+            Some(m) => {
+                m.del_ts = None;
+                None
+            }
+            None => Some(meta),
+        })
+    }
+
+    /// The one write: `decide` sees what is stored for `t` — to edit in
+    /// place — and returns the metadata that becomes `t`'s entry, if any
+    /// does. One descent whatever it decides. Returns true if `t` was new.
+    pub fn update(
+        &mut self,
+        t: Tuple,
+        decide: impl FnOnce(Option<&mut TupleMeta<X>>) -> Option<TupleMeta<X>>,
+    ) -> bool {
+        match self.tuples.entry(t) {
             std::collections::btree_map::Entry::Occupied(mut e) => {
-                e.get_mut().del_ts = None;
+                if let Some(meta) = decide(Some(e.get_mut())) {
+                    e.insert(meta);
+                }
                 false
             }
             std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(meta);
+                let Some(meta) = decide(None) else {
+                    return false;
+                };
                 for (spec, map) in &mut self.secondary {
-                    if let Some(k) = permuted(spec, &t) {
-                        map.insert(k, t.clone());
+                    if let Some(k) = permuted(spec, e.key()) {
+                        map.insert(k, e.key().clone());
                     }
                 }
+                e.insert(meta);
                 true
             }
         }
@@ -217,7 +265,7 @@ impl Relation {
     pub fn mark_deleted(&mut self, t: &Tuple, del_ts: u64) -> bool {
         match self.tuples.get_mut(t) {
             Some(m) => {
-                m.del_ts = Some(m.del_ts.map_or(del_ts, |d| d.min(del_ts)));
+                m.tombstone(del_ts);
                 true
             }
             None => false,
@@ -288,7 +336,7 @@ impl Relation {
         &'a self,
         cols: &[usize],
         key: &[ConstId],
-        mut visit: impl FnMut(&'a Tuple, Option<&'a TupleMeta>),
+        mut visit: impl FnMut(&'a Tuple, Option<&'a TupleMeta<X>>),
     ) {
         debug_assert!(cols.len() == key.len());
         if cols.is_empty() {
@@ -330,7 +378,7 @@ impl Relation {
         &'a self,
         cols: &[usize],
         key: &[ConstId],
-        mut visit: impl FnMut(&'a Tuple, &'a TupleMeta),
+        mut visit: impl FnMut(&'a Tuple, &'a TupleMeta<X>),
     ) {
         self.lookup(cols, key, |t, m| {
             visit(t, m.unwrap_or_else(|| &self.tuples[t]))
@@ -379,9 +427,17 @@ impl Relation {
 }
 
 /// A named collection of relations.
-#[derive(Clone, Debug, Default)]
-pub struct Database {
-    rels: BTreeMap<Symbol, Relation>,
+#[derive(Clone, Debug)]
+pub struct Database<X = ()> {
+    rels: BTreeMap<Symbol, Relation<X>>,
+}
+
+impl<X> Default for Database<X> {
+    fn default() -> Database<X> {
+        Database {
+            rels: BTreeMap::new(),
+        }
+    }
 }
 
 impl Database {
@@ -389,20 +445,33 @@ impl Database {
         Database::default()
     }
 
-    pub fn relation(&self, p: Symbol) -> Option<&Relation> {
+    pub fn insert(&mut self, p: Symbol, t: Tuple) -> bool {
+        self.relation_mut(p).insert(t, TupleMeta::default())
+    }
+
+    /// Load facts from a text block of `pred(args).` facts (multiple per
+    /// line fine; blank lines and `%` comments allowed).
+    pub fn load_facts(&mut self, src: &str) -> Result<usize, sensorlog_logic::ParseError> {
+        let facts = sensorlog_logic::parse_facts(src)?;
+        let n = facts.len();
+        for (p, args) in facts {
+            self.insert(p, Tuple::new(args));
+        }
+        Ok(n)
+    }
+}
+
+impl<X> Database<X> {
+    pub fn relation(&self, p: Symbol) -> Option<&Relation<X>> {
         self.rels.get(&p)
     }
 
-    pub fn relation_mut(&mut self, p: Symbol) -> &mut Relation {
+    pub fn relation_mut(&mut self, p: Symbol) -> &mut Relation<X> {
         self.rels.entry(p).or_default()
     }
 
     pub fn preds(&self) -> impl Iterator<Item = Symbol> + '_ {
         self.rels.keys().copied()
-    }
-
-    pub fn insert(&mut self, p: Symbol, t: Tuple) -> bool {
-        self.relation_mut(p).insert(t, TupleMeta::default())
     }
 
     pub fn remove(&mut self, p: Symbol, t: &Tuple) -> bool {
@@ -443,17 +512,6 @@ impl Database {
             s.merge(r.index_stats());
         }
         s
-    }
-
-    /// Load facts from a text block of `pred(args).` facts (multiple per
-    /// line fine; blank lines and `%` comments allowed).
-    pub fn load_facts(&mut self, src: &str) -> Result<usize, sensorlog_logic::ParseError> {
-        let facts = sensorlog_logic::parse_facts(src)?;
-        let n = facts.len();
-        for (p, args) in facts {
-            self.insert(p, Tuple::new(args));
-        }
-        Ok(n)
     }
 }
 

@@ -177,16 +177,51 @@ fn arith_syms() -> &'static ArithSyms {
     })
 }
 
+/// What an interpreted application evaluates to, before it enters the
+/// pool: a comparison reads a number out of it and drops it
+/// ([`flat_compare`]), everyone else interns it ([`apply_func`]).
+enum Applied {
+    Int(i64),
+    Float(f64),
+    /// Any other value, interned.
+    Id(ConstId),
+}
+
+impl Applied {
+    fn intern(self) -> ConstId {
+        match self {
+            Applied::Int(i) => intern::intern_int(i),
+            Applied::Float(x) => intern::intern_float(F64::new(x)),
+            Applied::Id(id) => id,
+        }
+    }
+
+    /// Numeric view, mirroring [`Val::as_f64`].
+    fn as_f64(&self) -> Option<f64> {
+        match self {
+            Applied::Int(i) => Some(*i as f64),
+            Applied::Float(x) => Some(*x),
+            Applied::Id(id) => intern::entry(*id).val.as_f64(),
+        }
+    }
+}
+
 /// Boxed fallback for interpreted functions outside the arithmetic fast
 /// path (`dist`, list builtins, user functions) and for their error cases —
 /// the procedural-builtin boundary.
-fn call_boxed(reg: &BuiltinRegistry, f: Symbol, kids: &[ConstId]) -> Result<ConstId, BuiltinError> {
+fn call_boxed(reg: &BuiltinRegistry, f: Symbol, kids: &[ConstId]) -> Result<Applied, BuiltinError> {
     let out = intern::boundary(|| {
         let args: Vec<Term> = intern::resolve_slice(kids);
         reg.call_func(f, &args)
             .expect("call_boxed on unregistered function")
     })?;
-    Ok(intern::intern_term(&out).expect("builtin function returned non-ground term"))
+    Ok(match out {
+        Term::Int(i) => Applied::Int(i),
+        Term::Float(x) => Applied::Float(x.get()),
+        out => Applied::Id(
+            intern::intern_term(&out).expect("builtin function returned non-ground term"),
+        ),
+    })
 }
 
 fn arith2(
@@ -196,19 +231,19 @@ fn arith2(
     kids: &[ConstId],
     ff: fn(f64, f64) -> f64,
     gg: fn(i64, i64) -> Option<i64>,
-) -> Result<ConstId, BuiltinError> {
+) -> Result<Applied, BuiltinError> {
     if kids.len() != 2 {
         return call_boxed(reg, f, kids); // exact arity error message
     }
     let (a, b) = (&intern::entry(kids[0]).val, &intern::entry(kids[1]).val);
     if let (Val::Int(x), Val::Int(y)) = (a, b) {
         return match gg(*x, *y) {
-            Some(v) => Ok(intern::intern_int(v)),
+            Some(v) => Ok(Applied::Int(v)),
             None => Err(BuiltinError::new(format!("{name}({x}, {y}) failed"))),
         };
     }
     match (a.as_f64(), b.as_f64()) {
-        (Some(x), Some(y)) => Ok(intern::intern_float(F64::new(ff(x, y)))),
+        (Some(x), Some(y)) => Ok(Applied::Float(ff(x, y))),
         _ => call_boxed(reg, f, kids), // exact type error message
     }
 }
@@ -219,16 +254,16 @@ fn minmax2(
     kids: &[ConstId],
     int_pick: fn(i64, i64) -> i64,
     float_pick: fn(f64, f64) -> f64,
-) -> Result<ConstId, BuiltinError> {
+) -> Result<Applied, BuiltinError> {
     if kids.len() != 2 {
         return call_boxed(reg, f, kids);
     }
     let (a, b) = (&intern::entry(kids[0]).val, &intern::entry(kids[1]).val);
     if let (Val::Int(x), Val::Int(y)) = (a, b) {
-        return Ok(intern::intern_int(int_pick(*x, *y)));
+        return Ok(Applied::Int(int_pick(*x, *y)));
     }
     match (a.as_f64(), b.as_f64()) {
-        (Some(x), Some(y)) => Ok(intern::intern_float(F64::new(float_pick(x, y)))),
+        (Some(x), Some(y)) => Ok(Applied::Float(float_pick(x, y))),
         _ => call_boxed(reg, f, kids),
     }
 }
@@ -245,19 +280,28 @@ fn apply_func(
     if !reg.is_func(f) {
         return Ok(intern::intern_app(f, kids));
     }
+    Ok(apply_interpreted(reg, f, &kids)?.intern())
+}
+
+/// Run the interpreted function `f` on evaluated children.
+fn apply_interpreted(
+    reg: &BuiltinRegistry,
+    f: Symbol,
+    kids: &[ConstId],
+) -> Result<Applied, BuiltinError> {
     let o = arith_syms();
     if f == o.add {
-        arith2(reg, f, "add", &kids, |a, b| a + b, |a, b| a.checked_add(b))
+        arith2(reg, f, "add", kids, |a, b| a + b, |a, b| a.checked_add(b))
     } else if f == o.sub {
-        arith2(reg, f, "sub", &kids, |a, b| a - b, |a, b| a.checked_sub(b))
+        arith2(reg, f, "sub", kids, |a, b| a - b, |a, b| a.checked_sub(b))
     } else if f == o.mul {
-        arith2(reg, f, "mul", &kids, |a, b| a * b, |a, b| a.checked_mul(b))
+        arith2(reg, f, "mul", kids, |a, b| a * b, |a, b| a.checked_mul(b))
     } else if f == o.div {
         arith2(
             reg,
             f,
             "div",
-            &kids,
+            kids,
             |a, b| a / b,
             |a, b| if b == 0 { None } else { a.checked_div(b) },
         )
@@ -266,34 +310,34 @@ fn apply_func(
             reg,
             f,
             "mod",
-            &kids,
+            kids,
             |a, b| a % b,
             |a, b| if b == 0 { None } else { a.checked_rem(b) },
         )
     } else if f == o.neg {
-        match kids.as_slice() {
+        match kids {
             [k] => match &intern::entry(*k).val {
-                Val::Int(i) => Ok(intern::intern_int(-i)),
-                Val::Float(x) => Ok(intern::intern_float(F64::new(-x.get()))),
-                _ => call_boxed(reg, f, &kids),
+                Val::Int(i) => Ok(Applied::Int(-i)),
+                Val::Float(x) => Ok(Applied::Float(-x.get())),
+                _ => call_boxed(reg, f, kids),
             },
-            _ => call_boxed(reg, f, &kids),
+            _ => call_boxed(reg, f, kids),
         }
     } else if f == o.abs {
-        match kids.as_slice() {
+        match kids {
             [k] => match &intern::entry(*k).val {
-                Val::Int(i) => Ok(intern::intern_int(i.abs())),
-                Val::Float(x) => Ok(intern::intern_float(F64::new(x.get().abs()))),
-                _ => call_boxed(reg, f, &kids),
+                Val::Int(i) => Ok(Applied::Int(i.abs())),
+                Val::Float(x) => Ok(Applied::Float(x.get().abs())),
+                _ => call_boxed(reg, f, kids),
             },
-            _ => call_boxed(reg, f, &kids),
+            _ => call_boxed(reg, f, kids),
         }
     } else if f == o.min2 {
-        minmax2(reg, f, &kids, i64::min, f64::min)
+        minmax2(reg, f, kids, i64::min, f64::min)
     } else if f == o.max2 {
-        minmax2(reg, f, &kids, i64::max, f64::max)
+        minmax2(reg, f, kids, i64::max, f64::max)
     } else {
-        call_boxed(reg, f, &kids)
+        call_boxed(reg, f, kids)
     }
 }
 
@@ -338,13 +382,32 @@ pub fn flat_eval(reg: &BuiltinRegistry, t: &Term, s: &FlatSubst) -> Result<Const
                 "cannot evaluate unbound variable {v}"
             ))),
         },
-        Term::App(f, args) => {
-            let mut kids = Vec::with_capacity(args.len());
-            for a in args.iter() {
-                kids.push(flat_eval(reg, a, s)?);
-            }
-            apply_func(reg, *f, kids)
+        Term::App(f, args) => apply_func(reg, *f, eval_args(reg, args, s)?),
+    }
+}
+
+fn eval_args(
+    reg: &BuiltinRegistry,
+    args: &[Term],
+    s: &FlatSubst,
+) -> Result<Vec<ConstId>, BuiltinError> {
+    let mut kids = Vec::with_capacity(args.len());
+    for a in args {
+        kids.push(flat_eval(reg, a, s)?);
+    }
+    Ok(kids)
+}
+
+/// One side of a comparison: [`flat_eval`], except that what an interpreted
+/// application at the top evaluates to — the `dist(L, F)` of
+/// `dist(L, F) <= 8` — stays out of the pool. The pool is append-only, and
+/// a join tests one such value per candidate pair.
+fn flat_operand(reg: &BuiltinRegistry, t: &Term, s: &FlatSubst) -> Result<Applied, BuiltinError> {
+    match t {
+        Term::App(f, args) if reg.is_func(*f) => {
+            apply_interpreted(reg, *f, &eval_args(reg, args, s)?)
         }
+        _ => flat_eval(reg, t, s).map(Applied::Id),
     }
 }
 
@@ -359,14 +422,11 @@ pub fn flat_compare(
     r: &Term,
     s: &FlatSubst,
 ) -> Result<bool, BuiltinError> {
-    let li = flat_eval(reg, l, s)?;
-    let ri = flat_eval(reg, r, s)?;
-    let ord = match (
-        intern::entry(li).val.as_f64(),
-        intern::entry(ri).val.as_f64(),
-    ) {
+    let l = flat_operand(reg, l, s)?;
+    let r = flat_operand(reg, r, s)?;
+    let ord = match (l.as_f64(), r.as_f64()) {
         (Some(a), Some(b)) => a.partial_cmp(&b).unwrap_or(Ordering::Greater),
-        _ => intern::cmp_ids(li, ri),
+        _ => intern::cmp_ids(l.intern(), r.intern()),
     };
     Ok(match op {
         CmpOp::Lt => ord == Ordering::Less,
@@ -570,6 +630,12 @@ mod tests {
             (CmpOp::Gt, "1", "2", false),
             (CmpOp::Ne, "a", "b", true),
             (CmpOp::Lt, "2 + 2", "5", true),
+            // Uninterned results: numeric against numeric, and against a
+            // value only the pool orders.
+            (CmpOp::Ge, "2 + 2", "8 / 2.0", true),
+            (CmpOp::Lt, "abs(1 - 4)", "3.5", true),
+            (CmpOp::Ne, "2 + 2", "a", true),
+            (CmpOp::Eq, "max2(1, 2)", "a", false),
         ];
         for (op, l, rr, want) in cases {
             let (lt, rt) = (parse_term(l).unwrap(), parse_term(rr).unwrap());
