@@ -27,8 +27,9 @@ cargo test --workspace -q
 # counts, not timings, so they run under --fast too:
 #  - netsim: `Metrics` must not walk its registry's key map per delivery
 #    (the same flood with 20x the traffic performs the same number of walks);
-#  - core: a queued simulator event must stay 32 bytes whatever `Payload`
-#    is (an inline message grew sptree_centroid's heap 27.4 -> 44.0 MB);
+#  - core: a queued simulator event must stay 24 bytes whatever `Payload`
+#    is, and the node's wire message one pointer (`netsim` queues an app's
+#    message by value; wheel slots keep their capacity);
 #  - eval: no engine may make a keyed probe on a signature it did not
 #    register (an unplanned evaluation order is a filtered scan per probe);
 #  - core: a node's join looks its fragments up through `Relation::probe`,
@@ -46,10 +47,19 @@ cargo test --workspace -q
 #    the simulator never holds as many events as the network holds windowed
 #    replicas (a timer per replica does), each generation still leaves at
 #    exactly tau + retention, and — the two regressions beside it — an
-#    expiry drops only the generation it was queued for, replica or owned.
+#    expiry drops only the generation it was queued for, replica or owned;
+#  - core: a hop moves a pointer — a relay queues the `Arc` it received
+#    (`inner` alone on the last hop), a flood shares one allocation among
+#    its links and drops a duplicate through the pointer, and a walk message
+#    the dup window queued twice is consumed as two copies;
+#  - netsim: two sends on one link at one tick are two queue operations and
+#    pop in send order under Heap / Wheel / Shard (what same-tick batching
+#    used to guarantee by riding one event);
+#  - core: `pred:* sent_*` equals the simulator's tx count, partitioned or
+#    not (a payload with no route is a routing drop, not a send).
 # The boundary-resolve cap (tests/boundary_sites.rs) ran with the workspace
 # tests above.
-echo "== count gates (keyed registry walks, queued event size, unplanned probes, node probe ranges, router hops, id table race, expiry queue) =="
+echo "== count gates (keyed registry walks, queued event size, unplanned probes, node probe ranges, router hops, id table race, expiry queue, message ownership, send order, sent counters) =="
 for gate in \
     "sensorlog-netsim sim::tests::keyed_registry_walks_do_not_grow_with_traffic" \
     "sensorlog-core msg::tests::queued_event_stays_payload_independent" \
@@ -59,7 +69,12 @@ for gate in \
     "sensorlog-logic pages::tests::lock_free_reads_race_with_publishing" \
     "sensorlog-core deploy::tests::windowed_replicas_do_not_queue_a_timer_each" \
     "sensorlog-core runtime::tests::an_older_generations_expiry_leaves_the_newer_replica" \
-    "sensorlog-core runtime::tests::an_earlier_deltas_expiry_leaves_the_rearmed_owned_entry"; do
+    "sensorlog-core runtime::tests::an_earlier_deltas_expiry_leaves_the_rearmed_owned_entry" \
+    "sensorlog-core runtime::tests::a_relay_forwards_the_envelope_it_received" \
+    "sensorlog-core runtime::tests::a_flood_shares_one_allocation_among_neighbours" \
+    "sensorlog-core runtime::tests::a_duplicated_walk_message_is_processed_as_two_copies" \
+    "sensorlog-netsim sim::tests::same_link_same_tick_sends_deliver_in_send_order" \
+    "sensorlog-core deploy::tests::sent_counters_equal_transmissions_under_partition"; do
     read -r crate name <<<"$gate"
     out=$(cargo test -q -p "$crate" --lib -- --exact "$name" 2>&1) || { echo "$out"; exit 1; }
     grep -q "test result: ok. 1 passed" <<<"$out" || {
@@ -79,6 +94,15 @@ fi
 echo "== one replica store (no frag_ids under crates/ or src/) =="
 if grep -rn 'frag_ids' crates src; then
     echo "a second record of a replica: keep its id in the fragment store's TupleMeta"; exit 1
+fi
+
+# A message is allocated at its origin and queued inline: the parent boxed
+# the payload per hop (`Box<Payload>`) and queued every delivery in a fresh
+# `Vec` (`msgs: Vec<M>`, `vec![msg]`) for a batching rule that carried at
+# most 10 messages of a workload.
+echo "== a hop moves a pointer (no Box<Payload>, msgs: Vec<, vec![msg] under crates/ or src/) =="
+if grep -rn 'Box<Payload>\|msgs: Vec<\|vec!\[msg\]' crates src; then
+    echo "a per-hop allocation is back: queue the message inline and forward the Arc"; exit 1
 fi
 
 # ROADMAP item 8's repro (crates/bench/tests/staggered_arrivals.rs), gated in

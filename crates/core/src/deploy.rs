@@ -376,12 +376,11 @@ impl Deployment {
         }
         snap.absorb_profiler(&self.sim.telemetry().profiler());
         // Scheduler operation counters (wheel tiers are zero under the
-        // heap backend; batching is backend-independent).
+        // heap backend).
         let sched = self.sim.sched_stats();
         // Per-node runtime stats, rolled up network-wide.
         let mut rollup = MetricsRegistry::new();
         rollup.bump(Scope::Global, "sched.pushes", sched.pushes);
-        rollup.bump(Scope::Global, "sched.batched_msgs", sched.batched_msgs);
         rollup.bump(Scope::Global, "sched.ring_pushes", sched.ring_pushes);
         rollup.bump(Scope::Global, "sched.spill_pushes", sched.spill_pushes);
         rollup.bump(Scope::Global, "sched.migrations", sched.migrations);
@@ -696,19 +695,23 @@ mod tests {
         d
     }
 
-    /// The hop decisions `layer:netstack` counted, against what `route()`
+    /// Σ `pred:* sent_*`: the hops the runtime counted as transmitted.
+    fn sent_total(snap: &sensorlog_telemetry::Snapshot) -> u64 {
+        ["store", "probe", "result", "centroid", "other"]
+            .iter()
+            .map(|kind| snap.counter_sum("pred:", &format!("sent_{kind}")))
+            .sum()
+    }
+
+    /// The hop decisions `layer:netstack` counted, against what the runtime
     /// counted per predicate and what the provenance plane saw leave.
     /// Returns (`grid_hops`, `bfs_tables_built`, destinations routed to).
     fn assert_hops_are_router_hops(d: &Deployment) -> (u64, u64, BTreeSet<NodeId>) {
         let snap = d.telemetry_snapshot();
         let net = |name: &str| snap.counter("layer:netstack", name);
-        let routed: u64 = ["store", "probe", "result", "centroid", "other"]
-            .iter()
-            .map(|kind| snap.counter_sum("pred:", &format!("sent_{kind}")))
-            .sum();
         let decided = net("grid_hops") + net("bfs_hops");
         assert!(decided > 0, "the deployment never asked the router");
-        assert_eq!(decided + net("unreachable"), routed);
+        assert_eq!(decided, sent_total(&snap));
         assert_eq!(
             snap.counter_sum("pred:", "routing_drops"),
             net("unreachable")
@@ -771,6 +774,52 @@ mod tests {
         let (grid_hops, tables, dests) = assert_hops_are_router_hops(&d);
         assert_eq!((grid_hops, tables), (0, dests.len() as u64));
         assert!(0 < tables && tables < 60, "{tables} tables for 60 nodes");
+    }
+
+    /// `pred:* sent_*` is the simulator's tx count said per predicate: with
+    /// everything routed (PA, fault plane off, no loss) the two are equal.
+    /// Regression: the bump came before the next hop was resolved, so on a
+    /// partitioned topology a payload with no route — which transmits
+    /// nothing and is a `routing_drops` — was counted as sent as well.
+    #[test]
+    fn sent_counters_equal_transmissions_under_partition() {
+        let observed = || DeployConfig {
+            telemetry: Telemetry::enabled(),
+            ..DeployConfig::default()
+        };
+        let connected = logic_h_5x5(observed());
+        let snap = connected.telemetry_snapshot();
+        assert_eq!(sent_total(&snap), connected.sim.metrics.total_tx());
+        assert_eq!(snap.counter_sum("pred:", "routing_drops"), 0);
+
+        // Two 3x2 clusters out of radio range of each other, in one band:
+        // every storage walk wants to cross the gap.
+        let cluster = |x0: f64| (0..6).map(move |i| (x0 + f64::from(i % 3), f64::from(i / 3)));
+        let positions: Vec<(f64, f64)> = cluster(0.0).chain(cluster(10.0)).collect();
+        let topo = sensorlog_netsim::Topology::from_positions(positions, 1.1);
+        assert!(!topo.is_connected());
+        let src = ".output q.\nq(X, Y) :- r1(X, T), r2(Y, T).";
+        let mut d = Deployment::new(src, BuiltinRegistry::standard(), topo, observed()).unwrap();
+        let ev = |at, node, pred: &str, x| WorkloadEvent {
+            at,
+            node: NodeId(node),
+            pred: Symbol::intern(pred),
+            tuple: Tuple::new(vec![Term::Int(x), Term::Int(7)]),
+            kind: UpdateKind::Insert,
+        };
+        d.schedule_all([
+            ev(500, 0, "r1", 1),
+            ev(900, 4, "r2", 2),
+            ev(1_300, 9, "r2", 3),
+        ]);
+        d.run(60_000_000);
+        assert!(d.sim.is_quiescent());
+        let snap = d.telemetry_snapshot();
+        let dropped = snap.counter_sum("pred:", "routing_drops");
+        assert!(dropped > 0, "nothing tried to cross the partition");
+        assert_eq!(dropped, snap.counter("layer:netstack", "unreachable"));
+        assert!(d.sim.metrics.total_tx() > 0);
+        assert_eq!(sent_total(&snap), d.sim.metrics.total_tx());
     }
 
     /// Regression: `NetInfo::new` used to index node 0 of whatever it was

@@ -418,6 +418,7 @@ mod tests {
     use sensorlog_logic::builtin::BuiltinRegistry;
     use sensorlog_logic::Term;
     use sensorlog_netsim::App;
+    use std::sync::Arc;
 
     fn join_deployment() -> (Deployment, Vec<WorkloadEvent>) {
         let src = r#"
@@ -494,14 +495,14 @@ mod tests {
             node.on_message(
                 ctx,
                 NodeId(3),
-                Payload::DerivDelta {
+                Arc::new(Payload::DerivDelta {
                     pred,
                     tuple: tuple.clone(),
                     key,
                     sign: -1,
                     tau: 1,
                     origin: phantom,
-                },
+                }),
             );
         });
         d.sim.run_to_quiescence(120_000);
@@ -534,7 +535,7 @@ mod tests {
         for (node, val) in [(NodeId(2), 41), (NodeId(13), 42)] {
             let fact = FactRecord::insert(pred, Tuple::new(vec![Term::Int(val)]), stolen);
             d.sim.invoke(node, |n, ctx| {
-                n.on_message(ctx, NodeId(9), Payload::FloodStore { fact });
+                n.on_message(ctx, NodeId(9), Arc::new(Payload::FloodStore { fact }));
             });
         }
         d.sim.run_to_quiescence(120_000);

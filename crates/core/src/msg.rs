@@ -2,6 +2,8 @@
 //!
 //! Everything multi-hop travels inside a [`Payload::Routed`] envelope; the
 //! radio layer only ever delivers to neighbors (see `sensorlog_netsim`).
+//! What a node hands the radio is a [`Msg`] — a shared pointer to the
+//! payload, so a relay forwards the allocation it received.
 //! Message kinds map onto the paper's phases: `store` (storage phase,
 //! Sec. III-A), `probe` (join-computation phase), `result` (derived-tuple
 //! deltas to owner nodes, Sec. III-B), `centroid` (the central-server
@@ -52,11 +54,19 @@ impl ProbeMsg {
     }
 }
 
+/// What is queued per hop: one pointer. The origin allocates the payload
+/// (and, for a multi-hop journey, its envelope) once; a relay forwards the
+/// `Arc` it received, a flood re-broadcasts it, and the consumer takes the
+/// payload out with `Arc::unwrap_or_clone` — a move unless the fault
+/// plane's duplication window shared it.
+pub type Msg = Arc<Payload>;
+
 /// Application payload.
 #[derive(Clone, Debug)]
 pub enum Payload {
-    /// Multi-hop envelope.
-    Routed { dest: NodeId, inner: Box<Payload> },
+    /// Multi-hop envelope: forwarded as is until the hop before `dest`,
+    /// which sends `inner` alone.
+    Routed { dest: NodeId, inner: Msg },
     /// Storage-phase walk: store a replica (or tombstone) and pass along.
     StoreWalk {
         fact: FactRecord,
@@ -189,15 +199,21 @@ mod tests {
 
     /// Every pending timer-wheel entry is one queued event, and wheel slots
     /// keep their capacity, so the simulator's heap scales with this size.
-    /// It is payload-independent today because deliveries queue a
-    /// `Vec<Payload>`. Carrying the first message inline in `Deliver` saves
-    /// that allocation but was measured and rejected (ISSUE 14):
-    /// `sptree_centroid` peak heap 27.4 -> 44.0 MB, and `run_s` worse.
+    /// `netsim` queues an app's message by value, so an `App` whose message
+    /// is bigger than a pointer boxes or `Arc`s it: the node's is an `Arc`,
+    /// and a queued delivery is two node ids, the carried size and that
+    /// pointer.
     #[test]
     fn queued_event_stays_payload_independent() {
+        use sensorlog_netsim::App;
+        assert_eq!(
+            std::mem::size_of::<<crate::SensorlogNode as App>::Msg>(),
+            std::mem::size_of::<usize>(),
+            "the node's wire message is no longer one pointer"
+        );
         let bytes = sensorlog_netsim::Simulator::<crate::SensorlogNode>::queued_event_bytes();
         assert!(
-            bytes <= 32,
+            bytes <= 24,
             "a queued event grew to {bytes} B (Payload is {} B)",
             std::mem::size_of::<Payload>()
         );
@@ -224,7 +240,7 @@ mod tests {
         assert!(store.size_bytes() > 0);
         let routed = Payload::Routed {
             dest: NodeId(5),
-            inner: Box::new(store),
+            inner: Arc::new(store),
         };
         // Envelope preserves the inner kind for accounting.
         assert_eq!(routed.kind(), "store");

@@ -9,7 +9,7 @@
 //! updates (Secs. III-B, IV).
 
 use crate::durable::DurableStore;
-use crate::msg::{Payload, ProbeMsg, RuleWork};
+use crate::msg::{Msg, Payload, ProbeMsg, RuleWork};
 use crate::partial::{
     process_partials, seed_partial, Fragments, LocalCtx, Partial, ProbeWork, RuleShape,
 };
@@ -549,7 +549,7 @@ impl SensorlogNode {
 
     /// A sensor reading was generated at this node: create the fact and
     /// run the update pipeline.
-    pub fn generate(&mut self, ctx: &mut Ctx<Payload>, pred: Symbol, tuple: Tuple) {
+    pub fn generate(&mut self, ctx: &mut Ctx<Msg>, pred: Symbol, tuple: Tuple) {
         self.tele.bump(Scope::Pred(pred.as_str()), "generated");
         let id = self.fresh_id(ctx);
         self.my_facts.insert((pred, tuple.clone()), id);
@@ -560,7 +560,7 @@ impl SensorlogNode {
     }
 
     /// A previously generated reading was retracted at this node.
-    pub fn retract(&mut self, ctx: &mut Ctx<Payload>, pred: Symbol, tuple: Tuple) {
+    pub fn retract(&mut self, ctx: &mut Ctx<Msg>, pred: Symbol, tuple: Tuple) {
         let Some(id) = self.my_facts.remove(&(pred, tuple.clone())) else {
             return; // unknown tuple: nothing to delete
         };
@@ -574,7 +574,7 @@ impl SensorlogNode {
 
     /// Inject a derived fact directly at its owner (static facts from
     /// empty-body rules, t = 0).
-    pub fn inject_static(&mut self, ctx: &mut Ctx<Payload>, pred: Symbol, tuple: Tuple) {
+    pub fn inject_static(&mut self, ctx: &mut Ctx<Msg>, pred: Symbol, tuple: Tuple) {
         let id = self.fresh_id(ctx);
         let key = DerivationKey::new(EDB_RULE, Vec::new());
         let entry = self.owned.book(pred, &tuple, key, 1);
@@ -588,7 +588,7 @@ impl SensorlogNode {
     /// An update enters the network here, at the node that holds the fact:
     /// record it as a proof leaf (`Edb` — static facts are leaves at their
     /// owner like base facts at their source) and run the update pipeline.
-    fn source_update(&mut self, ctx: &mut Ctx<Payload>, fact: FactRecord) {
+    fn source_update(&mut self, ctx: &mut Ctx<Msg>, fact: FactRecord) {
         self.prov.record_with(|| ProvRecord::Edb {
             node: self.id,
             pred: fact.pred,
@@ -697,7 +697,7 @@ impl SensorlogNode {
     // Update pipeline
     // ------------------------------------------------------------------
 
-    fn fresh_id(&mut self, ctx: &Ctx<Payload>) -> TupleId {
+    fn fresh_id(&mut self, ctx: &Ctx<Msg>) -> TupleId {
         let id = TupleId {
             node: self.id,
             ts: ctx.local_time,
@@ -713,7 +713,7 @@ impl SensorlogNode {
     }
 
     /// Start the storage phase for `fact` and schedule its join phase.
-    fn initiate_update(&mut self, ctx: &mut Ctx<Payload>, fact: FactRecord) {
+    fn initiate_update(&mut self, ctx: &mut Ctx<Msg>, fact: FactRecord) {
         let _span = self.tele.span("core.update.initiate");
         // A stream no rule consumes needs neither replication nor a probe:
         // derived results "will anyway be hashed appropriately for further
@@ -741,7 +741,7 @@ impl SensorlogNode {
                 self.flood_seen.insert((fact.id, fact.kind));
                 self.tele
                     .bump(Scope::Pred(fact.pred.as_str()), "flood_broadcasts");
-                ctx.broadcast(Payload::FloodStore { fact: fact.clone() });
+                ctx.broadcast(Arc::new(Payload::FloodStore { fact: fact.clone() }));
             }
             _ => {
                 let region = self
@@ -774,7 +774,7 @@ impl SensorlogNode {
         self.set_timer(ctx, delay, TimerAction::StartJoin(fact));
     }
 
-    fn send_store_walk(&mut self, ctx: &mut Ctx<Payload>, fact: &FactRecord, walk: Vec<NodeId>) {
+    fn send_store_walk(&mut self, ctx: &mut Ctx<Msg>, fact: &FactRecord, walk: Vec<NodeId>) {
         let first = walk[0];
         let msg = Payload::StoreWalk {
             fact: fact.clone(),
@@ -784,7 +784,7 @@ impl SensorlogNode {
         self.route(ctx, first, msg);
     }
 
-    fn store_replica(&mut self, ctx: &mut Ctx<Payload>, fact: &FactRecord) {
+    fn store_replica(&mut self, ctx: &mut Ctx<Msg>, fact: &FactRecord) {
         // Generation-aware replica storage: insert and delete walks may
         // arrive in either order (independent multi-hop routes), so the
         // replica tracks the newest tuple *generation* (by ID, Definition 2)
@@ -840,7 +840,7 @@ impl SensorlogNode {
     }
 
     /// Build and launch the join probe for `fact`.
-    fn start_join(&mut self, ctx: &mut Ctx<Payload>, fact: FactRecord) {
+    fn start_join(&mut self, ctx: &mut Ctx<Msg>, fact: FactRecord) {
         let _span = self.tele.span("core.join.start");
         let occs = match self.prog.occurrences.get(&fact.pred) {
             Some(o) => o.clone(),
@@ -895,7 +895,7 @@ impl SensorlogNode {
     }
 
     /// Route the probe to its current walk target (possibly ourselves).
-    fn deliver_probe(&mut self, ctx: &mut Ctx<Payload>, probe: ProbeMsg) {
+    fn deliver_probe(&mut self, ctx: &mut Ctx<Msg>, probe: ProbeMsg) {
         let target = probe.walk[probe.pos];
         if target == self.id {
             self.process_probe(ctx, probe);
@@ -905,7 +905,7 @@ impl SensorlogNode {
     }
 
     /// Run the join-computation step at this node (Fig. 1) and forward.
-    fn process_probe(&mut self, ctx: &mut Ctx<Payload>, mut probe: ProbeMsg) {
+    fn process_probe(&mut self, ctx: &mut Ctx<Msg>, mut probe: ProbeMsg) {
         let tau = probe.update.tau;
         // Sim-time age of the update at the moment its probe reaches us —
         // the in-network join latency the paper bounds with τs + τc.
@@ -1043,7 +1043,7 @@ impl SensorlogNode {
     #[allow(clippy::too_many_arguments)]
     fn handle_deriv_delta(
         &mut self,
-        ctx: &mut Ctx<Payload>,
+        ctx: &mut Ctx<Msg>,
         pred: Symbol,
         tuple: Tuple,
         key: DerivationKey,
@@ -1090,7 +1090,7 @@ impl SensorlogNode {
 
     /// Start debouncing a liveness transition of the owned `(pred, tuple)`:
     /// its holddown (declared, else the adaptive default) runs from now.
-    fn arm_holddown(&mut self, ctx: &mut Ctx<Payload>, pred: Symbol, tuple: Tuple) {
+    fn arm_holddown(&mut self, ctx: &mut Ctx<Msg>, pred: Symbol, tuple: Tuple) {
         let slot = (pred, tuple);
         if let Some(entry) = self.owned.entries.get_mut(&slot) {
             entry.holddown_armed = true;
@@ -1126,7 +1126,7 @@ impl SensorlogNode {
     /// Holddown expired: propagate the tuple's liveness if it still differs
     /// from what the network believes (Sec. IV-C's "wait … before actually
     /// finalizing a derived fact").
-    fn fire_holddown(&mut self, ctx: &mut Ctx<Payload>, pred: Symbol, tuple: Tuple) {
+    fn fire_holddown(&mut self, ctx: &mut Ctx<Msg>, pred: Symbol, tuple: Tuple) {
         let now = ctx.local_time;
         let slot = (pred, tuple);
         let Some(entry) = self.owned.entries.get_mut(&slot) else {
@@ -1292,7 +1292,7 @@ impl SensorlogNode {
     /// Boot-time fault-plane setup, shared by first start and restart:
     /// stamp the incarnation, baseline neighbor leases, announce ourselves,
     /// and arm the periodic timers. No-op with the plane disabled.
-    fn boot_tick(&mut self, ctx: &mut Ctx<Payload>) {
+    fn boot_tick(&mut self, ctx: &mut Ctx<Msg>) {
         let Some(f) = self.cfg.faults.clone() else {
             return;
         };
@@ -1310,7 +1310,7 @@ impl SensorlogNode {
 
     /// Tell the 1-hop neighborhood we are alive, at a version (our local
     /// time) kept current so death rumors can be compared against it.
-    fn announce_self(&mut self, ctx: &mut Ctx<Payload>) {
+    fn announce_self(&mut self, ctx: &mut Ctx<Msg>) {
         let (version, boot_ts) = (ctx.local_time, self.boot_ts);
         let own = LiveEntry {
             version,
@@ -1318,12 +1318,12 @@ impl SensorlogNode {
             boot_ts,
         };
         self.view.peers.insert(self.id, own);
-        ctx.broadcast(Payload::Heartbeat { version, boot_ts });
+        ctx.broadcast(Arc::new(Payload::Heartbeat { version, boot_ts }));
     }
 
     /// Arm `tick`'s next period — unless local time has passed the plane's
     /// `active_until`, so a healed network can quiesce.
-    fn arm_tick(&mut self, ctx: &mut Ctx<Payload>, f: &FaultPlaneCfg, tick: Tick) {
+    fn arm_tick(&mut self, ctx: &mut Ctx<Msg>, f: &FaultPlaneCfg, tick: Tick) {
         if ctx.local_time < f.active_until {
             let period = match tick {
                 Tick::Heartbeat => f.heartbeat_ms,
@@ -1335,7 +1335,7 @@ impl SensorlogNode {
     }
 
     /// A periodic fault-plane timer fired: do its duty, then re-arm it.
-    fn fire_tick(&mut self, ctx: &mut Ctx<Payload>, tick: Tick) {
+    fn fire_tick(&mut self, ctx: &mut Ctx<Msg>, tick: Tick) {
         let Some(f) = self.cfg.faults.clone() else {
             return;
         };
@@ -1353,7 +1353,7 @@ impl SensorlogNode {
     /// local, else every heartbeat would flood the network).
     fn apply_liveness(
         &mut self,
-        ctx: &mut Ctx<Payload>,
+        ctx: &mut Ctx<Msg>,
         subject: NodeId,
         version: SimTime,
         alive: bool,
@@ -1374,12 +1374,12 @@ impl SensorlogNode {
                 self.view.peers.insert(self.id, own);
                 self.tele
                     .bump(Scope::Layer("core.faults"), "death_rebuttals");
-                ctx.broadcast(Payload::Liveness {
+                ctx.broadcast(Arc::new(Payload::Liveness {
                     subject: self.id,
                     version: v,
                     alive: true,
                     boot_ts: self.boot_ts,
-                });
+                }));
             }
             return;
         }
@@ -1399,12 +1399,12 @@ impl SensorlogNode {
         }
         if flag_changed {
             let (version, alive, boot_ts) = (e.version, e.alive, e.boot_ts);
-            ctx.broadcast(Payload::Liveness {
+            ctx.broadcast(Arc::new(Payload::Liveness {
                 subject,
                 version,
                 alive,
                 boot_ts,
-            });
+            }));
             self.rescan_owned(ctx);
         }
     }
@@ -1413,7 +1413,7 @@ impl SensorlogNode {
     /// liveness no longer matches what the network believes. This is the
     /// retraction path of Theorem 3 driven by failure detection instead of
     /// an explicit delete.
-    fn rescan_owned(&mut self, ctx: &mut Ctx<Payload>) {
+    fn rescan_owned(&mut self, ctx: &mut Ctx<Msg>) {
         let mut arm: Vec<(Symbol, Tuple)> = (self.owned.entries.iter())
             .filter(|(_, o)| self.view.wants_holddown(o))
             .map(|((p, t), _)| (*p, t.clone()))
@@ -1426,7 +1426,7 @@ impl SensorlogNode {
 
     /// Lease check: any neighbor we believe alive but have not heard from
     /// for two lease periods is declared dead and the death flooded.
-    fn lease_tick(&mut self, ctx: &mut Ctx<Payload>, lease_ms: SimTime) {
+    fn lease_tick(&mut self, ctx: &mut Ctx<Msg>, lease_ms: SimTime) {
         let now = ctx.local_time;
         let nbrs: Vec<NodeId> = ctx.neighbors().to_vec();
         let suspects: Vec<(NodeId, SimTime)> = nbrs
@@ -1450,7 +1450,7 @@ impl SensorlogNode {
     /// Source-driven refresh: exchange a 1-hop liveness digest so healed
     /// partitions relearn deaths and reboots they missed, then replay our
     /// facts ([`Self::replay_facts`]).
-    fn refresh_tick(&mut self, ctx: &mut Ctx<Payload>) {
+    fn refresh_tick(&mut self, ctx: &mut Ctx<Msg>) {
         self.tele
             .bump(Scope::Layer("core.faults"), "refresh_rounds");
         let mut entries: Vec<(NodeId, SimTime, bool, SimTime)> = (self.view.peers.iter())
@@ -1459,7 +1459,7 @@ impl SensorlogNode {
             .collect();
         entries.sort();
         if !entries.is_empty() {
-            ctx.broadcast(Payload::LivenessDigest { entries });
+            ctx.broadcast(Arc::new(Payload::LivenessDigest { entries }));
         }
         self.replay_facts(ctx);
     }
@@ -1468,7 +1468,7 @@ impl SensorlogNode {
     /// replicas and owners thanks to generation dedup and clamped counts)
     /// and re-send the durable store's recent tombstones, whose walks a
     /// crash or partition may have cut short.
-    fn replay_facts(&mut self, ctx: &mut Ctx<Payload>) {
+    fn replay_facts(&mut self, ctx: &mut Ctx<Msg>) {
         for (pred, tuple, id) in self.my_fact_records() {
             // Replays keep the original id (idempotence at replicas and
             // owners) but probe at *current* time: an original-tau replay
@@ -1486,7 +1486,7 @@ impl SensorlogNode {
     }
 
     /// Arm a timer: `action` runs after `delay` ms of local time.
-    fn set_timer(&mut self, ctx: &mut Ctx<Payload>, delay: SimTime, action: TimerAction) {
+    fn set_timer(&mut self, ctx: &mut Ctx<Msg>, delay: SimTime, action: TimerAction) {
         let tag = self.next_tag;
         self.next_tag += 1;
         self.timers.insert(tag, action);
@@ -1495,7 +1495,7 @@ impl SensorlogNode {
 
     /// Queue `what` to expire after `delay` ms of local time; returns the
     /// timer tag it will fire as.
-    fn expire_in(&mut self, ctx: &mut Ctx<Payload>, delay: SimTime, what: Expiring) -> u64 {
+    fn expire_in(&mut self, ctx: &mut Ctx<Msg>, delay: SimTime, what: Expiring) -> u64 {
         let tag = self.next_tag;
         self.next_tag += 1;
         self.expiries.push(Reverse(Expiry {
@@ -1510,7 +1510,7 @@ impl SensorlogNode {
 
     /// Keep the head of the expiry queue armed: a no-op unless the head
     /// moved earlier or the armed one just fired.
-    fn arm_next_expiry(&mut self, ctx: &mut Ctx<Payload>) {
+    fn arm_next_expiry(&mut self, ctx: &mut Ctx<Msg>) {
         // (`peek_mut` re-sifts the heap when written through: look first.)
         if self.expiries.peek().is_some_and(|head| !head.0.armed) {
             if let Some(mut head) = self.expiries.peek_mut() {
@@ -1522,7 +1522,7 @@ impl SensorlogNode {
 
     /// The head of the expiry queue came due as timer `tag`: drop what it
     /// names if that generation is still the stored one, then arm the next.
-    fn fire_expiry(&mut self, ctx: &mut Ctx<Payload>, tag: u64) {
+    fn fire_expiry(&mut self, ctx: &mut Ctx<Msg>, tag: u64) {
         let Some(head) = self.expiries.peek_mut().filter(|head| head.0.tag == tag) else {
             return; // no timer of ours
         };
@@ -1551,23 +1551,19 @@ impl SensorlogNode {
         self.arm_next_expiry(ctx);
     }
 
-    fn route(&mut self, ctx: &mut Ctx<Payload>, dest: NodeId, payload: Payload) {
+    /// Decide the transmission that moves `payload` one hop toward `dest`
+    /// and account for it (per-predicate sent counter, provenance hop) —
+    /// said once for the origin's send and a relay's forward. `None`: no
+    /// route, nothing transmits, the drop is logged.
+    fn resolve_hop(&mut self, ctx: &Ctx<Msg>, dest: NodeId, payload: &Payload) -> Option<NodeId> {
         debug_assert_ne!(dest, self.id);
-        if self.tele.is_enabled() {
-            // Per-predicate traffic accounting, one bump per hop (the same
-            // currency as the simulator's per-kind tx counters).
-            self.tele.bump(
-                Scope::Pred(payload.pred().as_str()),
-                sent_counter(payload.kind()),
-            );
-        }
         let Some(mut hop) = self.net.next_hop(self.id, dest) else {
             // Unreachable destination (partitioned topology): a logged
             // drop, indistinguishable from loss to the protocol above.
             self.stats.routing_drops += 1;
             self.tele
                 .bump(Scope::Pred(payload.pred().as_str()), "routing_drops");
-            return;
+            return None;
         };
         // Route repair (fault plane): detour around a next hop we believe
         // dead, as long as some live neighbor is strictly closer to the
@@ -1583,6 +1579,15 @@ impl SensorlogNode {
                 hop = detour;
             }
         }
+        if self.tele.is_enabled() {
+            // Per-predicate traffic accounting, one bump per hop that
+            // transmits (the same currency as the simulator's per-kind tx
+            // counters).
+            self.tele.bump(
+                Scope::Pred(payload.pred().as_str()),
+                sent_counter(payload.kind()),
+            );
+        }
         if self.prov.is_enabled() {
             if let Some(origin) = payload.origin_id() {
                 let (kind, at) = (payload.kind(), ctx.local_time);
@@ -1596,28 +1601,50 @@ impl SensorlogNode {
                 });
             }
         }
+        Some(hop)
+    }
+
+    /// Start `payload` on its journey to `dest`: the one place a routed
+    /// message is allocated — bare for a neighbor, enveloped otherwise.
+    fn route(&mut self, ctx: &mut Ctx<Msg>, dest: NodeId, payload: Payload) {
+        let Some(hop) = self.resolve_hop(ctx, dest, &payload) else {
+            return;
+        };
+        let inner = Arc::new(payload);
         if hop == dest {
-            ctx.send(dest, payload);
+            ctx.send(dest, inner);
         } else {
-            ctx.send(
-                hop,
-                Payload::Routed {
-                    dest,
-                    inner: Box::new(payload),
-                },
-            );
+            ctx.send(hop, Arc::new(Payload::Routed { dest, inner }));
         }
     }
 
-    fn handle_payload(&mut self, ctx: &mut Ctx<Payload>, payload: Payload) {
-        match payload {
-            Payload::Routed { dest, inner } => {
-                if dest == self.id {
-                    self.handle_payload(ctx, *inner);
-                } else {
-                    self.route(ctx, dest, *inner);
+    fn handle_msg(&mut self, ctx: &mut Ctx<Msg>, msg: Msg) {
+        // What is only passed on is read through the pointer and passed on
+        // as the pointer; only a consumer below takes the payload out.
+        match &*msg {
+            // A relay: the `Arc` that arrived goes to the next hop, and
+            // the hop before `dest` sends `inner` alone.
+            Payload::Routed { dest, inner } if *dest != self.id => {
+                if let Some(hop) = self.resolve_hop(ctx, *dest, inner) {
+                    let out = if hop == *dest { inner.clone() } else { msg };
+                    ctx.send(hop, out);
                 }
+                return;
             }
+            Payload::FloodStore { fact } => {
+                if self.flood_seen.insert((fact.id, fact.kind)) {
+                    self.store_replica(ctx, fact);
+                    self.tele
+                        .bump(Scope::Pred(fact.pred.as_str()), "flood_broadcasts");
+                    ctx.broadcast(msg);
+                }
+                return;
+            }
+            _ => {}
+        }
+        match Arc::unwrap_or_clone(msg) {
+            Payload::Routed { inner, .. } => self.handle_msg(ctx, inner),
+            Payload::FloodStore { .. } => unreachable!("handled by reference above"),
             Payload::StoreWalk { fact, walk, pos } => {
                 self.store_replica(ctx, &fact);
                 if pos + 1 < walk.len() {
@@ -1631,14 +1658,6 @@ impl SensorlogNode {
                             pos: pos + 1,
                         },
                     );
-                }
-            }
-            Payload::FloodStore { fact } => {
-                if self.flood_seen.insert((fact.id, fact.kind)) {
-                    self.store_replica(ctx, &fact);
-                    self.tele
-                        .bump(Scope::Pred(fact.pred.as_str()), "flood_broadcasts");
-                    ctx.broadcast(Payload::FloodStore { fact });
                 }
             }
             Payload::Probe(probe) => {
@@ -1690,9 +1709,9 @@ fn sent_counter(kind: &'static str) -> &'static str {
 }
 
 impl App for SensorlogNode {
-    type Msg = Payload;
+    type Msg = Msg;
 
-    fn on_start(&mut self, ctx: &mut Ctx<Payload>) {
+    fn on_start(&mut self, ctx: &mut Ctx<Msg>) {
         self.boot_tick(ctx);
     }
 
@@ -1701,7 +1720,7 @@ impl App for SensorlogNode {
     /// high-water mark and the surviving base facts with their ORIGINAL
     /// ids, and re-announce them and the recent-tombstone window as a
     /// refresh round does.
-    fn on_restart(&mut self, ctx: &mut Ctx<Payload>) {
+    fn on_restart(&mut self, ctx: &mut Ctx<Msg>) {
         self.boot_tick(ctx);
         if let Some(r) = self.durable_store().map(|mut d| d.recover()) {
             self.seq = self.seq.max(r.next_seq);
@@ -1716,8 +1735,8 @@ impl App for SensorlogNode {
         }
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx<Payload>, from: NodeId, msg: Payload) {
-        match msg {
+    fn on_message(&mut self, ctx: &mut Ctx<Msg>, from: NodeId, msg: Msg) {
+        match *msg {
             // Heartbeats are 1-hop and identified by their radio sender.
             Payload::Heartbeat { version, boot_ts } => {
                 if self.cfg.faults.is_some() {
@@ -1725,11 +1744,11 @@ impl App for SensorlogNode {
                     self.apply_liveness(ctx, from, version, true, boot_ts);
                 }
             }
-            other => self.handle_payload(ctx, other),
+            _ => self.handle_msg(ctx, msg),
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<Payload>, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<Msg>, tag: u64) {
         match self.timers.remove(&tag) {
             Some(TimerAction::StartJoin(fact)) => self.start_join(ctx, fact),
             Some(TimerAction::Holddown(pred, tuple)) => self.fire_holddown(ctx, pred, tuple),
@@ -1929,6 +1948,152 @@ mod tests {
                 }
             );
         }
+    }
+
+    fn some_id(node: u32, ts: SimTime) -> TupleId {
+        TupleId {
+            node: NodeId(node),
+            ts,
+            seq: 0,
+        }
+    }
+
+    /// A relay reads an envelope through the pointer and queues the pointer:
+    /// mid-route the queue holds the very allocation that arrived, and the
+    /// hop before the destination queues `inner` alone.
+    #[test]
+    fn a_relay_forwards_the_envelope_it_received() {
+        let mut d = deploy(".output q.\nq(X, Y) :- r1(X, T), r2(Y, T).", 4);
+        let inner: Msg = Arc::new(Payload::DerivDelta {
+            pred: Symbol::intern("q"),
+            tuple: ints(&[1, 2]),
+            key: DerivationKey::new(0, vec![(0, some_id(0, 10)), (1, some_id(8, 20))]),
+            sign: 1,
+            tau: 20,
+            origin: some_id(8, 20),
+        });
+        let dest = NodeId(3); // the end of row 0: 0 -> 1 -> 2 -> 3
+        let envelope: Msg = Arc::new(Payload::Routed {
+            dest,
+            inner: inner.clone(),
+        });
+        d.sim.invoke(NodeId(1), |node, ctx| {
+            node.on_message(ctx, NodeId(0), envelope.clone());
+            let [(to, queued)] = ctx.buffered_sends() else {
+                panic!("a relay sends once");
+            };
+            assert_eq!(*to, NodeId(2));
+            assert!(Arc::ptr_eq(queued, &envelope));
+        });
+        assert_eq!(Arc::strong_count(&envelope), 2, "ours and the queue's");
+        d.sim.invoke(NodeId(2), |node, ctx| {
+            node.on_message(ctx, NodeId(1), envelope.clone());
+            let [(to, queued)] = ctx.buffered_sends() else {
+                panic!("a relay sends once");
+            };
+            assert_eq!(*to, dest);
+            assert!(
+                Arc::ptr_eq(queued, &inner),
+                "the last hop carries no envelope"
+            );
+        });
+        assert_eq!(Arc::strong_count(&envelope), 2, "node 2 queued no envelope");
+        assert_eq!(
+            Arc::strong_count(&inner),
+            3,
+            "ours, the envelope's, the queue's"
+        );
+        // Both copies arrive (the queued envelope via node 2 again), each
+        // consumer copies what it shares, and nothing is left in flight.
+        d.sim.run_to_quiescence(120_000);
+        assert_eq!(Arc::strong_count(&envelope), 1);
+        assert_eq!(Arc::strong_count(&inner), 2);
+        assert_eq!(d.node(dest).derivation_count(), 1);
+    }
+
+    /// A flooded fact is one allocation however many links carry it: the
+    /// first delivery re-broadcasts the `Arc` that arrived, a duplicate is
+    /// recognised through the pointer and dropped.
+    #[test]
+    fn a_flood_shares_one_allocation_among_neighbours() {
+        let mut d = deploy(WINDOWED_JOIN, 4);
+        let at = NodeId(5); // interior: four neighbours
+        let fact = FactRecord::insert(Symbol::intern("r1"), ints(&[1, 5]), some_id(9, 50));
+        let msg: Msg = Arc::new(Payload::FloodStore { fact });
+        d.sim.invoke(at, |node, ctx| {
+            node.on_message(ctx, NodeId(4), msg.clone());
+            let sent = ctx.buffered_sends();
+            assert_eq!(sent.len(), 4);
+            assert!(sent.iter().all(|(_, m)| Arc::ptr_eq(m, &msg)));
+        });
+        assert_eq!(Arc::strong_count(&msg), 1 + 4);
+        assert_eq!(d.node(at).replica_count(), 1);
+        let tx = d.sim.metrics.total_tx();
+        d.sim.invoke(at, |node, ctx| {
+            node.on_message(ctx, NodeId(6), msg.clone());
+            assert!(ctx.buffered_sends().is_empty());
+        });
+        assert_eq!(Arc::strong_count(&msg), 1 + 4);
+        assert_eq!(d.sim.metrics.total_tx(), tx);
+        assert_eq!(d.node(at).replica_count(), 1);
+    }
+
+    /// The fault plane's duplication window queues one `Arc` twice. A walk
+    /// message is advanced by its consumer, so each delivery works on its
+    /// own copy: both continue from the original position and the shared
+    /// original is untouched.
+    #[test]
+    fn a_duplicated_walk_message_is_processed_as_two_copies() {
+        let mut d = deploy(".output q.\nq(X, Y) :- r1(X, T), r2(Y, T).", 4);
+        let walk = Arc::new(vec![NodeId(1), NodeId(2), NodeId(3)]);
+        let (r1, tuple, id) = (Symbol::intern("r1"), ints(&[1, 5]), some_id(0, 10));
+        let fact = FactRecord::insert(r1, tuple.clone(), id);
+        let prog = d.node(NodeId(1)).prog.clone();
+        let rule = &prog.analysis.program.rules[0];
+        let seed = seed_partial(&prog, rule, 0, false, &tuple, id).expect("r1 seeds the rule");
+        let store: Msg = Arc::new(Payload::StoreWalk {
+            fact: fact.clone(),
+            walk: walk.clone(),
+            pos: 0,
+        });
+        let probe: Msg = Arc::new(Payload::Probe(ProbeMsg {
+            update: fact,
+            walk,
+            pos: 0,
+            pass: 0,
+            total_passes: 1,
+            work: vec![RuleWork {
+                rule_idx: 0,
+                occ: 0,
+                negated: false,
+                partials: vec![seed],
+            }],
+        }));
+        for msg in [&store, &probe] {
+            for _delivery in 0..2 {
+                d.sim.invoke(NodeId(1), |node, ctx| {
+                    node.on_message(ctx, NodeId(0), msg.clone());
+                    let [(to, next)] = ctx.buffered_sends() else {
+                        panic!("a walk step sends once");
+                    };
+                    assert_eq!(*to, NodeId(2));
+                    assert!(!Arc::ptr_eq(next, msg), "the step is a copy");
+                    match &**next {
+                        Payload::StoreWalk { pos, .. } => assert_eq!(*pos, 1),
+                        Payload::Probe(p) => {
+                            assert_eq!((p.pos, p.work[0].partials.len()), (1, 1))
+                        }
+                        other => panic!("unexpected {other:?}"),
+                    }
+                });
+            }
+            match &**msg {
+                Payload::StoreWalk { pos, .. } => assert_eq!(*pos, 0),
+                Payload::Probe(p) => assert_eq!((p.pos, p.work[0].partials.len()), (0, 1)),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(d.node(NodeId(1)).stats.probes_processed, 2);
     }
 
     const WINDOWED_JOIN: &str =

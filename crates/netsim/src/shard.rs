@@ -37,7 +37,7 @@
 use crate::faults::LinkState;
 use crate::metrics::{kind_reason, Metrics, KIND_LOST, KIND_RX, KIND_SLOTS, KIND_TX};
 use crate::sim::{
-    App, Event, EventQueue, Lane, LaneSink, NodeRng, SchedStats, SendHists, SimConfig,
+    App, Event, EventQueue, Lane, LaneSink, NodeRng, SchedStats, Scratch, SendHists, SimConfig,
 };
 use crate::sim::{SimTime, Simulator};
 use crate::topology::{NodeId, Topology};
@@ -202,6 +202,8 @@ pub(crate) struct LaneScratch<M> {
     /// within one event is the serial emission order.
     trace: Vec<(SimTime, u64, TraceEvent)>,
     metrics: LaneMetrics,
+    /// Callback output buffers of this region's lane.
+    ctx: Scratch<M>,
 }
 
 /// Shard-specific operation counters (surfaced through
@@ -239,6 +241,7 @@ impl<M> ShardQueues<M> {
                     out: (0..regions).map(|_| Vec::new()).collect(),
                     trace: Vec::new(),
                     metrics: LaneMetrics::new(base, len),
+                    ctx: Scratch::default(),
                 }
             })
             .collect();
@@ -324,10 +327,7 @@ impl<M> LaneSink<M> for RegionSink<'_, M> {
                 at >= self.wend,
                 "cross-region event inside the lookahead window"
             );
-            self.cross += match &event {
-                Event::Deliver { msgs, .. } => msgs.len() as u64,
-                _ => 1,
-            };
+            self.cross += 1;
             self.out[dst].push((at, tie, event));
         }
     }
@@ -387,7 +387,6 @@ struct RegionTask<'a, A: App> {
 struct WindowResult {
     last_at: Option<SimTime>,
     events: u64,
-    batched: u64,
     pushes: u64,
     cross: u64,
     work_ns: u64,
@@ -398,11 +397,11 @@ struct WindowResult {
 fn run_window<A: App>(task: RegionTask<'_, A>, shared: Shared<'_>) -> WindowResult {
     let t0 = std::time::Instant::now();
     let mut events = 0u64;
-    let mut batched = 0u64;
     let LaneScratch {
         out,
         trace,
         metrics,
+        ctx,
     } = task.scratch;
     let mut lane = Lane {
         topo: shared.topo,
@@ -418,7 +417,7 @@ fn run_window<A: App>(task: RegionTask<'_, A>, shared: Shared<'_>) -> WindowResu
         send_hists: task.send_hists,
         base: task.base,
         events_processed: &mut events,
-        batched_msgs: &mut batched,
+        scratch: ctx,
     };
     let mut sink = RegionSink {
         wheel: task.wheel,
@@ -446,7 +445,6 @@ fn run_window<A: App>(task: RegionTask<'_, A>, shared: Shared<'_>) -> WindowResu
     WindowResult {
         last_at,
         events,
-        batched,
         pushes,
         cross,
         work_ns: t0.elapsed().as_nanos() as u64,
@@ -575,7 +573,6 @@ where
         let mut crit = 0u64;
         for r in &results {
             self.events_processed += r.events;
-            self.batched_msgs += r.batched;
             self.pushes += r.pushes;
             sq.stats.cross_msgs += r.cross;
             sq.stats.work_ns += r.work_ns;

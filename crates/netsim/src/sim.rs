@@ -38,6 +38,18 @@ pub trait MsgMeta {
     }
 }
 
+/// A shared message is its pointee on the air: an [`App`] whose message is
+/// bigger than a pointer queues an `Arc` of it (events hold `M` by value),
+/// and a relay forwards the `Arc` it received.
+impl<M: MsgMeta> MsgMeta for std::sync::Arc<M> {
+    fn size_bytes(&self) -> usize {
+        (**self).size_bytes()
+    }
+    fn kind(&self) -> &'static str {
+        (**self).kind()
+    }
+}
+
 /// A node application.
 pub trait App: Sized {
     type Msg: Clone + MsgMeta;
@@ -117,14 +129,15 @@ impl Default for SimConfig {
 
 pub(crate) enum Event<M> {
     Start(NodeId),
-    /// One queue operation carrying every message that was sent to `to`
-    /// with the same sampled arrival time by *adjacent* sends (see
-    /// [`Lane::apply_outputs`] — only adjacency keeps the `(at, tie)`
-    /// tie-break order intact). Delivered in push order.
+    /// One message in flight, held inline: an event is as big as `M`, so
+    /// an app with a large message type queues a pointer to it.
     Deliver {
         to: NodeId,
         from: NodeId,
-        msgs: Vec<M>,
+        /// `msg.size_bytes()` as computed for the send (saturating), so
+        /// the receive side accounts the same number without recomputing.
+        bytes: u32,
+        msg: M,
     },
     Timer {
         node: NodeId,
@@ -253,8 +266,9 @@ pub(crate) struct SendHists {
 pub struct SchedStats {
     /// Queue operations (pushes) actually performed.
     pub pushes: u64,
-    /// Messages that rode an existing queue operation (same link, same
-    /// arrival tick as the immediately preceding send).
+    /// Always 0: every message is its own queue operation since same-tick
+    /// link batching went (it carried at most 10 of a workload's 10^4–10^5
+    /// messages). Kept because the frozen `benchmark/` reads the field.
     pub batched_msgs: u64,
     /// Wheel/shard only: events entering the ring / spill tiers.
     pub ring_pushes: u64,
@@ -349,6 +363,23 @@ pub struct Ctx<'a, M> {
     timers: Vec<(SimTime, u64)>,
 }
 
+/// The send / timer buffers a [`Ctx`] fills, kept between callbacks so a
+/// callback's first `send` does not allocate: [`Lane::invoke`] lends them
+/// to the `Ctx` and takes them back drained.
+pub(crate) struct Scratch<M> {
+    sends: Vec<(NodeId, M)>,
+    timers: Vec<(SimTime, u64)>,
+}
+
+impl<M> Default for Scratch<M> {
+    fn default() -> Self {
+        Scratch {
+            sends: Vec::new(),
+            timers: Vec::new(),
+        }
+    }
+}
+
 impl<'a, M> Ctx<'a, M> {
     /// Unicast to a direct neighbor. Panics on non-neighbors: multi-hop
     /// routing is the network stack's job, not the radio's.
@@ -378,6 +409,13 @@ impl<'a, M> Ctx<'a, M> {
     /// Fire `on_timer(tag)` after `delay` ms of global time.
     pub fn set_timer(&mut self, delay: SimTime, tag: u64) {
         self.timers.push((delay, tag));
+    }
+
+    /// What this callback has handed to [`Ctx::send`] / [`Ctx::broadcast`]
+    /// so far, in send order: how a test sees *which* message an app queued.
+    #[doc(hidden)]
+    pub fn buffered_sends(&self) -> &[(NodeId, M)] {
+        &self.sends
     }
 
     pub fn neighbors(&self) -> &[NodeId] {
@@ -413,8 +451,8 @@ pub(crate) trait LaneSink<M> {
 /// The event-processing core shared by the serial loop and region workers:
 /// a window onto the per-node state (`apps`/`rngs`/`counters` slices cover
 /// nodes `base..base + len`), plus the shared read-only environment.
-/// Everything an event does — callbacks, RNG draws, tie assignment, ARQ,
-/// batching — happens here, parameterized only by where outputs go.
+/// Everything an event does — callbacks, RNG draws, tie assignment, ARQ —
+/// happens here, parameterized only by where outputs go.
 pub(crate) struct Lane<'a, A: App> {
     pub(crate) topo: &'a Topology,
     pub(crate) config: &'a SimConfig,
@@ -433,7 +471,7 @@ pub(crate) struct Lane<'a, A: App> {
     /// First node id covered by the mutable slices above.
     pub(crate) base: u32,
     pub(crate) events_processed: &'a mut u64,
-    pub(crate) batched_msgs: &'a mut u64,
+    pub(crate) scratch: &'a mut Scratch<A::Msg>,
 }
 
 impl<'a, A: App> Lane<'a, A> {
@@ -469,13 +507,14 @@ impl<'a, A: App> Lane<'a, A> {
             now,
             local_time: now + self.skew[node.index()],
             topo: self.topo,
-            sends: Vec::new(),
-            timers: Vec::new(),
+            sends: std::mem::take(&mut self.scratch.sends),
+            timers: std::mem::take(&mut self.scratch.timers),
         };
         let i = self.idx(node);
         f(&mut self.apps[i], &mut ctx);
-        let (sends, timers) = (ctx.sends, ctx.timers);
-        self.apply_outputs(sink, now, node, sends, timers);
+        let (mut sends, mut timers) = (ctx.sends, ctx.timers);
+        self.apply_outputs(sink, now, node, &mut sends, &mut timers);
+        (self.scratch.sends, self.scratch.timers) = (sends, timers);
     }
 
     fn apply_outputs<S: LaneSink<A::Msg>>(
@@ -483,21 +522,14 @@ impl<'a, A: App> Lane<'a, A> {
         sink: &mut S,
         now: SimTime,
         from: NodeId,
-        sends: Vec<(NodeId, A::Msg)>,
-        timers: Vec<(SimTime, u64)>,
+        sends: &mut Vec<(NodeId, A::Msg)>,
+        timers: &mut Vec<(SimTime, u64)>,
     ) {
         let _route_span = self.telemetry.span("sim.route");
-        // Adjacent sends to the same neighbor that sample the same arrival
-        // tick ride one queue operation. Only *adjacent* merging is sound:
-        // the batch takes the tie of its first message, so merging across an
-        // intervening push would move a message ahead of an event it is
-        // supposed to tie-break behind. (Dropped sends never push, so a loss
-        // between two mergeable sends does not break adjacency — exactly as
-        // in the unbatched baseline.)
-        let mut pending: Option<(NodeId, SimTime, u64, Vec<A::Msg>)> = None;
-        let mut dups: Vec<(NodeId, SimTime, A::Msg)> = Vec::new();
-        for (to, msg) in sends {
+        let mut dups: Vec<(NodeId, SimTime, u32, A::Msg)> = Vec::new();
+        for (to, msg) in sends.drain(..) {
             let bytes = msg.size_bytes();
+            let queued_bytes = u32::try_from(bytes).unwrap_or(u32::MAX);
             let kind = msg.kind();
             let from_i = self.idx(from);
             self.telemetry.observe_cached(
@@ -604,47 +636,11 @@ impl<'a, A: App> Lane<'a, A> {
                         bytes,
                         attempt: 0,
                     });
-                    dups.push((to, now + ddelay + extra_delay, msg.clone()));
+                    dups.push((to, now + ddelay + extra_delay, queued_bytes, msg.clone()));
                 }
             }
-            match &mut pending {
-                Some((pto, pat, _ptie, msgs)) if *pto == to && *pat == at => {
-                    msgs.push(msg);
-                    *self.batched_msgs += 1;
-                }
-                _ => {
-                    if let Some((pto, pat, ptie, msgs)) = pending.take() {
-                        sink.push(
-                            pat,
-                            ptie,
-                            Event::Deliver {
-                                to: pto,
-                                from,
-                                msgs,
-                            },
-                        );
-                    }
-                    // The tie is minted when the batch opens; later messages
-                    // ride it. Creation order == flush order (timers only
-                    // push after the last flush), so per-origin ties stay
-                    // monotone in push order.
-                    let tie = self.next_tie(from);
-                    pending = Some((to, at, tie, vec![msg]));
-                }
-            }
-        }
-        if let Some((pto, pat, ptie, msgs)) = pending.take() {
-            sink.push(
-                pat,
-                ptie,
-                Event::Deliver {
-                    to: pto,
-                    from,
-                    msgs,
-                },
-            );
-        }
-        for (to, at, msg) in dups {
+            // Ties are minted in send order, so two sends that land on one
+            // link at one tick pop in the order they were sent.
             let tie = self.next_tie(from);
             sink.push(
                 at,
@@ -652,12 +648,26 @@ impl<'a, A: App> Lane<'a, A> {
                 Event::Deliver {
                     to,
                     from,
-                    msgs: vec![msg],
+                    bytes: queued_bytes,
+                    msg,
+                },
+            );
+        }
+        for (to, at, bytes, msg) in dups {
+            let tie = self.next_tie(from);
+            sink.push(
+                at,
+                tie,
+                Event::Deliver {
+                    to,
+                    from,
+                    bytes,
+                    msg,
                 },
             );
         }
         let epoch = self.epochs[from.index()];
-        for (delay, tag) in timers {
+        for (delay, tag) in timers.drain(..) {
             let tie = self.next_tie(from);
             sink.push(
                 now + delay,
@@ -672,9 +682,7 @@ impl<'a, A: App> Lane<'a, A> {
     }
 
     /// Process one popped event at time `now` — the dispatch shared
-    /// verbatim by [`Simulator::step`] and the shard workers. A batched
-    /// delivery counts one logical event per message it carries, so
-    /// `events_processed` is identical to the unbatched baseline.
+    /// verbatim by [`Simulator::step`] and the shard workers.
     pub(crate) fn dispatch<S: LaneSink<A::Msg>>(
         &mut self,
         sink: &mut S,
@@ -689,31 +697,33 @@ impl<'a, A: App> Lane<'a, A> {
                 }
                 self.invoke(sink, now, node, |app, ctx| app.on_start(ctx));
             }
-            Event::Deliver { to, from, msgs } => {
-                // Messages in a batch are delivered in push order; each gets
-                // its own journal record, metrics, and app callback, exactly
-                // as if it had been queued alone.
-                for msg in msgs {
-                    *self.events_processed += 1;
-                    if self.failed[to.index()] {
-                        sink.record_loss(msg.kind(), DropReason::DeadNode);
-                        sink.emit(now, || TraceEvent::Drop {
-                            from,
-                            to,
-                            kind: msg.kind(),
-                            reason: DropReason::DeadNode,
-                        });
-                    } else {
-                        let _span = self.telemetry.span("sim.deliver");
-                        sink.record_rx(to, msg.size_bytes(), msg.kind());
-                        sink.emit(now, || TraceEvent::Deliver {
-                            from,
-                            to,
-                            kind: msg.kind(),
-                            bytes: msg.size_bytes(),
-                        });
-                        self.invoke(sink, now, to, |app, ctx| app.on_message(ctx, from, msg));
-                    }
+            Event::Deliver {
+                to,
+                from,
+                bytes,
+                msg,
+            } => {
+                *self.events_processed += 1;
+                let kind = msg.kind();
+                if self.failed[to.index()] {
+                    sink.record_loss(kind, DropReason::DeadNode);
+                    sink.emit(now, || TraceEvent::Drop {
+                        from,
+                        to,
+                        kind,
+                        reason: DropReason::DeadNode,
+                    });
+                } else {
+                    let _span = self.telemetry.span("sim.deliver");
+                    let bytes = bytes as usize;
+                    sink.record_rx(to, bytes, kind);
+                    sink.emit(now, || TraceEvent::Deliver {
+                        from,
+                        to,
+                        kind,
+                        bytes,
+                    });
+                    self.invoke(sink, now, to, |app, ctx| app.on_message(ctx, from, msg));
                 }
             }
             Event::Timer { node, tag, epoch } => {
@@ -785,7 +795,8 @@ pub struct Simulator<A: App> {
     /// Per-origin tie counters (`tie = origin << 32 | counter`).
     pub(crate) counters: Vec<u32>,
     pub(crate) pushes: u64,
-    pub(crate) batched_msgs: u64,
+    /// Callback output buffers of the serial lane (see [`Scratch`]).
+    pub(crate) scratch: Scratch<A::Msg>,
     pub(crate) skew: Vec<SimTime>,
     /// Crashed nodes: deliver nothing, fire no timers, send nothing.
     pub(crate) failed: Vec<bool>,
@@ -871,7 +882,7 @@ impl<A: App> Simulator<A> {
             now: 0,
             counters,
             pushes: 0,
-            batched_msgs: 0,
+            scratch: Scratch::default(),
             skew,
             failed,
             epochs,
@@ -926,7 +937,7 @@ impl<A: App> Simulator<A> {
                 send_hists: &mut self.send_hists,
                 base: 0,
                 events_processed: &mut self.events_processed,
-                batched_msgs: &mut self.batched_msgs,
+                scratch: &mut self.scratch,
             },
             MainSink {
                 queue: &mut self.queue,
@@ -1008,7 +1019,6 @@ impl<A: App> Simulator<A> {
     pub fn sched_stats(&self) -> SchedStats {
         let mut s = SchedStats {
             pushes: self.pushes,
-            batched_msgs: self.batched_msgs,
             ..SchedStats::default()
         };
         match &self.queue {
@@ -1692,7 +1702,6 @@ mod tests {
         assert_eq!(a.events_processed(), b.events_processed());
         assert_eq!(a.now(), b.now());
         assert_eq!(a.sched_stats().pushes, b.sched_stats().pushes);
-        assert_eq!(a.sched_stats().batched_msgs, b.sched_stats().batched_msgs);
         let ta: Vec<_> = a.nodes().map(|n| n.received_at).collect();
         let tb: Vec<_> = b.nodes().map(|n| n.received_at).collect();
         assert_eq!(ta, tb);
@@ -1718,52 +1727,60 @@ mod tests {
         assert_eq!(sim.now(), now + 10);
     }
 
+    /// Two sends on one link from one callback that land on the same tick
+    /// (zero jitter) are two queue operations with consecutive ties of one
+    /// origin: they pop in send order under every backend.
     #[test]
-    fn zero_jitter_broadcast_batches_per_link() {
-        // With a deterministic hop delay every broadcast send to a given
-        // neighbor shares its arrival tick with... no other send (different
-        // neighbors differ in `to`), so batching only triggers when the app
-        // sends twice to one neighbor in one callback.
+    fn same_link_same_tick_sends_deliver_in_send_order() {
         struct DoubleSend {
             id: NodeId,
-            heard: u32,
+            heard: Vec<u8>,
         }
         #[derive(Clone)]
-        struct Two;
-        impl MsgMeta for Two {
+        struct Nth(u8);
+        impl MsgMeta for Nth {
             fn size_bytes(&self) -> usize {
                 4
             }
         }
         impl App for DoubleSend {
-            type Msg = Two;
-            fn on_start(&mut self, ctx: &mut Ctx<Two>) {
+            type Msg = Nth;
+            fn on_start(&mut self, ctx: &mut Ctx<Nth>) {
                 if self.id == NodeId(0) {
-                    let peers: Vec<NodeId> = ctx.neighbors().to_vec();
-                    for p in peers {
-                        ctx.send(p, Two);
-                        ctx.send(p, Two); // same link, same tick → batched
-                    }
+                    ctx.send(NodeId(1), Nth(1));
+                    ctx.send(NodeId(1), Nth(2));
                 }
             }
-            fn on_message(&mut self, _: &mut Ctx<Two>, _: NodeId, _: Two) {
-                self.heard += 1;
+            fn on_message(&mut self, _: &mut Ctx<Nth>, _: NodeId, msg: Nth) {
+                self.heard.push(msg.0);
             }
         }
-        let cfg = SimConfig {
-            hop_delay: (10, 10), // zero jitter: both sends arrive together
-            ..SimConfig::default()
+        let run = |sched: Sched| {
+            let cfg = SimConfig {
+                hop_delay: (10, 10), // zero jitter: both sends arrive together
+                sched,
+                ..SimConfig::default()
+            };
+            let shared = crate::trace::SharedJournal::new(cfg.seed);
+            let mut sim = Simulator::new(Topology::grid(2, 1), cfg, |id, _| DoubleSend {
+                id,
+                heard: Vec::new(),
+            });
+            sim.set_shard_threshold(0); // force lockstep windows
+            sim.set_trace(Box::new(shared.clone()));
+            sim.run_to_quiescence(1_000);
+            assert_eq!(sim.node(NodeId(1)).heard, [1, 2], "{sched:?}");
+            let stats = sim.sched_stats();
+            assert_eq!(stats.pushes, 2 + 2, "two starts, one push per send");
+            assert_eq!(stats.batched_msgs, 0);
+            assert_eq!(sim.events_processed(), 2 + 2);
+            shared.take()
         };
-        let mut sim = Simulator::new(Topology::grid(2, 1), cfg, |id, _| DoubleSend {
-            id,
-            heard: 0,
-        });
-        sim.run_to_quiescence(1_000);
-        assert_eq!(sim.node(NodeId(1)).heard, 2);
-        let stats = sim.sched_stats();
-        assert_eq!(stats.batched_msgs, 1, "second send rides the first");
-        // Logical event count is per message, not per queue op.
-        assert_eq!(sim.events_processed(), 2 + 2);
+        let wheel = run(Sched::Wheel);
+        assert_eq!(wheel.summary().sends, 2);
+        for sched in [Sched::Heap, Sched::Shard { workers: 2 }] {
+            assert_eq!(wheel.to_text(), run(sched).to_text(), "{sched:?}");
+        }
     }
 
     #[test]

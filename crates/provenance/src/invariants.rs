@@ -177,6 +177,7 @@ mod tests {
     fn dag_and_owner_agree_on_liveness_under_redelivery() {
         use sensorlog_core::msg::Payload;
         use sensorlog_netsim::App;
+        use std::sync::Arc;
         let (mut d, _events) = join_deployment();
         let q = Symbol::intern("q");
         let t = Tuple::new(vec![Term::Int(1), Term::Int(2)]);
@@ -213,7 +214,7 @@ mod tests {
                     tau,
                     origin,
                 };
-                node.on_message(ctx, owner, delta);
+                node.on_message(ctx, owner, Arc::new(delta));
             });
             let node = d.node(owner);
             assert_eq!(
