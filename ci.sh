@@ -29,7 +29,7 @@ cargo test --workspace -q
 #    (the same flood with 20x the traffic performs the same number of walks);
 #  - core: a queued simulator event must stay 24 bytes whatever `Payload`
 #    is, and the node's wire message one pointer (`netsim` queues an app's
-#    message by value; wheel slots keep their capacity);
+#    message by value in a heap whose buffer is its peak pending count);
 #  - eval: no engine may make a keyed probe on a signature it did not
 #    register (an unplanned evaluation order is a filtered scan per probe);
 #  - core: a node's join looks its fragments up through `Relation::probe`,
@@ -53,13 +53,17 @@ cargo test --workspace -q
 #    its links and drops a duplicate through the pointer, and a walk message
 #    the dup window queued twice is consumed as two copies;
 #  - netsim: two sends on one link at one tick are two queue operations and
-#    pop in send order under Heap / Wheel / Shard (what same-tick batching
-#    used to guarantee by riding one event);
+#    pop in send order under Heap / Shard (what same-tick batching used to
+#    guarantee by riding one event);
+#  - netsim: the event queue retains room for what it held pending, not for
+#    every tick it ever saw (5,000 ticks of 8-event bursts leave the heap
+#    sized for 16 events at a peak of 15; the timer wheel it replaced kept
+#    room for 32,768);
 #  - core: `pred:* sent_*` equals the simulator's tx count, partitioned or
 #    not (a payload with no route is a routing drop, not a send).
 # The boundary-resolve cap (tests/boundary_sites.rs) ran with the workspace
 # tests above.
-echo "== count gates (keyed registry walks, queued event size, unplanned probes, node probe ranges, router hops, id table race, expiry queue, message ownership, send order, sent counters) =="
+echo "== count gates (keyed registry walks, queued event size, unplanned probes, node probe ranges, router hops, id table race, expiry queue, message ownership, send order, queue memory, sent counters) =="
 for gate in \
     "sensorlog-netsim sim::tests::keyed_registry_walks_do_not_grow_with_traffic" \
     "sensorlog-core msg::tests::queued_event_stays_payload_independent" \
@@ -74,6 +78,7 @@ for gate in \
     "sensorlog-core runtime::tests::a_flood_shares_one_allocation_among_neighbours" \
     "sensorlog-core runtime::tests::a_duplicated_walk_message_is_processed_as_two_copies" \
     "sensorlog-netsim sim::tests::same_link_same_tick_sends_deliver_in_send_order" \
+    "sensorlog-netsim sim::tests::queue_memory_follows_pending_events" \
     "sensorlog-core deploy::tests::sent_counters_equal_transmissions_under_partition"; do
     read -r crate name <<<"$gate"
     out=$(cargo test -q -p "$crate" --lib -- --exact "$name" 2>&1) || { echo "$out"; exit 1; }
@@ -94,6 +99,14 @@ fi
 echo "== one replica store (no frag_ids under crates/ or src/) =="
 if grep -rn 'frag_ids' crates src; then
     echo "a second record of a replica: keep its id in the fragment store's TupleMeta"; exit 1
+fi
+
+# One event queue: a binary heap keyed (at, tie), one per region under the
+# shard backend. The parent also shipped a 4,096-slot timer wheel that was
+# slower on every workload and kept each slot's high-water buffer.
+echo "== one event queue (no TimerWheel, Sched::Wheel, wheel.rs under crates/ src/ tests/) =="
+if grep -rn 'TimerWheel\|Sched::Wheel\|wheel\.rs' crates src tests; then
+    echo "a second event queue is back: schedule on the heap (netsim::sim::EventHeap)"; exit 1
 fi
 
 # A message is allocated at its origin and queued inline: the parent boxed
@@ -160,13 +173,13 @@ if [[ "$fast" -eq 0 ]]; then
     # list, so deleting or renaming a gate fails CI. `bench_cases` must equal
     # `bench --list` (crates/bench/tests/parallel_driver.rs).
     echo "== bench --quick (all cases; gate set pinned) =="
-    bench_cases="smoke micro sched shard chaos prov intern diag scale"
+    bench_cases="smoke micro shard chaos prov intern diag scale"
     bench_gates="smoke.snapshot_schema_is_golden smoke.snapshot_plausible
         micro.inc_ledger_keys_equal_live_tuples
-        shard.wheel_journal_pin shard.shard1_journal_equals_wheel
-        shard.shard2_journal_equals_wheel shard.shard4_journal_equals_wheel
-        shard.shard8_journal_equals_wheel
-        chaos.wheel_journal_equals_heap chaos.shard2_journal_equals_heap chaos.heap_journal_pin
+        shard.heap_journal_pin shard.shard1_journal_equals_heap
+        shard.shard2_journal_equals_heap shard.shard4_journal_equals_heap
+        shard.shard8_journal_equals_heap
+        chaos.shard2_journal_equals_heap chaos.heap_journal_pin
         chaos.convergence_violations
         prov.journal_pin prov.journal_identical_off_vs_on prov.records_when_disabled
         prov.sampled_critical_path_is_causal

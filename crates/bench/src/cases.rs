@@ -26,15 +26,11 @@ use sensorlog_logic::diag::{memory_bounds, BoundParams};
 use sensorlog_logic::parser::parse_term;
 use sensorlog_logic::unify::{match_term, Subst};
 use sensorlog_logic::{intern, Symbol, Term, Tuple};
-use sensorlog_netsim::{
-    FaultSchedule, Journal, NodeId, RandomFaults, Sched, SimConfig, SimTime, TimerWheel, Topology,
-};
+use sensorlog_netsim::{FaultSchedule, Journal, NodeId, RandomFaults, Sched, SimConfig, Topology};
 use sensorlog_netstack::tag::run_epoch;
 use sensorlog_netstack::tree::GatherTree;
 use sensorlog_provenance::{critical_path, ProofNode, ProvDag};
 use sensorlog_telemetry::{Snapshot, Telemetry};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::hint::black_box;
 
 /// A case fills its report; the flag is `--quick`.
@@ -44,7 +40,6 @@ pub type Case = fn(bool, &mut Report);
 pub const CASES: &[(&str, Case)] = &[
     ("smoke", smoke),
     ("micro", micro),
-    ("sched", sched),
     ("shard", shard),
     ("chaos", chaos),
     ("prov", prov),
@@ -233,103 +228,19 @@ fn micro(quick: bool, r: &mut Report) {
     );
 }
 
-// ---------------------------------------------------------------- sched
-
-/// The bounded per-hop delay window the queue rows draw from; it is what
-/// makes the calendar-queue layout effective (successors land within a few
-/// ring slots of the head).
-const HOP_DELAY: (u64, u64) = (10, 40);
-
-trait Queue {
-    fn push_at(&mut self, at: SimTime, seq: u64);
-    fn pop_min(&mut self) -> Option<(SimTime, u64)>;
-}
-
-impl Queue for BinaryHeap<Reverse<(SimTime, u64)>> {
-    fn push_at(&mut self, at: SimTime, seq: u64) {
-        self.push(Reverse((at, seq)));
-    }
-    fn pop_min(&mut self) -> Option<(SimTime, u64)> {
-        self.pop().map(|Reverse(x)| x)
-    }
-}
-
-impl Queue for TimerWheel<()> {
-    fn push_at(&mut self, at: SimTime, seq: u64) {
-        self.push(at, seq, ());
-    }
-    fn pop_min(&mut self) -> Option<(SimTime, u64)> {
-        self.pop().map(|(at, seq, ())| (at, seq))
-    }
-}
-
-/// `[hold, enqueue, dequeue]` operations per second at a pending
-/// population of `n`. Hold is the simulator's steady state: pop the head,
-/// push its successor one hop delay later. Enqueue / dequeue fill from
-/// empty and drain, repeated so small populations accumulate work.
-fn queue_rates<Q: Queue>(mk: fn() -> Q, n: usize, hold_ops: usize) -> [f64; 3] {
-    let mut rng = StdRng::seed_from_u64(0xBE0C + n as u64);
-    let init: Vec<(SimTime, u64)> = (0..n as u64)
-        .map(|seq| (rng.gen_range(1_000..1_000 + HOP_DELAY.1), seq))
-        .collect();
-    let fill = |q: &mut Q| init.iter().for_each(|&(at, seq)| q.push_at(at, seq));
-
-    let mut q = mk();
-    fill(&mut q);
-    let ((), hold_s) = timed(|| {
-        for seq in 0..hold_ops as u64 {
-            let (at, _) = q.pop_min().expect("hold model never drains");
-            q.push_at(
-                at + rng.gen_range(HOP_DELAY.0..=HOP_DELAY.1),
-                n as u64 + seq,
-            );
-        }
-    });
-
-    let rounds = (200_000 / n).max(1);
-    let (mut enq_s, mut deq_s) = (0.0, 0.0);
-    for _ in 0..rounds {
-        let mut q = mk();
-        enq_s += timed(|| fill(&mut q)).1;
-        deq_s += timed(|| while q.pop_min().is_some() {}).1;
-    }
-    let total = (rounds * n) as f64;
-    [hold_ops as f64 / hold_s, total / enq_s, total / deq_s]
-}
-
-/// The event queue under the simulator's hold model, `BinaryHeap` against
-/// `TimerWheel`, one pending event per node.
-fn sched(quick: bool, r: &mut Report) {
-    let (sizes, hold_ops): (&[usize], usize) = if quick {
-        (&[100, 1_000], 20_000)
-    } else {
-        (&[100, 1_000, 10_000, 100_000], 2_000_000)
-    };
-    for &n in sizes {
-        let heap = queue_rates(BinaryHeap::new, n, hold_ops);
-        let wheel = queue_rates(TimerWheel::new, n, hold_ops);
-        for (backend, q) in [("heap", heap), ("wheel", wheel)] {
-            r.row(row![
-                "nodes" => n, "backend" => backend, "hold_per_s" => q[0] as u64,
-                "enqueue_per_s" => q[1] as u64, "dequeue_per_s" => q[2] as u64,
-                "dequeue_vs_heap" => q[2] / heap[2],
-            ]);
-        }
-    }
-}
-
 // ---------------------------------------------------------------- shard
 
-/// `(grid, horizon ms, wheel journal hash)` for `--quick` and the full
-/// 100,000-node run. The horizon covers tree convergence after all links
-/// inject at t = 100.
+/// `(grid, horizon ms, journal hash)` for `--quick` and the full
+/// 4,000-node run (a size a shared 2-core host finishes in seconds; the
+/// 100,000-node one needed ~8 GB). The horizon covers tree convergence
+/// after all links inject at t = 100.
 const SHARD: [((u32, u32), u64, u64); 2] = [
     ((30, 20), 400_000, 0x4542_42ed_8c28_a208),
-    ((400, 250), 4_000_000, 0xb89d_a5cb_1cb0_fb2c),
+    ((80, 50), 4_000_000, 0x3646_94fb_a5fa_ce46),
 ];
 
-/// Lossy logicH under the single wheel and under `Sched::Shard` at 1 / 2 /
-/// 4 / 8 workers. Every journal must equal the wheel's, so the curve
+/// Lossy logicH under the serial heap and under `Sched::Shard` at 1 / 2 /
+/// 4 / 8 workers. Every journal must equal the heap's, so the curve
 /// compares execution strategies, never models. All links inject at once
 /// so every region has work in every window, and worker threads stay off
 /// so the per-region busy clocks measure region work, not spawn noise:
@@ -337,10 +248,10 @@ const SHARD: [((u32, u32), u64, u64); 2] = [
 /// critical path) is what a host with ≥ `workers` cores reaches.
 fn shard(quick: bool, r: &mut Report) {
     let (grid, horizon, pin) = SHARD[usize::from(!quick)];
-    let mut wheel: Option<(JournalId, f64)> = None;
+    let mut heap: Option<(JournalId, f64)> = None;
     for workers in [0usize, 1, 2, 4, 8] {
         let (label, sched) = match workers {
-            0 => ("wheel".to_string(), Sched::Wheel),
+            0 => ("heap".to_string(), Sched::Heap),
             _ => (format!("shard{workers}"), Sched::Shard { workers }),
         };
         let sim = SimConfig {
@@ -355,18 +266,18 @@ fn shard(quick: bool, r: &mut Report) {
         let id = JournalId::of(&journal.take());
         let s = d.sched_stats();
         let model = (workers > 0).then(|| s.shard_work_ns as f64 / s.shard_crit_ns.max(1) as f64);
-        let &mut (wheel_id, wheel_s) = wheel.get_or_insert((id, wall_s));
+        let &mut (heap_id, heap_s) = heap.get_or_insert((id, wall_s));
         if workers == 0 {
-            r.gate("wheel_journal_pin", hex(pin), hex(id.hash));
+            r.gate("heap_journal_pin", hex(pin), hex(id.hash));
         } else {
-            r.gate(&format!("{label}_journal_equals_wheel"), wheel_id, id);
+            r.gate(&format!("{label}_journal_equals_heap"), heap_id, id);
         }
         if workers == 4 && !quick {
             r.gate("model_speedup_at_4_workers_ge_2", true, model >= Some(2.0));
         }
         r.row(row![
             "sched" => label, "nodes" => u64::from(grid.0 * grid.1), "wall_s" => wall_s,
-            "wall_speedup" => wheel_s / wall_s, "model_speedup" => model,
+            "wall_speedup" => heap_s / wall_s, "model_speedup" => model,
             "regions" => s.shard_regions, "windows" => s.shard_windows,
             "cross_msgs" => s.shard_cross_msgs, "serial_events" => s.shard_serial_events,
             "work_ms" => s.shard_work_ns as f64 / 1e6, "crit_ms" => s.shard_crit_ns as f64 / 1e6,
@@ -381,7 +292,7 @@ const HEAL_BY: u64 = 14_000;
 const ACTIVE_UNTIL: u64 = 26_000;
 
 /// Journal of the scripted crash / partition scenario, identical under
-/// heap, wheel and 2-worker shard.
+/// the serial heap and the 2-worker shard.
 const CHAOS_PIN: u64 = 0xbc02_6db1_28c9_1410;
 
 /// The churny two-stream join on a 4×4 grid with the fault plane on, under
@@ -430,7 +341,7 @@ fn chaos_run(seed: u64, sched: Sched, faults: Option<FaultSchedule>) -> (Deploym
 /// Fault-plane cost and convergence: a seeded fault-rate sweep (crash–
 /// restart pairs plus link flaps, all healed by `HEAL_BY`) against the
 /// fault-free baseline with the plane on, then one scripted scenario under
-/// all three scheduler backends.
+/// both scheduler backends.
 fn chaos(quick: bool, r: &mut Report) {
     let rates: &[(usize, usize)] = if quick {
         &[(0, 0), (2, 2)]
@@ -482,13 +393,8 @@ fn chaos(quick: bool, r: &mut Report) {
     violations += invariants::check_convergence(&heap, &[sym("q")])
         .violations
         .len();
-    for (name, sched) in [
-        ("wheel", Sched::Wheel),
-        ("shard2", Sched::Shard { workers: 2 }),
-    ] {
-        let (_, id) = chaos_run(42, sched, Some(script()));
-        r.gate(&format!("{name}_journal_equals_heap"), heap_id, id);
-    }
+    let (_, shard_id) = chaos_run(42, Sched::Shard { workers: 2 }, Some(script()));
+    r.gate("shard2_journal_equals_heap", heap_id, shard_id);
     r.gate("heap_journal_pin", hex(CHAOS_PIN), hex(heap_id.hash));
     r.gate("convergence_violations", 0, violations);
     r.row(row![

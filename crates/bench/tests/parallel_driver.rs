@@ -84,7 +84,7 @@ fn single_spec_roundtrip() {
 #[test]
 fn mismatched_pin_fails_the_exit_path_by_name() {
     let mut ok = Report::new("shard", true);
-    ok.gate("wheel_journal_pin", "454242ed8c28a208", "454242ed8c28a208");
+    ok.gate("heap_journal_pin", "454242ed8c28a208", "454242ed8c28a208");
     assert!(failed_gates(std::slice::from_ref(&ok)).is_empty());
 
     let mut drifted = Report::new("prov", true);

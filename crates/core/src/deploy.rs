@@ -215,20 +215,20 @@ impl Deployment {
     /// Force the sharded scheduler into lockstep windows even when few
     /// events are pending (it falls back to serial single-event stepping
     /// below a pending-queue threshold). Testing/benchmark hook; no effect
-    /// under the wheel or heap backends.
+    /// under `Sched::Heap`.
     pub fn set_shard_threshold(&mut self, min_pending: usize) {
         self.sim.set_shard_threshold(min_pending);
     }
 
     /// Toggle worker threads for the sharded scheduler (windows run inline
     /// on the calling thread when off — same schedule, no spawn overhead).
-    /// Benchmark hook; no effect under the wheel or heap backends.
+    /// Benchmark hook; no effect under `Sched::Heap`.
     pub fn set_shard_threading(&mut self, on: bool) {
         self.sim.set_shard_threading(on);
     }
 
-    /// Scheduler-backend counters (queue ops, wheel tiers, shard windows
-    /// and critical-path nanoseconds) for the run so far.
+    /// Scheduler-backend counters (queue ops, shard windows and
+    /// critical-path nanoseconds) for the run so far.
     pub fn sched_stats(&self) -> sensorlog_netsim::SchedStats {
         self.sim.sched_stats()
     }
@@ -375,21 +375,12 @@ impl Deployment {
             snap.absorb_registry(&reg);
         }
         snap.absorb_profiler(&self.sim.telemetry().profiler());
-        // Scheduler operation counters (wheel tiers are zero under the
-        // heap backend).
+        // Scheduler operation counters.
         let sched = self.sim.sched_stats();
         // Per-node runtime stats, rolled up network-wide.
         let mut rollup = MetricsRegistry::new();
         rollup.bump(Scope::Global, "sched.pushes", sched.pushes);
-        rollup.bump(Scope::Global, "sched.ring_pushes", sched.ring_pushes);
-        rollup.bump(Scope::Global, "sched.spill_pushes", sched.spill_pushes);
-        rollup.bump(Scope::Global, "sched.migrations", sched.migrations);
-        rollup.bump(
-            Scope::Global,
-            "sched.window_advances",
-            sched.window_advances,
-        );
-        // Shard-backend gauges (all zero under the serial backends):
+        // Shard-backend gauges (all zero under the serial heap):
         // lockstep windows, barrier-mailbox traffic, serial-fallback events,
         // and the summed busy / critical-path nanoseconds whose ratio is
         // the model parallel speedup.

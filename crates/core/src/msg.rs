@@ -197,9 +197,10 @@ mod tests {
         )
     }
 
-    /// Every pending timer-wheel entry is one queued event, and wheel slots
-    /// keep their capacity, so the simulator's heap scales with this size.
-    /// `netsim` queues an app's message by value, so an `App` whose message
+    /// Every pending event is one entry of the simulator's event heap, whose
+    /// buffer is as big as the most events it ever held pending, so the
+    /// run's peak heap scales with this size. `netsim` queues an app's
+    /// message by value, so an `App` whose message
     /// is bigger than a pointer boxes or `Arc`s it: the node's is an `Arc`,
     /// and a queued delivery is two node ids, the carried size and that
     /// pointer.

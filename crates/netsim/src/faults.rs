@@ -3,7 +3,7 @@
 //! A [`FaultSchedule`] is a seeded, sorted script of [`FaultEvent`]s —
 //! node crashes and restarts, link partitions, per-link loss overrides,
 //! and duplication/reordering windows — applied by the simulator at exact
-//! event ticks under every scheduler backend (Heap/Wheel/Shard). Each
+//! event ticks under either scheduler backend (Heap/Shard). Each
 //! applied fault is journaled as a [`TraceEvent`](crate::TraceEvent), so
 //! a chaotic run is exactly as replayable as a clean one: same seed, same
 //! schedule, byte-identical journal.

@@ -16,12 +16,11 @@
 //! Nodes implement [`sim::App`]; the harness injects sensor readings via
 //! [`sim::Simulator::invoke`].
 //!
-//! Three interchangeable scheduler backends ([`sim::Sched`]) pop events
-//! in the identical global `(at, key)` order: a retained binary heap
-//! (reference oracle), a hierarchical timer wheel (default), and a
-//! region-sharded conservative-PDES backend ([`shard`]) that advances
-//! per-region wheels on worker threads in lookahead-bounded lockstep
-//! windows — byte-identical journals, pinned in
+//! Events wait in one binary heap keyed `(at, tie)` ([`sim::Sched::Heap`],
+//! the default), or in one such heap per region under the conservative-
+//! PDES backend ([`shard`]), which advances the regions on worker threads
+//! in lookahead-bounded lockstep windows. Both pop in the identical global
+//! `(at, tie)` order — byte-identical journals, pinned in
 //! `tests/trace_stability.rs`.
 
 #![forbid(unsafe_code)]
@@ -32,7 +31,6 @@ pub(crate) mod shard;
 pub mod sim;
 pub mod topology;
 pub mod trace;
-pub mod wheel;
 
 pub use faults::{FaultEvent, FaultKind, FaultSchedule, LinkState, RandomFaults};
 pub use metrics::{EnergyModel, Metrics, NodeCounters};
@@ -42,4 +40,3 @@ pub use trace::{
     DropReason, Journal, ReplayChecker, SharedJournal, SharedSummary, TraceEvent, TraceRecord,
     TraceSink, TraceSummary,
 };
-pub use wheel::TimerWheel;

@@ -1,14 +1,15 @@
 //! Region-sharded conservative-PDES scheduler backend.
 //!
 //! The node space splits into `workers` contiguous regions, each owning a
-//! private [`TimerWheel`]. The scheduler alternates two modes:
+//! private [`EventHeap`] — the serial backend's queue, one per region. The
+//! scheduler alternates two modes:
 //!
 //! * **Serial fallback** — below [`PAR_THRESHOLD`] pending events the main
 //!   loop pops the globally minimal `(at, tie)` head across regions and
-//!   steps exactly like the single-wheel backend (no barrier overhead on
-//!   sparse phases).
+//!   steps exactly like the serial heap (no barrier overhead on sparse
+//!   phases).
 //! * **Lockstep windows** — otherwise every region concurrently drains its
-//!   own wheel over `[t, t + L)`, where `t` is the global minimum pending
+//!   own heap over `[t, t + L)`, where `t` is the global minimum pending
 //!   timestamp and the lookahead `L = hop_delay.0` is the *minimum* per-hop
 //!   delay. Any message generated inside the window arrives at
 //!   `≥ now + L ≥ t + L`, so no region can receive work for the current
@@ -19,8 +20,8 @@
 //!
 //! Cross-region sends are appended to per-`(src, dst)` mailboxes during the
 //! window (a `debug_assert` enforces `at ≥ window end`) and flushed into the
-//! destination wheels at the barrier, in region order — deterministic
-//! because the wheels key strictly on `(at, tie)` regardless of push order.
+//! destination heaps at the barrier, in region order — deterministic
+//! because the heaps key strictly on `(at, tie)` regardless of push order.
 //!
 //! **Determinism / oracle equivalence.** Ties are origin-keyed
 //! (`origin << 32 | counter`), every random draw comes from the sender's
@@ -29,20 +30,20 @@
 //! to that region, because concurrent windows contain no cross-region
 //! dependencies. Journal records are tagged with the key of the event that
 //! produced them and k-way merged by `(at, key)` at each barrier, yielding a
-//! byte-identical journal to the single-wheel oracle
-//! (`tests/trace_stability.rs` pins all three backends to one hash).
+//! byte-identical journal to the serial heap's
+//! (`tests/trace_stability.rs` pins both backends to one hash).
 //! Telemetry remains observational: workers record into the thread-safe
 //! registry, but nothing on the event path reads it.
 
 use crate::faults::LinkState;
 use crate::metrics::{kind_reason, Metrics, KIND_LOST, KIND_RX, KIND_SLOTS, KIND_TX};
 use crate::sim::{
-    App, Event, EventQueue, Lane, LaneSink, NodeRng, SchedStats, Scratch, SendHists, SimConfig,
+    App, Event, EventHeap, EventQueue, Lane, LaneSink, NodeRng, SchedStats, Scratch, SendHists,
+    SimConfig,
 };
 use crate::sim::{SimTime, Simulator};
 use crate::topology::{NodeId, Topology};
 use crate::trace::{DropReason, TraceEvent, TraceRecord};
-use crate::wheel::TimerWheel;
 use sensorlog_telemetry::Telemetry;
 
 /// Pending-event count below which the shard backend steps serially instead
@@ -194,7 +195,7 @@ impl LaneMetrics {
 /// A region worker's window-local output buffers.
 pub(crate) struct LaneScratch<M> {
     /// Cross-region mailboxes: `out[dst]` holds events bound for region
-    /// `dst`, flushed into its wheel at the window barrier.
+    /// `dst`, flushed into its heap at the window barrier.
     out: Vec<Vec<(SimTime, u64, Event<M>)>>,
     /// Journal records tagged `(at, key-of-producing-event)`; k-way merged
     /// into the global journal at the barrier. Internally sorted because the
@@ -219,13 +220,13 @@ pub(crate) struct ShardStats {
     pub(crate) crit_ns: u64,
 }
 
-/// The [`Sched::Shard`](crate::sim::Sched) event-queue state: one wheel +
+/// The [`Sched::Shard`](crate::sim::Sched) event-queue state: one heap +
 /// scratch per region. Pops (used by the serial fallback) select the
 /// globally minimal `(at, tie)` head across regions, so the queue is
-/// observationally identical to a single wheel.
+/// observationally identical to a single heap.
 pub(crate) struct ShardQueues<M> {
     pub(crate) part: Partition,
-    pub(crate) wheels: Vec<TimerWheel<Event<M>>>,
+    pub(crate) heaps: Vec<EventHeap<M>>,
     lanes: Vec<LaneScratch<M>>,
     pub(crate) stats: ShardStats,
 }
@@ -247,7 +248,7 @@ impl<M> ShardQueues<M> {
             .collect();
         ShardQueues {
             part,
-            wheels: (0..regions).map(|_| TimerWheel::new()).collect(),
+            heaps: (0..regions).map(|_| EventHeap::default()).collect(),
             lanes,
             stats: ShardStats::default(),
         }
@@ -255,37 +256,32 @@ impl<M> ShardQueues<M> {
 
     pub(crate) fn push(&mut self, at: SimTime, tie: u64, event: Event<M>) {
         let region = self.part.region_of(event.handler());
-        self.wheels[region].push(at, tie, event);
+        self.heaps[region].push(at, tie, event);
     }
 
     pub(crate) fn pop(&mut self) -> Option<(SimTime, u64, Event<M>)> {
-        let mut best: Option<(SimTime, u64, usize)> = None;
-        for (i, w) in self.wheels.iter_mut().enumerate() {
-            if let Some((at, tie)) = w.next_key() {
-                if best.is_none_or(|(bat, btie, _)| (at, tie) < (bat, btie)) {
-                    best = Some((at, tie, i));
-                }
-            }
-        }
-        let (_, _, i) = best?;
-        self.wheels[i].pop()
+        let (_, region) = self
+            .heaps
+            .iter()
+            .enumerate()
+            .filter_map(|(i, h)| Some((h.peek()?, i)))
+            .min()?;
+        self.heaps[region].pop()
     }
 
-    pub(crate) fn next_at(&mut self) -> Option<SimTime> {
-        self.wheels.iter_mut().filter_map(|w| w.next_at()).min()
+    pub(crate) fn next_at(&self) -> Option<SimTime> {
+        self.heaps
+            .iter()
+            .filter_map(|h| h.peek())
+            .min()
+            .map(|(at, _)| at)
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.wheels.iter().map(|w| w.len()).sum()
+        self.heaps.iter().map(EventHeap::len).sum()
     }
 
     pub(crate) fn fill_stats(&self, s: &mut SchedStats) {
-        for w in &self.wheels {
-            s.ring_pushes += w.stats.ring_pushes;
-            s.spill_pushes += w.stats.spill_pushes;
-            s.migrations += w.stats.migrations;
-            s.window_advances += w.stats.window_advances;
-        }
         s.shard_windows = self.stats.windows;
         s.shard_cross_msgs = self.stats.cross_msgs;
         s.shard_serial_events = self.stats.serial_events;
@@ -295,11 +291,11 @@ impl<M> ShardQueues<M> {
     }
 }
 
-/// The region worker's [`LaneSink`]: local events go to the region wheel,
+/// The region worker's [`LaneSink`]: local events go to the region heap,
 /// cross-region events to the mailbox for their destination, journal records
 /// to the window-local buffer.
 struct RegionSink<'a, M> {
-    wheel: &'a mut TimerWheel<Event<M>>,
+    heap: &'a mut EventHeap<M>,
     out: &'a mut [Vec<(SimTime, u64, Event<M>)>],
     trace: Option<&'a mut Vec<(SimTime, u64, TraceEvent)>>,
     metrics: &'a mut LaneMetrics,
@@ -318,7 +314,7 @@ impl<M> LaneSink<M> for RegionSink<'_, M> {
         self.pushes += 1;
         let dst = self.part.region_of(event.handler());
         if dst == self.region {
-            self.wheel.push(at, tie, event);
+            self.heap.push(at, tie, event);
         } else {
             // The conservative-PDES invariant: anything bound for another
             // region arrives at or after the window end (delay ≥ lookahead),
@@ -376,7 +372,7 @@ impl Copy for Shared<'_> {}
 struct RegionTask<'a, A: App> {
     region: usize,
     base: u32,
-    wheel: &'a mut TimerWheel<Event<A::Msg>>,
+    heap: &'a mut EventHeap<A::Msg>,
     scratch: &'a mut LaneScratch<A::Msg>,
     apps: &'a mut [A],
     rngs: &'a mut [NodeRng],
@@ -392,7 +388,7 @@ struct WindowResult {
     work_ns: u64,
 }
 
-/// Drain one region's wheel over `[window start, wend)`. Runs on a worker
+/// Drain one region's heap over `[window start, wend)`. Runs on a worker
 /// thread (or inline when threading is off — identical behavior).
 fn run_window<A: App>(task: RegionTask<'_, A>, shared: Shared<'_>) -> WindowResult {
     let t0 = std::time::Instant::now();
@@ -420,7 +416,7 @@ fn run_window<A: App>(task: RegionTask<'_, A>, shared: Shared<'_>) -> WindowResu
         scratch: ctx,
     };
     let mut sink = RegionSink {
-        wheel: task.wheel,
+        heap: task.heap,
         out,
         trace: shared.tracing.then_some(trace),
         metrics,
@@ -432,11 +428,8 @@ fn run_window<A: App>(task: RegionTask<'_, A>, shared: Shared<'_>) -> WindowResu
         cross: 0,
     };
     let mut last_at = None;
-    while let Some(at) = sink.wheel.next_at() {
-        if at >= shared.wend {
-            break;
-        }
-        let (at, tie, event) = sink.wheel.pop().expect("peeked head");
+    while sink.heap.peek().is_some_and(|(at, _)| at < shared.wend) {
+        let (at, tie, event) = sink.heap.pop().expect("peeked head");
         sink.cur_key = tie;
         last_at = Some(at);
         lane.dispatch(&mut sink, at, event);
@@ -498,7 +491,7 @@ where
         // Never let a window span a scheduled fault: events at or past the
         // fault tick wait until the fault has been applied on the main
         // thread, so a mid-window crash takes effect at its exact event
-        // tick — identically to the serial backends.
+        // tick — identically to the serial heap.
         if let Some(f) = self.next_fault_at(limit) {
             debug_assert!(f > t, "drain loop applies due faults first");
             wend = wend.min(f);
@@ -527,8 +520,7 @@ where
         let mut counters: &mut [u32] = &mut self.counters;
         let mut send_hists: &mut [SendHists] = &mut self.send_hists;
         let mut tasks = Vec::with_capacity(nregions);
-        for (region, (wheel, scratch)) in sq.wheels.iter_mut().zip(sq.lanes.iter_mut()).enumerate()
-        {
+        for (region, (heap, scratch)) in sq.heaps.iter_mut().zip(sq.lanes.iter_mut()).enumerate() {
             let (base, len) = part.range(region);
             let (a, rest) = std::mem::take(&mut apps).split_at_mut(len as usize);
             apps = rest;
@@ -541,7 +533,7 @@ where
             tasks.push(RegionTask {
                 region,
                 base,
-                wheel,
+                heap,
                 scratch,
                 apps: a,
                 rngs: r,
@@ -582,8 +574,8 @@ where
             }
         }
         sq.stats.crit_ns += crit;
-        // Flush cross-region mailboxes into the destination wheels. Push
-        // order across sources is irrelevant: wheels key on (at, tie).
+        // Flush cross-region mailboxes into the destination heaps. Push
+        // order across sources is irrelevant: heaps key on (at, tie).
         for src in 0..nregions {
             for dst in 0..nregions {
                 if src == dst || sq.lanes[src].out[dst].is_empty() {
@@ -591,7 +583,7 @@ where
                 }
                 let mailbox = std::mem::take(&mut sq.lanes[src].out[dst]);
                 for (at, tie, event) in mailbox {
-                    sq.wheels[dst].push(at, tie, event);
+                    sq.heaps[dst].push(at, tie, event);
                 }
             }
         }

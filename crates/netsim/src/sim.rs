@@ -17,7 +17,6 @@ use crate::metrics::Metrics;
 use crate::shard::ShardQueues;
 use crate::topology::{NodeId, Topology};
 use crate::trace::{DropReason, TraceEvent, TraceRecord, TraceSink};
-use crate::wheel::TimerWheel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sensorlog_telemetry::{HistId, Scope, Telemetry, BYTES_BUCKETS, SIM_MS_BUCKETS};
@@ -71,20 +70,18 @@ pub trait App: Sized {
     fn on_timer(&mut self, _ctx: &mut Ctx<Self::Msg>, _tag: u64) {}
 }
 
-/// Event-queue backend. Every variant pops in exactly `(at, tie)` order, so
-/// for a fixed seed a run is byte-identical under any of them — the choice
-/// is purely about throughput (see DESIGN.md "Scheduler" and
-/// `tests/trace_stability.rs`, which pins all backends to one golden hash).
+/// Event-queue backend. Both variants pop in exactly `(at, tie)` order, so
+/// for a fixed seed a run is byte-identical under either — the choice is
+/// purely about execution (see DESIGN.md "Scheduler" and
+/// `tests/trace_stability.rs`, which pins both backends to one golden hash).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Sched {
-    /// Two-tier calendar queue ([`crate::wheel::TimerWheel`]): O(1)
-    /// amortised push/pop keyed on the bounded per-hop delay model.
-    Wheel,
-    /// The original `BinaryHeap<Reverse<Queued>>`: O(log n) per operation.
-    /// Kept as the reference implementation and for A/B benchmarks.
+    /// One binary heap on `(at, tie)` (the default): O(log n) per operation
+    /// over the few hundred to few thousand events a deployment holds
+    /// pending, and memory that follows the pending count.
     Heap,
     /// Conservative-PDES region sharding: the node space splits into
-    /// `workers` contiguous regions, each with its own wheel, advanced in
+    /// `workers` contiguous regions, each with its own heap, advanced in
     /// lockstep windows bounded by the minimum hop delay (the lookahead).
     /// Cross-region sends ride per-pair mailboxes flushed at window
     /// barriers. Requires `hop_delay.0 ≥ 1`. See [`crate::shard`].
@@ -109,7 +106,7 @@ pub struct SimConfig {
     pub clock_skew_max: SimTime,
     /// RNG seed; fixed seed ⇒ fully deterministic run.
     pub seed: u64,
-    /// Event-queue backend; observationally pure, defaults to the wheel.
+    /// Event-queue backend; observationally pure, defaults to the heap.
     pub sched: Sched,
 }
 
@@ -122,7 +119,7 @@ impl Default for SimConfig {
             retries: 0,
             clock_skew_max: 0,
             seed: 0xC0FFEE,
-            sched: Sched::Wheel,
+            sched: Sched::Heap,
         }
     }
 }
@@ -163,10 +160,10 @@ impl<M> Event<M> {
     }
 }
 
-pub(crate) struct Queued<M> {
-    pub(crate) at: SimTime,
-    pub(crate) tie: u64,
-    pub(crate) event: Event<M>,
+struct Queued<M> {
+    at: SimTime,
+    tie: u64,
+    event: Event<M>,
 }
 
 impl<M> PartialEq for Queued<M> {
@@ -183,6 +180,45 @@ impl<M> PartialOrd for Queued<M> {
 impl<M> Ord for Queued<M> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.at, self.tie).cmp(&(other.at, other.tie))
+    }
+}
+
+/// The simulator's event queue: a binary min-heap on `(at, tie)`. Ties are
+/// unique, so the pop order is a total order fixed by the keys alone —
+/// never by push order, which is why the shard backend's per-region heaps
+/// replay the serial schedule. A deployment holds a few hundred to a few
+/// thousand events pending at once (`netsim.max_queue_depth`), and the
+/// heap's one buffer is as big as the most it ever held.
+pub(crate) struct EventHeap<M>(BinaryHeap<Reverse<Queued<M>>>);
+
+impl<M> Default for EventHeap<M> {
+    fn default() -> Self {
+        EventHeap(BinaryHeap::new())
+    }
+}
+
+impl<M> EventHeap<M> {
+    pub(crate) fn push(&mut self, at: SimTime, tie: u64, event: Event<M>) {
+        self.0.push(Reverse(Queued { at, tie, event }));
+    }
+
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, u64, Event<M>)> {
+        self.0.pop().map(|Reverse(q)| (q.at, q.tie, q.event))
+    }
+
+    /// `(at, tie)` of the earliest pending event.
+    pub(crate) fn peek(&self) -> Option<(SimTime, u64)> {
+        self.0.peek().map(|Reverse(q)| (q.at, q.tie))
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Events the heap's buffer has room for without growing.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.0.capacity()
     }
 }
 
@@ -270,12 +306,9 @@ pub struct SchedStats {
     /// link batching went (it carried at most 10 of a workload's 10^4–10^5
     /// messages). Kept because the frozen `benchmark/` reads the field.
     pub batched_msgs: u64,
-    /// Wheel/shard only: events entering the ring / spill tiers.
-    pub ring_pushes: u64,
+    /// Always 0: the event heap has no far-future tier to spill into. Kept
+    /// because the frozen `benchmark/src/rep.rs:600` reads the field.
     pub spill_pushes: u64,
-    /// Wheel/shard only: spill-bucket migrations and window rebases.
-    pub migrations: u64,
-    pub window_advances: u64,
     /// Shard only: lockstep windows executed and cross-region messages
     /// carried through window-barrier mailboxes.
     pub shard_windows: u64,
@@ -291,47 +324,39 @@ pub struct SchedStats {
     pub shard_regions: u64,
 }
 
-/// The pluggable event queue. All variants pop strictly in `(at, tie)`
-/// order; see [`Sched`].
+/// The scheduler's queue: one heap, or one per region. Both pop strictly in
+/// `(at, tie)` order; see [`Sched`].
 pub(crate) enum EventQueue<M> {
-    Heap(BinaryHeap<Reverse<Queued<M>>>),
-    // Boxed: the wheel's inline occupancy bitmap dwarfs the heap variant.
-    Wheel(Box<TimerWheel<Event<M>>>),
+    Heap(EventHeap<M>),
     Shard(ShardQueues<M>),
 }
 
 impl<M> EventQueue<M> {
     fn new(sched: Sched, n_nodes: usize) -> EventQueue<M> {
         match sched {
-            Sched::Heap => EventQueue::Heap(BinaryHeap::new()),
-            Sched::Wheel => EventQueue::Wheel(Box::default()),
+            Sched::Heap => EventQueue::Heap(EventHeap::default()),
             Sched::Shard { workers } => EventQueue::Shard(ShardQueues::new(n_nodes, workers)),
         }
     }
 
     pub(crate) fn push(&mut self, at: SimTime, tie: u64, event: Event<M>) {
         match self {
-            EventQueue::Heap(h) => h.push(Reverse(Queued { at, tie, event })),
-            EventQueue::Wheel(w) => w.push(at, tie, event),
+            EventQueue::Heap(h) => h.push(at, tie, event),
             EventQueue::Shard(s) => s.push(at, tie, event),
         }
     }
 
     pub(crate) fn pop(&mut self) -> Option<(SimTime, u64, Event<M>)> {
         match self {
-            EventQueue::Heap(h) => h.pop().map(|Reverse(q)| (q.at, q.tie, q.event)),
-            EventQueue::Wheel(w) => w.pop(),
+            EventQueue::Heap(h) => h.pop(),
             EventQueue::Shard(s) => s.pop(),
         }
     }
 
-    /// Timestamp of the next event. `&mut` because the wheel may raise its
-    /// scan hint while locating it (a pure-lookahead operation: nothing is
-    /// removed or reordered).
-    pub(crate) fn next_at(&mut self) -> Option<SimTime> {
+    /// Timestamp of the next event.
+    pub(crate) fn next_at(&self) -> Option<SimTime> {
         match self {
-            EventQueue::Heap(h) => h.peek().map(|Reverse(q)| q.at),
-            EventQueue::Wheel(w) => w.next_at(),
+            EventQueue::Heap(h) => h.peek().map(|(at, _)| at),
             EventQueue::Shard(s) => s.next_at(),
         }
     }
@@ -339,13 +364,21 @@ impl<M> EventQueue<M> {
     pub(crate) fn len(&self) -> usize {
         match self {
             EventQueue::Heap(h) => h.len(),
-            EventQueue::Wheel(w) => w.len(),
             EventQueue::Shard(s) => s.len(),
         }
     }
 
     pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Events the queue's buffers hold room for, summed over regions.
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
+        match self {
+            EventQueue::Heap(h) => h.capacity(),
+            EventQueue::Shard(s) => s.heaps.iter().map(EventHeap::capacity).sum(),
+        }
     }
 }
 
@@ -976,15 +1009,16 @@ impl<A: App> Simulator<A> {
 
     /// Shard backend: toggle worker threads for lockstep windows (default
     /// on). Off runs the identical windows inline on the calling thread —
-    /// the scaling bench uses this to measure the window critical path
-    /// without host-core noise. No effect on results or on other backends:
-    /// the schedule is byte-identical either way.
+    /// the `shard` bench uses this to measure the window critical path
+    /// without host-core noise. No effect on results (the schedule is
+    /// byte-identical either way), and none at all under `Sched::Heap`.
     pub fn set_shard_threading(&mut self, on: bool) {
         self.shard_threads = on;
     }
 
     /// Shard backend: set the pending-event count below which the scheduler
-    /// steps serially instead of opening a window (test/bench knob).
+    /// pops the least region head serially instead of opening a window
+    /// (test/bench knob; no effect under `Sched::Heap`).
     pub fn set_shard_threshold(&mut self, min_pending: usize) {
         self.shard_threshold = min_pending;
     }
@@ -1003,8 +1037,7 @@ impl<A: App> Simulator<A> {
     }
 
     /// Size of one queued event. [`Event`] is crate-private; this is how a
-    /// test outside the crate bounds what every timer-wheel slot pays per
-    /// pending entry.
+    /// test outside the crate bounds what the queue pays per pending entry.
     #[doc(hidden)]
     pub fn queued_event_bytes() -> usize {
         std::mem::size_of::<Event<A::Msg>>()
@@ -1021,15 +1054,8 @@ impl<A: App> Simulator<A> {
             pushes: self.pushes,
             ..SchedStats::default()
         };
-        match &self.queue {
-            EventQueue::Wheel(w) => {
-                s.ring_pushes = w.stats.ring_pushes;
-                s.spill_pushes = w.stats.spill_pushes;
-                s.migrations = w.stats.migrations;
-                s.window_advances = w.stats.window_advances;
-            }
-            EventQueue::Shard(sq) => sq.fill_stats(&mut s),
-            EventQueue::Heap(_) => {}
+        if let EventQueue::Shard(sq) = &self.queue {
+            sq.fill_stats(&mut s);
         }
         s
     }
@@ -1197,7 +1223,7 @@ impl<A: App> Simulator<A> {
 }
 
 /// The run loop. `Send` bounds let the sharded backend fan windows out to
-/// scoped worker threads; the serial backends ignore them. (Apps are plain
+/// scoped worker threads; the serial heap ignores them. (Apps are plain
 /// state machines — all workspace apps are `Send`.)
 impl<A: App + Send> Simulator<A>
 where
@@ -1577,73 +1603,107 @@ mod tests {
         assert!(sim.max_queue_depth() > 0);
     }
 
-    #[test]
-    fn heap_and_wheel_journals_byte_identical() {
-        // The tentpole contract: scheduler backend is observationally pure.
-        // Same seed, lossy + ARQ config → identical journals either way.
-        let wheel = journaled_flood(SimConfig {
-            sched: Sched::Wheel,
-            ..lossy_cfg()
-        });
-        let heap = journaled_flood(SimConfig {
-            sched: Sched::Heap,
-            ..lossy_cfg()
-        });
-        assert_eq!(
-            wheel.first_divergence(&heap),
-            None,
-            "backends diverged: {:?} vs {:?}",
-            wheel.first_divergence(&heap).map(|i| &wheel.records[i]),
-            wheel
-                .first_divergence(&heap)
-                .and_then(|i| heap.records.get(i)),
-        );
-        assert_eq!(wheel.to_text(), heap.to_text());
-        assert_eq!(wheel.content_hash(), heap.content_hash());
-        assert!(!wheel.records.is_empty());
+    /// The tag of a queued timer event (what the queue-order tests push).
+    fn popped_tag(q: &mut EventQueue<()>) -> Option<(SimTime, u64)> {
+        match q.pop()? {
+            (at, _, Event::Timer { tag, .. }) => Some((at, tag)),
+            _ => unreachable!("only timers are queued"),
+        }
     }
 
+    fn push_tagged(q: &mut EventQueue<()>, at: SimTime, tie: u64, tag: u64) {
+        let event = Event::Timer {
+            node: NodeId(0),
+            tag,
+            epoch: 0,
+        };
+        q.push(at, tie, event);
+    }
+
+    /// A zero-delay timer set from inside a handler lands on the tick being
+    /// drained, behind what is already popped and in tie order among what
+    /// is not.
     #[test]
-    fn heap_and_wheel_agree_on_outcomes() {
-        for sched in [Sched::Wheel, Sched::Heap] {
-            let mut sim = flood_sim(SimConfig {
-                sched,
-                clock_skew_max: 20,
-                loss_prob: 0.2,
-                retries: 2,
-                seed: 23,
-                ..SimConfig::default()
-            });
-            sim.run_to_quiescence(100_000);
-            assert!(sim.nodes().all(|n| n.seen), "{sched:?} flood incomplete");
+    fn same_tick_push_while_the_tick_drains_pops_in_tie_order() {
+        let mut q = EventQueue::new(Sched::Heap, 1);
+        push_tagged(&mut q, 7, 0, 1);
+        push_tagged(&mut q, 7, 5, 3);
+        assert_eq!(popped_tag(&mut q), Some((7, 1)));
+        push_tagged(&mut q, 7, 2, 2); // below the pending tie
+        assert_eq!(popped_tag(&mut q), Some((7, 2)));
+        assert_eq!(popped_tag(&mut q), Some((7, 3)));
+        assert_eq!(popped_tag(&mut q), None);
+    }
+
+    /// Origin-keyed ties are not monotone across pushes: a later push by a
+    /// lower-numbered origin carries a smaller tie and pops first, at any
+    /// distance in time — and a push earlier than the peeked head (the
+    /// harness peeks, stops at a horizon, then injects) is legal.
+    #[test]
+    fn non_monotone_origin_ties_pop_in_tie_order() {
+        let mut q = EventQueue::new(Sched::Heap, 1);
+        let far = 3 * 4_096 + 17;
+        for (at, tie, tag) in [(9, 40, 4), (9, 10, 1), (far, 8, 6), (9, 30, 3)] {
+            push_tagged(&mut q, at, tie, tag);
         }
-        let mut a = flood_sim(SimConfig {
-            sched: Sched::Wheel,
-            ..lossy_cfg()
-        });
-        let mut b = flood_sim(SimConfig {
-            sched: Sched::Heap,
-            ..lossy_cfg()
-        });
-        a.run_to_quiescence(100_000);
-        b.run_to_quiescence(100_000);
-        assert_eq!(a.metrics.total_tx(), b.metrics.total_tx());
-        assert_eq!(a.events_processed(), b.events_processed());
-        assert_eq!(a.max_queue_depth(), b.max_queue_depth());
-        let ta: Vec<_> = a.nodes().map(|n| n.received_at).collect();
-        let tb: Vec<_> = b.nodes().map(|n| n.received_at).collect();
-        assert_eq!(ta, tb);
+        push_tagged(&mut q, 9, 20, 2);
+        push_tagged(&mut q, far, 2, 5);
+        assert_eq!(q.next_at(), Some(9));
+        push_tagged(&mut q, 6, 1 << 40, 0);
+        assert_eq!(q.len(), 7);
+        let order: Vec<_> = std::iter::from_fn(|| popped_tag(&mut q)).collect();
+        assert_eq!(
+            order,
+            [(6, 0), (9, 1), (9, 2), (9, 3), (9, 4), (far, 5), (far, 6)]
+        );
+    }
+
+    /// Bursts of same-tick timers on more consecutive ticks (5,000) than the
+    /// 4,096-slot timer wheel this queue replaced had slots, with at most
+    /// two bursts pending at once. A calendar queue keeps each slot's
+    /// high-water buffer, so it ends up holding room for a burst per slot;
+    /// what a queue retains must follow what it held pending.
+    #[test]
+    fn queue_memory_follows_pending_events() {
+        const BURST: u64 = 8;
+        const TICKS: SimTime = 5_000;
+        struct Bursts;
+        impl App for Bursts {
+            type Msg = Ping;
+            fn on_start(&mut self, ctx: &mut Ctx<Ping>) {
+                (0..BURST).for_each(|tag| ctx.set_timer(1, tag));
+            }
+            fn on_message(&mut self, _: &mut Ctx<Ping>, _: NodeId, _: Ping) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<Ping>, tag: u64) {
+                if tag == 0 && ctx.now < TICKS {
+                    (0..BURST).for_each(|tag| ctx.set_timer(1, tag));
+                }
+            }
+        }
+        for sched in [Sched::Heap, Sched::Shard { workers: 1 }] {
+            let cfg = SimConfig {
+                sched,
+                ..SimConfig::default()
+            };
+            let mut sim = Simulator::new(Topology::grid(1, 1), cfg, |_, _| Bursts);
+            sim.run_to_quiescence(2 * TICKS);
+            assert_eq!(sim.events_processed(), 1 + BURST * TICKS, "{sched:?}");
+            let peak = sim.max_queue_depth();
+            assert!(peak < 2 * BURST as usize, "{sched:?}: peak {peak}");
+            let retained = sim.queue.capacity();
+            assert!(
+                retained <= 4 * peak,
+                "{sched:?}: room for {retained} events kept after a peak of {peak}"
+            );
+        }
     }
 
     #[test]
     fn shard_journal_matches_serial_oracle() {
         // The sharded backend's merged journal must be byte-identical to the
-        // single-wheel oracle for any worker count, with windows forced on
+        // serial heap's for any worker count, with windows forced on
         // (threshold 0) and under both inline and threaded execution.
-        let oracle = journaled_flood(SimConfig {
-            sched: Sched::Wheel,
-            ..lossy_cfg()
-        });
+        let oracle = journaled_flood(lossy_cfg());
         for threads in [false, true] {
             for workers in [1usize, 2, 3, 4, 16, 64] {
                 let cfg = SimConfig {
@@ -1683,10 +1743,7 @@ mod tests {
 
     #[test]
     fn shard_backend_agrees_on_outcomes_and_metrics() {
-        let mut a = flood_sim(SimConfig {
-            sched: Sched::Wheel,
-            ..lossy_cfg()
-        });
+        let mut a = flood_sim(lossy_cfg());
         a.fail_node(NodeId(9));
         a.run_to_quiescence(100_000);
         let mut b = flood_sim(SimConfig {
@@ -1776,11 +1833,10 @@ mod tests {
             assert_eq!(sim.events_processed(), 2 + 2);
             shared.take()
         };
-        let wheel = run(Sched::Wheel);
-        assert_eq!(wheel.summary().sends, 2);
-        for sched in [Sched::Heap, Sched::Shard { workers: 2 }] {
-            assert_eq!(wheel.to_text(), run(sched).to_text(), "{sched:?}");
-        }
+        let heap = run(Sched::Heap);
+        assert_eq!(heap.summary().sends, 2);
+        let shard = run(Sched::Shard { workers: 2 });
+        assert_eq!(heap.to_text(), shard.to_text());
     }
 
     #[test]
@@ -2083,9 +2139,9 @@ mod fault_plane_tests {
     /// Satellite regression: a crash scheduled at an arbitrary mid-window
     /// tick takes effect at exactly that tick under `Sched::Shard` — the
     /// lockstep window is clamped at the fault, so shard journals stay
-    /// byte-identical to the wheel oracle.
+    /// byte-identical to the serial heap's.
     #[test]
-    fn shard_matches_wheel_under_exact_tick_crash_schedule() {
+    fn shard_matches_heap_under_exact_tick_crash_schedule() {
         // 137/1201 are deliberately not multiples of the 30-tick lookahead
         // (hop_delay.0) so an unclamped window would straddle the fault.
         let schedule = FaultSchedule::new()
@@ -2108,9 +2164,7 @@ mod fault_plane_tests {
             sim.run_to_quiescence(100_000);
             shared.take()
         };
-        let oracle = run(Sched::Wheel);
-        let heap = run(Sched::Heap);
-        assert_eq!(oracle.content_hash(), heap.content_hash());
+        let oracle = run(Sched::Heap);
         for workers in [1usize, 2, 3, 4] {
             let j = run(Sched::Shard { workers });
             assert_eq!(

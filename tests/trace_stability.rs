@@ -9,11 +9,12 @@
 //! example and update the constants — but an unexplained diff here means
 //! determinism broke.
 //!
-//! The same pin also gates the scheduler backends: the retained binary
-//! heap, the hierarchical timer wheel, and the region-sharded lockstep
-//! scheduler must all produce this exact journal — the shard backend's
-//! window barriers and mailbox flushes are required to be observationally
-//! invisible.
+//! The same pin also gates the scheduler backends: the serial event heap
+//! (the default) and the region-sharded lockstep scheduler must both
+//! produce this exact journal — the shard backend's window barriers and
+//! mailbox flushes are required to be observationally invisible. The pin
+//! predates the heap's promotion to default: it was recorded on the timer
+//! wheel the heap replaced, so the two pop orders are one order.
 
 use proptest::prelude::*;
 use sensorlog::core::deploy::{DeployConfig, Deployment};
@@ -34,7 +35,12 @@ const PINNED_RECORDS: usize = 29219;
 const PINNED_TX: u64 = 14138;
 
 fn run_probe(telemetry: Telemetry) -> (usize, u64, u64) {
-    run_probe_full(telemetry, Sched::Wheel, Provenance::disabled()).0
+    run_probe_full(
+        telemetry,
+        SimConfig::default().sched,
+        Provenance::disabled(),
+    )
+    .0
 }
 
 fn run_probe_sched(telemetry: Telemetry, sched: Sched) -> (usize, u64, u64) {
@@ -90,23 +96,24 @@ fn lossy_logic_h_trace_is_pinned() {
 
 #[test]
 fn heap_backend_matches_the_same_pin() {
-    // The scheduler backend is observationally pure: the retained binary
-    // heap must hit the exact constants pinned for the timer wheel.
+    // The default scheduler is the serial heap, and it hits the constants
+    // pinned for the timer wheel it replaced.
+    assert_eq!(SimConfig::default().sched, Sched::Heap);
     let (records, hash, tx) = run_probe_sched(Telemetry::disabled(), Sched::Heap);
     assert_eq!(records, PINNED_RECORDS, "heap backend record count drifted");
     assert_eq!(tx, PINNED_TX, "heap backend transmission count drifted");
     assert_eq!(
         hash, PINNED_HASH,
-        "heap and wheel schedulers produced different journals"
+        "the heap scheduler left the pinned journal"
     );
 }
 
 #[test]
 fn shard_backend_matches_the_same_pin() {
-    // The region-sharded lockstep scheduler — per-region wheels advanced
+    // The region-sharded lockstep scheduler — per-region heaps advanced
     // in lookahead-bounded windows, cross-region mailboxes flushed at the
     // barrier, trace merged by (at, key) — must hit the exact constants
-    // pinned for the single wheel. Byte-identity, not statistical
+    // pinned for the serial queue. Byte-identity, not statistical
     // similarity: conservative PDES is an execution strategy, not a model
     // change.
     let (records, hash, tx) = run_probe_sched(Telemetry::disabled(), Sched::Shard { workers: 2 });
@@ -117,7 +124,7 @@ fn shard_backend_matches_the_same_pin() {
     assert_eq!(tx, PINNED_TX, "shard backend transmission count drifted");
     assert_eq!(
         hash, PINNED_HASH,
-        "sharded and single-wheel schedulers produced different journals"
+        "sharded and serial schedulers produced different journals"
     );
 }
 
@@ -139,7 +146,7 @@ fn provenance_does_not_perturb_the_trace() {
     // pin, while actually capturing a non-trivial record log. Disabled,
     // it must capture nothing at all.
     let ((records, hash, tx), n_prov) =
-        run_probe_full(Telemetry::disabled(), Sched::Wheel, Provenance::enabled());
+        run_probe_full(Telemetry::disabled(), Sched::Heap, Provenance::enabled());
     assert_eq!(records, PINNED_RECORDS);
     assert_eq!(tx, PINNED_TX);
     assert_eq!(
@@ -152,7 +159,7 @@ fn provenance_does_not_perturb_the_trace() {
     );
 
     let (_, n_disabled) =
-        run_probe_full(Telemetry::disabled(), Sched::Wheel, Provenance::disabled());
+        run_probe_full(Telemetry::disabled(), Sched::Heap, Provenance::disabled());
     assert_eq!(n_disabled, 0, "disabled plane must record nothing");
 }
 
@@ -175,7 +182,7 @@ fn provenance_pin_holds_on_the_shard_backend_too() {
     assert!(n_prov > 1_000);
 }
 
-/// Shard-vs-wheel journals for a small lossy logicH run under arbitrary
+/// Heap-vs-shard journals for a small lossy logicH run under arbitrary
 /// worker counts and seeds. Returns the two record vectors.
 fn shard_oracle_pair(
     cols: usize,
@@ -188,7 +195,7 @@ fn shard_oracle_pair(
     Vec<sensorlog::netsim::TraceRecord>,
 ) {
     let mut out = Vec::new();
-    for sched in [Sched::Wheel, Sched::Shard { workers }] {
+    for sched in [Sched::Heap, Sched::Shard { workers }] {
         let topo = Topology::grid(cols as u32, rows as u32);
         let cfg = DeployConfig {
             rt: RtConfig {
@@ -212,8 +219,8 @@ fn shard_oracle_pair(
         out.push(journal.take().records);
     }
     let shard = out.pop().unwrap();
-    let wheel = out.pop().unwrap();
-    (wheel, shard)
+    let heap = out.pop().unwrap();
+    (heap, shard)
 }
 
 proptest! {
@@ -221,7 +228,7 @@ proptest! {
 
     /// Window-barrier flushing never reorders deliveries: for random grid
     /// shapes, seeds, loss rates, and worker counts, the sharded journal is
-    /// record-for-record identical to the single-wheel oracle, and its
+    /// record-for-record identical to the serial heap's, and its
     /// timestamps are nondecreasing — same-tick records keep the oracle's
     /// (at, seq) order across every barrier.
     #[test]
@@ -232,10 +239,10 @@ proptest! {
         loss in prop_oneof![Just(0.0), Just(0.15)],
         workers in 1usize..5,
     ) {
-        let (wheel, shard) = shard_oracle_pair(cols, rows, seed, loss, workers);
-        prop_assert_eq!(wheel.len(), shard.len());
-        for (w, s) in wheel.iter().zip(shard.iter()) {
-            prop_assert_eq!(w, s);
+        let (heap, shard) = shard_oracle_pair(cols, rows, seed, loss, workers);
+        prop_assert_eq!(heap.len(), shard.len());
+        for (h, s) in heap.iter().zip(shard.iter()) {
+            prop_assert_eq!(h, s);
         }
         for pair in shard.windows(2) {
             prop_assert!(
