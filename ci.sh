@@ -34,8 +34,9 @@ cargo test --workspace -q
 #    register (an unplanned evaluation order is a filtered scan per probe);
 #  - core: a node's join looks its fragments up through `Relation::probe`,
 #    so prefix signatures are ranges of the fragment map (pinned hits /
-#    scans / full scans of a 5x5 logicH run; the old whole-fragment scan
-#    counted nothing and reads 0 / 0 / 0);
+#    scans of a 5x5 logicH run; the old whole-fragment scan counted nothing
+#    and reads 0 / 0), and pass plans open every literal keyed (its full
+#    scans are 0 by name; the parent's one-pass walk made 354);
 #  - core: every next hop of a deployment is decided by `netstack::Router`
 #    (its hop counters add up to the per-predicate sent counters `route()`
 #    bumps, and off-grid it built one table per destination routed to; a
@@ -91,6 +92,14 @@ done
 echo "== one derivation ledger (no HashMap<DerivationKey under crates/) =="
 if grep -rn 'HashMap<DerivationKey' crates/; then
     echo "a second derivation ledger: count derivation keys in eval::Support"; exit 1
+fi
+
+# One owner rule: `DistProgram::owner_of` (crates/core/src/plan.rs) places
+# a neighbour-plane tuple at the node its owner column names and hashes
+# everything else. A call of the hash anywhere else is a second rule.
+echo "== one owner rule (no ght::owner_of( under crates/ or src/ outside core/src/plan.rs) =="
+if grep -rn 'ght::owner_of(' crates src | grep -v '^crates/core/src/plan.rs:'; then
+    echo "a second owner rule: ask DistProgram::owner_of (or Deployment::owner)"; exit 1
 fi
 
 # One record of a replica: its entry in the node's fragment store, whose

@@ -2,11 +2,12 @@
 //! grid's links arriving one by one.
 //!
 //! What is right today stays right — both programs are oracle-exact on 5×5
-//! with links 200 ms apart and on 10×5 with links 20 ms apart (nothing else
-//! asserts a tree above 5×5). What is wrong today is written down as an
-//! ignored test: logicH on 6×6 with links 200 ms apart quiesces holding
-//! three `h` tuples the oracle does not derive. `ci.sh` runs the ignored test
-//! and requires it to *fail*, so the day item 8 is fixed CI says so.
+//! with links 200 ms apart and on 10×5, 14×7 and 20×10 with links 20 ms
+//! apart (the last two at every size `bench scale` runs). What is wrong
+//! today is written down as an ignored test: logicH on 6×6 with links
+//! 200 ms apart quiesces holding two `h` tuples the oracle does not derive.
+//! `ci.sh` runs the ignored test and requires it to *fail*, so the day
+//! item 8 is fixed CI says so.
 
 use sensorlog_bench::common::{seed17, sptree_deployment, LOGIC_H, LOGIC_J};
 use sensorlog_core::oracle::{self, OracleReport};
@@ -23,7 +24,7 @@ fn tree_run(src: &str, grid: (u32, u32), spacing: u64) -> (u64, OracleReport) {
 #[test]
 fn tree_programs_are_oracle_exact_where_arrivals_settle() {
     for (program, src) in [("logicH", LOGIC_H), ("logicJ", LOGIC_J)] {
-        for (grid, spacing) in [((5, 5), 200), ((10, 5), 20)] {
+        for (grid, spacing) in [((5, 5), 200), ((10, 5), 20), ((14, 7), 20), ((20, 10), 20)] {
             let (_, report) = tree_run(src, grid, spacing);
             assert!(
                 report.exact() && report.expected > 0,
@@ -36,8 +37,10 @@ fn tree_programs_are_oracle_exact_where_arrivals_settle() {
     }
 }
 
-/// Fails today: 61 expected, 64 found (tx 4,773) — `h(30, 24, 6)`,
-/// `h(31, 25, 7)`, `h(31, 30, 7)` are never retracted.
+/// Fails today: 61 expected, 63 found (tx 3,855) — `h(30, 24, 6)` and
+/// `h(31, 25, 7)` are never retracted. Until PR 25's pass plans and
+/// node-placed owners it read 64 found (tx 4,773), `h(31, 30, 7)` the
+/// third zombie.
 #[test]
 #[ignore = "ROADMAP item 8"]
 fn logich_6x6_links_200ms_apart_is_oracle_exact() {

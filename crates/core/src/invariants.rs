@@ -48,11 +48,9 @@
 
 use crate::deploy::{Deployment, WorkloadEvent};
 use crate::oracle;
-use crate::strategy::Strategy;
 use crate::tupleid::TupleId;
 use sensorlog_logic::{Symbol, Tuple};
 use sensorlog_netsim::NodeId;
-use sensorlog_netstack::ght;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
@@ -371,13 +369,7 @@ pub fn check_convergence(d: &Deployment, preds: &[Symbol]) -> InvariantReport {
     for &pred in preds {
         let expected: BTreeSet<Tuple> = oracle::expected_results(d, &surviving, pred)
             .into_iter()
-            .filter(|t| {
-                let owner = match d.strategy {
-                    Strategy::Centroid => d.net().center(),
-                    _ => ght::owner_of(d.sim.topology(), pred, t),
-                };
-                !d.sim.is_failed(owner)
-            })
+            .filter(|t| !d.sim.is_failed(d.owner(pred, t)))
             .collect();
         let found = d.results(pred);
         for t in expected.difference(&found) {

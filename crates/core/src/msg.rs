@@ -24,11 +24,10 @@ pub struct ProbeMsg {
     /// Index of the walk member this probe is headed to / being processed
     /// at.
     pub pos: usize,
-    /// Multiple-pass scheme: current pass (0-based). One-pass probes stay
-    /// at 0.
+    /// Current pass (0-based) of the work items' pass plans
+    /// ([`crate::plan::PassPlan`]); a probe U-turns at the end of its walk
+    /// while some partial can still complete on the next pass.
     pub pass: u8,
-    /// Total passes for this probe (1 for one-pass).
-    pub total_passes: u8,
     /// Per-rule work: partial-result sets.
     pub work: Vec<RuleWork>,
 }
@@ -284,7 +283,6 @@ mod sizing_tests {
             walk: Arc::new(vec![NodeId(0)]),
             pos: 0,
             pass: 0,
-            total_passes: 1,
             work: vec![RuleWork {
                 rule_idx: 0,
                 occ: 0,

@@ -212,26 +212,26 @@ pub struct ProbeWork {
 }
 
 /// Process one rule's partial set at one node: evaluate newly-bound checks,
-/// apply local negation kills, extend with local fragments (all subsets,
-/// ascending literal index within the node). Returns the surviving set —
-/// originals plus extensions.
+/// apply local negation kills, extend with local fragments of the literals
+/// in `extend` — the current pass of the probe's [`crate::plan::PassPlan`]
+/// — (all subsets, ascending literal index within the node). Returns the
+/// surviving set — originals plus extensions.
 ///
 /// `pinned` is the probe's pinned literal (its negation check is skipped
-/// per the `T_s1` construction); `restrict` limits extension to a single
-/// literal (multiple-pass mode).
+/// per the `T_s1` construction).
 pub fn process_partials(
     ctx: &LocalCtx<'_>,
     rule: &Rule,
     shape: &RuleShape,
     partials: Vec<Partial>,
     pinned: Option<usize>,
-    restrict: Option<usize>,
+    extend: u64,
     work: &mut ProbeWork,
 ) -> Vec<Partial> {
     work.partials_in += partials.len() as u64;
     let mut out: Vec<Partial> = Vec::with_capacity(partials.len());
     for p in partials {
-        grow(ctx, rule, shape, p, pinned, restrict, 0, &mut out, work);
+        grow(ctx, rule, shape, p, pinned, extend, 0, &mut out, work);
     }
     out
 }
@@ -243,7 +243,7 @@ fn grow(
     shape: &RuleShape,
     mut p: Partial,
     pinned: Option<usize>,
-    restrict: Option<usize>,
+    extend: u64,
     min_lit: usize,
     out: &mut Vec<Partial>,
     work: &mut ProbeWork,
@@ -290,10 +290,11 @@ fn grow(
     let at = out.len();
     out.push(p);
 
-    // 3. Extend with local fragments (ascending literal order within this
-    // node avoids generating the same combination twice).
+    // 3. Extend with local fragments of this pass's literals (ascending
+    // literal order within this node avoids generating the same combination
+    // twice).
     for &i in &shape.positives {
-        if i < min_lit || out[at].is_bound(i) || restrict.is_some_and(|r| r != i) {
+        if i < min_lit || out[at].is_bound(i) || extend & 1 << i == 0 {
             continue;
         }
         if let Literal::Pos(atom) = &rule.body[i] {
@@ -313,7 +314,7 @@ fn grow(
                         lits: base.lits,
                         inputs,
                     };
-                    grow(ctx, rule, shape, q, pinned, restrict, i + 1, out, work);
+                    grow(ctx, rule, shape, q, pinned, extend, i + 1, out, work);
                 }
             });
         }
@@ -327,6 +328,9 @@ mod tests {
     use sensorlog_logic::builtin::BuiltinRegistry;
     use sensorlog_logic::parse_fact;
     use sensorlog_netsim::NodeId;
+
+    /// A pass that extends with every literal: Fig. 1's one-pass walk.
+    const EVERY: u64 = u64::MAX;
 
     fn tid(n: u32, ts: u64) -> TupleId {
         TupleId {
@@ -393,7 +397,7 @@ mod tests {
         db.relation_mut(fp).insert(ft, stored(3, tid(4, 3)));
         let c = ctx(&prog, &db, 10);
         let mut work = ProbeWork::default();
-        let out = process_partials(&c, rule, &shape, vec![seed.clone()], None, None, &mut work);
+        let out = process_partials(&c, rule, &shape, vec![seed.clone()], None, EVERY, &mut work);
         // The original plus the completed extension.
         assert_eq!(out.len(), 2);
         let complete: Vec<_> = out.iter().filter(|p| p.is_complete(&shape)).collect();
@@ -420,7 +424,7 @@ mod tests {
         db.relation_mut(fp).insert(ft, stored(3, tid(4, 3)));
         let c = ctx(&prog, &db, 10);
         let mut work = ProbeWork::default();
-        let out = process_partials(&c, rule, &shape, vec![seed], None, None, &mut work);
+        let out = process_partials(&c, rule, &shape, vec![seed], None, EVERY, &mut work);
         assert_eq!(out.len(), 1);
         assert!(!out[0].is_complete(&shape));
     }
@@ -439,7 +443,7 @@ mod tests {
         db.relation_mut(bp).insert(bt, stored(2, tid(5, 2)));
         let c = ctx(&prog, &db, 10);
         let mut work = ProbeWork::default();
-        let out = process_partials(&c, rule, &shape, vec![seed], None, None, &mut work);
+        let out = process_partials(&c, rule, &shape, vec![seed], None, EVERY, &mut work);
         // The completed extension (Z = 9) is killed by bad(9); only the
         // incomplete original survives.
         assert_eq!(out.len(), 1);
@@ -462,7 +466,7 @@ mod tests {
         let completed = |tau| {
             let c = ctx(&prog, &db, tau);
             let mut work = ProbeWork::default();
-            process_partials(&c, rule, &shape, vec![seed.clone()], None, None, &mut work)
+            process_partials(&c, rule, &shape, vec![seed.clone()], None, EVERY, &mut work)
                 .iter()
                 .filter(|p| p.is_complete(&shape))
                 .count()
@@ -486,7 +490,7 @@ mod tests {
         db.relation_mut(fp).insert(ft, stored(50, tid(4, 50)));
         let c = ctx(&prog, &db, 10);
         let mut work = ProbeWork::default();
-        let out = process_partials(&c, rule, &shape, vec![seed], None, None, &mut work);
+        let out = process_partials(&c, rule, &shape, vec![seed], None, EVERY, &mut work);
         assert_eq!(out.len(), 1); // no extension
     }
 
@@ -506,7 +510,7 @@ mod tests {
     }
 
     #[test]
-    fn restrict_limits_extension() {
+    fn the_pass_mask_limits_extension() {
         let prog = prog();
         let rule = &prog.analysis.program.rules[0];
         let shape = RuleShape::of(rule);
@@ -516,10 +520,21 @@ mod tests {
         let (fp, ft) = fact("f(2, 9)");
         db.relation_mut(fp).insert(ft, stored(3, tid(4, 3)));
         let c = ctx(&prog, &db, 10);
-        // Restricting to literal 0 (already bound) blocks the f-extension.
-        let mut work = ProbeWork::default();
-        let out = process_partials(&c, rule, &shape, vec![seed], None, Some(0), &mut work);
-        assert_eq!(out.len(), 1);
+        // A pass of literal 0 (already bound) blocks the f-extension; a
+        // pass of literal 1 makes it.
+        for (extend, survivors) in [(1 << 0, 1), (1 << 1, 2)] {
+            let mut work = ProbeWork::default();
+            let out = process_partials(
+                &c,
+                rule,
+                &shape,
+                vec![seed.clone()],
+                None,
+                extend,
+                &mut work,
+            );
+            assert_eq!(out.len(), survivors);
+        }
     }
 
     #[test]
@@ -543,7 +558,7 @@ mod tests {
         db.relation_mut(tp).insert(t2, stored(1, tid(9, 1)));
         let c = ctx(&prog, &db, 10);
         let mut work = ProbeWork::default();
-        let out = process_partials(&c, rule, &shape, vec![seed], None, None, &mut work);
+        let out = process_partials(&c, rule, &shape, vec![seed], None, EVERY, &mut work);
         // original + two completions
         assert_eq!(out.len(), 3);
         assert_eq!(out.iter().filter(|p| p.is_complete(&shape)).count(), 2);

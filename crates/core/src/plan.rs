@@ -9,13 +9,22 @@
 //! be retracted/deleted later)"). XY components get staggered holddowns
 //! following the certified stage-local order, so retractions (`hp`) settle
 //! before the tuples they block (`h`) propagate.
+//!
+//! Two more decisions are the program's, made here once: the passes a probe
+//! pinned at each relational literal walks ([`PassPlan`]), and which node
+//! owns each derived tuple ([`DistProgram::owner_of`]).
 
 use crate::partial::MAX_BODY_LITERALS;
+use crate::strategy::PassMode;
 use sensorlog_logic::analyze::Analysis;
 use sensorlog_logic::ast::Literal;
+use sensorlog_logic::boundness::pass_plan;
 use sensorlog_logic::builtin::BuiltinRegistry;
+use sensorlog_logic::intern::{self, Val};
 use sensorlog_logic::span::Span;
-use sensorlog_logic::Symbol;
+use sensorlog_logic::{Symbol, Tuple};
+use sensorlog_netsim::{NodeId, Topology};
+use sensorlog_netstack::ght;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
@@ -87,6 +96,98 @@ pub struct DistProgram {
     pub holddown: BTreeMap<Symbol, u64>,
     /// Ground facts from empty-body rules, injected at owners at t = 0.
     pub static_facts: Vec<(Symbol, sensorlog_logic::Tuple)>,
+    /// Per rule, per body literal: the passes of a probe pinned there
+    /// (default for literals that are never pinned; [`Self::pass_plan`]).
+    plans: Vec<Vec<PassPlan>>,
+    /// Derived predicates owned by the node one of their columns names
+    /// (`logic::xy::placement`), by that column.
+    pub placement: BTreeMap<Symbol, usize>,
+}
+
+/// The passes a probe pinned at one relational literal walks over its join
+/// region, as [`crate::partial::Partial::bound`] masks: pass `k` extends
+/// its partials only with the literals of `passes[k]`, and a partial still
+/// lacking one of passes `0..=k` cannot complete on a later pass and is
+/// dropped at the end of this one. Keyed rules have one pass (Fig. 1's
+/// one-pass walk); `boundness::pass_plan` defers a literal that would open
+/// unkeyed to the pass after the one that binds it.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct PassPlan {
+    passes: Vec<u64>,
+}
+
+impl PassPlan {
+    /// The plan of `passes`, as literal indexes (no passes: one that
+    /// extends nothing — the walk still checks negations).
+    fn new(passes: &[Vec<usize>]) -> PassPlan {
+        let mask = |pass: &Vec<usize>| pass.iter().fold(0u64, |m, &i| m | 1 << i);
+        let mut passes: Vec<u64> = passes.iter().map(mask).collect();
+        if passes.is_empty() {
+            passes.push(0);
+        }
+        PassPlan { passes }
+    }
+
+    /// Passes the probe walks (≥ 1).
+    pub fn passes(&self) -> usize {
+        self.passes.len()
+    }
+
+    /// Literals pass `pass` extends with (none past the last pass).
+    pub fn extends(&self, pass: usize) -> u64 {
+        self.passes.get(pass).copied().unwrap_or(0)
+    }
+
+    /// Literals a partial must have joined by the end of pass `pass` to
+    /// still complete.
+    pub fn joined(&self, pass: usize) -> u64 {
+        self.passes.iter().take(pass + 1).fold(0, |m, p| m | p)
+    }
+}
+
+impl DistProgram {
+    /// The passes of a probe pinned at body literal `lit` of rule `rule`.
+    pub fn pass_plan(&self, rule: usize, lit: usize) -> &PassPlan {
+        &self.plans[rule][lit]
+    }
+
+    /// Plan every probe under `mode`: the planner's passes for
+    /// [`PassMode::OnePass`], Sec. III-A's multiple-pass scheme — one
+    /// positive literal per pass, ascending — for [`PassMode::MultiPass`].
+    pub fn with_pass_mode(mut self, mode: PassMode) -> DistProgram {
+        if mode == PassMode::MultiPass {
+            for (rule, plans) in self.analysis.program.rules.iter().zip(&mut self.plans) {
+                for (pin, plan) in plans.iter_mut().enumerate() {
+                    if rule.body[pin].atom().is_some() {
+                        let one_each: Vec<Vec<usize>> = (rule.body.iter().enumerate())
+                            .filter(|&(i, l)| i != pin && matches!(l, Literal::Pos(_)))
+                            .map(|(i, _)| vec![i])
+                            .collect();
+                        *plan = PassPlan::new(&one_each);
+                    }
+                }
+            }
+        }
+        self
+    }
+
+    /// The node that owns `tuple` of `pred` (Sec. III-B): for a placed
+    /// predicate, the node its owner column names when that value is a node
+    /// id of `topo`; otherwise the geographic hash's home node. Either way a
+    /// function of the tuple, so identical derived tuples still meet at one
+    /// owner. The column is read off the interned entry, never resolved.
+    pub fn owner_of(&self, topo: &Topology, pred: Symbol, tuple: &Tuple) -> NodeId {
+        let placed = (self.placement.get(&pred))
+            .and_then(|&col| tuple.ids().get(col))
+            .and_then(|&id| match intern::entry(id).val {
+                Val::Int(n) => u32::try_from(n).ok().filter(|&n| (n as usize) < topo.len()),
+                _ => None,
+            });
+        match placed {
+            Some(n) => NodeId(n),
+            None => ght::owner_of(topo, pred, tuple),
+        }
+    }
 }
 
 /// Timing inputs for holddown staggering.
@@ -190,6 +291,17 @@ pub fn compile(
         }
     }
 
+    let plans = (prog.rules.iter())
+        .map(|r| {
+            let plan = |(pin, lit): (usize, &Literal)| match lit {
+                Literal::Pos(_) | Literal::Neg(_) => PassPlan::new(&pass_plan(&r.body, pin)),
+                _ => PassPlan::default(),
+            };
+            r.body.iter().enumerate().map(plan).collect()
+        })
+        .collect();
+    let placement = sensorlog_logic::xy::placement(prog, &analysis.xy);
+
     Ok(DistProgram {
         analysis,
         reg,
@@ -199,6 +311,8 @@ pub fn compile(
         outputs,
         holddown,
         static_facts,
+        plans,
+        placement,
     })
 }
 
@@ -289,6 +403,107 @@ mod tests {
             compile_source(src, BuiltinRegistry::standard(), PlanTiming::default()),
             Err(CompileError::AggregatesUnsupported { .. })
         ));
+    }
+
+    const LOGIC_H: &str = r#"
+        h(0, 0, 0).
+        h(0, X, 1) :- g(0, X).
+        hp(Y, D + 1) :- h(_, Y, D'), (D + 1) > D', h(_, X, D), g(X, Y).
+        h(X, Y, D + 1) :- g(X, Y), h(_, X, D), not hp(Y, D + 1).
+    "#;
+
+    fn logic_h() -> DistProgram {
+        compile_source(LOGIC_H, BuiltinRegistry::standard(), PlanTiming::default()).unwrap()
+    }
+
+    fn ints(v: &[i64]) -> Tuple {
+        Tuple::new(v.iter().map(|&i| sensorlog_logic::Term::Int(i)).collect())
+    }
+
+    /// One plan per (rule, relational literal): `hp` pinned on either `h`
+    /// walks `g` then the other `h`; every other pin walks one pass, and a
+    /// comparison has no plan. `MultiPass` is the plan of one literal per
+    /// pass through the same table.
+    #[test]
+    fn compile_stores_a_plan_per_pin() {
+        let p = logic_h();
+        let passes = |p: &DistProgram, rule: usize, lit: usize| {
+            let plan = p.pass_plan(rule, lit);
+            (0..plan.passes())
+                .map(|k| plan.extends(k))
+                .collect::<Vec<u64>>()
+        };
+        assert_eq!(passes(&p, 2, 0), vec![1 << 3, 1 << 2]);
+        assert_eq!(passes(&p, 2, 2), vec![1 << 3, 1 << 0]);
+        assert_eq!(passes(&p, 2, 3), vec![1 << 0 | 1 << 2]);
+        assert_eq!(passes(&p, 3, 2), vec![1 << 0 | 1 << 1]);
+        assert_eq!(passes(&p, 1, 0), vec![0], "nothing to join: one pass");
+        assert_eq!(p.pass_plan(2, 1), &PassPlan::default());
+        // The end of pass 0 keeps what joined `g`; the last pass, all.
+        let plan = p.pass_plan(2, 0);
+        assert_eq!((plan.joined(0), plan.joined(1)), (1 << 3, 1 << 3 | 1 << 2));
+
+        let multi = logic_h().with_pass_mode(PassMode::MultiPass);
+        assert_eq!(passes(&multi, 2, 3), vec![1 << 0, 1 << 2]);
+        assert_eq!(passes(&multi, 2, 0), vec![1 << 2, 1 << 3]);
+        assert_eq!(passes(&multi, 3, 2), vec![1 << 0, 1 << 1]);
+        assert_eq!(passes(&multi, 3, 0), passes(&p, 3, 0));
+    }
+
+    /// A placed predicate's owner is the node its owner column names.
+    #[test]
+    fn a_placed_owner_is_the_columns_node() {
+        let p = logic_h();
+        assert_eq!(p.placement, BTreeMap::from([(sym("h"), 1), (sym("hp"), 0)]));
+        let topo = Topology::grid(10, 5);
+        assert_eq!(p.owner_of(&topo, sym("h"), &ints(&[3, 13, 2])), NodeId(13));
+        assert_eq!(p.owner_of(&topo, sym("hp"), &ints(&[49, 7])), NodeId(49));
+        assert_eq!(p.owner_of(&topo, sym("hp"), &ints(&[0, 7])), NodeId(0));
+    }
+
+    /// A value that names no node — not an integer, negative, or past the
+    /// last node — leaves the tuple to the geographic hash.
+    #[test]
+    fn unplaceable_values_fall_back_to_the_hash() {
+        let p = logic_h();
+        let topo = Topology::grid(10, 5);
+        let hashed = |pred: &str, t: &Tuple| {
+            assert_eq!(
+                p.owner_of(&topo, sym(pred), t),
+                ght::owner_of(&topo, sym(pred), t),
+                "{pred}{t:?}"
+            );
+        };
+        hashed("hp", &ints(&[50, 7]));
+        hashed("hp", &ints(&[-1, 7]));
+        hashed("hp", &ints(&[1 << 40, 7]));
+        hashed("h", &ints(&[3, 4_096, 2]));
+        let atom = sensorlog_logic::Term::Atom(sym("a"));
+        hashed(
+            "hp",
+            &Tuple::new(vec![atom.clone(), sensorlog_logic::Term::Int(7)]),
+        );
+        hashed("h", &Tuple::new(vec![sensorlog_logic::Term::Int(1), atom]));
+        // No such column: a tuple shorter than the program's arity.
+        hashed("h", &ints(&[3]));
+    }
+
+    /// A program with nothing placed owns every tuple where the parent's
+    /// geographic hash did.
+    #[test]
+    fn unplaced_owners_are_the_hash() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let p = compile_source(UNCOV, BuiltinRegistry::standard(), PlanTiming::default()).unwrap();
+        assert!(p.placement.is_empty());
+        let mut rng = StdRng::seed_from_u64(0x0_64E5);
+        for topo in [Topology::grid(10, 5), Topology::square_grid(7)] {
+            for _ in 0..500 {
+                let pred = sym(["cov", "uncov", "veh"][rng.gen_range(0..3)]);
+                let t = ints(&[rng.gen_range(-5..80), rng.gen_range(0..1_000)]);
+                assert_eq!(p.owner_of(&topo, pred, &t), ght::owner_of(&topo, pred, &t));
+            }
+        }
     }
 
     #[test]

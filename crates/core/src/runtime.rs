@@ -4,7 +4,7 @@
 //! Each node holds replicated fragments of the streams whose storage
 //! regions cross it, runs the storage and join-computation phases of the
 //! Generalized Perpendicular Approach, and — for derived tuples it owns
-//! under the geographic hash — maintains the set of derivations with
+//! (`DistProgram::owner_of`) — maintains the set of derivations with
 //! multiplicity counts and propagates liveness transitions as new stream
 //! updates (Secs. III-B, IV).
 
@@ -21,14 +21,14 @@ use sensorlog_eval::eval_body::instantiate_head;
 use sensorlog_eval::relation::TupleMeta;
 use sensorlog_eval::{IncrementalEngine, Support, Update, UpdateKind, EDB_RULE};
 use sensorlog_logic::intern::{IdHashMap, IdHashSet};
-use sensorlog_logic::{Literal, Program, Symbol, Tuple};
+use sensorlog_logic::{Literal, Symbol, Tuple};
 use sensorlog_netsim::{App, Ctx, MsgMeta, NodeId, SimTime, Topology};
-use sensorlog_netstack::{ght, GatherTree, Router};
+use sensorlog_netstack::{GatherTree, Router};
 use sensorlog_telemetry::{HistId, Histogram, Scope, Telemetry, SIM_MS_BUCKETS};
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Shared routing context: the topology, the next-hop oracle over it, and
@@ -92,6 +92,8 @@ impl NetInfo {
 #[derive(Clone, Debug)]
 pub struct RtConfig {
     pub strategy: Strategy,
+    /// Whose pass plans the probes walk ([`DistProgram::with_pass_mode`]);
+    /// read when the deployment compiles the program.
     pub pass_mode: PassMode,
     /// Upper bound on storage-phase completion (τs, ms).
     pub tau_s: SimTime,
@@ -188,7 +190,7 @@ struct Owned {
     expiry: Option<u64>,
 }
 
-/// The derived tuples this node owns under the geographic hash, with the
+/// The derived tuples this node owns (`DistProgram::owner_of`), with the
 /// two counts kept in step with the map so no delta pays a walk of it.
 #[derive(Debug, Default)]
 struct OwnedTable {
@@ -234,31 +236,33 @@ impl OwnedTable {
 /// view of its peers, and which rule inputs are derived. One struct (not
 /// fields of the node) so callers holding `&mut` borrows into `owned` can
 /// still consult it.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct LiveView {
     /// What we believe about each peer (fault plane only; empty otherwise).
     peers: HashMap<NodeId, LiveEntry>,
-    /// Derived (IDB) predicates: heads of some rule. A derived input minted
-    /// before its owner's current incarnation booted is stale — the owner
-    /// lost that entry in the crash.
-    idb: HashSet<Symbol>,
-    /// Rule id → body-literal predicates (`None` for non-relational
-    /// literals), for the IDB-staleness filter.
-    rule_body_preds: HashMap<usize, Vec<Option<Symbol>>>,
+    /// The program, for which rule inputs are derived (IDB): a derived input
+    /// minted before its owner's current incarnation booted is stale — the
+    /// owner lost that entry in the crash.
+    prog: Arc<DistProgram>,
 }
 
 impl LiveView {
-    fn of(program: &Program) -> LiveView {
-        let mut view = LiveView::default();
-        for rule in &program.rules {
-            view.idb.insert(rule.head.pred);
-            let preds = rule.body.iter().map(|lit| match lit {
-                Literal::Pos(a) | Literal::Neg(a) => Some(a.pred),
-                _ => None,
-            });
-            view.rule_body_preds.insert(rule.id, preds.collect());
+    fn of(prog: &Arc<DistProgram>) -> LiveView {
+        LiveView {
+            peers: HashMap::new(),
+            prog: Arc::clone(prog),
         }
-        view
+    }
+
+    /// Is body literal `lit` of rule `rule_id` a derived predicate?
+    fn reads_idb(&self, rule_id: usize, lit: usize) -> bool {
+        (self.prog.analysis.program.rules.iter())
+            .find(|r| r.id == rule_id)
+            .and_then(|r| match r.body.get(lit) {
+                Some(Literal::Pos(a) | Literal::Neg(a)) => Some(a.pred),
+                _ => None,
+            })
+            .is_some_and(|p| self.prog.idb.contains(&p))
     }
 
     /// Is a single derivation still supported, given what we believe about
@@ -278,13 +282,7 @@ impl LiveView {
             let Some(e) = self.peers.get(&id.node) else {
                 return true; // never heard anything: presumed alive
             };
-            let is_idb = || {
-                (self.rule_body_preds.get(&key.rule_id))
-                    .and_then(|preds| preds.get(*lit as usize))
-                    .and_then(|p| *p)
-                    .is_some_and(|p| self.idb.contains(&p))
-            };
-            e.alive && !(e.boot_ts > id.ts && is_idb())
+            e.alive && !(e.boot_ts > id.ts && self.reads_idb(key.rule_id, *lit as usize))
         })
     }
 
@@ -395,7 +393,7 @@ pub struct SensorlogNode {
     /// ones fire in queue order), and pending events do not scale with
     /// stored replicas.
     expiries: BinaryHeap<Reverse<Expiry>>,
-    /// Derived tuples this node owns under the geographic hash.
+    /// Derived tuples this node owns (`DistProgram::owner_of`).
     owned: OwnedTable,
     /// Tuples this node generated (for delete-by-value at the source).
     my_facts: HashMap<(Symbol, Tuple), TupleId>,
@@ -477,7 +475,7 @@ impl SensorlogNode {
         };
         SensorlogNode {
             id,
-            view: LiveView::of(&prog.analysis.program),
+            view: LiveView::of(&prog),
             prog,
             cfg,
             net,
@@ -847,7 +845,6 @@ impl SensorlogNode {
             None => return, // pred not consumed by any rule
         };
         let mut work = Vec::new();
-        let mut max_passes: u8 = 1;
         for occ in &occs {
             let rule = &self.prog.analysis.program.rules[occ.rule_idx];
             if let Some(p) = seed_partial(
@@ -858,15 +855,6 @@ impl SensorlogNode {
                 &fact.tuple,
                 fact.id,
             ) {
-                if self.cfg.pass_mode == PassMode::MultiPass {
-                    let shape = &self.shapes[occ.rule_idx];
-                    let remaining = shape
-                        .positives
-                        .iter()
-                        .filter(|&&i| i != occ.lit_idx)
-                        .count() as u8;
-                    max_passes = max_passes.max(remaining.max(1));
-                }
                 work.push(RuleWork {
                     rule_idx: occ.rule_idx as u16,
                     occ: occ.lit_idx as u16,
@@ -888,7 +876,6 @@ impl SensorlogNode {
             walk: Arc::new(region),
             pos: 0,
             pass: 0,
-            total_passes: max_passes,
             work,
         };
         self.deliver_probe(ctx, probe);
@@ -932,34 +919,31 @@ impl SensorlogNode {
                 generous: self.cfg.faults.is_some() && sign_base == UpdateKind::Delete,
             };
             let last_node = probe.pos + 1 == probe.walk.len();
-            let last_pass = probe.pass + 1 >= probe.total_passes;
-            let end_of_walk = last_node && last_pass;
+            let pass = probe.pass as usize;
 
             for workitem in &mut probe.work {
-                let rule = &self.prog.analysis.program.rules[workitem.rule_idx as usize];
-                let shape = &self.shapes[workitem.rule_idx as usize];
-                let pinned = Some(workitem.occ as usize);
-                // Multiple-pass restriction: pass k extends only the k-th
-                // unbound positive literal (ascending, skipping the pin).
-                let restrict = if probe.total_passes > 1 {
-                    // Rules with fewer remaining streams than total passes
-                    // are done extending: restrict to an impossible index.
-                    Some(
-                        shape
-                            .positives
-                            .iter()
-                            .filter(|&&i| i != workitem.occ as usize)
-                            .nth(probe.pass as usize)
-                            .copied()
-                            .unwrap_or(usize::MAX),
-                    )
-                } else {
-                    None
-                };
+                let (rule_idx, pin) = (workitem.rule_idx as usize, workitem.occ as usize);
+                let rule = &self.prog.analysis.program.rules[rule_idx];
+                let shape = &self.shapes[rule_idx];
+                let plan = self.prog.pass_plan(rule_idx, pin);
+                let pinned = Some(pin);
                 let incoming = std::mem::take(&mut workitem.partials);
-                let processed =
-                    process_partials(&lctx, rule, shape, incoming, pinned, restrict, &mut work);
+                let processed = process_partials(
+                    &lctx,
+                    rule,
+                    shape,
+                    incoming,
+                    pinned,
+                    plan.extends(pass),
+                    &mut work,
+                );
                 let needs_full_walk = shape.has_negation_other_than(pinned);
+                // The end of this rule's own last pass: what is complete is
+                // emitted, what is not never will be.
+                let walk_done = last_node && pass + 1 >= plan.passes();
+                // The end of an earlier pass keeps only the partials that
+                // have joined every literal up to it.
+                let joined = plan.joined(pass);
                 let sign = match (sign_base, workitem.negated) {
                     (UpdateKind::Insert, false) | (UpdateKind::Delete, true) => 1i8,
                     _ => -1i8,
@@ -967,7 +951,7 @@ impl SensorlogNode {
                 let mut keep: Vec<Partial> = Vec::new();
                 for p in processed {
                     if p.is_complete(shape) {
-                        if needs_full_walk && !end_of_walk {
+                        if needs_full_walk && !walk_done {
                             keep.push(p); // keep checking negations
                         } else {
                             // A head whose evaluation fails is dropped.
@@ -976,7 +960,7 @@ impl SensorlogNode {
                                 emissions.push((rule.head.pred, tuple, key, sign));
                             }
                         }
-                    } else if !end_of_walk {
+                    } else if !last_node || (!walk_done && p.bound & joined == joined) {
                         keep.push(p);
                     }
                 }
@@ -999,13 +983,13 @@ impl SensorlogNode {
             }
         }
 
-        // Each result goes to the owner the geographic hash names for it.
+        // Each result goes to the owner the program names for it.
         let origin = probe.update.id;
         for (pred, tuple, key, sign) in emissions {
             self.stats.results_emitted += 1;
             self.tele
                 .bump(Scope::Pred(pred.as_str()), "results_emitted");
-            let owner = ght::owner_of(&self.net.topo, pred, &tuple);
+            let owner = self.prog.owner_of(&self.net.topo, pred, &tuple);
             if owner == self.id {
                 self.handle_deriv_delta(ctx, pred, tuple, key, sign, tau, origin);
             } else {
@@ -1025,8 +1009,10 @@ impl SensorlogNode {
         if probe.pos + 1 < probe.walk.len() {
             probe.pos += 1;
             self.deliver_probe(ctx, probe);
-        } else if probe.pass + 1 < probe.total_passes {
-            // Multiple-pass: U-turn.
+        } else if probe.work.iter().any(|w| !w.partials.is_empty()) {
+            // A partial that can still complete on the next pass: U-turn,
+            // carrying only the rules that have one.
+            probe.work.retain(|w| !w.partials.is_empty());
             let mut walk = probe.walk.as_ref().clone();
             walk.reverse();
             probe.walk = Arc::new(walk);
@@ -1800,7 +1786,7 @@ mod tests {
     fn test_node(cfg: RtConfig) -> SensorlogNode {
         let prog = Arc::new(
             crate::plan::compile_source(
-                ".output q.\nq(X, Y) :- r1(X, T), r2(Y, T).",
+                ".output q.\nq(X, Y) :- r1(X, T), r2(Y, T).\nqx(X) :- q(X, Y).",
                 sensorlog_logic::builtin::BuiltinRegistry::standard(),
                 crate::plan::PlanTiming::default(),
             )
@@ -1890,10 +1876,9 @@ mod tests {
             view.key_live(&key),
             "base-fact inputs survive reboots (recovery replays them)"
         );
-        // A derived (IDB) input minted before its owner's reboot is stale.
-        let idb_key = DerivationKey::new(EDB_RULE - 1, vec![(0, mk(3, 100))]);
-        let body = vec![Some(Symbol::intern("q"))];
-        view.rule_body_preds.insert(EDB_RULE - 1, body);
+        // A derived (IDB) input minted before its owner's reboot is stale:
+        // rule 1 reads `q`.
+        let idb_key = DerivationKey::new(1, vec![(0, mk(3, 100))]);
         assert!(
             !view.key_live(&idb_key),
             "stale IDB input (minted before owner reboot) kills the key"
@@ -2061,7 +2046,6 @@ mod tests {
             walk,
             pos: 0,
             pass: 0,
-            total_passes: 1,
             work: vec![RuleWork {
                 rule_idx: 0,
                 occ: 0,

@@ -30,7 +30,8 @@
 //!   lists) still widens to top and stays `Unbounded`.
 //! * **Communication costs.** The same per-predicate widths scale into
 //!   per-plane message estimates and per-message-kind envelopes that
-//!   `sensorlog` cross-checks against the simulator's tx counters.
+//!   `sensorlog` cross-checks against the simulator's tx counters; a probe
+//!   is charged the passes its `boundness::pass_plan` walks.
 //!
 //! Unless a rule is *proved* tighter, every case falls back to exactly the
 //! legacy [`crate::diag::memory_bounds`] contribution, so the frontier
@@ -43,6 +44,7 @@
 
 use crate::analyze::Analysis;
 use crate::ast::{Atom, Literal, Program, Rule};
+use crate::boundness::pass_plan;
 use crate::depgraph::DepGraph;
 use crate::diag::{comm_planes, BoundExpr, Plane};
 use crate::symbol::Symbol;
@@ -954,6 +956,22 @@ fn body_occurrences(prog: &Program) -> BTreeMap<Symbol, u64> {
     occ
 }
 
+/// Column walks per predicate's probes: each positive occurrence charged
+/// the passes its [`pass_plan`] walks (at least one) — what a node probe
+/// pinned there traverses.
+fn probe_passes(prog: &Program) -> BTreeMap<Symbol, u64> {
+    let mut passes: BTreeMap<Symbol, u64> = BTreeMap::new();
+    for r in &prog.rules {
+        for (i, lit) in r.body.iter().enumerate() {
+            if let Literal::Pos(a) = lit {
+                let walks = pass_plan(&r.body, i).len().max(1) as u64;
+                *passes.entry(a.pred).or_insert(0) += walks;
+            }
+        }
+    }
+    passes
+}
+
 /// Derivation (firing) bound per IDB predicate: Σ over rules of Π over all
 /// positive-subgoal bounds — each body solution fires at most once.
 fn firing_bound(prog: &Program, p: Symbol, bounds: &BTreeMap<Symbol, BoundExpr>) -> BoundExpr {
@@ -995,7 +1013,7 @@ pub fn comm_envelopes(analysis: &Analysis, bounds: &BTreeMap<Symbol, BoundExpr>)
     let prog = &analysis.program;
     let edb = prog.edb_preds();
     let idb = prog.idb_preds();
-    let occ = body_occurrences(prog);
+    let passes = probe_passes(prog);
     // Tuple-transition driver: insertion events for base streams, firings
     // for derived predicates (DRed churn re-walks per derivation).
     let driver = |p: Symbol| -> BoundExpr {
@@ -1015,10 +1033,10 @@ pub fn comm_envelopes(analysis: &Analysis, bounds: &BTreeMap<Symbol, BoundExpr>)
             driver(p),
             BoundExpr::Nodes,
         ]));
-        let o = occ.get(&p).copied().unwrap_or(0);
-        if o > 0 {
+        let walks = passes.get(&p).copied().unwrap_or(0);
+        if walks > 0 {
             probe.push(prod_expr(vec![
-                BoundExpr::Const(4 * o),
+                BoundExpr::Const(4 * walks),
                 driver(p),
                 BoundExpr::Nodes,
             ]));
@@ -1263,6 +1281,37 @@ mod tests {
         ] {
             assert!(e.eval(&p).is_some(), "{name} envelope should be finite");
         }
+    }
+
+    /// A probe is charged a column walk per pass of its plan. `b` shares
+    /// no variable with `a`, so a probe pinned on either opens `c` first
+    /// and the other on a second pass: five walks against three for the
+    /// rule whose literals all share `X`. The bounds are the same product
+    /// either way, so nothing else moves.
+    #[test]
+    fn a_two_pass_rule_raises_the_probe_envelope() {
+        let envelopes = |body: &str| {
+            let src = format!(".base a. .base b. .base c.\n.output q.\nq(X, Z) :- {body}.");
+            let analysis = analyze(&parse_program(&src).unwrap(), &BuiltinRegistry::standard());
+            let analysis = analysis.unwrap();
+            comm_envelopes(&analysis, &frontier(&analysis).bounds)
+        };
+        let two = envelopes("a(X), b(Y, Z), c(X, Y)");
+        let one = envelopes("a(X), b(X, Z), c(X, Y)");
+        let p = params(25, 50);
+        assert_eq!(one.probe.eval(&p), Some(4 * 3 * 50 * 25));
+        assert_eq!(two.probe.eval(&p), Some(4 * 5 * 50 * 25));
+        for (a, b) in [
+            (&two.store, &one.store),
+            (&two.result, &one.result),
+            (&two.centroid, &one.centroid),
+        ] {
+            assert_eq!(a.eval(&p), b.eval(&p));
+        }
+        // logicH: each of `hp`'s two `h` pins walks two passes.
+        let prog = parse_program(LOGIC_H).unwrap();
+        assert_eq!(probe_passes(&prog)[&sym("h")], 5);
+        assert_eq!(body_occurrences(&prog)[&sym("h")], 3);
     }
 
     #[test]

@@ -51,7 +51,6 @@ pub fn order_literals(body: &[Literal], pinned: Option<usize>, bound: &[Symbol])
     }
 
     while order.len() < n {
-        let is_bound = |t: &Term, bound: &[Symbol]| t.vars().iter().all(|v| bound.contains(v));
         let mut pick: Option<usize> = None;
         // 1. fully bound non-positive literal (cheap filter)
         for i in 0..n {
@@ -60,12 +59,12 @@ pub fn order_literals(body: &[Literal], pinned: Option<usize>, bound: &[Symbol])
             }
             match &body[i] {
                 Literal::Neg(a) | Literal::Builtin(a)
-                    if a.args.iter().all(|t| is_bound(t, &bound)) =>
+                    if a.args.iter().all(|t| grounded(t, &bound)) =>
                 {
                     pick = Some(i);
                     break;
                 }
-                Literal::Cmp(_, l, r) if is_bound(l, &bound) && is_bound(r, &bound) => {
+                Literal::Cmp(_, l, r) if grounded(l, &bound) && grounded(r, &bound) => {
                     pick = Some(i);
                     break;
                 }
@@ -79,8 +78,8 @@ pub fn order_literals(body: &[Literal], pinned: Option<usize>, bound: &[Symbol])
                     continue;
                 }
                 if let Literal::Cmp(CmpOp::Eq, l, r) = &body[i] {
-                    let lb = is_bound(l, &bound);
-                    let rb = is_bound(r, &bound);
+                    let lb = grounded(l, &bound);
+                    let rb = grounded(r, &bound);
                     if (lb && matches!(r, Term::Var(_))) || (rb && matches!(l, Term::Var(_))) {
                         pick = Some(i);
                         break;
@@ -144,7 +143,7 @@ pub fn order_literals(body: &[Literal], pinned: Option<usize>, bound: &[Symbol])
 pub fn bound_cols(args: &[Term], bound: &[Symbol]) -> Vec<usize> {
     args.iter()
         .enumerate()
-        .filter(|(_, t)| t.vars().iter().all(|v| bound.contains(v)))
+        .filter(|(_, t)| grounded(t, bound))
         .map(|(i, _)| i)
         .collect()
 }
@@ -194,43 +193,96 @@ pub fn probe_plan(
     plan
 }
 
+/// Are all of `t`'s variables in `bound`?
+fn grounded(t: &Term, bound: &[Symbol]) -> bool {
+    match t {
+        Term::Var(v) => bound.contains(v),
+        Term::App(_, args) => args.iter().all(|a| grounded(a, bound)),
+        _ => true,
+    }
+}
+
+/// Bind the variable side of every equality assignment whose other side
+/// `bound` grounds, to fixpoint (the checks a node probe evaluates as soon
+/// as they can).
+fn close_assignments(body: &[Literal], bound: &mut Vec<Symbol>) {
+    loop {
+        let before = bound.len();
+        for lit in body {
+            if let Literal::Cmp(CmpOp::Eq, l, r) = lit {
+                for (side, other) in [(l, r), (r, l)] {
+                    if let Term::Var(v) = side {
+                        if !bound.contains(v) && grounded(other, bound) {
+                            bound.push(*v);
+                        }
+                    }
+                }
+            }
+        }
+        if bound.len() == before {
+            return;
+        }
+    }
+}
+
+/// The passes of a node probe pinned at relational literal `pinned` (Sec.
+/// III-A, footnote 2): the positive literals other than the pin, layered so
+/// that each pass holds the literals that open with at least one bound
+/// column given the pin and the earlier passes. A literal nothing can key —
+/// no column bound even with the pin and every other literal joined — goes
+/// in the current pass rather than wait for nothing; so does the lowest
+/// literal of a set that can only key each other. Keyed rules get one
+/// pass; a rule with no positive literal besides the pin gets none.
+pub fn pass_plan(body: &[Literal], pinned: usize) -> Vec<Vec<usize>> {
+    let atom = |i: usize| body[i].atom().expect("a relational literal");
+    let opens = |i: usize, bound: &[Symbol]| atom(i).args.iter().any(|t| grounded(t, bound));
+    let positives: Vec<usize> = (0..body.len())
+        .filter(|&i| i != pinned && matches!(body[i], Literal::Pos(_)))
+        .collect();
+    // Opens keyed once the pin and every other literal have joined.
+    let keyable = |i: usize| {
+        let mut best = Vec::new();
+        for j in std::iter::once(pinned).chain(positives.iter().copied()) {
+            if j != i {
+                atom(j).collect_vars(&mut best);
+            }
+        }
+        close_assignments(body, &mut best);
+        opens(i, &best)
+    };
+    let mut bound: Vec<Symbol> = Vec::new();
+    atom(pinned).collect_vars(&mut bound);
+    let mut left = positives.clone();
+    let mut passes = Vec::new();
+    while !left.is_empty() {
+        close_assignments(body, &mut bound);
+        let mut pass: Vec<usize> = (left.iter().copied())
+            .filter(|&i| opens(i, &bound) || !keyable(i))
+            .collect();
+        if pass.is_empty() {
+            pass.push(left[0]);
+        }
+        for &i in &pass {
+            atom(i).collect_vars(&mut bound);
+        }
+        left.retain(|i| !pass.contains(i));
+        passes.push(pass);
+    }
+    passes
+}
+
 /// Variables bound by the positive relational subgoals plus equality
 /// assignments, computed to fixpoint. This is the safety check's notion of
 /// boundness (order-independent, unlike [`order_literals`]'s greedy pass,
 /// but they agree on safe rules).
 pub fn rule_bound_vars(rule: &Rule) -> BTreeSet<Symbol> {
-    let mut bound: BTreeSet<Symbol> = BTreeSet::new();
+    let mut bound: Vec<Symbol> = Vec::new();
     for atom in rule.positive_atoms() {
-        let mut vs = Vec::new();
-        atom.collect_vars(&mut vs);
-        bound.extend(vs);
+        atom.collect_vars(&mut bound);
     }
-    // Equality assignments may cascade, so iterate to fixpoint.
-    loop {
-        let mut changed = false;
-        for lit in &rule.body {
-            if let Literal::Cmp(CmpOp::Eq, l, r) = lit {
-                let l_vars = l.vars();
-                let r_vars = r.vars();
-                let l_bound = l_vars.iter().all(|v| bound.contains(v));
-                let r_bound = r_vars.iter().all(|v| bound.contains(v));
-                if r_bound && !l_bound {
-                    if let Term::Var(v) = l {
-                        changed |= bound.insert(*v);
-                    }
-                }
-                if l_bound && !r_bound {
-                    if let Term::Var(v) = r {
-                        changed |= bound.insert(*v);
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    bound
+    // Equality assignments may cascade: `close_assignments` runs to fixpoint.
+    close_assignments(&rule.body, &mut bound);
+    bound.into_iter().collect()
 }
 
 /// The boundness **signature** of a rule under one pin and one seed: the
@@ -364,6 +416,103 @@ mod tests {
         assert_eq!(order_literals(&hp.body, Some(2), &[]), vec![2, 3, 0, 1]);
         assert_eq!(order_literals(&h.body, None, &[]), vec![0, 1, 2]);
         assert_eq!(order_literals(&h.body, Some(2), &[]), vec![2, 0, 1]);
+    }
+
+    /// `pass_plan` as a table: rule, pin, passes. Every case also holds the
+    /// plan to its contract — each positive literal but the pin in exactly
+    /// one pass, and every pass after the first keyed by what came before.
+    #[test]
+    fn pass_plans_open_every_literal_keyed() {
+        let logic_j = "jp(Y, D + 1) :- j(Y, D'), (D + 1) > D', j(X, D), g(X, Y).";
+        let stream = |n: usize| {
+            let body: Vec<String> = (1..=n).map(|i| format!("r{i}(N{i}, X{i}, K)")).collect();
+            let head: Vec<String> = (1..=n).map(|i| format!("X{i}")).collect();
+            format!("q({}) :- {}.", head.join(", "), body.join(", "))
+        };
+        let (s2, s3, s4) = (stream(2), stream(3), stream(4));
+        let cases: &[(&str, usize, &[&[usize]])] = &[
+            // logicH: either `h` pin opens `g` first, the other `h` after it.
+            (
+                "hp(Y, D + 1) :- h(_, Y, D'), (D + 1) > D', h(_, X, D), g(X, Y).",
+                0,
+                &[&[3], &[2]],
+            ),
+            (
+                "hp(Y, D + 1) :- h(_, Y, D'), (D + 1) > D', h(_, X, D), g(X, Y).",
+                2,
+                &[&[3], &[0]],
+            ),
+            (
+                "hp(Y, D + 1) :- h(_, Y, D'), (D + 1) > D', h(_, X, D), g(X, Y).",
+                3,
+                &[&[0, 2]],
+            ),
+            (
+                "h(X, Y, D + 1) :- g(X, Y), h(_, X, D), not hp(Y, D + 1).",
+                0,
+                &[&[1]],
+            ),
+            (
+                "h(X, Y, D + 1) :- g(X, Y), h(_, X, D), not hp(Y, D + 1).",
+                2,
+                &[&[0, 1]],
+            ),
+            (logic_j, 0, &[&[3], &[2]]),
+            (logic_j, 2, &[&[3], &[0]]),
+            (logic_j, 3, &[&[0, 2]]),
+            (
+                "j(Y, D + 1) :- g(X, Y), j(X, D), not jp(Y, D + 1).",
+                1,
+                &[&[0]],
+            ),
+            ("q(X, Y) :- r1(N1, X, K), r2(N2, Y, K).", 0, &[&[1]]),
+            ("q(X, Y) :- r1(N1, X, K), r2(N2, Y, K).", 1, &[&[0]]),
+            (
+                "cov(L, T) :- veh(\"enemy\", L, T), veh(\"friendly\", F, T), dist(L, F) <= 8.",
+                0,
+                &[&[1]],
+            ),
+            (
+                "cov(L, T) :- veh(\"enemy\", L, T), veh(\"friendly\", F, T), dist(L, F) <= 8.",
+                1,
+                &[&[0]],
+            ),
+            (
+                "uncov(L, T) :- not cov(L, T), veh(\"enemy\", L, T).",
+                0,
+                &[&[1]],
+            ),
+            (
+                "uncov(L, T) :- not cov(L, T), veh(\"enemy\", L, T).",
+                1,
+                &[],
+            ),
+            (&s2, 1, &[&[0]]),
+            (&s3, 0, &[&[1, 2]]),
+            (&s3, 2, &[&[0, 1]]),
+            (&s4, 1, &[&[0, 2, 3]]),
+            // Nothing can key `s`: it waits for nothing.
+            ("q(X, Y) :- r(X), s(Y).", 0, &[&[1]]),
+            // `r` and `s` can only key each other: the lower one opens.
+            ("q(A, Z) :- p(A), r(X, Y), s(Y, Z).", 0, &[&[1], &[2]]),
+            // An assignment the pin grounds keys `s` in the first pass.
+            ("q(Y) :- p(X), Y == X + 1, r(Z), s(Y, Z).", 0, &[&[3], &[2]]),
+        ];
+        for &(src, pin, want) in cases {
+            let rule = parse_rule(src).unwrap();
+            let got = pass_plan(&rule.body, pin);
+            let want: Vec<Vec<usize>> = want.iter().map(|p| p.to_vec()).collect();
+            assert_eq!(got, want, "{src} pinned at {pin}");
+            let mut seen: Vec<usize> = got.concat();
+            seen.sort_unstable();
+            let positives: Vec<usize> = (0..rule.body.len())
+                .filter(|&i| i != pin && matches!(rule.body[i], Literal::Pos(_)))
+                .collect();
+            assert_eq!(
+                seen, positives,
+                "{src} pinned at {pin}: a literal twice or never"
+            );
+        }
     }
 
     #[test]

@@ -246,6 +246,9 @@ pub struct Report {
     pub bounds: BTreeMap<Symbol, PredBound>,
     /// Communication plane per predicate (widest over its rules).
     pub planes: BTreeMap<Symbol, Plane>,
+    /// Owner column of each placed predicate (`xy::placement`): its tuples
+    /// are owned by the node that column names.
+    pub placement: BTreeMap<Symbol, usize>,
 }
 
 impl Report {
@@ -368,6 +371,16 @@ impl Report {
             ));
         }
         if !self.planes.is_empty() {
+            s.push_str("\n  ");
+        }
+        s.push_str("},\n  \"placement\": {");
+        for (i, (p, col)) in self.placement.iter().enumerate() {
+            if i > 0 {
+                s.push(',');
+            }
+            s.push_str(&format!("\n    {}: {col}", json_str(p.as_str())));
+        }
+        if !self.placement.is_empty() {
             s.push_str("\n  ");
         }
         s.push_str("}\n}\n");
@@ -809,6 +822,23 @@ pub fn check_analysis(analysis: &Analysis, params: &BoundParams) -> Report {
             );
         }
     }
+    let placement = crate::xy::placement(prog, &analysis.xy);
+    for (&p, &col) in &placement {
+        rep.push(
+            "comm.place",
+            Severity::Info,
+            None,
+            Some(p),
+            prog.rules_for(p)
+                .next()
+                .map(|r| r.spans.rule)
+                .unwrap_or_default(),
+            format!(
+                "`{p}` is owned by the node its column {col} names, not by the geographic hash"
+            ),
+        );
+    }
+    rep.placement = placement;
     for rule in &prog.rules {
         if rule_plane(analysis, rule) == Plane::TreeRouted {
             for (i, lit) in rule.body.iter().enumerate() {

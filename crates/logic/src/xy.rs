@@ -466,6 +466,50 @@ pub fn check_program(prog: &Program) -> Result<Vec<XyInfo>, XyError> {
     Ok(out)
 }
 
+/// Owner placement for the neighbour plane (ROADMAP item 11(a); Grumbach,
+/// Wang & Wu's evaluation of recursive queries where each node holds the
+/// facts about itself): for each XY component of `xy` whose rules join
+/// exactly one binary base relation `E` positively, each of its predicates
+/// is placed at the lowest column that — in every rule deriving it — is an
+/// integer constant or the variable a positive `E` literal ends at (its
+/// second column). Over the link relation of a deployment that column
+/// names the node the rule's step arrives at: `h(parent, node, depth)` is
+/// about `node`, `hp(node, depth)` too. Predicates with no such column,
+/// and every predicate outside those components, are absent.
+pub fn placement(prog: &Program, xy: &[XyInfo]) -> BTreeMap<Symbol, usize> {
+    let idb = prog.idb_preds();
+    let mut out = BTreeMap::new();
+    for info in xy {
+        let rules: Vec<&Rule> = (prog.rules.iter())
+            .filter(|r| info.scc.contains(&r.head.pred))
+            .collect();
+        let base: BTreeSet<(Symbol, usize)> = (rules.iter())
+            .flat_map(|r| r.positive_atoms())
+            .filter(|a| !idb.contains(&a.pred))
+            .map(|a| (a.pred, a.args.len()))
+            .collect();
+        let mut base = base.into_iter();
+        let (Some((e, 2)), None) = (base.next(), base.next()) else {
+            continue;
+        };
+        let located = |rule: &Rule, col: usize| match rule.head.args.get(col) {
+            Some(Term::Int(_)) => true,
+            Some(Term::Var(v)) => {
+                (rule.positive_atoms()).any(|a| a.pred == e && a.args[1] == Term::Var(*v))
+            }
+            _ => false,
+        };
+        for &p in &info.scc {
+            let arity = prog.arity_of(p).unwrap_or(0);
+            let deriving: Vec<&&Rule> = rules.iter().filter(|r| r.head.pred == p).collect();
+            if let Some(col) = (0..arity).find(|&c| deriving.iter().all(|r| located(r, c))) {
+                out.insert(p, col);
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -502,6 +546,44 @@ mod tests {
         );
         assert_eq!(stage_expr(&parse_term("D * 2").unwrap()), None);
         assert_eq!(stage_expr(&parse_term("f(D)").unwrap()), None);
+    }
+
+    /// The owner column is the lowest one that every deriving rule fills
+    /// with an integer or the end of a link; a component joining two base
+    /// relations, or a non-binary one, places nothing.
+    #[test]
+    fn placement_picks_the_lowest_link_column() {
+        let placed = |src: &str| {
+            let p = parse_program(src).unwrap();
+            let got = placement(&p, &check_program(&p).unwrap());
+            got.into_iter()
+                .map(|(p, c)| (p.as_str().to_string(), c))
+                .collect::<Vec<_>>()
+        };
+        let at = |v: &[(&str, usize)]| {
+            v.iter()
+                .map(|&(p, c)| (p.to_string(), c))
+                .collect::<Vec<_>>()
+        };
+        // `h(a, a, 0)` fills columns 0 and 1 with an atom, and the
+        // recursive rule column 2 with `D + 1`: `h` stays hashed.
+        assert_eq!(placed(LOGICH), at(&[("hp", 0)]));
+        // With integers, `h(X, Y, D + 1) :- g(X, Y), …` starts its link at
+        // column 0 and ends it at column 1.
+        let ints = LOGICH.replace("h(a, a, 0)", "h(0, 0, 0)");
+        assert_eq!(
+            placed(&ints.replace("h(a, X, 1) :- g(a, X)", "h(0, X, 1) :- g(0, X)")),
+            at(&[("h", 1), ("hp", 0)])
+        );
+        let two_bases = ints.replace("h(_, X, D), g(X, Y).", "h(_, X, D), e(X, Y).");
+        assert_ne!(two_bases, ints);
+        assert_eq!(placed(&two_bases), at(&[]));
+        let ternary = r#"
+            j(0, 0).
+            jp(Y, D + 1) :- j(Y, D'), (D + 1) > D', j(X, D), g(X, Y, 1).
+            j(Y, D + 1) :- g(X, Y, 1), j(X, D), not jp(Y, D + 1).
+        "#;
+        assert_eq!(placed(ternary), at(&[]));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Golden tests for the static analyzer's machine-readable output
 //! (`sensorlog check --format=json`). Each case pins the exact JSON the
-//! analyzer emits for a program — spans, codes, bound formulas, and plane
-//! assignments — so any drift in the diagnostic surface is a deliberate,
-//! reviewed change rather than an accident. Sources must match the
+//! analyzer emits for a program — spans, codes, bound formulas, plane
+//! assignments and owner placement — so any drift in the diagnostic
+//! surface is a deliberate, reviewed change rather than an accident.
+//! Sources must match the
 //! embedded strings byte-for-byte: the pinned `start`/`end` fields are
 //! byte offsets into them.
 
@@ -47,6 +48,7 @@ const LOGIC_H_JSON: &str = r#"{
     {"code": "plan.negation-multipass", "severity": "info", "rule": 3, "pred": "hp", "line": 7, "col": 40, "start": 174, "end": 190, "message": "rule #3: negated derived subgoal `hp` forces multi-pass (stratum-ordered) evaluation", "suggestions": []},
     {"code": "comm.plane", "severity": "info", "rule": null, "pred": "h", "line": 4, "col": 1, "start": 36, "end": 47, "message": "predicate `h` evaluates on the neighbor-broadcast plane", "suggestions": []},
     {"code": "comm.plane", "severity": "info", "rule": null, "pred": "hp", "line": 6, "col": 1, "start": 71, "end": 134, "message": "predicate `hp` evaluates on the neighbor-broadcast plane", "suggestions": []},
+    {"code": "comm.place", "severity": "info", "rule": null, "pred": "hp", "line": 6, "col": 1, "start": 71, "end": 134, "message": "`hp` is owned by the node its column 0 names, not by the geographic hash", "suggestions": []},
     {"code": "cost.comm-estimate", "severity": "info", "rule": null, "pred": "h", "line": 4, "col": 1, "start": 36, "end": 47, "message": "estimated messages attributable to `h` (neighbor-broadcast plane): 20 * (1 + E(g) + E(g)) * N = 2002000", "suggestions": []},
     {"code": "cost.comm-estimate", "severity": "info", "rule": null, "pred": "hp", "line": 6, "col": 1, "start": 71, "end": 134, "message": "estimated messages attributable to `hp` (neighbor-broadcast plane): 8 * 3 * E(g) * N = 1200000", "suggestions": []},
     {"code": "cost.holddown-implicit", "severity": "info", "rule": null, "pred": "hp", "line": 6, "col": 1, "start": 71, "end": 134, "message": "XY-staged predicate `hp` has no `.holddown` declaration; the planner default (100 ms) applies silently", "suggestions": [{"start": 0, "end": 0, "replacement": ".holddown hp 100.\n", "note": "declare the retraction hold-down for `hp` explicitly", "machine_applicable": true}]},
@@ -61,6 +63,9 @@ const LOGIC_H_JSON: &str = r#"{
     "g": "local",
     "h": "neighbor-broadcast",
     "hp": "neighbor-broadcast"
+  },
+  "placement": {
+    "hp": 0
   }
 }
 "#;
@@ -90,6 +95,8 @@ const LOGIC_J_JSON: &str = r#"{
     {"code": "plan.negation-multipass", "severity": "info", "rule": 3, "pred": "jp", "line": 7, "col": 34, "start": 156, "end": 172, "message": "rule #3: negated derived subgoal `jp` forces multi-pass (stratum-ordered) evaluation", "suggestions": []},
     {"code": "comm.plane", "severity": "info", "rule": null, "pred": "j", "line": 4, "col": 1, "start": 36, "end": 44, "message": "predicate `j` evaluates on the neighbor-broadcast plane", "suggestions": []},
     {"code": "comm.plane", "severity": "info", "rule": null, "pred": "jp", "line": 6, "col": 1, "start": 65, "end": 122, "message": "predicate `jp` evaluates on the neighbor-broadcast plane", "suggestions": []},
+    {"code": "comm.place", "severity": "info", "rule": null, "pred": "j", "line": 4, "col": 1, "start": 36, "end": 44, "message": "`j` is owned by the node its column 0 names, not by the geographic hash", "suggestions": []},
+    {"code": "comm.place", "severity": "info", "rule": null, "pred": "jp", "line": 6, "col": 1, "start": 65, "end": 122, "message": "`jp` is owned by the node its column 0 names, not by the geographic hash", "suggestions": []},
     {"code": "cost.comm-estimate", "severity": "info", "rule": null, "pred": "j", "line": 4, "col": 1, "start": 36, "end": 44, "message": "estimated messages attributable to `j` (neighbor-broadcast plane): 20 * (1 + E(g) + E(g)) * N = 2002000", "suggestions": []},
     {"code": "cost.comm-estimate", "severity": "info", "rule": null, "pred": "jp", "line": 6, "col": 1, "start": 65, "end": 122, "message": "estimated messages attributable to `jp` (neighbor-broadcast plane): 8 * 3 * E(g) * N = 1200000", "suggestions": []},
     {"code": "cost.holddown-implicit", "severity": "info", "rule": null, "pred": "jp", "line": 6, "col": 1, "start": 65, "end": 122, "message": "XY-staged predicate `jp` has no `.holddown` declaration; the planner default (100 ms) applies silently", "suggestions": [{"start": 0, "end": 0, "replacement": ".holddown jp 100.\n", "note": "declare the retraction hold-down for `jp` explicitly", "machine_applicable": true}]},
@@ -104,6 +111,10 @@ const LOGIC_J_JSON: &str = r#"{
     "g": "local",
     "j": "neighbor-broadcast",
     "jp": "neighbor-broadcast"
+  },
+  "placement": {
+    "j": 0,
+    "jp": 0
   }
 }
 "#;
@@ -126,7 +137,8 @@ const UNSAFE_JSON: &str = r#"{
     {"code": "safety.unbound", "severity": "error", "rule": 0, "pred": null, "line": 2, "col": 1, "start": 11, "end": 27, "message": "unsafe rule #0 (head) at 2:1: variable(s) Y not bound by any positive relational subgoal", "suggestions": []}
   ],
   "bounds": {},
-  "planes": {}
+  "planes": {},
+  "placement": {}
 }
 "#;
 
@@ -161,7 +173,8 @@ const CARTESIAN_JSON: &str = r#"{
     "q": "tree-routed",
     "r": "local",
     "s": "local"
-  }
+  },
+  "placement": {}
 }
 "#;
 
@@ -211,7 +224,8 @@ const STAGE_RESCAN_JSON: &str = r#"{
     "hop": "local",
     "j": "neighbor-broadcast",
     "jp": "neighbor-broadcast"
-  }
+  },
+  "placement": {}
 }
 "#;
 
@@ -258,7 +272,8 @@ const DEAD_JSON: &str = r#"{
     "e": "local",
     "orphan": "local",
     "t": "local"
-  }
+  },
+  "placement": {}
 }
 "#;
 
@@ -282,7 +297,8 @@ const NON_XY_JSON: &str = r#"{
     {"code": "stratify.negation-cycle", "severity": "error", "rule": 0, "pred": "win", "line": 4, "col": 1, "start": 42, "end": 75, "message": "program is not stratified: predicate win depends negatively on win (rule #0 at 4:1) within the recursive component {win}; and the XY-stratification check failed: component {win} is not XY-stratified: rule #0: stage of subgoal win is not provably ≤ the head stage", "suggestions": []}
   ],
   "bounds": {},
-  "planes": {}
+  "planes": {},
+  "placement": {}
 }
 "#;
 
@@ -313,7 +329,8 @@ const UNWINDOWED_JSON: &str = r#"{
   "planes": {
     "e": "local",
     "t": "local"
-  }
+  },
+  "placement": {}
 }
 "#;
 
@@ -356,7 +373,8 @@ const WIDEN_JSON: &str = r#"{
     "big": "tree-routed",
     "c": "local",
     "mid": "tree-routed"
-  }
+  },
+  "placement": {}
 }
 "#;
 

@@ -27,6 +27,5 @@ pub mod router;
 pub mod tag;
 pub mod tree;
 
-pub use ght::owner_of;
 pub use router::Router;
 pub use tree::GatherTree;

@@ -11,9 +11,8 @@
 //! trusted for this run.
 
 use crate::dag::{ProofNode, ProvDag};
-use sensorlog_core::{oracle, Deployment, InvariantReport, Strategy, WorkloadEvent};
+use sensorlog_core::{oracle, Deployment, InvariantReport, WorkloadEvent};
 use sensorlog_logic::{Symbol, Tuple};
-use sensorlog_netstack::ght;
 use std::collections::BTreeSet;
 
 /// Check that every oracle-expected result tuple has a well-founded proof
@@ -42,13 +41,7 @@ pub fn check_provenance(d: &Deployment, preds: &[Symbol]) -> InvariantReport {
     for &pred in preds {
         let expected: BTreeSet<Tuple> = oracle::expected_results(d, &surviving, pred)
             .into_iter()
-            .filter(|t| {
-                let owner = match d.strategy {
-                    Strategy::Centroid => d.net().center(),
-                    _ => ght::owner_of(d.sim.topology(), pred, t),
-                };
-                !d.sim.is_failed(owner)
-            })
+            .filter(|t| !d.sim.is_failed(d.owner(pred, t)))
             .collect();
         for t in &expected {
             match dag.why(pred, t) {
