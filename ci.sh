@@ -54,8 +54,8 @@ cargo test --workspace -q
 #    its links and drops a duplicate through the pointer, and a walk message
 #    the dup window queued twice is consumed as two copies;
 #  - netsim: two sends on one link at one tick are two queue operations and
-#    pop in send order under Heap / Shard (what same-tick batching used to
-#    guarantee by riding one event);
+#    pop in send order (what same-tick batching used to guarantee by riding
+#    one event);
 #  - netsim: the event queue retains room for what it held pending, not for
 #    every tick it ever saw (5,000 ticks of 8-event bursts leave the heap
 #    sized for 16 events at a peak of 15; the timer wheel it replaced kept
@@ -110,11 +110,14 @@ if grep -rn 'frag_ids' crates src; then
     echo "a second record of a replica: keep its id in the fragment store's TupleMeta"; exit 1
 fi
 
-# One event queue: a binary heap keyed (at, tie), one per region under the
-# shard backend. The parent also shipped a 4,096-slot timer wheel that was
-# slower on every workload and kept each slot's high-water buffer.
-echo "== one event queue (no TimerWheel, Sched::Wheel, wheel.rs under crates/ src/ tests/) =="
-if grep -rn 'TimerWheel\|Sched::Wheel\|wheel\.rs' crates src tests; then
+# One event queue and one run loop: a binary heap keyed (at, tie), drained
+# by `Simulator::drain_ready`. Earlier trees also shipped a 4,096-slot timer
+# wheel (slower on every workload, and it kept each slot's high-water
+# buffer) and a region-sharded conservative-PDES backend (a wall speedup of
+# 0.95-1.09x over the heap on a 4,000-node grid, its only benchmark).
+echo "== one event queue (no timer wheel or sharded scheduler under crates/ src/ tests/) =="
+if grep -rn 'TimerWheel\|Sched::Wheel\|wheel\.rs\|Sched::Shard\|ShardQueues\|set_shard_\|shard\.rs\|sched\.shard\.' \
+    crates src tests; then
     echo "a second event queue is back: schedule on the heap (netsim::sim::EventHeap)"; exit 1
 fi
 
@@ -182,13 +185,11 @@ if [[ "$fast" -eq 0 ]]; then
     # list, so deleting or renaming a gate fails CI. `bench_cases` must equal
     # `bench --list` (crates/bench/tests/parallel_driver.rs).
     echo "== bench --quick (all cases; gate set pinned) =="
-    bench_cases="smoke micro shard chaos prov intern diag scale"
+    bench_cases="smoke micro grid4k chaos prov intern diag scale"
     bench_gates="smoke.snapshot_schema_is_golden smoke.snapshot_plausible
         micro.inc_ledger_keys_equal_live_tuples
-        shard.heap_journal_pin shard.shard1_journal_equals_heap
-        shard.shard2_journal_equals_heap shard.shard4_journal_equals_heap
-        shard.shard8_journal_equals_heap
-        chaos.shard2_journal_equals_heap chaos.heap_journal_pin
+        grid4k.heap_journal_pin
+        chaos.heap_journal_pin
         chaos.convergence_violations
         prov.journal_pin prov.journal_identical_off_vs_on prov.records_when_disabled
         prov.sampled_critical_path_is_causal

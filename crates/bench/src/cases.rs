@@ -26,7 +26,7 @@ use sensorlog_logic::diag::{memory_bounds, BoundParams};
 use sensorlog_logic::parser::parse_term;
 use sensorlog_logic::unify::{match_term, Subst};
 use sensorlog_logic::{intern, Symbol, Term, Tuple};
-use sensorlog_netsim::{FaultSchedule, Journal, NodeId, RandomFaults, Sched, SimConfig, Topology};
+use sensorlog_netsim::{FaultSchedule, Journal, NodeId, RandomFaults, SimConfig, Topology};
 use sensorlog_netstack::tag::run_epoch;
 use sensorlog_netstack::tree::GatherTree;
 use sensorlog_provenance::{critical_path, ProofNode, ProvDag};
@@ -40,7 +40,7 @@ pub type Case = fn(bool, &mut Report);
 pub const CASES: &[(&str, Case)] = &[
     ("smoke", smoke),
     ("micro", micro),
-    ("shard", shard),
+    ("grid4k", grid4k),
     ("chaos", chaos),
     ("prov", prov),
     ("intern", intern),
@@ -229,62 +229,34 @@ fn micro(quick: bool, r: &mut Report) {
     );
 }
 
-// ---------------------------------------------------------------- shard
+// --------------------------------------------------------------- grid4k
 
 /// `(grid, horizon ms, journal hash)` for `--quick` and the full
-/// 4,000-node run (a size a shared 2-core host finishes in seconds; the
-/// 100,000-node one needed ~8 GB). The horizon covers tree convergence
-/// after all links inject at t = 100.
-const SHARD: [((u32, u32), u64, u64); 2] = [
+/// 4,000-node run. The horizon covers tree convergence after all links
+/// inject at t = 100.
+const GRID4K: [((u32, u32), u64, u64); 2] = [
     ((30, 20), 400_000, 0x82f1_f46a_e404_2dfe),
     ((80, 50), 4_000_000, 0xf409_9d5c_a587_5eb2),
 ];
 
-/// Lossy logicH under the serial heap and under `Sched::Shard` at 1 / 2 /
-/// 4 / 8 workers. Every journal must equal the heap's, so the curve
-/// compares execution strategies, never models. All links inject at once
-/// so every region has work in every window, and worker threads stay off
-/// so the per-region busy clocks measure region work, not spawn noise:
-/// `model_speedup` (summed region busy time over the summed per-window
-/// critical path) is what a host with ≥ `workers` cores reaches.
-fn shard(quick: bool, r: &mut Report) {
-    let (grid, horizon, pin) = SHARD[usize::from(!quick)];
-    let mut heap: Option<(JournalId, f64)> = None;
-    for workers in [0usize, 1, 2, 4, 8] {
-        let (label, sched) = match workers {
-            0 => ("heap".to_string(), Sched::Heap),
-            _ => (format!("shard{workers}"), Sched::Shard { workers }),
-        };
-        let sim = SimConfig {
-            loss_prob: 0.05,
-            sched,
-            ..seed17()
-        };
-        let mut d = sptree_deployment(LOGIC_H, grid, sim, 0);
-        d.set_shard_threading(false);
-        let journal = d.attach_journal();
-        let (_, wall_s) = timed(|| d.run(horizon));
-        let id = JournalId::of(&journal.take());
-        let s = d.sched_stats();
-        let model = (workers > 0).then(|| s.shard_work_ns as f64 / s.shard_crit_ns.max(1) as f64);
-        let &mut (heap_id, heap_s) = heap.get_or_insert((id, wall_s));
-        if workers == 0 {
-            r.gate("heap_journal_pin", hex(pin), hex(id.hash));
-        } else {
-            r.gate(&format!("{label}_journal_equals_heap"), heap_id, id);
-        }
-        if workers == 4 && !quick {
-            r.gate("model_speedup_at_4_workers_ge_2", true, model >= Some(2.0));
-        }
-        r.row(row![
-            "sched" => label, "nodes" => u64::from(grid.0 * grid.1), "wall_s" => wall_s,
-            "wall_speedup" => heap_s / wall_s, "model_speedup" => model,
-            "regions" => s.shard_regions, "windows" => s.shard_windows,
-            "cross_msgs" => s.shard_cross_msgs, "serial_events" => s.shard_serial_events,
-            "work_ms" => s.shard_work_ns as f64 / 1e6, "crit_ms" => s.shard_crit_ns as f64 / 1e6,
-            "records" => id.records, "hash" => hex(id.hash),
-        ]);
-    }
+/// Lossy logicH on the largest grid the suite runs, all links injected at
+/// once: the simulator's wall time at thousands of nodes, and its journal
+/// pinned.
+fn grid4k(quick: bool, r: &mut Report) {
+    let (grid, horizon, pin) = GRID4K[usize::from(!quick)];
+    let sim = SimConfig {
+        loss_prob: 0.05,
+        ..seed17()
+    };
+    let mut d = sptree_deployment(LOGIC_H, grid, sim, 0);
+    let journal = d.attach_journal();
+    let (_, wall_s) = timed(|| d.run(horizon));
+    let id = JournalId::of(&journal.take());
+    r.gate("heap_journal_pin", hex(pin), hex(id.hash));
+    r.row(row![
+        "nodes" => u64::from(grid.0 * grid.1), "wall_s" => wall_s,
+        "records" => id.records, "hash" => hex(id.hash),
+    ]);
 }
 
 // ---------------------------------------------------------------- chaos
@@ -292,13 +264,12 @@ fn shard(quick: bool, r: &mut Report) {
 const HEAL_BY: u64 = 14_000;
 const ACTIVE_UNTIL: u64 = 26_000;
 
-/// Journal of the scripted crash / partition scenario, identical under
-/// the serial heap and the 2-worker shard.
+/// Journal of the scripted crash / partition scenario.
 const CHAOS_PIN: u64 = 0xbc02_6db1_28c9_1410;
 
 /// The churny two-stream join on a 4×4 grid with the fault plane on, under
 /// `faults`, run to quiescence.
-fn chaos_run(seed: u64, sched: Sched, faults: Option<FaultSchedule>) -> (Deployment, JournalId) {
+fn chaos_run(seed: u64, faults: Option<FaultSchedule>) -> (Deployment, JournalId) {
     let topo = Topology::square_grid(4);
     let cfg = DeployConfig {
         rt: RtConfig {
@@ -310,7 +281,6 @@ fn chaos_run(seed: u64, sched: Sched, faults: Option<FaultSchedule>) -> (Deploym
         },
         sim: SimConfig {
             seed,
-            sched,
             ..SimConfig::default()
         },
         ..DeployConfig::default()
@@ -341,8 +311,8 @@ fn chaos_run(seed: u64, sched: Sched, faults: Option<FaultSchedule>) -> (Deploym
 
 /// Fault-plane cost and convergence: a seeded fault-rate sweep (crash–
 /// restart pairs plus link flaps, all healed by `HEAL_BY`) against the
-/// fault-free baseline with the plane on, then one scripted scenario under
-/// both scheduler backends.
+/// fault-free baseline with the plane on, then one scripted scenario whose
+/// journal is pinned.
 fn chaos(quick: bool, r: &mut Report) {
     let rates: &[(usize, usize)] = if quick {
         &[(0, 0), (2, 2)]
@@ -361,7 +331,7 @@ fn chaos(quick: bool, r: &mut Report) {
             };
             FaultSchedule::random(101, &Topology::square_grid(4), spec)
         });
-        let (d, _) = chaos_run(101, Sched::Heap, faults);
+        let (d, _) = chaos_run(101, faults);
         let tx = d.metrics().total_tx();
         if !faulty {
             baseline_tx = tx;
@@ -381,8 +351,7 @@ fn chaos(quick: bool, r: &mut Report) {
         ]);
     }
 
-    // Crash + restart of one node and one link flap, timestamps chosen off
-    // the shard lookahead grid.
+    // Crash + restart of one node and one link flap.
     let script = || {
         FaultSchedule::new()
             .crash(1_337, NodeId(5))
@@ -390,12 +359,10 @@ fn chaos(quick: bool, r: &mut Report) {
             .link_down(703, NodeId(1), NodeId(2))
             .link_up(4_441, NodeId(1), NodeId(2))
     };
-    let (heap, heap_id) = chaos_run(42, Sched::Heap, Some(script()));
+    let (heap, heap_id) = chaos_run(42, Some(script()));
     violations += invariants::check_convergence(&heap, &[sym("q")])
         .violations
         .len();
-    let (_, shard_id) = chaos_run(42, Sched::Shard { workers: 2 }, Some(script()));
-    r.gate("shard2_journal_equals_heap", heap_id, shard_id);
     r.gate("heap_journal_pin", hex(CHAOS_PIN), hex(heap_id.hash));
     r.gate("convergence_violations", 0, violations);
     r.row(row![

@@ -83,7 +83,7 @@ fn single_spec_roundtrip() {
 
 #[test]
 fn mismatched_pin_fails_the_exit_path_by_name() {
-    let mut ok = Report::new("shard", true);
+    let mut ok = Report::new("grid4k", true);
     ok.gate("heap_journal_pin", "454242ed8c28a208", "454242ed8c28a208");
     assert!(failed_gates(std::slice::from_ref(&ok)).is_empty());
 

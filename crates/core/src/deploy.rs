@@ -208,23 +208,7 @@ impl Deployment {
         journal
     }
 
-    /// Force the sharded scheduler into lockstep windows even when few
-    /// events are pending (it falls back to serial single-event stepping
-    /// below a pending-queue threshold). Testing/benchmark hook; no effect
-    /// under `Sched::Heap`.
-    pub fn set_shard_threshold(&mut self, min_pending: usize) {
-        self.sim.set_shard_threshold(min_pending);
-    }
-
-    /// Toggle worker threads for the sharded scheduler (windows run inline
-    /// on the calling thread when off — same schedule, no spawn overhead).
-    /// Benchmark hook; no effect under `Sched::Heap`.
-    pub fn set_shard_threading(&mut self, on: bool) {
-        self.sim.set_shard_threading(on);
-    }
-
-    /// Scheduler-backend counters (queue ops, shard windows and
-    /// critical-path nanoseconds) for the run so far.
+    /// Scheduler counters (queue operations) for the run so far.
     pub fn sched_stats(&self) -> sensorlog_netsim::SchedStats {
         self.sim.sched_stats()
     }
@@ -286,8 +270,7 @@ impl Deployment {
     }
 
     /// Attach a scripted fault schedule (crashes, restarts, partitions,
-    /// dup/reorder windows). Applied tick-exactly during `run` under every
-    /// scheduler backend.
+    /// dup/reorder windows). Applied tick-exactly during `run`.
     pub fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
         self.sim.set_fault_schedule(schedule);
     }
@@ -385,24 +368,6 @@ impl Deployment {
         // Per-node runtime stats, rolled up network-wide.
         let mut rollup = MetricsRegistry::new();
         rollup.bump(Scope::Global, "sched.pushes", sched.pushes);
-        // Shard-backend gauges (all zero under the serial heap):
-        // lockstep windows, barrier-mailbox traffic, serial-fallback events,
-        // and the summed busy / critical-path nanoseconds whose ratio is
-        // the model parallel speedup.
-        rollup.bump(Scope::Global, "sched.shard.windows", sched.shard_windows);
-        rollup.bump(
-            Scope::Global,
-            "sched.shard.cross_msgs",
-            sched.shard_cross_msgs,
-        );
-        rollup.bump(
-            Scope::Global,
-            "sched.shard.serial_events",
-            sched.shard_serial_events,
-        );
-        rollup.bump(Scope::Global, "sched.shard.work_ns", sched.shard_work_ns);
-        rollup.bump(Scope::Global, "sched.shard.crit_ns", sched.shard_crit_ns);
-        rollup.gauge_set(Scope::Global, "sched.shard.regions", sched.shard_regions);
         let mut idx = sensorlog_eval::IndexStatsSnapshot::default();
         for n in self.sim.nodes() {
             idx.merge(n.index_stats());

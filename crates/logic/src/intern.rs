@@ -13,10 +13,11 @@
 //! the miss path of [`intern_val`] publishes the entry under the pool's
 //! write lock *before* the id is handed out, and [`entry`] / [`cmp_ids`] /
 //! [`resolve`] read the slot with two acquire loads — from any thread, which
-//! is what `Sched::Shard`'s workers do. The table covers every `u32` id, so
-//! the pool has no size ceiling of its own. Only value → id goes through the
-//! lock, a `std::sync::RwLock` whose poison is ignored: a panic under it
-//! leaves the map and the table as they were.
+//! is what `bench`'s parallel case driver does: its worker threads run
+//! deployments side by side over the one process-wide pool. The table
+//! covers every `u32` id, so the pool has no size ceiling of its own. Only
+//! value → id goes through the lock, a `std::sync::RwLock` whose poison is
+//! ignored: a panic under it leaves the map and the table as they were.
 //!
 //! **Determinism.** Id assignment is first-touch order, which is
 //! deterministic for a deterministic workload — but nothing observable
@@ -529,10 +530,11 @@ mod tests {
         }
     }
 
-    /// `Sched::Shard`'s case: worker threads read entries, compare and
-    /// resolve ids while other threads intern. A reader must never see an
-    /// id whose entry is not there yet or is half built, and interning must
-    /// never disturb the value or the order of older ids.
+    /// The parallel case driver's case (`sensorlog-bench`'s `run_cases`):
+    /// threads read entries, compare and resolve ids while other threads
+    /// intern. A reader must never see an id whose entry is not there yet
+    /// or is half built, and interning must never disturb the value or the
+    /// order of older ids.
     #[test]
     fn lock_free_entry_reads_race_with_interning() {
         use crate::pages::tests::race;

@@ -3,7 +3,7 @@
 //! A [`FaultSchedule`] is a seeded, sorted script of [`FaultEvent`]s —
 //! node crashes and restarts, link partitions, per-link loss overrides,
 //! and duplication/reordering windows — applied by the simulator at exact
-//! event ticks under either scheduler backend (Heap/Shard). Each
+//! event ticks: a fault at `t` strikes before any event at `t`. Each
 //! applied fault is journaled as a [`TraceEvent`](crate::TraceEvent), so
 //! a chaotic run is exactly as replayable as a clean one: same seed, same
 //! schedule, byte-identical journal.
@@ -11,8 +11,8 @@
 //! [`LinkState`] is the mutable network condition the schedule drives:
 //! which links are down, which carry a loss override, and whether a
 //! duplication or reordering window is open. The simulator owns one and
-//! the send path consults it read-only; faults mutate it only at drain /
-//! window boundaries, so shard workers never observe a torn update.
+//! the send path consults it read-only; faults mutate it only between
+//! events, never inside a callback.
 
 use crate::sim::SimTime;
 use crate::topology::{NodeId, Topology};

@@ -16,25 +16,21 @@
 //! Nodes implement [`sim::App`]; the harness injects sensor readings via
 //! [`sim::Simulator::invoke`].
 //!
-//! Events wait in one binary heap keyed `(at, tie)` ([`sim::Sched::Heap`],
-//! the default), or in one such heap per region under the conservative-
-//! PDES backend ([`shard`]), which advances the regions on worker threads
-//! in lookahead-bounded lockstep windows. Both pop in the identical global
-//! `(at, tie)` order — byte-identical journals, pinned in
-//! `tests/trace_stability.rs`.
+//! Events wait in one binary heap keyed `(at, tie)` with origin-keyed ties,
+//! so a seed fixes the schedule and its journal byte for byte (pinned in
+//! `tests/trace_stability.rs`).
 
 #![forbid(unsafe_code)]
 
 pub mod faults;
 pub mod metrics;
-pub(crate) mod shard;
 pub mod sim;
 pub mod topology;
 pub mod trace;
 
 pub use faults::{FaultEvent, FaultKind, FaultSchedule, LinkState, RandomFaults};
 pub use metrics::{EnergyModel, Metrics, NodeCounters};
-pub use sim::{App, Ctx, MsgMeta, Sched, SchedStats, SimConfig, SimTime, Simulator};
+pub use sim::{App, Ctx, MsgMeta, SchedStats, SimConfig, SimTime, Simulator};
 pub use topology::{Bfs, ConnectivityError, NodeId, Topology, TopologyKind};
 pub use trace::{
     DropReason, Journal, ReplayChecker, SharedJournal, SharedSummary, TraceEvent, TraceRecord,

@@ -17,20 +17,15 @@ use sensorlog_telemetry::{CounterId, MetricsRegistry, Scope};
 use std::collections::BTreeMap;
 
 /// Counters kept per message kind: `tx`, `rx`, `lost`, then one per
-/// [`DropReason`] at [`kind_reason`]. The plain "lost" counter stays the
-/// all-reasons total so the conservation invariant (`tx == rx + lost`) and
-/// every pre-fault-plane accessor are unchanged.
-pub(crate) const KIND_SLOTS: usize = KIND_REASON0 + DropReason::COUNT;
-pub(crate) const KIND_TX: usize = 0;
-pub(crate) const KIND_RX: usize = 1;
-pub(crate) const KIND_LOST: usize = 2;
+/// [`DropReason`] from `KIND_REASON0` on, in [`DropReason::index`] order.
+/// The plain "lost" counter stays the all-reasons total so the conservation
+/// invariant (`tx == rx + lost`) and every pre-fault-plane accessor are
+/// unchanged.
+const KIND_SLOTS: usize = KIND_REASON0 + DropReason::COUNT;
+const KIND_TX: usize = 0;
+const KIND_RX: usize = 1;
+const KIND_LOST: usize = 2;
 const KIND_REASON0: usize = 3;
-
-/// Slot of the per-reason loss counter.
-#[inline]
-pub(crate) fn kind_reason(reason: DropReason) -> usize {
-    KIND_REASON0 + reason.index()
-}
 
 /// Registry counter name of each slot (reasons in [`DropReason::index`]
 /// order).
@@ -114,10 +109,10 @@ impl Metrics {
         }
     }
 
-    /// Add `n` to `kind`'s counter in `slot`; the registry's key map is
-    /// walked only the first time this (kind, slot) pair is seen.
+    /// Bump `kind`'s counter in `slot`; the registry's key map is walked
+    /// only the first time this (kind, slot) pair is seen.
     #[inline]
-    fn add_kind_slot(&mut self, kind: &'static str, slot: usize, n: u64) {
+    fn bump_kind(&mut self, kind: &'static str, slot: usize) {
         let pos = match self.per_kind.iter().position(|(k, _)| *k == kind) {
             Some(pos) => pos,
             None => {
@@ -133,54 +128,26 @@ impl Metrics {
                 id
             }
         };
-        self.reg.inc_by(id, n);
+        self.reg.inc(id);
     }
 
     pub fn record_tx(&mut self, node: NodeId, bytes: usize, kind: &'static str) {
         let ids = self.per_node[node.index()];
         self.reg.inc(ids.tx);
         self.reg.inc_by(ids.tx_bytes, bytes as u64);
-        self.add_kind_slot(kind, KIND_TX, 1);
+        self.bump_kind(kind, KIND_TX);
     }
 
     pub fn record_rx(&mut self, node: NodeId, bytes: usize, kind: &'static str) {
         let ids = self.per_node[node.index()];
         self.reg.inc(ids.rx);
         self.reg.inc_by(ids.rx_bytes, bytes as u64);
-        self.add_kind_slot(kind, KIND_RX, 1);
+        self.bump_kind(kind, KIND_RX);
     }
 
     pub fn record_loss(&mut self, kind: &'static str, reason: DropReason) {
-        self.add_kind_slot(kind, KIND_LOST, 1);
-        self.add_kind_slot(kind, kind_reason(reason), 1);
-    }
-
-    /// Batch-merge of `n` transmissions totalling `bytes` from `node` — the
-    /// shard workers' window-barrier flush path. Equivalent to `n` calls to
-    /// [`Metrics::record_tx`] minus the per-kind bump (see
-    /// [`Metrics::add_kind`]).
-    pub(crate) fn add_node_tx(&mut self, node: NodeId, n: u64, bytes: u64) {
-        let ids = self.per_node[node.index()];
-        self.reg.inc_by(ids.tx, n);
-        self.reg.inc_by(ids.tx_bytes, bytes);
-    }
-
-    /// Batch-merge of `n` receptions totalling `bytes` at `node`.
-    pub(crate) fn add_node_rx(&mut self, node: NodeId, n: u64, bytes: u64) {
-        let ids = self.per_node[node.index()];
-        self.reg.inc_by(ids.rx, n);
-        self.reg.inc_by(ids.rx_bytes, bytes);
-    }
-
-    /// Batch-merge of one kind's counters, indexed by slot. Zero deltas are
-    /// skipped so the set of registry keys stays identical to what the
-    /// serial per-call path would have created.
-    pub(crate) fn add_kind(&mut self, kind: &'static str, counts: [u64; KIND_SLOTS]) {
-        for (slot, &n) in counts.iter().enumerate() {
-            if n > 0 {
-                self.add_kind_slot(kind, slot, n);
-            }
-        }
+        self.bump_kind(kind, KIND_LOST);
+        self.bump_kind(kind, KIND_REASON0 + reason.index());
     }
 
     pub fn node(&self, id: NodeId) -> NodeCounters {

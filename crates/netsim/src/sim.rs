@@ -3,18 +3,17 @@
 //! Nodes are instances of an [`App`]; they exchange messages over the
 //! unit-disk topology with bounded per-hop delays, Bernoulli losses, and
 //! per-node clock skew — exactly the environment Theorems 1–3 assume
-//! (bounded message delays, bounded clock difference τc). Deterministic for
-//! a fixed seed: event ties break on the origin-keyed key
-//! `(origin_node << 32) | per-origin counter`, and every random draw on the
-//! message path comes from the *sender's* private [`NodeRng`] stream. The
-//! schedule is therefore a pure function of `(seed, program)`, independent
-//! of which scheduler backend executes it — including the region-sharded
-//! conservative-PDES backend (see [`crate::shard`]), whose workers replay
-//! disjoint projections of the same global `(at, tie)` order.
+//! (bounded message delays, bounded clock difference τc). Events wait in
+//! one binary heap and pop in `(at, tie)` order. Deterministic for a fixed
+//! seed: ties are origin-keyed, `(origin_node << 32) | per-origin counter`,
+//! and every random draw on the message path comes from the *sender's*
+//! private [`NodeRng`] stream. A send's tie and draws therefore depend on
+//! its sender's own history alone — so which same-tick event runs first is
+//! one choice point in one queue (what a schedule explorer permutes), and a
+//! fault on one link never shifts any other node's stream.
 
 use crate::faults::{FaultEvent, FaultKind, FaultSchedule, LinkState};
 use crate::metrics::Metrics;
-use crate::shard::ShardQueues;
 use crate::topology::{NodeId, Topology};
 use crate::trace::{DropReason, TraceEvent, TraceRecord, TraceSink};
 use rand::rngs::StdRng;
@@ -70,24 +69,6 @@ pub trait App: Sized {
     fn on_timer(&mut self, _ctx: &mut Ctx<Self::Msg>, _tag: u64) {}
 }
 
-/// Event-queue backend. Both variants pop in exactly `(at, tie)` order, so
-/// for a fixed seed a run is byte-identical under either — the choice is
-/// purely about execution (see DESIGN.md "Scheduler" and
-/// `tests/trace_stability.rs`, which pins both backends to one golden hash).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Sched {
-    /// One binary heap on `(at, tie)` (the default): O(log n) per operation
-    /// over the few hundred to few thousand events a deployment holds
-    /// pending, and memory that follows the pending count.
-    Heap,
-    /// Conservative-PDES region sharding: the node space splits into
-    /// `workers` contiguous regions, each with its own heap, advanced in
-    /// lockstep windows bounded by the minimum hop delay (the lookahead).
-    /// Cross-region sends ride per-pair mailboxes flushed at window
-    /// barriers. Requires `hop_delay.0 ≥ 1`. See [`crate::shard`].
-    Shard { workers: usize },
-}
-
 /// Simulation parameters.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -106,8 +87,6 @@ pub struct SimConfig {
     pub clock_skew_max: SimTime,
     /// RNG seed; fixed seed ⇒ fully deterministic run.
     pub seed: u64,
-    /// Event-queue backend; observationally pure, defaults to the heap.
-    pub sched: Sched,
 }
 
 impl Default for SimConfig {
@@ -119,12 +98,11 @@ impl Default for SimConfig {
             retries: 0,
             clock_skew_max: 0,
             seed: 0xC0FFEE,
-            sched: Sched::Heap,
         }
     }
 }
 
-pub(crate) enum Event<M> {
+enum Event<M> {
     Start(NodeId),
     /// One message in flight, held inline: an event is as big as `M`, so
     /// an app with a large message type queues a pointer to it.
@@ -145,19 +123,6 @@ pub(crate) enum Event<M> {
         /// incarnation.
         epoch: u32,
     },
-}
-
-impl<M> Event<M> {
-    /// The node whose callbacks this event drives (delivery target, timer
-    /// owner, starting node) — the shard router's key: an event is always
-    /// processed by the region that owns its handler.
-    pub(crate) fn handler(&self) -> NodeId {
-        match self {
-            Event::Start(node) => *node,
-            Event::Deliver { to, .. } => *to,
-            Event::Timer { node, .. } => *node,
-        }
-    }
 }
 
 struct Queued<M> {
@@ -185,11 +150,10 @@ impl<M> Ord for Queued<M> {
 
 /// The simulator's event queue: a binary min-heap on `(at, tie)`. Ties are
 /// unique, so the pop order is a total order fixed by the keys alone —
-/// never by push order, which is why the shard backend's per-region heaps
-/// replay the serial schedule. A deployment holds a few hundred to a few
-/// thousand events pending at once (`netsim.max_queue_depth`), and the
-/// heap's one buffer is as big as the most it ever held.
-pub(crate) struct EventHeap<M>(BinaryHeap<Reverse<Queued<M>>>);
+/// never by push order. A deployment holds a few hundred to a few thousand
+/// events pending at once (`netsim.max_queue_depth`), and the heap's one
+/// buffer is as big as the most it ever held.
+struct EventHeap<M>(BinaryHeap<Reverse<Queued<M>>>);
 
 impl<M> Default for EventHeap<M> {
     fn default() -> Self {
@@ -198,26 +162,26 @@ impl<M> Default for EventHeap<M> {
 }
 
 impl<M> EventHeap<M> {
-    pub(crate) fn push(&mut self, at: SimTime, tie: u64, event: Event<M>) {
+    fn push(&mut self, at: SimTime, tie: u64, event: Event<M>) {
         self.0.push(Reverse(Queued { at, tie, event }));
     }
 
-    pub(crate) fn pop(&mut self) -> Option<(SimTime, u64, Event<M>)> {
-        self.0.pop().map(|Reverse(q)| (q.at, q.tie, q.event))
+    fn pop(&mut self) -> Option<(SimTime, Event<M>)> {
+        self.0.pop().map(|Reverse(q)| (q.at, q.event))
     }
 
-    /// `(at, tie)` of the earliest pending event.
-    pub(crate) fn peek(&self) -> Option<(SimTime, u64)> {
-        self.0.peek().map(|Reverse(q)| (q.at, q.tie))
+    /// Timestamp of the earliest pending event.
+    fn next_at(&self) -> Option<SimTime> {
+        self.0.peek().map(|Reverse(q)| q.at)
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.0.len()
     }
 
     /// Events the heap's buffer has room for without growing.
     #[cfg(test)]
-    pub(crate) fn capacity(&self) -> usize {
+    fn capacity(&self) -> usize {
         self.0.capacity()
     }
 }
@@ -227,17 +191,17 @@ impl<M> EventHeap<M> {
 ///
 /// A node's loss/jitter draws are consumed exclusively while *its* radio
 /// transmits, so each stream's consumption order is fixed by that node's
-/// local event order alone — the property that lets region workers run
-/// concurrently yet byte-match the serial schedule. (The old global
+/// local event order alone: reordering other nodes' same-tick events, or a
+/// fault elsewhere in the network, leaves it where it was. (A global
 /// `StdRng` made every draw depend on the full interleaving.)
 #[derive(Clone, Debug)]
-pub(crate) struct NodeRng {
+struct NodeRng {
     s0: u64,
     s1: u64,
 }
 
 impl NodeRng {
-    pub(crate) fn new(seed: u64, node: u32) -> NodeRng {
+    fn new(seed: u64, node: u32) -> NodeRng {
         // splitmix64 over a (seed, node)-derived state; xoroshiro's authors
         // recommend exactly this for seeding.
         let mut x = seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(node as u64 + 1);
@@ -257,7 +221,7 @@ impl NodeRng {
     }
 
     #[inline]
-    pub(crate) fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         let s0 = self.s0;
         let mut s1 = self.s1;
         let result = s0.wrapping_add(s1).rotate_left(17).wrapping_add(s0);
@@ -269,7 +233,7 @@ impl NodeRng {
 
     /// Uniform in `[0, 1)`, 53 mantissa bits.
     #[inline]
-    pub(crate) fn gen_f64(&mut self) -> f64 {
+    fn gen_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -277,23 +241,10 @@ impl NodeRng {
     /// ms jitter span is ~2⁻⁵⁸ — irrelevant for delay sampling, and cheaper
     /// than rejection on the hottest path in the simulator.
     #[inline]
-    pub(crate) fn gen_range(&mut self, lo: SimTime, hi: SimTime) -> SimTime {
+    fn gen_range(&mut self, lo: SimTime, hi: SimTime) -> SimTime {
         debug_assert!(hi > lo);
         lo + self.next_u64() % (hi - lo + 1)
     }
-}
-
-/// Telemetry histograms one node's sends record into, each resolved by key
-/// the first time that node records into it and by id from then on — so the
-/// set of histograms a run creates is what keyed `observe` calls would have
-/// created.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct SendHists {
-    /// `Scope::Node(n)` / `"tx_bytes"`.
-    tx_bytes: Option<HistId>,
-    /// `Scope::Global` / `"hop_delay_ms"` (cached per node so region
-    /// workers share nothing mutable).
-    hop_delay: Option<HistId>,
 }
 
 /// Scheduler operation counters, exported as `sched.*` telemetry gauges by
@@ -309,77 +260,6 @@ pub struct SchedStats {
     /// Always 0: the event heap has no far-future tier to spill into. Kept
     /// because the frozen `benchmark/src/rep.rs:600` reads the field.
     pub spill_pushes: u64,
-    /// Shard only: lockstep windows executed and cross-region messages
-    /// carried through window-barrier mailboxes.
-    pub shard_windows: u64,
-    pub shard_cross_msgs: u64,
-    /// Shard only: events handled on the sub-threshold serial path.
-    pub shard_serial_events: u64,
-    /// Shard only: summed per-region busy time vs. summed per-window
-    /// critical path (the max busy region per window), nanoseconds. Their
-    /// ratio is the model speedup an ideally parallel host would reach.
-    pub shard_work_ns: u64,
-    pub shard_crit_ns: u64,
-    /// Shard only: number of regions (≤ configured workers).
-    pub shard_regions: u64,
-}
-
-/// The scheduler's queue: one heap, or one per region. Both pop strictly in
-/// `(at, tie)` order; see [`Sched`].
-pub(crate) enum EventQueue<M> {
-    Heap(EventHeap<M>),
-    Shard(ShardQueues<M>),
-}
-
-impl<M> EventQueue<M> {
-    fn new(sched: Sched, n_nodes: usize) -> EventQueue<M> {
-        match sched {
-            Sched::Heap => EventQueue::Heap(EventHeap::default()),
-            Sched::Shard { workers } => EventQueue::Shard(ShardQueues::new(n_nodes, workers)),
-        }
-    }
-
-    pub(crate) fn push(&mut self, at: SimTime, tie: u64, event: Event<M>) {
-        match self {
-            EventQueue::Heap(h) => h.push(at, tie, event),
-            EventQueue::Shard(s) => s.push(at, tie, event),
-        }
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<(SimTime, u64, Event<M>)> {
-        match self {
-            EventQueue::Heap(h) => h.pop(),
-            EventQueue::Shard(s) => s.pop(),
-        }
-    }
-
-    /// Timestamp of the next event.
-    pub(crate) fn next_at(&self) -> Option<SimTime> {
-        match self {
-            EventQueue::Heap(h) => h.peek().map(|(at, _)| at),
-            EventQueue::Shard(s) => s.next_at(),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            EventQueue::Heap(h) => h.len(),
-            EventQueue::Shard(s) => s.len(),
-        }
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Events the queue's buffers hold room for, summed over regions.
-    #[cfg(test)]
-    fn capacity(&self) -> usize {
-        match self {
-            EventQueue::Heap(h) => h.capacity(),
-            EventQueue::Shard(s) => s.heaps.iter().map(EventHeap::capacity).sum(),
-        }
-    }
 }
 
 /// Node-side API handle passed to [`App`] callbacks. Sends and timers are
@@ -394,23 +274,6 @@ pub struct Ctx<'a, M> {
     topo: &'a Topology,
     sends: Vec<(NodeId, M)>,
     timers: Vec<(SimTime, u64)>,
-}
-
-/// The send / timer buffers a [`Ctx`] fills, kept between callbacks so a
-/// callback's first `send` does not allocate: [`Lane::invoke`] lends them
-/// to the `Ctx` and takes them back drained.
-pub(crate) struct Scratch<M> {
-    sends: Vec<(NodeId, M)>,
-    timers: Vec<(SimTime, u64)>,
-}
-
-impl<M> Default for Scratch<M> {
-    fn default() -> Self {
-        Scratch {
-            sends: Vec::new(),
-            timers: Vec::new(),
-        }
-    }
 }
 
 impl<'a, M> Ctx<'a, M> {
@@ -464,409 +327,58 @@ impl<'a, M> Ctx<'a, M> {
     }
 }
 
-/// Where a [`Lane`]'s outputs land: the serial main loop ([`MainSink`]) or
-/// a region worker's scratch (`shard::RegionSink`). Statically dispatched;
-/// both paths execute the *identical* `Lane` code, so serial/sharded
-/// behavioral divergence is impossible by construction.
-pub(crate) trait LaneSink<M> {
-    /// Enqueue `event` keyed `(at, tie)`.
-    fn push(&mut self, at: SimTime, tie: u64, event: Event<M>);
-    /// Journal a record at time `now` (construction deferred; a sink with
-    /// no journal attached pays one branch).
-    fn emit(&mut self, now: SimTime, event: impl FnOnce() -> TraceEvent)
-    where
-        Self: Sized;
-    fn record_tx(&mut self, node: NodeId, bytes: usize, kind: &'static str);
-    fn record_rx(&mut self, node: NodeId, bytes: usize, kind: &'static str);
-    fn record_loss(&mut self, kind: &'static str, reason: DropReason);
-}
-
-/// The event-processing core shared by the serial loop and region workers:
-/// a window onto the per-node state (`apps`/`rngs`/`counters` slices cover
-/// nodes `base..base + len`), plus the shared read-only environment.
-/// Everything an event does — callbacks, RNG draws, tie assignment, ARQ —
-/// happens here, parameterized only by where outputs go.
-pub(crate) struct Lane<'a, A: App> {
-    pub(crate) topo: &'a Topology,
-    pub(crate) config: &'a SimConfig,
-    pub(crate) telemetry: &'a Telemetry,
-    pub(crate) skew: &'a [SimTime],
-    pub(crate) failed: &'a [bool],
-    /// Per-node boot epochs (bumped on restart); stamps timers.
-    pub(crate) epochs: &'a [u32],
-    /// Link-level fault condition (partitions, loss overrides, dup /
-    /// reorder windows). Mutated only at drain / window boundaries.
-    pub(crate) links: &'a LinkState,
-    pub(crate) apps: &'a mut [A],
-    pub(crate) rngs: &'a mut [NodeRng],
-    pub(crate) counters: &'a mut [u32],
-    pub(crate) send_hists: &'a mut [SendHists],
-    /// First node id covered by the mutable slices above.
-    pub(crate) base: u32,
-    pub(crate) events_processed: &'a mut u64,
-    pub(crate) scratch: &'a mut Scratch<A::Msg>,
-}
-
-impl<'a, A: App> Lane<'a, A> {
-    #[inline]
-    fn idx(&self, node: NodeId) -> usize {
-        debug_assert!(node.0 >= self.base, "node outside this lane's region");
-        (node.0 - self.base) as usize
-    }
-
-    /// Mint the next `(origin << 32) | counter` tie for a push by `origin`.
-    #[inline]
-    fn next_tie(&mut self, origin: NodeId) -> u64 {
-        let i = self.idx(origin);
-        let c = self.counters[i];
-        self.counters[i] = c.checked_add(1).expect("per-origin tie counter overflow");
-        ((origin.0 as u64) << 32) | c as u64
-    }
-
-    /// Run `f` on `node` at time `now`, then apply the sends/timers it
-    /// buffered. No-op on failed nodes.
-    pub(crate) fn invoke<S: LaneSink<A::Msg>>(
-        &mut self,
-        sink: &mut S,
-        now: SimTime,
-        node: NodeId,
-        f: impl FnOnce(&mut A, &mut Ctx<A::Msg>),
-    ) {
-        if self.failed[node.index()] {
-            return; // dead nodes do nothing
-        }
-        let mut ctx = Ctx {
-            node,
-            now,
-            local_time: now + self.skew[node.index()],
-            topo: self.topo,
-            sends: std::mem::take(&mut self.scratch.sends),
-            timers: std::mem::take(&mut self.scratch.timers),
-        };
-        let i = self.idx(node);
-        f(&mut self.apps[i], &mut ctx);
-        let (mut sends, mut timers) = (ctx.sends, ctx.timers);
-        self.apply_outputs(sink, now, node, &mut sends, &mut timers);
-        (self.scratch.sends, self.scratch.timers) = (sends, timers);
-    }
-
-    fn apply_outputs<S: LaneSink<A::Msg>>(
-        &mut self,
-        sink: &mut S,
-        now: SimTime,
-        from: NodeId,
-        sends: &mut Vec<(NodeId, A::Msg)>,
-        timers: &mut Vec<(SimTime, u64)>,
-    ) {
-        let _route_span = self.telemetry.span("sim.route");
-        let mut dups: Vec<(NodeId, SimTime, u32, A::Msg)> = Vec::new();
-        for (to, msg) in sends.drain(..) {
-            let bytes = msg.size_bytes();
-            let queued_bytes = u32::try_from(bytes).unwrap_or(u32::MAX);
-            let kind = msg.kind();
-            let from_i = self.idx(from);
-            self.telemetry.observe_cached(
-                &mut self.send_hists[from_i].tx_bytes,
-                Scope::Node(from.0),
-                "tx_bytes",
-                BYTES_BUCKETS,
-                bytes as u64,
-            );
-            // A downed link is a loss probability of 1 — same RNG draw
-            // pattern as lossy air, so healing a link never shifts the
-            // sender's stream relative to a run where it stayed up.
-            let down = self.links.is_down(from, to);
-            let p = if down {
-                1.0
-            } else {
-                self.links.loss_override(from, to).unwrap_or_else(|| {
-                    self.config
-                        .link_loss
-                        .get(&(from, to))
-                        .copied()
-                        .unwrap_or(self.config.loss_prob)
-                })
-            };
-            let attempt_reason = if down {
-                DropReason::Partition
-            } else {
-                DropReason::Loss
-            };
-            // Link-layer ARQ: attempt until delivered or retries exhausted;
-            // every attempt is a transmission, failed attempts are losses.
-            // Retransmission backoff is exponential: 5, 10, 20, … ms.
-            let mut delivered = false;
-            let mut extra_delay: SimTime = 0;
-            for attempt in 0..=self.config.retries {
-                sink.record_tx(from, bytes, kind);
-                sink.emit(now, || TraceEvent::Send {
-                    from,
-                    to,
-                    kind,
-                    bytes,
-                    attempt,
-                });
-                if p > 0.0 && self.rngs[from_i].gen_f64() < p {
-                    sink.record_loss(kind, attempt_reason);
-                    extra_delay += 5u64 << attempt.min(5);
-                    continue;
-                }
-                delivered = true;
-                break;
-            }
-            if !delivered {
-                let reason = if down {
-                    DropReason::Partition
-                } else if self.config.retries > 0 {
-                    DropReason::Retries
-                } else {
-                    DropReason::Loss
-                };
-                sink.emit(now, || TraceEvent::Drop {
-                    from,
-                    to,
-                    kind,
-                    reason,
-                });
-                continue;
-            }
-            let (lo, hi) = self.config.hop_delay;
-            let mut delay = if hi > lo {
-                self.rngs[from_i].gen_range(lo, hi)
-            } else {
-                lo
-            };
-            // Open reordering window: extra uniform jitter on top of the
-            // hop delay lets later sends overtake this one. The draw only
-            // happens while a window is open, so the fault-free stream is
-            // untouched.
-            if let Some(jitter) = self.links.reorder_jitter(now) {
-                delay += self.rngs[from_i].gen_range(0, jitter);
-            }
-            self.telemetry.observe_cached(
-                &mut self.send_hists[from_i].hop_delay,
-                Scope::Global,
-                "hop_delay_ms",
-                SIM_MS_BUCKETS,
-                delay + extra_delay,
-            );
-            let at = now + delay + extra_delay;
-            // Open duplication window: the radio transmits a copy with its
-            // own delay draw. The copy is a full transmission (tx recorded,
-            // journaled) so message-conservation accounting still balances.
-            if let Some(pdup) = self.links.dup_prob(now) {
-                if self.rngs[from_i].gen_f64() < pdup {
-                    let ddelay = if hi > lo {
-                        self.rngs[from_i].gen_range(lo, hi)
-                    } else {
-                        lo
-                    };
-                    sink.record_tx(from, bytes, kind);
-                    sink.emit(now, || TraceEvent::Send {
-                        from,
-                        to,
-                        kind,
-                        bytes,
-                        attempt: 0,
-                    });
-                    dups.push((to, now + ddelay + extra_delay, queued_bytes, msg.clone()));
-                }
-            }
-            // Ties are minted in send order, so two sends that land on one
-            // link at one tick pop in the order they were sent.
-            let tie = self.next_tie(from);
-            sink.push(
-                at,
-                tie,
-                Event::Deliver {
-                    to,
-                    from,
-                    bytes: queued_bytes,
-                    msg,
-                },
-            );
-        }
-        for (to, at, bytes, msg) in dups {
-            let tie = self.next_tie(from);
-            sink.push(
-                at,
-                tie,
-                Event::Deliver {
-                    to,
-                    from,
-                    bytes,
-                    msg,
-                },
-            );
-        }
-        let epoch = self.epochs[from.index()];
-        for (delay, tag) in timers.drain(..) {
-            let tie = self.next_tie(from);
-            sink.push(
-                now + delay,
-                tie,
-                Event::Timer {
-                    node: from,
-                    tag,
-                    epoch,
-                },
-            );
-        }
-    }
-
-    /// Process one popped event at time `now` — the dispatch shared
-    /// verbatim by [`Simulator::step`] and the shard workers.
-    pub(crate) fn dispatch<S: LaneSink<A::Msg>>(
-        &mut self,
-        sink: &mut S,
-        now: SimTime,
-        event: Event<A::Msg>,
-    ) {
-        match event {
-            Event::Start(node) => {
-                *self.events_processed += 1;
-                if !self.failed[node.index()] {
-                    sink.emit(now, || TraceEvent::Start { node });
-                }
-                self.invoke(sink, now, node, |app, ctx| app.on_start(ctx));
-            }
-            Event::Deliver {
-                to,
-                from,
-                bytes,
-                msg,
-            } => {
-                *self.events_processed += 1;
-                let kind = msg.kind();
-                if self.failed[to.index()] {
-                    sink.record_loss(kind, DropReason::DeadNode);
-                    sink.emit(now, || TraceEvent::Drop {
-                        from,
-                        to,
-                        kind,
-                        reason: DropReason::DeadNode,
-                    });
-                } else {
-                    let _span = self.telemetry.span("sim.deliver");
-                    let bytes = bytes as usize;
-                    sink.record_rx(to, bytes, kind);
-                    sink.emit(now, || TraceEvent::Deliver {
-                        from,
-                        to,
-                        kind,
-                        bytes,
-                    });
-                    self.invoke(sink, now, to, |app, ctx| app.on_message(ctx, from, msg));
-                }
-            }
-            Event::Timer { node, tag, epoch } => {
-                *self.events_processed += 1;
-                if self.epochs[node.index()] != epoch {
-                    return; // armed by a previous incarnation: swallow
-                }
-                let _span = self.telemetry.span("sim.timer");
-                if !self.failed[node.index()] {
-                    sink.emit(now, || TraceEvent::Timer { node, tag });
-                }
-                self.invoke(sink, now, node, |app, ctx| app.on_timer(ctx, tag));
-            }
-        }
-    }
-}
-
-/// The serial sink: outputs go straight to the global queue, journal, and
-/// metrics registry.
-pub(crate) struct MainSink<'a, M> {
-    queue: &'a mut EventQueue<M>,
-    trace: &'a mut Option<Box<dyn TraceSink>>,
-    trace_seq: &'a mut u64,
-    metrics: &'a mut Metrics,
-    max_queue_depth: &'a mut usize,
-    pushes: &'a mut u64,
-}
-
-impl<M> LaneSink<M> for MainSink<'_, M> {
-    fn push(&mut self, at: SimTime, tie: u64, event: Event<M>) {
-        self.queue.push(at, tie, event);
-        *self.pushes += 1;
-        *self.max_queue_depth = (*self.max_queue_depth).max(self.queue.len());
-    }
-
-    fn emit(&mut self, now: SimTime, event: impl FnOnce() -> TraceEvent) {
-        if let Some(sink) = self.trace.as_mut() {
-            sink.record(TraceRecord {
-                seq: *self.trace_seq,
-                at: now,
-                event: event(),
-            });
-            *self.trace_seq += 1;
-        }
-    }
-
-    fn record_tx(&mut self, node: NodeId, bytes: usize, kind: &'static str) {
-        self.metrics.record_tx(node, bytes, kind);
-    }
-
-    fn record_rx(&mut self, node: NodeId, bytes: usize, kind: &'static str) {
-        self.metrics.record_rx(node, bytes, kind);
-    }
-
-    fn record_loss(&mut self, kind: &'static str, reason: DropReason) {
-        self.metrics.record_loss(kind, reason);
-    }
-}
-
 /// Node-application factory: builds an app at boot and on restart.
-type MakeApp<A> = Box<dyn FnMut(NodeId, &Topology) -> A + Send>;
+type MakeApp<A> = Box<dyn FnMut(NodeId, &Topology) -> A>;
 
 /// The simulator: topology + per-node apps + event queue + metrics.
 pub struct Simulator<A: App> {
-    pub(crate) topo: Topology,
-    pub(crate) apps: Vec<A>,
-    pub(crate) queue: EventQueue<A::Msg>,
-    pub(crate) now: SimTime,
+    topo: Topology,
+    apps: Vec<A>,
+    queue: EventHeap<A::Msg>,
+    now: SimTime,
     /// Per-origin tie counters (`tie = origin << 32 | counter`).
-    pub(crate) counters: Vec<u32>,
-    pub(crate) pushes: u64,
-    /// Callback output buffers of the serial lane (see [`Scratch`]).
-    pub(crate) scratch: Scratch<A::Msg>,
-    pub(crate) skew: Vec<SimTime>,
+    counters: Vec<u32>,
+    pushes: u64,
+    /// The send / timer buffers a [`Ctx`] fills, kept between callbacks so
+    /// a callback's first `send` does not allocate: [`Simulator::invoke`]
+    /// lends them to the `Ctx` and takes them back drained.
+    send_buf: Vec<(NodeId, A::Msg)>,
+    timer_buf: Vec<(SimTime, u64)>,
+    skew: Vec<SimTime>,
     /// Crashed nodes: deliver nothing, fire no timers, send nothing.
-    pub(crate) failed: Vec<bool>,
+    failed: Vec<bool>,
     /// Per-node boot epoch: bumped on restart so stale timers from a
     /// previous incarnation are swallowed instead of firing.
-    pub(crate) epochs: Vec<u32>,
+    epochs: Vec<u32>,
     /// Link-level fault condition driven by the fault schedule.
-    pub(crate) links: LinkState,
+    links: LinkState,
     /// Pending fault schedule (sorted) and application cursor.
-    pub(crate) faults: Vec<FaultEvent>,
-    pub(crate) fault_cursor: usize,
+    faults: Vec<FaultEvent>,
+    fault_cursor: usize,
     /// Rebuilds a node's application on restart (full volatile state
     /// loss); also used during construction.
     make_app: MakeApp<A>,
     /// Per-node RNG streams for the message path (loss + jitter draws).
-    pub(crate) rngs: Vec<NodeRng>,
+    rngs: Vec<NodeRng>,
     pub config: SimConfig,
     pub metrics: Metrics,
-    pub(crate) events_processed: u64,
+    events_processed: u64,
     /// Optional event journal (see [`crate::trace`]). `None` costs one
     /// branch per event and never constructs a record.
-    pub(crate) trace: Option<Box<dyn TraceSink>>,
-    pub(crate) trace_seq: u64,
-    pub(crate) max_queue_depth: usize,
+    trace: Option<Box<dyn TraceSink>>,
+    trace_seq: u64,
+    max_queue_depth: usize,
     /// Optional telemetry handle (spans + histograms). Disabled costs one
     /// branch per use, same contract as `trace`. Telemetry is an observer:
     /// it never touches the RNGs or the event queue, so enabling it cannot
     /// change a run's journal.
-    pub(crate) telemetry: Telemetry,
-    /// Per-node histogram ids in `telemetry`'s registry.
-    pub(crate) send_hists: Vec<SendHists>,
-    /// Shard backend: use worker threads for lockstep windows (default).
-    /// Off = the same windows run inline on the calling thread.
-    pub(crate) shard_threads: bool,
-    /// Shard backend: below this many pending events, fall back to serial
-    /// single-event stepping (identical global order, no barrier costs).
-    pub(crate) shard_threshold: usize,
+    telemetry: Telemetry,
+    /// Each node's `Scope::Node(n)` / `"tx_bytes"` histogram id in
+    /// `telemetry`'s registry, and the one `"hop_delay_ms"` id: resolved by
+    /// key on first use and by id from then on, so a run creates the
+    /// histograms keyed `observe` calls would have.
+    tx_bytes_hists: Vec<Option<HistId>>,
+    hop_delay_hist: Option<HistId>,
 }
 
 impl<A: App> Simulator<A> {
@@ -875,17 +387,9 @@ impl<A: App> Simulator<A> {
     pub fn new(
         topo: Topology,
         config: SimConfig,
-        make_app: impl FnMut(NodeId, &Topology) -> A + Send + 'static,
+        make_app: impl FnMut(NodeId, &Topology) -> A + 'static,
     ) -> Simulator<A> {
         let mut make_app: MakeApp<A> = Box::new(make_app);
-        if let Sched::Shard { workers } = config.sched {
-            assert!(workers >= 1, "Sched::Shard requires at least one worker");
-            assert!(
-                config.hop_delay.0 >= 1,
-                "Sched::Shard requires hop_delay.0 ≥ 1: the minimum hop \
-                 delay is the conservative-PDES lookahead bound"
-            );
-        }
         // Setup-only RNG: clock skew is sampled once, serially, before any
         // event runs — the per-node streams never see these draws.
         let mut rng = StdRng::seed_from_u64(config.seed);
@@ -902,38 +406,33 @@ impl<A: App> Simulator<A> {
         let rngs: Vec<NodeRng> = (0..topo.len() as u32)
             .map(|i| NodeRng::new(config.seed, i))
             .collect();
-        let metrics = Metrics::new(topo.len());
-        let failed = vec![false; apps.len()];
-        let epochs = vec![0u32; apps.len()];
-        let counters = vec![0u32; apps.len()];
-        let send_hists = vec![SendHists::default(); apps.len()];
-        let queue = EventQueue::new(config.sched, topo.len());
+        let n = apps.len();
         let mut sim = Simulator {
+            metrics: Metrics::new(n),
             topo,
             apps,
-            queue,
+            queue: EventHeap::default(),
             now: 0,
-            counters,
+            counters: vec![0; n],
             pushes: 0,
-            scratch: Scratch::default(),
+            send_buf: Vec::new(),
+            timer_buf: Vec::new(),
             skew,
-            failed,
-            epochs,
+            failed: vec![false; n],
+            epochs: vec![0; n],
             links: LinkState::default(),
             faults: Vec::new(),
             fault_cursor: 0,
             make_app,
             rngs,
             config,
-            metrics,
             events_processed: 0,
             trace: None,
             trace_seq: 0,
             max_queue_depth: 0,
             telemetry: Telemetry::disabled(),
-            send_hists,
-            shard_threads: true,
-            shard_threshold: crate::shard::PAR_THRESHOLD,
+            tx_bytes_hists: vec![None; n],
+            hop_delay_hist: None,
         };
         for id in sim.topo.nodes() {
             sim.push_from(id, 0, Event::Start(id));
@@ -941,46 +440,16 @@ impl<A: App> Simulator<A> {
         sim
     }
 
-    /// Direct push used during construction; all event-path pushes go
-    /// through a [`LaneSink`].
+    /// Queue `event` at `at` under `origin`'s next `(origin << 32) |
+    /// counter` tie: ties are minted in push order, so two sends that land
+    /// on one link at one tick pop in the order they were sent.
     fn push_from(&mut self, origin: NodeId, at: SimTime, event: Event<A::Msg>) {
-        let c = self.counters[origin.index()];
-        self.counters[origin.index()] = c + 1;
-        let tie = ((origin.0 as u64) << 32) | c as u64;
+        let c = &mut self.counters[origin.index()];
+        let tie = ((origin.0 as u64) << 32) | *c as u64;
+        *c = c.checked_add(1).expect("per-origin tie counter overflow");
         self.queue.push(at, tie, event);
         self.pushes += 1;
         self.max_queue_depth = self.max_queue_depth.max(self.queue.len());
-    }
-
-    /// Split borrow: the shared processing core plus the serial sink. Both
-    /// views borrow disjoint fields, so they coexist for one dispatch.
-    pub(crate) fn lane_parts(&mut self) -> (Lane<'_, A>, MainSink<'_, A::Msg>) {
-        (
-            Lane {
-                topo: &self.topo,
-                config: &self.config,
-                telemetry: &self.telemetry,
-                skew: &self.skew,
-                failed: &self.failed,
-                epochs: &self.epochs,
-                links: &self.links,
-                apps: &mut self.apps,
-                rngs: &mut self.rngs,
-                counters: &mut self.counters,
-                send_hists: &mut self.send_hists,
-                base: 0,
-                events_processed: &mut self.events_processed,
-                scratch: &mut self.scratch,
-            },
-            MainSink {
-                queue: &mut self.queue,
-                trace: &mut self.trace,
-                trace_seq: &mut self.trace_seq,
-                metrics: &mut self.metrics,
-                max_queue_depth: &mut self.max_queue_depth,
-                pushes: &mut self.pushes,
-            },
-        )
     }
 
     /// Attach a trace sink (e.g. [`crate::trace::SharedJournal`]); every
@@ -1000,30 +469,16 @@ impl<A: App> Simulator<A> {
     /// cover per-node message sizes and hop delays.
     pub fn set_telemetry(&mut self, tele: Telemetry) {
         self.telemetry = tele;
-        self.send_hists.fill(SendHists::default());
+        self.tx_bytes_hists.fill(None);
+        self.hop_delay_hist = None;
     }
 
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
 
-    /// Shard backend: toggle worker threads for lockstep windows (default
-    /// on). Off runs the identical windows inline on the calling thread —
-    /// the `shard` bench uses this to measure the window critical path
-    /// without host-core noise. No effect on results (the schedule is
-    /// byte-identical either way), and none at all under `Sched::Heap`.
-    pub fn set_shard_threading(&mut self, on: bool) {
-        self.shard_threads = on;
-    }
-
-    /// Shard backend: set the pending-event count below which the scheduler
-    /// pops the least region head serially instead of opening a window
-    /// (test/bench knob; no effect under `Sched::Heap`).
-    pub fn set_shard_threshold(&mut self, min_pending: usize) {
-        self.shard_threshold = min_pending;
-    }
-
-    /// Journal an event outside the lane path (failure injection).
+    /// Journal an event at the current time (construction deferred: with
+    /// no journal attached this is one branch).
     #[inline]
     fn emit(&mut self, event: impl FnOnce() -> TraceEvent) {
         if let Some(sink) = self.trace.as_mut() {
@@ -1050,14 +505,10 @@ impl<A: App> Simulator<A> {
 
     /// Scheduler operation counters for this run (`sched.*` telemetry).
     pub fn sched_stats(&self) -> SchedStats {
-        let mut s = SchedStats {
+        SchedStats {
             pushes: self.pushes,
             ..SchedStats::default()
-        };
-        if let EventQueue::Shard(sq) = &self.queue {
-            sq.fill_stats(&mut s);
         }
-        s
     }
 
     pub fn now(&self) -> SimTime {
@@ -1112,9 +563,7 @@ impl<A: App> Simulator<A> {
         self.epochs[id.index()] += 1;
         self.apps[id.index()] = (self.make_app)(id, &self.topo);
         self.emit(|| TraceEvent::NodeRestart { node: id });
-        let now = self.now;
-        let (mut lane, mut sink) = self.lane_parts();
-        lane.invoke(&mut sink, now, id, |app, ctx| app.on_restart(ctx));
+        self.invoke(id, |app, ctx| app.on_restart(ctx));
     }
 
     pub fn is_failed(&self, id: NodeId) -> bool {
@@ -1122,8 +571,8 @@ impl<A: App> Simulator<A> {
     }
 
     /// Attach a fault schedule. Faults are applied at their exact tick,
-    /// interleaved with event processing under every backend: a fault at
-    /// time `t` strikes before any event scheduled at `t` runs.
+    /// interleaved with event processing: a fault at time `t` strikes
+    /// before any event scheduled at `t` runs.
     pub fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
         self.faults = schedule.sorted().events().to_vec();
         self.fault_cursor = 0;
@@ -1145,16 +594,8 @@ impl<A: App> Simulator<A> {
         &self.links
     }
 
-    /// Time of the next unapplied fault at or before `limit`.
-    pub(crate) fn next_fault_at(&self, limit: SimTime) -> Option<SimTime> {
-        self.faults
-            .get(self.fault_cursor)
-            .map(|f| f.at)
-            .filter(|&t| t <= limit)
-    }
-
     /// Apply every fault scheduled at exactly `t`, advancing `now` to `t`.
-    pub(crate) fn apply_faults_at(&mut self, t: SimTime) {
+    fn apply_faults_at(&mut self, t: SimTime) {
         debug_assert!(t >= self.now, "fault time went backwards");
         self.now = self.now.max(t);
         while let Some(f) = self.faults.get(self.fault_cursor) {
@@ -1196,54 +637,253 @@ impl<A: App> Simulator<A> {
 
     /// Run `f` on a node *now* (workload injection: "a sensor reading was
     /// generated at this node"), processing any sends/timers it produces.
+    /// No-op on failed nodes.
     pub fn invoke(&mut self, node: NodeId, f: impl FnOnce(&mut A, &mut Ctx<A::Msg>)) {
+        if self.failed[node.index()] {
+            return; // dead nodes do nothing
+        }
+        let mut ctx = Ctx {
+            node,
+            now: self.now,
+            local_time: self.now + self.skew[node.index()],
+            topo: &self.topo,
+            sends: std::mem::take(&mut self.send_buf),
+            timers: std::mem::take(&mut self.timer_buf),
+        };
+        f(&mut self.apps[node.index()], &mut ctx);
+        let (mut sends, mut timers) = (ctx.sends, ctx.timers);
+        self.apply_outputs(node, &mut sends, &mut timers);
+        (self.send_buf, self.timer_buf) = (sends, timers);
+    }
+
+    /// Put one callback's buffered sends on the air (loss draws, ARQ, fault
+    /// windows, hop delays) and queue its timers.
+    fn apply_outputs(
+        &mut self,
+        from: NodeId,
+        sends: &mut Vec<(NodeId, A::Msg)>,
+        timers: &mut Vec<(SimTime, u64)>,
+    ) {
+        let _route_span = self.telemetry.span("sim.route");
         let now = self.now;
-        let (mut lane, mut sink) = self.lane_parts();
-        lane.invoke(&mut sink, now, node, f);
+        let from_i = from.index();
+        let mut dups: Vec<(NodeId, SimTime, u32, A::Msg)> = Vec::new();
+        for (to, msg) in sends.drain(..) {
+            let bytes = msg.size_bytes();
+            let queued_bytes = u32::try_from(bytes).unwrap_or(u32::MAX);
+            let kind = msg.kind();
+            self.telemetry.observe_cached(
+                &mut self.tx_bytes_hists[from_i],
+                Scope::Node(from.0),
+                "tx_bytes",
+                BYTES_BUCKETS,
+                bytes as u64,
+            );
+            // A downed link is a loss probability of 1 — same RNG draw
+            // pattern as lossy air, so healing a link never shifts the
+            // sender's stream relative to a run where it stayed up.
+            let down = self.links.is_down(from, to);
+            let p = if down {
+                1.0
+            } else {
+                self.links.loss_override(from, to).unwrap_or_else(|| {
+                    self.config
+                        .link_loss
+                        .get(&(from, to))
+                        .copied()
+                        .unwrap_or(self.config.loss_prob)
+                })
+            };
+            let attempt_reason = if down {
+                DropReason::Partition
+            } else {
+                DropReason::Loss
+            };
+            // Link-layer ARQ: attempt until delivered or retries exhausted;
+            // every attempt is a transmission, failed attempts are losses.
+            // Retransmission backoff is exponential: 5, 10, 20, … ms.
+            let mut delivered = false;
+            let mut extra_delay: SimTime = 0;
+            for attempt in 0..=self.config.retries {
+                self.metrics.record_tx(from, bytes, kind);
+                self.emit(|| TraceEvent::Send {
+                    from,
+                    to,
+                    kind,
+                    bytes,
+                    attempt,
+                });
+                if p > 0.0 && self.rngs[from_i].gen_f64() < p {
+                    self.metrics.record_loss(kind, attempt_reason);
+                    extra_delay += 5u64 << attempt.min(5);
+                    continue;
+                }
+                delivered = true;
+                break;
+            }
+            if !delivered {
+                let reason = if down {
+                    DropReason::Partition
+                } else if self.config.retries > 0 {
+                    DropReason::Retries
+                } else {
+                    DropReason::Loss
+                };
+                self.emit(|| TraceEvent::Drop {
+                    from,
+                    to,
+                    kind,
+                    reason,
+                });
+                continue;
+            }
+            let (lo, hi) = self.config.hop_delay;
+            let mut delay = if hi > lo {
+                self.rngs[from_i].gen_range(lo, hi)
+            } else {
+                lo
+            };
+            // Open reordering window: extra uniform jitter on top of the
+            // hop delay lets later sends overtake this one. The draw only
+            // happens while a window is open, so the fault-free stream is
+            // untouched.
+            if let Some(jitter) = self.links.reorder_jitter(now) {
+                delay += self.rngs[from_i].gen_range(0, jitter);
+            }
+            self.telemetry.observe_cached(
+                &mut self.hop_delay_hist,
+                Scope::Global,
+                "hop_delay_ms",
+                SIM_MS_BUCKETS,
+                delay + extra_delay,
+            );
+            let at = now + delay + extra_delay;
+            // Open duplication window: the radio transmits a copy with its
+            // own delay draw. The copy is a full transmission (tx recorded,
+            // journaled) so message-conservation accounting still balances.
+            if let Some(pdup) = self.links.dup_prob(now) {
+                if self.rngs[from_i].gen_f64() < pdup {
+                    let ddelay = if hi > lo {
+                        self.rngs[from_i].gen_range(lo, hi)
+                    } else {
+                        lo
+                    };
+                    self.metrics.record_tx(from, bytes, kind);
+                    self.emit(|| TraceEvent::Send {
+                        from,
+                        to,
+                        kind,
+                        bytes,
+                        attempt: 0,
+                    });
+                    dups.push((to, now + ddelay + extra_delay, queued_bytes, msg.clone()));
+                }
+            }
+            let event = Event::Deliver {
+                to,
+                from,
+                bytes: queued_bytes,
+                msg,
+            };
+            self.push_from(from, at, event);
+        }
+        for (to, at, bytes, msg) in dups {
+            let event = Event::Deliver {
+                to,
+                from,
+                bytes,
+                msg,
+            };
+            self.push_from(from, at, event);
+        }
+        let epoch = self.epochs[from_i];
+        for (delay, tag) in timers.drain(..) {
+            let event = Event::Timer {
+                node: from,
+                tag,
+                epoch,
+            };
+            self.push_from(from, now + delay, event);
+        }
     }
 
     /// Process one queue event; false when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let (at, _tie, event) = match self.queue.pop() {
-            Some(e) => e,
-            None => return false,
+        let Some((at, event)) = self.queue.pop() else {
+            return false;
         };
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
-        let now = self.now;
-        let (mut lane, mut sink) = self.lane_parts();
-        lane.dispatch(&mut sink, now, event);
+        self.events_processed += 1;
+        match event {
+            Event::Start(node) => {
+                if !self.failed[node.index()] {
+                    self.emit(|| TraceEvent::Start { node });
+                }
+                self.invoke(node, |app, ctx| app.on_start(ctx));
+            }
+            Event::Deliver {
+                to,
+                from,
+                bytes,
+                msg,
+            } => {
+                let kind = msg.kind();
+                if self.failed[to.index()] {
+                    self.metrics.record_loss(kind, DropReason::DeadNode);
+                    self.emit(|| TraceEvent::Drop {
+                        from,
+                        to,
+                        kind,
+                        reason: DropReason::DeadNode,
+                    });
+                } else {
+                    let _span = self.telemetry.span("sim.deliver");
+                    let bytes = bytes as usize;
+                    self.metrics.record_rx(to, bytes, kind);
+                    self.emit(|| TraceEvent::Deliver {
+                        from,
+                        to,
+                        kind,
+                        bytes,
+                    });
+                    self.invoke(to, |app, ctx| app.on_message(ctx, from, msg));
+                }
+            }
+            Event::Timer { node, tag, epoch } => {
+                if self.epochs[node.index()] != epoch {
+                    return true; // armed by a previous incarnation: swallow
+                }
+                let _span = self.telemetry.span("sim.timer");
+                if !self.failed[node.index()] {
+                    self.emit(|| TraceEvent::Timer { node, tag });
+                }
+                self.invoke(node, |app, ctx| app.on_timer(ctx, tag));
+            }
+        }
         true
     }
 
     /// True when no events remain.
     pub fn is_quiescent(&self) -> bool {
-        self.queue.is_empty()
+        self.queue.len() == 0
     }
-}
 
-/// The run loop. `Send` bounds let the sharded backend fan windows out to
-/// scoped worker threads; the serial heap ignores them. (Apps are plain
-/// state machines — all workspace apps are `Send`.)
-impl<A: App + Send> Simulator<A>
-where
-    A::Msg: Send,
-{
     /// Step through every event scheduled at or before `limit`. The single
     /// head-draining loop shared by [`Self::run_to_quiescence`] and
     /// [`Self::run_until`]; a no-op on an empty queue.
     fn drain_ready(&mut self, limit: SimTime) {
-        if matches!(self.queue, EventQueue::Shard(_)) {
-            self.drain_sharded(limit);
-            return;
-        }
         // Interleave scheduled faults with event processing: a fault at
         // time t strikes before any event at t (so a crash at an event's
         // exact tick kills that event's handler), and pending faults are
         // applied even when the queue is empty (a restart can revive a
         // quiesced network).
         loop {
-            let next_fault = self.next_fault_at(limit);
+            let next_fault = self
+                .faults
+                .get(self.fault_cursor)
+                .map(|f| f.at)
+                .filter(|&t| t <= limit);
             let next_event = self.queue.next_at().filter(|&at| at <= limit);
             match (next_fault, next_event) {
                 (Some(f), Some(at)) if f <= at => self.apply_faults_at(f),
@@ -1604,14 +1244,14 @@ mod tests {
     }
 
     /// The tag of a queued timer event (what the queue-order tests push).
-    fn popped_tag(q: &mut EventQueue<()>) -> Option<(SimTime, u64)> {
+    fn popped_tag(q: &mut EventHeap<()>) -> Option<(SimTime, u64)> {
         match q.pop()? {
-            (at, _, Event::Timer { tag, .. }) => Some((at, tag)),
+            (at, Event::Timer { tag, .. }) => Some((at, tag)),
             _ => unreachable!("only timers are queued"),
         }
     }
 
-    fn push_tagged(q: &mut EventQueue<()>, at: SimTime, tie: u64, tag: u64) {
+    fn push_tagged(q: &mut EventHeap<()>, at: SimTime, tie: u64, tag: u64) {
         let event = Event::Timer {
             node: NodeId(0),
             tag,
@@ -1625,7 +1265,7 @@ mod tests {
     /// is not.
     #[test]
     fn same_tick_push_while_the_tick_drains_pops_in_tie_order() {
-        let mut q = EventQueue::new(Sched::Heap, 1);
+        let mut q = EventHeap::default();
         push_tagged(&mut q, 7, 0, 1);
         push_tagged(&mut q, 7, 5, 3);
         assert_eq!(popped_tag(&mut q), Some((7, 1)));
@@ -1641,7 +1281,7 @@ mod tests {
     /// harness peeks, stops at a horizon, then injects) is legal.
     #[test]
     fn non_monotone_origin_ties_pop_in_tie_order() {
-        let mut q = EventQueue::new(Sched::Heap, 1);
+        let mut q = EventHeap::default();
         let far = 3 * 4_096 + 17;
         for (at, tie, tag) in [(9, 40, 4), (9, 10, 1), (far, 8, 6), (9, 30, 3)] {
             push_tagged(&mut q, at, tie, tag);
@@ -1680,91 +1320,16 @@ mod tests {
                 }
             }
         }
-        for sched in [Sched::Heap, Sched::Shard { workers: 1 }] {
-            let cfg = SimConfig {
-                sched,
-                ..SimConfig::default()
-            };
-            let mut sim = Simulator::new(Topology::grid(1, 1), cfg, |_, _| Bursts);
-            sim.run_to_quiescence(2 * TICKS);
-            assert_eq!(sim.events_processed(), 1 + BURST * TICKS, "{sched:?}");
-            let peak = sim.max_queue_depth();
-            assert!(peak < 2 * BURST as usize, "{sched:?}: peak {peak}");
-            let retained = sim.queue.capacity();
-            assert!(
-                retained <= 4 * peak,
-                "{sched:?}: room for {retained} events kept after a peak of {peak}"
-            );
-        }
-    }
-
-    #[test]
-    fn shard_journal_matches_serial_oracle() {
-        // The sharded backend's merged journal must be byte-identical to the
-        // serial heap's for any worker count, with windows forced on
-        // (threshold 0) and under both inline and threaded execution.
-        let oracle = journaled_flood(lossy_cfg());
-        for threads in [false, true] {
-            for workers in [1usize, 2, 3, 4, 16, 64] {
-                let cfg = SimConfig {
-                    sched: Sched::Shard { workers },
-                    ..lossy_cfg()
-                };
-                let shared = crate::trace::SharedJournal::new(cfg.seed);
-                let mut sim = flood_sim(cfg);
-                sim.set_shard_threading(threads);
-                sim.set_shard_threshold(0); // force lockstep windows
-                sim.set_trace(Box::new(shared.clone()));
-                sim.run_to_quiescence(100_000);
-                let j = shared.take();
-                assert_eq!(
-                    oracle.first_divergence(&j),
-                    None,
-                    "workers={workers} threads={threads} diverged: {:?} vs {:?}",
-                    oracle.first_divergence(&j).map(|i| &oracle.records[i]),
-                    oracle.first_divergence(&j).and_then(|i| j.records.get(i)),
-                );
-                assert_eq!(oracle.content_hash(), j.content_hash());
-                let stats = sim.sched_stats();
-                if workers > 1 {
-                    assert!(stats.shard_windows > 0, "windows never opened");
-                    assert!(stats.shard_regions > 1);
-                }
-            }
-        }
-        // Default threshold on a 16-node flood: the queue never reaches it,
-        // so this exercises the pure serial-fallback path.
-        let fallback = journaled_flood(SimConfig {
-            sched: Sched::Shard { workers: 2 },
-            ..lossy_cfg()
-        });
-        assert_eq!(oracle.content_hash(), fallback.content_hash());
-    }
-
-    #[test]
-    fn shard_backend_agrees_on_outcomes_and_metrics() {
-        let mut a = flood_sim(lossy_cfg());
-        a.fail_node(NodeId(9));
-        a.run_to_quiescence(100_000);
-        let mut b = flood_sim(SimConfig {
-            sched: Sched::Shard { workers: 4 },
-            ..lossy_cfg()
-        });
-        b.fail_node(NodeId(9));
-        b.set_shard_threshold(0);
-        b.run_to_quiescence(100_000);
-        assert_eq!(a.metrics.total_tx(), b.metrics.total_tx());
-        assert_eq!(a.metrics.total_rx(), b.metrics.total_rx());
-        assert_eq!(a.metrics.kind_balance(), b.metrics.kind_balance());
-        assert_eq!(a.events_processed(), b.events_processed());
-        assert_eq!(a.now(), b.now());
-        assert_eq!(a.sched_stats().pushes, b.sched_stats().pushes);
-        let ta: Vec<_> = a.nodes().map(|n| n.received_at).collect();
-        let tb: Vec<_> = b.nodes().map(|n| n.received_at).collect();
-        assert_eq!(ta, tb);
-        // The heaviest per-node loads agree too (accumulated via the
-        // window-barrier scratch flush rather than per-call recording).
-        assert_eq!(a.metrics.max_node_load(), b.metrics.max_node_load());
+        let mut sim = Simulator::new(Topology::grid(1, 1), SimConfig::default(), |_, _| Bursts);
+        sim.run_to_quiescence(2 * TICKS);
+        assert_eq!(sim.events_processed(), 1 + BURST * TICKS);
+        let peak = sim.max_queue_depth();
+        assert!(peak < 2 * BURST as usize, "peak {peak}");
+        let retained = sim.queue.capacity();
+        assert!(
+            retained <= 4 * peak,
+            "room for {retained} events kept after a peak of {peak}"
+        );
     }
 
     #[test]
@@ -1786,7 +1351,7 @@ mod tests {
 
     /// Two sends on one link from one callback that land on the same tick
     /// (zero jitter) are two queue operations with consecutive ties of one
-    /// origin: they pop in send order under every backend.
+    /// origin: they pop in send order.
     #[test]
     fn same_link_same_tick_sends_deliver_in_send_order() {
         struct DoubleSend {
@@ -1812,31 +1377,23 @@ mod tests {
                 self.heard.push(msg.0);
             }
         }
-        let run = |sched: Sched| {
-            let cfg = SimConfig {
-                hop_delay: (10, 10), // zero jitter: both sends arrive together
-                sched,
-                ..SimConfig::default()
-            };
-            let shared = crate::trace::SharedJournal::new(cfg.seed);
-            let mut sim = Simulator::new(Topology::grid(2, 1), cfg, |id, _| DoubleSend {
-                id,
-                heard: Vec::new(),
-            });
-            sim.set_shard_threshold(0); // force lockstep windows
-            sim.set_trace(Box::new(shared.clone()));
-            sim.run_to_quiescence(1_000);
-            assert_eq!(sim.node(NodeId(1)).heard, [1, 2], "{sched:?}");
-            let stats = sim.sched_stats();
-            assert_eq!(stats.pushes, 2 + 2, "two starts, one push per send");
-            assert_eq!(stats.batched_msgs, 0);
-            assert_eq!(sim.events_processed(), 2 + 2);
-            shared.take()
+        let cfg = SimConfig {
+            hop_delay: (10, 10), // zero jitter: both sends arrive together
+            ..SimConfig::default()
         };
-        let heap = run(Sched::Heap);
-        assert_eq!(heap.summary().sends, 2);
-        let shard = run(Sched::Shard { workers: 2 });
-        assert_eq!(heap.to_text(), shard.to_text());
+        let shared = crate::trace::SharedJournal::new(cfg.seed);
+        let mut sim = Simulator::new(Topology::grid(2, 1), cfg, |id, _| DoubleSend {
+            id,
+            heard: Vec::new(),
+        });
+        sim.set_trace(Box::new(shared.clone()));
+        sim.run_to_quiescence(1_000);
+        assert_eq!(sim.node(NodeId(1)).heard, [1, 2]);
+        let stats = sim.sched_stats();
+        assert_eq!(stats.pushes, 2 + 2, "two starts, one push per send");
+        assert_eq!(stats.batched_msgs, 0);
+        assert_eq!(sim.events_processed(), 2 + 2);
+        assert_eq!(shared.take().summary().sends, 2);
     }
 
     #[test]
@@ -2136,46 +1693,64 @@ mod fault_plane_tests {
         );
     }
 
-    /// Satellite regression: a crash scheduled at an arbitrary mid-window
-    /// tick takes effect at exactly that tick under `Sched::Shard` — the
-    /// lockstep window is clamped at the fault, so shard journals stay
-    /// byte-identical to the serial heap's.
+    /// A fault strikes at exactly its tick, before any event of that tick:
+    /// the crash at 137 is journaled at 137 and node 4 hears nothing until
+    /// its restart at 1201, and the link-down at 433 precedes a timer armed
+    /// for 433, whose broadcast finds the link already down.
     #[test]
-    fn shard_matches_heap_under_exact_tick_crash_schedule() {
-        // 137/1201 are deliberately not multiples of the 30-tick lookahead
-        // (hop_delay.0) so an unclamped window would straddle the fault.
+    fn faults_strike_at_their_exact_tick() {
         let schedule = FaultSchedule::new()
             .crash(137, NodeId(4))
             .restart(1_201, NodeId(4))
             .link_down(433, NodeId(0), NodeId(1))
             .link_up(977, NodeId(1), NodeId(0));
-        let run = |sched: Sched| {
-            let cfg = SimConfig {
-                sched,
-                loss_prob: 0.1,
-                seed: 21,
-                ..SimConfig::default()
-            };
-            let shared = SharedJournal::new(cfg.seed);
-            let mut sim = chatter_sim(Topology::square_grid(4), cfg, 3_000);
-            sim.set_shard_threshold(0); // force lockstep windows
-            sim.set_fault_schedule(schedule.clone());
-            sim.set_trace(Box::new(shared.clone()));
-            sim.run_to_quiescence(100_000);
-            shared.take()
+        let cfg = SimConfig {
+            loss_prob: 0.1,
+            seed: 21,
+            ..SimConfig::default()
         };
-        let oracle = run(Sched::Heap);
-        for workers in [1usize, 2, 3, 4] {
-            let j = run(Sched::Shard { workers });
-            assert_eq!(
-                oracle.first_divergence(&j),
-                None,
-                "workers={workers} diverged: {:?} vs {:?}",
-                oracle.first_divergence(&j).map(|i| &oracle.records[i]),
-                oracle.first_divergence(&j).and_then(|i| j.records.get(i)),
-            );
-            assert_eq!(oracle.content_hash(), j.content_hash());
-        }
-        assert!(!oracle.records.is_empty());
+        let shared = SharedJournal::new(cfg.seed);
+        let mut sim = chatter_sim(Topology::square_grid(4), cfg, 3_000);
+        sim.set_fault_schedule(schedule);
+        sim.set_trace(Box::new(shared.clone()));
+        sim.run_until(400);
+        sim.invoke(NodeId(0), |_, ctx| ctx.set_timer(33, 9));
+        sim.run_to_quiescence(100_000);
+        let j = shared.take();
+        let fail = j
+            .records
+            .iter()
+            .find(|r| r.event == TraceEvent::NodeFail { node: NodeId(4) });
+        assert_eq!(fail.map(|r| r.at), Some(137));
+        let dead = 137..1_201;
+        let while_dead = || j.records.iter().filter(|r| dead.contains(&r.at));
+        assert!(
+            !while_dead().any(|r| matches!(r.event,
+                TraceEvent::Deliver { to, .. } if to == NodeId(4))),
+            "node 4 heard a message while down"
+        );
+        assert!(
+            while_dead().any(|r| matches!(r.event,
+                TraceEvent::Drop { to, reason: DropReason::DeadNode, .. } if to == NodeId(4))),
+            "nothing reached node 4 while it was down"
+        );
+        let at_433: Vec<_> = j.records.iter().filter(|r| r.at == 433).collect();
+        let link_down = TraceEvent::LinkDown {
+            a: NodeId(0),
+            b: NodeId(1),
+        };
+        let timer = TraceEvent::Timer {
+            node: NodeId(0),
+            tag: 9,
+        };
+        let cut = TraceEvent::Drop {
+            from: NodeId(0),
+            to: NodeId(1),
+            kind: "ping",
+            reason: DropReason::Partition,
+        };
+        assert_eq!(at_433.first().map(|r| &r.event), Some(&link_down));
+        assert!(at_433.iter().any(|r| r.event == timer));
+        assert!(at_433.iter().any(|r| r.event == cut));
     }
 }

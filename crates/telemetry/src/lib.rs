@@ -6,10 +6,12 @@
 //! guards (the same `Option`-gated pattern as `netsim`'s `TraceSink`), and
 //! one exporter (the JSONL snapshot).
 //!
-//! Handles are `Arc<Mutex<…>>` clones so the sharded simulator's region
-//! workers can record from their lockstep windows; the hot per-event paths
-//! stay lock-free (workers accumulate into thread-local scratch and merge
-//! at window barriers — only coarse-grained recording takes the lock).
+//! Handles are `Arc<Mutex<…>>` clones: the caller keeps one to read
+//! results back while the simulator and the nodes record through theirs,
+//! and a handle is `Send + Sync`, so whatever holds one can be built on any
+//! of the bench driver's worker threads. A disabled handle costs one branch
+//! per use; an enabled one takes the lock per record, by pre-resolved id
+//! on the per-event paths (`observe_cached`).
 //! Determinism is a hard invariant of the workspace — all iteration orders
 //! are `BTreeMap`-sorted and no wall-clock values leak into anything that
 //! feeds a trace hash.

@@ -69,7 +69,7 @@ pub mod prelude {
     pub use sensorlog_logic::{
         analyze, parse_fact, parse_program, parse_rule, Analysis, ProgramClass, Symbol, Term, Tuple,
     };
-    pub use sensorlog_netsim::{NodeId, Sched, SchedStats, SimConfig, Simulator, Topology};
+    pub use sensorlog_netsim::{NodeId, SchedStats, SimConfig, Simulator, Topology};
     pub use sensorlog_provenance::{check_provenance, explain_atom, Explain, Explanation, ProvDag};
     pub use sensorlog_telemetry::{Scope, Snapshot, Telemetry};
 }

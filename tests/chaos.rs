@@ -15,7 +15,7 @@ use sensorlog::core::invariants;
 use sensorlog::core::runtime::FaultPlaneCfg;
 use sensorlog::core::workload::UniformStreams;
 use sensorlog::prelude::*;
-use sensorlog_netsim::{FaultSchedule, RandomFaults};
+use sensorlog_netsim::{FaultSchedule, RandomFaults, TraceEvent};
 
 fn sym(s: &str) -> Symbol {
     Symbol::intern(s)
@@ -32,7 +32,7 @@ const JOIN: &str = r#"
 /// Fault-plane deployment on a 4×4 grid. Chaos runs pin `clock_skew_max`
 /// to 0: liveness versions are local times, and Theorem 3's τc bound is
 /// orthogonal to what this plane tests.
-fn chaos_deployment(seed: u64, sched: Sched, active_until: u64) -> Deployment {
+fn chaos_deployment(seed: u64, active_until: u64) -> Deployment {
     let cfg = DeployConfig {
         rt: RtConfig {
             faults: Some(FaultPlaneCfg {
@@ -43,7 +43,6 @@ fn chaos_deployment(seed: u64, sched: Sched, active_until: u64) -> Deployment {
         },
         sim: SimConfig {
             seed,
-            sched,
             ..SimConfig::default()
         },
         // Pure observer: chaos runs double as the provenance plane's
@@ -87,7 +86,7 @@ proptest! {
             start: 1_000,
             heal_by: 14_000,
         });
-        let mut d = chaos_deployment(seed, Sched::Heap, 26_000);
+        let mut d = chaos_deployment(seed, 26_000);
         d.set_fault_schedule(schedule);
         d.schedule_all(churn_events(&topo, seed));
         d.run(120_000);
@@ -130,7 +129,7 @@ fn restarted_source_state_matches_never_crashed_run() {
         ]
     };
     let run = |crash: bool| {
-        let mut d = chaos_deployment(3, Sched::Heap, 20_000);
+        let mut d = chaos_deployment(3, 20_000);
         if crash {
             // Crash window 1000–1500 contains no workload events at the
             // node: the never-crashed run sees the identical event stream.
@@ -162,7 +161,7 @@ fn restarted_source_state_matches_never_crashed_run() {
 /// failure detection instead of an explicit delete event.
 #[test]
 fn dead_nodes_facts_are_retracted_by_liveness() {
-    let mut d = chaos_deployment(9, Sched::Heap, 20_000);
+    let mut d = chaos_deployment(9, 20_000);
     // Node 6 inserts r1(6, 3); node 9 inserts r2(9, 3): q(6, 9) derives.
     // Node 6 then dies and never comes back — q(6, 9) must die with it.
     let mk = |at, node: u32, pred: &str, v: i64| WorkloadEvent {
@@ -202,7 +201,7 @@ fn partition_heals_to_oracle() {
         let b = topo.node_at(x, 2).unwrap();
         schedule = schedule.link_down(500, a, b).link_up(9_000, a, b);
     }
-    let mut d = chaos_deployment(17, Sched::Heap, 24_000);
+    let mut d = chaos_deployment(17, 24_000);
     d.set_fault_schedule(schedule);
     d.schedule_all(churn_events(&topo, 17));
     d.run(120_000);
@@ -224,7 +223,7 @@ fn partition_heals_to_oracle() {
 #[test]
 fn high_churn_with_crashes_settles_and_converges() {
     let topo = Topology::square_grid(4);
-    let mut d = chaos_deployment(23, Sched::Heap, 26_000);
+    let mut d = chaos_deployment(23, 26_000);
     d.set_fault_schedule(
         FaultSchedule::new()
             .crash(2_500, NodeId(10))
@@ -252,50 +251,52 @@ fn high_churn_with_crashes_settles_and_converges() {
     assert!(conv.ok(), "{conv}");
 }
 
-/// The same scripted chaos run is byte-identical across both scheduler
-/// backends (one journal hash for the serial heap and the 2-worker
-/// shard). The schedule deliberately places faults off the shard
-/// lookahead grid.
+/// A scripted chaos run journals each injected fault at its tick, derives
+/// something, and converges to the oracle once healed.
 #[test]
-fn chaos_journal_identical_across_backends() {
+fn scripted_chaos_journals_each_fault_and_converges() {
     let topo = Topology::square_grid(4);
-    let schedule = || {
+    let mut d = chaos_deployment(42, 20_000);
+    let journal = d.attach_journal();
+    d.set_fault_schedule(
         FaultSchedule::new()
             .crash(1_337, NodeId(5))
             .restart(2_911, NodeId(5))
             .link_down(703, NodeId(1), NodeId(2))
-            .link_up(4_441, NodeId(1), NodeId(2))
-    };
-    let run = |sched: Sched| {
-        let mut d = chaos_deployment(42, sched, 20_000);
-        let journal = d.attach_journal();
-        d.set_fault_schedule(schedule());
-        d.schedule_all(churn_events(&topo, 42));
-        d.run(120_000);
-        assert!(d.sim.is_quiescent());
-        // Guard against vacuous convergence: the run must derive something.
-        assert!(!d.results(sym("q")).is_empty(), "chaos run derived nothing");
-        let conv = invariants::check_convergence(&d, &[sym("q")]);
-        assert!(conv.ok(), "{conv}");
-        journal.take()
-    };
-    let heap = run(Sched::Heap);
-    let shard = run(Sched::Shard { workers: 2 });
-    assert!(
-        heap.records.iter().any(|r| {
-            let s = format!("{r:?}");
-            s.contains("NodeFail") || s.contains("LinkDown")
-        }),
-        "journal must record the injected faults"
+            .link_up(4_441, NodeId(1), NodeId(2)),
     );
-    if let Some(i) = heap.first_divergence(&shard) {
-        panic!(
-            "heap/shard diverge at record {i}:\n  heap:  {:?}\n  shard: {:?}",
-            heap.records.get(i),
-            shard.records.get(i)
-        );
-    }
-    assert_eq!(heap.content_hash(), shard.content_hash());
+    d.schedule_all(churn_events(&topo, 42));
+    d.run(120_000);
+    assert!(d.sim.is_quiescent());
+    // Guard against vacuous convergence: the run must derive something.
+    assert!(!d.results(sym("q")).is_empty(), "chaos run derived nothing");
+    let conv = invariants::check_convergence(&d, &[sym("q")]);
+    assert!(conv.ok(), "{conv}");
+    let (n5, n1, n2) = (NodeId(5), NodeId(1), NodeId(2));
+    let faults: Vec<_> = journal
+        .take()
+        .records
+        .into_iter()
+        .filter(|r| {
+            matches!(
+                r.event,
+                TraceEvent::NodeFail { .. }
+                    | TraceEvent::NodeRestart { .. }
+                    | TraceEvent::LinkDown { .. }
+                    | TraceEvent::LinkUp { .. }
+            )
+        })
+        .map(|r| (r.at, r.event))
+        .collect();
+    assert_eq!(
+        faults,
+        [
+            (703, TraceEvent::LinkDown { a: n1, b: n2 }),
+            (1_337, TraceEvent::NodeFail { node: n5 }),
+            (2_911, TraceEvent::NodeRestart { node: n5 }),
+            (4_441, TraceEvent::LinkUp { a: n1, b: n2 }),
+        ]
+    );
 }
 
 // Durable-store equivalence (satellite 3, mechanism level): for any op
