@@ -61,28 +61,38 @@ cargo test --workspace -q
 #    sized for 16 events at a peak of 15; the timer wheel it replaced kept
 #    room for 32,768);
 #  - core: `pred:* sent_*` equals the simulator's tx count, partitioned or
-#    not (a payload with no route is a routing drop, not a send).
-# The boundary-resolve cap (tests/boundary_sites.rs) ran with the workspace
-# tests above.
-echo "== count gates (keyed registry walks, queued event size, unplanned probes, node probe ranges, router hops, id table race, expiry queue, message ownership, send order, queue memory, sent counters) =="
+#    not (a payload with no route is a routing drop, not a send);
+#  - a Centroid center's provenance is its engine's ledger transitions: the
+#    JSONL of a 5x5 logicH run with the plane on is pinned byte for byte
+#    (657 records, FNV-1a 0e6642a52dbe5f22), and the proofs check;
+#  - the JSONL readers trust no declared or narrowed number: a journal
+#    header's record count sizes nothing, and a value too wide for its
+#    field (a node id, a sign) is a line-numbered error.
+# Each gate names its crate, its test target (`--lib` or `--test=<file>`)
+# and the test. The boundary-resolve cap (tests/boundary_sites.rs) ran with
+# the workspace tests above.
+echo "== count gates (keyed registry walks, queued event size, unplanned probes, node probe ranges, router hops, id table race, expiry queue, message ownership, send order, queue memory, sent counters, Centroid provenance, JSONL numbers) =="
 for gate in \
-    "sensorlog-netsim sim::tests::keyed_registry_walks_do_not_grow_with_traffic" \
-    "sensorlog-core msg::tests::queued_event_stays_payload_independent" \
-    "sensorlog-eval planner::tests::engines_probe_only_planned_signatures" \
-    "sensorlog-core deploy::tests::node_probes_are_ranges_of_the_fragment_map" \
-    "sensorlog-core deploy::tests::deployment_hops_are_router_hops" \
-    "sensorlog-logic pages::tests::lock_free_reads_race_with_publishing" \
-    "sensorlog-core deploy::tests::windowed_replicas_do_not_queue_a_timer_each" \
-    "sensorlog-core runtime::tests::an_older_generations_expiry_leaves_the_newer_replica" \
-    "sensorlog-core runtime::tests::an_earlier_deltas_expiry_leaves_the_rearmed_owned_entry" \
-    "sensorlog-core runtime::tests::a_relay_forwards_the_envelope_it_received" \
-    "sensorlog-core runtime::tests::a_flood_shares_one_allocation_among_neighbours" \
-    "sensorlog-core runtime::tests::a_duplicated_walk_message_is_processed_as_two_copies" \
-    "sensorlog-netsim sim::tests::same_link_same_tick_sends_deliver_in_send_order" \
-    "sensorlog-netsim sim::tests::queue_memory_follows_pending_events" \
-    "sensorlog-core deploy::tests::sent_counters_equal_transmissions_under_partition"; do
-    read -r crate name <<<"$gate"
-    out=$(cargo test -q -p "$crate" --lib -- --exact "$name" 2>&1) || { echo "$out"; exit 1; }
+    "sensorlog-netsim --lib sim::tests::keyed_registry_walks_do_not_grow_with_traffic" \
+    "sensorlog-core --lib msg::tests::queued_event_stays_payload_independent" \
+    "sensorlog-eval --lib planner::tests::engines_probe_only_planned_signatures" \
+    "sensorlog-core --lib deploy::tests::node_probes_are_ranges_of_the_fragment_map" \
+    "sensorlog-core --lib deploy::tests::deployment_hops_are_router_hops" \
+    "sensorlog-logic --lib pages::tests::lock_free_reads_race_with_publishing" \
+    "sensorlog-core --lib deploy::tests::windowed_replicas_do_not_queue_a_timer_each" \
+    "sensorlog-core --lib runtime::tests::an_older_generations_expiry_leaves_the_newer_replica" \
+    "sensorlog-core --lib runtime::tests::an_earlier_deltas_expiry_leaves_the_rearmed_owned_entry" \
+    "sensorlog-core --lib runtime::tests::a_relay_forwards_the_envelope_it_received" \
+    "sensorlog-core --lib runtime::tests::a_flood_shares_one_allocation_among_neighbours" \
+    "sensorlog-core --lib runtime::tests::a_duplicated_walk_message_is_processed_as_two_copies" \
+    "sensorlog-netsim --lib sim::tests::same_link_same_tick_sends_deliver_in_send_order" \
+    "sensorlog-netsim --lib sim::tests::queue_memory_follows_pending_events" \
+    "sensorlog-core --lib deploy::tests::sent_counters_equal_transmissions_under_partition" \
+    "sensorlog --test=explain_e2e centroid_provenance_jsonl_is_pinned" \
+    "sensorlog --test=journal_roundtrip journal_from_jsonl_does_not_trust_the_header_count" \
+    "sensorlog --test=journal_roundtrip from_jsonl_rejects_out_of_range_numbers"; do
+    read -r crate target name <<<"$gate"
+    out=$(cargo test -q -p "$crate" "$target" -- --exact "$name" 2>&1) || { echo "$out"; exit 1; }
     grep -q "test result: ok. 1 passed" <<<"$out" || {
         echo "count gate $name did not run (renamed or filtered out?)"; exit 1; }
 done
@@ -92,6 +102,22 @@ done
 echo "== one derivation ledger (no HashMap<DerivationKey under crates/) =="
 if grep -rn 'HashMap<DerivationKey' crates/; then
     echo "a second derivation ledger: count derivation keys in eval::Support"; exit 1
+fi
+
+# One ledger in eval: counting is `IncrementalEngine<()>` (the derivation
+# projected out of the ledger's key), and a Centroid center proves its
+# results from the engine's own `Firing` log. Earlier trees kept a second
+# count map (`CountingEngine`), a third liveness set for lineage
+# (`LineageLog`), batch and DRed lineage capture nothing read, and an owned
+# copy of every solution's inputs to feed it. One JSONL line codec:
+# `telemetry::jsonl`, where `netsim` and `core` each kept a drifted copy.
+echo "== one ledger in eval (no counting engine, lineage log or owned inputs; one JSONL codec) =="
+if grep -rn 'CountingEngine\|LineageLog\|record_lineage\|run_with_lineage\|owned_inputs' crates src tests; then
+    echo "a second ledger or a lineage copy is back: use IncrementalEngine::counting / take_firings"; exit 1
+fi
+if [[ $(grep -rn 'fn field_raw' crates src | wc -l) -ne 1 ]]; then
+    grep -rn 'fn field_raw' crates src
+    echo "a second JSONL field reader: use sensorlog_telemetry::jsonl"; exit 1
 fi
 
 # One owner rule: `DistProgram::owner_of` (crates/core/src/plan.rs) places

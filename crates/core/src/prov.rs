@@ -1,5 +1,6 @@
-//! Cross-node provenance recording — the distributed half of the
-//! provenance plane (the centralized half is `sensorlog_eval::lineage`).
+//! Cross-node provenance recording: the provenance plane's records, from
+//! every node of a deployment. A Centroid center turns its engine's
+//! ledger transitions (`sensorlog_eval::Firing`) into the same records.
 //!
 //! A [`Provenance`] handle is shared by every node of a deployment, exactly
 //! like the telemetry handle: disabled by default (one branch per recording
@@ -24,14 +25,17 @@
 //!   Broadcast floods (NaiveBroadcast storage, heartbeats) are not
 //!   hop-recorded: they carry no single causal origin per link.
 //!
-//! Records serialize to JSONL (one object per line) in the same hand-rolled
-//! dialect as `sensorlog_netsim::trace`, so per-node logs can be shipped
-//! out-of-band and re-ingested by `sensorlog-provenance`.
+//! Records serialize to JSONL (one object per line) with the workspace's
+//! one line codec (`sensorlog_telemetry::jsonl`, which `netsim` journals
+//! use too), so per-node logs can be shipped out-of-band and re-ingested by
+//! `sensorlog-provenance`.
 
 use crate::tupleid::{DerivationKey, TupleId};
 use sensorlog_eval::UpdateKind;
 use sensorlog_logic::{parse_fact, Symbol, Tuple};
+use sensorlog_netsim::trace::intern_kind;
 use sensorlog_netsim::{NodeId, SimTime};
+use sensorlog_telemetry::jsonl::{escape, field_i64, field_str, field_u64};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -229,85 +233,6 @@ fn parse_key(s: &str) -> Option<DerivationKey> {
     Some(DerivationKey::new(rule.parse().ok()?, inputs))
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Raw value slice for `"key":` in a single-line JSON object.
-fn field_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    if let Some(inner) = rest.strip_prefix('"') {
-        let mut escaped = false;
-        for (i, ch) in inner.char_indices() {
-            if escaped {
-                escaped = false;
-            } else if ch == '\\' {
-                escaped = true;
-            } else if ch == '"' {
-                return Some(&rest[..i + 2]);
-            }
-        }
-        None
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim())
-    }
-}
-
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let raw = field_raw(line, key)?;
-    let inner = raw.strip_prefix('"')?.strip_suffix('"')?;
-    let mut out = String::with_capacity(inner.len());
-    let mut chars = inner.chars();
-    while let Some(ch) = chars.next() {
-        if ch != '\\' {
-            out.push(ch);
-            continue;
-        }
-        match chars.next()? {
-            '"' => out.push('"'),
-            '\\' => out.push('\\'),
-            'u' => {
-                let hex: String = (&mut chars).take(4).collect();
-                out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
-            }
-            other => out.push(other),
-        }
-    }
-    Some(out)
-}
-
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    field_raw(line, key)?.parse().ok()
-}
-
-fn field_i64(line: &str, key: &str) -> Option<i64> {
-    field_raw(line, key)?.parse().ok()
-}
-
-fn wire_kind(s: &str) -> &'static str {
-    match s {
-        "store" => "store",
-        "probe" => "probe",
-        "result" => "result",
-        "centroid" => "centroid",
-        other => Box::leak(other.to_string().into_boxed_str()),
-    }
-}
-
 fn update_kind(s: &str) -> Option<UpdateKind> {
     match s {
         "ins" => Some(UpdateKind::Insert),
@@ -341,8 +266,8 @@ pub fn to_jsonl(records: &[ProvRecord]) -> String {
                     s,
                     r#"{{"type":"edb","node":{},"atom":{},"id":{},"kind":"{}","tau":{}}}"#,
                     node.0,
-                    json_escape(&atom_str(*pred, tuple)),
-                    json_escape(&id_str(*id)),
+                    escape(&atom_str(*pred, tuple)),
+                    escape(&id_str(*id)),
                     kind_str(*kind),
                     tau
                 );
@@ -361,11 +286,11 @@ pub fn to_jsonl(records: &[ProvRecord]) -> String {
                     s,
                     r#"{{"type":"deriv","owner":{},"atom":{},"key":{},"sign":{},"tau":{},"origin":{},"at":{}}}"#,
                     owner.0,
-                    json_escape(&atom_str(*pred, tuple)),
-                    json_escape(&key_str(key)),
+                    escape(&atom_str(*pred, tuple)),
+                    escape(&key_str(key)),
                     sign,
                     tau,
-                    json_escape(&id_str(*origin)),
+                    escape(&id_str(*origin)),
                     at
                 );
             }
@@ -381,8 +306,8 @@ pub fn to_jsonl(records: &[ProvRecord]) -> String {
                     s,
                     r#"{{"type":"mint","owner":{},"atom":{},"id":{},"kind":"{}","at":{}}}"#,
                     owner.0,
-                    json_escape(&atom_str(*pred, tuple)),
-                    json_escape(&id_str(*id)),
+                    escape(&atom_str(*pred, tuple)),
+                    escape(&id_str(*id)),
                     kind_str(*kind),
                     at
                 );
@@ -397,12 +322,12 @@ pub fn to_jsonl(records: &[ProvRecord]) -> String {
             } => {
                 let _ = writeln!(
                     s,
-                    r#"{{"type":"hop","from":{},"to":{},"dest":{},"kind":"{}","origin":{},"at":{}}}"#,
+                    r#"{{"type":"hop","from":{},"to":{},"dest":{},"kind":{},"origin":{},"at":{}}}"#,
                     from.0,
                     to.0,
                     dest.0,
-                    kind,
-                    json_escape(&id_str(*origin)),
+                    escape(kind),
+                    escape(&id_str(*origin)),
                     at
                 );
             }
@@ -434,9 +359,10 @@ pub fn from_jsonl(text: &str) -> Result<Vec<ProvRecord>, ProvParseError> {
             parse_id(&s).ok_or_else(|| err(lineno, &format!("bad tuple id `{s}`")))
         };
         let node_field = |key: &str| -> Result<NodeId, ProvParseError> {
-            Ok(NodeId(
-                field_u64(line, key).ok_or_else(|| err(lineno, &format!("missing {key}")))? as u32,
-            ))
+            let n = field_u64(line, key).ok_or_else(|| err(lineno, &format!("missing {key}")))?;
+            let n =
+                u32::try_from(n).map_err(|_| err(lineno, &format!("{key} {n} out of range")))?;
+            Ok(NodeId(n))
         };
         let rec = match ty.as_str() {
             "edb" => {
@@ -458,12 +384,15 @@ pub fn from_jsonl(text: &str) -> Result<Vec<ProvRecord>, ProvParseError> {
                 let key_s = field_str(line, "key").ok_or_else(|| err(lineno, "missing key"))?;
                 let key = parse_key(&key_s)
                     .ok_or_else(|| err(lineno, &format!("bad derivation key `{key_s}`")))?;
+                let sign = field_i64(line, "sign").ok_or_else(|| err(lineno, "missing sign"))?;
+                let sign = i8::try_from(sign)
+                    .map_err(|_| err(lineno, &format!("sign {sign} out of range")))?;
                 ProvRecord::Deriv {
                     owner: node_field("owner")?,
                     pred,
                     tuple,
                     key,
-                    sign: field_i64(line, "sign").ok_or_else(|| err(lineno, "missing sign"))? as i8,
+                    sign,
                     tau: field_u64(line, "tau").ok_or_else(|| err(lineno, "missing tau"))?,
                     origin: id_field("origin")?,
                     at: field_u64(line, "at").ok_or_else(|| err(lineno, "missing at"))?,
@@ -487,7 +416,7 @@ pub fn from_jsonl(text: &str) -> Result<Vec<ProvRecord>, ProvParseError> {
                 from: node_field("from")?,
                 to: node_field("to")?,
                 dest: node_field("dest")?,
-                kind: wire_kind(
+                kind: intern_kind(
                     &field_str(line, "kind").ok_or_else(|| err(lineno, "missing kind"))?,
                 ),
                 origin: id_field("origin")?,
@@ -601,8 +530,29 @@ mod tests {
     }
 
     #[test]
+    fn jsonl_unknown_kind_is_interned_once() {
+        let hop = |at| ProvRecord::Hop {
+            from: NodeId(0),
+            to: NodeId(1),
+            dest: NodeId(2),
+            kind: "exotic",
+            origin: tid(0, 1, 0),
+            at,
+        };
+        let back = from_jsonl(&to_jsonl(&[hop(5), hop(6)])).unwrap();
+        assert_eq!(back, [hop(5), hop(6)]);
+        let (ProvRecord::Hop { kind: k0, .. }, ProvRecord::Hop { kind: k1, .. }) =
+            (&back[0], &back[1])
+        else {
+            panic!("unexpected records");
+        };
+        // Same leaked allocation reused, not one leak per record.
+        assert!(std::ptr::eq(*k0, *k1));
+    }
+
+    #[test]
     fn key_and_id_strings_round_trip() {
-        let key = DerivationKey::new(sensorlog_eval::EDB_RULE, Vec::new());
+        let key = DerivationKey::new(crate::tupleid::EDB_RULE, Vec::new());
         assert_eq!(parse_key(&key_str(&key)).unwrap(), key);
         let id = tid(9, u64::MAX, 42);
         assert_eq!(parse_id(&id_str(id)).unwrap(), id);

@@ -16,10 +16,10 @@ use crate::partial::{
 use crate::plan::DistProgram;
 use crate::prov::{ProvRecord, Provenance};
 use crate::strategy::{PassMode, Strategy};
-use crate::tupleid::{clamp_absorbs, DerivationKey, FactRecord, TupleId};
+use crate::tupleid::{clamp_absorbs, DerivationKey, FactRecord, TupleId, EDB_RULE};
 use sensorlog_eval::eval_body::instantiate_head;
 use sensorlog_eval::relation::TupleMeta;
-use sensorlog_eval::{IncrementalEngine, Support, Update, UpdateKind, EDB_RULE};
+use sensorlog_eval::{Firing, IncrementalEngine, Support, Update, UpdateKind};
 use sensorlog_logic::intern::{IdHashMap, IdHashSet};
 use sensorlog_logic::{Literal, Symbol, Tuple};
 use sensorlog_netsim::{App, Ctx, MsgMeta, NodeId, SimTime, Topology};
@@ -412,8 +412,6 @@ pub struct SensorlogNode {
     /// center-minted id). Empty unless this node is the center and the
     /// provenance plane is enabled.
     center_ids: HashMap<(Symbol, Tuple), TupleId>,
-    /// Drain position in the center engine's lineage log.
-    center_lineage_cursor: usize,
     /// Sequence counter for center-minted provenance ids. Deliberately
     /// separate from `seq` (and offset into the top half of the range):
     /// provenance is a pure observer, so minting ids for the DAG must not
@@ -491,7 +489,6 @@ impl SensorlogNode {
             seq: 0,
             center_engine,
             center_ids: HashMap::new(),
-            center_lineage_cursor: 0,
             center_seq: 0x8000_0000,
             stats: NodeStats::default(),
             peak_pred_stored: BTreeMap::new(),
@@ -514,14 +511,13 @@ impl SensorlogNode {
     }
 
     /// Attach the deployment-wide provenance recording handle. On a
-    /// Centroid center this also switches on the engine's per-firing
-    /// lineage capture, which `feed_center` drains into `Deriv`/`Mint`
-    /// records so centrally-derived tuples get proofs like GPA-derived
-    /// ones do.
+    /// Centroid center this also switches on the engine's firing log,
+    /// which `feed_center` drains into `Deriv`/`Mint` records so
+    /// centrally-derived tuples get proofs like GPA-derived ones do.
     pub fn with_provenance(mut self, prov: Provenance) -> SensorlogNode {
         if prov.is_enabled() {
             if let Some(engine) = self.center_engine.as_mut() {
-                engine.set_record_lineage(true);
+                engine.set_record_firings(true);
             }
         }
         self.prov = prov;
@@ -1198,38 +1194,33 @@ impl SensorlogNode {
         }
     }
 
-    /// Translate the center engine's per-firing lineage records (appended
-    /// since the last drain) into the cross-node provenance dialect: each
-    /// firing becomes a `Deriv` whose key maps premise atoms to their
-    /// bound tuple ids, and a newly-live head gets a center-minted `Mint`.
-    /// Cascade order guarantees a derived premise's own `+1` record (and
-    /// hence its mint) precedes any firing that consumes it.
+    /// Translate the center engine's firings (logged since the last drain)
+    /// into the cross-node provenance dialect: each firing becomes a
+    /// `Deriv` whose key maps its premises to their bound tuple ids, and a
+    /// newly-live head gets a center-minted `Mint`. Cascade order
+    /// guarantees a derived premise's own `+1` firing (and hence its mint)
+    /// precedes any firing that consumes it.
     fn drain_center_lineage(&mut self, now: SimTime, trigger: TupleId) {
-        use sensorlog_eval::EDB_RULE;
-        // (rule_id, sign, head atom, premise atoms, tau) per fresh firing.
-        type Firing = (usize, i8, (Symbol, Tuple), Vec<(Symbol, Tuple)>, u64);
-        let Some(log) = self.center_engine.as_ref().and_then(|e| e.lineage()) else {
+        let Some(engine) = self.center_engine.as_mut() else {
             return;
         };
-        let fresh: Vec<Firing> = log.records[self.center_lineage_cursor..]
-            .iter()
-            .filter(|r| r.rule_id != EDB_RULE)
-            .map(|r| {
-                let head = log.resolve(r.head).expect("interned head").clone();
-                let prems = r
-                    .premises
-                    .iter()
-                    .map(|&a| log.resolve(a).expect("interned premise").clone())
-                    .collect();
-                (r.rule_id, r.sign, head, prems, r.tau)
-            })
-            .collect();
-        self.center_lineage_cursor = log.len();
-        for (rule_id, sign, (pred, tuple), prems, tau) in fresh {
-            let inputs: Option<Vec<(u16, TupleId)>> = prems
-                .iter()
+        let firings = engine.take_firings();
+        let rules = &engine.analysis.program.rules;
+        for Firing {
+            derivation: d,
+            sign,
+            pred,
+            tuple,
+            tau,
+        } in firings
+        {
+            let rule = &rules[d.rule_id as usize];
+            let inputs: Option<Vec<(u16, TupleId)>> = (rule.positive_atoms().zip(&d.inputs))
                 .enumerate()
-                .map(|(i, atom)| self.center_ids.get(atom).map(|&id| (i as u16, id)))
+                .map(|(i, (a, t))| {
+                    let id = self.center_ids.get(&(a.pred, t.clone()))?;
+                    Some((i as u16, *id))
+                })
                 .collect();
             let Some(inputs) = inputs else {
                 // A premise with no binding means its own lineage was lost
@@ -1241,7 +1232,7 @@ impl SensorlogNode {
                 owner: self.id,
                 pred,
                 tuple: tuple.clone(),
-                key: DerivationKey::new(rule_id, inputs.clone()),
+                key: DerivationKey::new(rule.id, inputs.clone()),
                 sign,
                 tau,
                 origin: trigger,

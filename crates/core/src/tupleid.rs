@@ -66,6 +66,10 @@ impl FactRecord {
     }
 }
 
+/// The rule id of a derivation no rule fired: the key a static fact
+/// (an empty-body rule's head, injected at its owner) is booked under.
+pub const EDB_RULE: usize = usize::MAX;
+
 /// Derivation identity as shipped to owner nodes: the rule plus the
 /// participating tuple IDs keyed by body literal index ("a derivation of a
 /// derived tuple t is the list of the tuple-IDs that join to yield t, one

@@ -6,9 +6,9 @@
 //! aggregate folds the *distinct* values of the aggregate term per group.
 
 use crate::error::EvalError;
-use crate::eval_body::Solution;
 use sensorlog_logic::ast::{AggFunc, Rule};
 use sensorlog_logic::builtin::BuiltinRegistry;
+use sensorlog_logic::flat::FlatSubst;
 use sensorlog_logic::intern;
 use sensorlog_logic::{Term, Tuple};
 use std::collections::{BTreeMap, BTreeSet};
@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// the aggregate position).
 pub fn aggregate_rule(
     rule: &Rule,
-    solutions: &[Solution],
+    solutions: &[FlatSubst],
     reg: &BuiltinRegistry,
 ) -> Result<Vec<Tuple>, EvalError> {
     let agg = rule
@@ -29,7 +29,7 @@ pub fn aggregate_rule(
     for sol in solutions {
         // Aggregate folds operate on boxed terms (off the fixpoint hot
         // path): resolve the flat solution once per solution.
-        let subst = intern::boundary(|| sol.subst.to_subst());
+        let subst = intern::boundary(|| sol.to_subst());
         let key: Vec<Term> = rule
             .head
             .args
@@ -141,7 +141,6 @@ mod tests {
     use crate::eval_body::BodyEval;
     use crate::relation::Database;
     use sensorlog_logic::parser::{parse_fact, parse_rule};
-    use sensorlog_logic::FlatSubst;
 
     fn run(rule_src: &str, facts: &[&str]) -> Vec<Tuple> {
         let rule = parse_rule(rule_src).unwrap();

@@ -2,7 +2,8 @@
 //!
 //! Evaluates a rule body left-to-right over a [`Database`], producing the
 //! satisfying substitutions together with the positive subgoal matches that
-//! produced them (the inputs of a *derivation*, Definition 2). Supports:
+//! produced them (the inputs of a *derivation*, Definition 2, which the
+//! streaming walk lends its sink). Supports:
 //!
 //! * **pinning** one literal to a single delta tuple (semi-naive and
 //!   incremental evaluation seed there);
@@ -14,9 +15,9 @@
 //! them and each solution is handed to a sink as it completes
 //! ([`BodyEval::for_each`], which takes its literal order as an argument —
 //! the maintenance engines pass one compiled with the program, see
-//! `planner::DeltaPlans`). [`BodyEval::solutions`] is a collector over that
-//! same walk, for the callers that need every solution at once: the batch
-//! engine, aggregates, lineage.
+//! `planner::DeltaPlans`). [`BodyEval::solutions`] collects the
+//! substitutions of that same walk, for the callers that need every
+//! solution at once: the batch engine, aggregates, rederivation checks.
 //!
 //! The per-literal steps — [`bound_key`], [`eval_check`], [`ground_atom`],
 //! and `logic::flat::flat_match_args` for positive atoms — are the one
@@ -201,32 +202,10 @@ pub fn ground_facts(
     Ok(facts)
 }
 
-/// One satisfying assignment of a rule body. The substitution is flat
-/// (variables → interned constant ids); use [`FlatSubst::to_subst`] at
-/// boundaries that need boxed terms (lineage witnesses, aggregates).
-#[derive(Clone, Debug)]
-pub struct Solution {
-    pub subst: FlatSubst,
-    /// `(literal index, predicate, tuple)` for each positive relational
-    /// subgoal used — the derivation inputs.
-    pub inputs: Vec<(usize, Symbol, Tuple)>,
-}
-
 /// The positive subgoal matches of one solution as the walk hands them to
 /// its sink: `(literal index, tuple)` ascending by literal index — body
 /// order, whichever literal was pinned — borrowed from the store or the pin.
 pub type Inputs<'s, 'a> = &'s [(usize, &'a Tuple)];
-
-/// [`Inputs`] as [`Solution::inputs`] owns them.
-pub fn owned_inputs(body: &[Literal], inputs: Inputs) -> Vec<(usize, Symbol, Tuple)> {
-    inputs
-        .iter()
-        .map(|&(i, t)| {
-            let pred = body[i].atom().expect("inputs are relational literals").pred;
-            (i, pred, t.clone())
-        })
-        .collect()
-}
 
 /// Body evaluator over a database snapshot.
 pub struct BodyEval<'a> {
@@ -244,24 +223,22 @@ impl<'a> BodyEval<'a> {
         }
     }
 
-    /// All solutions of `body`, optionally pinning literal `pinned.0` to
-    /// tuple `pinned.1`: [`BodyEval::for_each`] collected, with the literals
-    /// in [`order_literals`] order planned from the variables `seed` binds —
-    /// a seeded rule opens at a literal the seed keys.
+    /// The substitution of every solution of `body`, optionally pinning
+    /// literal `pinned.0` to tuple `pinned.1`: [`BodyEval::for_each`]
+    /// collected, with the literals in [`order_literals`] order planned
+    /// from the variables `seed` binds — a seeded rule opens at a literal
+    /// the seed keys.
     pub fn solutions(
         &self,
         body: &[Literal],
         seed: FlatSubst,
         pinned: Option<(usize, &'a Tuple)>,
-    ) -> Result<Vec<Solution>, EvalError> {
+    ) -> Result<Vec<FlatSubst>, EvalError> {
         let bound: Vec<Symbol> = seed.iter().map(|(v, _)| v).collect();
         let order = order_literals(body, pinned.map(|(i, _)| i), &bound);
         let mut out = Vec::new();
-        self.for_each(body, &order, seed, pinned, &mut |subst, inputs| {
-            out.push(Solution {
-                subst,
-                inputs: owned_inputs(body, inputs),
-            });
+        self.for_each(body, &order, seed, pinned, &mut |subst, _| {
+            out.push(subst);
             Ok(())
         })?;
         Ok(out)
@@ -411,7 +388,7 @@ mod tests {
         let sols = ev.solutions(&rule.body, FlatSubst::new(), None).unwrap();
         let mut out: Vec<Tuple> = sols
             .iter()
-            .map(|s| instantiate_head(&rule, &s.subst, &reg).unwrap())
+            .map(|s| instantiate_head(&rule, s, &reg).unwrap())
             .collect();
         out.sort();
         out.dedup();
@@ -421,6 +398,22 @@ mod tests {
     fn tup(src: &str) -> Tuple {
         let (_, args) = parse_fact(&format!("x({src})")).unwrap();
         Tuple::new(args)
+    }
+
+    /// The inputs `for_each` lends its sink, per solution, owned.
+    fn inputs_of(
+        ev: &BodyEval,
+        body: &[Literal],
+        pinned: Option<(usize, &Tuple)>,
+    ) -> Vec<Vec<(usize, Tuple)>> {
+        let order = order_literals(body, pinned.map(|(i, _)| i), &[]);
+        let mut out = Vec::new();
+        ev.for_each(body, &order, FlatSubst::new(), pinned, &mut |_, inputs| {
+            out.push(inputs.iter().map(|&(i, t)| (i, t.clone())).collect());
+            Ok(())
+        })
+        .unwrap();
+        out
     }
 
     #[test]
@@ -508,11 +501,11 @@ mod tests {
             .solutions(&rule.body, FlatSubst::new(), Some((1, &pin)))
             .unwrap();
         assert_eq!(sols.len(), 1);
-        let head = instantiate_head(&rule, &sols[0].subst, &reg).unwrap();
+        let head = instantiate_head(&rule, &sols[0], &reg).unwrap();
         assert_eq!(head, tup("1, 3"));
         // Derivation inputs contain both e-tuples with their literal index.
-        assert_eq!(sols[0].inputs.len(), 2);
-        assert!(sols[0].inputs.iter().any(|(i, _, t)| *i == 1 && *t == pin));
+        let inputs = inputs_of(&ev, &rule.body, Some((1, &pin)));
+        assert_eq!(inputs, [vec![(0, tup("1, 2")), (1, pin.clone())]]);
     }
 
     #[test]
@@ -527,10 +520,11 @@ mod tests {
             .solutions(&rule.body, FlatSubst::new(), Some((1, &pin)))
             .unwrap();
         assert_eq!(sols.len(), 1);
-        let head = instantiate_head(&rule, &sols[0].subst, &reg).unwrap();
+        let head = instantiate_head(&rule, &sols[0], &reg).unwrap();
         assert_eq!(head, tup("2"));
         // The negated match is NOT part of the derivation inputs.
-        assert_eq!(sols[0].inputs.len(), 1);
+        let inputs = inputs_of(&ev, &rule.body, Some((1, &pin)));
+        assert_eq!(inputs, [vec![(0, tup("2"))]]);
     }
 
     #[test]
@@ -587,7 +581,7 @@ mod tests {
         let sols = ev.solutions(&rule.body, seed, None).unwrap();
         assert_eq!(sols.len(), 1);
         assert_eq!(
-            instantiate_head(&rule, &sols[0].subst, &reg).unwrap(),
+            instantiate_head(&rule, &sols[0], &reg).unwrap(),
             tup("1, 2")
         );
         assert_eq!(db.index_stats().full_scans, 0);

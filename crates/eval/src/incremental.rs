@@ -21,15 +21,19 @@
 //! * count transitions 0→live emit a derived insertion, live→0 a derived
 //!   deletion, which cascade through higher rules exactly like base updates
 //!   (the derived-stream view of Sec. III-B).
+//!
+//! What the ledger keys a count by is the engine's type parameter
+//! ([`LedgerKey`]): a [`Derivation`] per derivation, or `()` — the
+//! derivation projected away, one signed count per tuple, which is the
+//! *counting* alternative of Sec. IV-A ([`IncrementalEngine::counting`]).
 
 use crate::aggregate::aggregate_rule;
 use crate::error::EvalError;
-use crate::eval_body::{ground_facts, instantiate_head, owned_inputs, BodyEval};
-use crate::lineage::LineageLog;
+use crate::eval_body::{ground_facts, instantiate_head, BodyEval, Inputs};
 use crate::planner::DeltaPlans;
 use crate::relation::{Database, TupleMeta};
 use crate::seminaive::effective_windows;
-use sensorlog_logic::analyze::Analysis;
+use sensorlog_logic::analyze::{Analysis, ProgramClass};
 use sensorlog_logic::ast::Rule;
 use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::flat::FlatSubst;
@@ -146,6 +150,49 @@ impl PartialOrd for Derivation {
     }
 }
 
+/// What the incremental engine counts a derived tuple's support by: its
+/// [`Derivation`]s (set-of-derivations), or `()`, which projects the
+/// derivation away and leaves one signed count per tuple (counting).
+pub trait LedgerKey: Ord + Clone {
+    /// The key of rule `rule`'s derivation from `inputs`.
+    fn of(rule: usize, inputs: Inputs) -> Self;
+    /// The derivation the key keeps, inputs included; `None` when it keeps
+    /// none.
+    fn derivation(&self) -> Option<&Derivation>;
+}
+
+impl LedgerKey for Derivation {
+    fn of(rule: usize, inputs: Inputs) -> Derivation {
+        Derivation {
+            rule_id: rule as u32,
+            inputs: inputs.iter().map(|&(_, t)| t.clone()).collect(),
+        }
+    }
+
+    fn derivation(&self) -> Option<&Derivation> {
+        Some(self)
+    }
+}
+
+impl LedgerKey for () {
+    fn of(_: usize, _: Inputs) {}
+
+    fn derivation(&self) -> Option<&Derivation> {
+        None
+    }
+}
+
+/// One ledger key turning live (`sign` +1: its count became positive) or
+/// dead (`-1`) for a derived tuple, under the update stamped `tau`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Firing<K = Derivation> {
+    pub derivation: K,
+    pub sign: i8,
+    pub pred: Symbol,
+    pub tuple: Tuple,
+    pub tau: u64,
+}
+
 /// The signed-count derivation ledger of one derived tuple — the
 /// set-of-derivations approach's state (Sec. IV-A), and the workspace's only
 /// copy of it: this engine keys it by [`Derivation`], an owner node of the
@@ -223,13 +270,14 @@ pub struct IncStats {
     pub max_derivations: usize,
 }
 
-/// Incremental engine with set-of-derivations maintenance.
-pub struct IncrementalEngine {
+/// Incremental engine: set-of-derivations maintenance, or counting with
+/// `K = ()`.
+pub struct IncrementalEngine<K: LedgerKey = Derivation> {
     pub analysis: Analysis,
     pub reg: BuiltinRegistry,
     pub db: Database,
     windows: BTreeMap<Symbol, u64>,
-    derivs: HashMap<(Symbol, Tuple), Support<Derivation>>,
+    derivs: HashMap<(Symbol, Tuple), Support<K>>,
     /// Entries across all of `derivs`, kept in step with it so the
     /// per-update peak needs no walk ([`Self::derivation_count`] audits it).
     deriv_entries: usize,
@@ -252,14 +300,50 @@ pub struct IncrementalEngine {
     /// [`EvalError::DerivationCycle`] instead of silently keeping zombie
     /// support. Off by default (costs a DFS per derivation).
     pub check_local_recursion: bool,
-    /// Opt-in per-firing lineage capture (the continuous-engine analogue of
-    /// [`crate::EvalConfig::record_lineage`]). `None` = disabled: one
-    /// branch per derivation transition, no allocation.
-    lineage: Option<LineageLog>,
+    /// Opt-in log of the ledger's key transitions (a Centroid center
+    /// turns its proofs out of it). `None` = disabled: one branch per
+    /// ledger update, no allocation.
+    firings: Option<Vec<Firing<K>>>,
 }
 
 impl IncrementalEngine {
     pub fn new(analysis: Analysis, reg: BuiltinRegistry) -> Result<IncrementalEngine, EvalError> {
+        IncrementalEngine::build(analysis, reg)
+    }
+
+    pub fn from_source(src: &str, reg: BuiltinRegistry) -> Result<IncrementalEngine, EvalError> {
+        let prog =
+            sensorlog_logic::parse_program(src).map_err(|e| EvalError::Internal(e.to_string()))?;
+        let analysis = sensorlog_logic::analyze(&prog, &reg)?;
+        IncrementalEngine::new(analysis, reg)
+    }
+}
+
+impl IncrementalEngine<()> {
+    /// Counting maintenance (the first alternative of Sec. IV-A): one
+    /// signed derivation count per tuple instead of the derivations. It
+    /// is exact only without recursion, where counts cannot support each
+    /// other in a cycle, and it maintains no aggregates.
+    pub fn counting(
+        analysis: Analysis,
+        reg: BuiltinRegistry,
+    ) -> Result<IncrementalEngine<()>, EvalError> {
+        if analysis.class != ProgramClass::NonRecursive {
+            return Err(EvalError::Internal(
+                "counting maintenance supports non-recursive programs only".into(),
+            ));
+        }
+        if analysis.program.rules.iter().any(|r| r.agg.is_some()) {
+            return Err(EvalError::Internal(
+                "counting maintenance does not support aggregates".into(),
+            ));
+        }
+        IncrementalEngine::build(analysis, reg)
+    }
+}
+
+impl<K: LedgerKey> IncrementalEngine<K> {
+    fn build(analysis: Analysis, reg: BuiltinRegistry) -> Result<IncrementalEngine<K>, EvalError> {
         // Validate: a predicate defined by an aggregate rule must not also
         // have non-aggregate rules (liveness would mix two mechanisms).
         let mut agg_heads: BTreeSet<Symbol> = BTreeSet::new();
@@ -302,7 +386,7 @@ impl IncrementalEngine {
             profiler: Profiler::disabled(),
             max_cascade: 1_000_000,
             check_local_recursion: false,
-            lineage: None,
+            firings: None,
         };
         engine.assert_ground_facts()?;
         Ok(engine)
@@ -314,40 +398,28 @@ impl IncrementalEngine {
     /// that later feeds the same fact as an update hits the duplicate path.
     fn assert_ground_facts(&mut self) -> Result<(), EvalError> {
         for (rule, pred, tuple) in ground_facts(&self.analysis.program, &self.reg)? {
-            let d = Derivation {
-                rule_id: rule as u32,
-                inputs: Box::default(),
-            };
-            // Keyed by rule, so never already present.
+            // A fact has one rule, so its key is never already present.
             let support = self.derivs.entry((pred, tuple.clone())).or_default();
-            support.add(d, 1);
+            support.add(K::of(rule, &[]), 1);
             self.deriv_entries += 1;
             self.apply(Update::insert(pred, tuple, 0))?;
         }
         Ok(())
     }
 
-    /// Enable/disable per-firing lineage capture. Enabling starts a fresh
-    /// log; every subsequent derivation-count transition (0 → live,
-    /// live → 0) and base-stream update is recorded with its rule id,
-    /// substitution witness, and premise atoms.
-    pub fn set_record_lineage(&mut self, on: bool) {
-        self.lineage = if on { Some(LineageLog::new()) } else { None };
+    /// Enable/disable the firing log. Enabling starts an empty one; from
+    /// then on every ledger key that turns live or dead is logged as a
+    /// [`Firing`].
+    pub fn set_record_firings(&mut self, on: bool) {
+        self.firings = on.then(Vec::new);
     }
 
-    pub fn lineage(&self) -> Option<&LineageLog> {
-        self.lineage.as_ref()
-    }
-
-    pub fn take_lineage(&mut self) -> Option<LineageLog> {
-        self.lineage.take()
-    }
-
-    pub fn from_source(src: &str, reg: BuiltinRegistry) -> Result<IncrementalEngine, EvalError> {
-        let prog =
-            sensorlog_logic::parse_program(src).map_err(|e| EvalError::Internal(e.to_string()))?;
-        let analysis = sensorlog_logic::analyze(&prog, &reg)?;
-        IncrementalEngine::new(analysis, reg)
+    /// The firings logged since the last call (none when the log is off).
+    pub fn take_firings(&mut self) -> Vec<Firing<K>> {
+        self.firings
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     /// Number of stored derivation entries (the space-overhead metric),
@@ -366,11 +438,13 @@ impl IncrementalEngine {
     /// vector at capacity, plus the input slices.
     pub fn ledger_bytes(&self) -> usize {
         use std::mem::size_of;
-        let table =
-            self.derivs.capacity() * (size_of::<((Symbol, Tuple), Support<Derivation>)>() + 1);
+        let table = self.derivs.capacity() * (size_of::<((Symbol, Tuple), Support<K>)>() + 1);
         let supports = self.derivs.values().map(|s| {
-            let inputs: usize = s.entries.iter().map(|(d, _)| d.inputs.len()).sum();
-            s.entries.capacity() * size_of::<(Derivation, i64)>() + inputs * size_of::<Tuple>()
+            let inputs: usize = (s.entries.iter())
+                .filter_map(|(d, _)| d.derivation())
+                .map(|d| d.inputs.len())
+                .sum();
+            s.entries.capacity() * size_of::<(K, i64)>() + inputs * size_of::<Tuple>()
         });
         table + supports.sum::<usize>()
     }
@@ -447,24 +521,11 @@ impl IncrementalEngine {
             }
         }
 
-        // Base-stream updates are the lineage leaves (derived updates get
-        // their own firing records at the transitions below).
-        if !self.idb.contains(&u.pred) {
-            if let Some(log) = self.lineage.as_mut() {
-                let sign = if u.kind == UpdateKind::Insert { 1 } else { -1 };
-                log.record_edb(u.pred, &u.tuple, sign, u.ts);
-            }
-        }
-
-        // Delta computation per occurrence. A delta's last field is its
-        // lineage witness, taken only when a log is attached: the
-        // substitution and the premises as the log records them.
-        type Witness = (FlatSubst, Vec<(usize, Symbol, Tuple)>);
-        let mut deltas: Vec<(Symbol, Tuple, Derivation, i64, Option<Witness>)> = Vec::new();
+        // Delta computation per occurrence.
+        let mut deltas: Vec<(Symbol, Tuple, K, i64)> = Vec::new();
         let mut agg_dirty: Vec<(usize, Vec<Term>)> = Vec::new();
         let rules = &self.analysis.program.rules;
         let reg = &self.reg;
-        let witnessed = self.lineage.is_some();
         self.stats.body_evals += self.plans.for_each_delta(
             rules,
             &self.db,
@@ -494,12 +555,7 @@ impl IncrementalEngine {
                 {
                     return Ok(());
                 }
-                let d = Derivation {
-                    rule_id: ri as u32,
-                    inputs: inputs.iter().map(|&(_, t)| t.clone()).collect(),
-                };
-                let witness = witnessed.then(|| (subst, owned_inputs(&rule.body, inputs)));
-                deltas.push((rule.head.pred, head, d, sign, witness));
+                deltas.push((rule.head.pred, head, K::of(ri, inputs), sign));
                 Ok(())
             },
         )?;
@@ -516,7 +572,7 @@ impl IncrementalEngine {
         // Optional locally-non-recursive runtime check (Sec. IV-C): the
         // dependency graph over derived tuples must stay acyclic.
         if self.check_local_recursion {
-            for (pred, tuple, d, sign, _) in &deltas {
+            for (pred, tuple, d, sign) in &deltas {
                 if *sign > 0 && self.derivation_closes_cycle(*pred, tuple, d) {
                     return Err(EvalError::DerivationCycle { pred: *pred });
                 }
@@ -524,29 +580,32 @@ impl IncrementalEngine {
         }
 
         // Derivation bookkeeping with liveness transitions.
-        for (pred, tuple, d, sign, witness) in deltas {
+        for (pred, tuple, d, sign) in deltas {
             let mut entry = match self.derivs.entry((pred, tuple)) {
                 Entry::Occupied(e) => e,
                 Entry::Vacant(e) => e.insert_entry(Support::default()),
             };
             let support = entry.get_mut();
             let was_live = support.is_live();
-            let rule_id = rules[d.rule_id as usize].id;
+            let logged = self.firings.is_some().then(|| d.clone());
             let d_count = support.add(d, sign);
             let now_live = support.is_live();
             // Stored counts are never zero: an entry that cancels has left.
             self.deriv_entries += usize::from(d_count == 0);
             self.deriv_entries -= usize::from(d_count + sign == 0);
             let tuple = &entry.key().1;
-            // Lineage: per-derivation liveness transitions, not per-atom —
-            // a second derivation of an already-live atom is still a new
-            // proof alternative.
-            if let (Some((subst, premises)), Some(log)) = (witness, self.lineage.as_mut()) {
+            // Firings are per-key transitions, not per-tuple: a second
+            // derivation of an already-live tuple is still a new proof.
+            if let (Some(derivation), Some(log)) = (logged, self.firings.as_mut()) {
                 let d_now = d_count + sign > 0;
                 if (d_count > 0) != d_now {
-                    let boxed = intern::boundary(|| subst.to_subst());
-                    let sign = if d_now { 1 } else { -1 };
-                    log.record_firing(rule_id, sign, pred, tuple, &premises, Some(&boxed), u.ts);
+                    log.push(Firing {
+                        derivation,
+                        sign: if d_now { 1 } else { -1 },
+                        pred,
+                        tuple: tuple.clone(),
+                        tau: u.ts,
+                    });
                 }
             }
             if was_live != now_live {
@@ -579,14 +638,13 @@ impl IncrementalEngine {
     /// Would adding derivation `d` for `(pred, tuple)` close a cycle in the
     /// tuple dependency graph? DFS through the *live* derivations of the
     /// inputs.
-    fn derivation_closes_cycle(&self, pred: Symbol, tuple: &Tuple, d: &Derivation) -> bool {
+    fn derivation_closes_cycle(&self, pred: Symbol, tuple: &Tuple, d: &K) -> bool {
         let rules = &self.analysis.program.rules;
-        let inputs_of = |d: &Derivation| {
-            (rules[d.rule_id as usize]
-                .positive_atoms()
-                .zip(d.inputs.iter()))
-            .map(|(a, t)| (a.pred, t.clone()))
-            .collect::<Vec<_>>()
+        let inputs_of = |d: &K| {
+            (d.derivation().into_iter())
+                .flat_map(|d| rules[d.rule_id as usize].positive_atoms().zip(&d.inputs))
+                .map(|(a, t)| (a.pred, t.clone()))
+                .collect::<Vec<_>>()
         };
         let target = (pred, tuple.clone());
         let mut stack: Vec<(Symbol, Tuple)> = inputs_of(d);
@@ -635,7 +693,7 @@ impl IncrementalEngine {
         // not functionally pin every solution).
         let mut matching = Vec::new();
         for s in sols {
-            if group_key(rule, &s.subst, &self.reg)? == key {
+            if group_key(rule, &s, &self.reg)? == key {
                 matching.push(s);
             }
         }
@@ -728,7 +786,7 @@ mod tests {
     }
 
     /// Check the incremental state equals the batch oracle on the same EDB.
-    fn assert_matches_oracle(inc: &IncrementalEngine, src: &str) {
+    fn assert_matches_oracle<K: LedgerKey>(inc: &IncrementalEngine<K>, src: &str) {
         let oracle = Engine::from_source(src, BuiltinRegistry::standard()).unwrap();
         // Build the EDB snapshot from the incremental engine's database.
         let edb_preds = inc.analysis.program.edb_preds();
@@ -1152,42 +1210,126 @@ mod tests {
     }
 
     #[test]
-    fn lineage_tracks_derivation_transitions() {
-        use crate::lineage::EDB_RULE;
+    fn firings_are_the_ledgers_key_transitions() {
         let src = r#"
             q(X, Y) :- r1(X, K), r2(Y, K).
         "#;
         let mut e = engine(src);
-        e.set_record_lineage(true);
+        e.set_record_firings(true);
         e.apply(ins("r1(1, 7)", 10)).unwrap();
         e.apply(ins("r2(2, 7)", 20)).unwrap();
-        let log = e.lineage().unwrap();
-        // Two EDB leaves + one firing for q(1,2), with premises + witness.
-        assert_eq!(
-            log.records.iter().filter(|r| r.rule_id == EDB_RULE).count(),
-            2
-        );
-        let firing = log
-            .records
-            .iter()
-            .find(|r| r.rule_id != EDB_RULE)
-            .expect("join firing recorded");
-        assert_eq!(firing.sign, 1);
-        assert_eq!(firing.premises.len(), 2);
-        assert_eq!(firing.tau, 20);
-        assert!(!firing.subst.is_empty());
-        // Deleting a premise records the retraction of both the EDB leaf
-        // and the derivation.
+        // One firing: q(1, 2) from rule 0 over both inputs, in body order.
+        let gained = Firing {
+            derivation: Derivation {
+                rule_id: 0,
+                inputs: Box::new([tup("1, 7"), tup("2, 7")]),
+            },
+            sign: 1,
+            pred: sym("q"),
+            tuple: tup("1, 2"),
+            tau: 20,
+        };
+        assert_eq!(e.take_firings(), std::slice::from_ref(&gained));
+        // A duplicate insert moves no key; deleting a premise kills the
+        // derivation, and taking the log empties it.
+        e.apply(ins("r2(2, 7)", 25)).unwrap();
         e.apply(del("r1(1, 7)", 30)).unwrap();
-        let log = e.lineage().unwrap();
-        assert_eq!(log.records.iter().filter(|r| r.sign < 0).count(), 2);
-        assert!(log
-            .live_derivations()
-            .values()
-            .all(|ds| ds.iter().all(|(r, _)| *r == EDB_RULE || ds.is_empty())));
-        // Disabled engines record nothing.
+        let lost = Firing {
+            sign: -1,
+            tau: 30,
+            ..gained
+        };
+        assert_eq!(e.take_firings(), [lost]);
+        assert!(e.take_firings().is_empty());
+        // A second derivation of a live tuple is a firing of its own.
+        let src2 = "q(Z) :- a(Z).\nq(Z) :- b(Z).";
+        let mut e = engine(src2);
+        e.set_record_firings(true);
+        e.apply(ins("a(7)", 1)).unwrap();
+        e.apply(ins("b(7)", 2)).unwrap();
+        let rules: Vec<u32> = (e.take_firings().iter())
+            .map(|f| f.derivation.rule_id)
+            .collect();
+        assert_eq!(rules, [0, 1]);
+        // Engines that never switched the log on keep none.
         let mut quiet = engine(src);
         quiet.apply(ins("r1(1, 7)", 10)).unwrap();
-        assert!(quiet.lineage().is_none());
+        quiet.apply(ins("r2(2, 7)", 20)).unwrap();
+        assert!(quiet.take_firings().is_empty() && quiet.firings.is_none());
+    }
+
+    /// The counting projection: `IncrementalEngine<()>` over `src`.
+    fn counting(src: &str) -> Result<IncrementalEngine<()>, EvalError> {
+        let reg = BuiltinRegistry::standard();
+        let prog = sensorlog_logic::parse_program(src).unwrap();
+        IncrementalEngine::counting(sensorlog_logic::analyze(&prog, &reg)?, reg)
+    }
+
+    #[test]
+    fn basic_counting() {
+        let src = r#"
+            q(Z) :- a(Z).
+            q(Z) :- b(Z).
+        "#;
+        let mut e = counting(src).unwrap();
+        e.apply(ins("a(1)", 1)).unwrap();
+        e.apply(ins("b(1)", 2)).unwrap();
+        assert!(e.db.contains(sym("q"), &tup("1")));
+        // One counter, vs two derivations.
+        assert_eq!((e.ledger_keys(), e.derivation_count()), (1, 1));
+        assert_eq!(e.derivs[&(sym("q"), tup("1"))].count(&()), 2);
+        e.apply(del("a(1)", 3)).unwrap();
+        assert!(e.db.contains(sym("q"), &tup("1")));
+        e.apply(del("b(1)", 4)).unwrap();
+        assert!(!e.db.contains(sym("q"), &tup("1")));
+        assert_eq!((e.ledger_keys(), e.derivation_count()), (0, 0));
+    }
+
+    #[test]
+    fn negation_counting() {
+        let src = r#"
+            cov(L) :- enemy(L), friendly(F), dist(L, F) <= 5.
+            uncov(L) :- not cov(L), enemy(L).
+        "#;
+        let mut e = counting(src).unwrap();
+        e.apply(ins("enemy(10)", 1)).unwrap();
+        assert!(e.db.contains(sym("uncov"), &tup("10")));
+        e.apply(ins("friendly(12)", 2)).unwrap();
+        assert!(!e.db.contains(sym("uncov"), &tup("10")));
+        e.apply(del("friendly(12)", 3)).unwrap();
+        assert!(e.db.contains(sym("uncov"), &tup("10")));
+        assert_matches_oracle(&e, src);
+    }
+
+    #[test]
+    fn ground_facts_are_live_after_new_and_survive_base_updates() {
+        let src = r#"
+            p(1). p(2).
+            q(X) :- p(X), not b(X).
+        "#;
+        let mut e = counting(src).unwrap();
+        // No update applied yet: the semi-naive fixpoint is already there.
+        assert_eq!(e.db.sorted(sym("q")), vec![tup("1"), tup("2")]);
+        assert_matches_oracle(&e, src);
+        e.apply(ins("b(1)", 1)).unwrap();
+        assert_eq!(e.db.sorted(sym("q")), vec![tup("2")]);
+        assert_matches_oracle(&e, src);
+        e.apply(del("b(1)", 2)).unwrap();
+        assert_eq!(e.db.sorted(sym("q")), vec![tup("1"), tup("2")]);
+        assert_matches_oracle(&e, src);
+    }
+
+    #[test]
+    fn rejects_recursion() {
+        let src = r#"
+            t(X, Y) :- e(X, Y).
+            t(X, Y) :- t(X, Z), e(Z, Y).
+        "#;
+        assert!(counting(src).is_err());
+    }
+
+    #[test]
+    fn rejects_aggregates() {
+        assert!(counting("best(min<V>) :- m(V).").is_err());
     }
 }

@@ -14,14 +14,12 @@
 //! fixpoint in stratum order.
 
 use crate::error::EvalError;
-use crate::eval_body::{ground_facts, instantiate_head, owned_inputs, BodyEval, TupleFilter};
-use crate::lineage::LineageLog;
+use crate::eval_body::{ground_facts, instantiate_head, BodyEval, TupleFilter};
 use crate::planner::DeltaPlans;
 use crate::relation::{Database, TupleMeta};
 use sensorlog_logic::analyze::{Analysis, ProgramClass};
 use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::flat::{flat_match_args, FlatSubst};
-use sensorlog_logic::intern;
 use sensorlog_logic::{Symbol, Tuple};
 use sensorlog_telemetry::Profiler;
 use std::collections::{HashSet, VecDeque};
@@ -42,10 +40,6 @@ pub struct RederiveEngine {
     /// over-delete/rederive passes separately.
     pub profiler: Profiler,
     pub max_cascade: usize,
-    /// Opt-in per-firing lineage capture. DRed tracks no derivations, so
-    /// over-deletion retracts an atom's entire recorded proof set and
-    /// rederivation re-records the surviving witness.
-    lineage: Option<LineageLog>,
 }
 
 impl RederiveEngine {
@@ -72,7 +66,6 @@ impl RederiveEngine {
             body_evals: 0,
             profiler: Profiler::disabled(),
             max_cascade: 1_000_000,
-            lineage: None,
         };
         // Ground empty-body rules hold from the start; `rederivable` finds
         // them again through their (empty) bodies.
@@ -80,19 +73,6 @@ impl RederiveEngine {
             engine.apply(Update::insert(pred, tuple, 0))?;
         }
         Ok(engine)
-    }
-
-    /// Enable/disable per-firing lineage capture (fresh log on enable).
-    pub fn set_record_lineage(&mut self, on: bool) {
-        self.lineage = if on { Some(LineageLog::new()) } else { None };
-    }
-
-    pub fn lineage(&self) -> Option<&LineageLog> {
-        self.lineage.as_ref()
-    }
-
-    pub fn take_lineage(&mut self) -> Option<LineageLog> {
-        self.lineage.take()
     }
 
     pub fn from_source(src: &str, reg: BuiltinRegistry) -> Result<RederiveEngine, EvalError> {
@@ -118,45 +98,29 @@ impl RederiveEngine {
     /// deleted: the shared delta pass over the current database, restricted
     /// to the positive or the negated occurrences when `negated` says so.
     /// DRed keeps no counts, so a head is only a candidate — the caller
-    /// decides against the database. Gained firings go to the lineage log.
+    /// decides against the database.
     fn delta(
         &mut self,
         (kind, pred, tuple): (UpdateKind, Symbol, &Tuple),
         negated: Option<bool>,
-        tau: u64,
     ) -> Result<(Heads, Heads), EvalError> {
         let (mut gained, mut lost) = (Vec::new(), Vec::new());
         let rules = &self.analysis.program.rules;
-        let (reg, lineage) = (&self.reg, &mut self.lineage);
+        let reg = &self.reg;
         self.body_evals += self.plans.for_each_delta(
             rules,
             &self.db,
             reg,
             (kind, pred, tuple),
             negated,
-            |ri, sign, subst, inputs| {
+            |ri, sign, subst, _| {
                 let rule = &rules[ri];
                 let head = instantiate_head(rule, &subst, reg)?;
                 if sign < 0 {
                     lost.push((rule.head.pred, head));
-                    return Ok(());
+                } else {
+                    gained.push((rule.head.pred, head));
                 }
-                // Record even when the head already exists — an alternative
-                // derivation is still a proof (the log deduplicates).
-                if let Some(log) = lineage.as_mut() {
-                    let boxed = intern::boundary(|| subst.to_subst());
-                    let premises = owned_inputs(&rule.body, inputs);
-                    log.record_firing(
-                        rule.id,
-                        1,
-                        rule.head.pred,
-                        &head,
-                        &premises,
-                        Some(&boxed),
-                        tau,
-                    );
-                }
-                gained.push((rule.head.pred, head));
                 Ok(())
             },
         )?;
@@ -172,11 +136,6 @@ impl RederiveEngine {
             .insert(u.tuple.clone(), TupleMeta::at(u.ts))
         {
             return Ok(());
-        }
-        if self.lineage.is_some() && !self.analysis.program.idb_preds().contains(&u.pred) {
-            if let Some(log) = self.lineage.as_mut() {
-                log.record_edb(u.pred, &u.tuple, 1, u.ts);
-            }
         }
         let ts = u.ts;
         self.cascade(VecDeque::from([(u.pred, u.tuple)]), ts)
@@ -210,7 +169,7 @@ impl RederiveEngine {
             if !self.db.contains(pred, &tuple) {
                 continue;
             }
-            let (gained, lost) = self.delta((UpdateKind::Insert, pred, &tuple), None, ts)?;
+            let (gained, lost) = self.delta((UpdateKind::Insert, pred, &tuple), None)?;
             queue.extend(self.store(gained, ts));
             // An insert into a negated subgoal can only delete: over-delete
             // the affected heads, then rederive.
@@ -245,7 +204,7 @@ impl RederiveEngine {
                     limit: self.max_cascade,
                 });
             }
-            let (_, lost) = self.delta((UpdateKind::Delete, pred, &tuple), Some(false), u.ts)?;
+            let (_, lost) = self.delta((UpdateKind::Delete, pred, &tuple), Some(false))?;
             for key in lost {
                 if self.db.contains(key.0, &key.1) && seen.insert(key.clone()) {
                     frontier.push_back(key);
@@ -260,14 +219,6 @@ impl RederiveEngine {
         for (p, t) in &overdeleted {
             self.db.remove(*p, t);
         }
-        // Lineage: over-deletion kills every recorded proof of each
-        // casualty (and the root); phase 2 re-records survivors' witnesses.
-        if let Some(log) = self.lineage.as_mut() {
-            log.retract_atom(root.0, &root.1, u.ts);
-            for (p, t) in &overdeleted {
-                log.retract_atom(*p, t, u.ts);
-            }
-        }
 
         // Phase 2: rederive casualties in stratum order, iterating until no
         // change (recursive rederivations feed each other).
@@ -278,7 +229,7 @@ impl RederiveEngine {
             let mut changed = false;
             let mut still_out = Vec::new();
             for (p, t) in remaining {
-                if self.rederivable(p, &t, u.ts)? {
+                if self.rederivable(p, &t)? {
                     self.db
                         .relation_mut(p)
                         .insert(t.clone(), TupleMeta::at(u.ts));
@@ -296,7 +247,7 @@ impl RederiveEngine {
         // Phase 3: deletions may *unblock* negated subgoals. Derive the
         // additions from the negated occurrences of every deleted tuple.
         for (pred, tuple) in std::iter::once(root).chain(remaining) {
-            let (gained, _) = self.delta((UpdateKind::Delete, pred, &tuple), Some(true), u.ts)?;
+            let (gained, _) = self.delta((UpdateKind::Delete, pred, &tuple), Some(true))?;
             let fresh = self.store(gained, u.ts);
             self.cascade(fresh.into(), u.ts)?;
         }
@@ -304,7 +255,7 @@ impl RederiveEngine {
     }
 
     /// Can `tuple` of `pred` be derived from the current database?
-    fn rederivable(&mut self, pred: Symbol, tuple: &Tuple, tau: u64) -> Result<bool, EvalError> {
+    fn rederivable(&mut self, pred: Symbol, tuple: &Tuple) -> Result<bool, EvalError> {
         let _span = self.profiler.span("dred.rederive");
         for rule in &self.analysis.program.rules {
             if rule.head.pred != pred {
@@ -329,13 +280,7 @@ impl RederiveEngine {
                 }),
             };
             self.body_evals += 1;
-            let sols = ev.solutions(&rule.body, seed, None)?;
-            if !sols.is_empty() {
-                if let Some(log) = self.lineage.as_mut() {
-                    let s = &sols[0];
-                    let boxed = intern::boundary(|| s.subst.to_subst());
-                    log.record_firing(rule.id, 1, pred, tuple, &s.inputs, Some(&boxed), tau);
-                }
+            if !ev.solutions(&rule.body, seed, None)?.is_empty() {
                 return Ok(true);
             }
         }

@@ -17,8 +17,7 @@
 
 use crate::aggregate::aggregate_rule;
 use crate::error::EvalError;
-use crate::eval_body::{instantiate_head, BodyEval, Solution};
-use crate::lineage::LineageLog;
+use crate::eval_body::{instantiate_head, BodyEval};
 use crate::relation::{Database, TupleMeta};
 use sensorlog_logic::analyze::Analysis;
 use sensorlog_logic::ast::{Literal, Rule};
@@ -41,11 +40,6 @@ pub struct EvalConfig {
     pub max_stages: usize,
     /// Max total derived tuples.
     pub max_tuples: usize,
-    /// Record per-firing lineage (rule id, substitution, premise atoms →
-    /// derived atom) into a [`crate::lineage::LineageLog`]. Consumed via
-    /// [`Engine::run_with_lineage`]; plain [`Engine::run`] ignores it and
-    /// pays nothing.
-    pub record_lineage: bool,
 }
 
 impl Default for EvalConfig {
@@ -54,7 +48,6 @@ impl Default for EvalConfig {
             max_iterations: 100_000,
             max_stages: 100_000,
             max_tuples: 10_000_000,
-            record_lineage: false,
         }
     }
 }
@@ -99,34 +92,6 @@ impl Engine {
     /// Evaluate the program over `edb`, returning the full database
     /// (EDB + all derived relations).
     pub fn run(&self, edb: &Database) -> Result<Database, EvalError> {
-        self.run_inner(edb, &mut None)
-    }
-
-    /// Evaluate with per-firing lineage capture: every Definition-2
-    /// derivation (rule id, substitution witness, premise atoms → head
-    /// atom) lands in the returned [`LineageLog`], with the input EDB
-    /// recorded as leaf records. Honors [`EvalConfig::record_lineage`] in
-    /// spirit — this is the entry point that actually collects; plain
-    /// [`run`](Engine::run) never pays for lineage.
-    pub fn run_with_lineage(&self, edb: &Database) -> Result<(Database, LineageLog), EvalError> {
-        let mut log = LineageLog::new();
-        for pred in edb.preds() {
-            if let Some(rel) = edb.relation(pred) {
-                for (t, _) in rel.iter() {
-                    log.record_edb(pred, t, 1, 0);
-                }
-            }
-        }
-        let mut lin = Some(log);
-        let db = self.run_inner(edb, &mut lin)?;
-        Ok((db, lin.expect("lineage log survives evaluation")))
-    }
-
-    fn run_inner(
-        &self,
-        edb: &Database,
-        lin: &mut Option<LineageLog>,
-    ) -> Result<Database, EvalError> {
         let mut db = edb.clone();
         crate::planner::register_program_indexes(&mut db, &self.analysis);
         let prog = &self.analysis.program;
@@ -148,11 +113,11 @@ impl Engine {
                 .iter()
                 .find(|i| i.scc.iter().any(|p| scc_set.contains(p)))
             {
-                self.eval_xy(&mut db, &rules, info, lin)?;
+                self.eval_xy(&mut db, &rules, info)?;
             } else if is_recursive_unit(&rules, &scc_set) {
-                self.eval_seminaive(&mut db, &rules, &scc_set, lin)?;
+                self.eval_seminaive(&mut db, &rules, &scc_set)?;
             } else {
-                self.eval_once(&mut db, &rules, lin)?;
+                self.eval_once(&mut db, &rules)?;
             }
             if db.total_tuples() > self.config.max_tuples {
                 return Err(EvalError::LimitExceeded {
@@ -166,12 +131,7 @@ impl Engine {
 
     /// Single pass for a non-recursive SCC (negation/aggregates allowed —
     /// everything they reference is already complete).
-    fn eval_once(
-        &self,
-        db: &mut Database,
-        rules: &[&Rule],
-        lin: &mut Option<LineageLog>,
-    ) -> Result<(), EvalError> {
+    fn eval_once(&self, db: &mut Database, rules: &[&Rule]) -> Result<(), EvalError> {
         let _span = self.profiler.span("eval.once");
         // Two-phase: compute all head tuples against the pre-pass state,
         // then insert, so rules for the same head don't see each other's
@@ -182,19 +142,12 @@ impl Engine {
             let ev = BodyEval::new(db, &self.reg);
             let sols = ev.solutions(&rule.body, FlatSubst::new(), None)?;
             if rule.agg.is_some() {
-                let outs = aggregate_rule(rule, &sols, &self.reg)?;
-                if let Some(log) = lin.as_mut() {
-                    note_aggregate(log, rule, &sols, &outs);
-                }
-                for t in outs {
+                for t in aggregate_rule(rule, &sols, &self.reg)? {
                     pending.push((rule.head.pred, t));
                 }
             } else {
                 for sol in &sols {
-                    let t = instantiate_head(rule, &sol.subst, &self.reg)?;
-                    if let Some(log) = lin.as_mut() {
-                        note_firing(log, rule, sol, &t);
-                    }
+                    let t = instantiate_head(rule, sol, &self.reg)?;
                     pending.push((rule.head.pred, t));
                 }
             }
@@ -212,7 +165,6 @@ impl Engine {
         db: &mut Database,
         rules: &[&Rule],
         scc_set: &BTreeSet<Symbol>,
-        lin: &mut Option<LineageLog>,
     ) -> Result<(), EvalError> {
         // Round 0: full evaluation of every rule.
         let round0_span = self.profiler.span("eval.seminaive.round");
@@ -223,11 +175,7 @@ impl Engine {
             let sols = ev.solutions(&rule.body, FlatSubst::new(), None)?;
             debug_assert!(rule.agg.is_none(), "aggregates cannot be recursive");
             for sol in &sols {
-                let t = instantiate_head(rule, &sol.subst, &self.reg)?;
-                if let Some(log) = lin.as_mut() {
-                    note_firing(log, rule, sol, &t);
-                }
-                round0.push((rule.head.pred, t));
+                round0.push((rule.head.pred, instantiate_head(rule, sol, &self.reg)?));
             }
         }
         for (p, t) in round0 {
@@ -260,11 +208,8 @@ impl Engine {
                         let ev = BodyEval::new(db, &self.reg);
                         let sols = ev.solutions(&rule.body, FlatSubst::new(), Some((idx, dt)))?;
                         for sol in &sols {
-                            let t = instantiate_head(rule, &sol.subst, &self.reg)?;
-                            if let Some(log) = lin.as_mut() {
-                                note_firing(log, rule, sol, &t);
-                            }
-                            produced.push((rule.head.pred, t));
+                            produced
+                                .push((rule.head.pred, instantiate_head(rule, sol, &self.reg)?));
                         }
                     }
                 }
@@ -287,13 +232,7 @@ impl Engine {
     }
 
     /// Stage-by-stage evaluation of an XY-stratified component.
-    fn eval_xy(
-        &self,
-        db: &mut Database,
-        rules: &[&Rule],
-        info: &XyInfo,
-        lin: &mut Option<LineageLog>,
-    ) -> Result<(), EvalError> {
+    fn eval_xy(&self, db: &mut Database, rules: &[&Rule], info: &XyInfo) -> Result<(), EvalError> {
         // Import rules (no SCC subgoal in the body) run once up front: they
         // bootstrap the staged tables (base cases like `h(a, a, 0).`).
         let mut staged: Vec<(&Rule, StageExpr)> = Vec::new();
@@ -308,10 +247,7 @@ impl Engine {
             let ev = BodyEval::new(db, &self.reg);
             let sols = ev.solutions(&rule.body, FlatSubst::new(), None)?;
             for sol in &sols {
-                let t = instantiate_head(rule, &sol.subst, &self.reg)?;
-                if let Some(log) = lin.as_mut() {
-                    note_firing(log, rule, sol, &t);
-                }
+                let t = instantiate_head(rule, sol, &self.reg)?;
                 db.relation_mut(rule.head.pred)
                     .insert(t, TupleMeta::default());
             }
@@ -356,11 +292,7 @@ impl Engine {
                     let sols = ev.solutions(&rule.body, seed, None)?;
                     let mut new_tuples = Vec::new();
                     for sol in &sols {
-                        let t = instantiate_head(rule, &sol.subst, &self.reg)?;
-                        if let Some(log) = lin.as_mut() {
-                            note_firing(log, rule, sol, &t);
-                        }
-                        new_tuples.push(t);
+                        new_tuples.push(instantiate_head(rule, sol, &self.reg)?);
                     }
                     for t in new_tuples {
                         if let Val::Int(s) = intern::entry(t.id(hpos)).val {
@@ -402,35 +334,6 @@ impl Engine {
             }
         }
         bounds
-    }
-}
-
-/// Record one non-aggregate firing into the lineage log (batch evaluation
-/// is timeless: `tau = 0`).
-fn note_firing(log: &mut LineageLog, rule: &Rule, sol: &Solution, head: &Tuple) {
-    // Lineage witnesses are boxed (display/export boundary).
-    let witness = intern::boundary(|| sol.subst.to_subst());
-    log.record_firing(
-        rule.id,
-        1,
-        rule.head.pred,
-        head,
-        &sol.inputs,
-        Some(&witness),
-        0,
-    );
-}
-
-/// Record an aggregate rule's group firings: each output tuple is supported
-/// by the union of the contributing solutions' inputs (there is no single
-/// substitution witness for a group).
-fn note_aggregate(log: &mut LineageLog, rule: &Rule, sols: &[Solution], outs: &[Tuple]) {
-    let mut prem: Vec<(usize, Symbol, Tuple)> =
-        sols.iter().flat_map(|s| s.inputs.iter().cloned()).collect();
-    prem.sort();
-    prem.dedup();
-    for t in outs {
-        log.record_firing(rule.id, 1, rule.head.pred, t, &prem, None, 0);
     }
 }
 
@@ -736,55 +639,6 @@ mod tests {
         );
         let w = effective_windows(&e.analysis);
         assert_eq!(w.get(&sym("q")), None);
-    }
-
-    #[test]
-    fn lineage_capture_is_well_founded() {
-        use crate::lineage::EDB_RULE;
-        let e = engine(
-            r#"
-            t(X, Y) :- e(X, Y).
-            t(X, Y) :- t(X, Z), e(Z, Y).
-            "#,
-        );
-        let (out, log) = e.run_with_lineage(&db(&["e(1, 2)", "e(2, 3)"])).unwrap();
-        assert_eq!(out.len_of(sym("t")), 3);
-        // EDB leaves are recorded.
-        assert!(log.records.iter().any(|r| r.rule_id == EDB_RULE));
-        // Every derived t-tuple has a live derivation with real premises,
-        // and t(1,3) is derived from t(1,2) + e(2,3).
-        let live = log.live_derivations();
-        let t13 = log.lookup(sym("t"), &tup("1, 3")).unwrap();
-        let ds = &live[&t13];
-        assert!(ds
-            .iter()
-            .any(|(rule, prem)| *rule != EDB_RULE && prem.len() == 2));
-        let (rule_id, prem) = ds.iter().find(|(r, _)| *r != EDB_RULE).unwrap();
-        assert!(*rule_id < e.analysis.program.rules.len());
-        let names: Vec<&str> = prem
-            .iter()
-            .map(|p| log.resolve(*p).unwrap().0.as_str())
-            .collect();
-        assert!(names.contains(&"t") && names.contains(&"e"));
-        // Firing records carry a substitution witness.
-        assert!(log
-            .records
-            .iter()
-            .any(|r| r.rule_id != EDB_RULE && !r.subst.is_empty()));
-        // Plain `run` pays nothing and the flag alone changes no results.
-        let cfg = EvalConfig {
-            record_lineage: true,
-            ..EvalConfig::default()
-        };
-        let e2 = engine(
-            r#"
-            t(X, Y) :- e(X, Y).
-            t(X, Y) :- t(X, Z), e(Z, Y).
-            "#,
-        )
-        .with_config(cfg);
-        let out2 = e2.run(&db(&["e(1, 2)", "e(2, 3)"])).unwrap();
-        assert_eq!(out2.sorted(sym("t")), out.sorted(sym("t")));
     }
 
     #[test]

@@ -18,6 +18,7 @@
 
 use crate::sim::SimTime;
 use crate::topology::NodeId;
+use sensorlog_telemetry::jsonl::{escape, field_str, field_u64};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -264,7 +265,7 @@ impl Journal {
                         r#""ev":"send","from":{},"to":{},"kind":{},"bytes":{},"attempt":{}"#,
                         from.0,
                         to.0,
-                        json_escape(kind),
+                        escape(kind),
                         bytes,
                         attempt
                     );
@@ -280,7 +281,7 @@ impl Journal {
                         r#""ev":"deliver","from":{},"to":{},"kind":{},"bytes":{}"#,
                         from.0,
                         to.0,
-                        json_escape(kind),
+                        escape(kind),
                         bytes
                     );
                 }
@@ -295,7 +296,7 @@ impl Journal {
                         r#""ev":"drop","from":{},"to":{},"kind":{},"reason":"{reason}""#,
                         from.0,
                         to.0,
-                        json_escape(kind)
+                        escape(kind)
                     );
                 }
                 TraceEvent::Timer { node, tag } => {
@@ -349,7 +350,8 @@ impl Journal {
         let seed = field_u64(header, "seed").ok_or_else(|| err(hline, "header missing seed"))?;
         let declared = field_u64(header, "records")
             .ok_or_else(|| err(hline, "header missing record count"))?;
-        let mut records = Vec::with_capacity(declared as usize);
+        // Not sized from the header: its count is checked, not trusted.
+        let mut records = Vec::new();
         for (lineno, line) in lines {
             if field_str(line, "type").as_deref() != Some("rec") {
                 return Err(err(lineno, "expected a rec object"));
@@ -357,11 +359,12 @@ impl Journal {
             let seq = field_u64(line, "seq").ok_or_else(|| err(lineno, "missing seq"))?;
             let at = field_u64(line, "at").ok_or_else(|| err(lineno, "missing at"))?;
             let ev = field_str(line, "ev").ok_or_else(|| err(lineno, "missing ev"))?;
-            let node_of = |key: &str| -> Result<NodeId, JournalParseError> {
-                field_u64(line, key)
-                    .map(|n| NodeId(n as u32))
-                    .ok_or_else(|| err(lineno, &format!("missing {key}")))
+            let u32_of = |key: &str| -> Result<u32, JournalParseError> {
+                let n =
+                    field_u64(line, key).ok_or_else(|| err(lineno, &format!("missing {key}")))?;
+                u32::try_from(n).map_err(|_| err(lineno, &format!("{key} {n} out of range")))
             };
+            let node_of = |key: &str| u32_of(key).map(NodeId);
             let kind_of = || -> Result<&'static str, JournalParseError> {
                 field_str(line, "kind")
                     .map(|k| intern_kind(&k))
@@ -377,9 +380,7 @@ impl Journal {
                     kind: kind_of()?,
                     bytes: field_u64(line, "bytes").ok_or_else(|| err(lineno, "missing bytes"))?
                         as usize,
-                    attempt: field_u64(line, "attempt")
-                        .ok_or_else(|| err(lineno, "missing attempt"))?
-                        as u32,
+                    attempt: u32_of("attempt")?,
                 },
                 "deliver" => TraceEvent::Deliver {
                     from: node_of("from")?,
@@ -421,11 +422,11 @@ impl Journal {
                 "linkloss" => TraceEvent::LinkLoss {
                     a: node_of("a")?,
                     b: node_of("b")?,
-                    ppm: field_u64(line, "ppm").ok_or_else(|| err(lineno, "missing ppm"))? as u32,
+                    ppm: u32_of("ppm")?,
                 },
                 "dupwin" => TraceEvent::DupWindow {
                     until: field_u64(line, "until").ok_or_else(|| err(lineno, "missing until"))?,
-                    ppm: field_u64(line, "ppm").ok_or_else(|| err(lineno, "missing ppm"))? as u32,
+                    ppm: u32_of("ppm")?,
                 },
                 "reorderwin" => TraceEvent::ReorderWindow {
                     until: field_u64(line, "until").ok_or_else(|| err(lineno, "missing until"))?,
@@ -477,10 +478,11 @@ impl fmt::Display for JournalParseError {
 
 impl std::error::Error for JournalParseError {}
 
-/// Re-intern a message kind read from disk. Known kinds map to the
-/// workspace's static literals; unseen ones are leaked once and reused
-/// (bounded by the number of *distinct* kinds, not records).
-fn intern_kind(s: &str) -> &'static str {
+/// Re-intern a message kind read from disk (a journal's or a provenance
+/// log's). Known kinds map to the workspace's static literals; unseen ones
+/// are leaked once and reused (bounded by the number of *distinct* kinds,
+/// not records).
+pub fn intern_kind(s: &str) -> &'static str {
     const KNOWN: &[&str] = &[
         "store", "probe", "result", "centroid", "msg", "ping", "hb", "live",
     ];
@@ -496,76 +498,6 @@ fn intern_kind(s: &str) -> &'static str {
     let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
     extra.push(leaked);
     leaked
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Raw value slice for `"key":` in a single-line JSON object.
-fn field_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    if let Some(inner) = rest.strip_prefix('"') {
-        let mut escaped = false;
-        for (i, ch) in inner.char_indices() {
-            if escaped {
-                escaped = false;
-            } else if ch == '\\' {
-                escaped = true;
-            } else if ch == '"' {
-                return Some(&inner[..i]);
-            }
-        }
-        None
-    } else {
-        let end = rest.find([',', '}'])?;
-        Some(rest[..end].trim())
-    }
-}
-
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    field_raw(line, key)?.parse().ok()
-}
-
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let raw = field_raw(line, key)?;
-    if !raw.contains('\\') {
-        return Some(raw.to_string());
-    }
-    let mut out = String::with_capacity(raw.len());
-    let mut chars = raw.chars();
-    while let Some(ch) = chars.next() {
-        if ch != '\\' {
-            out.push(ch);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('t') => out.push('\t'),
-            Some('r') => out.push('\r'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                let code = u32::from_str_radix(&hex, 16).ok()?;
-                out.push(char::from_u32(code)?);
-            }
-            Some(c) => out.push(c),
-            None => return None,
-        }
-    }
-    Some(out)
 }
 
 /// Per-run aggregate of a [`Journal`] — the numbers experiment tables

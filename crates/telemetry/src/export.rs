@@ -7,6 +7,7 @@
 //! trips the golden-file check in CI.
 
 use crate::histogram::Histogram;
+use crate::jsonl::escape;
 use crate::profiler::Profiler;
 use crate::registry::MetricsRegistry;
 use std::collections::BTreeMap;
@@ -189,8 +190,8 @@ impl Snapshot {
             writeln!(
                 out,
                 r#"{{"type":"meta","key":{},"value":{}}}"#,
-                json_str(k),
-                json_str(v)
+                escape(k),
+                escape(v)
             )
             .unwrap();
         }
@@ -198,8 +199,8 @@ impl Snapshot {
             writeln!(
                 out,
                 r#"{{"type":"counter","scope":{},"name":{},"value":{}}}"#,
-                json_str(&c.scope),
-                json_str(&c.name),
+                escape(&c.scope),
+                escape(&c.name),
                 c.value
             )
             .unwrap();
@@ -208,8 +209,8 @@ impl Snapshot {
             writeln!(
                 out,
                 r#"{{"type":"gauge","scope":{},"name":{},"value":{}}}"#,
-                json_str(&g.scope),
-                json_str(&g.name),
+                escape(&g.scope),
+                escape(&g.name),
                 g.value
             )
             .unwrap();
@@ -218,8 +219,8 @@ impl Snapshot {
             writeln!(
                 out,
                 r#"{{"type":"hist","scope":{},"name":{},"bounds":{},"counts":{},"overflow":{},"count":{},"sum":{},"min":{},"max":{}}}"#,
-                json_str(&h.scope),
-                json_str(&h.name),
+                escape(&h.scope),
+                escape(&h.name),
                 json_u64s(&h.bounds),
                 json_u64s(&h.counts),
                 h.overflow,
@@ -234,7 +235,7 @@ impl Snapshot {
             writeln!(
                 out,
                 r#"{{"type":"phase","name":{},"count":{},"wall_ns":{},"sim_ms":{}}}"#,
-                json_str(&p.name),
+                escape(&p.name),
                 p.count,
                 p.wall_ns,
                 p.sim_ms
@@ -259,26 +260,6 @@ impl Snapshot {
         }
         out
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn json_u64s(xs: &[u64]) -> String {
@@ -353,7 +334,7 @@ mod tests {
 
     #[test]
     fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
+        assert_eq!(escape("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
+        assert_eq!(escape("\u{1}"), "\"\\u0001\"");
     }
 }

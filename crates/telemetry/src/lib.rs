@@ -4,7 +4,8 @@
 //! registry (counters / gauges / fixed-bucket histograms keyed by
 //! `(scope, name)`), a span-based phase profiler with zero-cost-when-disabled
 //! guards (the same `Option`-gated pattern as `netsim`'s `TraceSink`), and
-//! one exporter (the JSONL snapshot).
+//! one exporter (the JSONL snapshot), written with the workspace's one
+//! JSONL line codec ([`jsonl`]).
 //!
 //! Handles are `Arc<Mutex<…>>` clones: the caller keeps one to read
 //! results back while the simulator and the nodes record through theirs,
@@ -34,6 +35,7 @@
 
 mod export;
 mod histogram;
+pub mod jsonl;
 mod profiler;
 mod registry;
 

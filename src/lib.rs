@@ -10,8 +10,9 @@
 //! * [`logic`] — the rule language: first-order terms with function
 //!   symbols, parser, safety, stratification, XY-stratification, magic sets;
 //! * [`eval`] — the centralized bottom-up engine: semi-naive fixpoint,
-//!   XY-staged evaluation, and set-of-derivations / counting / DRed
-//!   incremental maintenance;
+//!   XY-staged evaluation, and set-of-derivations / DRed incremental
+//!   maintenance, with counting as the set-of-derivations engine's ledger
+//!   with the derivation projected away;
 //! * [`netsim`] — the deterministic discrete-event sensor-network
 //!   simulator (the TOSSIM substitute);
 //! * [`netstack`] — routing, geographic hashing, gathering trees, TAG

@@ -166,3 +166,67 @@ fn deployment_explain_covers_present_and_absent() {
     let report = check_provenance(&d, &[sym("reach")]);
     assert!(report.ok(), "violations: {:?}", report.violations);
 }
+
+/// logicH on a 5x5 grid under Centroid with the provenance plane on: every
+/// link comes up, then node 6's links go down again, so the central engine
+/// both gains and loses derivations (the XY negation retracts `h` tuples
+/// as shorter paths appear). The records the centre emits for its own
+/// derivations, and their JSONL bytes, are pinned (FNV-1a of
+/// `prov::to_jsonl`, as `Journal::content_hash` hashes its text).
+#[test]
+fn centroid_provenance_jsonl_is_pinned() {
+    use sensorlog::core::prov::{self, ProvRecord};
+    use sensorlog::core::workload::graph_edges;
+    const LOGIC_H: &str = r#"
+        .output h.
+        h(0, 0, 0).
+        h(0, X, 1) :- g(0, X).
+        hp(Y, D + 1) :- h(_, Y, D'), (D + 1) > D', h(_, X, D), g(X, Y).
+        h(X, Y, D + 1) :- g(X, Y), h(_, X, D), not hp(Y, D + 1).
+    "#;
+    let topo = Topology::square_grid(5);
+    let cfg = DeployConfig {
+        rt: RtConfig {
+            strategy: Strategy::Centroid,
+            ..RtConfig::default()
+        },
+        sim: SimConfig {
+            seed: 3,
+            ..SimConfig::default()
+        },
+        provenance: Provenance::enabled(),
+        ..DeployConfig::default()
+    };
+    let mut d = Deployment::new(LOGIC_H, BuiltinRegistry::standard(), topo.clone(), cfg).unwrap();
+    let mut events = graph_edges(&topo, 100, 200);
+    let downs: Vec<WorkloadEvent> = (events.iter())
+        .filter(|e| e.node == NodeId(6))
+        .map(|e| WorkloadEvent {
+            at: e.at + 60_000,
+            kind: UpdateKind::Delete,
+            ..e.clone()
+        })
+        .collect();
+    events.extend(downs);
+    d.schedule_all(events);
+    d.run(60_000_000);
+
+    let records = d.provenance_records();
+    let text = prov::to_jsonl(&records);
+    let fnv = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    let derivs = |sign: i8| {
+        (records.iter())
+            .filter(|r| matches!(r, ProvRecord::Deriv { sign: s, .. } if *s == sign))
+            .count()
+    };
+    assert_eq!(
+        (records.len(), derivs(1), derivs(-1)),
+        (657, 230, 70),
+        "record counts drifted"
+    );
+    assert_eq!(fnv, 0x0e66_42a5_2dbe_5f22, "provenance JSONL bytes drifted");
+    let report = check_provenance(&d, &[sym("h")]);
+    assert!(report.ok(), "violations: {:?}", report.violations);
+}

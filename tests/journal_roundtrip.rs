@@ -87,6 +87,60 @@ fn journal_from_jsonl_rejects_missing_header_and_fields() {
     );
 }
 
+/// The header's record count is checked against the file, never used to
+/// size anything: a hostile count is the `declared` error, not a
+/// capacity-overflow panic or a request for tens of terabytes.
+#[test]
+fn journal_from_jsonl_does_not_trust_the_header_count() {
+    for declared in [u64::MAX, 1_000_000_000_000] {
+        let text = format!("{{\"type\":\"journal\",\"seed\":0,\"records\":{declared}}}\n");
+        let err = Journal::from_jsonl(&text).expect_err("a count the file does not hold");
+        assert_eq!(err.line, 1, "{err}");
+        assert!(
+            err.msg
+                .contains(&format!("header declared {declared} records")),
+            "{err}"
+        );
+    }
+}
+
+/// A value that does not fit its field is a line-numbered error, not a
+/// wrapped one: node ids, attempts and loss rates above `u32::MAX` in a
+/// journal, node ids above it and signs outside `i8` in a provenance log
+/// (`"sign":255` narrowed with `as i8` reads as `-1`, a retraction).
+#[test]
+fn from_jsonl_rejects_out_of_range_numbers() {
+    let big = u64::from(u32::MAX) + 1;
+    let header = "{\"type\":\"journal\",\"seed\":1,\"records\":1}\n";
+    for rec in [
+        format!(r#"{{"type":"rec","seq":0,"at":0,"ev":"start","node":{big}}}"#),
+        format!(
+            r#"{{"type":"rec","seq":0,"at":0,"ev":"send","from":0,"to":1,"kind":"store","bytes":1,"attempt":{big}}}"#
+        ),
+        format!(r#"{{"type":"rec","seq":0,"at":0,"ev":"linkloss","a":0,"b":1,"ppm":{big}}}"#),
+    ] {
+        let err = Journal::from_jsonl(&format!("{header}{rec}\n")).expect_err(&rec);
+        assert_eq!(err.line, 2, "{err}");
+        assert!(err.msg.contains("out of range"), "{err}");
+    }
+
+    let deriv = |owner: u64, sign: i64| {
+        format!(
+            r#"{{"type":"deriv","owner":{owner},"atom":"q(1)","key":"0|0:3@10#0","sign":{sign},"tau":10,"origin":"3@10#0","at":12}}"#
+        )
+    };
+    let good = deriv(5, -1);
+    assert!(matches!(
+        from_jsonl(&good).unwrap()[..],
+        [ProvRecord::Deriv { sign: -1, .. }]
+    ));
+    for bad in [deriv(5, 255), deriv(5, -129), deriv(big, 1)] {
+        let err = from_jsonl(&format!("{good}\n{bad}\n")).expect_err(&bad);
+        assert_eq!(err.line, 2, "{err}");
+        assert!(err.msg.contains("out of range"), "{err}");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Journal::first_divergence
 // ---------------------------------------------------------------------
