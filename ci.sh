@@ -25,8 +25,11 @@ cargo test --workspace -q
 # Count gates on the per-message path, named here so that renaming or
 # filtering one away fails CI instead of passing silently. They compare
 # counts, not timings, so they run under --fast too:
-#  - netsim: `Metrics` must not walk its registry's key map per delivery
-#    (the same flood with 20x the traffic performs the same number of walks);
+#  - netsim: `Metrics` must not walk its registry's key map per node or
+#    per delivery (construction makes no walk, and a run with 20x the
+#    traffic makes the same two: first tx and first rx of its one kind),
+#    and the `node:n/*` rows it writes on export are the 4 per node an
+#    eagerly registered registry would hold, idle nodes' zeros included;
 #  - core: a queued simulator event must stay 24 bytes whatever `Payload`
 #    is, and the node's wire message one pointer (`netsim` queues an app's
 #    message by value in a heap whose buffer is its peak pending count);
@@ -71,9 +74,10 @@ cargo test --workspace -q
 # Each gate names its crate, its test target (`--lib` or `--test=<file>`)
 # and the test. The boundary-resolve cap (tests/boundary_sites.rs) ran with
 # the workspace tests above.
-echo "== count gates (keyed registry walks, queued event size, unplanned probes, node probe ranges, router hops, id table race, expiry queue, message ownership, send order, queue memory, sent counters, Centroid provenance, JSONL numbers) =="
+echo "== count gates (keyed registry walks, exported node rows, queued event size, unplanned probes, node probe ranges, router hops, id table race, expiry queue, message ownership, send order, queue memory, sent counters, Centroid provenance, JSONL numbers) =="
 for gate in \
     "sensorlog-netsim --lib sim::tests::keyed_registry_walks_do_not_grow_with_traffic" \
+    "sensorlog-netsim --lib sim::tests::exported_node_rows_match_an_eagerly_registered_registry" \
     "sensorlog-core --lib msg::tests::queued_event_stays_payload_independent" \
     "sensorlog-eval --lib planner::tests::engines_probe_only_planned_signatures" \
     "sensorlog-core --lib deploy::tests::node_probes_are_ranges_of_the_fragment_map" \

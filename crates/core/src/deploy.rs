@@ -362,7 +362,8 @@ impl Deployment {
     }
 
     /// Export the run's full telemetry as one [`Snapshot`]: the simulator's
-    /// per-node / per-kind traffic registry, the deployment-level registry
+    /// per-node / per-kind traffic counters (node rows written here, on
+    /// read, by `Metrics::export`), the deployment-level registry
     /// (per-predicate counters, byte/latency histograms), phase timings,
     /// and per-node runtime stats rolled up as global gauges. Works whether
     /// or not `DeployConfig::telemetry` was enabled (the simulator metrics
@@ -377,7 +378,7 @@ impl Deployment {
             .insert("seed".into(), self.sim.config.seed.to_string());
         snap.meta
             .insert("sim_time_ms".into(), self.sim.now().to_string());
-        snap.absorb_registry(self.sim.metrics.registry());
+        self.sim.metrics.export(&mut snap);
         if let Some(reg) = self.sim.telemetry().registry() {
             snap.absorb_registry(&reg);
         }

@@ -1,19 +1,22 @@
 //! Communication accounting: the paper's evaluation currency.
 //!
-//! Since the telemetry refactor this is a thin compatibility shim over
-//! [`sensorlog_telemetry::MetricsRegistry`]: the bespoke counter fields the
-//! bench experiments used to poke at (`tx_by_kind`, `lost`, `delivered`)
-//! are gone, replaced by registry-backed accessors with the same names.
-//! Per-node counters pre-resolve their registry ids at construction, and
-//! per-kind counters the first time a kind moves them, so the hot path
-//! stays a `Vec`-indexed add, exactly as cheap as the old struct fields: a
-//! delivery never walks the registry's key map. "Communication cost" in
-//! the experiment harness still means `total_tx` unless stated otherwise;
-//! "load balance" compares `max_node_load` against the mean.
+//! Two stores behind one set of accessors. A node's traffic (`tx`, `rx`,
+//! `tx_bytes`, `rx_bytes`) is a dense [`NodeCounters`] row indexed by node
+//! id: [`Metrics::new`] allocates every row at once and `record_tx` /
+//! `record_rx` add to it, so neither construction nor delivery looks up a
+//! key. Per-kind counters live in a [`MetricsRegistry`] and resolve their
+//! ids the first time a kind moves them; after that they too are a
+//! `Vec`-indexed add. The registry holds no node rows: [`Metrics::export`]
+//! writes the `node:n/*` rows into a [`Snapshot`] when a reader asks, in
+//! the registry's key order and with idle nodes' all-zero rows, so the
+//! export is the one a registry with every node's four counters would
+//! give. "Communication cost" in the experiment harness still means
+//! `total_tx` unless stated otherwise; "load balance" compares
+//! `max_node_load` against the mean.
 
 use crate::topology::NodeId;
 use crate::trace::DropReason;
-use sensorlog_telemetry::{CounterId, MetricsRegistry, Scope};
+use sensorlog_telemetry::{CounterId, CounterRow, MetricsRegistry, Scope, Snapshot};
 use std::collections::BTreeMap;
 
 /// Counters kept per message kind: `tx`, `rx`, `lost`, then one per
@@ -60,7 +63,8 @@ impl Default for EnergyModel {
     }
 }
 
-/// Per-node counters (a read-side view; storage lives in the registry).
+/// One node's traffic counters: the row [`Metrics`] stores per node and
+/// adds to on every transmission and delivery.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct NodeCounters {
     pub tx: u64,
@@ -69,20 +73,13 @@ pub struct NodeCounters {
     pub rx_bytes: u64,
 }
 
-/// Pre-resolved registry ids for one node's four counters.
-#[derive(Clone, Copy, Debug)]
-struct NodeIds {
-    tx: CounterId,
-    rx: CounterId,
-    tx_bytes: CounterId,
-    rx_bytes: CounterId,
-}
-
-/// Whole-run metrics, backed by a deterministic metrics registry.
+/// Whole-run metrics: dense per-node rows beside a deterministic registry
+/// of per-kind counters.
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
+    /// Per-kind counters only; node rows are `per_node`.
     reg: MetricsRegistry,
-    per_node: Vec<NodeIds>,
+    per_node: Vec<NodeCounters>,
     /// Registry ids of each kind's counters, resolved the first time the
     /// counter moves — so a kind only gets a "tx" key if it ever
     /// transmitted, etc. Linear-scanned: simulations use a handful of kinds.
@@ -92,18 +89,9 @@ pub struct Metrics {
 
 impl Metrics {
     pub fn new(n_nodes: usize) -> Metrics {
-        let mut reg = MetricsRegistry::new();
-        let per_node = (0..n_nodes as u32)
-            .map(|n| NodeIds {
-                tx: reg.counter(Scope::Node(n), "tx"),
-                rx: reg.counter(Scope::Node(n), "rx"),
-                tx_bytes: reg.counter(Scope::Node(n), "tx_bytes"),
-                rx_bytes: reg.counter(Scope::Node(n), "rx_bytes"),
-            })
-            .collect();
         Metrics {
-            reg,
-            per_node,
+            reg: MetricsRegistry::new(),
+            per_node: vec![NodeCounters::default(); n_nodes],
             per_kind: Vec::new(),
             energy: EnergyModel::default(),
         }
@@ -132,16 +120,16 @@ impl Metrics {
     }
 
     pub fn record_tx(&mut self, node: NodeId, bytes: usize, kind: &'static str) {
-        let ids = self.per_node[node.index()];
-        self.reg.inc(ids.tx);
-        self.reg.inc_by(ids.tx_bytes, bytes as u64);
+        let c = &mut self.per_node[node.index()];
+        c.tx += 1;
+        c.tx_bytes += bytes as u64;
         self.bump_kind(kind, KIND_TX);
     }
 
     pub fn record_rx(&mut self, node: NodeId, bytes: usize, kind: &'static str) {
-        let ids = self.per_node[node.index()];
-        self.reg.inc(ids.rx);
-        self.reg.inc_by(ids.rx_bytes, bytes as u64);
+        let c = &mut self.per_node[node.index()];
+        c.rx += 1;
+        c.rx_bytes += bytes as u64;
         self.bump_kind(kind, KIND_RX);
     }
 
@@ -151,22 +139,11 @@ impl Metrics {
     }
 
     pub fn node(&self, id: NodeId) -> NodeCounters {
-        let ids = self.per_node[id.index()];
-        NodeCounters {
-            tx: self.reg.counter_value(ids.tx),
-            rx: self.reg.counter_value(ids.rx),
-            tx_bytes: self.reg.counter_value(ids.tx_bytes),
-            rx_bytes: self.reg.counter_value(ids.rx_bytes),
-        }
+        self.per_node[id.index()]
     }
 
     fn nodes(&self) -> impl Iterator<Item = NodeCounters> + '_ {
-        self.per_node.iter().map(|ids| NodeCounters {
-            tx: self.reg.counter_value(ids.tx),
-            rx: self.reg.counter_value(ids.rx),
-            tx_bytes: self.reg.counter_value(ids.tx_bytes),
-            rx_bytes: self.reg.counter_value(ids.rx_bytes),
-        })
+        self.per_node.iter().copied()
     }
 
     /// Message kinds seen on the wire so far, with tx counts — the old
@@ -245,9 +222,35 @@ impl Metrics {
             .collect()
     }
 
-    /// The backing registry (for exporters and network-wide rollups).
+    /// The per-kind counter registry. It holds no `node:n/*` rows; read
+    /// those through [`Self::node`], or [`Self::export`] for all of them.
     pub fn registry(&self) -> &MetricsRegistry {
         &self.reg
+    }
+
+    /// Append every counter to `snap`: each node's four rows (idle nodes'
+    /// zeros included), then the per-kind registry. Node scopes sort before
+    /// kind scopes and a node's names sort `rx` < `rx_bytes` < `tx` <
+    /// `tx_bytes`, so the rows come out in registry key order, as if each
+    /// node's counters were registry entries.
+    pub fn export(&self, snap: &mut Snapshot) {
+        snap.counters.reserve(4 * self.per_node.len());
+        for (n, c) in self.per_node.iter().enumerate() {
+            let scope = Scope::Node(n as u32).to_string();
+            for (name, value) in [
+                ("rx", c.rx),
+                ("rx_bytes", c.rx_bytes),
+                ("tx", c.tx),
+                ("tx_bytes", c.tx_bytes),
+            ] {
+                snap.counters.push(CounterRow {
+                    scope: scope.clone(),
+                    name: name.to_string(),
+                    value,
+                });
+            }
+        }
+        snap.absorb_registry(&self.reg);
     }
 
     /// Total messages transmitted.

@@ -922,6 +922,7 @@ impl<A: App> Simulator<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sensorlog_telemetry::{MetricsRegistry, Snapshot};
 
     /// Flood app: node 0 starts a flood; everyone re-broadcasts once.
     struct Flood {
@@ -980,29 +981,48 @@ mod tests {
         assert_eq!(sim.metrics.tx_by_kind()["ping"], sim.metrics.total_tx());
     }
 
-    /// The per-message path holds pre-resolved metric ids: however many
-    /// messages a run delivers, `sim.metrics` walks its registry's key map
-    /// the same number of times (4 per node in `Metrics::new`, one per
-    /// kind for its first tx and first rx). A keyed `bump` in `record_tx` /
-    /// `record_rx` would add two walks per delivery.
+    /// Each node broadcasts `per_node` pings at start and ignores what it
+    /// hears.
+    struct Chatty {
+        per_node: usize,
+    }
+
+    impl App for Chatty {
+        type Msg = Ping;
+        fn on_start(&mut self, ctx: &mut Ctx<Ping>) {
+            for _ in 0..self.per_node {
+                ctx.broadcast(Ping);
+            }
+        }
+        fn on_message(&mut self, _: &mut Ctx<Ping>, _: NodeId, _: Ping) {}
+    }
+
+    /// A 6x6 grid of [`Chatty`] nodes, each sending what `per_node` says.
+    fn chatty_sim(per_node: impl Fn(NodeId) -> usize + 'static) -> Simulator<Chatty> {
+        Simulator::new(
+            Topology::square_grid(6),
+            SimConfig::default(),
+            move |id, _| Chatty {
+                per_node: per_node(id),
+            },
+        )
+    }
+
+    /// `sim.metrics` walks its registry's key map only for per-kind
+    /// counters: never while it is built (node counters are a dense row per
+    /// node), then once per kind for its first tx and first rx, however
+    /// many messages a run delivers. A per-node registration in
+    /// `Metrics::new` would add 4 walks per node, and a keyed `bump` in
+    /// `record_tx` / `record_rx` two per delivery.
     #[test]
     fn keyed_registry_walks_do_not_grow_with_traffic() {
-        struct Chatty {
-            per_node: usize,
-        }
-        impl App for Chatty {
-            type Msg = Ping;
-            fn on_start(&mut self, ctx: &mut Ctx<Ping>) {
-                for _ in 0..self.per_node {
-                    ctx.broadcast(Ping);
-                }
-            }
-            fn on_message(&mut self, _: &mut Ctx<Ping>, _: NodeId, _: Ping) {}
-        }
         let run = |per_node: usize| {
-            let mut sim = Simulator::new(Topology::square_grid(6), SimConfig::default(), {
-                move |_, _| Chatty { per_node }
-            });
+            let mut sim = chatty_sim(move |_| per_node);
+            assert_eq!(
+                sim.metrics.registry().keyed_walks(),
+                0,
+                "construction walks"
+            );
             sim.run_to_quiescence(100_000);
             (
                 sim.metrics.delivered(),
@@ -1013,8 +1033,50 @@ mod tests {
         let (heavy_rx, heavy_walks) = run(20);
         assert_eq!(heavy_rx, 20 * light_rx, "the heavy run must carry 20x");
         assert!(light_rx >= 100);
-        assert_eq!(light_walks, 4 * 36 + 2);
-        assert_eq!(heavy_walks, light_walks);
+        assert_eq!(light_walks, 2);
+        assert_eq!(heavy_walks, 2);
+    }
+
+    /// The exported `node:n/*` rows are the ones a registry holding every
+    /// node's four counters from construction on would export: 4 rows per
+    /// node in key order, idle nodes' zeros included, each value the one
+    /// `Metrics::node` reads, followed by the per-kind rows. (The eager
+    /// registry is built from `Metrics::node`, so equal snapshots check
+    /// both the keys and the values.)
+    #[test]
+    fn exported_node_rows_match_an_eagerly_registered_registry() {
+        // Only node 0 talks: its two neighbours hear it, the other 33 nodes
+        // neither send nor receive.
+        let mut sim = chatty_sim(|id| if id == NodeId(0) { 3 } else { 0 });
+        sim.run_to_quiescence(100_000);
+        let m = &sim.metrics;
+        let idle = (0..36)
+            .filter(|&n| m.node(NodeId(n)) == Default::default())
+            .count();
+        assert_eq!(idle, 33);
+
+        let mut eager = MetricsRegistry::new();
+        for n in 0..36u32 {
+            let c = m.node(NodeId(n));
+            for (name, v) in [
+                ("tx", c.tx),
+                ("rx", c.rx),
+                ("tx_bytes", c.tx_bytes),
+                ("rx_bytes", c.rx_bytes),
+            ] {
+                let id = eager.counter(Scope::Node(n), name);
+                eager.inc_by(id, v);
+            }
+        }
+        eager.merge_from(m.registry());
+        let mut want = Snapshot::default();
+        want.absorb_registry(&eager);
+        let mut got = Snapshot::default();
+        m.export(&mut got);
+        assert_eq!(got, want);
+
+        let node_rows = got.counters.iter().filter(|r| r.scope.starts_with("node:"));
+        assert_eq!(node_rows.count(), 4 * 36);
     }
 
     #[test]
