@@ -213,15 +213,40 @@ if [[ "$fast" -eq 0 ]]; then
     done
 
     # Every bench case at CI size, in one process, into one report schema.
-    # The driver checks its own gates (journal pins, resolve counts, bound
-    # soundness, convergence, tx counts) and exits non-zero naming any that
-    # fail, and prints each case's elapsed time. What is checked here is
-    # that no gate went missing: the names it printed must be exactly this
-    # list, so deleting or renaming a gate fails CI. `bench_cases` must equal
+    # The paper's figures and tables run at full size (they ignore --quick),
+    # so their gates hold the numbers EXPERIMENTS.md quotes. `bench`
+    # checks its own gates (oracle exactness, tree shape, engines agreeing,
+    # journal pins, resolve counts, bound soundness, convergence, message
+    # and result counts) and exits non-zero naming any that fail, and prints
+    # each case's elapsed time. What is checked here is that no gate went
+    # missing: the names it printed must be exactly this list, so deleting
+    # or renaming a gate fails CI, and every case must gate something.
+    # `bench_cases` must equal
     # `bench --list` (crates/bench/tests/parallel_driver.rs).
     echo "== bench --quick (all cases; gate set pinned) =="
-    bench_cases="smoke micro grid4k chaos prov intern diag scale"
-    bench_gates="smoke.snapshot_schema_is_golden smoke.snapshot_plausible
+    bench_cases="fig4_5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 table1 table2 table3 table4_5 smoke micro grid4k chaos prov intern diag scale"
+    bench_gates="fig4_5.runs_with_results fig4_5.runs_oracle_exact fig4_5.pa_tx fig4_5.centroid_tx
+        fig6.runs_with_results fig6.runs_oracle_exact
+        fig7.runs_with_results fig7.runs_oracle_exact
+        fig8.trees_correct fig8.logicH_tx fig8.logicJ_tx
+        fig9.loss_free_runs_oracle_exact fig9.spurious_results
+        fig9.pa_found fig9.pa_arq_found fig9.centroid_found fig9.centroid_arq_found
+        fig10.runs_with_results fig10.runs_oracle_exact fig10.tx
+        fig11.counting_agrees_with_set_of_derivations fig11.rederive_agrees_with_set_of_derivations
+        fig12.magic_applied fig12.magic_answers_equal_full
+        fig13.spurious_results fig13.pa_found fig13.centroid_found
+        fig14.tag_equals_oracle fig14.central_equals_oracle
+        fig15.staggered fig15.flat_100ms fig15.none_1ms
+        fig16.runs_with_results fig16.runs_oracle_exact
+        table1.peaks_within_static_bound table1.logicJ_static_bounds_hold
+        table1.logicJ_tree_correct table1.runs_with_results table1.runs_oracle_exact
+        table2.spurious_results table2.found
+        table3.trace_sends_equal_metrics_tx table3.loss_free_sends_all_delivered
+        table3.loss_free_runs_oracle_exact table3.lossy_attempts_cover_deliveries_and_drops
+        table3.lossy_runs_drop table3.lossy_drops
+        table4_5.trees_correct table4_5.runs_with_results table4_5.runs_oracle_exact
+        table4_5.runs_with_pred_traffic table4_5.runs_with_deliveries
+        smoke.snapshot_schema_is_golden smoke.snapshot_plausible
         micro.inc_ledger_keys_equal_live_tuples
         grid4k.heap_journal_pin
         chaos.heap_journal_pin
@@ -244,6 +269,7 @@ import json, sys
 reports, want = json.load(open(sys.argv[1])), sys.argv[2:]
 for r in reports:
     assert list(r) == ["host", "case", "quick", "rows", "gates"] and r["quick"] is True, r["case"]
+    assert r["gates"], f'{r["case"]} gates nothing'
     assert all(list(g) == ["name", "want", "got", "ok"] and g["ok"] for g in r["gates"]), r["case"]
 got = [f'{r["case"]}.{g["name"]}' for r in reports for g in r["gates"]]
 if sorted(got) != sorted(want):

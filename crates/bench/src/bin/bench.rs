@@ -1,4 +1,5 @@
-//! The one bench driver: every measured claim outside the paper figures.
+//! The one bench binary: the paper's figures and tables and every other
+//! measured claim.
 //!
 //! ```text
 //! bench <case>… | all [--quick] [--out <file>]
@@ -7,10 +8,11 @@
 //!
 //! Runs the named cases of [`sensorlog_bench::cases::CASES`] and writes
 //! their reports as one JSON array (`report::to_json`) to `--out`, or to
-//! stdout. Progress goes to stderr: one `gate <case>.<name> ok|FAILED` line
-//! per gate and each case's elapsed time. Exits 1 if any gate fails.
-//! `--quick` shrinks every case to CI size (all nine in a few seconds);
-//! the committed `BENCH.json` is `bench all --out BENCH.json`.
+//! stdout. Progress goes to stderr: each report as aligned text tables,
+//! one `gate <case>.<name> ok|FAILED` line per gate and each case's elapsed
+//! time. Exits 1 if any gate fails. `--quick` shrinks every case beyond
+//! the paper's figures to CI size (all of them in a few seconds); the
+//! committed `BENCH.json` is `bench all --out BENCH.json`.
 
 use sensorlog_bench::cases::CASES;
 use sensorlog_bench::common::{flag, timed};
@@ -55,6 +57,7 @@ fn main() -> ExitCode {
         };
         let mut report = Report::new(name, quick);
         let ((), secs) = timed(|| case(quick, &mut report));
+        eprint!("{report}");
         for g in &report.gates {
             let verdict = if g.want == g.got { "ok" } else { "FAILED" };
             eprintln!("gate {name}.{} {verdict}", g.name);

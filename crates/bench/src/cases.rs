@@ -1,13 +1,20 @@
 //! The `bench` driver's cases. Each is a table of configurations over the
 //! shared pieces in [`crate::common`] that fills one [`Report`]: timings
 //! and volumes as rows, everything CI must hold as a named gate. Gates
-//! compare counts and journal hashes only, so they hold on any host.
+//! compare counts and journal hashes only, so they hold on any host. The
+//! paper's figures and tables come first (from [`crate::experiments`];
+//! they ignore `--quick`, so CI gates the numbers EXPERIMENTS.md quotes),
+//! then the measured claims beyond them, defined here.
 
 use crate::common::{
     fit_exponent, median, seed17, sptree_deployment, sptree_deployment_observed, sym, timed, JOIN2,
     LOGIC_H, LOGIC_J,
 };
 use crate::experiments::telemetry::join_point;
+use crate::experiments::{
+    ablation, aggregates, failures, geometric, holddown, joins, memory, negation, robustness,
+    sptree, telemetry, tracesum,
+};
 use crate::report::Report;
 use crate::row;
 use rand::rngs::StdRng;
@@ -38,6 +45,22 @@ pub type Case = fn(bool, &mut Report);
 
 /// Every case by name, in run order.
 pub const CASES: &[(&str, Case)] = &[
+    ("fig4_5", joins::fig4_5),
+    ("fig6", joins::fig6),
+    ("fig7", joins::fig7),
+    ("fig8", sptree::fig8),
+    ("fig9", robustness::fig9),
+    ("fig10", negation::fig10),
+    ("fig11", ablation::fig11),
+    ("fig12", ablation::fig12),
+    ("fig13", failures::fig13),
+    ("fig14", aggregates::fig14),
+    ("fig15", holddown::fig15),
+    ("fig16", geometric::fig16),
+    ("table1", memory::table1),
+    ("table2", robustness::table2),
+    ("table3", tracesum::table3),
+    ("table4_5", telemetry::table4_5),
     ("smoke", smoke),
     ("micro", micro),
     ("grid4k", grid4k),

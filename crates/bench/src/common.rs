@@ -1,10 +1,11 @@
-//! Shared experiment machinery: the program texts every experiment and
-//! bench case runs, one deployment run summarized into the numbers the
-//! tables report, and the small helpers (flag parsing, timing, exponent
-//! fit) the `bench` driver's cases share.
+//! Shared experiment machinery: the program texts every case runs, one
+//! deployment run summarized into the numbers the tables report, the gates
+//! the figure sweeps share, and the small helpers (flag parsing, timing,
+//! exponent fit) of the `bench` cases.
 
+use crate::report::Report;
 use sensorlog_core::deploy::{DeployConfig, Deployment, WorkloadEvent};
-use sensorlog_core::oracle;
+use sensorlog_core::oracle::{self, OracleReport};
 use sensorlog_core::prov::Provenance;
 use sensorlog_core::workload::{graph_edges, UniformStreams};
 use sensorlog_core::{PassMode, RtConfig, Strategy};
@@ -121,6 +122,12 @@ pub fn seed17() -> SimConfig {
     }
 }
 
+/// `xs` separated by spaces: the form a gate pins a series in.
+pub fn series<T: ToString>(xs: impl IntoIterator<Item = T>) -> String {
+    let cells: Vec<String> = xs.into_iter().map(|x| x.to_string()).collect();
+    cells.join(" ")
+}
+
 /// Value of `--name <value>` in `args`.
 pub fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -166,9 +173,8 @@ pub struct RunPoint {
     pub max_node_load: u64,
     pub imbalance: f64,
     pub energy_uj: f64,
-    pub completeness: f64,
-    pub soundness: f64,
-    pub expected: usize,
+    /// The run's output against the centralized oracle's.
+    pub oracle: OracleReport,
     pub peak_node_memory: usize,
     pub peak_replicas: usize,
     pub peak_derivations: usize,
@@ -277,9 +283,7 @@ impl CaseSpec {
             max_node_load: m.max_node_load(),
             imbalance: m.imbalance(),
             energy_uj: m.total_energy_uj(),
-            completeness: report.completeness(),
-            soundness: report.soundness(),
-            expected: report.expected,
+            oracle: report,
             peak_node_memory: d.peak_node_memory(),
             peak_replicas: stats.iter().map(|s| s.peak_replicas).max().unwrap_or(0),
             peak_derivations: stats.iter().map(|s| s.peak_derivations).max().unwrap_or(0),
@@ -294,6 +298,26 @@ impl CaseSpec {
             snapshot,
         }
     }
+}
+
+/// The gates every loss-free run of a sweep holds: it produced results,
+/// and they are the oracle's.
+pub fn gate_exact_runs<'a>(r: &mut Report, runs: impl IntoIterator<Item = &'a OracleReport>) {
+    let (mut n, mut joined, mut exact) = (0, 0, 0);
+    for run in runs {
+        n += 1;
+        joined += usize::from(run.expected > 0);
+        exact += usize::from(run.exact());
+    }
+    r.gate("runs_with_results", n, joined);
+    r.gate("runs_oracle_exact", n, exact);
+}
+
+/// The gate a lossy or crashed sweep holds beside its pinned counts: a
+/// fault may cost results, never fabricate one.
+pub fn gate_no_spurious<'a>(r: &mut Report, runs: impl IntoIterator<Item = &'a OracleReport>) {
+    let spurious: usize = runs.into_iter().map(|run| run.spurious.len()).sum();
+    r.gate("spurious_results", 0, spurious);
 }
 
 /// The strategies compared throughout the join experiments.

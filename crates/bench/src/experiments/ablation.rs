@@ -2,8 +2,9 @@
 //! vs delete-rederive — the three options of Sec. IV-A) and Fig. 12
 //! (magic-set transformation ablation, Sec. V).
 
-use crate::common::sym;
-use crate::table::{f2, Table};
+use crate::common::{sym, timed};
+use crate::report::Report;
+use crate::row;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sensorlog_eval::rederive::RederiveEngine;
@@ -12,7 +13,6 @@ use sensorlog_eval::{Engine, IncrementalEngine, Update};
 use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::magic::{magic_transform, Query};
 use sensorlog_logic::{analyze, parse_program, Atom, Term, Tuple};
-use std::time::Instant;
 
 /// Coverage by *any* suppressor in the epoch group: cov tuples accumulate
 /// one derivation per suppressor, exposing the space gap between
@@ -28,11 +28,10 @@ fn tup2(a: i64, b: i64) -> Tuple {
 }
 
 /// The mixed workload: n nodes sight over `epochs` epochs; suppressors come
-/// and go. Returns (updates, #deletes).
-fn mixed_updates(n: i64, epochs: i64, seed: u64) -> (Vec<Update>, usize) {
+/// and go.
+fn mixed_updates(n: i64, epochs: i64, seed: u64) -> Vec<Update> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out = Vec::new();
-    let mut deletes = 0;
     let mut ts = 0u64;
     for k in 1..=epochs {
         for v in 0..n {
@@ -46,92 +45,83 @@ fn mixed_updates(n: i64, epochs: i64, seed: u64) -> (Vec<Update>, usize) {
                 if k == epochs || rng.gen::<f64>() < 0.5 {
                     ts += 1;
                     out.push(Update::delete(sym("supp"), tup2(v, k), ts + 1000));
-                    deletes += 1;
                 }
             }
         }
     }
     out.sort_by_key(|u| u.ts);
-    (out, deletes)
+    out
 }
 
 /// Fig. 11: body-evaluation work and state size per maintenance strategy
 /// on the negation query (the paper's qualitative comparison of Sec. IV-A,
-/// quantified).
-pub fn fig11() -> Table {
-    let mut t = Table::new(
-        "fig11",
-        "maintenance ablation: work (body evals) and state per strategy",
-        &["strategy", "body evals", "state items", "final alerts"],
-    );
-    let (updates, _) = mixed_updates(60, 4, 3);
+/// quantified). All three engines must end on the same alerts.
+pub fn fig11(_quick: bool, r: &mut Report) {
+    let updates = mixed_updates(60, 4, 3);
+    let reg = BuiltinRegistry::standard();
 
     // Set of derivations (the paper's choice).
-    let mut sod = IncrementalEngine::from_source(UNCOV, BuiltinRegistry::standard()).unwrap();
-    for u in updates.clone() {
-        sod.apply(u).unwrap();
-    }
-    t.row(vec![
-        "set-of-derivations".into(),
-        sod.stats.body_evals.to_string(),
-        sod.derivation_count().to_string(),
-        sod.db.len_of(sym("alert")).to_string(),
-    ]);
-
+    let mut sod = IncrementalEngine::from_source(UNCOV, reg.clone()).expect("uncov compiles");
     // Counting: the same engine with the derivation projected out of the
     // ledger's key, so a state item is one count per tuple.
-    let reg = BuiltinRegistry::standard();
-    let analysis = analyze(&parse_program(UNCOV).unwrap(), &reg).unwrap();
-    let mut cnt = IncrementalEngine::counting(analysis, reg).unwrap();
-    for u in updates.clone() {
-        cnt.apply(u).unwrap();
+    let analysis = analyze(&parse_program(UNCOV).expect("uncov parses"), &reg);
+    let mut cnt = IncrementalEngine::counting(analysis.expect("uncov analyzes"), reg.clone())
+        .expect("uncov compiles");
+    let mut dred = RederiveEngine::from_source(UNCOV, reg).expect("uncov compiles");
+    for u in updates {
+        sod.apply(u.clone()).expect("update applies");
+        cnt.apply(u.clone()).expect("update applies");
+        dred.apply(u).expect("update applies");
     }
-    t.row(vec![
-        "counting".into(),
-        cnt.stats.body_evals.to_string(),
-        cnt.derivation_count().to_string(),
-        cnt.db.len_of(sym("alert")).to_string(),
-    ]);
-
-    // Delete-rederive.
-    let mut dred = RederiveEngine::from_source(UNCOV, BuiltinRegistry::standard()).unwrap();
-    for u in updates.clone() {
-        dred.apply(u).unwrap();
+    let alert = sym("alert");
+    for (strategy, evals, state, db) in [
+        (
+            "set-of-derivations",
+            sod.stats.body_evals,
+            sod.derivation_count(),
+            &sod.db,
+        ),
+        (
+            "counting",
+            cnt.stats.body_evals,
+            cnt.derivation_count(),
+            &cnt.db,
+        ),
+        (
+            "delete-rederive",
+            dred.body_evals,
+            dred.state_size(),
+            &dred.db,
+        ),
+    ] {
+        r.row(row![
+            "strategy" => strategy, "body_evals" => evals, "state_items" => state,
+            "final_alerts" => db.len_of(alert),
+        ]);
     }
-    t.row(vec![
-        "delete-rederive".into(),
-        dred.body_evals.to_string(),
-        dred.state_size().to_string(),
-        dred.db.len_of(sym("alert")).to_string(),
-    ]);
-
-    // All three must agree on the final result.
-    let a = sod.db.sorted(sym("alert"));
-    assert_eq!(a, cnt.db.sorted(sym("alert")), "counting diverged");
-    assert_eq!(a, dred.db.sorted(sym("alert")), "rederive diverged");
-    t
+    let agrees = |db: &Database| db.sorted(alert) == sod.db.sorted(alert);
+    r.gate(
+        "counting_agrees_with_set_of_derivations",
+        true,
+        agrees(&cnt.db),
+    );
+    r.gate(
+        "rederive_agrees_with_set_of_derivations",
+        true,
+        agrees(&dred.db),
+    );
 }
 
 /// Fig. 12: magic sets — evaluation cost for a bound reachability query
-/// with and without the transformation.
-pub fn fig12() -> Table {
-    let mut t = Table::new(
-        "fig12",
-        "magic-set ablation: t(a, Y)? over random graphs",
-        &[
-            "edges",
-            "full tuples",
-            "full ms",
-            "magic tuples",
-            "magic ms",
-            "answers",
-        ],
-    );
+/// with and without the transformation, whose answers must agree.
+pub fn fig12(_quick: bool, r: &mut Report) {
     const TC: &str = r#"
         t(X, Y) :- e(X, Y).
         t(X, Y) :- e(X, Z), t(Z, Y).
     "#;
-    for n_edges in [500usize, 2_000] {
+    let (mut applied, mut agree) = (0, 0);
+    let sizes = [500usize, 2_000];
+    for n_edges in sizes {
         let mut rng = StdRng::seed_from_u64(8);
         // Forward DAG: i -> i+1..i+3 — all-pairs reachability is O(n²),
         // while the query constant attaches near the end so its reachable
@@ -148,15 +138,13 @@ pub fn fig12() -> Table {
             Tuple::new(vec![Term::atom("a"), Term::Int(n_nodes - 10)]),
         );
 
-        let prog = parse_program(TC).unwrap();
+        let prog = parse_program(TC).expect("tc parses");
         let reg = BuiltinRegistry::standard();
 
         // Full evaluation.
-        let analysis = analyze(&prog, &reg).unwrap();
+        let analysis = analyze(&prog, &reg).expect("tc analyzes");
         let engine = Engine::new(analysis, reg.clone());
-        let t0 = Instant::now();
-        let full = engine.run(&edb).unwrap();
-        let full_ms = t0.elapsed().as_secs_f64() * 1000.0;
+        let (full, full_s) = timed(|| engine.run(&edb).expect("tc evaluates"));
         let full_tuples = full.len_of(sym("t"));
         let answers = full
             .sorted(sym("t"))
@@ -169,16 +157,14 @@ pub fn fig12() -> Table {
             atom: Atom::new("t", vec![Term::atom("a"), Term::var("Y")]),
         };
         let magic = magic_transform(&prog, &q);
-        assert!(magic.applied);
+        applied += usize::from(magic.applied);
         let mut magic_edb = edb.clone();
         for (p, args) in &magic.seeds {
             magic_edb.insert(*p, Tuple::new(args.clone()));
         }
-        let m_analysis = analyze(&magic.program, &reg).unwrap();
+        let m_analysis = analyze(&magic.program, &reg).expect("magic program analyzes");
         let m_engine = Engine::new(m_analysis, reg.clone());
-        let t0 = Instant::now();
-        let magical = m_engine.run(&magic_edb).unwrap();
-        let magic_ms = t0.elapsed().as_secs_f64() * 1000.0;
+        let (magical, magic_s) = timed(|| m_engine.run(&magic_edb).expect("magic evaluates"));
         let magic_tuples: usize = magical
             .preds()
             .filter(|p| p.as_str().starts_with("t__") || p.as_str().starts_with("m_t__"))
@@ -191,16 +177,12 @@ pub fn fig12() -> Table {
             .into_iter()
             .filter(|tp| tp.get(0) == Term::atom("a"))
             .count();
-        assert_eq!(magic_answers, answers, "magic must preserve the answers");
-
-        t.row(vec![
-            n_edges.to_string(),
-            full_tuples.to_string(),
-            f2(full_ms),
-            magic_tuples.to_string(),
-            f2(magic_ms),
-            answers.to_string(),
+        agree += usize::from(magic_answers == answers);
+        r.row(row![
+            "edges" => n_edges, "full_tuples" => full_tuples, "full_ms" => full_s * 1e3,
+            "magic_tuples" => magic_tuples, "magic_ms" => magic_s * 1e3, "answers" => answers,
         ]);
     }
-    t
+    r.gate("magic_applied", sizes.len(), applied);
+    r.gate("magic_answers_equal_full", sizes.len(), agree);
 }

@@ -4,23 +4,19 @@
 //! network", Sec. III-A). We crash a node mid-run and measure what fraction
 //! of the expected results each strategy can still produce/serve.
 
-use crate::common::sym;
-use crate::table::{f2, Table};
+use crate::common::{gate_no_spurious, series, sym, JOIN2};
+use crate::report::Report;
+use crate::row;
 use sensorlog_core::deploy::{DeployConfig, Deployment};
-use sensorlog_core::oracle;
+use sensorlog_core::oracle::{self, OracleReport};
 use sensorlog_core::workload::UniformStreams;
 use sensorlog_core::{NetInfo, RtConfig, Strategy};
 use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_netsim::{NodeId, SimConfig, Topology};
 
-const JOIN3: &str = r#"
-    .output q.
-    q(X, Y) :- r1(N1, X, K), r2(N2, Y, K).
-"#;
-
-/// One run: crash `victim` halfway through the workload; return
-/// (completeness, soundness).
-fn run_with_failure(strategy: Strategy, victim: NodeId) -> (f64, f64) {
+/// One run: crash `victim` halfway through the workload; its results
+/// against the oracle's.
+fn run_with_failure(strategy: Strategy, victim: NodeId) -> OracleReport {
     let topo = Topology::square_grid(8);
     let cfg = DeployConfig {
         rt: RtConfig {
@@ -33,7 +29,8 @@ fn run_with_failure(strategy: Strategy, victim: NodeId) -> (f64, f64) {
         },
         ..DeployConfig::default()
     };
-    let mut d = Deployment::new(JOIN3, BuiltinRegistry::standard(), topo.clone(), cfg).unwrap();
+    let mut d = Deployment::new(JOIN2, BuiltinRegistry::standard(), topo.clone(), cfg)
+        .expect("join compiles");
     let events = UniformStreams {
         preds: vec![sym("r1"), sym("r2")],
         interval: 8_000,
@@ -51,30 +48,33 @@ fn run_with_failure(strategy: Strategy, victim: NodeId) -> (f64, f64) {
     d.run(60_000_000);
     // The oracle sees every *scheduled* event (the crashed node's own
     // readings included): the completeness deficit is what the failure cost.
-    let report = oracle::check(&d, &events, sym("q"));
-    (report.completeness(), report.soundness())
+    oracle::check(&d, &events, sym("q"))
 }
 
 /// Fig. 13: kill (a) the central node — Centroid's server — and (b) a
-/// corner node, under PA and Centroid.
-pub fn fig13() -> Table {
-    let mut t = Table::new(
-        "fig13",
-        "node failure at T/2 (8x8 grid): result completeness after the crash",
-        &[
-            "victim",
-            "PA compl",
-            "PA sound",
-            "Centroid compl",
-            "Centroid sound",
-        ],
-    );
+/// corner node, under PA and Centroid. The crash makes every run partial,
+/// so the results each found are pinned; none may be spurious.
+pub fn fig13(_quick: bool, r: &mut Report) {
     let center = NetInfo::new(Topology::square_grid(8)).center();
-    let corner = NodeId(0);
-    for (label, victim) in [("center (the server)", center), ("corner node", corner)] {
-        let (pa_c, pa_s) = run_with_failure(Strategy::Perpendicular { band_width: 1.0 }, victim);
-        let (ce_c, ce_s) = run_with_failure(Strategy::Centroid, victim);
-        t.row(vec![label.into(), f2(pa_c), f2(pa_s), f2(ce_c), f2(ce_s)]);
+    let mut runs = Vec::new();
+    for (label, victim) in [("center (the server)", center), ("corner node", NodeId(0))] {
+        let pa = run_with_failure(Strategy::Perpendicular { band_width: 1.0 }, victim);
+        let ce = run_with_failure(Strategy::Centroid, victim);
+        r.row(row![
+            "victim" => label, "pa_compl" => pa.completeness(), "pa_sound" => pa.soundness(),
+            "centroid_compl" => ce.completeness(), "centroid_sound" => ce.soundness(),
+        ]);
+        runs.push((pa, ce));
     }
-    t
+    gate_no_spurious(r, runs.iter().flat_map(|(pa, ce)| [pa, ce]));
+    r.gate(
+        "pa_found",
+        "838 938",
+        series(runs.iter().map(|(pa, _)| pa.found)),
+    );
+    r.gate(
+        "centroid_found",
+        "0 1057",
+        series(runs.iter().map(|(_, ce)| ce.found)),
+    );
 }

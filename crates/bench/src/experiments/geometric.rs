@@ -5,8 +5,9 @@
 //! vertical path intersects with every horizontal path"). Coordinate bands
 //! play the role of rows/columns on connected random geometric graphs.
 
-use crate::common::sym;
-use crate::table::{f2, Table};
+use crate::common::{gate_exact_runs, sym, JOIN2};
+use crate::report::Report;
+use crate::row;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sensorlog_core::deploy::{DeployConfig, Deployment, WorkloadEvent};
@@ -16,11 +17,6 @@ use sensorlog_eval::UpdateKind;
 use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::{Term, Tuple};
 use sensorlog_netsim::{SimConfig, Topology};
-
-const JOIN3: &str = r#"
-    .output q.
-    q(X, Y) :- r1(N1, X, K), r2(N2, Y, K).
-"#;
 
 /// Random workload over a geometric topology (one reading per node per
 /// stream, selective keys).
@@ -50,22 +46,11 @@ fn geo_workload(topo: &Topology, seed: u64) -> Vec<WorkloadEvent> {
 }
 
 /// Fig. 16: two-stream join on connected random geometric graphs with
-/// banded PA vs Centroid.
-pub fn fig16() -> Table {
-    let mut t = Table::new(
-        "fig16",
-        "banded PA on random geometric graphs (radio radius 1.7)",
-        &[
-            "nodes",
-            "side",
-            "PA msgs",
-            "PA compl",
-            "Centroid msgs",
-            "Centroid compl",
-        ],
-    );
+/// banded PA vs Centroid. Loss-free, so every run must equal the oracle.
+pub fn fig16(_quick: bool, r: &mut Report) {
+    let mut runs = Vec::new();
     for (n, side) in [(25usize, 4.0f64), (50, 5.5), (100, 8.0)] {
-        let mut row = vec![n.to_string(), format!("{side:.1}")];
+        let mut cells = Vec::new();
         for strategy in [
             Strategy::Perpendicular { band_width: 1.7 },
             Strategy::Centroid,
@@ -87,23 +72,19 @@ pub fn fig16() -> Table {
                 },
                 ..DeployConfig::default()
             };
-            let mut d =
-                Deployment::new(JOIN3, BuiltinRegistry::standard(), topo.clone(), cfg).unwrap();
+            let mut d = Deployment::new(JOIN2, BuiltinRegistry::standard(), topo.clone(), cfg)
+                .expect("join compiles");
             let events = geo_workload(&topo, 29 + n as u64);
             d.schedule_all(events.clone());
             d.run(60_000_000);
             let report = oracle::check(&d, &events, sym("q"));
-            assert!(report.expected > 0, "geometric workload must join");
-            assert!(
-                report.soundness() > 0.999,
-                "{} n={n}: spurious {:?}",
-                strategy.name(),
-                report.spurious
-            );
-            row.push(d.metrics().total_tx().to_string());
-            row.push(f2(report.completeness()));
+            cells.push((d.metrics().total_tx(), report.completeness()));
+            runs.push(report);
         }
-        t.row(row);
+        r.row(row![
+            "nodes" => n, "side" => side, "pa_tx" => cells[0].0, "pa_compl" => cells[0].1,
+            "centroid_tx" => cells[1].0, "centroid_compl" => cells[1].1,
+        ]);
     }
-    t
+    gate_exact_runs(r, &runs);
 }

@@ -7,7 +7,8 @@
 //! quiescence, but paid for in messages.
 
 use crate::common::{tree_depths_correct, LOGIC_J};
-use crate::table::Table;
+use crate::report::Report;
+use crate::row;
 use sensorlog_core::deploy::{DeployConfig, Deployment};
 use sensorlog_core::workload::graph_edges;
 use sensorlog_core::{PlanTiming, RtConfig, Strategy};
@@ -26,7 +27,8 @@ fn run_with(timing: PlanTiming, m: u32) -> (u64, bool, bool) {
         plan: timing,
         ..DeployConfig::default()
     };
-    let mut d = Deployment::new(LOGIC_J, BuiltinRegistry::standard(), topo.clone(), cfg).unwrap();
+    let mut d = Deployment::new(LOGIC_J, BuiltinRegistry::standard(), topo.clone(), cfg)
+        .expect("logicJ compiles");
     d.schedule_all(graph_edges(&topo, 100, 200));
     // Hard cutoff: without the holddown, transient insert/retract pairs can
     // chase each other up the stages indefinitely — the very failure mode
@@ -39,43 +41,30 @@ fn run_with(timing: PlanTiming, m: u32) -> (u64, bool, bool) {
     (d.metrics().total_tx(), quiesced, ok)
 }
 
-/// Fig. 15: logicJ on a 4×4 grid under three holddown settings.
-pub fn fig15() -> Table {
-    let mut t = Table::new(
-        "fig15",
-        "finalize-holddown ablation (logicJ, 4x4 grid)",
-        &["holddown", "msgs @60s", "quiesced", "tree correct"],
-    );
-    for (label, timing) in [
+/// Fig. 15: logicJ on a 4×4 grid under three holddown settings. Only the
+/// planner's default (staggered) quiesces with the right tree; each row —
+/// messages by the cutoff, quiesced?, tree correct? — is pinned, so the two
+/// `false` rows stay the failures the ablation exists to show.
+pub fn fig15(_quick: bool, r: &mut Report) {
+    let flat = |holddown_base| PlanTiming {
+        holddown_base,
+        xy_stagger: 0,
+    };
+    for (label, gate, timing, want) in [
         (
             "staggered (default)",
-            PlanTiming {
-                holddown_base: 100,
-                xy_stagger: 2_000,
-            },
+            "staggered",
+            PlanTiming::default(),
+            "320/true/true",
         ),
-        (
-            "flat 100ms",
-            PlanTiming {
-                holddown_base: 100,
-                xy_stagger: 0,
-            },
-        ),
-        (
-            "none (1ms)",
-            PlanTiming {
-                holddown_base: 1,
-                xy_stagger: 0,
-            },
-        ),
+        ("flat 100ms", "flat_100ms", flat(100), "6414/false/false"),
+        ("none (1ms)", "none_1ms", flat(1), "7235/false/false"),
     ] {
-        let (msgs, quiesced, ok) = run_with(timing, 4);
-        t.row(vec![
-            label.into(),
-            msgs.to_string(),
-            if quiesced { "yes" } else { "NO" }.into(),
-            if ok { "yes" } else { "NO" }.into(),
+        let (tx, quiesced, tree_correct) = run_with(timing, 4);
+        r.row(row![
+            "holddown" => label, "tx_at_60s" => tx, "quiesced" => quiesced,
+            "tree_correct" => tree_correct,
         ]);
+        r.gate(gate, want, format!("{tx}/{quiesced}/{tree_correct}"));
     }
-    t
 }

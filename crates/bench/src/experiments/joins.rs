@@ -1,8 +1,12 @@
 //! Join experiments: Figs. 4–7 (communication cost vs. network size, load
 //! balance, multi-stream one-pass vs. multiple-pass, spatial constraints).
 
-use crate::common::{join_strategies, join_workload, run_cases, sym, CaseSpec, RunPoint, JOIN2};
-use crate::table::{f2, Table};
+use crate::common::{
+    gate_exact_runs, join_strategies, join_workload, run_cases, series, sym, CaseSpec, RunPoint,
+    JOIN2,
+};
+use crate::report::Report;
+use crate::row;
 use sensorlog_core::deploy::WorkloadEvent;
 use sensorlog_core::{PassMode, Strategy};
 use sensorlog_eval::UpdateKind;
@@ -28,21 +32,13 @@ fn sweep_spec(strategy: Strategy, m: u32) -> CaseSpec {
     }
 }
 
-/// Fig. 4: total communication cost vs. network size for a two-stream join
-/// under the four strategies, and Fig. 5: the load-balance view of the same
-/// runs.
-pub fn fig4_fig5() -> (Table, Table) {
+/// Figs. 4 and 5, one sweep: total messages vs. network size for a
+/// two-stream join under the four strategies (Fig. 4), and the hottest
+/// node's load and max / mean imbalance of the same runs (Fig. 5). Every
+/// run is loss-free and must equal the oracle; PA's and Centroid's message
+/// counts, the shape claim's two series, are pinned.
+pub fn fig4_5(_quick: bool, r: &mut Report) {
     let sizes = [6u32, 8, 10, 12];
-    let mut fig4 = Table::new(
-        "fig4",
-        "two-stream join: total messages vs network size (m x m grid)",
-        &["m", "nodes", "PA", "Centroid", "Broadcast", "LocalStore"],
-    );
-    let mut fig5 = Table::new(
-        "fig5",
-        "two-stream join: hottest-node load (msgs) and imbalance (max/mean)",
-        &["m", "PA max", "PA imb", "Centroid max", "Centroid imb"],
-    );
     // The whole (size × strategy) sweep fans out across worker threads —
     // each cell is its own deterministic single-threaded simulation, and
     // `run_cases` hands results back in spec order.
@@ -50,49 +46,25 @@ pub fn fig4_fig5() -> (Table, Table) {
         .iter()
         .flat_map(|&m| join_strategies().into_iter().map(move |s| sweep_spec(s, m)))
         .collect();
-    let all_points = run_cases(&specs);
-    for (si, &m) in sizes.iter().enumerate() {
-        let points: &[RunPoint] = &all_points[si * 4..si * 4 + 4];
-        for p in points {
-            assert!(
-                p.completeness > 0.999 && p.soundness > 0.999,
-                "lossless runs must be exact (m={m})"
-            );
-            assert!(p.expected > 0, "workload must produce joins (m={m})");
-        }
-        fig4.row(vec![
-            m.to_string(),
-            (m * m).to_string(),
-            points[0].total_tx.to_string(),
-            points[1].total_tx.to_string(),
-            points[2].total_tx.to_string(),
-            points[3].total_tx.to_string(),
-        ]);
-        fig5.row(vec![
-            m.to_string(),
-            points[0].max_node_load.to_string(),
-            f2(points[0].imbalance),
-            points[1].max_node_load.to_string(),
-            f2(points[1].imbalance),
+    let points = run_cases(&specs);
+    for (&m, p) in sizes.iter().zip(points.chunks(4)) {
+        r.row(row![
+            "m" => m, "nodes" => m * m,
+            "pa_tx" => p[0].total_tx, "centroid_tx" => p[1].total_tx,
+            "broadcast_tx" => p[2].total_tx, "localstore_tx" => p[3].total_tx,
+            "pa_max_load" => p[0].max_node_load, "pa_imbalance" => p[0].imbalance,
+            "centroid_max_load" => p[1].max_node_load, "centroid_imbalance" => p[1].imbalance,
         ]);
     }
-    (fig4, fig5)
+    gate_exact_runs(r, points.iter().map(|p| &p.oracle));
+    let tx = |i: usize| series(points.iter().skip(i).step_by(4).map(|p| p.total_tx));
+    r.gate("pa_tx", "2061 5138 10237 18200", tx(0));
+    r.gate("centroid_tx", "432 1024 2000 3456", tx(1));
 }
 
 /// Fig. 6: multi-stream joins — message cost and bytes for 2, 3, 4 streams
 /// under one-pass vs multiple-pass PA (10×10 grid).
-pub fn fig6() -> Table {
-    let mut t = Table::new(
-        "fig6",
-        "n-stream join on 10x10 grid: one-pass vs multiple-pass PA",
-        &[
-            "streams",
-            "1pass msgs",
-            "1pass KB",
-            "mpass msgs",
-            "mpass KB",
-        ],
-    );
+pub fn fig6(_quick: bool, r: &mut Report) {
     let ns = [2usize, 3, 4];
     let mut specs = Vec::new();
     for &n in &ns {
@@ -123,29 +95,24 @@ pub fn fig6() -> Table {
         }
     }
     let points = run_cases(&specs);
-    for (i, &n) in ns.iter().enumerate() {
-        let mut row = vec![n.to_string()];
-        for p in &points[i * 2..i * 2 + 2] {
-            assert!(p.completeness > 0.999, "lossless run must be complete");
-            assert!(p.expected > 0, "workload must produce joins (n={n})");
-            row.push(p.total_tx.to_string());
-            row.push(f2(p.total_bytes as f64 / 1024.0));
-        }
-        t.row(row);
+    let kb = |p: &RunPoint| p.total_bytes as f64 / 1024.0;
+    for (&n, p) in ns.iter().zip(points.chunks(2)) {
+        r.row(row![
+            "streams" => n, "onepass_tx" => p[0].total_tx, "onepass_kb" => kb(&p[0]),
+            "multipass_tx" => p[1].total_tx, "multipass_kb" => kb(&p[1]),
+        ]);
     }
-    t
+    gate_exact_runs(r, points.iter().map(|p| &p.oracle));
 }
 
 /// Fig. 7: spatial join constraints — cost vs constraint radius on a 12×12
 /// grid. Tuples carry their source location; the join predicate requires
-/// `dist(L1, L2) <= R`, letting PA truncate both regions to radius R.
-pub fn fig7() -> Table {
-    let mut t = Table::new(
-        "fig7",
-        "spatial constraint radius vs PA communication cost (12x12 grid)",
-        &["radius", "msgs", "KB", "results"],
-    );
+/// `dist(L1, L2) <= R`, letting PA truncate both regions to radius R. A
+/// radius of 100 spans the grid: the unconstrained row, whose `radius` is
+/// null.
+pub fn fig7(_quick: bool, r: &mut Report) {
     let m = 12u32;
+    let mut points = Vec::new();
     for radius in [2.0f64, 4.0, 6.0, 8.0, 100.0] {
         let src = format!(
             ".output q.\nq(L1, L2, T) :- s1(L1, T), s2(L2, T), dist(L1, L2) <= {radius}.\n"
@@ -153,11 +120,9 @@ pub fn fig7() -> Table {
         let topo = Topology::square_grid(m);
         // Location-bearing workload: loc(x, y) from the source node.
         let mut events = Vec::new();
-        let mut value = 0i64;
         for node in topo.nodes() {
-            let (x, y) = topo.grid_coords(node).unwrap();
+            let (x, y) = topo.grid_coords(node).expect("grid topology");
             for (i, pred) in ["s1", "s2"].iter().enumerate() {
-                value += 1;
                 let at = 1_000 + (node.0 as u64 * 2 + i as u64) * 500;
                 events.push(WorkloadEvent {
                     at,
@@ -171,7 +136,6 @@ pub fn fig7() -> Table {
                 });
             }
         }
-        let _ = value;
         let p = CaseSpec {
             src: src.clone(),
             topo,
@@ -184,21 +148,12 @@ pub fn fig7() -> Table {
             horizon: 120_000_000,
         }
         .run();
-        assert!(
-            p.completeness > 0.999,
-            "truncation must preserve spatially-constrained joins (r={radius}): {}",
-            p.completeness
-        );
-        t.row(vec![
-            if radius > 99.0 {
-                "inf".into()
-            } else {
-                format!("{radius:.0}")
-            },
-            p.total_tx.to_string(),
-            f2(p.total_bytes as f64 / 1024.0),
-            p.expected.to_string(),
+        r.row(row![
+            "radius" => (radius < 99.0).then_some(radius), "tx" => p.total_tx,
+            "kb" => p.total_bytes as f64 / 1024.0, "results" => p.oracle.expected,
         ]);
+        points.push(p);
     }
-    t
+    // Truncated regions must still meet for every spatially joinable pair.
+    gate_exact_runs(r, points.iter().map(|p| &p.oracle));
 }

@@ -1,5 +1,6 @@
 //! The reconstructed Section-VI experiment suite (see DESIGN.md for the
-//! provenance of each figure/table id).
+//! provenance of each figure/table id): one `bench` case per figure or
+//! table, or per sweep two of them share (`fig4_5`, `table4_5`).
 
 pub mod ablation;
 pub mod aggregates;

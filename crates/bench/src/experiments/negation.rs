@@ -3,8 +3,9 @@
 //! communication by phase and verifies exactness against the oracle for
 //! growing delete fractions.
 
-use crate::common::{sym, CaseSpec};
-use crate::table::{f2, Table};
+use crate::common::{gate_exact_runs, series, sym, CaseSpec};
+use crate::report::Report;
+use crate::row;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sensorlog_core::deploy::WorkloadEvent;
@@ -69,15 +70,10 @@ fn alert_events(topo: &Topology, epochs: u64, frac: f64, seed: u64) -> Vec<Workl
     out
 }
 
-/// Fig. 10: delete fraction sweep on an 8×8 grid.
-pub fn fig10() -> Table {
-    let mut t = Table::new(
-        "fig10",
-        "negation maintenance under insert/delete mix (8x8 grid, Example-1-style query)",
-        &[
-            "del frac", "msgs", "store", "probe", "result", "alerts", "compl", "sound",
-        ],
-    );
+/// Fig. 10: delete fraction sweep on an 8×8 grid. Loss-free, so every run
+/// must equal the oracle; the message counts are pinned.
+pub fn fig10(_quick: bool, r: &mut Report) {
+    let mut points = Vec::new();
     for frac in [0.0f64, 0.25, 0.5] {
         let topo = Topology::square_grid(8);
         let events = alert_events(&topo, 2, frac, 23);
@@ -93,22 +89,17 @@ pub fn fig10() -> Table {
             horizon: 120_000_000,
         }
         .run();
-        assert!(
-            p.completeness > 0.999 && p.soundness > 0.999,
-            "lossless negation maintenance must be exact at frac={frac}: compl {} sound {}",
-            p.completeness,
-            p.soundness
-        );
-        t.row(vec![
-            f2(frac),
-            p.total_tx.to_string(),
-            p.tx_store.to_string(),
-            p.tx_probe.to_string(),
-            p.tx_result.to_string(),
-            p.expected.to_string(),
-            f2(p.completeness),
-            f2(p.soundness),
+        r.row(row![
+            "del_frac" => frac, "tx" => p.total_tx, "store" => p.tx_store,
+            "probe" => p.tx_probe, "result" => p.tx_result, "alerts" => p.oracle.expected,
+            "compl" => p.oracle.completeness(), "sound" => p.oracle.soundness(),
         ]);
+        points.push(p);
     }
-    t
+    gate_exact_runs(r, points.iter().map(|p| &p.oracle));
+    r.gate(
+        "tx",
+        "4427 4927 5107",
+        series(points.iter().map(|p| p.total_tx)),
+    );
 }

@@ -1,8 +1,9 @@
 //! Fig. 9 (robustness under message loss) and Table 2 (the testbed
 //! profile: clock skew + jittered delays + asymmetric links).
 
-use crate::common::{join_workload, run_cases, sym, CaseSpec, JOIN2};
-use crate::table::{f2, Table};
+use crate::common::{gate_no_spurious, join_workload, run_cases, series, sym, CaseSpec, JOIN2};
+use crate::report::Report;
+use crate::row;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sensorlog_core::workload::UniformStreams;
@@ -10,20 +11,11 @@ use sensorlog_core::{PassMode, Strategy};
 use sensorlog_netsim::{SimConfig, Topology};
 
 /// Fig. 9: result completeness vs per-transmission loss probability, PA vs
-/// Centroid on an 8×8 grid.
-pub fn fig9() -> Table {
-    let mut t = Table::new(
-        "fig9",
-        "completeness vs message-loss rate (8x8 grid, 2-stream join; ARQ = 3 link retries)",
-        &[
-            "loss",
-            "PA",
-            "PA+ARQ",
-            "Centroid",
-            "Centroid+ARQ",
-            "PA sound",
-        ],
-    );
+/// Centroid on an 8×8 grid, each without and with 3 link retries (ARQ).
+/// The loss-free runs must equal the oracle; the lossy ones are partial,
+/// so the results each run found are pinned, and no run may hold a
+/// spurious one.
+pub fn fig9(_quick: bool, r: &mut Report) {
     let losses = [0.0f64, 0.05, 0.10, 0.20, 0.30];
     let mut specs = Vec::new();
     for &loss in &losses {
@@ -54,33 +46,29 @@ pub fn fig9() -> Table {
         }
     }
     let points = run_cases(&specs);
-    for (i, &loss) in losses.iter().enumerate() {
-        // Spec order per loss: PA, PA+ARQ, Centroid, Centroid+ARQ.
-        let p = &points[i * 4..i * 4 + 4];
-        let mut row = vec![f2(loss)];
-        row.extend(p.iter().map(|p| f2(p.completeness)));
-        row.push(f2(p[0].soundness));
-        t.row(row);
+    // Spec order per loss: PA, PA+ARQ, Centroid, Centroid+ARQ.
+    for (&loss, p) in losses.iter().zip(points.chunks(4)) {
+        let compl = |i: usize| p[i].oracle.completeness();
+        r.row(row![
+            "loss" => loss, "pa" => compl(0), "pa_arq" => compl(1), "centroid" => compl(2),
+            "centroid_arq" => compl(3), "pa_sound" => p[0].oracle.soundness(),
+        ]);
     }
-    t
+    let exact = points[..4].iter().filter(|p| p.oracle.exact()).count();
+    r.gate("loss_free_runs_oracle_exact", 4, exact);
+    gate_no_spurious(r, points.iter().map(|p| &p.oracle));
+    let found = |i: usize| series(points.iter().skip(i).step_by(4).map(|p| p.oracle.found));
+    r.gate("pa_found", "477 225 136 31 12", found(0));
+    r.gate("pa_arq_found", "477 477 475 457 409", found(1));
+    r.gate("centroid_found", "477 321 211 110 56", found(2));
+    r.gate("centroid_arq_found", "477 477 475 468 453", found(3));
 }
 
 /// Table 2: the testbed profile — small networks, 50 ms clock skew,
 /// heavily jittered delays, asymmetric per-link loss. Reports completeness,
-/// delivery ratio, and wall-clock convergence.
-pub fn table2() -> Table {
-    let mut t = Table::new(
-        "table2",
-        "testbed profile: skew 50ms, delay 5-80ms, asymmetric loss ~5%, MAC ARQ x3",
-        &[
-            "grid",
-            "events",
-            "compl",
-            "sound",
-            "delivery",
-            "converged s",
-        ],
-    );
+/// delivery ratio, and convergence; the results each run found are pinned.
+pub fn table2(_quick: bool, r: &mut Report) {
+    let mut points = Vec::new();
     for m in [3u32, 4] {
         let topo = Topology::square_grid(m);
         // Asymmetric per-link loss in [0, 0.1].
@@ -122,14 +110,17 @@ pub fn table2() -> Table {
             horizon: 30_000_000,
         }
         .run();
-        t.row(vec![
-            format!("{m}x{m}"),
-            n_events.to_string(),
-            f2(p.completeness),
-            f2(p.soundness),
-            f2(p.delivery_ratio),
-            format!("{:.1}", p.final_time as f64 / 1000.0),
+        r.row(row![
+            "grid" => format!("{m}x{m}"), "events" => n_events,
+            "compl" => p.oracle.completeness(), "sound" => p.oracle.soundness(),
+            "delivery" => p.delivery_ratio, "converged_s" => p.final_time as f64 / 1000.0,
         ]);
+        points.push(p);
     }
-    t
+    gate_no_spurious(r, points.iter().map(|p| &p.oracle));
+    r.gate(
+        "found",
+        "100 285",
+        series(points.iter().map(|p| p.oracle.found)),
+    );
 }

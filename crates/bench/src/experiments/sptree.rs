@@ -9,53 +9,49 @@
 //! * `flood` — the hand-written BFS beacon protocol (the Kairos-style
 //!   procedural comparator).
 
-use crate::common::{sptree_deployment, tree_depths_correct, LOGIC_H, LOGIC_J};
-use crate::table::Table;
+use crate::common::{series, sptree_deployment, tree_depths_correct, LOGIC_H, LOGIC_J};
+use crate::report::Report;
+use crate::row;
 use sensorlog_logic::Symbol;
 use sensorlog_netsim::{NodeId, SimConfig, Topology};
 use sensorlog_netstack::flood::run_flood;
 
-/// Run one deductive tree construction; returns (messages, converged-at ms,
-/// depths correct?).
-fn run_deductive(src: &str, out_pred: &str, m: u32) -> (u64, u64, bool) {
+/// One deductive tree construction: (messages, converged-at s, depths
+/// correct?).
+fn run_deductive(src: &str, out_pred: &str, m: u32) -> (u64, f64, bool) {
     let topo = Topology::square_grid(m);
     let mut d = sptree_deployment(src, (m, m), SimConfig::default(), 200);
     let converged = d.run(200_000_000);
     let results = d.results(Symbol::intern(out_pred));
     let ok = tree_depths_correct(&topo, &results, usize::from(out_pred == "h"));
-    (d.metrics().total_tx(), converged, ok)
+    (d.metrics().total_tx(), converged as f64 / 1000.0, ok)
 }
 
-/// Fig. 8: messages and convergence time for logicH / logicJ / flood.
-pub fn fig8() -> Table {
-    let mut t = Table::new(
-        "fig8",
-        "shortest-path tree: messages (and convergence s) vs grid size",
-        &[
-            "m",
-            "logicH msgs",
-            "logicH s",
-            "logicJ msgs",
-            "logicJ s",
-            "flood msgs",
-            "flood s",
-        ],
-    );
-    for m in [3u32, 4, 5] {
-        let (h_msgs, h_t, h_ok) = run_deductive(LOGIC_H, "h", m);
-        let (j_msgs, j_t, j_ok) = run_deductive(LOGIC_J, "j", m);
-        assert!(h_ok, "logicH wrong tree at m={m}");
-        assert!(j_ok, "logicJ wrong tree at m={m}");
-        let flood = run_flood(&Topology::square_grid(m), NodeId(0), SimConfig::default());
-        t.row(vec![
-            m.to_string(),
-            h_msgs.to_string(),
-            format!("{:.1}", h_t as f64 / 1000.0),
-            j_msgs.to_string(),
-            format!("{:.1}", j_t as f64 / 1000.0),
-            flood.total_messages.to_string(),
-            format!("{:.1}", flood.converged_at as f64 / 1000.0),
+/// Fig. 8: messages and convergence time for logicH / logicJ / flood. All
+/// three must build the BFS tree, and both programs' message counts are
+/// pinned.
+pub fn fig8(_quick: bool, r: &mut Report) {
+    let (mut h_tx, mut j_tx, mut correct) = (Vec::new(), Vec::new(), 0);
+    let sizes = [3u32, 4, 5];
+    for m in sizes {
+        let topo = Topology::square_grid(m);
+        let (h_msgs, h_s, h_ok) = run_deductive(LOGIC_H, "h", m);
+        let (j_msgs, j_s, j_ok) = run_deductive(LOGIC_J, "j", m);
+        let flood = run_flood(&topo, NodeId(0), SimConfig::default());
+        let flood_ok = topo.nodes().all(|n| {
+            let (x, y) = topo.grid_coords(n).expect("grid topology");
+            flood.tree[n.0 as usize].1 == Some(x + y)
+        });
+        correct += usize::from(h_ok) + usize::from(j_ok) + usize::from(flood_ok);
+        h_tx.push(h_msgs);
+        j_tx.push(j_msgs);
+        r.row(row![
+            "m" => m, "logicH_tx" => h_msgs, "logicH_s" => h_s,
+            "logicJ_tx" => j_msgs, "logicJ_s" => j_s, "flood_tx" => flood.total_messages,
+            "flood_s" => flood.converged_at as f64 / 1000.0,
         ]);
     }
-    t
+    r.gate("trees_correct", 3 * sizes.len(), correct);
+    r.gate("logicH_tx", "192 422 740", series(h_tx));
+    r.gate("logicJ_tx", "152 320 548", series(j_tx));
 }

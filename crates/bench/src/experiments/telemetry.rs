@@ -15,19 +15,21 @@
 //!   run, while counts and sim-ms are deterministic.
 
 use crate::common::{
-    join_workload, sptree_deployment_observed, CaseSpec, RunPoint, JOIN2, LOGIC_H, LOGIC_J,
+    gate_exact_runs, join_workload, sptree_deployment_observed, tree_depths_correct, CaseSpec,
+    RunPoint, JOIN2, LOGIC_H, LOGIC_J,
 };
-use crate::table::Table;
+use crate::report::Report;
+use crate::row;
 use sensorlog_core::prov::Provenance;
 use sensorlog_core::{PassMode, Strategy};
 use sensorlog_logic::Symbol;
 use sensorlog_netsim::{SimConfig, Topology};
 use sensorlog_telemetry::{Snapshot, Telemetry};
 
-/// Run one shortest-path-tree program with telemetry enabled and return
-/// its snapshot (the sptree experiment itself runs blind; here the
-/// breakdown is the point).
-fn sptree_snapshot(src: &str, m: u32) -> Snapshot {
+/// Run one shortest-path-tree program with telemetry enabled: its snapshot
+/// (Fig. 8 runs blind; here the breakdown is the point) and whether its
+/// tree is the BFS tree.
+fn sptree_snapshot(src: &str, out_pred: &str, m: u32) -> (Snapshot, bool) {
     let mut d = sptree_deployment_observed(
         src,
         (m, m),
@@ -37,7 +39,9 @@ fn sptree_snapshot(src: &str, m: u32) -> Snapshot {
         200,
     );
     d.run(200_000_000);
-    d.telemetry_snapshot()
+    let results = d.results(Symbol::intern(out_pred));
+    let correct = tree_depths_correct(d.sim.topology(), &results, usize::from(out_pred == "h"));
+    (d.telemetry_snapshot(), correct)
 }
 
 /// Run the two-stream join under `strategy` on an `m × m` grid (the `bench
@@ -59,67 +63,54 @@ pub fn join_point(strategy: Strategy, m: u32) -> RunPoint {
     .run()
 }
 
-/// The four runs both tables report, labelled.
-fn runs() -> Vec<(&'static str, Snapshot)> {
-    vec![
-        ("logicH m=4", sptree_snapshot(LOGIC_H, 4)),
-        ("logicJ m=4", sptree_snapshot(LOGIC_J, 4)),
-        (
-            "PA join m=6",
-            join_point(Strategy::Perpendicular { band_width: 1.0 }, 6).snapshot,
-        ),
-        (
-            "Centroid join m=6",
-            join_point(Strategy::Centroid, 6).snapshot,
-        ),
-    ]
-}
-
-/// Tables 4 and 5 from one set of runs (the dispatcher caches the pair so
-/// `all` doesn't run the four deployments twice).
-pub fn table4_table5() -> (Table, Table) {
-    let runs = runs();
-    (build_table4(&runs), build_table5(&runs))
+/// Tables 4 and 5 from one set of four runs — two loss-free tree programs,
+/// which must build the BFS tree, and the loss-free join under PA and
+/// Centroid, which must equal the oracle. Table 4's rows (one per run and
+/// predicate) come first, then Table 5's (one per run and phase); every run
+/// must send per-predicate traffic and record deliveries.
+pub fn table4_5(_quick: bool, r: &mut Report) {
+    let (h, h_ok) = sptree_snapshot(LOGIC_H, "h", 4);
+    let (j, j_ok) = sptree_snapshot(LOGIC_J, "j", 4);
+    let pa = join_point(Strategy::Perpendicular { band_width: 1.0 }, 6);
+    let centroid = join_point(Strategy::Centroid, 6);
+    r.gate("trees_correct", 2, usize::from(h_ok) + usize::from(j_ok));
+    gate_exact_runs(r, [&pa.oracle, &centroid.oracle]);
+    let runs = [
+        ("logicH m=4", h),
+        ("logicJ m=4", j),
+        ("PA join m=6", pa.snapshot),
+        ("Centroid join m=6", centroid.snapshot),
+    ];
+    table4(r, &runs);
+    table5(r, &runs);
 }
 
 /// Table 4: per-predicate message breakdown (per-hop sends by plane).
-fn build_table4(runs: &[(&'static str, Snapshot)]) -> Table {
-    let mut t = Table::new(
-        "table4",
-        "per-predicate message breakdown (per-hop sends)",
-        &[
-            "run", "pred", "store", "probe", "result", "center", "deltas", "emitted",
-        ],
-    );
+fn table4(r: &mut Report, runs: &[(&'static str, Snapshot)]) {
+    let mut sending = 0;
     for (label, snap) in runs {
         let mut total_sent = 0u64;
         for pred in snap.pred_scopes() {
             let scope = format!("pred:{pred}");
-            let store = snap.counter(&scope, "sent_store");
-            let probe = snap.counter(&scope, "sent_probe");
-            let result = snap.counter(&scope, "sent_result");
+            let sent = |plane| snap.counter(&scope, plane);
             // Centroid ships everything on the to-center plane instead.
-            let center = snap.counter(&scope, "sent_centroid");
-            total_sent += store + probe + result + center;
-            t.row(vec![
-                label.to_string(),
-                pred.clone(),
-                store.to_string(),
-                probe.to_string(),
-                result.to_string(),
-                center.to_string(),
-                snap.counter(&scope, "deriv_deltas").to_string(),
-                snap.counter(&scope, "results_emitted").to_string(),
+            let planes = ["sent_store", "sent_probe", "sent_result", "sent_centroid"];
+            total_sent += planes.iter().map(|&p| sent(p)).sum::<u64>();
+            r.row(row![
+                "run" => *label, "pred" => pred.as_str(), "store" => sent("sent_store"),
+                "probe" => sent("sent_probe"), "result" => sent("sent_result"),
+                "center" => sent("sent_centroid"), "deltas" => sent("deriv_deltas"),
+                "emitted" => sent("results_emitted"),
             ]);
         }
-        assert!(total_sent > 0, "{label}: no per-predicate traffic recorded");
+        sending += usize::from(total_sent > 0);
     }
-    t
+    r.gate("runs_with_pred_traffic", runs.len(), sending);
 }
 
 /// Table 5: phase activity — how often each instrumented phase fired and
 /// the simulated latency it accumulated.
-fn build_table5(runs: &[(&'static str, Snapshot)]) -> Table {
+fn table5(r: &mut Report, runs: &[(&'static str, Snapshot)]) {
     // Runtime phases first, simulator phases last; latency-style phases
     // (result.apply, join.probe) are the ones with meaningful sim-ms.
     const PHASES: &[&str] = &[
@@ -132,25 +123,13 @@ fn build_table5(runs: &[(&'static str, Snapshot)]) -> Table {
         "sim.deliver",
         "sim.timer",
     ];
-    let mut t = Table::new(
-        "table5",
-        "phase activity: fire count and accumulated simulated latency",
-        &["run", "phase", "count", "sim ms"],
-    );
+    let mut delivering = 0;
     for (label, snap) in runs {
         for &name in PHASES {
             let Some(p) = snap.phase(name) else { continue };
-            t.row(vec![
-                label.to_string(),
-                name.to_string(),
-                p.count.to_string(),
-                p.sim_ms.to_string(),
-            ]);
+            r.row(row!["run" => *label, "phase" => name, "count" => p.count, "sim_ms" => p.sim_ms]);
         }
-        assert!(
-            snap.phase("sim.deliver").is_some(),
-            "{label}: profiler recorded no deliveries"
-        );
+        delivering += usize::from(snap.phase("sim.deliver").is_some());
     }
-    t
+    r.gate("runs_with_deliveries", runs.len(), delivering);
 }

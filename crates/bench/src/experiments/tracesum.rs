@@ -7,8 +7,9 @@
 //! high-water mark. The loss-free rows double as a sanity check that the
 //! streaming trace counters agree with the radio metrics.
 
-use crate::common::{join_strategies, join_workload, CaseSpec, JOIN2};
-use crate::table::Table;
+use crate::common::{join_strategies, join_workload, series, CaseSpec, JOIN2};
+use crate::report::Report;
+use crate::row;
 use sensorlog_core::{PassMode, Strategy};
 use sensorlog_logic::Symbol;
 use sensorlog_netsim::{SimConfig, Topology};
@@ -23,22 +24,14 @@ fn strategy_name(s: Strategy) -> &'static str {
 }
 
 /// Trace-summary table: 8×8 grid, two-stream join, loss-free and lossy.
-pub fn table3() -> Table {
-    let mut t = Table::new(
-        "table3",
-        "event-trace summary: 8x8 grid two-stream join (sends by kind, drops, queue depth)",
-        &[
-            "strategy",
-            "loss",
-            "sends",
-            "store",
-            "probe",
-            "result",
-            "delivered",
-            "drops",
-            "max queue",
-        ],
-    );
+/// The trace layer and the radio metrics count the same transmissions
+/// through independent code paths, and must agree. Loss-free, every send
+/// is delivered and the results are the oracle's; lossy, the attempts
+/// cover deliveries plus drops, every run drops something, and the drop
+/// counts are pinned.
+pub fn table3(_quick: bool, r: &mut Report) {
+    let [mut traced, mut delivered, mut exact, mut covered, mut dropping] = [0; 5];
+    let mut lossy_drops = Vec::new();
     for loss in [0.0f64, 0.1] {
         for strategy in join_strategies() {
             let topo = Topology::square_grid(8);
@@ -47,9 +40,9 @@ pub fn table3() -> Table {
                 loss_prob: loss,
                 // One retry, not two: with p=0.1 a message dies with
                 // probability 1e-2, so even the ~1k-send Centroid row
-                // expects ~11 exhausted drops and the drops>0 assertion
-                // below is statistically safe; at two retries (1e-3) the
-                // small rows turn it into a seed lottery.
+                // expects ~11 exhausted drops and `lossy_runs_drop` is
+                // statistically safe; at two retries (1e-3) the small rows
+                // turn it into a seed lottery.
                 retries: if loss > 0.0 { 1 } else { 0 },
                 ..SimConfig::default()
             };
@@ -65,42 +58,33 @@ pub fn table3() -> Table {
                 horizon: 30_000_000,
             }
             .run();
-            // The trace layer and the radio metrics count the same
-            // transmissions through independent code paths.
-            assert_eq!(p.trace.sends, p.total_tx, "trace vs metrics mismatch");
-            // Every transmission attempt either gets its message delivered
-            // or is a failed attempt; only retry-exhausted messages become
-            // Drop records, so the counts match exactly when retries = 0
-            // and sends exceed the sum otherwise.
-            // Air losses with a retry budget are reported as `Retries`
-            // (budget exhausted), without one as `Loss`; this row runs with
-            // retries = 1, so exhausted drops land in `drops_retries`.
-            let dropped = p.trace.drops_loss
-                + p.trace.drops_dead
-                + p.trace.drops_retries
-                + p.trace.drops_partition;
+            let t = &p.trace;
+            traced += usize::from(t.sends == p.total_tx);
+            // Only retry-exhausted messages become Drop records: air losses
+            // with a retry budget are reported as `Retries`, without one as
+            // `Loss`. So attempts equal deliveries exactly when loss-free,
+            // and exceed deliveries plus drops otherwise.
+            let dropped = t.drops_loss + t.drops_dead + t.drops_retries + t.drops_partition;
             if loss == 0.0 {
-                assert_eq!(p.trace.sends, p.trace.delivers, "loss-free: all delivered");
+                delivered += usize::from(t.sends == t.delivers);
+                exact += usize::from(p.oracle.exact());
             } else {
-                assert!(
-                    p.trace.sends >= p.trace.delivers + dropped,
-                    "attempts must cover deliveries and drops"
-                );
-                assert!(dropped > 0, "lossy run must drop something");
+                covered += usize::from(t.sends >= t.delivers + dropped);
+                dropping += usize::from(dropped > 0);
+                lossy_drops.push(dropped);
             }
-            let kind = |k: &str| p.trace.sends_by_kind.get(k).copied().unwrap_or(0);
-            t.row(vec![
-                strategy_name(strategy).into(),
-                format!("{loss:.1}"),
-                p.trace.sends.to_string(),
-                kind("store").to_string(),
-                kind("probe").to_string(),
-                kind("result").to_string(),
-                p.trace.delivers.to_string(),
-                dropped.to_string(),
-                p.max_queue_depth.to_string(),
+            let kind = |k: &str| t.sends_by_kind.get(k).copied().unwrap_or(0);
+            r.row(row![
+                "strategy" => strategy_name(strategy), "loss" => loss, "sends" => t.sends,
+                "store" => kind("store"), "probe" => kind("probe"), "result" => kind("result"),
+                "delivered" => t.delivers, "drops" => dropped, "max_queue" => p.max_queue_depth,
             ]);
         }
     }
-    t
+    r.gate("trace_sends_equal_metrics_tx", 8, traced);
+    r.gate("loss_free_sends_all_delivered", 4, delivered);
+    r.gate("loss_free_runs_oracle_exact", 4, exact);
+    r.gate("lossy_attempts_cover_deliveries_and_drops", 4, covered);
+    r.gate("lossy_runs_drop", 4, dropping);
+    r.gate("lossy_drops", "61 16 558 137", series(lossy_drops));
 }

@@ -7,8 +7,11 @@
 //!   "rows":  [{<key>: <number | string | null>, ...}, ...],
 //!   "gates": [{"name", "want", "got", "ok"}, ...]}, ...]
 //! ```
+//!
+//! A report's `Display` is the same rows as aligned text tables, the form
+//! EXPERIMENTS.md quotes.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// One scalar cell of a report row.
 #[derive(Clone, Debug, PartialEq)]
@@ -21,6 +24,11 @@ pub enum Val {
     Null,
 }
 
+impl From<u32> for Val {
+    fn from(v: u32) -> Val {
+        Val::U(u64::from(v))
+    }
+}
 impl From<u64> for Val {
     fn from(v: u64) -> Val {
         Val::U(v)
@@ -54,6 +62,19 @@ impl From<String> for Val {
 impl<T: Into<Val>> From<Option<T>> for Val {
     fn from(v: Option<T>) -> Val {
         v.map_or(Val::Null, Into::into)
+    }
+}
+
+/// A cell as JSON writes it, strings unquoted.
+impl fmt::Display for Val {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Val::U(v) => write!(f, "{v}"),
+            Val::B(v) => write!(f, "{v}"),
+            Val::F(v) if v.is_finite() => write!(f, "{v:.3}"),
+            Val::S(v) => f.write_str(v),
+            Val::F(_) | Val::Null => f.write_str("null"),
+        }
     }
 }
 
@@ -123,6 +144,42 @@ impl Report {
     }
 }
 
+/// One right-aligned text table per run of consecutive rows with the same
+/// keys, headed by the keys.
+impl fmt::Display for Report {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "== {} ==", self.case)?;
+        let same_keys = |a: &Row, b: &Row| a.iter().map(|c| c.0).eq(b.iter().map(|c| c.0));
+        for block in self.rows.chunk_by(same_keys) {
+            let header = block[0].iter().map(|(key, _)| key.to_string());
+            let lines: Vec<Vec<String>> = std::iter::once(header.collect())
+                .chain(
+                    block
+                        .iter()
+                        .map(|r| r.iter().map(|c| c.1.to_string()).collect()),
+                )
+                .collect();
+            let widths: Vec<usize> = (0..lines[0].len())
+                .map(|i| lines.iter().map(|l| l[i].len()).max().unwrap_or(0))
+                .collect();
+            for (n, line) in lines.iter().enumerate() {
+                for (cell, w) in line.iter().zip(&widths) {
+                    write!(f, "| {cell:>w$} ")?;
+                }
+                writeln!(f, "|")?;
+                if n == 0 {
+                    widths
+                        .iter()
+                        .try_for_each(|w| write!(f, "|{}", "-".repeat(w + 2)))?;
+                    writeln!(f, "|")?;
+                }
+            }
+            writeln!(f)?;
+        }
+        Ok(())
+    }
+}
+
 /// `case.gate: want …, got …` for every gate that does not hold — the
 /// driver's exit path: non-empty means a non-zero exit.
 pub fn failed_gates(reports: &[Report]) -> Vec<String> {
@@ -162,16 +219,12 @@ fn json_row(row: &[(&'static str, Val)], out: &mut String) {
         }
         json_str(key, out);
         out.push_str(": ");
-        let _ = match val {
-            Val::U(v) => write!(out, "{v}"),
-            Val::B(v) => write!(out, "{v}"),
-            Val::F(v) if v.is_finite() => write!(out, "{v:.3}"),
-            Val::S(v) => {
-                json_str(v, out);
-                Ok(())
+        match val {
+            Val::S(v) => json_str(v, out),
+            v => {
+                let _ = write!(out, "{v}");
             }
-            Val::F(_) | Val::Null => write!(out, "null"),
-        };
+        }
     }
     out.push('}');
 }

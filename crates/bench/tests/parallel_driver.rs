@@ -3,15 +3,15 @@
 //! The parallel experiment driver must be observationally identical to the
 //! serial one: each case is an independent deterministic single-threaded
 //! simulation, and `run_cases_with` merges results in spec order — so a
-//! table built from a 4-thread run renders byte-identical to the 1-thread
+//! report built from a 4-thread run renders byte-identical to the 1-thread
 //! reference. And the `bench` binary's report plumbing must be able to
 //! fail: a mismatched gate reaches the exit path by name, the one JSON
-//! writer emits strict JSON, the exponent fit is a fit, and `ci.sh` runs
-//! every case the binary lists.
+//! writer emits strict JSON, the text tables align, the exponent fit is a
+//! fit, and `ci.sh` runs every case the binary lists.
 
 use sensorlog_bench::common::{fit_exponent, join_workload, run_cases_with, CaseSpec, JOIN2};
 use sensorlog_bench::report::{failed_gates, to_json, Report};
-use sensorlog_bench::{row, Table};
+use sensorlog_bench::row;
 use sensorlog_core::{PassMode, Strategy};
 use sensorlog_logic::Symbol;
 use sensorlog_netsim::{SimConfig, Topology};
@@ -44,22 +44,15 @@ fn small_sweep() -> Vec<CaseSpec> {
 }
 
 fn render(points: &[sensorlog_bench::common::RunPoint]) -> String {
-    let mut t = Table::new(
-        "par",
-        "parallel-driver equivalence probe",
-        &["tx", "bytes", "maxload", "compl", "events", "depth"],
-    );
+    let mut r = Report::new("par", false);
     for p in points {
-        t.row(vec![
-            p.total_tx.to_string(),
-            p.total_bytes.to_string(),
-            p.max_node_load.to_string(),
-            format!("{:.4}", p.completeness),
-            p.trace.delivers.to_string(),
-            p.max_queue_depth.to_string(),
+        r.row(row![
+            "tx" => p.total_tx, "bytes" => p.total_bytes, "maxload" => p.max_node_load,
+            "compl" => format!("{:.4}", p.oracle.completeness()), "events" => p.trace.delivers,
+            "depth" => p.max_queue_depth,
         ]);
     }
-    t.to_string()
+    r.to_string()
 }
 
 #[test]
@@ -257,6 +250,27 @@ fn report_json_round_trips_through_a_strict_parser() {
     };
     assert_eq!(empty[3].1, Json::Arr(vec![]));
     assert_eq!(empty[4].1, Json::Arr(vec![]));
+}
+
+#[test]
+fn report_text_is_one_aligned_table_per_run_of_keys() {
+    let mut r = Report::new("figX", true);
+    r.row(row!["m" => 6u64, "messages" => 1234u64]);
+    r.row(row!["m" => 16u64, "messages" => 0.5]);
+    r.row(row!["fit" => "exponent", "messages" => None::<u64>]);
+    let want = "\
+== figX ==
+|  m | messages |
+|----|----------|
+|  6 |     1234 |
+| 16 |    0.500 |
+
+|      fit | messages |
+|----------|----------|
+| exponent |     null |
+
+";
+    assert_eq!(r.to_string(), want);
 }
 
 #[test]

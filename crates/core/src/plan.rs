@@ -248,8 +248,8 @@ pub struct PlanTiming {
 impl Default for PlanTiming {
     fn default() -> Self {
         PlanTiming {
-            holddown_base: 100,
-            xy_stagger: 2_000,
+            holddown_base: xy::DEFAULT_HOLDDOWN_BASE_MS,
+            xy_stagger: xy::DEFAULT_XY_STAGGER_MS,
         }
     }
 }
@@ -319,7 +319,9 @@ pub fn compile(
 
     // Holddowns: base for every derived pred; XY components staggered by
     // stage-local order (later = waits longer, so its retractors land
-    // first).
+    // first). Every `idb_preds()` member gets an entry, and that is every
+    // predicate an owner books (each is some rule's head, empty-body facts
+    // included), so `runtime::arm_holddown` reads the map without a fallback.
     let mut holddown: BTreeMap<Symbol, u64> = BTreeMap::new();
     for &p in &idb {
         holddown.insert(p, timing.holddown_base);
@@ -562,5 +564,67 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.outputs, vec![sym("q")]);
+    }
+
+    /// `runtime::arm_holddown` reads the planned holddown with no fallback:
+    /// every predicate an owner books is some rule's head, and `compile`
+    /// plans one for each. Checked on every example program it accepts.
+    #[test]
+    fn every_rule_head_has_a_planned_holddown() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/programs");
+        let mut compiled = 0;
+        for entry in std::fs::read_dir(dir).expect("examples/programs is readable") {
+            let path = entry.expect("directory entry").path();
+            if path.extension().is_none_or(|e| e != "dl") {
+                continue;
+            }
+            let src = std::fs::read_to_string(&path).expect("example is readable");
+            let reg = BuiltinRegistry::standard();
+            let Ok(p) = compile_source(&src, reg, PlanTiming::default()) else {
+                continue;
+            };
+            compiled += 1;
+            for r in &p.analysis.program.rules {
+                let head = r.head.pred;
+                let where_ = path.display();
+                assert!(
+                    p.holddown.contains_key(&head),
+                    "{where_}: no holddown for `{head}`"
+                );
+            }
+        }
+        assert!(compiled >= 4, "only {compiled} example programs compiled");
+    }
+
+    /// `diag`'s `cost.holddown-implicit` suggests the value the planner
+    /// would apply: both read `xy::DEFAULT_*`, so neither can go stale.
+    #[test]
+    fn implicit_holddown_suggestions_equal_the_planned_defaults() {
+        use sensorlog_logic::diag::{check_source, BoundParams};
+        let logic_j = r#"
+            j(0, 0).
+            j(X, 1) :- g(0, X).
+            jp(Y, D + 1) :- j(Y, D'), (D + 1) > D', j(X, D), g(X, Y).
+            j(Y, D + 1) :- g(X, Y), j(X, D), not jp(Y, D + 1).
+        "#;
+        let params = BoundParams {
+            nodes: 16,
+            default_events: 0,
+            events: BTreeMap::new(),
+        };
+        for src in [LOGIC_H, logic_j] {
+            let reg = BuiltinRegistry::standard();
+            let planned = compile_source(src, reg.clone(), PlanTiming::default()).unwrap();
+            let report = check_source(src, &reg, &params);
+            let implicit: Vec<_> = (report.diags.iter())
+                .filter(|d| d.code == "cost.holddown-implicit")
+                .collect();
+            assert_eq!(implicit.len(), 2, "one suggestion per XY predicate");
+            for d in implicit {
+                let p = d.pred.expect("the suggestion names its predicate");
+                let want = format!(".holddown {p} {}.\n", planned.holddown[&p]);
+                assert_eq!(d.suggestions[0].replacement, want);
+            }
+        }
     }
 }

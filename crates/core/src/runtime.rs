@@ -23,8 +23,8 @@ use sensorlog_eval::{Firing, IncrementalEngine, Support, Update, UpdateKind};
 use sensorlog_logic::intern::{IdHashMap, IdHashSet};
 use sensorlog_logic::{Literal, Symbol, Tuple};
 use sensorlog_netsim::{App, Ctx, MsgMeta, NodeId, SimTime, Topology};
-use sensorlog_netstack::{GatherTree, Router};
-use sensorlog_telemetry::{HistId, Histogram, Scope, Telemetry, SIM_MS_BUCKETS};
+use sensorlog_netstack::Router;
+use sensorlog_telemetry::{HistId, Scope, Telemetry};
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::hash_map::Entry;
@@ -38,25 +38,16 @@ use std::sync::{Arc, Mutex, MutexGuard};
 pub struct NetInfo {
     pub topo: Topology,
     router: Router,
-    /// Network depth in hops: the longest route a message can take
-    /// (grid diameter, or BFS eccentricity of node 0 off-grid). Scales
-    /// per-hop latency estimates up to end-to-end bounds; always ≥ 1.
-    depth: SimTime,
     /// Centroid's central server ([`Strategy::center`] of `topo`).
     center: NodeId,
 }
 
 impl NetInfo {
     pub fn new(topo: Topology) -> NetInfo {
-        let depth = match topo.grid_dims() {
-            Some((cols, rows)) => (cols + rows).saturating_sub(2),
-            None => GatherTree::bfs(&topo, NodeId(0)).max_depth(),
-        };
         NetInfo {
             center: Strategy::center(&topo),
             router: Router::new(&topo),
             topo,
-            depth: (depth as SimTime).max(1),
         }
     }
 
@@ -71,11 +62,6 @@ impl NetInfo {
     /// per update.
     pub fn center(&self) -> NodeId {
         self.center
-    }
-
-    /// Network depth in hops (≥ 1).
-    pub fn depth(&self) -> SimTime {
-        self.depth
     }
 
     /// Next hop from `from` toward `dest` (`from != dest`), as the
@@ -436,12 +422,6 @@ pub struct SensorlogNode {
     /// by the first probe of that predicate (telemetry on only; a program's
     /// few predicates are searched linearly).
     probe_hists: Vec<(Symbol, [Option<HistId>; 3])>,
-    /// Always-on per-hop result-lag histogram feeding the adaptive holddown
-    /// default. Deliberately NOT behind the telemetry handle: its samples
-    /// are pure simulated-time values (deterministic for a fixed seed), and
-    /// the derived holddown affects the schedule — keeping it always-on
-    /// preserves the "telemetry never perturbs the trace" invariant.
-    hop_lag: Histogram,
     /// Provenance recording handle shared across the deployment (disabled
     /// by default; a pure observer like telemetry — recording never touches
     /// timers, messages, or the RNG, so the netsim journal is byte-identical
@@ -500,7 +480,6 @@ impl SensorlogNode {
             output_log: Vec::new(),
             tele,
             probe_hists: Vec::new(),
-            hop_lag: Histogram::new(SIM_MS_BUCKETS),
             prov: Provenance::disabled(),
             durable: None,
             last_hb: HashMap::new(),
@@ -1078,10 +1057,6 @@ impl SensorlogNode {
             origin,
             at: ctx.local_time,
         });
-        // Per-hop estimate: the end-to-end lag spread over the network
-        // depth. Feeds the adaptive holddown default for predicates with
-        // no declared `.holddown`.
-        self.hop_lag.observe(lag / self.net.depth());
         // Windowed derived streams: owned state expires with the window
         // (silent, Sec. II-B). Queued anew by each delta so the entry
         // outlives its last activity by one window.
@@ -1101,38 +1076,15 @@ impl SensorlogNode {
     }
 
     /// Start debouncing a liveness transition of the owned `(pred, tuple)`:
-    /// its holddown (declared, else the adaptive default) runs from now.
+    /// its planned holddown (`DistProgram::holddown`, which has one for
+    /// every predicate an owner books) runs from now.
     fn arm_holddown(&mut self, ctx: &mut Ctx<Msg>, pred: Symbol, tuple: Tuple) {
         let slot = (pred, tuple);
         if let Some(entry) = self.owned.entries.get_mut(&slot) {
             entry.holddown_armed = true;
         }
-        let holddown =
-            (self.prog.holddown.get(&pred).copied()).unwrap_or_else(|| self.default_holddown());
+        let holddown = self.prog.holddown[&pred];
         self.set_timer(ctx, holddown, TimerAction::Holddown(pred, slot.1));
-    }
-
-    /// Holddown for predicates with no declared `.holddown`: p95 observed
-    /// per-hop result lag Ã network depth (the ROADMAP adaptive-holddown
-    /// item, minimal version) â long enough for a canceling delta to cross
-    /// the network, short enough to track the deployment's real latency
-    /// instead of a hard-coded constant. Clamped to `[10, Ïj]`; 100 until
-    /// the first observation. Declared `.holddown` values stay
-    /// authoritative (checked before this is consulted).
-    fn default_holddown(&self) -> SimTime {
-        // Under the fault plane the holddown upper clamp tightens to τj/4:
-        // chaos churn inflates the observed lag tail, and a holddown that
-        // stretches toward τj would hold retractions hostage for the whole
-        // join bound after every crash.
-        let cap = if self.cfg.faults.is_some() {
-            (self.cfg.tau_j / 4).max(10)
-        } else {
-            self.cfg.tau_j.max(10)
-        };
-        match self.hop_lag.quantile_upper(0.95) {
-            Some(per_hop) => per_hop.saturating_mul(self.net.depth()).clamp(10, cap),
-            None => 100.min(cap),
-        }
     }
 
     /// Holddown expired: propagate the tuple's liveness if it still differs
@@ -1831,35 +1783,6 @@ mod tests {
             shapes,
             Telemetry::disabled(),
         )
-    }
-
-    /// Satellite: with the fault plane active the adaptive holddown's
-    /// upper clamp tightens from τj to (τj/4).max(10) — chaos churn must
-    /// not let one inflated lag observation hold retractions for seconds.
-    #[test]
-    fn holddown_clamp_tightens_under_fault_plane() {
-        let mut plain = test_node(RtConfig::default());
-        let mut faulty = test_node(RtConfig {
-            faults: Some(FaultPlaneCfg::default()),
-            ..RtConfig::default()
-        });
-        // Before any lag observation both use the 100 ms fallback (already
-        // under the 750 ms chaos cap for the default τj = 3000).
-        assert_eq!(plain.default_holddown(), 100);
-        assert_eq!(faulty.default_holddown(), 100);
-        // A pathological lag tail (p95 ≈ 4 s/hop on a 6-hop-deep grid)
-        // saturates both clamps.
-        for n in [&mut plain, &mut faulty] {
-            for _ in 0..50 {
-                n.hop_lag.observe(4_000);
-            }
-        }
-        assert_eq!(plain.default_holddown(), 3_000, "fault-free clamp is τj");
-        assert_eq!(
-            faulty.default_holddown(),
-            750,
-            "fault-plane clamp is (τj/4).max(10)"
-        );
     }
 
     /// The liveness filter: a derivation dies with its input's origin, a

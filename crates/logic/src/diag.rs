@@ -33,6 +33,7 @@ use crate::parser::parse_program;
 use crate::span::Span;
 use crate::symbol::Symbol;
 use crate::term::Term;
+use crate::xy::{DEFAULT_HOLDDOWN_BASE_MS, DEFAULT_XY_STAGGER_MS};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -942,7 +943,7 @@ pub fn check_analysis(analysis: &Analysis, params: &BoundParams) -> Report {
             if prog.holddowns.contains_key(&p) || !idb.contains(&p) {
                 continue;
             }
-            let default_ms = 100 + (i as u64) * 2_000;
+            let default_ms = DEFAULT_HOLDDOWN_BASE_MS + i as u64 * DEFAULT_XY_STAGGER_MS;
             rep.push_sugg(
                 "cost.holddown-implicit",
                 Severity::Info,

@@ -124,6 +124,16 @@ pub fn relate_detail(head: StageExpr, body: StageExpr, rule: &Rule) -> Option<St
     }
 }
 
+/// The planner's default holddown of a derived predicate (ms), before any
+/// `.holddown` declaration: `core::PlanTiming::default()` plans it, and
+/// `diag`'s `cost.holddown-implicit` suggests declaring it.
+pub const DEFAULT_HOLDDOWN_BASE_MS: u64 = 100;
+
+/// The planner's default extra holddown per step of
+/// [`XyInfo::stage_order`] (ms): roughly τs + τc + τj, one update round
+/// trip, so a stage's retractors land before the tuples they block.
+pub const DEFAULT_XY_STAGGER_MS: u64 = 2_000;
+
 /// Certified XY-stratification of one SCC.
 #[derive(Clone, Debug)]
 pub struct XyInfo {

@@ -468,11 +468,6 @@ impl<A: App> Simulator<A> {
         self.trace = Some(sink);
     }
 
-    /// Detach the current trace sink, if any.
-    pub fn clear_trace(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.trace.take()
-    }
-
     /// Attach a telemetry handle; the caller keeps a clone to read results
     /// back. Spans cover routing, delivery, and timer dispatch; histograms
     /// cover per-node message sizes and hop delays.

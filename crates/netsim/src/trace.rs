@@ -173,17 +173,6 @@ pub trait TraceSink {
     fn record(&mut self, rec: TraceRecord);
 }
 
-/// Discards everything. Attaching this is equivalent to (but costlier
-/// than) not attaching a sink at all; it exists for tests and for APIs
-/// that want a sink unconditionally.
-#[derive(Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    #[inline]
-    fn record(&mut self, _rec: TraceRecord) {}
-}
-
 /// A recorded run: the seed it was produced under plus every record.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Journal {

@@ -121,26 +121,6 @@ impl Histogram {
     pub fn overflow(&self) -> u64 {
         self.overflow
     }
-
-    /// Upper bound of the first bucket whose cumulative count reaches
-    /// quantile `q` (0 < q ≤ 1) — a conservative (over-)estimate of the
-    /// q-quantile. Samples that landed in the overflow bucket resolve to
-    /// the observed maximum. `None` on an empty histogram.
-    pub fn quantile_upper(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let target = target.max(1);
-        let mut cum = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            cum += c;
-            if cum >= target {
-                return Some(self.bounds[i]);
-            }
-        }
-        Some(self.max)
-    }
 }
 
 #[cfg(test)]
@@ -194,28 +174,6 @@ mod tests {
         assert_eq!(h.bucket_counts(), &[2, 1, 1]);
         assert_eq!(h.overflow(), 2);
         assert_eq!(h.count(), 6);
-    }
-
-    #[test]
-    fn quantile_upper_is_conservative() {
-        let mut h = Histogram::new(B);
-        assert_eq!(h.quantile_upper(0.95), None);
-        for _ in 0..90 {
-            h.observe(5); // bucket 0 (≤ 10)
-        }
-        for _ in 0..9 {
-            h.observe(50); // bucket 1 (≤ 100)
-        }
-        h.observe(500); // bucket 2 (≤ 1000)
-        assert_eq!(h.quantile_upper(0.5), Some(10));
-        assert_eq!(h.quantile_upper(0.95), Some(100));
-        assert_eq!(h.quantile_upper(1.0), Some(1000));
-        // Overflow samples resolve to the observed max.
-        h.observe(5000);
-        for _ in 0..200 {
-            h.observe(7000);
-        }
-        assert_eq!(h.quantile_upper(0.95), Some(7000));
     }
 
     #[test]

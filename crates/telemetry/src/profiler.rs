@@ -17,7 +17,7 @@ use std::time::Instant;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseStat {
     /// Number of recordings: one per completed span (whether or not it
-    /// carried sim time), one per `record_sim` / `record_wall_ns` call.
+    /// carried sim time), one per `record_sim` call.
     pub count: u64,
     /// Total wall time across spans, nanoseconds.
     pub wall_ns: u64,
@@ -87,13 +87,6 @@ impl Profiler {
     pub fn record_sim(&self, phase: &'static str, dt: u64) {
         if let Some(p) = &self.phases {
             record(p, phase, 0, dt);
-        }
-    }
-
-    /// Add raw wall nanoseconds to `phase` (for pre-measured intervals).
-    pub fn record_wall_ns(&self, phase: &'static str, ns: u64) {
-        if let Some(p) = &self.phases {
-            record(p, phase, ns, 0);
         }
     }
 
