@@ -113,15 +113,21 @@ fi
 # results from the engine's own `Firing` log. Earlier trees kept a second
 # count map (`CountingEngine`), a third liveness set for lineage
 # (`LineageLog`), batch and DRed lineage capture nothing read, and an owned
-# copy of every solution's inputs to feed it. One JSONL line codec:
-# `telemetry::jsonl`, where `netsim` and `core` each kept a drifted copy.
-echo "== one ledger in eval (no counting engine, lineage log or owned inputs; one JSONL codec) =="
-if grep -rn 'CountingEngine\|LineageLog\|record_lineage\|run_with_lineage\|owned_inputs' crates src tests; then
-    echo "a second ledger or a lineage copy is back: use IncrementalEngine::counting / take_firings"; exit 1
+# copy of every solution's inputs to feed it. One Sec. V bound walk:
+# `absint::frontier` keeps the paper's `S·Σ` bound as `Frontier::paper`,
+# where `diag::memory_bounds` walked the same SCCs a second time. One JSONL
+# line codec: `telemetry::jsonl`, where `netsim` and `core` each kept a
+# drifted copy, and `diag` and `bench` each a JSON string escaper.
+echo "== one ledger in eval (no counting engine, lineage log or owned inputs; one bound walk; one JSONL codec) =="
+if grep -rn 'CountingEngine\|LineageLog\|record_lineage\|run_with_lineage\|owned_inputs\|memory_bounds' crates src tests; then
+    echo "a second ledger, lineage copy or bound walk is back: use IncrementalEngine::counting / take_firings / Frontier::paper"; exit 1
 fi
 if [[ $(grep -rn 'fn field_raw' crates src | wc -l) -ne 1 ]]; then
     grep -rn 'fn field_raw' crates src
     echo "a second JSONL field reader: use sensorlog_telemetry::jsonl"; exit 1
+fi
+if grep -rn 'fn json_str' crates src; then
+    echo "a second JSON string escaper: use sensorlog_telemetry::jsonl::escape"; exit 1
 fi
 
 # One owner rule: `DistProgram::owner_of` (crates/core/src/plan.rs) places

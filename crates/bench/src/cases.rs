@@ -29,7 +29,7 @@ use sensorlog_eval::relation::{Relation, TupleMeta};
 use sensorlog_eval::{Database, Engine, IncrementalEngine, Update};
 use sensorlog_logic::absint::frontier;
 use sensorlog_logic::builtin::BuiltinRegistry;
-use sensorlog_logic::diag::{memory_bounds, BoundParams};
+use sensorlog_logic::diag::BoundParams;
 use sensorlog_logic::parser::parse_term;
 use sensorlog_logic::unify::{match_term, Subst};
 use sensorlog_logic::{intern, Symbol, Term, Tuple};
@@ -599,9 +599,8 @@ fn diag(quick: bool, r: &mut Report) {
                 default_events: 0,
                 events: d.injected_events().clone(),
             };
-            let legacy = memory_bounds(&d.prog.analysis);
             let fr = frontier(&d.prog.analysis);
-            let mut preds: Vec<Symbol> = legacy.keys().copied().collect();
+            let mut preds: Vec<Symbol> = fr.paper.keys().copied().collect();
             preds.sort_by_key(|p| p.as_str());
             for p in preds {
                 let live = match d.injected_events().get(&p) {
@@ -615,7 +614,7 @@ fn diag(quick: bool, r: &mut Report) {
                     .filter_map(|id| d.sim.node(id).peak_pred_stored.get(&p).copied())
                     .max();
                 let b = PredBounds {
-                    legacy: legacy.get(&p).and_then(|b| b.eval(&params)),
+                    legacy: fr.paper.get(&p).and_then(|b| b.eval(&params)),
                     frontier: fr.bounds.get(&p).and_then(|b| b.eval(&params)),
                     live,
                     peak_node: peak_node.unwrap_or(0) as u64,
@@ -656,8 +655,8 @@ fn diag(quick: bool, r: &mut Report) {
         events: Default::default(),
     };
     let m = sym("m");
-    let legacy = memory_bounds(&an).get(&m).and_then(|b| b.eval(&params));
-    let fr = frontier(&an).bounds.get(&m).and_then(|b| b.eval(&params));
+    let f = frontier(&an);
+    let [legacy, fr] = [&f.paper, &f.bounds].map(|b| b.get(&m).and_then(|b| b.eval(&params)));
     r.gate(
         "mirror_legacy_frontier",
         "unbounded/4800",

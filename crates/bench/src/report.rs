@@ -11,6 +11,7 @@
 //! A report's `Display` is the same rows as aligned text tables, the form
 //! EXPERIMENTS.md quotes.
 
+use sensorlog_telemetry::jsonl::escape;
 use std::fmt::{self, Write as _};
 
 /// One scalar cell of a report row.
@@ -195,32 +196,16 @@ pub fn failed_gates(reports: &[Report]) -> Vec<String> {
     failed
 }
 
-fn json_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn json_row(row: &[(&'static str, Val)], out: &mut String) {
     out.push('{');
     for (i, (key, val)) in row.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        json_str(key, out);
+        out.push_str(&escape(key));
         out.push_str(": ");
         match val {
-            Val::S(v) => json_str(v, out),
+            Val::S(v) => out.push_str(&escape(v)),
             v => {
                 let _ = write!(out, "{v}");
             }
@@ -251,7 +236,7 @@ pub fn to_json(reports: &[Report]) -> String {
         let host: Row = row!["cores" => h.cores, "os" => h.os, "arch" => h.arch];
         json_row(&host, &mut s);
         s.push_str(", \"case\": ");
-        json_str(&r.case, &mut s);
+        s.push_str(&escape(&r.case));
         let _ = writeln!(s, ", \"quick\": {},", r.quick);
         json_rows("rows", &r.rows, &mut s);
         s.push_str(",\n");

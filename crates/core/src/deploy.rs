@@ -422,7 +422,7 @@ impl Deployment {
             self.peak_node_memory() as u64,
         );
         // Static-bound cross-validation: how many observed peaks / message
-        // totals exceeded what `logic::diag` promised. Zero on any healthy
+        // totals exceeded what `logic::absint` promised. Zero on any healthy
         // run — asserted by the telemetry and distributed tests.
         rollup.gauge_set(
             Scope::Global,

@@ -28,19 +28,22 @@
 //!   base-only bodies, a per-column abstract domain (constructor depth,
 //!   leaf count, contributing base streams) replaces the whole-universe
 //!   `D^arity` bound, and gives *finite* bounds to bounded-depth value
-//!   invention (e.g. pair-swapping over a windowed stream) that the legacy
-//!   analysis reports as `Unbounded`. Divergent depth (counters, growing
+//!   invention (e.g. pair-swapping over a windowed stream) that the paper's
+//!   bound reports as `Unbounded`. Divergent depth (counters, growing
 //!   lists) still widens to top and stays `Unbounded`.
 //! * **Communication costs.** The same per-predicate widths scale into
 //!   per-plane message estimates and per-message-kind envelopes that
 //!   `sensorlog` cross-checks against the simulator's tx counters; a probe
 //!   is charged the passes its `boundness::pass_plan` walks.
 //!
-//! Unless a rule is *proved* tighter, every case falls back to exactly the
-//! legacy [`crate::diag::memory_bounds`] contribution, so the frontier
-//! bound is never looser than the paper's `S·Σ` bound.
+//! The same SCC walk also keeps the paper's own bound, [`Frontier::paper`]:
+//! Σ of anchor products for a non-recursive predicate, `S ×` Σ of the
+//! out-of-SCC anchor products for an XY SCC, and `D^arity` (unbounded when
+//! the SCC invents values) for other recursion. Unless a rule is *proved*
+//! tighter, every case falls back to exactly that contribution, so the
+//! frontier bound is never looser than the paper's `S·Σ` bound.
 //!
-//! The abstract leaf-counting inherits the legacy analysis' modelling
+//! The abstract leaf-counting inherits the paper's modelling
 //! assumption that each base-stream argument position carries one constant
 //! per event; deep subterm extraction from base tuples is bounded by the
 //! same `arity(p)·E(p)` leaf pool.
@@ -90,8 +93,12 @@ pub struct CommEnvelopes {
 #[derive(Clone, Debug, Default)]
 pub struct Frontier {
     /// Whole-network distinct-tuple bound per predicate (tight where
-    /// provable, legacy otherwise).
+    /// provable, the paper's otherwise).
     pub bounds: BTreeMap<Symbol, BoundExpr>,
+    /// The paper's Sec. V bound per predicate, read off the same walk from
+    /// the paper bounds of its dependencies: the reference `bounds` never
+    /// exceeds.
+    pub paper: BTreeMap<Symbol, BoundExpr>,
     /// Per-predicate communication estimate.
     pub comm: BTreeMap<Symbol, CommCost>,
     /// Rule ids proved to fire at most once per anchor grounding.
@@ -142,7 +149,7 @@ fn prod_expr(terms: Vec<BoundExpr>) -> BoundExpr {
     }
 }
 
-/// Legacy whole-domain size: constants carried by base tuples.
+/// The paper's whole-domain size `D`: constants carried by base tuples.
 fn herbrand_domain(prog: &Program, edb: &BTreeSet<Symbol>) -> BoundExpr {
     let parts: Vec<BoundExpr> = edb
         .iter()
@@ -179,6 +186,23 @@ fn anchor_product(
     prod_expr(factors)
 }
 
+/// A fact, or a rule joining at least one out-of-SCC tuple: its anchor
+/// product counts the groundings a stage can derive. A rule joining only
+/// in-SCC tuples has no anchor and leaves its SCC unbounded.
+fn anchored(rule: &Rule, scc: &BTreeSet<Symbol>) -> bool {
+    rule.body.is_empty() || rule.positive_atoms().any(|a| !scc.contains(&a.pred))
+}
+
+/// The paper's bound on a member of a non-XY recursive SCC: `D^arity`, or
+/// unbounded when the SCC invents values.
+fn herbrand_bound(prog: &Program, edb: &BTreeSet<Symbol>, p: Symbol, invents: bool) -> BoundExpr {
+    if invents {
+        return BoundExpr::Unbounded;
+    }
+    let arity = prog.arity_of(p).unwrap_or(0) as u32;
+    BoundExpr::Pow(Box::new(herbrand_domain(prog, edb)), arity)
+}
+
 /// Run the frontier-width pass over an analyzed program.
 pub fn frontier(analysis: &Analysis) -> Frontier {
     let prog = &analysis.program;
@@ -190,6 +214,7 @@ pub fn frontier(analysis: &Analysis) -> Frontier {
     for &p in &edb {
         bounds.insert(p, BoundExpr::Events(p));
     }
+    fr.paper = bounds.clone();
 
     for scc in g.sccs() {
         // reverse topological: dependencies first
@@ -204,12 +229,8 @@ pub fn frontier(analysis: &Analysis) -> Frontier {
                 .any(|&p| g.succ(p).any(|(q, _, _)| scc_set.contains(q)));
         if !recursive {
             let p = members[0];
-            let terms: Vec<BoundExpr> = prog
-                .rules_for(p)
-                .map(|r| anchor_product(r, None, &bounds))
-                .collect();
-            let b = sum_expr(terms);
-            bounds.insert(p, b);
+            bounds.insert(p, firing_bound(prog, p, &bounds));
+            fr.paper.insert(p, firing_bound(prog, p, &fr.paper));
             continue;
         }
         let xy_info = analysis
@@ -327,8 +348,18 @@ fn xy_scc_bounds(
         }
     }
 
-    // Pass 2: per-rule contributions.
+    // Pass 2: per-rule contributions, beside the paper's `S ×` Σ of the
+    // anchor products.
     for &p in members {
+        let per_stage = prog.rules_for(p).map(|r| {
+            if anchored(r, scc_set) {
+                anchor_product(r, Some(scc_set), &fr.paper)
+            } else {
+                BoundExpr::Unbounded
+            }
+        });
+        let paper = prod_expr(vec![BoundExpr::Stages, sum_expr(per_stage.collect())]);
+        fr.paper.insert(p, paper);
         let Some(&ppos) = info.stage_pos.get(&p) else {
             bounds.insert(p, BoundExpr::Unbounded);
             continue;
@@ -336,11 +367,7 @@ fn xy_scc_bounds(
         let mut contributions: Vec<BoundExpr> = Vec::new();
         let mut unbounded = false;
         for r in prog.rules_for(p) {
-            let anchored = r.body.is_empty()
-                || r.body
-                    .iter()
-                    .any(|l| matches!(l, Literal::Pos(a) if !scc_set.contains(&a.pred)));
-            if !anchored {
+            if !anchored(r, scc_set) {
                 unbounded = true;
                 break;
             }
@@ -818,26 +845,17 @@ fn herbrand_scc_bounds(
         .iter()
         .any(|r| r.head.args.iter().any(|t| matches!(t, Term::App(..))));
     // The column dataflow only models base-fed recursion; anything joining
-    // external IDB predicates or aggregating keeps the legacy bound.
+    // external IDB predicates or aggregating keeps the paper's bound.
     let tractable = !scc_rules.iter().any(|r| {
         r.agg.is_some()
             || r.positive_atoms()
                 .any(|a| !scc_set.contains(&a.pred) && !edb.contains(&a.pred))
     });
-
-    let legacy = |p: Symbol| -> BoundExpr {
-        if invents {
-            BoundExpr::Unbounded
-        } else {
-            let arity = prog.arity_of(p).unwrap_or(0) as u32;
-            BoundExpr::Pow(Box::new(herbrand_domain(prog, edb)), arity)
-        }
-    };
-
+    for &p in members {
+        fr.paper.insert(p, herbrand_bound(prog, edb, p, invents));
+    }
     if !tractable {
-        for &p in members {
-            bounds.insert(p, legacy(p));
-        }
+        bounds.extend(members.iter().map(|p| (*p, fr.paper[p].clone())));
         return;
     }
 
@@ -1125,7 +1143,7 @@ mod tests {
     use super::*;
     use crate::analyze::analyze;
     use crate::builtin::BuiltinRegistry;
-    use crate::diag::{memory_bounds, BoundParams};
+    use crate::diag::BoundParams;
     use crate::parser::parse_program;
 
     fn sym(s: &str) -> Symbol {
@@ -1203,19 +1221,63 @@ mod tests {
         assert_eq!(f.bounds[&sym("jp")].eval(&params(100, 500)), Some(3 * 500));
     }
 
+    /// The paper's `S·Σ` bound, read off the frontier walk: logicH's `h`
+    /// and `hp` carry the full stage factor `S = nodes + 1`.
+    #[test]
+    fn paper_bounds_are_stage_scaled() {
+        let f = fr(LOGIC_H);
+        let p = params(200, 740);
+        // h: S * (1 + E(g) + E(g)); hp: S * E(g); S = 201.
+        assert_eq!(f.paper[&sym("h")].eval(&p), Some(201 * (1 + 740 + 740)));
+        assert_eq!(f.paper[&sym("hp")].eval(&p), Some(201 * 740));
+    }
+
+    #[test]
+    fn paper_nonrecursive_bound_is_body_product() {
+        let f = fr(".base e.\nq(X, Z) :- e(X, Y), e(Y, Z).");
+        assert_eq!(f.paper[&sym("q")].eval(&params(1, 10)), Some(100));
+    }
+
+    #[test]
+    fn paper_value_invention_is_unbounded() {
+        let f = fr(".base e.\nn(s(X)) :- n(X), e(X).\nn(X) :- e(X).");
+        assert_eq!(f.paper[&sym("n")], BoundExpr::Unbounded);
+    }
+
+    /// Every example program and logicH / logicJ, at nodes ∈ {1, 2, 8, 64}:
+    /// wherever the paper's bound is finite, the frontier bound is finite
+    /// too and no larger.
     #[test]
     fn frontier_is_never_looser_than_legacy_on_examples() {
-        for src in [LOGIC_H, LOGIC_J] {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/programs");
+        let mut srcs = vec![LOGIC_H.to_string(), LOGIC_J.to_string()];
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|x| x == "dl") {
+                srcs.push(std::fs::read_to_string(path).unwrap());
+            }
+        }
+        assert!(srcs.len() >= 8, "examples/programs went missing");
+        for src in &srcs {
             let prog = parse_program(src).unwrap();
             let analysis = analyze(&prog, &BuiltinRegistry::standard()).unwrap();
-            let legacy = memory_bounds(&analysis);
             let f = frontier(&analysis);
-            let p = params(64, 100);
-            for (pred, b) in &legacy {
-                let (Some(old), Some(new)) = (b.eval(&p), f.bounds[pred].eval(&p)) else {
-                    continue;
-                };
-                assert!(new <= old, "{pred}: frontier {new} > legacy {old}");
+            assert_eq!(
+                f.paper.keys().collect::<Vec<_>>(),
+                f.bounds.keys().collect::<Vec<_>>()
+            );
+            for nodes in [1, 2, 8, 64] {
+                let p = params(nodes, 100);
+                for (pred, b) in &f.paper {
+                    let Some(old) = b.eval(&p) else {
+                        continue;
+                    };
+                    let new = f.bounds[pred].eval(&p);
+                    assert!(
+                        new.is_some_and(|new| new <= old),
+                        "{pred} at {nodes} nodes: frontier {new:?} > paper {old}"
+                    );
+                }
             }
         }
     }
@@ -1275,7 +1337,7 @@ mod tests {
 
     #[test]
     fn windowed_swap_recursion_gets_finite_bound() {
-        // Value invention with non-growing depth: legacy says Unbounded,
+        // Value invention with non-growing depth: the paper says Unbounded,
         // the column dataflow converges at depth 1 / two leaves.
         let src = r#"
             .base s.
@@ -1284,11 +1346,8 @@ mod tests {
             m(pair(A, B)) :- s(A, B).
             m(pair(B, A)) :- m(pair(A, B)).
         "#;
-        let prog = parse_program(src).unwrap();
-        let analysis = analyze(&prog, &BuiltinRegistry::standard()).unwrap();
-        let legacy = memory_bounds(&analysis);
-        assert_eq!(legacy[&sym("m")], BoundExpr::Unbounded);
-        let f = frontier(&analysis);
+        let f = fr(src);
+        assert_eq!(f.paper[&sym("m")], BoundExpr::Unbounded);
         let p = params(1, 10);
         // shapes·(2·E(s))² = 3·400 with 2 SCC rules.
         assert_eq!(f.bounds[&sym("m")].eval(&p), Some(3 * 400));
@@ -1313,12 +1372,11 @@ mod tests {
             t(X, Y) :- e(X, Y).
             t(X, Y) :- t(X, Z), e(Z, Y).
         "#;
-        let prog = parse_program(src).unwrap();
-        let analysis = analyze(&prog, &BuiltinRegistry::standard()).unwrap();
-        let f = frontier(&analysis);
+        let f = fr(src);
         let p = params(1, 10);
-        // Per-column (2·E)·(2·E) = legacy D² = 400.
+        // Per-column (2·E)·(2·E) = the paper's D² = 400, D = 2·E(e).
         assert_eq!(f.bounds[&sym("t")].eval(&p), Some(400));
+        assert_eq!(f.paper[&sym("t")].eval(&p), Some(400));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use sensorlog::core::invariants;
 use sensorlog::core::strategy::Strategy;
 use sensorlog::core::workload::graph_edges;
 use sensorlog::logic::absint::frontier;
-use sensorlog::logic::diag::{memory_bounds, BoundParams};
+use sensorlog::logic::diag::BoundParams;
 use sensorlog::prelude::*;
 use sensorlog_eval::UpdateKind;
 use std::collections::BTreeMap;
@@ -83,18 +83,17 @@ fn static_bounds_dominate_200_node_run() {
     assert_eq!(t("h"), 1 + 2 * eg);
     assert_eq!(t("hp"), 2 * eg);
 
-    // The legacy S·Σ bounds carried the full stage factor S = N + 1; the
+    // The paper's S·Σ bounds carry the full stage factor S = N + 1; the
     // frontier pass strips it (h) or trades it for the constant stage
     // multiplicity 2 (hp), so both tighten by ≥ S/3 ≈ 67× at this size.
-    let legacy = memory_bounds(&d.prog.analysis);
     let stages = params.nodes + 1;
     for name in ["h", "hp"] {
-        let loose = legacy[&Symbol::intern(name)]
+        let loose = fr.paper[&Symbol::intern(name)]
             .eval(&params)
-            .expect("legacy bound finite");
+            .expect("paper bound finite");
         assert!(
             t(name) * (stages / 3) <= loose,
-            "{name}: frontier bound {} did not tighten legacy {loose}",
+            "{name}: frontier bound {} did not tighten the paper's {loose}",
             t(name)
         );
     }
