@@ -47,6 +47,9 @@ cargo test --workspace -q
 #  - logic: the id table under both interners (`pages::Pages`) is read
 #    without a lock while it grows — the one concurrency test of the table
 #    every tuple comparison reads through;
+#  - logic: reading every small int (`0..4096`, its own id) mints no row in
+#    the constant pool's value -> id map, and `pool_len` still counts them
+#    in the next id (earlier trees pre-seeded 4,096 rows on first touch);
 #  - core: a node's pending expiries are one queue with its head armed, so
 #    the simulator never holds as many events as the network holds windowed
 #    replicas (a timer per replica does), each generation still leaves at
@@ -74,7 +77,7 @@ cargo test --workspace -q
 # Each gate names its crate, its test target (`--lib` or `--test=<file>`)
 # and the test. The boundary-resolve cap (tests/boundary_sites.rs) ran with
 # the workspace tests above.
-echo "== count gates (keyed registry walks, exported node rows, queued event size, unplanned probes, node probe ranges, router hops, id table race, expiry queue, message ownership, send order, queue memory, sent counters, Centroid provenance, JSONL numbers) =="
+echo "== count gates (keyed registry walks, exported node rows, queued event size, unplanned probes, node probe ranges, router hops, id table race, small-int pool rows, expiry queue, message ownership, send order, queue memory, sent counters, Centroid provenance, JSONL numbers) =="
 for gate in \
     "sensorlog-netsim --lib sim::tests::keyed_registry_walks_do_not_grow_with_traffic" \
     "sensorlog-netsim --lib sim::tests::exported_node_rows_match_an_eagerly_registered_registry" \
@@ -83,6 +86,7 @@ for gate in \
     "sensorlog-core --lib deploy::tests::node_probes_are_ranges_of_the_fragment_map" \
     "sensorlog-core --lib deploy::tests::deployment_hops_are_router_hops" \
     "sensorlog-logic --lib pages::tests::lock_free_reads_race_with_publishing" \
+    "sensorlog-logic --lib intern::tests::small_ints_mint_no_pool_rows" \
     "sensorlog-core --lib deploy::tests::windowed_replicas_do_not_queue_a_timer_each" \
     "sensorlog-core --lib runtime::tests::an_older_generations_expiry_leaves_the_newer_replica" \
     "sensorlog-core --lib runtime::tests::an_earlier_deltas_expiry_leaves_the_rearmed_owned_entry" \

@@ -176,11 +176,6 @@ impl DurableStore {
     pub fn recent_deletes(&self) -> &[FactRecord] {
         &self.recent_deletes
     }
-
-    /// Journal-tail length (ops since the last checkpoint fold).
-    pub fn tail_len(&self) -> usize {
-        self.tail.len()
-    }
 }
 
 #[cfg(test)]

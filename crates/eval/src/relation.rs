@@ -837,7 +837,7 @@ mod tests {
         assert!(sorted[0] < sorted[1]);
     }
 
-    /// Ids on both sides of the pre-seeded small-int boundary (4095 | 4096),
+    /// Ids on both sides of the small-int boundary (4095 | 4096),
     /// negative ints, floats, strings and compound terms, as rows and as
     /// probe keys: ranges must cut where value order says, not id order.
     #[test]

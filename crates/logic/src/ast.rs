@@ -206,14 +206,6 @@ impl Rule {
         })
     }
 
-    /// Negated relational subgoals, in body order.
-    pub fn negated_atoms(&self) -> impl Iterator<Item = &Atom> {
-        self.body.iter().filter_map(|l| match l {
-            Literal::Neg(a) => Some(a),
-            _ => None,
-        })
-    }
-
     /// Variables of the head, including the aggregate argument.
     pub fn head_vars(&self) -> Vec<Symbol> {
         let mut v = Vec::new();
@@ -222,11 +214,6 @@ impl Rule {
             agg.term.collect_vars(&mut v);
         }
         v
-    }
-
-    /// True if any subgoal is negated.
-    pub fn has_negation(&self) -> bool {
-        self.body.iter().any(|l| matches!(l, Literal::Neg(_)))
     }
 }
 

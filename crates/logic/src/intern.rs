@@ -19,6 +19,13 @@
 //! value → id goes through the lock, a `std::sync::RwLock` whose poison is
 //! ignored: a panic under it leaves the map and the table as they were.
 //!
+//! **Small ints cost nothing until read.** The ids `0..4096` are the
+//! non-negative integers below 4096 themselves (`intern_int(n) == n`): no
+//! lock and no map row mints one, and the pool starts empty, handing out
+//! `4096` as its first id. The first [`entry`] of a small int that has none
+//! publishes its 256-id chunk into the same table, once per chunk (a
+//! `OnceLock` each), so a process pays for the chunks it reads.
+//!
 //! **Determinism.** Id assignment is first-touch order, which is
 //! deterministic for a deterministic workload — but nothing observable
 //! depends on it: every ordered structure (relation iteration, journal
@@ -179,7 +186,8 @@ pub struct Entry {
     pub sort_key: Box<[u8]>,
 }
 
-/// Value → id; the next id is its length. Guarded by the pool lock.
+/// Value → id, with no small-int rows: the next id is `SMALL_INTS` plus its
+/// length. Guarded by the pool lock.
 type Pool = HashMap<Val, ConstId>;
 
 /// `ConstId → &Entry`: the table [`entry`] — and through it every id
@@ -187,30 +195,52 @@ type Pool = HashMap<Val, ConstId>;
 static ENTRIES: Pages<Entry> = Pages::new();
 
 /// Give `entry` the next id: publish it in [`ENTRIES`], *then* let the map
-/// hand the id out. The caller holds the pool write lock (or is the pool's
-/// initializer), so ids never race.
+/// hand the id out. The caller holds the pool write lock, so ids never race.
 fn push(pool: &mut Pool, entry: Entry) -> ConstId {
-    let id = ConstId::try_from(pool.len()).expect("const pool overflow");
+    let id = ConstId::try_from(next_id(pool)).expect("const pool overflow");
     let entry: &'static Entry = Box::leak(Box::new(entry));
     ENTRIES.publish(id, entry);
     pool.insert(entry.val.clone(), id);
     id
 }
 
-/// Small non-negative integers are pre-seeded at pool init so stage
-/// arithmetic interns without taking the lock: `intern_int(n) == n` for
-/// `0 <= n < SMALL_INTS`.
+fn next_id(pool: &Pool) -> usize {
+    SMALL_INTS as usize + pool.len()
+}
+
+/// Small non-negative integers are their own ids, `intern_int(n) == n` for
+/// `0 <= n < SMALL_INTS`, so stage arithmetic interns without the lock and
+/// the pool never holds a row for one. Their entries are built when first
+/// read, a [`SMALL_INT_CHUNK`] at a time.
 const SMALL_INTS: i64 = 4096;
+
+/// Small-int ids whose entries [`entry`] publishes together on first read.
+const SMALL_INT_CHUNK: usize = 256;
+
+/// One flag per chunk of small ints: set once its entries are in [`ENTRIES`].
+static SMALL_INTS_SEEDED: [OnceLock<()>; SMALL_INTS as usize / SMALL_INT_CHUNK] =
+    [const { OnceLock::new() }; SMALL_INTS as usize / SMALL_INT_CHUNK];
+
+/// Publish the entries of small int `id`'s chunk into `table`, once per
+/// `seeded` flag: a racing reader waits for the first one to finish.
+fn seed_small_ints(table: &Pages<Entry>, seeded: &[OnceLock<()>], id: ConstId) {
+    let chunk = id as usize / SMALL_INT_CHUNK;
+    seeded[chunk].get_or_init(|| {
+        let first = chunk * SMALL_INT_CHUNK;
+        let entries: &'static [Entry] = Box::leak(
+            (first..first + SMALL_INT_CHUNK)
+                .map(|n| build_entry(Val::Int(n as i64)))
+                .collect(),
+        );
+        for (n, e) in (first..).zip(entries) {
+            table.publish(n as ConstId, e);
+        }
+    });
+}
 
 fn pool() -> &'static RwLock<Pool> {
     static POOL: OnceLock<RwLock<Pool>> = OnceLock::new();
-    POOL.get_or_init(|| {
-        let mut p = Pool::new();
-        for n in 0..SMALL_INTS {
-            push(&mut p, build_entry(Val::Int(n)));
-        }
-        RwLock::new(p)
-    })
+    POOL.get_or_init(|| RwLock::new(Pool::new()))
 }
 
 fn int_sort_key(n: i64) -> Box<[u8]> {
@@ -294,6 +324,9 @@ fn build_entry(val: Val) -> Entry {
 
 /// Intern a ground value (children of `App` must already be interned).
 pub fn intern_val(val: Val) -> ConstId {
+    if let Val::Int(n @ 0..SMALL_INTS) = val {
+        return n as ConstId;
+    }
     {
         let guard = pool().read().unwrap_or_else(PoisonError::into_inner);
         if let Some(&id) = guard.get(&val) {
@@ -357,20 +390,28 @@ pub fn intern_term(t: &Term) -> Option<ConstId> {
 /// terms. Lock-free: two acquire loads through `ENTRIES`.
 #[inline]
 pub fn entry(id: ConstId) -> &'static Entry {
-    ENTRIES.get(id).unwrap_or_else(|| {
-        // A small id can come straight off the `intern_int` fast path before
-        // the pool, which pre-seeds those, was ever touched.
-        let _ = pool();
-        ENTRIES.get(id).expect("entry() of an id nobody interned")
-    })
+    ENTRIES.get(id).unwrap_or_else(|| small_int_entry(id))
+}
+
+/// A small int's entry on its first read: no one interns those, so the
+/// chunk is published here.
+#[cold]
+#[inline(never)]
+fn small_int_entry(id: ConstId) -> &'static Entry {
+    assert!(
+        id < SMALL_INTS as ConstId,
+        "entry() of an id nobody interned"
+    );
+    seed_small_ints(&ENTRIES, &SMALL_INTS_SEEDED, id);
+    ENTRIES.get(id).expect("small int chunk published")
 }
 
 /// Order two ids by value — exactly `resolve(a).cmp(&resolve(b))`.
 #[inline]
 pub fn cmp_ids(a: ConstId, b: ConstId) -> Ordering {
     if a.max(b) < SMALL_INTS as ConstId {
-        // Pre-seeded small ints are their own ids: id order is value order,
-        // and the comparison touches no pool entry.
+        // Small ints are their own ids: id order is value order, and the
+        // comparison touches (and builds) no pool entry.
         a.cmp(&b)
     } else if a == b {
         Ordering::Equal
@@ -379,9 +420,10 @@ pub fn cmp_ids(a: ConstId, b: ConstId) -> Ordering {
     }
 }
 
-/// Number of interned constants (diagnostics).
+/// The next id to be handed out: `SMALL_INTS` plus every other constant
+/// interned so far (diagnostics).
 pub fn pool_len() -> usize {
-    pool().read().unwrap_or_else(PoisonError::into_inner).len()
+    next_id(&pool().read().unwrap_or_else(PoisonError::into_inner))
 }
 
 // ---------------------------------------------------------------------------
@@ -513,6 +555,83 @@ mod tests {
         assert_eq!(entry(17).val, Val::Int(17));
     }
 
+    /// Reading every small int — its entry, its term, its order and its
+    /// size on the air — mints no pool row: the value → id map holds none
+    /// of them, and `pool_len` still counts them in the next id.
+    #[test]
+    fn small_ints_mint_no_pool_rows() {
+        use crate::term::Tuple;
+        let past = intern_int(SMALL_INTS);
+        for n in 0..SMALL_INTS {
+            let id = intern_int(n);
+            assert_eq!(i64::from(id), n);
+            assert_eq!(intern_val(Val::Int(n)), id);
+            assert_eq!(entry(id).val, Val::Int(n));
+            assert_eq!(resolve(id), Term::Int(n));
+            assert_eq!(cmp_ids(id, past), Ordering::Less);
+            assert_eq!(Tuple::from_slice(&[id, past]).byte_size(), 16);
+        }
+        let rows_before = pool().read().unwrap_or_else(PoisonError::into_inner).len();
+        let len = pool_len();
+        let pool = pool().read().unwrap_or_else(PoisonError::into_inner);
+        let small_rows: Vec<&Val> = (pool.keys())
+            .filter(|v| matches!(v, Val::Int(0..SMALL_INTS)))
+            .collect();
+        assert!(
+            small_rows.is_empty(),
+            "small ints hold pool rows: {small_rows:?}"
+        );
+        // Other tests intern meanwhile: the rows counted before and after
+        // `pool_len` bracket the rows it counted.
+        let small = SMALL_INTS as usize;
+        assert!(
+            (small + rows_before..=small + pool.len()).contains(&len),
+            "pool_len {len} is not {small} + rows ({rows_before}..={})",
+            pool.len()
+        );
+    }
+
+    /// The first reads of one chunk of small ints race each other while
+    /// writers intern large ints: the chunk is published once (a second
+    /// `publish` of an id panics) and every reader sees each id's own
+    /// value. A table of the test's own makes that first read one the
+    /// readers race for (the pool's table may have been read already by
+    /// another test); the pool's table sees the same reads through `entry`.
+    #[test]
+    fn small_int_chunks_seed_once_under_racing_readers() {
+        use crate::pages::tests::race;
+        const CHUNK: usize = 7;
+        const BASE: i64 = 8_000_000_000; // nobody else's ints
+        let table: Pages<Entry> = Pages::new();
+        let seeded: [OnceLock<()>; SMALL_INTS_SEEDED.len()] = [const { OnceLock::new() }; _];
+        let chunk =
+            (CHUNK * SMALL_INT_CHUNK) as ConstId..((CHUNK + 1) * SMALL_INT_CHUNK) as ConstId;
+        race(
+            2,
+            8,
+            |w| {
+                for j in 0..2_000 {
+                    let n = BASE + (w as i64) * 1_000_000 + j;
+                    let id = intern_int(n);
+                    assert!(id >= SMALL_INTS as ConstId, "{n} took small id {id}");
+                    assert_eq!(entry(id).val, Val::Int(n));
+                }
+            },
+            || {
+                // Last id first: the whole chunk is there once any of it is.
+                for id in chunk.clone().rev() {
+                    seed_small_ints(&table, &seeded, id);
+                    let got = table.get(id).map(|e| &e.val);
+                    assert_eq!(got, Some(&Val::Int(i64::from(id))));
+                    assert_eq!(entry(id).val, Val::Int(i64::from(id)));
+                }
+            },
+        );
+        // Only the chunk that was read is there.
+        assert!(table.get(chunk.start - 1).is_none());
+        assert!(table.get(chunk.end).is_none());
+    }
+
     #[test]
     fn resolve_round_trips() {
         let terms = vec![
@@ -554,16 +673,14 @@ mod tests {
 
     #[test]
     fn sort_keys_reproduce_term_order() {
-        let samples = vec![
+        let mut samples = vec![
             Term::Int(i64::MIN),
             Term::Int(-1),
             Term::Int(0),
             Term::Int(1),
-            // Either side of the pre-seeded range `cmp_ids` compares by id.
-            Term::Int(SMALL_INTS - 1),
-            Term::Int(SMALL_INTS),
             Term::Int(i64::MAX),
             Term::float(-1.5),
+            Term::float(255.5),
             Term::float(4095.5),
             Term::float(0.0),
             Term::float(2.25),
@@ -584,6 +701,13 @@ mod tests {
             Term::app("f", vec![Term::Int(2)]),
             Term::app("g", vec![Term::Int(0)]),
         ];
+        // Either side of every small-int chunk (255 | 256 … 3839 | 3840) and
+        // of the range `cmp_ids` compares by id (4095 | 4096).
+        let chunk = SMALL_INT_CHUNK as i64;
+        samples.extend(
+            (1..=SMALL_INTS / chunk).flat_map(|k| [Term::Int(k * chunk - 1), Term::Int(k * chunk)]),
+        );
+        samples.push(Term::str("256"));
         for a in &samples {
             for b in &samples {
                 let (ia, ib) = (intern_term(a).unwrap(), intern_term(b).unwrap());

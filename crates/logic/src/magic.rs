@@ -21,10 +21,6 @@ use std::fmt;
 pub struct Adornment(pub Vec<bool>);
 
 impl Adornment {
-    pub fn all_free(n: usize) -> Adornment {
-        Adornment(vec![false; n])
-    }
-
     pub fn bound_positions(&self) -> impl Iterator<Item = usize> + '_ {
         self.0
             .iter()

@@ -98,14 +98,6 @@ impl FaultSchedule {
         self
     }
 
-    pub fn set_link_loss(mut self, at: SimTime, a: NodeId, b: NodeId, ppm: u32) -> FaultSchedule {
-        self.events.push(FaultEvent {
-            at,
-            kind: FaultKind::SetLinkLoss(a, b, ppm),
-        });
-        self
-    }
-
     pub fn dup_window(mut self, at: SimTime, until: SimTime, ppm: u32) -> FaultSchedule {
         self.events.push(FaultEvent {
             at,

@@ -155,11 +155,6 @@ impl MetricsRegistry {
         GaugeId(i)
     }
 
-    #[inline]
-    pub fn gauge_set_id(&mut self, id: GaugeId, v: u64) {
-        self.gauges[id.0] = v;
-    }
-
     pub fn gauge_set(&mut self, scope: Scope, name: &'static str, v: u64) {
         let id = self.gauge(scope, name);
         self.gauges[id.0] = v;
