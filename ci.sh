@@ -33,6 +33,11 @@ cargo test --workspace -q
 #  - core: a queued simulator event must stay 24 bytes whatever `Payload`
 #    is, and the node's wire message one pointer (`netsim` queues an app's
 #    message by value in a heap whose buffer is its peak pending count);
+#  - logic / core: a `Tuple` is 16 bytes (three ids inline, wider tuples
+#    behind one pointer), and both forms agree on ids, equality, hash, byte
+#    size and value order at arities 0..=9; the records that carry one stay
+#    at `FactRecord` <= 48 B and `Payload` <= 96 B (64 and 112 B when a
+#    tuple held seven ids inline);
 #  - eval: no engine may make a keyed probe on a signature it did not
 #    register (an unplanned evaluation order is a filtered scan per probe);
 #  - core: a node's join looks its fragments up through `Relation::probe`,
@@ -77,11 +82,13 @@ cargo test --workspace -q
 # Each gate names its crate, its test target (`--lib` or `--test=<file>`)
 # and the test. The boundary-resolve cap (tests/boundary_sites.rs) ran with
 # the workspace tests above.
-echo "== count gates (keyed registry walks, exported node rows, queued event size, unplanned probes, node probe ranges, router hops, id table race, small-int pool rows, expiry queue, message ownership, send order, queue memory, sent counters, Centroid provenance, JSONL numbers) =="
+echo "== count gates (keyed registry walks, exported node rows, queued event size, tuple size, unplanned probes, node probe ranges, router hops, id table race, small-int pool rows, expiry queue, message ownership, send order, queue memory, sent counters, Centroid provenance, JSONL numbers) =="
 for gate in \
     "sensorlog-netsim --lib sim::tests::keyed_registry_walks_do_not_grow_with_traffic" \
     "sensorlog-netsim --lib sim::tests::exported_node_rows_match_an_eagerly_registered_registry" \
     "sensorlog-core --lib msg::tests::queued_event_stays_payload_independent" \
+    "sensorlog-logic --lib term::tests::inline_and_heap_tuples_agree" \
+    "sensorlog-core --lib msg::tests::tuple_bearing_messages_stay_small" \
     "sensorlog-eval --lib planner::tests::engines_probe_only_planned_signatures" \
     "sensorlog-core --lib deploy::tests::node_probes_are_ranges_of_the_fragment_map" \
     "sensorlog-core --lib deploy::tests::deployment_hops_are_router_hops" \
@@ -110,6 +117,14 @@ done
 echo "== one derivation ledger (no HashMap<DerivationKey under crates/) =="
 if grep -rn 'HashMap<DerivationKey' crates/; then
     echo "a second derivation ledger: count derivation keys in eval::Support"; exit 1
+fi
+
+# Maps keyed by process-minted ids hash with `intern::IdHashMap` (one
+# multiply per id word): a std `HashMap` keyed by `(Symbol, Tuple)` pays
+# SipHash per probe and `RandomState::new` per map, once per node.
+echo "== id-keyed maps (no std HashMap<(Symbol, Tuple) or HashSet<(Symbol, Tuple) under crates/*/src) =="
+if grep -rnE '\bHash(Map|Set)<\(Symbol, Tuple\)' crates/*/src; then
+    echo "a (Symbol, Tuple) key is process-minted ids: use intern::IdHashMap / IdHashSet"; exit 1
 fi
 
 # One ledger in eval: counting is `IncrementalEngine<()>` (the derivation

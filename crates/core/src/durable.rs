@@ -21,8 +21,8 @@
 
 use crate::tupleid::{FactRecord, TupleId};
 use sensorlog_eval::UpdateKind;
+use sensorlog_logic::intern::IdHashMap;
 use sensorlog_logic::{Symbol, Tuple};
-use std::collections::HashMap;
 
 /// Most recent deletions retained for replay at recovery. A restarted
 /// node re-propagates these tombstones; anything older has long since
@@ -58,7 +58,7 @@ pub struct Recovered {
 #[derive(Debug, Default)]
 pub struct DurableStore {
     /// Folded checkpoint: live facts as of the last fold.
-    checkpoint: HashMap<(Symbol, Tuple), TupleId>,
+    checkpoint: IdHashMap<(Symbol, Tuple), TupleId>,
     /// Operations since the last fold, in order.
     tail: Vec<DurableOp>,
     /// Fold the tail into the checkpoint once it reaches this length.
@@ -132,7 +132,7 @@ impl DurableStore {
 
     /// Fold checkpoint + tail into the live-fact view without consuming
     /// anything (what a crash at this instant would recover).
-    fn fold(&self) -> HashMap<(Symbol, Tuple), TupleId> {
+    fn fold(&self) -> IdHashMap<(Symbol, Tuple), TupleId> {
         let mut live = self.checkpoint.clone();
         for op in &self.tail {
             match op.kind {

@@ -226,6 +226,18 @@ mod tests {
         );
     }
 
+    /// A fact record is in every store, flood and center message, and the
+    /// largest `Payload` variant sizes every message allocation. Both carry
+    /// a `Tuple` (16 bytes: three ids inline, wider tuples behind one
+    /// pointer); at 32 bytes it made them 64 and 112 B.
+    #[test]
+    fn tuple_bearing_messages_stay_small() {
+        let record = std::mem::size_of::<FactRecord>();
+        assert!(record <= 48, "FactRecord grew to {record} B");
+        let payload = std::mem::size_of::<Payload>();
+        assert!(payload <= 96, "Payload grew to {payload} B");
+    }
+
     /// Every node of a deployment carries one `SensorlogNode` inline, so
     /// its size is multiplied by the grid (1,800 on the largest benchmark
     /// workload). State only some nodes have goes behind a pointer: the

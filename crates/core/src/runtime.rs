@@ -180,9 +180,9 @@ struct Owned {
 /// two counts kept in step with the map so no delta pays a walk of it.
 #[derive(Debug, Default)]
 struct OwnedTable {
-    entries: HashMap<(Symbol, Tuple), Owned>,
+    entries: IdHashMap<(Symbol, Tuple), Owned>,
     /// Entries per predicate.
-    per_pred: HashMap<Symbol, usize>,
+    per_pred: IdHashMap<Symbol, usize>,
     /// Derivation keys stored across all entries
     /// ([`SensorlogNode::derivation_count`] is the walk).
     derivations: usize,
@@ -387,7 +387,7 @@ pub struct SensorlogNode {
     /// Derived tuples this node owns (`DistProgram::owner_of`).
     owned: OwnedTable,
     /// Tuples this node generated (for delete-by-value at the source).
-    my_facts: HashMap<(Symbol, Tuple), TupleId>,
+    my_facts: IdHashMap<(Symbol, Tuple), TupleId>,
     /// Flood dedup (NaiveBroadcast storage). (Id-hashed like `timers`: the
     /// per-message maps whose keys are all process-minted ids. Never
     /// iterated.)
@@ -402,7 +402,7 @@ pub struct SensorlogNode {
     /// tuple id (fed EDB facts keep their source id; derived heads get a
     /// center-minted id). Empty unless this node is the center and the
     /// provenance plane is enabled.
-    center_ids: HashMap<(Symbol, Tuple), TupleId>,
+    center_ids: IdHashMap<(Symbol, Tuple), TupleId>,
     /// Sequence counter for center-minted provenance ids. Deliberately
     /// separate from `seq` (and offset into the top half of the range):
     /// provenance is a pure observer, so minting ids for the DAG must not
@@ -467,13 +467,13 @@ impl SensorlogNode {
             replicas: 0,
             expiries: BinaryHeap::new(),
             owned: OwnedTable::default(),
-            my_facts: HashMap::new(),
+            my_facts: IdHashMap::default(),
             flood_seen: IdHashSet::default(),
             timers: IdHashMap::default(),
             next_tag: 0,
             seq: 0,
             center_engine,
-            center_ids: HashMap::new(),
+            center_ids: IdHashMap::default(),
             center_seq: 0x8000_0000,
             stats: NodeStats::default(),
             peak_pred_stored: BTreeMap::new(),

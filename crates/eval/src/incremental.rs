@@ -37,7 +37,7 @@ use sensorlog_logic::analyze::{Analysis, ProgramClass};
 use sensorlog_logic::ast::Rule;
 use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::flat::FlatSubst;
-use sensorlog_logic::intern;
+use sensorlog_logic::intern::{self, IdHashMap, IdHashSet};
 use sensorlog_logic::unify::{match_term, Subst};
 use sensorlog_logic::{Symbol, Term, Tuple};
 use sensorlog_telemetry::Profiler;
@@ -277,7 +277,7 @@ pub struct IncrementalEngine<K: LedgerKey = Derivation> {
     pub reg: BuiltinRegistry,
     pub db: Database,
     windows: BTreeMap<Symbol, u64>,
-    derivs: HashMap<(Symbol, Tuple), Support<K>>,
+    derivs: IdHashMap<(Symbol, Tuple), Support<K>>,
     /// Entries across all of `derivs`, kept in step with it so the
     /// per-update peak needs no walk ([`Self::derivation_count`] audits it).
     deriv_entries: usize,
@@ -376,7 +376,7 @@ impl<K: LedgerKey> IncrementalEngine<K> {
             reg,
             db,
             windows,
-            derivs: HashMap::new(),
+            derivs: IdHashMap::default(),
             deriv_entries: 0,
             agg_groups: HashMap::new(),
             plans,
@@ -648,7 +648,7 @@ impl<K: LedgerKey> IncrementalEngine<K> {
         };
         let target = (pred, tuple.clone());
         let mut stack: Vec<(Symbol, Tuple)> = inputs_of(d);
-        let mut seen: std::collections::HashSet<(Symbol, Tuple)> = stack.iter().cloned().collect();
+        let mut seen: IdHashSet<(Symbol, Tuple)> = stack.iter().cloned().collect();
         while let Some(key) = stack.pop() {
             if key == target {
                 return true;

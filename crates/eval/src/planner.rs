@@ -39,8 +39,9 @@ use sensorlog_logic::ast::{Literal, Rule};
 use sensorlog_logic::boundness::{rule_signatures, RuleSignature};
 use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::flat::FlatSubst;
+use sensorlog_logic::intern::IdHashMap;
 use sensorlog_logic::{Symbol, Tuple};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The non-empty probe column sets of `rule`'s positive literals under one
 /// evaluation order's `plan`.
@@ -117,7 +118,7 @@ struct Occurrence {
 /// then literal, order.
 #[derive(Debug)]
 pub(crate) struct DeltaPlans {
-    by_pred: HashMap<Symbol, Vec<Occurrence>>,
+    by_pred: IdHashMap<Symbol, Vec<Occurrence>>,
 }
 
 impl DeltaPlans {
@@ -125,7 +126,7 @@ impl DeltaPlans {
     /// its evaluation orders probe ([`register_program_indexes`]) from the
     /// same pass over [`rule_signatures`] that yields the pinned orders.
     pub(crate) fn compile(analysis: &Analysis, db: &mut Database) -> DeltaPlans {
-        let mut by_pred: HashMap<Symbol, Vec<Occurrence>> = HashMap::new();
+        let mut by_pred: IdHashMap<Symbol, Vec<Occurrence>> = IdHashMap::default();
         for (rule, r) in analysis.program.rules.iter().enumerate() {
             for sig in rule_signatures(r, &analysis.xy) {
                 for (pred, cols) in probed(r, sig.plan) {

@@ -20,9 +20,10 @@ use crate::relation::{Database, TupleMeta};
 use sensorlog_logic::analyze::{Analysis, ProgramClass};
 use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::flat::{flat_match_args, FlatSubst};
+use sensorlog_logic::intern::IdHashSet;
 use sensorlog_logic::{Symbol, Tuple};
 use sensorlog_telemetry::Profiler;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use crate::incremental::{Update, UpdateKind};
 
@@ -194,7 +195,7 @@ impl RederiveEngine {
         let root = (u.pred, u.tuple);
         let mut overdeleted: Vec<(Symbol, Tuple)> = Vec::new();
         let mut frontier: VecDeque<(Symbol, Tuple)> = VecDeque::from([root.clone()]);
-        let mut seen: HashSet<(Symbol, Tuple)> = HashSet::from([root.clone()]);
+        let mut seen: IdHashSet<(Symbol, Tuple)> = IdHashSet::from_iter([root.clone()]);
         let mut steps = 0;
         while let Some((pred, tuple)) = frontier.pop_front() {
             steps += 1;

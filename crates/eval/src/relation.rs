@@ -733,12 +733,26 @@ mod tests {
                 vec![1, 0, 3, 0],
                 vec![2, 2, 3],
                 vec![1, 3, 2, 3],
+                vec![1, 2, 3, 4, 5],
+                vec![1, 9, 3, 4, 0],
+                vec![2, 2, 3, 7, 5],
+                vec![1, 2, 3, 4, 6],
+                vec![0, 2, 5, 4, 5],
             ]
             .map(tup),
         );
         r.register_index(&[0, 2]);
         assert_probes_equal_scans(&r, &[0, 2], true);
         assert_probes_equal_scans(&r, &[0, 3], false);
+        // Wider than a tuple holds inline: 5-ary rows' secondary keys, and
+        // probe keys of four and five columns, live on the heap.
+        r.register_index(&[1, 3, 4]);
+        assert_probes_equal_scans(&r, &[1, 3, 4], true);
+        assert_probes_equal_scans(&r, &[0, 1, 2, 3], true);
+        assert_probes_equal_scans(&r, &[0, 1, 2, 3, 4], true);
+        assert_probes_equal_scans(&r, &[2, 4], false);
+        r.register_index(&[1, 2, 3, 4]);
+        assert_probes_equal_scans(&r, &[1, 2, 3, 4], true);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! boolean (`close`, `is_parallel`).
 
 use crate::ast::CmpOp;
+use crate::intern::IdHashMap;
 use crate::symbol::Symbol;
 use crate::term::Term;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -45,8 +45,8 @@ pub type PredImpl = Arc<dyn Fn(&[Term]) -> Result<bool, BuiltinError> + Send + S
 /// Registry of procedural built-ins. Cloning is cheap (shared `Arc`s).
 #[derive(Clone, Default)]
 pub struct BuiltinRegistry {
-    funcs: HashMap<Symbol, FuncImpl>,
-    preds: HashMap<Symbol, PredImpl>,
+    funcs: IdHashMap<Symbol, FuncImpl>,
+    preds: IdHashMap<Symbol, PredImpl>,
 }
 
 impl fmt::Debug for BuiltinRegistry {

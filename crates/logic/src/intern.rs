@@ -212,7 +212,7 @@ fn next_id(pool: &Pool) -> usize {
 /// `0 <= n < SMALL_INTS`, so stage arithmetic interns without the lock and
 /// the pool never holds a row for one. Their entries are built when first
 /// read, a [`SMALL_INT_CHUNK`] at a time.
-const SMALL_INTS: i64 = 4096;
+pub(crate) const SMALL_INTS: i64 = 4096;
 
 /// Small-int ids whose entries [`entry`] publishes together on first read.
 const SMALL_INT_CHUNK: usize = 256;

@@ -268,10 +268,9 @@ impl fmt::Display for Term {
     }
 }
 
-/// Arguments stored inline before spilling to a shared heap allocation.
-/// Seven ids keep the inline variant at 32 bytes; the paper's programs top
-/// out at arity 4.
-const TUPLE_INLINE: usize = 7;
+/// Arguments stored inline before spilling to the heap. Three ids keep a
+/// tuple at two words (16 bytes); the shipped programs top out at arity 3.
+const TUPLE_INLINE: usize = 3;
 
 #[derive(Clone)]
 enum TupleRepr {
@@ -279,8 +278,12 @@ enum TupleRepr {
         len: u8,
         ids: [ConstId; TUPLE_INLINE],
     },
-    Heap(Arc<[ConstId]>),
+    /// Wider tuples, behind one thin pointer (the `Box` holds the length)
+    /// so that every tuple stays two words.
+    Heap(Arc<Box<[ConstId]>>),
 }
+
+const _: () = assert!(std::mem::size_of::<Tuple>() == 16);
 
 /// A ground tuple: the arguments of a fact, stored as a fixed-width array of
 /// interned constant ids (flat representation). Cheap to clone, compare and
@@ -321,7 +324,7 @@ impl Tuple {
                 .iter()
                 .map(|t| intern::intern_term(t).expect("non-ground fact"))
                 .collect();
-            Tuple(TupleRepr::Heap(v.into()))
+            Tuple(TupleRepr::Heap(Arc::new(v.into_boxed_slice())))
         }
     }
 
@@ -330,7 +333,7 @@ impl Tuple {
         if ids.len() <= TUPLE_INLINE {
             Tuple::from_slice(&ids)
         } else {
-            Tuple(TupleRepr::Heap(ids.into()))
+            Tuple(TupleRepr::Heap(Arc::new(ids.into_boxed_slice())))
         }
     }
 
@@ -345,7 +348,7 @@ impl Tuple {
                 ids: inline,
             })
         } else {
-            Tuple(TupleRepr::Heap(ids.into()))
+            Tuple(TupleRepr::Heap(Arc::new(ids.into())))
         }
     }
 
@@ -514,6 +517,67 @@ mod tests {
         let b = Tuple::new(vec![Term::Int(1), Term::atom("b")]);
         assert!(a < b);
         assert_eq!(a.to_string(), "(1, a)");
+    }
+
+    /// Inline (arity ≤ 3) and heap tuples are one type to every reader: the
+    /// three constructors agree on ids, equality, hash and byte size, and
+    /// value order is the order of the materialized terms at every arity —
+    /// for small ints on both sides of the pool's boundary and for the ids
+    /// it mints (strings, floats, negative and large ints).
+    #[test]
+    fn inline_and_heap_tuples_agree() {
+        use std::hash::{BuildHasher, RandomState};
+        let small = intern::SMALL_INTS;
+        let vals = [
+            Term::Int(0),
+            Term::Int(7),
+            Term::Int(small - 1),
+            Term::Int(small),
+            Term::Int(small * 25),
+            Term::Int(-3),
+            Term::float(2.5),
+            Term::float(-0.5),
+            Term::str("s"),
+            Term::atom("a"),
+        ];
+        let hasher = RandomState::new();
+        let mut tuples = Vec::new();
+        for arity in 0..=9 {
+            for shift in 0..vals.len() {
+                let terms: Vec<Term> = (0..arity)
+                    .map(|i| vals[(shift + 3 * i) % vals.len()].clone())
+                    .collect();
+                let t = Tuple::new(terms.clone());
+                let ids = t.ids().to_vec();
+                assert_eq!(ids.len(), arity);
+                let bytes = terms.iter().map(Term::byte_size).sum::<usize>();
+                assert_eq!(t.byte_size(), bytes, "{t}");
+                for other in [Tuple::from_ids(ids.clone()), Tuple::from_slice(&ids)] {
+                    assert_eq!(other.ids(), &ids[..]);
+                    assert_eq!(other, t);
+                    assert_eq!(other.cmp(&t), Ordering::Equal);
+                    assert_eq!(hasher.hash_one(&other), hasher.hash_one(&t));
+                    assert_eq!(other.byte_size(), bytes);
+                }
+                assert_eq!(intern::boundary(|| t.terms()), terms);
+                tuples.push((t, terms));
+            }
+        }
+        for (a, a_terms) in &tuples {
+            for (b, b_terms) in &tuples {
+                assert_eq!(a.cmp(b), a_terms.cmp(b_terms), "{a} vs {b}");
+                assert_eq!(a == b, a_terms == b_terms, "{a} vs {b}");
+            }
+        }
+
+        // A tuple sorts before its extensions, inline or not.
+        let three = Tuple::new(vec![Term::Int(small), Term::str("s"), Term::Int(-3)]);
+        let mut ids = three.ids().to_vec();
+        ids.push(0);
+        let four = Tuple::from_ids(ids);
+        assert_eq!(three.cmp(&four), Ordering::Less);
+        assert_eq!(four.cmp(&three), Ordering::Greater);
+        assert_eq!(four.ids()[..3], three.ids()[..]);
     }
 
     #[test]
