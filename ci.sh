@@ -136,10 +136,17 @@ fi
 # `absint::frontier` keeps the paper's `S·Σ` bound as `Frontier::paper`,
 # where `diag::memory_bounds` walked the same SCCs a second time. One JSONL
 # line codec: `telemetry::jsonl`, where `netsim` and `core` each kept a
-# drifted copy, and `diag` and `bench` each a JSON string escaper.
-echo "== one ledger in eval (no counting engine, lineage log or owned inputs; one bound walk; one JSONL codec) =="
+# drifted copy, and `diag` and `bench` each a JSON string escaper. One
+# traffic model: `absint::comm_envelopes`, whose rows `cost.comm-estimate`
+# prints; earlier trees also labelled each rule local / neighbor-broadcast /
+# tree-routed, a plane no runtime path reads, priced it with unchecked walk
+# factors, and suggested a rule split that added traffic.
+echo "== one ledger in eval (no counting engine, lineage log or owned inputs; one bound walk; one JSONL codec; one traffic model) =="
 if grep -rn 'CountingEngine\|LineageLog\|record_lineage\|run_with_lineage\|owned_inputs\|memory_bounds' crates src tests; then
     echo "a second ledger, lineage copy or bound walk is back: use IncrementalEngine::counting / take_firings / Frontier::paper"; exit 1
+fi
+if grep -rn 'comm_planes\|rule_plane\|split_suggestion\|comm_costs\|CommCost\|comm\.widen\|comm\.plane' crates src tests; then
+    echo "a second traffic model is back: report xy::placement / xy::neighbourhood and absint::comm_envelopes rows"; exit 1
 fi
 if [[ $(grep -rn 'fn field_raw' crates src | wc -l) -ne 1 ]]; then
     grep -rn 'fn field_raw' crates src
@@ -220,10 +227,8 @@ if [[ "$fast" -eq 0 ]]; then
 
     # Static analyzer gate: every example program must pass `sensorlog
     # check` with zero errors and zero warnings (bounds derivable, no
-    # cartesian joins, no dead rules, windows declared) — including the
-    # cost lints (`comm.widen`, `cost.holddown-implicit`) introduced by
-    # the frontier-width pass.
-    echo "== sensorlog check (examples, deny warnings incl. cost lints) =="
+    # cartesian joins, no stage rescans, no dead rules, windows declared).
+    echo "== sensorlog check (examples, deny warnings) =="
     for f in examples/programs/*.dl; do
         cargo run -q --release --bin sensorlog -- check "$f" --deny-warnings
     done

@@ -327,9 +327,7 @@ pub fn compile(
         holddown.insert(p, timing.holddown_base);
     }
     for info in &analysis.xy {
-        for (i, &p) in info.stage_order.iter().enumerate() {
-            holddown.insert(p, timing.holddown_base + i as u64 * timing.xy_stagger);
-        }
+        holddown.extend(info.holddowns(timing.holddown_base, timing.xy_stagger));
     }
     // `.holddown` declarations override the computed defaults.
     for (&p, &ms) in &analysis.program.holddowns {

@@ -31,10 +31,11 @@
 //!   invention (e.g. pair-swapping over a windowed stream) that the paper's
 //!   bound reports as `Unbounded`. Divergent depth (counters, growing
 //!   lists) still widens to top and stays `Unbounded`.
-//! * **Communication costs.** The same per-predicate widths scale into
-//!   per-plane message estimates and per-message-kind envelopes that
-//!   `sensorlog` cross-checks against the simulator's tx counters; a probe
-//!   is charged the passes its `boundness::pass_plan` walks.
+//! * **Message envelopes.** [`comm_envelopes`] scales the same bounds into
+//!   one row per predicate — its `store`, `probe` and `result` messages —
+//!   whose sums are the per-kind envelopes the run-time check holds the
+//!   simulator's tx counters to; a probe is charged the passes its
+//!   `boundness::pass_plan` walks.
 //!
 //! The same SCC walk also keeps the paper's own bound, [`Frontier::paper`]:
 //! Σ of anchor products for a non-recursive predicate, `S ×` Σ of the
@@ -52,7 +53,7 @@ use crate::analyze::Analysis;
 use crate::ast::{Atom, Literal, Program, Rule};
 use crate::boundness::pass_plan;
 use crate::depgraph::DepGraph;
-use crate::diag::{comm_planes, BoundExpr, BoundParams, Plane};
+use crate::diag::{BoundExpr, BoundParams};
 use crate::symbol::Symbol;
 use crate::term::Term;
 use crate::unify::Subst;
@@ -66,15 +67,6 @@ pub const DEPTH_CAP: u32 = 4;
 /// the per-column width so formulas stay evaluable.
 pub const LEAF_CAP: u32 = 12;
 
-/// Per-predicate communication-cost estimate.
-#[derive(Clone, Debug)]
-pub struct CommCost {
-    /// Plane class the predicate's rules evaluate on.
-    pub plane: Plane,
-    /// Estimated total messages attributable to the predicate over a run.
-    pub msgs: BoundExpr,
-}
-
 /// Whole-run message envelopes per observable message kind, comparable to
 /// the simulator's `tx_by_kind()` counters.
 #[derive(Clone, Debug)]
@@ -87,6 +79,23 @@ pub struct CommEnvelopes {
     pub result: BoundExpr,
     /// Base readings routed to a collection point (`centroid` kind).
     pub centroid: BoundExpr,
+    /// One row per predicate, base predicates first: `store`, `probe` and
+    /// `result` are the sums of their rows' fields.
+    pub rows: Vec<(Symbol, CommRow)>,
+}
+
+/// One predicate's share of the [`CommEnvelopes`]. A declared base
+/// predicate that rules also derive is charged as a stream and as a
+/// derived predicate, so its `store` and `probe` hold both terms.
+#[derive(Clone, Debug)]
+pub struct CommRow {
+    /// Placement walks of its tuple transitions.
+    pub store: BoundExpr,
+    /// Column walks of the probes its positive occurrences pin (`None`
+    /// when no rule reads it).
+    pub probe: Option<BoundExpr>,
+    /// Deltas of its firings (`None` for a predicate no rule derives).
+    pub result: Option<BoundExpr>,
 }
 
 /// Result of the frontier-width pass.
@@ -99,8 +108,6 @@ pub struct Frontier {
     /// the paper bounds of its dependencies: the reference `bounds` never
     /// exceeds.
     pub paper: BTreeMap<Symbol, BoundExpr>,
-    /// Per-predicate communication estimate.
-    pub comm: BTreeMap<Symbol, CommCost>,
     /// Rule ids proved to fire at most once per anchor grounding.
     pub guarded_rules: BTreeSet<usize>,
     /// `μ(p)`: number of stages at which a fixed guard-column grounding of
@@ -244,7 +251,6 @@ pub fn frontier(analysis: &Analysis) -> Frontier {
         }
     }
 
-    fr.comm = comm_costs(analysis, &bounds);
     fr.bounds = bounds;
     fr
 }
@@ -1016,19 +1022,8 @@ fn col_width(prog: &Program, abs: &ColAbs, scc_rule_count: u64) -> BoundExpr {
 }
 
 // ---------------------------------------------------------------------------
-// Communication costs
+// Message envelopes
 // ---------------------------------------------------------------------------
-
-/// Positive body occurrences per predicate (probe fan-out drivers).
-fn body_occurrences(prog: &Program) -> BTreeMap<Symbol, u64> {
-    let mut occ: BTreeMap<Symbol, u64> = BTreeMap::new();
-    for r in &prog.rules {
-        for a in r.positive_atoms() {
-            *occ.entry(a.pred).or_insert(0) += 1;
-        }
-    }
-    occ
-}
 
 /// Column walks per predicate's probes: each positive occurrence charged
 /// the passes its [`pass_plan`] walks (at least one) — what a node probe
@@ -1056,33 +1051,8 @@ fn firing_bound(prog: &Program, p: Symbol, bounds: &BTreeMap<Symbol, BoundExpr>)
     sum_expr(terms)
 }
 
-fn comm_costs(
-    analysis: &Analysis,
-    bounds: &BTreeMap<Symbol, BoundExpr>,
-) -> BTreeMap<Symbol, CommCost> {
-    let prog = &analysis.program;
-    let planes = comm_planes(analysis);
-    let occ = body_occurrences(prog);
-    let mut out: BTreeMap<Symbol, CommCost> = BTreeMap::new();
-    for (&p, &plane) in &planes {
-        let t = bounds.get(&p).cloned().unwrap_or(BoundExpr::Unbounded);
-        let walk: u64 = match plane {
-            Plane::Local => 2,
-            Plane::NeighborBroadcast => 4,
-            Plane::TreeRouted => 8,
-        };
-        let o = occ.get(&p).copied().unwrap_or(0);
-        let msgs = prod_expr(vec![
-            BoundExpr::Const(2 * (walk + 2 * o)),
-            t,
-            BoundExpr::Nodes,
-        ]);
-        out.insert(p, CommCost { plane, msgs });
-    }
-    out
-}
-
-/// Whole-run per-kind message envelopes for the simulator cross-check.
+/// Whole-run per-kind message envelopes for the simulator cross-check,
+/// summed from one [`CommRow`] per predicate.
 pub fn comm_envelopes(analysis: &Analysis, bounds: &BTreeMap<Symbol, BoundExpr>) -> CommEnvelopes {
     let prog = &analysis.program;
     let edb = prog.edb_preds();
@@ -1097,44 +1067,32 @@ pub fn comm_envelopes(analysis: &Analysis, bounds: &BTreeMap<Symbol, BoundExpr>)
             firing_bound(prog, p, bounds)
         }
     };
-    let mut store: Vec<BoundExpr> = Vec::new();
-    let mut probe: Vec<BoundExpr> = Vec::new();
-    let mut result: Vec<BoundExpr> = Vec::new();
-    let mut centroid: Vec<BoundExpr> = Vec::new();
-    for &p in edb.iter().chain(idb.iter()) {
-        store.push(prod_expr(vec![
-            BoundExpr::Const(4),
-            driver(p),
-            BoundExpr::Nodes,
-        ]));
-        let walks = passes.get(&p).copied().unwrap_or(0);
-        if walks > 0 {
-            probe.push(prod_expr(vec![
-                BoundExpr::Const(4 * walks),
-                driver(p),
-                BoundExpr::Nodes,
-            ]));
-        }
-    }
-    for &p in &idb {
-        result.push(prod_expr(vec![
-            BoundExpr::Const(8),
-            firing_bound(prog, p, bounds),
-            BoundExpr::Nodes,
-        ]));
-    }
-    for &p in &edb {
-        centroid.push(prod_expr(vec![
-            BoundExpr::Const(2),
-            BoundExpr::Events(p),
-            BoundExpr::Nodes,
-        ]));
-    }
+    let per_node = |k: u64, e: BoundExpr| prod_expr(vec![BoundExpr::Const(k), e, BoundExpr::Nodes]);
+    let rows: Vec<(Symbol, CommRow)> = (edb.iter().chain(idb.difference(&edb)))
+        .map(|&p| {
+            let walks = passes.get(&p).copied().unwrap_or(0);
+            let roles = 1 + usize::from(edb.contains(&p) && idb.contains(&p));
+            let share = |k: u64| sum_expr(vec![per_node(k, driver(p)); roles]);
+            let row = CommRow {
+                store: share(4),
+                probe: (walks > 0).then(|| share(4 * walks)),
+                result: idb
+                    .contains(&p)
+                    .then(|| per_node(8, firing_bound(prog, p, bounds))),
+            };
+            (p, row)
+        })
+        .collect();
     CommEnvelopes {
-        store: sum_expr(store),
-        probe: sum_expr(probe),
-        result: sum_expr(result),
-        centroid: sum_expr(centroid),
+        store: sum_expr(rows.iter().map(|(_, r)| r.store.clone()).collect()),
+        probe: sum_expr(rows.iter().filter_map(|(_, r)| r.probe.clone()).collect()),
+        result: sum_expr(rows.iter().filter_map(|(_, r)| r.result.clone()).collect()),
+        centroid: sum_expr(
+            edb.iter()
+                .map(|&p| per_node(2, BoundExpr::Events(p)))
+                .collect(),
+        ),
+        rows,
     }
 }
 
@@ -1379,17 +1337,56 @@ mod tests {
         assert_eq!(f.paper[&sym("t")].eval(&p), Some(400));
     }
 
+    /// Each per-kind envelope is the sum of its predicate rows, one row per
+    /// predicate, and every row grows with the network: on logicH, logicJ,
+    /// battlefield, a two-level join and a declared base predicate that a
+    /// rule also derives, at 4 and 100 nodes.
     #[test]
-    fn comm_costs_cover_every_pred_and_scale_with_nodes() {
-        let f = fr(LOGIC_J);
-        for pred in ["g", "j", "jp"] {
-            let c = &f.comm[&sym(pred)];
-            let small = c.msgs.eval(&params(10, 100)).unwrap();
-            let big = c.msgs.eval(&params(100, 100)).unwrap();
-            assert!(big > small, "{pred} estimate should scale with N");
+    fn envelope_rows_sum_to_the_totals_and_grow_with_nodes() {
+        let battlefield = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../examples/programs/battlefield.dl"
+        );
+        let battlefield = std::fs::read_to_string(battlefield).unwrap();
+        let two_level = ".base a. .base b. .base c.\n.output big.\n\
+                         mid(X, Y) :- a(X, K), b(K, Y).\nbig(X, Z) :- mid(X, Y), c(Y, Z).";
+        let base_and_derived = ".base h.\n.output q.\nh(X) :- e(X).\nq(X) :- h(X), e(X).";
+        for src in [LOGIC_H, LOGIC_J, &battlefield, two_level, base_and_derived] {
+            let analysis = analyze(&parse_program(src).unwrap(), &BuiltinRegistry::standard());
+            let analysis = analysis.unwrap();
+            let env = comm_envelopes(&analysis, &frontier(&analysis).bounds);
+            let preds: Vec<Symbol> = env.rows.iter().map(|(p, _)| *p).collect();
+            let all: BTreeSet<Symbol> = preds.iter().copied().collect();
+            assert_eq!(
+                preds.len(),
+                all.len(),
+                "a predicate has two rows: {preds:?}"
+            );
+            assert_eq!(all, analysis.program.all_preds());
+            fn fields(r: &CommRow) -> [Option<&BoundExpr>; 3] {
+                [Some(&r.store), r.probe.as_ref(), r.result.as_ref()]
+            }
+            for nodes in [4, 100] {
+                let p = params(nodes, 50);
+                for (k, total) in [&env.store, &env.probe, &env.result]
+                    .into_iter()
+                    .enumerate()
+                {
+                    let terms = env.rows.iter().filter_map(|(_, r)| fields(r)[k]);
+                    let sum = terms.map(|e| e.eval(&p).unwrap()).sum::<u64>();
+                    assert_eq!(Some(sum), total.eval(&p), "{total}");
+                }
+            }
+            for (pred, row) in &env.rows {
+                for e in fields(row).into_iter().flatten() {
+                    let (small, big) = (e.eval(&params(4, 50)), e.eval(&params(100, 50)));
+                    assert!(
+                        big > small,
+                        "{pred}: {e} = {small:?} at 4 nodes, {big:?} at 100"
+                    );
+                }
+            }
         }
-        assert_eq!(f.comm[&sym("g")].plane, Plane::Local);
-        assert_eq!(f.comm[&sym("j")].plane, Plane::NeighborBroadcast);
     }
 
     #[test]
@@ -1437,7 +1434,6 @@ mod tests {
         // logicH: each of `hp`'s two `h` pins walks two passes.
         let prog = parse_program(LOGIC_H).unwrap();
         assert_eq!(probe_passes(&prog)[&sym("h")], 5);
-        assert_eq!(body_occurrences(&prog)[&sym("h")], 3);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Whole-program static analysis: memory bounds, plan lints, and
-//! communication-plane classification (`sensorlog check`).
+//! Whole-program static analysis: memory bounds, plan lints, placement and
+//! message envelopes (`sensorlog check`).
 //!
 //! Runs after [`crate::analyze`] and emits structured, span-carrying
 //! [`Diagnostic`]s plus a static model of the program:
@@ -17,23 +17,25 @@
 //!    declared `.output`. The boundness signatures come from
 //!    [`crate::boundness`], the same analysis `eval::planner` derives its
 //!    index signatures from.
-//! 3. **Communication planes**: each rule is statically labeled
-//!    local / neighbor-broadcast / tree-routed (the paper's PA/GPA plan
-//!    split), and rules that widen the plane of an already tree-routed
-//!    predicate are flagged.
+//! 3. **Placement**: the predicates owned by the node a column names
+//!    ([`crate::xy::placement`]) and those on the neighbourhood plane
+//!    ([`crate::xy::neighbourhood`]) — the functions the planner places
+//!    tuples by.
+//! 4. **Message envelopes**: each derived predicate's row of
+//!    [`crate::absint::comm_envelopes`], the per-kind traffic bound the
+//!    run-time check holds a deployment to.
 //!
 //! Diagnostic codes are stable strings (`mem.bound`, `plan.cartesian-join`,
 //! …) so golden tests and CI can pin them; see DESIGN.md for the full table.
 
 use crate::analyze::{analyze, Analysis, AnalyzeError};
-use crate::ast::{Literal, Program, Rule};
+use crate::ast::{Literal, Program};
 use crate::boundness::RuleSignature;
 use crate::builtin::BuiltinRegistry;
 use crate::depgraph::DepGraph;
 use crate::parser::parse_program;
 use crate::span::Span;
 use crate::symbol::Symbol;
-use crate::term::Term;
 use crate::xy::{DEFAULT_HOLDDOWN_BASE_MS, DEFAULT_XY_STAGGER_MS};
 use sensorlog_telemetry::jsonl::escape;
 use std::collections::{BTreeMap, BTreeSet};
@@ -115,8 +117,8 @@ pub enum BoundExpr {
     /// `S`: the XY stage count; bounded by `nodes + 1` for the paper's
     /// distance-staged programs (a shortest path visits each node once).
     Stages,
-    /// `N`: the network size, used by communication-cost estimates (a
-    /// routed hop count never exceeds the node count).
+    /// `N`: the network size, used by the message envelopes (a routed hop
+    /// count never exceeds the node count).
     Nodes,
     Sum(Vec<BoundExpr>),
     Prod(Vec<BoundExpr>),
@@ -212,27 +214,6 @@ impl Default for BoundParams {
     }
 }
 
-/// Static communication plane of a rule or predicate, ordered by width.
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub enum Plane {
-    /// Evaluable on the node holding the triggering tuple.
-    Local,
-    /// XY-staged recursion: each stage floods one hop (paper's logicH).
-    NeighborBroadcast,
-    /// Multi-way join: fragments must be routed to a join point (GPA).
-    TreeRouted,
-}
-
-impl Plane {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Plane::Local => "local",
-            Plane::NeighborBroadcast => "neighbor-broadcast",
-            Plane::TreeRouted => "tree-routed",
-        }
-    }
-}
-
 /// A predicate's static memory bound: the symbolic formula plus its value
 /// under the report's parameters (`None` = unbounded).
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -247,8 +228,6 @@ pub struct Report {
     pub diags: Vec<Diagnostic>,
     /// Whole-network distinct-tuple bound per predicate.
     pub bounds: BTreeMap<Symbol, PredBound>,
-    /// Communication plane per predicate (widest over its rules).
-    pub planes: BTreeMap<Symbol, Plane>,
     /// Owner column of each placed predicate (`xy::placement`): its tuples
     /// are owned by the node that column names.
     pub placement: BTreeMap<Symbol, usize>,
@@ -361,20 +340,6 @@ impl Report {
             ));
         }
         if !self.bounds.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("},\n  \"planes\": {");
-        for (i, (p, plane)) in self.planes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n    {}: {}",
-                escape(p.as_str()),
-                escape(plane.as_str())
-            ));
-        }
-        if !self.planes.is_empty() {
             s.push_str("\n  ");
         }
         s.push_str("},\n  \"placement\": {");
@@ -785,20 +750,7 @@ pub fn check_analysis(analysis: &Analysis, params: &BoundParams) -> Report {
         }
     }
 
-    // Pass 3: communication planes.
-    let planes = comm_planes(analysis);
-    for (p, plane) in &planes {
-        if idb.contains(p) {
-            rep.push(
-                "comm.plane",
-                Severity::Info,
-                None,
-                Some(*p),
-                def_span(prog, *p),
-                format!("predicate `{p}` evaluates on the {} plane", plane.as_str()),
-            );
-        }
-    }
+    // Pass 3: placement.
     let placement = crate::xy::placement(prog, &analysis.xy);
     for (&p, &col) in &placement {
         rep.push(
@@ -836,45 +788,18 @@ pub fn check_analysis(analysis: &Analysis, params: &BoundParams) -> Report {
     }
     rep.placement = placement;
     rep.neighbourhood = neighbourhood;
-    for rule in &prog.rules {
-        if rule_plane(analysis, rule) == Plane::TreeRouted {
-            for (i, lit) in rule.body.iter().enumerate() {
-                if let Literal::Pos(a) = lit {
-                    if idb.contains(&a.pred) && planes.get(&a.pred) == Some(&Plane::TreeRouted) {
-                        let suggestions = split_suggestion(prog, rule, i)
-                            .into_iter()
-                            .collect::<Vec<_>>();
-                        let detail = match suggestions.first() {
-                            Some(s) => {
-                                let aux = s.replacement.lines().next().unwrap_or("").to_string();
-                                format!(" — split the join at `{}` via `{aux}`", a.pred)
-                            }
-                            None => " (consider staging or localizing)".to_string(),
-                        };
-                        rep.push_sugg(
-                            "comm.widen",
-                            Severity::Warning,
-                            Some(rule.id),
-                            Some(a.pred),
-                            rule.spans.lit(i),
-                            format!(
-                                "rule #{}: tree-routed join consumes already tree-routed `{}` — \
-                                 communication plane widens{detail}",
-                                rule.id, a.pred
-                            ),
-                            suggestions,
-                        );
-                    }
-                }
-            }
-        }
-    }
 
-    // Pass 4: communication-cost lints from the frontier pass.
-    for (p, cost) in &fr.comm {
-        if !idb.contains(p) {
-            continue;
-        }
+    // Pass 4: each derived predicate's row of the message envelopes.
+    let env = crate::absint::comm_envelopes(analysis, &fr.bounds);
+    for (p, row) in env.rows.iter().filter(|(_, row)| row.result.is_some()) {
+        let kinds = [
+            ("store", Some(&row.store)),
+            ("probe", row.probe.as_ref()),
+            ("result", row.result.as_ref()),
+        ];
+        let terms: Vec<String> = (kinds.into_iter())
+            .filter_map(|(kind, e)| Some(format!("{kind} {} = {}", e?, show(e?.eval(params)))))
+            .collect();
         rep.push(
             "cost.comm-estimate",
             Severity::Info,
@@ -882,10 +807,8 @@ pub fn check_analysis(analysis: &Analysis, params: &BoundParams) -> Report {
             Some(*p),
             def_span(prog, *p),
             format!(
-                "estimated messages attributable to `{p}` ({} plane): {} = {}",
-                cost.plane.as_str(),
-                cost.msgs,
-                show(cost.msgs.eval(params))
+                "message envelope row for `{p}` (checked per kind at run time): {}",
+                terms.join("; ")
             ),
         );
     }
@@ -893,11 +816,10 @@ pub fn check_analysis(analysis: &Analysis, params: &BoundParams) -> Report {
     // undeclared hold-down means the planner default applies silently.
     // Suggest declaring the default explicitly (behavior-neutral).
     for info in &analysis.xy {
-        for (i, &p) in info.stage_order.iter().enumerate() {
+        for (p, default_ms) in info.holddowns(DEFAULT_HOLDDOWN_BASE_MS, DEFAULT_XY_STAGGER_MS) {
             if prog.holddowns.contains_key(&p) || !idb.contains(&p) {
                 continue;
             }
-            let default_ms = DEFAULT_HOLDDOWN_BASE_MS + i as u64 * DEFAULT_XY_STAGGER_MS;
             rep.push_sugg(
                 "cost.holddown-implicit",
                 Severity::Info,
@@ -917,107 +839,7 @@ pub fn check_analysis(analysis: &Analysis, params: &BoundParams) -> Report {
             );
         }
     }
-    rep.planes = planes;
     rep
-}
-
-/// Build the machine-applicable rewrite for a widening join: hoist body
-/// literal `i` of `rule` into a fresh single-subgoal (local-plane) helper
-/// rule, projecting only the columns the rest of the rule consumes, and
-/// replace the subgoal with the helper. Returns `None` when the rule
-/// aggregates or the subgoal shares no variables with the rest of the rule
-/// (splitting would not help).
-fn split_suggestion(prog: &Program, rule: &Rule, i: usize) -> Option<Suggestion> {
-    use crate::ast::Atom;
-    if rule.agg.is_some() || !rule.spans.rule.is_known() {
-        return None;
-    }
-    let Literal::Pos(a) = &rule.body[i] else {
-        return None;
-    };
-    // Fresh helper name.
-    let all = prog.all_preds();
-    let mut name = format!("{}_local", a.pred);
-    let mut n = 1;
-    while all.contains(&Symbol::intern(&name)) {
-        n += 1;
-        name = format!("{}_local{n}", a.pred);
-    }
-    // Keep the subgoal columns the rest of the rule (head or other
-    // literals) actually consumes, in first-occurrence order.
-    let mut outside: BTreeSet<Symbol> = rule.head.vars().into_iter().collect();
-    for (j, l) in rule.body.iter().enumerate() {
-        if j != i {
-            let mut vs = Vec::new();
-            l.collect_vars(&mut vs);
-            outside.extend(vs);
-        }
-    }
-    let mut keep: Vec<Symbol> = Vec::new();
-    for v in a.vars() {
-        if outside.contains(&v) && !keep.contains(&v) {
-            keep.push(v);
-        }
-    }
-    if keep.is_empty() {
-        return None;
-    }
-    let aux_atom = Atom::new(&name, keep.iter().map(|v| Term::Var(*v)).collect());
-    let aux_rule = Rule {
-        id: 0,
-        head: aux_atom.clone(),
-        body: vec![Literal::Pos(a.clone())],
-        agg: None,
-        spans: Default::default(),
-    };
-    let mut rewritten = rule.clone();
-    rewritten.body[i] = Literal::Pos(aux_atom);
-    Some(Suggestion {
-        span: rule.spans.rule,
-        replacement: format!("{aux_rule}\n{rewritten}"),
-        note: format!(
-            "hoist `{}` into local-plane helper `{name}` so the join consumes it locally",
-            a.pred
-        ),
-        machine_applicable: true,
-    })
-}
-
-/// Static plane of one rule: XY-staged heads flood one hop per stage;
-/// multi-way joins route fragments to a join point; everything else is
-/// local to the node holding the triggering tuple.
-pub fn rule_plane(analysis: &Analysis, rule: &Rule) -> Plane {
-    let in_xy = analysis
-        .xy
-        .iter()
-        .any(|info| info.scc.contains(&rule.head.pred));
-    if in_xy {
-        return Plane::NeighborBroadcast;
-    }
-    let positives = rule.body.iter().filter(|l| l.is_positive_rel()).count();
-    if positives >= 2 {
-        Plane::TreeRouted
-    } else {
-        Plane::Local
-    }
-}
-
-/// Plane per predicate: the widest plane over its rules; base predicates
-/// are local (they are stored where sensed).
-pub fn comm_planes(analysis: &Analysis) -> BTreeMap<Symbol, Plane> {
-    let prog = &analysis.program;
-    let mut out: BTreeMap<Symbol, Plane> = BTreeMap::new();
-    for p in prog.edb_preds() {
-        out.insert(p, Plane::Local);
-    }
-    for rule in &prog.rules {
-        let plane = rule_plane(analysis, rule);
-        let e = out.entry(rule.head.pred).or_insert(Plane::Local);
-        if plane > *e {
-            *e = plane;
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1123,25 +945,13 @@ mod tests {
     }
 
     #[test]
-    fn planes_classified() {
-        let prog = parse_program(LOGIC_H).unwrap();
-        let analysis = analyze(&prog, &reg()).unwrap();
-        let planes = comm_planes(&analysis);
-        assert_eq!(planes[&sym("h")], Plane::NeighborBroadcast);
-        assert_eq!(planes[&sym("g")], Plane::Local);
-        let join = parse_program(".base p.\n.base q.\nr(X) :- p(X, Y), q(Y, X).").unwrap();
-        let a2 = analyze(&join, &reg()).unwrap();
-        assert_eq!(comm_planes(&a2)[&sym("r")], Plane::TreeRouted);
-    }
-
-    #[test]
     fn json_is_valid_and_stable() {
         let rep = check_source(LOGIC_H, &reg(), &BoundParams::default());
         let j1 = rep.to_json();
         let rep2 = check_source(LOGIC_H, &reg(), &BoundParams::default());
         assert_eq!(j1, rep2.to_json());
         assert!(j1.contains("\"bounds\""));
-        assert!(j1.contains("\"planes\""));
+        assert!(j1.contains("\"neighbourhood\""));
         // Quotes/newlines escape cleanly.
         assert_eq!(escape("a\"b\nc"), "\"a\\\"b\\nc\"");
     }

@@ -10,7 +10,7 @@
 //! * [`term`] / [`ast`] — terms with function symbols & list sugar, rules,
 //!   programs with `.window`/`.output`/`.base`/`.stage` directives;
 //! * [`parser`] — the concrete syntax;
-//! * [`unify`] — matching and unification (the term-matching operator);
+//! * [`unify`] — substitutions and matching (the term-matching operator);
 //! * [`builtin`] — procedural built-in predicates and functions;
 //! * [`safety`] — rule safety (footnote 3);
 //! * [`depgraph`] / [`stratify`] — dependency graph and stratification;

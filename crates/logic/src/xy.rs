@@ -172,6 +172,19 @@ impl XyInfo {
             StageExpr::Const(_) => None,
         }
     }
+
+    /// The holddown (ms) each predicate of [`XyInfo::stage_order`] gets
+    /// before any `.holddown` declaration: `base_ms`, plus `stagger_ms` per
+    /// step of the order, so a stage's retractors settle before the tuples
+    /// they block. The planner passes its timing; `diag` the defaults.
+    pub fn holddowns(
+        &self,
+        base_ms: u64,
+        stagger_ms: u64,
+    ) -> impl Iterator<Item = (Symbol, u64)> + '_ {
+        (self.stage_order.iter().enumerate())
+            .map(move |(i, &p)| (p, base_ms + i as u64 * stagger_ms))
+    }
 }
 
 /// Why the XY check failed.

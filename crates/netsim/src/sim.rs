@@ -531,10 +531,6 @@ impl<A: App> Simulator<A> {
         &self.apps[id.index()]
     }
 
-    pub fn node_mut(&mut self, id: NodeId) -> &mut A {
-        &mut self.apps[id.index()]
-    }
-
     pub fn nodes(&self) -> impl Iterator<Item = &A> {
         self.apps.iter()
     }
@@ -586,16 +582,6 @@ impl<A: App> Simulator<A> {
     /// manually — the "fault plane active" flag checks key off.
     pub fn faults_injected(&self) -> bool {
         !self.faults.is_empty() || self.failed.iter().any(|&f| f)
-    }
-
-    /// Faults not yet applied (scheduled beyond the time drained so far).
-    pub fn pending_faults(&self) -> usize {
-        self.faults.len() - self.fault_cursor
-    }
-
-    /// Current link-level fault condition (read-only).
-    pub fn link_state(&self) -> &LinkState {
-        &self.links
     }
 
     /// Apply every fault scheduled at exactly `t`, advancing `now` to `t`.

@@ -7,17 +7,18 @@
 //! sensorlog check <program.dl> [--format text|json] [--deny-warnings]
 //!         [--nodes <n>] [--events <n>]
 //!     Static analysis: per-predicate memory bounds, plan lints
-//!     (cartesian joins, dead code, multi-pass negation) and
-//!     communication-plane classification, as span-carrying diagnostics.
+//!     (cartesian joins, dead code, multi-pass negation), owner placement,
+//!     the neighbourhood plane and each derived predicate's row of the
+//!     message envelopes, as span-carrying diagnostics.
 //!     --format json emits the machine-readable report; --deny-warnings
 //!     exits non-zero on warnings; --nodes/--events set the topology and
 //!     workload parameters the bound formulas are evaluated against.
 //!
 //! sensorlog fix <program.dl> [--dry-run] [--nodes <n>] [--events <n>]
 //!     Apply every machine-applicable suggestion from `check` (missing
-//!     `.window`/`.holddown` declarations, widening-join splits) to the
-//!     program in place, re-checking until a fixpoint. --dry-run reports
-//!     pending fixes without touching the file and exits 2 if any remain.
+//!     `.window`/`.holddown` declarations) to the program in place,
+//!     re-checking until a fixpoint. --dry-run reports pending fixes
+//!     without touching the file and exits 2 if any remain.
 //!
 //! sensorlog run <program.dl> [--facts <facts.dl>] [--output <pred>]
 //!     Centralized bottom-up evaluation over a fact file.
@@ -104,8 +105,8 @@ const FIX_USAGE: &str = "usage: sensorlog fix <program.dl> [options]
   --nodes <n>          topology size for the bound formulas
   --events <n>         per-predicate workload size for the bound formulas
   Applies every machine-applicable suggestion from `sensorlog check`
-  (missing `.window`/`.holddown` declarations, widening-join splits) to
-  the program in place, re-checking after each batch until a fixpoint.";
+  (missing `.window`/`.holddown` declarations) to the program in place,
+  re-checking after each batch until a fixpoint.";
 
 const RUN_USAGE: &str = "usage: sensorlog run <program.dl> [options]
   --facts <facts.dl>   load a fact file as the EDB

@@ -1,8 +1,8 @@
 //! End-to-end tests of the `sensorlog` binary. `fix`: the machine-applicable
 //! rewrite applier must be idempotent, `--dry-run` must never touch the
 //! file, and applying fixes to the seed examples must not change what the
-//! programs compute (the rewrites are declarations and plane-local rule
-//! splits, not semantic edits). `deploy` / `explain`: out-of-range `--grid`
+//! programs compute (the rewrites are `.window` and `.holddown`
+//! declarations, not semantic edits). `deploy` / `explain`: out-of-range `--grid`
 //! and `--loss` are reported as errors, never panics or silent clamps, and
 //! a program with no output predicate deploys without an oracle line.
 
@@ -110,32 +110,37 @@ fn fix_is_idempotent_on_examples() {
     }
 }
 
-/// After fixing, no machine-applicable suggestion survives — in particular
-/// every `comm.widen` the analyzer can repair is gone.
+/// One `fix_source` call applies both machine-applicable lints — a
+/// `.window` for an undeclared, unwindowed stream and a `.holddown` for each
+/// XY predicate without one — and no machine-applicable suggestion survives.
 #[test]
 fn fix_resolves_every_machine_applicable_suggestion() {
     let reg = BuiltinRegistry::standard();
     let params = BoundParams::default();
-    let widen = "\
-.base a. .base b. .base c.
-.window a 10. .window b 10. .window c 10.
-.output big.
-mid(X, Y) :- a(X, K), b(K, Y).
-big(X, Z) :- mid(X, Y), c(Y, Z).
+    let src = "\
+.output j.
+j(0, 0).
+j(X, 1) :- g(0, X).
+jp(Y, D + 1) :- j(Y, D'), (D + 1) > D', j(X, D), g(X, Y).
+j(Y, D + 1) :- g(X, Y), j(X, D), not jp(Y, D + 1).
 ";
-    let before = check_source(widen, &reg, &params);
-    assert!(
-        before.diags.iter().any(|d| d.code == "comm.widen"),
-        "fixture no longer triggers comm.widen"
-    );
-    let out = fix_source(widen, &reg, &params);
+    let before = check_source(src, &reg, &params);
+    for code in ["mem.window.unbounded", "cost.holddown-implicit"] {
+        assert!(
+            before.diags.iter().any(|d| d.code == code),
+            "fixture no longer triggers {code}"
+        );
+    }
+    let out = fix_source(src, &reg, &params);
     assert_eq!(out.remaining, 0);
+    for decl in [".window g 60000.", ".holddown jp 100.", ".holddown j 2100."] {
+        assert!(
+            out.fixed.contains(decl),
+            "`{decl}` not inserted:\n{}",
+            out.fixed
+        );
+    }
     let after = check_source(&out.fixed, &reg, &params);
-    assert!(
-        !after.diags.iter().any(|d| d.code == "comm.widen"),
-        "comm.widen survived fix:\n{}",
-        after.to_text()
-    );
     assert!(
         after
             .diags
@@ -191,7 +196,7 @@ fn dry_run_never_touches_the_file() {
 /// Applying fixes preserves semantics: for every seed example with at
 /// least one rule, centralized evaluation over a deterministic fact set
 /// produces the same output relations before and after fixing. (`fix` only
-/// adds declarations and local helper splits — outputs must not move.)
+/// adds declarations — outputs must not move.)
 #[test]
 fn fix_preserves_semantics_on_examples() {
     let reg = BuiltinRegistry::standard();
