@@ -75,14 +75,17 @@ cargo test --workspace -q
 #    not (a payload with no route is a routing drop, not a send);
 #  - a Centroid center's provenance is its engine's ledger transitions: the
 #    JSONL of a 5x5 logicH run with provenance on is pinned byte for byte
-#    (657 records, FNV-1a 0e6642a52dbe5f22), and the proofs check;
+#    (657 records, FNV-1a 80da1ca9cc0191eb), and the proofs check;
+#  - a provenance hop is recorded where it lands: under loss and a dup
+#    window, the `Hop` records are the journal's `Deliver` records of the
+#    four routed kinds, as a multiset of (from, to, kind, at);
 #  - the JSONL readers trust no declared or narrowed number: a journal
 #    header's record count sizes nothing, and a value too wide for its
 #    field (a node id, a sign) is a line-numbered error.
 # Each gate names its crate, its test target (`--lib` or `--test=<file>`)
 # and the test. The boundary-resolve cap (tests/boundary_sites.rs) ran with
 # the workspace tests above.
-echo "== count gates (keyed registry walks, exported node rows, queued event size, tuple size, unplanned probes, node probe ranges, router hops, id table race, small-int pool rows, expiry queue, message ownership, send order, queue memory, sent counters, Centroid provenance, JSONL numbers) =="
+echo "== count gates (keyed registry walks, exported node rows, queued event size, tuple size, unplanned probes, node probe ranges, router hops, id table race, small-int pool rows, expiry queue, message ownership, send order, queue memory, sent counters, Centroid provenance, hops are deliveries, JSONL numbers) =="
 for gate in \
     "sensorlog-netsim --lib sim::tests::keyed_registry_walks_do_not_grow_with_traffic" \
     "sensorlog-netsim --lib sim::tests::exported_node_rows_match_an_eagerly_registered_registry" \
@@ -104,6 +107,7 @@ for gate in \
     "sensorlog-netsim --lib sim::tests::queue_memory_follows_pending_events" \
     "sensorlog-core --lib deploy::tests::sent_counters_equal_transmissions_under_partition" \
     "sensorlog --test=explain_e2e centroid_provenance_jsonl_is_pinned" \
+    "sensorlog --test=explain_e2e hops_are_the_journals_deliveries" \
     "sensorlog --test=journal_roundtrip journal_from_jsonl_does_not_trust_the_header_count" \
     "sensorlog --test=journal_roundtrip from_jsonl_rejects_out_of_range_numbers"; do
     read -r crate target name <<<"$gate"
@@ -140,13 +144,20 @@ fi
 # traffic model: `absint::comm_envelopes`, whose rows `cost.comm-estimate`
 # prints; earlier trees also labelled each rule local / neighbor-broadcast /
 # tree-routed, a plane no runtime path reads, priced it with unchecked walk
-# factors, and suggested a rule split that added traffic.
-echo "== one ledger in eval (no counting engine, lineage log or owned inputs; one bound walk; one JSONL codec; one traffic model) =="
+# factors, and suggested a rule split that added traffic. One hop record:
+# `ProvRecord::Hop`, written where the hop lands, where earlier trees wrote
+# it at the sender and paired it FIFO with the journal's sends. One per-link
+# loss override: `SimConfig::link_loss`, where a fault kind no schedule
+# built kept a second one in `LinkState`.
+echo "== one ledger in eval (no counting engine, lineage log or owned inputs; one bound walk; one JSONL codec; one traffic model; one hop record; one loss override) =="
 if grep -rn 'CountingEngine\|LineageLog\|record_lineage\|run_with_lineage\|owned_inputs\|memory_bounds' crates src tests; then
     echo "a second ledger, lineage copy or bound walk is back: use IncrementalEngine::counting / take_firings / Frontier::paper"; exit 1
 fi
 if grep -rn 'comm_planes\|rule_plane\|split_suggestion\|comm_costs\|CommCost\|comm\.widen\|comm\.plane' crates src tests; then
     echo "a second traffic model is back: report xy::placement / xy::neighbourhood and absint::comm_envelopes rows"; exit 1
+fi
+if grep -rnwE 'build_with_journal|hop_seq|delivered_at|SetLinkLoss|LinkLoss|loss_override' crates src tests; then
+    echo "one hop record, one per-link loss override: record ProvRecord::Hop where it lands, override loss in SimConfig::link_loss"; exit 1
 fi
 if [[ $(grep -rn 'fn field_raw' crates src | wc -l) -ne 1 ]]; then
     grep -rn 'fn field_raw' crates src

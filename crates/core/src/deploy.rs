@@ -269,14 +269,9 @@ impl Deployment {
         self.schedule = remaining;
         let t = self.sim.run_to_quiescence(horizon);
         #[cfg(debug_assertions)]
-        if self.sim.is_quiescent() {
-            for (kind, tx, rx, lost) in self.sim.metrics.kind_balance() {
-                debug_assert_eq!(
-                    tx,
-                    rx + lost,
-                    "message conservation violated for kind `{kind}`"
-                );
-            }
+        {
+            let report = crate::invariants::check_message_conservation(self);
+            debug_assert!(report.ok(), "{report}");
         }
         t
     }
@@ -679,7 +674,7 @@ mod tests {
     }
 
     /// The hop decisions `layer:netstack` counted, against what the runtime
-    /// counted per predicate and what the provenance plane saw leave.
+    /// counted per predicate and what the provenance plane saw land.
     /// Returns (`grid_hops`, `bfs_tables_built`, destinations routed to).
     fn assert_hops_are_router_hops(d: &Deployment) -> (u64, u64, BTreeSet<NodeId>) {
         let snap = d.telemetry_snapshot();
@@ -691,8 +686,9 @@ mod tests {
             snap.counter_sum("pred:", "routing_drops"),
             net("unreachable")
         );
-        // Every decision that found a hop left a `Hop` record naming its
-        // destination (fault plane off: every routed payload has an origin).
+        // Every decision that found a hop landed as a `Hop` record naming
+        // its destination (no loss, and fault plane off: every routed
+        // payload has an origin).
         let dests: Vec<NodeId> = d
             .provenance_records()
             .iter()

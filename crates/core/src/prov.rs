@@ -19,11 +19,12 @@
 //! * [`ProvRecord::Mint`] — the owner propagating a liveness transition
 //!   after holddown: binds the derived tuple to the [`TupleId`] that
 //!   downstream derivations will reference;
-//! * [`ProvRecord::Hop`] — one routed hop of a payload that carries an
-//!   originating tuple id (store walks, probes, result deltas), attributing
-//!   per-edge simulated latency to the tuple that caused the traffic.
-//!   Broadcast floods (NaiveBroadcast storage, heartbeats) are not
-//!   hop-recorded: they carry no single causal origin per link.
+//! * [`ProvRecord::Hop`] — one delivered hop of a payload that carries an
+//!   originating tuple id (store walks and floods, probes, result deltas,
+//!   centroid uploads), recorded by the node it lands at, which charges
+//!   the traffic to the tuple that caused it. A transmission that is lost
+//!   leaves no hop; the netsim journal's `Drop` records it. Fault-plane
+//!   payloads (heartbeats, liveness) carry no causal origin and no hop.
 //!
 //! Records serialize to JSONL (one object per line) with the workspace's
 //! one line codec (`sensorlog_telemetry::jsonl`, which `netsim` journals
@@ -75,8 +76,10 @@ pub enum ProvRecord {
         kind: UpdateKind,
         at: SimTime,
     },
-    /// One routed hop of an origin-carrying payload (`kind` is the wire
-    /// kind: `store`, `probe`, `result`, `centroid`).
+    /// One delivered hop of an origin-carrying payload, recorded at `to`
+    /// (`kind` is the wire kind: `store`, `probe`, `result`, `centroid`;
+    /// `dest` is a routed envelope's destination, otherwise `to`; `at` is
+    /// `to`'s local arrival time).
     Hop {
         from: NodeId,
         to: NodeId,
@@ -118,60 +121,11 @@ impl Provenance {
         }
     }
 
-    /// Number of records captured so far (0 when disabled).
-    pub fn len(&self) -> usize {
-        self.inner.as_ref().map_or(0, |l| l.lock().unwrap().len())
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Copy out the records captured so far.
     pub fn snapshot(&self) -> Vec<ProvRecord> {
         self.inner
             .as_ref()
             .map_or_else(Vec::new, |l| l.lock().unwrap().clone())
-    }
-
-    /// Drain the log, leaving it empty (for incremental shipping).
-    pub fn take(&self) -> Vec<ProvRecord> {
-        self.inner
-            .as_ref()
-            .map_or_else(Vec::new, |l| std::mem::take(&mut *l.lock().unwrap()))
-    }
-
-    /// Approximate in-memory footprint of the captured records.
-    pub fn approx_bytes(&self) -> usize {
-        self.inner.as_ref().map_or(0, |l| {
-            l.lock().unwrap().iter().map(ProvRecord::approx_bytes).sum()
-        })
-    }
-}
-
-impl ProvRecord {
-    /// Approximate in-memory footprint (the DESIGN.md overhead model).
-    pub fn approx_bytes(&self) -> usize {
-        match self {
-            ProvRecord::Edb { pred, tuple, .. } => {
-                pred.as_str().len() + tuple.byte_size() + 16 + 10
-            }
-            ProvRecord::Deriv {
-                pred, tuple, key, ..
-            } => pred.as_str().len() + tuple.byte_size() + key.byte_size() + 16 + 18,
-            ProvRecord::Mint { pred, tuple, .. } => {
-                pred.as_str().len() + tuple.byte_size() + 16 + 10
-            }
-            ProvRecord::Hop { .. } => 38,
-        }
-    }
-
-    /// The originating tuple id this record is causally keyed by.
-    pub fn origin(&self) -> TupleId {
-        match self {
-            ProvRecord::Edb { id, .. } | ProvRecord::Mint { id, .. } => *id,
-            ProvRecord::Deriv { origin, .. } | ProvRecord::Hop { origin, .. } => *origin,
-        }
     }
 }
 
@@ -492,9 +446,7 @@ mod tests {
             sample().remove(0)
         });
         assert!(!called, "closure must not run when disabled");
-        assert!(p.is_empty());
         assert!(p.snapshot().is_empty());
-        assert_eq!(p.approx_bytes(), 0);
     }
 
     #[test]
@@ -502,11 +454,7 @@ mod tests {
         let p = Provenance::enabled();
         let q = p.clone();
         p.record_with(|| sample().remove(0));
-        assert_eq!(q.len(), 1);
-        assert!(q.approx_bytes() > 0);
-        let drained = q.take();
-        assert_eq!(drained.len(), 1);
-        assert!(p.is_empty());
+        assert_eq!(q.snapshot(), [sample().remove(0)]);
     }
 
     #[test]

@@ -1510,11 +1510,35 @@ impl SensorlogNode {
         self.arm_next_expiry(ctx);
     }
 
+    /// Record `msg` as one provenance hop where it lands, if it carries an
+    /// originating tuple id. The one hop record: a transmission that is
+    /// lost, or dropped at a dead node, never lands and leaves none. Kept
+    /// out of line so the delivery path with the plane off is one branch.
+    #[inline(never)]
+    fn record_hop(&self, ctx: &Ctx<Msg>, from: NodeId, msg: &Payload) {
+        let Some(origin) = msg.origin_id() else {
+            return;
+        };
+        let dest = match *msg {
+            Payload::Routed { dest, .. } => dest,
+            _ => self.id,
+        };
+        let (to, kind, at) = (self.id, msg.kind(), ctx.local_time);
+        self.prov.record_with(|| ProvRecord::Hop {
+            from,
+            to,
+            dest,
+            kind,
+            origin,
+            at,
+        });
+    }
+
     /// Decide the transmission that moves `payload` one hop toward `dest`
-    /// and account for it (per-predicate sent counter, provenance hop) —
-    /// said once for the origin's send and a relay's forward. `None`: no
-    /// route, nothing transmits, the drop is logged.
-    fn resolve_hop(&mut self, ctx: &Ctx<Msg>, dest: NodeId, payload: &Payload) -> Option<NodeId> {
+    /// and count it in the per-predicate sent counter — said once for the
+    /// origin's send and a relay's forward. `None`: no route, nothing
+    /// transmits, the drop is logged.
+    fn resolve_hop(&mut self, dest: NodeId, payload: &Payload) -> Option<NodeId> {
         debug_assert_ne!(dest, self.id);
         let Some(mut hop) = self.net.next_hop(self.id, dest) else {
             // Unreachable destination (partitioned topology): a logged
@@ -1547,26 +1571,13 @@ impl SensorlogNode {
                 sent_counter(payload.kind()),
             );
         }
-        if self.prov.is_enabled() {
-            if let Some(origin) = payload.origin_id() {
-                let (kind, at) = (payload.kind(), ctx.local_time);
-                self.prov.record_with(|| ProvRecord::Hop {
-                    from: self.id,
-                    to: hop,
-                    dest,
-                    kind,
-                    origin,
-                    at,
-                });
-            }
-        }
         Some(hop)
     }
 
     /// Start `payload` on its journey to `dest`: the one place a routed
     /// message is allocated — bare for a neighbor, enveloped otherwise.
     fn route(&mut self, ctx: &mut Ctx<Msg>, dest: NodeId, payload: Payload) {
-        let Some(hop) = self.resolve_hop(ctx, dest, &payload) else {
+        let Some(hop) = self.resolve_hop(dest, &payload) else {
             return;
         };
         let inner = Arc::new(payload);
@@ -1584,7 +1595,7 @@ impl SensorlogNode {
             // A relay: the `Arc` that arrived goes to the next hop, and
             // the hop before `dest` sends `inner` alone.
             Payload::Routed { dest, inner } if *dest != self.id => {
-                if let Some(hop) = self.resolve_hop(ctx, *dest, inner) {
+                if let Some(hop) = self.resolve_hop(*dest, inner) {
                     let out = if hop == *dest { inner.clone() } else { msg };
                     ctx.send(hop, out);
                 }
@@ -1696,6 +1707,9 @@ impl App for SensorlogNode {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<Msg>, from: NodeId, msg: Msg) {
+        if self.prov.is_enabled() {
+            self.record_hop(ctx, from, &msg);
+        }
         match *msg {
             // Heartbeats are 1-hop and identified by their radio sender.
             Payload::Heartbeat { version, boot_ts } => {

@@ -115,10 +115,6 @@ impl Literal {
         }
     }
 
-    pub fn is_positive_rel(&self) -> bool {
-        matches!(self, Literal::Pos(_))
-    }
-
     pub fn collect_vars(&self, out: &mut Vec<Symbol>) {
         match self {
             Literal::Pos(a) | Literal::Neg(a) | Literal::Builtin(a) => a.collect_vars(out),

@@ -1,22 +1,21 @@
 //! Deterministic fault-injection plane.
 //!
 //! A [`FaultSchedule`] is a seeded, sorted script of [`FaultEvent`]s —
-//! node crashes and restarts, link partitions, per-link loss overrides,
-//! and duplication/reordering windows — applied by the simulator at exact
-//! event ticks: a fault at `t` strikes before any event at `t`. Each
-//! applied fault is journaled as a [`TraceEvent`](crate::TraceEvent), so
-//! a chaotic run is exactly as replayable as a clean one: same seed, same
-//! schedule, byte-identical journal.
+//! node crashes and restarts, link partitions, and duplication/reordering
+//! windows — applied by the simulator at exact event ticks: a fault at `t`
+//! strikes before any event at `t`. Each applied fault is journaled as a
+//! [`TraceEvent`](crate::TraceEvent), so a chaotic run is exactly as
+//! replayable as a clean one: same seed, same schedule, byte-identical
+//! journal.
 //!
 //! [`LinkState`] is the mutable network condition the schedule drives:
-//! which links are down, which carry a loss override, and whether a
-//! duplication or reordering window is open. The simulator owns one and
-//! the send path consults it read-only; faults mutate it only between
-//! events, never inside a callback.
+//! which links are down, and whether a duplication or reordering window
+//! is open. The simulator owns one and the send path consults it
+//! read-only; faults mutate it only between events, never inside a
+//! callback.
 
 use crate::sim::SimTime;
 use crate::topology::{NodeId, Topology};
-use std::collections::HashMap;
 use std::collections::HashSet;
 
 /// One kind of injected fault.
@@ -33,9 +32,6 @@ pub enum FaultKind {
     LinkDown(NodeId, NodeId),
     /// Bring the bidirectional link `a<->b` back up.
     LinkUp(NodeId, NodeId),
-    /// Override the loss probability of `a<->b` to `ppm / 1e6`
-    /// (both directions). `ppm == u32::MAX` clears the override.
-    SetLinkLoss(NodeId, NodeId, u32),
     /// Open a duplication window: until `until`, each delivered message
     /// is duplicated with probability `ppm / 1e6`.
     DupWindow { until: SimTime, ppm: u32 },
@@ -255,7 +251,6 @@ fn link_key(a: NodeId, b: NodeId) -> (u32, u32) {
 #[derive(Clone, Debug, Default)]
 pub struct LinkState {
     down: HashSet<(u32, u32)>,
-    loss_ppm: HashMap<(u32, u32), u32>,
     dup_until: SimTime,
     dup_ppm: u32,
     reorder_until: SimTime,
@@ -273,23 +268,6 @@ impl LinkState {
 
     pub fn is_down(&self, a: NodeId, b: NodeId) -> bool {
         !self.down.is_empty() && self.down.contains(&link_key(a, b))
-    }
-
-    pub fn set_loss(&mut self, a: NodeId, b: NodeId, ppm: u32) {
-        if ppm == u32::MAX {
-            self.loss_ppm.remove(&link_key(a, b));
-        } else {
-            self.loss_ppm.insert(link_key(a, b), ppm);
-        }
-    }
-
-    pub fn loss_override(&self, a: NodeId, b: NodeId) -> Option<f64> {
-        if self.loss_ppm.is_empty() {
-            return None;
-        }
-        self.loss_ppm
-            .get(&link_key(a, b))
-            .map(|&ppm| ppm as f64 / 1_000_000.0)
     }
 
     pub fn open_dup_window(&mut self, until: SimTime, ppm: u32) {
@@ -310,15 +288,6 @@ impl LinkState {
     /// Extra-jitter bound if a reordering window is open at `now`.
     pub fn reorder_jitter(&self, now: SimTime) -> Option<SimTime> {
         (now < self.reorder_until && self.reorder_jitter > 0).then_some(self.reorder_jitter)
-    }
-
-    /// True when the state imposes no condition at all (the fault-free
-    /// fast path).
-    pub fn is_inert(&self, now: SimTime) -> bool {
-        self.down.is_empty()
-            && self.loss_ppm.is_empty()
-            && self.dup_prob(now).is_none()
-            && self.reorder_jitter(now).is_none()
     }
 }
 
@@ -396,17 +365,11 @@ mod tests {
     #[test]
     fn link_state_round_trips() {
         let mut ls = LinkState::default();
-        assert!(ls.is_inert(0));
+        assert!(!ls.is_down(NodeId(1), NodeId(2)));
         ls.set_down(NodeId(1), NodeId(2), true);
         assert!(ls.is_down(NodeId(2), NodeId(1)), "links are bidirectional");
         ls.set_down(NodeId(2), NodeId(1), false);
         assert!(!ls.is_down(NodeId(1), NodeId(2)));
-
-        ls.set_loss(NodeId(0), NodeId(1), 250_000);
-        let p = ls.loss_override(NodeId(1), NodeId(0)).unwrap();
-        assert!((p - 0.25).abs() < 1e-12);
-        ls.set_loss(NodeId(0), NodeId(1), u32::MAX);
-        assert!(ls.loss_override(NodeId(0), NodeId(1)).is_none());
 
         ls.open_dup_window(100, 500_000);
         assert!(ls.dup_prob(99).is_some());
@@ -414,7 +377,5 @@ mod tests {
         ls.open_reorder_window(50, 7);
         assert_eq!(ls.reorder_jitter(10), Some(7));
         assert_eq!(ls.reorder_jitter(50), None);
-        assert!(!ls.is_inert(10));
-        assert!(ls.is_inert(100), "expired windows leave the state inert");
     }
 }

@@ -610,10 +610,6 @@ impl<A: App> Simulator<A> {
                 self.links.set_down(a, b, false);
                 self.emit(|| TraceEvent::LinkUp { a, b });
             }
-            FaultKind::SetLinkLoss(a, b, ppm) => {
-                self.links.set_loss(a, b, ppm);
-                self.emit(|| TraceEvent::LinkLoss { a, b, ppm });
-            }
             FaultKind::DupWindow { until, ppm } => {
                 self.links.open_dup_window(until, ppm);
                 self.emit(|| TraceEvent::DupWindow { until, ppm });
@@ -676,13 +672,11 @@ impl<A: App> Simulator<A> {
             let p = if down {
                 1.0
             } else {
-                self.links.loss_override(from, to).unwrap_or_else(|| {
-                    self.config
-                        .link_loss
-                        .get(&(from, to))
-                        .copied()
-                        .unwrap_or(self.config.loss_prob)
-                })
+                self.config
+                    .link_loss
+                    .get(&(from, to))
+                    .copied()
+                    .unwrap_or(self.config.loss_prob)
             };
             let attempt_reason = if down {
                 DropReason::Partition

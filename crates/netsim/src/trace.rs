@@ -104,10 +104,6 @@ pub enum TraceEvent {
     LinkDown { a: NodeId, b: NodeId },
     /// The bidirectional link `a<->b` came back up.
     LinkUp { a: NodeId, b: NodeId },
-    /// Per-link loss probability override, in parts-per-million
-    /// (`ppm == u32::MAX` clears the override). Integer so the journal
-    /// stays `Eq`/hashable.
-    LinkLoss { a: NodeId, b: NodeId, ppm: u32 },
     /// Message-duplication window: until `until`, each delivery is
     /// duplicated with probability `ppm / 1e6`.
     DupWindow { until: SimTime, ppm: u32 },
@@ -157,7 +153,6 @@ impl fmt::Display for TraceRecord {
             TraceEvent::NodeRestart { node } => write!(f, "restart {node}"),
             TraceEvent::LinkDown { a, b } => write!(f, "link-down {a}<->{b}"),
             TraceEvent::LinkUp { a, b } => write!(f, "link-up {a}<->{b}"),
-            TraceEvent::LinkLoss { a, b, ppm } => write!(f, "link-loss {a}<->{b} {ppm}ppm"),
             TraceEvent::DupWindow { until, ppm } => write!(f, "dup-window until={until} {ppm}ppm"),
             TraceEvent::ReorderWindow { until, jitter } => {
                 write!(f, "reorder-window until={until} jitter={jitter}")
@@ -303,13 +298,6 @@ impl Journal {
                 TraceEvent::LinkUp { a, b } => {
                     let _ = write!(s, r#""ev":"linkup","a":{},"b":{}"#, a.0, b.0);
                 }
-                TraceEvent::LinkLoss { a, b, ppm } => {
-                    let _ = write!(
-                        s,
-                        r#""ev":"linkloss","a":{},"b":{},"ppm":{}"#,
-                        a.0, b.0, ppm
-                    );
-                }
                 TraceEvent::DupWindow { until, ppm } => {
                     let _ = write!(s, r#""ev":"dupwin","until":{until},"ppm":{ppm}"#);
                 }
@@ -407,11 +395,6 @@ impl Journal {
                 "linkup" => TraceEvent::LinkUp {
                     a: node_of("a")?,
                     b: node_of("b")?,
-                },
-                "linkloss" => TraceEvent::LinkLoss {
-                    a: node_of("a")?,
-                    b: node_of("b")?,
-                    ppm: u32_of("ppm")?,
                 },
                 "dupwin" => TraceEvent::DupWindow {
                     until: field_u64(line, "until").ok_or_else(|| err(lineno, "missing until"))?,
@@ -528,7 +511,6 @@ impl TraceSummary {
             TraceEvent::NodeRestart { .. } => self.node_restarts += 1,
             TraceEvent::LinkDown { .. }
             | TraceEvent::LinkUp { .. }
-            | TraceEvent::LinkLoss { .. }
             | TraceEvent::DupWindow { .. }
             | TraceEvent::ReorderWindow { .. } => self.link_faults += 1,
         }

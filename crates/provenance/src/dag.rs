@@ -21,14 +21,14 @@ use sensorlog_logic::flat::{flat_match_args, FlatSubst};
 use sensorlog_logic::intern;
 use sensorlog_logic::unify::Subst;
 use sensorlog_logic::{Atom, Literal, Program, Rule, Symbol, Term, Tuple};
-use sensorlog_netsim::{Journal, NodeId, SimTime, TraceEvent};
+use sensorlog_netsim::{NodeId, SimTime};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 
 /// Atoms are identified by (predicate, ground tuple) across the network.
 type AtomKey = (Symbol, Tuple);
 
-/// One routed hop of a message causally charged to a tuple id.
+/// One delivered hop of a message causally charged to a tuple id.
 #[derive(Clone, Debug)]
 pub struct HopInfo {
     pub from: NodeId,
@@ -37,14 +37,8 @@ pub struct HopInfo {
     pub dest: NodeId,
     /// Wire kind: `store`, `probe`, `result`, `centroid`.
     pub kind: &'static str,
-    /// Sender-local sim time of the first transmission attempt.
-    pub sent_at: SimTime,
-    /// Delivery time per the netsim journal (when enriched and delivered).
-    pub delivered_at: Option<SimTime>,
-    /// Transmission attempts per the journal (0 = journal not attached).
-    pub attempts: u32,
-    /// Journal says every attempt was dropped.
-    pub lost: bool,
+    /// Receiver-local sim time of the arrival.
+    pub at: SimTime,
 }
 
 /// Live/dead state of a fact binding (EDB entry or minted derived tuple).
@@ -93,11 +87,8 @@ pub struct ProvDag {
     by_pred: HashMap<Symbol, BTreeSet<Tuple>>,
     /// TupleId → the atom it names (from `Edb` and `Mint` records).
     bindings: HashMap<TupleId, AtomKey>,
-    /// Per originating tuple id, the routed hops charged to it.
+    /// Per originating tuple id, the delivered hops charged to it.
     hops: HashMap<TupleId, Vec<HopInfo>>,
-    /// (origin, index into `hops[origin]`) in record order — used to align
-    /// hops with the journal's send/deliver stream.
-    hop_seq: Vec<(TupleId, usize)>,
     /// Fixpoint round at which each live atom became derivable. EDB = 0.
     rank: HashMap<AtomKey, u32>,
     /// Number of raw records ingested.
@@ -112,7 +103,6 @@ impl ProvDag {
             by_pred: HashMap::new(),
             bindings: HashMap::new(),
             hops: HashMap::new(),
-            hop_seq: Vec::new(),
             rank: HashMap::new(),
             n_records: records.len(),
         };
@@ -120,14 +110,6 @@ impl ProvDag {
             dag.ingest(rec);
         }
         dag.compute_ranks();
-        dag
-    }
-
-    /// Build and then enrich hop edges with delivery info from the netsim
-    /// journal (see [`ProvDag::attach_journal`]).
-    pub fn build_with_journal(records: &[ProvRecord], journal: &Journal) -> ProvDag {
-        let mut dag = ProvDag::build(records);
-        dag.attach_journal(journal);
         dag
     }
 
@@ -227,20 +209,13 @@ impl ProvDag {
                 kind,
                 origin,
                 at,
-            } => {
-                let list = self.hops.entry(*origin).or_default();
-                list.push(HopInfo {
-                    from: *from,
-                    to: *to,
-                    dest: *dest,
-                    kind,
-                    sent_at: *at,
-                    delivered_at: None,
-                    attempts: 0,
-                    lost: false,
-                });
-                self.hop_seq.push((*origin, list.len() - 1));
-            }
+            } => self.hops.entry(*origin).or_default().push(HopInfo {
+                from: *from,
+                to: *to,
+                dest: *dest,
+                kind,
+                at: *at,
+            }),
         }
     }
 
@@ -282,63 +257,6 @@ impl ProvDag {
         }
     }
 
-    /// Enrich hop edges with delivery times, ARQ attempt counts, and loss
-    /// flags from the netsim journal. Best-effort: hops and journal sends
-    /// are paired FIFO per `(from, to, kind)` channel, which is exact for
-    /// the routed (non-broadcast) traffic the provenance plane records.
-    pub fn attach_journal(&mut self, journal: &Journal) {
-        fn tracked(kind: &str) -> bool {
-            matches!(kind, "store" | "probe" | "result" | "centroid")
-        }
-        struct Logical {
-            attempts: u32,
-            delivered_at: Option<SimTime>,
-        }
-        let mut sends: HashMap<(NodeId, NodeId, &'static str), Vec<Logical>> = HashMap::new();
-        for r in &journal.records {
-            match &r.event {
-                TraceEvent::Send {
-                    from,
-                    to,
-                    kind,
-                    attempt,
-                    ..
-                } if tracked(kind) => {
-                    let q = sends.entry((*from, *to, *kind)).or_default();
-                    if *attempt == 0 {
-                        q.push(Logical {
-                            attempts: 1,
-                            delivered_at: None,
-                        });
-                    } else if let Some(l) = q.iter_mut().rev().find(|l| l.delivered_at.is_none()) {
-                        l.attempts += 1;
-                    }
-                }
-                TraceEvent::Deliver { from, to, kind, .. } if tracked(kind) => {
-                    if let Some(l) = sends
-                        .get_mut(&(*from, *to, *kind))
-                        .and_then(|q| q.iter_mut().find(|l| l.delivered_at.is_none()))
-                    {
-                        l.delivered_at = Some(r.at);
-                    }
-                }
-                _ => {}
-            }
-        }
-        let mut cursor: HashMap<(NodeId, NodeId, &'static str), usize> = HashMap::new();
-        for &(origin, idx) in &self.hop_seq {
-            let h = &mut self.hops.get_mut(&origin).unwrap()[idx];
-            let chan = (h.from, h.to, h.kind);
-            let c = cursor.entry(chan).or_insert(0);
-            if let Some(l) = sends.get(&chan).and_then(|q| q.get(*c)) {
-                h.attempts = l.attempts;
-                h.delivered_at = l.delivered_at;
-                h.lost = l.delivered_at.is_none();
-            }
-            *c += 1;
-        }
-    }
-
     /// Is this atom live (supported by the well-founded fixpoint)?
     pub fn atom_live(&self, pred: Symbol, tuple: &Tuple) -> bool {
         self.rank.contains_key(&(pred, tuple.clone()))
@@ -372,7 +290,7 @@ impl ProvDag {
             .unwrap_or_default()
     }
 
-    /// Routed hops charged to a tuple id (empty if none were recorded).
+    /// Delivered hops charged to a tuple id (empty if none were recorded).
     pub fn hops_of(&self, id: TupleId) -> &[HopInfo] {
         self.hops.get(&id).map_or(&[], |v| v.as_slice())
     }
@@ -648,7 +566,7 @@ pub struct ProofEdge {
     /// Sim time from the premise finishing to the delta booking at the
     /// owner — storage, join, and result routing combined.
     pub latency: SimTime,
-    /// Routed messages causally charged to the premise tuple.
+    /// Delivered messages causally charged to the premise tuple.
     pub hops: Vec<HopInfo>,
     pub premise: ProofNode,
 }
@@ -765,17 +683,9 @@ fn render_node(node: &ProofNode, line_prefix: &str, child_prefix: &str, out: &mu
         } else {
             ("├── ", "│   ")
         };
-        let delivered = edge
-            .hops
-            .iter()
-            .filter(|h| h.delivered_at.is_some())
-            .count();
-        let hop_note = if edge.hops.is_empty() {
-            "local".to_string()
-        } else if delivered > 0 {
-            format!("{} hops ({} delivered)", edge.hops.len(), delivered)
-        } else {
-            format!("{} hops", edge.hops.len())
+        let hop_note = match edge.hops.len() {
+            0 => "local".to_string(),
+            n => format!("{n} hops"),
         };
         let trig = if edge.triggering { ", trigger" } else { "" };
         let _ = writeln!(
@@ -835,9 +745,6 @@ fn collect_dot(node: &ProofNode, nodes: &mut BTreeSet<String>, edges: &mut BTree
         let mut label = format!("lit {} / +{}ms", edge.lit_idx, edge.latency);
         if !edge.hops.is_empty() {
             let _ = write!(label, " / {} hops", edge.hops.len());
-        }
-        if edge.hops.iter().any(|h| h.lost) {
-            label.push_str(" / lossy");
         }
         edges.insert(format!(
             "  \"{}\" -> \"{}\" [label=\"{}\"];\n",
@@ -934,6 +841,7 @@ mod tests {
         vec![
             edb("r1", &[1, 7], a),
             edb("r2", &[2, 7], b),
+            // r1(1,7)'s storage walk lands at n3 on its way to n4.
             ProvRecord::Hop {
                 from: NodeId(0),
                 to: NodeId(3),
@@ -976,6 +884,7 @@ mod tests {
         assert_eq!(e0.premise.pred, sym("r1"));
         assert_eq!(e0.latency, 690);
         assert_eq!(e0.hops.len(), 1);
+        assert_eq!((e0.hops[0].to, e0.hops[0].at), (NodeId(3), 15));
         assert!(!e0.triggering);
         // Premise r2(2,7) was the triggering update.
         let e1 = &proof.premises[1];
@@ -985,9 +894,15 @@ mod tests {
         let text = render_text(&proof);
         assert!(text.contains("r1(1, 7)"), "tree text:\n{text}");
         assert!(text.contains("trigger"), "tree text:\n{text}");
+        assert!(text.contains("(lit 0, 1 hops, +690 sim-ms)"), "{text}");
+        assert!(
+            text.contains("(lit 1, trigger, local, +680 sim-ms)"),
+            "{text}"
+        );
         let dot = render_dot(&proof);
         assert!(dot.starts_with("digraph provenance {"));
         assert!(dot.contains("n2@900#0"), "dot:\n{dot}");
+        assert!(dot.contains("[label=\"lit 0 / +690ms / 1 hops\"]"), "{dot}");
     }
 
     #[test]

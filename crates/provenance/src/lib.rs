@@ -2,14 +2,13 @@
 //!
 //! The distributed runtime (`sensorlog_core::prov`) captures four kinds of
 //! raw provenance records while a deployment runs. This crate ingests those
-//! records (plus, optionally, the netsim journal for per-hop delivery
-//! detail) and materializes the global causal DAG keyed by
+//! records, and nothing else, and materializes the global causal DAG keyed by
 //! [`sensorlog_core::TupleId`], then answers the three questions the paper's
 //! debugging story needs:
 //!
 //! * [`ProvDag::why`] — the full cross-node derivation tree of a tuple:
 //!   which rule fired where, from which premise tuples, carried by which
-//!   messages over how many hops, with per-edge simulated latency;
+//!   delivered messages over how many hops, with per-edge simulated latency;
 //! * [`ProvDag::why_not`] — why a tuple was *not* derived: per candidate
 //!   rule, the first subgoal with no live match (distinguishing
 //!   never-present from retracted premises, and negation blocks);

@@ -40,7 +40,7 @@
 //!         [--loss <p>] [--seed <n>] [--horizon <ms>] [--dot <proof.dot>]
 //!     Deploy with the provenance plane enabled, then explain one tuple:
 //!     a live tuple gets its cross-node derivation tree (rule firings,
-//!     carrying messages, per-hop delivery, per-edge sim-latency) plus the
+//!     delivered hops charged to each premise, per-edge sim-latency) plus the
 //!     latency-critical chain; an absent tuple gets a why-not verdict (the
 //!     first missing or retracted premise per candidate rule). --dot writes
 //!     the proof DAG as GraphViz.
@@ -133,8 +133,10 @@ const EXPLAIN_USAGE: &str =
   --horizon <ms>       sim-time horizon (default 600000000)
   --dot <file>         write the proof DAG as GraphViz DOT (live tuples only)
   Runs the deployment with the provenance plane enabled, then prints the
-  tuple's cross-node derivation tree with per-hop latency attribution, or a
-  why-not verdict (first missing/retracted premise) if it was not derived.";
+  tuple's cross-node derivation tree with per-edge latency and the count of
+  delivered hops charged to each premise, or a why-not verdict (first
+  missing/retracted premise) if it was not derived. A lost transmission is
+  not a hop: under --loss, `deploy --trace` journals the drops.";
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     // Accepts both `--flag value` and `--flag=value`.
@@ -479,8 +481,6 @@ fn cmd_deploy(args: &[String]) -> Result<(), AnyError> {
 }
 
 fn cmd_explain(args: &[String]) -> Result<(), AnyError> {
-    use sensorlog::provenance::{explain_atom, ProvDag};
-
     if wants_help(args, EXPLAIN_USAGE) {
         return Ok(());
     }
@@ -503,24 +503,18 @@ fn cmd_explain(args: &[String]) -> Result<(), AnyError> {
     };
     let mut d =
         Deployment::new(&src, BuiltinRegistry::standard(), topo, cfg).map_err(|e| e.to_string())?;
-    // Keep the journal: it enriches hop edges with delivery times, ARQ
-    // attempt counts, and loss flags.
-    let journal = d.attach_journal();
-
     let events = load_events(args, m)?;
     d.schedule_all(events);
     let converged = d.run(horizon);
 
-    let records = d.provenance_records();
-    let j = journal.take();
-    let dag = ProvDag::build_with_journal(&records, &j);
     eprintln!(
         "-- {} nodes, converged at {:.1}s, {} provenance records",
         n_nodes,
         converged as f64 / 1000.0,
-        records.len()
+        d.provenance_records().len()
     );
-    let explanation = explain_atom(&dag, &d.prog.analysis.program, &d.prog.reg, pred, &tuple);
+    // The provenance records alone answer: every hop in them landed.
+    let explanation = d.explain(pred, &tuple);
     print!("{}", explanation.text());
     if let Some(path) = flag(args, "--dot") {
         match explanation.dot() {

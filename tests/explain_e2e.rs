@@ -1,11 +1,16 @@
 //! End-to-end `explain` over a recursive program: a transitive-closure
-//! chain derived across a lossy-free 4×4 grid must yield a multi-level
-//! cross-node derivation tree whose edges carry journal-enriched hop and
-//! latency attribution, and whose critical path walks leaf → result in
-//! nondecreasing finish time.
+//! chain derived across a loss-free 4×4 grid must yield a multi-level
+//! cross-node derivation tree whose edges carry hop and latency
+//! attribution, and whose critical path walks leaf → result in
+//! nondecreasing finish time. The hops come from the provenance records
+//! alone: each is recorded by the node it lands at, so under loss and
+//! duplication they are exactly the netsim journal's deliveries.
 
+use sensorlog::core::prov::ProvRecord;
+use sensorlog::netsim::{DropReason, FaultSchedule, TraceEvent};
 use sensorlog::prelude::*;
-use sensorlog::provenance::{critical_path, explain_atom, render_text, ProvDag};
+use sensorlog::provenance::{critical_path, explain_atom, render_text, ProofNode, ProvDag};
+use std::collections::BTreeMap;
 
 const REACH: &str = r#"
     .output reach.
@@ -37,18 +42,15 @@ fn chain_events() -> Vec<WorkloadEvent> {
         .collect()
 }
 
-fn run_chain() -> (Deployment, sensorlog::netsim::Journal) {
+/// The chain under PA on a 4x4 grid, provenance on, events scheduled.
+fn chain_deployment(cfg: DeployConfig) -> Deployment {
     let cfg = DeployConfig {
         rt: RtConfig {
             strategy: Strategy::Perpendicular { band_width: 1.0 },
             ..RtConfig::default()
         },
-        sim: SimConfig {
-            seed: 5,
-            ..SimConfig::default()
-        },
         provenance: Provenance::enabled(),
-        ..DeployConfig::default()
+        ..cfg
     };
     let mut d = Deployment::new(
         REACH,
@@ -57,24 +59,50 @@ fn run_chain() -> (Deployment, sensorlog::netsim::Journal) {
         cfg,
     )
     .unwrap();
-    let journal = d.attach_journal();
     d.schedule_all(chain_events());
+    d
+}
+
+fn run_chain() -> Deployment {
+    let mut d = chain_deployment(DeployConfig {
+        sim: SimConfig {
+            seed: 5,
+            ..SimConfig::default()
+        },
+        ..DeployConfig::default()
+    });
     d.run(60_000_000);
-    let j = journal.take();
-    (d, j)
+    d
+}
+
+/// Every hop charged to a premise of `node`, anywhere in the tree, lands
+/// no earlier than that premise exists.
+fn assert_hops_follow_their_tuples(node: &ProofNode) {
+    for e in &node.premises {
+        for h in &e.hops {
+            assert!(
+                h.at >= e.premise.finish_at,
+                "a hop charged to {}{} lands at t={} before the tuple exists (t={})",
+                e.premise.pred,
+                e.premise.tuple,
+                h.at,
+                e.premise.finish_at
+            );
+        }
+        assert_hops_follow_their_tuples(&e.premise);
+    }
 }
 
 #[test]
 fn recursive_chain_explains_end_to_end() {
-    let (d, journal) = run_chain();
+    let d = run_chain();
     let reach = d.results(sym("reach"));
     assert!(
         reach.contains(&tup(&[1, 4])),
         "chain must close transitively, got {reach:?}"
     );
 
-    let records = d.provenance_records();
-    let dag = ProvDag::build_with_journal(&records, &journal);
+    let dag = ProvDag::build(&d.provenance_records());
     let proof = dag
         .why(sym("reach"), &tup(&[1, 4]))
         .expect("reach(1,4) live");
@@ -100,20 +128,16 @@ fn recursive_chain_explains_end_to_end() {
         .expect("the step rule consumes an EDB edge premise");
     assert_eq!(leaf_edge.premise.pred, sym("edge"));
 
-    // Cross-node evidence: some premise travelled, and the journal pairing
-    // confirmed its deliveries.
+    // Cross-node evidence: some premise travelled, and no hop charged to
+    // a tuple lands before that tuple exists.
     let routed = proof
         .premises
         .iter()
         .chain(derived.premise.premises.iter())
         .find(|e| !e.hops.is_empty())
         .expect("a grid-spanning chain must route messages");
-    assert!(
-        routed.hops.iter().any(|h| h.delivered_at.is_some()),
-        "journal enrichment must mark deliveries on {:?}",
-        routed.hops
-    );
     assert!(routed.latency > 0, "a routed premise takes sim time");
+    assert_hops_follow_their_tuples(&proof);
 
     // Critical path: leaf first, finish times nondecreasing, root last.
     let path = critical_path(&proof);
@@ -134,7 +158,7 @@ fn recursive_chain_explains_end_to_end() {
 
 #[test]
 fn deployment_explain_covers_present_and_absent() {
-    let (d, _journal) = run_chain();
+    let d = run_chain();
 
     let present = d.explain(sym("reach"), &tup(&[1, 4]));
     assert!(present.is_proof());
@@ -167,15 +191,86 @@ fn deployment_explain_covers_present_and_absent() {
     assert!(report.ok(), "violations: {:?}", report.violations);
 }
 
+/// The provenance log's hops are the journal's deliveries, as a multiset
+/// of `(from, to, kind, at)`: a lossy PA run under a duplication window
+/// (clock skew 0, so local arrival time is journal time). A transmission
+/// lost on the air leaves a `Drop` and no hop; a duplicate copy lands, and
+/// is a hop, like the original.
+#[test]
+fn hops_are_the_journals_deliveries() {
+    let mut d = chain_deployment(DeployConfig {
+        sim: SimConfig {
+            loss_prob: 0.15,
+            clock_skew_max: 0,
+            seed: 11,
+            ..SimConfig::default()
+        },
+        telemetry: Telemetry::enabled(),
+        ..DeployConfig::default()
+    });
+    d.set_fault_schedule(FaultSchedule::new().dup_window(0, 60_000, 250_000));
+    let journal = d.attach_journal();
+    d.run(60_000_000);
+    let journal = journal.take();
+
+    type Hop = (u32, u32, &'static str, u64);
+    let tracked = |kind: &str| matches!(kind, "store" | "probe" | "result" | "centroid");
+    let (mut sends, mut lost) = (0u64, 0u64);
+    let mut diff: BTreeMap<Hop, i64> = BTreeMap::new();
+    for r in &journal.records {
+        match r.event {
+            TraceEvent::Send { kind, .. } if tracked(kind) => sends += 1,
+            TraceEvent::Drop {
+                kind,
+                reason: DropReason::Loss,
+                ..
+            } if tracked(kind) => lost += 1,
+            TraceEvent::Deliver { from, to, kind, .. } if tracked(kind) => {
+                *diff.entry((from.0, to.0, kind, r.at)).or_default() -= 1;
+            }
+            _ => {}
+        }
+    }
+    for r in d.provenance_records() {
+        if let ProvRecord::Hop {
+            from, to, kind, at, ..
+        } = r
+        {
+            *diff.entry((from.0, to.0, kind, at)).or_default() += 1;
+        }
+    }
+    // The run exercised both cases: the runtime decided fewer hops than
+    // the radio transmitted (duplicates), and some transmissions were lost.
+    let snap = d.telemetry_snapshot();
+    let decided: u64 = ["store", "probe", "result", "centroid"]
+        .iter()
+        .map(|k| snap.counter_sum("pred:", &format!("sent_{k}")))
+        .sum();
+    assert!(
+        sends > decided,
+        "no duplicate: {sends} sends, {decided} hops decided"
+    );
+    assert!(lost > 0, "nothing was lost");
+    diff.retain(|_, n| *n != 0);
+    let unmatched: Vec<_> = diff.iter().take(6).collect();
+    assert!(
+        diff.is_empty(),
+        "{} (from, to, kind, at) keys differ ({sends} sends, {lost} lost, {decided} decided); \
+         +n: hops with no delivery, -n: deliveries with no hop: {unmatched:?}",
+        diff.len()
+    );
+}
+
 /// logicH on a 5x5 grid under Centroid with the provenance plane on: every
 /// link comes up, then node 6's links go down again, so the central engine
 /// both gains and loses derivations (the XY negation retracts `h` tuples
 /// as shorter paths appear). The records the centre emits for its own
 /// derivations, and their JSONL bytes, are pinned (FNV-1a of
-/// `prov::to_jsonl`, as `Journal::content_hash` hashes its text).
+/// `prov::to_jsonl`, as `Journal::content_hash` hashes its text); 184 of
+/// the records are hops, each at its arrival time.
 #[test]
 fn centroid_provenance_jsonl_is_pinned() {
-    use sensorlog::core::prov::{self, ProvRecord};
+    use sensorlog::core::prov;
     use sensorlog::core::workload::graph_edges;
     const LOGIC_H: &str = r#"
         .output h.
@@ -226,7 +321,7 @@ fn centroid_provenance_jsonl_is_pinned() {
         (657, 230, 70),
         "record counts drifted"
     );
-    assert_eq!(fnv, 0x0e66_42a5_2dbe_5f22, "provenance JSONL bytes drifted");
+    assert_eq!(fnv, 0x80da_1ca9_cc01_91eb, "provenance JSONL bytes drifted");
     let report = check_provenance(&d, &[sym("h")]);
     assert!(report.ok(), "violations: {:?}", report.violations);
 }

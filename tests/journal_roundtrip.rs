@@ -105,9 +105,10 @@ fn journal_from_jsonl_does_not_trust_the_header_count() {
 }
 
 /// A value that does not fit its field is a line-numbered error, not a
-/// wrapped one: node ids, attempts and loss rates above `u32::MAX` in a
-/// journal, node ids above it and signs outside `i8` in a provenance log
-/// (`"sign":255` narrowed with `as i8` reads as `-1`, a retraction).
+/// wrapped one: node ids, attempts and duplication rates above `u32::MAX`
+/// in a journal, node ids above it and signs outside `i8` in a provenance
+/// log (`"sign":255` narrowed with `as i8` reads as `-1`, a retraction).
+/// A `linkloss` line, an event no simulator writes, is an unknown event.
 #[test]
 fn from_jsonl_rejects_out_of_range_numbers() {
     let big = u64::from(u32::MAX) + 1;
@@ -117,12 +118,16 @@ fn from_jsonl_rejects_out_of_range_numbers() {
         format!(
             r#"{{"type":"rec","seq":0,"at":0,"ev":"send","from":0,"to":1,"kind":"store","bytes":1,"attempt":{big}}}"#
         ),
-        format!(r#"{{"type":"rec","seq":0,"at":0,"ev":"linkloss","a":0,"b":1,"ppm":{big}}}"#),
+        format!(r#"{{"type":"rec","seq":0,"at":0,"ev":"dupwin","until":9,"ppm":{big}}}"#),
     ] {
         let err = Journal::from_jsonl(&format!("{header}{rec}\n")).expect_err(&rec);
         assert_eq!(err.line, 2, "{err}");
         assert!(err.msg.contains("out of range"), "{err}");
     }
+    let rec = r#"{"type":"rec","seq":0,"at":0,"ev":"linkloss","a":0,"b":1,"ppm":5}"#;
+    let err = Journal::from_jsonl(&format!("{header}{rec}\n")).expect_err(rec);
+    assert_eq!(err.line, 2, "{err}");
+    assert!(err.msg.contains("unknown event \"linkloss\""), "{err}");
 
     let deriv = |owner: u64, sign: i64| {
         format!(

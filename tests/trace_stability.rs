@@ -63,7 +63,7 @@ fn run_probe_full(telemetry: Telemetry, provenance: Provenance) -> ((usize, u64,
     let j = journal.take();
     (
         (j.records.len(), j.content_hash(), d.metrics().total_tx()),
-        provenance.len(),
+        provenance.snapshot().len(),
     )
 }
 
