@@ -81,11 +81,14 @@ cargo test --workspace -q
 #    four routed kinds, as a multiset of (from, to, kind, at);
 #  - the JSONL readers trust no declared or narrowed number: a journal
 #    header's record count sizes nothing, and a value too wide for its
-#    field (a node id, a sign) is a line-numbered error.
+#    field (a node id, a sign) is a line-numbered error;
+#  - a run with clock skew keeps its journal: Table 2's 4x4 testbed run
+#    (50 ms skew, jittered delays, seeded per-link loss) is pinned by
+#    record count, content hash and tx, the one pin that exercises τc.
 # Each gate names its crate, its test target (`--lib` or `--test=<file>`)
 # and the test. The boundary-resolve cap (tests/boundary_sites.rs) ran with
 # the workspace tests above.
-echo "== count gates (keyed registry walks, exported node rows, queued event size, tuple size, unplanned probes, node probe ranges, router hops, id table race, small-int pool rows, expiry queue, message ownership, send order, queue memory, sent counters, Centroid provenance, hops are deliveries, JSONL numbers) =="
+echo "== count gates (keyed registry walks, exported node rows, queued event size, tuple size, unplanned probes, node probe ranges, router hops, id table race, small-int pool rows, expiry queue, message ownership, send order, queue memory, sent counters, Centroid provenance, hops are deliveries, JSONL numbers, skewed journal) =="
 for gate in \
     "sensorlog-netsim --lib sim::tests::keyed_registry_walks_do_not_grow_with_traffic" \
     "sensorlog-netsim --lib sim::tests::exported_node_rows_match_an_eagerly_registered_registry" \
@@ -109,7 +112,8 @@ for gate in \
     "sensorlog --test=explain_e2e centroid_provenance_jsonl_is_pinned" \
     "sensorlog --test=explain_e2e hops_are_the_journals_deliveries" \
     "sensorlog --test=journal_roundtrip journal_from_jsonl_does_not_trust_the_header_count" \
-    "sensorlog --test=journal_roundtrip from_jsonl_rejects_out_of_range_numbers"; do
+    "sensorlog --test=journal_roundtrip from_jsonl_rejects_out_of_range_numbers" \
+    "sensorlog --test=trace_stability skewed_trace_is_pinned"; do
     read -r crate target name <<<"$gate"
     out=$(cargo test -q -p "$crate" "$target" -- --exact "$name" 2>&1) || { echo "$out"; exit 1; }
     grep -q "test result: ok. 1 passed" <<<"$out" || {
@@ -166,6 +170,30 @@ fi
 if grep -rn 'fn json_str' crates src; then
     echo "a second JSON string escaper: use sensorlog_telemetry::jsonl::escape"; exit 1
 fi
+
+# DESIGN.md's "System inventory" names each crate's key modules. Every
+# backticked name in a `crates/<c>` row's last column must be a module
+# (`crates/<c>/src/<name>.rs`), a directory under `src/`, or the path it
+# spells there (`experiments/*`, `bin/bench.rs`); a module the table names
+# that the tree lacks is a stale row.
+echo "== design inventory (every key module DESIGN.md names exists) =="
+python3 - <<'PY'
+import glob, os, re, sys
+missing = []
+for line in open("DESIGN.md"):
+    row = re.match(r"\| `(crates/[\w-]+)`", line)
+    if not row:
+        continue
+    src = os.path.join(row.group(1), "src")
+    for name in re.findall(r"`([^`]+)`", line.rstrip().rstrip("|").rsplit("|", 1)[-1]):
+        if not (os.path.exists(os.path.join(src, name + ".rs"))
+                or glob.glob(os.path.join(src, name))):
+            missing.append(f"{row.group(1)}: {name}")
+if missing:
+    print("DESIGN.md's inventory names modules that do not exist:")
+    print("\n".join(f"  {m}" for m in missing))
+    sys.exit(1)
+PY
 
 # One owner rule: `DistProgram::owner_of` (crates/core/src/plan.rs) places
 # a placed predicate's tuple at the node its owner column names and hashes

@@ -299,7 +299,6 @@ fn chaos_run(seed: u64, faults: Option<FaultSchedule>) -> (Deployment, JournalId
         rt: RtConfig {
             faults: Some(FaultPlaneCfg {
                 active_until: ACTIVE_UNTIL,
-                ..FaultPlaneCfg::default()
             }),
             ..RtConfig::default()
         },

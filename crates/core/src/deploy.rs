@@ -33,11 +33,13 @@ impl WorkloadEvent {
     /// `+<at_ms> @<node> fact(args).` inserts, `-…` deletes.
     pub fn parse_line(line: &str) -> Result<WorkloadEvent, String> {
         let line = line.trim();
-        let (kind, rest) = match line.split_at(1.min(line.len())) {
-            ("+", r) => (UpdateKind::Insert, r),
-            ("-", r) => (UpdateKind::Delete, r),
+        let mut chars = line.chars();
+        let kind = match chars.next() {
+            Some('+') => UpdateKind::Insert,
+            Some('-') => UpdateKind::Delete,
             _ => return Err(format!("event line must start with + or -: `{line}`")),
         };
+        let rest = chars.as_str();
         let mut parts = rest.splitn(3, ' ');
         let at: SimTime = parts
             .next()
@@ -62,8 +64,10 @@ impl WorkloadEvent {
         })
     }
 
-    /// Parse a whole event script (blank lines / `%` comments skipped).
+    /// Parse a whole event script (blank lines / `%` comments skipped, and
+    /// one leading byte-order mark, as Windows editors save one).
     pub fn parse_script(text: &str) -> Result<Vec<WorkloadEvent>, String> {
+        let text = text.strip_prefix('\u{feff}').unwrap_or(text);
         let mut out = Vec::new();
         for line in text.lines() {
             let line = line.trim();
@@ -118,11 +122,8 @@ pub struct Deployment {
     applied: Vec<WorkloadEvent>,
     /// The shared provenance handle (disabled unless configured).
     prov: Provenance,
-    /// Per-node durable stores (fault plane only; empty otherwise). Held
-    /// here so they survive app rebuilds on restart.
-    durables: Vec<Arc<Mutex<DurableStore>>>,
-    /// Whether the runtime fault plane was configured on.
-    faults_cfg: bool,
+    /// The runtime configuration every node shares.
+    rt: Arc<RtConfig>,
 }
 
 impl Deployment {
@@ -133,22 +134,24 @@ impl Deployment {
         topo: Topology,
         config: DeployConfig,
     ) -> Result<Deployment, crate::plan::CompileError> {
-        let mut rt = config.rt.clone();
-        // τc must agree with the simulator's skew bound (Theorem 3).
-        rt.tau_c = rt.tau_c.max(config.sim.clock_skew_max);
-        let mut prog = compile_source(src, reg, config.plan)?.with_pass_mode(rt.pass_mode);
+        let mut prog = compile_source(src, reg, config.plan)?.with_pass_mode(config.rt.pass_mode);
         // The neighbourhood plane stores a tuple one hop out once, and
         // nothing resends a lost store: a join that misses a negated partner
         // (`hp`) derives what it should not, which feeds further joins. Past
         // a few lost hops that diverges where PA's walks stay bounded, until
-        // ROADMAP item 4 gives lost state a repair path; such links keep the
+        // ROADMAP item 14 gives lost state a repair path; such links keep the
         // strategy's regions.
         if config.sim.hop_loss() > PLANE_MAX_HOP_LOSS {
             prog.neighbourhood.clear();
         }
         let prog = Arc::new(prog);
-        let net = Arc::new(NetInfo::new(topo.clone()).with_telemetry(config.telemetry.clone()));
-        let cfg = Arc::new(rt);
+        // Every node times its phases by the simulator's skew bound τc
+        // (Theorem 3).
+        let net = NetInfo::new(topo.clone())
+            .with_telemetry(config.telemetry.clone())
+            .with_clock_skew(config.sim.clock_skew_max);
+        let net = Arc::new(net);
+        let cfg = Arc::new(config.rt);
         let shapes = Arc::new(
             prog.analysis
                 .program
@@ -160,14 +163,13 @@ impl Deployment {
         let prog2 = Arc::clone(&prog);
         let net2 = Arc::clone(&net);
         let tele = config.telemetry.clone();
-        let durables: Vec<Arc<Mutex<DurableStore>>> = match &cfg.faults {
-            Some(f) => (0..topo.len())
-                .map(|_| Arc::new(Mutex::new(DurableStore::new(f.checkpoint_every))))
-                .collect(),
+        // Per-node durable stores (fault plane only): the closure's copy
+        // keeps them alive across the app rebuilds of restarts.
+        let durables: Vec<Arc<Mutex<DurableStore>>> = match cfg.faults {
+            Some(_) => (0..topo.len()).map(|_| Arc::default()).collect(),
             None => Vec::new(),
         };
-        let faults_cfg = cfg.faults.is_some();
-        let durables2 = durables.clone();
+        let rt = Arc::clone(&cfg);
         let prov = config.provenance.clone();
         let prov2 = prov.clone();
         let mut sim = Simulator::new(topo, config.sim, move |id, _| {
@@ -180,7 +182,7 @@ impl Deployment {
                 tele.clone(),
             )
             .with_provenance(prov2.clone());
-            match durables2.get(id.index()) {
+            match durables.get(id.index()) {
                 Some(d) => node.with_durable(Arc::clone(d)),
                 None => node,
             }
@@ -189,14 +191,13 @@ impl Deployment {
         let mut d = Deployment {
             sim,
             prog,
-            strategy: config.rt.strategy,
+            strategy: rt.strategy,
             net,
             schedule: Vec::new(),
             injected: BTreeMap::new(),
             applied: Vec::new(),
             prov,
-            durables,
-            faults_cfg,
+            rt,
         };
         d.inject_static_facts();
         Ok(d)
@@ -294,18 +295,13 @@ impl Deployment {
     /// crashed manually. Gates the structural checks that only hold on
     /// fault-free runs (e.g. derivation-count non-negativity).
     pub fn faults_active(&self) -> bool {
-        self.faults_cfg || self.sim.faults_injected()
+        self.rt.faults.is_some() || self.sim.faults_injected()
     }
 
     /// Workload events that actually entered the network (target alive at
     /// injection time), in application order.
     pub fn applied_events(&self) -> &[WorkloadEvent] {
         &self.applied
-    }
-
-    /// The durable store of node `id` (fault plane only).
-    pub fn durable(&self, id: NodeId) -> Option<&Arc<Mutex<DurableStore>>> {
-        self.durables.get(id.index())
     }
 
     /// The deployment's shared provenance handle (disabled unless
@@ -505,6 +501,28 @@ mod tests {
         assert!(WorkloadEvent::parse_line("+1 7 p(1).").is_err()); // no @
         assert!(WorkloadEvent::parse_line("+1 @7 p(X).").is_err()); // non-ground
         assert!(WorkloadEvent::parse_line("").is_err());
+    }
+
+    /// A line led by a multi-byte char is an error, not a panic: a byte-order
+    /// mark (U+FEFF, which `trim` keeps) and a pasted Unicode minus (U+2212).
+    #[test]
+    fn event_line_led_by_a_multibyte_char_is_an_error() {
+        for line in ["\u{feff}+1500 @7 p(1).", "\u{2212}99 @0 g(1, 2)."] {
+            let err = WorkloadEvent::parse_line(line).unwrap_err();
+            assert!(
+                err.starts_with("event line must start with + or -"),
+                "{err}"
+            );
+        }
+    }
+
+    /// A script saved with a byte-order mark parses.
+    #[test]
+    fn event_script_strips_a_leading_bom() {
+        let evs = WorkloadEvent::parse_script("\u{feff}+1500 @7 p(1).\n-99 @0 g(1, 2).\n").unwrap();
+        assert_eq!(evs.len(), 2);
+        assert_eq!((evs[0].at, evs[0].kind), (1_500, UpdateKind::Insert));
+        assert_eq!((evs[1].at, evs[1].kind), (99, UpdateKind::Delete));
     }
 
     #[test]

@@ -58,7 +58,7 @@ use sensorlog_logic::absint;
 use sensorlog_logic::diag::BoundParams;
 use sensorlog_logic::{Symbol, Tuple};
 use sensorlog_netsim::NodeId;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// One invariant violation.
@@ -398,17 +398,8 @@ pub fn check_against_oracle(
 ///   failure detection).
 pub fn check_convergence(d: &Deployment, preds: &[Symbol]) -> InvariantReport {
     let mut report = InvariantReport::default();
-    let surviving: Vec<WorkloadEvent> = d
-        .applied_events()
-        .iter()
-        .filter(|e| !d.sim.is_failed(e.node))
-        .cloned()
-        .collect();
     for &pred in preds {
-        let expected: BTreeSet<Tuple> = oracle::expected_results(d, &surviving, pred)
-            .into_iter()
-            .filter(|t| !d.sim.is_failed(d.owner(pred, t)))
-            .collect();
+        let expected = oracle::surviving_results(d, pred);
         let found = d.results(pred);
         for t in expected.difference(&found) {
             report.push(

@@ -70,6 +70,21 @@ pub fn expected_results(d: &Deployment, events: &[WorkloadEvent], pred: Symbol) 
     out.sorted(pred).into_iter().collect()
 }
 
+/// What a run that saw faults should hold of `pred` at quiescence: the
+/// oracle fixpoint over the surviving EDB (the applied events whose source
+/// is alive at the end), less the tuples whose owner is dead (a dead
+/// owner's results are unreachable).
+pub fn surviving_results(d: &Deployment, pred: Symbol) -> BTreeSet<Tuple> {
+    let surviving: Vec<WorkloadEvent> = (d.applied_events().iter())
+        .filter(|e| !d.sim.is_failed(e.node))
+        .cloned()
+        .collect();
+    expected_results(d, &surviving, pred)
+        .into_iter()
+        .filter(|t| !d.sim.is_failed(d.owner(pred, t)))
+        .collect()
+}
+
 /// Compare the deployment's gathered results against the oracle.
 pub fn check(d: &Deployment, events: &[WorkloadEvent], pred: Symbol) -> OracleReport {
     let expected = expected_results(d, events, pred);

@@ -40,6 +40,9 @@ pub struct NetInfo {
     router: Router,
     /// Centroid's central server ([`Strategy::center`] of `topo`).
     center: NodeId,
+    /// τc (ms): the network's clock-skew bound, the simulator's
+    /// `SimConfig::clock_skew_max` (Theorem 3). 0 until a deployment sets it.
+    tau_c: SimTime,
 }
 
 impl NetInfo {
@@ -48,12 +51,19 @@ impl NetInfo {
             center: Strategy::center(&topo),
             router: Router::new(&topo),
             topo,
+            tau_c: 0,
         }
     }
 
     /// Count the router's hop decisions into `tele` (`layer:netstack`).
     pub(crate) fn with_telemetry(mut self, tele: Telemetry) -> NetInfo {
         self.router = self.router.with_telemetry(tele);
+        self
+    }
+
+    /// Scale the runtime's timers by the simulator's clock-skew bound.
+    pub(crate) fn with_clock_skew(mut self, tau_c: SimTime) -> NetInfo {
+        self.tau_c = tau_c;
         self
     }
 
@@ -74,7 +84,9 @@ impl NetInfo {
     }
 }
 
-/// Runtime timing/strategy configuration, shared by all nodes.
+/// Runtime timing/strategy configuration, shared by all nodes. The clock
+/// skew bound τc is not here: it is the simulator's
+/// `SimConfig::clock_skew_max`, which every node reads off its [`NetInfo`].
 #[derive(Clone, Debug)]
 pub struct RtConfig {
     pub strategy: Strategy,
@@ -83,8 +95,6 @@ pub struct RtConfig {
     pub pass_mode: PassMode,
     /// Upper bound on storage-phase completion (τs, ms).
     pub tau_s: SimTime,
-    /// Max clock skew (τc, ms) — must match the simulator's.
-    pub tau_c: SimTime,
     /// Upper bound on join-phase completion (τj, ms) — used in retention.
     pub tau_j: SimTime,
     /// Spatial-constraint radius truncating regions (Fig. 7 experiments).
@@ -102,7 +112,6 @@ impl Default for RtConfig {
             strategy: Strategy::Perpendicular { band_width: 1.0 },
             pass_mode: PassMode::OnePass,
             tau_s: 1_500,
-            tau_c: 0,
             tau_j: 3_000,
             spatial_radius: None,
             faults: None,
@@ -110,20 +119,20 @@ impl Default for RtConfig {
     }
 }
 
-/// Fault-plane parameters (heartbeats, leases, refresh, checkpointing).
-#[derive(Clone, Debug)]
+/// Fault-plane 1-hop aliveness beacon period (ms).
+const HEARTBEAT_MS: SimTime = 200;
+/// A neighbor silent for longer than this is declared dead and its death
+/// flooded (lease expiry, Theorem 3's failure-detection input).
+const LEASE_MS: SimTime = 700;
+/// Source-driven refresh period: live base facts are re-announced (with
+/// their original ids, so re-announcement is idempotent) and recent
+/// tombstones re-sent, healing state lost to crashes and partitions.
+const REFRESH_MS: SimTime = 2_000;
+
+/// The fault plane's one setting. Its periods are constants of this module
+/// (`HEARTBEAT_MS`, `LEASE_MS`, `REFRESH_MS`).
+#[derive(Clone, Copy, Debug)]
 pub struct FaultPlaneCfg {
-    /// 1-hop aliveness beacon period (ms).
-    pub heartbeat_ms: SimTime,
-    /// A neighbor silent for longer than this is declared dead and its
-    /// death flooded (lease expiry, Theorem 3's failure-detection input).
-    pub lease_ms: SimTime,
-    /// Source-driven refresh period: live base facts are re-announced (with
-    /// their original ids, so re-announcement is idempotent) and recent
-    /// tombstones re-sent, healing state lost to crashes and partitions.
-    pub refresh_ms: SimTime,
-    /// Fold the durable journal tail into its checkpoint every N ops.
-    pub checkpoint_every: usize,
     /// Stop re-arming periodic fault-plane timers once local time passes
     /// this bound, so a healed network can quiesce for oracle comparison.
     pub active_until: SimTime,
@@ -132,10 +141,6 @@ pub struct FaultPlaneCfg {
 impl Default for FaultPlaneCfg {
     fn default() -> Self {
         FaultPlaneCfg {
-            heartbeat_ms: 200,
-            lease_ms: 700,
-            refresh_ms: 2_000,
-            checkpoint_every: 8,
             active_until: 60_000,
         }
     }
@@ -770,7 +775,7 @@ impl SensorlogNode {
         }
 
         // Join phase after τs + τc (Sec. IV-A).
-        let delay = self.cfg.tau_s + self.cfg.tau_c;
+        let delay = self.cfg.tau_s + self.net.tau_c;
         self.set_timer(ctx, delay, TimerAction::StartJoin(fact));
     }
 
@@ -829,8 +834,8 @@ impl SensorlogNode {
         // (τs + τc) + τj + (τw + τc) past its generation timestamp.
         if fact.kind == UpdateKind::Insert {
             if let Some(&w) = self.prog.windows.get(&fact.pred) {
-                let retention =
-                    (self.cfg.tau_s + self.cfg.tau_c) + self.cfg.tau_j + (w + self.cfg.tau_c);
+                let (tau_s, tau_c, tau_j) = (self.cfg.tau_s, self.net.tau_c, self.cfg.tau_j);
+                let retention = (tau_s + tau_c) + tau_j + (w + tau_c);
                 let expire_at = fact.tau.saturating_add(retention);
                 let delay = expire_at.saturating_sub(ctx.local_time).max(1);
                 let replica = Expiring::Replica(fact.pred, fact.tuple.clone(), fact.id);
@@ -1062,7 +1067,7 @@ impl SensorlogNode {
         // outlives its last activity by one window.
         let expiry = (self.prog.windows.get(&pred).copied()).map(|w| {
             let owned = Expiring::Owned(pred, tuple.clone());
-            self.expire_in(ctx, w + self.cfg.tau_c + 1, owned)
+            self.expire_in(ctx, w + self.net.tau_c + 1, owned)
         });
         let entry = self.owned.book(pred, &tuple, key, sign);
         entry.expiry = expiry;
@@ -1252,7 +1257,7 @@ impl SensorlogNode {
     /// stamp the incarnation, baseline neighbor leases, announce ourselves,
     /// and arm the periodic timers. No-op with the plane disabled.
     fn boot_tick(&mut self, ctx: &mut Ctx<Msg>) {
-        let Some(f) = self.cfg.faults.clone() else {
+        let Some(f) = self.cfg.faults else {
             return;
         };
         self.boot_ts = ctx.local_time;
@@ -1285,9 +1290,9 @@ impl SensorlogNode {
     fn arm_tick(&mut self, ctx: &mut Ctx<Msg>, f: &FaultPlaneCfg, tick: Tick) {
         if ctx.local_time < f.active_until {
             let period = match tick {
-                Tick::Heartbeat => f.heartbeat_ms,
-                Tick::Lease => f.lease_ms,
-                Tick::Refresh => f.refresh_ms,
+                Tick::Heartbeat => HEARTBEAT_MS,
+                Tick::Lease => LEASE_MS,
+                Tick::Refresh => REFRESH_MS,
             };
             self.set_timer(ctx, period, TimerAction::Tick(tick));
         }
@@ -1295,12 +1300,12 @@ impl SensorlogNode {
 
     /// A periodic fault-plane timer fired: do its duty, then re-arm it.
     fn fire_tick(&mut self, ctx: &mut Ctx<Msg>, tick: Tick) {
-        let Some(f) = self.cfg.faults.clone() else {
+        let Some(f) = self.cfg.faults else {
             return;
         };
         match tick {
             Tick::Heartbeat => self.announce_self(ctx),
-            Tick::Lease => self.lease_tick(ctx, f.lease_ms),
+            Tick::Lease => self.lease_tick(ctx),
             Tick::Refresh => self.refresh_tick(ctx),
         }
         self.arm_tick(ctx, &f, tick);
@@ -1384,8 +1389,8 @@ impl SensorlogNode {
     }
 
     /// Lease check: any neighbor we believe alive but have not heard from
-    /// for two lease periods is declared dead and the death flooded.
-    fn lease_tick(&mut self, ctx: &mut Ctx<Msg>, lease_ms: SimTime) {
+    /// for longer than [`LEASE_MS`] is declared dead and the death flooded.
+    fn lease_tick(&mut self, ctx: &mut Ctx<Msg>) {
         let now = ctx.local_time;
         let nbrs: Vec<NodeId> = ctx.neighbors().to_vec();
         let suspects: Vec<(NodeId, SimTime)> = nbrs
@@ -1393,7 +1398,7 @@ impl SensorlogNode {
             .filter(|nb| {
                 let heard = self.last_hb.get(nb).copied().unwrap_or(0);
                 let believed_alive = self.view.peers.get(nb).is_none_or(|e| e.alive);
-                believed_alive && now.saturating_sub(heard) > lease_ms
+                believed_alive && now.saturating_sub(heard) > LEASE_MS
             })
             .map(|nb| {
                 let boot = self.view.peers.get(&nb).map(|e| e.boot_ts).unwrap_or(0);
@@ -1693,7 +1698,7 @@ impl App for SensorlogNode {
     /// refresh round does.
     fn on_restart(&mut self, ctx: &mut Ctx<Msg>) {
         self.boot_tick(ctx);
-        if let Some(r) = self.durable_store().map(|mut d| d.recover()) {
+        if let Some(r) = self.durable_store().map(|d| d.recover()) {
             self.seq = self.seq.max(r.next_seq);
             self.tele.add(
                 Scope::Layer("core.faults"),
@@ -1769,6 +1774,10 @@ mod tests {
         assert_eq!(c.pass_mode, crate::strategy::PassMode::OnePass);
         assert!(matches!(c.strategy, Strategy::Perpendicular { .. }));
         assert!(c.faults.is_none(), "fault plane must be opt-in");
+        // A lease outlasts three heartbeats, and the plane runs long enough
+        // to expire one.
+        let f = FaultPlaneCfg::default();
+        assert!(LEASE_MS > 3 * HEARTBEAT_MS && f.active_until > REFRESH_MS);
     }
 
     fn test_node(cfg: RtConfig) -> SensorlogNode {

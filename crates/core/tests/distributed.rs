@@ -446,7 +446,6 @@ fn clock_skew_tolerated() {
     let topo = Topology::square_grid(4);
     let mut cfg = config_with(Strategy::Perpendicular { band_width: 1.0 });
     cfg.sim.clock_skew_max = 50;
-    cfg.rt.tau_c = 50;
     let mut d = Deployment::new(UNCOV, BuiltinRegistry::standard(), topo, cfg).unwrap();
     let events = vec![
         ev(10, 2, "veh", r#"veh("enemy", 10, 1)"#, UpdateKind::Insert),

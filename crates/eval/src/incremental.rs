@@ -33,6 +33,7 @@ use crate::eval_body::{ground_facts, instantiate_head, BodyEval, Inputs};
 use crate::planner::DeltaPlans;
 use crate::relation::{Database, TupleMeta};
 use crate::seminaive::effective_windows;
+use crate::MAX_CASCADE;
 use sensorlog_logic::analyze::{Analysis, ProgramClass};
 use sensorlog_logic::ast::Rule;
 use sensorlog_logic::builtin::BuiltinRegistry;
@@ -95,10 +96,9 @@ impl fmt::Display for Update {
 
 /// Run `step` on `update` and then on every update the steps append to
 /// their output, in that order — a cascade is FIFO over what it emits, so
-/// the queue is a cursor into the result. At most `max_steps` steps.
-pub(crate) fn cascade(
+/// the queue is a cursor into the result. At most [`MAX_CASCADE`] steps.
+fn cascade(
     update: Update,
-    max_steps: usize,
     mut step: impl FnMut(&Update, &mut Vec<Update>) -> Result<(), EvalError>,
 ) -> Result<Vec<Update>, EvalError> {
     let mut emitted: Vec<Update> = Vec::new();
@@ -108,10 +108,10 @@ pub(crate) fn cascade(
     let mut next = 0;
     while let Some(u) = emitted.get(next) {
         next += 1;
-        if next >= max_steps {
+        if next >= MAX_CASCADE {
             return Err(EvalError::LimitExceeded {
                 what: "update cascade",
-                limit: max_steps,
+                limit: MAX_CASCADE,
             });
         }
         step(u, &mut produced)?;
@@ -292,8 +292,6 @@ pub struct IncrementalEngine<K: LedgerKey = Derivation> {
     /// Phase profiler (disabled by default): times update application and
     /// aggregate-group recomputation.
     pub profiler: Profiler,
-    /// Cascade guard.
-    pub max_cascade: usize,
     /// Runtime check for the *locally non-recursive* property (Sec. IV-C):
     /// when enabled, every new derivation is checked for a cycle in the
     /// tuple dependency graph and evaluation fails with
@@ -384,7 +382,6 @@ impl<K: LedgerKey> IncrementalEngine<K> {
             agg_heads,
             stats: IncStats::default(),
             profiler: Profiler::disabled(),
-            max_cascade: 1_000_000,
             check_local_recursion: false,
             firings: None,
         };
@@ -453,7 +450,7 @@ impl<K: LedgerKey> IncrementalEngine<K> {
     /// derived-stream update emitted (in emission order).
     pub fn apply(&mut self, update: Update) -> Result<Vec<Update>, EvalError> {
         let _span = self.profiler.span("inc.apply");
-        let emitted = cascade(update, self.max_cascade, |u, out| {
+        let emitted = cascade(update, |u, out| {
             self.process_one(u, out)?;
             self.stats.updates_processed += 1;
             Ok(())

@@ -44,3 +44,7 @@ pub use incremental::{
 pub use planner::program_signatures;
 pub use relation::{Database, IndexStatsSnapshot, Relation, TupleMeta};
 pub use seminaive::{effective_windows, Engine, EvalConfig};
+
+/// Most steps one update's cascade may take in an incremental engine
+/// before it fails with [`EvalError::LimitExceeded`].
+pub(crate) const MAX_CASCADE: usize = 1_000_000;

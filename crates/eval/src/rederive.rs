@@ -17,6 +17,7 @@ use crate::error::EvalError;
 use crate::eval_body::{ground_facts, instantiate_head, BodyEval, TupleFilter};
 use crate::planner::DeltaPlans;
 use crate::relation::{Database, TupleMeta};
+use crate::MAX_CASCADE;
 use sensorlog_logic::analyze::{Analysis, ProgramClass};
 use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::flat::{flat_match_args, FlatSubst};
@@ -40,7 +41,6 @@ pub struct RederiveEngine {
     /// Phase profiler (disabled by default): times insert cascades and the
     /// over-delete/rederive passes separately.
     pub profiler: Profiler,
-    pub max_cascade: usize,
 }
 
 impl RederiveEngine {
@@ -66,7 +66,6 @@ impl RederiveEngine {
             plans,
             body_evals: 0,
             profiler: Profiler::disabled(),
-            max_cascade: 1_000_000,
         };
         // Ground empty-body rules hold from the start; `rederivable` finds
         // them again through their (empty) bodies.
@@ -160,10 +159,10 @@ impl RederiveEngine {
         let mut steps = 0;
         while let Some((pred, tuple)) = queue.pop_front() {
             steps += 1;
-            if steps > self.max_cascade {
+            if steps > MAX_CASCADE {
                 return Err(EvalError::LimitExceeded {
                     what: "insert cascade",
-                    limit: self.max_cascade,
+                    limit: MAX_CASCADE,
                 });
             }
             // Retracted while it waited: nothing follows from it.
@@ -199,10 +198,10 @@ impl RederiveEngine {
         let mut steps = 0;
         while let Some((pred, tuple)) = frontier.pop_front() {
             steps += 1;
-            if steps > self.max_cascade {
+            if steps > MAX_CASCADE {
                 return Err(EvalError::LimitExceeded {
                     what: "delete cascade",
-                    limit: self.max_cascade,
+                    limit: MAX_CASCADE,
                 });
             }
             let (_, lost) = self.delta((UpdateKind::Delete, pred, &tuple), Some(false))?;

@@ -29,7 +29,7 @@ pub mod topology;
 pub mod trace;
 
 pub use faults::{FaultEvent, FaultKind, FaultSchedule, LinkState, RandomFaults};
-pub use metrics::{EnergyModel, Metrics, NodeCounters};
+pub use metrics::{Metrics, NodeCounters};
 pub use sim::{App, Ctx, MsgMeta, SchedStats, SimConfig, SimTime, Simulator};
 pub use topology::{Bfs, ConnectivityError, NodeId, Topology, TopologyKind};
 pub use trace::{

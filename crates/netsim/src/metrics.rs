@@ -42,26 +42,12 @@ const KIND_COUNTERS: [&str; KIND_SLOTS] = [
     "lost_partition",
 ];
 
-/// Radio energy model (defaults loosely follow mica2-class motes: sending
-/// is ~1.5× the cost of receiving, with a fixed per-packet overhead).
-#[derive(Clone, Copy, Debug)]
-pub struct EnergyModel {
-    pub tx_per_byte_uj: f64,
-    pub rx_per_byte_uj: f64,
-    pub tx_base_uj: f64,
-    pub rx_base_uj: f64,
-}
-
-impl Default for EnergyModel {
-    fn default() -> Self {
-        EnergyModel {
-            tx_per_byte_uj: 0.6,
-            rx_per_byte_uj: 0.4,
-            tx_base_uj: 10.0,
-            rx_base_uj: 7.0,
-        }
-    }
-}
+// Radio energy model, loosely after mica2-class motes: sending is ~1.5×
+// the cost of receiving, with a fixed per-packet overhead (µJ).
+const TX_PER_BYTE_UJ: f64 = 0.6;
+const RX_PER_BYTE_UJ: f64 = 0.4;
+const TX_BASE_UJ: f64 = 10.0;
+const RX_BASE_UJ: f64 = 7.0;
 
 /// One node's traffic counters: the row [`Metrics`] stores per node and
 /// adds to on every transmission and delivery.
@@ -84,7 +70,6 @@ pub struct Metrics {
     /// counter moves — so a kind only gets a "tx" key if it ever
     /// transmitted, etc. Linear-scanned: simulations use a handful of kinds.
     per_kind: Vec<(&'static str, [Option<CounterId>; KIND_SLOTS])>,
-    pub energy: EnergyModel,
 }
 
 impl Metrics {
@@ -93,7 +78,6 @@ impl Metrics {
             reg: MetricsRegistry::new(),
             per_node: vec![NodeCounters::default(); n_nodes],
             per_kind: Vec::new(),
-            energy: EnergyModel::default(),
         }
     }
 
@@ -292,10 +276,10 @@ impl Metrics {
     pub fn total_energy_uj(&self) -> f64 {
         self.nodes()
             .map(|c| {
-                c.tx as f64 * self.energy.tx_base_uj
-                    + c.tx_bytes as f64 * self.energy.tx_per_byte_uj
-                    + c.rx as f64 * self.energy.rx_base_uj
-                    + c.rx_bytes as f64 * self.energy.rx_per_byte_uj
+                c.tx as f64 * TX_BASE_UJ
+                    + c.tx_bytes as f64 * TX_PER_BYTE_UJ
+                    + c.rx as f64 * RX_BASE_UJ
+                    + c.rx_bytes as f64 * RX_PER_BYTE_UJ
             })
             .sum()
     }

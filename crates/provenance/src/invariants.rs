@@ -11,16 +11,15 @@
 //! trusted for this run.
 
 use crate::dag::{ProofNode, ProvDag};
-use sensorlog_core::{oracle, Deployment, InvariantReport, WorkloadEvent};
+use sensorlog_core::{oracle, Deployment, InvariantReport};
 use sensorlog_logic::{Symbol, Tuple};
-use std::collections::BTreeSet;
 
 /// Check that every oracle-expected result tuple has a well-founded proof
 /// in the run's provenance DAG, and every held result is DAG-supported.
 ///
-/// Mirrors `check_convergence`'s fault handling: expectations come from
-/// the surviving EDB (events whose source node is alive at the end) and
-/// are restricted to tuples whose owner is alive.
+/// Expectations are `oracle::surviving_results`, as for
+/// `check_convergence`: the oracle over the surviving EDB, restricted to
+/// tuples whose owner is alive.
 pub fn check_provenance(d: &Deployment, preds: &[Symbol]) -> InvariantReport {
     let mut report = InvariantReport::default();
     if !d.provenance().is_enabled() {
@@ -32,18 +31,8 @@ pub fn check_provenance(d: &Deployment, preds: &[Symbol]) -> InvariantReport {
         return report;
     }
     let dag = ProvDag::build(&d.provenance_records());
-    let surviving: Vec<WorkloadEvent> = d
-        .applied_events()
-        .iter()
-        .filter(|e| !d.sim.is_failed(e.node))
-        .cloned()
-        .collect();
     for &pred in preds {
-        let expected: BTreeSet<Tuple> = oracle::expected_results(d, &surviving, pred)
-            .into_iter()
-            .filter(|t| !d.sim.is_failed(d.owner(pred, t)))
-            .collect();
-        for t in &expected {
+        for t in &oracle::surviving_results(d, pred) {
             match dag.why(pred, t) {
                 Some(proof) => check_well_founded(&proof, &mut report),
                 None => report.push(
@@ -110,7 +99,7 @@ fn walk(node: &ProofNode, path: &mut Vec<(Symbol, Tuple)>, report: &mut Invarian
 mod tests {
     use super::*;
     use crate::explain::Explain;
-    use sensorlog_core::DeployConfig;
+    use sensorlog_core::{DeployConfig, WorkloadEvent};
     use sensorlog_core::{ProvRecord, Provenance};
     use sensorlog_eval::UpdateKind;
     use sensorlog_logic::builtin::BuiltinRegistry;

@@ -5,7 +5,7 @@
 //! (restart or permanent death), every partition has lifted, and the
 //! network has quiesced, the surviving nodes' derived relations equal the
 //! centralized oracle's fixpoint over the surviving EDB. Recovery replays
-//! base facts from each node's durable checkpoint + journal tail;
+//! base facts from each node's durable live-fact map;
 //! neighbors detect death by lease expiry and retract the dead node's
 //! derivations through the incremental delete path; source-driven refresh
 //! heals whatever the faults tore out of the middle of the network.
@@ -35,10 +35,7 @@ const JOIN: &str = r#"
 fn chaos_deployment(seed: u64, active_until: u64) -> Deployment {
     let cfg = DeployConfig {
         rt: RtConfig {
-            faults: Some(FaultPlaneCfg {
-                active_until,
-                ..FaultPlaneCfg::default()
-            }),
+            faults: Some(FaultPlaneCfg { active_until }),
             ..RtConfig::default()
         },
         sim: SimConfig {
@@ -299,22 +296,20 @@ fn scripted_chaos_journals_each_fault_and_converges() {
     );
 }
 
-// Durable-store equivalence (satellite 3, mechanism level): for any op
-// sequence and any checkpoint cadence, recovery returns exactly the facts
-// a never-crashed reference map holds, with the original ids, and a seq
-// high-water above every id ever minted.
+// Durable-store equivalence (mechanism level): for any op sequence,
+// recovery returns exactly the facts a never-crashed reference map holds,
+// with the original ids, and a seq high-water above every id ever minted.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
     #[test]
     fn durable_recovery_equals_reference(
         ops in proptest::collection::vec((0u8..8, 0u64..50), 1..60),
-        checkpoint_every in 1usize..12,
     ) {
         use sensorlog::core::durable::DurableStore;
         use sensorlog::core::tupleid::TupleId;
         use std::collections::HashMap;
         let pred = sym("s");
-        let mut store = DurableStore::new(checkpoint_every);
+        let mut store = DurableStore::default();
         let mut reference: HashMap<i64, TupleId> = HashMap::new();
         let mut seq = 0u32;
         for (i, &(slot, ts)) in ops.iter().enumerate() {

@@ -171,10 +171,6 @@ fn clock_skew_and_jitter_randomized() {
                 hop_delay: (5, 60),
                 ..SimConfig::default()
             },
-            rt: RtConfig {
-                tau_c: 40,
-                ..RtConfig::default()
-            },
             ..DeployConfig::default()
         };
         let mut d = Deployment::new(NEG, BuiltinRegistry::standard(), topo.clone(), cfg).unwrap();

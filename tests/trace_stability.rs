@@ -1,7 +1,8 @@
 //! Pinned trace-hash regression: a lossy 200-node logicH run whose event
 //! journal must stay byte-identical across observability changes, and must
 //! be unaffected by enabling telemetry (the observer may never touch the
-//! RNG, the event queue, or timers).
+//! RNG, the event queue, or timers); and a clock-skewed JOIN2 run, the one
+//! pin whose timers τc scales.
 //!
 //! The pinned values come from `examples/trace_hash.rs` run at the
 //! origin-keyed-tie baseline. If a change legitimately alters simulator
@@ -126,4 +127,64 @@ fn provenance_does_not_perturb_the_trace() {
 
     let (_, n_disabled) = run_probe_full(Telemetry::disabled(), Provenance::disabled());
     assert_eq!(n_disabled, 0, "disabled plane must record nothing");
+}
+
+const JOIN2: &str = r#"
+    .output q.
+    q(X, Y) :- r1(N1, X, K), r2(N2, Y, K).
+"#;
+
+// Table 2's 4x4 testbed run: 50 ms clock skew, jittered hop delays, seeded
+// asymmetric per-link loss under 3 link retries. The pins above all run
+// with no skew, so this one is what holds τc handling to its bytes.
+const SKEWED_PIN: (usize, u64, u64) = (3210, 0x26fbd336d3f3855e, 1450);
+
+#[test]
+fn skewed_trace_is_pinned() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use sensorlog::core::workload::UniformStreams;
+
+    let topo = Topology::square_grid(4);
+    let mut rng = StdRng::seed_from_u64(99);
+    let mut link_loss = std::collections::HashMap::new();
+    for a in topo.nodes() {
+        for &b in topo.neighbors(a) {
+            link_loss.insert((a, b), rng.gen_range(0.0..0.10));
+        }
+    }
+    let cfg = DeployConfig {
+        rt: RtConfig {
+            strategy: Strategy::Perpendicular { band_width: 1.0 },
+            ..RtConfig::default()
+        },
+        sim: SimConfig {
+            hop_delay: (5, 80),
+            clock_skew_max: 50,
+            link_loss,
+            retries: 3,
+            seed: 31,
+            ..SimConfig::default()
+        },
+        ..DeployConfig::default()
+    };
+    let events = UniformStreams {
+        preds: vec![Symbol::intern("r1"), Symbol::intern("r2")],
+        interval: 6_000,
+        duration: 18_000,
+        delete_fraction: 0.0,
+        delete_lag: 0,
+        groups: 8,
+        seed: 7,
+    }
+    .events(&topo);
+    let mut d = Deployment::new(JOIN2, BuiltinRegistry::standard(), topo, cfg).unwrap();
+    let journal = d.attach_journal();
+    d.schedule_all(events.clone());
+    d.run(30_000_000);
+    let j = journal.take();
+    let got = (j.records.len(), j.content_hash(), d.metrics().total_tx());
+    assert_eq!(got, SKEWED_PIN, "the skewed journal drifted");
+    let report = oracle::check(&d, &events, Symbol::intern("q"));
+    assert_eq!(report.found, 285, "Table 2's 4x4 run found {report:?}");
 }
