@@ -84,11 +84,15 @@ cargo test --workspace -q
 #    field (a node id, a sign) is a line-numbered error;
 #  - a run with clock skew keeps its journal: Table 2's 4x4 testbed run
 #    (50 ms skew, jittered delays, seeded per-link loss) is pinned by
-#    record count, content hash and tx, the one pin that exercises τc.
+#    record count, content hash and tx, the one pin that exercises τc;
+#  - core: a plane tuple is stored only where a rule reads it — on 5x5
+#    logicH a `g` link goes to the one end it names (80 sends; sending it to
+#    every neighbour made 268), `h` / `hp` keep their 136 / 78, and the run
+#    is oracle-exact.
 # Each gate names its crate, its test target (`--lib` or `--test=<file>`)
 # and the test. The boundary-resolve cap (tests/boundary_sites.rs) ran with
 # the workspace tests above.
-echo "== count gates (keyed registry walks, exported node rows, queued event size, tuple size, unplanned probes, node probe ranges, router hops, id table race, small-int pool rows, expiry queue, message ownership, send order, queue memory, sent counters, Centroid provenance, hops are deliveries, JSONL numbers, skewed journal) =="
+echo "== count gates (keyed registry walks, exported node rows, queued event size, tuple size, unplanned probes, node probe ranges, router hops, id table race, small-int pool rows, expiry queue, message ownership, send order, queue memory, sent counters, Centroid provenance, hops are deliveries, JSONL numbers, skewed journal, plane store targets) =="
 for gate in \
     "sensorlog-netsim --lib sim::tests::keyed_registry_walks_do_not_grow_with_traffic" \
     "sensorlog-netsim --lib sim::tests::exported_node_rows_match_an_eagerly_registered_registry" \
@@ -113,7 +117,8 @@ for gate in \
     "sensorlog --test=explain_e2e hops_are_the_journals_deliveries" \
     "sensorlog --test=journal_roundtrip journal_from_jsonl_does_not_trust_the_header_count" \
     "sensorlog --test=journal_roundtrip from_jsonl_rejects_out_of_range_numbers" \
-    "sensorlog --test=trace_stability skewed_trace_is_pinned"; do
+    "sensorlog --test=trace_stability skewed_trace_is_pinned" \
+    "sensorlog-core --lib deploy::tests::plane_stores_go_where_rules_read_them"; do
     read -r crate target name <<<"$gate"
     out=$(cargo test -q -p "$crate" "$target" -- --exact "$name" 2>&1) || { echo "$out"; exit 1; }
     grep -q "test result: ok. 1 passed" <<<"$out" || {
@@ -298,6 +303,7 @@ if [[ "$fast" -eq 0 ]]; then
         fig6.runs_with_results fig6.runs_oracle_exact
         fig7.runs_with_results fig7.runs_oracle_exact
         fig8.trees_correct fig8.logicH_tx fig8.logicJ_tx
+        fig8.logicH_settle_ms fig8.logicJ_settle_ms fig8.flood_settle_ms
         fig9.loss_free_runs_oracle_exact fig9.spurious_results
         fig9.pa_found fig9.pa_arq_found fig9.centroid_found fig9.centroid_arq_found
         fig10.runs_with_results fig10.runs_oracle_exact fig10.tx
@@ -329,6 +335,9 @@ if [[ "$fast" -eq 0 ]]; then
         diag.mirror_legacy_frontier
         scale.tx_50_nodes scale.tx_98_nodes
         scale.logicJ_tx_50_nodes scale.logicJ_tx_98_nodes
+        scale.settle_ms_50_nodes scale.settle_ms_98_nodes
+        scale.logicJ_settle_ms_50_nodes scale.logicJ_settle_ms_98_nodes
+        scale.flood_settle_ms_50_nodes scale.flood_settle_ms_98_nodes
         scale.results_equal_oracle_50_nodes scale.results_equal_oracle_98_nodes
         scale.logicJ_results_equal_oracle_50_nodes scale.logicJ_results_equal_oracle_98_nodes"
     bench_out=$(mktemp /tmp/bench.XXXXXX.json)

@@ -7,8 +7,8 @@
 //! then the measured claims beyond them, defined here.
 
 use crate::common::{
-    fit_exponent, median, seed17, sptree_deployment, sptree_deployment_observed, sym, timed, JOIN2,
-    LOGIC_H, LOGIC_J,
+    fit_exponent, last_event, median, seed17, sptree_deployment, sptree_deployment_observed, sym,
+    timed, JOIN2, LOGIC_H, LOGIC_J,
 };
 use crate::experiments::telemetry::join_point;
 use crate::experiments::{
@@ -34,6 +34,7 @@ use sensorlog_logic::parser::parse_term;
 use sensorlog_logic::unify::{match_term, Subst};
 use sensorlog_logic::{intern, Symbol, Term, Tuple};
 use sensorlog_netsim::{FaultSchedule, Journal, NodeId, RandomFaults, SimConfig, Topology};
+use sensorlog_netstack::flood::run_flood;
 use sensorlog_netstack::tag::run_epoch;
 use sensorlog_netstack::tree::GatherTree;
 use sensorlog_provenance::{critical_path, ProofNode, ProvDag};
@@ -76,8 +77,10 @@ pub const CASES: &[(&str, Case)] = &[
 /// is invisible on the wire". Recorded before the flat-tuple refactor and
 /// unchanged until PR 25 (`3c1ec08c6289dba4`), whose pass plans and
 /// node-placed `h` / `hp` owners change what travels; moved again
-/// (`8ef1d099dba5e1b0`) by the neighbourhood plane's one-hop regions.
-const SPTREE_50_PIN: u64 = 0xb325_c809_9177_c3a8;
+/// (`8ef1d099dba5e1b0`) by the neighbourhood plane's one-hop regions, and
+/// (`b325c8099177c3a8`) when the plane stored a `g` link only at the end
+/// it names.
+const SPTREE_50_PIN: u64 = 0x81b2_b52e_0a3a_c7d7;
 
 fn hex(hash: u64) -> String {
     format!("{hash:016x}")
@@ -259,8 +262,8 @@ fn micro(quick: bool, r: &mut Report) {
 /// 4,000-node run. The horizon covers tree convergence after all links
 /// inject at t = 100.
 const GRID4K: [((u32, u32), u64, u64); 2] = [
-    ((30, 20), 400_000, 0x1312_50f7_50bb_8f4a),
-    ((80, 50), 4_000_000, 0x12d4_19d5_e5b3_73a7),
+    ((30, 20), 400_000, 0x4aa0_961d_3d14_3fbb),
+    ((80, 50), 4_000_000, 0x8083_7610_4ede_981a),
 ];
 
 /// Lossy logicH on the largest grid the suite runs, all links injected at
@@ -401,7 +404,7 @@ fn chaos(quick: bool, r: &mut Report) {
 /// which would make the per-result normalization meaningless.
 const PROV: [((u32, u32), u64, usize); 2] = [
     ((10, 5), SPTREE_50_PIN, 3),
-    ((14, 7), 0x2d22_2827_a0bc_a984, 7),
+    ((14, 7), 0x1fc1_d84d_cdc2_fcc3, 7),
 ];
 
 struct ProvRun {
@@ -670,13 +673,33 @@ fn diag(quick: bool, r: &mut Report) {
 /// runs the first two.
 const SCALE_GRIDS: [(u32, u32); 3] = [(10, 5), (14, 7), (20, 10)];
 
-/// `(label, source, gate prefix, pinned tx per grid)`: Example 3's tree
-/// program and the improved one of Secs. V/VI, so a change to the node
-/// probe is priced on two programs. Both are on the neighbourhood plane.
-const SCALE: [(&str, &str, &str, [u64; 3]); 2] = [
-    ("logicH", LOGIC_H, "", [1_603, 3_343, 7_140]),
-    ("logicJ", LOGIC_J, "logicJ_", [1_181, 2_460, 5_246]),
+/// One pinned value per [`SCALE_GRIDS`] entry.
+type PerGrid = [u64; 3];
+
+/// `(label, source, gate prefix, pinned tx per grid, pinned settle ms per
+/// grid)`: Example 3's tree program and the improved one of Secs. V/VI, so
+/// a change to the node probe is priced on two programs. Both are on the
+/// neighbourhood plane.
+const SCALE: [(&str, &str, &str, PerGrid, PerGrid); 2] = [
+    (
+        "logicH",
+        LOGIC_H,
+        "",
+        [1_175, 2_411, 5_092],
+        [16_787, 4_539, 4_536],
+    ),
+    (
+        "logicJ",
+        LOGIC_J,
+        "logicJ_",
+        [753, 1_528, 3_198],
+        [16_794, 3_611, 3_626],
+    ),
 ];
+
+/// The procedural flood's settle time per grid (ms): its one workload
+/// event is the root's beacon at t = 0.
+const SCALE_FLOOD_SETTLE: PerGrid = [206, 289, 362];
 
 /// Link arrival spacings (ms), ROADMAP item 2(b)'s axis: at 1 and 20 ms the
 /// links land before the tree settles; 200 ms is item 8's regime — wrong
@@ -686,21 +709,25 @@ const SCALE_SPACINGS: [u64; 3] = [1, 20, 200];
 const SCALE_GATED_SPACING: u64 = 200;
 
 /// How the loss-free tree programs under PA scale in node count (seed 17,
-/// telemetry on) at each link spacing: wall, tx and its store / probe /
+/// telemetry on) at each link spacing: wall, settle time (quiescence minus
+/// the last link's arrival), tx and its store / probe /
 /// result split, and the `core.join.probe` phase's count, share of wall and
 /// cost per count — split into partials per count and cost per partial, so
 /// the table says which of the two carries the growth — with the share of
 /// fragment lookups served as a range and the lookups that found nothing
 /// bound (`full_scans`), then the least-squares exponent of each in node
-/// count. Gates at 200 ms are the tx counts and whether the run's results
-/// equal the oracle's; timings are rows, and so are the oracle's count
-/// beside the run's (`results` / `oracle` / `spurious`) at every spacing.
+/// count. Gates at 200 ms are the tx counts, the settle times and whether
+/// the run's results equal the oracle's; wall timings are rows, and so are
+/// the oracle's count beside the run's (`results` / `oracle` / `spurious`)
+/// at every spacing. The procedural flood's settle time and tx close the
+/// case, one row and one settle gate per grid.
 fn scale(quick: bool, r: &mut Report) {
     let sizes = if quick { 2 } else { SCALE_GRIDS.len() };
-    for (program, src, gate_prefix, tx_pins) in SCALE {
+    for (program, src, gate_prefix, tx_pins, settle_pins) in SCALE {
         for spacing in SCALE_SPACINGS {
             let mut points = Vec::new();
-            for (&grid, tx_pin) in SCALE_GRIDS.iter().zip(tx_pins).take(sizes) {
+            let pins = tx_pins.iter().zip(settle_pins);
+            for (&grid, (tx_pin, settle_pin)) in SCALE_GRIDS.iter().zip(pins).take(sizes) {
                 let nodes = u64::from(grid.0 * grid.1);
                 let mut d = sptree_deployment_observed(
                     src,
@@ -710,7 +737,8 @@ fn scale(quick: bool, r: &mut Report) {
                     Telemetry::enabled(),
                     spacing,
                 );
-                let (_, wall_s) = timed(|| d.run(2_000_000));
+                let (quiet, wall_s) = timed(|| d.run(2_000_000));
+                let settle_ms = quiet - last_event(&d);
                 let tx = d.metrics().total_tx();
                 let snap = d.telemetry_snapshot();
                 let probe = snap.phase("core.join.probe").expect("PA run probes");
@@ -730,13 +758,16 @@ fn scale(quick: bool, r: &mut Report) {
                 let held = oracle::check(&d, d.applied_events(), d.prog.outputs[0]);
                 if spacing == SCALE_GATED_SPACING {
                     r.gate(&format!("{gate_prefix}tx_{nodes}_nodes"), tx_pin, tx);
+                    let settle = format!("{gate_prefix}settle_ms_{nodes}_nodes");
+                    r.gate(&settle, settle_pin, settle_ms);
                     let exact = format!("{gate_prefix}results_equal_oracle_{nodes}_nodes");
                     r.gate(&exact, true, held.exact());
                 }
                 let tx_of = |kind| d.metrics().tx_of(kind);
                 r.row(row![
                     "program" => program, "spacing_ms" => spacing, "nodes" => nodes,
-                    "wall_s" => wall_s, "tx" => tx, "tx_store" => tx_of("store"),
+                    "wall_s" => wall_s, "settle_ms" => settle_ms, "tx" => tx,
+                    "tx_store" => tx_of("store"),
                     "tx_probe" => tx_of("probe"), "tx_result" => tx_of("result"),
                     "results" => held.found, "oracle" => held.expected,
                     "spurious" => held.spurious.len(), "probe_calls" => probe.count,
@@ -761,5 +792,20 @@ fn scale(quick: bool, r: &mut Report) {
                 "ns_per_partial" => exponent(3),
             ]);
         }
+    }
+    for (&(cols, rows), settle_pin) in SCALE_GRIDS.iter().zip(SCALE_FLOOD_SETTLE).take(sizes) {
+        let topo = Topology::grid(cols, rows);
+        let flood = run_flood(&topo, NodeId(0), seed17());
+        let nodes = u64::from(cols * rows);
+        let settle_ms = flood.converged_at;
+        r.gate(
+            &format!("flood_settle_ms_{nodes}_nodes"),
+            settle_pin,
+            settle_ms,
+        );
+        r.row(row![
+            "program" => "flood", "nodes" => nodes, "settle_ms" => settle_ms,
+            "tx" => flood.total_messages,
+        ]);
     }
 }

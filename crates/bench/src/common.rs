@@ -74,6 +74,12 @@ pub fn sptree_deployment_observed(
     d
 }
 
+/// When the last workload event `d` applied happened (0 when none did):
+/// what a run's settle time is measured from.
+pub fn last_event(d: &Deployment) -> u64 {
+    (d.applied_events().iter()).map(|e| e.at).max().unwrap_or(0)
+}
+
 pub fn sym(s: &str) -> Symbol {
     Symbol::intern(s)
 }
@@ -203,7 +209,7 @@ pub struct RunPoint {
 /// The static analyzer's per-node storage ceiling for a finished run: Σ
 /// over predicates of the per-node ceiling `check_static_bounds` enforces
 /// (`invariants::node_caps`: 2·T(p), a neighbourhood-plane predicate's
-/// one-hop share), with T(p) the `sensorlog check` tuple bound evaluated at
+/// store-set share), with T(p) the `sensorlog check` tuple bound evaluated at
 /// the run's observed per-predicate event counts. `None` if any predicate
 /// is statically unbounded.
 pub fn static_bound_total(d: &Deployment) -> Option<u64> {

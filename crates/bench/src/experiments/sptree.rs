@@ -9,34 +9,42 @@
 //! * `flood` — the hand-written BFS beacon protocol (the Kairos-style
 //!   procedural comparator).
 
-use crate::common::{series, sptree_deployment, tree_depths_correct, LOGIC_H, LOGIC_J};
+use crate::common::{last_event, series, sptree_deployment, tree_depths_correct, LOGIC_H, LOGIC_J};
 use crate::report::Report;
 use crate::row;
 use sensorlog_logic::Symbol;
 use sensorlog_netsim::{NodeId, SimConfig, Topology};
 use sensorlog_netstack::flood::run_flood;
 
-/// One deductive tree construction: (messages, converged-at s, depths
-/// correct?).
-fn run_deductive(src: &str, out_pred: &str, m: u32) -> (u64, f64, bool) {
+/// One deductive tree construction: (messages, converged-at s, settle ms,
+/// depths correct?). Settle is quiescence minus the last link's arrival.
+fn run_deductive(src: &str, out_pred: &str, m: u32) -> (u64, f64, u64, bool) {
     let topo = Topology::square_grid(m);
     let mut d = sptree_deployment(src, (m, m), SimConfig::default(), 200);
     let converged = d.run(200_000_000);
     let results = d.results(Symbol::intern(out_pred));
     let ok = tree_depths_correct(&topo, &results, usize::from(out_pred == "h"));
-    (d.metrics().total_tx(), converged as f64 / 1000.0, ok)
+    let settle = converged - last_event(&d);
+    (
+        d.metrics().total_tx(),
+        converged as f64 / 1000.0,
+        settle,
+        ok,
+    )
 }
 
 /// Fig. 8: messages and convergence time for logicH / logicJ / flood. All
-/// three must build the BFS tree, and both programs' message counts are
-/// pinned.
+/// three must build the BFS tree; both programs' message counts and all
+/// three settle times (quiescence minus the last workload event: the last
+/// link's arrival, or the flood's start at t = 0) are pinned.
 pub fn fig8(_quick: bool, r: &mut Report) {
     let (mut h_tx, mut j_tx, mut correct) = (Vec::new(), Vec::new(), 0);
+    let (mut h_settle, mut j_settle, mut flood_settle) = (Vec::new(), Vec::new(), Vec::new());
     let sizes = [3u32, 4, 5];
     for m in sizes {
         let topo = Topology::square_grid(m);
-        let (h_msgs, h_s, h_ok) = run_deductive(LOGIC_H, "h", m);
-        let (j_msgs, j_s, j_ok) = run_deductive(LOGIC_J, "j", m);
+        let (h_msgs, h_s, h_settle_ms, h_ok) = run_deductive(LOGIC_H, "h", m);
+        let (j_msgs, j_s, j_settle_ms, j_ok) = run_deductive(LOGIC_J, "j", m);
         let flood = run_flood(&topo, NodeId(0), SimConfig::default());
         let flood_ok = topo.nodes().all(|n| {
             let (x, y) = topo.grid_coords(n).expect("grid topology");
@@ -45,13 +53,20 @@ pub fn fig8(_quick: bool, r: &mut Report) {
         correct += usize::from(h_ok) + usize::from(j_ok) + usize::from(flood_ok);
         h_tx.push(h_msgs);
         j_tx.push(j_msgs);
+        h_settle.push(h_settle_ms);
+        j_settle.push(j_settle_ms);
+        flood_settle.push(flood.converged_at);
         r.row(row![
-            "m" => m, "logicH_tx" => h_msgs, "logicH_s" => h_s,
-            "logicJ_tx" => j_msgs, "logicJ_s" => j_s, "flood_tx" => flood.total_messages,
-            "flood_s" => flood.converged_at as f64 / 1000.0,
+            "m" => m, "logicH_tx" => h_msgs, "logicH_s" => h_s, "logicH_settle_ms" => h_settle_ms,
+            "logicJ_tx" => j_msgs, "logicJ_s" => j_s, "logicJ_settle_ms" => j_settle_ms,
+            "flood_tx" => flood.total_messages, "flood_s" => flood.converged_at as f64 / 1000.0,
+            "flood_settle_ms" => flood.converged_at,
         ]);
     }
     r.gate("trees_correct", 3 * sizes.len(), correct);
-    r.gate("logicH_tx", "192 422 740", series(h_tx));
-    r.gate("logicJ_tx", "152 320 548", series(j_tx));
+    r.gate("logicH_tx", "148 318 552", series(h_tx));
+    r.gate("logicJ_tx", "108 216 360", series(j_tx));
+    r.gate("logicH_settle_ms", "13483 15906 16745", series(h_settle));
+    r.gate("logicJ_settle_ms", "13477 15920 16742", series(j_settle));
+    r.gate("flood_settle_ms", "63 86 119", series(flood_settle));
 }

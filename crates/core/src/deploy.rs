@@ -135,11 +135,12 @@ impl Deployment {
         config: DeployConfig,
     ) -> Result<Deployment, crate::plan::CompileError> {
         let mut prog = compile_source(src, reg, config.plan)?.with_pass_mode(config.rt.pass_mode);
-        // The neighbourhood plane stores a tuple one hop out once, and
-        // nothing resends a lost store: a join that misses a negated partner
-        // (`hp`) derives what it should not, which feeds further joins. Past
-        // a few lost hops that diverges where PA's walks stay bounded, until
-        // ROADMAP item 14 gives lost state a repair path; such links keep the
+        // The neighbourhood plane sends a tuple once to each neighbour that
+        // reads it (`DistProgram::store_targets`), and nothing resends a
+        // lost store: a join that misses a negated partner (`hp`) derives
+        // what it should not, which feeds further joins. Past a few lost
+        // hops that diverges where PA's walks stay bounded, until ROADMAP
+        // item 14 gives lost state a repair path; such links keep the
         // strategy's regions.
         if config.sim.hop_loss() > PLANE_MAX_HOP_LOSS {
             prog.neighbourhood.clear();
@@ -424,7 +425,7 @@ impl Deployment {
         );
         // Bound tightness: the enforced per-node ceiling (2·T(p), one
         // replica + one owned copy per distinct tuple, or a plane
-        // predicate's one-hop share — exactly what `check_static_bounds`
+        // predicate's store-set share — exactly what `check_static_bounds`
         // asserts) ÷ the network-wide per-node peak, per predicate. A value
         // of 0 therefore always means a bound violation; the frontier pass
         // targets single-digit slack on the grid examples (the legacy S·Σ
@@ -809,6 +810,48 @@ mod tests {
         assert_eq!(dropped, snap.counter("layer:netstack", "unreachable"));
         assert!(d.sim.metrics.total_tx() > 0);
         assert_eq!(sent_total(&snap), d.sim.metrics.total_tx());
+    }
+
+    /// The count gate of "store a plane tuple only where a rule reads it":
+    /// loss-free logicH on a 5×5 grid, every link sensed at t = 100 ms. A
+    /// `g(X, Y)` link is read at `X` and at `Y` alone, so it is sent to `Y`
+    /// once when `Y` is a radio neighbour (80 sends, where sending to every
+    /// neighbour of `X` made 268); `h` / `hp` are read at every neighbour
+    /// and keep their counts; the run stays oracle-exact.
+    #[test]
+    fn plane_stores_go_where_rules_read_them() {
+        let topo = sensorlog_netsim::Topology::square_grid(5);
+        let config = DeployConfig {
+            telemetry: Telemetry::enabled(),
+            sim: SimConfig {
+                seed: 17,
+                ..SimConfig::default()
+            },
+            ..DeployConfig::default()
+        };
+        let mut d =
+            Deployment::new(LOGIC_H, BuiltinRegistry::standard(), topo.clone(), config).unwrap();
+        assert!(!d.prog.neighbourhood.is_empty(), "logicH left the plane");
+        let links = crate::workload::graph_edges(&topo, 100, 0);
+        d.schedule_all(links.clone());
+        d.run(2_000_000);
+        assert!(d.sim.is_quiescent());
+        let named_end_is_a_neighbour = (links.iter())
+            .filter(|e| {
+                let end = |col| match e.tuple.get(col) {
+                    Term::Int(n) => NodeId(n as u32),
+                    other => panic!("link end {other:?}"),
+                };
+                topo.are_neighbors(end(0), end(1))
+            })
+            .count() as u64;
+        let snap = d.telemetry_snapshot();
+        let stores = |p: &str| snap.counter(&format!("pred:{p}"), "sent_store");
+        assert_eq!(stores("g"), named_end_is_a_neighbour);
+        assert_eq!((stores("g"), stores("h"), stores("hp")), (80, 136, 78));
+        let h = Symbol::intern("h");
+        let held = crate::oracle::check(&d, &links, h);
+        assert!(held.exact(), "{held:?}");
     }
 
     /// Regression: `NetInfo::new` used to index node 0 of whatever it was

@@ -48,7 +48,7 @@
 //! 7. **Plane locality** — every neighbourhood-plane update is about a node
 //!    (one sensed elsewhere is sent there to start) and, for the link
 //!    relation, states a radio link (`DistProgram::breaks_plane`): the
-//!    plane's one-hop regions are exact only then, so a run that broke it
+//!    plane's store targets are exact only then, so a run that broke it
 //!    is flagged, not trusted.
 
 use crate::deploy::{Deployment, WorkloadEvent};
@@ -198,14 +198,14 @@ pub fn check_structural(d: &Deployment) -> InvariantReport {
 /// [`check_static_bounds`] enforces, under the run's observed `params`:
 /// `2 × T(p)` — one replica and one owned copy per distinct tuple, `T(p)`
 /// the frontier-width interpreter's whole-network bound — and for a
-/// neighbourhood-plane predicate no more than its one-hop share
+/// neighbourhood-plane predicate no more than its store set's share
 /// (`absint::neighbourhood_cap`) — on a lossy run, for the link relation
 /// only. `None` for an unbounded predicate.
 pub fn node_caps(d: &Deployment, params: &BoundParams) -> BTreeMap<Symbol, Option<u64>> {
     let topo = d.sim.topology();
     let degree = (topo.nodes()).map(|n| topo.neighbors(n).len() as u64).max();
     let fr = absint::frontier(&d.prog.analysis);
-    // The one-hop share counts the tuples of the exact fixpoint: a lost
+    // The store-set share counts the tuples of the exact fixpoint: a lost
     // store lets a join derive what the model has none of, so on lossy
     // links only the link relation, which holds what was sensed, keeps it.
     let exact = d.sim.config.hop_loss() <= 0.0;
@@ -213,8 +213,8 @@ pub fn node_caps(d: &Deployment, params: &BoundParams) -> BTreeMap<Symbol, Optio
     for (&pred, expr) in &fr.bounds {
         let whole = expr.eval(params).map(|t| t.saturating_mul(2));
         let local = (d.prog.neighbourhood.get(&pred))
-            .filter(|&&link| exact || link == pred)
-            .and_then(|&link| absint::neighbourhood_cap(expr, link, params, degree?));
+            .filter(|on| exact || on.link == pred)
+            .and_then(|&on| absint::neighbourhood_cap(expr, on, params, degree?));
         caps.insert(pred, whole.map(|w| local.map_or(w, |l| l.min(w))));
     }
     caps

@@ -13,8 +13,9 @@
 //! Three more decisions are the program's, made here once: the passes a
 //! probe pinned at each relational literal walks ([`PassPlan`]), which node
 //! owns each derived tuple ([`DistProgram::owner_of`]), and which
-//! predicates store one hop out and join where they stand
-//! ([`DistProgram::neighbourhood`]).
+//! predicates join where they stand, stored only at the neighbours their
+//! rules read them at ([`DistProgram::neighbourhood`],
+//! [`DistProgram::store_targets`]).
 
 use crate::partial::MAX_BODY_LITERALS;
 use crate::strategy::PassMode;
@@ -24,7 +25,7 @@ use sensorlog_logic::boundness::pass_plan;
 use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::intern::{self, Val};
 use sensorlog_logic::span::Span;
-use sensorlog_logic::xy;
+use sensorlog_logic::xy::{self, OnPlane, Store};
 use sensorlog_logic::{Symbol, Tuple};
 use sensorlog_netsim::{NodeId, Topology};
 use sensorlog_netstack::ght;
@@ -106,12 +107,13 @@ pub struct DistProgram {
     /// (`logic::xy::placement`), by that column.
     pub placement: BTreeMap<Symbol, usize>,
     /// The neighbourhood plane (`logic::xy::neighbourhood`), each predicate
-    /// with its link relation: a tuple of one of these predicates starts at
-    /// the node it is about ([`DistProgram::plane_node`]), is stored at that
-    /// node's closed 1-hop neighbourhood and joined there alone, whatever
+    /// with its link relation and store set: a tuple of one of these
+    /// predicates starts at the node it is about ([`DistProgram::plane_node`]),
+    /// is stored there and at the radio neighbours its rules read it at
+    /// ([`DistProgram::store_targets`]), and is joined there alone, whatever
     /// the strategy's regions (Centroid aside). Emptied by `Deployment::new`
     /// on links that lose more than one hop in ten for good.
-    pub neighbourhood: BTreeMap<Symbol, Symbol>,
+    pub neighbourhood: BTreeMap<Symbol, OnPlane>,
 }
 
 /// The passes a probe pinned at one relational literal walks over its join
@@ -209,15 +211,41 @@ impl DistProgram {
     /// it is a link fact whose ends (columns 0 and 1) are not radio
     /// neighbours. False off the plane.
     pub(crate) fn breaks_plane(&self, topo: &Topology, pred: Symbol, tuple: &Tuple) -> bool {
-        let Some(&link) = self.neighbourhood.get(&pred) else {
+        let Some(on) = self.neighbourhood.get(&pred) else {
             return false;
         };
         match self.plane_node(topo, pred, tuple) {
             None => true,
             Some(at) => {
-                pred == link
+                pred == on.link
                     && !node_named(topo, tuple, 1).is_some_and(|n| topo.are_neighbors(at, n))
             }
+        }
+    }
+
+    /// Where a neighbourhood-plane tuple of `pred` about node `at` is
+    /// stored besides `at` itself, by its store set (`logic::xy::Store`):
+    /// nowhere, at the radio neighbour its column 1 names (nowhere when
+    /// that node is not a neighbour), or at every radio neighbour of `at`.
+    /// Nowhere off the plane.
+    pub(crate) fn store_targets<'t>(
+        &self,
+        topo: &'t Topology,
+        at: NodeId,
+        pred: Symbol,
+        tuple: &Tuple,
+    ) -> &'t [NodeId] {
+        let neighbours = topo.neighbors(at);
+        match self.neighbourhood.get(&pred).map(|on| on.store) {
+            Some(Store::Neighbours) => neighbours,
+            Some(Store::LinkEnd) => {
+                let end = node_named(topo, tuple, 1);
+                match neighbours.iter().position(|&n| Some(n) == end) {
+                    Some(i) => &neighbours[i..=i],
+                    None => &[],
+                }
+            }
+            Some(Store::Home) | None => &[],
         }
     }
 }

@@ -720,8 +720,9 @@ impl SensorlogNode {
         // Storage phase.
         let plane = self.prog.neighbourhood.contains_key(&fact.pred);
         match self.cfg.strategy {
-            // A neighbourhood-plane tuple is stored here and one hop out,
-            // whatever the strategy: its join needs nothing further.
+            // A neighbourhood-plane tuple is stored here and at the
+            // neighbours its rules read it at, whatever the strategy: its
+            // join needs nothing further.
             _ if plane => {
                 let net = Arc::clone(&self.net);
                 let home = (self.prog).plane_node(&net.topo, fact.pred, &fact.tuple);
@@ -737,7 +738,8 @@ impl SensorlogNode {
                         .bump(Scope::Pred(fact.pred.as_str()), "locality_violations");
                 }
                 self.store_replica(ctx, &fact);
-                for &nb in net.topo.neighbors(self.id) {
+                let targets = (self.prog).store_targets(&net.topo, self.id, fact.pred, &fact.tuple);
+                for &nb in targets {
                     self.send_store_walk(ctx, &fact, vec![nb]);
                 }
             }

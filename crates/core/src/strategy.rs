@@ -11,11 +11,13 @@
 //! | NaiveBroadcast  | whole network   | local node              |
 //! | LocalStorage    | local node      | whole network           |
 //! | Centroid        | — (central server runs the centralized engine) |
-//! | *neighbourhood plane* | closed 1-hop neighbourhood | local node |
+//! | *neighbourhood plane* | local node + neighbours that read it | local node |
 //!
 //! The last row is not a strategy: a predicate of the program's
-//! neighbourhood plane (`DistProgram::neighbourhood`) gets those regions
-//! under every strategy but Centroid (`runtime::SensorlogNode`'s
+//! neighbourhood plane (`DistProgram::neighbourhood`) gets those regions —
+//! its storage region the node it is about plus the radio neighbours its
+//! rules read it at (`DistProgram::store_targets`: none, the one a link's
+//! column 1 names, or all) — under every strategy but Centroid (`runtime::SensorlogNode`'s
 //! `initiate_update` / `start_join`), and [`Strategy::storage_region`] /
 //! [`Strategy::join_region`] never see it. On links that lose more than
 //! one hop in ten the deployment drops the plane, and the strategy's own

@@ -57,7 +57,7 @@ use crate::diag::{BoundExpr, BoundParams};
 use crate::symbol::Symbol;
 use crate::term::Term;
 use crate::unify::Subst;
-use crate::xy::{relate_detail, stage_expr, StageExpr, StageRelDetail, XyInfo};
+use crate::xy::{relate_detail, stage_expr, OnPlane, StageExpr, StageRelDetail, Store, XyInfo};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Constructor-nesting depth at which the Herbrand column dataflow widens
@@ -256,29 +256,34 @@ pub fn frontier(analysis: &Analysis) -> Frontier {
 }
 
 /// The per-node ceiling on stored tuples of a neighbourhood-plane predicate
-/// (`xy::neighbourhood`) whose whole-network bound is `bound`, on a network
-/// whose nodes have at most `degree` radio neighbours. A node stores such a
-/// tuple only when it is about a node of its closed neighbourhood (≤
-/// `degree + 1` of them), and owns it only when it is about itself. The
-/// frontier bound counts tuples per anchoring link, and one node is the end
-/// of at most `degree` radio links, so `bound` with `E(link) = degree` bounds
-/// the tuples about one node: the ceiling is one replica per neighbourhood
-/// node plus the owned copy, `2 · (degree + 1) · bound[E(link) ↦ degree]`.
+/// `on` (`xy::neighbourhood`) whose whole-network bound is `bound`, on a
+/// network whose nodes have at most `degree` radio neighbours. The frontier
+/// bound counts tuples per anchoring link, and one node is the end of at
+/// most `degree` radio links, so `b = bound[E(link) ↦ degree]` bounds the
+/// tuples about one node, and a node owns only those about itself. It
+/// stores replicas by `on.store`:
+/// - `Home`: only its own, so `2 · b` (replica plus owned copy);
+/// - `LinkEnd`: its own and the links naming it at column 1 — at most
+///   `degree ≤ b` of them — so `4 · b`;
+/// - `Neighbours`: those about any node of its closed neighbourhood (≤
+///   `degree + 1` of them), so `2 · (degree + 1) · b`.
+///
 /// `None` when `bound` is unbounded.
 pub fn neighbourhood_cap(
     bound: &BoundExpr,
-    link: Symbol,
+    on: OnPlane,
     params: &BoundParams,
     degree: u64,
 ) -> Option<u64> {
     let mut one_node = params.clone();
-    one_node.events.insert(link, degree);
+    one_node.events.insert(on.link, degree);
     let about_one = bound.eval(&one_node)?;
-    Some(
-        about_one
-            .saturating_mul(degree.saturating_add(1))
-            .saturating_mul(2),
-    )
+    let nodes = match on.store {
+        Store::Home => 1,
+        Store::LinkEnd => 2,
+        Store::Neighbours => degree.saturating_add(1),
+    };
+    Some(about_one.saturating_mul(nodes).saturating_mul(2))
 }
 
 // ---------------------------------------------------------------------------

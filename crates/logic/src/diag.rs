@@ -36,7 +36,7 @@ use crate::depgraph::DepGraph;
 use crate::parser::parse_program;
 use crate::span::Span;
 use crate::symbol::Symbol;
-use crate::xy::{DEFAULT_HOLDDOWN_BASE_MS, DEFAULT_XY_STAGGER_MS};
+use crate::xy::{OnPlane, Store, DEFAULT_HOLDDOWN_BASE_MS, DEFAULT_XY_STAGGER_MS};
 use sensorlog_telemetry::jsonl::escape;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -231,10 +231,10 @@ pub struct Report {
     /// Owner column of each placed predicate (`xy::placement`): its tuples
     /// are owned by the node that column names.
     pub placement: BTreeMap<Symbol, usize>,
-    /// The neighbourhood plane (`xy::neighbourhood`): predicates stored one
-    /// hop out from the node they are about and joined there, each with its
-    /// link relation.
-    pub neighbourhood: BTreeMap<Symbol, Symbol>,
+    /// The neighbourhood plane (`xy::neighbourhood`): predicates stored
+    /// within one hop of the node they are about and joined there, each
+    /// with its link relation and store set.
+    pub neighbourhood: BTreeMap<Symbol, OnPlane>,
 }
 
 impl Report {
@@ -765,23 +765,29 @@ pub fn check_analysis(analysis: &Analysis, params: &BoundParams) -> Report {
         );
     }
     let neighbourhood = crate::xy::neighbourhood(prog, &analysis.xy, &placement);
-    for (&p, &link) in &neighbourhood {
+    for (&p, on) in &neighbourhood {
+        let col = crate::xy::location(&placement, p);
+        let stored = match on.store {
+            Store::Home => format!("at the node its column {col} names"),
+            Store::LinkEnd => format!(
+                "at the node its column {col} names and at the radio neighbour its column 1 names"
+            ),
+            Store::Neighbours => {
+                format!("at the node its column {col} names and at every radio neighbour of it")
+            }
+        };
         rep.push(
             "comm.neighbourhood",
             Severity::Info,
             None,
             Some(p),
             (prog.rules_for(p).next()).map_or_else(|| first_read(prog, p), |r| r.spans.rule),
-            if p == link {
-                format!(
-                    "`{p}` links the neighbourhood plane: each fact is stored one hop out \
-                     from its source (column 0), and joined there"
-                )
+            if p == on.link {
+                format!("`{p}` links the neighbourhood plane: each fact is stored {stored}, and joined there")
             } else {
                 format!(
-                    "`{p}` is on the neighbourhood plane over `{link}`: stored one hop out \
-                     from the node its column {} names, and joined there",
-                    crate::xy::location(&placement, p)
+                    "`{p}` is on the neighbourhood plane over `{}`: stored {stored}, and joined there",
+                    on.link
                 )
             },
         );

@@ -24,7 +24,7 @@
 //! the stage-local graph — e.g. `(H'_d, H_d)` for logicH, matching the
 //! paper's `H0, H'1, H1, H'2, …` schedule.
 
-use crate::ast::{CmpOp, Literal, Program, Rule};
+use crate::ast::{Atom, CmpOp, Literal, Program, Rule};
 use crate::depgraph::DepGraph;
 use crate::span::Span;
 use crate::symbol::Symbol;
@@ -558,10 +558,33 @@ pub fn location(placed: &BTreeMap<Symbol, usize>, pred: Symbol) -> usize {
     placed.get(&pred).copied().unwrap_or(0)
 }
 
+/// Where a neighbourhood-plane tuple is stored besides the node it is
+/// about: the nodes a join reading it can run at. Ordered by reach, so the
+/// union over a predicate's readers is the greatest.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Store {
+    /// Nowhere else: every rule reading it joins at that node.
+    Home,
+    /// At the node its column 1 names, when that is a radio neighbour: a
+    /// link fact read at its source and at the end it names.
+    LinkEnd,
+    /// At every radio neighbour.
+    Neighbours,
+}
+
+/// A predicate of the neighbourhood plane: its component's link relation
+/// and where its tuples are stored.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct OnPlane {
+    pub link: Symbol,
+    pub store: Store,
+}
+
 /// The neighbourhood plane (ROADMAP item 11(b)): the predicates whose
-/// tuples can be stored at the closed 1-hop neighbourhood of the node they
-/// are about and joined at that node alone, each with its component's link
-/// relation `E`. `placed` is [`placement`]'s answer for the same program.
+/// tuples can be stored within the closed 1-hop neighbourhood of the node
+/// they are about and joined at one node alone, each with its component's
+/// link relation `E` and its [`Store`] set. `placed` is [`placement`]'s
+/// answer for the same program.
 ///
 /// A body literal's *location* is its [`location`] column for a placed
 /// predicate or a component's `E`, and none otherwise. A rule is
@@ -574,6 +597,13 @@ pub fn location(placed: &BTreeMap<Symbol, usize>, pred: Symbol) -> usize {
 /// of which is neighbour-local and reads only plane predicates — so a rule
 /// joins either wholly on the plane or wholly off it.
 ///
+/// A join runs where its update is about, so a literal at location `t` is
+/// read wherever another literal of its rule is located: nowhere else when
+/// that location is `t`; at the end an `E` literal's column 1 names when
+/// it is that column of the literal's own atom (Grumbach, Wang & Wu's edge
+/// fact, known to both of its endpoints); at any neighbour otherwise. A
+/// predicate's [`Store`] is the greatest over its reading literals.
+///
 /// Exact when each tuple starts at the node its location names and every
 /// `E` fact links radio neighbours; the runtime sends a tuple sensed
 /// elsewhere to that node, and counts a link between non-neighbours.
@@ -581,7 +611,7 @@ pub fn neighbourhood(
     prog: &Program,
     xy: &[XyInfo],
     placed: &BTreeMap<Symbol, usize>,
-) -> BTreeMap<Symbol, Symbol> {
+) -> BTreeMap<Symbol, OnPlane> {
     let mut at: BTreeMap<Symbol, Symbol> = BTreeMap::new();
     for info in xy {
         let rules: Vec<&Rule> = (prog.rules.iter())
@@ -595,15 +625,14 @@ pub fn neighbourhood(
             at.insert(p, link);
         }
     }
-    let local = |rule: &Rule| {
-        let mut terms: Vec<&Term> = Vec::new();
+    // Each rule's relational literals with their location terms, and the
+    // store each of them needs; `None` when the rule is not neighbour-local.
+    let reads_at = |rule: &Rule| -> Option<Vec<(Symbol, Store)>> {
+        let mut lits: Vec<(&Atom, &Term)> = Vec::new();
         for lit in &rule.body {
             if let Literal::Pos(a) | Literal::Neg(a) = lit {
                 let col = at.contains_key(&a.pred).then(|| location(placed, a.pred));
-                match col.and_then(|c| a.args.get(c)) {
-                    Some(t) => terms.push(t),
-                    None => return false,
-                }
+                lits.push((a, col.and_then(|c| a.args.get(c))?));
             }
         }
         let linked = |s: &Term, t: &Term| {
@@ -613,16 +642,43 @@ pub fn neighbourhood(
                     && ((&a.args[0], &a.args[1]) == (s, t) || (&a.args[0], &a.args[1]) == (t, s))
             })
         };
-        (terms.iter().enumerate())
-            .all(|(i, s)| terms[i + 1..].iter().all(|t| s == t || linked(s, t)))
+        let mut out = Vec::new();
+        for (i, &(a, t)) in lits.iter().enumerate() {
+            let mut store = Store::Home;
+            for (j, &(_, u)) in lits.iter().enumerate() {
+                if j == i || t == u {
+                    continue;
+                }
+                if !linked(t, u) {
+                    return None;
+                }
+                let own_end = at[&a.pred] == a.pred && a.args.get(1) == Some(u);
+                store = store.max(if own_end {
+                    Store::LinkEnd
+                } else {
+                    Store::Neighbours
+                });
+            }
+            out.push((a.pred, store));
+        }
+        Some(out)
     };
     // A rule that is not neighbour-local takes everything it reads off the
     // plane; so does a rule reading something already off. Repeat until
     // nothing moves.
-    let mut off: BTreeSet<Symbol> = (prog.rules.iter())
-        .filter(|r| !local(r))
-        .flat_map(reads)
-        .collect();
+    let mut off: BTreeSet<Symbol> = BTreeSet::new();
+    let mut store: BTreeMap<Symbol, Store> = BTreeMap::new();
+    for rule in &prog.rules {
+        match reads_at(rule) {
+            None => off.extend(reads(rule)),
+            Some(read) => {
+                for (p, s) in read {
+                    let e = store.entry(p).or_insert(Store::Home);
+                    *e = (*e).max(s);
+                }
+            }
+        }
+    }
     loop {
         let more: Vec<Symbol> = (prog.rules.iter())
             .filter(|r| reads(r).any(|p| off.contains(&p)))
@@ -634,8 +690,13 @@ pub fn neighbourhood(
         }
         off.extend(more);
     }
-    at.retain(|p, _| !off.contains(p));
-    at
+    (at.into_iter())
+        .filter(|(p, _)| !off.contains(p))
+        .map(|(p, link)| {
+            let store = store.get(&p).copied().unwrap_or(Store::Home);
+            (p, OnPlane { link, store })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -722,8 +783,8 @@ mod tests {
             let p = parse_program(src).unwrap();
             let xy = check_program(&p).unwrap();
             let got = neighbourhood(&p, &xy, &placement(&p, &xy));
-            for &link in got.values() {
-                assert_eq!(link, sym("g"));
+            for on in got.values() {
+                assert_eq!(on.link, sym("g"));
             }
             (got.keys().map(|p| p.as_str().to_string())).collect::<Vec<_>>()
         };
@@ -759,6 +820,52 @@ mod tests {
         // One link apart, it is.
         let near = format!("{logicj}\nnear(X, Y) :- j(X, D), g(X, Y), j(Y, D).");
         assert_eq!(plane(&near), ["g", "j", "jp"]);
+    }
+
+    /// Where each plane predicate is stored, by program: a link fact at the
+    /// end its column 1 names, a stage predicate at every neighbour.
+    #[test]
+    fn plane_stores_by_program() {
+        let stores = |src: &str| {
+            let p = parse_program(src).unwrap();
+            let xy = check_program(&p).unwrap();
+            let got = neighbourhood(&p, &xy, &placement(&p, &xy));
+            (got.into_iter())
+                .map(|(p, on)| (p.as_str().to_string(), on.store))
+                .collect::<Vec<_>>()
+        };
+        let at = |v: &[(&str, Store)]| {
+            v.iter()
+                .map(|&(p, s)| (p.to_string(), s))
+                .collect::<Vec<_>>()
+        };
+        use Store::{Home, LinkEnd, Neighbours};
+        let ints = LOGICH
+            .replace("h(a, a, 0)", "h(0, 0, 0)")
+            .replace("h(a, X, 1) :- g(a, X)", "h(0, X, 1) :- g(0, X)");
+        let logicj = include_str!("../../../examples/programs/logicj.dl");
+        let sptree = include_str!("../../../examples/programs/sptree.dl");
+        let tree = at(&[("g", LinkEnd), ("h", Neighbours), ("hp", Neighbours)]);
+        assert_eq!(stores(&ints), tree);
+        assert_eq!(stores(sptree), tree);
+        assert_eq!(
+            stores(logicj),
+            at(&[("g", LinkEnd), ("j", Neighbours), ("jp", Neighbours)])
+        );
+        // Every literal of every reading rule at one node: no store message.
+        let home = r#"
+            c(0, 0).
+            cp(Y, D + 1) :- g(X, Y), c(X, D).
+            c(Y, D + 1) :- g(X, Y), c(X, D), not cp(X, D + 1).
+        "#;
+        assert_eq!(stores(home), at(&[("c", Home), ("cp", Home), ("g", Home)]));
+        // A join at `Z` reads every link out of its neighbour `X`, not only
+        // the one naming `Z`: the link goes to every neighbour.
+        let both = format!("{logicj}\nfan(X, Z) :- g(X, Y), g(X, Z), j(Z, D).");
+        assert_eq!(
+            stores(&both),
+            at(&[("g", Neighbours), ("j", Neighbours), ("jp", Neighbours)])
+        );
     }
 
     #[test]

@@ -95,9 +95,9 @@ const LOGIC_J_JSON: &str = r#"{
     {"code": "plan.negation-multipass", "severity": "info", "rule": 3, "pred": "jp", "line": 7, "col": 34, "start": 156, "end": 172, "message": "rule #3: negated derived subgoal `jp` forces multi-pass (stratum-ordered) evaluation", "suggestions": []},
     {"code": "comm.place", "severity": "info", "rule": null, "pred": "j", "line": 4, "col": 1, "start": 36, "end": 44, "message": "`j` is owned by the node its column 0 names, not by the geographic hash", "suggestions": []},
     {"code": "comm.place", "severity": "info", "rule": null, "pred": "jp", "line": 6, "col": 1, "start": 65, "end": 122, "message": "`jp` is owned by the node its column 0 names, not by the geographic hash", "suggestions": []},
-    {"code": "comm.neighbourhood", "severity": "info", "rule": null, "pred": "g", "line": 5, "col": 12, "start": 56, "end": 63, "message": "`g` links the neighbourhood plane: each fact is stored one hop out from its source (column 0), and joined there", "suggestions": []},
-    {"code": "comm.neighbourhood", "severity": "info", "rule": null, "pred": "j", "line": 4, "col": 1, "start": 36, "end": 44, "message": "`j` is on the neighbourhood plane over `g`: stored one hop out from the node its column 0 names, and joined there", "suggestions": []},
-    {"code": "comm.neighbourhood", "severity": "info", "rule": null, "pred": "jp", "line": 6, "col": 1, "start": 65, "end": 122, "message": "`jp` is on the neighbourhood plane over `g`: stored one hop out from the node its column 0 names, and joined there", "suggestions": []},
+    {"code": "comm.neighbourhood", "severity": "info", "rule": null, "pred": "g", "line": 5, "col": 12, "start": 56, "end": 63, "message": "`g` links the neighbourhood plane: each fact is stored at the node its column 0 names and at the radio neighbour its column 1 names, and joined there", "suggestions": []},
+    {"code": "comm.neighbourhood", "severity": "info", "rule": null, "pred": "j", "line": 4, "col": 1, "start": 36, "end": 44, "message": "`j` is on the neighbourhood plane over `g`: stored at the node its column 0 names and at every radio neighbour of it, and joined there", "suggestions": []},
+    {"code": "comm.neighbourhood", "severity": "info", "rule": null, "pred": "jp", "line": 6, "col": 1, "start": 65, "end": 122, "message": "`jp` is on the neighbourhood plane over `g`: stored at the node its column 0 names and at every radio neighbour of it, and joined there", "suggestions": []},
     {"code": "cost.comm-estimate", "severity": "info", "rule": null, "pred": "j", "line": 4, "col": 1, "start": 36, "end": 44, "message": "message envelope row for `j` (checked per kind at run time): store 4 * (1 + E(g) + E(g) * (1 + E(g) + E(g))) * N = 200400400; probe 20 * (1 + E(g) + E(g) * (1 + E(g) + E(g))) * N = 1002002000; result 8 * (1 + E(g) + E(g) * (1 + E(g) + E(g))) * N = 400800800", "suggestions": []},
     {"code": "cost.comm-estimate", "severity": "info", "rule": null, "pred": "jp", "line": 6, "col": 1, "start": 65, "end": 122, "message": "message envelope row for `jp` (checked per kind at run time): store 4 * (1 + E(g) + E(g)) * (1 + E(g) + E(g)) * E(g) * N = 200400200000; result 8 * (1 + E(g) + E(g)) * (1 + E(g) + E(g)) * E(g) * N = 400800400000", "suggestions": []},
     {"code": "cost.holddown-implicit", "severity": "info", "rule": null, "pred": "jp", "line": 6, "col": 1, "start": 65, "end": 122, "message": "XY-staged predicate `jp` has no `.holddown` declaration; the planner default (100 ms) applies silently", "suggestions": [{"start": 0, "end": 0, "replacement": ".holddown jp 100.\n", "note": "declare the retraction hold-down for `jp` explicitly", "machine_applicable": true}]},

@@ -27,13 +27,18 @@ const LOGIC_H: &str = r#"
     h(X, Y, D + 1) :- g(X, Y), h(_, X, D), not hp(Y, D + 1).
 "#;
 
-// Re-pinned with the neighbourhood plane, which stores `g` / `h` / `hp` one
-// hop out and joins them where they start: the pin was 29,841 records, hash
-// `956199edd32bb44f`, 14,444 transmissions. (Pass plans and node-placed
-// owners had moved it from 29,219 / `f223a9e4a847cca2` / 14,138.)
-const PINNED_HASH: u64 = 0x1c2127377b640852;
-const PINNED_RECORDS: usize = 28427;
-const PINNED_TX: u64 = 12169;
+// Re-pinned when the plane began storing a `g` link only at the end it
+// names (`h` / `hp` still go to every neighbour): the pin was 28,427
+// records, hash `1c2127377b640852`, 12,169 transmissions. At 10 % loss
+// without retries the plane's lost negated partners leave zombies (ROADMAP
+// items 8(b) and 14) whose count swings with the loss draws, which follow
+// the send order; this seed's run draws more of them (tx 15,818), others
+// fewer. Before that, the plane itself had moved the pin from 29,841 /
+// `956199edd32bb44f` / 14,444, and pass plans and node-placed owners from
+// 29,219 / `f223a9e4a847cca2` / 14,138.
+const PINNED_HASH: u64 = 0x2f297ff1385c4b37;
+const PINNED_RECORDS: usize = 36830;
+const PINNED_TX: u64 = 15818;
 
 fn run_probe(telemetry: Telemetry) -> (usize, u64, u64) {
     run_probe_full(telemetry, Provenance::disabled()).0
