@@ -88,11 +88,14 @@ cargo test --workspace -q
 #  - core: a plane tuple is stored only where a rule reads it — on 5x5
 #    logicH a `g` link goes to the one end it names (80 sends; sending it to
 #    every neighbour made 268), `h` / `hp` keep their 136 / 78, and the run
-#    is oracle-exact.
+#    is oracle-exact;
+#  - eval: a derivation ledger's support takes one slot for its first
+#    derivation (`Vec::insert` into an empty vector reserves four) and
+#    doubles from there.
 # Each gate names its crate, its test target (`--lib` or `--test=<file>`)
 # and the test. The boundary-resolve cap (tests/boundary_sites.rs) ran with
 # the workspace tests above.
-echo "== count gates (keyed registry walks, exported node rows, queued event size, tuple size, unplanned probes, node probe ranges, router hops, id table race, small-int pool rows, expiry queue, message ownership, send order, queue memory, sent counters, Centroid provenance, hops are deliveries, JSONL numbers, skewed journal, plane store targets) =="
+echo "== count gates (keyed registry walks, exported node rows, queued event size, tuple size, unplanned probes, node probe ranges, router hops, id table race, small-int pool rows, expiry queue, message ownership, send order, queue memory, sent counters, Centroid provenance, hops are deliveries, JSONL numbers, skewed journal, plane store targets, first ledger slot) =="
 for gate in \
     "sensorlog-netsim --lib sim::tests::keyed_registry_walks_do_not_grow_with_traffic" \
     "sensorlog-netsim --lib sim::tests::exported_node_rows_match_an_eagerly_registered_registry" \
@@ -118,7 +121,8 @@ for gate in \
     "sensorlog --test=journal_roundtrip journal_from_jsonl_does_not_trust_the_header_count" \
     "sensorlog --test=journal_roundtrip from_jsonl_rejects_out_of_range_numbers" \
     "sensorlog --test=trace_stability skewed_trace_is_pinned" \
-    "sensorlog-core --lib deploy::tests::plane_stores_go_where_rules_read_them"; do
+    "sensorlog-core --lib deploy::tests::plane_stores_go_where_rules_read_them" \
+    "sensorlog-eval --lib incremental::tests::a_first_derivation_takes_one_slot"; do
     read -r crate target name <<<"$gate"
     out=$(cargo test -q -p "$crate" "$target" -- --exact "$name" 2>&1) || { echo "$out"; exit 1; }
     grep -q "test result: ok. 1 passed" <<<"$out" || {
@@ -214,6 +218,16 @@ fi
 echo "== one replica store (no frag_ids under crates/ or src/) =="
 if grep -rn 'frag_ids' crates src; then
     echo "a second record of a replica: keep its id in the fragment store's TupleMeta"; exit 1
+fi
+
+# A stored tuple costs its key: a registered non-prefix index is a set of
+# permuted keys, each of which is the whole tuple, and an engine row keeps
+# only its generation timestamp; the deletion timestamp is a replica's
+# (`core::partial::Replica`). Earlier trees kept a second copy of every
+# tuple as its index entry's value and a 16-byte `del_ts` in every row.
+echo "== a stored tuple costs its key (no BTreeMap<Tuple, Tuple> or del_ts under crates/eval) =="
+if grep -rn 'BTreeMap<Tuple, Tuple>\|del_ts' crates/eval; then
+    echo "a second copy of a stored tuple is back: index by permuted keys, tombstone in core's Replica"; exit 1
 fi
 
 # One event queue and one run loop: a binary heap keyed (at, tie), drained
@@ -322,7 +336,7 @@ if [[ "$fast" -eq 0 ]]; then
         table4_5.trees_correct table4_5.runs_with_results table4_5.runs_oracle_exact
         table4_5.runs_with_pred_traffic table4_5.runs_with_deliveries
         smoke.snapshot_schema_is_golden smoke.snapshot_plausible
-        micro.inc_ledger_keys_equal_live_tuples
+        micro.inc_ledger_keys_equal_live_tuples micro.inc_support_bytes_per_derivation
         grid4k.heap_journal_pin
         chaos.heap_journal_pin
         chaos.convergence_violations

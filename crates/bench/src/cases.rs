@@ -254,7 +254,20 @@ fn micro(quick: bool, r: &mut Report) {
         engine.db.len_of(sym("q")),
         engine.ledger_keys(),
     );
+    r.gate(
+        "inc_support_bytes_per_derivation",
+        INC_SUPPORT_BYTES,
+        engine.support_bytes() / derivations.max(1),
+    );
 }
+
+/// `IncrementalEngine::support_bytes` per derivation, `--quick` or not:
+/// every support holds one derivation, in one 32-byte slot, beside its two
+/// inputs. With four slots reserved for the first (`Vec::insert` into an
+/// empty vector) it read 160. `inc_ledger_bytes_per_derivation` adds the
+/// table, whose capacity follows the hash layout of process-minted ids:
+/// 142 B when the quick stream runs alone, 144 B after the other cases.
+const INC_SUPPORT_BYTES: usize = 64;
 
 // --------------------------------------------------------------- grid4k
 

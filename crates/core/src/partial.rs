@@ -14,7 +14,7 @@
 use crate::plan::DistProgram;
 use crate::tupleid::TupleId;
 use sensorlog_eval::eval_body::{bound_key, eval_check, ground_atom, BoundKey, Check};
-use sensorlog_eval::relation::{Database, TupleMeta};
+use sensorlog_eval::relation::{Database, Relation, TupleMeta};
 use sensorlog_logic::ast::{Literal, Rule};
 use sensorlog_logic::flat::{flat_match_args, FlatSubst};
 use sensorlog_logic::intern;
@@ -134,9 +134,89 @@ pub fn seed_partial(
     })
 }
 
-/// A node's fragment store: its replicas, each entry carrying the id of the
-/// generation stored (derivation inputs, and the tie-break of Definition 2).
-pub type Fragments = Database<TupleId>;
+/// A node's fragment store: its replicas, each entry carrying its
+/// [`Replica`] record.
+pub type Fragments = Database<Replica>;
+
+/// A replica's own record in the fragment store: the id of the generation
+/// stored (derivation inputs, and the tie-break of Definition 2) and its
+/// deletion timestamp — "we do not remove the replicated copies … but only
+/// record its deletion-timestamp" (Sec. IV-B). A replica that is not
+/// deleted reads [`Replica::LIVE`], later than every probe.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Replica {
+    pub id: TupleId,
+    pub del_ts: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<TupleMeta<Replica>>() == 32);
+
+impl Replica {
+    /// The deletion timestamp of a replica that is not deleted.
+    pub const LIVE: u64 = u64::MAX;
+
+    /// The record of generation `id`, not deleted.
+    pub fn live(id: TupleId) -> Replica {
+        Replica {
+            id,
+            del_ts: Replica::LIVE,
+        }
+    }
+
+    /// Record a deletion at `del_ts`; of two, the earlier stands, so no
+    /// tombstone ever undeletes. `del_ts` must be a time, not the sentinel.
+    pub fn tombstone(&mut self, del_ts: u64) {
+        debug_assert!(del_ts != Replica::LIVE, "a tombstone at u64::MAX");
+        self.del_ts = self.del_ts.min(del_ts);
+    }
+
+    pub fn is_deleted(&self) -> bool {
+        self.del_ts != Replica::LIVE
+    }
+}
+
+/// Theorem 3's timestamp discipline for a replica: a probe with
+/// update-timestamp `tau` over a window of `window` ms sees replicas with
+/// `gen_ts ≤ tau`, `gen_ts > tau − window`, and no deletion-timestamp
+/// `< tau`.
+pub fn visible_at(m: &TupleMeta<Replica>, tau: u64, window: Option<u64>) -> bool {
+    m.visible_at(tau, window) && m.extra.del_ts >= tau
+}
+
+/// The replica edits a fragment store makes besides
+/// [`Relation::update`](sensorlog_eval::Relation::update).
+pub trait ReplicaStore {
+    /// Store a replica; returns true if it was new. Re-storing one keeps
+    /// the earlier record but clears its tombstone.
+    fn insert_replica(&mut self, t: Tuple, meta: TupleMeta<Replica>) -> bool;
+    /// Tombstone the replica of `t` without removing it
+    /// ([`Replica::tombstone`]); returns true if it is stored.
+    fn mark_deleted(&mut self, t: &Tuple, del_ts: u64) -> bool;
+}
+
+impl ReplicaStore for Relation<Replica> {
+    fn insert_replica(&mut self, t: Tuple, meta: TupleMeta<Replica>) -> bool {
+        self.update(t, |stored| match stored {
+            Some(m) => {
+                m.extra.del_ts = Replica::LIVE;
+                None
+            }
+            None => Some(meta),
+        })
+    }
+
+    fn mark_deleted(&mut self, t: &Tuple, del_ts: u64) -> bool {
+        let mut stored = false;
+        self.update(t.clone(), |m| {
+            if let Some(m) = m {
+                m.extra.tombstone(del_ts);
+                stored = true;
+            }
+            None
+        });
+        stored
+    }
+}
 
 /// Local fragment lookup context at a node.
 pub struct LocalCtx<'a> {
@@ -170,8 +250,8 @@ impl<'a> LocalCtx<'a> {
 
     /// Does a replica with metadata `m` take part in the probe? Theorem 3
     /// visibility (window, tombstone) plus the timestamp-tie discipline.
-    fn admits(&self, m: &TupleMeta<TupleId>, window: Option<u64>) -> bool {
-        m.visible_at(self.tau, window) && (m.gen_ts < self.tau || m.extra <= self.update_id)
+    fn admits(&self, m: &TupleMeta<Replica>, window: Option<u64>) -> bool {
+        visible_at(m, self.tau, window) && (m.gen_ts < self.tau || m.extra.id <= self.update_id)
     }
 
     /// The ground negation kill's test: is `tuple` stored here and does it
@@ -193,7 +273,7 @@ impl<'a> LocalCtx<'a> {
         let window = self.window(pred);
         rel.probe(key.cols(), key.ids(), |t, m| {
             if self.generous || self.admits(m, window) {
-                visit(t, m.extra);
+                visit(t, m.extra.id);
             }
         });
     }
@@ -358,11 +438,10 @@ mod tests {
     }
 
     /// A live replica of the generation `id`, stored at `gen_ts`.
-    fn stored(gen_ts: u64, id: TupleId) -> TupleMeta<TupleId> {
+    fn stored(gen_ts: u64, id: TupleId) -> TupleMeta<Replica> {
         TupleMeta {
             gen_ts,
-            del_ts: None,
-            extra: id,
+            extra: Replica::live(id),
         }
     }
 
@@ -380,6 +459,56 @@ mod tests {
             },
             generous: false,
         }
+    }
+
+    #[test]
+    fn reinsert_clears_tombstone() {
+        let (_, t) = fact("r(1)");
+        let mut r = Relation::<Replica>::default();
+        r.insert_replica(t.clone(), stored(10, tid(1, 10)));
+        r.mark_deleted(&t, 15);
+        assert!(r.meta(&t).unwrap().extra.is_deleted());
+        r.insert_replica(t.clone(), stored(20, tid(1, 20)));
+        assert!(!r.meta(&t).unwrap().extra.is_deleted());
+        assert_eq!(
+            r.meta(&t).unwrap().gen_ts,
+            10,
+            "the earlier generation stays"
+        );
+    }
+
+    #[test]
+    fn visibility_window() {
+        let m = stored(100, tid(1, 100));
+        assert!(visible_at(&m, 100, None));
+        assert!(visible_at(&m, 150, Some(100)));
+        assert!(!visible_at(&m, 200, Some(100))); // 100 + 100 <= 200
+        assert!(!visible_at(&m, 50, None)); // not yet generated
+        let mut m = stored(100, tid(1, 100));
+        m.extra.del_ts = 120;
+        assert!(visible_at(&m, 110, None));
+        assert!(visible_at(&m, 120, None)); // deleted *at* tau still visible
+        assert!(!visible_at(&m, 121, None));
+    }
+
+    /// `Replica::LIVE` is a sentinel, not a time: of two deletes the
+    /// earlier stands, so no tombstone moves a deletion later or undoes it.
+    #[test]
+    fn of_two_deletes_the_earlier_stands() {
+        let mut r = Replica::live(tid(1, 10));
+        assert!(!r.is_deleted());
+        r.tombstone(30);
+        r.tombstone(20);
+        r.tombstone(40);
+        assert_eq!(r.del_ts, 20);
+        assert!(r.is_deleted());
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "a tombstone at u64::MAX")]
+    fn a_tombstone_at_the_live_sentinel_is_refused() {
+        Replica::live(tid(1, 10)).tombstone(u64::MAX);
     }
 
     #[test]
@@ -583,13 +712,13 @@ mod tests {
         if !c.generous {
             out.retain(|t| {
                 let m = rel.meta(t).unwrap();
-                m.visible_at(c.tau, c.prog.windows.get(&pred).copied())
-                    && (m.gen_ts < c.tau || m.extra <= c.update_id)
+                visible_at(m, c.tau, c.prog.windows.get(&pred).copied())
+                    && (m.gen_ts < c.tau || m.extra.id <= c.update_id)
             });
         }
         out.into_iter()
             .map(|t| {
-                let id = rel.meta(&t).unwrap().extra;
+                let id = rel.meta(&t).unwrap().extra.id;
                 (t, id)
             })
             .collect()

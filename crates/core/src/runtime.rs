@@ -11,7 +11,7 @@
 use crate::durable::DurableStore;
 use crate::msg::{Msg, Payload, ProbeMsg, RuleWork};
 use crate::partial::{
-    process_partials, seed_partial, Fragments, LocalCtx, Partial, ProbeWork, RuleShape,
+    process_partials, seed_partial, Fragments, LocalCtx, Partial, ProbeWork, Replica, RuleShape,
 };
 use crate::plan::DistProgram;
 use crate::prov::{ProvRecord, Provenance};
@@ -634,7 +634,7 @@ impl SensorlogNode {
         );
         for p in self.frags.preds() {
             let stored = self.frags.relation(p).into_iter().flat_map(|r| r.iter());
-            out.extend(stored.map(|(t, m)| (m.extra, p, t.clone())));
+            out.extend(stored.map(|(t, m)| (m.extra.id, p, t.clone())));
         }
         out.extend(
             (self.owned.entries.iter())
@@ -803,28 +803,31 @@ impl SensorlogNode {
         // `Some(meta)`: this update becomes the stored generation, in place
         // of an older one's entry if there is one.
         let new = rel.update(fact.tuple.clone(), |stored| {
-            let (gen_ts, del_ts) = match (fact.kind, stored) {
+            let mut replica = Replica::live(fact.id);
+            let gen_ts = match (fact.kind, stored) {
                 // Same generation already here (possibly tombstoned by an
                 // overtaking delete), or a newer one: nothing to do.
-                (UpdateKind::Insert, Some(old)) if old.extra >= fact.id => return None,
-                (UpdateKind::Insert, _) => (fact.tau, None),
+                (UpdateKind::Insert, Some(old)) if old.extra.id >= fact.id => return None,
+                (UpdateKind::Insert, _) => fact.tau,
                 // A newer generation is stored: this delete is stale.
-                (UpdateKind::Delete, Some(old)) if old.extra > fact.id => return None,
+                (UpdateKind::Delete, Some(old)) if old.extra.id > fact.id => return None,
                 // Tombstone the matching generation (Sec. IV-B: replicas
                 // stay for concurrent probes and expire later).
-                (UpdateKind::Delete, Some(old)) if old.extra == fact.id => {
-                    old.tombstone(fact.tau);
+                (UpdateKind::Delete, Some(old)) if old.extra.id == fact.id => {
+                    old.extra.tombstone(fact.tau);
                     return None;
                 }
                 // Delete overtook (or outlived) the insert walk: store a
                 // tombstoned replica so probes between gen and del still
                 // see it, and later probes don't.
-                (UpdateKind::Delete, _) => (fact.id.ts, Some(fact.tau)),
+                (UpdateKind::Delete, _) => {
+                    replica.tombstone(fact.tau);
+                    fact.id.ts
+                }
             };
             Some(TupleMeta {
                 gen_ts,
-                del_ts,
-                extra: fact.id,
+                extra: replica,
             })
         });
         self.replicas += usize::from(new);
@@ -1495,7 +1498,7 @@ impl SensorlogNode {
         match PeekMut::pop(head).0.what {
             Expiring::Replica(pred, tuple, id) => {
                 let rel = self.frags.relation_mut(pred);
-                if rel.meta(&tuple).is_some_and(|m| m.extra == id) && rel.remove(&tuple) {
+                if rel.meta(&tuple).is_some_and(|m| m.extra.id == id) && rel.remove(&tuple) {
                     self.replicas -= 1;
                 }
             }
@@ -2143,7 +2146,7 @@ mod tests {
     /// written as the decision table over a plain map and a list.
     #[derive(Default)]
     struct StoreModel {
-        stored: BTreeMap<Tuple, TupleMeta<TupleId>>,
+        stored: BTreeMap<Tuple, TupleMeta<Replica>>,
         /// (due, tuple, generation), in queueing order.
         pending: Vec<(SimTime, Tuple, TupleId)>,
     }
@@ -2153,25 +2156,24 @@ mod tests {
             let (t, id) = (fact.tuple.clone(), fact.id);
             let meta = |gen_ts, del_ts| TupleMeta {
                 gen_ts,
-                del_ts,
-                extra: id,
+                extra: Replica { id, del_ts },
             };
-            let old = self.stored.get(&t).map(|m| m.extra);
+            let old = self.stored.get(&t).map(|m| m.extra.id);
             match fact.kind {
                 UpdateKind::Insert => {
                     if old.is_none_or(|old| old < id) {
-                        self.stored.insert(t.clone(), meta(fact.tau, None));
+                        self.stored.insert(t.clone(), meta(fact.tau, Replica::LIVE));
                     }
                     // τs + τj + τw of `WINDOWED_JOIN` under the defaults.
                     self.pending.push(((fact.tau + 5_500).max(now + 1), t, id));
                 }
                 UpdateKind::Delete if old == Some(id) => {
                     let m = self.stored.get_mut(&t).unwrap();
-                    m.del_ts = Some(m.del_ts.map_or(fact.tau, |d| d.min(fact.tau)));
+                    m.extra.del_ts = m.extra.del_ts.min(fact.tau);
                 }
                 UpdateKind::Delete if old.is_some_and(|old| old > id) => {}
                 UpdateKind::Delete => {
-                    self.stored.insert(t, meta(id.ts, Some(fact.tau)));
+                    self.stored.insert(t, meta(id.ts, fact.tau));
                 }
             }
         }
@@ -2182,7 +2184,7 @@ mod tests {
                 .retain(|e| e.0 > now || (due.push(e.clone()), false).1);
             due.sort_by_key(|e| e.0); // stable: queueing order within a tick
             for (_, t, id) in due {
-                if self.stored.get(&t).is_some_and(|m| m.extra == id) {
+                if self.stored.get(&t).is_some_and(|m| m.extra.id == id) {
                     self.stored.remove(&t);
                 }
             }
@@ -2226,18 +2228,18 @@ mod tests {
                 model.store(&fact, now);
                 let node = d.node(at);
                 let after = node.frags.relation(r1).and_then(|r| r.meta(&tuple).copied());
-                if op == 2 && after.is_some_and(|m| m.extra != id) {
+                if op == 2 && after.is_some_and(|m| m.extra.id != id) {
                     prop_assert_eq!(before, after, "a delete of {id} touched another generation");
                 }
-                let stored: Vec<(Tuple, TupleMeta<TupleId>)> = (node.frags.relation(r1).into_iter())
+                let stored: Vec<(Tuple, TupleMeta<Replica>)> = (node.frags.relation(r1).into_iter())
                     .flat_map(|r| r.iter().map(|(t, m)| (t.clone(), *m)))
                     .collect();
-                let want: Vec<(Tuple, TupleMeta<TupleId>)> =
+                let want: Vec<(Tuple, TupleMeta<Replica>)> =
                     model.stored.iter().map(|(t, m)| (t.clone(), *m)).collect();
                 prop_assert_eq!(&stored, &want);
                 prop_assert_eq!(node.replica_count(), want.len());
                 let mut bound: Vec<(TupleId, Symbol, Tuple)> =
-                    want.into_iter().map(|(t, m)| (m.extra, r1, t)).collect();
+                    want.into_iter().map(|(t, m)| (m.extra.id, r1, t)).collect();
                 bound.sort();
                 prop_assert_eq!(node.id_bindings(), bound);
             }
@@ -2247,7 +2249,7 @@ mod tests {
             let node = d.node(at);
             prop_assert!(node.expiries.is_empty() && model.pending.is_empty());
             prop_assert_eq!(node.replica_count(), model.stored.len());
-            prop_assert!(model.stored.values().all(|m| m.del_ts.is_some()));
+            prop_assert!(model.stored.values().all(|m| m.extra.del_ts != Replica::LIVE));
         }
     }
 }

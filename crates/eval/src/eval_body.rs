@@ -33,6 +33,7 @@ use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::flat::{flat_compare, flat_eval, flat_is_ground, flat_match_args, FlatSubst};
 use sensorlog_logic::intern::{self, ConstId};
 use sensorlog_logic::{Symbol, Term, Tuple};
+use std::borrow::Cow;
 
 /// Excludes `tuple` from matching `pred` at the given body literal indexes.
 #[derive(Clone, Copy, Debug)]
@@ -204,8 +205,10 @@ pub fn ground_facts(
 
 /// The positive subgoal matches of one solution as the walk hands them to
 /// its sink: `(literal index, tuple)` ascending by literal index — body
-/// order, whichever literal was pinned — borrowed from the store or the pin.
-pub type Inputs<'s, 'a> = &'s [(usize, &'a Tuple)];
+/// order, whichever literal was pinned. The walk holds each match by value
+/// (two words at arity ≤ [`Tuple::INLINE`]): a key set's entry is rebuilt
+/// as it is visited, so there is no stored tuple to borrow.
+pub type Inputs<'s> = &'s [(usize, Tuple)];
 
 /// Body evaluator over a database snapshot.
 pub struct BodyEval<'a> {
@@ -256,7 +259,7 @@ impl<'a> BodyEval<'a> {
         order: &[usize],
         seed: FlatSubst,
         pinned: Option<(usize, &'a Tuple)>,
-        sink: &mut impl FnMut(FlatSubst, Inputs<'_, 'a>) -> Result<(), EvalError>,
+        sink: &mut impl FnMut(FlatSubst, Inputs<'_>) -> Result<(), EvalError>,
     ) -> Result<(), EvalError> {
         self.walk(body, order, seed, pinned, &mut Vec::new(), sink)
     }
@@ -268,8 +271,8 @@ impl<'a> BodyEval<'a> {
         order: &[usize],
         subst: FlatSubst,
         pinned: Option<(usize, &'a Tuple)>,
-        inputs: &mut Vec<(usize, &'a Tuple)>,
-        sink: &mut impl FnMut(FlatSubst, Inputs<'_, 'a>) -> Result<(), EvalError>,
+        inputs: &mut Vec<(usize, Tuple)>,
+        sink: &mut impl FnMut(FlatSubst, Inputs<'_>) -> Result<(), EvalError>,
     ) -> Result<(), EvalError> {
         let Some((&idx, rest)) = order.split_first() else {
             return sink(subst, inputs);
@@ -281,17 +284,17 @@ impl<'a> BodyEval<'a> {
                 // Inputs stay sorted by literal index, so derivations
                 // compare equal regardless of which literal was pinned.
                 let at = inputs.partition_point(|&(i, _)| i < idx);
-                let mut extend = |t: &'a Tuple, mut s: FlatSubst| {
+                let mut extend = |t: Cow<Tuple>, mut s: FlatSubst| {
                     if !flat_match_args(self.reg, &atom.args, t.ids(), &mut s) {
                         return Ok(());
                     }
-                    inputs.insert(at, (idx, t));
+                    inputs.insert(at, (idx, t.into_owned()));
                     let walked = self.walk(body, rest, s, pinned, inputs, sink);
                     inputs.remove(at);
                     walked
                 };
                 if let Some(pt) = pin {
-                    return extend(pt, subst);
+                    return extend(Cow::Borrowed(pt), subst);
                 }
                 let Some(rel) = self.db.relation(atom.pred) else {
                     return Ok(());
@@ -304,9 +307,9 @@ impl<'a> BodyEval<'a> {
                 // The visit cannot stop the lookup: after an error the
                 // remaining candidates are skipped.
                 let mut walked = Ok(());
-                rel.lookup(key.cols(), key.ids(), |t, _| {
-                    if walked.is_ok() && excluded != Some(t) {
-                        walked = extend(t, subst.clone());
+                rel.lookup(key.cols(), key.ids(), |found| {
+                    if walked.is_ok() && excluded != Some(found.tuple()) {
+                        walked = extend(found.into_cow(), subst.clone());
                     }
                 });
                 walked
@@ -409,7 +412,7 @@ mod tests {
         let order = order_literals(body, pinned.map(|(i, _)| i), &[]);
         let mut out = Vec::new();
         ev.for_each(body, &order, FlatSubst::new(), pinned, &mut |_, inputs| {
-            out.push(inputs.iter().map(|&(i, t)| (i, t.clone())).collect());
+            out.push(inputs.to_vec());
             Ok(())
         })
         .unwrap();

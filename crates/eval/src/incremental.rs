@@ -165,7 +165,7 @@ impl LedgerKey for Derivation {
     fn of(rule: usize, inputs: Inputs) -> Derivation {
         Derivation {
             rule_id: rule as u32,
-            inputs: inputs.iter().map(|&(_, t)| t.clone()).collect(),
+            inputs: inputs.iter().map(|(_, t)| t.clone()).collect(),
         }
     }
 
@@ -232,6 +232,11 @@ impl<K: Ord> Support<K> {
                 before
             }
             Err(i) => {
+                // Most supports hold one derivation for life: the first
+                // slot is the only one, and growth doubles from there.
+                if self.entries.is_empty() {
+                    self.entries.reserve_exact(1);
+                }
                 self.entries.insert(i, (k, sign));
                 0
             }
@@ -431,11 +436,19 @@ impl<K: LedgerKey> IncrementalEngine<K> {
         self.derivs.len()
     }
 
-    /// Approximate heap bytes of the ledger: its table and every entry
-    /// vector at capacity, plus the input slices.
+    /// Approximate heap bytes of the ledger: its table, plus
+    /// [`Self::support_bytes`].
     pub fn ledger_bytes(&self) -> usize {
+        let entry = std::mem::size_of::<((Symbol, Tuple), Support<K>)>();
+        self.derivs.capacity() * (entry + 1) + self.support_bytes()
+    }
+
+    /// Heap bytes of the ledger's supports: every entry vector at capacity,
+    /// plus the input slices. Unlike the table's capacity, which follows
+    /// the hash layout of process-minted ids, a function of the update
+    /// stream alone.
+    pub fn support_bytes(&self) -> usize {
         use std::mem::size_of;
-        let table = self.derivs.capacity() * (size_of::<((Symbol, Tuple), Support<K>)>() + 1);
         let supports = self.derivs.values().map(|s| {
             let inputs: usize = (s.entries.iter())
                 .filter_map(|(d, _)| d.derivation())
@@ -443,7 +456,7 @@ impl<K: LedgerKey> IncrementalEngine<K> {
                 .sum();
             s.entries.capacity() * size_of::<(K, i64)>() + inputs * size_of::<Tuple>()
         });
-        table + supports.sum::<usize>()
+        supports.sum()
     }
 
     /// Apply one base-stream update and cascade to quiescence. Returns every
@@ -548,7 +561,7 @@ impl<K: LedgerKey> IncrementalEngine<K> {
                 // restriction (Sec. IV-C); use the rederivation engine for
                 // general recursive programs with deletions.
                 if (rule.positive_atoms().zip(inputs))
-                    .any(|(a, &(_, t))| a.pred == rule.head.pred && *t == head)
+                    .any(|(a, (_, t))| a.pred == rule.head.pred && *t == head)
                 {
                     return Ok(());
                 }
@@ -823,6 +836,32 @@ mod tests {
         // Balanced: the key goes, the other one still supports the tuple.
         assert_eq!(s.add(3, 1), -1);
         assert_eq!((s.entries(), s.is_live()), (&[(1, 1)][..], true));
+    }
+
+    /// Nearly every support holds one derivation for life: its first key
+    /// takes one slot (`Vec::insert` on an empty vector reserves four), and
+    /// a support that grows past it still doubles — a logarithmic number
+    /// of reallocations.
+    #[test]
+    fn a_first_derivation_takes_one_slot() {
+        let mut s: Support<u8> = Support::default();
+        s.add(40, 1);
+        assert_eq!(s.entries.capacity(), 1);
+        let mut reallocs = 0;
+        for k in 0..40 {
+            let cap = s.entries.capacity();
+            s.add(k, 1);
+            let len = s.entries.len();
+            reallocs += usize::from(s.entries.capacity() != cap);
+            assert!(s.entries.capacity() <= 2 * len.max(2), "len {len}");
+        }
+        assert!(reallocs <= 6, "{reallocs} reallocations for 41 keys");
+        // A support emptied by cancellation and refilled keeps its buffer.
+        let mut s: Support<u8> = Support::default();
+        s.add(1, 1);
+        s.add(1, -1);
+        s.add(2, 1);
+        assert_eq!(s.entries.capacity(), 1);
     }
 
     #[test]

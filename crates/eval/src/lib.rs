@@ -4,7 +4,7 @@
 //! the reference engine of the framework (and the "central server" that the
 //! Centroid baseline ships every tuple to).
 //!
-//! * [`relation`] — tuples with timestamps/tombstones, indexed relations,
+//! * [`relation`] — tuples with generation timestamps, indexed relations,
 //!   databases;
 //! * [`eval_body`] — the local join machinery: a streaming body walk (and
 //!   `solutions`, which collects its substitutions), delta pinning,

@@ -168,7 +168,7 @@ impl DeltaPlans {
         reg: &'a BuiltinRegistry,
         (kind, pred, tuple): (UpdateKind, Symbol, &'a Tuple),
         negated: Option<bool>,
-        mut sink: impl FnMut(usize, i64, FlatSubst, Inputs<'_, 'a>) -> Result<(), EvalError>,
+        mut sink: impl FnMut(usize, i64, FlatSubst, Inputs<'_>) -> Result<(), EvalError>,
     ) -> Result<u64, EvalError> {
         let mut body_evals = 0;
         for occ in self.by_pred.get(&pred).into_iter().flatten() {

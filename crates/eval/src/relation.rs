@@ -1,65 +1,45 @@
 //! Relations and databases.
 //!
 //! A [`Relation`] is a set of ground tuples with per-tuple metadata
-//! (generation timestamp, optional deletion timestamp — Definition 2 / the
-//! tombstone discipline of Sec. IV-B — and whatever else the store's owner
-//! keeps per tuple, [`TupleMeta::extra`]) in one ordered map. `Tuple` order is
-//! column-lexicographic value order, so a probe on a column prefix is a
-//! range of that map; a registered non-prefix signature is the same range
-//! over a second map keyed by the column-permuted tuple (see DESIGN.md,
-//! "Tuple representation & ordered indexes").
+//! (generation timestamp — Definition 2 — and whatever else the store's
+//! owner keeps per tuple, [`TupleMeta::extra`]) in one ordered map. `Tuple`
+//! order is column-lexicographic value order, so a probe on a column prefix
+//! is a range of that map; a registered non-prefix signature is the same
+//! range over a set of column-permuted keys, each of which is the whole
+//! tuple (see DESIGN.md, "Tuple representation & ordered indexes").
 
 use sensorlog_logic::intern::ConstId;
 use sensorlog_logic::{Symbol, Tuple};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-tuple metadata. `X` is the store owner's own per-tuple record: the
-/// engines keep none (`()`, which costs nothing), a sensor node keeps the
-/// stored generation's tuple id there, so a replica is one entry of one map.
+/// engines keep none (`()`, which costs nothing), a sensor node keeps its
+/// replica record there (the stored generation's id and its tombstone,
+/// `core::partial::Replica`), so a replica is one entry of one map.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub struct TupleMeta<X = ()> {
     /// Generation timestamp (simulated ms; 0 for batch evaluation).
     pub gen_ts: u64,
-    /// Tombstone: local timestamp of deletion, if deleted (Sec. IV-B keeps
-    /// deleted replicas around with their deletion-timestamp recorded).
-    pub del_ts: Option<u64>,
     pub extra: X,
 }
 
+const _: () = assert!(std::mem::size_of::<TupleMeta>() == 8);
+
 impl TupleMeta {
     pub fn at(gen_ts: u64) -> TupleMeta {
-        TupleMeta {
-            gen_ts,
-            del_ts: None,
-            extra: (),
-        }
+        TupleMeta { gen_ts, extra: () }
     }
 }
 
 impl<X> TupleMeta<X> {
-    /// Record a deletion at `del_ts`; of two, the earlier stands.
-    pub fn tombstone(&mut self, del_ts: u64) {
-        self.del_ts = Some(self.del_ts.map_or(del_ts, |d| d.min(del_ts)));
-    }
-
-    /// Theorem 3's timestamp discipline: a probe with
-    /// update-timestamp `tau` over a window of `window` ms sees tuples with
-    /// `gen_ts ≤ tau`, `gen_ts > tau − window`, and no deletion-timestamp
-    /// `< tau`.
+    /// The generation clauses of Theorem 3's timestamp discipline: a probe
+    /// with update-timestamp `tau` over a window of `window` ms sees tuples
+    /// with `gen_ts ≤ tau` and `gen_ts > tau − window`. (A replica's
+    /// deletion clause is its owner's: `core::partial::visible_at`.)
     pub fn visible_at(&self, tau: u64, window: Option<u64>) -> bool {
-        if self.gen_ts > tau {
-            return false;
-        }
-        if let Some(w) = window {
-            if self.gen_ts + w <= tau {
-                return false;
-            }
-        }
-        match self.del_ts {
-            Some(d) => d >= tau,
-            None => true,
-        }
+        self.gen_ts <= tau && window.is_none_or(|w| self.gen_ts + w > tau)
     }
 }
 
@@ -70,25 +50,51 @@ fn is_prefix(cols: &[usize]) -> bool {
     cols.iter().enumerate().all(|(i, &c)| i == c)
 }
 
-/// `t`'s ids in `spec ++ ascending(rest)` column order: its key in the
-/// secondary map of `spec`. Among tuples equal on the spec columns this
-/// order is canonical tuple order. `None` if `t` lacks a spec column — no
-/// probe on `spec` can match it, so it is not stored.
+/// The column each position of a `spec` key holds in an `n`-column tuple:
+/// `spec ++ ascending(rest)`.
+fn key_columns(spec: &[usize], n: usize) -> impl Iterator<Item = usize> + '_ {
+    spec.iter()
+        .copied()
+        .chain((0..n).filter(move |c| !spec.contains(c)))
+}
+
+/// An `n`-column tuple whose ids `fill` writes: inline up to
+/// [`Tuple::INLINE`] columns, one allocation beyond.
+fn tuple_of(n: usize, fill: impl FnOnce(&mut [ConstId])) -> Tuple {
+    if n > Tuple::INLINE {
+        let mut ids = vec![0; n];
+        fill(&mut ids);
+        return Tuple::from_ids(ids);
+    }
+    let mut buf = [0; Tuple::INLINE];
+    fill(&mut buf[..n]);
+    Tuple::from_slice(&buf[..n])
+}
+
+/// `t`'s ids in `spec ++ ascending(rest)` column order: its entry in the
+/// key set of `spec`. Among tuples equal on the spec columns this order is
+/// canonical tuple order. `None` if `t` lacks a spec column — no probe on
+/// `spec` can match it, so it is not stored.
 fn permuted(spec: &[usize], t: &Tuple) -> Option<Tuple> {
     let ids = t.ids();
     if spec.iter().any(|&c| c >= ids.len()) {
         return None;
     }
-    let rest = (0..ids.len()).filter(|c| !spec.contains(c));
-    let order = spec.iter().copied().chain(rest);
-    if ids.len() > Tuple::INLINE {
-        return Some(Tuple::from_ids(order.map(|c| ids[c]).collect()));
-    }
-    let mut buf = [0; Tuple::INLINE];
-    for (slot, c) in buf.iter_mut().zip(order) {
-        *slot = ids[c];
-    }
-    Some(Tuple::from_slice(&buf[..ids.len()]))
+    Some(tuple_of(ids.len(), |key| {
+        for (slot, c) in key.iter_mut().zip(key_columns(spec, ids.len())) {
+            *slot = ids[c];
+        }
+    }))
+}
+
+/// The tuple whose [`permuted`] key of `spec` is `key`.
+fn unpermuted(spec: &[usize], key: &Tuple) -> Tuple {
+    let ids = key.ids();
+    tuple_of(ids.len(), |t| {
+        for (&id, c) in ids.iter().zip(key_columns(spec, ids.len())) {
+            t[c] = id;
+        }
+    })
 }
 
 /// Whether `t` has every column of `cols` and its ids there equal `key`.
@@ -136,6 +142,30 @@ impl IndexStatsSnapshot {
     }
 }
 
+/// A tuple as [`Relation::lookup`] finds it: borrowed from the primary map
+/// with its metadata, or rebuilt from a key set's entry, which holds none.
+pub(crate) enum Found<'a, X> {
+    Stored(&'a Tuple, &'a TupleMeta<X>),
+    Key(Tuple),
+}
+
+impl<'a, X> Found<'a, X> {
+    pub(crate) fn tuple(&self) -> &Tuple {
+        match self {
+            Found::Stored(t, _) => t,
+            Found::Key(t) => t,
+        }
+    }
+
+    /// The tuple, borrowed where the primary map holds it.
+    pub(crate) fn into_cow(self) -> Cow<'a, Tuple> {
+        match self {
+            Found::Stored(t, _) => Cow::Borrowed(t),
+            Found::Key(t) => Cow::Owned(t),
+        }
+    }
+}
+
 /// A set of ground tuples with metadata, ordered for keyed probes.
 ///
 /// Tuples are kept in a `BTreeMap` so iteration order is the canonical tuple
@@ -144,18 +174,20 @@ impl IndexStatsSnapshot {
 /// message emission order; with a hash map the order would vary with the
 /// per-process hasher seed and replays would diverge under message loss.
 /// Probes preserve the same canonical order: a range of the primary map is
-/// in it by definition, and a range of a secondary map holds tuples equal
-/// on the permuted-first columns, ordered by the ascending rest.
+/// in it by definition, and a range of a key set holds tuples equal on the
+/// permuted-first columns, ordered by the ascending rest.
 #[derive(Clone, Debug)]
 pub struct Relation<X = ()> {
     tuples: BTreeMap<Tuple, TupleMeta<X>>,
     /// Registered probe signatures — the bound-position sets the planner
     /// probes (`crate::planner`).
     registered: BTreeSet<Vec<usize>>,
-    /// One map per registered non-prefix signature, [`permuted`] key →
-    /// tuple, built at registration and maintained by insert/remove. Few
-    /// enough that a linear scan beats hashing the signature.
-    secondary: Vec<(Vec<usize>, BTreeMap<Tuple, Tuple>)>,
+    /// One key set per registered non-prefix signature: every stored
+    /// tuple's [`permuted`] key, which holds every column, so an entry is
+    /// its tuple ([`unpermuted`]). Built at registration and maintained by
+    /// insert/remove. Few enough that a linear scan beats hashing the
+    /// signature.
+    secondary: Vec<(Vec<usize>, BTreeSet<Tuple>)>,
     stats: IndexStats,
 }
 
@@ -203,17 +235,11 @@ impl<X> Relation<X> {
     }
 
     /// Insert a tuple; returns true if it was new. Re-inserting an existing
-    /// tuple keeps the *earlier* generation timestamp ("later duplicates …
-    /// are not considered as generations", Sec. III-B) but clears any
-    /// tombstone.
+    /// tuple keeps its stored metadata, and with it the *earlier*
+    /// generation timestamp ("later duplicates … are not considered as
+    /// generations", Sec. III-B).
     pub fn insert(&mut self, t: Tuple, meta: TupleMeta<X>) -> bool {
-        self.update(t, |stored| match stored {
-            Some(m) => {
-                m.del_ts = None;
-                None
-            }
-            None => Some(meta),
-        })
+        self.update(t, |stored| stored.is_none().then_some(meta))
     }
 
     /// The one write: `decide` sees what is stored for `t` — to edit in
@@ -235,9 +261,9 @@ impl<X> Relation<X> {
                 let Some(meta) = decide(None) else {
                     return false;
                 };
-                for (spec, map) in &mut self.secondary {
+                for (spec, keys) in &mut self.secondary {
                     if let Some(k) = permuted(spec, e.key()) {
-                        map.insert(k, e.key().clone());
+                        keys.insert(k);
                     }
                 }
                 e.insert(meta);
@@ -251,48 +277,31 @@ impl<X> Relation<X> {
         if self.tuples.remove(t).is_none() {
             return false;
         }
-        for (spec, map) in &mut self.secondary {
+        for (spec, keys) in &mut self.secondary {
             if let Some(k) = permuted(spec, t) {
-                map.remove(&k);
+                keys.remove(&k);
             }
         }
         true
     }
 
-    /// Record a tombstone without removing the tuple (distributed replicas:
-    /// "we do not remove the replicated copies … but only record its
-    /// deletion-timestamp", Sec. IV-B).
-    pub fn mark_deleted(&mut self, t: &Tuple, del_ts: u64) -> bool {
-        match self.tuples.get_mut(t) {
-            Some(m) => {
-                m.tombstone(del_ts);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn secondary_of(&self, cols: &[usize]) -> Option<&BTreeMap<Tuple, Tuple>> {
+    fn secondary_of(&self, cols: &[usize]) -> Option<&BTreeSet<Tuple>> {
         self.secondary
             .iter()
             .find(|(spec, _)| spec == cols)
-            .map(|(_, map)| map)
+            .map(|(_, keys)| keys)
     }
 
     /// Register `cols` as a probe signature. A non-prefix signature gets
-    /// its secondary map built from the current tuples here and maintained
+    /// its key set built from the current tuples here and maintained
     /// through insert/remove from then on; a prefix signature needs nothing
     /// beyond the primary map. `cols` must be sorted and non-empty.
     pub fn register_index(&mut self, cols: &[usize]) {
         debug_assert!(!cols.is_empty() && cols.windows(2).all(|w| w[0] < w[1]));
         self.registered.insert(cols.to_vec());
         if !is_prefix(cols) && self.secondary_of(cols).is_none() {
-            let map = self
-                .tuples
-                .keys()
-                .filter_map(|t| Some((permuted(cols, t)?, t.clone())))
-                .collect();
-            self.secondary.push((cols.to_vec(), map));
+            let keys = self.tuples.keys().filter_map(|t| permuted(cols, t));
+            self.secondary.push((cols.to_vec(), keys.collect()));
         }
     }
 
@@ -310,25 +319,27 @@ impl<X> Relation<X> {
         }
     }
 
-    /// Full enumeration of the map serving probe signature `cols`, in its
-    /// key order — diagnostics and the index-maintenance property test.
-    /// `None` if the signature would be served by a scan.
+    /// Full enumeration of the map or key set serving probe signature
+    /// `cols`, in its key order, as tuples — diagnostics and the
+    /// index-maintenance property test. `None` if the signature would be
+    /// served by a scan.
     pub fn index_contents(&self, cols: &[usize]) -> Option<Vec<Tuple>> {
         if is_prefix(cols) {
             return Some(self.tuples.keys().cloned().collect());
         }
-        Some(self.secondary_of(cols)?.values().cloned().collect())
+        let keys = self.secondary_of(cols)?.iter();
+        Some(keys.map(|k| unpermuted(cols, k)).collect())
     }
 
     /// The one lookup: visit every tuple whose ids at `cols` equal `key`
-    /// (every tuple when `cols` is empty) in canonical tuple order, with its
-    /// metadata where the map that served the lookup holds it. `cols` must
+    /// (every tuple when `cols` is empty) in canonical tuple order, as the
+    /// structure that served the lookup holds it ([`Found`]). `cols` must
     /// be sorted.
     ///
     /// A prefix signature (`[0]`, `[0, 1]`, …) is the range of the primary
     /// map that starts with `key`; a registered non-prefix signature is the
-    /// same range of its secondary map, whose keys start with the `cols`
-    /// columns in order (and which holds no metadata); any other keyed
+    /// same range of its key set, whose keys start with the `cols` columns
+    /// in order, each un-permuted as it is visited; any other keyed
     /// signature is a filtered walk, counted in [`IndexStats::scans`], and
     /// an unkeyed one is the whole map, counted in
     /// [`IndexStats::full_scans`]. O(log n + matches) unless it walks.
@@ -336,12 +347,13 @@ impl<X> Relation<X> {
         &'a self,
         cols: &[usize],
         key: &[ConstId],
-        mut visit: impl FnMut(&'a Tuple, Option<&'a TupleMeta<X>>),
+        mut visit: impl FnMut(Found<'a, X>),
     ) {
         debug_assert!(cols.len() == key.len());
+        let stored = |(t, m)| Found::Stored(t, m);
         if cols.is_empty() {
             self.stats.full_scans.fetch_add(1, Ordering::Relaxed);
-            self.tuples.iter().for_each(|(t, m)| visit(t, Some(m)));
+            self.tuples.iter().map(stored).for_each(visit);
             return;
         }
         // A shorter tuple sorts before its extensions, so `key` itself is
@@ -353,46 +365,52 @@ impl<X> Relation<X> {
             self.tuples
                 .range(&lo..)
                 .take_while(|(t, _)| starts_with_key(t))
-                .for_each(|(t, m)| visit(t, Some(m)));
-        } else if let Some(map) = self.secondary_of(cols) {
+                .map(stored)
+                .for_each(visit);
+        } else if let Some(keys) = self.secondary_of(cols) {
             self.stats.hits.fetch_add(1, Ordering::Relaxed);
-            map.range(&lo..)
-                .take_while(|(k, _)| starts_with_key(k))
-                .for_each(|(_, t)| visit(t, None));
+            keys.range(&lo..)
+                .take_while(|k| starts_with_key(k))
+                .for_each(|k| visit(Found::Key(unpermuted(cols, k))));
         } else {
             self.stats.scans.fetch_add(1, Ordering::Relaxed);
             self.tuples
                 .iter()
                 .filter(|(t, _)| matches_at(t, cols, key))
-                .for_each(|(t, m)| visit(t, Some(m)));
+                .map(stored)
+                .for_each(visit);
         }
     }
 
     /// Visit what matches `key` at `cols` ([`Relation::lookup`]: a range
     /// where the signature allows one), tuple and metadata, borrowing both
-    /// from the store. The distributed runtime's node join
-    /// (`core::partial`) reads its fragment stores through this; metadata
-    /// costs a second descent only under a secondary map, which no node
-    /// store registers.
+    /// from the primary map. The distributed runtime's node join
+    /// (`core::partial`) reads its fragment stores through this; a tuple
+    /// found in a key set costs a second descent, which no node store
+    /// registers.
     pub fn probe<'a>(
         &'a self,
         cols: &[usize],
         key: &[ConstId],
         mut visit: impl FnMut(&'a Tuple, &'a TupleMeta<X>),
     ) {
-        self.lookup(cols, key, |t, m| {
-            visit(t, m.unwrap_or_else(|| &self.tuples[t]))
+        self.lookup(cols, key, |found| match found {
+            Found::Stored(t, m) => visit(t, m),
+            Found::Key(k) => {
+                let (t, m) = (self.tuples.get_key_value(&k)).expect("a key names a stored tuple");
+                visit(t, m)
+            }
         });
     }
 
-    /// The tuples matching `key` at `cols` ([`Relation::lookup`]), cloned
+    /// The tuples matching `key` at `cols` ([`Relation::lookup`]), by value
     /// into `out`. The engines' body walk visits the same lookup in place.
     pub fn select(&self, cols: &[usize], key: &[ConstId], out: &mut Vec<Tuple>) {
         if cols.is_empty() {
             // The whole relation lands in one allocation.
             out.reserve(self.tuples.len());
         }
-        self.lookup(cols, key, |t, _| out.push(t.clone()));
+        self.lookup(cols, key, |found| out.push(found.into_cow().into_owned()));
     }
 
     /// What a probe means, written as the id-filtered scan of every tuple:
@@ -553,16 +571,6 @@ mod tests {
     }
 
     #[test]
-    fn reinsert_clears_tombstone() {
-        let mut r = Relation::new();
-        r.insert(tup(vec![1]), TupleMeta::at(10));
-        r.mark_deleted(&tup(vec![1]), 15);
-        assert!(r.meta(&tup(vec![1])).unwrap().del_ts.is_some());
-        r.insert(tup(vec![1]), TupleMeta::at(20));
-        assert!(r.meta(&tup(vec![1])).unwrap().del_ts.is_none());
-    }
-
-    #[test]
     fn index_select_and_consistency() {
         let mut r = Relation::new();
         r.register_index(&[0]);
@@ -657,14 +665,11 @@ mod tests {
     }
 
     /// A store whose every tuple has its own metadata: generation `i` for
-    /// the `i`-th row, every third one tombstoned.
+    /// the `i`-th row.
     fn store(rows: impl IntoIterator<Item = Tuple>) -> Relation {
         let mut r = Relation::new();
         for (i, t) in rows.into_iter().enumerate() {
-            r.insert(t.clone(), TupleMeta::at(i as u64));
-            if i % 3 == 0 {
-                r.mark_deleted(&t, 1_000 + i as u64);
-            }
+            r.insert(t, TupleMeta::at(i as u64));
         }
         r
     }
@@ -806,20 +811,6 @@ mod tests {
         let mut out = Vec::new();
         r.select(&[0, 1], &[id(1), id(2)], &mut out);
         assert_eq!(out, vec![tup(vec![1, 2]), tup(vec![1, 2, 3])]);
-    }
-
-    #[test]
-    fn visibility_window() {
-        let m = TupleMeta::at(100);
-        assert!(m.visible_at(100, None));
-        assert!(m.visible_at(150, Some(100)));
-        assert!(!m.visible_at(200, Some(100))); // 100 + 100 <= 200
-        assert!(!m.visible_at(50, None)); // not yet generated
-        let mut m = TupleMeta::at(100);
-        m.del_ts = Some(120);
-        assert!(m.visible_at(110, None));
-        assert!(m.visible_at(120, None)); // deleted *at* tau still visible
-        assert!(!m.visible_at(121, None));
     }
 
     #[test]
