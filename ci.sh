@@ -250,6 +250,15 @@ if grep -rn 'Box<Payload>\|msgs: Vec<\|vec!\[msg\]' crates src; then
     echo "a per-hop allocation is back: queue the message inline and forward the Arc"; exit 1
 fi
 
+# One statement of the spatial radius: the rule's `dist` bound, inferred by
+# `logic::xy::radius`. Earlier trees also took it as a runtime setting that
+# silently won over the rule (radius 2 against a rule's 4 found 2,916 of
+# 5,244 results, and every bound check passed).
+echo "== one spatial radius (no spatial_radius under crates/ src/ tests/) =="
+if grep -rn 'spatial_radius' crates src tests; then
+    echo "a second statement of the radius is back: state it once, in the rule's dist bound"; exit 1
+fi
+
 # ROADMAP item 8's repro (crates/bench/tests/staggered_arrivals.rs), gated in
 # both directions: the tree programs, on the neighbourhood plane, must run
 # and be oracle-exact (the 6x6 logicH run that was the repro included), and
@@ -315,7 +324,7 @@ if [[ "$fast" -eq 0 ]]; then
     bench_cases="fig4_5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 table1 table2 table3 table4_5 smoke micro grid4k chaos prov intern diag scale"
     bench_gates="fig4_5.runs_with_results fig4_5.runs_oracle_exact fig4_5.pa_tx fig4_5.centroid_tx
         fig6.runs_with_results fig6.runs_oracle_exact
-        fig7.runs_with_results fig7.runs_oracle_exact
+        fig7.runs_with_results fig7.runs_oracle_exact fig7.tx
         fig8.trees_correct fig8.logicH_tx fig8.logicJ_tx
         fig8.logicH_settle_ms fig8.logicJ_settle_ms fig8.flood_settle_ms
         fig9.loss_free_runs_oracle_exact fig9.spurious_results

@@ -341,7 +341,8 @@ fn chaos_run(seed: u64, faults: Option<FaultSchedule>) -> (Deployment, JournalId
             seed,
         }
         .events(&topo),
-    );
+    )
+    .expect("workload events lie on the topology");
     d.run(240_000);
     assert!(d.sim.is_quiescent(), "chaos run must quiesce");
     let id = JournalId::of(&journal.take());

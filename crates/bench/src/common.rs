@@ -70,7 +70,8 @@ pub fn sptree_deployment_observed(
     };
     let mut d = Deployment::new(src, BuiltinRegistry::standard(), topo.clone(), cfg)
         .expect("tree program compiles");
-    d.schedule_all(graph_edges(&topo, 100, edge_spacing));
+    d.schedule_all(graph_edges(&topo, 100, edge_spacing))
+        .expect("workload events lie on the topology");
     d
 }
 
@@ -231,7 +232,6 @@ pub struct CaseSpec {
     pub strategy: Strategy,
     pub pass_mode: PassMode,
     pub sim: SimConfig,
-    pub spatial_radius: Option<f64>,
     pub events: Vec<WorkloadEvent>,
     pub output: Symbol,
     pub horizon: SimTime,
@@ -245,7 +245,6 @@ impl CaseSpec {
             rt: RtConfig {
                 strategy: self.strategy,
                 pass_mode: self.pass_mode,
-                spatial_radius: self.spatial_radius,
                 ..RtConfig::default()
             },
             sim: self.sim.clone(),
@@ -258,7 +257,8 @@ impl CaseSpec {
         // Constant-memory trace summary: counters only, no record storage.
         let trace = SharedSummary::new();
         d.sim.set_trace(Box::new(trace.clone()));
-        d.schedule_all(self.events.clone());
+        d.schedule_all(self.events.clone())
+            .expect("workload events lie on the topology");
         let final_time = d.run(self.horizon);
         let report = oracle::check(&d, &self.events, self.output);
         // Every benchmark run must stay inside the static analyzer's memory

@@ -41,7 +41,8 @@ fn run_with_failure(strategy: Strategy, victim: NodeId) -> OracleReport {
         seed: 15,
     }
     .events(&topo);
-    d.schedule_all(events.clone());
+    d.schedule_all(events.clone())
+        .expect("workload events lie on the topology");
     // First half of the run, then the crash, then the rest.
     d.run(16_000);
     d.fail_node(victim);

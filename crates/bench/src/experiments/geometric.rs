@@ -75,7 +75,8 @@ pub fn fig16(_quick: bool, r: &mut Report) {
             let mut d = Deployment::new(JOIN2, BuiltinRegistry::standard(), topo.clone(), cfg)
                 .expect("join compiles");
             let events = geo_workload(&topo, 29 + n as u64);
-            d.schedule_all(events.clone());
+            d.schedule_all(events.clone())
+                .expect("workload events lie on the topology");
             d.run(60_000_000);
             let report = oracle::check(&d, &events, sym("q"));
             cells.push((d.metrics().total_tx(), report.completeness()));

@@ -29,7 +29,8 @@ fn run_with(timing: PlanTiming, m: u32) -> (u64, bool, bool) {
     };
     let mut d = Deployment::new(LOGIC_J, BuiltinRegistry::standard(), topo.clone(), cfg)
         .expect("logicJ compiles");
-    d.schedule_all(graph_edges(&topo, 100, 200));
+    d.schedule_all(graph_edges(&topo, 100, 200))
+        .expect("workload events lie on the topology");
     // Hard cutoff: without the holddown, transient insert/retract pairs can
     // chase each other up the stages indefinitely — the very failure mode
     // the debouncing exists to prevent. 60 simulated seconds is ~2x the

@@ -25,7 +25,6 @@ fn sweep_spec(strategy: Strategy, m: u32) -> CaseSpec {
         strategy,
         pass_mode: PassMode::OnePass,
         sim: SimConfig::default(),
-        spatial_radius: None,
         events,
         output: sym("q"),
         horizon: 30_000_000,
@@ -87,7 +86,6 @@ pub fn fig6(_quick: bool, r: &mut Report) {
                 strategy: Strategy::Perpendicular { band_width: 1.0 },
                 pass_mode: mode,
                 sim: SimConfig::default(),
-                spatial_radius: None,
                 events,
                 output: sym("q"),
                 horizon: 60_000_000,
@@ -106,10 +104,12 @@ pub fn fig6(_quick: bool, r: &mut Report) {
 }
 
 /// Fig. 7: spatial join constraints — cost vs constraint radius on a 12×12
-/// grid. Tuples carry their source location; the join predicate requires
-/// `dist(L1, L2) <= R`, letting PA truncate both regions to radius R. A
-/// radius of 100 spans the grid: the unconstrained row, whose `radius` is
-/// null.
+/// grid. Tuples carry their source node's position; the rule's
+/// `dist(L1, L2) <= R` is the one statement of the radius, from which the
+/// compiler infers that PA may truncate both streams' regions to R
+/// (`DistProgram::radius`). A radius of 100 spans the grid: the
+/// unconstrained row, whose `radius` is null. Every row must equal the
+/// oracle, and the message counts are pinned.
 pub fn fig7(_quick: bool, r: &mut Report) {
     let m = 12u32;
     let mut points = Vec::new();
@@ -142,7 +142,6 @@ pub fn fig7(_quick: bool, r: &mut Report) {
             strategy: Strategy::Perpendicular { band_width: 1.0 },
             pass_mode: PassMode::OnePass,
             sim: SimConfig::default(),
-            spatial_radius: Some(radius),
             events,
             output: sym("q"),
             horizon: 120_000_000,
@@ -156,4 +155,9 @@ pub fn fig7(_quick: bool, r: &mut Report) {
     }
     // Truncated regions must still meet for every spatially joinable pair.
     gate_exact_runs(r, points.iter().map(|p| &p.oracle));
+    r.gate(
+        "tx",
+        "14480 42638 79168 114036 166729",
+        series(points.iter().map(|p| p.total_tx)),
+    );
 }

@@ -40,7 +40,6 @@ pub fn table1(_quick: bool, r: &mut Report) {
         strategy: Strategy::Perpendicular { band_width: 1.0 },
         pass_mode: PassMode::OnePass,
         sim: SimConfig::default(),
-        spatial_radius: None,
         events,
         output: sym("q"),
         horizon: 30_000_000,
@@ -71,7 +70,6 @@ pub fn table1(_quick: bool, r: &mut Report) {
         strategy: Strategy::Perpendicular { band_width: 1.0 },
         pass_mode: PassMode::OnePass,
         sim: SimConfig::default(),
-        spatial_radius: None,
         events,
         output: sym("alert"),
         horizon: 60_000_000,

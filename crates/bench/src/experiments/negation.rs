@@ -83,7 +83,6 @@ pub fn fig10(_quick: bool, r: &mut Report) {
             strategy: Strategy::Perpendicular { band_width: 1.0 },
             pass_mode: PassMode::OnePass,
             sim: SimConfig::default(),
-            spatial_radius: None,
             events,
             output: sym("alert"),
             horizon: 120_000_000,

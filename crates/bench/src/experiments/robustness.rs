@@ -37,7 +37,6 @@ pub fn fig9(_quick: bool, r: &mut Report) {
                         seed: 17,
                         ..SimConfig::default()
                     },
-                    spatial_radius: None,
                     events,
                     output: sym("q"),
                     horizon: 30_000_000,
@@ -104,7 +103,6 @@ pub fn table2(_quick: bool, r: &mut Report) {
             strategy: Strategy::Perpendicular { band_width: 1.0 },
             pass_mode: PassMode::OnePass,
             sim,
-            spatial_radius: None,
             events,
             output: sym("q"),
             horizon: 30_000_000,

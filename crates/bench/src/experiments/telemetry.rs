@@ -55,7 +55,6 @@ pub fn join_point(strategy: Strategy, m: u32) -> RunPoint {
         strategy,
         pass_mode: PassMode::OnePass,
         sim: SimConfig::default(),
-        spatial_radius: None,
         events,
         output: Symbol::intern("q"),
         horizon: 30_000_000,

@@ -52,7 +52,6 @@ pub fn table3(_quick: bool, r: &mut Report) {
                 strategy,
                 pass_mode: PassMode::OnePass,
                 sim,
-                spatial_radius: None,
                 events,
                 output: Symbol::intern("q"),
                 horizon: 30_000_000,

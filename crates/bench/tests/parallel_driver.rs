@@ -34,7 +34,6 @@ fn small_sweep() -> Vec<CaseSpec> {
                 seed: 17,
                 ..SimConfig::default()
             },
-            spatial_radius: None,
             events,
             output: Symbol::intern("q"),
             horizon: 30_000_000,

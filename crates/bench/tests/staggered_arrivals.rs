@@ -102,7 +102,8 @@ fn ternary_logich_6x6_links_200ms_apart_is_oracle_exact() {
         cols.push(Term::Int(1));
         link.tuple = Tuple::new(cols);
         link
-    }));
+    }))
+    .unwrap();
     let (tx, report) = held(d);
     assert!(
         report.exact(),

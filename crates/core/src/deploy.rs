@@ -10,9 +10,11 @@ use crate::runtime::{NetInfo, NodeStats, RtConfig, SensorlogNode};
 use crate::strategy::Strategy;
 use sensorlog_eval::UpdateKind;
 use sensorlog_logic::builtin::BuiltinRegistry;
-use sensorlog_logic::{Symbol, Tuple};
+use sensorlog_logic::intern::{self, Val};
+use sensorlog_logic::{Symbol, Term, Tuple};
 use sensorlog_netsim::{
     FaultSchedule, Metrics, NodeId, SharedJournal, SimConfig, SimTime, Simulator, Topology,
+    TopologyKind,
 };
 use sensorlog_telemetry::{MetricsRegistry, Scope, Snapshot, Telemetry};
 use std::collections::{BTreeMap, BTreeSet};
@@ -80,6 +82,65 @@ impl WorkloadEvent {
     }
 }
 
+/// Why [`Deployment::schedule`] refused a workload event.
+#[derive(Clone, Debug, PartialEq)]
+pub enum EventError {
+    /// The event's node is not a node of the topology.
+    UnknownNode { node: NodeId, nodes: usize },
+    /// An event of a predicate with a spatial radius
+    /// (`DistProgram::radius`) whose location column is not its node's
+    /// position, once events of such predicates have been stored in regions
+    /// cut to the radius. Those regions are measured from the node and
+    /// cannot be widened after the fact, so the tuple would miss partners
+    /// its rule's `dist` bound admits. (Before any such event is applied,
+    /// the deployment stops cutting instead.)
+    Mislocated {
+        pred: Symbol,
+        col: usize,
+        /// The rule whose `dist` bound the radius is.
+        rule: usize,
+        node: NodeId,
+        position: (f64, f64),
+        /// The value in the location column (`None`: the tuple has no such
+        /// column).
+        found: Option<Term>,
+    },
+}
+
+impl std::fmt::Display for EventError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EventError::UnknownNode { node, nodes } => {
+                write!(
+                    f,
+                    "event at {node}, not a node of the {nodes}-node topology"
+                )
+            }
+            EventError::Mislocated {
+                pred,
+                col,
+                rule,
+                node,
+                position: (x, y),
+                found,
+            } => {
+                write!(f, "`{pred}` event at {node}: column {col} is ")?;
+                match found {
+                    Some(t) => write!(f, "{t}")?,
+                    None => write!(f, "missing")?,
+                }
+                write!(
+                    f,
+                    ", not the node's position loc({x}, {y}), and regions are already cut to \
+                     rule #{rule}'s `dist` bound"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for EventError {}
+
 /// The most a hop may be lost for good (`SimConfig::hop_loss`) where the
 /// neighbourhood plane is taken. Measured on logicH and logicJ over 50- to
 /// 600-node grids: at 10 % the plane stays inside the static bounds and
@@ -144,6 +205,13 @@ impl Deployment {
         // strategy's regions.
         if config.sim.hop_loss() > PLANE_MAX_HOP_LOSS {
             prog.neighbourhood.clear();
+        }
+        // Centroid has no regions to cut, and off the grid the bands can
+        // cross at a detour node that no radius keeps within reach.
+        if config.rt.strategy == Strategy::Centroid
+            || matches!(topo.kind, TopologyKind::Geometric { .. })
+        {
+            prog.stop_cutting();
         }
         let prog = Arc::new(prog);
         // Every node times its phases by the simulator's skew bound τc
@@ -234,13 +302,62 @@ impl Deployment {
         self.sim.sched_stats()
     }
 
-    /// Queue a workload event (applied in `run`).
-    pub fn schedule(&mut self, ev: WorkloadEvent) {
-        self.schedule.push(ev);
+    /// Queue a workload event (applied in `run`), or refuse it as
+    /// [`Deployment::schedule_all`] does.
+    pub fn schedule(&mut self, ev: WorkloadEvent) -> Result<(), EventError> {
+        self.schedule_all([ev])
     }
 
-    pub fn schedule_all(&mut self, evs: impl IntoIterator<Item = WorkloadEvent>) {
+    /// Queue workload events (applied in `run`), or none of them if one is
+    /// at a node the topology lacks. An event of a predicate with a spatial
+    /// radius whose location column is not its node's position stops the
+    /// deployment cutting regions to the radius; once tuples of such
+    /// predicates have been stored in cut regions, it is refused instead.
+    pub fn schedule_all(
+        &mut self,
+        evs: impl IntoIterator<Item = WorkloadEvent>,
+    ) -> Result<(), EventError> {
+        let evs: Vec<WorkloadEvent> = evs.into_iter().collect();
+        let nodes = self.sim.topology().len();
+        if let Some(ev) = evs.iter().find(|ev| ev.node.index() >= nodes) {
+            return Err(EventError::UnknownNode {
+                node: ev.node,
+                nodes,
+            });
+        }
+        if self.prog.cuts() {
+            if let Some(err) = evs.iter().find_map(|ev| self.mislocation(ev)) {
+                let radius = &self.prog.radius;
+                if self.applied.iter().any(|e| radius.contains_key(&e.pred)) {
+                    return Err(err);
+                }
+                self.prog.stop_cutting();
+            }
+        }
         self.schedule.extend(evs);
+        Ok(())
+    }
+
+    /// `ev`'s [`EventError::Mislocated`], if its predicate has a spatial
+    /// radius and its location column (`logic::xy::Radius::col`) is not
+    /// the point at its node's position. Read off the interned entries.
+    fn mislocation(&self, ev: &WorkloadEvent) -> Option<EventError> {
+        let rad = self.prog.radius.get(&ev.pred)?;
+        let position = self.sim.topology().position(ev.node);
+        let coord = |id| intern::entry(id).val.as_f64();
+        let point = |id| match &intern::entry(id).val {
+            Val::App(_, kids) if kids.len() == 2 => Some((coord(kids[0])?, coord(kids[1])?)),
+            _ => None,
+        };
+        let found = ev.tuple.ids().get(rad.col).copied();
+        (found.and_then(point) != Some(position)).then(|| EventError::Mislocated {
+            pred: ev.pred,
+            col: rad.col,
+            rule: rad.rule,
+            node: ev.node,
+            position,
+            found: found.map(intern::resolve),
+        })
     }
 
     /// Run the simulation, interleaving scheduled workload events, until
@@ -526,6 +643,37 @@ mod tests {
         assert_eq!((evs[1].at, evs[1].kind), (99, UpdateKind::Delete));
     }
 
+    /// An event at a node the topology lacks is refused with none of its
+    /// batch queued, and the run after it neither panics nor injects anything.
+    #[test]
+    fn event_off_the_topology_is_refused() {
+        let topo = sensorlog_netsim::Topology::square_grid(4);
+        let src = ".output q.\nq(X, Y) :- r1(X, T), r2(Y, T).";
+        let mut d = Deployment::new(
+            src,
+            BuiltinRegistry::standard(),
+            topo,
+            DeployConfig::default(),
+        )
+        .unwrap();
+        let evs = WorkloadEvent::parse_script("+10 @1 r1(1, 7).\n+20 @99 r2(2, 7).\n").unwrap();
+        let err = d.schedule_all(evs.clone()).unwrap_err();
+        assert_eq!(
+            err,
+            EventError::UnknownNode {
+                node: NodeId(99),
+                nodes: 16
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "event at n99, not a node of the 16-node topology"
+        );
+        assert_eq!(d.schedule(evs[1].clone()), Err(err));
+        d.run(60_000);
+        assert!(d.applied_events().is_empty());
+    }
+
     #[test]
     fn provenance_capture_spans_all_record_kinds() {
         let src = r#"
@@ -561,7 +709,8 @@ mod tests {
                 tuple: t2,
                 kind: UpdateKind::Insert,
             },
-        ]);
+        ])
+        .unwrap();
         d.run(60_000);
         assert_eq!(d.results(Symbol::intern("q")).len(), 1);
         let recs = d.provenance_records();
@@ -617,7 +766,8 @@ mod tests {
             ev(20, 8, "b", 1),
             ev(30, 4, "a", 2),
             ev(40, 2, "b", 3),
-        ]);
+        ])
+        .unwrap();
         d.run(60_000);
         assert!(d.sim.is_quiescent());
         let q = Symbol::intern("q");
@@ -678,7 +828,8 @@ mod tests {
         };
         let mut d =
             Deployment::new(LOGIC_H, BuiltinRegistry::standard(), topo.clone(), config).unwrap();
-        d.schedule_all(crate::workload::graph_edges(&topo, 100, 200));
+        d.schedule_all(crate::workload::graph_edges(&topo, 100, 200))
+            .unwrap();
         d.run(2_000_000);
         assert!(d.sim.is_quiescent());
         d
@@ -758,7 +909,8 @@ mod tests {
             tuple: Tuple::new(vec![Term::Int(x), Term::Int(7)]),
             kind: UpdateKind::Insert,
         };
-        d.schedule_all([ev(500, 3, "r1", 1), ev(900, 41, "r2", 2)]);
+        d.schedule_all([ev(500, 3, "r1", 1), ev(900, 41, "r2", 2)])
+            .unwrap();
         d.run(60_000_000);
         assert_eq!(d.results(Symbol::intern("q")).len(), 1);
         let (grid_hops, tables, dests) = assert_hops_are_router_hops(&d);
@@ -801,7 +953,8 @@ mod tests {
             ev(500, 0, "r1", 1),
             ev(900, 4, "r2", 2),
             ev(1_300, 9, "r2", 3),
-        ]);
+        ])
+        .unwrap();
         d.run(60_000_000);
         assert!(d.sim.is_quiescent());
         let snap = d.telemetry_snapshot();
@@ -833,7 +986,7 @@ mod tests {
             Deployment::new(LOGIC_H, BuiltinRegistry::standard(), topo.clone(), config).unwrap();
         assert!(!d.prog.neighbourhood.is_empty(), "logicH left the plane");
         let links = crate::workload::graph_edges(&topo, 100, 0);
-        d.schedule_all(links.clone());
+        d.schedule_all(links.clone()).unwrap();
         d.run(2_000_000);
         assert!(d.sim.is_quiescent());
         let named_end_is_a_neighbour = (links.iter())
@@ -927,7 +1080,7 @@ mod tests {
             duration: 20_000,
             seed: 17,
         };
-        d.schedule_all(sightings.events(&topo));
+        d.schedule_all(sightings.events(&topo)).unwrap();
         d
     }
 

@@ -478,7 +478,7 @@ mod tests {
                 kind: UpdateKind::Insert,
             },
         ];
-        d.schedule_all(events.clone());
+        d.schedule_all(events.clone()).unwrap();
         d.run(60_000);
         (d, events)
     }
@@ -563,7 +563,7 @@ mod tests {
         for e in &mut links {
             e.node = NodeId((e.node.0 + 1) % 9);
         }
-        d.schedule_all(links);
+        d.schedule_all(links).unwrap();
         d.run(60_000);
         let h = Symbol::intern("h");
         let held = oracle::check(&d, d.applied_events(), h);
@@ -584,7 +584,8 @@ mod tests {
             pred: g,
             tuple: Tuple::new(vec![Term::Int(0), Term::Int(8)]),
             kind: UpdateKind::Insert,
-        }]);
+        }])
+        .unwrap();
         d.run(60_000);
 
         let stats = d.node_stats();
@@ -655,7 +656,7 @@ mod tests {
                 kind: UpdateKind::Insert,
             });
         }
-        d.schedule_all(events.clone());
+        d.schedule_all(events.clone()).unwrap();
         d.run(120_000);
         let report = check_structural(&d);
         assert!(report.ok(), "{report}");
@@ -699,7 +700,7 @@ mod tests {
                 kind: UpdateKind::Insert,
             });
         }
-        d.schedule_all(events);
+        d.schedule_all(events).unwrap();
         d.run(120_000);
         assert!(d.sim.is_quiescent());
         assert!(d.metrics().lost() > 0, "0.25 loss must drop something");
@@ -714,7 +715,8 @@ mod tests {
         let (mut d, events) = join_deployment();
         d.fail_node(NodeId(6));
         let at = d.sim.now() + 10;
-        d.schedule_all(events.iter().map(|e| WorkloadEvent { at, ..e.clone() }));
+        d.schedule_all(events.iter().map(|e| WorkloadEvent { at, ..e.clone() }))
+            .unwrap();
         d.run(240_000);
         assert!(d.sim.is_quiescent());
         let report = check_message_conservation(&d);

@@ -46,7 +46,7 @@
 //!     WorkloadEvent { at: 20, node: NodeId(14), pred: Symbol::intern("r2"),
 //!                     tuple: mk("r2", "r2(2, 7)"), kind: UpdateKind::Insert },
 //! ];
-//! d.schedule_all(events.clone());
+//! d.schedule_all(events.clone()).unwrap();
 //! d.run(60_000);
 //! let report = oracle::check(&d, &events, Symbol::intern("q"));
 //! assert!(report.exact(), "missing {:?} spurious {:?}", report.missing, report.spurious);
@@ -68,7 +68,7 @@ pub mod strategy;
 pub mod tupleid;
 pub mod workload;
 
-pub use deploy::{DeployConfig, Deployment, WorkloadEvent};
+pub use deploy::{DeployConfig, Deployment, EventError, WorkloadEvent};
 pub use invariants::{InvariantReport, Violation};
 pub use plan::{compile_source, DistProgram, PlanTiming};
 pub use prov::{ProvRecord, Provenance};

@@ -25,12 +25,13 @@ use sensorlog_logic::boundness::pass_plan;
 use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::intern::{self, Val};
 use sensorlog_logic::span::Span;
-use sensorlog_logic::xy::{self, OnPlane, Store};
+use sensorlog_logic::xy::{self, OnPlane, Radius, Store};
 use sensorlog_logic::{Symbol, Tuple};
 use sensorlog_netsim::{NodeId, Topology};
 use sensorlog_netstack::ght;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A body-literal occurrence of some predicate.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -114,6 +115,17 @@ pub struct DistProgram {
     /// the strategy's regions (Centroid aside). Emptied by `Deployment::new`
     /// on links that lose more than one hop in ten for good.
     pub neighbourhood: BTreeMap<Symbol, OnPlane>,
+    /// Base predicates whose spatial join constraints bound where their
+    /// partners lie (`logic::xy::radius`): the strategy's storage and join
+    /// regions for an update of one are cut to its radius around the node
+    /// holding it ([`DistProgram::cut_radius`]) while `cut` holds.
+    pub radius: BTreeMap<Symbol, Radius>,
+    /// Whether regions are cut to `radius`. The cut measures from the node
+    /// holding a tuple, so `Deployment` clears this where that is not the
+    /// tuple's location: from the start under Centroid and off the grid,
+    /// and at the first event of a radius predicate whose location column
+    /// is not its node's position.
+    cut: AtomicBool,
 }
 
 /// The passes a probe pinned at one relational literal walks over its join
@@ -221,6 +233,24 @@ impl DistProgram {
                     && !node_named(topo, tuple, 1).is_some_and(|n| topo.are_neighbors(at, n))
             }
         }
+    }
+
+    /// The radius an update of `pred` has its storage and join regions cut
+    /// to: its `radius`, while the deployment cuts regions at all.
+    pub fn cut_radius(&self, pred: Symbol) -> Option<f64> {
+        let rad = self.radius.get(&pred)?;
+        self.cut.load(Ordering::Relaxed).then_some(rad.r)
+    }
+
+    /// Whether the deployment still cuts regions to `radius`.
+    pub(crate) fn cuts(&self) -> bool {
+        !self.radius.is_empty() && self.cut.load(Ordering::Relaxed)
+    }
+
+    /// Cut no region from now on (`Deployment`, which decides where the
+    /// cut is sound).
+    pub(crate) fn stop_cutting(&self) {
+        self.cut.store(false, Ordering::Relaxed);
     }
 
     /// Where a neighbourhood-plane tuple of `pred` about node `at` is
@@ -375,6 +405,7 @@ pub fn compile(
         .collect();
     let placement = xy::placement(prog, &analysis.xy);
     let neighbourhood = xy::neighbourhood(prog, &analysis.xy, &placement);
+    let radius = xy::radius(prog);
 
     Ok(DistProgram {
         analysis,
@@ -388,6 +419,8 @@ pub fn compile(
         plans,
         placement,
         neighbourhood,
+        radius,
+        cut: AtomicBool::new(true),
     })
 }
 

@@ -97,8 +97,6 @@ pub struct RtConfig {
     pub tau_s: SimTime,
     /// Upper bound on join-phase completion (τj, ms) — used in retention.
     pub tau_j: SimTime,
-    /// Spatial-constraint radius truncating regions (Fig. 7 experiments).
-    pub spatial_radius: Option<f64>,
     /// Fault plane: heartbeat/lease liveness tracking, liveness-filtered
     /// ownership, and crash recovery. `None` (the default) disables all of
     /// it — no timers armed, no messages sent, the fault-free trace is
@@ -113,7 +111,6 @@ impl Default for RtConfig {
             pass_mode: PassMode::OnePass,
             tau_s: 1_500,
             tau_j: 3_000,
-            spatial_radius: None,
             faults: None,
         }
     }
@@ -751,10 +748,9 @@ impl SensorlogNode {
                 ctx.broadcast(Arc::new(Payload::FloodStore { fact: fact.clone() }));
             }
             _ => {
-                let region = self
-                    .cfg
-                    .strategy
-                    .storage_region(&self.net.topo, self.id, self.cfg.spatial_radius)
+                let radius = self.prog.cut_radius(fact.pred);
+                let region = (self.cfg.strategy)
+                    .storage_region(&self.net.topo, self.id, radius)
                     .expect("non-centroid strategy has regions");
                 self.store_replica(ctx, &fact);
                 let my_pos = region.iter().position(|&n| n == self.id);
@@ -882,8 +878,9 @@ impl SensorlogNode {
         let region = if self.prog.neighbourhood.contains_key(&fact.pred) {
             vec![self.id]
         } else {
+            let radius = self.prog.cut_radius(fact.pred);
             (self.cfg.strategy)
-                .join_region(&self.net.topo, self.id, self.cfg.spatial_radius)
+                .join_region(&self.net.topo, self.id, radius)
                 .expect("non-centroid strategy has regions")
         };
         let probe = ProbeMsg {
@@ -2090,7 +2087,8 @@ mod tests {
             ev(100, UpdateKind::Insert),
             ev(1_000, UpdateKind::Delete),
             ev(3_000, UpdateKind::Insert),
-        ]);
+        ])
+        .unwrap();
         let mut replicas_at = |at| {
             d.run(at);
             let stored = d.sim.nodes().flat_map(|n| n.id_bindings());

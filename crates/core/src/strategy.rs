@@ -22,6 +22,18 @@
 //! [`Strategy::join_region`] never see it. On links that lose more than
 //! one hop in ten the deployment drops the plane, and the strategy's own
 //! regions apply.
+//!
+//! A spatial join constraint (`dist(L1, L2) <= r`, Sec. III-A) cuts the
+//! storage and join regions of an update to its predicate's radius around
+//! the node holding it: the widest such bound of the rules reading the
+//! predicate (`logic::xy::radius`, carried as `DistProgram::radius`),
+//! stated once, in the program. On a grid the row of `a` and the column of
+//! `b` cross at `(x_b, y_a)`, within `dist(a, b)` of both, so the cut keeps
+//! the crossing of every pair the bound admits. Off the grid the bands can
+//! cross at a detour node (`regions::augment_with_detours`) that nothing
+//! keeps within reach, so nothing is cut there. The cut measures from the
+//! node, so it holds only while each tuple sits at its node's position:
+//! `Deployment::schedule` stops cutting at the first event that does not.
 
 use sensorlog_netsim::{NodeId, Topology, TopologyKind};
 use sensorlog_netstack::regions;
@@ -60,13 +72,15 @@ impl Strategy {
         }
     }
 
-    /// Ordered storage region for a tuple generated at `node`;
-    /// `None` for Centroid (which has no replication).
+    /// Ordered storage region for a tuple generated at `node`, cut to
+    /// `radius` around it when its predicate has one
+    /// (`DistProgram::cut_radius`); `None` for Centroid (which has no
+    /// replication).
     pub fn storage_region(
         &self,
         topo: &Topology,
         node: NodeId,
-        spatial_radius: Option<f64>,
+        radius: Option<f64>,
     ) -> Option<Vec<NodeId>> {
         let region = match self {
             Strategy::Perpendicular { band_width } => {
@@ -76,15 +90,16 @@ impl Strategy {
             Strategy::LocalStorage => vec![node],
             Strategy::Centroid => return None,
         };
-        Some(within(topo, region, node, spatial_radius))
+        Some(within(topo, region, node, radius))
     }
 
-    /// Ordered join-computation region for an update at `node`.
+    /// Ordered join-computation region for an update at `node`, cut to
+    /// `radius` around it as [`Strategy::storage_region`] is.
     pub fn join_region(
         &self,
         topo: &Topology,
         node: NodeId,
-        spatial_radius: Option<f64>,
+        radius: Option<f64>,
     ) -> Option<Vec<NodeId>> {
         let region = match self {
             Strategy::Perpendicular { band_width } => regions::join_region(topo, node, *band_width),
@@ -92,7 +107,7 @@ impl Strategy {
             Strategy::LocalStorage => all_nodes_snake(topo),
             Strategy::Centroid => return None,
         };
-        Some(within(topo, region, node, spatial_radius))
+        Some(within(topo, region, node, radius))
     }
 
     /// The central server for Centroid: the node closest to the deployment

@@ -41,7 +41,7 @@ fn a_run_adds_only_stored_constants_to_the_pool() {
         duration: 20_000,
         seed: 17,
     };
-    d.schedule_all(sightings.events(&topo));
+    d.schedule_all(sightings.events(&topo)).unwrap();
     // Program and sightings are interned: the run starts from here.
     let before = pool_len();
     d.run(40_000);

@@ -3,9 +3,9 @@
 //! (Theorems 1–3), across joins, negation, deletions, recursion, clock
 //! skew, and the XY shortest-path-tree program.
 
-use sensorlog_core::deploy::{DeployConfig, Deployment, WorkloadEvent};
+use sensorlog_core::deploy::{DeployConfig, Deployment, EventError, WorkloadEvent};
 use sensorlog_core::oracle;
-use sensorlog_core::workload::{graph_edges, UniformStreams};
+use sensorlog_core::workload::{graph_edges, UniformStreams, VehicleWorkload};
 use sensorlog_core::{PassMode, RtConfig, Strategy};
 use sensorlog_eval::UpdateKind;
 use sensorlog_logic::builtin::BuiltinRegistry;
@@ -77,7 +77,7 @@ fn two_stream_join_matches_oracle_on_all_strategies() {
         )
         .unwrap();
         let events = join2_events();
-        d.schedule_all(events.clone());
+        d.schedule_all(events.clone()).unwrap();
         d.run(120_000);
         let report = oracle::check(&d, &events, sym("q"));
         assert!(
@@ -120,7 +120,7 @@ fn eq_assignment_binds_in_network() {
             ev(500, 3, "r", "r(3)", UpdateKind::Insert),
             ev(600, 9, "p", "p(3)", UpdateKind::Insert),
         ];
-        d.schedule_all(events.clone());
+        d.schedule_all(events.clone()).unwrap();
         d.run(120_000);
         let report = oracle::check(&d, &events, sym("q"));
         assert!(
@@ -151,7 +151,7 @@ fn deletion_retracts_join_results() {
             // Retract the r1 side well after the join completed.
             ev(20_000, 1, "r1", "r1(1, 7)", UpdateKind::Delete),
         ];
-        d.schedule_all(events.clone());
+        d.schedule_all(events.clone()).unwrap();
         d.run(200_000);
         let report = oracle::check(&d, &events, sym("q"));
         assert!(
@@ -195,7 +195,7 @@ fn negation_example1_all_strategies() {
             // Enemy at 100, uncovered.
             ev(200, 9, "veh", r#"veh("enemy", 100, 1)"#, UpdateKind::Insert),
         ];
-        d.schedule_all(events.clone());
+        d.schedule_all(events.clone()).unwrap();
         d.run(200_000);
         let report = oracle::check(&d, &events, sym("uncov"));
         assert!(
@@ -239,7 +239,7 @@ fn negation_blocker_deletion_reraises_alert() {
             UpdateKind::Delete,
         ),
     ];
-    d.schedule_all(events.clone());
+    d.schedule_all(events.clone()).unwrap();
     d.run(400_000);
     let report = oracle::check(&d, &events, sym("uncov"));
     assert!(
@@ -292,7 +292,7 @@ fn two_blockers_commute_distributed() {
             UpdateKind::Delete,
         ),
     ];
-    d.schedule_all(events.clone());
+    d.schedule_all(events.clone()).unwrap();
     d.run(600_000);
     let report = oracle::check(&d, &events, sym("uncov"));
     assert!(
@@ -325,7 +325,7 @@ fn derived_stream_cascades_through_strata() {
         ev(20, 15, "base", "base(-3)", UpdateKind::Insert),
         ev(30_000, 7, "blocked", "blocked(5)", UpdateKind::Insert),
     ];
-    d.schedule_all(events.clone());
+    d.schedule_all(events.clone()).unwrap();
     d.run(400_000);
     let report = oracle::check(&d, &events, sym("c"));
     assert!(
@@ -355,7 +355,7 @@ fn multipass_matches_onepass_results() {
         let mut cfg = config_with(Strategy::Perpendicular { band_width: 1.0 });
         cfg.rt.pass_mode = mode;
         let mut d = Deployment::new(src, BuiltinRegistry::standard(), topo, cfg).unwrap();
-        d.schedule_all(events.clone());
+        d.schedule_all(events.clone()).unwrap();
         d.run(200_000);
         let report = oracle::check(&d, &events, sym("q"));
         assert!(
@@ -407,7 +407,7 @@ fn pa_beats_centroid_total_cost_on_larger_grid() {
         )
         .unwrap();
         let events = w.events(&topo);
-        d.schedule_all(events.clone());
+        d.schedule_all(events.clone()).unwrap();
         d.run(3_000_000);
         let report = oracle::check(&d, &events, sym("q"));
         assert!(
@@ -464,7 +464,7 @@ fn clock_skew_tolerated() {
             UpdateKind::Insert,
         ),
     ];
-    d.schedule_all(events.clone());
+    d.schedule_all(events.clone()).unwrap();
     d.run(300_000);
     let report = oracle::check(&d, &events, sym("uncov"));
     assert!(
@@ -496,7 +496,7 @@ fn logich_distributed_builds_bfs_tree() {
     .unwrap();
     // Edges injected with spacing so storage phases settle.
     let events = graph_edges(&topo, 100, 400);
-    d.schedule_all(events.clone());
+    d.schedule_all(events.clone()).unwrap();
     d.run(4_000_000);
     let results = d.results(sym("h"));
     // Every node y must appear in h at exactly its BFS depth from node 0.
@@ -553,7 +553,7 @@ fn message_loss_degrades_completeness_not_soundness_much() {
     let topo2 = topo.clone();
     let mut d = Deployment::new(JOIN3, BuiltinRegistry::standard(), topo2, cfg).unwrap();
     let events = w.events(&topo);
-    d.schedule_all(events.clone());
+    d.schedule_all(events.clone()).unwrap();
     d.run(3_000_000);
     let report = oracle::check(&d, &events, sym("q"));
     assert!(report.expected > 0, "workload must produce join results");
@@ -566,19 +566,241 @@ fn message_loss_degrades_completeness_not_soundness_much() {
     assert!(report.soundness() > 0.7, "soundness {}", report.soundness());
 }
 
+/// Fig. 7's program at radius `r`: a spatial join over two streams whose
+/// one statement of the radius is the rule's `dist` bound.
+fn fig7_program(r: f64) -> String {
+    format!(".output q.\nq(L1, L2, T) :- s1(L1, T), s2(L2, T), dist(L1, L2) <= {r}.\n")
+}
+
+/// One `s1` and one `s2` reading per node, each carrying the node's own
+/// position as its location, all on one key: every pair within the radius
+/// joins.
+fn located_events(topo: &Topology) -> Vec<WorkloadEvent> {
+    let mut events = Vec::new();
+    for node in topo.nodes() {
+        let (x, y) = topo.position(node);
+        for (i, pred) in ["s1", "s2"].into_iter().enumerate() {
+            let point = |c: f64| match topo.grid_dims() {
+                Some(_) => Term::Int(c as i64),
+                None => Term::float(c),
+            };
+            events.push(WorkloadEvent {
+                at: 1_000 + (node.0 as u64 * 2 + i as u64) * 500,
+                node,
+                pred: sym(pred),
+                tuple: Tuple::new(vec![
+                    Term::app("loc", vec![point(x), point(y)]),
+                    Term::Int(7),
+                ]),
+                kind: UpdateKind::Insert,
+            });
+        }
+    }
+    events
+}
+
+/// The rule's `dist` bound cuts PA's regions: on a 6×6 grid, radius 2 is
+/// exact and sends fewer messages than radius 100, which cuts nothing.
 #[test]
-fn spatial_truncation_preserves_local_joins() {
-    // With a spatial radius covering the whole 4x4 grid the truncation is a
-    // no-op; results must stay exact.
-    let topo = Topology::square_grid(4);
-    let mut cfg = config_with(Strategy::Perpendicular { band_width: 1.0 });
-    cfg.rt.spatial_radius = Some(10.0);
-    let mut d = Deployment::new(JOIN2, BuiltinRegistry::standard(), topo, cfg).unwrap();
-    let events = join2_events();
-    d.schedule_all(events.clone());
-    d.run(200_000);
+fn dist_bound_truncates_regions_and_stays_exact() {
+    let run = |r: f64| {
+        let topo = Topology::square_grid(6);
+        let events = located_events(&topo);
+        let mut d = Deployment::new(
+            &fig7_program(r),
+            BuiltinRegistry::standard(),
+            topo,
+            config_with(Strategy::Perpendicular { band_width: 1.0 }),
+        )
+        .unwrap();
+        assert_eq!(d.prog.radius[&sym("s1")].r, r);
+        d.schedule_all(events.clone()).unwrap();
+        d.run(120_000_000);
+        let report = oracle::check(&d, &events, sym("q"));
+        assert!(
+            report.exact() && report.expected > 0,
+            "r = {r}: missing {:?} spurious {:?}",
+            report.missing,
+            report.spurious
+        );
+        d.metrics().total_tx()
+    };
+    let (cut, whole) = (run(2.0), run(100.0));
+    assert!(cut < whole, "radius 2 sent {cut}, radius 100 sent {whole}");
+}
+
+/// Profile (B): an event whose location is not its node's position would
+/// miss partners in regions cut around its node, so scheduling it stops the
+/// deployment cutting, and the run stays exact.
+#[test]
+fn mislocated_event_stops_the_cut() {
+    let topo = Topology::square_grid(6);
+    let mut events = located_events(&topo);
+    let mut d = Deployment::new(
+        &fig7_program(2.0),
+        BuiltinRegistry::standard(),
+        topo,
+        config_with(Strategy::Perpendicular { band_width: 1.0 }),
+    )
+    .unwrap();
+    // Node 7 is (1, 1); its `s1` reading claims (3, 3) on a key only
+    // node 23's `s2` at (5, 3) shares. Cut around node 7, the two regions
+    // would not meet.
+    events[14].tuple = tuple("s1(loc(3, 3), 9)");
+    events[47].tuple = tuple("s2(loc(5, 3), 9)");
+    assert_eq!((events[14].node, events[47].node), (NodeId(7), NodeId(23)));
+    assert_eq!(d.prog.cut_radius(sym("s1")), Some(2.0));
+    d.schedule_all(events.clone()).unwrap();
+    assert_eq!(d.prog.cut_radius(sym("s1")), None);
+    d.run(120_000_000);
     let report = oracle::check(&d, &events, sym("q"));
-    assert!(report.exact());
+    assert!(
+        report.exact() && report.expected > 0,
+        "missing {:?} spurious {:?}",
+        report.missing,
+        report.spurious
+    );
+    let moved = tuple("q(loc(3, 3), loc(5, 3), 9)");
+    assert!(d.results(sym("q")).contains(&moved));
+}
+
+/// Once tuples have been stored in cut regions, the cut cannot be undone
+/// for them: a mislocated event is refused, naming the rule whose bound
+/// cut them, and the events already queued run exact.
+#[test]
+fn mislocated_event_after_the_cut_is_refused() {
+    let topo = Topology::square_grid(6);
+    let events = located_events(&topo);
+    let mut d = Deployment::new(
+        &fig7_program(2.0),
+        BuiltinRegistry::standard(),
+        topo,
+        config_with(Strategy::Perpendicular { band_width: 1.0 }),
+    )
+    .unwrap();
+    d.schedule_all(events.clone()).unwrap();
+    d.run(5_000);
+    assert!(!d.applied_events().is_empty());
+    let moved = tuple("s1(loc(3, 3), 7)");
+    let late = ev(90_000, 7, "s1", "s1(loc(3, 3), 7)", UpdateKind::Insert);
+    let err = d.schedule(late).unwrap_err();
+    assert_eq!(
+        err,
+        EventError::Mislocated {
+            pred: sym("s1"),
+            col: 0,
+            rule: 0,
+            node: NodeId(7),
+            position: (1.0, 1.0),
+            found: Some(moved.get(0)),
+        }
+    );
+    assert_eq!(
+        err.to_string(),
+        "`s1` event at n7: column 0 is loc(3, 3), not the node's position loc(1, 1), \
+         and regions are already cut to rule #0's `dist` bound"
+    );
+    assert_eq!(d.prog.cut_radius(sym("s1")), Some(2.0));
+    d.run(120_000_000);
+    let report = oracle::check(&d, &events, sym("q"));
+    assert!(report.exact() && report.expected > 0);
+    assert_eq!(d.applied_events().len(), events.len());
+}
+
+/// Example 1's `cov` rule alone bounds `veh` by `dist(L, F) <= 8`, but
+/// `VehicleWorkload` puts the observing node's id, not its position, in
+/// `veh`'s location column, and `dist` of two ids is `|a - b|`: ids one
+/// apart can be 11 hops apart on a 12×12 grid. The sightings are valid
+/// data: the deployment does not cut, and PA and Centroid both match the
+/// oracle.
+#[test]
+fn node_id_locations_run_uncut_and_exact() {
+    let src = ".window veh 8000.\n.output cov.\n\
+               cov(L, T) :- veh(\"enemy\", L, T), veh(\"friendly\", F, T), dist(L, F) <= 8.\n";
+    for strategy in [
+        Strategy::Perpendicular { band_width: 1.0 },
+        Strategy::Centroid,
+    ] {
+        let topo = Topology::square_grid(12);
+        let mut events = VehicleWorkload {
+            n_enemy: 8,
+            n_friendly: 8,
+            interval: 1_000,
+            duration: 10_000,
+            seed: 17,
+        }
+        .events(&topo);
+        // Ids 12 and 11 are one apart and sit at (0, 1) and (11, 0).
+        events.push(ev(
+            500,
+            12,
+            "veh",
+            "veh(\"enemy\", 12, 500)",
+            UpdateKind::Insert,
+        ));
+        events.push(ev(
+            500,
+            11,
+            "veh",
+            "veh(\"friendly\", 11, 500)",
+            UpdateKind::Insert,
+        ));
+        let mut d = Deployment::new(
+            src,
+            BuiltinRegistry::standard(),
+            topo,
+            config_with(strategy),
+        )
+        .unwrap();
+        assert_eq!(d.prog.radius[&sym("veh")].r, 8.0);
+        d.schedule_all(events.clone()).unwrap();
+        assert_eq!(d.prog.cut_radius(sym("veh")), None);
+        d.run(120_000_000);
+        let report = oracle::check(&d, &events, sym("cov"));
+        assert!(
+            report.exact() && report.expected > 0,
+            "{strategy:?}: {} expected, missing {:?} spurious {:?}",
+            report.expected,
+            report.missing,
+            report.spurious
+        );
+        assert!(d.results(sym("cov")).contains(&tuple("cov(12, 500)")));
+    }
+}
+
+/// Off the grid, PA's rows and columns are coordinate bands that can cross
+/// at a detour node no radius keeps within reach, so the deployment cuts
+/// nothing there: Fig. 7's program is exact with float locations at the
+/// nodes' positions.
+#[test]
+fn dist_bound_is_not_cut_off_the_grid() {
+    for seed in [3u64, 5, 7, 13, 97] {
+        for r in [1.0, 2.5] {
+            let topo = Topology::random_geometric(50, 5.5, 1.7, seed).unwrap();
+            let events = located_events(&topo);
+            let cfg = DeployConfig {
+                rt: RtConfig {
+                    strategy: Strategy::Perpendicular { band_width: 1.7 },
+                    tau_s: 4_000,
+                    tau_j: 8_000,
+                    ..RtConfig::default()
+                },
+                ..DeployConfig::default()
+            };
+            let mut d =
+                Deployment::new(&fig7_program(r), BuiltinRegistry::standard(), topo, cfg).unwrap();
+            assert_eq!(d.prog.cut_radius(sym("s1")), None);
+            d.schedule_all(events.clone()).unwrap();
+            d.run(120_000_000);
+            let report = oracle::check(&d, &events, sym("q"));
+            assert!(
+                report.exact() && report.expected > 0,
+                "seed {seed}, r = {r}: {} expected, missing {:?}",
+                report.expected,
+                report.missing
+            );
+        }
+    }
 }
 
 #[test]
@@ -591,7 +813,7 @@ fn memory_stats_populated() {
         config_with(Strategy::Perpendicular { band_width: 1.0 }),
     )
     .unwrap();
-    d.schedule_all(join2_events());
+    d.schedule_all(join2_events()).unwrap();
     d.run(120_000);
     assert!(d.peak_node_memory() > 0);
     let stats = d.node_stats();
@@ -611,7 +833,7 @@ fn telemetry_reports_sched_and_index_counters() {
         config_with(Strategy::Centroid),
     )
     .unwrap();
-    d.schedule_all(join2_events());
+    d.schedule_all(join2_events()).unwrap();
     d.run(120_000);
     let snap = d.telemetry_snapshot();
     // Every start, send and timer is one queue push and every push is
@@ -645,7 +867,7 @@ fn geometric_topology_banded_pa() {
         ev(200, 20, "r2", "r2(2, 7)", UpdateKind::Insert),
         ev(400, 11, "r1", "r1(3, 8)", UpdateKind::Insert),
     ];
-    d.schedule_all(events.clone());
+    d.schedule_all(events.clone()).unwrap();
     d.run(200_000);
     let report = oracle::check(&d, &events, sym("q"));
     assert!(
@@ -703,7 +925,7 @@ fn fig16_seed_geometric_completeness_is_exact() {
         }
     }
     events.sort_by_key(|e| e.at);
-    d.schedule_all(events.clone());
+    d.schedule_all(events.clone()).unwrap();
     d.run(60_000_000);
     let report = oracle::check(&d, &events, sym("q"));
     assert!(report.expected > 0, "workload must produce join results");
@@ -735,7 +957,7 @@ fn function_symbols_travel_the_network() {
         ev(10, 3, "obs", "obs(1, 10, 5)", UpdateKind::Insert),
         ev(200, 12, "obs", "obs(2, 20, 5)", UpdateKind::Insert),
     ];
-    d.schedule_all(events.clone());
+    d.schedule_all(events.clone()).unwrap();
     d.run(120_000);
     let report = oracle::check(&d, &events, sym("pair"));
     assert!(report.exact());
@@ -777,7 +999,7 @@ fn windowed_replicas_expire_and_join_respects_window() {
         ev(10_000, 2, "r1", "r1(3, 8)", UpdateKind::Insert),
         ev(60_000, 13, "r2", "r2(4, 8)", UpdateKind::Insert),
     ];
-    d.schedule_all(events);
+    d.schedule_all(events).unwrap();
     d.run(300_000);
     let results = d.results(sym("q"));
     assert!(
@@ -811,7 +1033,7 @@ fn multipass_handles_negation() {
         ev(400, 7, "r2", "r2(3, 7)", UpdateKind::Insert),
         ev(600, 11, "veto", "veto(3, 7)", UpdateKind::Insert),
     ];
-    d.schedule_all(events.clone());
+    d.schedule_all(events.clone()).unwrap();
     d.run(200_000);
     let report = oracle::check(&d, &events, sym("q"));
     assert!(
@@ -865,7 +1087,7 @@ fn logich_repairs_tree_after_edge_deletion() {
     // Much later: the 0-2 link dies (both directions).
     events.push(ev(60_000_000, 0, "g", "g(0, 2)", UpdateKind::Delete));
     events.push(ev(60_000_500, 2, "g", "g(2, 0)", UpdateKind::Delete));
-    d.schedule_all(events.clone());
+    d.schedule_all(events.clone()).unwrap();
     d.run(400_000_000);
     let results = d.results(sym("h"));
     let depths_of = |v: i64| -> Vec<i64> {
@@ -898,7 +1120,7 @@ fn failure_preserves_soundness() {
     )
     .unwrap();
     let events = join2_events();
-    d.schedule_all(events.clone());
+    d.schedule_all(events.clone()).unwrap();
     d.run(300);
     d.fail_node(NodeId(12)); // center of the 5x5 grid
     d.run(200_000);
@@ -926,7 +1148,7 @@ fn tombstone_before_replica_is_ordered_correctly() {
         ev(12, 1, "r1", "r1(1, 7)", UpdateKind::Delete), // near-simultaneous
         ev(30_000, 14, "r2", "r2(2, 7)", UpdateKind::Insert),
     ];
-    d.schedule_all(events.clone());
+    d.schedule_all(events.clone()).unwrap();
     d.run(200_000);
     let report = oracle::check(&d, &events, sym("q"));
     assert!(
@@ -959,7 +1181,7 @@ fn stage_hints_flow_to_distributed_compiler() {
         config_with(Strategy::Perpendicular { band_width: 1.0 }),
     )
     .unwrap();
-    d.schedule_all(graph_edges(&topo, 100, 300));
+    d.schedule_all(graph_edges(&topo, 100, 300)).unwrap();
     d.run(200_000_000);
     let results = d.results(sym("j"));
     for node in topo.nodes() {
@@ -982,7 +1204,7 @@ fn centroid_under_loss_stays_sound() {
     let topo = Topology::square_grid(5);
     let mut d = Deployment::new(JOIN2, BuiltinRegistry::standard(), topo, cfg).unwrap();
     let events = join2_events();
-    d.schedule_all(events.clone());
+    d.schedule_all(events.clone()).unwrap();
     d.run(200_000);
     let report = oracle::check(&d, &events, sym("q"));
     assert!(

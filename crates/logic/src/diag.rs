@@ -18,9 +18,10 @@
 //!    [`crate::boundness`], the same analysis `eval::planner` derives its
 //!    index signatures from.
 //! 3. **Placement**: the predicates owned by the node a column names
-//!    ([`crate::xy::placement`]) and those on the neighbourhood plane
-//!    ([`crate::xy::neighbourhood`]) — the functions the planner places
-//!    tuples by.
+//!    ([`crate::xy::placement`]), those on the neighbourhood plane
+//!    ([`crate::xy::neighbourhood`]) and those whose regions a `dist`
+//!    bound truncates ([`crate::xy::radius`]) — the functions the planner
+//!    places tuples by.
 //! 4. **Message envelopes**: each derived predicate's row of
 //!    [`crate::absint::comm_envelopes`], the per-kind traffic bound the
 //!    run-time check holds a deployment to.
@@ -790,6 +791,22 @@ pub fn check_analysis(analysis: &Analysis, params: &BoundParams) -> Report {
                     on.link
                 )
             },
+        );
+    }
+    for (&p, rad) in &crate::xy::radius(prog) {
+        rep.push(
+            "comm.radius",
+            Severity::Info,
+            Some(rad.rule),
+            Some(p),
+            (prog.rules.iter().find(|r| r.id == rad.rule))
+                .map(|r| r.spans.rule)
+                .unwrap_or_default(),
+            format!(
+                "`{p}`'s regions are truncated to radius {} (rule #{}'s `dist` bound) \
+                 while its column {} is its node's position",
+                rad.r, rad.rule, rad.col
+            ),
         );
     }
     rep.placement = placement;

@@ -699,6 +699,135 @@ pub fn neighbourhood(
         .collect()
 }
 
+/// A base predicate whose regions its rules' spatial join constraints
+/// truncate (Sec. III-A, "Function Symbols and Spatial Constraints").
+#[derive(Copy, Clone, Debug, PartialEq)]
+pub struct Radius {
+    /// The column holding a tuple's location, a `loc(x, y)` point.
+    pub col: usize,
+    /// The widest `dist` bound over the rules reading the predicate.
+    pub r: f64,
+    /// The rule that bound is from (`Rule::id`).
+    pub rule: usize,
+}
+
+/// The spatial radius of each base predicate: a distance within which
+/// every join partner of one of its tuples lies, so a strategy's storage
+/// and join regions for it can be cut to that distance from the node
+/// holding the tuple. Predicates without one are absent.
+///
+/// In a rule, a relational literal's location columns are those whose
+/// variable a `dist(A, B) <= r` or `< r` literal names, `r` a numeric
+/// constant; a base predicate's location column is the lowest one that is
+/// so in every rule reading it. A predicate `p` gets a radius when, in
+/// every rule reading it, every other relational literal (negated ones
+/// too) is of a predicate with a radius, and is bounded against `p` by
+/// such a literal over the two location columns (or shares `p`'s location
+/// variable); the radius is the widest of those bounds over the reading
+/// rules. A literal with no bound can meet `p`'s walk anywhere. A partner
+/// needs a radius of its own because the cut measures from the node that
+/// holds a tuple, which is the tuple's location only where the deployment
+/// checks that it is (`Deployment::schedule`, for these predicates; it
+/// stops cutting at an event that fails, e.g. a plain number where `dist`
+/// measures `|a - b|`). A derived predicate, whose tuples start at their
+/// owners, has none, so neither do its partners.
+pub fn radius(prog: &Program) -> BTreeMap<Symbol, Radius> {
+    let idb = prog.idb_preds();
+    let dist = Symbol::intern("dist");
+    fn atoms(rule: &Rule) -> Vec<&Atom> {
+        (rule.body.iter())
+            .filter_map(|l| match l {
+                Literal::Pos(a) | Literal::Neg(a) => Some(a),
+                _ => None,
+            })
+            .collect()
+    }
+    // `(A, B, r)` for each `dist(A, B) <= r` or `< r` literal of a rule.
+    let bounds = |rule: &Rule| -> Vec<(Symbol, Symbol, f64)> {
+        (rule.body.iter())
+            .filter_map(|l| match l {
+                Literal::Cmp(CmpOp::Le | CmpOp::Lt, Term::App(f, args), r) if *f == dist => {
+                    match (&**args, r.as_f64()) {
+                        ([Term::Var(a), Term::Var(b)], Some(r)) => Some((*a, *b, r)),
+                        _ => None,
+                    }
+                }
+                _ => None,
+            })
+            .collect()
+    };
+    let mut cols: BTreeMap<Symbol, BTreeSet<usize>> = BTreeMap::new();
+    for rule in &prog.rules {
+        let named: BTreeSet<Symbol> = (bounds(rule).into_iter())
+            .flat_map(|(a, b, _)| [a, b])
+            .collect();
+        for a in atoms(rule).into_iter().filter(|a| !idb.contains(&a.pred)) {
+            let here: BTreeSet<usize> = (0..a.args.len())
+                .filter(|&c| matches!(a.args[c], Term::Var(v) if named.contains(&v)))
+                .collect();
+            (cols.entry(a.pred))
+                .and_modify(|s| s.retain(|c| here.contains(c)))
+                .or_insert(here);
+        }
+    }
+    let mut located: BTreeMap<Symbol, usize> = (cols.into_iter())
+        .filter_map(|(p, s)| Some((p, s.first().copied()?)))
+        .collect();
+    // Drop every predicate some reading rule leaves unbounded, until
+    // nothing moves: a dropped predicate unbounds its partners.
+    loop {
+        let mut out: BTreeMap<Symbol, Radius> = BTreeMap::new();
+        let mut unbounded: BTreeSet<Symbol> = BTreeSet::new();
+        for rule in &prog.rules {
+            let lits = atoms(rule);
+            let bounds = bounds(rule);
+            let var_at = |a: &Atom| match a.args.get(*located.get(&a.pred)?)? {
+                Term::Var(v) => Some(*v),
+                _ => None,
+            };
+            for (i, a) in lits.iter().enumerate() {
+                // The widest over partners of the tightest bound between
+                // the two locations.
+                let widest = (lits.iter().enumerate())
+                    .filter(|&(j, _)| j != i)
+                    .map(|(_, b)| {
+                        let (v, w) = (var_at(a)?, var_at(b)?);
+                        if v == w {
+                            return Some(0.0);
+                        }
+                        (bounds.iter())
+                            .filter(|&&(x, y, _)| (x, y) == (v, w) || (y, x) == (v, w))
+                            .map(|&(_, _, r)| r)
+                            .reduce(f64::min)
+                    })
+                    .collect::<Option<Vec<f64>>>()
+                    .and_then(|rs| rs.into_iter().reduce(f64::max));
+                match widest {
+                    Some(r) if !unbounded.contains(&a.pred) => {
+                        let rad = Radius {
+                            col: located[&a.pred],
+                            r,
+                            rule: rule.id,
+                        };
+                        let e = out.entry(a.pred).or_insert(rad);
+                        if r > e.r {
+                            *e = rad;
+                        }
+                    }
+                    _ => {
+                        unbounded.insert(a.pred);
+                        out.remove(&a.pred);
+                    }
+                }
+            }
+        }
+        if out.len() == located.len() {
+            return out;
+        }
+        located.retain(|p, _| out.contains_key(p));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -866,6 +995,61 @@ mod tests {
             stores(&both),
             at(&[("g", Neighbours), ("j", Neighbours), ("jp", Neighbours)])
         );
+    }
+
+    /// Each base predicate's radius: the widest `dist` bound over the rules
+    /// reading it, when every one of them bounds every partner.
+    #[test]
+    fn radius_by_program() {
+        let radii = |src: &str| {
+            let p = parse_program(src).unwrap();
+            (radius(&p).into_iter())
+                .map(|(p, r)| (p.as_str().to_string(), r.col, r.r, r.rule))
+                .collect::<Vec<_>>()
+        };
+        let at = |v: &[(&str, usize, f64, usize)]| {
+            v.iter()
+                .map(|&(p, c, r, rule)| (p.to_string(), c, r, rule))
+                .collect::<Vec<_>>()
+        };
+        let none: Vec<(String, usize, f64, usize)> = Vec::new();
+        // Fig. 7's binary rule, with `<=` or `<`.
+        let fig7 = "q(L1, L2, T) :- s1(L1, T), s2(L2, T), dist(L1, L2) <= 4.";
+        let both = at(&[("s1", 0, 4.0, 0), ("s2", 0, 4.0, 0)]);
+        assert_eq!(radii(fig7), both);
+        assert_eq!(radii(&fig7.replace("<=", "<")), both);
+        // A ternary rule: one unbounded literal leaves every literal
+        // without a radius; bounded pairwise, each takes its widest bound.
+        let ternary = "q(L1, L2, L3) :- s1(L1, T), s2(L2, T), s3(L3, T), dist(L1, L2) <= 4";
+        assert_eq!(radii(&format!("{ternary}.")), none);
+        assert_eq!(
+            radii(&format!("{ternary}, dist(L1, L3) <= 2, dist(L3, L2) <= 3.")),
+            at(&[("s1", 0, 4.0, 0), ("s2", 0, 4.0, 0), ("s3", 0, 3.0, 0)])
+        );
+        // A negated partner must be bounded too; sharing a location is a
+        // bound of 0.
+        let neg = "q(L1, L2) :- s1(L1, T), s2(L2, T), dist(L1, L2) <= 3, not s3(L2, T).";
+        assert_eq!(
+            radii(neg),
+            at(&[("s1", 0, 3.0, 0), ("s2", 0, 3.0, 0), ("s3", 0, 3.0, 0)])
+        );
+        assert_eq!(radii(&neg.replace("s3(L2, T)", "s3(T)")), none);
+        // Example 1: `uncov` reads `veh` beside the derived `cov`, unbounded.
+        assert_eq!(
+            radii(include_str!("../../../examples/programs/battlefield.dl")),
+            none
+        );
+        // Two reading rules: the wider bound, from the rule that sets it.
+        let wider = format!("{fig7}\np(L1, L2) :- s1(L1, T), s2(L2, T), dist(L1, L2) < 5.");
+        assert_eq!(radii(&wider), at(&[("s1", 0, 5.0, 1), ("s2", 0, 5.0, 1)]));
+        // Two reading rules bounding different columns: no one location.
+        let cols = "q(L1, L2) :- s1(L1, M, T), s2(L2, T), dist(L1, L2) <= 2.\n\
+                    p(M, L2) :- s1(L1, M, T), s2(L2, T), dist(M, L2) <= 2.";
+        assert_eq!(radii(cols), none);
+        // A derived predicate starts at its owner: none for it or its partner.
+        let derived = "d(L, T) :- s1(L, T).\n\
+                       q(L1, L2) :- d(L1, T), s2(L2, T), dist(L1, L2) <= 2.";
+        assert_eq!(radii(derived), none);
     }
 
     #[test]

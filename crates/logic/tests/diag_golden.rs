@@ -352,6 +352,41 @@ fn two_level_join_report_is_pinned() {
     assert!(!rep.has_errors() && !rep.has_warnings());
 }
 
+// ------------------------------------------------------------------ Fig. 7
+
+/// Fig. 7's spatial join: the rule's `dist` bound is the radius both
+/// streams' regions are cut to while each event's location column is its
+/// node's position.
+const SPATIAL: &str = "\
+.window s1 60000.
+.window s2 60000.
+.output q.
+q(L1, L2, T) :- s1(L1, T), s2(L2, T), dist(L1, L2) <= 4.
+";
+
+const SPATIAL_JSON: &str = r#"{
+  "diagnostics": [
+    {"code": "mem.bound", "severity": "info", "rule": null, "pred": "q", "line": 4, "col": 1, "start": 47, "end": 103, "message": "static tuple bound for `q`: E(s1) * E(s2) = 250000", "suggestions": []},
+    {"code": "comm.radius", "severity": "info", "rule": 0, "pred": "s1", "line": 4, "col": 1, "start": 47, "end": 103, "message": "`s1`'s regions are truncated to radius 4 (rule #0's `dist` bound) while its column 0 is its node's position", "suggestions": []},
+    {"code": "comm.radius", "severity": "info", "rule": 0, "pred": "s2", "line": 4, "col": 1, "start": 47, "end": 103, "message": "`s2`'s regions are truncated to radius 4 (rule #0's `dist` bound) while its column 0 is its node's position", "suggestions": []},
+    {"code": "cost.comm-estimate", "severity": "info", "rule": null, "pred": "q", "line": 4, "col": 1, "start": 47, "end": 103, "message": "message envelope row for `q` (checked per kind at run time): store 4 * E(s1) * E(s2) * N = 100000000; result 8 * E(s1) * E(s2) * N = 200000000", "suggestions": []}
+  ],
+  "bounds": {
+    "q": {"formula": "E(s1) * E(s2)", "value": 250000},
+    "s1": {"formula": "E(s1)", "value": 500},
+    "s2": {"formula": "E(s2)", "value": 500}
+  },
+  "placement": {},
+  "neighbourhood": []
+}
+"#;
+
+#[test]
+fn spatial_join_report_is_pinned() {
+    let rep = assert_golden("spatial join", SPATIAL, SPATIAL_JSON);
+    assert!(!rep.has_errors() && !rep.has_warnings());
+}
+
 // -------------------------------------------------------------- invariants
 
 /// Every diagnostic in every golden program that is attached to source
@@ -369,6 +404,7 @@ fn all_source_diags_carry_spans() {
         ("non-xy", NON_XY),
         ("unwindowed", UNWINDOWED),
         ("two-level join", TWO_LEVEL_JOIN),
+        ("spatial join", SPATIAL),
     ] {
         let rep = check(src);
         assert!(!rep.diags.is_empty(), "{label}: analyzer was silent");

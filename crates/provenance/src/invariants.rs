@@ -125,7 +125,7 @@ mod tests {
             kind: UpdateKind::Insert,
         };
         let events = vec![ev(10, 0, "r1", vec![1, 7]), ev(20, 15, "r2", vec![2, 7])];
-        d.schedule_all(events.clone());
+        d.schedule_all(events.clone()).unwrap();
         d.run(60_000);
         (d, events)
     }

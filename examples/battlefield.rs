@@ -45,7 +45,8 @@ fn main() {
         events.len(),
         100
     );
-    d.schedule_all(events.clone());
+    d.schedule_all(events.clone())
+        .expect("workload events lie on the topology");
     d.run(100_000_000);
 
     // Alert transitions as they were observed at owner nodes.

@@ -80,7 +80,8 @@ fn main() {
             }
         })
         .collect();
-    d.schedule_all(events.clone());
+    d.schedule_all(events.clone())
+        .expect("workload events lie on the topology");
     d.run(60_000);
 
     println!("\ndistributed results (gathered from owner nodes):");

@@ -40,7 +40,8 @@ fn run(name: &str, src: &str, out_pred: &str, depth_col: (usize, usize)) -> u64 
     )
     .unwrap();
     // The network's own links, announced by each incident node.
-    d.schedule_all(graph_edges(&topo, 100, 200));
+    d.schedule_all(graph_edges(&topo, 100, 200))
+        .expect("workload events lie on the topology");
     let converged = d.run(200_000_000);
     let results = d.results(Symbol::intern(out_pred));
 

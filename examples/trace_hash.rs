@@ -32,7 +32,8 @@ fn main() {
     let t0 = Instant::now();
     let mut d = Deployment::new(LOGIC_H, BuiltinRegistry::standard(), topo.clone(), cfg).unwrap();
     let journal = d.attach_journal();
-    d.schedule_all(graph_edges(&topo, 100, 200));
+    d.schedule_all(graph_edges(&topo, 100, 200))
+        .expect("workload events lie on the topology");
     d.run(2_000_000);
     let j = journal.take();
     println!(

@@ -368,20 +368,16 @@ fn grid_run_args(args: &[String], cmd: &str) -> Result<(u32, Strategy, SimConfig
     Ok((m, strategy, sim, horizon))
 }
 
-/// The `--events` script (empty without the option), every event checked
-/// to sit on the `m × m` grid.
-fn load_events(args: &[String], m: u32) -> Result<Vec<WorkloadEvent>, AnyError> {
+/// Queue the `--events` script (nothing without the option) on `d`, which
+/// refuses the script if an event is off its topology; returns the events
+/// queued.
+fn schedule_events(args: &[String], d: &mut Deployment) -> Result<Vec<WorkloadEvent>, AnyError> {
     let Some(path) = flag(args, "--events") else {
         return Ok(Vec::new());
     };
     let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
     let events = WorkloadEvent::parse_script(&text)?;
-    if let Some(bad) = events
-        .iter()
-        .find(|ev| ev.node.index() >= (m as usize).pow(2))
-    {
-        return Err(format!("event node {} outside the {m}x{m} grid", bad.node).into());
-    }
+    d.schedule_all(events.clone())?;
     eprintln!("scheduled {} events", events.len());
     Ok(events)
 }
@@ -416,8 +412,7 @@ fn cmd_deploy(args: &[String]) -> Result<(), AnyError> {
     let _ = prog;
     let journal = trace_path.as_ref().map(|_| d.attach_journal());
 
-    let events = load_events(args, m)?;
-    d.schedule_all(events.clone());
+    let events = schedule_events(args, &mut d)?;
     let converged = d.run(horizon);
 
     for &p in &d.prog.outputs.clone() {
@@ -503,8 +498,7 @@ fn cmd_explain(args: &[String]) -> Result<(), AnyError> {
     };
     let mut d =
         Deployment::new(&src, BuiltinRegistry::standard(), topo, cfg).map_err(|e| e.to_string())?;
-    let events = load_events(args, m)?;
-    d.schedule_all(events);
+    schedule_events(args, &mut d)?;
     let converged = d.run(horizon);
 
     eprintln!(

@@ -63,7 +63,7 @@ pub use sensorlog_telemetry as telemetry;
 
 /// Everything a typical application needs.
 pub mod prelude {
-    pub use sensorlog_core::deploy::{DeployConfig, Deployment, WorkloadEvent};
+    pub use sensorlog_core::deploy::{DeployConfig, Deployment, EventError, WorkloadEvent};
     pub use sensorlog_core::{oracle, workload, PassMode, Provenance, RtConfig, Strategy};
     pub use sensorlog_eval::{Database, Engine, EvalConfig, IncrementalEngine, Update, UpdateKind};
     pub use sensorlog_logic::builtin::BuiltinRegistry;

@@ -85,7 +85,7 @@ proptest! {
         });
         let mut d = chaos_deployment(seed, 26_000);
         d.set_fault_schedule(schedule);
-        d.schedule_all(churn_events(&topo, seed));
+        d.schedule_all(churn_events(&topo, seed)).unwrap();
         d.run(120_000);
         prop_assert!(d.sim.is_quiescent(), "chaos run must quiesce");
         let conv = invariants::check_convergence(&d, &[sym("q")]);
@@ -136,7 +136,7 @@ fn restarted_source_state_matches_never_crashed_run() {
                     .restart(1_500, NodeId(5)),
             );
         }
-        d.schedule_all(events(5));
+        d.schedule_all(events(5)).unwrap();
         d.run(90_000);
         assert!(d.sim.is_quiescent());
         d
@@ -169,7 +169,8 @@ fn dead_nodes_facts_are_retracted_by_liveness() {
         kind: UpdateKind::Insert,
     };
     d.set_fault_schedule(FaultSchedule::new().crash(9_000, NodeId(6)));
-    d.schedule_all(vec![mk(100, 6, "r1", 6), mk(200, 9, "r2", 9)]);
+    d.schedule_all(vec![mk(100, 6, "r1", 6), mk(200, 9, "r2", 9)])
+        .unwrap();
     d.run(90_000);
     assert!(d.sim.is_quiescent());
     let q = d.results(sym("q"));
@@ -200,7 +201,7 @@ fn partition_heals_to_oracle() {
     }
     let mut d = chaos_deployment(17, 24_000);
     d.set_fault_schedule(schedule);
-    d.schedule_all(churn_events(&topo, 17));
+    d.schedule_all(churn_events(&topo, 17)).unwrap();
     d.run(120_000);
     assert!(d.sim.is_quiescent());
     let conv = invariants::check_convergence(&d, &[sym("q")]);
@@ -239,7 +240,8 @@ fn high_churn_with_crashes_settles_and_converges() {
             seed: 23,
         }
         .events(&topo),
-    );
+    )
+    .unwrap();
     d.run(120_000);
     assert!(d.sim.is_quiescent());
     let structural = invariants::check_structural(&d);
@@ -262,7 +264,7 @@ fn scripted_chaos_journals_each_fault_and_converges() {
             .link_down(703, NodeId(1), NodeId(2))
             .link_up(4_441, NodeId(1), NodeId(2)),
     );
-    d.schedule_all(churn_events(&topo, 42));
+    d.schedule_all(churn_events(&topo, 42)).unwrap();
     d.run(120_000);
     assert!(d.sim.is_quiescent());
     // Guard against vacuous convergence: the run must derive something.

@@ -55,7 +55,7 @@ fn run_once(loss: f64, seed: u64) -> RunFingerprint {
     };
     let mut d = Deployment::new(JOIN3, BuiltinRegistry::standard(), topo.clone(), cfg).unwrap();
     let journal = d.attach_journal();
-    d.schedule_all(w.events(&topo));
+    d.schedule_all(w.events(&topo)).unwrap();
     d.run(3_000_000);
     let mut output_log = String::new();
     for id in d.sim.topology().nodes() {

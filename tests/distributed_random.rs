@@ -52,7 +52,7 @@ fn run_one(src: &str, output: &str, strategy: Strategy, seed: u64, with_deletes:
         seed: seed * 3 + 1,
     }
     .events(&topo);
-    d.schedule_all(events.clone());
+    d.schedule_all(events.clone()).unwrap();
     d.run(60_000_000);
     let report = oracle::check(&d, &events, sym(output));
     assert!(
@@ -147,7 +147,7 @@ fn random_event_storms_same_instant() {
                 });
             }
         }
-        d.schedule_all(events.clone());
+        d.schedule_all(events.clone()).unwrap();
         d.run(60_000_000);
         let report = oracle::check(&d, &events, sym("q"));
         assert!(report.expected > 0, "storm must produce joins");
@@ -184,7 +184,7 @@ fn clock_skew_and_jitter_randomized() {
             seed,
         }
         .events(&topo);
-        d.schedule_all(events.clone());
+        d.schedule_all(events.clone()).unwrap();
         d.run(120_000_000);
         let report = oracle::check(&d, &events, sym("alert"));
         assert!(
@@ -249,7 +249,7 @@ fn tree_programs_are_exact_under_shuffled_link_arrivals() {
                     };
                     let mut d = Deployment::new(src, BuiltinRegistry::standard(), topo, cfg)
                         .expect("tree program compiles");
-                    d.schedule_all(links.clone());
+                    d.schedule_all(links.clone()).unwrap();
                     d.run(2_000_000);
                     let report = oracle::check(&d, &links, sym(output));
                     assert!(

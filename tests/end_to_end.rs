@@ -33,7 +33,7 @@ fn example1_battlefield_full_pipeline() {
     }
     .events(&topo);
     assert!(!events.is_empty());
-    d.schedule_all(events.clone());
+    d.schedule_all(events.clone()).unwrap();
     d.run(100_000_000);
     let report = oracle::check(&d, &events, sym("uncov"));
     assert!(
@@ -89,7 +89,7 @@ fn example3_logich_in_network_equals_flood_tree_depths() {
         DeployConfig::default(),
     )
     .unwrap();
-    d.schedule_all(graph_edges(&topo, 100, 300));
+    d.schedule_all(graph_edges(&topo, 100, 300)).unwrap();
     d.run(100_000_000);
     let h = d.results(sym("h"));
 
@@ -131,7 +131,7 @@ fn logich_with_links_into_the_sink_is_exact_under_centroid_and_pa() {
         };
         let mut d =
             Deployment::new(program, BuiltinRegistry::standard(), topo.clone(), config).unwrap();
-        d.schedule_all(events.clone());
+        d.schedule_all(events.clone()).unwrap();
         d.run(100_000_000);
         let report = oracle::check(&d, &events, sym("h"));
         assert_eq!(report.expected, 25, "{strategy:?}");
@@ -160,7 +160,7 @@ fn centroid_peak_node_memory_is_held_by_the_centre() {
         ..DeployConfig::default()
     };
     let mut d = Deployment::new(program, BuiltinRegistry::standard(), topo, config).unwrap();
-    d.schedule_all(events.clone());
+    d.schedule_all(events.clone()).unwrap();
     d.run(100_000_000);
     let g_facts = events.len();
     assert!(g_facts > 0);

@@ -59,7 +59,7 @@ fn chain_deployment(cfg: DeployConfig) -> Deployment {
         cfg,
     )
     .unwrap();
-    d.schedule_all(chain_events());
+    d.schedule_all(chain_events()).unwrap();
     d
 }
 
@@ -303,7 +303,7 @@ fn centroid_provenance_jsonl_is_pinned() {
         })
         .collect();
     events.extend(downs);
-    d.schedule_all(events);
+    d.schedule_all(events).unwrap();
     d.run(60_000_000);
 
     let records = d.provenance_records();

@@ -46,7 +46,7 @@ fn deployment() -> Deployment {
         ..DeployConfig::default()
     };
     let mut d = Deployment::new(JOIN3, BuiltinRegistry::standard(), topo.clone(), cfg).unwrap();
-    d.schedule_all(w.events(&topo));
+    d.schedule_all(w.events(&topo)).unwrap();
     d
 }
 

@@ -42,7 +42,7 @@ fn run_200_node() -> Deployment {
         ..DeployConfig::default()
     };
     let mut d = Deployment::new(LOGIC_H, BuiltinRegistry::standard(), topo.clone(), cfg).unwrap();
-    d.schedule_all(graph_edges(&topo, 100, 200));
+    d.schedule_all(graph_edges(&topo, 100, 200)).unwrap();
     d.run(2_000_000);
     d
 }
@@ -200,7 +200,7 @@ fn lossy_links_keep_the_strategy_regions() {
             Deployment::new(LOGIC_H, BuiltinRegistry::standard(), topo.clone(), cfg).unwrap();
         let at = format!("loss {loss}, retries {retries}");
         assert_eq!(!d.prog.neighbourhood.is_empty(), plane, "{at}");
-        d.schedule_all(graph_edges(&topo, 100, 200));
+        d.schedule_all(graph_edges(&topo, 100, 200)).unwrap();
         d.run(2_000_000);
         let report = invariants::check_static_bounds(&d);
         assert!(report.ok(), "{at}: {report}");
@@ -276,7 +276,7 @@ fn random_run(
             kind: UpdateKind::Insert,
         })
         .collect();
-    d.schedule_all(events);
+    d.schedule_all(events).unwrap();
     d.run(4_000_000);
     d
 }

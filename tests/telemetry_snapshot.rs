@@ -99,7 +99,7 @@ fn sptree_snapshot_is_complete() {
         ..DeployConfig::default()
     };
     let mut d = Deployment::new(LOGIC_J, BuiltinRegistry::standard(), topo.clone(), cfg).unwrap();
-    d.schedule_all(graph_edges(&topo, 100, 200));
+    d.schedule_all(graph_edges(&topo, 100, 200)).unwrap();
     d.run(200_000_000);
     assert_full_snapshot(&d.telemetry_snapshot(), "sptree", &["g", "j", "jp"]);
 }
@@ -141,7 +141,7 @@ fn geometric_snapshot_is_complete() {
             });
         }
     }
-    d.schedule_all(events);
+    d.schedule_all(events).unwrap();
     d.run(60_000_000);
     assert_full_snapshot(&d.telemetry_snapshot(), "geometric", &["q", "r1", "r2"]);
 }

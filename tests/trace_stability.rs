@@ -64,7 +64,7 @@ fn run_probe_full(telemetry: Telemetry, provenance: Provenance) -> ((usize, u64,
     };
     let mut d = Deployment::new(LOGIC_H, BuiltinRegistry::standard(), topo.clone(), cfg).unwrap();
     let journal = d.attach_journal();
-    d.schedule_all(graph_edges(&topo, 100, 200));
+    d.schedule_all(graph_edges(&topo, 100, 200)).unwrap();
     d.run(2_000_000);
     let j = journal.take();
     (
@@ -185,7 +185,7 @@ fn skewed_trace_is_pinned() {
     .events(&topo);
     let mut d = Deployment::new(JOIN2, BuiltinRegistry::standard(), topo, cfg).unwrap();
     let journal = d.attach_journal();
-    d.schedule_all(events.clone());
+    d.schedule_all(events.clone()).unwrap();
     d.run(30_000_000);
     let j = journal.take();
     let got = (j.records.len(), j.content_hash(), d.metrics().total_tx());
