@@ -167,7 +167,7 @@ if grep -rn 'CountingEngine\|LineageLog\|record_lineage\|run_with_lineage\|owned
     echo "a second ledger, lineage copy or bound walk is back: use IncrementalEngine::counting / take_firings / Frontier::paper"; exit 1
 fi
 if grep -rn 'comm_planes\|rule_plane\|split_suggestion\|comm_costs\|CommCost\|comm\.widen\|comm\.plane' crates src tests; then
-    echo "a second traffic model is back: report xy::placement / xy::neighbourhood and absint::comm_envelopes rows"; exit 1
+    echo "a second traffic model is back: report xy::locate and absint::comm_envelopes rows"; exit 1
 fi
 if grep -rnwE 'build_with_journal|hop_seq|delivered_at|SetLinkLoss|LinkLoss|loss_override' crates src tests; then
     echo "one hop record, one per-link loss override: record ProvRecord::Hop where it lands, override loss in SimConfig::link_loss"; exit 1
@@ -251,12 +251,23 @@ if grep -rn 'Box<Payload>\|msgs: Vec<\|vec!\[msg\]' crates src; then
 fi
 
 # One statement of the spatial radius: the rule's `dist` bound, inferred by
-# `logic::xy::radius`. Earlier trees also took it as a runtime setting that
+# `logic::xy::locate`. Earlier trees also took it as a runtime setting that
 # silently won over the rule (radius 2 against a rule's 4 found 2,916 of
 # 5,244 results, and every bound check passed).
 echo "== one spatial radius (no spatial_radius under crates/ src/ tests/) =="
 if grep -rn 'spatial_radius' crates src tests; then
     echo "a second statement of the radius is back: state it once, in the rule's dist bound"; exit 1
+fi
+
+# One placement walk: `logic::xy::locate` infers each predicate's owner
+# column, plane store set and spatial radius, the plane and the radius
+# through one greatest-fixpoint routine, and `DistProgram::places` keeps the
+# answer. Earlier trees walked the rules' location terms three times, in
+# `xy::placement`, `xy::neighbourhood` and `xy::radius` (with `xy::location`
+# between them), and kept three maps.
+echo "== one placement walk (no xy::placement, xy::neighbourhood, xy::radius or xy::location under crates/ src/ tests/) =="
+if grep -rnE 'xy::(placement|neighbourhood|radius|location)\b' crates src tests; then
+    echo "a second placement walk is back: ask xy::locate (DistProgram::places)"; exit 1
 fi
 
 # ROADMAP item 8's repro (crates/bench/tests/staggered_arrivals.rs), gated in
@@ -327,6 +338,7 @@ if [[ "$fast" -eq 0 ]]; then
         fig7.runs_with_results fig7.runs_oracle_exact fig7.tx
         fig8.trees_correct fig8.logicH_tx fig8.logicJ_tx
         fig8.logicH_settle_ms fig8.logicJ_settle_ms fig8.flood_settle_ms
+        fig8.logicH_flat_settle_ms fig8.logicJ_flat_settle_ms
         fig9.loss_free_runs_oracle_exact fig9.spurious_results
         fig9.pa_found fig9.pa_arq_found fig9.centroid_found fig9.centroid_arq_found
         fig10.runs_with_results fig10.runs_oracle_exact fig10.tx

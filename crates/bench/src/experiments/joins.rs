@@ -107,7 +107,7 @@ pub fn fig6(_quick: bool, r: &mut Report) {
 /// grid. Tuples carry their source node's position; the rule's
 /// `dist(L1, L2) <= R` is the one statement of the radius, from which the
 /// compiler infers that PA may truncate both streams' regions to R
-/// (`DistProgram::radius`). A radius of 100 spans the grid: the
+/// (`xy::Place::radius`). A radius of 100 spans the grid: the
 /// unconstrained row, whose `radius` is null. Every row must equal the
 /// oracle, and the message counts are pinned.
 pub fn fig7(_quick: bool, r: &mut Report) {

@@ -16,11 +16,12 @@ use sensorlog_logic::Symbol;
 use sensorlog_netsim::{NodeId, SimConfig, Topology};
 use sensorlog_netstack::flood::run_flood;
 
-/// One deductive tree construction: (messages, converged-at s, settle ms,
-/// depths correct?). Settle is quiescence minus the last link's arrival.
-fn run_deductive(src: &str, out_pred: &str, m: u32) -> (u64, f64, u64, bool) {
+/// One deductive tree construction, links `spacing` ms apart from t = 100
+/// ms: (messages, converged-at s, settle ms, depths correct?). Settle is
+/// quiescence minus the last link's arrival.
+fn run_deductive(src: &str, out_pred: &str, m: u32, spacing: u64) -> (u64, f64, u64, bool) {
     let topo = Topology::square_grid(m);
-    let mut d = sptree_deployment(src, (m, m), SimConfig::default(), 200);
+    let mut d = sptree_deployment(src, (m, m), SimConfig::default(), spacing);
     let converged = d.run(200_000_000);
     let results = d.results(Symbol::intern(out_pred));
     let ok = tree_depths_correct(&topo, &results, usize::from(out_pred == "h"));
@@ -36,15 +37,20 @@ fn run_deductive(src: &str, out_pred: &str, m: u32) -> (u64, f64, u64, bool) {
 /// Fig. 8: messages and convergence time for logicH / logicJ / flood. All
 /// three must build the BFS tree; both programs' message counts and all
 /// three settle times (quiescence minus the last workload event: the last
-/// link's arrival, or the flood's start at t = 0) are pinned.
+/// link's arrival, or the flood's start at t = 0) are pinned. The programs
+/// run twice: links 200 ms apart, and every link at t = 100 ms (`_flat_`,
+/// the flood's like-for-like arrival profile).
 pub fn fig8(_quick: bool, r: &mut Report) {
     let (mut h_tx, mut j_tx, mut correct) = (Vec::new(), Vec::new(), 0);
     let (mut h_settle, mut j_settle, mut flood_settle) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut h_flat, mut j_flat) = (Vec::new(), Vec::new());
     let sizes = [3u32, 4, 5];
     for m in sizes {
         let topo = Topology::square_grid(m);
-        let (h_msgs, h_s, h_settle_ms, h_ok) = run_deductive(LOGIC_H, "h", m);
-        let (j_msgs, j_s, j_settle_ms, j_ok) = run_deductive(LOGIC_J, "j", m);
+        let (h_msgs, h_s, h_settle_ms, h_ok) = run_deductive(LOGIC_H, "h", m, 200);
+        let (j_msgs, j_s, j_settle_ms, j_ok) = run_deductive(LOGIC_J, "j", m, 200);
+        let (.., h_flat_ms, h_flat_ok) = run_deductive(LOGIC_H, "h", m, 0);
+        let (.., j_flat_ms, j_flat_ok) = run_deductive(LOGIC_J, "j", m, 0);
         let flood = run_flood(&topo, NodeId(0), SimConfig::default());
         let flood_ok = topo.nodes().all(|n| {
             let (x, y) = topo.grid_coords(n).expect("grid topology");
@@ -56,11 +62,16 @@ pub fn fig8(_quick: bool, r: &mut Report) {
         h_settle.push(h_settle_ms);
         j_settle.push(j_settle_ms);
         flood_settle.push(flood.converged_at);
+        // A run that built the wrong tree has no settle time to pin.
+        let settled = |ok: bool, ms: u64| if ok { ms.to_string() } else { "wrong".into() };
+        h_flat.push(settled(h_flat_ok, h_flat_ms));
+        j_flat.push(settled(j_flat_ok, j_flat_ms));
         r.row(row![
             "m" => m, "logicH_tx" => h_msgs, "logicH_s" => h_s, "logicH_settle_ms" => h_settle_ms,
             "logicJ_tx" => j_msgs, "logicJ_s" => j_s, "logicJ_settle_ms" => j_settle_ms,
             "flood_tx" => flood.total_messages, "flood_s" => flood.converged_at as f64 / 1000.0,
             "flood_settle_ms" => flood.converged_at,
+            "logicH_flat_settle_ms" => h_flat_ms, "logicJ_flat_settle_ms" => j_flat_ms,
         ]);
     }
     r.gate("trees_correct", 3 * sizes.len(), correct);
@@ -69,4 +80,6 @@ pub fn fig8(_quick: bool, r: &mut Report) {
     r.gate("logicH_settle_ms", "13483 15906 16745", series(h_settle));
     r.gate("logicJ_settle_ms", "13477 15920 16742", series(j_settle));
     r.gate("flood_settle_ms", "63 86 119", series(flood_settle));
+    r.gate("logicH_flat_settle_ms", "18076 25299 32517", series(h_flat));
+    r.gate("logicJ_flat_settle_ms", "18077 25313 32531", series(j_flat));
 }

@@ -1,9 +1,10 @@
 //! Owner placement as a table: every program the repo ships or benches —
 //! each `examples/programs/*.dl` and the bench's tree and join programs —
-//! against the predicates `logic::xy::placement` places and where. Only the
-//! tree programs' recursive components join a single binary link relation,
-//! so only `h`, `hp`, `j` and `jp` leave the geographic hash; a new example
-//! program fails here until its row is written down.
+//! against the predicates `logic::xy::locate` gives an owner column, and
+//! which. Only the tree programs' recursive components join a single
+//! binary link relation, so only `h`, `hp`, `j` and `jp` leave the
+//! geographic hash; a new example program fails here until its row is
+//! written down.
 
 use sensorlog_bench::common::{JOIN2, LOGIC_H, LOGIC_J};
 use sensorlog_logic::builtin::BuiltinRegistry;
@@ -13,8 +14,8 @@ use std::collections::BTreeMap;
 fn placed(src: &str) -> BTreeMap<String, usize> {
     let prog = parse_program(src).expect("program parses");
     let analysis = analyze(&prog, &BuiltinRegistry::standard()).expect("program analyzes");
-    (xy::placement(&analysis.program, &analysis.xy).into_iter())
-        .map(|(p, col)| (p.as_str().to_string(), col))
+    (xy::locate(&analysis.program, &analysis.xy).into_iter())
+        .filter_map(|(p, place)| Some((p.as_str().to_string(), place.owner?)))
         .collect()
 }
 

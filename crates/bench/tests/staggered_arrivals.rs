@@ -1,9 +1,9 @@
 //! ROADMAP item 8's repro, committed: the tree programs under PA with the
 //! grid's links arriving one by one.
 //!
-//! The tree programs are on the neighbourhood plane (`logic::xy::
-//! neighbourhood`): each join runs at one node, which holds every literal
-//! and negation it reads, and both programs are oracle-exact at every grid
+//! The tree programs are on the neighbourhood plane (`logic::xy::locate`):
+//! each join runs at one node, which holds every literal and negation it
+//! reads, and both programs are oracle-exact at every grid
 //! `bench scale` runs with links 20 or 200 ms apart — the 6×6 logicH run
 //! that was item 8's repro included. Item 8 itself (a negation check a
 //! column walk never tries) is still there for any program off the plane:
@@ -96,7 +96,7 @@ fn ternary_logich_6x6_links_200ms_apart_is_oracle_exact() {
         cfg,
     )
     .expect("ternary logicH compiles");
-    assert!(d.prog.neighbourhood.is_empty());
+    assert!(d.prog.places.values().all(|p| p.plane.is_none()));
     d.schedule_all(graph_edges(&topo, 100, 200).into_iter().map(|mut link| {
         let mut cols = link.tuple.terms();
         cols.push(Term::Int(1));

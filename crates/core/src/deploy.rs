@@ -88,7 +88,7 @@ pub enum EventError {
     /// The event's node is not a node of the topology.
     UnknownNode { node: NodeId, nodes: usize },
     /// An event of a predicate with a spatial radius
-    /// (`DistProgram::radius`) whose location column is not its node's
+    /// (`xy::Place::radius`) whose location column is not its node's
     /// position, once events of such predicates have been stored in regions
     /// cut to the radius. Those regions are measured from the node and
     /// cannot be widened after the fact, so the tuple would miss partners
@@ -197,21 +197,24 @@ impl Deployment {
     ) -> Result<Deployment, crate::plan::CompileError> {
         let mut prog = compile_source(src, reg, config.plan)?.with_pass_mode(config.rt.pass_mode);
         // The neighbourhood plane sends a tuple once to each neighbour that
-        // reads it (`DistProgram::store_targets`), and nothing resends a
-        // lost store: a join that misses a negated partner (`hp`) derives
-        // what it should not, which feeds further joins. Past a few lost
-        // hops that diverges where PA's walks stay bounded, until ROADMAP
-        // item 14 gives lost state a repair path; such links keep the
-        // strategy's regions.
-        if config.sim.hop_loss() > PLANE_MAX_HOP_LOSS {
-            prog.neighbourhood.clear();
-        }
+        // reads it (`plan::store_targets`), and nothing resends a lost
+        // store: a join that misses a negated partner (`hp`) derives what it
+        // should not, which feeds further joins. Past a few lost hops that
+        // diverges where PA's walks stay bounded, until ROADMAP item 14
+        // gives lost state a repair path; such links keep the strategy's
+        // regions.
+        let lossy = config.sim.hop_loss() > PLANE_MAX_HOP_LOSS;
         // Centroid has no regions to cut, and off the grid the bands can
         // cross at a detour node that no radius keeps within reach.
-        if config.rt.strategy == Strategy::Centroid
-            || matches!(topo.kind, TopologyKind::Geometric { .. })
-        {
-            prog.stop_cutting();
+        let uncut = config.rt.strategy == Strategy::Centroid
+            || matches!(topo.kind, TopologyKind::Geometric { .. });
+        for place in prog.places.values_mut() {
+            if lossy {
+                place.plane = None;
+            }
+            if uncut {
+                place.radius = None;
+            }
         }
         let prog = Arc::new(prog);
         // Every node times its phases by the simulator's skew bound τc
@@ -327,8 +330,7 @@ impl Deployment {
         }
         if self.prog.cuts() {
             if let Some(err) = evs.iter().find_map(|ev| self.mislocation(ev)) {
-                let radius = &self.prog.radius;
-                if self.applied.iter().any(|e| radius.contains_key(&e.pred)) {
+                if (self.applied.iter()).any(|e| self.prog.place(e.pred).radius.is_some()) {
                     return Err(err);
                 }
                 self.prog.stop_cutting();
@@ -342,7 +344,7 @@ impl Deployment {
     /// radius and its location column (`logic::xy::Radius::col`) is not
     /// the point at its node's position. Read off the interned entries.
     fn mislocation(&self, ev: &WorkloadEvent) -> Option<EventError> {
-        let rad = self.prog.radius.get(&ev.pred)?;
+        let rad = self.prog.place(ev.pred).radius?;
         let position = self.sim.topology().position(ev.node);
         let coord = |id| intern::entry(id).val.as_f64();
         let point = |id| match &intern::entry(id).val {
@@ -984,7 +986,8 @@ mod tests {
         };
         let mut d =
             Deployment::new(LOGIC_H, BuiltinRegistry::standard(), topo.clone(), config).unwrap();
-        assert!(!d.prog.neighbourhood.is_empty(), "logicH left the plane");
+        let plane = d.prog.places.values().any(|p| p.plane.is_some());
+        assert!(plane, "logicH left the plane");
         let links = crate::workload::graph_edges(&topo, 100, 0);
         d.schedule_all(links.clone()).unwrap();
         d.run(2_000_000);

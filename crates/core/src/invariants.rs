@@ -47,9 +47,9 @@
 //!    after every quiescent run.
 //! 7. **Plane locality** — every neighbourhood-plane update is about a node
 //!    (one sensed elsewhere is sent there to start) and, for the link
-//!    relation, states a radio link (`DistProgram::breaks_plane`): the
-//!    plane's store targets are exact only then, so a run that broke it
-//!    is flagged, not trusted.
+//!    relation, states a radio link (`plan::breaks_plane`): the plane's
+//!    store targets are exact only then, so a run that broke it is
+//!    flagged, not trusted.
 
 use crate::deploy::{Deployment, WorkloadEvent};
 use crate::oracle;
@@ -212,9 +212,9 @@ pub fn node_caps(d: &Deployment, params: &BoundParams) -> BTreeMap<Symbol, Optio
     let mut caps = BTreeMap::new();
     for (&pred, expr) in &fr.bounds {
         let whole = expr.eval(params).map(|t| t.saturating_mul(2));
-        let local = (d.prog.neighbourhood.get(&pred))
+        let local = (d.prog.place(pred).plane)
             .filter(|on| exact || on.link == pred)
-            .and_then(|&on| absint::neighbourhood_cap(expr, on, params, degree?));
+            .and_then(|on| absint::neighbourhood_cap(expr, on, params, degree?));
         caps.insert(pred, whole.map(|w| local.map_or(w, |l| l.min(w))));
     }
     caps
@@ -549,7 +549,7 @@ mod tests {
         };
         let topo = sensorlog_netsim::Topology::square_grid(3);
         let d = Deployment::new(src, BuiltinRegistry::standard(), topo, config).unwrap();
-        assert!(d.prog.neighbourhood.contains_key(&Symbol::intern("g")));
+        assert!(d.prog.place(Symbol::intern("g")).plane.is_some());
         d
     }
 

@@ -10,12 +10,12 @@
 //! following the certified stage-local order, so retractions (`hp`) settle
 //! before the tuples they block (`h`) propagate.
 //!
-//! Three more decisions are the program's, made here once: the passes a
-//! probe pinned at each relational literal walks ([`PassPlan`]), which node
-//! owns each derived tuple ([`DistProgram::owner_of`]), and which
-//! predicates join where they stand, stored only at the neighbours their
-//! rules read them at ([`DistProgram::neighbourhood`],
-//! [`DistProgram::store_targets`]).
+//! Two more decisions are the program's, made here once: the passes a
+//! probe pinned at each relational literal walks ([`PassPlan`]), and where
+//! each predicate's tuples live ([`DistProgram::places`]) — which node owns
+//! a derived tuple ([`DistProgram::owner_of`]), which predicates join where
+//! they stand, stored only at the neighbours their rules read them at
+//! ([`store_targets`]), and how far a base tuple's join partners can be.
 
 use crate::partial::MAX_BODY_LITERALS;
 use crate::strategy::PassMode;
@@ -25,7 +25,7 @@ use sensorlog_logic::boundness::pass_plan;
 use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::intern::{self, Val};
 use sensorlog_logic::span::Span;
-use sensorlog_logic::xy::{self, OnPlane, Radius, Store};
+use sensorlog_logic::xy::{self, OnPlane, Place, Store};
 use sensorlog_logic::{Symbol, Tuple};
 use sensorlog_netsim::{NodeId, Topology};
 use sensorlog_netstack::ght;
@@ -104,28 +104,40 @@ pub struct DistProgram {
     /// Per rule, per body literal: the passes of a probe pinned there
     /// (default for literals that are never pinned; [`Self::pass_plan`]).
     plans: Vec<Vec<PassPlan>>,
-    /// Derived predicates owned by the node one of their columns names
-    /// (`logic::xy::placement`), by that column.
-    pub placement: BTreeMap<Symbol, usize>,
-    /// The neighbourhood plane (`logic::xy::neighbourhood`), each predicate
-    /// with its link relation and store set: a tuple of one of these
-    /// predicates starts at the node it is about ([`DistProgram::plane_node`]),
-    /// is stored there and at the radio neighbours its rules read it at
-    /// ([`DistProgram::store_targets`]), and is joined there alone, whatever
-    /// the strategy's regions (Centroid aside). Emptied by `Deployment::new`
-    /// on links that lose more than one hop in ten for good.
-    pub neighbourhood: BTreeMap<Symbol, OnPlane>,
-    /// Base predicates whose spatial join constraints bound where their
-    /// partners lie (`logic::xy::radius`): the strategy's storage and join
-    /// regions for an update of one are cut to its radius around the node
-    /// holding it ([`DistProgram::cut_radius`]) while `cut` holds.
-    pub radius: BTreeMap<Symbol, Radius>,
-    /// Whether regions are cut to `radius`. The cut measures from the node
-    /// holding a tuple, so `Deployment` clears this where that is not the
-    /// tuple's location: from the start under Centroid and off the grid,
-    /// and at the first event of a radius predicate whose location column
-    /// is not its node's position.
+    /// Where each predicate's tuples live (`logic::xy::locate`), read
+    /// through [`DistProgram::place`]:
+    /// - `owner`: a derived tuple is owned by the node that column names
+    ///   ([`DistProgram::owner_of`]);
+    /// - `plane`: the neighbourhood plane, with its link relation, location
+    ///   column and store set. A plane tuple starts at the node it is about
+    ///   ([`plane_node`]), is stored there and at the radio neighbours its
+    ///   rules read it at ([`store_targets`]), and is joined there alone,
+    ///   whatever the strategy's regions (Centroid aside);
+    /// - `radius`: the strategy's storage and join regions for an update of
+    ///   a base predicate are cut to its spatial radius around the node
+    ///   holding it while `cut` holds.
+    ///
+    /// Where an update is stored and joined is one lookup,
+    /// [`DistProgram::reach`]. `Deployment::new` drops every `plane` on
+    /// links that lose more than one hop in ten for good, and every
+    /// `radius` under Centroid and off the grid.
+    pub places: BTreeMap<Symbol, Place>,
+    /// Whether regions are cut to their radius. The cut measures from the
+    /// node holding a tuple, so `Deployment` clears this at the first event
+    /// of a radius predicate whose location column is not its node's
+    /// position.
     cut: AtomicBool,
+}
+
+/// Where an update of one predicate is stored and joined, besides the node
+/// holding it ([`DistProgram::reach`]).
+#[derive(Copy, Clone, Debug, PartialEq)]
+pub(crate) enum Reach {
+    /// On the neighbourhood plane: stored at its store set, joined where it
+    /// stands, whatever the strategy.
+    Plane(OnPlane),
+    /// In the strategy's regions, cut to the radius when there is one.
+    Regions(Option<f64>),
 }
 
 /// The passes a probe pinned at one relational literal walks over its join
@@ -195,56 +207,49 @@ impl DistProgram {
         self
     }
 
+    /// Where `pred`'s tuples live; every part absent for a predicate the
+    /// program does not place.
+    pub fn place(&self, pred: Symbol) -> Place {
+        self.places.get(&pred).copied().unwrap_or_default()
+    }
+
     /// The node that owns `tuple` of `pred` (Sec. III-B): for a placed
     /// predicate, the node its owner column names when that value is a node
     /// id of `topo`; otherwise the geographic hash's home node. Either way a
     /// function of the tuple, so identical derived tuples still meet at one
     /// owner.
     pub fn owner_of(&self, topo: &Topology, pred: Symbol, tuple: &Tuple) -> NodeId {
-        let placed = (self.placement.get(&pred)).and_then(|&col| node_named(topo, tuple, col));
+        let placed = (self.place(pred).owner).and_then(|col| node_named(topo, tuple, col));
         placed.unwrap_or_else(|| ght::owner_of(topo, pred, tuple))
     }
 
-    /// The node a neighbourhood-plane tuple of `pred` is about: the one its
-    /// location column (`logic::xy::location`) names, if that value is a
-    /// node of `topo`. `None` off the plane.
-    pub(crate) fn plane_node(
-        &self,
-        topo: &Topology,
-        pred: Symbol,
-        tuple: &Tuple,
-    ) -> Option<NodeId> {
-        self.neighbourhood.get(&pred)?;
-        node_named(topo, tuple, xy::location(&self.placement, pred))
-    }
-
-    /// Whether a neighbourhood-plane tuple of `pred` breaks the plane's
-    /// precondition wherever it starts: it is about no node of `topo`, or
-    /// it is a link fact whose ends (columns 0 and 1) are not radio
-    /// neighbours. False off the plane.
-    pub(crate) fn breaks_plane(&self, topo: &Topology, pred: Symbol, tuple: &Tuple) -> bool {
-        let Some(on) = self.neighbourhood.get(&pred) else {
-            return false;
-        };
-        match self.plane_node(topo, pred, tuple) {
-            None => true,
-            Some(at) => {
-                pred == on.link
-                    && !node_named(topo, tuple, 1).is_some_and(|n| topo.are_neighbors(at, n))
-            }
+    /// Where an update of `pred` is stored and joined: on the plane when
+    /// it is on it, else in the strategy's regions, cut to its radius while
+    /// the deployment cuts at all.
+    pub(crate) fn reach(&self, pred: Symbol) -> Reach {
+        let place = self.place(pred);
+        match place.plane {
+            Some(on) => Reach::Plane(on),
+            None => Reach::Regions(
+                (place.radius)
+                    .filter(|_| self.cut.load(Ordering::Relaxed))
+                    .map(|rad| rad.r),
+            ),
         }
     }
 
     /// The radius an update of `pred` has its storage and join regions cut
-    /// to: its `radius`, while the deployment cuts regions at all.
+    /// to ([`DistProgram::reach`]).
     pub fn cut_radius(&self, pred: Symbol) -> Option<f64> {
-        let rad = self.radius.get(&pred)?;
-        self.cut.load(Ordering::Relaxed).then_some(rad.r)
+        match self.reach(pred) {
+            Reach::Regions(radius) => radius,
+            Reach::Plane(_) => None,
+        }
     }
 
-    /// Whether the deployment still cuts regions to `radius`.
+    /// Whether the deployment still cuts some predicate's regions.
     pub(crate) fn cuts(&self) -> bool {
-        !self.radius.is_empty() && self.cut.load(Ordering::Relaxed)
+        self.cut.load(Ordering::Relaxed) && self.places.values().any(|p| p.radius.is_some())
     }
 
     /// Cut no region from now on (`Deployment`, which decides where the
@@ -252,31 +257,48 @@ impl DistProgram {
     pub(crate) fn stop_cutting(&self) {
         self.cut.store(false, Ordering::Relaxed);
     }
+}
 
-    /// Where a neighbourhood-plane tuple of `pred` about node `at` is
-    /// stored besides `at` itself, by its store set (`logic::xy::Store`):
-    /// nowhere, at the radio neighbour its column 1 names (nowhere when
-    /// that node is not a neighbour), or at every radio neighbour of `at`.
-    /// Nowhere off the plane.
-    pub(crate) fn store_targets<'t>(
-        &self,
-        topo: &'t Topology,
-        at: NodeId,
-        pred: Symbol,
-        tuple: &Tuple,
-    ) -> &'t [NodeId] {
-        let neighbours = topo.neighbors(at);
-        match self.neighbourhood.get(&pred).map(|on| on.store) {
-            Some(Store::Neighbours) => neighbours,
-            Some(Store::LinkEnd) => {
-                let end = node_named(topo, tuple, 1);
-                match neighbours.iter().position(|&n| Some(n) == end) {
-                    Some(i) => &neighbours[i..=i],
-                    None => &[],
-                }
-            }
-            Some(Store::Home) | None => &[],
+/// The node a neighbourhood-plane tuple is about: the one its location
+/// column names, if that value is a node of `topo`.
+pub(crate) fn plane_node(topo: &Topology, on: OnPlane, tuple: &Tuple) -> Option<NodeId> {
+    node_named(topo, tuple, on.col)
+}
+
+/// Whether a neighbourhood-plane tuple of `pred` breaks the plane's
+/// precondition wherever it starts: it is about no node of `topo`, or it is
+/// a link fact whose ends (columns 0 and 1) are not radio neighbours.
+pub(crate) fn breaks_plane(topo: &Topology, on: OnPlane, pred: Symbol, tuple: &Tuple) -> bool {
+    match plane_node(topo, on, tuple) {
+        None => true,
+        Some(at) => {
+            pred == on.link
+                && !node_named(topo, tuple, 1).is_some_and(|n| topo.are_neighbors(at, n))
         }
+    }
+}
+
+/// Where a neighbourhood-plane tuple about node `at` is stored besides `at`
+/// itself, by its store set (`logic::xy::Store`): nowhere, at the radio
+/// neighbour its column 1 names (nowhere when that node is not a
+/// neighbour), or at every radio neighbour of `at`.
+pub(crate) fn store_targets<'t>(
+    topo: &'t Topology,
+    at: NodeId,
+    on: OnPlane,
+    tuple: &Tuple,
+) -> &'t [NodeId] {
+    let neighbours = topo.neighbors(at);
+    match on.store {
+        Store::Neighbours => neighbours,
+        Store::LinkEnd => {
+            let end = node_named(topo, tuple, 1);
+            match neighbours.iter().position(|&n| Some(n) == end) {
+                Some(i) => &neighbours[i..=i],
+                None => &[],
+            }
+        }
+        Store::Home => &[],
     }
 }
 
@@ -403,9 +425,7 @@ pub fn compile(
             r.body.iter().enumerate().map(plan).collect()
         })
         .collect();
-    let placement = xy::placement(prog, &analysis.xy);
-    let neighbourhood = xy::neighbourhood(prog, &analysis.xy, &placement);
-    let radius = xy::radius(prog);
+    let places = xy::locate(prog, &analysis.xy);
 
     Ok(DistProgram {
         analysis,
@@ -417,9 +437,7 @@ pub fn compile(
         holddown,
         static_facts,
         plans,
-        placement,
-        neighbourhood,
-        radius,
+        places,
         cut: AtomicBool::new(true),
     })
 }
@@ -562,7 +580,10 @@ mod tests {
     #[test]
     fn a_placed_owner_is_the_columns_node() {
         let p = logic_h();
-        assert_eq!(p.placement, BTreeMap::from([(sym("h"), 1), (sym("hp"), 0)]));
+        let owners: BTreeMap<Symbol, usize> = (p.places.iter())
+            .filter_map(|(&pred, place)| Some((pred, place.owner?)))
+            .collect();
+        assert_eq!(owners, BTreeMap::from([(sym("h"), 1), (sym("hp"), 0)]));
         let topo = Topology::grid(10, 5);
         assert_eq!(p.owner_of(&topo, sym("h"), &ints(&[3, 13, 2])), NodeId(13));
         assert_eq!(p.owner_of(&topo, sym("hp"), &ints(&[49, 7])), NodeId(49));
@@ -603,7 +624,7 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let p = compile_source(UNCOV, BuiltinRegistry::standard(), PlanTiming::default()).unwrap();
-        assert!(p.placement.is_empty());
+        assert!(p.places.values().all(|place| place.owner.is_none()));
         let mut rng = StdRng::seed_from_u64(0x0_64E5);
         for topo in [Topology::grid(10, 5), Topology::square_grid(7)] {
             for _ in 0..500 {

@@ -13,7 +13,7 @@ use crate::msg::{Msg, Payload, ProbeMsg, RuleWork};
 use crate::partial::{
     process_partials, seed_partial, Fragments, LocalCtx, Partial, ProbeWork, Replica, RuleShape,
 };
-use crate::plan::DistProgram;
+use crate::plan::{self, DistProgram, Reach};
 use crate::prov::{ProvRecord, Provenance};
 use crate::strategy::{PassMode, Strategy};
 use crate::tupleid::{clamp_absorbs, DerivationKey, FactRecord, TupleId, EDB_RULE};
@@ -309,8 +309,8 @@ pub struct NodeStats {
     /// (cascade limit, derivation cycle): the fact is lost to the result.
     pub center_apply_errors: u64,
     /// Neighbourhood-plane updates started here that break the plane's
-    /// precondition (`DistProgram::breaks_plane`): the tuple is about no
-    /// node, or the link it states is not a radio link. Their joins may miss
+    /// precondition (`plan::breaks_plane`): the tuple is about no node,
+    /// or the link it states is not a radio link. Their joins may miss
     /// partners; `invariants::check_structural` reports them.
     pub locality_violations: u64,
 }
@@ -715,40 +715,37 @@ impl SensorlogNode {
         }
 
         // Storage phase.
-        let plane = self.prog.neighbourhood.contains_key(&fact.pred);
-        match self.cfg.strategy {
+        match (self.prog.reach(fact.pred), self.cfg.strategy) {
             // A neighbourhood-plane tuple is stored here and at the
             // neighbours its rules read it at, whatever the strategy: its
             // join needs nothing further.
-            _ if plane => {
+            (Reach::Plane(on), _) => {
                 let net = Arc::clone(&self.net);
-                let home = (self.prog).plane_node(&net.topo, fact.pred, &fact.tuple);
+                let home = plan::plane_node(&net.topo, on, &fact.tuple);
                 if let Some(home) = home.filter(|&n| n != self.id) {
                     // Sensed away from the node it is about: it starts
                     // there, its storage phase one route longer.
                     self.route(ctx, home, Payload::Relocate { fact });
                     return;
                 }
-                if (self.prog).breaks_plane(&net.topo, fact.pred, &fact.tuple) {
+                if plan::breaks_plane(&net.topo, on, fact.pred, &fact.tuple) {
                     self.stats.locality_violations += 1;
                     self.tele
                         .bump(Scope::Pred(fact.pred.as_str()), "locality_violations");
                 }
                 self.store_replica(ctx, &fact);
-                let targets = (self.prog).store_targets(&net.topo, self.id, fact.pred, &fact.tuple);
-                for &nb in targets {
+                for &nb in plan::store_targets(&net.topo, self.id, on, &fact.tuple) {
                     self.send_store_walk(ctx, &fact, vec![nb]);
                 }
             }
-            Strategy::NaiveBroadcast => {
+            (_, Strategy::NaiveBroadcast) => {
                 self.store_replica(ctx, &fact);
                 self.flood_seen.insert((fact.id, fact.kind));
                 self.tele
                     .bump(Scope::Pred(fact.pred.as_str()), "flood_broadcasts");
                 ctx.broadcast(Arc::new(Payload::FloodStore { fact: fact.clone() }));
             }
-            _ => {
-                let radius = self.prog.cut_radius(fact.pred);
+            (Reach::Regions(radius), _) => {
                 let region = (self.cfg.strategy)
                     .storage_region(&self.net.topo, self.id, radius)
                     .expect("non-centroid strategy has regions");
@@ -875,13 +872,11 @@ impl SensorlogNode {
             return;
         }
         // A neighbourhood-plane update joins where it stands.
-        let region = if self.prog.neighbourhood.contains_key(&fact.pred) {
-            vec![self.id]
-        } else {
-            let radius = self.prog.cut_radius(fact.pred);
-            (self.cfg.strategy)
+        let region = match self.prog.reach(fact.pred) {
+            Reach::Plane(_) => vec![self.id],
+            Reach::Regions(radius) => (self.cfg.strategy)
                 .join_region(&self.net.topo, self.id, radius)
-                .expect("non-centroid strategy has regions")
+                .expect("non-centroid strategy has regions"),
         };
         let probe = ProbeMsg {
             update: fact,

@@ -12,28 +12,33 @@
 //! | LocalStorage    | local node      | whole network           |
 //! | Centroid        | — (central server runs the centralized engine) |
 //! | *neighbourhood plane* | local node + neighbours that read it | local node |
+//! | *spatial radius* | the strategy's, cut to the radius | the strategy's, cut to the radius |
 //!
-//! The last row is not a strategy: a predicate of the program's
-//! neighbourhood plane (`DistProgram::neighbourhood`) gets those regions —
-//! its storage region the node it is about plus the radio neighbours its
-//! rules read it at (`DistProgram::store_targets`: none, the one a link's
-//! column 1 names, or all) — under every strategy but Centroid (`runtime::SensorlogNode`'s
-//! `initiate_update` / `start_join`), and [`Strategy::storage_region`] /
-//! [`Strategy::join_region`] never see it. On links that lose more than
-//! one hop in ten the deployment drops the plane, and the strategy's own
-//! regions apply.
+//! The last two rows are not strategies but a predicate's place, inferred
+//! from the program by one walk (`logic::xy::locate`, kept as
+//! `DistProgram::places`) and read by one lookup per update
+//! (`DistProgram::reach`, in `runtime::SensorlogNode`'s `initiate_update` /
+//! `start_join`); the plane takes precedence where both apply.
+//!
+//! A predicate of the neighbourhood plane gets those regions — its storage
+//! region the node it is about plus the radio neighbours its rules read it
+//! at (`plan::store_targets`: none, the one a link's column 1 names, or
+//! all) — under every strategy but Centroid, and
+//! [`Strategy::storage_region`] / [`Strategy::join_region`] never see it.
+//! On links that lose more than one hop in ten the deployment drops the
+//! plane, and the strategy's own regions apply.
 //!
 //! A spatial join constraint (`dist(L1, L2) <= r`, Sec. III-A) cuts the
 //! storage and join regions of an update to its predicate's radius around
 //! the node holding it: the widest such bound of the rules reading the
-//! predicate (`logic::xy::radius`, carried as `DistProgram::radius`),
-//! stated once, in the program. On a grid the row of `a` and the column of
-//! `b` cross at `(x_b, y_a)`, within `dist(a, b)` of both, so the cut keeps
-//! the crossing of every pair the bound admits. Off the grid the bands can
-//! cross at a detour node (`regions::augment_with_detours`) that nothing
-//! keeps within reach, so nothing is cut there. The cut measures from the
-//! node, so it holds only while each tuple sits at its node's position:
-//! `Deployment::schedule` stops cutting at the first event that does not.
+//! predicate, stated once, in the program. On a grid the row of `a` and
+//! the column of `b` cross at `(x_b, y_a)`, within `dist(a, b)` of both,
+//! so the cut keeps the crossing of every pair the bound admits. Off the
+//! grid the bands can cross at a detour node
+//! (`regions::augment_with_detours`) that nothing keeps within reach, so
+//! nothing is cut there. The cut measures from the node, so it holds only
+//! while each tuple sits at its node's position: `Deployment::schedule`
+//! stops cutting at the first event that does not.
 
 use sensorlog_netsim::{NodeId, Topology, TopologyKind};
 use sensorlog_netstack::regions;

@@ -256,7 +256,7 @@ pub fn frontier(analysis: &Analysis) -> Frontier {
 }
 
 /// The per-node ceiling on stored tuples of a neighbourhood-plane predicate
-/// `on` (`xy::neighbourhood`) whose whole-network bound is `bound`, on a
+/// `on` (`xy::Place::plane`) whose whole-network bound is `bound`, on a
 /// network whose nodes have at most `degree` radio neighbours. The frontier
 /// bound counts tuples per anchoring link, and one node is the end of at
 /// most `degree` radio links, so `b = bound[E(link) ↦ degree]` bounds the

@@ -128,7 +128,8 @@ impl BuiltinRegistry {
         r.register_func(
             "neg",
             Arc::new(|args: &[Term]| match args {
-                [Term::Int(i)] => Ok(Term::Int(-i)),
+                [Term::Int(i)] => (i.checked_neg().map(Term::Int))
+                    .ok_or_else(|| BuiltinError::new(format!("neg({i}) failed"))),
                 [Term::Float(f)] => Ok(Term::float(-f.get())),
                 _ => Err(BuiltinError::new("neg expects one numeric argument")),
             }),
@@ -136,7 +137,8 @@ impl BuiltinRegistry {
         r.register_func(
             "abs",
             Arc::new(|args: &[Term]| match args {
-                [Term::Int(i)] => Ok(Term::Int(i.abs())),
+                [Term::Int(i)] => (i.checked_abs().map(Term::Int))
+                    .ok_or_else(|| BuiltinError::new(format!("abs({i}) failed"))),
                 [Term::Float(f)] => Ok(Term::float(f.get().abs())),
                 _ => Err(BuiltinError::new("abs expects one numeric argument")),
             }),
@@ -471,6 +473,30 @@ mod tests {
         let r = BuiltinRegistry::standard();
         let big = Term::app("add", vec![Term::Int(i64::MAX), Term::Int(1)]);
         assert!(r.eval_term(&big).is_err());
+    }
+
+    /// `i64::MIN` has no negation or absolute value in `i64`: both are
+    /// errors, as `add`'s overflow is, not a panic or a negative `abs`. A
+    /// rule reaches it through `sub(sub(0, 9223372036854775807), 1)`.
+    #[test]
+    fn neg_and_abs_of_the_least_int_error() {
+        let r = BuiltinRegistry::standard();
+        let min = parse_term("sub(sub(0, 9223372036854775807), 1)").unwrap();
+        assert_eq!(r.eval_term(&min).unwrap(), Term::Int(i64::MIN));
+        for f in ["neg", "abs"] {
+            let err = r.eval_term(&Term::app(f, vec![min.clone()])).unwrap_err();
+            assert_eq!(err.message, format!("{f}(-9223372036854775808) failed"));
+        }
+        let max = Term::Int(i64::MAX);
+        assert_eq!(
+            r.eval_term(&Term::app("neg", vec![max.clone()])).unwrap(),
+            Term::Int(-i64::MAX)
+        );
+        assert_eq!(
+            r.eval_term(&Term::app("abs", vec![Term::Int(-i64::MAX)]))
+                .unwrap(),
+            max
+        );
     }
 
     #[test]

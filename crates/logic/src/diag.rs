@@ -17,11 +17,10 @@
 //!    declared `.output`. The boundness signatures come from
 //!    [`crate::boundness`], the same analysis `eval::planner` derives its
 //!    index signatures from.
-//! 3. **Placement**: the predicates owned by the node a column names
-//!    ([`crate::xy::placement`]), those on the neighbourhood plane
-//!    ([`crate::xy::neighbourhood`]) and those whose regions a `dist`
-//!    bound truncates ([`crate::xy::radius`]) — the functions the planner
-//!    places tuples by.
+//! 3. **Placement**: the predicates owned by the node a column names,
+//!    those on the neighbourhood plane and those whose regions a `dist`
+//!    bound truncates — one [`crate::xy::locate`] walk, the one the
+//!    planner places tuples by.
 //! 4. **Message envelopes**: each derived predicate's row of
 //!    [`crate::absint::comm_envelopes`], the per-kind traffic bound the
 //!    run-time check holds a deployment to.
@@ -37,7 +36,7 @@ use crate::depgraph::DepGraph;
 use crate::parser::parse_program;
 use crate::span::Span;
 use crate::symbol::Symbol;
-use crate::xy::{OnPlane, Store, DEFAULT_HOLDDOWN_BASE_MS, DEFAULT_XY_STAGGER_MS};
+use crate::xy::{Place, Store, DEFAULT_HOLDDOWN_BASE_MS, DEFAULT_XY_STAGGER_MS};
 use sensorlog_telemetry::jsonl::escape;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -229,13 +228,9 @@ pub struct Report {
     pub diags: Vec<Diagnostic>,
     /// Whole-network distinct-tuple bound per predicate.
     pub bounds: BTreeMap<Symbol, PredBound>,
-    /// Owner column of each placed predicate (`xy::placement`): its tuples
-    /// are owned by the node that column names.
-    pub placement: BTreeMap<Symbol, usize>,
-    /// The neighbourhood plane (`xy::neighbourhood`): predicates stored
-    /// within one hop of the node they are about and joined there, each
-    /// with its link relation and store set.
-    pub neighbourhood: BTreeMap<Symbol, OnPlane>,
+    /// Where each predicate's tuples live (`xy::locate`): its owner
+    /// column, its place on the neighbourhood plane and its spatial radius.
+    pub places: BTreeMap<Symbol, Place>,
 }
 
 impl Report {
@@ -344,18 +339,19 @@ impl Report {
             s.push_str("\n  ");
         }
         s.push_str("},\n  \"placement\": {");
-        for (i, (p, col)) in self.placement.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\n    {}: {col}", escape(p.as_str())));
-        }
-        if !self.placement.is_empty() {
+        let owners: Vec<String> = (self.places.iter())
+            .filter_map(|(p, place)| {
+                Some(format!("\n    {}: {}", escape(p.as_str()), place.owner?))
+            })
+            .collect();
+        s.push_str(&owners.join(","));
+        if !owners.is_empty() {
             s.push_str("\n  ");
         }
         s.push_str("},\n  \"neighbourhood\": [");
-        let plane: Vec<String> = (self.neighbourhood.keys())
-            .map(|p| escape(p.as_str()))
+        let plane: Vec<String> = (self.places.iter())
+            .filter(|(_, place)| place.plane.is_some())
+            .map(|(p, _)| escape(p.as_str()))
             .collect();
         s.push_str(&plane.join(", "));
         s.push_str("]\n}\n");
@@ -752,8 +748,8 @@ pub fn check_analysis(analysis: &Analysis, params: &BoundParams) -> Report {
     }
 
     // Pass 3: placement.
-    let placement = crate::xy::placement(prog, &analysis.xy);
-    for (&p, &col) in &placement {
+    let places = crate::xy::locate(prog, &analysis.xy);
+    for (&p, col) in places.iter().filter_map(|(p, pl)| Some((p, pl.owner?))) {
         rep.push(
             "comm.place",
             Severity::Info,
@@ -765,9 +761,8 @@ pub fn check_analysis(analysis: &Analysis, params: &BoundParams) -> Report {
             ),
         );
     }
-    let neighbourhood = crate::xy::neighbourhood(prog, &analysis.xy, &placement);
-    for (&p, on) in &neighbourhood {
-        let col = crate::xy::location(&placement, p);
+    for (&p, on) in places.iter().filter_map(|(p, pl)| Some((p, pl.plane?))) {
+        let col = on.col;
         let stored = match on.store {
             Store::Home => format!("at the node its column {col} names"),
             Store::LinkEnd => format!(
@@ -793,7 +788,7 @@ pub fn check_analysis(analysis: &Analysis, params: &BoundParams) -> Report {
             },
         );
     }
-    for (&p, rad) in &crate::xy::radius(prog) {
+    for (&p, rad) in places.iter().filter_map(|(p, pl)| Some((p, pl.radius?))) {
         rep.push(
             "comm.radius",
             Severity::Info,
@@ -809,8 +804,7 @@ pub fn check_analysis(analysis: &Analysis, params: &BoundParams) -> Report {
             ),
         );
     }
-    rep.placement = placement;
-    rep.neighbourhood = neighbourhood;
+    rep.places = places;
 
     // Pass 4: each derived predicate's row of the message envelopes.
     let env = crate::absint::comm_envelopes(analysis, &fr.bounds);

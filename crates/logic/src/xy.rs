@@ -489,43 +489,6 @@ pub fn check_program(prog: &Program) -> Result<Vec<XyInfo>, XyError> {
     Ok(out)
 }
 
-/// Owner placement for the neighbour plane (ROADMAP item 11(a); Grumbach,
-/// Wang & Wu's evaluation of recursive queries where each node holds the
-/// facts about itself): for each XY component of `xy` whose rules join
-/// exactly one binary base relation `E` positively, each of its predicates
-/// is placed at the lowest column that — in every rule deriving it — is an
-/// integer constant or the variable a positive `E` literal ends at (its
-/// second column). Over the link relation of a deployment that column
-/// names the node the rule's step arrives at: `h(parent, node, depth)` is
-/// about `node`, `hp(node, depth)` too. Predicates with no such column,
-/// and every predicate outside those components, are absent.
-pub fn placement(prog: &Program, xy: &[XyInfo]) -> BTreeMap<Symbol, usize> {
-    let mut out = BTreeMap::new();
-    for info in xy {
-        let rules: Vec<&Rule> = (prog.rules.iter())
-            .filter(|r| info.scc.contains(&r.head.pred))
-            .collect();
-        let Some(e) = link_relation(prog, &rules) else {
-            continue;
-        };
-        let located = |rule: &Rule, col: usize| match rule.head.args.get(col) {
-            Some(Term::Int(_)) => true,
-            Some(Term::Var(v)) => {
-                (rule.positive_atoms()).any(|a| a.pred == e && a.args[1] == Term::Var(*v))
-            }
-            _ => false,
-        };
-        for &p in &info.scc {
-            let arity = prog.arity_of(p).unwrap_or(0);
-            let deriving: Vec<&&Rule> = rules.iter().filter(|r| r.head.pred == p).collect();
-            if let Some(col) = (0..arity).find(|&c| deriving.iter().all(|r| located(r, c))) {
-                out.insert(p, col);
-            }
-        }
-    }
-    out
-}
-
 /// The one binary base relation `rules` join positively, if there is
 /// exactly one: an XY component's link relation `E`.
 fn link_relation(prog: &Program, rules: &[&Rule]) -> Option<Symbol> {
@@ -542,22 +505,6 @@ fn link_relation(prog: &Program, rules: &[&Rule]) -> Option<Symbol> {
     }
 }
 
-/// The predicates `rule`'s relational body literals read, negated ones too.
-fn reads(rule: &Rule) -> impl Iterator<Item = Symbol> + '_ {
-    (rule.body.iter()).filter_map(|l| match l {
-        Literal::Pos(a) | Literal::Neg(a) => Some(a.pred),
-        _ => None,
-    })
-}
-
-/// The column naming the node a neighbourhood-plane tuple of `pred` is
-/// about: its placed column ([`placement`]), or column 0 for the link
-/// relation, which placement never names (a link fact is sensed at its
-/// source).
-pub fn location(placed: &BTreeMap<Symbol, usize>, pred: Symbol) -> usize {
-    placed.get(&pred).copied().unwrap_or(0)
-}
-
 /// Where a neighbourhood-plane tuple is stored besides the node it is
 /// about: the nodes a join reading it can run at. Ordered by reach, so the
 /// union over a predicate's readers is the greatest.
@@ -572,131 +519,14 @@ pub enum Store {
     Neighbours,
 }
 
-/// A predicate of the neighbourhood plane: its component's link relation
-/// and where its tuples are stored.
+/// A predicate of the neighbourhood plane: its component's link relation,
+/// the column naming the node a tuple is about, and where its tuples are
+/// stored.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct OnPlane {
     pub link: Symbol,
+    pub col: usize,
     pub store: Store,
-}
-
-/// The neighbourhood plane (ROADMAP item 11(b)): the predicates whose
-/// tuples can be stored within the closed 1-hop neighbourhood of the node
-/// they are about and joined at one node alone, each with its component's
-/// link relation `E` and its [`Store`] set. `placed` is [`placement`]'s
-/// answer for the same program.
-///
-/// A body literal's *location* is its [`location`] column for a placed
-/// predicate or a component's `E`, and none otherwise. A rule is
-/// *neighbour-local* when every relational body literal has a location and
-/// every two location terms (integer constants included) are equal or are
-/// the two columns of one positive `E` literal of the body: then all its
-/// literals lie at one node or at the two ends of one link, and a node
-/// holding its neighbours' tuples holds every literal a join there needs.
-/// The plane is the greatest set of located predicates every reading rule
-/// of which is neighbour-local and reads only plane predicates — so a rule
-/// joins either wholly on the plane or wholly off it.
-///
-/// A join runs where its update is about, so a literal at location `t` is
-/// read wherever another literal of its rule is located: nowhere else when
-/// that location is `t`; at the end an `E` literal's column 1 names when
-/// it is that column of the literal's own atom (Grumbach, Wang & Wu's edge
-/// fact, known to both of its endpoints); at any neighbour otherwise. A
-/// predicate's [`Store`] is the greatest over its reading literals.
-///
-/// Exact when each tuple starts at the node its location names and every
-/// `E` fact links radio neighbours; the runtime sends a tuple sensed
-/// elsewhere to that node, and counts a link between non-neighbours.
-pub fn neighbourhood(
-    prog: &Program,
-    xy: &[XyInfo],
-    placed: &BTreeMap<Symbol, usize>,
-) -> BTreeMap<Symbol, OnPlane> {
-    let mut at: BTreeMap<Symbol, Symbol> = BTreeMap::new();
-    for info in xy {
-        let rules: Vec<&Rule> = (prog.rules.iter())
-            .filter(|r| info.scc.contains(&r.head.pred))
-            .collect();
-        let Some(link) = link_relation(prog, &rules) else {
-            continue;
-        };
-        at.insert(link, link);
-        for &p in info.scc.iter().filter(|p| placed.contains_key(p)) {
-            at.insert(p, link);
-        }
-    }
-    // Each rule's relational literals with their location terms, and the
-    // store each of them needs; `None` when the rule is not neighbour-local.
-    let reads_at = |rule: &Rule| -> Option<Vec<(Symbol, Store)>> {
-        let mut lits: Vec<(&Atom, &Term)> = Vec::new();
-        for lit in &rule.body {
-            if let Literal::Pos(a) | Literal::Neg(a) = lit {
-                let col = at.contains_key(&a.pred).then(|| location(placed, a.pred));
-                lits.push((a, col.and_then(|c| a.args.get(c))?));
-            }
-        }
-        let linked = |s: &Term, t: &Term| {
-            (rule.positive_atoms()).any(|a| {
-                at.get(&a.pred) == Some(&a.pred)
-                    && a.args.len() == 2
-                    && ((&a.args[0], &a.args[1]) == (s, t) || (&a.args[0], &a.args[1]) == (t, s))
-            })
-        };
-        let mut out = Vec::new();
-        for (i, &(a, t)) in lits.iter().enumerate() {
-            let mut store = Store::Home;
-            for (j, &(_, u)) in lits.iter().enumerate() {
-                if j == i || t == u {
-                    continue;
-                }
-                if !linked(t, u) {
-                    return None;
-                }
-                let own_end = at[&a.pred] == a.pred && a.args.get(1) == Some(u);
-                store = store.max(if own_end {
-                    Store::LinkEnd
-                } else {
-                    Store::Neighbours
-                });
-            }
-            out.push((a.pred, store));
-        }
-        Some(out)
-    };
-    // A rule that is not neighbour-local takes everything it reads off the
-    // plane; so does a rule reading something already off. Repeat until
-    // nothing moves.
-    let mut off: BTreeSet<Symbol> = BTreeSet::new();
-    let mut store: BTreeMap<Symbol, Store> = BTreeMap::new();
-    for rule in &prog.rules {
-        match reads_at(rule) {
-            None => off.extend(reads(rule)),
-            Some(read) => {
-                for (p, s) in read {
-                    let e = store.entry(p).or_insert(Store::Home);
-                    *e = (*e).max(s);
-                }
-            }
-        }
-    }
-    loop {
-        let more: Vec<Symbol> = (prog.rules.iter())
-            .filter(|r| reads(r).any(|p| off.contains(&p)))
-            .flat_map(reads)
-            .filter(|p| !off.contains(p))
-            .collect();
-        if more.is_empty() {
-            break;
-        }
-        off.extend(more);
-    }
-    (at.into_iter())
-        .filter(|(p, _)| !off.contains(p))
-        .map(|(p, link)| {
-            let store = store.get(&p).copied().unwrap_or(Store::Home);
-            (p, OnPlane { link, store })
-        })
-        .collect()
 }
 
 /// A base predicate whose regions its rules' spatial join constraints
@@ -711,57 +541,154 @@ pub struct Radius {
     pub rule: usize,
 }
 
-/// The spatial radius of each base predicate: a distance within which
-/// every join partner of one of its tuples lies, so a strategy's storage
-/// and join regions for it can be cut to that distance from the node
-/// holding the tuple. Predicates without one are absent.
+/// Where a predicate's tuples live, as [`locate`] infers it from the
+/// program; each part is absent where it does not apply.
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
+pub struct Place {
+    /// The column naming the node that owns a derived tuple (Sec. III-B).
+    pub owner: Option<usize>,
+    /// Its place on the neighbourhood plane.
+    pub plane: Option<OnPlane>,
+    /// Its spatial radius.
+    pub radius: Option<Radius>,
+}
+
+/// One rule's body as [`locate`] reads it.
+struct Body<'a> {
+    rule: &'a Rule,
+    /// Its relational literals, negated ones too.
+    lits: Vec<&'a Atom>,
+    /// `(A, B, r)` for each `dist(A, B) <= r` or `< r` literal.
+    bounds: Vec<(Symbol, Symbol, f64)>,
+}
+
+/// Where each predicate's tuples live: its owner column, its place on the
+/// neighbourhood plane and its spatial radius. Predicates with none are
+/// absent.
 ///
-/// In a rule, a relational literal's location columns are those whose
-/// variable a `dist(A, B) <= r` or `< r` literal names, `r` a numeric
-/// constant; a base predicate's location column is the lowest one that is
-/// so in every rule reading it. A predicate `p` gets a radius when, in
-/// every rule reading it, every other relational literal (negated ones
-/// too) is of a predicate with a radius, and is bounded against `p` by
-/// such a literal over the two location columns (or shares `p`'s location
-/// variable); the radius is the widest of those bounds over the reading
-/// rules. A literal with no bound can meet `p`'s walk anywhere. A partner
-/// needs a radius of its own because the cut measures from the node that
-/// holds a tuple, which is the tuple's location only where the deployment
-/// checks that it is (`Deployment::schedule`, for these predicates; it
-/// stops cutting at an event that fails, e.g. a plain number where `dist`
-/// measures `|a - b|`). A derived predicate, whose tuples start at their
-/// owners, has none, so neither do its partners.
-pub fn radius(prog: &Program) -> BTreeMap<Symbol, Radius> {
+/// **Owner** (Grumbach, Wang & Wu's evaluation of recursive queries where
+/// each node holds the facts about itself): for each XY component of `xy`
+/// whose rules join exactly one binary base relation `E` positively, each
+/// of its predicates is owned at the lowest column that — in every rule
+/// deriving it — is an integer constant or the variable a positive `E`
+/// literal ends at (its second column). Over the link relation of a
+/// deployment that column names the node the rule's step arrives at:
+/// `h(parent, node, depth)` is about `node`, `hp(node, depth)` too.
+///
+/// **Plane** and **radius** are each the greatest set of *located*
+/// predicates — each with a location column — such that every rule
+/// reading one of them reads only members (negated literals too), and
+/// relates each literal's location term to each other literal's; each
+/// member's need is the widest over its reading literals. Only the
+/// candidates and the relation differ:
+///
+/// * The plane's candidates are each such component's `E`, at column 0 (a
+///   link fact is sensed at its source), and its owned predicates, at their
+///   owner column. Two terms are related when they are equal (`Home`) or
+///   the two columns of one positive `E` literal of the rule: then all its
+///   literals lie at one node or at the two ends of one link, and a node
+///   holding its neighbours' tuples holds every literal a join there needs.
+///   A join runs where its update is about, so a literal is stored at the
+///   end its partner is at: the end an `E` literal's column 1 names when
+///   the literal is that `E` atom (Grumbach, Wang & Wu's edge fact, known
+///   to both of its endpoints; `LinkEnd`), any neighbour otherwise
+///   (`Neighbours`). Exact when each tuple starts at the node its location
+///   names and every `E` fact links radio neighbours; the runtime sends a
+///   tuple sensed elsewhere to that node, and counts a link between
+///   non-neighbours.
+/// * The radius's candidates are base predicates, located at the lowest
+///   column whose variable a `dist(A, B) <= r` or `< r` literal (`r` a
+///   numeric constant) names in every rule reading it. Two terms are
+///   related when they are one variable (bound 0) or the tightest such
+///   bound over the two; a literal with no partner has no radius. A
+///   literal with no bound can meet the predicate's walk anywhere. A
+///   partner needs a radius of its own because the cut measures from the
+///   node that holds a tuple, which is the tuple's location only where the
+///   deployment checks that it is (`Deployment::schedule`, which stops
+///   cutting at an event that fails, e.g. a plain number where `dist`
+///   measures `|a - b|`). A derived predicate, whose tuples start at their
+///   owners, has none, so neither do its partners.
+pub fn locate(prog: &Program, xy: &[XyInfo]) -> BTreeMap<Symbol, Place> {
     let idb = prog.idb_preds();
     let dist = Symbol::intern("dist");
-    fn atoms(rule: &Rule) -> Vec<&Atom> {
-        (rule.body.iter())
-            .filter_map(|l| match l {
-                Literal::Pos(a) | Literal::Neg(a) => Some(a),
-                _ => None,
-            })
-            .collect()
-    }
-    // `(A, B, r)` for each `dist(A, B) <= r` or `< r` literal of a rule.
-    let bounds = |rule: &Rule| -> Vec<(Symbol, Symbol, f64)> {
-        (rule.body.iter())
-            .filter_map(|l| match l {
-                Literal::Cmp(CmpOp::Le | CmpOp::Lt, Term::App(f, args), r) if *f == dist => {
-                    match (&**args, r.as_f64()) {
-                        ([Term::Var(a), Term::Var(b)], Some(r)) => Some((*a, *b, r)),
-                        _ => None,
+    let bodies: Vec<Body> = (prog.rules.iter())
+        .map(|rule| {
+            let (mut lits, mut bounds) = (Vec::new(), Vec::new());
+            for l in &rule.body {
+                match l {
+                    Literal::Pos(a) | Literal::Neg(a) => lits.push(a),
+                    Literal::Cmp(CmpOp::Le | CmpOp::Lt, Term::App(f, args), r) if *f == dist => {
+                        if let ([Term::Var(a), Term::Var(b)], Some(r)) = (&**args, r.as_f64()) {
+                            bounds.push((*a, *b, r));
+                        }
                     }
+                    _ => {}
                 }
-                _ => None,
-            })
-            .collect()
-    };
-    let mut cols: BTreeMap<Symbol, BTreeSet<usize>> = BTreeMap::new();
-    for rule in &prog.rules {
-        let named: BTreeSet<Symbol> = (bounds(rule).into_iter())
-            .flat_map(|(a, b, _)| [a, b])
+            }
+            Body { rule, lits, bounds }
+        })
+        .collect();
+
+    let mut places: BTreeMap<Symbol, Place> = BTreeMap::new();
+    // The plane's candidates, each with its link relation.
+    let mut link_of: BTreeMap<Symbol, Symbol> = BTreeMap::new();
+    for info in xy {
+        let rules: Vec<&Rule> = (prog.rules.iter())
+            .filter(|r| info.scc.contains(&r.head.pred))
             .collect();
-        for a in atoms(rule).into_iter().filter(|a| !idb.contains(&a.pred)) {
+        let Some(e) = link_relation(prog, &rules) else {
+            continue;
+        };
+        link_of.insert(e, e);
+        let owned = |rule: &Rule, col: usize| match rule.head.args.get(col) {
+            Some(Term::Int(_)) => true,
+            Some(Term::Var(v)) => {
+                (rule.positive_atoms()).any(|a| a.pred == e && a.args[1] == Term::Var(*v))
+            }
+            _ => false,
+        };
+        for &p in &info.scc {
+            let arity = prog.arity_of(p).unwrap_or(0);
+            let deriving: Vec<&&Rule> = rules.iter().filter(|r| r.head.pred == p).collect();
+            if let Some(col) = (0..arity).find(|&c| deriving.iter().all(|r| owned(r, c))) {
+                places.entry(p).or_default().owner = Some(col);
+                link_of.insert(p, e);
+            }
+        }
+    }
+    let plane_at = (link_of.keys())
+        .map(|&p| (p, places.get(&p).and_then(|pl| pl.owner).unwrap_or(0)))
+        .collect();
+    let linked = |body: &Body, s: &Term, t: &Term| {
+        (body.rule.positive_atoms()).any(|a| {
+            link_of.get(&a.pred) == Some(&a.pred)
+                && a.args.len() == 2
+                && ((&a.args[0], &a.args[1]) == (s, t) || (&a.args[0], &a.args[1]) == (t, s))
+        })
+    };
+    let plane = greatest(&bodies, plane_at, Some(Store::Home), |body, a, t, u| {
+        if t == u {
+            Some(Store::Home)
+        } else if !linked(body, t, u) {
+            None
+        } else if link_of.get(&a.pred) == Some(&a.pred) && a.args.get(1) == Some(u) {
+            Some(Store::LinkEnd)
+        } else {
+            Some(Store::Neighbours)
+        }
+    });
+    for (p, (col, need)) in plane {
+        places.entry(p).or_default().plane = Some(OnPlane {
+            link: link_of[&p],
+            col,
+            store: need.map_or(Store::Home, |(store, _)| store),
+        });
+    }
+
+    let mut cols: BTreeMap<Symbol, BTreeSet<usize>> = BTreeMap::new();
+    for body in &bodies {
+        let named: BTreeSet<Symbol> = (body.bounds.iter()).flat_map(|&(a, b, _)| [a, b]).collect();
+        for a in body.lits.iter().filter(|a| !idb.contains(&a.pred)) {
             let here: BTreeSet<usize> = (0..a.args.len())
                 .filter(|&c| matches!(a.args[c], Term::Var(v) if named.contains(&v)))
                 .collect();
@@ -770,61 +697,82 @@ pub fn radius(prog: &Program) -> BTreeMap<Symbol, Radius> {
                 .or_insert(here);
         }
     }
-    let mut located: BTreeMap<Symbol, usize> = (cols.into_iter())
+    let radius_at = (cols.into_iter())
         .filter_map(|(p, s)| Some((p, s.first().copied()?)))
         .collect();
-    // Drop every predicate some reading rule leaves unbounded, until
-    // nothing moves: a dropped predicate unbounds its partners.
+    let radius = greatest(&bodies, radius_at, None, |body, _, t, u| match (t, u) {
+        (Term::Var(v), Term::Var(w)) if v == w => Some(0.0),
+        (Term::Var(v), Term::Var(w)) => (body.bounds.iter())
+            .filter(|&&(x, y, _)| (x, y) == (*v, *w) || (y, x) == (*v, *w))
+            .map(|&(_, _, r)| r)
+            .reduce(f64::min),
+        _ => None,
+    });
+    for (p, (col, need)) in radius {
+        if let Some((r, rule)) = need {
+            places.entry(p).or_default().radius = Some(Radius { col, r, rule });
+        }
+    }
+    places
+}
+
+/// The greatest subset of `located` (predicate → location column) such
+/// that every rule reading a member reads only members, and `near` relates
+/// each of its literals' location terms to every other's: `near(body, a,
+/// t, u)` is what literal `a` at `t` needs to meet a partner at `u`, `None`
+/// when they cannot meet. A literal needs the widest of that over its
+/// partners, or `alone` without one (`None`: it cannot stand alone). Each
+/// member comes with its location column and the widest need over its
+/// reading literals, with the first rule that sets it; `None` when no rule
+/// reads it.
+fn greatest<N: Copy + PartialOrd>(
+    bodies: &[Body],
+    mut located: BTreeMap<Symbol, usize>,
+    alone: Option<N>,
+    near: impl Fn(&Body, &Atom, &Term, &Term) -> Option<N>,
+) -> BTreeMap<Symbol, (usize, Option<(N, usize)>)> {
+    let wider = |m: Option<N>, n: N| Some(m.filter(|&m| m >= n).unwrap_or(n));
+    // A rule whose literals do not all meet takes everything it reads out;
+    // so does a rule reading something already out. Repeat until nothing
+    // moves.
     loop {
-        let mut out: BTreeMap<Symbol, Radius> = BTreeMap::new();
-        let mut unbounded: BTreeSet<Symbol> = BTreeSet::new();
-        for rule in &prog.rules {
-            let lits = atoms(rule);
-            let bounds = bounds(rule);
-            let var_at = |a: &Atom| match a.args.get(*located.get(&a.pred)?)? {
-                Term::Var(v) => Some(*v),
-                _ => None,
-            };
-            for (i, a) in lits.iter().enumerate() {
-                // The widest over partners of the tightest bound between
-                // the two locations.
-                let widest = (lits.iter().enumerate())
-                    .filter(|&(j, _)| j != i)
-                    .map(|(_, b)| {
-                        let (v, w) = (var_at(a)?, var_at(b)?);
-                        if v == w {
-                            return Some(0.0);
-                        }
-                        (bounds.iter())
-                            .filter(|&&(x, y, _)| (x, y) == (v, w) || (y, x) == (v, w))
-                            .map(|&(_, _, r)| r)
-                            .reduce(f64::min)
+        let mut need: BTreeMap<Symbol, (N, usize)> = BTreeMap::new();
+        let mut out: BTreeSet<Symbol> = BTreeSet::new();
+        for body in bodies {
+            let at: Option<Vec<(&Atom, &Term)>> = (body.lits.iter())
+                .map(|&a| Some((a, a.args.get(*located.get(&a.pred)?)?)))
+                .collect();
+            let needs: Option<Vec<N>> = at.as_ref().and_then(|at| {
+                (at.iter().enumerate())
+                    .map(|(i, &(a, t))| {
+                        (at.iter().enumerate())
+                            .filter(|&(j, _)| j != i)
+                            .try_fold(alone, |m, (_, &(_, u))| {
+                                Some(wider(m, near(body, a, t, u)?))
+                            })
+                            .flatten()
                     })
-                    .collect::<Option<Vec<f64>>>()
-                    .and_then(|rs| rs.into_iter().reduce(f64::max));
-                match widest {
-                    Some(r) if !unbounded.contains(&a.pred) => {
-                        let rad = Radius {
-                            col: located[&a.pred],
-                            r,
-                            rule: rule.id,
-                        };
-                        let e = out.entry(a.pred).or_insert(rad);
-                        if r > e.r {
-                            *e = rad;
+                    .collect()
+            });
+            match at.zip(needs) {
+                Some((at, needs)) => {
+                    for ((a, _), n) in at.into_iter().zip(needs) {
+                        let e = need.entry(a.pred).or_insert((n, body.rule.id));
+                        if n > e.0 {
+                            *e = (n, body.rule.id);
                         }
-                    }
-                    _ => {
-                        unbounded.insert(a.pred);
-                        out.remove(&a.pred);
                     }
                 }
+                None => out.extend(body.lits.iter().map(|a| a.pred)),
             }
         }
-        if out.len() == located.len() {
-            return out;
+        out.retain(|p| located.contains_key(p));
+        if out.is_empty() {
+            return (located.into_iter())
+                .map(|(p, col)| (p, (col, need.get(&p).copied())))
+                .collect();
         }
-        located.retain(|p, _| out.contains_key(p));
+        located.retain(|p, _| !out.contains(p));
     }
 }
 
@@ -835,6 +783,14 @@ mod tests {
 
     fn sym(s: &str) -> Symbol {
         Symbol::intern(s)
+    }
+
+    /// One part of [`locate`]'s answer for `src`, by predicate name.
+    fn located<T>(src: &str, part: impl Fn(Place) -> Option<T>) -> Vec<(String, T)> {
+        let p = parse_program(src).unwrap();
+        (locate(&p, &check_program(&p).unwrap()).into_iter())
+            .filter_map(|(p, place)| Some((p.as_str().to_string(), part(place)?)))
+            .collect()
     }
 
     const LOGICH: &str = r#"
@@ -871,13 +827,7 @@ mod tests {
     /// relations, or a non-binary one, places nothing.
     #[test]
     fn placement_picks_the_lowest_link_column() {
-        let placed = |src: &str| {
-            let p = parse_program(src).unwrap();
-            let got = placement(&p, &check_program(&p).unwrap());
-            got.into_iter()
-                .map(|(p, c)| (p.as_str().to_string(), c))
-                .collect::<Vec<_>>()
-        };
+        let placed = |src: &str| located(src, |place| place.owner);
         let at = |v: &[(&str, usize)]| {
             v.iter()
                 .map(|&(p, c)| (p.to_string(), c))
@@ -909,13 +859,11 @@ mod tests {
     #[test]
     fn neighbourhood_plane_by_program() {
         let plane = |src: &str| {
-            let p = parse_program(src).unwrap();
-            let xy = check_program(&p).unwrap();
-            let got = neighbourhood(&p, &xy, &placement(&p, &xy));
-            for on in got.values() {
+            let got = located(src, |place| place.plane);
+            for (_, on) in &got {
                 assert_eq!(on.link, sym("g"));
             }
-            (got.keys().map(|p| p.as_str().to_string())).collect::<Vec<_>>()
+            (got.into_iter().map(|(p, _)| p)).collect::<Vec<_>>()
         };
         let ints = LOGICH
             .replace("h(a, a, 0)", "h(0, 0, 0)")
@@ -955,14 +903,7 @@ mod tests {
     /// end its column 1 names, a stage predicate at every neighbour.
     #[test]
     fn plane_stores_by_program() {
-        let stores = |src: &str| {
-            let p = parse_program(src).unwrap();
-            let xy = check_program(&p).unwrap();
-            let got = neighbourhood(&p, &xy, &placement(&p, &xy));
-            (got.into_iter())
-                .map(|(p, on)| (p.as_str().to_string(), on.store))
-                .collect::<Vec<_>>()
-        };
+        let stores = |src: &str| located(src, |place| place.plane.map(|on| on.store));
         let at = |v: &[(&str, Store)]| {
             v.iter()
                 .map(|&(p, s)| (p.to_string(), s))
@@ -1002,9 +943,8 @@ mod tests {
     #[test]
     fn radius_by_program() {
         let radii = |src: &str| {
-            let p = parse_program(src).unwrap();
-            (radius(&p).into_iter())
-                .map(|(p, r)| (p.as_str().to_string(), r.col, r.r, r.rule))
+            (located(src, |place| place.radius).into_iter())
+                .map(|(p, r)| (p, r.col, r.r, r.rule))
                 .collect::<Vec<_>>()
         };
         let at = |v: &[(&str, usize, f64, usize)]| {
@@ -1050,6 +990,41 @@ mod tests {
         let derived = "d(L, T) :- s1(L, T).\n\
                        q(L1, L2) :- d(L1, T), s2(L2, T), dist(L1, L2) <= 2.";
         assert_eq!(radii(derived), none);
+    }
+
+    /// One program holding logicJ's plane component and Fig. 7's spatial
+    /// join: each predicate's owner column, plane store set and radius are
+    /// what it gets in its own program.
+    #[test]
+    fn plane_and_radius_do_not_meet_in_one_program() {
+        let fig7 = "q(L1, L2, T) :- s1(L1, T), s2(L2, T), dist(L1, L2) <= 4.";
+        let logicj = include_str!("../../../examples/programs/logicj.dl");
+        let whole = |src: &str| located(src, Some);
+        let mut apart = whole(fig7);
+        apart.extend(whole(logicj));
+        apart.sort_by(|a, b| a.0.cmp(&b.0));
+        assert_eq!(whole(&format!("{fig7}\n{logicj}")), apart);
+        let parts = |place: &Place| (place.owner, place.plane.map(|on| on.store), place.radius);
+        let got: Vec<_> = apart
+            .iter()
+            .map(|(p, place)| (p.as_str(), parts(place)))
+            .collect();
+        let r4 = Some(Radius {
+            col: 0,
+            r: 4.0,
+            rule: 0,
+        });
+        use Store::{LinkEnd, Neighbours};
+        assert_eq!(
+            got,
+            [
+                ("g", (None, Some(LinkEnd), None)),
+                ("j", (Some(0), Some(Neighbours), None)),
+                ("jp", (Some(0), Some(Neighbours), None)),
+                ("s1", (None, None, r4)),
+                ("s2", (None, None, r4)),
+            ]
+        );
     }
 
     #[test]
