@@ -270,6 +270,25 @@ if grep -rnE 'xy::(placement|neighbourhood|radius|location)\b' crates src tests;
     echo "a second placement walk is back: ask xy::locate (DistProgram::places)"; exit 1
 fi
 
+# One reach: where an update goes is one `plan::Reach` per predicate,
+# decided once per deployment from the strategy and the program's places
+# (`DistProgram::with_reach`) and matched once per update. Earlier trees
+# tested the strategy in the update pipeline (an unread-predicate pre-check,
+# a Centroid early return, a match on the reach and the strategy together),
+# asked `Strategy` for regions behind an `Option` and an `expect`, and stored
+# and walked an update no rule joins (a 10x10 selection sent 2,596 messages
+# under PA; 313 results once nothing is walked).
+echo "== one reach (no Strategy:: in runtime.rs's update pipeline, no 'non-centroid strategy has regions') =="
+if grep -rn 'non-centroid strategy has regions' crates src tests; then
+    echo "a strategy without regions is asked for them: match plan::Reach instead"; exit 1
+fi
+pipeline=$(sed -n '/^    \/\/ Update pipeline$/,/^    \/\/ Fault plane/p' crates/core/src/runtime.rs)
+grep -q 'fn initiate_update' <<<"$pipeline" && grep -q 'fn start_join' <<<"$pipeline" || {
+    echo "runtime.rs's update pipeline section not found (renamed?)"; exit 1; }
+if grep -n 'Strategy::' <<<"$pipeline"; then
+    echo "the update pipeline tests a strategy: decide it once in plan::Reach (DistProgram::with_reach)"; exit 1
+fi
+
 # ROADMAP item 8's repro (crates/bench/tests/staggered_arrivals.rs), gated in
 # both directions: the tree programs, on the neighbourhood plane, must run
 # and be oracle-exact (the 6x6 logicH run that was the repro included), and

@@ -195,7 +195,6 @@ impl Deployment {
         topo: Topology,
         config: DeployConfig,
     ) -> Result<Deployment, crate::plan::CompileError> {
-        let mut prog = compile_source(src, reg, config.plan)?.with_pass_mode(config.rt.pass_mode);
         // The neighbourhood plane sends a tuple once to each neighbour that
         // reads it (`plan::store_targets`), and nothing resends a lost
         // store: a join that misses a negated partner (`hp`) derives what it
@@ -204,18 +203,12 @@ impl Deployment {
         // gives lost state a repair path; such links keep the strategy's
         // regions.
         let lossy = config.sim.hop_loss() > PLANE_MAX_HOP_LOSS;
-        // Centroid has no regions to cut, and off the grid the bands can
-        // cross at a detour node that no radius keeps within reach.
-        let uncut = config.rt.strategy == Strategy::Centroid
-            || matches!(topo.kind, TopologyKind::Geometric { .. });
-        for place in prog.places.values_mut() {
-            if lossy {
-                place.plane = None;
-            }
-            if uncut {
-                place.radius = None;
-            }
-        }
+        // Off the grid the bands can cross at a detour node that no radius
+        // keeps within reach.
+        let cut = !matches!(topo.kind, TopologyKind::Geometric { .. });
+        let prog = compile_source(src, reg, config.plan)?
+            .with_pass_mode(config.rt.pass_mode)
+            .with_reach(config.rt.strategy, !lossy, cut);
         let prog = Arc::new(prog);
         // Every node times its phases by the simulator's skew bound τc
         // (Theorem 3).
@@ -330,7 +323,7 @@ impl Deployment {
         }
         if self.prog.cuts() {
             if let Some(err) = evs.iter().find_map(|ev| self.mislocation(ev)) {
-                if (self.applied.iter()).any(|e| self.prog.place(e.pred).radius.is_some()) {
+                if (self.applied.iter()).any(|e| self.prog.radius(e.pred).is_some()) {
                     return Err(err);
                 }
                 self.prog.stop_cutting();
@@ -344,7 +337,7 @@ impl Deployment {
     /// radius and its location column (`logic::xy::Radius::col`) is not
     /// the point at its node's position. Read off the interned entries.
     fn mislocation(&self, ev: &WorkloadEvent) -> Option<EventError> {
-        let rad = self.prog.place(ev.pred).radius?;
+        let rad = self.prog.radius(ev.pred)?;
         let position = self.sim.topology().position(ev.node);
         let coord = |id| intern::entry(id).val.as_f64();
         let point = |id| match &intern::entry(id).val {

@@ -53,6 +53,7 @@
 
 use crate::deploy::{Deployment, WorkloadEvent};
 use crate::oracle;
+use crate::plan::Reach;
 use crate::tupleid::TupleId;
 use sensorlog_logic::absint;
 use sensorlog_logic::diag::BoundParams;
@@ -212,8 +213,11 @@ pub fn node_caps(d: &Deployment, params: &BoundParams) -> BTreeMap<Symbol, Optio
     let mut caps = BTreeMap::new();
     for (&pred, expr) in &fr.bounds {
         let whole = expr.eval(params).map(|t| t.saturating_mul(2));
-        let local = (d.prog.place(pred).plane)
-            .filter(|on| exact || on.link == pred)
+        let plane = match d.prog.reach(pred) {
+            Reach::Plane(on) => Some(on),
+            _ => None,
+        };
+        let local = (plane.filter(|on| exact || on.link == pred))
             .and_then(|on| absint::neighbourhood_cap(expr, on, params, degree?));
         caps.insert(pred, whole.map(|w| local.map_or(w, |l| l.min(w))));
     }

@@ -12,20 +12,24 @@
 //!
 //! Two more decisions are the program's, made here once: the passes a
 //! probe pinned at each relational literal walks ([`PassPlan`]), and where
-//! each predicate's tuples live ([`DistProgram::places`]) — which node owns
-//! a derived tuple ([`DistProgram::owner_of`]), which predicates join where
-//! they stand, stored only at the neighbours their rules read them at
+//! each predicate's tuples live ([`DistProgram::places`]) — whether a rule
+//! joins it at all, which node owns a derived tuple
+//! ([`DistProgram::owner_of`]), which predicates join where they stand,
+//! stored only at the neighbours their rules read them at
 //! ([`store_targets`]), and how far a base tuple's join partners can be.
+//! A deployment turns that into one [`Reach`] per predicate
+//! (`DistProgram::with_reach`): where its updates go under its strategy.
 
 use crate::partial::MAX_BODY_LITERALS;
-use crate::strategy::PassMode;
+use crate::strategy::{PassMode, Strategy};
+use sensorlog_eval::eval_body::ground_facts;
 use sensorlog_logic::analyze::Analysis;
 use sensorlog_logic::ast::Literal;
 use sensorlog_logic::boundness::pass_plan;
 use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::intern::{self, Val};
 use sensorlog_logic::span::Span;
-use sensorlog_logic::xy::{self, OnPlane, Place, Store};
+use sensorlog_logic::xy::{self, OnPlane, Place, Radius, Store};
 use sensorlog_logic::{Symbol, Tuple};
 use sensorlog_netsim::{NodeId, Topology};
 use sensorlog_netstack::ght;
@@ -104,24 +108,15 @@ pub struct DistProgram {
     /// Per rule, per body literal: the passes of a probe pinned there
     /// (default for literals that are never pinned; [`Self::pass_plan`]).
     plans: Vec<Vec<PassPlan>>,
-    /// Where each predicate's tuples live (`logic::xy::locate`), read
-    /// through [`DistProgram::place`]:
-    /// - `owner`: a derived tuple is owned by the node that column names
-    ///   ([`DistProgram::owner_of`]);
-    /// - `plane`: the neighbourhood plane, with its link relation, location
-    ///   column and store set. A plane tuple starts at the node it is about
-    ///   ([`plane_node`]), is stored there and at the radio neighbours its
-    ///   rules read it at ([`store_targets`]), and is joined there alone,
-    ///   whatever the strategy's regions (Centroid aside);
-    /// - `radius`: the strategy's storage and join regions for an update of
-    ///   a base predicate are cut to its spatial radius around the node
-    ///   holding it while `cut` holds.
-    ///
-    /// Where an update is stored and joined is one lookup,
-    /// [`DistProgram::reach`]. `Deployment::new` drops every `plane` on
-    /// links that lose more than one hop in ten for good, and every
-    /// `radius` under Centroid and off the grid.
+    /// Where each predicate's tuples live, as the program says
+    /// (`logic::xy::locate`): whether a rule joins it, its owner column
+    /// ([`DistProgram::owner_of`]), its place on the neighbourhood plane and
+    /// its spatial radius. Read through [`DistProgram::place`].
     pub places: BTreeMap<Symbol, Place>,
+    /// Where an update of each predicate goes on this deployment
+    /// (`DistProgram::with_reach`): `rest` for a predicate absent here.
+    reach: BTreeMap<Symbol, Reach>,
+    rest: Reach,
     /// Whether regions are cut to their radius. The cut measures from the
     /// node holding a tuple, so `Deployment` clears this at the first event
     /// of a radius predicate whose location column is not its node's
@@ -129,15 +124,27 @@ pub struct DistProgram {
     cut: AtomicBool,
 }
 
-/// Where an update of one predicate is stored and joined, besides the node
-/// holding it ([`DistProgram::reach`]).
+/// Where an update of one predicate goes besides the node holding it: the
+/// GPA instances (Sec. III-A) differ only in where a tuple is stored and
+/// where its join walks. Decided once per deployment and predicate
+/// (`DistProgram::with_reach`), the earlier cases first.
 #[derive(Copy, Clone, Debug, PartialEq)]
-pub(crate) enum Reach {
-    /// On the neighbourhood plane: stored at its store set, joined where it
-    /// stands, whatever the strategy.
+pub enum Reach {
+    /// To Centroid's central server, which runs the centralized engine.
+    Center,
+    /// On the neighbourhood plane: the update starts at the node it is
+    /// about ([`plane_node`]), is stored there and at the radio neighbours
+    /// its rules read it at ([`store_targets`]), and joins there.
     Plane(OnPlane),
-    /// In the strategy's regions, cut to the radius when there is one.
-    Regions(Option<f64>),
+    /// Nowhere: no rule joins it with a partner, so no probe looks for it;
+    /// it joins where it stands at once. Its results "will anyway be hashed
+    /// appropriately for further use" at their owners (Sec. III-A).
+    Nowhere,
+    /// Flooded to every node, joined where it stands (NaiveBroadcast).
+    Flood,
+    /// Along the strategy's storage and join regions (PA, LocalStorage),
+    /// cut to its spatial radius while the deployment cuts.
+    Regions(Option<Radius>),
 }
 
 /// The passes a probe pinned at one relational literal walks over its join
@@ -223,33 +230,55 @@ impl DistProgram {
         placed.unwrap_or_else(|| ght::owner_of(topo, pred, tuple))
     }
 
-    /// Where an update of `pred` is stored and joined: on the plane when
-    /// it is on it, else in the strategy's regions, cut to its radius while
-    /// the deployment cuts at all.
-    pub(crate) fn reach(&self, pred: Symbol) -> Reach {
-        let place = self.place(pred);
-        match place.plane {
-            Some(on) => Reach::Plane(on),
-            None => Reach::Regions(
-                (place.radius)
-                    .filter(|_| self.cut.load(Ordering::Relaxed))
-                    .map(|rad| rad.r),
-            ),
+    /// Decide where an update of each predicate goes on a deployment
+    /// running `strategy` ([`Reach`]); `plane` and `cut` say whether it may
+    /// keep the neighbourhood plane and cut regions to a radius at all.
+    pub(crate) fn with_reach(mut self, strategy: Strategy, plane: bool, cut: bool) -> DistProgram {
+        if strategy == Strategy::Centroid {
+            self.rest = Reach::Center;
+            return self;
+        }
+        let travels = |place: &Place| match place.plane.filter(|_| plane) {
+            Some(on) => Some(Reach::Plane(on)),
+            None if !place.joined => None,
+            None if strategy == Strategy::NaiveBroadcast => Some(Reach::Flood),
+            None => Some(Reach::Regions(place.radius.filter(|_| cut))),
+        };
+        self.reach = (self.places.iter())
+            .filter_map(|(&p, place)| Some((p, travels(place)?)))
+            .collect();
+        self
+    }
+
+    /// Where an update of `pred` goes: no radius once the deployment stops
+    /// cutting.
+    pub fn reach(&self, pred: Symbol) -> Reach {
+        match self.reach.get(&pred).copied().unwrap_or(self.rest) {
+            Reach::Regions(Some(_)) if !self.cut.load(Ordering::Relaxed) => Reach::Regions(None),
+            reach => reach,
+        }
+    }
+
+    /// `pred`'s spatial radius on this deployment, cutting or not.
+    pub(crate) fn radius(&self, pred: Symbol) -> Option<Radius> {
+        match self.reach.get(&pred) {
+            Some(&Reach::Regions(radius)) => radius,
+            _ => None,
         }
     }
 
     /// The radius an update of `pred` has its storage and join regions cut
     /// to ([`DistProgram::reach`]).
     pub fn cut_radius(&self, pred: Symbol) -> Option<f64> {
-        match self.reach(pred) {
-            Reach::Regions(radius) => radius,
-            Reach::Plane(_) => None,
-        }
+        (self.radius(pred))
+            .filter(|_| self.cut.load(Ordering::Relaxed))
+            .map(|rad| rad.r)
     }
 
     /// Whether the deployment still cuts some predicate's regions.
     pub(crate) fn cuts(&self) -> bool {
-        self.cut.load(Ordering::Relaxed) && self.places.values().any(|p| p.radius.is_some())
+        self.cut.load(Ordering::Relaxed)
+            && (self.reach.values()).any(|r| matches!(r, Reach::Regions(Some(_))))
     }
 
     /// Cut no region from now on (`Deployment`, which decides where the
@@ -354,37 +383,22 @@ pub fn compile(
         }
     }
 
+    let static_facts = (ground_facts(prog, &reg))
+        .map_err(|e| CompileError::Analyze(e.to_string()))?
+        .into_iter()
+        .map(|(_, pred, tuple)| (pred, tuple))
+        .collect();
     let mut occurrences: HashMap<Symbol, Vec<OccRef>> = HashMap::new();
-    let mut static_facts = Vec::new();
     for (rule_idx, r) in prog.rules.iter().enumerate() {
-        if r.body.is_empty() {
-            // Ground fact rule.
-            let ground = r.head.args.iter().all(|t| t.is_ground());
-            if ground {
-                let terms: Vec<_> = r
-                    .head
-                    .args
-                    .iter()
-                    .map(|t| reg.eval_term(t))
-                    .collect::<Result<_, _>>()
-                    .map_err(|e| CompileError::Analyze(e.to_string()))?;
-                static_facts.push((r.head.pred, sensorlog_logic::Tuple::new(terms)));
-            }
-            continue;
-        }
         for (lit_idx, lit) in r.body.iter().enumerate() {
-            match lit {
-                Literal::Pos(a) => occurrences.entry(a.pred).or_default().push(OccRef {
+            if let Literal::Pos(a) | Literal::Neg(a) = lit {
+                let negated = matches!(lit, Literal::Neg(_));
+                let occ = OccRef {
                     rule_idx,
                     lit_idx,
-                    negated: false,
-                }),
-                Literal::Neg(a) => occurrences.entry(a.pred).or_default().push(OccRef {
-                    rule_idx,
-                    lit_idx,
-                    negated: true,
-                }),
-                _ => {}
+                    negated,
+                };
+                occurrences.entry(a.pred).or_default().push(occ);
             }
         }
     }
@@ -438,6 +452,8 @@ pub fn compile(
         static_facts,
         plans,
         places,
+        reach: BTreeMap::new(),
+        rest: Reach::Nowhere,
         cut: AtomicBool::new(true),
     })
 }
@@ -632,6 +648,48 @@ mod tests {
                 let t = ints(&[rng.gen_range(-5..80), rng.gen_range(0..1_000)]);
                 assert_eq!(p.owner_of(&topo, pred, &t), ght::owner_of(&topo, pred, &t));
             }
+        }
+    }
+
+    /// One `Reach` per predicate and deployment. Under Centroid everything
+    /// goes to the center. Otherwise a plane predicate stays on the plane
+    /// unless the links are too lossy for it; a predicate no rule joins
+    /// goes nowhere, whether one-literal rules read it (`r3`, and `r0`
+    /// under a rule that only tests it) or none does; and one read alone
+    /// and joined (`r1`) keeps the strategy's flood or regions.
+    #[test]
+    fn each_predicate_reaches_one_way_per_deployment() {
+        let src = format!(
+            "{LOGIC_H}a(X, K) :- r1(X, K).\nq(X, Y) :- r1(X, K), r2(Y, K).\n\
+             s(X) :- r3(X), X > 2.\nt :- not r0(1).\n"
+        );
+        let reg = BuiltinRegistry::standard();
+        let p = || compile_source(&src, reg.clone(), PlanTiming::default()).unwrap();
+        let names = [
+            "g", "h", "r0", "r1", "r2", "r3", "a", "q", "s", "t", "unnamed",
+        ];
+        let reach = |p: DistProgram| names.map(|n| p.reach(sym(n)));
+        let on = |pred| Reach::Plane(p().place(sym(pred)).plane.unwrap());
+        use Reach::{Center, Flood, Nowhere, Regions};
+        let [x, w] = [Nowhere, Regions(None)];
+        let pa = Strategy::Perpendicular { band_width: 1.0 };
+        for (strategy, plane, want) in [
+            (Strategy::Centroid, true, [Center; 11]),
+            (pa, true, [on("g"), on("h"), x, w, w, x, x, x, x, x, x]),
+            (pa, false, [w, w, x, w, w, x, x, x, x, x, x]),
+            (
+                Strategy::LocalStorage,
+                true,
+                [on("g"), on("h"), x, w, w, x, x, x, x, x, x],
+            ),
+            (
+                Strategy::NaiveBroadcast,
+                true,
+                [on("g"), on("h"), x, Flood, Flood, x, x, x, x, x, x],
+            ),
+        ] {
+            let got = reach(p().with_reach(strategy, plane, true));
+            assert_eq!(got, want, "{} plane {plane}", strategy.name());
         }
     }
 

@@ -7,6 +7,12 @@
 //! (`DistProgram::owner_of`) — maintains the set of derivations with
 //! multiplicity counts and propagates liveness transitions as new stream
 //! updates (Secs. III-B, IV).
+//!
+//! Where an update goes is not decided here: the deployment gives each
+//! predicate one [`Reach`] (`DistProgram::with_reach`), and the update
+//! pipeline matches it once in `initiate_update` and once in `start_join`
+//! — to the Centroid server, on the neighbourhood plane, nowhere, flooded,
+//! or along the strategy's regions — testing no strategy itself.
 
 use crate::durable::DurableStore;
 use crate::msg::{Msg, Payload, ProbeMsg, RuleWork};
@@ -692,34 +698,24 @@ impl SensorlogNode {
         id
     }
 
-    /// Start the storage phase for `fact` and schedule its join phase.
+    /// Start the storage phase for `fact` where its [`Reach`] says, and
+    /// schedule its join phase.
     fn initiate_update(&mut self, ctx: &mut Ctx<Msg>, fact: FactRecord) {
         let _span = self.tele.span("core.update.initiate");
-        // A stream no rule consumes needs neither replication nor a probe:
-        // derived results "will anyway be hashed appropriately for further
-        // use of the join-query result" (Sec. III-A) — and sink predicates
-        // have no further use beyond their owner.
-        if !self.prog.occurrences.contains_key(&fact.pred)
-            && self.cfg.strategy != Strategy::Centroid
-        {
-            return;
-        }
-        if self.cfg.strategy == Strategy::Centroid {
-            let center = self.net.center();
-            if center == self.id {
-                self.feed_center(ctx.local_time, &fact);
-            } else {
-                self.route(ctx, center, Payload::ToCenter { fact });
-            }
-            return;
-        }
-
         // Storage phase.
-        match (self.prog.reach(fact.pred), self.cfg.strategy) {
-            // A neighbourhood-plane tuple is stored here and at the
-            // neighbours its rules read it at, whatever the strategy: its
-            // join needs nothing further.
-            (Reach::Plane(on), _) => {
+        match self.prog.reach(fact.pred) {
+            Reach::Center => {
+                let center = self.net.center();
+                if center == self.id {
+                    self.feed_center(ctx.local_time, &fact);
+                } else {
+                    self.route(ctx, center, Payload::ToCenter { fact });
+                }
+                return;
+            }
+            // No storage phase to wait for.
+            Reach::Nowhere => return self.start_join(ctx, fact),
+            Reach::Plane(on) => {
                 let net = Arc::clone(&self.net);
                 let home = plan::plane_node(&net.topo, on, &fact.tuple);
                 if let Some(home) = home.filter(|&n| n != self.id) {
@@ -738,17 +734,16 @@ impl SensorlogNode {
                     self.send_store_walk(ctx, &fact, vec![nb]);
                 }
             }
-            (_, Strategy::NaiveBroadcast) => {
+            Reach::Flood => {
                 self.store_replica(ctx, &fact);
                 self.flood_seen.insert((fact.id, fact.kind));
                 self.tele
                     .bump(Scope::Pred(fact.pred.as_str()), "flood_broadcasts");
                 ctx.broadcast(Arc::new(Payload::FloodStore { fact: fact.clone() }));
             }
-            (Reach::Regions(radius), _) => {
-                let region = (self.cfg.strategy)
-                    .storage_region(&self.net.topo, self.id, radius)
-                    .expect("non-centroid strategy has regions");
+            Reach::Regions(radius) => {
+                let radius = radius.map(|rad| rad.r);
+                let region = (self.cfg.strategy).storage_region(&self.net.topo, self.id, radius);
                 self.store_replica(ctx, &fact);
                 let my_pos = region.iter().position(|&n| n == self.id);
                 let walk: Vec<NodeId> = match my_pos {
@@ -844,11 +839,10 @@ impl SensorlogNode {
 
     /// Build and launch the join probe for `fact`.
     fn start_join(&mut self, ctx: &mut Ctx<Msg>, fact: FactRecord) {
-        let _span = self.tele.span("core.join.start");
-        let occs = match self.prog.occurrences.get(&fact.pred) {
-            Some(o) => o.clone(),
-            None => return, // pred not consumed by any rule
+        let Some(occs) = self.prog.occurrences.get(&fact.pred).cloned() else {
+            return; // pred not consumed by any rule
         };
+        let _span = self.tele.span("core.join.start");
         let mut work = Vec::new();
         for occ in &occs {
             let rule = &self.prog.analysis.program.rules[occ.rule_idx];
@@ -871,12 +865,13 @@ impl SensorlogNode {
         if work.is_empty() {
             return;
         }
-        // A neighbourhood-plane update joins where it stands.
+        // Only an update walking regions joins anywhere but where it stands.
         let region = match self.prog.reach(fact.pred) {
-            Reach::Plane(_) => vec![self.id],
-            Reach::Regions(radius) => (self.cfg.strategy)
-                .join_region(&self.net.topo, self.id, radius)
-                .expect("non-centroid strategy has regions"),
+            Reach::Regions(radius) => {
+                let radius = radius.map(|rad| rad.r);
+                (self.cfg.strategy).join_region(&self.net.topo, self.id, radius)
+            }
+            _ => vec![self.id],
         };
         let probe = ProbeMsg {
             update: fact,

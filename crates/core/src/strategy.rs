@@ -12,21 +12,22 @@
 //! | LocalStorage    | local node      | whole network           |
 //! | Centroid        | — (central server runs the centralized engine) |
 //! | *neighbourhood plane* | local node + neighbours that read it | local node |
+//! | *no partner*    | none            | local node              |
 //! | *spatial radius* | the strategy's, cut to the radius | the strategy's, cut to the radius |
 //!
-//! The last two rows are not strategies but a predicate's place, inferred
-//! from the program by one walk (`logic::xy::locate`, kept as
-//! `DistProgram::places`) and read by one lookup per update
-//! (`DistProgram::reach`, in `runtime::SensorlogNode`'s `initiate_update` /
-//! `start_join`); the plane takes precedence where both apply.
+//! The last three rows are not strategies but a predicate's place, inferred
+//! from the program by one walk (`logic::xy::locate`). A deployment turns
+//! the strategy and the places into one `plan::Reach` per predicate, which
+//! the runtime matches once per update; only PA's and LocalStorage's
+//! regions are ever walked, so [`Strategy::storage_region`] /
+//! [`Strategy::join_region`] name only theirs.
 //!
-//! A predicate of the neighbourhood plane gets those regions — its storage
-//! region the node it is about plus the radio neighbours its rules read it
-//! at (`plan::store_targets`: none, the one a link's column 1 names, or
-//! all) — under every strategy but Centroid, and
-//! [`Strategy::storage_region`] / [`Strategy::join_region`] never see it.
-//! On links that lose more than one hop in ten the deployment drops the
-//! plane, and the strategy's own regions apply.
+//! A predicate of the neighbourhood plane gets its own regions — the node
+//! it is about plus the radio neighbours its rules read it at
+//! (`plan::store_targets`) — under every strategy but Centroid, unless its
+//! links lose more than one hop in ten. A predicate no rule joins with a
+//! partner is never probed for: it is stored nowhere and joins where it
+//! stands at once.
 //!
 //! A spatial join constraint (`dist(L1, L2) <= r`, Sec. III-A) cuts the
 //! storage and join regions of an update to its predicate's radius around
@@ -79,40 +80,32 @@ impl Strategy {
 
     /// Ordered storage region for a tuple generated at `node`, cut to
     /// `radius` around it when its predicate has one
-    /// (`DistProgram::cut_radius`); `None` for Centroid (which has no
-    /// replication).
+    /// (`DistProgram::cut_radius`): PA's row, else `node` alone.
     pub fn storage_region(
         &self,
         topo: &Topology,
         node: NodeId,
         radius: Option<f64>,
-    ) -> Option<Vec<NodeId>> {
-        let region = match self {
+    ) -> Vec<NodeId> {
+        let region = match *self {
             Strategy::Perpendicular { band_width } => {
-                regions::storage_region(topo, node, *band_width)
+                regions::storage_region(topo, node, band_width)
             }
-            Strategy::NaiveBroadcast => all_nodes_snake(topo),
-            Strategy::LocalStorage => vec![node],
-            Strategy::Centroid => return None,
+            _ => vec![node],
         };
-        Some(within(topo, region, node, radius))
+        within(topo, region, node, radius)
     }
 
     /// Ordered join-computation region for an update at `node`, cut to
-    /// `radius` around it as [`Strategy::storage_region`] is.
-    pub fn join_region(
-        &self,
-        topo: &Topology,
-        node: NodeId,
-        radius: Option<f64>,
-    ) -> Option<Vec<NodeId>> {
-        let region = match self {
-            Strategy::Perpendicular { band_width } => regions::join_region(topo, node, *band_width),
-            Strategy::NaiveBroadcast => vec![node],
+    /// `radius` around it as [`Strategy::storage_region`] is: PA's column,
+    /// LocalStorage's whole network, else `node` alone.
+    pub fn join_region(&self, topo: &Topology, node: NodeId, radius: Option<f64>) -> Vec<NodeId> {
+        let region = match *self {
+            Strategy::Perpendicular { band_width } => regions::join_region(topo, node, band_width),
             Strategy::LocalStorage => all_nodes_snake(topo),
-            Strategy::Centroid => return None,
+            _ => vec![node],
         };
-        Some(within(topo, region, node, radius))
+        within(topo, region, node, radius)
     }
 
     /// The central server for Centroid: the node closest to the deployment
@@ -175,9 +168,9 @@ mod tests {
         let topo = Topology::square_grid(6);
         let s = Strategy::Perpendicular { band_width: 1.0 };
         for a in topo.nodes() {
-            let store = s.storage_region(&topo, a, None).unwrap();
+            let store = s.storage_region(&topo, a, None);
             for b in topo.nodes() {
-                let join = s.join_region(&topo, b, None).unwrap();
+                let join = s.join_region(&topo, b, None);
                 assert!(
                     store.iter().any(|m| join.contains(m)),
                     "GPA invariant violated for {a}/{b}"
@@ -186,25 +179,17 @@ mod tests {
         }
     }
 
+    /// LocalStorage stores at the node and joins over the whole network;
+    /// NaiveBroadcast's storage is a flood, not a region, and it joins at
+    /// the node.
     #[test]
     fn degenerate_strategies_intersect() {
         let topo = Topology::square_grid(4);
-        for s in [Strategy::NaiveBroadcast, Strategy::LocalStorage] {
-            let store = s.storage_region(&topo, NodeId(3), None).unwrap();
-            let join = s.join_region(&topo, NodeId(9), None).unwrap();
-            assert!(store.iter().any(|m| join.contains(m)));
-        }
-    }
-
-    #[test]
-    fn centroid_has_no_regions() {
-        let topo = Topology::square_grid(4);
-        assert!(Strategy::Centroid
-            .storage_region(&topo, NodeId(0), None)
-            .is_none());
-        assert!(Strategy::Centroid
-            .join_region(&topo, NodeId(0), None)
-            .is_none());
+        let s = Strategy::LocalStorage;
+        assert_eq!(s.storage_region(&topo, NodeId(3), None), vec![NodeId(3)]);
+        assert_eq!(s.join_region(&topo, NodeId(9), None).len(), 16);
+        let s = Strategy::NaiveBroadcast;
+        assert_eq!(s.join_region(&topo, NodeId(9), None), vec![NodeId(9)]);
     }
 
     #[test]
@@ -229,12 +214,12 @@ mod tests {
         let topo = Topology::square_grid(9);
         let s = Strategy::Perpendicular { band_width: 1.0 };
         let mid = topo.node_at(4, 4).unwrap();
-        let full = s.storage_region(&topo, mid, None).unwrap();
-        let cut = s.storage_region(&topo, mid, Some(2.0)).unwrap();
+        let full = s.storage_region(&topo, mid, None);
+        let cut = s.storage_region(&topo, mid, Some(2.0));
         assert!(cut.len() < full.len());
         assert!(cut.contains(&mid));
         // Radius 0 degenerates to the local node.
-        let local = s.join_region(&topo, mid, Some(0.0)).unwrap();
+        let local = s.join_region(&topo, mid, Some(0.0));
         assert_eq!(local, vec![mid]);
     }
 }

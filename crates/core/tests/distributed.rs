@@ -337,6 +337,79 @@ fn derived_stream_cascades_through_strata() {
     assert_eq!(report.expected, 0); // c(5) blocked, c(-3) filtered by X > 0
 }
 
+/// A selection reads `temp` alone, so no rule joins it and no probe ever
+/// looks for it: under every strategy but Centroid, which ships each
+/// reading to its server, a reading is neither stored nor walked and joins
+/// where it is sensed; only its results travel. One reading per node of a
+/// 10×10 grid, 48 of them above 40.
+#[test]
+fn a_selection_is_neither_stored_nor_walked() {
+    let src = ".output alert.\nalert(N, T) :- temp(N, T), T > 40.\n";
+    let events: Vec<WorkloadEvent> = (0..100u32)
+        .map(|i| {
+            let fact = format!("temp({i}, {})", i * 37 % 80);
+            ev(
+                1_000 + 100 * u64::from(i),
+                i,
+                "temp",
+                &fact,
+                UpdateKind::Insert,
+            )
+        })
+        .collect();
+    let strategies = all_strategies();
+    for (strategy, tx) in strategies.into_iter().zip([313, 313, 313, 500]) {
+        let topo = Topology::square_grid(10);
+        let reg = BuiltinRegistry::standard();
+        let mut d = Deployment::new(src, reg, topo, config_with(strategy)).unwrap();
+        d.schedule_all(events.clone()).unwrap();
+        d.run(60_000_000);
+        let report = oracle::check(&d, &events, sym("alert"));
+        let name = strategy.name();
+        assert!(
+            report.exact() && report.expected == 48,
+            "{name}: {report:?}"
+        );
+        let sent = d.metrics().tx_by_kind();
+        let walked = ["store", "probe"].map(|kind| sent.get(kind).copied().unwrap_or(0));
+        assert_eq!((d.metrics().total_tx(), walked), (tx, [0, 0]), "{name}");
+    }
+}
+
+/// Where an update goes is decided per predicate, not per occurrence: `r1`,
+/// read alone by `a` and joined by `q`, keeps its storage and probe walks
+/// though no `r2` ever arrives, and without `q` it has none.
+#[test]
+fn a_predicate_read_alone_and_joined_keeps_its_walks() {
+    let alone = ".output a.\na(X, K) :- r1(X, K).\n";
+    let both = format!("{alone}q(X, Y) :- r1(X, K), r2(Y, K).\n");
+    let events = vec![
+        ev(10, 1, "r1", "r1(1, 7)", UpdateKind::Insert),
+        ev(300, 14, "r1", "r1(3, 8)", UpdateKind::Insert),
+        ev(30_000, 1, "r1", "r1(1, 7)", UpdateKind::Delete),
+    ];
+    for (src, walks) in [(alone, false), (both.as_str(), true)] {
+        for strategy in all_strategies() {
+            let topo = Topology::square_grid(4);
+            let reg = BuiltinRegistry::standard();
+            let mut d = Deployment::new(src, reg, topo, config_with(strategy)).unwrap();
+            d.schedule_all(events.clone()).unwrap();
+            d.run(400_000);
+            let report = oracle::check(&d, &events, sym("a"));
+            let name = strategy.name();
+            assert!(report.exact() && report.expected == 1, "{name}: {report:?}");
+            let sent = d.metrics().tx_by_kind();
+            let walked = ["store", "probe"].map(|kind| sent.get(kind).copied().unwrap_or(0));
+            let want = walks && strategy != Strategy::Centroid;
+            assert_eq!(
+                walked.iter().sum::<u64>() > 0,
+                want,
+                "{name} {src}: {sent:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn multipass_matches_onepass_results() {
     let src = r#"
@@ -754,7 +827,7 @@ fn node_id_locations_run_uncut_and_exact() {
         .unwrap();
         // Centroid has no regions to cut: the deployment drops the radius.
         let radius = (strategy != Strategy::Centroid).then_some(8.0);
-        assert_eq!(d.prog.place(sym("veh")).radius.map(|rad| rad.r), radius);
+        assert_eq!(d.prog.cut_radius(sym("veh")), radius);
         d.schedule_all(events.clone()).unwrap();
         assert_eq!(d.prog.cut_radius(sym("veh")), None);
         d.run(120_000_000);

@@ -10,6 +10,7 @@ use sensorlog_logic::ast::{AggFunc, Rule};
 use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::flat::FlatSubst;
 use sensorlog_logic::intern;
+use sensorlog_logic::unify::Subst;
 use sensorlog_logic::{Term, Tuple};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -27,36 +28,11 @@ pub fn aggregate_rule(
         .expect("aggregate_rule requires an aggregate head");
     let mut groups: BTreeMap<Vec<Term>, BTreeSet<Term>> = BTreeMap::new();
     for sol in solutions {
-        // Aggregate folds operate on boxed terms (off the fixpoint hot
-        // path): resolve the flat solution once per solution.
+        // Aggregates work on boxed terms, off the fixpoint hot path: a flat
+        // solution is resolved once.
         let subst = intern::boundary(|| sol.to_subst());
-        let key: Vec<Term> = rule
-            .head
-            .args
-            .iter()
-            .map(|a| {
-                let g = subst.apply(a);
-                if g.is_ground() {
-                    reg.eval_term(&g).map_err(EvalError::from)
-                } else {
-                    Err(EvalError::Internal(format!(
-                        "group-by argument `{a}` unbound in rule #{}",
-                        rule.id
-                    )))
-                }
-            })
-            .collect::<Result<_, _>>()?;
-        let value = {
-            let g = subst.apply(&agg.term);
-            if g.is_ground() {
-                reg.eval_term(&g)?
-            } else {
-                return Err(EvalError::Internal(format!(
-                    "aggregate term `{}` unbound in rule #{}",
-                    agg.term, rule.id
-                )));
-            }
-        };
+        let key = key_of(rule, &subst, reg)?;
+        let value = evaluated(rule, &subst, &agg.term, reg)?;
         groups.entry(key).or_default().insert(value);
     }
     let mut out = Vec::with_capacity(groups.len());
@@ -67,6 +43,39 @@ pub fn aggregate_rule(
         out.push(Tuple::new(args));
     }
     Ok(out)
+}
+
+/// The group a solution of an aggregate rule falls in: its head's group-by
+/// arguments, evaluated.
+pub fn group_key(
+    rule: &Rule,
+    sol: &FlatSubst,
+    reg: &BuiltinRegistry,
+) -> Result<Vec<Term>, EvalError> {
+    key_of(rule, &intern::boundary(|| sol.to_subst()), reg)
+}
+
+fn key_of(rule: &Rule, subst: &Subst, reg: &BuiltinRegistry) -> Result<Vec<Term>, EvalError> {
+    (rule.head.args.iter())
+        .map(|a| evaluated(rule, subst, a, reg))
+        .collect()
+}
+
+/// `t` of `rule` under `subst`, evaluated.
+fn evaluated(
+    rule: &Rule,
+    subst: &Subst,
+    t: &Term,
+    reg: &BuiltinRegistry,
+) -> Result<Term, EvalError> {
+    let g = subst.apply(t);
+    if !g.is_ground() {
+        return Err(EvalError::Internal(format!(
+            "`{t}` unbound in rule #{}",
+            rule.id
+        )));
+    }
+    Ok(reg.eval_term(&g)?)
 }
 
 /// Fold distinct values with the aggregate function.

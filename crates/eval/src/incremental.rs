@@ -27,7 +27,7 @@
 //! derivation projected away, one signed count per tuple, which is the
 //! *counting* alternative of Sec. IV-A ([`IncrementalEngine::counting`]).
 
-use crate::aggregate::aggregate_rule;
+use crate::aggregate::{aggregate_rule, group_key};
 use crate::error::EvalError;
 use crate::eval_body::{ground_facts, instantiate_head, BodyEval, Inputs};
 use crate::planner::DeltaPlans;
@@ -35,10 +35,9 @@ use crate::relation::{Database, TupleMeta};
 use crate::seminaive::effective_windows;
 use crate::MAX_CASCADE;
 use sensorlog_logic::analyze::{Analysis, ProgramClass};
-use sensorlog_logic::ast::Rule;
 use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::flat::FlatSubst;
-use sensorlog_logic::intern::{self, IdHashMap, IdHashSet};
+use sensorlog_logic::intern::{IdHashMap, IdHashSet};
 use sensorlog_logic::unify::{match_term, Subst};
 use sensorlog_logic::{Symbol, Term, Tuple};
 use sensorlog_telemetry::Profiler;
@@ -726,31 +725,6 @@ impl<K: LedgerKey> IncrementalEngine<K> {
         }
         Ok(())
     }
-}
-
-fn group_key(
-    rule: &Rule,
-    subst: &FlatSubst,
-    reg: &BuiltinRegistry,
-) -> Result<Vec<Term>, EvalError> {
-    // Group keys are boxed terms (aggregate machinery is off the hot
-    // path); resolve the flat bindings once.
-    let subst = intern::boundary(|| subst.to_subst());
-    rule.head
-        .args
-        .iter()
-        .map(|a| {
-            let g = subst.apply(a);
-            if g.is_ground() {
-                reg.eval_term(&g).map_err(EvalError::from)
-            } else {
-                Err(EvalError::Internal(format!(
-                    "group key `{a}` unbound in rule #{}",
-                    rule.id
-                )))
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]

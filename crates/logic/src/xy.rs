@@ -545,6 +545,9 @@ pub struct Radius {
 /// program; each part is absent where it does not apply.
 #[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct Place {
+    /// Whether some rule reads another relational literal beside it
+    /// (negated ones too): one no rule joins needs to be stored nowhere.
+    pub joined: bool,
     /// The column naming the node that owns a derived tuple (Sec. III-B).
     pub owner: Option<usize>,
     /// Its place on the neighbourhood plane.
@@ -562,9 +565,9 @@ struct Body<'a> {
     bounds: Vec<(Symbol, Symbol, f64)>,
 }
 
-/// Where each predicate's tuples live: its owner column, its place on the
-/// neighbourhood plane and its spatial radius. Predicates with none are
-/// absent.
+/// Where each predicate's tuples live: whether a rule joins it, its owner
+/// column, its place on the neighbourhood plane and its spatial radius.
+/// Predicates with none are absent.
 ///
 /// **Owner** (Grumbach, Wang & Wu's evaluation of recursive queries where
 /// each node holds the facts about itself): for each XY component of `xy`
@@ -630,6 +633,11 @@ pub fn locate(prog: &Program, xy: &[XyInfo]) -> BTreeMap<Symbol, Place> {
         .collect();
 
     let mut places: BTreeMap<Symbol, Place> = BTreeMap::new();
+    for body in bodies.iter().filter(|b| b.lits.len() > 1) {
+        for a in &body.lits {
+            places.entry(a.pred).or_default().joined = true;
+        }
+    }
     // The plane's candidates, each with its link relation.
     let mut link_of: BTreeMap<Symbol, Symbol> = BTreeMap::new();
     for info in xy {

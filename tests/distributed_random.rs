@@ -11,18 +11,44 @@ fn sym(s: &str) -> Symbol {
     Symbol::intern(s)
 }
 
-const JOIN3: &str = r#"
+/// A program the random workloads feed: its source, its output, and the
+/// two base streams `UniformStreams` generates (`pred(node, value, key)`).
+type Program = (&'static str, &'static str, [&'static str; 2]);
+
+const JOIN3: Program = (
+    r#"
     .output q.
     q(X, Y) :- r1(N1, X, K), r2(N2, Y, K).
-"#;
+    "#,
+    "q",
+    ["r1", "r2"],
+);
 
-const NEG: &str = r#"
+const NEG: Program = (
+    r#"
     .output alert.
     cov(V, K)   :- sight(N1, V, K), supp(N2, S, K).
     alert(V, K) :- not cov(V, K), sight(N1, V, K).
-"#;
+    "#,
+    "alert",
+    ["sight", "supp"],
+);
 
-fn run_one(src: &str, output: &str, strategy: Strategy, seed: u64, with_deletes: bool) {
+/// `r1` is read only by a selection, a rule with no other relational
+/// literal: no rule joins it, so its updates are neither stored nor
+/// walked. `hot`, derived from it, joins `r2` as any stream does.
+const SELECT: Program = (
+    r#"
+    .output warm.
+    hot(V, K)  :- r1(N, V, K), V > 20.
+    warm(V, W) :- hot(V, K), r2(N, W, K).
+    "#,
+    "warm",
+    ["r1", "r2"],
+);
+
+fn run_one(program: Program, strategy: Strategy, seed: u64, with_deletes: bool) {
+    let (src, output, preds) = program;
     let topo = Topology::square_grid(4);
     let cfg = DeployConfig {
         rt: RtConfig {
@@ -37,13 +63,8 @@ fn run_one(src: &str, output: &str, strategy: Strategy, seed: u64, with_deletes:
         ..DeployConfig::default()
     };
     let mut d = Deployment::new(src, BuiltinRegistry::standard(), topo.clone(), cfg).unwrap();
-    let preds: Vec<Symbol> = if src == JOIN3 {
-        vec![sym("r1"), sym("r2")]
-    } else {
-        vec![sym("sight"), sym("supp")]
-    };
     let events = UniformStreams {
-        preds,
+        preds: preds.map(sym).to_vec(),
         interval: 10_000,
         duration: 20_000,
         delete_fraction: if with_deletes { 0.3 } else { 0.0 },
@@ -74,6 +95,8 @@ fn run_one(src: &str, output: &str, strategy: Strategy, seed: u64, with_deletes:
     );
 }
 
+/// Each strategy × seed runs the three-stream join, and the selection
+/// program with deletes.
 #[test]
 fn random_join_workloads_all_strategies() {
     for seed in [1u64, 2, 3] {
@@ -83,7 +106,8 @@ fn random_join_workloads_all_strategies() {
             Strategy::LocalStorage,
             Strategy::Centroid,
         ] {
-            run_one(JOIN3, "q", strategy, seed, false);
+            run_one(JOIN3, strategy, seed, false);
+            run_one(SELECT, strategy, seed, true);
         }
     }
 }
@@ -93,7 +117,6 @@ fn random_join_with_deletes_pa() {
     for seed in [4u64, 5, 6, 7] {
         run_one(
             JOIN3,
-            "q",
             Strategy::Perpendicular { band_width: 1.0 },
             seed,
             true,
@@ -108,7 +131,7 @@ fn random_negation_with_deletes() {
             Strategy::Perpendicular { band_width: 1.0 },
             Strategy::Centroid,
         ] {
-            run_one(NEG, "alert", strategy, seed, true);
+            run_one(NEG, strategy, seed, true);
         }
     }
 }
@@ -120,7 +143,7 @@ fn random_event_storms_same_instant() {
     for seed in [11u64, 12] {
         let topo = Topology::square_grid(4);
         let mut d = Deployment::new(
-            JOIN3,
+            JOIN3.0,
             BuiltinRegistry::standard(),
             topo.clone(),
             DeployConfig::default(),
@@ -173,7 +196,7 @@ fn clock_skew_and_jitter_randomized() {
             },
             ..DeployConfig::default()
         };
-        let mut d = Deployment::new(NEG, BuiltinRegistry::standard(), topo.clone(), cfg).unwrap();
+        let mut d = Deployment::new(NEG.0, BuiltinRegistry::standard(), topo.clone(), cfg).unwrap();
         let events = UniformStreams {
             preds: vec![sym("sight"), sym("supp")],
             interval: 12_000,

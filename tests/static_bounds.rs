@@ -11,6 +11,7 @@
 use proptest::prelude::*;
 use sensorlog::core::deploy::{DeployConfig, Deployment, WorkloadEvent};
 use sensorlog::core::invariants;
+use sensorlog::core::plan::Reach;
 use sensorlog::core::strategy::Strategy;
 use sensorlog::core::workload::graph_edges;
 use sensorlog::logic::absint::frontier;
@@ -199,7 +200,7 @@ fn lossy_links_keep_the_strategy_regions() {
         let mut d =
             Deployment::new(LOGIC_H, BuiltinRegistry::standard(), topo.clone(), cfg).unwrap();
         let at = format!("loss {loss}, retries {retries}");
-        let on_plane = d.prog.places.values().any(|p| p.plane.is_some());
+        let on_plane = (d.prog.places.keys()).any(|&p| matches!(d.prog.reach(p), Reach::Plane(_)));
         assert_eq!(on_plane, plane, "{at}");
         d.schedule_all(graph_edges(&topo, 100, 200)).unwrap();
         d.run(2_000_000);
