@@ -92,10 +92,16 @@ cargo test --workspace -q
 #  - eval: a derivation ledger's support takes one slot for its first
 #    derivation (`Vec::insert` into an empty vector reserves four) and
 #    doubles from there.
+#  - core: a node is born small — under Centroid no node but the center
+#    allocates a storage part (replicas, owned tuples, timers), a run with
+#    the fault plane off allocates no fault part anywhere, and a
+#    deployment's router and simulator share one `Arc<Topology>` (earlier
+#    trees built every part inline in every node, 584 B each, and cloned
+#    the topology for the router).
 # Each gate names its crate, its test target (`--lib` or `--test=<file>`)
 # and the test. The boundary-resolve cap (tests/boundary_sites.rs) ran with
 # the workspace tests above.
-echo "== count gates (keyed registry walks, exported node rows, queued event size, tuple size, unplanned probes, node probe ranges, router hops, id table race, small-int pool rows, expiry queue, message ownership, send order, queue memory, sent counters, Centroid provenance, hops are deliveries, JSONL numbers, skewed journal, plane store targets, first ledger slot) =="
+echo "== count gates (keyed registry walks, exported node rows, queued event size, tuple size, unplanned probes, node probe ranges, router hops, id table race, small-int pool rows, expiry queue, message ownership, send order, queue memory, sent counters, Centroid provenance, hops are deliveries, JSONL numbers, skewed journal, plane store targets, first ledger slot, storage part, fault part, one topology) =="
 for gate in \
     "sensorlog-netsim --lib sim::tests::keyed_registry_walks_do_not_grow_with_traffic" \
     "sensorlog-netsim --lib sim::tests::exported_node_rows_match_an_eagerly_registered_registry" \
@@ -122,7 +128,10 @@ for gate in \
     "sensorlog --test=journal_roundtrip from_jsonl_rejects_out_of_range_numbers" \
     "sensorlog --test=trace_stability skewed_trace_is_pinned" \
     "sensorlog-core --lib deploy::tests::plane_stores_go_where_rules_read_them" \
-    "sensorlog-eval --lib incremental::tests::a_first_derivation_takes_one_slot"; do
+    "sensorlog-eval --lib incremental::tests::a_first_derivation_takes_one_slot" \
+    "sensorlog-core --lib runtime::tests::centroid_nodes_but_the_center_allocate_no_store" \
+    "sensorlog-core --lib runtime::tests::only_the_fault_plane_allocates_a_fault_part" \
+    "sensorlog-core --lib deploy::tests::netinfo_and_simulator_share_one_topology"; do
     read -r crate target name <<<"$gate"
     out=$(cargo test -q -p "$crate" "$target" -- --exact "$name" 2>&1) || { echo "$out"; exit 1; }
     grep -q "test result: ok. 1 passed" <<<"$out" || {
@@ -428,6 +437,28 @@ PY
         grep -qF "$needle" <<<"$explain_out" || {
             echo "explain smoke: missing \`$needle\` in output:"; echo "$explain_out"; exit 1; }
     done
+
+    # Programs the network cannot run are refused before they run: a
+    # Centroid center whose engine cannot evaluate the ground facts is an
+    # `error:` line and exit 1 (it used to panic building the node), and a
+    # rule no update starts fails `sensorlog check` (`maint.unseeded-rule`).
+    echo "== refused programs (Centroid engine error, unseeded rule) =="
+    refused=$(mktemp -d)
+    printf '.output m.\nn(0).\nm(X / 0) :- n(X).\n' >"$refused/div0.dl"
+    printf '.output t.\nt :- not r0(1).\n' >"$refused/unseeded.dl"
+    code=0
+    out=$(cargo run -q --release --bin sensorlog -- deploy "$refused/div0.dl" \
+        --grid 3 --strategy centroid 2>&1) || code=$?
+    if [[ "$code" -ne 1 ]] || grep -q panicked <<<"$out" ||
+        ! grep -qF "error: the Centroid center's engine: builtin error: div(0, 0) failed" <<<"$out"; then
+        echo "centroid deploy of m(X / 0) exited $code:"; echo "$out"; exit 1
+    fi
+    code=0
+    out=$(cargo run -q --release --bin sensorlog -- check "$refused/unseeded.dl" 2>&1) || code=$?
+    if [[ "$code" -eq 0 ]] || ! grep -q "maint.unseeded-rule" <<<"$out"; then
+        echo "check of t :- not r0(1). exited $code:"; echo "$out"; exit 1
+    fi
+    rm -rf "$refused"
 fi
 
 echo "CI OK"

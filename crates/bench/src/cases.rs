@@ -627,7 +627,7 @@ fn diag(quick: bool, r: &mut Report) {
                     .sim
                     .topology()
                     .nodes()
-                    .filter_map(|id| d.sim.node(id).peak_pred_stored.get(&p).copied())
+                    .filter_map(|id| d.sim.node(id).peak_pred_stored().get(&p).copied())
                     .max();
                 let b = PredBounds {
                     legacy: fr.paper.get(&p).and_then(|b| b.eval(&params)),

@@ -3,10 +3,9 @@
 //! collect results + communication metrics.
 
 use crate::durable::DurableStore;
-use crate::partial::RuleShape;
-use crate::plan::{compile_source, DistProgram, PlanTiming};
+use crate::plan::{compile_source, CompileError, DistProgram, PlanTiming};
 use crate::prov::{ProvRecord, Provenance};
-use crate::runtime::{NetInfo, NodeStats, RtConfig, SensorlogNode};
+use crate::runtime::{DeployContext, NetInfo, NodeStats, RtConfig, SensorlogNode};
 use crate::strategy::Strategy;
 use sensorlog_eval::UpdateKind;
 use sensorlog_logic::builtin::BuiltinRegistry;
@@ -171,8 +170,9 @@ pub struct Deployment {
     pub sim: Simulator<SensorlogNode>,
     pub prog: Arc<DistProgram>,
     pub strategy: Strategy,
-    /// The routing context every node shares.
-    net: Arc<NetInfo>,
+    /// What every node shares: the program, the runtime settings, the
+    /// routing context and the observer handles.
+    ctx: Arc<DeployContext>,
     schedule: Vec<WorkloadEvent>,
     /// Insert events applied per base predicate — the observed `E(p)` the
     /// static memory bounds are evaluated against at cross-validation time.
@@ -181,20 +181,18 @@ pub struct Deployment {
     /// was alive at injection time). The convergence checker's "surviving
     /// EDB" is computed from these, not from the full schedule.
     applied: Vec<WorkloadEvent>,
-    /// The shared provenance handle (disabled unless configured).
-    prov: Provenance,
-    /// The runtime configuration every node shares.
-    rt: Arc<RtConfig>,
 }
 
 impl Deployment {
-    /// Compile `src` and deploy it on `topo`.
+    /// Compile `src` and deploy it on `topo`. Under Centroid the center's
+    /// engine is built here too, before any node: a program whose ground
+    /// facts it cannot evaluate is refused ([`CompileError::CenterEngine`]).
     pub fn new(
         src: &str,
         reg: BuiltinRegistry,
         topo: Topology,
         config: DeployConfig,
-    ) -> Result<Deployment, crate::plan::CompileError> {
+    ) -> Result<Deployment, CompileError> {
         // The neighbourhood plane sends a tuple once to each neighbour that
         // reads it (`plan::store_targets`), and nothing resends a lost
         // store: a join that misses a negated partner (`hp`) derives what it
@@ -210,59 +208,61 @@ impl Deployment {
             .with_pass_mode(config.rt.pass_mode)
             .with_reach(config.rt.strategy, !lossy, cut);
         let prog = Arc::new(prog);
-        // Every node times its phases by the simulator's skew bound τc
-        // (Theorem 3).
-        let net = NetInfo::new(topo.clone())
+        // One topology, shared by the router and the simulator. Every node
+        // times its phases by the simulator's skew bound τc (Theorem 3).
+        let topo = Arc::new(topo);
+        let net = NetInfo::shared(Arc::clone(&topo))
             .with_telemetry(config.telemetry.clone())
             .with_clock_skew(config.sim.clock_skew_max);
-        let net = Arc::new(net);
-        let cfg = Arc::new(config.rt);
-        let shapes = Arc::new(
-            prog.analysis
-                .program
-                .rules
-                .iter()
-                .map(RuleShape::of)
-                .collect::<Vec<_>>(),
+        let strategy = config.rt.strategy;
+        let ctx = DeployContext::new(
+            Arc::clone(&prog),
+            config.rt,
+            net,
+            config.telemetry.clone(),
+            config.provenance,
         );
-        let prog2 = Arc::clone(&prog);
-        let net2 = Arc::clone(&net);
-        let tele = config.telemetry.clone();
+        let ctx = Arc::new(ctx);
+        let center =
+            (strategy == Strategy::Centroid && !topo.is_empty()).then(|| ctx.net().center());
+        let mut center_engine = (center.map(|_| ctx.center_engine()).transpose())
+            .map_err(CompileError::CenterEngine)?;
         // Per-node durable stores (fault plane only): the closure's copy
         // keeps them alive across the app rebuilds of restarts.
-        let durables: Vec<Arc<Mutex<DurableStore>>> = match cfg.faults {
+        let durables: Vec<Arc<Mutex<DurableStore>>> = match ctx.cfg().faults {
             Some(_) => (0..topo.len()).map(|_| Arc::default()).collect(),
             None => Vec::new(),
         };
-        let rt = Arc::clone(&cfg);
-        let prov = config.provenance.clone();
-        let prov2 = prov.clone();
+        let node_ctx = Arc::clone(&ctx);
         let mut sim = Simulator::new(topo, config.sim, move |id, _| {
-            let node = SensorlogNode::new(
-                id,
-                Arc::clone(&prog2),
-                Arc::clone(&cfg),
-                Arc::clone(&net2),
-                Arc::clone(&shapes),
-                tele.clone(),
-            )
-            .with_provenance(prov2.clone());
+            // The center's first incarnation takes the engine built above. A
+            // restarted one rebuilds it from the same analysis and registry,
+            // and the build is a function of those (its builtins are
+            // functions of their arguments), so having succeeded once it
+            // cannot fail here; were it to, the center would count what it
+            // is fed as routing drops rather than panic.
+            let engine = (Some(id) == center)
+                .then(|| {
+                    center_engine
+                        .take()
+                        .or_else(|| node_ctx.center_engine().ok())
+                })
+                .flatten();
+            let node = SensorlogNode::new(id, Arc::clone(&node_ctx), engine);
             match durables.get(id.index()) {
                 Some(d) => node.with_durable(Arc::clone(d)),
                 None => node,
             }
         });
-        sim.set_telemetry(config.telemetry.clone());
+        sim.set_telemetry(config.telemetry);
         let mut d = Deployment {
             sim,
             prog,
-            strategy: rt.strategy,
-            net,
+            strategy,
+            ctx,
             schedule: Vec::new(),
             injected: BTreeMap::new(),
             applied: Vec::new(),
-            prov,
-            rt,
         };
         d.inject_static_facts();
         Ok(d)
@@ -408,7 +408,7 @@ impl Deployment {
     /// crashed manually. Gates the structural checks that only hold on
     /// fault-free runs (e.g. derivation-count non-negativity).
     pub fn faults_active(&self) -> bool {
-        self.rt.faults.is_some() || self.sim.faults_injected()
+        self.ctx.cfg().faults.is_some() || self.sim.faults_injected()
     }
 
     /// Workload events that actually entered the network (target alive at
@@ -420,13 +420,13 @@ impl Deployment {
     /// The deployment's shared provenance handle (disabled unless
     /// `DeployConfig::provenance` was enabled).
     pub fn provenance(&self) -> &Provenance {
-        &self.prov
+        self.ctx.prov()
     }
 
     /// Copy of the provenance records captured so far (empty when the
     /// plane is disabled).
     pub fn provenance_records(&self) -> Vec<ProvRecord> {
-        self.prov.snapshot()
+        self.ctx.prov().snapshot()
     }
 
     /// Gather the live result tuples of `pred` across all owner nodes (or
@@ -450,7 +450,7 @@ impl Deployment {
     /// the owner the program names ([`DistProgram::owner_of`]).
     pub fn owner(&self, pred: Symbol, tuple: &Tuple) -> NodeId {
         match self.strategy {
-            Strategy::Centroid => self.net.center(),
+            Strategy::Centroid => self.ctx.net().center(),
             _ => self.prog.owner_of(self.sim.topology(), pred, tuple),
         }
     }
@@ -507,7 +507,7 @@ impl Deployment {
         rollup.gauge_set(Scope::Global, "intern.boundary.resolves", rc.boundary);
         rollup.gauge_set(Scope::Global, "intern.hot.resolves", rc.hot);
         for n in self.sim.nodes() {
-            for (&pred, &peak) in &n.peak_pred_stored {
+            for (&pred, &peak) in n.peak_pred_stored() {
                 rollup.gauge_max(Scope::Pred(pred.as_str()), "peak_stored", peak as u64);
             }
             rollup.gauge_max(Scope::Global, "peak_replicas", n.stats.peak_replicas as u64);
@@ -550,7 +550,7 @@ impl Deployment {
         let caps = crate::invariants::node_caps(self, &params);
         let mut peaks: BTreeMap<Symbol, u64> = BTreeMap::new();
         for n in self.sim.nodes() {
-            for (&pred, &peak) in &n.peak_pred_stored {
+            for (&pred, &peak) in n.peak_pred_stored() {
                 let e = peaks.entry(pred).or_insert(0);
                 *e = (*e).max(peak as u64);
             }
@@ -581,7 +581,7 @@ impl Deployment {
     /// The routing context shared by every node (topology, next hops,
     /// network depth, Centroid's centre).
     pub fn net(&self) -> &NetInfo {
-        &self.net
+        self.ctx.net()
     }
 
     /// Access the node application at `id`.
@@ -593,6 +593,7 @@ impl Deployment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sensorlog_eval::EvalError;
     use sensorlog_logic::Term;
 
     #[test]
@@ -1001,6 +1002,64 @@ mod tests {
         let h = Symbol::intern("h");
         let held = crate::oracle::check(&d, &links, h);
         assert!(held.exact(), "{held:?}");
+    }
+
+    /// The count gate of "one topology per deployment": the router and the
+    /// simulator hold the same `Arc<Topology>`, and nothing else does, so
+    /// its adjacency lists exist once (a clone for the router copied every
+    /// node's).
+    #[test]
+    fn netinfo_and_simulator_share_one_topology() {
+        let topo = sensorlog_netsim::Topology::square_grid(5);
+        let reg = BuiltinRegistry::standard();
+        let d = Deployment::new(LOGIC_H, reg, topo, DeployConfig::default()).unwrap();
+        assert!(Arc::ptr_eq(d.sim.shared_topology(), &d.net().topo));
+        assert_eq!(Arc::strong_count(&d.net().topo), 2);
+    }
+
+    /// A Centroid center whose engine cannot evaluate the program's ground
+    /// facts is refused by `Deployment::new` with the engine's error — it
+    /// used to panic building the center node. PA, which builds no engine,
+    /// deploys these programs as before (the failing head is dropped where
+    /// it would be derived).
+    #[test]
+    fn a_center_engine_that_cannot_be_built_is_refused() {
+        let deploy = |src: &str, strategy| {
+            let config = DeployConfig {
+                rt: RtConfig {
+                    strategy,
+                    ..RtConfig::default()
+                },
+                ..DeployConfig::default()
+            };
+            let topo = sensorlog_netsim::Topology::square_grid(3);
+            Deployment::new(src, BuiltinRegistry::standard(), topo, config)
+        };
+        let pa = Strategy::Perpendicular { band_width: 1.0 };
+        let div = ".output m.\nn(0).\nm(X / 0) :- n(X).";
+        let err = deploy(div, Strategy::Centroid).err().expect("div(0, 0)");
+        let CompileError::CenterEngine(EvalError::Builtin(e)) = &err else {
+            panic!("unexpected {err}");
+        };
+        assert_eq!(e.message, "div(0, 0) failed");
+        assert_eq!(
+            err.to_string(),
+            "the Centroid center's engine: builtin error: div(0, 0) failed"
+        );
+        let mut d = deploy(div, pa).unwrap();
+        d.run(60_000);
+        assert!(d.results(Symbol::intern("m")).is_empty());
+        assert_eq!(d.results(Symbol::intern("n")).len(), 1);
+
+        let cascade = "n(0).\nn(X + 1) :- n(X), X < 2000000.";
+        let err = deploy(cascade, Strategy::Centroid)
+            .err()
+            .expect("a 2M-step cascade");
+        let CompileError::CenterEngine(EvalError::LimitExceeded { what, .. }) = err else {
+            panic!("unexpected {err}");
+        };
+        assert_eq!(what, "update cascade");
+        assert!(deploy(cascade, pa).is_ok());
     }
 
     /// Regression: `NetInfo::new` used to index node 0 of whatever it was

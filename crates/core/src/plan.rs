@@ -23,6 +23,7 @@
 use crate::partial::MAX_BODY_LITERALS;
 use crate::strategy::{PassMode, Strategy};
 use sensorlog_eval::eval_body::ground_facts;
+use sensorlog_eval::EvalError;
 use sensorlog_logic::analyze::Analysis;
 use sensorlog_logic::ast::Literal;
 use sensorlog_logic::boundness::pass_plan;
@@ -62,6 +63,15 @@ pub enum CompileError {
         literals: usize,
         span: Span,
     },
+    /// A rule no update starts ([`sensorlog_logic::ast::Rule::is_unseeded`]):
+    /// the network would never derive its head. `span` is the rule.
+    Unseeded {
+        rule_id: usize,
+        span: Span,
+    },
+    /// The Centroid center's engine cannot be built: evaluating the
+    /// program's ground facts failed.
+    CenterEngine(EvalError),
     Analyze(String),
 }
 
@@ -80,6 +90,11 @@ impl fmt::Display for CompileError {
                 f,
                 "rule #{rule_id} at {span}: {literals} body literals; the GPA runtime joins at most {MAX_BODY_LITERALS} per rule"
             ),
+            CompileError::Unseeded { rule_id, span } => write!(
+                f,
+                "rule #{rule_id} at {span}: no positive subgoal, so no update starts it and the network never derives its head"
+            ),
+            CompileError::CenterEngine(e) => write!(f, "the Centroid center's engine: {e}"),
             CompileError::Analyze(e) => write!(f, "{e}"),
         }
     }
@@ -381,6 +396,12 @@ pub fn compile(
                 span: r.spans.lit(MAX_BODY_LITERALS),
             });
         }
+        if r.is_unseeded() {
+            return Err(CompileError::Unseeded {
+                rule_id: r.id,
+                span: r.spans.rule,
+            });
+        }
     }
 
     let static_facts = (ground_facts(prog, &reg))
@@ -654,42 +675,58 @@ mod tests {
     /// One `Reach` per predicate and deployment. Under Centroid everything
     /// goes to the center. Otherwise a plane predicate stays on the plane
     /// unless the links are too lossy for it; a predicate no rule joins
-    /// goes nowhere, whether one-literal rules read it (`r3`, and `r0`
-    /// under a rule that only tests it) or none does; and one read alone
-    /// and joined (`r1`) keeps the strategy's flood or regions.
+    /// goes nowhere, whether a one-literal rule reads it (`r3`) or none
+    /// does; and one read alone and joined (`r1`) keeps the strategy's
+    /// flood or regions.
     #[test]
     fn each_predicate_reaches_one_way_per_deployment() {
         let src = format!(
             "{LOGIC_H}a(X, K) :- r1(X, K).\nq(X, Y) :- r1(X, K), r2(Y, K).\n\
-             s(X) :- r3(X), X > 2.\nt :- not r0(1).\n"
+             s(X) :- r3(X), X > 2.\n"
         );
         let reg = BuiltinRegistry::standard();
         let p = || compile_source(&src, reg.clone(), PlanTiming::default()).unwrap();
-        let names = [
-            "g", "h", "r0", "r1", "r2", "r3", "a", "q", "s", "t", "unnamed",
-        ];
+        let names = ["g", "h", "r1", "r2", "r3", "a", "q", "s", "unnamed"];
         let reach = |p: DistProgram| names.map(|n| p.reach(sym(n)));
         let on = |pred| Reach::Plane(p().place(sym(pred)).plane.unwrap());
         use Reach::{Center, Flood, Nowhere, Regions};
         let [x, w] = [Nowhere, Regions(None)];
         let pa = Strategy::Perpendicular { band_width: 1.0 };
         for (strategy, plane, want) in [
-            (Strategy::Centroid, true, [Center; 11]),
-            (pa, true, [on("g"), on("h"), x, w, w, x, x, x, x, x, x]),
-            (pa, false, [w, w, x, w, w, x, x, x, x, x, x]),
+            (Strategy::Centroid, true, [Center; 9]),
+            (pa, true, [on("g"), on("h"), w, w, x, x, x, x, x]),
+            (pa, false, [w, w, w, w, x, x, x, x, x]),
             (
                 Strategy::LocalStorage,
                 true,
-                [on("g"), on("h"), x, w, w, x, x, x, x, x, x],
+                [on("g"), on("h"), w, w, x, x, x, x, x],
             ),
             (
                 Strategy::NaiveBroadcast,
                 true,
-                [on("g"), on("h"), x, Flood, Flood, x, x, x, x, x, x],
+                [on("g"), on("h"), Flood, Flood, x, x, x, x, x],
             ),
         ] {
             let got = reach(p().with_reach(strategy, plane, true));
             assert_eq!(got, want, "{} plane {plane}", strategy.name());
+        }
+    }
+
+    /// A rule whose body has no positive subgoal is refused with its id
+    /// and span: no update would ever start it, so the network would never
+    /// derive what a centralized evaluation does. A fact is not such a rule.
+    #[test]
+    fn a_rule_no_update_starts_is_refused() {
+        for rule in ["t :- not r0(1).", "t(7) :- not r0(1).", "t :- 1 < 2."] {
+            let src = format!(".output t.\nh(0, 0, 0).\nq(X) :- r0(X).\n{rule}\n");
+            let reg = BuiltinRegistry::standard();
+            let err = compile_source(&src, reg, PlanTiming::default()).unwrap_err();
+            let CompileError::Unseeded { rule_id, span } = err else {
+                panic!("{rule}: unexpected {err}");
+            };
+            assert_eq!(rule_id, 2, "{rule}");
+            assert_eq!(&src[span.start as usize..span.end as usize], rule);
+            assert_eq!(span.line, 4);
         }
     }
 

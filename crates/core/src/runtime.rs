@@ -13,6 +13,12 @@
 //! pipeline matches it once in `initiate_update` and once in `start_join`
 //! — to the Centroid server, on the neighbourhood plane, nowhere, flooded,
 //! or along the strategy's regions — testing no strategy itself.
+//!
+//! A node carries inline only what every node uses. What its deployment
+//! shares is one [`DeployContext`] pointer; replicas, owned tuples, timers
+//! and the rest of storage are one part allocated by the first operation
+//! that needs it, and the fault plane's state another, present only with
+//! the plane on.
 
 use crate::durable::DurableStore;
 use crate::msg::{Msg, Payload, ProbeMsg, RuleWork};
@@ -25,7 +31,7 @@ use crate::strategy::{PassMode, Strategy};
 use crate::tupleid::{clamp_absorbs, DerivationKey, FactRecord, TupleId, EDB_RULE};
 use sensorlog_eval::eval_body::instantiate_head;
 use sensorlog_eval::relation::TupleMeta;
-use sensorlog_eval::{Firing, IncrementalEngine, Support, Update, UpdateKind};
+use sensorlog_eval::{EvalError, Firing, IncrementalEngine, Support, Update, UpdateKind};
 use sensorlog_logic::intern::{IdHashMap, IdHashSet};
 use sensorlog_logic::{Literal, Symbol, Tuple};
 use sensorlog_netsim::{App, Ctx, MsgMeta, NodeId, SimTime, Topology};
@@ -42,7 +48,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// server by.
 #[derive(Debug)]
 pub struct NetInfo {
-    pub topo: Topology,
+    /// The deployment's one topology: the simulator holds the same `Arc`.
+    pub topo: Arc<Topology>,
     router: Router,
     /// Centroid's central server ([`Strategy::center`] of `topo`).
     center: NodeId,
@@ -53,6 +60,12 @@ pub struct NetInfo {
 
 impl NetInfo {
     pub fn new(topo: Topology) -> NetInfo {
+        NetInfo::shared(Arc::new(topo))
+    }
+
+    /// Route over a topology held elsewhere too (the deployment's
+    /// simulator), without a copy of its adjacency.
+    pub(crate) fn shared(topo: Arc<Topology>) -> NetInfo {
         NetInfo {
             center: Strategy::center(&topo),
             router: Router::new(&topo),
@@ -227,24 +240,25 @@ impl OwnedTable {
 }
 
 /// What decides whether a stored derivation still counts: the fault plane's
-/// view of its peers, and which rule inputs are derived. One struct (not
-/// fields of the node) so callers holding `&mut` borrows into `owned` can
+/// view of its peers, and which rule inputs are derived. Borrowed from the
+/// node's fault part and its deployment's program rather than read through
+/// the node, so callers holding `&mut` borrows into its storage part can
 /// still consult it.
-#[derive(Debug)]
-struct LiveView {
-    /// What we believe about each peer (fault plane only; empty otherwise).
-    peers: HashMap<NodeId, LiveEntry>,
+#[derive(Clone, Copy)]
+struct LiveView<'a> {
+    /// What we believe about each peer (`None`: the fault plane is off).
+    peers: Option<&'a HashMap<NodeId, LiveEntry>>,
     /// The program, for which rule inputs are derived (IDB): a derived input
     /// minted before its owner's current incarnation booted is stale — the
     /// owner lost that entry in the crash.
-    prog: Arc<DistProgram>,
+    prog: &'a DistProgram,
 }
 
-impl LiveView {
-    fn of(prog: &Arc<DistProgram>) -> LiveView {
+impl<'a> LiveView<'a> {
+    fn of(prog: &'a DistProgram, faults: Option<&'a FaultState>) -> LiveView<'a> {
         LiveView {
-            peers: HashMap::new(),
-            prog: Arc::clone(prog),
+            peers: faults.map(|f| &f.peers),
+            prog,
         }
     }
 
@@ -273,7 +287,7 @@ impl LiveView {
             return true; // static fact: no network inputs
         }
         key.inputs.iter().all(|(lit, id)| {
-            let Some(e) = self.peers.get(&id.node) else {
+            let Some(e) = self.peers.and_then(|peers| peers.get(&id.node)) else {
                 return true; // never heard anything: presumed alive
             };
             e.alive && !(e.boot_ts > id.ts && self.reads_idb(key.rule_id, *lit as usize))
@@ -285,7 +299,7 @@ impl LiveView {
     /// current view. With nothing known of any peer (always, with the fault
     /// plane off) every key survives and this is the ledger's own answer.
     fn live(&self, entry: &Owned) -> bool {
-        if self.peers.is_empty() {
+        if self.peers.is_none_or(HashMap::is_empty) {
             return entry.support.is_live();
         }
         (entry.support.entries().iter()).any(|(k, c)| *c > 0 && self.key_live(k))
@@ -373,17 +387,79 @@ enum Tick {
     Refresh,
 }
 
-/// The sensorlog node application.
-pub struct SensorlogNode {
-    pub id: NodeId,
+/// What every node of one deployment reads and none writes: the compiled
+/// program, the runtime settings, the routing context, each rule's join
+/// shape and the two observer handles. Built once per deployment; a node
+/// holds one `Arc` of it.
+#[derive(Debug)]
+pub struct DeployContext {
     prog: Arc<DistProgram>,
-    cfg: Arc<RtConfig>,
-    net: Arc<NetInfo>,
-    shapes: Arc<Vec<RuleShape>>,
+    cfg: RtConfig,
+    net: NetInfo,
+    /// [`RuleShape::of`] each rule, by rule index.
+    shapes: Vec<RuleShape>,
+    /// Telemetry handle (disabled by default; a pure observer — it never
+    /// touches timers, messages, or the RNG).
+    tele: Telemetry,
+    /// Provenance recording handle (disabled by default; a pure observer
+    /// like telemetry — recording never touches timers, messages, or the
+    /// RNG, so the netsim journal is byte-identical with the plane on or
+    /// off).
+    prov: Provenance,
+}
+
+impl DeployContext {
+    pub fn new(
+        prog: Arc<DistProgram>,
+        cfg: RtConfig,
+        net: NetInfo,
+        tele: Telemetry,
+        prov: Provenance,
+    ) -> DeployContext {
+        let shapes = prog.analysis.program.rules.iter().map(RuleShape::of);
+        DeployContext {
+            shapes: shapes.collect(),
+            prog,
+            cfg,
+            net,
+            tele,
+            prov,
+        }
+    }
+
+    pub(crate) fn cfg(&self) -> &RtConfig {
+        &self.cfg
+    }
+
+    pub(crate) fn net(&self) -> &NetInfo {
+        &self.net
+    }
+
+    pub(crate) fn prov(&self) -> &Provenance {
+        &self.prov
+    }
+
+    /// A Centroid center's engine over this program, profiled by the
+    /// deployment's telemetry and, with provenance on, logging the firings
+    /// `feed_center` turns into proofs. Building it evaluates the program's
+    /// ground facts, which can fail (a builtin error, the cascade limit).
+    pub(crate) fn center_engine(&self) -> Result<Box<IncrementalEngine>, EvalError> {
+        let mut engine = IncrementalEngine::new(self.prog.analysis.clone(), self.prog.reg.clone())?;
+        engine.profiler = self.tele.profiler();
+        engine.set_record_firings(self.prov.is_enabled());
+        Ok(Box::new(engine))
+    }
+}
+
+/// What a node holds once it stores a replica, owns a derived tuple, arms
+/// a timer, or sees a flood — allocated by the first such operation.
+/// Under Centroid no node but the center ever does.
+#[derive(Default)]
+struct NodeStore {
     /// Replicated stream fragments: the one record of a replica — tuple,
     /// gen/del timestamps and the id of the generation stored.
     frags: Fragments,
-    /// Tuples in `frags`, kept in step with it ([`Self::replica_count`]).
+    /// Tuples in `frags`, kept in step with it ([`SensorlogNode::replica_count`]).
     replicas: usize,
     /// Pending expiries, earliest first: the only record of when a replica
     /// or an owned entry goes. Each takes a timer tag when queued and fires
@@ -394,139 +470,162 @@ pub struct SensorlogNode {
     expiries: BinaryHeap<Reverse<Expiry>>,
     /// Derived tuples this node owns (`DistProgram::owner_of`).
     owned: OwnedTable,
-    /// Tuples this node generated (for delete-by-value at the source).
-    my_facts: IdHashMap<(Symbol, Tuple), TupleId>,
+    timers: IdHashMap<u64, TimerAction>,
     /// Flood dedup (NaiveBroadcast storage). (Id-hashed like `timers`: the
     /// per-message maps whose keys are all process-minted ids. Never
     /// iterated.)
     flood_seen: IdHashSet<(TupleId, UpdateKind)>,
-    timers: IdHashMap<u64, TimerAction>,
-    next_tag: u64,
-    seq: u32,
-    /// Centroid baseline: the central server's engine (center node only —
-    /// boxed, so the other nodes carry a pointer, not an empty engine).
-    pub center_engine: Option<Box<IncrementalEngine>>,
+    /// Peak stored items per predicate (fragment replicas + owned derived
+    /// entries), cross-validated against the static memory bounds of
+    /// `logic::diag` by `crate::invariants::check_static_bounds`.
+    peak_pred_stored: BTreeMap<Symbol, usize>,
+    /// Output-predicate transitions observed at this owner.
+    output_log: Vec<(Symbol, Tuple, UpdateKind, SimTime)>,
+    /// Ids of the [`PROBE_HISTS`] histograms per update predicate, resolved
+    /// by the first probe of that predicate (telemetry on only; a program's
+    /// few predicates are searched linearly).
+    probe_hists: Vec<(Symbol, [Option<HistId>; 3])>,
     /// Provenance-plane bindings at a Centroid center: ground atom →
     /// tuple id (fed EDB facts keep their source id; derived heads get a
     /// center-minted id). Empty unless this node is the center and the
     /// provenance plane is enabled.
     center_ids: IdHashMap<(Symbol, Tuple), TupleId>,
-    /// Sequence counter for center-minted provenance ids. Deliberately
-    /// separate from `seq` (and offset into the top half of the range):
-    /// provenance is a pure observer, so minting ids for the DAG must not
-    /// advance — or collide with — the runtime's real tuple-id stream.
-    center_seq: u32,
-    pub stats: NodeStats,
-    /// Peak stored items per predicate (fragment replicas + owned derived
-    /// entries), cross-validated against the static memory bounds of
-    /// `logic::diag` by `crate::invariants::check_static_bounds`.
-    pub peak_pred_stored: BTreeMap<Symbol, usize>,
-    /// Output-predicate transitions observed at this owner.
-    pub output_log: Vec<(Symbol, Tuple, UpdateKind, SimTime)>,
-    /// Telemetry handle shared across the deployment (disabled by default;
-    /// a pure observer — it never touches timers, messages, or the RNG).
-    tele: Telemetry,
-    /// Ids of the [`PROBE_HISTS`] histograms per update predicate, resolved
-    /// by the first probe of that predicate (telemetry on only; a program's
-    /// few predicates are searched linearly).
-    probe_hists: Vec<(Symbol, [Option<HistId>; 3])>,
-    /// Provenance recording handle shared across the deployment (disabled
-    /// by default; a pure observer like telemetry — recording never touches
-    /// timers, messages, or the RNG, so the netsim journal is byte-identical
-    /// with the plane on or off).
-    prov: Provenance,
-    /// Flash log for this node's own facts (fault plane only). Shared with
-    /// the deployment harness so it survives the app being rebuilt on
-    /// restart — that is the whole point of a durable store.
-    durable: Option<Arc<Mutex<DurableStore>>>,
-    /// Peer liveness and the rule facts the liveness filter reads.
-    view: LiveView,
+    /// Center-minted provenance ids so far. Deliberately separate from
+    /// `seq` (and offset into the top half of the range by
+    /// [`CENTER_SEQ_BASE`]): provenance is a pure observer, so minting ids
+    /// for the DAG must not advance — or collide with — the runtime's real
+    /// tuple-id stream.
+    center_minted: u32,
+}
+
+/// Where center-minted provenance ids start ([`NodeStore::center_minted`]).
+const CENTER_SEQ_BASE: u32 = 0x8000_0000;
+
+impl NodeStore {
+    /// Record the current stored-item count for `pred` into its peak.
+    fn note_stored(&mut self, pred: Symbol) {
+        let owned = self.owned.per_pred.get(&pred).copied().unwrap_or(0);
+        let cur = self.frags.len_of(pred) + owned;
+        let peak = self.peak_pred_stored.entry(pred).or_insert(0);
+        *peak = (*peak).max(cur);
+    }
+
+    /// Keep the head of the expiry queue armed: a no-op unless the head
+    /// moved earlier or the armed one just fired.
+    fn arm_next_expiry(&mut self, ctx: &mut Ctx<Msg>) {
+        // (`peek_mut` re-sifts the heap when written through: look first.)
+        if self.expiries.peek().is_some_and(|head| !head.0.armed) {
+            if let Some(mut head) = self.expiries.peek_mut() {
+                head.0.armed = true;
+                ctx.set_timer(head.0.due.saturating_sub(ctx.local_time), head.0.tag);
+            }
+        }
+    }
+}
+
+/// The fault plane's per-node state: present exactly when
+/// [`RtConfig::faults`] is set.
+#[derive(Debug, Default)]
+struct FaultState {
+    /// What we believe about each peer's liveness.
+    peers: HashMap<NodeId, LiveEntry>,
     /// Local time we last heard a heartbeat from each neighbor.
     last_hb: HashMap<NodeId, SimTime>,
+    /// Flash log for this node's own facts. Shared with the deployment
+    /// harness so it survives the app being rebuilt on restart — that is
+    /// the whole point of a durable store.
+    durable: Option<Arc<Mutex<DurableStore>>>,
     /// Local boot time of this incarnation (0 until `on_start`).
     boot_ts: SimTime,
 }
 
+/// The sensorlog node application. Inline is only what every node uses;
+/// what one plane needs is allocated by that plane (`NodeStore`,
+/// `FaultState`), and what the deployment shares is one pointer.
+pub struct SensorlogNode {
+    pub id: NodeId,
+    seq: u32,
+    next_tag: u64,
+    ctx: Arc<DeployContext>,
+    /// Tuples this node generated (for delete-by-value at the source).
+    my_facts: IdHashMap<(Symbol, Tuple), TupleId>,
+    pub stats: NodeStats,
+    /// Centroid baseline: the central server's engine (center node only —
+    /// boxed, so the other nodes carry a pointer, not an empty engine).
+    pub center_engine: Option<Box<IncrementalEngine>>,
+    /// Storage and ownership (`None` until this node first stores, owns or
+    /// arms a timer).
+    store: Option<Box<NodeStore>>,
+    /// The fault plane (`None` when it is off).
+    faults: Option<Box<FaultState>>,
+}
+
+// Every node of a deployment is one element of `Simulator::apps`, so its
+// size is multiplied by the grid (1,800 on the largest benchmark workload)
+// whether or not the node stores anything. State only some nodes have goes
+// behind a pointer: the Centroid centre's engine, inline, was half of a
+// 1,632 B node, and every plane's state inline made 584 B.
+const _: () = assert!(std::mem::size_of::<SensorlogNode>() <= 160);
+
 impl SensorlogNode {
+    /// Node `id` of the deployment `ctx`. `center_engine` is the Centroid
+    /// center's (`DeployContext::center_engine`), `None` elsewhere.
     pub fn new(
         id: NodeId,
-        prog: Arc<DistProgram>,
-        cfg: Arc<RtConfig>,
-        net: Arc<NetInfo>,
-        shapes: Arc<Vec<RuleShape>>,
-        tele: Telemetry,
+        ctx: Arc<DeployContext>,
+        center_engine: Option<Box<IncrementalEngine>>,
     ) -> SensorlogNode {
-        let center_engine = if cfg.strategy == Strategy::Centroid && net.center() == id {
-            let mut engine = IncrementalEngine::new(prog.analysis.clone(), prog.reg.clone())
-                .expect("centroid engine");
-            engine.profiler = tele.profiler();
-            Some(Box::new(engine))
-        } else {
-            None
-        };
+        let faults = ctx.cfg.faults.map(|_| Box::default());
         SensorlogNode {
             id,
-            view: LiveView::of(&prog),
-            prog,
-            cfg,
-            net,
-            shapes,
-            frags: Fragments::default(),
-            replicas: 0,
-            expiries: BinaryHeap::new(),
-            owned: OwnedTable::default(),
-            my_facts: IdHashMap::default(),
-            flood_seen: IdHashSet::default(),
-            timers: IdHashMap::default(),
-            next_tag: 0,
             seq: 0,
-            center_engine,
-            center_ids: IdHashMap::default(),
-            center_seq: 0x8000_0000,
+            next_tag: 0,
+            ctx,
+            my_facts: IdHashMap::default(),
             stats: NodeStats::default(),
-            peak_pred_stored: BTreeMap::new(),
-            output_log: Vec::new(),
-            tele,
-            probe_hists: Vec::new(),
-            prov: Provenance::disabled(),
-            durable: None,
-            last_hb: HashMap::new(),
-            boot_ts: 0,
+            center_engine,
+            store: None,
+            faults,
         }
     }
 
-    /// Attach the node's durable store (fault plane). The harness keeps
-    /// the other reference so the log outlives app restarts.
+    /// Attach the node's durable store (fault plane only: with the plane
+    /// off a node keeps no log). The harness keeps the other reference so
+    /// the log outlives app restarts.
     pub fn with_durable(mut self, store: Arc<Mutex<DurableStore>>) -> SensorlogNode {
-        self.durable = Some(store);
-        self
-    }
-
-    /// Attach the deployment-wide provenance recording handle. On a
-    /// Centroid center this also switches on the engine's firing log,
-    /// which `feed_center` drains into `Deriv`/`Mint` records so
-    /// centrally-derived tuples get proofs like GPA-derived ones do.
-    pub fn with_provenance(mut self, prov: Provenance) -> SensorlogNode {
-        if prov.is_enabled() {
-            if let Some(engine) = self.center_engine.as_mut() {
-                engine.set_record_firings(true);
-            }
+        if let Some(f) = self.faults.as_deref_mut() {
+            f.durable = Some(store);
         }
-        self.prov = prov;
         self
     }
 
     /// This node's durable store, locked (`None` with the fault plane off).
     fn durable_store(&self) -> Option<MutexGuard<'_, DurableStore>> {
-        let store = self.durable.as_ref()?;
+        let store = self.faults.as_ref()?.durable.as_ref()?;
         Some(store.lock().expect("a node panicked holding its store"))
     }
 
-    /// Record the current stored-item count for `pred` into its peak.
-    fn note_pred_stored(&mut self, pred: Symbol) {
-        let cur = self.frags.len_of(pred) + self.owned.per_pred.get(&pred).copied().unwrap_or(0);
-        let peak = self.peak_pred_stored.entry(pred).or_insert(0);
-        *peak = (*peak).max(cur);
+    /// The storage part, allocated by its first use.
+    fn store_mut(&mut self) -> &mut NodeStore {
+        self.store.get_or_insert_with(Box::default)
+    }
+
+    /// The liveness filter over this node's fault-plane view.
+    fn view(&self) -> LiveView<'_> {
+        LiveView::of(&self.ctx.prog, self.faults.as_deref())
+    }
+
+    /// Peak stored items per predicate (fragment replicas + owned derived
+    /// entries), cross-validated against the static memory bounds of
+    /// `logic::diag` by `crate::invariants::check_static_bounds`.
+    pub fn peak_pred_stored(&self) -> &BTreeMap<Symbol, usize> {
+        static NONE: BTreeMap<Symbol, usize> = BTreeMap::new();
+        self.store.as_ref().map_or(&NONE, |s| &s.peak_pred_stored)
+    }
+
+    /// Output-predicate transitions observed at this owner.
+    pub fn output_log(&self) -> &[(Symbol, Tuple, UpdateKind, SimTime)] {
+        self.store.as_ref().map_or(&[], |s| &s.output_log)
     }
 
     // ------------------------------------------------------------------
@@ -536,7 +635,7 @@ impl SensorlogNode {
     /// A sensor reading was generated at this node: create the fact and
     /// run the update pipeline.
     pub fn generate(&mut self, ctx: &mut Ctx<Msg>, pred: Symbol, tuple: Tuple) {
-        self.tele.bump(Scope::Pred(pred.as_str()), "generated");
+        self.ctx.tele.bump(Scope::Pred(pred.as_str()), "generated");
         let id = self.fresh_id(ctx);
         self.my_facts.insert((pred, tuple.clone()), id);
         if let Some(mut d) = self.durable_store() {
@@ -550,7 +649,7 @@ impl SensorlogNode {
         let Some(id) = self.my_facts.remove(&(pred, tuple.clone())) else {
             return; // unknown tuple: nothing to delete
         };
-        self.tele.bump(Scope::Pred(pred.as_str()), "retracted");
+        self.ctx.tele.bump(Scope::Pred(pred.as_str()), "retracted");
         let now = ctx.local_time;
         if let Some(mut d) = self.durable_store() {
             d.log_delete(pred, tuple.clone(), id, now);
@@ -563,10 +662,11 @@ impl SensorlogNode {
     pub fn inject_static(&mut self, ctx: &mut Ctx<Msg>, pred: Symbol, tuple: Tuple) {
         let id = self.fresh_id(ctx);
         let key = DerivationKey::new(EDB_RULE, Vec::new());
-        let entry = self.owned.book(pred, &tuple, key, 1);
+        let store = self.store_mut();
+        let entry = store.owned.book(pred, &tuple, key, 1);
         entry.id = Some(id);
         entry.propagated_live = true;
-        self.note_pred_stored(pred);
+        store.note_stored(pred);
         self.log_output(pred, &tuple, UpdateKind::Insert, ctx.local_time);
         self.source_update(ctx, FactRecord::insert(pred, tuple, id));
     }
@@ -575,7 +675,7 @@ impl SensorlogNode {
     /// record it as a proof leaf (`Edb` — static facts are leaves at their
     /// owner like base facts at their source) and run the update pipeline.
     fn source_update(&mut self, ctx: &mut Ctx<Msg>, fact: FactRecord) {
-        self.prov.record_with(|| ProvRecord::Edb {
+        self.ctx.prov.record_with(|| ProvRecord::Edb {
             node: self.id,
             pred: fact.pred,
             tuple: fact.tuple.clone(),
@@ -588,21 +688,30 @@ impl SensorlogNode {
 
     /// Live result tuples of `pred` owned by this node.
     pub fn owned_live(&self, pred: Symbol) -> Vec<Tuple> {
-        (self.owned.entries.iter())
-            .filter(|((p, _), o)| *p == pred && self.view.live(o))
+        let view = self.view();
+        (self.owned())
+            .filter(|((p, _), o)| *p == pred && view.live(o))
             .map(|((_, t), _)| t.clone())
             .collect()
     }
 
+    /// The entries of the derived tuples this node owns.
+    fn owned(&self) -> impl Iterator<Item = (&(Symbol, Tuple), &Owned)> {
+        self.store.iter().flat_map(|s| s.owned.entries.iter())
+    }
+
     /// Current replica count (fragment tuples stored here).
     pub fn replica_count(&self) -> usize {
-        self.replicas
+        self.store.as_ref().map_or(0, |s| s.replicas)
     }
 
     /// Join-index activity on this node: fragment-store probes plus, on a
     /// Centroid center, the incremental engine's database.
     pub fn index_stats(&self) -> sensorlog_eval::IndexStatsSnapshot {
-        let mut s = self.frags.index_stats();
+        let mut s = sensorlog_eval::IndexStatsSnapshot::default();
+        if let Some(store) = &self.store {
+            s.merge(store.frags.index_stats());
+        }
         if let Some(engine) = &self.center_engine {
             s.merge(engine.db.index_stats());
         }
@@ -616,7 +725,7 @@ impl SensorlogNode {
     /// Every per-derivation-key count with its owning (pred, tuple) —
     /// at quiescence all of these must be non-negative.
     pub fn derivation_count_entries(&self) -> Vec<(Symbol, Tuple, i64)> {
-        let mut out: Vec<(Symbol, Tuple, i64)> = (self.owned.entries.iter())
+        let mut out: Vec<(Symbol, Tuple, i64)> = (self.owned())
             .flat_map(|((p, t), o)| {
                 (o.support.entries().iter()).map(move |&(_, c)| (*p, t.clone(), c))
             })
@@ -635,14 +744,13 @@ impl SensorlogNode {
                 .iter()
                 .map(|((p, t), &id)| (id, *p, t.clone())),
         );
-        for p in self.frags.preds() {
-            let stored = self.frags.relation(p).into_iter().flat_map(|r| r.iter());
-            out.extend(stored.map(|(t, m)| (m.extra.id, p, t.clone())));
+        if let Some(frags) = self.store.as_ref().map(|s| &s.frags) {
+            for p in frags.preds() {
+                let stored = frags.relation(p).into_iter().flat_map(|r| r.iter());
+                out.extend(stored.map(|(t, m)| (m.extra.id, p, t.clone())));
+            }
         }
-        out.extend(
-            (self.owned.entries.iter())
-                .filter_map(|((p, t), o)| o.id.map(|id| (id, *p, t.clone()))),
-        );
+        out.extend((self.owned()).filter_map(|((p, t), o)| o.id.map(|id| (id, *p, t.clone()))));
         out.sort();
         out
     }
@@ -651,8 +759,9 @@ impl SensorlogNode {
     /// liveness state differing from what was last propagated. Must be
     /// empty once the network quiesces.
     pub fn unsettled_owned(&self) -> Vec<(Symbol, Tuple)> {
-        let mut out: Vec<(Symbol, Tuple)> = (self.owned.entries.iter())
-            .filter(|(_, o)| o.holddown_armed || self.view.wants_holddown(o))
+        let view = self.view();
+        let mut out: Vec<(Symbol, Tuple)> = (self.owned())
+            .filter(|(_, o)| o.holddown_armed || view.wants_holddown(o))
             .map(|((p, t), _)| (*p, t.clone()))
             .collect();
         out.sort();
@@ -661,9 +770,7 @@ impl SensorlogNode {
 
     /// Current stored derivation count, by walking the owned entries.
     pub fn derivation_count(&self) -> usize {
-        (self.owned.entries.values())
-            .map(|o| o.support.entries().len())
-            .sum()
+        (self.owned()).map(|(_, o)| o.support.entries().len()).sum()
     }
 
     /// The facts this node generated and still holds, with their ids
@@ -701,11 +808,11 @@ impl SensorlogNode {
     /// Start the storage phase for `fact` where its [`Reach`] says, and
     /// schedule its join phase.
     fn initiate_update(&mut self, ctx: &mut Ctx<Msg>, fact: FactRecord) {
-        let _span = self.tele.span("core.update.initiate");
+        let _span = self.ctx.tele.span("core.update.initiate");
         // Storage phase.
-        match self.prog.reach(fact.pred) {
+        match self.ctx.prog.reach(fact.pred) {
             Reach::Center => {
-                let center = self.net.center();
+                let center = self.ctx.net.center();
                 if center == self.id {
                     self.feed_center(ctx.local_time, &fact);
                 } else {
@@ -716,34 +823,40 @@ impl SensorlogNode {
             // No storage phase to wait for.
             Reach::Nowhere => return self.start_join(ctx, fact),
             Reach::Plane(on) => {
-                let net = Arc::clone(&self.net);
-                let home = plan::plane_node(&net.topo, on, &fact.tuple);
+                // (A clone of the pointer: the store set below is borrowed
+                // from the topology while the node sends.)
+                let shared = Arc::clone(&self.ctx);
+                let topo = &shared.net.topo;
+                let home = plan::plane_node(topo, on, &fact.tuple);
                 if let Some(home) = home.filter(|&n| n != self.id) {
                     // Sensed away from the node it is about: it starts
                     // there, its storage phase one route longer.
                     self.route(ctx, home, Payload::Relocate { fact });
                     return;
                 }
-                if plan::breaks_plane(&net.topo, on, fact.pred, &fact.tuple) {
+                if plan::breaks_plane(topo, on, fact.pred, &fact.tuple) {
                     self.stats.locality_violations += 1;
-                    self.tele
+                    self.ctx
+                        .tele
                         .bump(Scope::Pred(fact.pred.as_str()), "locality_violations");
                 }
                 self.store_replica(ctx, &fact);
-                for &nb in plan::store_targets(&net.topo, self.id, on, &fact.tuple) {
+                for &nb in plan::store_targets(topo, self.id, on, &fact.tuple) {
                     self.send_store_walk(ctx, &fact, vec![nb]);
                 }
             }
             Reach::Flood => {
                 self.store_replica(ctx, &fact);
-                self.flood_seen.insert((fact.id, fact.kind));
-                self.tele
+                self.store_mut().flood_seen.insert((fact.id, fact.kind));
+                self.ctx
+                    .tele
                     .bump(Scope::Pred(fact.pred.as_str()), "flood_broadcasts");
                 ctx.broadcast(Arc::new(Payload::FloodStore { fact: fact.clone() }));
             }
             Reach::Regions(radius) => {
                 let radius = radius.map(|rad| rad.r);
-                let region = (self.cfg.strategy).storage_region(&self.net.topo, self.id, radius);
+                let region =
+                    (self.ctx.cfg.strategy).storage_region(&self.ctx.net.topo, self.id, radius);
                 self.store_replica(ctx, &fact);
                 let my_pos = region.iter().position(|&n| n == self.id);
                 let walk: Vec<NodeId> = match my_pos {
@@ -765,7 +878,7 @@ impl SensorlogNode {
         }
 
         // Join phase after τs + τc (Sec. IV-A).
-        let delay = self.cfg.tau_s + self.net.tau_c;
+        let delay = self.ctx.cfg.tau_s + self.ctx.net.tau_c;
         self.set_timer(ctx, delay, TimerAction::StartJoin(fact));
     }
 
@@ -785,9 +898,11 @@ impl SensorlogNode {
         // replica tracks the newest tuple *generation* (by ID, Definition 2)
         // and a tombstone never gets clobbered by its own generation's
         // late-arriving insert.
-        self.tele
+        self.ctx
+            .tele
             .bump(Scope::Pred(fact.pred.as_str()), "replicas_stored");
-        let rel = self.frags.relation_mut(fact.pred);
+        let store = self.store.get_or_insert_with(Box::default);
+        let rel = store.frags.relation_mut(fact.pred);
         // `Some(meta)`: this update becomes the stored generation, in place
         // of an older one's entry if there is one.
         let new = rel.update(fact.tuple.clone(), |stored| {
@@ -818,16 +933,17 @@ impl SensorlogNode {
                 extra: replica,
             })
         });
-        self.replicas += usize::from(new);
-        debug_assert_eq!(self.replicas, self.frags.total_tuples());
-        self.stats.peak_replicas = self.stats.peak_replicas.max(self.replicas);
-        self.note_pred_stored(fact.pred);
+        store.replicas += usize::from(new);
+        debug_assert_eq!(store.replicas, store.frags.total_tuples());
+        self.stats.peak_replicas = self.stats.peak_replicas.max(store.replicas);
+        store.note_stored(fact.pred);
         // Retention of windowed streams (Sec. IV-B): the replica must
         // outlive every probe that may legally join with it —
         // (τs + τc) + τj + (τw + τc) past its generation timestamp.
         if fact.kind == UpdateKind::Insert {
-            if let Some(&w) = self.prog.windows.get(&fact.pred) {
-                let (tau_s, tau_c, tau_j) = (self.cfg.tau_s, self.net.tau_c, self.cfg.tau_j);
+            if let Some(&w) = self.ctx.prog.windows.get(&fact.pred) {
+                let (tau_s, tau_c, tau_j) =
+                    (self.ctx.cfg.tau_s, self.ctx.net.tau_c, self.ctx.cfg.tau_j);
                 let retention = (tau_s + tau_c) + tau_j + (w + tau_c);
                 let expire_at = fact.tau.saturating_add(retention);
                 let delay = expire_at.saturating_sub(ctx.local_time).max(1);
@@ -839,15 +955,15 @@ impl SensorlogNode {
 
     /// Build and launch the join probe for `fact`.
     fn start_join(&mut self, ctx: &mut Ctx<Msg>, fact: FactRecord) {
-        let Some(occs) = self.prog.occurrences.get(&fact.pred).cloned() else {
+        let Some(occs) = self.ctx.prog.occurrences.get(&fact.pred).cloned() else {
             return; // pred not consumed by any rule
         };
-        let _span = self.tele.span("core.join.start");
+        let _span = self.ctx.tele.span("core.join.start");
         let mut work = Vec::new();
         for occ in &occs {
-            let rule = &self.prog.analysis.program.rules[occ.rule_idx];
+            let rule = &self.ctx.prog.analysis.program.rules[occ.rule_idx];
             if let Some(p) = seed_partial(
-                &self.prog,
+                &self.ctx.prog,
                 rule,
                 occ.lit_idx,
                 occ.negated,
@@ -866,10 +982,10 @@ impl SensorlogNode {
             return;
         }
         // Only an update walking regions joins anywhere but where it stands.
-        let region = match self.prog.reach(fact.pred) {
+        let region = match self.ctx.prog.reach(fact.pred) {
             Reach::Regions(radius) => {
                 let radius = radius.map(|rad| rad.r);
-                (self.cfg.strategy).join_region(&self.net.topo, self.id, radius)
+                (self.ctx.cfg.strategy).join_region(&self.ctx.net.topo, self.id, radius)
             }
             _ => vec![self.id],
         };
@@ -898,36 +1014,38 @@ impl SensorlogNode {
         let tau = probe.update.tau;
         // Sim-time age of the update at the moment its probe reaches us —
         // the in-network join latency the paper bounds with τs + τc.
-        let _span = self
-            .tele
+        let _span = (self.ctx.tele)
             .span("core.join.probe")
             .with_sim(ctx.local_time.saturating_sub(tau));
         self.stats.probes_processed += 1;
         let sign_base = probe.update.kind;
-        self.tele
+        self.ctx
+            .tele
             .bump(Scope::Pred(probe.update.pred.as_str()), "probes_processed");
 
         let mut emissions: Vec<(Symbol, Tuple, DerivationKey, i8)> = Vec::new();
         let mut work = ProbeWork::default();
         {
+            // A node that stores nothing joins against no fragments.
+            let none = Fragments::default();
             let lctx = LocalCtx {
-                prog: self.prog.as_ref(),
-                db: &self.frags,
+                prog: self.ctx.prog.as_ref(),
+                db: self.store.as_ref().map_or(&none, |s| &s.frags),
                 tau,
                 update_id: probe.update.id,
                 // Fault-plane delete probes match generously so re-driven
                 // tombstones retract derivations made from stale replicas
                 // (see `LocalCtx::generous`). Inert when faults are off.
-                generous: self.cfg.faults.is_some() && sign_base == UpdateKind::Delete,
+                generous: self.ctx.cfg.faults.is_some() && sign_base == UpdateKind::Delete,
             };
             let last_node = probe.pos + 1 == probe.walk.len();
             let pass = probe.pass as usize;
 
             for workitem in &mut probe.work {
                 let (rule_idx, pin) = (workitem.rule_idx as usize, workitem.occ as usize);
-                let rule = &self.prog.analysis.program.rules[rule_idx];
-                let shape = &self.shapes[rule_idx];
-                let plan = self.prog.pass_plan(rule_idx, pin);
+                let rule = &self.ctx.prog.analysis.program.rules[rule_idx];
+                let shape = &self.ctx.shapes[rule_idx];
+                let plan = self.ctx.prog.pass_plan(rule_idx, pin);
                 let pinned = Some(pin);
                 let incoming = std::mem::take(&mut workitem.partials);
                 let processed = process_partials(
@@ -957,7 +1075,9 @@ impl SensorlogNode {
                             keep.push(p); // keep checking negations
                         } else {
                             // A head whose evaluation fails is dropped.
-                            if let Ok(tuple) = instantiate_head(rule, &p.bindings, &self.prog.reg) {
+                            if let Ok(tuple) =
+                                instantiate_head(rule, &p.bindings, &self.ctx.prog.reg)
+                            {
                                 let key = DerivationKey::new(rule.id, p.inputs);
                                 emissions.push((rule.head.pred, tuple, key, sign));
                             }
@@ -969,18 +1089,20 @@ impl SensorlogNode {
                 workitem.partials = keep;
             }
         }
-        if self.tele.is_enabled() {
+        if self.ctx.tele.is_enabled() {
             let pred = probe.update.pred;
-            let known = self.probe_hists.iter().position(|(p, _)| *p == pred);
+            let hists = &mut self.store.get_or_insert_with(Box::default).probe_hists;
+            let known = hists.iter().position(|(p, _)| *p == pred);
             let at = known.unwrap_or_else(|| {
-                self.probe_hists.push((pred, [None; 3]));
-                self.probe_hists.len() - 1
+                hists.push((pred, [None; 3]));
+                hists.len() - 1
             });
             let counts = [work.partials_in, work.candidates, work.extensions];
-            let ids = self.probe_hists[at].1.iter_mut();
+            let ids = hists[at].1.iter_mut();
             for ((id, name), v) in ids.zip(PROBE_HISTS).zip(counts) {
                 let scope = Scope::Pred(pred.as_str());
-                self.tele
+                self.ctx
+                    .tele
                     .observe_cached(id, scope, name, PROBE_COUNT_BUCKETS, v);
             }
         }
@@ -989,9 +1111,10 @@ impl SensorlogNode {
         let origin = probe.update.id;
         for (pred, tuple, key, sign) in emissions {
             self.stats.results_emitted += 1;
-            self.tele
+            self.ctx
+                .tele
                 .bump(Scope::Pred(pred.as_str()), "results_emitted");
-            let owner = self.prog.owner_of(&self.net.topo, pred, &tuple);
+            let owner = self.ctx.prog.owner_of(&self.ctx.net.topo, pred, &tuple);
             if owner == self.id {
                 self.handle_deriv_delta(ctx, pred, tuple, key, sign, tau, origin);
             } else {
@@ -1042,9 +1165,11 @@ impl SensorlogNode {
         // Sim-time lag between the originating update and its derivation
         // delta landing at the owner (storage + join + result routing).
         let lag = ctx.local_time.saturating_sub(tau);
-        let _span = self.tele.span("core.result.apply").with_sim(lag);
-        self.tele.bump(Scope::Pred(pred.as_str()), "deriv_deltas");
-        self.prov.record_with(|| ProvRecord::Deriv {
+        let _span = self.ctx.tele.span("core.result.apply").with_sim(lag);
+        self.ctx
+            .tele
+            .bump(Scope::Pred(pred.as_str()), "deriv_deltas");
+        self.ctx.prov.record_with(|| ProvRecord::Deriv {
             owner: self.id,
             pred,
             tuple: tuple.clone(),
@@ -1057,19 +1182,22 @@ impl SensorlogNode {
         // Windowed derived streams: owned state expires with the window
         // (silent, Sec. II-B). Queued anew by each delta so the entry
         // outlives its last activity by one window.
-        let expiry = (self.prog.windows.get(&pred).copied()).map(|w| {
+        let expiry = (self.ctx.prog.windows.get(&pred).copied()).map(|w| {
             let owned = Expiring::Owned(pred, tuple.clone());
-            self.expire_in(ctx, w + self.net.tau_c + 1, owned)
+            self.expire_in(ctx, w + self.ctx.net.tau_c + 1, owned)
         });
-        let entry = self.owned.book(pred, &tuple, key, sign);
+        let store = self.store.get_or_insert_with(Box::default);
+        let entry = store.owned.book(pred, &tuple, key, sign);
         entry.expiry = expiry;
-        let wants_holddown = self.view.wants_holddown(entry);
+        let view = LiveView::of(&self.ctx.prog, self.faults.as_deref());
+        let wants_holddown = view.wants_holddown(entry);
+        store.note_stored(pred);
+        let derivations = store.owned.derivations;
+        debug_assert_eq!(derivations, self.derivation_count());
+        self.stats.peak_derivations = self.stats.peak_derivations.max(derivations);
         if wants_holddown {
             self.arm_holddown(ctx, pred, tuple);
         }
-        debug_assert_eq!(self.owned.derivations, self.derivation_count());
-        self.stats.peak_derivations = self.stats.peak_derivations.max(self.owned.derivations);
-        self.note_pred_stored(pred);
     }
 
     /// Start debouncing a liveness transition of the owned `(pred, tuple)`:
@@ -1077,10 +1205,11 @@ impl SensorlogNode {
     /// every predicate an owner books) runs from now.
     fn arm_holddown(&mut self, ctx: &mut Ctx<Msg>, pred: Symbol, tuple: Tuple) {
         let slot = (pred, tuple);
-        if let Some(entry) = self.owned.entries.get_mut(&slot) {
+        let owned = self.store.as_mut().map(|s| &mut s.owned.entries);
+        if let Some(entry) = owned.and_then(|entries| entries.get_mut(&slot)) {
             entry.holddown_armed = true;
         }
-        let holddown = self.prog.holddown[&pred];
+        let holddown = self.ctx.prog.holddown[&pred];
         self.set_timer(ctx, holddown, TimerAction::Holddown(pred, slot.1));
     }
 
@@ -1090,21 +1219,24 @@ impl SensorlogNode {
     fn fire_holddown(&mut self, ctx: &mut Ctx<Msg>, pred: Symbol, tuple: Tuple) {
         let now = ctx.local_time;
         let slot = (pred, tuple);
-        let Some(entry) = self.owned.entries.get_mut(&slot) else {
+        let owned = self.store.as_mut().map(|s| &mut s.owned.entries);
+        let Some(entry) = owned.and_then(|entries| entries.get_mut(&slot)) else {
             return;
         };
         entry.holddown_armed = false;
-        let live = self.view.live(entry);
+        let live = LiveView::of(&self.ctx.prog, self.faults.as_deref()).live(entry);
         if live == entry.propagated_live {
             return; // transition debounced away
         }
         entry.propagated_live = live;
         let minted = entry.id;
-        self.tele.bump(Scope::Pred(pred.as_str()), "holddown_fired");
+        self.ctx
+            .tele
+            .bump(Scope::Pred(pred.as_str()), "holddown_fired");
         let fact = if live {
             // A new generation of the tuple: it gets its own id.
             let id = self.fresh_id(ctx);
-            if let Some(entry) = self.owned.entries.get_mut(&slot) {
+            if let Some(entry) = self.store_mut().owned.entries.get_mut(&slot) {
                 entry.id = Some(id);
             }
             FactRecord::insert(pred, slot.1.clone(), id)
@@ -1118,7 +1250,7 @@ impl SensorlogNode {
             };
             FactRecord::delete(pred, slot.1.clone(), id, now)
         };
-        self.prov.record_with(|| ProvRecord::Mint {
+        self.ctx.prov.record_with(|| ProvRecord::Mint {
             owner: self.id,
             pred,
             tuple: fact.tuple.clone(),
@@ -1131,8 +1263,8 @@ impl SensorlogNode {
     }
 
     fn log_output(&mut self, pred: Symbol, tuple: &Tuple, kind: UpdateKind, ts: SimTime) {
-        if self.prog.outputs.contains(&pred) {
-            self.output_log.push((pred, tuple.clone(), kind, ts));
+        if self.ctx.prog.outputs.contains(&pred) {
+            (self.store_mut().output_log).push((pred, tuple.clone(), kind, ts));
         }
     }
 
@@ -1151,7 +1283,8 @@ impl SensorlogNode {
         };
         if engine.apply(upd).is_err() {
             self.stats.center_apply_errors += 1;
-            self.tele
+            self.ctx
+                .tele
                 .bump(Scope::Pred(fact.pred.as_str()), "center_apply_errors");
         }
         // The central store is this node's memory (Sec. V): Centroid's
@@ -1161,13 +1294,12 @@ impl SensorlogNode {
             .stats
             .peak_derivations
             .max(engine.stats.max_derivations);
-        if self.prov.is_enabled() {
+        if self.ctx.prov.is_enabled() {
             // The fed fact keeps its source-minted id (the source already
             // emitted the `Edb` record); deletes reuse the generation id,
             // so only inserts refresh the binding.
             if fact.kind == UpdateKind::Insert {
-                self.center_ids
-                    .insert((fact.pred, fact.tuple.clone()), fact.id);
+                (self.store_mut().center_ids).insert((fact.pred, fact.tuple.clone()), fact.id);
             }
             self.drain_center_lineage(now, fact.id);
         }
@@ -1185,6 +1317,7 @@ impl SensorlogNode {
         };
         let firings = engine.take_firings();
         let rules = &engine.analysis.program.rules;
+        let store = self.store.get_or_insert_with(Box::default);
         for Firing {
             derivation: d,
             sign,
@@ -1197,7 +1330,7 @@ impl SensorlogNode {
             let inputs: Option<Vec<(u16, TupleId)>> = (rule.positive_atoms().zip(&d.inputs))
                 .enumerate()
                 .map(|(i, (a, t))| {
-                    let id = self.center_ids.get(&(a.pred, t.clone()))?;
+                    let id = store.center_ids.get(&(a.pred, t.clone()))?;
                     Some((i as u16, *id))
                 })
                 .collect();
@@ -1207,7 +1340,7 @@ impl SensorlogNode {
                 // than fabricate an unprovable key.
                 continue;
             };
-            self.prov.record_with(|| ProvRecord::Deriv {
+            self.ctx.prov.record_with(|| ProvRecord::Deriv {
                 owner: self.id,
                 pred,
                 tuple: tuple.clone(),
@@ -1217,15 +1350,15 @@ impl SensorlogNode {
                 origin: trigger,
                 at: now,
             });
-            if sign > 0 && !self.center_ids.contains_key(&(pred, tuple.clone())) {
+            if sign > 0 && !store.center_ids.contains_key(&(pred, tuple.clone())) {
                 let id = TupleId {
                     node: self.id,
                     ts: now,
-                    seq: self.center_seq,
+                    seq: CENTER_SEQ_BASE + store.center_minted,
                 };
-                self.center_seq += 1;
-                self.center_ids.insert((pred, tuple.clone()), id);
-                self.prov.record_with(|| ProvRecord::Mint {
+                store.center_minted += 1;
+                store.center_ids.insert((pred, tuple.clone()), id);
+                self.ctx.prov.record_with(|| ProvRecord::Mint {
                     owner: self.id,
                     pred,
                     tuple: tuple.clone(),
@@ -1242,38 +1375,42 @@ impl SensorlogNode {
     // ------------------------------------------------------------------
 
     fn believes_dead(&self, n: NodeId) -> bool {
-        self.view.peers.get(&n).is_some_and(|e| !e.alive)
+        let peers = self.faults.as_ref().map(|f| &f.peers);
+        peers.and_then(|p| p.get(&n)).is_some_and(|e| !e.alive)
     }
 
     /// Boot-time fault-plane setup, shared by first start and restart:
     /// stamp the incarnation, baseline neighbor leases, announce ourselves,
     /// and arm the periodic timers. No-op with the plane disabled.
     fn boot_tick(&mut self, ctx: &mut Ctx<Msg>) {
-        let Some(f) = self.cfg.faults else {
+        let (Some(cfg), Some(f)) = (self.ctx.cfg.faults, self.faults.as_deref_mut()) else {
             return;
         };
-        self.boot_ts = ctx.local_time;
-        for nb in ctx.neighbors().to_vec() {
+        f.boot_ts = ctx.local_time;
+        for &nb in ctx.neighbors() {
             // Grace period: a neighbor gets a full lease from our boot
             // before we may declare it dead.
-            self.last_hb.insert(nb, ctx.local_time);
+            f.last_hb.insert(nb, ctx.local_time);
         }
         self.announce_self(ctx);
         for tick in [Tick::Heartbeat, Tick::Lease, Tick::Refresh] {
-            self.arm_tick(ctx, &f, tick);
+            self.arm_tick(ctx, &cfg, tick);
         }
     }
 
     /// Tell the 1-hop neighborhood we are alive, at a version (our local
     /// time) kept current so death rumors can be compared against it.
     fn announce_self(&mut self, ctx: &mut Ctx<Msg>) {
-        let (version, boot_ts) = (ctx.local_time, self.boot_ts);
+        let Some(f) = self.faults.as_deref_mut() else {
+            return;
+        };
+        let (version, boot_ts) = (ctx.local_time, f.boot_ts);
         let own = LiveEntry {
             version,
             alive: true,
             boot_ts,
         };
-        self.view.peers.insert(self.id, own);
+        f.peers.insert(self.id, own);
         ctx.broadcast(Arc::new(Payload::Heartbeat { version, boot_ts }));
     }
 
@@ -1292,7 +1429,7 @@ impl SensorlogNode {
 
     /// A periodic fault-plane timer fired: do its duty, then re-arm it.
     fn fire_tick(&mut self, ctx: &mut Ctx<Msg>, tick: Tick) {
-        let Some(f) = self.cfg.faults else {
+        let Some(f) = self.ctx.cfg.faults else {
             return;
         };
         match tick {
@@ -1315,9 +1452,9 @@ impl SensorlogNode {
         alive: bool,
         boot_ts: SimTime,
     ) {
-        if self.cfg.faults.is_none() {
+        let Some(f) = self.faults.as_deref_mut() else {
             return;
-        }
+        };
         if subject == self.id {
             if !alive {
                 // Rumors of our death: out-version them.
@@ -1325,21 +1462,20 @@ impl SensorlogNode {
                 let own = LiveEntry {
                     version: v,
                     alive: true,
-                    boot_ts: self.boot_ts,
+                    boot_ts: f.boot_ts,
                 };
-                self.view.peers.insert(self.id, own);
-                self.tele
-                    .bump(Scope::Layer("core.faults"), "death_rebuttals");
+                f.peers.insert(self.id, own);
+                (self.ctx.tele).bump(Scope::Layer("core.faults"), "death_rebuttals");
                 ctx.broadcast(Arc::new(Payload::Liveness {
                     subject: self.id,
                     version: v,
                     alive: true,
-                    boot_ts: self.boot_ts,
+                    boot_ts: own.boot_ts,
                 }));
             }
             return;
         }
-        let e = self.view.peers.entry(subject).or_default();
+        let e = f.peers.entry(subject).or_default();
         let supersedes = version > e.version || (version == e.version && e.alive && !alive);
         let boot_news = boot_ts > e.boot_ts;
         if !supersedes && !boot_news {
@@ -1370,8 +1506,9 @@ impl SensorlogNode {
     /// retraction path of Theorem 3 driven by failure detection instead of
     /// an explicit delete.
     fn rescan_owned(&mut self, ctx: &mut Ctx<Msg>) {
-        let mut arm: Vec<(Symbol, Tuple)> = (self.owned.entries.iter())
-            .filter(|(_, o)| self.view.wants_holddown(o))
+        let view = self.view();
+        let mut arm: Vec<(Symbol, Tuple)> = (self.owned())
+            .filter(|(_, o)| view.wants_holddown(o))
             .map(|((p, t), _)| (*p, t.clone()))
             .collect();
         arm.sort();
@@ -1383,22 +1520,25 @@ impl SensorlogNode {
     /// Lease check: any neighbor we believe alive but have not heard from
     /// for longer than [`LEASE_MS`] is declared dead and the death flooded.
     fn lease_tick(&mut self, ctx: &mut Ctx<Msg>) {
+        let Some(f) = self.faults.as_deref() else {
+            return;
+        };
         let now = ctx.local_time;
-        let nbrs: Vec<NodeId> = ctx.neighbors().to_vec();
-        let suspects: Vec<(NodeId, SimTime)> = nbrs
-            .into_iter()
+        let suspects: Vec<(NodeId, SimTime)> = (ctx.neighbors().iter())
             .filter(|nb| {
-                let heard = self.last_hb.get(nb).copied().unwrap_or(0);
-                let believed_alive = self.view.peers.get(nb).is_none_or(|e| e.alive);
+                let heard = f.last_hb.get(nb).copied().unwrap_or(0);
+                let believed_alive = f.peers.get(nb).is_none_or(|e| e.alive);
                 believed_alive && now.saturating_sub(heard) > LEASE_MS
             })
-            .map(|nb| {
-                let boot = self.view.peers.get(&nb).map(|e| e.boot_ts).unwrap_or(0);
+            .map(|&nb| {
+                let boot = f.peers.get(&nb).map(|e| e.boot_ts).unwrap_or(0);
                 (nb, boot)
             })
             .collect();
         for (nb, boot) in suspects {
-            self.tele.bump(Scope::Layer("core.faults"), "suspicions");
+            self.ctx
+                .tele
+                .bump(Scope::Layer("core.faults"), "suspicions");
             self.apply_liveness(ctx, nb, now, false, boot);
         }
     }
@@ -1407,9 +1547,11 @@ impl SensorlogNode {
     /// partitions relearn deaths and reboots they missed, then replay our
     /// facts ([`Self::replay_facts`]).
     fn refresh_tick(&mut self, ctx: &mut Ctx<Msg>) {
-        self.tele
+        self.ctx
+            .tele
             .bump(Scope::Layer("core.faults"), "refresh_rounds");
-        let mut entries: Vec<(NodeId, SimTime, bool, SimTime)> = (self.view.peers.iter())
+        let peers = self.faults.iter().flat_map(|f| f.peers.iter());
+        let mut entries: Vec<(NodeId, SimTime, bool, SimTime)> = peers
             .filter(|&(&n, e)| n != self.id && (!e.alive || e.boot_ts > 0))
             .map(|(&n, e)| (n, e.version, e.alive, e.boot_ts))
             .collect();
@@ -1445,7 +1587,7 @@ impl SensorlogNode {
     fn set_timer(&mut self, ctx: &mut Ctx<Msg>, delay: SimTime, action: TimerAction) {
         let tag = self.next_tag;
         self.next_tag += 1;
-        self.timers.insert(tag, action);
+        self.store_mut().timers.insert(tag, action);
         ctx.set_timer(delay, tag);
     }
 
@@ -1454,57 +1596,49 @@ impl SensorlogNode {
     fn expire_in(&mut self, ctx: &mut Ctx<Msg>, delay: SimTime, what: Expiring) -> u64 {
         let tag = self.next_tag;
         self.next_tag += 1;
-        self.expiries.push(Reverse(Expiry {
+        let store = self.store_mut();
+        store.expiries.push(Reverse(Expiry {
             due: ctx.local_time + delay,
             tag,
             what,
             armed: false,
         }));
-        self.arm_next_expiry(ctx);
+        store.arm_next_expiry(ctx);
         tag
-    }
-
-    /// Keep the head of the expiry queue armed: a no-op unless the head
-    /// moved earlier or the armed one just fired.
-    fn arm_next_expiry(&mut self, ctx: &mut Ctx<Msg>) {
-        // (`peek_mut` re-sifts the heap when written through: look first.)
-        if self.expiries.peek().is_some_and(|head| !head.0.armed) {
-            if let Some(mut head) = self.expiries.peek_mut() {
-                head.0.armed = true;
-                ctx.set_timer(head.0.due.saturating_sub(ctx.local_time), head.0.tag);
-            }
-        }
     }
 
     /// The head of the expiry queue came due as timer `tag`: drop what it
     /// names if that generation is still the stored one, then arm the next.
     fn fire_expiry(&mut self, ctx: &mut Ctx<Msg>, tag: u64) {
-        let Some(head) = self.expiries.peek_mut().filter(|head| head.0.tag == tag) else {
+        let Some(store) = self.store.as_deref_mut() else {
+            return; // no timer of ours
+        };
+        let Some(head) = store.expiries.peek_mut().filter(|head| head.0.tag == tag) else {
             return; // no timer of ours
         };
         match PeekMut::pop(head).0.what {
             Expiring::Replica(pred, tuple, id) => {
-                let rel = self.frags.relation_mut(pred);
+                let rel = store.frags.relation_mut(pred);
                 if rel.meta(&tuple).is_some_and(|m| m.extra.id == id) && rel.remove(&tuple) {
-                    self.replicas -= 1;
+                    store.replicas -= 1;
                 }
             }
             Expiring::Owned(pred, tuple) => {
                 // The latest delta's expiry, and genuinely past the window.
                 if let (Some(&w), Some(entry)) = (
-                    self.prog.windows.get(&pred),
-                    self.owned.entries.get(&(pred, tuple.clone())),
+                    self.ctx.prog.windows.get(&pred),
+                    store.owned.entries.get(&(pred, tuple.clone())),
                 ) {
                     let stale = entry
                         .id
                         .is_none_or(|id| id.ts.saturating_add(w) < ctx.local_time);
                     if entry.expiry == Some(tag) && stale && !entry.holddown_armed {
-                        self.owned.remove(pred, tuple);
+                        store.owned.remove(pred, tuple);
                     }
                 }
             }
         }
-        self.arm_next_expiry(ctx);
+        store.arm_next_expiry(ctx);
     }
 
     /// Record `msg` as one provenance hop where it lands, if it carries an
@@ -1521,7 +1655,7 @@ impl SensorlogNode {
             _ => self.id,
         };
         let (to, kind, at) = (self.id, msg.kind(), ctx.local_time);
-        self.prov.record_with(|| ProvRecord::Hop {
+        self.ctx.prov.record_with(|| ProvRecord::Hop {
             from,
             to,
             dest,
@@ -1537,11 +1671,12 @@ impl SensorlogNode {
     /// transmits, the drop is logged.
     fn resolve_hop(&mut self, dest: NodeId, payload: &Payload) -> Option<NodeId> {
         debug_assert_ne!(dest, self.id);
-        let Some(mut hop) = self.net.next_hop(self.id, dest) else {
+        let Some(mut hop) = self.ctx.net.next_hop(self.id, dest) else {
             // Unreachable destination (partitioned topology): a logged
             // drop, indistinguishable from loss to the protocol above.
             self.stats.routing_drops += 1;
-            self.tele
+            self.ctx
+                .tele
                 .bump(Scope::Pred(payload.pred().as_str()), "routing_drops");
             return None;
         };
@@ -1549,21 +1684,24 @@ impl SensorlogNode {
         // dead, as long as some live neighbor is strictly closer to the
         // destination (no loops). Falls back to the primary hop — the drop
         // is then recovered by refresh once liveness heals.
-        if hop != dest && self.cfg.faults.is_some() && self.believes_dead(hop) {
-            if let Some(detour) =
-                sensorlog_netstack::router::next_hop_avoiding(&self.net.topo, self.id, dest, &|n| {
-                    self.believes_dead(n)
-                })
-            {
-                self.tele.bump(Scope::Layer("core.faults"), "route_detours");
+        if hop != dest && self.ctx.cfg.faults.is_some() && self.believes_dead(hop) {
+            if let Some(detour) = sensorlog_netstack::router::next_hop_avoiding(
+                &self.ctx.net.topo,
+                self.id,
+                dest,
+                &|n| self.believes_dead(n),
+            ) {
+                self.ctx
+                    .tele
+                    .bump(Scope::Layer("core.faults"), "route_detours");
                 hop = detour;
             }
         }
-        if self.tele.is_enabled() {
+        if self.ctx.tele.is_enabled() {
             // Per-predicate traffic accounting, one bump per hop that
             // transmits (the same currency as the simulator's per-kind tx
             // counters).
-            self.tele.bump(
+            self.ctx.tele.bump(
                 Scope::Pred(payload.pred().as_str()),
                 sent_counter(payload.kind()),
             );
@@ -1599,9 +1737,10 @@ impl SensorlogNode {
                 return;
             }
             Payload::FloodStore { fact } => {
-                if self.flood_seen.insert((fact.id, fact.kind)) {
+                if self.store_mut().flood_seen.insert((fact.id, fact.kind)) {
                     self.store_replica(ctx, fact);
-                    self.tele
+                    self.ctx
+                        .tele
                         .bump(Scope::Pred(fact.pred.as_str()), "flood_broadcasts");
                     ctx.broadcast(msg);
                 }
@@ -1692,7 +1831,7 @@ impl App for SensorlogNode {
         self.boot_tick(ctx);
         if let Some(r) = self.durable_store().map(|d| d.recover()) {
             self.seq = self.seq.max(r.next_seq);
-            self.tele.add(
+            self.ctx.tele.add(
                 Scope::Layer("core.faults"),
                 "recovery_replays",
                 (r.facts.len() + r.recent_deletes.len()) as u64,
@@ -1704,14 +1843,14 @@ impl App for SensorlogNode {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<Msg>, from: NodeId, msg: Msg) {
-        if self.prov.is_enabled() {
+        if self.ctx.prov.is_enabled() {
             self.record_hop(ctx, from, &msg);
         }
         match *msg {
             // Heartbeats are 1-hop and identified by their radio sender.
             Payload::Heartbeat { version, boot_ts } => {
-                if self.cfg.faults.is_some() {
-                    self.last_hb.insert(from, ctx.local_time);
+                if let Some(f) = self.faults.as_deref_mut() {
+                    f.last_hb.insert(from, ctx.local_time);
                     self.apply_liveness(ctx, from, version, true, boot_ts);
                 }
             }
@@ -1720,7 +1859,8 @@ impl App for SensorlogNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<Msg>, tag: u64) {
-        match self.timers.remove(&tag) {
+        let action = self.store.as_mut().and_then(|s| s.timers.remove(&tag));
+        match action {
             Some(TimerAction::StartJoin(fact)) => self.start_join(ctx, fact),
             Some(TimerAction::Holddown(pred, tuple)) => self.fire_holddown(ctx, pred, tuple),
             Some(TimerAction::Tick(tick)) => self.fire_tick(ctx, tick),
@@ -1734,6 +1874,7 @@ impl App for SensorlogNode {
 mod tests {
     use super::*;
     use proptest::prelude::{prop, prop_assert, prop_assert_eq, proptest, ProptestConfig};
+    use sensorlog_eval::relation::Relation;
 
     #[test]
     fn netinfo_asks_the_router() {
@@ -1781,23 +1922,15 @@ mod tests {
             )
             .unwrap(),
         );
-        let shapes = Arc::new(
-            prog.analysis
-                .program
-                .rules
-                .iter()
-                .map(crate::partial::RuleShape::of)
-                .collect::<Vec<_>>(),
-        );
-        let net = Arc::new(NetInfo::new(Topology::square_grid(4)));
-        SensorlogNode::new(
-            NodeId(0),
+        let net = NetInfo::new(Topology::square_grid(4));
+        let ctx = DeployContext::new(
             prog,
-            Arc::new(cfg),
+            cfg,
             net,
-            shapes,
             Telemetry::disabled(),
-        )
+            Provenance::disabled(),
+        );
+        SensorlogNode::new(NodeId(0), Arc::new(ctx), None)
     }
 
     /// The liveness filter: a derivation dies with its input's origin, a
@@ -1809,7 +1942,7 @@ mod tests {
             faults: Some(FaultPlaneCfg::default()),
             ..RtConfig::default()
         });
-        let rule_id = node.prog.analysis.program.rules[0].id;
+        let rule_id = node.ctx.prog.analysis.program.rules[0].id;
         let mk = |n: u32, ts: SimTime| TupleId {
             node: NodeId(n),
             ts,
@@ -1817,21 +1950,28 @@ mod tests {
         };
         // Inputs at body literals 0 (r1) and 1 (r2) — both base predicates.
         let key = DerivationKey::new(rule_id, vec![(0, mk(3, 100)), (1, mk(7, 200))]);
-        let view = &mut node.view;
-        assert!(view.key_live(&key), "no knowledge: presumed alive");
+        assert!(node.view().key_live(&key), "no knowledge: presumed alive");
+        let believe = |node: &mut SensorlogNode, n: u32, entry| {
+            let faults = node.faults.as_deref_mut().expect("the fault plane is on");
+            faults.peers.insert(NodeId(n), entry);
+        };
         let dead = LiveEntry {
             version: 500,
             alive: false,
             boot_ts: 0,
         };
-        view.peers.insert(NodeId(3), dead);
-        assert!(!view.key_live(&key), "dead input origin kills the key");
+        believe(&mut node, 3, dead);
+        assert!(
+            !node.view().key_live(&key),
+            "dead input origin kills the key"
+        );
         let rebooted = LiveEntry {
             version: 900,
             alive: true,
             boot_ts: 800, // rebooted after minting ts=100
         };
-        view.peers.insert(NodeId(3), rebooted);
+        believe(&mut node, 3, rebooted);
+        let view = node.view();
         assert!(
             view.key_live(&key),
             "base-fact inputs survive reboots (recovery replays them)"
@@ -1883,7 +2023,8 @@ mod tests {
                 .map(|&(_, _, c)| c)
                 .collect();
             assert_eq!(stored, if want == 0 { vec![] } else { vec![want] });
-            assert_eq!(node.derivation_count(), node.owned.derivations);
+            let booked = node.store.as_ref().map_or(0, |s| s.owned.derivations);
+            assert_eq!(node.derivation_count(), booked);
             assert_eq!(
                 node.owned_live(q),
                 if want > 0 {
@@ -1993,7 +2134,7 @@ mod tests {
         let walk = Arc::new(vec![NodeId(1), NodeId(2), NodeId(3)]);
         let (r1, tuple, id) = (Symbol::intern("r1"), ints(&[1, 5]), some_id(0, 10));
         let fact = FactRecord::insert(r1, tuple.clone(), id);
-        let prog = d.node(NodeId(1)).prog.clone();
+        let prog = d.node(NodeId(1)).ctx.prog.clone();
         let rule = &prog.analysis.program.rules[0];
         let seed = seed_partial(&prog, rule, 0, false, &tuple, id).expect("r1 seeds the rule");
         let store: Msg = Arc::new(Payload::StoreWalk {
@@ -2055,6 +2196,88 @@ mod tests {
 
     fn ints(v: &[i64]) -> Tuple {
         Tuple::new(v.iter().map(|&i| sensorlog_logic::Term::Int(i)).collect())
+    }
+
+    /// A join of two streams on `T` that also reads a static fact, and its
+    /// events: `r1` / `r2` readings at four nodes of a 5×5 grid, three of
+    /// which join.
+    const STATIC_JOIN: &str = ".output q.\nb(7).\nq(X, Y) :- r1(X, T), r2(Y, T), b(T).";
+
+    fn static_join_events() -> Vec<crate::WorkloadEvent> {
+        let ev = |at, node, pred: &str, x, t| crate::WorkloadEvent {
+            at,
+            node: NodeId(node),
+            pred: Symbol::intern(pred),
+            tuple: ints(&[x, t]),
+            kind: UpdateKind::Insert,
+        };
+        vec![
+            ev(100, 1, "r1", 1, 7),
+            ev(200, 23, "r2", 2, 7),
+            ev(300, 9, "r1", 3, 7),
+            ev(400, 15, "r2", 4, 8),
+        ]
+    }
+
+    /// Deploy [`STATIC_JOIN`] on a 5×5 grid under `rt`, run its events to
+    /// quiescence, and check the result against the oracle.
+    fn run_static_join(rt: RtConfig) -> crate::Deployment {
+        let config = crate::DeployConfig {
+            rt,
+            ..crate::DeployConfig::default()
+        };
+        let reg = sensorlog_logic::builtin::BuiltinRegistry::standard();
+        let topo = Topology::square_grid(5);
+        let mut d = crate::Deployment::new(STATIC_JOIN, reg, topo, config).unwrap();
+        let events = static_join_events();
+        d.schedule_all(events.clone()).unwrap();
+        d.run(600_000);
+        assert!(d.sim.is_quiescent());
+        let q = Symbol::intern("q");
+        assert_eq!(d.results(q).len(), 2);
+        let held = crate::oracle::check(&d, &events, q);
+        assert!(held.exact(), "{held:?}");
+        d
+    }
+
+    /// The count gate of "a node is born small" under Centroid: every node
+    /// but the center only routes, so none of them allocates a storage
+    /// part. The center holds one, for the static fact it owns. (Allocated
+    /// eagerly, all 25 nodes would hold one.)
+    #[test]
+    fn centroid_nodes_but_the_center_allocate_no_store() {
+        let d = run_static_join(RtConfig {
+            strategy: Strategy::Centroid,
+            ..RtConfig::default()
+        });
+        let center = d.net().center();
+        for n in d.sim.nodes() {
+            assert_eq!(n.store.is_some(), n.id == center, "{}", n.id);
+            assert_eq!(n.center_engine.is_some(), n.id == center, "{}", n.id);
+        }
+    }
+
+    /// The count gate of "the fault plane allocates its own state": with
+    /// the plane off no node holds a fault part (allocated eagerly, every
+    /// node would), and with it on every node holds one, its durable store
+    /// attached.
+    #[test]
+    fn only_the_fault_plane_allocates_a_fault_part() {
+        for faults in [
+            None,
+            Some(FaultPlaneCfg {
+                active_until: 3_000,
+            }),
+        ] {
+            let d = run_static_join(RtConfig {
+                faults,
+                ..RtConfig::default()
+            });
+            for n in d.sim.nodes() {
+                let durable = n.faults.as_ref().map(|f| f.durable.is_some());
+                assert_eq!(durable, faults.map(|_| true), "{}", n.id);
+            }
+        }
     }
 
     /// Regression: an expiry removed whatever was stored under its
@@ -2179,6 +2402,11 @@ mod tests {
         }
     }
 
+    /// `node`'s stored fragments of `pred`, if it has any.
+    fn stored_rel(node: &SensorlogNode, pred: Symbol) -> Option<&Relation<Replica>> {
+        node.store.as_ref()?.frags.relation(pred)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -2211,15 +2439,15 @@ mod tests {
                         continue;
                     }
                 };
-                let before = d.node(at).frags.relation(r1).and_then(|r| r.meta(&tuple).copied());
+                let before = stored_rel(d.node(at), r1).and_then(|r| r.meta(&tuple).copied());
                 d.sim.invoke(at, |node, ctx| node.store_replica(ctx, &fact));
                 model.store(&fact, now);
                 let node = d.node(at);
-                let after = node.frags.relation(r1).and_then(|r| r.meta(&tuple).copied());
+                let after = stored_rel(node, r1).and_then(|r| r.meta(&tuple).copied());
                 if op == 2 && after.is_some_and(|m| m.extra.id != id) {
                     prop_assert_eq!(before, after, "a delete of {id} touched another generation");
                 }
-                let stored: Vec<(Tuple, TupleMeta<Replica>)> = (node.frags.relation(r1).into_iter())
+                let stored: Vec<(Tuple, TupleMeta<Replica>)> = (stored_rel(node, r1).into_iter())
                     .flat_map(|r| r.iter().map(|(t, m)| (t.clone(), *m)))
                     .collect();
                 let want: Vec<(Tuple, TupleMeta<Replica>)> =
@@ -2235,7 +2463,8 @@ mod tests {
             prop_assert!(end <= 4_000 * 48 + 5_500);
             model.expire(end);
             let node = d.node(at);
-            prop_assert!(node.expiries.is_empty() && model.pending.is_empty());
+            prop_assert!(node.store.as_ref().is_none_or(|s| s.expiries.is_empty()));
+            prop_assert!(model.pending.is_empty());
             prop_assert_eq!(node.replica_count(), model.stored.len());
             prop_assert!(model.stored.values().all(|m| m.extra.del_ts != Replica::LIVE));
         }

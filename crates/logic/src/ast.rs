@@ -202,6 +202,16 @@ impl Rule {
         })
     }
 
+    /// A non-empty body with no positive relational subgoal (`t :- not
+    /// r(1).`, `t :- 1 < 2.`): no update starts an incremental evaluation
+    /// of the rule, since one is pinned at a positive subgoal and an update
+    /// of a negated one can only retract, so update-driven maintenance never
+    /// derives its head although batch evaluation does. (An empty body is a
+    /// fact, asserted when an engine is built.)
+    pub fn is_unseeded(&self) -> bool {
+        !self.body.is_empty() && self.positive_atoms().next().is_none()
+    }
+
     /// Variables of the head, including the aggregate argument.
     pub fn head_vars(&self) -> Vec<Symbol> {
         let mut v = Vec::new();

@@ -715,6 +715,23 @@ pub fn check_analysis(analysis: &Analysis, params: &BoundParams) -> Report {
         }
     }
 
+    // Maintenance: a rule no update starts is derived by batch evaluation
+    // and never by the network (`core::plan::compile` refuses it).
+    for rule in prog.rules.iter().filter(|r| r.is_unseeded()) {
+        rep.push(
+            "maint.unseeded-rule",
+            Severity::Error,
+            Some(rule.id),
+            Some(rule.head.pred),
+            rule.spans.rule,
+            format!(
+                "rule #{}: no positive subgoal, so no update starts it and the network never \
+                 derives `{}` (give it a positive subgoal, or state a fact)",
+                rule.id, rule.head.pred
+            ),
+        );
+    }
+
     // Dead code: predicates/rules unreachable from any declared output.
     if !prog.outputs.is_empty() {
         let live = g.reachable_from(&prog.outputs);
@@ -935,6 +952,27 @@ mod tests {
             .iter()
             .any(|d| d.code == "plan.dead-pred" && d.pred == Some(sym("zombie"))));
         assert!(rep.diags.iter().any(|d| d.code == "plan.dead-rule"));
+    }
+
+    /// A rule whose body has no positive subgoal is an error, anchored at
+    /// the rule; a fact and a rule with a positive subgoal are not.
+    #[test]
+    fn unseeded_rule_is_an_error() {
+        for rule in ["t :- not r0(1).", "t(7) :- not r0(1).", "t :- 1 < 2."] {
+            let src = format!(".output t.\nh(0).\ns :- h(0), not r0(2).\n{rule}\n");
+            let rep = check_source(&src, &reg(), &BoundParams::default());
+            let unseeded: Vec<&Diagnostic> = (rep.diags.iter())
+                .filter(|d| d.code == "maint.unseeded-rule")
+                .collect();
+            assert_eq!(unseeded.len(), 1, "{rule}: {:?}", rep.diags);
+            let d = unseeded[0];
+            assert_eq!(
+                (d.severity, d.rule_id, d.pred),
+                (Severity::Error, Some(2), Some(sym("t")))
+            );
+            assert_eq!(&src[d.span.start as usize..d.span.end as usize], rule);
+            assert!(rep.has_errors());
+        }
     }
 
     #[test]

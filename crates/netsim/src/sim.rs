@@ -21,6 +21,7 @@ use rand::{Rng, SeedableRng};
 use sensorlog_telemetry::{HistId, Scope, Telemetry, BYTES_BUCKETS, SIM_MS_BUCKETS};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::Arc;
 
 /// Simulated time in milliseconds.
 pub type SimTime = u64;
@@ -341,7 +342,9 @@ type MakeApp<A> = Box<dyn FnMut(NodeId, &Topology) -> A>;
 
 /// The simulator: topology + per-node apps + event queue + metrics.
 pub struct Simulator<A: App> {
-    topo: Topology,
+    /// Shared with whoever else reads it (a deployment's router), so the
+    /// adjacency is held once.
+    topo: Arc<Topology>,
     apps: Vec<A>,
     queue: EventHeap<A::Msg>,
     now: SimTime,
@@ -392,12 +395,14 @@ pub struct Simulator<A: App> {
 
 impl<A: App> Simulator<A> {
     /// Build a simulator; `make_app` constructs each node's application.
-    /// Start events for every node are queued at t = 0.
+    /// Start events for every node are queued at t = 0. `topo` may be an
+    /// `Arc` held elsewhere too ([`Simulator::shared_topology`]).
     pub fn new(
-        topo: Topology,
+        topo: impl Into<Arc<Topology>>,
         config: SimConfig,
         make_app: impl FnMut(NodeId, &Topology) -> A + 'static,
     ) -> Simulator<A> {
+        let topo: Arc<Topology> = topo.into();
         let mut make_app: MakeApp<A> = Box::new(make_app);
         // Setup-only RNG: clock skew is sampled once, serially, before any
         // event runs — the per-node streams never see these draws.
@@ -520,6 +525,11 @@ impl<A: App> Simulator<A> {
     }
 
     pub fn topology(&self) -> &Topology {
+        &self.topo
+    }
+
+    /// The topology as the shared pointer this simulator holds.
+    pub fn shared_topology(&self) -> &Arc<Topology> {
         &self.topo
     }
 

@@ -54,7 +54,7 @@ fn main() {
     let mut log: Vec<_> = d
         .sim
         .nodes()
-        .flat_map(|n| n.output_log.iter().cloned())
+        .flat_map(|n| n.output_log().iter().cloned())
         .collect();
     log.sort_by_key(|(_, _, _, ts)| *ts);
     for (pred, tuple, kind, ts) in log.iter().take(30) {

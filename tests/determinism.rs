@@ -59,7 +59,7 @@ fn run_once(loss: f64, seed: u64) -> RunFingerprint {
     d.run(3_000_000);
     let mut output_log = String::new();
     for id in d.sim.topology().nodes() {
-        for (p, t, k, ts) in &d.node(id).output_log {
+        for (p, t, k, ts) in d.node(id).output_log() {
             output_log.push_str(&format!("{id} {p} {t} {k:?} {ts}\n"));
         }
     }
