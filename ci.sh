@@ -298,32 +298,33 @@ if grep -n 'Strategy::' <<<"$pipeline"; then
     echo "the update pipeline tests a strategy: decide it once in plan::Reach (DistProgram::with_reach)"; exit 1
 fi
 
-# ROADMAP item 8's repro (crates/bench/tests/staggered_arrivals.rs), gated in
-# both directions: the tree programs, on the neighbourhood plane, must run
-# and be oracle-exact (the 6x6 logicH run that was the repro included), and
-# the ignored witness off the plane — logicH over a ternary link, which keeps
-# hashed owners and PA walks — must run and *fail*. When it passes, item 8
-# is fixed and the gate below says what to do about it.
-echo "== staggered arrivals (the plane is exact; the item-8 witness off it still fails) =="
+# One value order: `intern::cmp_ids` compares two constants' values, as
+# `Term`'s derived `Ord` does. Earlier trees also kept a memcmp-ordered byte
+# sort key in every pool entry (a second definition of the order, built for
+# byte tries long gone), and a replica-store trait no runtime path called
+# whose re-insert cleared a tombstone the runtime refuses to clear.
+echo "== one value order (no sort_key, sort_bits or ReplicaStore under crates/ or src/) =="
+if grep -rnE 'sort_key|sort_bits|ReplicaStore' crates src; then
+    echo "a second value order or replica store is back: compare values in intern::cmp_ids, write replicas through Relation::update"; exit 1
+fi
+
+# ROADMAP item 8's repro (crates/bench/tests/staggered_arrivals.rs): the tree
+# programs on the neighbourhood plane are oracle-exact (the 6x6 logicH run
+# that was the repro included), and so is logicH over a ternary link, which
+# keeps hashed owners and PA walks — its 6x6 witness, and a sweep over grids,
+# link spacings and link orders with Centroid as the control. The witness
+# failed until a probe whose pin leaves a negated literal unbound walked its
+# region once more to check it (`plan::Negations::Repass`).
+echo "== staggered arrivals (the plane is exact, and so is item 8's ternary witness and sweep off it) =="
 for name in tree_programs_are_oracle_exact_where_arrivals_settle \
-    logich_6x6_links_200ms_apart_is_oracle_exact; do
+    logich_6x6_links_200ms_apart_is_oracle_exact \
+    ternary_logich_6x6_links_200ms_apart_is_oracle_exact \
+    ternary_logich_is_oracle_exact_over_grids_spacings_and_link_orders; do
     out=$(cargo test -q -p sensorlog-bench --test staggered_arrivals -- --exact "$name" 2>&1) ||
         { echo "$out"; exit 1; }
     grep -q "test result: ok. 1 passed" <<<"$out" || {
         echo "staggered_arrivals $name did not run (renamed or filtered out?)"; exit 1; }
 done
-if out=$(cargo test -q -p sensorlog-bench --test staggered_arrivals -- \
-    --ignored --exact ternary_logich_6x6_links_200ms_apart_is_oracle_exact 2>&1); then
-    echo "$out"
-    if grep -q "test result: ok. 1 passed" <<<"$out"; then
-        echo "item 8 fixed? drop the #[ignore] and this expected-failure gate together"
-    else
-        echo "the item-8 witness did not run (renamed or filtered out?)"
-    fi
-    exit 1
-fi
-grep -q "test result: FAILED. 0 passed; 1 failed" <<<"$out" || {
-    echo "$out"; echo "the item-8 witness did not run (renamed, or the build broke?)"; exit 1; }
 
 if [[ "$fast" -eq 0 ]]; then
     echo "== cargo build --release (workspace, timed) =="
@@ -442,9 +443,12 @@ PY
     # Centroid center whose engine cannot evaluate the ground facts is an
     # `error:` line and exit 1 (it used to panic building the node), and a
     # rule no update starts fails `sensorlog check` (`maint.unseeded-rule`).
-    echo "== refused programs (Centroid engine error, unseeded rule) =="
+    # Under PA the same program runs, and its oracle line names the engine's
+    # error (the oracle used to panic on it).
+    echo "== refused programs (Centroid engine error, PA oracle error, unseeded rule) =="
     refused=$(mktemp -d)
     printf '.output m.\nn(0).\nm(X / 0) :- n(X).\n' >"$refused/div0.dl"
+    printf '+100 @1 n(5).\n' >"$refused/div0_events.txt"
     printf '.output t.\nt :- not r0(1).\n' >"$refused/unseeded.dl"
     code=0
     out=$(cargo run -q --release --bin sensorlog -- deploy "$refused/div0.dl" \
@@ -452,6 +456,13 @@ PY
     if [[ "$code" -ne 1 ]] || grep -q panicked <<<"$out" ||
         ! grep -qF "error: the Centroid center's engine: builtin error: div(0, 0) failed" <<<"$out"; then
         echo "centroid deploy of m(X / 0) exited $code:"; echo "$out"; exit 1
+    fi
+    code=0
+    out=$(cargo run -q --release --bin sensorlog -- deploy "$refused/div0.dl" \
+        --grid 3 --events "$refused/div0_events.txt" 2>&1) || code=$?
+    if [[ "$code" -ne 0 ]] || grep -q panicked <<<"$out" ||
+        ! grep -qF -- "-- oracle: FAILED, the centralized engine: builtin error: div(0, 0) failed" <<<"$out"; then
+        echo "PA deploy of m(X / 0) exited $code:"; echo "$out"; exit 1
     fi
     code=0
     out=$(cargo run -q --release --bin sensorlog -- check "$refused/unseeded.dl" 2>&1) || code=$?

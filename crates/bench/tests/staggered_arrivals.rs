@@ -6,20 +6,24 @@
 //! reads, and both programs are oracle-exact at every grid
 //! `bench scale` runs with links 20 or 200 ms apart — the 6×6 logicH run
 //! that was item 8's repro included. Item 8 itself (a negation check a
-//! column walk never tries) is still there for any program off the plane:
-//! logicH over a ternary link places nothing, so it keeps hashed owners
-//! and PA walks, and on 6×6 with links 200 ms apart it quiesces holding
-//! three `h` tuples the oracle does not derive. That case is an ignored
-//! test `ci.sh` runs and requires to *fail*, so the day item 8 is fixed CI
-//! says so.
+//! column walk never tries) showed off the plane: logicH over a ternary
+//! link places nothing, so it keeps hashed owners and PA walks, and it
+//! quiesced holding `h` tuples the oracle does not derive until a probe
+//! whose pin leaves a negated literal unbound walked its region once more
+//! to check it (`plan::Negations::Repass`). Its witness and a sweep over
+//! grids, link spacings and link orders are here.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use sensorlog_bench::common::{seed17, sptree_deployment, LOGIC_H, LOGIC_J};
 use sensorlog_core::oracle::{self, OracleReport};
 use sensorlog_core::workload::graph_edges;
-use sensorlog_core::{DeployConfig, Deployment};
+use sensorlog_core::{DeployConfig, Deployment, RtConfig, Strategy};
 use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::{Term, Tuple};
-use sensorlog_netsim::Topology;
+use sensorlog_netsim::{SimConfig, Topology};
+
+const PA: Strategy = Strategy::Perpendicular { band_width: 1.0 };
 
 /// Run `d` to quiescence and hold its output against the oracle.
 fn held(mut d: Deployment) -> (u64, OracleReport) {
@@ -78,15 +82,27 @@ const LOGIC_H_TERNARY: &str = r#"
     h(X, Y, D + 1) :- g(X, Y, _), h(_, X, D), not hp(Y, D + 1).
 "#;
 
-/// Fails today: 61 expected, 64 found (tx 5,064) — zombies a column walk
-/// leaves when a negated atom's row comes before the row that grounds it
-/// (ROADMAP item 8(b)).
-#[test]
-#[ignore = "ROADMAP item 8"]
-fn ternary_logich_6x6_links_200ms_apart_is_oracle_exact() {
-    let topo = Topology::grid(6, 6);
+/// `LOGIC_H_TERNARY` on `grid` under `strategy`, the grid's links `spacing`
+/// ms apart, run to quiescence and held against the oracle. Seed 17 keeps
+/// `graph_edges` order; any other seed shuffles the same links over the same
+/// arrival times. The seed also seeds the simulator. Nothing is on the
+/// neighbourhood plane.
+fn ternary_run(
+    grid: (u32, u32),
+    spacing: u64,
+    seed: u64,
+    strategy: Strategy,
+) -> (u64, OracleReport) {
+    let topo = Topology::grid(grid.0, grid.1);
     let cfg = DeployConfig {
-        sim: seed17(),
+        sim: SimConfig {
+            seed,
+            ..SimConfig::default()
+        },
+        rt: RtConfig {
+            strategy,
+            ..RtConfig::default()
+        },
         ..DeployConfig::default()
     };
     let mut d = Deployment::new(
@@ -97,21 +113,74 @@ fn ternary_logich_6x6_links_200ms_apart_is_oracle_exact() {
     )
     .expect("ternary logicH compiles");
     assert!(d.prog.places.values().all(|p| p.plane.is_none()));
-    d.schedule_all(graph_edges(&topo, 100, 200).into_iter().map(|mut link| {
+    let mut links = graph_edges(&topo, 100, spacing);
+    if seed != 17 {
+        // Fisher–Yates over the links, each keeping a slot's arrival time.
+        let mut rng = StdRng::seed_from_u64(seed);
+        for i in (1..links.len()).rev() {
+            let j = rng.gen_range(0..=i);
+            let (a, b) = (links[i].at, links[j].at);
+            links.swap(i, j);
+            (links[i].at, links[j].at) = (a, b);
+        }
+    }
+    d.schedule_all(links.into_iter().map(|mut link| {
         let mut cols = link.tuple.terms();
         cols.push(Term::Int(1));
         link.tuple = Tuple::new(cols);
         link
     }))
     .unwrap();
-    let (tx, report) = held(d);
+    held(d)
+}
+
+fn assert_exact(what: &str, (tx, report): (u64, OracleReport)) {
     assert!(
-        report.exact(),
-        "tx {tx}: {} expected, {} found, {} spurious {:?}, {} missing",
+        report.exact() && report.expected > 0,
+        "{what}: tx {tx}, {} expected, {} found, {} spurious {:?}, {} missing",
         report.expected,
         report.found,
         report.spurious.len(),
         report.spurious,
         report.missing.len()
     );
+}
+
+/// Item 8's witness: 61 expected, 64 found (tx 5,064) before a probe whose
+/// pin leaves a negated literal unbound walked once more to check it — the
+/// zombies a column walk left when a negated atom's row came before the
+/// row that grounds it.
+#[test]
+fn ternary_logich_6x6_links_200ms_apart_is_oracle_exact() {
+    assert_exact("6x6 @ 200 ms", ternary_run((6, 6), 200, 17, PA));
+}
+
+/// Item 8's sweep off the plane: four grids, links 1 to 1,000 ms apart,
+/// seed 17's link order and five shuffles of it, plus the 20×10 grid at
+/// 200 and 1,000 ms for two orders. Before the check pass 42 of the 96
+/// small-grid runs held zombies, and 20×10 at 200 ms sent 2.5 M messages.
+/// Centroid, which runs no walks, is the control on seed 17.
+#[test]
+fn ternary_logich_is_oracle_exact_over_grids_spacings_and_link_orders() {
+    let mut runs = Vec::new();
+    for grid in [(5, 5), (6, 6), (7, 7), (10, 5)] {
+        for spacing in [1, 20, 200, 1_000] {
+            for seed in [17, 3, 5, 7, 11, 13] {
+                runs.push((grid, spacing, seed));
+            }
+        }
+    }
+    for spacing in [200, 1_000] {
+        for seed in [17, 3] {
+            runs.push(((20, 10), spacing, seed));
+        }
+    }
+    for (grid, spacing, seed) in runs {
+        let what = format!("PA {grid:?} @ {spacing} ms, seed {seed}");
+        assert_exact(&what, ternary_run(grid, spacing, seed, PA));
+        if seed == 17 && grid != (20, 10) {
+            let what = format!("Centroid {grid:?} @ {spacing} ms");
+            assert_exact(&what, ternary_run(grid, spacing, seed, Strategy::Centroid));
+        }
+    }
 }

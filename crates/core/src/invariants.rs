@@ -50,6 +50,9 @@
 //!    relation, states a radio link (`plan::breaks_plane`): the plane's
 //!    store targets are exact only then, so a run that broke it is
 //!    flagged, not trusted.
+//! 8. **Evaluation** — no node met an update or a head it could not
+//!    evaluate (`NodeStats::eval_errors`): what it dropped is missing from
+//!    the result, and the oracle's engine fails on the same program.
 
 use crate::deploy::{Deployment, WorkloadEvent};
 use crate::oracle;
@@ -121,7 +124,8 @@ impl fmt::Display for InvariantReport {
     }
 }
 
-/// Check the structural invariants (1)–(3) and (7) over every live node.
+/// Check the structural invariants (1)–(3), (7) and (8) over every live
+/// node.
 ///
 /// Call at quiescence (after [`Deployment::run`] returns); counts and
 /// holddowns are legitimately unsettled while messages are in flight, so
@@ -160,6 +164,17 @@ pub fn check_structural(d: &Deployment) -> InvariantReport {
                     "{} neighbourhood-plane update(s) about no node, or over a \
                      link to a non-neighbour",
                     node.stats.locality_violations
+                ),
+            );
+        }
+        if node.stats.eval_errors > 0 {
+            report.push(
+                Some(id),
+                "eval-error",
+                format!(
+                    "{} update(s) or head(s) this node could not evaluate, \
+                     each lost to the result",
+                    node.stats.eval_errors
                 ),
             );
         }
@@ -366,6 +381,9 @@ pub fn check_against_oracle(
     let mut report = InvariantReport::default();
     for &pred in preds {
         let r = oracle::check(d, events, pred);
+        if let Some(e) = &r.error {
+            report.push(None, "oracle-eval", format!("{pred}: {e}"));
+        }
         for t in &r.missing {
             report.push(
                 None,
@@ -403,7 +421,13 @@ pub fn check_against_oracle(
 pub fn check_convergence(d: &Deployment, preds: &[Symbol]) -> InvariantReport {
     let mut report = InvariantReport::default();
     for &pred in preds {
-        let expected = oracle::surviving_results(d, pred);
+        let expected = match oracle::surviving_results(d, pred) {
+            Ok(expected) => expected,
+            Err(e) => {
+                report.push(None, "oracle-eval", format!("{pred}: {e}"));
+                continue;
+            }
+        };
         let found = d.results(pred);
         for t in expected.difference(&found) {
             report.push(
@@ -494,6 +518,38 @@ mod tests {
         let report = check_all(&d, &events);
         assert!(report.ok(), "{report}");
         assert_eq!(format!("{report}"), "all invariants hold");
+    }
+
+    /// A head no engine can evaluate (`m(X / 0)`) is counted where the
+    /// walk drops it and reported, and the oracle names the engine's error
+    /// instead of panicking.
+    #[test]
+    fn a_head_nothing_can_evaluate_is_reported() {
+        let src = ".output m. n(0). m(X / 0) :- n(X).";
+        let topo = sensorlog_netsim::Topology::square_grid(3);
+        let cfg = DeployConfig::default();
+        let mut d = Deployment::new(src, BuiltinRegistry::standard(), topo, cfg).unwrap();
+        let (pred, tuple) = sensorlog_logic::parse_fact("n(5)").unwrap();
+        let events = vec![WorkloadEvent {
+            at: 100,
+            node: NodeId(1),
+            pred,
+            tuple: Tuple::new(tuple),
+            kind: UpdateKind::Insert,
+        }];
+        d.schedule_all(events.clone()).unwrap();
+        d.run(60_000);
+        let dropped: u64 = d.node_stats().iter().map(|s| s.eval_errors).sum();
+        assert_eq!(dropped, 2, "n(0)'s head and n(5)'s");
+        let names = |r: InvariantReport| r.violations.into_iter().map(|v| v.invariant);
+        assert!(names(check_structural(&d)).any(|n| n == "eval-error"));
+        let m = Symbol::intern("m");
+        let report = oracle::check(&d, &events, m);
+        assert!(!report.exact());
+        let error = report.error.map(|e| e.to_string()).unwrap_or_default();
+        assert!(error.contains("div(0, 0) failed"), "{error}");
+        assert!(names(check_all(&d, &events)).any(|n| n == "oracle-eval"));
+        assert!(names(check_convergence(&d, &[m])).any(|n| n == "oracle-eval"));
     }
 
     /// Acceptance criterion: a deliberately injected count-underflow — a

@@ -4,7 +4,7 @@
 
 use crate::deploy::{Deployment, WorkloadEvent};
 use sensorlog_eval::relation::Database;
-use sensorlog_eval::{Engine, UpdateKind};
+use sensorlog_eval::{Engine, EvalError, UpdateKind};
 use sensorlog_logic::{Symbol, Tuple};
 use std::collections::BTreeSet;
 
@@ -16,11 +16,15 @@ pub struct OracleReport {
     pub found: usize,
     pub missing: Vec<Tuple>,
     pub spurious: Vec<Tuple>,
+    /// Why the centralized engine could not evaluate the program, if it
+    /// could not: then nothing is expected, `missing` and `spurious` are
+    /// empty, and the report is not exact.
+    pub error: Option<EvalError>,
 }
 
 impl OracleReport {
     pub fn exact(&self) -> bool {
-        self.missing.is_empty() && self.spurious.is_empty()
+        self.error.is_none() && self.missing.is_empty() && self.spurious.is_empty()
     }
 
     /// |found ∩ expected| / |expected| — the Fig. 9 completeness metric.
@@ -62,42 +66,51 @@ pub fn net_edb(events: &[WorkloadEvent]) -> Database {
 
 /// Expected quiescent result of `pred` for the deployment's program over
 /// the net EDB (static facts from empty-body rules already live in the
-/// program itself).
-pub fn expected_results(d: &Deployment, events: &[WorkloadEvent], pred: Symbol) -> BTreeSet<Tuple> {
+/// program itself), or the engine's error on a program it cannot evaluate.
+pub fn expected_results(
+    d: &Deployment,
+    events: &[WorkloadEvent],
+    pred: Symbol,
+) -> Result<BTreeSet<Tuple>, EvalError> {
     let engine = Engine::new(d.prog.analysis.clone(), d.prog.reg.clone());
-    let edb = net_edb(events);
-    let out = engine.run(&edb).expect("oracle evaluation");
-    out.sorted(pred).into_iter().collect()
+    let out = engine.run(&net_edb(events))?;
+    Ok(out.sorted(pred).into_iter().collect())
 }
 
 /// What a run that saw faults should hold of `pred` at quiescence: the
 /// oracle fixpoint over the surviving EDB (the applied events whose source
 /// is alive at the end), less the tuples whose owner is dead (a dead
 /// owner's results are unreachable).
-pub fn surviving_results(d: &Deployment, pred: Symbol) -> BTreeSet<Tuple> {
+pub fn surviving_results(d: &Deployment, pred: Symbol) -> Result<BTreeSet<Tuple>, EvalError> {
     let surviving: Vec<WorkloadEvent> = (d.applied_events().iter())
         .filter(|e| !d.sim.is_failed(e.node))
         .cloned()
         .collect();
-    expected_results(d, &surviving, pred)
-        .into_iter()
-        .filter(|t| !d.sim.is_failed(d.owner(pred, t)))
-        .collect()
+    let expected = expected_results(d, &surviving, pred)?;
+    let alive = |t: &Tuple| !d.sim.is_failed(d.owner(pred, t));
+    Ok(expected.into_iter().filter(alive).collect())
 }
 
 /// Compare the deployment's gathered results against the oracle.
 pub fn check(d: &Deployment, events: &[WorkloadEvent], pred: Symbol) -> OracleReport {
-    let expected = expected_results(d, events, pred);
     let found = d.results(pred);
-    let missing: Vec<Tuple> = expected.difference(&found).cloned().collect();
-    let spurious: Vec<Tuple> = found.difference(&expected).cloned().collect();
-    OracleReport {
+    let mut report = OracleReport {
         pred,
-        expected: expected.len(),
+        expected: 0,
         found: found.len(),
-        missing,
-        spurious,
+        missing: Vec::new(),
+        spurious: Vec::new(),
+        error: None,
+    };
+    match expected_results(d, events, pred) {
+        Ok(expected) => {
+            report.expected = expected.len();
+            report.missing = expected.difference(&found).cloned().collect();
+            report.spurious = found.difference(&expected).cloned().collect();
+        }
+        Err(e) => report.error = Some(e),
     }
+    report
 }
 
 #[cfg(test)]
@@ -136,6 +149,7 @@ mod tests {
             found: 4,
             missing: vec![Tuple::new(vec![Term::Int(9)])],
             spurious: vec![Tuple::new(vec![Term::Int(7)])],
+            error: None,
         };
         assert!(!r.exact());
         assert!((r.completeness() - 0.75).abs() < 1e-9);
@@ -146,8 +160,14 @@ mod tests {
             found: 0,
             missing: vec![],
             spurious: vec![],
+            error: None,
         };
         assert!(empty.exact());
         assert_eq!(empty.completeness(), 1.0);
+        let failed = OracleReport {
+            error: Some(EvalError::Internal("no fixpoint".into())),
+            ..empty
+        };
+        assert!(!failed.exact(), "a program the oracle cannot evaluate");
     }
 }

@@ -14,7 +14,7 @@
 use crate::plan::DistProgram;
 use crate::tupleid::TupleId;
 use sensorlog_eval::eval_body::{bound_key, eval_check, ground_atom, BoundKey, Check};
-use sensorlog_eval::relation::{Database, Relation, TupleMeta};
+use sensorlog_eval::relation::{Database, TupleMeta};
 use sensorlog_logic::ast::{Literal, Rule};
 use sensorlog_logic::flat::{flat_match_args, FlatSubst};
 use sensorlog_logic::intern;
@@ -99,10 +99,6 @@ impl RuleShape {
         }
         shape
     }
-
-    pub fn has_negation_other_than(&self, pinned: Option<usize>) -> bool {
-        self.negations.iter().any(|&i| Some(i) != pinned)
-    }
 }
 
 /// Seed a partial by pinning body literal `occ` (positive or negated) to
@@ -181,41 +177,6 @@ impl Replica {
 /// `< tau`.
 pub fn visible_at(m: &TupleMeta<Replica>, tau: u64, window: Option<u64>) -> bool {
     m.visible_at(tau, window) && m.extra.del_ts >= tau
-}
-
-/// The replica edits a fragment store makes besides
-/// [`Relation::update`](sensorlog_eval::Relation::update).
-pub trait ReplicaStore {
-    /// Store a replica; returns true if it was new. Re-storing one keeps
-    /// the earlier record but clears its tombstone.
-    fn insert_replica(&mut self, t: Tuple, meta: TupleMeta<Replica>) -> bool;
-    /// Tombstone the replica of `t` without removing it
-    /// ([`Replica::tombstone`]); returns true if it is stored.
-    fn mark_deleted(&mut self, t: &Tuple, del_ts: u64) -> bool;
-}
-
-impl ReplicaStore for Relation<Replica> {
-    fn insert_replica(&mut self, t: Tuple, meta: TupleMeta<Replica>) -> bool {
-        self.update(t, |stored| match stored {
-            Some(m) => {
-                m.extra.del_ts = Replica::LIVE;
-                None
-            }
-            None => Some(meta),
-        })
-    }
-
-    fn mark_deleted(&mut self, t: &Tuple, del_ts: u64) -> bool {
-        let mut stored = false;
-        self.update(t.clone(), |m| {
-            if let Some(m) = m {
-                m.extra.tombstone(del_ts);
-                stored = true;
-            }
-            None
-        });
-        stored
-    }
 }
 
 /// Local fragment lookup context at a node.
@@ -405,6 +366,7 @@ fn grow(
 mod tests {
     use super::*;
     use crate::plan::{compile_source, PlanTiming};
+    use sensorlog_eval::relation::Relation;
     use sensorlog_logic::builtin::BuiltinRegistry;
     use sensorlog_logic::parse_fact;
     use sensorlog_netsim::NodeId;
@@ -445,6 +407,15 @@ mod tests {
         }
     }
 
+    /// Tombstone the stored replica of `t` at `del_ts`, as a deletion
+    /// reaching a replica node does.
+    fn tombstone(r: &mut Relation<Replica>, t: &Tuple, del_ts: u64) {
+        r.update(t.clone(), |m| {
+            m.expect("a stored replica").extra.tombstone(del_ts);
+            None
+        });
+    }
+
     fn ctx<'a>(prog: &'a DistProgram, db: &'a Fragments, tau: SimTime) -> LocalCtx<'a> {
         LocalCtx {
             prog,
@@ -459,22 +430,6 @@ mod tests {
             },
             generous: false,
         }
-    }
-
-    #[test]
-    fn reinsert_clears_tombstone() {
-        let (_, t) = fact("r(1)");
-        let mut r = Relation::<Replica>::default();
-        r.insert_replica(t.clone(), stored(10, tid(1, 10)));
-        r.mark_deleted(&t, 15);
-        assert!(r.meta(&t).unwrap().extra.is_deleted());
-        r.insert_replica(t.clone(), stored(20, tid(1, 20)));
-        assert!(!r.meta(&t).unwrap().extra.is_deleted());
-        assert_eq!(
-            r.meta(&t).unwrap().gen_ts,
-            10,
-            "the earlier generation stays"
-        );
     }
 
     #[test]
@@ -591,7 +546,7 @@ mod tests {
         let (bp, bt) = fact("bad(9)");
         db.relation_mut(fp).insert(ft, stored(3, tid(4, 3)));
         db.relation_mut(bp).insert(bt.clone(), stored(2, tid(5, 2)));
-        db.relation_mut(bp).mark_deleted(&bt, 8);
+        tombstone(db.relation_mut(bp), &bt, 8);
         let completed = |tau| {
             let c = ctx(&prog, &db, tau);
             let mut work = ProbeWork::default();
@@ -771,7 +726,7 @@ mod tests {
                 if let Some(del) =
                     [None, None, Some(tau - 1), Some(tau), Some(tau + 5)][rng.gen_range(0..5)]
                 {
-                    db.relation_mut(f).mark_deleted(&t, del);
+                    tombstone(db.relation_mut(f), &t, del);
                 }
             }
             for generous in [false, true] {

@@ -25,7 +25,7 @@ use crate::strategy::{PassMode, Strategy};
 use sensorlog_eval::eval_body::ground_facts;
 use sensorlog_eval::EvalError;
 use sensorlog_logic::analyze::Analysis;
-use sensorlog_logic::ast::Literal;
+use sensorlog_logic::ast::{Atom, Literal};
 use sensorlog_logic::boundness::pass_plan;
 use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::intern::{self, Val};
@@ -172,23 +172,63 @@ pub enum Reach {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PassPlan {
     passes: Vec<u64>,
+    negations: Negations,
+}
+
+/// What a probe's walk does for the negated literals besides its pin.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+enum Negations {
+    /// There are none: a partial is emitted where it completes.
+    #[default]
+    None,
+    /// The pin grounds each one: a complete partial is held to the end of
+    /// the walk, and every node it visits checks them.
+    Held,
+    /// Some become ground only mid-walk, after the walk may have passed the
+    /// node holding their tuple: held, and on a walk of more than one node
+    /// walked once more past the last pass, which only checks.
+    Repass,
 }
 
 impl PassPlan {
-    /// The plan of `passes`, as literal indexes (no passes: one that
-    /// extends nothing — the walk still checks negations).
-    fn new(passes: &[Vec<usize>]) -> PassPlan {
+    /// The plan of a probe pinned at `body[pin]` that walks `passes`, as
+    /// literal indexes (no passes: one that extends nothing — the walk
+    /// still checks negations).
+    fn new(body: &[Literal], pin: usize, passes: &[Vec<usize>]) -> PassPlan {
         let mask = |pass: &Vec<usize>| pass.iter().fold(0u64, |m, &i| m | 1 << i);
         let mut passes: Vec<u64> = passes.iter().map(mask).collect();
         if passes.is_empty() {
             passes.push(0);
         }
-        PassPlan { passes }
+        let pinned = body[pin].atom().map_or_else(Vec::new, Atom::vars);
+        let negated: Vec<&Atom> = (body.iter().enumerate())
+            .filter_map(|(i, l)| match l {
+                Literal::Neg(a) if i != pin => Some(a),
+                _ => None,
+            })
+            .collect();
+        let grounded = |a: &&Atom| a.vars().iter().all(|v| pinned.contains(v));
+        let negations = if negated.is_empty() {
+            Negations::None
+        } else if negated.iter().all(grounded) {
+            Negations::Held
+        } else {
+            Negations::Repass
+        };
+        PassPlan { passes, negations }
     }
 
-    /// Passes the probe walks (≥ 1).
-    pub fn passes(&self) -> usize {
-        self.passes.len()
+    /// Passes a probe walks over a walk of `nodes` nodes (≥ 1): one more
+    /// than planned for `Negations::Repass` when the walk leaves its node.
+    pub fn passes(&self, nodes: usize) -> usize {
+        self.passes.len() + usize::from(self.negations == Negations::Repass && nodes > 1)
+    }
+
+    /// Whether a complete partial waits for the end of the walk, checked
+    /// against the negated literals besides the pin at every node on the
+    /// way.
+    pub fn holds_complete(&self) -> bool {
+        self.negations != Negations::None
     }
 
     /// Literals pass `pass` extends with (none past the last pass).
@@ -221,7 +261,7 @@ impl DistProgram {
                             .filter(|&(i, l)| i != pin && matches!(l, Literal::Pos(_)))
                             .map(|(i, _)| vec![i])
                             .collect();
-                        *plan = PassPlan::new(&one_each);
+                        *plan = PassPlan::new(&rule.body, pin, &one_each);
                     }
                 }
             }
@@ -454,7 +494,9 @@ pub fn compile(
     let plans = (prog.rules.iter())
         .map(|r| {
             let plan = |(pin, lit): (usize, &Literal)| match lit {
-                Literal::Pos(_) | Literal::Neg(_) => PassPlan::new(&pass_plan(&r.body, pin)),
+                Literal::Pos(_) | Literal::Neg(_) => {
+                    PassPlan::new(&r.body, pin, &pass_plan(&r.body, pin))
+                }
                 _ => PassPlan::default(),
             };
             r.body.iter().enumerate().map(plan).collect()
@@ -592,7 +634,7 @@ mod tests {
         let p = logic_h();
         let passes = |p: &DistProgram, rule: usize, lit: usize| {
             let plan = p.pass_plan(rule, lit);
-            (0..plan.passes())
+            (0..plan.passes(1))
                 .map(|k| plan.extends(k))
                 .collect::<Vec<u64>>()
         };
@@ -611,6 +653,41 @@ mod tests {
         assert_eq!(passes(&multi, 2, 0), vec![1 << 2, 1 << 3]);
         assert_eq!(passes(&multi, 3, 2), vec![1 << 0, 1 << 1]);
         assert_eq!(passes(&multi, 3, 0), passes(&p, 3, 0));
+    }
+
+    /// A pin that leaves a negated literal's variable unbound walks once
+    /// more past its last pass, on a walk of more than one node; a pin that
+    /// grounds every negated literal holds its complete partials without
+    /// one; a rule with no other negated literal emits where it completes.
+    #[test]
+    fn a_pin_that_leaves_a_negation_unbound_adds_a_check_pass() {
+        let p = logic_h();
+        let h = &p.analysis.program.rules[3];
+        assert!(matches!(h.body[2], Literal::Neg(_)), "{h}");
+        for pin in [0, 1] {
+            let plan = p.pass_plan(3, pin);
+            assert_eq!(plan.negations, Negations::Repass, "pinned at {pin}");
+            assert_eq!((plan.passes(1), plan.passes(5)), (1, 2));
+            assert!(plan.holds_complete());
+        }
+        // Pinned on its own negated literal, the rule has no other.
+        assert_eq!(p.pass_plan(3, 2).negations, Negations::None);
+        assert_eq!(p.pass_plan(2, 0).negations, Negations::None);
+        let multi = logic_h().with_pass_mode(PassMode::MultiPass);
+        assert_eq!(multi.pass_plan(3, 0).negations, Negations::Repass);
+        assert_eq!(multi.pass_plan(3, 0).passes(5), 2);
+
+        let alert = compile_source(
+            ".output alert. alert(V, K) :- sight(V, K), near(K), not cov(V, K).",
+            BuiltinRegistry::standard(),
+            PlanTiming::default(),
+        )
+        .unwrap();
+        let plan = alert.pass_plan(0, 0);
+        assert_eq!(plan.negations, Negations::Held, "sight grounds cov");
+        assert_eq!(plan.passes(5), 1);
+        assert!(plan.holds_complete());
+        assert_eq!(alert.pass_plan(0, 1).negations, Negations::Repass);
     }
 
     /// A placed predicate's owner is the node its owner column names.

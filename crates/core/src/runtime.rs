@@ -325,9 +325,12 @@ pub struct NodeStats {
     /// `ToCenter` arriving at a non-center node). Kept separate from radio
     /// losses: these drops are routing/protocol-level.
     pub routing_drops: u64,
-    /// Updates the Centroid center's engine refused with an `EvalError`
-    /// (cascade limit, derivation cycle): the fact is lost to the result.
-    pub center_apply_errors: u64,
+    /// Evaluations this node could not finish, each lost to the result:
+    /// updates the Centroid center's engine refused with an `EvalError`
+    /// (cascade limit, derivation cycle, a failing builtin), and heads a
+    /// probe completed but could not evaluate (`m(X / 0)` over `n(0)`).
+    /// `invariants::check_structural` reports them.
+    pub eval_errors: u64,
     /// Neighbourhood-plane updates started here that break the plane's
     /// precondition (`plan::breaks_plane`): the tuple is about no node,
     /// or the link it states is not a radio link. Their joins may miss
@@ -1057,10 +1060,9 @@ impl SensorlogNode {
                     plan.extends(pass),
                     &mut work,
                 );
-                let needs_full_walk = shape.has_negation_other_than(pinned);
                 // The end of this rule's own last pass: what is complete is
                 // emitted, what is not never will be.
-                let walk_done = last_node && pass + 1 >= plan.passes();
+                let walk_done = last_node && pass + 1 >= plan.passes(probe.walk.len());
                 // The end of an earlier pass keeps only the partials that
                 // have joined every literal up to it.
                 let joined = plan.joined(pass);
@@ -1071,15 +1073,19 @@ impl SensorlogNode {
                 let mut keep: Vec<Partial> = Vec::new();
                 for p in processed {
                     if p.is_complete(shape) {
-                        if needs_full_walk && !walk_done {
+                        if plan.holds_complete() && !walk_done {
                             keep.push(p); // keep checking negations
                         } else {
-                            // A head whose evaluation fails is dropped.
-                            if let Ok(tuple) =
-                                instantiate_head(rule, &p.bindings, &self.ctx.prog.reg)
-                            {
-                                let key = DerivationKey::new(rule.id, p.inputs);
-                                emissions.push((rule.head.pred, tuple, key, sign));
+                            match instantiate_head(rule, &p.bindings, &self.ctx.prog.reg) {
+                                Ok(tuple) => {
+                                    let key = DerivationKey::new(rule.id, p.inputs);
+                                    emissions.push((rule.head.pred, tuple, key, sign));
+                                }
+                                Err(_) => {
+                                    self.stats.eval_errors += 1;
+                                    let head = Scope::Pred(rule.head.pred.as_str());
+                                    self.ctx.tele.bump(head, "eval_errors");
+                                }
                             }
                         }
                     } else if !last_node || (!walk_done && p.bound & joined == joined) {
@@ -1282,10 +1288,10 @@ impl SensorlogNode {
             ts: fact.tau,
         };
         if engine.apply(upd).is_err() {
-            self.stats.center_apply_errors += 1;
+            self.stats.eval_errors += 1;
             self.ctx
                 .tele
-                .bump(Scope::Pred(fact.pred.as_str()), "center_apply_errors");
+                .bump(Scope::Pred(fact.pred.as_str()), "eval_errors");
         }
         // The central store is this node's memory (Sec. V): Centroid's
         // hotspot is exactly what the per-node peak exists to show.

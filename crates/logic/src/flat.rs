@@ -414,7 +414,7 @@ fn flat_operand(reg: &BuiltinRegistry, t: &Term, s: &FlatSubst) -> Result<Applie
 /// Evaluate a comparison between two pattern terms under a flat
 /// substitution — mirror of `reg.compare(op, &subst.apply(l),
 /// &subst.apply(r))`: numeric comparisons widen to floats; everything else
-/// uses the value order (= boxed `Term` order, via pool sort keys).
+/// uses the value order (= boxed `Term` order, via `intern::cmp_ids`).
 pub fn flat_compare(
     reg: &BuiltinRegistry,
     op: CmpOp,

@@ -29,34 +29,12 @@
 //! **Determinism.** Id assignment is first-touch order, which is
 //! deterministic for a deterministic workload — but nothing observable
 //! depends on it: every ordered structure (relation iteration, journal
-//! content) orders by each entry's [`Entry::sort_key`], a byte encoding of
-//! the *value* that reproduces the boxed `Term` ordering exactly. Two runs
-//! that intern the same values in different orders therefore produce
-//! byte-identical traces.
-//!
-//! **Sort keys.** `sort_key(a) < sort_key(b)` (memcmp) iff
-//! `resolve(a) < resolve(b)` under `Term`'s derived `Ord` (variant order
-//! `Int < Float < Str < Atom < App`, symbols by string content). `Tuple`'s
-//! `Ord` compares column by column through [`cmp_ids`], so a relation's
-//! ordered map answers every bound-column prefix probe as a range, in
-//! canonical tuple order. The encoding:
-//!
-//! * `Int`  — tag `1`, then an order-preserving varint: a length byte with
-//!   the sign folded in (`0x80 + k` for non-negative values spanning `k`
-//!   minimal big-endian bytes, `0x7F - k` for negatives spanning `k`
-//!   minimal two's-complement bytes), then the `k` payload bytes. Small
-//!   magnitudes take 2–3 bytes total;
-//! * `Float`— tag `2`, then the total-order bits of [`F64`] big-endian;
-//! * `Str`  — tag `3`, then the bytes with `0x00` escaped to `0x00 0xFF`,
-//!   then an unescaped `0x00` terminator;
-//! * `Atom` — tag `4`, same string encoding;
-//! * `App`  — tag `6`, the escaped function name + `0x00`, the children's
-//!   keys concatenated, and a final `0x00`.
-//!
-//! Continuation bytes after a terminator are always tags `1..=6`, i.e.
-//! strictly between `0x00` and `0xFF`, which makes the concatenation
-//! order-correct and injective (see DESIGN.md "Tuple representation & ordered
-//! indexes" for the argument).
+//! content) orders by *value* through [`cmp_ids`], which is `Term`'s derived
+//! `Ord` over the resolved terms (`Int < Float < Str < Atom < App`, symbols
+//! by content). Two runs that intern the same values in different orders
+//! therefore produce byte-identical traces. `Tuple`'s `Ord` compares column
+//! by column through [`cmp_ids`], so a relation's ordered map answers every
+//! bound-column prefix probe as a range, in canonical tuple order.
 //!
 //! **Resolve accounting.** Each id → `Term` materialization is counted,
 //! split into *boundary* resolves (inside a [`boundary`] scope: parse,
@@ -174,21 +152,20 @@ impl Val {
     }
 }
 
-/// Pool entry: the value plus cached flat metadata so the hot path never
-/// rebuilds a `Term` to answer size or ordering questions.
+/// Pool entry: the value plus its cached size, so the hot path never
+/// rebuilds a `Term` to answer a size question.
 #[derive(Debug)]
 pub struct Entry {
     pub val: Val,
     /// Serialized size in bytes, identical to [`Term::byte_size`] of the
     /// resolved term (message-cost accounting must not change).
     pub byte_size: u32,
-    /// Order-preserving byte encoding (see module docs).
-    pub sort_key: Box<[u8]>,
 }
 
 /// Value → id, with no small-int rows: the next id is `SMALL_INTS` plus its
-/// length. Guarded by the pool lock.
-type Pool = HashMap<Val, ConstId>;
+/// length. Keyed by the published entry's own value, so the pool holds each
+/// constant once. Guarded by the pool lock.
+type Pool = HashMap<&'static Val, ConstId>;
 
 /// `ConstId → &Entry`: the table [`entry`] — and through it every id
 /// comparison — reads without touching the pool lock.
@@ -200,7 +177,7 @@ fn push(pool: &mut Pool, entry: Entry) -> ConstId {
     let id = ConstId::try_from(next_id(pool)).expect("const pool overflow");
     let entry: &'static Entry = Box::leak(Box::new(entry));
     ENTRIES.publish(id, entry);
-    pool.insert(entry.val.clone(), id);
+    pool.insert(&entry.val, id);
     id
 }
 
@@ -243,83 +220,17 @@ fn pool() -> &'static RwLock<Pool> {
     POOL.get_or_init(|| RwLock::new(Pool::new()))
 }
 
-fn int_sort_key(n: i64) -> Box<[u8]> {
-    // Order-preserving varint (see module docs): the length byte carries
-    // the sign, payload is minimal big-endian. memcmp order == i64 order:
-    // negatives (< 0x80) sort below non-negatives (>= 0x80); within each
-    // sign, longer encodings are further from zero and equal lengths
-    // compare by payload (two's-complement bytes for negatives).
-    let (len_byte, k) = if n >= 0 {
-        let k = (8 - (n.leading_zeros() / 8) as usize).min(8);
-        (0x80 + k as u8, k)
-    } else {
-        let bits = 65 - (!n).leading_zeros() as usize; // sign bit included
-        let k = bits.div_ceil(8);
-        (0x7F - k as u8, k)
-    };
-    let mut out = Vec::with_capacity(2 + k);
-    out.push(1u8);
-    out.push(len_byte);
-    out.extend_from_slice(&(n as u64).to_be_bytes()[8 - k..]);
-    out.into_boxed_slice()
-}
-
-fn float_sort_key(f: F64) -> Box<[u8]> {
-    let mut k = Vec::with_capacity(9);
-    k.push(2u8);
-    k.extend_from_slice(&f.sort_bits().to_be_bytes());
-    k.into_boxed_slice()
-}
-
-/// Append `s` with `0x00` escaped to `0x00 0xFF`, then a `0x00` terminator.
-fn push_escaped(out: &mut Vec<u8>, s: &str) {
-    for &b in s.as_bytes() {
-        out.push(b);
-        if b == 0 {
-            out.push(0xFF);
-        }
-    }
-    out.push(0);
-}
-
-/// Build the entry (byte size + sort key) for `val`, reading child entries
-/// from the pool. Children must already be interned; no locks are held by
-/// the caller.
+/// Build the entry for `val`, reading child entries from the pool.
+/// Children must already be interned; no locks are held by the caller.
 fn build_entry(val: Val) -> Entry {
-    let (byte_size, sort_key) = match &val {
-        Val::Int(n) => (8, int_sort_key(*n)),
-        Val::Float(f) => (8, float_sort_key(*f)),
-        Val::Str(s) => {
-            let mut k = Vec::with_capacity(2 + s.as_str().len());
-            k.push(3u8);
-            push_escaped(&mut k, s.as_str());
-            (2 + s.as_str().len() as u32, k.into_boxed_slice())
-        }
-        Val::Atom(s) => {
-            let mut k = Vec::with_capacity(2 + s.as_str().len());
-            k.push(4u8);
-            push_escaped(&mut k, s.as_str());
-            (2 + s.as_str().len() as u32, k.into_boxed_slice())
-        }
+    let byte_size = match &val {
+        Val::Int(_) | Val::Float(_) => 8,
+        Val::Str(s) | Val::Atom(s) => 2 + s.as_str().len() as u32,
         Val::App(f, kids) => {
-            let mut size = 2 + f.as_str().len() as u32;
-            let mut k = Vec::with_capacity(3 + f.as_str().len());
-            k.push(6u8);
-            push_escaped(&mut k, f.as_str());
-            for &kid in kids.iter() {
-                let e = entry(kid);
-                size += e.byte_size;
-                k.extend_from_slice(&e.sort_key);
-            }
-            k.push(0);
-            (size, k.into_boxed_slice())
+            2 + f.as_str().len() as u32 + kids.iter().map(|&k| entry(k).byte_size).sum::<u32>()
         }
     };
-    Entry {
-        val,
-        byte_size,
-        sort_key,
-    }
+    Entry { val, byte_size }
 }
 
 /// Intern a ground value (children of `App` must already be interned).
@@ -386,7 +297,7 @@ pub fn intern_term(t: &Term) -> Option<ConstId> {
 }
 
 /// Flat access to an interned entry. Does **not** count as a resolve: the
-/// hot path inspects entries (tags, ints, sort keys) without rebuilding
+/// hot path inspects entries (tags, ints, sizes) without rebuilding
 /// terms. Lock-free: two acquire loads through `ENTRIES`.
 #[inline]
 pub fn entry(id: ConstId) -> &'static Entry {
@@ -416,7 +327,34 @@ pub fn cmp_ids(a: ConstId, b: ConstId) -> Ordering {
     } else if a == b {
         Ordering::Equal
     } else {
-        entry(a).sort_key.cmp(&entry(b).sort_key)
+        cmp_vals(&entry(a).val, &entry(b).val)
+    }
+}
+
+/// `Term`'s derived order over two values: by variant, then ints as `i64`,
+/// floats by [`F64`]'s order, symbols by content, and applications by name,
+/// then child by child, the shorter first on a common prefix.
+fn cmp_vals(a: &Val, b: &Val) -> Ordering {
+    match (a, b) {
+        (Val::Int(x), Val::Int(y)) => x.cmp(y),
+        (Val::Float(x), Val::Float(y)) => x.cmp(y),
+        (Val::Str(x), Val::Str(y)) | (Val::Atom(x), Val::Atom(y)) => x.cmp(y),
+        (Val::App(f, xs), Val::App(g, ys)) => f.cmp(g).then_with(|| {
+            let mut kids = xs.iter().zip(ys.iter()).map(|(&x, &y)| cmp_ids(x, y));
+            kids.find(|o| o.is_ne()).unwrap_or(xs.len().cmp(&ys.len()))
+        }),
+        _ => rank(a).cmp(&rank(b)),
+    }
+}
+
+/// A value's variant in `Term`'s declaration order.
+fn rank(v: &Val) -> u8 {
+    match v {
+        Val::Int(_) => 0,
+        Val::Float(_) => 1,
+        Val::Str(_) => 2,
+        Val::Atom(_) => 3,
+        Val::App(..) => 4,
     }
 }
 
@@ -574,7 +512,7 @@ mod tests {
         let rows_before = pool().read().unwrap_or_else(PoisonError::into_inner).len();
         let len = pool_len();
         let pool = pool().read().unwrap_or_else(PoisonError::into_inner);
-        let small_rows: Vec<&Val> = (pool.keys())
+        let small_rows: Vec<&Val> = (pool.keys().copied())
             .filter(|v| matches!(v, Val::Int(0..SMALL_INTS)))
             .collect();
         assert!(
@@ -672,7 +610,7 @@ mod tests {
     }
 
     #[test]
-    fn sort_keys_reproduce_term_order() {
+    fn cmp_ids_reproduces_term_order() {
         let mut samples = vec![
             Term::Int(i64::MIN),
             Term::Int(-1),
@@ -711,16 +649,7 @@ mod tests {
         for a in &samples {
             for b in &samples {
                 let (ia, ib) = (intern_term(a).unwrap(), intern_term(b).unwrap());
-                assert_eq!(
-                    cmp_ids(ia, ib),
-                    a.cmp(b),
-                    "sort_key order diverges for {a} vs {b}"
-                );
-                assert_eq!(
-                    cmp_ids(ia, ib),
-                    entry(ia).sort_key.cmp(&entry(ib).sort_key),
-                    "id fast path diverges from sort keys for {a} vs {b}"
-                );
+                assert_eq!(cmp_ids(ia, ib), a.cmp(b), "order diverges for {a} vs {b}");
             }
         }
     }

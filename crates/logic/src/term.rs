@@ -40,11 +40,6 @@ impl F64 {
             }
         }
     }
-    /// Total-order bits: `sort_bits(a) < sort_bits(b)` iff `a < b`. Used by
-    /// the constant pool's order-preserving sort keys.
-    pub fn sort_bits(self) -> u64 {
-        self.key()
-    }
 }
 
 impl PartialEq for F64 {
@@ -290,7 +285,7 @@ const _: () = assert!(std::mem::size_of::<Tuple>() == 16);
 /// hash — id operations only; the boxed [`Term`] view is materialized on
 /// demand via [`Tuple::terms`]/[`Tuple::get`] at the resolve boundary.
 ///
-/// Ordering is by *value* (each column's pool sort key), reproducing the
+/// Ordering is by *value* (each column through `intern::cmp_ids`), reproducing the
 /// old `Arc<[Term]>` derived order exactly, so canonical iteration order —
 /// and with it every pinned trace journal — is unchanged.
 pub struct Tuple(TupleRepr);

@@ -77,10 +77,10 @@ proptest! {
         prop_assert_eq!(ia == ib, a == b);
     }
 
-    /// Pool order (memcmp over sort keys, what `Tuple`'s `Ord` compares)
-    /// equals boxed `Term` order.
+    /// Pool order (`cmp_ids`, what `Tuple`'s `Ord` compares) equals boxed
+    /// `Term` order.
     #[test]
-    fn sort_key_order_matches_term_order(a in ground_term(), b in ground_term()) {
+    fn cmp_ids_order_matches_term_order(a in ground_term(), b in ground_term()) {
         let ia = intern::intern_term(&a).unwrap();
         let ib = intern::intern_term(&b).unwrap();
         prop_assert_eq!(intern::cmp_ids(ia, ib), a.cmp(&b));

@@ -32,7 +32,14 @@ pub fn check_provenance(d: &Deployment, preds: &[Symbol]) -> InvariantReport {
     }
     let dag = ProvDag::build(&d.provenance_records());
     for &pred in preds {
-        for t in &oracle::surviving_results(d, pred) {
+        let expected = match oracle::surviving_results(d, pred) {
+            Ok(expected) => expected,
+            Err(e) => {
+                report.push(None, "oracle-eval", format!("{pred}: {e}"));
+                continue;
+            }
+        };
+        for t in &expected {
             match dag.why(pred, t) {
                 Some(proof) => check_well_founded(&proof, &mut report),
                 None => report.push(

@@ -439,17 +439,25 @@ fn cmd_deploy(args: &[String]) -> Result<(), AnyError> {
     // (no rule, no `.output`) has nothing to check.
     if !events.is_empty() && d.metrics().lost() == 0 && !d.prog.outputs.is_empty() {
         let (mut expected, mut missing, mut spurious) = (0, 0, 0);
+        let mut error = None;
         for &p in &d.prog.outputs {
             let report = sensorlog::core::oracle::check(&d, &events, p);
             expected += report.expected;
             missing += report.missing.len();
             spurious += report.spurious.len();
+            error = error.or(report.error);
         }
-        let exact = missing == 0 && spurious == 0;
-        eprintln!(
-            "-- oracle: {} ({expected} expected, {missing} missing, {spurious} spurious)",
-            if exact { "exact" } else { "DIVERGED" },
-        );
+        let verdict = if missing == 0 && spurious == 0 {
+            "exact"
+        } else {
+            "DIVERGED"
+        };
+        match error {
+            Some(e) => eprintln!("-- oracle: FAILED, the centralized engine: {e}"),
+            None => eprintln!(
+                "-- oracle: {verdict} ({expected} expected, {missing} missing, {spurious} spurious)"
+            ),
+        }
     }
     if let (Some(path), Some(journal)) = (&trace_path, journal) {
         let j = journal.take();

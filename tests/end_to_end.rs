@@ -141,7 +141,7 @@ fn logich_with_links_into_the_sink_is_exact_under_centroid_and_pa() {
             report.missing,
             report.spurious
         );
-        assert!(d.node_stats().iter().all(|s| s.center_apply_errors == 0));
+        assert!(d.node_stats().iter().all(|s| s.eval_errors == 0));
     }
 }
 
