@@ -308,6 +308,15 @@ if grep -rnE 'sort_key|sort_bits|ReplicaStore' crates src; then
     echo "a second value order or replica store is back: compare values in intern::cmp_ids, write replicas through Relation::update"; exit 1
 fi
 
+# One record of a flooded tuple: a node re-broadcasts a `FloodStore` copy
+# exactly when storing it changed its replica store. Earlier trees also kept
+# a never-pruned `(TupleId, UpdateKind)` set per node only to stop the flood,
+# 27.5 % of `join_bcast`'s peak heap.
+echo "== one flood record (no flood_seen under crates/ or src/) =="
+if grep -rn 'flood_seen' crates src; then
+    echo "a second record of flooded tuples is back: forward a FloodStore copy when store_replica reports a change"; exit 1
+fi
+
 # ROADMAP item 8's repro (crates/bench/tests/staggered_arrivals.rs): the tree
 # programs on the neighbourhood plane are oracle-exact (the 6x6 logicH run
 # that was the repro included), and so is logicH over a ternary link, which
@@ -363,6 +372,7 @@ if [[ "$fast" -eq 0 ]]; then
     echo "== bench --quick (all cases; gate set pinned) =="
     bench_cases="fig4_5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 table1 table2 table3 table4_5 smoke micro grid4k chaos prov intern diag scale"
     bench_gates="fig4_5.runs_with_results fig4_5.runs_oracle_exact fig4_5.pa_tx fig4_5.centroid_tx
+        fig4_5.broadcast_tx fig4_5.localstore_tx
         fig6.runs_with_results fig6.runs_oracle_exact
         fig7.runs_with_results fig7.runs_oracle_exact fig7.tx
         fig8.trees_correct fig8.logicH_tx fig8.logicJ_tx
@@ -444,12 +454,16 @@ PY
     # `error:` line and exit 1 (it used to panic building the node), and a
     # rule no update starts fails `sensorlog check` (`maint.unseeded-rule`).
     # Under PA the same program runs, and its oracle line names the engine's
-    # error (the oracle used to panic on it).
-    echo "== refused programs (Centroid engine error, PA oracle error, unseeded rule) =="
+    # error (the oracle used to panic on it). `sensorlog check` evaluates the
+    # ground facts too: the engine's error is a check error (it used to
+    # report 0 errors), and a cascade past the centralized engine's limit,
+    # which PA runs, is a warning.
+    echo "== refused programs (Centroid engine error, PA oracle error, check eval error, unseeded rule) =="
     refused=$(mktemp -d)
     printf '.output m.\nn(0).\nm(X / 0) :- n(X).\n' >"$refused/div0.dl"
     printf '+100 @1 n(5).\n' >"$refused/div0_events.txt"
     printf '.output t.\nt :- not r0(1).\n' >"$refused/unseeded.dl"
+    printf 'n(0).\nn(X + 1) :- n(X), X < 2000000.\n' >"$refused/cascade.dl"
     code=0
     out=$(cargo run -q --release --bin sensorlog -- deploy "$refused/div0.dl" \
         --grid 3 --strategy centroid 2>&1) || code=$?
@@ -463,6 +477,16 @@ PY
     if [[ "$code" -ne 0 ]] || grep -q panicked <<<"$out" ||
         ! grep -qF -- "-- oracle: FAILED, the centralized engine: builtin error: div(0, 0) failed" <<<"$out"; then
         echo "PA deploy of m(X / 0) exited $code:"; echo "$out"; exit 1
+    fi
+    code=0
+    out=$(cargo run -q --release --bin sensorlog -- check "$refused/div0.dl" 2>&1) || code=$?
+    if [[ "$code" -ne 1 ]] || ! grep -q "error: \[eval.ground-facts\].*div(0, 0) failed" <<<"$out"; then
+        echo "check of m(X / 0) exited $code:"; echo "$out"; exit 1
+    fi
+    code=0
+    out=$(cargo run -q --release --bin sensorlog -- check "$refused/cascade.dl" 2>&1) || code=$?
+    if [[ "$code" -ne 0 ]] || ! grep -q "warning: \[eval.ground-facts\].*update cascade" <<<"$out"; then
+        echo "check of the 2M-step cascade exited $code:"; echo "$out"; exit 1
     fi
     code=0
     out=$(cargo run -q --release --bin sensorlog -- check "$refused/unseeded.dl" 2>&1) || code=$?

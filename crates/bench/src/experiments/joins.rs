@@ -34,8 +34,8 @@ fn sweep_spec(strategy: Strategy, m: u32) -> CaseSpec {
 /// Figs. 4 and 5, one sweep: total messages vs. network size for a
 /// two-stream join under the four strategies (Fig. 4), and the hottest
 /// node's load and max / mean imbalance of the same runs (Fig. 5). Every
-/// run is loss-free and must equal the oracle; PA's and Centroid's message
-/// counts, the shape claim's two series, are pinned.
+/// run is loss-free and must equal the oracle; every strategy's message
+/// count is pinned (PA's and Centroid's are the shape claim's two series).
 pub fn fig4_5(_quick: bool, r: &mut Report) {
     let sizes = [6u32, 8, 10, 12];
     // The whole (size × strategy) sweep fans out across worker threads —
@@ -59,6 +59,8 @@ pub fn fig4_5(_quick: bool, r: &mut Report) {
     let tx = |i: usize| series(points.iter().skip(i).step_by(4).map(|p| p.total_tx));
     r.gate("pa_tx", "2061 5138 10237 18200", tx(0));
     r.gate("centroid_tx", "432 1024 2000 3456", tx(1));
+    r.gate("broadcast_tx", "17546 58042 145329 306417", tx(2));
+    r.gate("localstore_tx", "6010 18623 44462 91086", tx(3));
 }
 
 /// Fig. 6: multi-stream joins — message cost and bytes for 2, 3, 4 streams

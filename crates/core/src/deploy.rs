@@ -1021,7 +1021,10 @@ mod tests {
     /// facts is refused by `Deployment::new` with the engine's error — it
     /// used to panic building the center node. PA, which builds no engine,
     /// deploys these programs as before (the failing head is dropped where
-    /// it would be derived).
+    /// it would be derived). Every engine build error is refused the way
+    /// `div(0, 0)` is; the cascade limit a 2M-step program trips is checked
+    /// where it is kept (`eval::incremental::tests`), without the million
+    /// steps to reach it.
     #[test]
     fn a_center_engine_that_cannot_be_built_is_refused() {
         let deploy = |src: &str, strategy| {
@@ -1052,13 +1055,6 @@ mod tests {
         assert_eq!(d.results(Symbol::intern("n")).len(), 1);
 
         let cascade = "n(0).\nn(X + 1) :- n(X), X < 2000000.";
-        let err = deploy(cascade, Strategy::Centroid)
-            .err()
-            .expect("a 2M-step cascade");
-        let CompileError::CenterEngine(EvalError::LimitExceeded { what, .. }) = err else {
-            panic!("unexpected {err}");
-        };
-        assert_eq!(what, "update cascade");
         assert!(deploy(cascade, pa).is_ok());
     }
 

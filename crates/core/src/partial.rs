@@ -160,10 +160,13 @@ impl Replica {
     }
 
     /// Record a deletion at `del_ts`; of two, the earlier stands, so no
-    /// tombstone ever undeletes. `del_ts` must be a time, not the sentinel.
-    pub fn tombstone(&mut self, del_ts: u64) {
+    /// tombstone ever undeletes. True iff `del_ts` is the earlier. `del_ts`
+    /// must be a time, not the sentinel.
+    pub fn tombstone(&mut self, del_ts: u64) -> bool {
         debug_assert!(del_ts != Replica::LIVE, "a tombstone at u64::MAX");
+        let earlier = del_ts < self.del_ts;
         self.del_ts = self.del_ts.min(del_ts);
+        earlier
     }
 
     pub fn is_deleted(&self) -> bool {

@@ -32,7 +32,7 @@ use crate::tupleid::{clamp_absorbs, DerivationKey, FactRecord, TupleId, EDB_RULE
 use sensorlog_eval::eval_body::instantiate_head;
 use sensorlog_eval::relation::TupleMeta;
 use sensorlog_eval::{EvalError, Firing, IncrementalEngine, Support, Update, UpdateKind};
-use sensorlog_logic::intern::{IdHashMap, IdHashSet};
+use sensorlog_logic::intern::IdHashMap;
 use sensorlog_logic::{Literal, Symbol, Tuple};
 use sensorlog_netsim::{App, Ctx, MsgMeta, NodeId, SimTime, Topology};
 use sensorlog_netstack::Router;
@@ -474,10 +474,6 @@ struct NodeStore {
     /// Derived tuples this node owns (`DistProgram::owner_of`).
     owned: OwnedTable,
     timers: IdHashMap<u64, TimerAction>,
-    /// Flood dedup (NaiveBroadcast storage). (Id-hashed like `timers`: the
-    /// per-message maps whose keys are all process-minted ids. Never
-    /// iterated.)
-    flood_seen: IdHashSet<(TupleId, UpdateKind)>,
     /// Peak stored items per predicate (fragment replicas + owned derived
     /// entries), cross-validated against the static memory bounds of
     /// `logic::diag` by `crate::invariants::check_static_bounds`.
@@ -850,7 +846,6 @@ impl SensorlogNode {
             }
             Reach::Flood => {
                 self.store_replica(ctx, &fact);
-                self.store_mut().flood_seen.insert((fact.id, fact.kind));
                 self.ctx
                     .tele
                     .bump(Scope::Pred(fact.pred.as_str()), "flood_broadcasts");
@@ -895,19 +890,32 @@ impl SensorlogNode {
         self.route(ctx, first, msg);
     }
 
-    fn store_replica(&mut self, ctx: &mut Ctx<Msg>, fact: &FactRecord) {
+    /// Store `fact`'s copy of its replica. True iff that changed the store:
+    /// a new replica, a newer generation in place of an older one, or a
+    /// tombstone set on the stored generation. A copy that changes nothing
+    /// (a duplicate, an older generation, an insert its own delete
+    /// overtook) returns at once, and so does one whose replica's retention
+    /// has passed: it is not stored.
+    fn store_replica(&mut self, ctx: &mut Ctx<Msg>, fact: &FactRecord) -> bool {
+        // Retention of windowed streams (Sec. IV-B): the replica must
+        // outlive every probe that may legally join with it —
+        // (τs + τc) + τj + (τw + τc) past its generation timestamp.
+        let retention = self.ctx.prog.windows.get(&fact.pred).map(|&w| {
+            let (tau_s, tau_c, tau_j) =
+                (self.ctx.cfg.tau_s, self.ctx.net.tau_c, self.ctx.cfg.tau_j);
+            (tau_s + tau_c) + tau_j + (w + tau_c)
+        });
+        let now = ctx.local_time;
+        let store = self.store.get_or_insert_with(Box::default);
+        let rel = store.frags.relation_mut(fact.pred);
         // Generation-aware replica storage: insert and delete walks may
         // arrive in either order (independent multi-hop routes), so the
         // replica tracks the newest tuple *generation* (by ID, Definition 2)
         // and a tombstone never gets clobbered by its own generation's
-        // late-arriving insert.
-        self.ctx
-            .tele
-            .bump(Scope::Pred(fact.pred.as_str()), "replicas_stored");
-        let store = self.store.get_or_insert_with(Box::default);
-        let rel = store.frags.relation_mut(fact.pred);
-        // `Some(meta)`: this update becomes the stored generation, in place
-        // of an older one's entry if there is one.
+        // late-arriving insert. `new_gen: Some(due)`: this update became the
+        // stored generation, in place of an older one's entry if there is
+        // one, and goes at `due` if its stream is windowed.
+        let (mut tombstoned, mut new_gen) = (false, None);
         let new = rel.update(fact.tuple.clone(), |stored| {
             let mut replica = Replica::live(fact.id);
             let gen_ts = match (fact.kind, stored) {
@@ -920,7 +928,7 @@ impl SensorlogNode {
                 // Tombstone the matching generation (Sec. IV-B: replicas
                 // stay for concurrent probes and expire later).
                 (UpdateKind::Delete, Some(old)) if old.extra.id == fact.id => {
-                    old.extra.tombstone(fact.tau);
+                    tombstoned = old.extra.tombstone(fact.tau);
                     return None;
                 }
                 // Delete overtook (or outlived) the insert walk: store a
@@ -931,29 +939,33 @@ impl SensorlogNode {
                     fact.id.ts
                 }
             };
+            // No probe may join a replica past its retention: storing it
+            // would only have it expire a tick later.
+            let due = retention.map(|r| gen_ts.saturating_add(r));
+            if due.is_some_and(|due| due <= now) {
+                return None;
+            }
+            new_gen = Some(due);
             Some(TupleMeta {
                 gen_ts,
                 extra: replica,
             })
         });
+        let Some(due) = new_gen else {
+            return tombstoned;
+        };
+        self.ctx
+            .tele
+            .bump(Scope::Pred(fact.pred.as_str()), "replicas_stored");
         store.replicas += usize::from(new);
         debug_assert_eq!(store.replicas, store.frags.total_tuples());
         self.stats.peak_replicas = self.stats.peak_replicas.max(store.replicas);
         store.note_stored(fact.pred);
-        // Retention of windowed streams (Sec. IV-B): the replica must
-        // outlive every probe that may legally join with it —
-        // (τs + τc) + τj + (τw + τc) past its generation timestamp.
-        if fact.kind == UpdateKind::Insert {
-            if let Some(&w) = self.ctx.prog.windows.get(&fact.pred) {
-                let (tau_s, tau_c, tau_j) =
-                    (self.ctx.cfg.tau_s, self.ctx.net.tau_c, self.ctx.cfg.tau_j);
-                let retention = (tau_s + tau_c) + tau_j + (w + tau_c);
-                let expire_at = fact.tau.saturating_add(retention);
-                let delay = expire_at.saturating_sub(ctx.local_time).max(1);
-                let replica = Expiring::Replica(fact.pred, fact.tuple.clone(), fact.id);
-                self.expire_in(ctx, delay, replica);
-            }
+        if let Some(due) = due {
+            let replica = Expiring::Replica(fact.pred, fact.tuple.clone(), fact.id);
+            self.expire_in(ctx, due - now, replica);
         }
+        true
     }
 
     /// Build and launch the join probe for `fact`.
@@ -1742,9 +1754,11 @@ impl SensorlogNode {
                 }
                 return;
             }
+            // A flood copy goes on exactly when storing it changed this
+            // node's replica store: a duplicate, a stale generation and a
+            // copy past its retention stop here.
             Payload::FloodStore { fact } => {
-                if self.store_mut().flood_seen.insert((fact.id, fact.kind)) {
-                    self.store_replica(ctx, fact);
+                if self.store_replica(ctx, fact) {
                     self.ctx
                         .tele
                         .bump(Scope::Pred(fact.pred.as_str()), "flood_broadcasts");
@@ -2104,8 +2118,8 @@ mod tests {
     }
 
     /// A flooded fact is one allocation however many links carry it: the
-    /// first delivery re-broadcasts the `Arc` that arrived, a duplicate is
-    /// recognised through the pointer and dropped.
+    /// first delivery re-broadcasts the `Arc` that arrived, and a duplicate
+    /// changes nothing in the store and is dropped.
     #[test]
     fn a_flood_shares_one_allocation_among_neighbours() {
         let mut d = deploy(WINDOWED_JOIN, 4);
@@ -2128,6 +2142,115 @@ mod tests {
         assert_eq!(Arc::strong_count(&msg), 1 + 4);
         assert_eq!(d.sim.metrics.total_tx(), tx);
         assert_eq!(d.node(at).replica_count(), 1);
+    }
+
+    /// Hand node 5 (interior: four neighbours) a fresh `FloodStore` copy of
+    /// `fact` from node 4, and count the copies it sends on.
+    fn flood_copy(d: &mut crate::Deployment, fact: &FactRecord) -> usize {
+        let msg: Msg = Arc::new(Payload::FloodStore { fact: fact.clone() });
+        let mut sent = 0;
+        d.sim.invoke(NodeId(5), |node, ctx| {
+            node.on_message(ctx, NodeId(4), msg);
+            sent = ctx.buffered_sends().len();
+        });
+        sent
+    }
+
+    /// What node 5 stores of `r1(1, 5)`.
+    fn flooded_replica(d: &crate::Deployment) -> Option<TupleMeta<Replica>> {
+        let rel = stored_rel(d.node(NodeId(5)), Symbol::intern("r1"));
+        rel.and_then(|r| r.meta(&ints(&[1, 5])).copied())
+    }
+
+    fn r1_insert(id: TupleId) -> FactRecord {
+        FactRecord::insert(Symbol::intern("r1"), ints(&[1, 5]), id)
+    }
+
+    fn r1_delete(id: TupleId, tau: SimTime) -> FactRecord {
+        FactRecord::delete(Symbol::intern("r1"), ints(&[1, 5]), id, tau)
+    }
+
+    /// An equal copy in its own allocation is neither stored again nor
+    /// sent, and queues no second expiry.
+    #[test]
+    fn a_duplicate_flood_copy_is_neither_stored_again_nor_sent() {
+        let mut d = deploy(WINDOWED_JOIN, 4);
+        let fact = r1_insert(some_id(9, 50));
+        let expiries = |d: &crate::Deployment| {
+            let store = d.node(NodeId(5)).store.as_ref();
+            store.map_or(0, |s| s.expiries.len())
+        };
+        assert_eq!(flood_copy(&mut d, &fact), 4);
+        assert_eq!(expiries(&d), 1);
+        assert_eq!(flood_copy(&mut d, &fact), 0);
+        assert_eq!(d.node(NodeId(5)).replica_count(), 1);
+        assert_eq!(expiries(&d), 1);
+    }
+
+    /// A copy of an older generation than the stored one, insert or
+    /// delete, leaves the newer generation as it was and goes no further.
+    #[test]
+    fn a_flood_copy_of_an_older_generation_is_dropped() {
+        let mut d = deploy(WINDOWED_JOIN, 4);
+        let (old, new) = (some_id(9, 50), some_id(9, 60));
+        assert_eq!(flood_copy(&mut d, &r1_insert(new)), 4);
+        let stored = flooded_replica(&d);
+        assert_eq!(flood_copy(&mut d, &r1_insert(old)), 0);
+        assert_eq!(flood_copy(&mut d, &r1_delete(old, 55)), 0);
+        assert_eq!(flooded_replica(&d), stored);
+        assert_eq!(
+            stored.map(|m| (m.extra.id, m.extra.is_deleted())),
+            Some((new, false))
+        );
+    }
+
+    /// A delete that overtook its insert stores the tombstoned replica and
+    /// goes on; the insert arriving after it changes nothing and stops.
+    #[test]
+    fn an_insert_copy_its_delete_overtook_is_dropped() {
+        let mut d = deploy(WINDOWED_JOIN, 4);
+        let id = some_id(9, 50);
+        assert_eq!(flood_copy(&mut d, &r1_delete(id, 80)), 4);
+        let stored = flooded_replica(&d);
+        assert_eq!(
+            stored.map(|m| (m.gen_ts, m.extra)),
+            Some((50, Replica { id, del_ts: 80 }))
+        );
+        assert_eq!(flood_copy(&mut d, &r1_insert(id)), 0);
+        assert_eq!(flooded_replica(&d), stored);
+    }
+
+    /// A delete copy tombstones the stored generation and is forwarded
+    /// once: its duplicate finds the tombstone already set.
+    #[test]
+    fn a_delete_copy_tombstones_and_is_forwarded_once() {
+        let mut d = deploy(WINDOWED_JOIN, 4);
+        let id = some_id(9, 50);
+        assert_eq!(flood_copy(&mut d, &r1_insert(id)), 4);
+        assert_eq!(flood_copy(&mut d, &r1_delete(id, 80)), 4);
+        assert_eq!(flooded_replica(&d).map(|m| m.extra.del_ts), Some(80));
+        assert_eq!(flood_copy(&mut d, &r1_delete(id, 80)), 0);
+        assert_eq!(d.node(NodeId(5)).replica_count(), 1);
+    }
+
+    /// A copy of a windowed insert is stored and forwarded up to its
+    /// replica's retention (τs + τj + τw = 5,500 ms past generation under
+    /// the defaults) and not from then on. A late copy used to re-store the
+    /// expired replica at every node it reached, each to expire a
+    /// millisecond later and take the next late copy again.
+    #[test]
+    fn a_windowed_insert_copy_past_its_retention_is_neither_stored_nor_forwarded() {
+        let mut d = deploy(WINDOWED_JOIN, 4);
+        let fact = r1_insert(some_id(9, 50));
+        d.sim.run_until(50 + 5_500 - 1);
+        assert_eq!(flood_copy(&mut d, &fact), 4, "within its retention");
+        d.sim.run_until(50 + 5_500);
+        let held = |d: &crate::Deployment| d.sim.nodes().map(|n| n.replica_count()).sum::<usize>();
+        assert_eq!(held(&d), 0, "every copy expired at 5,550");
+        let tx = d.sim.metrics.total_tx();
+        assert_eq!(flood_copy(&mut d, &fact), 0);
+        d.sim.run_to_quiescence(SimTime::MAX);
+        assert_eq!((held(&d), d.sim.metrics.total_tx()), (0, tx));
     }
 
     /// The fault plane's duplication window queues one `Arc` twice. A walk
@@ -2369,30 +2492,30 @@ mod tests {
     }
 
     impl StoreModel {
-        fn store(&mut self, fact: &FactRecord, now: SimTime) {
+        /// Whether storing `fact` at `now` changes the store.
+        fn store(&mut self, fact: &FactRecord, now: SimTime) -> bool {
             let (t, id) = (fact.tuple.clone(), fact.id);
-            let meta = |gen_ts, del_ts| TupleMeta {
-                gen_ts,
-                extra: Replica { id, del_ts },
-            };
             let old = self.stored.get(&t).map(|m| m.extra.id);
-            match fact.kind {
-                UpdateKind::Insert => {
-                    if old.is_none_or(|old| old < id) {
-                        self.stored.insert(t.clone(), meta(fact.tau, Replica::LIVE));
-                    }
-                    // τs + τj + τw of `WINDOWED_JOIN` under the defaults.
-                    self.pending.push(((fact.tau + 5_500).max(now + 1), t, id));
-                }
+            let (gen_ts, del_ts) = match fact.kind {
+                UpdateKind::Insert if old.is_none_or(|old| old < id) => (fact.tau, Replica::LIVE),
                 UpdateKind::Delete if old == Some(id) => {
                     let m = self.stored.get_mut(&t).unwrap();
+                    let earlier = fact.tau < m.extra.del_ts;
                     m.extra.del_ts = m.extra.del_ts.min(fact.tau);
+                    return earlier;
                 }
-                UpdateKind::Delete if old.is_some_and(|old| old > id) => {}
-                UpdateKind::Delete => {
-                    self.stored.insert(t, meta(id.ts, fact.tau));
-                }
+                UpdateKind::Delete if old.is_none_or(|old| old < id) => (id.ts, fact.tau),
+                _ => return false,
+            };
+            // τs + τj + τw of `WINDOWED_JOIN` under the defaults.
+            let due = gen_ts + 5_500;
+            if due <= now {
+                return false;
             }
+            let extra = Replica { id, del_ts };
+            self.stored.insert(t.clone(), TupleMeta { gen_ts, extra });
+            self.pending.push((due, t, id));
+            true
         }
 
         fn expire(&mut self, now: SimTime) {
@@ -2418,10 +2541,10 @@ mod tests {
 
         /// Random insert / delete / re-insert / replay-with-later-τ / wait
         /// sequences through `store_replica` at one node: after every step
-        /// the fragment store, `replica_count()` and `id_bindings()` say
-        /// what the model says, a delete of generation g never touches a
-        /// stored g′ ≠ g, and in the end every generation whose insert came
-        /// has expired (a tombstone whose insert never does waits for it).
+        /// its answer, the fragment store, `replica_count()` and
+        /// `id_bindings()` say what the model says, a delete of generation g
+        /// never touches a stored g′ ≠ g, and in the end every stored
+        /// generation has expired, a tombstone whose insert never came too.
         #[test]
         fn replica_store_views_agree_under_random_histories(
             steps in prop::collection::vec((0u8..4, 0i64..3, 0u32..4, 1u64..4_000), 1..48)
@@ -2446,8 +2569,9 @@ mod tests {
                     }
                 };
                 let before = stored_rel(d.node(at), r1).and_then(|r| r.meta(&tuple).copied());
-                d.sim.invoke(at, |node, ctx| node.store_replica(ctx, &fact));
-                model.store(&fact, now);
+                let mut changed = None;
+                d.sim.invoke(at, |node, ctx| changed = Some(node.store_replica(ctx, &fact)));
+                prop_assert_eq!(changed, Some(model.store(&fact, now)));
                 let node = d.node(at);
                 let after = stored_rel(node, r1).and_then(|r| r.meta(&tuple).copied());
                 if op == 2 && after.is_some_and(|m| m.extra.id != id) {
@@ -2471,8 +2595,8 @@ mod tests {
             let node = d.node(at);
             prop_assert!(node.store.as_ref().is_none_or(|s| s.expiries.is_empty()));
             prop_assert!(model.pending.is_empty());
-            prop_assert_eq!(node.replica_count(), model.stored.len());
-            prop_assert!(model.stored.values().all(|m| m.extra.del_ts != Replica::LIVE));
+            prop_assert!(model.stored.is_empty());
+            prop_assert_eq!(node.replica_count(), 0);
         }
     }
 }

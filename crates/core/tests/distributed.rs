@@ -10,7 +10,7 @@ use sensorlog_core::{PassMode, RtConfig, Strategy};
 use sensorlog_eval::UpdateKind;
 use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::{parse_fact, Symbol, Term, Tuple};
-use sensorlog_netsim::{NodeId, SimConfig, Topology};
+use sensorlog_netsim::{FaultSchedule, NodeId, SimConfig, Topology};
 
 fn sym(s: &str) -> Symbol {
     Symbol::intern(s)
@@ -1233,6 +1233,67 @@ fn tombstone_before_replica_is_ordered_correctly() {
         report.spurious
     );
     assert_eq!(report.expected, 0, "deleted tuple must not join later");
+}
+
+/// The flood twin of the test above: one tuple inserted, deleted and
+/// inserted again within 50 ms under NaiveBroadcast, while a duplication
+/// window doubles a quarter of all transmissions and a reorder window lets
+/// copies overtake each other. Copies of both generations and of the delete
+/// cross at every node, and a node forwards one only when storing it
+/// changed its store; the flood still reaches everyone and stops. A second
+/// tuple is inserted and deleted for good, and its partner is sensed after
+/// the delete, far from the source: it must find the tombstone there, or
+/// its probe joins the deleted tuple.
+#[test]
+fn a_flood_of_one_tuples_generations_survives_duplicates_and_reordering() {
+    let mut cfg = config_with(Strategy::NaiveBroadcast);
+    cfg.sim.seed = 5;
+    let topo = Topology::square_grid(4);
+    let mut d = Deployment::new(JOIN2, BuiltinRegistry::standard(), topo, cfg).unwrap();
+    d.set_fault_schedule(
+        FaultSchedule::new()
+            .dup_window(0, 10_000, 250_000)
+            .reorder_window(0, 10_000, 40),
+    );
+    let mut events = vec![
+        ev(10, 5, "r1", "r1(1, 7)", UpdateKind::Insert),
+        ev(12, 5, "r1", "r1(4, 8)", UpdateKind::Insert),
+        ev(20, 12, "r2", "r2(2, 7)", UpdateKind::Insert),
+        ev(35, 5, "r1", "r1(1, 7)", UpdateKind::Delete),
+        ev(37, 5, "r1", "r1(4, 8)", UpdateKind::Delete),
+        ev(45, 15, "r2", "r2(3, 7)", UpdateKind::Insert),
+        ev(45, 15, "r2", "r2(5, 8)", UpdateKind::Insert),
+        ev(60, 5, "r1", "r1(1, 7)", UpdateKind::Insert),
+    ];
+    d.schedule_all(events.clone()).unwrap();
+    d.run(20_000);
+    let exact = |d: &Deployment, events: &[WorkloadEvent], want: usize| {
+        let report = oracle::check(d, events, sym("q"));
+        assert!(
+            report.exact(),
+            "missing {:?} spurious {:?}",
+            report.missing,
+            report.spurious
+        );
+        assert_eq!(report.expected, want);
+    };
+    exact(&d, &events, 2);
+    // Every node holds `r1(1, 7)` at its second generation, the
+    // tombstoned `r1(4, 8)` and the three partners.
+    for node in d.sim.nodes() {
+        assert_eq!(node.replica_count(), 5, "{}", node.id);
+        let r1_gens = node
+            .id_bindings()
+            .into_iter()
+            .filter(|b| b.2 == tuple("r1(1, 7)"));
+        assert!(r1_gens.map(|b| b.0.ts).all(|ts| ts == 60), "{}", node.id);
+    }
+    let delete = ev(20_010, 5, "r1", "r1(1, 7)", UpdateKind::Delete);
+    d.schedule_all([delete.clone()]).unwrap();
+    events.push(delete);
+    d.run(200_000);
+    assert!(d.sim.is_quiescent(), "the flood must stop");
+    exact(&d, &events, 0);
 }
 
 #[test]

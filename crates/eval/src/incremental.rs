@@ -1342,4 +1342,23 @@ mod tests {
     fn rejects_aggregates() {
         assert!(counting("best(min<V>) :- m(V).").is_err());
     }
+
+    /// A cascade whose every step emits one more update never ends by
+    /// itself: it stops after `MAX_CASCADE` steps with the limit error (what
+    /// a Centroid center reports for `n(X + 1) :- n(X), X < 2000000.`).
+    #[test]
+    fn an_endless_cascade_stops_at_the_limit() {
+        let mut steps = 0;
+        let err = cascade(ins("n(0)", 0), |u, out| {
+            steps += 1;
+            out.push(u.clone());
+            Ok(())
+        })
+        .unwrap_err();
+        let EvalError::LimitExceeded { what, limit } = err else {
+            panic!("unexpected {err}");
+        };
+        assert_eq!((what, limit), ("update cascade", MAX_CASCADE));
+        assert_eq!(steps, MAX_CASCADE);
+    }
 }

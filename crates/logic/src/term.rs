@@ -402,21 +402,23 @@ impl std::hash::Hash for Tuple {
 }
 
 impl PartialOrd for Tuple {
+    #[inline]
     fn partial_cmp(&self, other: &Tuple) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for Tuple {
+    /// Inlined into every ordered-map descent. The pool holds one id per
+    /// value, so equal ids are equal values and are skipped without a call,
+    /// and the first column whose ids differ decides.
+    #[inline]
     fn cmp(&self, other: &Tuple) -> Ordering {
         let (a, b) = (self.ids(), other.ids());
-        for (&x, &y) in a.iter().zip(b.iter()) {
-            match intern::cmp_ids(x, y) {
-                Ordering::Equal => {}
-                ord => return ord,
-            }
+        match a.iter().zip(b).find(|(x, y)| x != y) {
+            Some((&x, &y)) => intern::cmp_ids(x, y),
+            None => a.len().cmp(&b.len()),
         }
-        a.len().cmp(&b.len())
     }
 }
 

@@ -9,7 +9,9 @@
 //!     Static analysis: per-predicate memory bounds, plan lints
 //!     (cartesian joins, dead code, multi-pass negation), owner placement,
 //!     the neighbourhood plane and each derived predicate's row of the
-//!     message envelopes, as span-carrying diagnostics.
+//!     message envelopes, as span-carrying diagnostics; then the program's
+//!     ground facts are evaluated centrally, and an evaluation error is an
+//!     error (a limit hit, a warning).
 //!     --format json emits the machine-readable report; --deny-warnings
 //!     exits non-zero on warnings; --nodes/--events set the topology and
 //!     workload parameters the bound formulas are evaluated against.
@@ -213,7 +215,10 @@ fn cmd_check(args: &[String]) -> Result<(), AnyError> {
     if let Some(e) = flag(args, "--events") {
         params.default_events = e.parse()?;
     }
-    let rep = diag::check_source(&src, &BuiltinRegistry::standard(), &params);
+    let mut rep = diag::check_source(&src, &BuiltinRegistry::standard(), &params);
+    if !rep.has_errors() {
+        rep.diags.extend(ground_facts_diag(&src));
+    }
     match flag(args, "--format").as_deref().unwrap_or("text") {
         "json" => print!("{}", rep.to_json()),
         "text" => {
@@ -240,6 +245,32 @@ fn cmd_check(args: &[String]) -> Result<(), AnyError> {
         return Err(format!("{path}: warnings denied by --deny-warnings").into());
     }
     Ok(())
+}
+
+/// Evaluate the program's ground facts as a Centroid center does
+/// (`IncrementalEngine::new`). An evaluation error means no engine can run
+/// the program: Centroid refuses it at deploy, PA drops every head it cannot
+/// evaluate, and the oracle fails. A limit hit is only a warning, because PA
+/// derives past the centralized engine's limits.
+fn ground_facts_diag(src: &str) -> Option<sensorlog::logic::diag::Diagnostic> {
+    use sensorlog::eval::EvalError;
+    use sensorlog::logic::diag::{Diagnostic, Severity};
+    let reg = BuiltinRegistry::standard();
+    let analysis = analyze(&parse_program(src).ok()?, &reg).ok()?;
+    let err = IncrementalEngine::new(analysis, reg).err()?;
+    let severity = match err {
+        EvalError::LimitExceeded { .. } => Severity::Warning,
+        _ => Severity::Error,
+    };
+    Some(Diagnostic {
+        code: "eval.ground-facts",
+        severity,
+        rule_id: None,
+        pred: None,
+        span: Default::default(),
+        message: format!("the program's ground facts cannot be evaluated: {err}"),
+        suggestions: Vec::new(),
+    })
 }
 
 fn cmd_fix(args: &[String]) -> ExitCode {

@@ -5,6 +5,7 @@
 //! declarations, not semantic edits). `deploy` / `explain`: out-of-range `--grid`
 //! and `--loss` are reported as errors, never panics or silent clamps, and
 //! a program with no output predicate deploys without an oracle line.
+//! `check`: a program whose ground facts no engine can evaluate fails it.
 
 use sensorlog::logic::diag::{check_source, fix_source, BoundParams};
 use sensorlog::prelude::*;
@@ -88,6 +89,48 @@ fn deploy_of_a_rule_less_program_prints_no_oracle_line() {
     assert_eq!(deploy(".window v 1000.\n", "+100 @0 v(2).\n"), 0);
     let join = ".output q.\nq(X, Y) :- r1(X, T), r2(Y, T).\n";
     assert_eq!(deploy(join, "+100 @0 r1(1, 7).\n+200 @8 r2(2, 7).\n"), 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `sensorlog check` evaluates the program's ground facts as a Centroid
+/// center would. `m(X / 0)` over `n(0)` used to pass with 0 errors, though
+/// Centroid refuses it at deploy and the oracle fails on it; it is now an
+/// error naming the builtin, in both formats. A program that evaluates
+/// gets no such diagnostic.
+#[test]
+fn check_fails_ground_facts_no_engine_can_evaluate() {
+    let dir = std::env::temp_dir().join(format!("sensorlog_check_eval_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let check = |prog: &str, format: &str| {
+        let path = dir.join("p.dl");
+        std::fs::write(&path, prog).unwrap();
+        let out = bin()
+            .args(["check", path.to_str().unwrap(), "--format", format])
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        (out.status.code(), stdout, stderr)
+    };
+    let div = ".output m.\nn(0).\nm(X / 0) :- n(X).\n";
+    let (code, stdout, stderr) = check(div, "text");
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stdout.contains("error: [eval.ground-facts]")
+            && stdout.contains("builtin error: div(0, 0) failed"),
+        "{stdout}"
+    );
+    assert!(stderr.contains("1 error(s), 0 warning(s)"), "{stderr}");
+    let (code, json, _) = check(div, "json");
+    assert_eq!(code, Some(1));
+    assert!(
+        json.contains("\"code\": \"eval.ground-facts\", \"severity\": \"error\""),
+        "{json}"
+    );
+    let (code, stdout, stderr) = check(".output m.\nn(1).\nm(X / 1) :- n(X).\n", "text");
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(!stdout.contains("eval.ground-facts"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
