@@ -317,18 +317,33 @@ if grep -rn 'flood_seen' crates src; then
     echo "a second record of flooded tuples is back: forward a FloodStore copy when store_replica reports a change"; exit 1
 fi
 
+# One timing source: every wait of the runtime (τs, τj, a replica's
+# retention, an owner's holddown and its XY stagger) is derived per
+# deployment from the plan, the topology and SimConfig
+# (`DistProgram::with_reach`, priced by `NetInfo::wait`). Earlier trees
+# carried four settable constants, ~10-15x too long on the neighbourhood
+# plane and too short on a 20-wide PA grid, where a stage's retraction chain
+# outran the stagger and the run never settled.
+echo "== one timing source (no settable τs, τj, holddown base or XY stagger under crates/ src/ tests/ examples/) =="
+if grep -rnE 'tau_s|tau_j|holddown_base|xy_stagger|DEFAULT_HOLDDOWN_BASE_MS|DEFAULT_XY_STAGGER_MS' crates src tests examples; then
+    echo "a settable timing constant is back: derive the wait from the deployment's delay bound (plan::Delay)"; exit 1
+fi
+
 # ROADMAP item 8's repro (crates/bench/tests/staggered_arrivals.rs): the tree
 # programs on the neighbourhood plane are oracle-exact (the 6x6 logicH run
 # that was the repro included), and so is logicH over a ternary link, which
 # keeps hashed owners and PA walks — its 6x6 witness, and a sweep over grids,
 # link spacings and link orders with Centroid as the control. The witness
 # failed until a probe whose pin leaves a negated literal unbound walked its
-# region once more to check it (`plan::Negations::Repass`).
+# region once more to check it (`plan::Negations::Repass`). The same program
+# on a 20x20 grid, links 1 ms apart, must settle exact within 500,000
+# messages: under a constant XY stagger it never settled.
 echo "== staggered arrivals (the plane is exact, and so is item 8's ternary witness and sweep off it) =="
 for name in tree_programs_are_oracle_exact_where_arrivals_settle \
     logich_6x6_links_200ms_apart_is_oracle_exact \
     ternary_logich_6x6_links_200ms_apart_is_oracle_exact \
-    ternary_logich_is_oracle_exact_over_grids_spacings_and_link_orders; do
+    ternary_logich_is_oracle_exact_over_grids_spacings_and_link_orders \
+    ternary_logich_20x20_links_1ms_apart_settles_oracle_exact; do
     out=$(cargo test -q -p sensorlog-bench --test staggered_arrivals -- --exact "$name" 2>&1) ||
         { echo "$out"; exit 1; }
     grep -q "test result: ok. 1 passed" <<<"$out" || {

@@ -70,7 +70,7 @@ pub fn fig13(_quick: bool, r: &mut Report) {
     gate_no_spurious(r, runs.iter().flat_map(|(pa, ce)| [pa, ce]));
     r.gate(
         "pa_found",
-        "838 938",
+        "847 946",
         series(runs.iter().map(|(pa, _)| pa.found)),
     );
     r.gate(

@@ -60,10 +60,6 @@ pub fn fig16(_quick: bool, r: &mut Report) {
             let cfg = DeployConfig {
                 rt: RtConfig {
                     strategy,
-                    // Banded walks span multi-hop gaps: give storage/join
-                    // phases more headroom than the grid defaults.
-                    tau_s: 4_000,
-                    tau_j: 8_000,
                     ..RtConfig::default()
                 },
                 sim: SimConfig {

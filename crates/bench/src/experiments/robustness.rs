@@ -57,8 +57,8 @@ pub fn fig9(_quick: bool, r: &mut Report) {
     r.gate("loss_free_runs_oracle_exact", 4, exact);
     gate_no_spurious(r, points.iter().map(|p| &p.oracle));
     let found = |i: usize| series(points.iter().skip(i).step_by(4).map(|p| p.oracle.found));
-    r.gate("pa_found", "477 225 136 31 12", found(0));
-    r.gate("pa_arq_found", "477 477 475 457 409", found(1));
+    r.gate("pa_found", "477 246 120 36 18", found(0));
+    r.gate("pa_arq_found", "477 477 477 449 414", found(1));
     r.gate("centroid_found", "477 321 211 110 56", found(2));
     r.gate("centroid_arq_found", "477 477 475 468 453", found(3));
 }

@@ -75,11 +75,11 @@ pub fn fig8(_quick: bool, r: &mut Report) {
         ]);
     }
     r.gate("trees_correct", 3 * sizes.len(), correct);
-    r.gate("logicH_tx", "148 318 552", series(h_tx));
-    r.gate("logicJ_tx", "108 216 360", series(j_tx));
-    r.gate("logicH_settle_ms", "13483 15906 16745", series(h_settle));
-    r.gate("logicJ_settle_ms", "13477 15920 16742", series(j_settle));
+    r.gate("logicH_tx", "142 303 524", series(h_tx));
+    r.gate("logicJ_tx", "104 207 344", series(j_tx));
+    r.gate("logicH_settle_ms", "168 157 157", series(h_settle));
+    r.gate("logicJ_settle_ms", "179 164 159", series(j_settle));
     r.gate("flood_settle_ms", "63 86 119", series(flood_settle));
-    r.gate("logicH_flat_settle_ms", "18076 25299 32517", series(h_flat));
-    r.gate("logicJ_flat_settle_ms", "18077 25313 32531", series(j_flat));
+    r.gate("logicH_flat_settle_ms", "826 1149 1467", series(h_flat));
+    r.gate("logicJ_flat_settle_ms", "827 1163 1481", series(j_flat));
 }

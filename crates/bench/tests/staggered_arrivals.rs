@@ -93,6 +93,11 @@ fn ternary_run(
     seed: u64,
     strategy: Strategy,
 ) -> (u64, OracleReport) {
+    held(ternary_deployment(grid, spacing, seed, strategy))
+}
+
+/// `LOGIC_H_TERNARY` on `grid` as [`ternary_run`] deploys it, not yet run.
+fn ternary_deployment(grid: (u32, u32), spacing: u64, seed: u64, strategy: Strategy) -> Deployment {
     let topo = Topology::grid(grid.0, grid.1);
     let cfg = DeployConfig {
         sim: SimConfig {
@@ -131,7 +136,24 @@ fn ternary_run(
         link
     }))
     .unwrap();
-    held(d)
+    d
+}
+
+/// Run `d` to quiescence ten simulated seconds at a time, failing as soon
+/// as it has sent more than `max_tx` messages, and hold its output against
+/// the oracle.
+fn held_within(mut d: Deployment, max_tx: u64) -> (u64, OracleReport) {
+    let mut until = 0;
+    loop {
+        until += 10_000;
+        d.run(until);
+        let tx = d.metrics().total_tx();
+        assert!(tx <= max_tx, "{tx} messages by {until} ms, and not settled");
+        if d.sim.is_quiescent() {
+            let report = oracle::check(&d, d.applied_events(), d.prog.outputs[0]);
+            return (tx, report);
+        }
+    }
 }
 
 fn assert_exact(what: &str, (tx, report): (u64, OracleReport)) {
@@ -182,5 +204,19 @@ fn ternary_logich_is_oracle_exact_over_grids_spacings_and_link_orders() {
             let what = format!("Centroid {grid:?} @ {spacing} ms");
             assert_exact(&what, ternary_run(grid, spacing, seed, Strategy::Centroid));
         }
+    }
+}
+
+/// Off the plane a stage waits for its delay bound, however wide the grid.
+/// Under the constant 2,000 ms stagger a stage's retraction chain on a
+/// 20-wide grid (a 19-hop row store, τs + τc, a two-pass 19-hop column walk
+/// and a result routed to a hashed owner) outran the holddown: 20×20 never
+/// settled, sending 1.46 M messages by 150 s with 55–298 spurious tuples,
+/// and 14×14 sent 112,033. Both settle oracle-exact now.
+#[test]
+fn ternary_logich_20x20_links_1ms_apart_settles_oracle_exact() {
+    for (grid, max_tx) in [((14, 14), 112_033), ((20, 20), 500_000)] {
+        let d = ternary_deployment(grid, 1, 17, PA);
+        assert_exact(&format!("PA {grid:?} @ 1 ms"), held_within(d, max_tx));
     }
 }

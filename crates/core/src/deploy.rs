@@ -154,6 +154,7 @@ const PLANE_MAX_HOP_LOSS: f64 = 0.1;
 pub struct DeployConfig {
     pub rt: RtConfig,
     pub sim: SimConfig,
+    /// Nothing: read by no one, since every wait is derived per deployment.
     pub plan: PlanTiming,
     /// Telemetry handle shared by the simulator and every node (disabled by
     /// default — a disabled handle costs one branch per recording site).
@@ -206,14 +207,15 @@ impl Deployment {
         let cut = !matches!(topo.kind, TopologyKind::Geometric { .. });
         let prog = compile_source(src, reg, config.plan)?
             .with_pass_mode(config.rt.pass_mode)
-            .with_reach(config.rt.strategy, !lossy, cut);
+            .with_reach(config.rt.strategy, !lossy, cut, &topo);
         let prog = Arc::new(prog);
         // One topology, shared by the router and the simulator. Every node
-        // times its phases by the simulator's skew bound τc (Theorem 3).
+        // prices its waits by the simulator's delay bounds: its slowest hop
+        // and its skew bound τc (Theorem 3).
         let topo = Arc::new(topo);
         let net = NetInfo::shared(Arc::clone(&topo))
             .with_telemetry(config.telemetry.clone())
-            .with_clock_skew(config.sim.clock_skew_max);
+            .with_delays(&config.sim);
         let strategy = config.rt.strategy;
         let ctx = DeployContext::new(
             Arc::clone(&prog),
@@ -398,8 +400,11 @@ impl Deployment {
     }
 
     /// Attach a scripted fault schedule (crashes, restarts, partitions,
-    /// dup/reorder windows). Applied tick-exactly during `run`.
+    /// dup/reorder windows). Applied tick-exactly during `run`. Every wait
+    /// armed from now on prices a hop with its widest reorder window's
+    /// jitter.
     pub fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
+        self.ctx.net().allow_jitter(schedule.reorder_jitter());
         self.sim.set_fault_schedule(schedule);
     }
 
@@ -890,8 +895,6 @@ mod tests {
         let config = DeployConfig {
             rt: RtConfig {
                 strategy: Strategy::Perpendicular { band_width: 1.7 },
-                tau_s: 4_000,
-                tau_j: 8_000,
                 ..RtConfig::default()
             },
             ..observed()
@@ -1090,7 +1093,8 @@ mod tests {
     /// so the last is 0 by name: before them `hp`'s probes opened the other
     /// `h` unkeyed 354 times (3,061 / 1,852 / 354). The neighbourhood plane
     /// joins each update at one node, which took the pin from 580 / 2,543
-    /// to 82 / 530. The old `scan_into` touched no counter, so pointing
+    /// to 82 / 530; waits derived from the delay bound, not constants, made
+    /// it 80 / 526. The old `scan_into` touched no counter, so pointing
     /// `candidates` back at it reads 0 / 0 / 0 here.
     #[test]
     fn node_probes_are_ranges_of_the_fragment_map() {
@@ -1101,12 +1105,14 @@ mod tests {
             stats.merge(d.node(id).index_stats());
         }
         assert_eq!(stats.full_scans, 0, "a node probe opened a literal unkeyed");
-        assert_eq!((stats.hits, stats.scans), (82, 530));
+        assert_eq!((stats.hits, stats.scans), (80, 526));
     }
 
     /// Example 1 under PA on a 6×6 grid, seed 17: vehicles sighted every
     /// second for 20 s, `veh` windowed to 8 s, so a replica is retained for
-    /// τs + τj + τw = 12,500 ms. Sightings are scheduled, not run.
+    /// 8,450 ms: the window, and the longest τs + τj of a partner — a 5-hop
+    /// row store and a one-pass 10-hop column walk, at 30 ms a hop.
+    /// Sightings are scheduled, not run.
     fn battlefield_6x6(config: DeployConfig) -> Deployment {
         let src = r#"
             .window veh 8000.
@@ -1137,15 +1143,17 @@ mod tests {
 
     /// The count gate of "one expiry queue per node". Just before the first
     /// expiry the simulator has never held as many pending events as the
-    /// network holds replicas (171 against 1,638) — with a timer per
-    /// replica, the parent's scheme, it held more (2,302: one per owned
-    /// `cov` / `uncov` delta too). Run on past the window, each generation
-    /// still leaves at exactly τ + retention, from every node of its row at
-    /// once; and the observers see none of it: the journal is the same bytes
-    /// with telemetry and provenance on.
+    /// network holds replicas — with a timer per replica it would hold
+    /// more: one per owned `cov` / `uncov` delta too. Run on past the
+    /// window, each generation still leaves at exactly τ + retention, from
+    /// every node of its row at once; and the observers see none of it: the
+    /// journal is the same bytes with telemetry and provenance on.
     #[test]
     fn windowed_replicas_do_not_queue_a_timer_each() {
         let mut d = battlefield_6x6(DeployConfig::default());
+        let retain = d.prog.waits(Symbol::intern("veh")).retain;
+        let kept = d.net().wait(retain.expect("veh is windowed"));
+        assert_eq!(kept, 8_000 + (5 + 10) * 30);
         let journal = d.attach_journal();
         let sighted: Vec<SimTime> = (d.schedule.iter())
             .filter(|e| e.kind == UpdateKind::Insert)
@@ -1163,10 +1171,10 @@ mod tests {
             };
             d.sim.nodes().map(away).sum()
         };
-        // The first sighting (1 s) leaves at 13.5 s: until then everything
+        // The first sighting (1 s) leaves at 9.45 s: until then everything
         // stored is still stored, `cov` and `uncov` replicas included, and
         // each has an expiry pending.
-        d.run(13_499);
+        d.run(1_000 + kept - 1);
         let stored: usize = d.sim.nodes().map(|n| n.replica_count()).sum();
         assert!(held(&d) >= 5 * 100 && stored > held(&d));
         assert!(
@@ -1176,9 +1184,9 @@ mod tests {
         for tau in (1_000..20_000).step_by(1_000) {
             let leaving = 5 * sighted.iter().filter(|&&at| at == tau).count();
             assert!(leaving > 0);
-            d.run(tau + 12_499);
+            d.run(tau + kept - 1);
             let before = held(&d);
-            d.run(tau + 12_500);
+            d.run(tau + kept);
             assert_eq!(before - held(&d), leaving, "generation of {tau}");
         }
         assert_eq!(held(&d), 0);

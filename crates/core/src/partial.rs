@@ -397,7 +397,7 @@ mod tests {
             q(X, Z) :- e(X, Y), f(Y, Z), Z > 0, not bad(Z).
             "#,
             BuiltinRegistry::standard(),
-            PlanTiming::default(),
+            PlanTiming,
         )
         .unwrap()
     }
@@ -631,7 +631,7 @@ mod tests {
         let prog = compile_source(
             "r(X, Z) :- s(X, Y), t(Y, Z).",
             BuiltinRegistry::standard(),
-            PlanTiming::default(),
+            PlanTiming,
         )
         .unwrap();
         let rule = &prog.analysis.program.rules[0];
@@ -698,7 +698,7 @@ mod tests {
         let prog = compile_source(
             ".window f 30.\n.output q.\nq(X, Z) :- e(X, Y), f(Y, Z).",
             BuiltinRegistry::standard(),
-            PlanTiming::default(),
+            PlanTiming,
         )
         .unwrap();
         let atom = prog.analysis.program.rules[0].body[1].atom().unwrap();

@@ -3,12 +3,7 @@
 //! represents distributed bottom-up incremental evaluation").
 //!
 //! The compiled [`DistProgram`] is downloaded into every node: rules with
-//! occurrence tables, effective sliding windows, the output set, and the
-//! per-predicate finalize-holddown (Sec. IV-C: "we need to wait for an
-//! appropriate time before actually finalizing a derived fact (since it may
-//! be retracted/deleted later)"). XY components get staggered holddowns
-//! following the certified stage-local order, so retractions (`hp`) settle
-//! before the tuples they block (`h`) propagate.
+//! occurrence tables, effective sliding windows and the output set.
 //!
 //! Two more decisions are the program's, made here once: the passes a
 //! probe pinned at each relational literal walks ([`PassPlan`]), and where
@@ -19,6 +14,19 @@
 //! ([`store_targets`]), and how far a base tuple's join partners can be.
 //! A deployment turns that into one [`Reach`] per predicate
 //! (`DistProgram::with_reach`): where its updates go under its strategy.
+//!
+//! From the reaches and the topology the same call derives every wait of
+//! the runtime as a [`Delay`], in hops and clock skews that the network
+//! prices (`runtime::NetInfo::wait`): how long an update waits for its
+//! storage leg before it joins (τs + τc, Sec. IV-A), how long a windowed
+//! replica is kept (Sec. IV-B), and how long an owner holds a liveness
+//! transition before it finalizes it (Sec. IV-C: "we need to wait for an
+//! appropriate time before actually finalizing a derived fact (since it may
+//! be retracted/deleted later)"). Theorems 1–3 assume those delays are
+//! bounded; these are the bounds. An XY component's holddowns are
+//! staggered along its certified stage-local order, one retraction chain
+//! per step, so retractions (`hp`) settle before the tuples they block
+//! (`h`) propagate. A `.holddown` declaration overrides its predicate's.
 
 use crate::partial::MAX_BODY_LITERALS;
 use crate::strategy::{PassMode, Strategy};
@@ -115,9 +123,6 @@ pub struct DistProgram {
     pub idb: BTreeSet<Symbol>,
     /// Query predicates (`.output`); defaults to all IDB preds if empty.
     pub outputs: Vec<Symbol>,
-    /// Per-predicate finalize holddown (ms) applied by owner nodes before
-    /// propagating a liveness transition.
-    pub holddown: BTreeMap<Symbol, u64>,
     /// Ground facts from empty-body rules, injected at owners at t = 0.
     pub static_facts: Vec<(Symbol, sensorlog_logic::Tuple)>,
     /// Per rule, per body literal: the passes of a probe pinned there
@@ -132,6 +137,14 @@ pub struct DistProgram {
     /// (`DistProgram::with_reach`): `rest` for a predicate absent here.
     reach: BTreeMap<Symbol, Reach>,
     rest: Reach,
+    /// What an update of each predicate waits for on this deployment
+    /// (`DistProgram::with_reach`), its regions cut to its radius; `uncut`,
+    /// for a deployment that cuts some, the same once it stops.
+    waits: BTreeMap<Symbol, Waits>,
+    uncut: BTreeMap<Symbol, Waits>,
+    /// How long an owner holds a liveness transition of each derived
+    /// predicate on this deployment before propagating it (Sec. IV-C).
+    holddowns: BTreeMap<Symbol, Delay>,
     /// Whether regions are cut to their radius. The cut measures from the
     /// node holding a tuple, so `Deployment` clears this at the first event
     /// of a radius predicate whose location column is not its node's
@@ -160,6 +173,128 @@ pub enum Reach {
     /// Along the strategy's storage and join regions (PA, LocalStorage),
     /// cut to its spatial radius while the deployment cuts.
     Regions(Option<Radius>),
+}
+
+/// A bound on one of the runtime's waits, in the units a deployment prices
+/// it by (`runtime::NetInfo::wait`): fixed milliseconds (a window, a
+/// `.holddown` declaration), hops at the most one hop's delivery takes, and
+/// clock skews (τc, Theorem 3).
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct Delay {
+    pub ms: u64,
+    pub hops: u64,
+    pub skews: u64,
+}
+
+/// What an update of one predicate waits for on one deployment.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct Waits {
+    /// τs + τc (Sec. IV-A): from the update's start to its join's — its
+    /// storage leg and one clock skew.
+    pub store: Delay,
+    /// τj: its join leg, every pass of its longest walk.
+    pub join: Delay,
+    /// For a windowed predicate, how long a replica is kept past its
+    /// generation (Sec. IV-B): every probe that may join it has started and
+    /// walked by then — the longest τs + τc + τj of a predicate its rules
+    /// join it with, its window, and one clock skew more.
+    pub retain: Option<Delay>,
+}
+
+/// The hop counts a deployment's walks are priced by: on a grid, read off
+/// its dimensions; elsewhere, bounded from one breadth-first search and the
+/// nodes' positions.
+struct Walks {
+    /// The most hops a route takes.
+    diameter: u64,
+    /// The most hops a storage walk of the strategy's regions takes from
+    /// its node, uncut.
+    row: u64,
+    /// The most hops from a node to the first node of its join walk, and
+    /// along one pass of that walk, uncut.
+    to_column: u64,
+    column: u64,
+    /// Whether a spatial radius cuts `row`, `to_column` and `column` to the
+    /// rows and columns it reaches: PA on a grid.
+    cuts: bool,
+}
+
+impl Walks {
+    fn of(topo: &Topology, strategy: Strategy) -> Walks {
+        // Hops of a walk over every node, one per step (none in an empty
+        // topology).
+        let steps = (topo.len() as u64).saturating_sub(1);
+        let grid = topo.grid_dims().map(|(c, r)| (u64::from(c), u64::from(r)));
+        // On a grid routes go by coordinate. Off it, twice one node's
+        // eccentricity bounds the diameter.
+        let diameter = match grid {
+            Some((cols, rows)) => cols + rows - 2,
+            None => {
+                let dist = topo.bfs(NodeId(0)).dist;
+                let ecc = dist.into_iter().filter(|&d| d != u32::MAX).max();
+                2 * u64::from(ecc.unwrap_or(0))
+            }
+        };
+        // On a grid a region is a line of radio neighbours — a row, a
+        // column, or LocalStorage's snake over every node. Off it a walk
+        // routes from member to member, each step at most a diameter, so a
+        // walk over `k` nodes takes at most `k - 1` such steps.
+        let (row, to_column, column, cuts) = match (strategy, grid) {
+            (Strategy::Perpendicular { .. }, Some((cols, rows))) => {
+                (cols - 1, rows - 1, rows - 1, true)
+            }
+            (Strategy::Perpendicular { band_width }, None) => {
+                let band = widest_band(topo, band_width);
+                ((band - 1) * diameter, diameter, steps * diameter, false)
+            }
+            // Stored where it starts; a cut keeps a part of the same walk,
+            // in its order, so it is priced uncut.
+            (Strategy::LocalStorage, Some(_)) => (0, diameter, steps, false),
+            (Strategy::LocalStorage, None) => (0, diameter, steps * diameter, false),
+            // No other strategy walks regions.
+            _ => (0, 0, 0, false),
+        };
+        Walks {
+            diameter,
+            row,
+            to_column,
+            column,
+            cuts,
+        }
+    }
+
+    /// The storage and join legs (hops) of an update under `reach` whose
+    /// probe walks `passes` passes: from the node it starts at to the
+    /// farthest node that stores it, and from the start of its join to the
+    /// end of its walk's last pass.
+    fn legs(&self, reach: Reach, passes: u64) -> (u64, u64) {
+        match reach {
+            Reach::Center | Reach::Nowhere => (0, 0),
+            Reach::Plane(_) => (1, 0),
+            Reach::Flood => (self.diameter, 0),
+            Reach::Regions(radius) => {
+                let (mut row, mut to, mut column) = (self.row, self.to_column, self.column);
+                // A cut region reaches `r` rows or columns either way.
+                if let Some(r) = radius.filter(|_| self.cuts) {
+                    let r = r.r.max(0.0).floor() as u64;
+                    (row, to, column) = (row.min(r), to.min(r), column.min(2 * r));
+                }
+                (row, to + passes * column)
+            }
+        }
+    }
+}
+
+/// The most nodes one horizontal band of `width` holds
+/// (`regions::horizontal_band`, PA's storage region off the grid).
+fn widest_band(topo: &Topology, width: f64) -> u64 {
+    let mut ys: Vec<f64> = topo.nodes().map(|n| topo.position(n).1).collect();
+    ys.sort_by(f64::total_cmp);
+    // A hair wider than the band, so rounding never drops a member.
+    let half = width / 2.0 + 1e-9;
+    let within =
+        |y: f64| ys.partition_point(|&v| v <= y + half) - ys.partition_point(|&v| v < y - half);
+    ys.iter().map(|&y| within(y) as u64).max().unwrap_or(1)
 }
 
 /// The passes a probe pinned at one relational literal walks over its join
@@ -285,10 +420,19 @@ impl DistProgram {
         placed.unwrap_or_else(|| ght::owner_of(topo, pred, tuple))
     }
 
-    /// Decide where an update of each predicate goes on a deployment
-    /// running `strategy` ([`Reach`]); `plane` and `cut` say whether it may
-    /// keep the neighbourhood plane and cut regions to a radius at all.
-    pub(crate) fn with_reach(mut self, strategy: Strategy, plane: bool, cut: bool) -> DistProgram {
+    /// Decide where an update of each predicate goes on a deployment of
+    /// `topo` running `strategy` ([`Reach`]), and derive what each waits for
+    /// there ([`Waits`], [`DistProgram::holddown`]); `plane` and `cut` say
+    /// whether it may keep the neighbourhood plane and cut regions to a
+    /// radius at all. Under Centroid the center runs every update and no
+    /// node waits for anything.
+    pub(crate) fn with_reach(
+        mut self,
+        strategy: Strategy,
+        plane: bool,
+        cut: bool,
+        topo: &Topology,
+    ) -> DistProgram {
         if strategy == Strategy::Centroid {
             self.rest = Reach::Center;
             return self;
@@ -302,7 +446,145 @@ impl DistProgram {
         self.reach = (self.places.iter())
             .filter_map(|(&p, place)| Some((p, travels(place)?)))
             .collect();
+        let walks = Walks::of(topo, strategy);
+        let legs = self.legs(&walks, true);
+        self.waits = self.waits_of(&legs);
+        if (self.reach.values()).any(|r| matches!(r, Reach::Regions(Some(_)))) {
+            self.uncut = self.waits_of(&self.legs(&walks, false));
+        }
+        self.holddowns = self.holddowns_of(&walks, &legs);
         self
+    }
+
+    /// The storage and join legs (hops) of each predicate that travels,
+    /// its regions cut to its radius or not.
+    fn legs(&self, walks: &Walks, cut: bool) -> BTreeMap<Symbol, (u64, u64)> {
+        let passes = |pred: Symbol| {
+            let occs = self.occurrences.get(&pred).into_iter().flatten();
+            occs.map(|o| self.pass_plan(o.rule_idx, o.lit_idx).passes(2) as u64)
+                .max()
+                .unwrap_or(1)
+        };
+        (self.reach.iter())
+            .map(|(&p, &reach)| {
+                let reach = match reach {
+                    Reach::Regions(Some(_)) if !cut => Reach::Regions(None),
+                    reach => reach,
+                };
+                (p, walks.legs(reach, passes(p)))
+            })
+            .collect()
+    }
+
+    /// Each travelling predicate's waits, from every predicate's `legs`.
+    fn waits_of(&self, legs: &BTreeMap<Symbol, (u64, u64)>) -> BTreeMap<Symbol, Waits> {
+        let leg = |p: &Symbol| legs.get(p).copied().unwrap_or_default();
+        let rules = &self.analysis.program.rules;
+        (legs.keys())
+            .map(|&p| {
+                let (store, join) = leg(&p);
+                let retain = self.windows.get(&p).map(|&w| {
+                    // Every predicate a rule reading `p` joins it with.
+                    let occs = self.occurrences.get(&p).into_iter().flatten();
+                    let partners = occs
+                        .flat_map(|o| rules[o.rule_idx].body.iter().filter_map(Literal::atom))
+                        .map(|a| leg(&a.pred).0 + leg(&a.pred).1);
+                    let probe = partners.max().unwrap_or(0);
+                    Delay {
+                        ms: w,
+                        hops: probe,
+                        skews: 2,
+                    }
+                });
+                let waits = Waits {
+                    store: Delay {
+                        hops: store,
+                        skews: 1,
+                        ..Delay::default()
+                    },
+                    join: Delay {
+                        hops: join,
+                        ..Delay::default()
+                    },
+                    retain,
+                };
+                (p, waits)
+            })
+            .collect()
+    }
+
+    /// Each derived predicate's holddown: its result leg — one hop to an
+    /// owner its rules' joins on the neighbourhood plane name, a route across
+    /// the network to any other — plus, at step `i` of an XY component's
+    /// stage order, `i` of the component's retraction chains: an update
+    /// stored, joined, its result sent to its owner and that owner's update
+    /// stored, at the component's longest. A `.holddown` declaration
+    /// overrides it.
+    fn holddowns_of(
+        &self,
+        walks: &Walks,
+        legs: &BTreeMap<Symbol, (u64, u64)>,
+    ) -> BTreeMap<Symbol, Delay> {
+        let rules = &self.analysis.program.rules;
+        let result = |h: Symbol| {
+            let on_plane = |a: &Atom| matches!(self.reach.get(&a.pred), Some(Reach::Plane(_)));
+            let placed = self.place(h).owner.is_some()
+                && (rules.iter().filter(|r| r.head.pred == h))
+                    .all(|r| r.body.iter().filter_map(Literal::atom).all(on_plane));
+            if placed {
+                1
+            } else {
+                walks.diameter
+            }
+        };
+        // Hops of each chain; τs adds one clock skew to each.
+        let chain = |info: &xy::XyInfo| {
+            let hops = |p: Symbol| {
+                let (store, join) = legs.get(&p).copied().unwrap_or_default();
+                store + join + result(p) + store
+            };
+            info.stage_order.iter().map(|&p| hops(p)).max().unwrap_or(0)
+        };
+        let mut steps: BTreeMap<Symbol, (u64, u64)> = BTreeMap::new();
+        for info in &self.analysis.xy {
+            let chain = chain(info);
+            steps.extend(info.steps().map(|(p, step)| (p, (step, chain))));
+        }
+        (self.idb.iter())
+            .map(|&h| {
+                let (step, chain) = steps.get(&h).copied().unwrap_or_default();
+                let holddown = match self.analysis.program.holddowns.get(&h) {
+                    Some(&ms) => Delay {
+                        ms,
+                        ..Delay::default()
+                    },
+                    None => Delay {
+                        hops: result(h) + step * chain,
+                        skews: step,
+                        ..Delay::default()
+                    },
+                };
+                (h, holddown)
+            })
+            .collect()
+    }
+
+    /// What an update of `pred` waits for on this deployment: its regions'
+    /// legs uncut once the deployment stops cutting.
+    pub fn waits(&self, pred: Symbol) -> Waits {
+        let uncut = (!self.cut.load(Ordering::Relaxed))
+            .then(|| self.uncut.get(&pred))
+            .flatten();
+        (uncut.or_else(|| self.waits.get(&pred)))
+            .copied()
+            .unwrap_or_default()
+    }
+
+    /// How long an owner of `pred`'s tuples holds a liveness transition
+    /// before it propagates it: one for every derived predicate, and none
+    /// under Centroid, where no owner holds one.
+    pub fn holddown(&self, pred: Symbol) -> Delay {
+        self.holddowns.get(&pred).copied().unwrap_or_default()
     }
 
     /// Where an update of `pred` goes: no radius once the deployment stops
@@ -399,31 +681,14 @@ fn node_named(topo: &Topology, tuple: &Tuple, col: usize) -> Option<NodeId> {
     }
 }
 
-/// Timing inputs for holddown staggering.
-#[derive(Copy, Clone, Debug)]
-pub struct PlanTiming {
-    /// Base holddown for every derived predicate (ms).
-    pub holddown_base: u64,
-    /// Additional stagger per stage-local-order step for XY predicates:
-    /// roughly τs + τc + τj (one full update round trip).
-    pub xy_stagger: u64,
-}
-
-impl Default for PlanTiming {
-    fn default() -> Self {
-        PlanTiming {
-            holddown_base: xy::DEFAULT_HOLDDOWN_BASE_MS,
-            xy_stagger: xy::DEFAULT_XY_STAGGER_MS,
-        }
-    }
-}
+/// Nothing: every wait of the runtime is derived per deployment
+/// (`DistProgram::with_reach`). [`compile_source`] takes one and reads
+/// nothing of it.
+#[derive(Copy, Clone, Debug, Default)]
+pub struct PlanTiming;
 
 /// Compile an analyzed program for distributed execution.
-pub fn compile(
-    analysis: Analysis,
-    reg: BuiltinRegistry,
-    timing: PlanTiming,
-) -> Result<DistProgram, CompileError> {
+pub fn compile(analysis: Analysis, reg: BuiltinRegistry) -> Result<DistProgram, CompileError> {
     let prog = &analysis.program;
     for r in &prog.rules {
         if r.agg.is_some() {
@@ -472,25 +737,6 @@ pub fn compile(
         prog.outputs.clone()
     };
 
-    // Holddowns: base for every derived pred; XY components staggered by
-    // stage-local order (later = waits longer, so its retractors land
-    // first). Every `idb_preds()` member gets an entry, and that is every
-    // predicate an owner books (each is some rule's head, empty-body facts
-    // included), so `runtime::arm_holddown` reads the map without a fallback.
-    let mut holddown: BTreeMap<Symbol, u64> = BTreeMap::new();
-    for &p in &idb {
-        holddown.insert(p, timing.holddown_base);
-    }
-    for info in &analysis.xy {
-        holddown.extend(info.holddowns(timing.holddown_base, timing.xy_stagger));
-    }
-    // `.holddown` declarations override the computed defaults.
-    for (&p, &ms) in &analysis.program.holddowns {
-        if idb.contains(&p) {
-            holddown.insert(p, ms);
-        }
-    }
-
     let plans = (prog.rules.iter())
         .map(|r| {
             let plan = |(pin, lit): (usize, &Literal)| match lit {
@@ -511,12 +757,14 @@ pub fn compile(
         occurrences,
         idb,
         outputs,
-        holddown,
         static_facts,
         plans,
         places,
         reach: BTreeMap::new(),
         rest: Reach::Nowhere,
+        waits: BTreeMap::new(),
+        uncut: BTreeMap::new(),
+        holddowns: BTreeMap::new(),
         cut: AtomicBool::new(true),
     })
 }
@@ -525,13 +773,13 @@ pub fn compile(
 pub fn compile_source(
     src: &str,
     reg: BuiltinRegistry,
-    timing: PlanTiming,
+    _: PlanTiming,
 ) -> Result<DistProgram, CompileError> {
     let prog =
         sensorlog_logic::parse_program(src).map_err(|e| CompileError::Analyze(e.to_string()))?;
     let analysis =
         sensorlog_logic::analyze(&prog, &reg).map_err(|e| CompileError::Analyze(e.to_string()))?;
-    compile(analysis, reg, timing)
+    compile(analysis, reg)
 }
 
 #[cfg(test)]
@@ -551,61 +799,157 @@ mod tests {
 
     #[test]
     fn compiles_uncov() {
-        let p = compile_source(UNCOV, BuiltinRegistry::standard(), PlanTiming::default()).unwrap();
+        let p = compile_source(UNCOV, BuiltinRegistry::standard(), PlanTiming).unwrap();
         assert_eq!(p.outputs, vec![sym("uncov")]);
         assert_eq!(p.occurrences[&sym("veh")].len(), 3);
         assert_eq!(p.occurrences[&sym("cov")].len(), 1);
         assert!(p.occurrences[&sym("cov")][0].negated);
         assert_eq!(p.windows[&sym("veh")], 60_000);
         assert_eq!(p.windows[&sym("cov")], 60_000); // inherited
-        assert!(p.holddown.contains_key(&sym("cov")));
         assert!(p.static_facts.is_empty());
     }
 
+    /// `h` waits longer than `hp`, its retractor, on every deployment that
+    /// holds them.
     #[test]
     fn xy_holddowns_staggered() {
-        let src = r#"
-            h(0, 0, 0).
-            h(0, X, 1) :- g(0, X).
-            hp(Y, D + 1) :- h(_, Y, D'), (D + 1) > D', h(_, X, D), g(X, Y).
-            h(X, Y, D + 1) :- g(X, Y), h(_, X, D), not hp(Y, D + 1).
-        "#;
-        let p = compile_source(src, BuiltinRegistry::standard(), PlanTiming::default()).unwrap();
-        // h must wait longer than hp (its retractor).
-        assert!(p.holddown[&sym("h")] > p.holddown[&sym("hp")]);
+        let topo = Topology::square_grid(5);
+        for strategy in [PA, Strategy::LocalStorage, Strategy::NaiveBroadcast] {
+            for plane in [true, false] {
+                let p = logic_h().with_reach(strategy, plane, true, &topo);
+                let (h, hp) = (p.holddown(sym("h")), p.holddown(sym("hp")));
+                assert!(h.hops > hp.hops && h.skews > hp.skews, "{h:?} {hp:?}");
+            }
+        }
         // Static fact h(0,0,0) extracted.
+        let p = logic_h();
         assert_eq!(p.static_facts.len(), 1);
         assert_eq!(p.static_facts[0].0, sym("h"));
     }
 
+    /// logicH's waits on a 5×5 grid, each written as its formula. A hop
+    /// costs `hop`: 30 ms (`hop_delay.1`), and 45 with two retries (their
+    /// 5 + 10 ms backoff); τc is `tc`. The grid's rows and columns span
+    /// `s` = 4 hops and a route at most `d` = 8; LocalStorage walks all 25
+    /// nodes, 24 hops a pass. A join walk reaches its column's end, then
+    /// walks it once per pass: two for `g` and `h` (the negation check pass
+    /// of `h`'s rule; `hp`'s two-pass rule), one for `hp`. A holddown is the
+    /// result leg — one hop to a plane owner, `d` to any other — plus one
+    /// retraction chain (τs + τj + result + store, at `h`'s) for `h`, one
+    /// stage-order step after `hp`.
     #[test]
-    fn declared_holddown_overrides_default() {
-        let src = r#"
-            .holddown h 2100.
-            h(0, 0, 0).
-            h(0, X, 1) :- g(0, X).
-            hp(Y, D + 1) :- h(_, Y, D'), (D + 1) > D', h(_, X, D), g(X, Y).
-            h(X, Y, D + 1) :- g(X, Y), h(_, X, D), not hp(Y, D + 1).
-        "#;
-        let p = compile_source(src, BuiltinRegistry::standard(), PlanTiming::default()).unwrap();
-        // Declared value wins for h; hp keeps its computed stagger.
-        assert_eq!(p.holddown[&sym("h")], 2_100);
-        assert_eq!(p.holddown[&sym("hp")], 100);
-        // A declaration matching the defaults is behavior-neutral.
-        let undeclared = compile_source(
-            &src.replace(".holddown h 2100.\n", ""),
-            BuiltinRegistry::standard(),
-            PlanTiming::default(),
-        )
-        .unwrap();
-        assert_eq!(p.holddown, undeclared.holddown);
+    fn logic_h_on_5x5_waits_for_its_delay_bounds() {
+        use crate::runtime::NetInfo;
+        use sensorlog_netsim::SimConfig;
+        let topo = Topology::square_grid(5);
+        let (s, d, all): (u64, u64, u64) = (4, 8, 24);
+        let lossy = SimConfig {
+            retries: 2,
+            clock_skew_max: 50,
+            ..SimConfig::default()
+        };
+        let [g, h, hp] = ["g", "h", "hp"].map(sym);
+        // [τs of every predicate, τj of g, h and hp, holddown of hp and h]
+        let plane = |hop: u64, tc: u64| [hop + tc, 0, 0, 0, hop, hop + (hop + tc) + hop + hop];
+        let pa = |hop: u64, tc: u64| {
+            let chain = (s * hop + tc) + (s + 2 * s) * hop + d * hop + s * hop;
+            let j = (s + 2 * s) * hop;
+            [s * hop + tc, j, j, (s + s) * hop, d * hop, d * hop + chain]
+        };
+        let flood = |hop: u64, tc: u64| {
+            [
+                d * hop + tc,
+                0,
+                0,
+                0,
+                d * hop,
+                d * hop + (d * hop + tc) + 2 * d * hop,
+            ]
+        };
+        let local = |hop: u64, tc: u64| {
+            let j = (d + 2 * all) * hop;
+            [
+                tc,
+                j,
+                j,
+                (d + all) * hop,
+                d * hop,
+                d * hop + tc + j + d * hop,
+            ]
+        };
+        let local_storage = Strategy::LocalStorage;
+        for (label, strategy, on_plane, sim, want) in [
+            ("plane", PA, true, SimConfig::default(), plane(30, 0)),
+            ("PA", PA, false, SimConfig::default(), pa(30, 0)),
+            (
+                "flood",
+                Strategy::NaiveBroadcast,
+                false,
+                SimConfig::default(),
+                flood(30, 0),
+            ),
+            (
+                "local",
+                local_storage,
+                false,
+                SimConfig::default(),
+                local(30, 0),
+            ),
+            (
+                "PA, 2 retries, skew 50",
+                PA,
+                false,
+                lossy.clone(),
+                pa(45, 50),
+            ),
+            ("plane, 2 retries, skew 50", PA, true, lossy, plane(45, 50)),
+        ] {
+            let p = logic_h().with_reach(strategy, on_plane, true, &topo);
+            let net = NetInfo::new(topo.clone()).with_delays(&sim);
+            let ms = |delay: Delay| net.wait(delay);
+            let stores = [g, h, hp].map(|pred| ms(p.waits(pred).store));
+            assert!(
+                stores.iter().all(|&w| w == stores[0]),
+                "{label}: {stores:?}"
+            );
+            let got = [
+                stores[0],
+                ms(p.waits(g).join),
+                ms(p.waits(h).join),
+                ms(p.waits(hp).join),
+                ms(p.holddown(hp)),
+                ms(p.holddown(h)),
+            ];
+            assert_eq!(got, want, "{label}");
+        }
+    }
+
+    /// A `.holddown` declaration is its predicate's holddown, in ms, on
+    /// every deployment; the other predicates keep theirs.
+    #[test]
+    fn declared_holddown_overrides_the_derived_one() {
+        let topo = Topology::square_grid(5);
+        let src = format!(".holddown h 2100.\n{LOGIC_H}");
+        let reg = BuiltinRegistry::standard();
+        let declared = compile_source(&src, reg, PlanTiming).unwrap();
+        let p = declared.with_reach(PA, true, true, &topo);
+        let ms = |ms| Delay {
+            ms,
+            ..Delay::default()
+        };
+        assert_eq!(p.holddown(sym("h")), ms(2_100));
+        let one_hop = Delay {
+            hops: 1,
+            ..Delay::default()
+        };
+        assert_eq!(p.holddown(sym("hp")), one_hop);
     }
 
     #[test]
     fn rejects_aggregates() {
         let src = "best(min<V>) :- m(V).";
         assert!(matches!(
-            compile_source(src, BuiltinRegistry::standard(), PlanTiming::default()),
+            compile_source(src, BuiltinRegistry::standard(), PlanTiming),
             Err(CompileError::AggregatesUnsupported { .. })
         ));
     }
@@ -618,8 +962,10 @@ mod tests {
     "#;
 
     fn logic_h() -> DistProgram {
-        compile_source(LOGIC_H, BuiltinRegistry::standard(), PlanTiming::default()).unwrap()
+        compile_source(LOGIC_H, BuiltinRegistry::standard(), PlanTiming).unwrap()
     }
+
+    const PA: Strategy = Strategy::Perpendicular { band_width: 1.0 };
 
     fn ints(v: &[i64]) -> Tuple {
         Tuple::new(v.iter().map(|&i| sensorlog_logic::Term::Int(i)).collect())
@@ -680,7 +1026,7 @@ mod tests {
         let alert = compile_source(
             ".output alert. alert(V, K) :- sight(V, K), near(K), not cov(V, K).",
             BuiltinRegistry::standard(),
-            PlanTiming::default(),
+            PlanTiming,
         )
         .unwrap();
         let plan = alert.pass_plan(0, 0);
@@ -737,7 +1083,7 @@ mod tests {
     fn unplaced_owners_are_the_hash() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        let p = compile_source(UNCOV, BuiltinRegistry::standard(), PlanTiming::default()).unwrap();
+        let p = compile_source(UNCOV, BuiltinRegistry::standard(), PlanTiming).unwrap();
         assert!(p.places.values().all(|place| place.owner.is_none()));
         let mut rng = StdRng::seed_from_u64(0x0_64E5);
         for topo in [Topology::grid(10, 5), Topology::square_grid(7)] {
@@ -762,13 +1108,13 @@ mod tests {
              s(X) :- r3(X), X > 2.\n"
         );
         let reg = BuiltinRegistry::standard();
-        let p = || compile_source(&src, reg.clone(), PlanTiming::default()).unwrap();
+        let p = || compile_source(&src, reg.clone(), PlanTiming).unwrap();
         let names = ["g", "h", "r1", "r2", "r3", "a", "q", "s", "unnamed"];
         let reach = |p: DistProgram| names.map(|n| p.reach(sym(n)));
         let on = |pred| Reach::Plane(p().place(sym(pred)).plane.unwrap());
         use Reach::{Center, Flood, Nowhere, Regions};
         let [x, w] = [Nowhere, Regions(None)];
-        let pa = Strategy::Perpendicular { band_width: 1.0 };
+        let pa = PA;
         for (strategy, plane, want) in [
             (Strategy::Centroid, true, [Center; 9]),
             (pa, true, [on("g"), on("h"), w, w, x, x, x, x, x]),
@@ -784,7 +1130,7 @@ mod tests {
                 [on("g"), on("h"), Flood, Flood, x, x, x, x, x],
             ),
         ] {
-            let got = reach(p().with_reach(strategy, plane, true));
+            let got = reach(p().with_reach(strategy, plane, true, &Topology::square_grid(5)));
             assert_eq!(got, want, "{} plane {plane}", strategy.name());
         }
     }
@@ -797,7 +1143,7 @@ mod tests {
         for rule in ["t :- not r0(1).", "t(7) :- not r0(1).", "t :- 1 < 2."] {
             let src = format!(".output t.\nh(0, 0, 0).\nq(X) :- r0(X).\n{rule}\n");
             let reg = BuiltinRegistry::standard();
-            let err = compile_source(&src, reg, PlanTiming::default()).unwrap_err();
+            let err = compile_source(&src, reg, PlanTiming).unwrap_err();
             let CompileError::Unseeded { rule_id, span } = err else {
                 panic!("{rule}: unexpected {err}");
             };
@@ -809,21 +1155,17 @@ mod tests {
 
     #[test]
     fn outputs_default_to_idb() {
-        let p = compile_source(
-            "q(X) :- p(X).",
-            BuiltinRegistry::standard(),
-            PlanTiming::default(),
-        )
-        .unwrap();
+        let p = compile_source("q(X) :- p(X).", BuiltinRegistry::standard(), PlanTiming).unwrap();
         assert_eq!(p.outputs, vec![sym("q")]);
     }
 
-    /// `runtime::arm_holddown` reads the planned holddown with no fallback:
-    /// every predicate an owner books is some rule's head, and `compile`
-    /// plans one for each. Checked on every example program it accepts.
+    /// Every derived predicate an owner books has a holddown on a
+    /// deployment: every predicate an owner books is some rule's head.
+    /// Checked on every example program it accepts.
     #[test]
-    fn every_rule_head_has_a_planned_holddown() {
+    fn every_rule_head_has_a_derived_holddown() {
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/programs");
+        let topo = Topology::square_grid(4);
         let mut compiled = 0;
         for entry in std::fs::read_dir(dir).expect("examples/programs is readable") {
             let path = entry.expect("directory entry").path();
@@ -832,15 +1174,16 @@ mod tests {
             }
             let src = std::fs::read_to_string(&path).expect("example is readable");
             let reg = BuiltinRegistry::standard();
-            let Ok(p) = compile_source(&src, reg, PlanTiming::default()) else {
+            let Ok(p) = compile_source(&src, reg, PlanTiming) else {
                 continue;
             };
+            let p = p.with_reach(PA, true, true, &topo);
             compiled += 1;
             for r in &p.analysis.program.rules {
                 let head = r.head.pred;
                 let where_ = path.display();
                 assert!(
-                    p.holddown.contains_key(&head),
+                    p.holddowns.contains_key(&head),
                     "{where_}: no holddown for `{head}`"
                 );
             }
@@ -848,10 +1191,12 @@ mod tests {
         assert!(compiled >= 4, "only {compiled} example programs compiled");
     }
 
-    /// `diag`'s `cost.holddown-implicit` suggests the value the planner
-    /// would apply: both read `xy::DEFAULT_*`, so neither can go stale.
+    /// `diag`'s `cost.holddown-implicit` names the stage-order step the
+    /// deployment prices: on the plane, a holddown is its one-hop result leg
+    /// plus one retraction chain per step — τs + τc, no join walk, a result
+    /// hop and the owner's one-hop store.
     #[test]
-    fn implicit_holddown_suggestions_equal_the_planned_defaults() {
+    fn the_implicit_holddown_lint_names_the_planned_step() {
         use sensorlog_logic::diag::{check_source, BoundParams};
         let logic_j = r#"
             j(0, 0).
@@ -864,19 +1209,38 @@ mod tests {
             default_events: 0,
             events: BTreeMap::new(),
         };
+        // Store, no join walk, result, the owner's store.
+        let chain = 3;
         for src in [LOGIC_H, logic_j] {
             let reg = BuiltinRegistry::standard();
-            let planned = compile_source(src, reg.clone(), PlanTiming::default()).unwrap();
+            let planned = (compile_source(src, reg.clone(), PlanTiming).unwrap()).with_reach(
+                PA,
+                true,
+                true,
+                &Topology::square_grid(4),
+            );
             let report = check_source(src, &reg, &params);
             let implicit: Vec<_> = (report.diags.iter())
                 .filter(|d| d.code == "cost.holddown-implicit")
                 .collect();
-            assert_eq!(implicit.len(), 2, "one suggestion per XY predicate");
+            assert_eq!(implicit.len(), 2, "one per XY predicate");
+            let mut steps = Vec::new();
             for d in implicit {
-                let p = d.pred.expect("the suggestion names its predicate");
-                let want = format!(".holddown {p} {}.\n", planned.holddown[&p]);
-                assert_eq!(d.suggestions[0].replacement, want);
+                let p = d.pred.expect("the lint names its predicate");
+                assert!(d.suggestions.is_empty(), "{d}");
+                let step: u64 = (d.message.rsplit(' ').next())
+                    .and_then(|n| n.parse().ok())
+                    .expect("the message ends with the step");
+                let want = Delay {
+                    ms: 0,
+                    hops: 1 + step * chain,
+                    skews: step,
+                };
+                assert_eq!(planned.holddown(p), want);
+                steps.push(step);
             }
+            steps.sort();
+            assert_eq!(steps, [0, 1]);
         }
     }
 }

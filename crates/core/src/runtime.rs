@@ -25,7 +25,7 @@ use crate::msg::{Msg, Payload, ProbeMsg, RuleWork};
 use crate::partial::{
     process_partials, seed_partial, Fragments, LocalCtx, Partial, ProbeWork, Replica, RuleShape,
 };
-use crate::plan::{self, DistProgram, Reach};
+use crate::plan::{self, Delay, DistProgram, Reach};
 use crate::prov::{ProvRecord, Provenance};
 use crate::strategy::{PassMode, Strategy};
 use crate::tupleid::{clamp_absorbs, DerivationKey, FactRecord, TupleId, EDB_RULE};
@@ -34,18 +34,18 @@ use sensorlog_eval::relation::TupleMeta;
 use sensorlog_eval::{EvalError, Firing, IncrementalEngine, Support, Update, UpdateKind};
 use sensorlog_logic::intern::IdHashMap;
 use sensorlog_logic::{Literal, Symbol, Tuple};
-use sensorlog_netsim::{App, Ctx, MsgMeta, NodeId, SimTime, Topology};
+use sensorlog_netsim::{App, Ctx, MsgMeta, NodeId, SimConfig, SimTime, Topology};
 use sensorlog_netstack::Router;
 use sensorlog_telemetry::{HistId, Scope, Telemetry};
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Shared routing context: the topology, the next-hop oracle over it, and
-/// the two whole-network facts the runtime scales its timers and picks its
-/// server by.
+/// Shared routing context: the topology, the next-hop oracle over it, the
+/// server Centroid picks, and what the runtime prices its waits by.
 #[derive(Debug)]
 pub struct NetInfo {
     /// The deployment's one topology: the simulator holds the same `Arc`.
@@ -56,6 +56,12 @@ pub struct NetInfo {
     /// τc (ms): the network's clock-skew bound, the simulator's
     /// `SimConfig::clock_skew_max` (Theorem 3). 0 until a deployment sets it.
     tau_c: SimTime,
+    /// The most one hop's delivery takes (ms), `SimConfig::max_hop_delay`.
+    /// 0 until a deployment sets it.
+    hop_ms: SimTime,
+    /// The jitter the widest reorder window of the deployment's fault
+    /// schedule adds to a hop (ms).
+    jitter: AtomicU64,
 }
 
 impl NetInfo {
@@ -71,6 +77,8 @@ impl NetInfo {
             router: Router::new(&topo),
             topo,
             tau_c: 0,
+            hop_ms: 0,
+            jitter: AtomicU64::new(0),
         }
     }
 
@@ -80,10 +88,25 @@ impl NetInfo {
         self
     }
 
-    /// Scale the runtime's timers by the simulator's clock-skew bound.
-    pub(crate) fn with_clock_skew(mut self, tau_c: SimTime) -> NetInfo {
-        self.tau_c = tau_c;
+    /// Price the runtime's waits by the simulator's delay bounds: its
+    /// slowest hop and its clock-skew bound.
+    pub(crate) fn with_delays(mut self, sim: &SimConfig) -> NetInfo {
+        self.tau_c = sim.clock_skew_max;
+        self.hop_ms = sim.max_hop_delay();
         self
+    }
+
+    /// Price each hop `jitter` ms slower from now on, as a reorder window
+    /// the deployment's fault schedule opens may make it (the widest such
+    /// window counts).
+    pub(crate) fn allow_jitter(&self, jitter: SimTime) {
+        self.jitter.fetch_max(jitter, Ordering::Relaxed);
+    }
+
+    /// What `delay` comes to on this network (ms).
+    pub fn wait(&self, delay: Delay) -> SimTime {
+        let hop = self.hop_ms + self.jitter.load(Ordering::Relaxed);
+        delay.ms + delay.hops * hop + delay.skews * self.tau_c
     }
 
     /// The central server for Centroid: the node closest to the deployment
@@ -103,19 +126,15 @@ impl NetInfo {
     }
 }
 
-/// Runtime timing/strategy configuration, shared by all nodes. The clock
-/// skew bound τc is not here: it is the simulator's
-/// `SimConfig::clock_skew_max`, which every node reads off its [`NetInfo`].
+/// Runtime strategy configuration, shared by all nodes. No wait is set
+/// here: each is derived per deployment (`DistProgram::with_reach`) and
+/// priced by the simulator's delay bounds ([`NetInfo::wait`]).
 #[derive(Clone, Debug)]
 pub struct RtConfig {
     pub strategy: Strategy,
     /// Whose pass plans the probes walk ([`DistProgram::with_pass_mode`]);
     /// read when the deployment compiles the program.
     pub pass_mode: PassMode,
-    /// Upper bound on storage-phase completion (τs, ms).
-    pub tau_s: SimTime,
-    /// Upper bound on join-phase completion (τj, ms) — used in retention.
-    pub tau_j: SimTime,
     /// Fault plane: heartbeat/lease liveness tracking, liveness-filtered
     /// ownership, and crash recovery. `None` (the default) disables all of
     /// it — no timers armed, no messages sent, the fault-free trace is
@@ -128,8 +147,6 @@ impl Default for RtConfig {
         RtConfig {
             strategy: Strategy::Perpendicular { band_width: 1.0 },
             pass_mode: PassMode::OnePass,
-            tau_s: 1_500,
-            tau_j: 3_000,
             faults: None,
         }
     }
@@ -876,7 +893,7 @@ impl SensorlogNode {
         }
 
         // Join phase after τs + τc (Sec. IV-A).
-        let delay = self.ctx.cfg.tau_s + self.ctx.net.tau_c;
+        let delay = self.ctx.net.wait(self.ctx.prog.waits(fact.pred).store);
         self.set_timer(ctx, delay, TimerAction::StartJoin(fact));
     }
 
@@ -900,11 +917,8 @@ impl SensorlogNode {
         // Retention of windowed streams (Sec. IV-B): the replica must
         // outlive every probe that may legally join with it —
         // (τs + τc) + τj + (τw + τc) past its generation timestamp.
-        let retention = self.ctx.prog.windows.get(&fact.pred).map(|&w| {
-            let (tau_s, tau_c, tau_j) =
-                (self.ctx.cfg.tau_s, self.ctx.net.tau_c, self.ctx.cfg.tau_j);
-            (tau_s + tau_c) + tau_j + (w + tau_c)
-        });
+        let waits = self.ctx.prog.waits(fact.pred);
+        let retention = waits.retain.map(|r| self.ctx.net.wait(r));
         let now = ctx.local_time;
         let store = self.store.get_or_insert_with(Box::default);
         let rel = store.frags.relation_mut(fact.pred);
@@ -1219,15 +1233,15 @@ impl SensorlogNode {
     }
 
     /// Start debouncing a liveness transition of the owned `(pred, tuple)`:
-    /// its planned holddown (`DistProgram::holddown`, which has one for
-    /// every predicate an owner books) runs from now.
+    /// its holddown on this deployment (`DistProgram::holddown`) runs from
+    /// now.
     fn arm_holddown(&mut self, ctx: &mut Ctx<Msg>, pred: Symbol, tuple: Tuple) {
         let slot = (pred, tuple);
         let owned = self.store.as_mut().map(|s| &mut s.owned.entries);
         if let Some(entry) = owned.and_then(|entries| entries.get_mut(&slot)) {
             entry.holddown_armed = true;
         }
-        let holddown = self.ctx.prog.holddown[&pred];
+        let holddown = self.ctx.net.wait(self.ctx.prog.holddown(pred));
         self.set_timer(ctx, holddown, TimerAction::Holddown(pred, slot.1));
     }
 
@@ -1923,7 +1937,6 @@ mod tests {
     #[test]
     fn rtconfig_defaults_are_sane() {
         let c = RtConfig::default();
-        assert!(c.tau_s > 0 && c.tau_j > 0);
         assert_eq!(c.pass_mode, crate::strategy::PassMode::OnePass);
         assert!(matches!(c.strategy, Strategy::Perpendicular { .. }));
         assert!(c.faults.is_none(), "fault plane must be opt-in");
@@ -1938,7 +1951,7 @@ mod tests {
             crate::plan::compile_source(
                 ".output q.\nq(X, Y) :- r1(X, T), r2(Y, T).\nqx(X) :- q(X, Y).",
                 sensorlog_logic::builtin::BuiltinRegistry::standard(),
-                crate::plan::PlanTiming::default(),
+                crate::plan::PlanTiming,
             )
             .unwrap(),
         );
@@ -2233,20 +2246,36 @@ mod tests {
         assert_eq!(d.node(NodeId(5)).replica_count(), 1);
     }
 
+    /// How long `d` keeps a replica of `pred` past its generation.
+    fn retention(d: &crate::Deployment, pred: &str) -> SimTime {
+        let retain = d.prog.waits(Symbol::intern(pred)).retain;
+        d.net().wait(retain.expect("a windowed predicate"))
+    }
+
+    /// `WINDOWED_JOIN`'s retention under PA on an m×m grid at the default
+    /// 30 ms a hop: its 1,000 ms window, and the longest τs + τj of a
+    /// partner — an (m - 1)-hop row store, and a column walk to its end and
+    /// along it, (m - 1) hops each.
+    fn windowed_join_retention(m: SimTime) -> SimTime {
+        1_000 + 3 * (m - 1) * 30
+    }
+
     /// A copy of a windowed insert is stored and forwarded up to its
-    /// replica's retention (τs + τj + τw = 5,500 ms past generation under
-    /// the defaults) and not from then on. A late copy used to re-store the
-    /// expired replica at every node it reached, each to expire a
-    /// millisecond later and take the next late copy again.
+    /// replica's retention (1,270 ms past generation on a 4×4 grid) and
+    /// not from then on. A late copy used to re-store the expired replica
+    /// at every node it reached, each to expire a millisecond later and
+    /// take the next late copy again.
     #[test]
     fn a_windowed_insert_copy_past_its_retention_is_neither_stored_nor_forwarded() {
         let mut d = deploy(WINDOWED_JOIN, 4);
+        let kept = retention(&d, "r1");
+        assert_eq!(kept, windowed_join_retention(4));
         let fact = r1_insert(some_id(9, 50));
-        d.sim.run_until(50 + 5_500 - 1);
+        d.sim.run_until(50 + kept - 1);
         assert_eq!(flood_copy(&mut d, &fact), 4, "within its retention");
-        d.sim.run_until(50 + 5_500);
+        d.sim.run_until(50 + kept);
         let held = |d: &crate::Deployment| d.sim.nodes().map(|n| n.replica_count()).sum::<usize>();
-        assert_eq!(held(&d), 0, "every copy expired at 5,550");
+        assert_eq!(held(&d), 0, "every copy expired at 1,320");
         let tx = d.sim.metrics.total_tx();
         assert_eq!(flood_copy(&mut d, &fact), 0);
         d.sim.run_to_quiescence(SimTime::MAX);
@@ -2411,12 +2440,15 @@ mod tests {
 
     /// Regression: an expiry removed whatever was stored under its
     /// `(pred, tuple)`, so a tuple deleted and generated again inside its
-    /// retention died with its *first* generation — here at 100 + 5,500
-    /// instead of 3,000 + 5,500 (retention: τs + τj + τw = 1,500 + 3,000 +
-    /// 1,000), on all four nodes of the source's row.
+    /// retention died with its *first* generation — here at 100 + 1,270
+    /// instead of 1,000 + 1,270 (retention on a 4×4 grid: 1,000 ms of
+    /// window and 9 hops of partner legs), on all four nodes of the
+    /// source's row.
     #[test]
     fn an_older_generations_expiry_leaves_the_newer_replica() {
         let mut d = deploy(WINDOWED_JOIN, 4);
+        let kept = retention(&d, "r1");
+        assert_eq!(kept, windowed_join_retention(4));
         let (r1, t) = (Symbol::intern("r1"), ints(&[1, 5]));
         let ev = |at, kind| crate::WorkloadEvent {
             at,
@@ -2427,8 +2459,8 @@ mod tests {
         };
         d.schedule_all([
             ev(100, UpdateKind::Insert),
-            ev(1_000, UpdateKind::Delete),
-            ev(3_000, UpdateKind::Insert),
+            ev(400, UpdateKind::Delete),
+            ev(1_000, UpdateKind::Insert),
         ])
         .unwrap();
         let mut replicas_at = |at| {
@@ -2437,17 +2469,25 @@ mod tests {
             // The source also binds the id in `my_facts`.
             let gens: Vec<SimTime> = stored.map(|(id, _, _)| id.ts).collect();
             let held: usize = d.sim.nodes().map(|n| n.replica_count()).sum();
-            (held, gens.iter().filter(|&&ts| ts == 3_000).count())
+            (held, gens.iter().filter(|&&ts| ts == 1_000).count())
         };
-        assert_eq!(replicas_at(2_000), (4, 0), "first generation, tombstoned");
-        assert_eq!(replicas_at(5_599), (4, 5), "second generation stored");
+        assert_eq!(replicas_at(700), (4, 0), "first generation, tombstoned");
         assert_eq!(
-            replicas_at(5_600),
+            replicas_at(100 + kept - 1),
+            (4, 5),
+            "second generation stored"
+        );
+        assert_eq!(
+            replicas_at(100 + kept),
             (4, 5),
             "the first one's expiry is stale"
         );
-        assert_eq!(replicas_at(8_499), (4, 5));
-        assert_eq!(replicas_at(8_500), (0, 1), "expired at 3,000 + 5,500");
+        assert_eq!(replicas_at(1_000 + kept - 1), (4, 5));
+        assert_eq!(
+            replicas_at(1_000 + kept),
+            (0, 1),
+            "expired at 1,000 + 1,270"
+        );
         assert!(d.sim.is_quiescent());
     }
 
@@ -2507,8 +2547,8 @@ mod tests {
                 UpdateKind::Delete if old.is_none_or(|old| old < id) => (id.ts, fact.tau),
                 _ => return false,
             };
-            // τs + τj + τw of `WINDOWED_JOIN` under the defaults.
-            let due = gen_ts + 5_500;
+            // `WINDOWED_JOIN`'s retention on the 3×3 grid.
+            let due = gen_ts + windowed_join_retention(3);
             if due <= now {
                 return false;
             }
@@ -2550,6 +2590,7 @@ mod tests {
             steps in prop::collection::vec((0u8..4, 0i64..3, 0u32..4, 1u64..4_000), 1..48)
         ) {
             let mut d = deploy(WINDOWED_JOIN, 3);
+            prop_assert_eq!(retention(&d, "r1"), windowed_join_retention(3));
             let (r1, at) = (Symbol::intern("r1"), NodeId(4));
             let mut model = StoreModel::default();
             for (op, k, g, dt) in steps {
@@ -2590,7 +2631,7 @@ mod tests {
                 prop_assert_eq!(node.id_bindings(), bound);
             }
             let end = d.sim.run_to_quiescence(SimTime::MAX);
-            prop_assert!(end <= 4_000 * 48 + 5_500);
+            prop_assert!(end <= 4_000 * 48 + windowed_join_retention(3));
             model.expire(end);
             let node = d.node(at);
             prop_assert!(node.store.as_ref().is_none_or(|s| s.expiries.is_empty()));

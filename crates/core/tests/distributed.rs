@@ -548,6 +548,32 @@ fn clock_skew_tolerated() {
     );
 }
 
+/// τs is its storage leg's bound, and the join needs all of it. Every hop
+/// takes 29 or 30 ms, at most the 30 ms bound, and two partners are sensed
+/// at once at the two ends of an 8-wide row: each one's replica reaches the
+/// other's node 203–210 ms later, and each probe starts there 7 × 30 =
+/// 210 ms after its update, so the join finds the pair. Priced one hop
+/// short (180 ms), both probes pass before either replica can land and the
+/// result is lost.
+#[test]
+fn a_join_waits_for_its_whole_storage_leg() {
+    let topo = Topology::grid(8, 3);
+    let mut cfg = config_with(Strategy::Perpendicular { band_width: 1.0 });
+    cfg.sim.hop_delay = (29, 30);
+    let mut d = Deployment::new(JOIN2, BuiltinRegistry::standard(), topo, cfg).unwrap();
+    for pred in ["r1", "r2"] {
+        assert_eq!(d.net().wait(d.prog.waits(sym(pred)).store), 7 * 30);
+    }
+    let events = vec![
+        ev(100, 0, "r1", "r1(1, 7)", UpdateKind::Insert),
+        ev(100, 7, "r2", "r2(2, 7)", UpdateKind::Insert),
+    ];
+    d.schedule_all(events.clone()).unwrap();
+    d.run(60_000);
+    let report = oracle::check(&d, &events, sym("q"));
+    assert!(report.exact() && report.expected == 1, "{report:?}");
+}
+
 #[test]
 fn logich_distributed_builds_bfs_tree() {
     // Example 3 end-to-end: the XY-stratified shortest-path-tree program
@@ -856,8 +882,6 @@ fn dist_bound_is_not_cut_off_the_grid() {
             let cfg = DeployConfig {
                 rt: RtConfig {
                     strategy: Strategy::Perpendicular { band_width: 1.7 },
-                    tau_s: 4_000,
-                    tau_j: 8_000,
                     ..RtConfig::default()
                 },
                 ..DeployConfig::default()
@@ -967,8 +991,6 @@ fn fig16_seed_geometric_completeness_is_exact() {
     let cfg = DeployConfig {
         rt: RtConfig {
             strategy: Strategy::Perpendicular { band_width: 1.7 },
-            tau_s: 4_000,
-            tau_j: 8_000,
             ..RtConfig::default()
         },
         sim: SimConfig {

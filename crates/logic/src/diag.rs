@@ -36,7 +36,7 @@ use crate::depgraph::DepGraph;
 use crate::parser::parse_program;
 use crate::span::Span;
 use crate::symbol::Symbol;
-use crate::xy::{Place, Store, DEFAULT_HOLDDOWN_BASE_MS, DEFAULT_XY_STAGGER_MS};
+use crate::xy::{Place, Store};
 use sensorlog_telemetry::jsonl::escape;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -846,30 +846,26 @@ pub fn check_analysis(analysis: &Analysis, params: &BoundParams) -> Report {
             ),
         );
     }
-    // XY-staged predicates retract and re-derive across stages; an
-    // undeclared hold-down means the planner default applies silently.
-    // Suggest declaring the default explicitly (behavior-neutral).
+    // XY-staged predicates retract and re-derive across stages. An
+    // undeclared hold-down is derived per deployment, from the hops its
+    // legs take there; a value in ms would pin one topology's number, so
+    // nothing is suggested.
     for info in &analysis.xy {
-        for (p, default_ms) in info.holddowns(DEFAULT_HOLDDOWN_BASE_MS, DEFAULT_XY_STAGGER_MS) {
+        for (p, step) in info.steps() {
             if prog.holddowns.contains_key(&p) || !idb.contains(&p) {
                 continue;
             }
-            rep.push_sugg(
+            rep.push(
                 "cost.holddown-implicit",
                 Severity::Info,
                 None,
                 Some(p),
                 def_span(prog, p),
                 format!(
-                    "XY-staged predicate `{p}` has no `.holddown` declaration; \
-                     the planner default ({default_ms} ms) applies silently"
+                    "XY-staged predicate `{p}` has no `.holddown` declaration; its holddown \
+                     is derived per deployment: the base plus {step} retraction chains at \
+                     stage-order step {step}"
                 ),
-                vec![Suggestion {
-                    span: Span::new(0, 0, 1, 1),
-                    replacement: format!(".holddown {p} {default_ms}.\n"),
-                    note: format!("declare the retraction hold-down for `{p}` explicitly"),
-                    machine_applicable: true,
-                }],
             );
         }
     }

@@ -124,16 +124,6 @@ pub fn relate_detail(head: StageExpr, body: StageExpr, rule: &Rule) -> Option<St
     }
 }
 
-/// The planner's default holddown of a derived predicate (ms), before any
-/// `.holddown` declaration: `core::PlanTiming::default()` plans it, and
-/// `diag`'s `cost.holddown-implicit` suggests declaring it.
-pub const DEFAULT_HOLDDOWN_BASE_MS: u64 = 100;
-
-/// The planner's default extra holddown per step of
-/// [`XyInfo::stage_order`] (ms): roughly τs + τc + τj, one update round
-/// trip, so a stage's retractors land before the tuples they block.
-pub const DEFAULT_XY_STAGGER_MS: u64 = 2_000;
-
 /// Certified XY-stratification of one SCC.
 #[derive(Clone, Debug)]
 pub struct XyInfo {
@@ -173,17 +163,12 @@ impl XyInfo {
         }
     }
 
-    /// The holddown (ms) each predicate of [`XyInfo::stage_order`] gets
-    /// before any `.holddown` declaration: `base_ms`, plus `stagger_ms` per
-    /// step of the order, so a stage's retractors settle before the tuples
-    /// they block. The planner passes its timing; `diag` the defaults.
-    pub fn holddowns(
-        &self,
-        base_ms: u64,
-        stagger_ms: u64,
-    ) -> impl Iterator<Item = (Symbol, u64)> + '_ {
-        (self.stage_order.iter().enumerate())
-            .map(move |(i, &p)| (p, base_ms + i as u64 * stagger_ms))
+    /// Each predicate of [`XyInfo::stage_order`] with its step in that
+    /// order. A stage's retractors come at earlier steps than the tuples
+    /// they block, so an owner holds a predicate one retraction chain longer
+    /// per step; `core::plan` prices the chain per deployment.
+    pub fn steps(&self) -> impl Iterator<Item = (Symbol, u64)> + '_ {
+        (self.stage_order.iter().enumerate()).map(|(i, &p)| (p, i as u64))
     }
 }
 

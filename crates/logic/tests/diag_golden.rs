@@ -48,8 +48,8 @@ const LOGIC_H_JSON: &str = r#"{
     {"code": "comm.place", "severity": "info", "rule": null, "pred": "hp", "line": 6, "col": 1, "start": 71, "end": 134, "message": "`hp` is owned by the node its column 0 names, not by the geographic hash", "suggestions": []},
     {"code": "cost.comm-estimate", "severity": "info", "rule": null, "pred": "h", "line": 4, "col": 1, "start": 36, "end": 47, "message": "message envelope row for `h` (checked per kind at run time): store 4 * (1 + E(g) + E(g) * (1 + E(g) + E(g))) * N = 200400400; probe 20 * (1 + E(g) + E(g) * (1 + E(g) + E(g))) * N = 1002002000; result 8 * (1 + E(g) + E(g) * (1 + E(g) + E(g))) * N = 400800800", "suggestions": []},
     {"code": "cost.comm-estimate", "severity": "info", "rule": null, "pred": "hp", "line": 6, "col": 1, "start": 71, "end": 134, "message": "message envelope row for `hp` (checked per kind at run time): store 4 * (1 + E(g) + E(g)) * (1 + E(g) + E(g)) * E(g) * N = 200400200000; result 8 * (1 + E(g) + E(g)) * (1 + E(g) + E(g)) * E(g) * N = 400800400000", "suggestions": []},
-    {"code": "cost.holddown-implicit", "severity": "info", "rule": null, "pred": "hp", "line": 6, "col": 1, "start": 71, "end": 134, "message": "XY-staged predicate `hp` has no `.holddown` declaration; the planner default (100 ms) applies silently", "suggestions": [{"start": 0, "end": 0, "replacement": ".holddown hp 100.\n", "note": "declare the retraction hold-down for `hp` explicitly", "machine_applicable": true}]},
-    {"code": "cost.holddown-implicit", "severity": "info", "rule": null, "pred": "h", "line": 4, "col": 1, "start": 36, "end": 47, "message": "XY-staged predicate `h` has no `.holddown` declaration; the planner default (2100 ms) applies silently", "suggestions": [{"start": 0, "end": 0, "replacement": ".holddown h 2100.\n", "note": "declare the retraction hold-down for `h` explicitly", "machine_applicable": true}]}
+    {"code": "cost.holddown-implicit", "severity": "info", "rule": null, "pred": "hp", "line": 6, "col": 1, "start": 71, "end": 134, "message": "XY-staged predicate `hp` has no `.holddown` declaration; its holddown is derived per deployment: the base plus 0 retraction chains at stage-order step 0", "suggestions": []},
+    {"code": "cost.holddown-implicit", "severity": "info", "rule": null, "pred": "h", "line": 4, "col": 1, "start": 36, "end": 47, "message": "XY-staged predicate `h` has no `.holddown` declaration; its holddown is derived per deployment: the base plus 1 retraction chains at stage-order step 1", "suggestions": []}
   ],
   "bounds": {
     "g": {"formula": "E(g)", "value": 500},
@@ -67,13 +67,11 @@ const LOGIC_H_JSON: &str = r#"{
 fn logich_report_is_pinned() {
     let rep = assert_golden("logicH", LOGIC_H, LOGIC_H_JSON);
     assert!(!rep.has_errors() && !rep.has_warnings());
-    // The text rendering puts each suggestion under its diagnostic as a
-    // machine-applicable help line with the replacement indented below.
+    // An undeclared holddown is derived per deployment, so the text
+    // rendering suggests no value for it.
     let text = rep.to_text();
-    assert!(text.contains(
-        "\n    help [machine-applicable]: declare the retraction hold-down for `hp` explicitly\n"
-    ));
-    assert!(text.contains("\n        .holddown hp 100.\n"));
+    assert!(text.contains("its holddown is derived per deployment"));
+    assert!(!text.contains("help"));
 }
 
 // ---------------------------------------------------------------- logicJ
@@ -100,8 +98,8 @@ const LOGIC_J_JSON: &str = r#"{
     {"code": "comm.neighbourhood", "severity": "info", "rule": null, "pred": "jp", "line": 6, "col": 1, "start": 65, "end": 122, "message": "`jp` is on the neighbourhood plane over `g`: stored at the node its column 0 names and at every radio neighbour of it, and joined there", "suggestions": []},
     {"code": "cost.comm-estimate", "severity": "info", "rule": null, "pred": "j", "line": 4, "col": 1, "start": 36, "end": 44, "message": "message envelope row for `j` (checked per kind at run time): store 4 * (1 + E(g) + E(g) * (1 + E(g) + E(g))) * N = 200400400; probe 20 * (1 + E(g) + E(g) * (1 + E(g) + E(g))) * N = 1002002000; result 8 * (1 + E(g) + E(g) * (1 + E(g) + E(g))) * N = 400800800", "suggestions": []},
     {"code": "cost.comm-estimate", "severity": "info", "rule": null, "pred": "jp", "line": 6, "col": 1, "start": 65, "end": 122, "message": "message envelope row for `jp` (checked per kind at run time): store 4 * (1 + E(g) + E(g)) * (1 + E(g) + E(g)) * E(g) * N = 200400200000; result 8 * (1 + E(g) + E(g)) * (1 + E(g) + E(g)) * E(g) * N = 400800400000", "suggestions": []},
-    {"code": "cost.holddown-implicit", "severity": "info", "rule": null, "pred": "jp", "line": 6, "col": 1, "start": 65, "end": 122, "message": "XY-staged predicate `jp` has no `.holddown` declaration; the planner default (100 ms) applies silently", "suggestions": [{"start": 0, "end": 0, "replacement": ".holddown jp 100.\n", "note": "declare the retraction hold-down for `jp` explicitly", "machine_applicable": true}]},
-    {"code": "cost.holddown-implicit", "severity": "info", "rule": null, "pred": "j", "line": 4, "col": 1, "start": 36, "end": 44, "message": "XY-staged predicate `j` has no `.holddown` declaration; the planner default (2100 ms) applies silently", "suggestions": [{"start": 0, "end": 0, "replacement": ".holddown j 2100.\n", "note": "declare the retraction hold-down for `j` explicitly", "machine_applicable": true}]}
+    {"code": "cost.holddown-implicit", "severity": "info", "rule": null, "pred": "jp", "line": 6, "col": 1, "start": 65, "end": 122, "message": "XY-staged predicate `jp` has no `.holddown` declaration; its holddown is derived per deployment: the base plus 0 retraction chains at stage-order step 0", "suggestions": []},
+    {"code": "cost.holddown-implicit", "severity": "info", "rule": null, "pred": "j", "line": 4, "col": 1, "start": 36, "end": 44, "message": "XY-staged predicate `j` has no `.holddown` declaration; its holddown is derived per deployment: the base plus 1 retraction chains at stage-order step 1", "suggestions": []}
   ],
   "bounds": {
     "g": {"formula": "E(g)", "value": 500},
@@ -200,8 +198,8 @@ const STAGE_RESCAN_JSON: &str = r#"{
     {"code": "plan.negation-multipass", "severity": "info", "rule": 2, "pred": "jp", "line": 8, "col": 43, "start": 174, "end": 190, "message": "rule #2: negated derived subgoal `jp` forces multi-pass (stratum-ordered) evaluation", "suggestions": []},
     {"code": "cost.comm-estimate", "severity": "info", "rule": null, "pred": "j", "line": 6, "col": 1, "start": 65, "end": 73, "message": "message envelope row for `j` (checked per kind at run time): store 4 * (1 + E(hop) * (1 + S * E(hop))) * N = 10100200400; probe 20 * (1 + E(hop) * (1 + S * E(hop))) * N = 50501002000; result 8 * (1 + E(hop) * (1 + S * E(hop))) * N = 20200400800", "suggestions": []},
     {"code": "cost.comm-estimate", "severity": "info", "rule": null, "pred": "jp", "line": 7, "col": 1, "start": 74, "end": 131, "message": "message envelope row for `jp` (checked per kind at run time): store 4 * (1 + S * E(hop)) * (1 + S * E(hop)) * E(g) * N = 510070200200000; result 8 * (1 + S * E(hop)) * (1 + S * E(hop)) * E(g) * N = 1020140400400000", "suggestions": []},
-    {"code": "cost.holddown-implicit", "severity": "info", "rule": null, "pred": "jp", "line": 7, "col": 1, "start": 74, "end": 131, "message": "XY-staged predicate `jp` has no `.holddown` declaration; the planner default (100 ms) applies silently", "suggestions": [{"start": 0, "end": 0, "replacement": ".holddown jp 100.\n", "note": "declare the retraction hold-down for `jp` explicitly", "machine_applicable": true}]},
-    {"code": "cost.holddown-implicit", "severity": "info", "rule": null, "pred": "j", "line": 6, "col": 1, "start": 65, "end": 73, "message": "XY-staged predicate `j` has no `.holddown` declaration; the planner default (2100 ms) applies silently", "suggestions": [{"start": 0, "end": 0, "replacement": ".holddown j 2100.\n", "note": "declare the retraction hold-down for `j` explicitly", "machine_applicable": true}]}
+    {"code": "cost.holddown-implicit", "severity": "info", "rule": null, "pred": "jp", "line": 7, "col": 1, "start": 74, "end": 131, "message": "XY-staged predicate `jp` has no `.holddown` declaration; its holddown is derived per deployment: the base plus 0 retraction chains at stage-order step 0", "suggestions": []},
+    {"code": "cost.holddown-implicit", "severity": "info", "rule": null, "pred": "j", "line": 6, "col": 1, "start": 65, "end": 73, "message": "XY-staged predicate `j` has no `.holddown` declaration; its holddown is derived per deployment: the base plus 1 retraction chains at stage-order step 1", "suggestions": []}
   ],
   "bounds": {
     "g": {"formula": "E(g)", "value": 500},

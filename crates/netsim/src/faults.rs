@@ -110,6 +110,18 @@ impl FaultSchedule {
         self
     }
 
+    /// The widest jitter any of its reorder windows adds to a hop (0 with
+    /// none).
+    pub fn reorder_jitter(&self) -> SimTime {
+        (self.events.iter())
+            .filter_map(|e| match e.kind {
+                FaultKind::ReorderWindow { jitter, .. } => Some(jitter),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }

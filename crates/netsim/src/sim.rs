@@ -110,6 +110,20 @@ impl SimConfig {
         let worst = (self.link_loss.values()).fold(self.loss_prob, |a, &p| a.max(p));
         worst.powf(f64::from(self.retries) + 1.0)
     }
+
+    /// The most one hop's delivery takes (ms), reorder windows aside: the
+    /// slowest delay draw (`hop_delay.1`, which a draw can equal), after the
+    /// backoff of every retransmission.
+    pub fn max_hop_delay(&self) -> SimTime {
+        let (lo, hi) = self.hop_delay;
+        lo.max(hi) + (0..self.retries).map(backoff).sum::<SimTime>()
+    }
+}
+
+/// The link layer's wait after failed attempt `attempt` (ms): exponential,
+/// 5, 10, 20, … up to 160.
+fn backoff(attempt: u32) -> SimTime {
+    5 << attempt.min(5)
 }
 
 enum Event<M> {
@@ -695,7 +709,6 @@ impl<A: App> Simulator<A> {
             };
             // Link-layer ARQ: attempt until delivered or retries exhausted;
             // every attempt is a transmission, failed attempts are losses.
-            // Retransmission backoff is exponential: 5, 10, 20, … ms.
             let mut delivered = false;
             let mut extra_delay: SimTime = 0;
             for attempt in 0..=self.config.retries {
@@ -709,7 +722,7 @@ impl<A: App> Simulator<A> {
                 });
                 if p > 0.0 && self.rngs[from_i].gen_f64() < p {
                     self.metrics.record_loss(kind, attempt_reason);
-                    extra_delay += 5u64 << attempt.min(5);
+                    extra_delay += backoff(attempt);
                     continue;
                 }
                 delivered = true;

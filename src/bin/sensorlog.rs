@@ -18,7 +18,7 @@
 //!
 //! sensorlog fix <program.dl> [--dry-run] [--nodes <n>] [--events <n>]
 //!     Apply every machine-applicable suggestion from `check` (missing
-//!     `.window`/`.holddown` declarations) to the program in place,
+//!     `.window` declarations) to the program in place,
 //!     re-checking until a fixpoint. --dry-run reports pending fixes
 //!     without touching the file and exits 2 if any remain.
 //!
@@ -107,7 +107,7 @@ const FIX_USAGE: &str = "usage: sensorlog fix <program.dl> [options]
   --nodes <n>          topology size for the bound formulas
   --events <n>         per-predicate workload size for the bound formulas
   Applies every machine-applicable suggestion from `sensorlog check`
-  (missing `.window`/`.holddown` declarations) to the program in place,
+  (missing `.window` declarations) to the program in place,
   re-checking after each batch until a fixpoint.";
 
 const RUN_USAGE: &str = "usage: sensorlog run <program.dl> [options]

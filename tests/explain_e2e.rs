@@ -27,13 +27,16 @@ fn tup(vals: &[i64]) -> Tuple {
 }
 
 /// edge(1,2) @ node 0, edge(2,3) @ node 10, edge(3,4) @ node 15: the
-/// chain spans the grid, so every join crosses the network.
+/// chain spans the grid, so every join crosses the network. The links land
+/// 20 ms apart, inside one storage phase, so each derived premise finishes
+/// after the next link has landed and the critical path runs through the
+/// whole chain.
 fn chain_events() -> Vec<WorkloadEvent> {
     [(0u32, 1i64, 2i64), (10, 2, 3), (15, 3, 4)]
         .iter()
         .enumerate()
         .map(|(i, &(node, x, y))| WorkloadEvent {
-            at: 1_000 + i as u64 * 500,
+            at: 1_000 + i as u64 * 20,
             node: NodeId(node),
             pred: sym("edge"),
             tuple: tup(&[x, y]),

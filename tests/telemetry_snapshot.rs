@@ -110,8 +110,6 @@ fn geometric_snapshot_is_complete() {
     let cfg = DeployConfig {
         rt: RtConfig {
             strategy: Strategy::Perpendicular { band_width: 1.7 },
-            tau_s: 4_000,
-            tau_j: 8_000,
             ..RtConfig::default()
         },
         sim: SimConfig {

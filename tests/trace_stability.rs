@@ -27,7 +27,11 @@ const LOGIC_H: &str = r#"
     h(X, Y, D + 1) :- g(X, Y), h(_, X, D), not hp(Y, D + 1).
 "#;
 
-// Re-pinned when the plane began storing a `g` link only at the end it
+// Re-pinned when every wait became its delay bound, derived per deployment
+// (on the plane a stage waits one 30 ms hop where it waited 1,500 ms for τs
+// and 2,000 ms more per XY step): the pin was 36,830 records, hash
+// `2f297ff1385c4b37`, 15,818 transmissions. Before that it was re-pinned
+// when the plane began storing a `g` link only at the end it
 // names (`h` / `hp` still go to every neighbour): the pin was 28,427
 // records, hash `1c2127377b640852`, 12,169 transmissions. At 10 % loss
 // without retries the plane's lost negated partners leave zombies (ROADMAP
@@ -36,9 +40,9 @@ const LOGIC_H: &str = r#"
 // fewer. Before that, the plane itself had moved the pin from 29,841 /
 // `956199edd32bb44f` / 14,444, and pass plans and node-placed owners from
 // 29,219 / `f223a9e4a847cca2` / 14,138.
-const PINNED_HASH: u64 = 0x2f297ff1385c4b37;
-const PINNED_RECORDS: usize = 36830;
-const PINNED_TX: u64 = 15818;
+const PINNED_HASH: u64 = 0xaf4a88a95bcddca1;
+const PINNED_RECORDS: usize = 19475;
+const PINNED_TX: u64 = 8052;
 
 fn run_probe(telemetry: Telemetry) -> (usize, u64, u64) {
     run_probe_full(telemetry, Provenance::disabled()).0
@@ -141,8 +145,11 @@ const JOIN2: &str = r#"
 
 // Table 2's 4x4 testbed run: 50 ms clock skew, jittered hop delays, seeded
 // asymmetric per-link loss under 3 link retries. The pins above all run
-// with no skew, so this one is what holds τc handling to its bytes.
-const SKEWED_PIN: (usize, u64, u64) = (3210, 0x26fbd336d3f3855e, 1450);
+// with no skew, so this one is what holds τc handling to its bytes. Its
+// waits are derived from those bounds (an 80 ms hop after three backoffs of
+// 5, 10 and 20 ms, τc 50 ms): with the constant τs and τj it was
+// (3210, 0x26fbd336d3f3855e, 1450).
+const SKEWED_PIN: (usize, u64, u64) = (3209, 0x47765432a07b1e40, 1449);
 
 #[test]
 fn skewed_trace_is_pinned() {
