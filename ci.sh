@@ -329,6 +329,17 @@ if grep -rnE 'tau_s|tau_j|holddown_base|xy_stagger|DEFAULT_HOLDDOWN_BASE_MS|DEFA
     echo "a settable timing constant is back: derive the wait from the deployment's delay bound (plan::Delay)"; exit 1
 fi
 
+# An expiry names its replica once: a queue entry is `{ due, tag, tuple,
+# pred, owned, armed }`, and a pop drops whichever generation is stored once
+# that one is past its own retention (`runtime::past_retention`, the rule
+# `store_replica` refuses a late copy by). Earlier trees queued an
+# `Expiring::Replica(pred, tuple, id)` that repeated the stored generation's
+# id: 64 B an entry, ~30 % of `battlefield_pa`'s peak heap.
+echo "== an expiry names its replica once (no Expiring under crates/core/src) =="
+if grep -rn 'Expiring' crates/core/src; then
+    echo "an expiry entry repeats its replica again: name the replica by pred and tuple, and pop by past_retention"; exit 1
+fi
+
 # ROADMAP item 8's repro (crates/bench/tests/staggered_arrivals.rs): the tree
 # programs on the neighbourhood plane are oracle-exact (the 6x6 logicH run
 # that was the repro included), and so is logicH over a ternary link, which
@@ -410,7 +421,7 @@ if [[ "$fast" -eq 0 ]]; then
         table3.lossy_runs_drop table3.lossy_drops
         table4_5.trees_correct table4_5.runs_with_results table4_5.runs_oracle_exact
         table4_5.runs_with_pred_traffic table4_5.runs_with_deliveries
-        smoke.snapshot_schema_is_golden smoke.snapshot_plausible
+        smoke.snapshot_schema_is_golden smoke.snapshot_plausible smoke.pa_join_at_hop_bound_exact
         micro.inc_ledger_keys_equal_live_tuples micro.inc_support_bytes_per_derivation
         grid4k.heap_journal_pin
         chaos.heap_journal_pin

@@ -8,7 +8,7 @@
 
 use crate::common::{
     fit_exponent, last_event, median, seed17, sptree_deployment, sptree_deployment_observed, sym,
-    timed, JOIN2, LOGIC_H, LOGIC_J,
+    timed, CaseSpec, JOIN2, LOGIC_H, LOGIC_J,
 };
 use crate::experiments::telemetry::join_point;
 use crate::experiments::{
@@ -19,14 +19,14 @@ use crate::report::Report;
 use crate::row;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sensorlog_core::deploy::{DeployConfig, Deployment};
+use sensorlog_core::deploy::{DeployConfig, Deployment, WorkloadEvent};
 use sensorlog_core::prov::{to_jsonl, ProvRecord, Provenance};
 use sensorlog_core::runtime::{FaultPlaneCfg, RtConfig};
 use sensorlog_core::workload::UniformStreams;
-use sensorlog_core::Strategy;
 use sensorlog_core::{invariants, oracle};
+use sensorlog_core::{PassMode, Strategy};
 use sensorlog_eval::relation::{Relation, TupleMeta};
-use sensorlog_eval::{Database, Engine, IncrementalEngine, Update};
+use sensorlog_eval::{Database, Engine, IncrementalEngine, Update, UpdateKind};
 use sensorlog_logic::absint::frontier;
 use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::diag::BoundParams;
@@ -114,7 +114,7 @@ impl std::fmt::Display for JournalId {
 
 /// The telemetry pipeline end to end (deploy → instrument → snapshot →
 /// JSONL) on the PA two-stream join, plus the snapshot schema against its
-/// golden file.
+/// golden file; then the same join with every hop at its delay bound.
 fn smoke(quick: bool, r: &mut Report) {
     let golden = include_str!("../golden/snapshot_schema.txt");
     let schema = Snapshot::schema_fingerprint();
@@ -144,6 +144,62 @@ fn smoke(quick: bool, r: &mut Report) {
         "grid" => format!("{m}x{m}"), "tx" => point.total_tx,
         "counters" => snap.counters.len(), "hists" => snap.hists.len(),
         "phases" => snap.phases.len(), "jsonl_records" => jsonl_records,
+    ]);
+    hop_bound_join(r);
+}
+
+/// τs is a storage leg at the slowest hop, and a join needs all of it.
+/// With every hop at 29 or 30 ms — its 30 ms bound or a millisecond under —
+/// the two partners of each row of an 8×4 grid, sensed at its two ends at
+/// once, each start their probe 7 × 30 ms after their update, and each
+/// partner's replica reaches the other's node 203–210 ms after it. A storage
+/// leg priced one hop short lets both probes pass before either replica
+/// lands, and the row's result is lost. (At the default 5–30 ms a row walk
+/// rarely takes its bound, so no other gate sees such a leg.)
+fn hop_bound_join(r: &mut Report) {
+    let (cols, rows) = (8, 4);
+    let topo = Topology::grid(cols, rows);
+    let reading = |pred: &str, x: u32, y: u32| {
+        let node = topo.node_at(x, y).expect("on the grid");
+        let key = i64::from(y);
+        WorkloadEvent {
+            at: 100 + 1_000 * u64::from(y),
+            node,
+            pred: sym(pred),
+            tuple: Tuple::new(vec![
+                Term::Int(node.0.into()),
+                Term::Int(key),
+                Term::Int(key),
+            ]),
+            kind: UpdateKind::Insert,
+        }
+    };
+    let events = (0..rows)
+        .flat_map(|y| [reading("r1", 0, y), reading("r2", cols - 1, y)])
+        .collect();
+    let point = CaseSpec {
+        src: JOIN2.to_string(),
+        topo,
+        strategy: Strategy::Perpendicular { band_width: 1.0 },
+        pass_mode: PassMode::OnePass,
+        sim: SimConfig {
+            hop_delay: (29, 30),
+            ..seed17()
+        },
+        events,
+        output: sym("q"),
+        horizon: 60_000,
+    }
+    .run();
+    let held = &point.oracle;
+    r.gate(
+        "pa_join_at_hop_bound_exact",
+        true,
+        held.exact() && held.expected == rows as usize,
+    );
+    r.row(row![
+        "grid" => format!("{cols}x{rows}"), "hop_delay_ms" => "29-30",
+        "tx" => point.total_tx, "results" => held.found, "oracle" => held.expected,
     ]);
 }
 

@@ -402,7 +402,9 @@ impl Deployment {
     /// Attach a scripted fault schedule (crashes, restarts, partitions,
     /// dup/reorder windows). Applied tick-exactly during `run`. Every wait
     /// armed from now on prices a hop with its widest reorder window's
-    /// jitter.
+    /// jitter, so attach it before the first `run`: a replica's expiry pops
+    /// by the retention of its day, and one stored under a shorter one
+    /// would outlive its entry.
     pub fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
         self.ctx.net().allow_jitter(schedule.reorder_jitter());
         self.sim.set_fault_schedule(schedule);
@@ -1224,6 +1226,71 @@ mod tests {
             snap.phase("core.result.apply").unwrap().count,
             snap.counter_sum("pred:", "deriv_deltas")
         );
+    }
+
+    /// Under PA a windowed radius predicate's retention is priced on its
+    /// cut legs, and a pop drops a replica by today's retention. Once such
+    /// replicas are stored a mislocated event is refused, as for any radius
+    /// predicate, so every replica keeps a pending expiry at its own due and
+    /// none is left after the run. Had the deployment stopped cutting
+    /// instead, each replica stored before would outlive its only entry and
+    /// stay for good (probes filter it out, so the results hold either way).
+    #[test]
+    fn a_windowed_radius_predicate_keeps_every_replica_expiring() {
+        const SRC: &str = ".window s1 60000.\n.window s2 60000.\n.output q.\n\
+                           q(L1, L2, T) :- s1(L1, T), s2(L2, T), dist(L1, L2) <= 2.";
+        let (s1, s2) = (Symbol::intern("s1"), Symbol::intern("s2"));
+        let located = |topo: &Topology, node: NodeId| {
+            let (x, y) = topo.position(node);
+            let at = Term::app("loc", vec![Term::Int(x as i64), Term::Int(y as i64)]);
+            Tuple::new(vec![at, Term::Int(7)])
+        };
+        let run = |stop_cutting: bool| {
+            let topo = Topology::square_grid(6);
+            let (reg, cfg) = (BuiltinRegistry::standard(), DeployConfig::default());
+            let mut d = Deployment::new(SRC, reg, topo.clone(), cfg).unwrap();
+            let events: Vec<WorkloadEvent> = (topo.nodes())
+                .flat_map(|node| [(node, s1), (node, s2)])
+                .enumerate()
+                .map(|(i, (node, pred))| WorkloadEvent {
+                    at: 1_000 + i as SimTime * 500,
+                    node,
+                    pred,
+                    tuple: located(&topo, node),
+                    kind: UpdateKind::Insert,
+                })
+                .collect();
+            d.schedule_all(events.clone()).unwrap();
+            let retention = |d: &Deployment| d.net().wait(d.prog.waits(s1).retain.unwrap());
+            let cut = retention(&d);
+            d.run(5_000);
+            let moved = WorkloadEvent {
+                tuple: located(&topo, NodeId(21)),
+                ..events[14].clone()
+            };
+            let refused = d.schedule(moved).unwrap_err();
+            assert!(matches!(refused, EventError::Mislocated { .. }));
+            if stop_cutting {
+                d.prog.stop_cutting();
+                assert!(retention(&d) > cut);
+            }
+            let unexpiring =
+                |d: &Deployment| d.sim.nodes().map(|n| n.replicas_without_expiry()).sum();
+            let mut seen: Vec<usize> = Vec::new();
+            for at in [20_000, 40_000, 65_000] {
+                d.run(at);
+                seen.push(unexpiring(&d));
+            }
+            d.run(SimTime::MAX);
+            let report = crate::oracle::check(&d, &events, Symbol::intern("q"));
+            assert!(report.exact() && report.expected > 0, "{report:?}");
+            let held: usize = d.sim.nodes().map(|n| n.replica_count()).sum();
+            (seen, unexpiring(&d), held)
+        };
+        assert_eq!(run(false), (vec![0, 0, 0], 0, 0));
+        let (seen, left, held) = run(true);
+        assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
+        assert!(left > 0 && left == held, "{left} of {held}");
     }
 
     #[test]

@@ -451,6 +451,14 @@ impl DistProgram {
         self.waits = self.waits_of(&legs);
         if (self.reach.values()).any(|r| matches!(r, Reach::Regions(Some(_)))) {
             self.uncut = self.waits_of(&self.legs(&walks, false));
+            // The cut moves a windowed predicate's retention only where that
+            // predicate has a radius itself (`xy::locate`: a rule reading one
+            // reads only such predicates), so `Deployment::schedule_all`,
+            // which refuses to stop cutting once one is stored, keeps every
+            // stored replica at the retention its expiry was queued for.
+            debug_assert!((self.uncut.iter()).all(|(&p, uncut)| {
+                uncut.retain == self.waits[&p].retain || self.radius(p).is_some()
+            }));
         }
         self.holddowns = self.holddowns_of(&walks, &legs);
         self

@@ -209,8 +209,8 @@ struct Owned {
     /// The liveness last propagated into the network.
     propagated_live: bool,
     holddown_armed: bool,
-    /// Windowed predicates: the tag of the expiry its latest delta queued
-    /// ([`Expiring::Owned`]) — the only one that may drop the entry.
+    /// Windowed predicates: the tag of the `owned` [`Expiry`] its latest
+    /// delta queued — the only one that may drop the entry.
     expiry: Option<u64>,
 }
 
@@ -368,31 +368,40 @@ enum TimerAction {
     Tick(Tick),
 }
 
-/// What leaves the node when its time comes. Each names the generation it
-/// was queued for: one that is no longer the stored one expires nothing.
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Expiring {
-    /// Drop the replica of generation `id` once its retention elapsed
-    /// (Sec. IV-B "Tuple Expiry": (τs + τc) + τj + (τw + τc) after
-    /// generation).
-    Replica(Symbol, Tuple, TupleId),
-    /// Silently expire an owned derived tuple (window-based, no join
-    /// phase — "independently expiring a tuple after sufficient time"),
-    /// unless a later delta queued a later expiry ([`Owned::expiry`]).
-    Owned(Symbol, Tuple),
-}
-
-/// One entry of a node's expiry queue ([`SensorlogNode::expiries`]),
-/// ordered by due local time, then by timer tag: queueing order, the order
+/// One entry of a node's expiry queue ([`NodeStore::expiries`]): what
+/// leaves the node when its time comes. Not `owned`: the replica of `pred`'s
+/// `tuple`, if it is past its own retention (Sec. IV-B "Tuple Expiry":
+/// (τs + τc) + τj + (τw + τc) after generation, [`past_retention`]) — the
+/// stored generation's `gen_ts` says which one that is, so a tuple generated
+/// again inside its predecessor's retention stays until its own entry.
+/// `owned`: silently expire the owned derived tuple (window-based, no join
+/// phase — "independently expiring a tuple after sufficient time"), unless
+/// a later delta queued a later expiry ([`Owned::expiry`]).
+///
+/// Ordered by due local time, then by timer tag: queueing order, the order
 /// a node's same-tick timers fire in. (Tags are unique, so the derived
 /// order never reads further.)
 #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct Expiry {
     due: SimTime,
     tag: u64,
-    what: Expiring,
+    tuple: Tuple,
+    pred: Symbol,
+    owned: bool,
     /// A simulator timer for it is in flight.
     armed: bool,
+}
+
+// One entry per windowed replica, beside the replica itself: 64 B when it
+// repeated the replica's generation id (`TupleId`).
+const _: () = assert!(std::mem::size_of::<Expiry>() <= 40);
+
+/// Whether a replica generated at `gen_ts` is past its `retention` (`None`:
+/// its stream is not windowed) at `now`: too old to store, and too old to
+/// keep. No probe may join it from `gen_ts + retention` on, and none may
+/// lose it before.
+fn past_retention(gen_ts: SimTime, retention: Option<SimTime>, now: SimTime) -> bool {
+    retention.is_some_and(|r| gen_ts.saturating_add(r) <= now)
 }
 
 /// The fault plane's periodic duties.
@@ -457,6 +466,12 @@ impl DeployContext {
 
     pub(crate) fn prov(&self) -> &Provenance {
         &self.prov
+    }
+
+    /// How long a replica of `pred` is kept past its generation on this
+    /// deployment (`Waits::retain`); `None` unless `pred` is windowed.
+    fn retention(&self, pred: Symbol) -> Option<SimTime> {
+        self.prog.waits(pred).retain.map(|r| self.net.wait(r))
     }
 
     /// A Centroid center's engine over this program, profiled by the
@@ -750,6 +765,35 @@ impl SensorlogNode {
         out
     }
 
+    /// Stored replicas of windowed predicates that no pending expiry names
+    /// at their own due (`gen_ts` + today's retention): the node would keep
+    /// them for good.
+    #[cfg(test)]
+    pub(crate) fn replicas_without_expiry(&self) -> usize {
+        let Some(store) = &self.store else {
+            return 0;
+        };
+        let pending = |pred: Symbol, tuple: &Tuple, due: SimTime| {
+            (store.expiries.iter())
+                .any(|e| !e.0.owned && e.0.pred == pred && e.0.tuple == *tuple && e.0.due == due)
+        };
+        let mut unexpiring = 0;
+        for pred in store.frags.preds() {
+            let Some(r) = self.ctx.retention(pred) else {
+                continue;
+            };
+            for (tuple, m) in store
+                .frags
+                .relation(pred)
+                .into_iter()
+                .flat_map(|r| r.iter())
+            {
+                unexpiring += usize::from(!pending(pred, tuple, m.gen_ts + r));
+            }
+        }
+        unexpiring
+    }
+
     /// Every `TupleId → (pred, tuple)` binding this node holds: facts it
     /// generated, fragment replicas, and owned derived tuples. A given id
     /// must denote the same fact wherever it appears in the network.
@@ -917,8 +961,7 @@ impl SensorlogNode {
         // Retention of windowed streams (Sec. IV-B): the replica must
         // outlive every probe that may legally join with it —
         // (τs + τc) + τj + (τw + τc) past its generation timestamp.
-        let waits = self.ctx.prog.waits(fact.pred);
-        let retention = waits.retain.map(|r| self.ctx.net.wait(r));
+        let retention = self.ctx.retention(fact.pred);
         let now = ctx.local_time;
         let store = self.store.get_or_insert_with(Box::default);
         let rel = store.frags.relation_mut(fact.pred);
@@ -926,9 +969,9 @@ impl SensorlogNode {
         // arrive in either order (independent multi-hop routes), so the
         // replica tracks the newest tuple *generation* (by ID, Definition 2)
         // and a tombstone never gets clobbered by its own generation's
-        // late-arriving insert. `new_gen: Some(due)`: this update became the
-        // stored generation, in place of an older one's entry if there is
-        // one, and goes at `due` if its stream is windowed.
+        // late-arriving insert. `new_gen: Some(gen_ts)`: this update became
+        // the stored generation, in place of an older one's entry if there
+        // is one, generated at `gen_ts`.
         let (mut tombstoned, mut new_gen) = (false, None);
         let new = rel.update(fact.tuple.clone(), |stored| {
             let mut replica = Replica::live(fact.id);
@@ -955,17 +998,16 @@ impl SensorlogNode {
             };
             // No probe may join a replica past its retention: storing it
             // would only have it expire a tick later.
-            let due = retention.map(|r| gen_ts.saturating_add(r));
-            if due.is_some_and(|due| due <= now) {
+            if past_retention(gen_ts, retention, now) {
                 return None;
             }
-            new_gen = Some(due);
+            new_gen = Some(gen_ts);
             Some(TupleMeta {
                 gen_ts,
                 extra: replica,
             })
         });
-        let Some(due) = new_gen else {
+        let Some(gen_ts) = new_gen else {
             return tombstoned;
         };
         self.ctx
@@ -975,9 +1017,9 @@ impl SensorlogNode {
         debug_assert_eq!(store.replicas, store.frags.total_tuples());
         self.stats.peak_replicas = self.stats.peak_replicas.max(store.replicas);
         store.note_stored(fact.pred);
-        if let Some(due) = due {
-            let replica = Expiring::Replica(fact.pred, fact.tuple.clone(), fact.id);
-            self.expire_in(ctx, due - now, replica);
+        if let Some(r) = retention {
+            let due = gen_ts.saturating_add(r);
+            self.expire_in(ctx, due - now, fact.pred, fact.tuple.clone(), false);
         }
         true
     }
@@ -1214,10 +1256,8 @@ impl SensorlogNode {
         // Windowed derived streams: owned state expires with the window
         // (silent, Sec. II-B). Queued anew by each delta so the entry
         // outlives its last activity by one window.
-        let expiry = (self.ctx.prog.windows.get(&pred).copied()).map(|w| {
-            let owned = Expiring::Owned(pred, tuple.clone());
-            self.expire_in(ctx, w + self.ctx.net.tau_c + 1, owned)
-        });
+        let expiry = (self.ctx.prog.windows.get(&pred).copied())
+            .map(|w| self.expire_in(ctx, w + self.ctx.net.tau_c + 1, pred, tuple.clone(), true));
         let store = self.store.get_or_insert_with(Box::default);
         let entry = store.owned.book(pred, &tuple, key, sign);
         entry.expiry = expiry;
@@ -1623,16 +1663,26 @@ impl SensorlogNode {
         ctx.set_timer(delay, tag);
     }
 
-    /// Queue `what` to expire after `delay` ms of local time; returns the
-    /// timer tag it will fire as.
-    fn expire_in(&mut self, ctx: &mut Ctx<Msg>, delay: SimTime, what: Expiring) -> u64 {
+    /// Queue the replica of `pred`'s `tuple`, or its `owned` entry, to
+    /// expire after `delay` ms of local time; returns the timer tag it will
+    /// fire as.
+    fn expire_in(
+        &mut self,
+        ctx: &mut Ctx<Msg>,
+        delay: SimTime,
+        pred: Symbol,
+        tuple: Tuple,
+        owned: bool,
+    ) -> u64 {
         let tag = self.next_tag;
         self.next_tag += 1;
         let store = self.store_mut();
         store.expiries.push(Reverse(Expiry {
             due: ctx.local_time + delay,
             tag,
-            what,
+            tuple,
+            pred,
+            owned,
             armed: false,
         }));
         store.arm_next_expiry(ctx);
@@ -1640,7 +1690,7 @@ impl SensorlogNode {
     }
 
     /// The head of the expiry queue came due as timer `tag`: drop what it
-    /// names if that generation is still the stored one, then arm the next.
+    /// names if it is still due to go, then arm the next.
     fn fire_expiry(&mut self, ctx: &mut Ctx<Msg>, tag: u64) {
         let Some(store) = self.store.as_deref_mut() else {
             return; // no timer of ours
@@ -1648,26 +1698,26 @@ impl SensorlogNode {
         let Some(head) = store.expiries.peek_mut().filter(|head| head.0.tag == tag) else {
             return; // no timer of ours
         };
-        match PeekMut::pop(head).0.what {
-            Expiring::Replica(pred, tuple, id) => {
-                let rel = store.frags.relation_mut(pred);
-                if rel.meta(&tuple).is_some_and(|m| m.extra.id == id) && rel.remove(&tuple) {
-                    store.replicas -= 1;
-                }
+        let Expiry {
+            pred, tuple, owned, ..
+        } = PeekMut::pop(head).0;
+        let now = ctx.local_time;
+        if !owned {
+            // Whichever generation is stored now, if it is past its own
+            // retention: a newer one generated later stays for its own entry.
+            let rel = store.frags.relation_mut(pred);
+            let past = |gen_ts| past_retention(gen_ts, self.ctx.retention(pred), now);
+            if rel.meta(&tuple).is_some_and(|m| past(m.gen_ts)) && rel.remove(&tuple) {
+                store.replicas -= 1;
             }
-            Expiring::Owned(pred, tuple) => {
-                // The latest delta's expiry, and genuinely past the window.
-                if let (Some(&w), Some(entry)) = (
-                    self.ctx.prog.windows.get(&pred),
-                    store.owned.entries.get(&(pred, tuple.clone())),
-                ) {
-                    let stale = entry
-                        .id
-                        .is_none_or(|id| id.ts.saturating_add(w) < ctx.local_time);
-                    if entry.expiry == Some(tag) && stale && !entry.holddown_armed {
-                        store.owned.remove(pred, tuple);
-                    }
-                }
+        } else if let (Some(&w), Some(entry)) = (
+            self.ctx.prog.windows.get(&pred),
+            store.owned.entries.get(&(pred, tuple.clone())),
+        ) {
+            // The latest delta's expiry, and genuinely past the window.
+            let stale = entry.id.is_none_or(|id| id.ts.saturating_add(w) < now);
+            if entry.expiry == Some(tag) && stale && !entry.holddown_armed {
+                store.owned.remove(pred, tuple);
             }
         }
         store.arm_next_expiry(ctx);
@@ -2489,6 +2539,85 @@ mod tests {
             "expired at 1,000 + 1,270"
         );
         assert!(d.sim.is_quiescent());
+    }
+
+    /// A replay stores its replica at the replay's τ, not at its id's
+    /// timestamp, and the replica stays until τ + retention. Here an older
+    /// generation replayed at 100 queues the entry that pops at
+    /// 100 + retention; the newer one (id minted at 50) replayed at 500 is
+    /// stored then, and that pop leaves it although 50 + retention has
+    /// passed: a pop reads the stored `gen_ts`, not the id.
+    #[test]
+    fn a_replayed_replica_expires_a_retention_after_its_replay() {
+        let mut d = deploy(WINDOWED_JOIN, 4);
+        let kept = retention(&d, "r1");
+        let (r1, at, t) = (Symbol::intern("r1"), NodeId(5), ints(&[1, 5]));
+        let (older, newer) = (some_id(9, 40), some_id(9, 50));
+        for (tau, id) in [(100, older), (500, newer)] {
+            d.sim.run_until(tau);
+            let replay = FactRecord {
+                tau,
+                ..r1_insert(id)
+            };
+            d.sim
+                .invoke(at, |node, ctx| assert!(node.store_replica(ctx, &replay)));
+        }
+        let stored = |d: &mut crate::Deployment, until| {
+            d.sim.run_until(until);
+            let rel = stored_rel(d.node(at), r1);
+            rel.and_then(|r| r.meta(&t)).map(|m| (m.gen_ts, m.extra.id))
+        };
+        assert_eq!(stored(&mut d, 100 + kept), Some((500, newer)));
+        assert_eq!(stored(&mut d, 500 + kept - 1), Some((500, newer)));
+        assert_eq!(stored(&mut d, 500 + kept), None, "at τ + retention");
+        assert!(d.sim.is_quiescent());
+    }
+
+    /// Whichever entry pops, it drops the stored generation only once that
+    /// generation is past its own retention. A tuple generated again inside
+    /// its predecessor's retention keeps the newer replica until the newer
+    /// one's due; a newer generation stored at an earlier `gen_ts` than its
+    /// predecessor's (its delete overtook its insert, against a replayed
+    /// predecessor) goes at its own due, ahead of the predecessor's entry.
+    #[test]
+    fn a_pop_drops_only_a_generation_past_its_own_retention() {
+        let mut d = deploy(WINDOWED_JOIN, 4);
+        let kept = retention(&d, "r1");
+        let (r1, at) = (Symbol::intern("r1"), NodeId(5));
+        let (again, early) = (ints(&[1, 5]), ints(&[2, 5]));
+        let facts = [
+            (100, FactRecord::insert(r1, again.clone(), some_id(9, 100))),
+            (
+                300,
+                FactRecord {
+                    tau: 300,
+                    ..FactRecord::insert(r1, early.clone(), some_id(9, 40))
+                },
+            ),
+            (
+                350,
+                FactRecord::delete(r1, early.clone(), some_id(9, 60), 350),
+            ),
+            (400, FactRecord::insert(r1, again.clone(), some_id(9, 400))),
+        ];
+        for (at_ms, fact) in facts {
+            d.sim.run_until(at_ms);
+            d.sim
+                .invoke(at, |node, ctx| assert!(node.store_replica(ctx, &fact)));
+        }
+        let gen_ts = |d: &mut crate::Deployment, until, t: &Tuple| {
+            d.sim.run_until(until);
+            stored_rel(d.node(at), r1).and_then(|r| r.meta(t).map(|m| m.gen_ts))
+        };
+        assert_eq!(gen_ts(&mut d, 60 + kept - 1, &early), Some(60));
+        assert_eq!(gen_ts(&mut d, 60 + kept, &early), None, "its own due");
+        assert_eq!(gen_ts(&mut d, 100 + kept, &again), Some(400));
+        assert_eq!(gen_ts(&mut d, 400 + kept - 1, &again), Some(400));
+        assert_eq!(gen_ts(&mut d, 400 + kept, &again), None);
+        // Every entry fired, the early tuple's stale one at 300 + retention
+        // too, and nothing is left.
+        assert_eq!(d.sim.run_to_quiescence(SimTime::MAX), 400 + kept);
+        assert_eq!(d.node(at).replica_count(), 0);
     }
 
     /// The owned-side twin: an entry outlives its *last* delta by one

@@ -58,32 +58,35 @@ impl fmt::Debug for BuiltinRegistry {
     }
 }
 
-fn num2(args: &[Term], name: &str) -> Result<(f64, f64, bool), BuiltinError> {
-    if args.len() != 2 {
+/// A two-argument numeric built-in's arguments: both integers, or, if
+/// either is a float, both as floats.
+enum Num2 {
+    Ints(i64, i64),
+    Floats(f64, f64),
+}
+
+fn num2(args: &[Term], name: &str) -> Result<Num2, BuiltinError> {
+    let [a, b] = args else {
         return Err(BuiltinError::new(format!("{name} expects 2 arguments")));
-    }
-    let both_int = matches!((&args[0], &args[1]), (Term::Int(_), Term::Int(_)));
-    match (args[0].as_f64(), args[1].as_f64()) {
-        (Some(a), Some(b)) => Ok((a, b, both_int)),
-        _ => Err(BuiltinError::new(format!(
-            "{name} expects numeric arguments, got ({}, {})",
-            args[0], args[1]
-        ))),
+    };
+    match (a, b) {
+        (Term::Int(x), Term::Int(y)) => Ok(Num2::Ints(*x, *y)),
+        _ => match (a.as_f64(), b.as_f64()) {
+            (Some(x), Some(y)) => Ok(Num2::Floats(x, y)),
+            _ => Err(BuiltinError::new(format!(
+                "{name} expects numeric arguments, got ({a}, {b})"
+            ))),
+        },
     }
 }
 
+/// A two-argument numeric built-in: `g` over two integers (`None`: it
+/// failed), `f` over floats once either argument is one.
 fn arith(name: &'static str, f: fn(f64, f64) -> f64, g: fn(i64, i64) -> Option<i64>) -> FuncImpl {
-    Arc::new(move |args: &[Term]| {
-        let (a, b, both_int) = num2(args, name)?;
-        if both_int {
-            let (x, y) = (args[0].as_i64().unwrap(), args[1].as_i64().unwrap());
-            match g(x, y) {
-                Some(v) => Ok(Term::Int(v)),
-                None => Err(BuiltinError::new(format!("{name}({x}, {y}) failed"))),
-            }
-        } else {
-            Ok(Term::float(f(a, b)))
-        }
+    Arc::new(move |args: &[Term]| match num2(args, name)? {
+        Num2::Ints(x, y) => (g(x, y).map(Term::Int))
+            .ok_or_else(|| BuiltinError::new(format!("{name}({x}, {y}) failed"))),
+        Num2::Floats(a, b) => Ok(Term::float(f(a, b))),
     })
 }
 
@@ -143,32 +146,8 @@ impl BuiltinRegistry {
                 _ => Err(BuiltinError::new("abs expects one numeric argument")),
             }),
         );
-        r.register_func(
-            "min2",
-            Arc::new(|args: &[Term]| {
-                let (a, b, both_int) = num2(args, "min2")?;
-                if both_int {
-                    Ok(Term::Int(
-                        args[0].as_i64().unwrap().min(args[1].as_i64().unwrap()),
-                    ))
-                } else {
-                    Ok(Term::float(a.min(b)))
-                }
-            }),
-        );
-        r.register_func(
-            "max2",
-            Arc::new(|args: &[Term]| {
-                let (a, b, both_int) = num2(args, "max2")?;
-                if both_int {
-                    Ok(Term::Int(
-                        args[0].as_i64().unwrap().max(args[1].as_i64().unwrap()),
-                    ))
-                } else {
-                    Ok(Term::float(a.max(b)))
-                }
-            }),
-        );
+        r.register_func("min2", arith("min2", f64::min, |a, b| Some(a.min(b))));
+        r.register_func("max2", arith("max2", f64::max, |a, b| Some(a.max(b))));
         // dist(L1, L2): Euclidean distance between loc(x, y) points, or
         // |a - b| for plain numbers.
         r.register_func(
@@ -466,6 +445,27 @@ mod tests {
         let r = BuiltinRegistry::standard();
         assert!(r.eval_term(&parse_term("1 / 0").unwrap()).is_err());
         assert!(r.eval_term(&parse_term("mod(1, 0)").unwrap()).is_err());
+    }
+
+    /// `min2` / `max2` keep integers integral and promote a mixed pair to
+    /// floats, as `add` does; every two-argument built-in names itself in
+    /// its arity and type errors, and an integer failure names its operands.
+    #[test]
+    fn two_argument_builtins_keep_their_types_and_errors() {
+        let r = BuiltinRegistry::standard();
+        let eval = |src: &str| r.eval_term(&parse_term(src).unwrap());
+        assert_eq!(eval("min2(3, -2)").unwrap(), Term::Int(-2));
+        assert_eq!(eval("max2(3, -2)").unwrap(), Term::Int(3));
+        assert_eq!(eval("min2(3, 2.5)").unwrap(), Term::float(2.5));
+        assert_eq!(eval("max2(1.5, 2)").unwrap(), Term::float(2.0));
+        let err = |src: &str| eval(src).unwrap_err().message;
+        assert_eq!(err("max2(1)"), "max2 expects 2 arguments");
+        assert_eq!(
+            err("min2(a, 1)"),
+            "min2 expects numeric arguments, got (a, 1)"
+        );
+        assert_eq!(err("mod(1, 2, 3)"), "mod expects 2 arguments");
+        assert_eq!(err("div(7, 0)"), "div(7, 0) failed");
     }
 
     #[test]
