@@ -98,10 +98,18 @@ cargo test --workspace -q
 #    deployment's router and simulator share one `Arc<Topology>` (earlier
 #    trees built every part inline in every node, 584 B each, and cloned
 #    the topology for the router).
+#  - logic / eval / core: `neg` and `abs` of `i64::MIN` are the kernel's
+#    error on every path — `flat_eval`, both engines, and a PA node, which
+#    drops the head and counts it in `eval_errors` (earlier trees checked
+#    them only in a boxed copy no engine ran: a release build derived a
+#    negative `abs`, a debug build panicked);
+#  - core: a `dist` test resolves nothing — a 6x6 Example 1 run makes at
+#    most one boundary resolve per emitted result (its owner's geographic
+#    hash); resolving both arguments of every test made 3,390 for 1,380.
 # Each gate names its crate, its test target (`--lib` or `--test=<file>`)
 # and the test. The boundary-resolve cap (tests/boundary_sites.rs) ran with
 # the workspace tests above.
-echo "== count gates (keyed registry walks, exported node rows, queued event size, tuple size, unplanned probes, node probe ranges, router hops, id table race, small-int pool rows, expiry queue, message ownership, send order, queue memory, sent counters, Centroid provenance, hops are deliveries, JSONL numbers, skewed journal, plane store targets, first ledger slot, storage part, fault part, one topology) =="
+echo "== count gates (keyed registry walks, exported node rows, queued event size, tuple size, unplanned probes, node probe ranges, router hops, id table race, small-int pool rows, expiry queue, message ownership, send order, queue memory, sent counters, Centroid provenance, hops are deliveries, JSONL numbers, skewed journal, plane store targets, first ledger slot, storage part, fault part, one topology, least int, unresolved dist) =="
 for gate in \
     "sensorlog-netsim --lib sim::tests::keyed_registry_walks_do_not_grow_with_traffic" \
     "sensorlog-netsim --lib sim::tests::exported_node_rows_match_an_eagerly_registered_registry" \
@@ -131,7 +139,11 @@ for gate in \
     "sensorlog-eval --lib incremental::tests::a_first_derivation_takes_one_slot" \
     "sensorlog-core --lib runtime::tests::centroid_nodes_but_the_center_allocate_no_store" \
     "sensorlog-core --lib runtime::tests::only_the_fault_plane_allocates_a_fault_part" \
-    "sensorlog-core --lib deploy::tests::netinfo_and_simulator_share_one_topology"; do
+    "sensorlog-core --lib deploy::tests::netinfo_and_simulator_share_one_topology" \
+    "sensorlog-logic --lib flat::tests::neg_and_abs_of_the_least_int_are_errors" \
+    "sensorlog-eval --lib incremental::tests::the_least_ints_abs_is_an_error_in_both_engines" \
+    "sensorlog-core --lib invariants::tests::the_least_ints_abs_is_dropped_and_reported" \
+    "sensorlog-core --test=comparison_pool a_run_adds_only_stored_constants_to_the_pool"; do
     read -r crate target name <<<"$gate"
     out=$(cargo test -q -p "$crate" "$target" -- --exact "$name" 2>&1) || { echo "$out"; exit 1; }
     grep -q "test result: ok. 1 passed" <<<"$out" || {
@@ -187,6 +199,18 @@ if [[ $(grep -rn 'fn field_raw' crates src | wc -l) -ne 1 ]]; then
 fi
 if grep -rn 'fn json_str' crates src; then
     echo "a second JSON string escaper: use sensorlog_telemetry::jsonl::escape"; exit 1
+fi
+
+# One implementation of each built-in: the system functions are
+# `builtin::Op`s, evaluated by one `match` in `logic::flat`, and
+# `flat_compare` is the one comparison. Earlier trees wrote each function
+# twice — boxed closures built from `num2` / `arith` that only tests ran,
+# and a name-dispatched mirror in the kernel (`arith_syms`, `arith2`,
+# `minmax2`) that fell back to them through `call_func` — and the copies
+# disagreed on `neg` / `abs` of `i64::MIN`.
+echo "== one implementation of each built-in (no second copy of the system functions or of comparison under crates/logic/src) =="
+if grep -rnE 'arith_syms|fn arith2|fn minmax2|fn num2|Num2|fn call_func|pub fn compare' crates/logic/src; then
+    echo "a second implementation of a built-in is back: register a builtin::Op and evaluate it in flat::apply_interpreted"; exit 1
 fi
 
 # DESIGN.md's "System inventory" names each crate's key modules. Every
@@ -346,7 +370,7 @@ fi
 # keeps hashed owners and PA walks — its 6x6 witness, and a sweep over grids,
 # link spacings and link orders with Centroid as the control. The witness
 # failed until a probe whose pin leaves a negated literal unbound walked its
-# region once more to check it (`plan::Negations::Repass`). The same program
+# region once more to check it (`boundness::Negations::Repass`). The same program
 # on a 20x20 grid, links 1 ms apart, must settle exact within 500,000
 # messages: under a constant XY stagger it never settled.
 echo "== staggered arrivals (the plane is exact, and so is item 8's ternary witness and sweep off it) =="

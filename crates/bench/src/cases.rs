@@ -368,7 +368,7 @@ const CHAOS_PIN: u64 = 0x877b_8818_e7d1_889f;
 
 /// The churny two-stream join on a 4×4 grid with the fault plane on, under
 /// `faults`, run to quiescence.
-fn chaos_run(seed: u64, faults: Option<FaultSchedule>) -> (Deployment, JournalId) {
+fn chaos_run(seed: u64, faults: FaultSchedule) -> (Deployment, JournalId) {
     let topo = Topology::square_grid(4);
     let cfg = DeployConfig {
         rt: RtConfig {
@@ -379,6 +379,7 @@ fn chaos_run(seed: u64, faults: Option<FaultSchedule>) -> (Deployment, JournalId
         },
         sim: SimConfig {
             seed,
+            faults,
             ..SimConfig::default()
         },
         ..DeployConfig::default()
@@ -386,9 +387,6 @@ fn chaos_run(seed: u64, faults: Option<FaultSchedule>) -> (Deployment, JournalId
     let mut d = Deployment::new(JOIN2, BuiltinRegistry::standard(), topo.clone(), cfg)
         .expect("join compiles");
     let journal = d.attach_journal();
-    if let Some(faults) = faults {
-        d.set_fault_schedule(faults);
-    }
     d.schedule_all(
         UniformStreams {
             preds: vec![sym("r1"), sym("r2")],
@@ -430,7 +428,7 @@ fn chaos(quick: bool, r: &mut Report) {
             };
             FaultSchedule::random(101, &Topology::square_grid(4), spec)
         });
-        let (d, _) = chaos_run(101, faults);
+        let (d, _) = chaos_run(101, faults.unwrap_or_default());
         let tx = d.metrics().total_tx();
         if !faulty {
             baseline_tx = tx;
@@ -458,7 +456,7 @@ fn chaos(quick: bool, r: &mut Report) {
             .link_down(703, NodeId(1), NodeId(2))
             .link_up(4_441, NodeId(1), NodeId(2))
     };
-    let (heap, heap_id) = chaos_run(42, Some(script()));
+    let (heap, heap_id) = chaos_run(42, script());
     violations += invariants::check_convergence(&heap, &[sym("q")])
         .violations
         .len();

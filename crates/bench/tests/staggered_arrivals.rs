@@ -10,7 +10,7 @@
 //! link places nothing, so it keeps hashed owners and PA walks, and it
 //! quiesced holding `h` tuples the oracle does not derive until a probe
 //! whose pin leaves a negated literal unbound walked its region once more
-//! to check it (`plan::Negations::Repass`). Its witness and a sweep over
+//! to check it (`boundness::Negations::Repass`). Its witness and a sweep over
 //! grids, link spacings and link orders are here.
 
 use rand::rngs::StdRng;

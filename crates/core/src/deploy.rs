@@ -12,8 +12,7 @@ use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::intern::{self, Val};
 use sensorlog_logic::{Symbol, Term, Tuple};
 use sensorlog_netsim::{
-    FaultSchedule, Metrics, NodeId, SharedJournal, SimConfig, SimTime, Simulator, Topology,
-    TopologyKind,
+    Metrics, NodeId, SharedJournal, SimConfig, SimTime, Simulator, Topology, TopologyKind,
 };
 use sensorlog_telemetry::{MetricsRegistry, Scope, Snapshot, Telemetry};
 use std::collections::{BTreeMap, BTreeSet};
@@ -399,20 +398,9 @@ impl Deployment {
         self.sim.fail_node(id);
     }
 
-    /// Attach a scripted fault schedule (crashes, restarts, partitions,
-    /// dup/reorder windows). Applied tick-exactly during `run`. Every wait
-    /// armed from now on prices a hop with its widest reorder window's
-    /// jitter, so attach it before the first `run`: a replica's expiry pops
-    /// by the retention of its day, and one stored under a shorter one
-    /// would outlive its entry.
-    pub fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
-        self.ctx.net().allow_jitter(schedule.reorder_jitter());
-        self.sim.set_fault_schedule(schedule);
-    }
-
     /// True when faults can occur on this deployment: the runtime fault
-    /// plane was configured, a schedule was attached, or a node was ever
-    /// crashed manually. Gates the structural checks that only hold on
+    /// plane was configured, `SimConfig::faults` scheduled any, or a node
+    /// was ever crashed manually. Gates the structural checks that only hold on
     /// fault-free runs (e.g. derivation-count non-negativity).
     pub fn faults_active(&self) -> bool {
         self.ctx.cfg().faults.is_some() || self.sim.faults_injected()

@@ -552,6 +552,24 @@ mod tests {
         assert!(names(check_convergence(&d, &[m])).any(|n| n == "oracle-eval"));
     }
 
+    /// `abs` of the least `i64` is an evaluation error under PA too: the
+    /// node that fires the rule drops the head and counts it, and nothing
+    /// is derived (a debug build panicked there, a release one derived
+    /// `p(-9223372036854775808)`).
+    #[test]
+    fn the_least_ints_abs_is_dropped_and_reported() {
+        let src = ".output p. p(abs(X)) :- q(X). q(-9223372036854775807 - 1).";
+        let topo = sensorlog_netsim::Topology::square_grid(3);
+        let cfg = DeployConfig::default();
+        let mut d = Deployment::new(src, BuiltinRegistry::standard(), topo, cfg).unwrap();
+        d.run(60_000);
+        assert!(d.results(Symbol::intern("p")).is_empty());
+        let dropped: u64 = d.node_stats().iter().map(|s| s.eval_errors).sum();
+        assert_eq!(dropped, 1);
+        let names = |r: InvariantReport| r.violations.into_iter().map(|v| v.invariant);
+        assert!(names(check_structural(&d)).any(|n| n == "eval-error"));
+    }
+
     /// Acceptance criterion: a deliberately injected count-underflow — a
     /// delete delta for a derivation the owner never saw — is caught by
     /// `check_structural`.

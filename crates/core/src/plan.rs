@@ -34,7 +34,7 @@ use sensorlog_eval::eval_body::ground_facts;
 use sensorlog_eval::EvalError;
 use sensorlog_logic::analyze::Analysis;
 use sensorlog_logic::ast::{Atom, Literal};
-use sensorlog_logic::boundness::pass_plan;
+use sensorlog_logic::boundness::{negations, pass_plan, Negations};
 use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::intern::{self, Val};
 use sensorlog_logic::span::Span;
@@ -310,21 +310,6 @@ pub struct PassPlan {
     negations: Negations,
 }
 
-/// What a probe's walk does for the negated literals besides its pin.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-enum Negations {
-    /// There are none: a partial is emitted where it completes.
-    #[default]
-    None,
-    /// The pin grounds each one: a complete partial is held to the end of
-    /// the walk, and every node it visits checks them.
-    Held,
-    /// Some become ground only mid-walk, after the walk may have passed the
-    /// node holding their tuple: held, and on a walk of more than one node
-    /// walked once more past the last pass, which only checks.
-    Repass,
-}
-
 impl PassPlan {
     /// The plan of a probe pinned at `body[pin]` that walks `passes`, as
     /// literal indexes (no passes: one that extends nothing — the walk
@@ -335,22 +320,10 @@ impl PassPlan {
         if passes.is_empty() {
             passes.push(0);
         }
-        let pinned = body[pin].atom().map_or_else(Vec::new, Atom::vars);
-        let negated: Vec<&Atom> = (body.iter().enumerate())
-            .filter_map(|(i, l)| match l {
-                Literal::Neg(a) if i != pin => Some(a),
-                _ => None,
-            })
-            .collect();
-        let grounded = |a: &&Atom| a.vars().iter().all(|v| pinned.contains(v));
-        let negations = if negated.is_empty() {
-            Negations::None
-        } else if negated.iter().all(grounded) {
-            Negations::Held
-        } else {
-            Negations::Repass
-        };
-        PassPlan { passes, negations }
+        PassPlan {
+            passes,
+            negations: negations(body, pin),
+        }
     }
 
     /// Passes a probe walks over a walk of `nodes` nodes (≥ 1): one more

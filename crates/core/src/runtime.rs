@@ -41,7 +41,6 @@ use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Shared routing context: the topology, the next-hop oracle over it, the
@@ -56,12 +55,9 @@ pub struct NetInfo {
     /// τc (ms): the network's clock-skew bound, the simulator's
     /// `SimConfig::clock_skew_max` (Theorem 3). 0 until a deployment sets it.
     tau_c: SimTime,
-    /// The most one hop's delivery takes (ms), `SimConfig::max_hop_delay`.
-    /// 0 until a deployment sets it.
+    /// The most one hop's delivery takes (ms), `SimConfig::max_hop_delay`:
+    /// reorder windows' jitter included. 0 until a deployment sets it.
     hop_ms: SimTime,
-    /// The jitter the widest reorder window of the deployment's fault
-    /// schedule adds to a hop (ms).
-    jitter: AtomicU64,
 }
 
 impl NetInfo {
@@ -78,7 +74,6 @@ impl NetInfo {
             topo,
             tau_c: 0,
             hop_ms: 0,
-            jitter: AtomicU64::new(0),
         }
     }
 
@@ -96,17 +91,9 @@ impl NetInfo {
         self
     }
 
-    /// Price each hop `jitter` ms slower from now on, as a reorder window
-    /// the deployment's fault schedule opens may make it (the widest such
-    /// window counts).
-    pub(crate) fn allow_jitter(&self, jitter: SimTime) {
-        self.jitter.fetch_max(jitter, Ordering::Relaxed);
-    }
-
     /// What `delay` comes to on this network (ms).
     pub fn wait(&self, delay: Delay) -> SimTime {
-        let hop = self.hop_ms + self.jitter.load(Ordering::Relaxed);
-        delay.ms + delay.hops * hop + delay.skews * self.tau_c
+        delay.ms + delay.hops * self.hop_ms + delay.skews * self.tau_c
     }
 
     /// The central server for Centroid: the node closest to the deployment

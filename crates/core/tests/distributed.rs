@@ -1270,13 +1270,11 @@ fn tombstone_before_replica_is_ordered_correctly() {
 fn a_flood_of_one_tuples_generations_survives_duplicates_and_reordering() {
     let mut cfg = config_with(Strategy::NaiveBroadcast);
     cfg.sim.seed = 5;
+    cfg.sim.faults = (FaultSchedule::new())
+        .dup_window(0, 10_000, 250_000)
+        .reorder_window(0, 10_000, 40);
     let topo = Topology::square_grid(4);
     let mut d = Deployment::new(JOIN2, BuiltinRegistry::standard(), topo, cfg).unwrap();
-    d.set_fault_schedule(
-        FaultSchedule::new()
-            .dup_window(0, 10_000, 250_000)
-            .reorder_window(0, 10_000, 40),
-    );
     let mut events = vec![
         ev(10, 5, "r1", "r1(1, 7)", UpdateKind::Insert),
         ev(12, 5, "r1", "r1(4, 8)", UpdateKind::Insert),

@@ -1101,6 +1101,20 @@ mod tests {
         assert!(!e.db.contains(sym("h"), &tup("1, 2, 2")));
     }
 
+    /// `abs` of the least `i64` has no value: both engines report the
+    /// kernel's error for it, where they used to derive
+    /// `p(-9223372036854775808)` (or panic in a debug build).
+    #[test]
+    fn the_least_ints_abs_is_an_error_in_both_engines() {
+        let src = "p(abs(X)) :- q(X). q(-9223372036854775807 - 1).";
+        let want = "builtin error: abs(-9223372036854775808) failed";
+        let batch = Engine::from_source(src, BuiltinRegistry::standard()).unwrap();
+        let err = batch.run(&crate::relation::Database::new()).unwrap_err();
+        assert_eq!(err.to_string(), want);
+        let inc = IncrementalEngine::from_source(src, BuiltinRegistry::standard());
+        assert_eq!(inc.err().map(|e| e.to_string()).as_deref(), Some(want));
+    }
+
     #[test]
     fn ground_facts_are_live_after_new() {
         // No update is ever applied: the facts and everything derivable

@@ -34,8 +34,8 @@
 //! * **Message envelopes.** [`comm_envelopes`] scales the same bounds into
 //!   one row per predicate — its `store`, `probe` and `result` messages —
 //!   whose sums are the per-kind envelopes the run-time check holds the
-//!   simulator's tx counters to; a probe is charged the passes its
-//!   `boundness::pass_plan` walks.
+//!   simulator's tx counters to; a probe is charged the passes
+//!   `boundness::pin_passes` counts for its pin, negated pins included.
 //!
 //! The same SCC walk also keeps the paper's own bound, [`Frontier::paper`]:
 //! Σ of anchor products for a non-recursive predicate, `S ×` Σ of the
@@ -51,7 +51,7 @@
 
 use crate::analyze::Analysis;
 use crate::ast::{Atom, Literal, Program, Rule};
-use crate::boundness::pass_plan;
+use crate::boundness::pin_passes;
 use crate::depgraph::DepGraph;
 use crate::diag::{BoundExpr, BoundParams};
 use crate::symbol::Symbol;
@@ -1030,15 +1030,15 @@ fn col_width(prog: &Program, abs: &ColAbs, scc_rule_count: u64) -> BoundExpr {
 // Message envelopes
 // ---------------------------------------------------------------------------
 
-/// Column walks per predicate's probes: each positive occurrence charged
-/// the passes its [`pass_plan`] walks (at least one) — what a node probe
-/// pinned there traverses.
+/// Column walks per predicate's probes: each occurrence, negated ones
+/// included, charged the passes a node probe pinned there walks
+/// ([`pin_passes`]).
 fn probe_passes(prog: &Program) -> BTreeMap<Symbol, u64> {
     let mut passes: BTreeMap<Symbol, u64> = BTreeMap::new();
     for r in &prog.rules {
         for (i, lit) in r.body.iter().enumerate() {
-            if let Literal::Pos(a) = lit {
-                let walks = pass_plan(&r.body, i).len().max(1) as u64;
+            if let Literal::Pos(a) | Literal::Neg(a) = lit {
+                let walks = pin_passes(&r.body, i) as u64;
                 *passes.entry(a.pred).or_insert(0) += walks;
             }
         }
@@ -1436,9 +1436,13 @@ mod tests {
         ] {
             assert_eq!(a.eval(&p), b.eval(&p));
         }
-        // logicH: each of `hp`'s two `h` pins walks two passes.
+        // logicH: each of `hp`'s two `h` pins walks two passes, and the
+        // last rule's `h` pin, which leaves `not hp(Y, D + 1)`'s `Y`
+        // unbound, walks one more to check it. `hp`, read only under `not`,
+        // is probed from its own pin.
         let prog = parse_program(LOGIC_H).unwrap();
-        assert_eq!(probe_passes(&prog)[&sym("h")], 5);
+        assert_eq!(probe_passes(&prog)[&sym("h")], 6);
+        assert_eq!(probe_passes(&prog)[&sym("hp")], 1);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! set derived here (matching a positive atom binds all of its variables;
 //! seeds and pins bind theirs).
 
-use crate::ast::{CmpOp, Literal, Rule};
+use crate::ast::{Atom, CmpOp, Literal, Rule};
 use crate::symbol::Symbol;
 use crate::term::Term;
 use crate::xy::XyInfo;
@@ -269,6 +269,49 @@ pub fn pass_plan(body: &[Literal], pinned: usize) -> Vec<Vec<usize>> {
         passes.push(pass);
     }
     passes
+}
+
+/// What a node probe pinned at relational literal `pinned` does for the
+/// negated literals besides its pin.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub enum Negations {
+    /// There are none: a partial is emitted where it completes.
+    #[default]
+    None,
+    /// The pin grounds each one: a complete partial is held to the end of
+    /// the walk, and every node it visits checks them.
+    Held,
+    /// Some become ground only mid-walk, after the walk may have passed the
+    /// node holding their tuple: held, and on a walk of more than one node
+    /// walked once more past the last pass, which only checks.
+    Repass,
+}
+
+/// Classify the negated literals of `body` besides `body[pinned]` by what
+/// the pin grounds.
+pub fn negations(body: &[Literal], pinned: usize) -> Negations {
+    let pin = body[pinned].atom().map_or_else(Vec::new, Atom::vars);
+    let mut negated = (body.iter().enumerate())
+        .filter_map(|(i, l)| match l {
+            Literal::Neg(a) if i != pinned => Some(a),
+            _ => None,
+        })
+        .peekable();
+    if negated.peek().is_none() {
+        Negations::None
+    } else if negated.all(|a| a.vars().iter().all(|v| pin.contains(v))) {
+        Negations::Held
+    } else {
+        Negations::Repass
+    }
+}
+
+/// The passes a node probe pinned at relational literal `pinned` walks
+/// over a region of more than one node: [`pass_plan`]'s, at least one, and
+/// one more under [`Negations::Repass`].
+pub fn pin_passes(body: &[Literal], pinned: usize) -> usize {
+    let repass = negations(body, pinned) == Negations::Repass;
+    pass_plan(body, pinned).len().max(1) + usize::from(repass)
 }
 
 /// Variables bound by the positive relational subgoals plus equality

@@ -8,10 +8,12 @@
 //! *Functions* map ground argument terms to a ground term (arithmetic,
 //! `dist`); unregistered function symbols are uninterpreted constructors
 //! (lists, `loc(x, y)`, …). *Predicates* map ground argument terms to a
-//! boolean (`close`, `is_parallel`).
+//! boolean (`close`, `is_parallel`). The system functions are [`Op`]s,
+//! which the interned kernel ([`crate::flat`]) evaluates; procedural ones
+//! are closures over resolved terms.
 
-use crate::ast::CmpOp;
-use crate::intern::IdHashMap;
+use crate::flat::{flat_eval, FlatSubst};
+use crate::intern::{self, IdHashMap};
 use crate::symbol::Symbol;
 use crate::term::Term;
 use std::fmt;
@@ -42,10 +44,71 @@ impl std::error::Error for BuiltinError {}
 pub type FuncImpl = Arc<dyn Fn(&[Term]) -> Result<Term, BuiltinError> + Send + Sync>;
 pub type PredImpl = Arc<dyn Fn(&[Term]) -> Result<bool, BuiltinError> + Send + Sync>;
 
-/// Registry of procedural built-ins. Cloning is cheap (shared `Arc`s).
+/// A system function. Its one implementation is the kernel's
+/// ([`crate::flat`]): integer operations are overflow-checked, and a mixed
+/// pair of arguments is taken as floats.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Op {
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Mod,
+    Neg,
+    Abs,
+    Min2,
+    Max2,
+    /// Euclidean distance between two `loc(x, y)` points, or `|a - b|`
+    /// between two numbers.
+    Dist,
+}
+
+impl Op {
+    /// Every system function, as [`BuiltinRegistry::standard`] registers it.
+    const ALL: [Op; 10] = [
+        Op::Add,
+        Op::Sub,
+        Op::Mul,
+        Op::Div,
+        Op::Mod,
+        Op::Neg,
+        Op::Abs,
+        Op::Min2,
+        Op::Max2,
+        Op::Dist,
+    ];
+
+    /// The name a program calls it by.
+    pub fn name(self) -> &'static str {
+        match self {
+            Op::Add => "add",
+            Op::Sub => "sub",
+            Op::Mul => "mul",
+            Op::Div => "div",
+            Op::Mod => "mod",
+            Op::Neg => "neg",
+            Op::Abs => "abs",
+            Op::Min2 => "min2",
+            Op::Max2 => "max2",
+            Op::Dist => "dist",
+        }
+    }
+}
+
+/// What a registered function symbol evaluates by.
+#[derive(Clone)]
+pub enum Func {
+    /// A system function, run by the kernel on interned values.
+    Native(Op),
+    /// Procedural code (user or [`stdlib`]), called on resolved terms at
+    /// the boxed boundary.
+    Boxed(FuncImpl),
+}
+
+/// Registry of built-ins. Cloning is cheap (shared `Arc`s).
 #[derive(Clone, Default)]
 pub struct BuiltinRegistry {
-    funcs: IdHashMap<Symbol, FuncImpl>,
+    funcs: IdHashMap<Symbol, Func>,
     preds: IdHashMap<Symbol, PredImpl>,
 }
 
@@ -58,125 +121,31 @@ impl fmt::Debug for BuiltinRegistry {
     }
 }
 
-/// A two-argument numeric built-in's arguments: both integers, or, if
-/// either is a float, both as floats.
-enum Num2 {
-    Ints(i64, i64),
-    Floats(f64, f64),
-}
-
-fn num2(args: &[Term], name: &str) -> Result<Num2, BuiltinError> {
-    let [a, b] = args else {
-        return Err(BuiltinError::new(format!("{name} expects 2 arguments")));
-    };
-    match (a, b) {
-        (Term::Int(x), Term::Int(y)) => Ok(Num2::Ints(*x, *y)),
-        _ => match (a.as_f64(), b.as_f64()) {
-            (Some(x), Some(y)) => Ok(Num2::Floats(x, y)),
-            _ => Err(BuiltinError::new(format!(
-                "{name} expects numeric arguments, got ({a}, {b})"
-            ))),
-        },
-    }
-}
-
-/// A two-argument numeric built-in: `g` over two integers (`None`: it
-/// failed), `f` over floats once either argument is one.
-fn arith(name: &'static str, f: fn(f64, f64) -> f64, g: fn(i64, i64) -> Option<i64>) -> FuncImpl {
-    Arc::new(move |args: &[Term]| match num2(args, name)? {
-        Num2::Ints(x, y) => (g(x, y).map(Term::Int))
-            .ok_or_else(|| BuiltinError::new(format!("{name}({x}, {y}) failed"))),
-        Num2::Floats(a, b) => Ok(Term::float(f(a, b))),
-    })
-}
-
-/// Extract `(x, y)` from a `loc(x, y)` term or any 2-ary numeric application.
-fn as_point(t: &Term) -> Option<(f64, f64)> {
-    if let Term::App(_, args) = t {
-        if args.len() == 2 {
-            if let (Some(x), Some(y)) = (args[0].as_f64(), args[1].as_f64()) {
-                return Some((x, y));
-            }
-        }
-    }
-    None
-}
-
 impl BuiltinRegistry {
     /// Registry with the system built-ins:
     ///
-    /// functions — `add sub mul div mod neg abs min2 max2 dist`
+    /// functions — `add sub mul div mod neg abs min2 max2 dist` ([`Op`])
     /// predicates — (none; applications register their own, e.g. `close`).
     pub fn standard() -> BuiltinRegistry {
         let mut r = BuiltinRegistry::default();
-        r.register_func("add", arith("add", |a, b| a + b, |a, b| a.checked_add(b)));
-        r.register_func("sub", arith("sub", |a, b| a - b, |a, b| a.checked_sub(b)));
-        r.register_func("mul", arith("mul", |a, b| a * b, |a, b| a.checked_mul(b)));
-        r.register_func(
-            "div",
-            arith(
-                "div",
-                |a, b| a / b,
-                |a, b| if b == 0 { None } else { a.checked_div(b) },
-            ),
-        );
-        r.register_func(
-            "mod",
-            arith(
-                "mod",
-                |a, b| a % b,
-                |a, b| if b == 0 { None } else { a.checked_rem(b) },
-            ),
-        );
-        r.register_func(
-            "neg",
-            Arc::new(|args: &[Term]| match args {
-                [Term::Int(i)] => (i.checked_neg().map(Term::Int))
-                    .ok_or_else(|| BuiltinError::new(format!("neg({i}) failed"))),
-                [Term::Float(f)] => Ok(Term::float(-f.get())),
-                _ => Err(BuiltinError::new("neg expects one numeric argument")),
-            }),
-        );
-        r.register_func(
-            "abs",
-            Arc::new(|args: &[Term]| match args {
-                [Term::Int(i)] => (i.checked_abs().map(Term::Int))
-                    .ok_or_else(|| BuiltinError::new(format!("abs({i}) failed"))),
-                [Term::Float(f)] => Ok(Term::float(f.get().abs())),
-                _ => Err(BuiltinError::new("abs expects one numeric argument")),
-            }),
-        );
-        r.register_func("min2", arith("min2", f64::min, |a, b| Some(a.min(b))));
-        r.register_func("max2", arith("max2", f64::max, |a, b| Some(a.max(b))));
-        // dist(L1, L2): Euclidean distance between loc(x, y) points, or
-        // |a - b| for plain numbers.
-        r.register_func(
-            "dist",
-            Arc::new(|args: &[Term]| {
-                if args.len() != 2 {
-                    return Err(BuiltinError::new("dist expects 2 arguments"));
-                }
-                if let (Some((x1, y1)), Some((x2, y2))) = (as_point(&args[0]), as_point(&args[1])) {
-                    return Ok(Term::float(((x1 - x2).powi(2) + (y1 - y2).powi(2)).sqrt()));
-                }
-                if let (Some(a), Some(b)) = (args[0].as_f64(), args[1].as_f64()) {
-                    return Ok(Term::float((a - b).abs()));
-                }
-                Err(BuiltinError::new(format!(
-                    "dist expects points or numbers, got ({}, {})",
-                    args[0], args[1]
-                )))
-            }),
-        );
+        for op in Op::ALL {
+            r.funcs.insert(Symbol::intern(op.name()), Func::Native(op));
+        }
         r
     }
 
+    /// Register procedural function `name`, replacing whatever `name` was.
     pub fn register_func(&mut self, name: &str, f: FuncImpl) {
-        self.funcs.insert(Symbol::intern(name), f);
+        self.funcs.insert(Symbol::intern(name), Func::Boxed(f));
     }
 
     pub fn register_pred(&mut self, name: &str, p: PredImpl) {
         self.preds.insert(Symbol::intern(name), p);
+    }
+
+    /// What function symbol `s` evaluates by; `None` for a constructor.
+    pub fn func(&self, s: Symbol) -> Option<&Func> {
+        self.funcs.get(&s)
     }
 
     pub fn is_func(&self, s: Symbol) -> bool {
@@ -185,13 +154,6 @@ impl BuiltinRegistry {
 
     pub fn is_pred(&self, s: Symbol) -> bool {
         self.preds.contains_key(&s)
-    }
-
-    /// Call a registered interpreted function directly on evaluated ground
-    /// arguments; `None` if `s` is not a registered function. Used by the
-    /// flat evaluator's boxed fallback (see [`crate::flat`]).
-    pub fn call_func(&self, s: Symbol, args: &[Term]) -> Option<Result<Term, BuiltinError>> {
-        self.funcs.get(&s).map(|f| f(args))
     }
 
     /// Evaluate a registered predicate on ground arguments.
@@ -204,44 +166,10 @@ impl BuiltinRegistry {
 
     /// Evaluate interpreted function symbols bottom-up in a ground term.
     /// Uninterpreted applications (constructors like `$cons`, `loc`) are left
-    /// intact with evaluated arguments.
+    /// intact with evaluated arguments. The boxed adapter of the kernel:
+    /// [`flat_eval`] under no bindings, its value resolved at the boundary.
     pub fn eval_term(&self, t: &Term) -> Result<Term, BuiltinError> {
-        match t {
-            Term::App(f, args) => {
-                let evaled: Vec<Term> = args
-                    .iter()
-                    .map(|a| self.eval_term(a))
-                    .collect::<Result<_, _>>()?;
-                match self.funcs.get(f) {
-                    Some(func) => func(&evaled),
-                    None => Ok(Term::App(*f, evaled.into())),
-                }
-            }
-            Term::Var(v) => Err(BuiltinError::new(format!(
-                "cannot evaluate unbound variable {v}"
-            ))),
-            _ => Ok(t.clone()),
-        }
-    }
-
-    /// Evaluate a comparison between two ground terms. Numeric comparisons
-    /// widen integers to floats; everything else falls back to the total
-    /// term order (`Eq`/`Ne` are structural).
-    pub fn compare(&self, op: CmpOp, lhs: &Term, rhs: &Term) -> Result<bool, BuiltinError> {
-        let l = self.eval_term(lhs)?;
-        let r = self.eval_term(rhs)?;
-        let ord = match (l.as_f64(), r.as_f64()) {
-            (Some(a), Some(b)) => a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Greater),
-            _ => l.cmp(&r),
-        };
-        Ok(match op {
-            CmpOp::Lt => ord == std::cmp::Ordering::Less,
-            CmpOp::Le => ord != std::cmp::Ordering::Greater,
-            CmpOp::Gt => ord == std::cmp::Ordering::Greater,
-            CmpOp::Ge => ord != std::cmp::Ordering::Less,
-            CmpOp::Eq => ord == std::cmp::Ordering::Equal,
-            CmpOp::Ne => ord != std::cmp::Ordering::Equal,
-        })
+        intern::boundary(|| flat_eval(self, t, &FlatSubst::new()).map(intern::resolve))
     }
 }
 
@@ -516,30 +444,6 @@ mod tests {
         assert_eq!(r.eval_term(&t).unwrap(), Term::float(5.0));
         let t = parse_term("dist(10, 7)").unwrap();
         assert_eq!(r.eval_term(&t).unwrap(), Term::float(3.0));
-    }
-
-    #[test]
-    fn comparisons() {
-        let r = BuiltinRegistry::standard();
-        assert!(r
-            .compare(CmpOp::Le, &Term::Int(1), &Term::float(1.0))
-            .unwrap());
-        assert!(r
-            .compare(CmpOp::Eq, &Term::Int(1), &Term::float(1.0))
-            .unwrap());
-        assert!(r.compare(CmpOp::Lt, &Term::Int(1), &Term::Int(2)).unwrap());
-        assert!(!r.compare(CmpOp::Gt, &Term::Int(1), &Term::Int(2)).unwrap());
-        // Structural comparison on non-numeric terms.
-        assert!(r
-            .compare(CmpOp::Ne, &Term::atom("a"), &Term::atom("b"))
-            .unwrap());
-    }
-
-    #[test]
-    fn comparison_evaluates_expressions() {
-        let r = BuiltinRegistry::standard();
-        let lhs = parse_term("2 + 2").unwrap();
-        assert!(r.compare(CmpOp::Eq, &lhs, &Term::Int(4)).unwrap());
     }
 
     #[test]

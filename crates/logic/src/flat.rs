@@ -1,28 +1,20 @@
 //! Flat evaluation kernel: substitutions, interpreted evaluation, semantic
 //! matching and comparisons over interned [`ConstId`]s.
 //!
-//! This is the id-space mirror of the boxed machinery ([`crate::unify`] +
-//! [`BuiltinRegistry::eval_term`]; the boxed semantic matcher survives only
-//! as the oracle of `eval/tests/match_parity.rs`): every function here
-//! reproduces its boxed counterpart's semantics *exactly* —
-//! same results, same error cases — while touching only pool entries, so
-//! the fixpoint inner loop performs zero id → `Term` resolves. Cold paths
-//! (non-arithmetic builtin functions, error-message construction) fall back
-//! to the boxed implementations inside an [`intern::boundary`] scope, which
-//! also guarantees error strings stay byte-identical.
-//!
-//! Caveat: the arithmetic fast path dispatches on the *names*
-//! `add sub mul div mod neg abs min2 max2`; re-registering those standard
-//! names with different semantics is unsupported (nothing in-tree does).
+//! This is the one implementation of the system functions ([`Op`]) and of
+//! comparison: every engine, every node and the boxed adapter
+//! [`BuiltinRegistry::eval_term`] evaluate through it. It touches only pool
+//! entries, so the fixpoint inner loop performs zero id → `Term` resolves.
+//! Cold paths (user procedural functions, error-message construction)
+//! resolve inside an [`intern::boundary`] scope.
 
 use crate::ast::CmpOp;
-use crate::builtin::{BuiltinError, BuiltinRegistry};
+use crate::builtin::{BuiltinError, BuiltinRegistry, Func, FuncImpl, Op};
 use crate::intern::{self, ConstId, Val};
 use crate::symbol::Symbol;
 use crate::term::{Term, F64};
 use crate::unify::Subst;
 use std::cmp::Ordering;
-use std::sync::OnceLock;
 
 /// Inline binding capacity: rule bodies rarely bind more than this many
 /// variables, so the common-case clone is a plain memcpy with no heap
@@ -150,33 +142,6 @@ pub fn flat_is_ground(t: &Term, s: &FlatSubst) -> bool {
     }
 }
 
-struct ArithSyms {
-    add: Symbol,
-    sub: Symbol,
-    mul: Symbol,
-    div: Symbol,
-    modulo: Symbol,
-    neg: Symbol,
-    abs: Symbol,
-    min2: Symbol,
-    max2: Symbol,
-}
-
-fn arith_syms() -> &'static ArithSyms {
-    static SYMS: OnceLock<ArithSyms> = OnceLock::new();
-    SYMS.get_or_init(|| ArithSyms {
-        add: Symbol::intern("add"),
-        sub: Symbol::intern("sub"),
-        mul: Symbol::intern("mul"),
-        div: Symbol::intern("div"),
-        modulo: Symbol::intern("mod"),
-        neg: Symbol::intern("neg"),
-        abs: Symbol::intern("abs"),
-        min2: Symbol::intern("min2"),
-        max2: Symbol::intern("max2"),
-    })
-}
-
 /// What an interpreted application evaluates to, before it enters the
 /// pool: a comparison reads a number out of it and drops it
 /// ([`flat_compare`]), everyone else interns it ([`apply_func`]).
@@ -206,15 +171,10 @@ impl Applied {
     }
 }
 
-/// Boxed fallback for interpreted functions outside the arithmetic fast
-/// path (`dist`, list builtins, user functions) and for their error cases —
-/// the procedural-builtin boundary.
-fn call_boxed(reg: &BuiltinRegistry, f: Symbol, kids: &[ConstId]) -> Result<Applied, BuiltinError> {
-    let out = intern::boundary(|| {
-        let args: Vec<Term> = intern::resolve_slice(kids);
-        reg.call_func(f, &args)
-            .expect("call_boxed on unregistered function")
-    })?;
+/// A procedural function: called on the resolved children at the boxed
+/// boundary, its value interned unless it is a number.
+fn call_boxed(f: &FuncImpl, kids: &[ConstId]) -> Result<Applied, BuiltinError> {
+    let out = intern::boundary(|| f(&intern::resolve_slice(kids)))?;
     Ok(match out {
         Term::Int(i) => Applied::Int(i),
         Term::Float(x) => Applied::Float(x.get()),
@@ -224,120 +184,120 @@ fn call_boxed(reg: &BuiltinRegistry, f: Symbol, kids: &[ConstId]) -> Result<Appl
     })
 }
 
-fn arith2(
-    reg: &BuiltinRegistry,
-    f: Symbol,
-    name: &'static str,
+/// `{name} {what}, got (a, b)`: a type error naming its operands, which
+/// are resolved at the boundary.
+fn type_error(name: &str, what: &str, kids: &[ConstId]) -> BuiltinError {
+    let args = intern::boundary(|| intern::resolve_slice(kids));
+    let args: Vec<String> = args.iter().map(Term::to_string).collect();
+    BuiltinError::new(format!("{name} {what}, got ({})", args.join(", ")))
+}
+
+/// A one-argument system function: `int` over an integer (`None`: it
+/// overflowed), `float` over a float.
+fn unary(
+    name: &str,
     kids: &[ConstId],
-    ff: fn(f64, f64) -> f64,
-    gg: fn(i64, i64) -> Option<i64>,
+    int: fn(i64) -> Option<i64>,
+    float: fn(f64) -> f64,
 ) -> Result<Applied, BuiltinError> {
-    if kids.len() != 2 {
-        return call_boxed(reg, f, kids); // exact arity error message
-    }
-    let (a, b) = (&intern::entry(kids[0]).val, &intern::entry(kids[1]).val);
-    if let (Val::Int(x), Val::Int(y)) = (a, b) {
-        return match gg(*x, *y) {
-            Some(v) => Ok(Applied::Int(v)),
-            None => Err(BuiltinError::new(format!("{name}({x}, {y}) failed"))),
-        };
-    }
-    match (a.as_f64(), b.as_f64()) {
-        (Some(x), Some(y)) => Ok(Applied::Float(ff(x, y))),
-        _ => call_boxed(reg, f, kids), // exact type error message
+    let val = match *kids {
+        [k] => Some(&intern::entry(k).val),
+        _ => None,
+    };
+    match val {
+        Some(Val::Int(i)) => (int(*i).map(Applied::Int))
+            .ok_or_else(|| BuiltinError::new(format!("{name}({i}) failed"))),
+        Some(Val::Float(x)) => Ok(Applied::Float(float(x.get()))),
+        _ => Err(BuiltinError::new(format!(
+            "{name} expects one numeric argument"
+        ))),
     }
 }
 
-fn minmax2(
-    reg: &BuiltinRegistry,
-    f: Symbol,
+/// A two-argument system function: `int` over two integers (`None`: it
+/// failed), `float` over floats once either argument is one.
+fn binary(
+    name: &str,
     kids: &[ConstId],
-    int_pick: fn(i64, i64) -> i64,
-    float_pick: fn(f64, f64) -> f64,
+    int: fn(i64, i64) -> Option<i64>,
+    float: fn(f64, f64) -> f64,
 ) -> Result<Applied, BuiltinError> {
-    if kids.len() != 2 {
-        return call_boxed(reg, f, kids);
-    }
-    let (a, b) = (&intern::entry(kids[0]).val, &intern::entry(kids[1]).val);
+    let &[a, b] = kids else {
+        return Err(BuiltinError::new(format!("{name} expects 2 arguments")));
+    };
+    let (a, b) = (&intern::entry(a).val, &intern::entry(b).val);
     if let (Val::Int(x), Val::Int(y)) = (a, b) {
-        return Ok(Applied::Int(int_pick(*x, *y)));
+        return (int(*x, *y).map(Applied::Int))
+            .ok_or_else(|| BuiltinError::new(format!("{name}({x}, {y}) failed")));
     }
     match (a.as_f64(), b.as_f64()) {
-        (Some(x), Some(y)) => Ok(Applied::Float(float_pick(x, y))),
-        _ => call_boxed(reg, f, kids),
+        (Some(x), Some(y)) => Ok(Applied::Float(float(x, y))),
+        _ => Err(type_error(name, "expects numeric arguments", kids)),
+    }
+}
+
+/// `(x, y)` of a `loc(x, y)` point, or of any 2-ary numeric application.
+fn point(v: &Val) -> Option<(f64, f64)> {
+    match v {
+        Val::App(_, kids) => match **kids {
+            [x, y] => Some((
+                intern::entry(x).val.as_f64()?,
+                intern::entry(y).val.as_f64()?,
+            )),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// `dist`: between two points, or between two numbers.
+fn dist(kids: &[ConstId]) -> Result<Applied, BuiltinError> {
+    let &[a, b] = kids else {
+        return Err(BuiltinError::new("dist expects 2 arguments"));
+    };
+    let (a, b) = (&intern::entry(a).val, &intern::entry(b).val);
+    if let (Some((x1, y1)), Some((x2, y2))) = (point(a), point(b)) {
+        return Ok(Applied::Float(
+            ((x1 - x2).powi(2) + (y1 - y2).powi(2)).sqrt(),
+        ));
+    }
+    match (a.as_f64(), b.as_f64()) {
+        (Some(x), Some(y)) => Ok(Applied::Float((x - y).abs())),
+        _ => Err(type_error("dist", "expects points or numbers", kids)),
+    }
+}
+
+/// Run the interpreted function `func` on evaluated children.
+fn apply_interpreted(func: &Func, kids: &[ConstId]) -> Result<Applied, BuiltinError> {
+    let op = match func {
+        Func::Native(op) => *op,
+        Func::Boxed(f) => return call_boxed(f, kids),
+    };
+    let name = op.name();
+    match op {
+        Op::Add => binary(name, kids, i64::checked_add, |a, b| a + b),
+        Op::Sub => binary(name, kids, i64::checked_sub, |a, b| a - b),
+        Op::Mul => binary(name, kids, i64::checked_mul, |a, b| a * b),
+        Op::Div => binary(name, kids, i64::checked_div, |a, b| a / b),
+        Op::Mod => binary(name, kids, i64::checked_rem, |a, b| a % b),
+        Op::Min2 => binary(name, kids, |a, b| Some(a.min(b)), f64::min),
+        Op::Max2 => binary(name, kids, |a, b| Some(a.max(b)), f64::max),
+        Op::Neg => unary(name, kids, i64::checked_neg, |x| -x),
+        Op::Abs => unary(name, kids, i64::checked_abs, f64::abs),
+        Op::Dist => dist(kids),
     }
 }
 
 /// Apply function symbol `f` to evaluated children: interpreted functions
-/// run (arithmetic natively, others via the boxed boundary), uninterpreted
-/// constructors intern as `App` values — exactly
-/// [`BuiltinRegistry::eval_term`]'s application step.
+/// run, uninterpreted constructors intern as `App` values.
 fn apply_func(
     reg: &BuiltinRegistry,
     f: Symbol,
     kids: Vec<ConstId>,
 ) -> Result<ConstId, BuiltinError> {
-    if !reg.is_func(f) {
-        return Ok(intern::intern_app(f, kids));
-    }
-    Ok(apply_interpreted(reg, f, &kids)?.intern())
-}
-
-/// Run the interpreted function `f` on evaluated children.
-fn apply_interpreted(
-    reg: &BuiltinRegistry,
-    f: Symbol,
-    kids: &[ConstId],
-) -> Result<Applied, BuiltinError> {
-    let o = arith_syms();
-    if f == o.add {
-        arith2(reg, f, "add", kids, |a, b| a + b, |a, b| a.checked_add(b))
-    } else if f == o.sub {
-        arith2(reg, f, "sub", kids, |a, b| a - b, |a, b| a.checked_sub(b))
-    } else if f == o.mul {
-        arith2(reg, f, "mul", kids, |a, b| a * b, |a, b| a.checked_mul(b))
-    } else if f == o.div {
-        arith2(
-            reg,
-            f,
-            "div",
-            kids,
-            |a, b| a / b,
-            |a, b| if b == 0 { None } else { a.checked_div(b) },
-        )
-    } else if f == o.modulo {
-        arith2(
-            reg,
-            f,
-            "mod",
-            kids,
-            |a, b| a % b,
-            |a, b| if b == 0 { None } else { a.checked_rem(b) },
-        )
-    } else if f == o.neg {
-        match kids {
-            [k] => match &intern::entry(*k).val {
-                Val::Int(i) => Ok(Applied::Int(-i)),
-                Val::Float(x) => Ok(Applied::Float(-x.get())),
-                _ => call_boxed(reg, f, kids),
-            },
-            _ => call_boxed(reg, f, kids),
-        }
-    } else if f == o.abs {
-        match kids {
-            [k] => match &intern::entry(*k).val {
-                Val::Int(i) => Ok(Applied::Int(i.abs())),
-                Val::Float(x) => Ok(Applied::Float(x.get().abs())),
-                _ => call_boxed(reg, f, kids),
-            },
-            _ => call_boxed(reg, f, kids),
-        }
-    } else if f == o.min2 {
-        minmax2(reg, f, kids, i64::min, f64::min)
-    } else if f == o.max2 {
-        minmax2(reg, f, kids, i64::max, f64::max)
-    } else {
-        call_boxed(reg, f, kids)
+    match reg.func(f) {
+        Some(func) => Ok(apply_interpreted(func, &kids)?.intern()),
+        None => Ok(intern::intern_app(f, kids)),
     }
 }
 
@@ -356,20 +316,19 @@ pub fn eval_id(reg: &BuiltinRegistry, id: ConstId) -> Result<ConstId, BuiltinErr
                 changed |= nk != k;
                 new_kids.push(nk);
             }
-            if reg.is_func(*f) {
-                apply_func(reg, *f, new_kids)
-            } else if !changed {
-                Ok(id)
-            } else {
-                Ok(intern::intern_app(*f, new_kids))
+            match reg.func(*f) {
+                Some(func) => Ok(apply_interpreted(func, &new_kids)?.intern()),
+                None if !changed => Ok(id),
+                None => Ok(intern::intern_app(*f, new_kids)),
             }
         }
         _ => Ok(id),
     }
 }
 
-/// Evaluate a pattern term under a flat substitution — the id-space mirror
-/// of `reg.eval_term(&subst.apply(t))`. All variables must be bound.
+/// Evaluate a pattern term under a flat substitution: `t` with its
+/// variables replaced by their bindings, its interpreted applications run.
+/// All variables must be bound.
 pub fn flat_eval(reg: &BuiltinRegistry, t: &Term, s: &FlatSubst) -> Result<ConstId, BuiltinError> {
     match t {
         Term::Int(n) => Ok(intern::intern_int(*n)),
@@ -403,18 +362,18 @@ fn eval_args(
 /// `dist(L, F) <= 8` — stays out of the pool. The pool is append-only, and
 /// a join tests one such value per candidate pair.
 fn flat_operand(reg: &BuiltinRegistry, t: &Term, s: &FlatSubst) -> Result<Applied, BuiltinError> {
-    match t {
-        Term::App(f, args) if reg.is_func(*f) => {
-            apply_interpreted(reg, *f, &eval_args(reg, args, s)?)
+    if let Term::App(f, args) = t {
+        if let Some(func) = reg.func(*f) {
+            return apply_interpreted(func, &eval_args(reg, args, s)?);
         }
-        _ => flat_eval(reg, t, s).map(Applied::Id),
     }
+    flat_eval(reg, t, s).map(Applied::Id)
 }
 
 /// Evaluate a comparison between two pattern terms under a flat
-/// substitution — mirror of `reg.compare(op, &subst.apply(l),
-/// &subst.apply(r))`: numeric comparisons widen to floats; everything else
-/// uses the value order (= boxed `Term` order, via `intern::cmp_ids`).
+/// substitution, the one comparison: numeric comparisons widen to floats;
+/// everything else uses the value order (= boxed `Term` order, via
+/// `intern::cmp_ids`).
 pub fn flat_compare(
     reg: &BuiltinRegistry,
     op: CmpOp,
@@ -458,11 +417,29 @@ fn arg_view(a: &Term, s: &FlatSubst) -> ArgView {
     }
 }
 
+/// Solve a 2-ary `add` / `sub` pattern against the integer `n`: its one
+/// unbound variable binds when the other argument is an integer.
+fn solve_linear(op: Op, n: i64, args: &[Term], s: &mut FlatSubst) -> bool {
+    let [l, r] = args else {
+        return false;
+    };
+    let (v, x) = match (op, arg_view(l, s), arg_view(r, s)) {
+        (Op::Add, ArgView::UnboundVar(v), ArgView::Lit(k))
+        | (Op::Add, ArgView::Lit(k), ArgView::UnboundVar(v)) => (v, n.checked_sub(k)),
+        (Op::Sub, ArgView::UnboundVar(v), ArgView::Lit(k)) => (v, n.checked_add(k)),
+        _ => return false,
+    };
+    x.is_some_and(|x| {
+        s.bind(v, intern::intern_int(x));
+        true
+    })
+}
+
 /// Semantic pattern match against an interned value, the one matcher of
 /// every body-literal walk: ground (under `s`) patterns are evaluated and
-/// compared by id; an unbound variable binds; 2-ary `add`/
-/// `sub` patterns against an integer solve linearly; uninterpreted
-/// applications descend structurally.
+/// compared by id; an unbound variable binds; 2-ary patterns of the
+/// system `add` / `sub` ([`Op::Add`], [`Op::Sub`]) against an integer
+/// solve linearly; uninterpreted applications descend structurally.
 pub fn flat_match(reg: &BuiltinRegistry, pat: &Term, vid: ConstId, s: &mut FlatSubst) -> bool {
     // Variable patterns — the overwhelmingly common case in rule bodies —
     // need one binding lookup, not the ground-walk + re-lookup below.
@@ -490,29 +467,9 @@ pub fn flat_match(reg: &BuiltinRegistry, pat: &Term, vid: ConstId, s: &mut FlatS
             s.bind(*v, vid);
             true
         }
-        Term::App(f, args) if args.len() == 2 && matches!(intern::entry(vid).val, Val::Int(_)) => {
-            let n = match intern::entry(vid).val {
-                Val::Int(n) => n,
-                _ => unreachable!(),
-            };
-            fn solve(s: &mut FlatSubst, v: Symbol, bound: Option<i64>) -> bool {
-                match bound {
-                    Some(x) => {
-                        s.bind(v, intern::intern_int(x));
-                        true
-                    }
-                    None => false,
-                }
-            }
-            match (f.as_str(), arg_view(&args[0], s), arg_view(&args[1], s)) {
-                ("add", ArgView::UnboundVar(v), ArgView::Lit(k)) => solve(s, v, n.checked_sub(k)),
-                ("add", ArgView::Lit(k), ArgView::UnboundVar(v)) => solve(s, v, n.checked_sub(k)),
-                ("sub", ArgView::UnboundVar(v), ArgView::Lit(k)) => solve(s, v, n.checked_add(k)),
-                _ => false,
-            }
-        }
-        Term::App(f, pargs) => match &intern::entry(vid).val {
-            Val::App(g, vids) if f == g && pargs.len() == vids.len() && !reg.is_func(*f) => pargs
+        Term::App(f, pargs) => match (&intern::entry(vid).val, reg.func(*f)) {
+            (Val::Int(n), Some(Func::Native(op))) => solve_linear(*op, *n, pargs, s),
+            (Val::App(g, vids), None) if f == g && pargs.len() == vids.len() => pargs
                 .iter()
                 .zip(vids.iter())
                 .all(|(pp, &vv)| flat_match(reg, pp, vv, s)),
@@ -550,61 +507,134 @@ mod tests {
         intern::intern_term(t).unwrap()
     }
 
-    /// Oracle: the boxed pipeline `eval_term(subst.apply(t))`.
-    fn boxed_eval(reg: &BuiltinRegistry, t: &Term, s: &FlatSubst) -> Result<Term, BuiltinError> {
-        let boxed = intern::boundary(|| s.to_subst());
-        reg.eval_term(&boxed.apply(t))
-    }
-
-    #[test]
-    fn flat_eval_matches_boxed_oracle() {
-        let r = reg();
+    /// `X = 7`, `F = 2.5`.
+    fn seven_and_a_half() -> FlatSubst {
         let mut s = FlatSubst::new();
         s.bind(Symbol::intern("X"), intern::intern_int(7));
         s.bind(Symbol::intern("F"), id_of(&Term::float(2.5)));
-        for src in [
-            "X + 1",
-            "X * X",
-            "X - 10",
-            "X / 2",
-            "mod(X, 3)",
-            "neg(X)",
-            "abs(0 - X)",
-            "min2(X, 3)",
-            "max2(X, F)",
-            "X + F",
-            "dist(10, 7)",
-            "loc(X + 1, 2)",
-            "[X, 2]",
-        ] {
-            let t = parse_term(src).unwrap();
-            let flat = flat_eval(&r, &t, &s).unwrap();
-            let boxed = boxed_eval(&r, &t, &s).unwrap();
-            assert_eq!(intern::resolve(flat), boxed, "divergence on {src}");
-        }
+        s
     }
 
     #[test]
-    fn flat_eval_error_cases_match_boxed() {
+    fn flat_eval_pins_values() {
         let r = reg();
-        let s = FlatSubst::new();
-        for src in ["1 / 0", "mod(2, 0)", "add(a, 1)", "neg(a)"] {
-            let t = parse_term(src).unwrap();
-            let flat = flat_eval(&r, &t, &s);
-            let boxed = boxed_eval(&r, &t, &s);
-            assert!(flat.is_err() && boxed.is_err(), "both error on {src}");
-            assert_eq!(
-                flat.unwrap_err().message,
-                boxed.unwrap_err().message,
-                "error text diverges on {src}"
-            );
+        let s = seven_and_a_half();
+        for (src, want) in [
+            ("X + 1", "8"),
+            ("X * X", "49"),
+            ("X - 10", "-3"),
+            ("X / 2", "3"),
+            ("mod(X, 3)", "1"),
+            ("neg(X)", "-7"),
+            ("neg(F)", "-2.5"),
+            ("abs(0 - X)", "7"),
+            ("min2(X, 3)", "3"),
+            ("max2(X, F)", "7.0"),
+            ("X + F", "9.5"),
+            ("X / 2.0", "3.5"),
+            ("loc(X + 1, 2)", "loc(8, 2)"),
+            ("[X, 2]", "[7, 2]"),
+            // `dist` over points, over ints, and over an int and a float.
+            ("dist(loc(0, 0), loc(3, 4))", "5.0"),
+            ("dist(loc(X, 0), loc(X, F))", "2.5"),
+            ("dist(10, X)", "3.0"),
+            ("dist(X, F)", "4.5"),
+        ] {
+            let got = flat_eval(&r, &parse_term(src).unwrap(), &s).unwrap();
+            assert_eq!(intern::resolve(got), parse_term(want).unwrap(), "{src}");
         }
-        // Overflow path.
-        let t = Term::app("add", vec![Term::Int(i64::MAX), Term::Int(1)]);
-        assert_eq!(
-            flat_eval(&r, &t, &s).unwrap_err().message,
-            boxed_eval(&r, &t, &s).unwrap_err().message
+        // `dist` is bit-exact: the square root of the summed squares.
+        let t = parse_term("dist(loc(0, 0), loc(1, 1))").unwrap();
+        let got = intern::entry(flat_eval(&r, &t, &s).unwrap()).val.as_f64();
+        assert_eq!(got.map(f64::to_bits), Some(2f64.sqrt().to_bits()));
+    }
+
+    #[test]
+    fn flat_eval_pins_error_texts() {
+        let r = reg();
+        let s = seven_and_a_half();
+        for (src, want) in [
+            ("1 / 0", "div(1, 0) failed"),
+            ("mod(2, 0)", "mod(2, 0) failed"),
+            ("add(a, 1)", "add expects numeric arguments, got (a, 1)"),
+            ("max2(1)", "max2 expects 2 arguments"),
+            ("neg(a)", "neg expects one numeric argument"),
+            ("abs(1, 2)", "abs expects one numeric argument"),
+            ("Y + 1", "cannot evaluate unbound variable Y"),
+            // `dist` of a point and a number, and of one argument.
+            (
+                "dist(loc(X, 0), F)",
+                "dist expects points or numbers, got (loc(7, 0), 2.5)",
+            ),
+            ("dist(X)", "dist expects 2 arguments"),
+            (
+                "add(9223372036854775807, 1)",
+                "add(9223372036854775807, 1) failed",
+            ),
+        ] {
+            let err = flat_eval(&r, &parse_term(src).unwrap(), &s).unwrap_err();
+            assert_eq!(err.message, want, "{src}");
+        }
+    }
+
+    /// `i64::MIN` has no negation or absolute value in `i64`: the kernel
+    /// returns the error every evaluation path reports, and does not panic.
+    #[test]
+    fn neg_and_abs_of_the_least_int_are_errors() {
+        let r = reg();
+        let mut s = FlatSubst::new();
+        s.bind(Symbol::intern("X"), intern::intern_int(i64::MIN));
+        for f in ["neg", "abs"] {
+            let t = parse_term(&format!("{f}(X)")).unwrap();
+            let err = flat_eval(&r, &t, &s).unwrap_err();
+            assert_eq!(err.message, format!("{f}(-9223372036854775808) failed"));
+            let le = flat_compare(&r, CmpOp::Le, &t, &Term::Int(0), &s);
+            assert_eq!(le.unwrap_err(), err, "a comparison operand fails alike");
+        }
+        let t = parse_term("X / -1").unwrap();
+        let err = flat_eval(&r, &t, &s).unwrap_err();
+        assert_eq!(err.message, "div(-9223372036854775808, -1) failed");
+    }
+
+    /// A procedural `add` registered over the system one is what every
+    /// evaluation runs, and a pattern of it is no longer solved as linear.
+    #[test]
+    fn a_reregistered_add_is_what_evaluation_uses() {
+        let mut r = reg();
+        r.register_func(
+            "add",
+            std::sync::Arc::new(|args: &[Term]| Ok(Term::app("sum", args.to_vec()))),
         );
+        let s = seven_and_a_half();
+        let got = flat_eval(&r, &parse_term("X + 1").unwrap(), &s).unwrap();
+        assert_eq!(intern::resolve(got), parse_term("sum(7, 1)").unwrap());
+        assert_eq!(
+            r.eval_term(&parse_term("add(1, 2)").unwrap()).unwrap(),
+            parse_term("sum(1, 2)").unwrap()
+        );
+        let raw = id_of(&Term::app("add", vec![Term::Int(1), Term::Int(2)]));
+        assert_eq!(
+            intern::resolve(eval_id(&r, raw).unwrap()),
+            parse_term("sum(1, 2)").unwrap()
+        );
+        // `D + 1` against 3: the system `add` binds D = 2; this one does not.
+        let pat = parse_term("D + 1").unwrap();
+        assert!(flat_match(
+            &reg(),
+            &pat,
+            intern::intern_int(3),
+            &mut FlatSubst::new()
+        ));
+        let mut open = FlatSubst::new();
+        assert!(!flat_match(&r, &pat, intern::intern_int(3), &mut open));
+        assert!(open.is_empty());
+        // Nor is it a constructor a stored `add(1, 2)` descends into.
+        assert!(!flat_match(
+            &r,
+            &parse_term("add(A, 2)").unwrap(),
+            raw,
+            &mut open
+        ));
     }
 
     #[test]
@@ -644,7 +674,6 @@ mod tests {
                 want,
                 "{l} {op:?} {rr}"
             );
-            assert_eq!(r.compare(op, &lt, &rt).unwrap(), want);
         }
     }
 

@@ -46,8 +46,8 @@ const LOGIC_H_JSON: &str = r#"{
     {"code": "mem.bound", "severity": "info", "rule": null, "pred": "hp", "line": 6, "col": 1, "start": 71, "end": 134, "message": "static tuple bound for `hp`: 2 * E(g) = 1000", "suggestions": []},
     {"code": "plan.negation-multipass", "severity": "info", "rule": 3, "pred": "hp", "line": 7, "col": 40, "start": 174, "end": 190, "message": "rule #3: negated derived subgoal `hp` forces multi-pass (stratum-ordered) evaluation", "suggestions": []},
     {"code": "comm.place", "severity": "info", "rule": null, "pred": "hp", "line": 6, "col": 1, "start": 71, "end": 134, "message": "`hp` is owned by the node its column 0 names, not by the geographic hash", "suggestions": []},
-    {"code": "cost.comm-estimate", "severity": "info", "rule": null, "pred": "h", "line": 4, "col": 1, "start": 36, "end": 47, "message": "message envelope row for `h` (checked per kind at run time): store 4 * (1 + E(g) + E(g) * (1 + E(g) + E(g))) * N = 200400400; probe 20 * (1 + E(g) + E(g) * (1 + E(g) + E(g))) * N = 1002002000; result 8 * (1 + E(g) + E(g) * (1 + E(g) + E(g))) * N = 400800800", "suggestions": []},
-    {"code": "cost.comm-estimate", "severity": "info", "rule": null, "pred": "hp", "line": 6, "col": 1, "start": 71, "end": 134, "message": "message envelope row for `hp` (checked per kind at run time): store 4 * (1 + E(g) + E(g)) * (1 + E(g) + E(g)) * E(g) * N = 200400200000; result 8 * (1 + E(g) + E(g)) * (1 + E(g) + E(g)) * E(g) * N = 400800400000", "suggestions": []},
+    {"code": "cost.comm-estimate", "severity": "info", "rule": null, "pred": "h", "line": 4, "col": 1, "start": 36, "end": 47, "message": "message envelope row for `h` (checked per kind at run time): store 4 * (1 + E(g) + E(g) * (1 + E(g) + E(g))) * N = 200400400; probe 24 * (1 + E(g) + E(g) * (1 + E(g) + E(g))) * N = 1202402400; result 8 * (1 + E(g) + E(g) * (1 + E(g) + E(g))) * N = 400800800", "suggestions": []},
+    {"code": "cost.comm-estimate", "severity": "info", "rule": null, "pred": "hp", "line": 6, "col": 1, "start": 71, "end": 134, "message": "message envelope row for `hp` (checked per kind at run time): store 4 * (1 + E(g) + E(g)) * (1 + E(g) + E(g)) * E(g) * N = 200400200000; probe 4 * (1 + E(g) + E(g)) * (1 + E(g) + E(g)) * E(g) * N = 200400200000; result 8 * (1 + E(g) + E(g)) * (1 + E(g) + E(g)) * E(g) * N = 400800400000", "suggestions": []},
     {"code": "cost.holddown-implicit", "severity": "info", "rule": null, "pred": "hp", "line": 6, "col": 1, "start": 71, "end": 134, "message": "XY-staged predicate `hp` has no `.holddown` declaration; its holddown is derived per deployment: the base plus 0 retraction chains at stage-order step 0", "suggestions": []},
     {"code": "cost.holddown-implicit", "severity": "info", "rule": null, "pred": "h", "line": 4, "col": 1, "start": 36, "end": 47, "message": "XY-staged predicate `h` has no `.holddown` declaration; its holddown is derived per deployment: the base plus 1 retraction chains at stage-order step 1", "suggestions": []}
   ],
@@ -96,8 +96,8 @@ const LOGIC_J_JSON: &str = r#"{
     {"code": "comm.neighbourhood", "severity": "info", "rule": null, "pred": "g", "line": 5, "col": 12, "start": 56, "end": 63, "message": "`g` links the neighbourhood plane: each fact is stored at the node its column 0 names and at the radio neighbour its column 1 names, and joined there", "suggestions": []},
     {"code": "comm.neighbourhood", "severity": "info", "rule": null, "pred": "j", "line": 4, "col": 1, "start": 36, "end": 44, "message": "`j` is on the neighbourhood plane over `g`: stored at the node its column 0 names and at every radio neighbour of it, and joined there", "suggestions": []},
     {"code": "comm.neighbourhood", "severity": "info", "rule": null, "pred": "jp", "line": 6, "col": 1, "start": 65, "end": 122, "message": "`jp` is on the neighbourhood plane over `g`: stored at the node its column 0 names and at every radio neighbour of it, and joined there", "suggestions": []},
-    {"code": "cost.comm-estimate", "severity": "info", "rule": null, "pred": "j", "line": 4, "col": 1, "start": 36, "end": 44, "message": "message envelope row for `j` (checked per kind at run time): store 4 * (1 + E(g) + E(g) * (1 + E(g) + E(g))) * N = 200400400; probe 20 * (1 + E(g) + E(g) * (1 + E(g) + E(g))) * N = 1002002000; result 8 * (1 + E(g) + E(g) * (1 + E(g) + E(g))) * N = 400800800", "suggestions": []},
-    {"code": "cost.comm-estimate", "severity": "info", "rule": null, "pred": "jp", "line": 6, "col": 1, "start": 65, "end": 122, "message": "message envelope row for `jp` (checked per kind at run time): store 4 * (1 + E(g) + E(g)) * (1 + E(g) + E(g)) * E(g) * N = 200400200000; result 8 * (1 + E(g) + E(g)) * (1 + E(g) + E(g)) * E(g) * N = 400800400000", "suggestions": []},
+    {"code": "cost.comm-estimate", "severity": "info", "rule": null, "pred": "j", "line": 4, "col": 1, "start": 36, "end": 44, "message": "message envelope row for `j` (checked per kind at run time): store 4 * (1 + E(g) + E(g) * (1 + E(g) + E(g))) * N = 200400400; probe 24 * (1 + E(g) + E(g) * (1 + E(g) + E(g))) * N = 1202402400; result 8 * (1 + E(g) + E(g) * (1 + E(g) + E(g))) * N = 400800800", "suggestions": []},
+    {"code": "cost.comm-estimate", "severity": "info", "rule": null, "pred": "jp", "line": 6, "col": 1, "start": 65, "end": 122, "message": "message envelope row for `jp` (checked per kind at run time): store 4 * (1 + E(g) + E(g)) * (1 + E(g) + E(g)) * E(g) * N = 200400200000; probe 4 * (1 + E(g) + E(g)) * (1 + E(g) + E(g)) * E(g) * N = 200400200000; result 8 * (1 + E(g) + E(g)) * (1 + E(g) + E(g)) * E(g) * N = 400800400000", "suggestions": []},
     {"code": "cost.holddown-implicit", "severity": "info", "rule": null, "pred": "jp", "line": 6, "col": 1, "start": 65, "end": 122, "message": "XY-staged predicate `jp` has no `.holddown` declaration; its holddown is derived per deployment: the base plus 0 retraction chains at stage-order step 0", "suggestions": []},
     {"code": "cost.holddown-implicit", "severity": "info", "rule": null, "pred": "j", "line": 4, "col": 1, "start": 36, "end": 44, "message": "XY-staged predicate `j` has no `.holddown` declaration; its holddown is derived per deployment: the base plus 1 retraction chains at stage-order step 1", "suggestions": []}
   ],
@@ -196,8 +196,8 @@ const STAGE_RESCAN_JSON: &str = r#"{
     {"code": "mem.bound", "severity": "info", "rule": null, "pred": "jp", "line": 7, "col": 1, "start": 74, "end": 131, "message": "static tuple bound for `jp`: S * E(g) = 50500", "suggestions": []},
     {"code": "plan.stage-rescan", "severity": "warning", "rule": 2, "pred": "hop", "line": 8, "col": 16, "start": 147, "end": 163, "message": "rule #2: with stage variable `D` bound, evaluation still opens at `hop` with no bound column — the relation is rescanned every stage", "suggestions": []},
     {"code": "plan.negation-multipass", "severity": "info", "rule": 2, "pred": "jp", "line": 8, "col": 43, "start": 174, "end": 190, "message": "rule #2: negated derived subgoal `jp` forces multi-pass (stratum-ordered) evaluation", "suggestions": []},
-    {"code": "cost.comm-estimate", "severity": "info", "rule": null, "pred": "j", "line": 6, "col": 1, "start": 65, "end": 73, "message": "message envelope row for `j` (checked per kind at run time): store 4 * (1 + E(hop) * (1 + S * E(hop))) * N = 10100200400; probe 20 * (1 + E(hop) * (1 + S * E(hop))) * N = 50501002000; result 8 * (1 + E(hop) * (1 + S * E(hop))) * N = 20200400800", "suggestions": []},
-    {"code": "cost.comm-estimate", "severity": "info", "rule": null, "pred": "jp", "line": 7, "col": 1, "start": 74, "end": 131, "message": "message envelope row for `jp` (checked per kind at run time): store 4 * (1 + S * E(hop)) * (1 + S * E(hop)) * E(g) * N = 510070200200000; result 8 * (1 + S * E(hop)) * (1 + S * E(hop)) * E(g) * N = 1020140400400000", "suggestions": []},
+    {"code": "cost.comm-estimate", "severity": "info", "rule": null, "pred": "j", "line": 6, "col": 1, "start": 65, "end": 73, "message": "message envelope row for `j` (checked per kind at run time): store 4 * (1 + E(hop) * (1 + S * E(hop))) * N = 10100200400; probe 24 * (1 + E(hop) * (1 + S * E(hop))) * N = 60601202400; result 8 * (1 + E(hop) * (1 + S * E(hop))) * N = 20200400800", "suggestions": []},
+    {"code": "cost.comm-estimate", "severity": "info", "rule": null, "pred": "jp", "line": 7, "col": 1, "start": 74, "end": 131, "message": "message envelope row for `jp` (checked per kind at run time): store 4 * (1 + S * E(hop)) * (1 + S * E(hop)) * E(g) * N = 510070200200000; probe 4 * (1 + S * E(hop)) * (1 + S * E(hop)) * E(g) * N = 510070200200000; result 8 * (1 + S * E(hop)) * (1 + S * E(hop)) * E(g) * N = 1020140400400000", "suggestions": []},
     {"code": "cost.holddown-implicit", "severity": "info", "rule": null, "pred": "jp", "line": 7, "col": 1, "start": 74, "end": 131, "message": "XY-staged predicate `jp` has no `.holddown` declaration; its holddown is derived per deployment: the base plus 0 retraction chains at stage-order step 0", "suggestions": []},
     {"code": "cost.holddown-implicit", "severity": "info", "rule": null, "pred": "j", "line": 6, "col": 1, "start": 65, "end": 73, "message": "XY-staged predicate `j` has no `.holddown` declaration; its holddown is derived per deployment: the base plus 1 retraction chains at stage-order step 1", "suggestions": []}
   ],

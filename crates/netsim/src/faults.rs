@@ -50,8 +50,7 @@ pub struct FaultEvent {
 
 /// A seeded, scriptable fault schedule. Build one with the fluent
 /// methods or generate a random-but-reproducible one with
-/// [`FaultSchedule::random`]; attach it via
-/// `Simulator::set_fault_schedule` / `Deployment::set_fault_schedule`.
+/// [`FaultSchedule::random`]; schedule it as [`crate::SimConfig::faults`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultSchedule {
     events: Vec<FaultEvent>,

@@ -88,6 +88,10 @@ pub struct SimConfig {
     pub clock_skew_max: SimTime,
     /// RNG seed; fixed seed ⇒ fully deterministic run.
     pub seed: u64,
+    /// Scripted faults (crashes, restarts, partitions, dup / reorder
+    /// windows), applied tick-exactly: a fault at time `t` strikes before
+    /// any event scheduled at `t` runs.
+    pub faults: FaultSchedule,
 }
 
 impl Default for SimConfig {
@@ -99,6 +103,7 @@ impl Default for SimConfig {
             retries: 0,
             clock_skew_max: 0,
             seed: 0xC0FFEE,
+            faults: FaultSchedule::new(),
         }
     }
 }
@@ -111,12 +116,14 @@ impl SimConfig {
         worst.powf(f64::from(self.retries) + 1.0)
     }
 
-    /// The most one hop's delivery takes (ms), reorder windows aside: the
-    /// slowest delay draw (`hop_delay.1`, which a draw can equal), after the
-    /// backoff of every retransmission.
+    /// The most one hop's delivery takes (ms): the slowest delay draw
+    /// (`hop_delay.1`, which a draw can equal), after the backoff of every
+    /// retransmission, plus the jitter of the fault schedule's widest
+    /// reorder window.
     pub fn max_hop_delay(&self) -> SimTime {
         let (lo, hi) = self.hop_delay;
-        lo.max(hi) + (0..self.retries).map(backoff).sum::<SimTime>()
+        let backoffs = (0..self.retries).map(backoff).sum::<SimTime>();
+        lo.max(hi) + backoffs + self.faults.reorder_jitter()
     }
 }
 
@@ -449,7 +456,7 @@ impl<A: App> Simulator<A> {
             failed: vec![false; n],
             epochs: vec![0; n],
             links: LinkState::default(),
-            faults: Vec::new(),
+            faults: config.faults.sorted().events().to_vec(),
             fault_cursor: 0,
             make_app,
             rngs,
@@ -594,15 +601,7 @@ impl<A: App> Simulator<A> {
         self.failed[id.index()]
     }
 
-    /// Attach a fault schedule. Faults are applied at their exact tick,
-    /// interleaved with event processing: a fault at time `t` strikes
-    /// before any event scheduled at `t` runs.
-    pub fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
-        self.faults = schedule.sorted().events().to_vec();
-        self.fault_cursor = 0;
-    }
-
-    /// True when a fault schedule was attached or a node was ever failed
+    /// True when the config scheduled faults or a node was ever failed
     /// manually — the "fault plane active" flag checks key off.
     pub fn faults_injected(&self) -> bool {
         !self.faults.is_empty() || self.failed.iter().any(|&f| f)
@@ -1613,14 +1612,20 @@ mod fault_plane_tests {
         })
     }
 
+    /// The default config with `faults` scheduled.
+    fn faulted(faults: FaultSchedule) -> SimConfig {
+        SimConfig {
+            faults,
+            ..SimConfig::default()
+        }
+    }
+
     #[test]
     fn crash_and_restart_loses_state_and_reboots() {
-        let mut sim = chatter_sim(Topology::grid(2, 1), SimConfig::default(), 2_000);
-        sim.set_fault_schedule(
-            FaultSchedule::new()
-                .crash(500, NodeId(1))
-                .restart(1_000, NodeId(1)),
-        );
+        let faults = (FaultSchedule::new())
+            .crash(500, NodeId(1))
+            .restart(1_000, NodeId(1));
+        let mut sim = chatter_sim(Topology::grid(2, 1), faulted(faults), 2_000);
         sim.run_to_quiescence(100_000);
         assert!(!sim.is_failed(NodeId(1)));
         // The replacement instance rebooted (on_restart defaults to
@@ -1640,12 +1645,10 @@ mod fault_plane_tests {
     fn restart_revives_a_quiesced_network() {
         // All chatter stops by t=200; the scheduled restart at t=5000 hits
         // an empty queue and must still fire, re-seeding traffic.
-        let mut sim = chatter_sim(Topology::grid(2, 1), SimConfig::default(), 200);
-        sim.set_fault_schedule(
-            FaultSchedule::new()
-                .crash(50, NodeId(1))
-                .restart(5_000, NodeId(1)),
-        );
+        let faults = (FaultSchedule::new())
+            .crash(50, NodeId(1))
+            .restart(5_000, NodeId(1));
+        let mut sim = chatter_sim(Topology::grid(2, 1), faulted(faults), 200);
         sim.run_to_quiescence(100_000);
         assert_eq!(sim.node(NodeId(1)).boots, 1);
         // The revived node's boot broadcast reached node 0 after t=5000.
@@ -1675,29 +1678,25 @@ mod fault_plane_tests {
                 self.fired.push(ctx.now);
             }
         }
-        let mut sim = Simulator::new(Topology::grid(1, 1), SimConfig::default(), |_, _| OneShot {
-            fired: Vec::new(),
-        });
         // Crash at 500 (before the boot timer lands at 1000), restart at
         // 600. The incarnation-0 timer must be swallowed; only the
         // incarnation-1 timer (armed at 600, fires at 1600) runs.
-        sim.set_fault_schedule(
-            FaultSchedule::new()
-                .crash(500, NodeId(0))
-                .restart(600, NodeId(0)),
-        );
+        let faults = (FaultSchedule::new())
+            .crash(500, NodeId(0))
+            .restart(600, NodeId(0));
+        let mut sim = Simulator::new(Topology::grid(1, 1), faulted(faults), |_, _| OneShot {
+            fired: Vec::new(),
+        });
         sim.run_to_quiescence(100_000);
         assert_eq!(sim.node(NodeId(0)).fired, vec![1_600]);
     }
 
     #[test]
     fn link_down_partitions_and_link_up_heals() {
-        let mut sim = chatter_sim(Topology::grid(2, 1), SimConfig::default(), 4_000);
-        sim.set_fault_schedule(
-            FaultSchedule::new()
-                .link_down(1_000, NodeId(0), NodeId(1))
-                .link_up(2_000, NodeId(1), NodeId(0)),
-        );
+        let faults = (FaultSchedule::new())
+            .link_down(1_000, NodeId(0), NodeId(1))
+            .link_up(2_000, NodeId(1), NodeId(0));
+        let mut sim = chatter_sim(Topology::grid(2, 1), faulted(faults), 4_000);
         let shared = SharedJournal::new(0);
         sim.set_trace(Box::new(shared.clone()));
         sim.run_to_quiescence(100_000);
@@ -1721,8 +1720,8 @@ mod fault_plane_tests {
         // Single broadcast under an always-duplicate window: the neighbor
         // hears it twice and the duplicate books its own tx, keeping the
         // per-kind conservation tx == rx + lost intact.
-        let mut sim = chatter_sim(Topology::grid(2, 1), SimConfig::default(), 0);
-        sim.set_fault_schedule(FaultSchedule::new().dup_window(0, 10_000, 1_000_000));
+        let faults = FaultSchedule::new().dup_window(0, 10_000, 1_000_000);
+        let mut sim = chatter_sim(Topology::grid(2, 1), faulted(faults), 0);
         sim.run_to_quiescence(100_000);
         assert_eq!(sim.node(NodeId(0)).heard, 2);
         assert_eq!(sim.node(NodeId(1)).heard, 2);
@@ -1736,17 +1735,15 @@ mod fault_plane_tests {
     fn reorder_window_is_deterministic() {
         let run = |jitter: SimTime| {
             let shared = SharedJournal::new(9);
-            let mut sim = chatter_sim(
-                Topology::square_grid(3),
-                SimConfig {
-                    seed: 9,
-                    ..SimConfig::default()
-                },
-                1_000,
-            );
-            if jitter > 0 {
-                sim.set_fault_schedule(FaultSchedule::new().reorder_window(0, 2_000, jitter));
-            }
+            let faults = match jitter {
+                0 => FaultSchedule::new(),
+                _ => FaultSchedule::new().reorder_window(0, 2_000, jitter),
+            };
+            let cfg = SimConfig {
+                seed: 9,
+                ..faulted(faults)
+            };
+            let mut sim = chatter_sim(Topology::square_grid(3), cfg, 1_000);
             sim.set_trace(Box::new(shared.clone()));
             sim.run_to_quiescence(100_000);
             shared.take()
@@ -1776,11 +1773,10 @@ mod fault_plane_tests {
         let cfg = SimConfig {
             loss_prob: 0.1,
             seed: 21,
-            ..SimConfig::default()
+            ..faulted(schedule)
         };
         let shared = SharedJournal::new(cfg.seed);
         let mut sim = chatter_sim(Topology::square_grid(4), cfg, 3_000);
-        sim.set_fault_schedule(schedule);
         sim.set_trace(Box::new(shared.clone()));
         sim.run_until(400);
         sim.invoke(NodeId(0), |_, ctx| ctx.set_timer(33, 9));

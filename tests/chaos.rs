@@ -29,10 +29,10 @@ const JOIN: &str = r#"
     q(X, Y) :- r1(N1, X, K), r2(N2, Y, K).
 "#;
 
-/// Fault-plane deployment on a 4×4 grid. Chaos runs pin `clock_skew_max`
-/// to 0: liveness versions are local times, and Theorem 3's τc bound is
-/// orthogonal to what this plane tests.
-fn chaos_deployment(seed: u64, active_until: u64) -> Deployment {
+/// Fault-plane deployment on a 4×4 grid under `faults`. Chaos runs pin
+/// `clock_skew_max` to 0: liveness versions are local times, and Theorem
+/// 3's τc bound is orthogonal to what this plane tests.
+fn chaos_deployment(seed: u64, active_until: u64, faults: FaultSchedule) -> Deployment {
     let cfg = DeployConfig {
         rt: RtConfig {
             faults: Some(FaultPlaneCfg { active_until }),
@@ -40,6 +40,7 @@ fn chaos_deployment(seed: u64, active_until: u64) -> Deployment {
         },
         sim: SimConfig {
             seed,
+            faults,
             ..SimConfig::default()
         },
         // Pure observer: chaos runs double as the provenance plane's
@@ -83,8 +84,7 @@ proptest! {
             start: 1_000,
             heal_by: 14_000,
         });
-        let mut d = chaos_deployment(seed, 26_000);
-        d.set_fault_schedule(schedule);
+        let mut d = chaos_deployment(seed, 26_000, schedule);
         d.schedule_all(churn_events(&topo, seed)).unwrap();
         d.run(120_000);
         prop_assert!(d.sim.is_quiescent(), "chaos run must quiesce");
@@ -126,16 +126,15 @@ fn restarted_source_state_matches_never_crashed_run() {
         ]
     };
     let run = |crash: bool| {
-        let mut d = chaos_deployment(3, 20_000);
-        if crash {
-            // Crash window 1000–1500 contains no workload events at the
-            // node: the never-crashed run sees the identical event stream.
-            d.set_fault_schedule(
-                FaultSchedule::new()
-                    .crash(1_000, NodeId(5))
-                    .restart(1_500, NodeId(5)),
-            );
-        }
+        // Crash window 1000–1500 contains no workload events at the
+        // node: the never-crashed run sees the identical event stream.
+        let faults = match crash {
+            true => (FaultSchedule::new())
+                .crash(1_000, NodeId(5))
+                .restart(1_500, NodeId(5)),
+            false => FaultSchedule::new(),
+        };
+        let mut d = chaos_deployment(3, 20_000, faults);
         d.schedule_all(events(5)).unwrap();
         d.run(90_000);
         assert!(d.sim.is_quiescent());
@@ -158,7 +157,8 @@ fn restarted_source_state_matches_never_crashed_run() {
 /// failure detection instead of an explicit delete event.
 #[test]
 fn dead_nodes_facts_are_retracted_by_liveness() {
-    let mut d = chaos_deployment(9, 20_000);
+    let crash = FaultSchedule::new().crash(9_000, NodeId(6));
+    let mut d = chaos_deployment(9, 20_000, crash);
     // Node 6 inserts r1(6, 3); node 9 inserts r2(9, 3): q(6, 9) derives.
     // Node 6 then dies and never comes back — q(6, 9) must die with it.
     let mk = |at, node: u32, pred: &str, v: i64| WorkloadEvent {
@@ -168,7 +168,6 @@ fn dead_nodes_facts_are_retracted_by_liveness() {
         tuple: Tuple::new(vec![Term::Int(node as i64), Term::Int(v), Term::Int(3)]),
         kind: UpdateKind::Insert,
     };
-    d.set_fault_schedule(FaultSchedule::new().crash(9_000, NodeId(6)));
     d.schedule_all(vec![mk(100, 6, "r1", 6), mk(200, 9, "r2", 9)])
         .unwrap();
     d.run(90_000);
@@ -199,8 +198,7 @@ fn partition_heals_to_oracle() {
         let b = topo.node_at(x, 2).unwrap();
         schedule = schedule.link_down(500, a, b).link_up(9_000, a, b);
     }
-    let mut d = chaos_deployment(17, 24_000);
-    d.set_fault_schedule(schedule);
+    let mut d = chaos_deployment(17, 24_000, schedule);
     d.schedule_all(churn_events(&topo, 17)).unwrap();
     d.run(120_000);
     assert!(d.sim.is_quiescent());
@@ -221,14 +219,12 @@ fn partition_heals_to_oracle() {
 #[test]
 fn high_churn_with_crashes_settles_and_converges() {
     let topo = Topology::square_grid(4);
-    let mut d = chaos_deployment(23, 26_000);
-    d.set_fault_schedule(
-        FaultSchedule::new()
-            .crash(2_500, NodeId(10))
-            .restart(4_000, NodeId(10))
-            .crash(6_000, NodeId(3))
-            .restart(7_500, NodeId(3)),
-    );
+    let crashes = (FaultSchedule::new())
+        .crash(2_500, NodeId(10))
+        .restart(4_000, NodeId(10))
+        .crash(6_000, NodeId(3))
+        .restart(7_500, NodeId(3));
+    let mut d = chaos_deployment(23, 26_000, crashes);
     d.schedule_all(
         UniformStreams {
             preds: vec![sym("r1"), sym("r2")],
@@ -255,15 +251,13 @@ fn high_churn_with_crashes_settles_and_converges() {
 #[test]
 fn scripted_chaos_journals_each_fault_and_converges() {
     let topo = Topology::square_grid(4);
-    let mut d = chaos_deployment(42, 20_000);
+    let faults = (FaultSchedule::new())
+        .crash(1_337, NodeId(5))
+        .restart(2_911, NodeId(5))
+        .link_down(703, NodeId(1), NodeId(2))
+        .link_up(4_441, NodeId(1), NodeId(2));
+    let mut d = chaos_deployment(42, 20_000, faults);
     let journal = d.attach_journal();
-    d.set_fault_schedule(
-        FaultSchedule::new()
-            .crash(1_337, NodeId(5))
-            .restart(2_911, NodeId(5))
-            .link_down(703, NodeId(1), NodeId(2))
-            .link_up(4_441, NodeId(1), NodeId(2)),
-    );
     d.schedule_all(churn_events(&topo, 42)).unwrap();
     d.run(120_000);
     assert!(d.sim.is_quiescent());

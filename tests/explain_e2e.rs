@@ -206,12 +206,12 @@ fn hops_are_the_journals_deliveries() {
             loss_prob: 0.15,
             clock_skew_max: 0,
             seed: 11,
+            faults: FaultSchedule::new().dup_window(0, 60_000, 250_000),
             ..SimConfig::default()
         },
         telemetry: Telemetry::enabled(),
         ..DeployConfig::default()
     });
-    d.set_fault_schedule(FaultSchedule::new().dup_window(0, 60_000, 250_000));
     let journal = d.attach_journal();
     d.run(60_000_000);
     let journal = journal.take();
