@@ -106,10 +106,15 @@ cargo test --workspace -q
 #  - core: a `dist` test resolves nothing — a 6x6 Example 1 run makes at
 #    most one boundary resolve per emitted result (its owner's geographic
 #    hash); resolving both arguments of every test made 3,390 for 1,380.
+#  - netsim / core: what survives a crash is taken from the instance that
+#    crashed — `App::on_restart` is handed it, a node restarted twice holds
+#    the facts and ids of a never-crashed run and mints no seq twice, with
+#    the fault plane off it keeps nothing (a retraction of a pre-crash
+#    reading sends nothing), and it replays its 64 newest tombstones.
 # Each gate names its crate, its test target (`--lib` or `--test=<file>`)
 # and the test. The boundary-resolve cap (tests/boundary_sites.rs) ran with
 # the workspace tests above.
-echo "== count gates (keyed registry walks, exported node rows, queued event size, tuple size, unplanned probes, node probe ranges, router hops, id table race, small-int pool rows, expiry queue, message ownership, send order, queue memory, sent counters, Centroid provenance, hops are deliveries, JSONL numbers, skewed journal, plane store targets, first ledger slot, storage part, fault part, one topology, least int, unresolved dist) =="
+echo "== count gates (keyed registry walks, exported node rows, queued event size, tuple size, unplanned probes, node probe ranges, router hops, id table race, small-int pool rows, expiry queue, message ownership, send order, queue memory, sent counters, Centroid provenance, hops are deliveries, JSONL numbers, skewed journal, plane store targets, first ledger slot, storage part, fault part, one topology, least int, unresolved dist, crash records) =="
 for gate in \
     "sensorlog-netsim --lib sim::tests::keyed_registry_walks_do_not_grow_with_traffic" \
     "sensorlog-netsim --lib sim::tests::exported_node_rows_match_an_eagerly_registered_registry" \
@@ -143,7 +148,11 @@ for gate in \
     "sensorlog-logic --lib flat::tests::neg_and_abs_of_the_least_int_are_errors" \
     "sensorlog-eval --lib incremental::tests::the_least_ints_abs_is_an_error_in_both_engines" \
     "sensorlog-core --lib invariants::tests::the_least_ints_abs_is_dropped_and_reported" \
-    "sensorlog-core --test=comparison_pool a_run_adds_only_stored_constants_to_the_pool"; do
+    "sensorlog-core --test=comparison_pool a_run_adds_only_stored_constants_to_the_pool" \
+    "sensorlog-netsim --lib sim::fault_plane_tests::restart_hands_the_crashed_instance_to_on_restart" \
+    "sensorlog --test=chaos restarted_source_state_matches_never_crashed_run" \
+    "sensorlog --test=chaos with_the_plane_off_a_restarted_node_keeps_nothing" \
+    "sensorlog --test=chaos a_restart_replays_the_64_newest_tombstones"; do
     read -r crate target name <<<"$gate"
     out=$(cargo test -q -p "$crate" "$target" -- --exact "$name" 2>&1) || { echo "$out"; exit 1; }
     grep -q "test result: ok. 1 passed" <<<"$out" || {
@@ -364,6 +373,16 @@ if grep -rn 'Expiring' crates/core/src; then
     echo "an expiry entry repeats its replica again: name the replica by pred and tuple, and pop by past_retention"; exit 1
 fi
 
+# One crash record: what a node keeps across a crash (its facts, sequence
+# and recent tombstones) is taken from the crashed instance by
+# `App::on_restart`. Earlier trees kept a second copy of it in a
+# `core::durable::DurableStore` behind an `Arc<Mutex>`, logged beside every
+# write of the node's own facts and every id it minted.
+echo "== one crash record (no DurableStore, with_durable, durable_store or core::durable under crates/ src/ tests/) =="
+if grep -rnE 'DurableStore|with_durable|durable_store|core::durable' crates src tests; then
+    echo "a second record of what survives a crash is back: take it from the crashed instance in on_restart"; exit 1
+fi
+
 # ROADMAP item 8's repro (crates/bench/tests/staggered_arrivals.rs): the tree
 # programs on the neighbourhood plane are oracle-exact (the 6x6 logicH run
 # that was the repro included), and so is logicH over a ternary link, which
@@ -506,8 +525,9 @@ PY
     # Under PA the same program runs, and its oracle line names the engine's
     # error (the oracle used to panic on it). `sensorlog check` evaluates the
     # ground facts too: the engine's error is a check error (it used to
-    # report 0 errors), and a cascade past the centralized engine's limit,
-    # which PA runs, is a warning.
+    # report 0 errors). Ground facts that feed a predicate `check` calls
+    # unbounded are not evaluated: their cascade ran to the centralized
+    # engine's limit, seconds of a release build, only to warn again.
     echo "== refused programs (Centroid engine error, PA oracle error, check eval error, unseeded rule) =="
     refused=$(mktemp -d)
     printf '.output m.\nn(0).\nm(X / 0) :- n(X).\n' >"$refused/div0.dl"
@@ -535,7 +555,8 @@ PY
     fi
     code=0
     out=$(cargo run -q --release --bin sensorlog -- check "$refused/cascade.dl" 2>&1) || code=$?
-    if [[ "$code" -ne 0 ]] || ! grep -q "warning: \[eval.ground-facts\].*update cascade" <<<"$out"; then
+    if [[ "$code" -ne 0 ]] || ! grep -qF "warning: [mem.unbounded]" <<<"$out" ||
+        grep -q "eval.ground-facts" <<<"$out"; then
         echo "check of the 2M-step cascade exited $code:"; echo "$out"; exit 1
     fi
     code=0

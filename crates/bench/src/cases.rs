@@ -672,13 +672,13 @@ fn diag(quick: bool, r: &mut Report) {
             let params = BoundParams {
                 nodes: u64::from(m * m),
                 default_events: 0,
-                events: d.injected_events().clone(),
+                events: d.injected_events(),
             };
             let fr = frontier(&d.prog.analysis);
             let mut preds: Vec<Symbol> = fr.paper.keys().copied().collect();
             preds.sort_by_key(|p| p.as_str());
             for p in preds {
-                let live = match d.injected_events().get(&p) {
+                let live = match params.events.get(&p) {
                     Some(&injected) => injected,
                     None => d.results(p).len() as u64,
                 };

@@ -217,7 +217,7 @@ pub fn static_bound_total(d: &Deployment) -> Option<u64> {
     let params = sensorlog_logic::diag::BoundParams {
         nodes: d.sim.topology().len() as u64,
         default_events: 0,
-        events: d.injected_events().clone(),
+        events: d.injected_events(),
     };
     (sensorlog_core::invariants::node_caps(d, &params).into_values())
         .try_fold(0u64, |acc, cap| cap.map(|c| acc.saturating_add(c)))

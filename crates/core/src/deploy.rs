@@ -2,7 +2,6 @@
 //! [`SensorlogNode`]s, inject workload events, run to quiescence, and
 //! collect results + communication metrics.
 
-use crate::durable::DurableStore;
 use crate::plan::{compile_source, CompileError, DistProgram, PlanTiming};
 use crate::prov::{ProvRecord, Provenance};
 use crate::runtime::{DeployContext, NetInfo, NodeStats, RtConfig, SensorlogNode};
@@ -16,7 +15,7 @@ use sensorlog_netsim::{
 };
 use sensorlog_telemetry::{MetricsRegistry, Scope, Snapshot, Telemetry};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One workload event: a reading generated or retracted at a node.
 #[derive(Clone, Debug)]
@@ -174,9 +173,6 @@ pub struct Deployment {
     /// routing context and the observer handles.
     ctx: Arc<DeployContext>,
     schedule: Vec<WorkloadEvent>,
-    /// Insert events applied per base predicate — the observed `E(p)` the
-    /// static memory bounds are evaluated against at cross-validation time.
-    injected: BTreeMap<Symbol, u64>,
     /// Workload events that actually entered the network (the target node
     /// was alive at injection time). The convergence checker's "surviving
     /// EDB" is computed from these, not from the full schedule.
@@ -228,12 +224,6 @@ impl Deployment {
             (strategy == Strategy::Centroid && !topo.is_empty()).then(|| ctx.net().center());
         let mut center_engine = (center.map(|_| ctx.center_engine()).transpose())
             .map_err(CompileError::CenterEngine)?;
-        // Per-node durable stores (fault plane only): the closure's copy
-        // keeps them alive across the app rebuilds of restarts.
-        let durables: Vec<Arc<Mutex<DurableStore>>> = match ctx.cfg().faults {
-            Some(_) => (0..topo.len()).map(|_| Arc::default()).collect(),
-            None => Vec::new(),
-        };
         let node_ctx = Arc::clone(&ctx);
         let mut sim = Simulator::new(topo, config.sim, move |id, _| {
             // The center's first incarnation takes the engine built above. A
@@ -249,11 +239,7 @@ impl Deployment {
                         .or_else(|| node_ctx.center_engine().ok())
                 })
                 .flatten();
-            let node = SensorlogNode::new(id, Arc::clone(&node_ctx), engine);
-            match durables.get(id.index()) {
-                Some(d) => node.with_durable(Arc::clone(d)),
-                None => node,
-            }
+            SensorlogNode::new(id, Arc::clone(&node_ctx), engine)
         });
         sim.set_telemetry(config.telemetry);
         let mut d = Deployment {
@@ -262,7 +248,6 @@ impl Deployment {
             strategy,
             ctx,
             schedule: Vec::new(),
-            injected: BTreeMap::new(),
             applied: Vec::new(),
         };
         d.inject_static_facts();
@@ -372,9 +357,6 @@ impl Deployment {
             if self.sim.is_failed(ev.node) {
                 continue; // a dead sensor senses nothing
             }
-            if ev.kind == UpdateKind::Insert {
-                *self.injected.entry(ev.pred).or_insert(0) += 1;
-            }
             self.sim.invoke(ev.node, |node, ctx| match ev.kind {
                 UpdateKind::Insert => node.generate(ctx, ev.pred, ev.tuple.clone()),
                 UpdateKind::Delete => node.retract(ctx, ev.pred, ev.tuple.clone()),
@@ -455,9 +437,14 @@ impl Deployment {
         &self.sim.metrics
     }
 
-    /// Insert events applied so far, per base predicate (observed `E(p)`).
-    pub fn injected_events(&self) -> &BTreeMap<Symbol, u64> {
-        &self.injected
+    /// Insert events applied so far, per base predicate: the observed
+    /// `E(p)` the static memory bounds are evaluated against.
+    pub fn injected_events(&self) -> BTreeMap<Symbol, u64> {
+        let mut out = BTreeMap::new();
+        for ev in self.applied.iter().filter(|e| e.kind == UpdateKind::Insert) {
+            *out.entry(ev.pred).or_insert(0) += 1;
+        }
+        out
     }
 
     /// Export the run's full telemetry as one [`Snapshot`]: the simulator's
@@ -540,7 +527,7 @@ impl Deployment {
         let params = sensorlog_logic::diag::BoundParams {
             nodes: self.sim.topology().len() as u64,
             default_events: 0,
-            events: self.injected_events().clone(),
+            events: self.injected_events(),
         };
         let caps = crate::invariants::node_caps(self, &params);
         let mut peaks: BTreeMap<Symbol, u64> = BTreeMap::new();

@@ -256,7 +256,7 @@ pub fn check_static_bounds(d: &Deployment) -> InvariantReport {
     let params = BoundParams {
         nodes: d.sim.topology().len() as u64,
         default_events: 0,
-        events: d.injected_events().clone(),
+        events: d.injected_events(),
     };
     let fr = absint::frontier(&d.prog.analysis);
     let bounds = &fr.bounds;

@@ -56,7 +56,6 @@
 
 pub mod agg;
 pub mod deploy;
-pub mod durable;
 pub mod invariants;
 pub mod msg;
 pub mod oracle;

@@ -20,7 +20,6 @@
 //! that needs it, and the fault plane's state another, present only with
 //! the plane on.
 
-use crate::durable::DurableStore;
 use crate::msg::{Msg, Payload, ProbeMsg, RuleWork};
 use crate::partial::{
     process_partials, seed_partial, Fragments, LocalCtx, Partial, ProbeWork, Replica, RuleShape,
@@ -40,8 +39,8 @@ use sensorlog_telemetry::{HistId, Scope, Telemetry};
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::sync::Arc;
 
 /// Shared routing context: the topology, the next-hop oracle over it, the
 /// server Centroid picks, and what the runtime prices its waits by.
@@ -148,6 +147,9 @@ const LEASE_MS: SimTime = 700;
 /// their original ids, so re-announcement is idempotent) and recent
 /// tombstones re-sent, healing state lost to crashes and partitions.
 const REFRESH_MS: SimTime = 2_000;
+/// Most recent retractions a node keeps to re-send. Anything older has
+/// long since finished its delete walk (bounded by τs + τj).
+const RECENT_DELETES_CAP: usize = 64;
 
 /// The fault plane's one setting. Its periods are constants of this module
 /// (`HEARTBEAT_MS`, `LEASE_MS`, `REFRESH_MS`).
@@ -549,10 +551,10 @@ struct FaultState {
     peers: HashMap<NodeId, LiveEntry>,
     /// Local time we last heard a heartbeat from each neighbor.
     last_hb: HashMap<NodeId, SimTime>,
-    /// Flash log for this node's own facts. Shared with the deployment
-    /// harness so it survives the app being rebuilt on restart — that is
-    /// the whole point of a durable store.
-    durable: Option<Arc<Mutex<DurableStore>>>,
+    /// This node's most recent retractions (oldest first, at most
+    /// [`RECENT_DELETES_CAP`]), re-sent by each refresh round and after a
+    /// restart. With `my_facts` and `seq` it is what survives a crash.
+    recent_deletes: VecDeque<FactRecord>,
     /// Local boot time of this incarnation (0 until `on_start`).
     boot_ts: SimTime,
 }
@@ -607,22 +609,6 @@ impl SensorlogNode {
         }
     }
 
-    /// Attach the node's durable store (fault plane only: with the plane
-    /// off a node keeps no log). The harness keeps the other reference so
-    /// the log outlives app restarts.
-    pub fn with_durable(mut self, store: Arc<Mutex<DurableStore>>) -> SensorlogNode {
-        if let Some(f) = self.faults.as_deref_mut() {
-            f.durable = Some(store);
-        }
-        self
-    }
-
-    /// This node's durable store, locked (`None` with the fault plane off).
-    fn durable_store(&self) -> Option<MutexGuard<'_, DurableStore>> {
-        let store = self.faults.as_ref()?.durable.as_ref()?;
-        Some(store.lock().expect("a node panicked holding its store"))
-    }
-
     /// The storage part, allocated by its first use.
     fn store_mut(&mut self) -> &mut NodeStore {
         self.store.get_or_insert_with(Box::default)
@@ -656,9 +642,6 @@ impl SensorlogNode {
         self.ctx.tele.bump(Scope::Pred(pred.as_str()), "generated");
         let id = self.fresh_id(ctx);
         self.my_facts.insert((pred, tuple.clone()), id);
-        if let Some(mut d) = self.durable_store() {
-            d.log_insert(pred, tuple.clone(), id);
-        }
         self.source_update(ctx, FactRecord::insert(pred, tuple, id));
     }
 
@@ -668,11 +651,14 @@ impl SensorlogNode {
             return; // unknown tuple: nothing to delete
         };
         self.ctx.tele.bump(Scope::Pred(pred.as_str()), "retracted");
-        let now = ctx.local_time;
-        if let Some(mut d) = self.durable_store() {
-            d.log_delete(pred, tuple.clone(), id, now);
+        let fact = FactRecord::delete(pred, tuple, id, ctx.local_time);
+        if let Some(f) = self.faults.as_deref_mut() {
+            if f.recent_deletes.len() == RECENT_DELETES_CAP {
+                f.recent_deletes.pop_front();
+            }
+            f.recent_deletes.push_back(fact.clone());
         }
-        self.source_update(ctx, FactRecord::delete(pred, tuple, id, now));
+        self.source_update(ctx, fact);
     }
 
     /// Inject a derived fact directly at its owner (static facts from
@@ -821,7 +807,7 @@ impl SensorlogNode {
     }
 
     /// The facts this node generated and still holds, with their ids
-    /// (sorted). A node restarted from its durable store must end a run
+    /// (sorted). A node restarted with the fault plane on must end a run
     /// byte-identical here to the same run without the crash.
     pub fn my_fact_records(&self) -> Vec<(Symbol, Tuple, TupleId)> {
         let mut out: Vec<(Symbol, Tuple, TupleId)> = self
@@ -844,11 +830,6 @@ impl SensorlogNode {
             seq: self.seq,
         };
         self.seq += 1;
-        if let Some(mut d) = self.durable_store() {
-            // Persist the high-water mark so a restarted incarnation never
-            // re-mints an id this one used.
-            d.note_seq(id.seq);
-        }
         id
     }
 
@@ -1623,8 +1604,8 @@ impl SensorlogNode {
 
     /// Re-announce our live base facts (original ids — idempotent at
     /// replicas and owners thanks to generation dedup and clamped counts)
-    /// and re-send the durable store's recent tombstones, whose walks a
-    /// crash or partition may have cut short.
+    /// and re-send our recent tombstones, whose walks a crash or partition
+    /// may have cut short.
     fn replay_facts(&mut self, ctx: &mut Ctx<Msg>) {
         for (pred, tuple, id) in self.my_fact_records() {
             // Replays keep the original id (idempotence at replicas and
@@ -1636,7 +1617,7 @@ impl SensorlogNode {
             rec.tau = ctx.local_time;
             self.initiate_update(ctx, rec);
         }
-        let deletes = self.durable_store().map(|d| d.recent_deletes().to_vec());
+        let deletes = self.faults.as_ref().map(|f| f.recent_deletes.clone());
         for del in deletes.unwrap_or_default() {
             self.initiate_update(ctx, del);
         }
@@ -1894,23 +1875,23 @@ impl App for SensorlogNode {
     }
 
     /// Crash recovery: run the normal boot path (new incarnation heartbeat,
-    /// timers), then replay the durable store — restore the sequence
-    /// high-water mark and the surviving base facts with their ORIGINAL
-    /// ids, and re-announce them and the recent-tombstone window as a
-    /// refresh round does.
-    fn on_restart(&mut self, ctx: &mut Ctx<Msg>) {
+    /// timers). With the fault plane on, the node's flash survives the
+    /// crash: take its base facts with their ORIGINAL ids, its sequence
+    /// (so no id is minted twice) and its recent tombstones from the
+    /// crashed instance, and re-announce them as a refresh round does.
+    /// With the plane off the node keeps nothing.
+    fn on_restart(&mut self, ctx: &mut Ctx<Msg>, mut crashed: SensorlogNode) {
         self.boot_tick(ctx);
-        if let Some(r) = self.durable_store().map(|d| d.recover()) {
-            self.seq = self.seq.max(r.next_seq);
-            self.ctx.tele.add(
-                Scope::Layer("core.faults"),
-                "recovery_replays",
-                (r.facts.len() + r.recent_deletes.len()) as u64,
-            );
-            let facts = r.facts.into_iter();
-            self.my_facts.extend(facts.map(|(p, t, id)| ((p, t), id)));
-            self.replay_facts(ctx);
-        }
+        let (Some(f), Some(old)) = (self.faults.as_deref_mut(), crashed.faults.as_deref_mut())
+        else {
+            return;
+        };
+        f.recent_deletes = std::mem::take(&mut old.recent_deletes);
+        self.my_facts = std::mem::take(&mut crashed.my_facts);
+        self.seq = crashed.seq;
+        let replays = (self.my_facts.len() + f.recent_deletes.len()) as u64;
+        (self.ctx.tele).add(Scope::Layer("core.faults"), "recovery_replays", replays);
+        self.replay_facts(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<Msg>, from: NodeId, msg: Msg) {
@@ -2454,8 +2435,7 @@ mod tests {
 
     /// The count gate of "the fault plane allocates its own state": with
     /// the plane off no node holds a fault part (allocated eagerly, every
-    /// node would), and with it on every node holds one, its durable store
-    /// attached.
+    /// node would), and with it on every node holds one.
     #[test]
     fn only_the_fault_plane_allocates_a_fault_part() {
         for faults in [
@@ -2469,8 +2449,7 @@ mod tests {
                 ..RtConfig::default()
             });
             for n in d.sim.nodes() {
-                let durable = n.faults.as_ref().map(|f| f.durable.is_some());
-                assert_eq!(durable, faults.map(|_| true), "{}", n.id);
+                assert_eq!(n.faults.is_some(), faults.is_some(), "{}", n.id);
             }
         }
     }

@@ -25,8 +25,9 @@ pub enum FaultKind {
     /// state. Idempotent on an already-dead node.
     Crash(NodeId),
     /// Restart a crashed node with a fresh application instance (full
-    /// volatile state loss; durable state is the application's problem).
-    /// No-op on a live node.
+    /// volatile state loss; what survives is what the app's
+    /// [`App::on_restart`](crate::App::on_restart) takes from the crashed
+    /// instance). No-op on a live node.
     Restart(NodeId),
     /// Take the bidirectional link `a<->b` down.
     LinkDown(NodeId, NodeId),

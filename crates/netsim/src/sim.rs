@@ -57,9 +57,11 @@ pub trait App: Sized {
     fn on_start(&mut self, _ctx: &mut Ctx<Self::Msg>) {}
 
     /// Called on a *fresh* application instance when a crashed node is
-    /// restarted by the fault plane. Defaults to [`App::on_start`];
-    /// recovery-aware apps override this to replay durable state.
-    fn on_restart(&mut self, ctx: &mut Ctx<Self::Msg>) {
+    /// restarted by the fault plane; `crashed` is the instance that
+    /// crashed. Defaults to [`App::on_start`], so the old instance's state
+    /// is lost; a recovery-aware app overrides this to take what a node
+    /// keeps across a crash (its flash) out of `crashed`.
+    fn on_restart(&mut self, ctx: &mut Ctx<Self::Msg>, _crashed: Self) {
         self.on_start(ctx);
     }
 
@@ -581,20 +583,22 @@ impl<A: App> Simulator<A> {
         self.emit(|| TraceEvent::NodeFail { node: id });
     }
 
-    /// Restart a crashed node: a fresh application instance (volatile
-    /// state lost), a bumped boot epoch (stale timers swallowed), and an
-    /// immediate [`App::on_restart`] callback. RNG streams, tie counters,
-    /// and clock skew persist across incarnations — determinism depends
-    /// on it. No-op on live nodes.
+    /// Restart a crashed node: a fresh application instance from
+    /// `make_app` (volatile state lost), a bumped boot epoch (stale timers
+    /// swallowed), and an immediate [`App::on_restart`] callback on the
+    /// fresh instance, handed the crashed one to take what survives a crash
+    /// from. RNG streams, tie counters, and clock skew persist across
+    /// incarnations — determinism depends on it. No-op on live nodes.
     pub fn restart_node(&mut self, id: NodeId) {
         if !self.failed[id.index()] {
             return;
         }
         self.failed[id.index()] = false;
         self.epochs[id.index()] += 1;
-        self.apps[id.index()] = (self.make_app)(id, &self.topo);
+        let fresh = (self.make_app)(id, &self.topo);
+        let crashed = std::mem::replace(&mut self.apps[id.index()], fresh);
         self.emit(|| TraceEvent::NodeRestart { node: id });
-        self.invoke(id, |app, ctx| app.on_restart(ctx));
+        self.invoke(id, |app, ctx| app.on_restart(ctx, crashed));
     }
 
     pub fn is_failed(&self, id: NodeId) -> bool {
@@ -1639,6 +1643,55 @@ mod fault_plane_tests {
         // Drops while dead are booked under the dead-node reason.
         let by = sim.metrics.lost_by_reason();
         assert!(by[DropReason::DeadNode.index()] > 0);
+    }
+
+    /// Chatter whose restart keeps the crashed instance's counters.
+    struct Keeper(Chatter);
+    impl App for Keeper {
+        type Msg = Tick;
+        fn on_start(&mut self, ctx: &mut Ctx<Tick>) {
+            self.0.on_start(ctx);
+        }
+        fn on_restart(&mut self, ctx: &mut Ctx<Tick>, crashed: Keeper) {
+            (self.0.heard, self.0.boots) = (crashed.0.heard, crashed.0.boots);
+            self.0.on_start(ctx);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<Tick>, from: NodeId, msg: Tick) {
+            self.0.on_message(ctx, from, msg);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<Tick>, tag: u64) {
+            self.0.on_timer(ctx, tag);
+        }
+    }
+
+    /// `on_restart` is handed the instance that crashed: an app that takes
+    /// its counters from it ends with the receptions of both incarnations
+    /// and both boots, where the default restart keeps neither. The
+    /// traffic is the same either way.
+    #[test]
+    fn restart_hands_the_crashed_instance_to_on_restart() {
+        let crash = FaultSchedule::new().crash(500, NodeId(1));
+        let restart = crash.clone().restart(1_000, NodeId(1));
+        let n1 = NodeId(1);
+        // A node that crashes for good keeps its pre-crash count.
+        let mut dead = chatter_sim(Topology::grid(2, 1), faulted(crash), 2_000);
+        dead.run_to_quiescence(100_000);
+        let before = dead.node(n1).heard;
+        assert!(before > 0);
+        let mut lost = chatter_sim(Topology::grid(2, 1), faulted(restart.clone()), 2_000);
+        lost.run_to_quiescence(100_000);
+        let mut kept = Simulator::new(Topology::grid(2, 1), faulted(restart), |_, _| {
+            Keeper(Chatter {
+                heard: 0,
+                boots: 0,
+                period: 100,
+                active_until: 2_000,
+            })
+        });
+        kept.run_to_quiescence(100_000);
+        assert_eq!(kept.metrics.tx_of("ping"), lost.metrics.tx_of("ping"));
+        assert_eq!((lost.node(n1).boots, kept.node(n1).0.boots), (1, 2));
+        assert_eq!(kept.node(n1).0.heard, before + lost.node(n1).heard);
     }
 
     #[test]

@@ -217,7 +217,7 @@ fn cmd_check(args: &[String]) -> Result<(), AnyError> {
     }
     let mut rep = diag::check_source(&src, &BuiltinRegistry::standard(), &params);
     if !rep.has_errors() {
-        rep.diags.extend(ground_facts_diag(&src));
+        rep.diags.extend(ground_facts_diag(&src, &rep));
     }
     match flag(args, "--format").as_deref().unwrap_or("text") {
         "json" => print!("{}", rep.to_json()),
@@ -252,11 +252,32 @@ fn cmd_check(args: &[String]) -> Result<(), AnyError> {
 /// the program: Centroid refuses it at deploy, PA drops every head it cannot
 /// evaluate, and the oracle fails. A limit hit is only a warning, because PA
 /// derives past the centralized engine's limits.
-fn ground_facts_diag(src: &str) -> Option<sensorlog::logic::diag::Diagnostic> {
+///
+/// Not evaluated when `rep` already calls a predicate the ground facts feed
+/// unbounded (`mem.unbounded`): its cascade can run to the engine's limit,
+/// seconds of work to repeat that warning, so an error further down it goes
+/// unreported.
+fn ground_facts_diag(
+    src: &str,
+    rep: &sensorlog::logic::diag::Report,
+) -> Option<sensorlog::logic::diag::Diagnostic> {
     use sensorlog::eval::EvalError;
+    use sensorlog::logic::depgraph::DepGraph;
     use sensorlog::logic::diag::{Diagnostic, Severity};
     let reg = BuiltinRegistry::standard();
     let analysis = analyze(&parse_program(src).ok()?, &reg).ok()?;
+    let prog = &analysis.program;
+    let facts: Vec<Symbol> = (prog.rules.iter())
+        .filter(|r| r.body.is_empty())
+        .map(|r| r.head.pred)
+        .collect();
+    let g = DepGraph::build(prog);
+    let mut unbounded = (rep.diags.iter())
+        .filter(|d| d.code == "mem.unbounded")
+        .filter_map(|d| d.pred);
+    if unbounded.any(|p| g.reachable_from(&[p]).iter().any(|q| facts.contains(q))) {
+        return None;
+    }
     let err = IncrementalEngine::new(analysis, reg).err()?;
     let severity = match err {
         EvalError::LimitExceeded { .. } => Severity::Warning,

@@ -4,8 +4,9 @@
 //! The contract under test (ISSUE 7 tentpole): once every crash has healed
 //! (restart or permanent death), every partition has lifted, and the
 //! network has quiesced, the surviving nodes' derived relations equal the
-//! centralized oracle's fixpoint over the surviving EDB. Recovery replays
-//! base facts from each node's durable live-fact map;
+//! centralized oracle's fixpoint over the surviving EDB. A restarted node
+//! takes its base facts, sequence and recent tombstones from the instance
+//! that crashed, and replays them;
 //! neighbors detect death by lease expiry and retract the dead node's
 //! derivations through the incremental delete path; source-driven refresh
 //! heals whatever the faults tore out of the middle of the network.
@@ -14,6 +15,7 @@ use proptest::prelude::*;
 use sensorlog::core::invariants;
 use sensorlog::core::runtime::FaultPlaneCfg;
 use sensorlog::core::workload::UniformStreams;
+use sensorlog::core::ProvRecord;
 use sensorlog::prelude::*;
 use sensorlog_netsim::{FaultSchedule, RandomFaults, TraceEvent};
 
@@ -33,9 +35,21 @@ const JOIN: &str = r#"
 /// `clock_skew_max` to 0: liveness versions are local times, and Theorem
 /// 3's τc bound is orthogonal to what this plane tests.
 fn chaos_deployment(seed: u64, active_until: u64, faults: FaultSchedule) -> Deployment {
+    let plane = Some(FaultPlaneCfg { active_until });
+    deployment(seed, plane, faults, Telemetry::disabled())
+}
+
+/// [`chaos_deployment`] with the fault plane `plane` (`None`: off) and the
+/// telemetry handle `telemetry`.
+fn deployment(
+    seed: u64,
+    plane: Option<FaultPlaneCfg>,
+    faults: FaultSchedule,
+    telemetry: Telemetry,
+) -> Deployment {
     let cfg = DeployConfig {
         rt: RtConfig {
-            faults: Some(FaultPlaneCfg { active_until }),
+            faults: plane,
             ..RtConfig::default()
         },
         sim: SimConfig {
@@ -46,6 +60,7 @@ fn chaos_deployment(seed: u64, active_until: u64, faults: FaultSchedule) -> Depl
         // Pure observer: chaos runs double as the provenance plane's
         // crash-coverage fixture (see `check_provenance` call sites).
         provenance: Provenance::enabled(),
+        telemetry,
         ..DeployConfig::default()
     };
     Deployment::new(
@@ -101,53 +116,159 @@ proptest! {
     }
 }
 
-/// Satellite 3 (end-to-end flavor): a node restarted from its durable
-/// checkpoint + journal tail ends the run with byte-identical source state
-/// (pred, tuple, id — ids included) to the same run without the crash.
+/// A reading of `r1` at `node`: `r1(node, v, 7)`.
+fn reading(at: u64, node: u32, v: i64, kind: UpdateKind) -> WorkloadEvent {
+    WorkloadEvent {
+        at,
+        node: NodeId(node),
+        pred: sym("r1"),
+        tuple: Tuple::new(vec![Term::Int(node as i64), Term::Int(v), Term::Int(7)]),
+        kind,
+    }
+}
+
+/// The seqs node `n` minted, in minting order: a base fact's when it was
+/// generated, a derived tuple's when its owner propagated a new generation.
+fn minted_seqs(d: &Deployment, n: NodeId) -> Vec<u32> {
+    use UpdateKind::Insert;
+    let minted = d.provenance_records().into_iter().filter_map(|r| match r {
+        ProvRecord::Edb {
+            node,
+            id,
+            kind: Insert,
+            ..
+        } => Some((node, id)),
+        ProvRecord::Mint {
+            owner,
+            id,
+            kind: Insert,
+            ..
+        } => Some((owner, id)),
+        _ => None,
+    });
+    minted
+        .filter(|&(node, _)| node == n)
+        .map(|(_, id)| id.seq)
+        .collect()
+}
+
+/// A node crashed and restarted twice ends each restart with the source
+/// state (pred, tuple, id — ids included) of the same run without the
+/// crashes, and never mints a seq it minted before a crash.
 #[test]
 fn restarted_source_state_matches_never_crashed_run() {
-    let events = |node: u32| {
-        let mk = |at, v: i64, kind| WorkloadEvent {
-            at,
-            node: NodeId(node),
-            pred: sym("r1"),
-            tuple: Tuple::new(vec![Term::Int(node as i64), Term::Int(v), Term::Int(7)]),
-            kind,
-        };
-        vec![
-            mk(100, 1, UpdateKind::Insert),
-            mk(300, 2, UpdateKind::Insert),
-            mk(400, 3, UpdateKind::Insert),
-            // Post-restart activity: a delete of a pre-crash fact (needs
-            // the recovered my_facts) and a fresh insert (needs the
-            // recovered seq high-water so ids never collide).
-            mk(8_000, 2, UpdateKind::Delete),
-            mk(9_000, 4, UpdateKind::Insert),
-        ]
-    };
-    let run = |crash: bool| {
-        // Crash window 1000–1500 contains no workload events at the
-        // node: the never-crashed run sees the identical event stream.
-        let faults = match crash {
-            true => (FaultSchedule::new())
-                .crash(1_000, NodeId(5))
-                .restart(1_500, NodeId(5)),
-            false => FaultSchedule::new(),
-        };
-        let mut d = chaos_deployment(3, 20_000, faults);
-        d.schedule_all(events(5)).unwrap();
-        d.run(90_000);
-        assert!(d.sim.is_quiescent());
-        d
-    };
-    let crashed = run(true);
-    let baseline = run(false);
-    let a = crashed.node(NodeId(5)).my_fact_records();
-    let b = baseline.node(NodeId(5)).my_fact_records();
-    assert!(!b.is_empty(), "baseline node must hold facts");
-    assert_eq!(a, b, "recovered state diverged from the never-crashed run");
+    use UpdateKind::{Delete, Insert};
+    let n5 = NodeId(5);
+    let events = vec![
+        reading(100, 5, 1, Insert),
+        reading(300, 5, 2, Insert),
+        reading(400, 5, 3, Insert),
+        // Between the crashes: a delete of a pre-crash fact (needs the
+        // recovered facts) and a fresh insert (needs the recovered seq).
+        reading(8_000, 5, 2, Delete),
+        reading(9_000, 5, 4, Insert),
+        // After the second crash: the same again, across both.
+        reading(12_000, 5, 1, Delete),
+        reading(13_000, 5, 5, Insert),
+    ];
+    // Neither crash window (1,000–1,500 and 10,000–10,500) holds a workload
+    // event at the node: the never-crashed run sees the same event stream.
+    let crashes = (FaultSchedule::new())
+        .crash(1_000, n5)
+        .restart(1_500, n5)
+        .crash(10_000, n5)
+        .restart(10_500, n5);
+    let mut crashed = chaos_deployment(3, 20_000, crashes);
+    let mut baseline = chaos_deployment(3, 20_000, FaultSchedule::new());
+    for d in [&mut crashed, &mut baseline] {
+        d.schedule_all(events.clone()).unwrap();
+    }
+    // Just after each restart, and once the run has quiesced.
+    for horizon in [1_600, 10_600, 90_000] {
+        crashed.run(horizon);
+        baseline.run(horizon);
+        let (a, b) = (crashed.node(n5), baseline.node(n5));
+        assert!(
+            !b.my_fact_records().is_empty(),
+            "baseline node must hold facts"
+        );
+        assert_eq!(
+            a.my_fact_records(),
+            b.my_fact_records(),
+            "at {horizon}: recovered state diverged from the never-crashed run"
+        );
+    }
+    assert!(crashed.sim.is_quiescent());
+    let seqs = minted_seqs(&crashed, n5);
+    assert_eq!(seqs, [0, 1, 2, 3, 4], "a seq minted twice, or one lost");
+    assert_eq!(seqs, minted_seqs(&baseline, n5));
     // And the healed network still matches the oracle.
     let conv = invariants::check_convergence(&crashed, &[sym("q")]);
+    assert!(conv.ok(), "{conv}");
+}
+
+/// With the fault plane off a node keeps nothing across a crash: the
+/// restarted node holds none of its readings, and retracting one it took
+/// before the crash sends nothing.
+#[test]
+fn with_the_plane_off_a_restarted_node_keeps_nothing() {
+    use UpdateKind::{Delete, Insert};
+    let n5 = NodeId(5);
+    let crash = FaultSchedule::new().crash(1_000, n5).restart(1_500, n5);
+    let mut d = deployment(3, None, crash, Telemetry::disabled());
+    d.schedule_all(vec![
+        reading(100, 5, 1, Insert),
+        reading(300, 5, 2, Insert),
+        reading(8_000, 5, 2, Delete),
+    ])
+    .unwrap();
+    d.run(7_999);
+    assert!(d.sim.is_quiescent());
+    assert!(d.node(n5).my_fact_records().is_empty());
+    let tx = d.metrics().total_tx();
+    assert!(tx > 0, "the pre-crash readings were sent");
+    d.run(90_000);
+    assert_eq!(
+        d.applied_events().len(),
+        3,
+        "the retraction reached the node"
+    );
+    assert_eq!(
+        d.metrics().total_tx(),
+        tx,
+        "a forgotten reading's retraction was sent"
+    );
+}
+
+/// A node keeps its 64 newest retractions: one that retracted 70 readings
+/// and holds 3 replays 3 + 64 records on restart.
+#[test]
+fn a_restart_replays_the_64_newest_tombstones() {
+    use UpdateKind::{Delete, Insert};
+    let n5 = NodeId(5);
+    let crash = FaultSchedule::new().crash(5_000, n5).restart(5_500, n5);
+    let plane = Some(FaultPlaneCfg {
+        active_until: 20_000,
+    });
+    let tele = Telemetry::enabled();
+    let mut d = deployment(3, plane, crash, tele);
+    let mut events = Vec::new();
+    for v in 0..73 {
+        events.push(reading(100 + 10 * v as u64, 5, v, Insert));
+    }
+    for v in 0..70 {
+        events.push(reading(2_000 + 10 * v as u64, 5, v, Delete));
+    }
+    d.schedule_all(events).unwrap();
+    d.run(90_000);
+    assert!(d.sim.is_quiescent());
+    assert_eq!(d.node(n5).my_fact_records().len(), 3);
+    let snap = d.telemetry_snapshot();
+    assert_eq!(
+        snap.counter("layer:core.faults", "recovery_replays"),
+        3 + 64
+    );
+    let conv = invariants::check_convergence(&d, &[sym("q")]);
     assert!(conv.ok(), "{conv}");
 }
 
@@ -290,48 +411,4 @@ fn scripted_chaos_journals_each_fault_and_converges() {
             (4_441, TraceEvent::LinkUp { a: n1, b: n2 }),
         ]
     );
-}
-
-// Durable-store equivalence (mechanism level): for any op sequence,
-// recovery returns exactly the facts a never-crashed reference map holds,
-// with the original ids, and a seq high-water above every id ever minted.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-    #[test]
-    fn durable_recovery_equals_reference(
-        ops in proptest::collection::vec((0u8..8, 0u64..50), 1..60),
-    ) {
-        use sensorlog::core::durable::DurableStore;
-        use sensorlog::core::tupleid::TupleId;
-        use std::collections::HashMap;
-        let pred = sym("s");
-        let mut store = DurableStore::default();
-        let mut reference: HashMap<i64, TupleId> = HashMap::new();
-        let mut seq = 0u32;
-        for (i, &(slot, ts)) in ops.iter().enumerate() {
-            let v = slot as i64;
-            let tuple = Tuple::new(vec![Term::Int(v)]);
-            match reference.get(&v) {
-                None => {
-                    let id = TupleId { node: NodeId(2), ts: ts + i as u64, seq };
-                    seq += 1;
-                    store.log_insert(pred, tuple, id);
-                    reference.insert(v, id);
-                }
-                Some(&id) => {
-                    store.log_delete(pred, tuple, id, ts + i as u64 + 1);
-                    reference.remove(&v);
-                }
-            }
-        }
-        let r = store.recover();
-        let mut expect: Vec<(i64, TupleId)> =
-            reference.into_iter().collect();
-        expect.sort();
-        let got: Vec<(i64, TupleId)> = r.facts.iter().map(|(_, t, id)| {
-            match t.get(0) { Term::Int(v) => (v, *id), _ => unreachable!() }
-        }).collect();
-        prop_assert_eq!(got, expect, "recovered live set diverged");
-        prop_assert!(r.next_seq >= seq, "seq high-water must cover all minted ids");
-    }
 }

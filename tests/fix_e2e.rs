@@ -5,7 +5,8 @@
 //! edits). `deploy` / `explain`: out-of-range `--grid`
 //! and `--loss` are reported as errors, never panics or silent clamps, and
 //! a program with no output predicate deploys without an oracle line.
-//! `check`: a program whose ground facts no engine can evaluate fails it.
+//! `check`: a program whose ground facts no engine can evaluate fails it,
+//! unless they feed a predicate it already calls unbounded.
 
 use sensorlog::logic::diag::{check_source, fix_source, BoundParams};
 use sensorlog::prelude::*;
@@ -131,6 +132,39 @@ fn check_fails_ground_facts_no_engine_can_evaluate() {
     let (code, stdout, stderr) = check(".output m.\nn(1).\nm(X / 1) :- n(X).\n", "text");
     assert_eq!(code, Some(0), "{stderr}");
     assert!(!stdout.contains("eval.ground-facts"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `sensorlog check` does not evaluate ground facts that feed a predicate
+/// it calls unbounded (`mem.unbounded`): their cascade runs to the
+/// centralized engine's limit, which took seconds of a release build only
+/// to warn again. So an evaluation error down such a cascade — here
+/// `div(0, 0)` at its first step — is not reported, and `check` passes
+/// with warnings.
+#[test]
+fn check_skips_ground_facts_that_feed_an_unbounded_predicate() {
+    let dir = std::env::temp_dir().join(format!("sensorlog_check_unb_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let check = |prog: &str| {
+        let path = dir.join("p.dl");
+        std::fs::write(&path, prog).unwrap();
+        let out = bin()
+            .args(["check", path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        (out.status.code(), stdout)
+    };
+    let cascade = "n(0).\nn(X + 1) :- n(X), X < 2000000.\n";
+    for prog in [
+        cascade.to_string(),
+        format!(".output m.\n{cascade}m(X / 0) :- n(X).\n"),
+    ] {
+        let (code, stdout) = check(&prog);
+        assert_eq!(code, Some(0), "{stdout}");
+        assert!(stdout.contains("warning: [mem.unbounded]"), "{stdout}");
+        assert!(!stdout.contains("eval.ground-facts"), "{stdout}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -63,7 +63,7 @@ fn static_bounds_dominate_200_node_run() {
     let params = BoundParams {
         nodes: d.sim.topology().len() as u64,
         default_events: 0,
-        events: d.injected_events().clone(),
+        events: d.injected_events(),
     };
     let fr = frontier(&d.prog.analysis);
     let eg = *d
@@ -308,7 +308,7 @@ proptest! {
         let params = BoundParams {
             nodes: d.sim.topology().len() as u64,
             default_events: 0,
-            events: d.injected_events().clone(),
+            events: d.injected_events(),
         };
         let fr = frontier(&d.prog.analysis);
         for id in d.sim.topology().nodes() {
