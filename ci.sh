@@ -111,10 +111,15 @@ cargo test --workspace -q
 #    the facts and ids of a never-crashed run and mints no seq twice, with
 #    the fault plane off it keeps nothing (a retraction of a pre-crash
 #    reading sends nothing), and it replays its 64 newest tombstones.
+#  - core: every wait bounds the walk it waits for — at every node the
+#    priced storage and join legs cover the route hops of the storage walk
+#    and of every pass of the join walk `Strategy` builds, on 10x5 and 20x20
+#    grids (20x20 cut to r = 8 too) and on Fig. 16's geometric graphs,
+#    under PA and LocalStorage (a leg priced one hop short fails it).
 # Each gate names its crate, its test target (`--lib` or `--test=<file>`)
 # and the test. The boundary-resolve cap (tests/boundary_sites.rs) ran with
 # the workspace tests above.
-echo "== count gates (keyed registry walks, exported node rows, queued event size, tuple size, unplanned probes, node probe ranges, router hops, id table race, small-int pool rows, expiry queue, message ownership, send order, queue memory, sent counters, Centroid provenance, hops are deliveries, JSONL numbers, skewed journal, plane store targets, first ledger slot, storage part, fault part, one topology, least int, unresolved dist, crash records) =="
+echo "== count gates (keyed registry walks, exported node rows, queued event size, tuple size, unplanned probes, node probe ranges, router hops, id table race, small-int pool rows, expiry queue, message ownership, send order, queue memory, sent counters, Centroid provenance, hops are deliveries, JSONL numbers, skewed journal, plane store targets, first ledger slot, storage part, fault part, one topology, least int, unresolved dist, crash records, walk soundness) =="
 for gate in \
     "sensorlog-netsim --lib sim::tests::keyed_registry_walks_do_not_grow_with_traffic" \
     "sensorlog-netsim --lib sim::tests::exported_node_rows_match_an_eagerly_registered_registry" \
@@ -152,7 +157,8 @@ for gate in \
     "sensorlog-netsim --lib sim::fault_plane_tests::restart_hands_the_crashed_instance_to_on_restart" \
     "sensorlog --test=chaos restarted_source_state_matches_never_crashed_run" \
     "sensorlog --test=chaos with_the_plane_off_a_restarted_node_keeps_nothing" \
-    "sensorlog --test=chaos a_restart_replays_the_64_newest_tombstones"; do
+    "sensorlog --test=chaos a_restart_replays_the_64_newest_tombstones" \
+    "sensorlog-core --lib plan::tests::priced_legs_cover_every_walk_the_runtime_takes"; do
     read -r crate target name <<<"$gate"
     out=$(cargo test -q -p "$crate" "$target" -- --exact "$name" 2>&1) || { echo "$out"; exit 1; }
     grep -q "test result: ok. 1 passed" <<<"$out" || {
@@ -192,7 +198,7 @@ fi
 # it at the sender and paired it FIFO with the journal's sends. One per-link
 # loss override: `SimConfig::link_loss`, where a fault kind no schedule
 # built kept a second one in `LinkState`.
-echo "== one ledger in eval (no counting engine, lineage log or owned inputs; one bound walk; one JSONL codec; one traffic model; one hop record; one loss override) =="
+echo "== one ledger in eval (no counting engine, lineage log or owned inputs; one bound walk; one JSONL codec; one traffic model; one hop record; one loss override; one pricing path) =="
 if grep -rn 'CountingEngine\|LineageLog\|record_lineage\|run_with_lineage\|owned_inputs\|memory_bounds' crates src tests; then
     echo "a second ledger, lineage copy or bound walk is back: use IncrementalEngine::counting / take_firings / Frontier::paper"; exit 1
 fi
@@ -201,6 +207,13 @@ if grep -rn 'comm_planes\|rule_plane\|split_suggestion\|comm_costs\|CommCost\|co
 fi
 if grep -rnwE 'build_with_journal|hop_seq|delivered_at|SetLinkLoss|LinkLoss|loss_override' crates src tests; then
     echo "one hop record, one per-link loss override: record ProvRecord::Hop where it lands, override loss in SimConfig::link_loss"; exit 1
+fi
+# One pricing path: a wait is priced from the walks the deployment's
+# regions take (`plan::Walks`, `netstack::RouteHops`), on every topology.
+# Earlier trees read a grid's dimensions in `plan.rs` and priced off-grid
+# walks from the widest band, hundreds of hops past the walks they bound.
+if grep -n 'grid_dims\|widest_band' crates/core/src/plan.rs; then
+    echo "a second pricing path is back: price every walk through plan::Walks"; exit 1
 fi
 if [[ $(grep -rn 'fn field_raw' crates src | wc -l) -ne 1 ]]; then
     grep -rn 'fn field_raw' crates src
@@ -456,6 +469,7 @@ if [[ "$fast" -eq 0 ]]; then
         fig14.tag_equals_oracle fig14.central_equals_oracle
         fig15.staggered fig15.flat_100ms fig15.none_1ms
         fig16.runs_with_results fig16.runs_oracle_exact
+        fig16.pa_settle_ms_25_nodes fig16.pa_settle_ms_50_nodes fig16.pa_settle_ms_100_nodes
         table1.peaks_within_static_bound table1.logicJ_static_bounds_hold
         table1.logicJ_tree_correct table1.runs_with_results table1.runs_oracle_exact
         table2.spurious_results table2.found

@@ -5,7 +5,7 @@
 //! vertical path intersects with every horizontal path"). Coordinate bands
 //! play the role of rows/columns on connected random geometric graphs.
 
-use crate::common::{gate_exact_runs, sym, JOIN2};
+use crate::common::{gate_exact_runs, last_event, sym, JOIN2};
 use crate::report::Report;
 use crate::row;
 use rand::rngs::StdRng;
@@ -45,11 +45,18 @@ fn geo_workload(topo: &Topology, seed: u64) -> Vec<WorkloadEvent> {
     out
 }
 
+/// Fig. 16's graphs, `(nodes, side)`, each with its PA run's pinned settle
+/// time (ms, quiescence minus the last event). Each wait is priced by the
+/// walks the bands take; pricing a row as (widest band − 1) routes of twice
+/// one node's eccentricity made them 2,524 / 4,731 / 11,228.
+const FIG16: [(usize, f64, u64); 3] = [(25, 4.0, 634), (50, 5.5, 951), (100, 8.0, 1508)];
+
 /// Fig. 16: two-stream join on connected random geometric graphs with
-/// banded PA vs Centroid. Loss-free, so every run must equal the oracle.
+/// banded PA vs Centroid. Loss-free, so every run must equal the oracle;
+/// PA's settle time is gated per graph.
 pub fn fig16(_quick: bool, r: &mut Report) {
     let mut runs = Vec::new();
-    for (n, side) in [(25usize, 4.0f64), (50, 5.5), (100, 8.0)] {
+    for (n, side, settle_pin) in FIG16 {
         let mut cells = Vec::new();
         for strategy in [
             Strategy::Perpendicular { band_width: 1.7 },
@@ -73,13 +80,16 @@ pub fn fig16(_quick: bool, r: &mut Report) {
             let events = geo_workload(&topo, 29 + n as u64);
             d.schedule_all(events.clone())
                 .expect("workload events lie on the topology");
-            d.run(60_000_000);
+            let settle_ms = d.run(60_000_000) - last_event(&d);
             let report = oracle::check(&d, &events, sym("q"));
-            cells.push((d.metrics().total_tx(), report.completeness()));
+            cells.push((d.metrics().total_tx(), report.completeness(), settle_ms));
             runs.push(report);
         }
+        let pa_settle_ms = cells[0].2;
+        r.gate(&format!("pa_settle_ms_{n}_nodes"), settle_pin, pa_settle_ms);
         r.row(row![
             "nodes" => n, "side" => side, "pa_tx" => cells[0].0, "pa_compl" => cells[0].1,
+            "pa_settle_ms" => pa_settle_ms,
             "centroid_tx" => cells[1].0, "centroid_compl" => cells[1].1,
         ]);
     }

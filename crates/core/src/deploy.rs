@@ -183,12 +183,19 @@ impl Deployment {
     /// Compile `src` and deploy it on `topo`. Under Centroid the center's
     /// engine is built here too, before any node: a program whose ground
     /// facts it cannot evaluate is refused ([`CompileError::CenterEngine`]).
+    /// So is a PA band width that is negative or NaN
+    /// ([`CompileError::BandWidth`]).
     pub fn new(
         src: &str,
         reg: BuiltinRegistry,
         topo: Topology,
         config: DeployConfig,
     ) -> Result<Deployment, CompileError> {
+        if let Strategy::Perpendicular { band_width } = config.rt.strategy {
+            if band_width.is_nan() || band_width < 0.0 {
+                return Err(CompileError::BandWidth(band_width));
+            }
+        }
         // The neighbourhood plane sends a tuple once to each neighbour that
         // reads it (`plan::store_targets`), and nothing resends a lost
         // store: a join that misses a negated partner (`hp`) derives what it
@@ -1036,6 +1043,33 @@ mod tests {
 
         let cascade = "n(0).\nn(X + 1) :- n(X), X < 2000000.";
         assert!(deploy(cascade, pa).is_ok());
+    }
+
+    /// A band holds the nodes within half its width of a node's coordinate,
+    /// so a negative or NaN width holds not even the node, and nothing
+    /// bounds a wait for it. Regression: off the grid a debug build
+    /// panicked pricing the widest band ("attempt to subtract with
+    /// overflow"), and a release build waited an astronomical time.
+    #[test]
+    fn a_negative_or_nan_band_width_is_refused() {
+        let src = ".output q.\nq(X, Y) :- r1(X, T), r2(Y, T).";
+        for band_width in [-1.0, f64::NAN] {
+            let config = DeployConfig {
+                rt: RtConfig {
+                    strategy: Strategy::Perpendicular { band_width },
+                    ..RtConfig::default()
+                },
+                ..DeployConfig::default()
+            };
+            let topo = sensorlog_netsim::Topology::random_geometric(25, 4.0, 1.7, 97).unwrap();
+            let err = Deployment::new(src, BuiltinRegistry::standard(), topo, config)
+                .err()
+                .expect("a bad band width is refused");
+            assert!(
+                matches!(err, CompileError::BandWidth(w) if w.to_bits() == band_width.to_bits()),
+                "{err}"
+            );
+        }
     }
 
     /// Regression: `NetInfo::new` used to index node 0 of whatever it was

@@ -23,10 +23,12 @@
 //! transition before it finalizes it (Sec. IV-C: "we need to wait for an
 //! appropriate time before actually finalizing a derived fact (since it may
 //! be retracted/deleted later)"). Theorems 1–3 assume those delays are
-//! bounded; these are the bounds. An XY component's holddowns are
-//! staggered along its certified stage-local order, one retraction chain
-//! per step, so retractions (`hp`) settle before the tuples they block
-//! (`h`) propagate. A `.holddown` declaration overrides its predicate's.
+//! bounded; these are the bounds, priced by the walks the deployment's
+//! regions take on every topology (`Walks`). An XY component's holddowns
+//! are staggered along its certified stage-local order, one retraction
+//! chain per step, so retractions (`hp`) settle before the tuples they
+//! block (`h`) propagate. A `.holddown` declaration overrides its
+//! predicate's.
 
 use crate::partial::MAX_BODY_LITERALS;
 use crate::strategy::{PassMode, Strategy};
@@ -41,7 +43,8 @@ use sensorlog_logic::span::Span;
 use sensorlog_logic::xy::{self, OnPlane, Place, Radius, Store};
 use sensorlog_logic::{Symbol, Tuple};
 use sensorlog_netsim::{NodeId, Topology};
-use sensorlog_netstack::ght;
+use sensorlog_netstack::regions;
+use sensorlog_netstack::{ght, RouteHops};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -80,6 +83,9 @@ pub enum CompileError {
     /// The Centroid center's engine cannot be built: evaluating the
     /// program's ground facts failed.
     CenterEngine(EvalError),
+    /// PA's band width is negative or NaN: off the grid no band would hold
+    /// even its own node.
+    BandWidth(f64),
     Analyze(String),
 }
 
@@ -103,6 +109,7 @@ impl fmt::Display for CompileError {
                 "rule #{rule_id} at {span}: no positive subgoal, so no update starts it and the network never derives its head"
             ),
             CompileError::CenterEngine(e) => write!(f, "the Centroid center's engine: {e}"),
+            CompileError::BandWidth(w) => write!(f, "PA band width {w}: must be a number >= 0"),
             CompileError::Analyze(e) => write!(f, "{e}"),
         }
     }
@@ -139,7 +146,9 @@ pub struct DistProgram {
     rest: Reach,
     /// What an update of each predicate waits for on this deployment
     /// (`DistProgram::with_reach`), its regions cut to its radius; `uncut`,
-    /// for a deployment that cuts some, the same once it stops.
+    /// for a deployment that cuts some, the same once it stops. One pass
+    /// prices both, but a deployment stops cutting mid-run, so each stays
+    /// a table: [`DistProgram::waits`] reads one entry per update.
     waits: BTreeMap<Symbol, Waits>,
     uncut: BTreeMap<Symbol, Waits>,
     /// How long an owner holds a liveness transition of each derived
@@ -201,65 +210,66 @@ pub struct Waits {
     pub retain: Option<Delay>,
 }
 
-/// The hop counts a deployment's walks are priced by: on a grid, read off
-/// its dimensions; elsewhere, bounded from one breadth-first search and the
-/// nodes' positions.
+/// The hops a deployment's walks take: each region the runtime walks
+/// (`Strategy::walks`), a route (`netstack::RouteHops`) from each member to
+/// the next.
 struct Walks {
-    /// The most hops a route takes.
-    diameter: u64,
-    /// The most hops a storage walk of the strategy's regions takes from
-    /// its node, uncut.
-    row: u64,
-    /// The most hops from a node to the first node of its join walk, and
-    /// along one pass of that walk, uncut.
-    to_column: u64,
-    column: u64,
-    /// Whether a spatial radius cuts `row`, `to_column` and `column` to the
-    /// rows and columns it reaches: PA on a grid.
-    cuts: bool,
+    /// The most hops a route takes: a flood's leg, a hashed owner's result.
+    route: u64,
+    /// The storage walks' and the join walks' longest parts, uncut (`None`)
+    /// and cut to each radius some predicate's regions are.
+    by_cut: Vec<(Option<f64>, [Spans; 2])>,
+}
+
+/// The longest parts of one kind of walk, in hops: a side from its node (a
+/// storage walk goes both ways, `initiate_update`), the route from a node to
+/// its first member, and all of it (a join pass, `start_join`). Off the grid
+/// the last two may fall on different nodes.
+#[derive(Clone, Copy, Debug, Default)]
+struct Spans {
+    side: u64,
+    to_first: u64,
+    length: u64,
 }
 
 impl Walks {
-    fn of(topo: &Topology, strategy: Strategy) -> Walks {
-        // Hops of a walk over every node, one per step (none in an empty
-        // topology).
-        let steps = (topo.len() as u64).saturating_sub(1);
-        let grid = topo.grid_dims().map(|(c, r)| (u64::from(c), u64::from(r)));
-        // On a grid routes go by coordinate. Off it, twice one node's
-        // eccentricity bounds the diameter.
-        let diameter = match grid {
-            Some((cols, rows)) => cols + rows - 2,
-            None => {
-                let dist = topo.bfs(NodeId(0)).dist;
-                let ecc = dist.into_iter().filter(|&d| d != u32::MAX).max();
-                2 * u64::from(ecc.unwrap_or(0))
+    /// Price `strategy`'s regions on `topo` at each cut `reaches` walk them
+    /// at, and uncut, as they are walked once a deployment stops cutting.
+    fn of(topo: &Topology, strategy: Strategy, reaches: &BTreeMap<Symbol, Reach>) -> Walks {
+        let hops = RouteHops::new(topo);
+        let mut by_cut: Vec<(Option<f64>, [Spans; 2])> = Vec::new();
+        for reach in reaches.values() {
+            let &Reach::Regions(radius) = reach else {
+                continue;
+            };
+            for cut in [None, radius.map(|rad| rad.r)] {
+                if !by_cut.iter().any(|(c, _)| *c == cut) {
+                    by_cut.push((cut, Default::default()));
+                }
             }
-        };
-        // On a grid a region is a line of radio neighbours — a row, a
-        // column, or LocalStorage's snake over every node. Off it a walk
-        // routes from member to member, each step at most a diameter, so a
-        // walk over `k` nodes takes at most `k - 1` such steps.
-        let (row, to_column, column, cuts) = match (strategy, grid) {
-            (Strategy::Perpendicular { .. }, Some((cols, rows))) => {
-                (cols - 1, rows - 1, rows - 1, true)
+        }
+        // No predicate walks a region: list none.
+        let listed = (!by_cut.is_empty()).then(|| strategy.walks(topo));
+        for (kind, walks) in listed.into_iter().flatten().enumerate() {
+            for walk in walks {
+                let along = hops.along(&walk.path);
+                for i in walk.starts.clone() {
+                    for (cut, spans) in &mut by_cut {
+                        // A node whose cut keeps nothing walks alone.
+                        let Some((a, b)) = regions::cut_ends(topo, &walk.path, i, *cut) else {
+                            continue;
+                        };
+                        let s = &mut spans[kind];
+                        s.side = (s.side.max(along[i] - along[a])).max(along[b] - along[i]);
+                        s.to_first = s.to_first.max(hops.between(walk.path[i], walk.path[a]));
+                        s.length = s.length.max(along[b] - along[a]);
+                    }
+                }
             }
-            (Strategy::Perpendicular { band_width }, None) => {
-                let band = widest_band(topo, band_width);
-                ((band - 1) * diameter, diameter, steps * diameter, false)
-            }
-            // Stored where it starts; a cut keeps a part of the same walk,
-            // in its order, so it is priced uncut.
-            (Strategy::LocalStorage, Some(_)) => (0, diameter, steps, false),
-            (Strategy::LocalStorage, None) => (0, diameter, steps * diameter, false),
-            // No other strategy walks regions.
-            _ => (0, 0, 0, false),
-        };
+        }
         Walks {
-            diameter,
-            row,
-            to_column,
-            column,
-            cuts,
+            route: hops.most(),
+            by_cut,
         }
     }
 
@@ -271,30 +281,16 @@ impl Walks {
         match reach {
             Reach::Center | Reach::Nowhere => (0, 0),
             Reach::Plane(_) => (1, 0),
-            Reach::Flood => (self.diameter, 0),
+            Reach::Flood => (self.route, 0),
             Reach::Regions(radius) => {
-                let (mut row, mut to, mut column) = (self.row, self.to_column, self.column);
-                // A cut region reaches `r` rows or columns either way.
-                if let Some(r) = radius.filter(|_| self.cuts) {
-                    let r = r.r.max(0.0).floor() as u64;
-                    (row, to, column) = (row.min(r), to.min(r), column.min(2 * r));
-                }
-                (row, to + passes * column)
+                let cut = radius.map(|rad| rad.r);
+                let spans = self.by_cut.iter().find(|(c, _)| *c == cut);
+                spans.map_or((0, 0), |(_, [store, join])| {
+                    (store.side, join.to_first + passes * join.length)
+                })
             }
         }
     }
-}
-
-/// The most nodes one horizontal band of `width` holds
-/// (`regions::horizontal_band`, PA's storage region off the grid).
-fn widest_band(topo: &Topology, width: f64) -> u64 {
-    let mut ys: Vec<f64> = topo.nodes().map(|n| topo.position(n).1).collect();
-    ys.sort_by(f64::total_cmp);
-    // A hair wider than the band, so rounding never drops a member.
-    let half = width / 2.0 + 1e-9;
-    let within =
-        |y: f64| ys.partition_point(|&v| v <= y + half) - ys.partition_point(|&v| v < y - half);
-    ys.iter().map(|&y| within(y) as u64).max().unwrap_or(1)
 }
 
 /// The passes a probe pinned at one relational literal walks over its join
@@ -419,7 +415,7 @@ impl DistProgram {
         self.reach = (self.places.iter())
             .filter_map(|(&p, place)| Some((p, travels(place)?)))
             .collect();
-        let walks = Walks::of(topo, strategy);
+        let walks = Walks::of(topo, strategy, &self.reach);
         let legs = self.legs(&walks, true);
         self.waits = self.waits_of(&legs);
         if (self.reach.values()).any(|r| matches!(r, Reach::Regions(Some(_)))) {
@@ -515,7 +511,7 @@ impl DistProgram {
             if placed {
                 1
             } else {
-                walks.diameter
+                walks.route
             }
         };
         // Hops of each chain; τs adds one clock skew to each.
@@ -550,8 +546,9 @@ impl DistProgram {
             .collect()
     }
 
-    /// What an update of `pred` waits for on this deployment: its regions'
-    /// legs uncut once the deployment stops cutting.
+    /// What an update of `pred` waits for on this deployment: the longest
+    /// storage and join walks its regions take, cut to its radius while the
+    /// deployment cuts and uncut once it stops.
     pub fn waits(&self, pred: Symbol) -> Waits {
         let uncut = (!self.cut.load(Ordering::Relaxed))
             .then(|| self.uncut.get(&pred))
@@ -902,6 +899,68 @@ mod tests {
                 ms(p.holddown(h)),
             ];
             assert_eq!(got, want, "{label}");
+        }
+    }
+
+    /// Every wait bounds the walk it waits for: at every node, the priced
+    /// storage leg covers both parts of the storage walk `initiate_update`
+    /// sends, and the priced join leg covers the route to the join walk
+    /// and each of its passes (each turning back at the walk's end), all
+    /// counted hop by hop along the deployment router's routes over the
+    /// regions `Strategy` builds. On grids (cut and uncut) and on Fig. 16's
+    /// random geometric graphs, under PA and LocalStorage.
+    #[test]
+    fn priced_legs_cover_every_walk_the_runtime_takes() {
+        use sensorlog_netstack::Router;
+        let geometric = |n, side| Topology::random_geometric(n, side, 1.7, 97).unwrap();
+        let cases = [
+            (Topology::grid(10, 5), 1.0, None),
+            (Topology::square_grid(20), 1.0, None),
+            (Topology::square_grid(20), 1.0, Some(8.0)),
+            (geometric(25, 4.0), 1.7, None),
+            (geometric(50, 5.5), 1.7, None),
+            (geometric(100, 8.0), 1.7, None),
+        ];
+        for (topo, band_width, cut) in cases {
+            let router = Router::new(&topo);
+            // Hops from `from` along every member of `walk` in turn.
+            let walked = |from: NodeId, walk: &mut dyn Iterator<Item = NodeId>| {
+                let (mut at, mut hops) = (from, 0);
+                for next in walk {
+                    while at != next {
+                        at = router.next_hop(&topo, at, next).expect("connected");
+                        hops += 1;
+                    }
+                }
+                hops
+            };
+            for strategy in [
+                Strategy::Perpendicular { band_width },
+                Strategy::LocalStorage,
+            ] {
+                let radius = cut.map(|r| Radius { col: 0, r, rule: 0 });
+                let reach = BTreeMap::from([(sym("r"), Reach::Regions(radius))]);
+                let walks = Walks::of(&topo, strategy, &reach);
+                for node in topo.nodes() {
+                    let store = strategy.storage_region(&topo, node, cut);
+                    let i = store.iter().position(|&n| n == node).unwrap();
+                    let right = walked(node, &mut store[i + 1..].iter().copied());
+                    let left = walked(node, &mut store[..i].iter().rev().copied());
+                    let join = strategy.join_region(&topo, node, cut);
+                    let to = walked(node, &mut join.iter().copied().take(1));
+                    let forth = walked(join[0], &mut join.iter().copied());
+                    let back = walked(join[join.len() - 1], &mut join.iter().rev().copied());
+                    for passes in 1..=3 {
+                        let (priced_store, priced_join) =
+                            walks.legs(Reach::Regions(radius), passes);
+                        let turns = (0..passes).map(|k| if k % 2 == 0 { forth } else { back });
+                        let join_hops = to + turns.sum::<u64>();
+                        let at = format!("{}, {:?} at {node}", strategy.name(), cut);
+                        assert!(priced_store >= right.max(left), "{at}: storage leg");
+                        assert!(priced_join >= join_hops, "{at}, {passes} passes: join leg");
+                    }
+                }
+            }
         }
     }
 

@@ -42,7 +42,7 @@
 //! stops cutting at the first event that does not.
 
 use sensorlog_netsim::{NodeId, Topology, TopologyKind};
-use sensorlog_netstack::regions;
+use sensorlog_netstack::regions::{self, Walk};
 
 /// One-pass vs multiple-pass join computation (Sec. III-A).
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
@@ -106,6 +106,19 @@ impl Strategy {
             _ => vec![node],
         };
         within(topo, region, node, radius)
+    }
+
+    /// Every distinct storage region and every distinct join region once,
+    /// uncut, with the nodes whose region it is ([`Strategy::storage_region`],
+    /// [`Strategy::join_region`]): PA's rows and columns or bands,
+    /// LocalStorage's one walk over every node. A node stored alone walks
+    /// nothing and is not listed.
+    pub(crate) fn walks(&self, topo: &Topology) -> [Vec<Walk>; 2] {
+        match *self {
+            Strategy::Perpendicular { band_width } => regions::walks(topo, band_width),
+            Strategy::LocalStorage => [Vec::new(), vec![Walk::line(all_nodes_snake(topo))]],
+            _ => Default::default(),
+        }
     }
 
     /// The central server for Centroid: the node closest to the deployment

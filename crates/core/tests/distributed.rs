@@ -983,57 +983,66 @@ fn fig16_seed_geometric_completeness_is_exact() {
     // plain vertical band could miss a storage band entirely, so the pair
     // never met. The detour rule in `netstack::regions::join_region` must
     // close the gap — completeness exactly 1.0 on the shipped Fig. 16
-    // seed and workload, not merely "close".
+    // seed and workload, not merely "close". At `hop_delay: (29, 30)` every
+    // hop takes about the most one may, so a wait priced shorter than the
+    // walk it waits for starts a join before its partners are stored.
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    let n = 50usize;
-    let topo = Topology::random_geometric(n, 5.5, 1.7, 97).unwrap();
-    let cfg = DeployConfig {
-        rt: RtConfig {
-            strategy: Strategy::Perpendicular { band_width: 1.7 },
-            ..RtConfig::default()
-        },
-        sim: SimConfig {
-            seed: 13,
-            ..SimConfig::default()
-        },
-        ..DeployConfig::default()
-    };
-    let mut d = Deployment::new(JOIN3, BuiltinRegistry::standard(), topo.clone(), cfg).unwrap();
-    // The Fig. 16 workload: one reading per node per stream, selective keys.
-    let mut rng = StdRng::seed_from_u64(29 + n as u64);
-    let mut events = Vec::new();
-    let groups = (topo.len() as u32).max(2);
-    let mut value = 0i64;
-    for node in topo.nodes() {
-        for pred in ["r1", "r2"] {
-            value += 1;
-            events.push(WorkloadEvent {
-                at: 500 + rng.gen_range(0..10_000),
-                node,
-                pred: sym(pred),
-                tuple: Tuple::new(vec![
-                    Term::Int(node.0 as i64),
-                    Term::Int(value),
-                    Term::Int(rng.gen_range(0..groups) as i64),
-                ]),
-                kind: UpdateKind::Insert,
-            });
+    for (n, side) in [(25usize, 4.0), (50, 5.5), (100, 8.0)] {
+        let topo = Topology::random_geometric(n, side, 1.7, 97).unwrap();
+        // The Fig. 16 workload: one reading per node per stream, selective
+        // keys.
+        let mut rng = StdRng::seed_from_u64(29 + n as u64);
+        let mut events = Vec::new();
+        let groups = (topo.len() as u32).max(2);
+        let mut value = 0i64;
+        for node in topo.nodes() {
+            for pred in ["r1", "r2"] {
+                value += 1;
+                events.push(WorkloadEvent {
+                    at: 500 + rng.gen_range(0..10_000),
+                    node,
+                    pred: sym(pred),
+                    tuple: Tuple::new(vec![
+                        Term::Int(node.0 as i64),
+                        Term::Int(value),
+                        Term::Int(rng.gen_range(0..groups) as i64),
+                    ]),
+                    kind: UpdateKind::Insert,
+                });
+            }
+        }
+        events.sort_by_key(|e| e.at);
+        for hop_delay in [SimConfig::default().hop_delay, (29, 30)] {
+            let cfg = DeployConfig {
+                rt: RtConfig {
+                    strategy: Strategy::Perpendicular { band_width: 1.7 },
+                    ..RtConfig::default()
+                },
+                sim: SimConfig {
+                    seed: 13,
+                    hop_delay,
+                    ..SimConfig::default()
+                },
+                ..DeployConfig::default()
+            };
+            let mut d =
+                Deployment::new(JOIN3, BuiltinRegistry::standard(), topo.clone(), cfg).unwrap();
+            d.schedule_all(events.clone()).unwrap();
+            d.run(60_000_000);
+            let report = oracle::check(&d, &events, sym("q"));
+            assert!(report.expected > 0, "workload must produce join results");
+            assert!(
+                report.exact(),
+                "{n} nodes, hop delay {hop_delay:?}: completeness {} soundness {}: \
+                 missing {:?} spurious {:?}",
+                report.completeness(),
+                report.soundness(),
+                report.missing,
+                report.spurious
+            );
         }
     }
-    events.sort_by_key(|e| e.at);
-    d.schedule_all(events.clone()).unwrap();
-    d.run(60_000_000);
-    let report = oracle::check(&d, &events, sym("q"));
-    assert!(report.expected > 0, "workload must produce join results");
-    assert!(
-        report.exact(),
-        "completeness {} soundness {}: missing {:?} spurious {:?}",
-        report.completeness(),
-        report.soundness(),
-        report.missing,
-        report.spurious
-    );
 }
 
 #[test]

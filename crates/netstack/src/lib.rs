@@ -4,13 +4,14 @@
 //! deductive engine and the baselines:
 //!
 //! * [`router`] — the one next-hop oracle: x-then-y on grids, a lazily
-//!   built BFS parent table per destination everywhere else, plus the fault
-//!   plane's greedy detour step;
+//!   built BFS parent table per destination everywhere else; the hop counts
+//!   of its routes ([`RouteHops`]), which a deployment prices its waits by;
+//!   and the fault plane's greedy detour step;
 //! * [`ght`] — geographic hashing: derived tuples meet at their owner node
 //!   (Sec. III-B);
 //! * [`regions`] — PA storage/join regions: grid rows & columns, coordinate
 //!   bands for general topologies, spatial-constraint truncation
-//!   (Sec. III-A);
+//!   (Sec. III-A), and each distinct region listed once as a [`regions::Walk`];
 //! * [`tree`] — data-gathering spanning trees (`Topology::bfs` rooted at
 //!   the sink);
 //! * [`tag`] — TAG-style in-network aggregation (the paper's citation \[32\]);
@@ -27,5 +28,5 @@ pub mod router;
 pub mod tag;
 pub mod tree;
 
-pub use router::Router;
+pub use router::{RouteHops, Router};
 pub use tree::GatherTree;

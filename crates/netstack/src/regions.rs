@@ -7,8 +7,15 @@
 //! connected walk (the banded scheme standing in for \[44\]'s construction).
 //! Spatial join constraints truncate regions to the constraint radius
 //! (Sec. III-A "Function Symbols and Spatial Constraints").
+//!
+//! [`walks`] lists each distinct region once, as the [`Walk`] the runtime
+//! takes, with the nodes whose region it is: a grid's rows and columns, one
+//! band per node elsewhere. A deployment
+//! prices its waits from them (`core::plan`), so each wait bounds the
+//! walk it waits for on every topology.
 
 use sensorlog_netsim::{NodeId, Topology, TopologyKind};
+use std::ops::Range;
 
 /// The ordered list of nodes in `node`'s grid row (left → right). Falls
 /// back to a unit-width horizontal band on non-grid topologies rather
@@ -61,6 +68,56 @@ pub fn vertical_band(topo: &Topology, node: NodeId, width: f64) -> Vec<NodeId> {
             .unwrap_or(std::cmp::Ordering::Equal)
     });
     members
+}
+
+/// One region as the runtime walks it, listed once, and where on it the
+/// nodes whose region it is stand (each node lies on its own region).
+#[derive(Clone, Debug, PartialEq)]
+pub struct Walk {
+    /// The members in walk order.
+    pub path: Vec<NodeId>,
+    /// The positions on `path` of the nodes whose region it is.
+    pub starts: Range<usize>,
+}
+
+impl Walk {
+    /// A line every member of which has it as its region: a grid's row or
+    /// column, or a walk over every node.
+    pub fn line(path: Vec<NodeId>) -> Walk {
+        let starts = 0..path.len();
+        Walk { path, starts }
+    }
+
+    /// The region of `node` alone.
+    fn of(path: Vec<NodeId>, node: NodeId) -> Walk {
+        let starts = match path.iter().position(|&n| n == node) {
+            Some(i) => i..i + 1,
+            None => 0..0,
+        };
+        Walk { path, starts }
+    }
+}
+
+/// Every distinct PA storage region and every distinct join region once
+/// ([`storage_region`], [`join_region`]): a grid's rows and columns, one
+/// band of each kind per node elsewhere.
+pub fn walks(topo: &Topology, band_width: f64) -> [Vec<Walk>; 2] {
+    match topo.kind {
+        TopologyKind::Grid { cols, rows } => [
+            (0..rows)
+                .filter_map(|y| topo.node_at(0, y))
+                .map(|n| Walk::line(grid_row(topo, n)))
+                .collect(),
+            (0..cols)
+                .filter_map(|x| topo.node_at(x, 0))
+                .map(|n| Walk::line(grid_col(topo, n)))
+                .collect(),
+        ],
+        TopologyKind::Geometric { .. } => [storage_region, join_region].map(|region| {
+            let own = |n| Walk::of(region(topo, n, band_width), n);
+            topo.nodes().map(own).collect()
+        }),
+    }
 }
 
 /// Storage region for PA: row on grids, horizontal band elsewhere.
@@ -146,15 +203,36 @@ fn augment_with_detours(topo: &Topology, node: NodeId, width: f64, band: &mut Ve
 /// tuple over only an appropriate part of the horizontal path, and
 /// similarly traverse only an appropriate part of the vertical path".
 pub fn truncate(topo: &Topology, region: &[NodeId], center: NodeId, radius: f64) -> Vec<NodeId> {
-    let (cx, cy) = topo.position(center);
-    region
-        .iter()
-        .copied()
-        .filter(|&n| {
-            let (x, y) = topo.position(n);
-            ((x - cx).powi(2) + (y - cy).powi(2)).sqrt() <= radius
-        })
+    let center = topo.position(center);
+    (region.iter().copied())
+        .filter(|&n| within(topo, center, n, radius))
         .collect()
+}
+
+/// The first and last positions of `path` that [`truncate`] keeps cutting
+/// it to `radius` around its member `path[i]` (`None`: uncut, all of it);
+/// none when it keeps nothing. What it keeps is a subsequence, and the walk along `path`
+/// between these ends bounds its walk: a route is no longer than the
+/// routes through the members it skips.
+pub fn cut_ends(
+    topo: &Topology,
+    path: &[NodeId],
+    i: usize,
+    radius: Option<f64>,
+) -> Option<(usize, usize)> {
+    let Some(r) = radius else {
+        return Some((0, path.len() - 1));
+    };
+    let center = topo.position(path[i]);
+    let keeps = |&n: &NodeId| within(topo, center, n, r);
+    Some((path.iter().position(keeps)?, path.iter().rposition(keeps)?))
+}
+
+/// Whether [`truncate`] keeps `n` in a region cut to `radius` around the
+/// point `(cx, cy)`.
+fn within(topo: &Topology, (cx, cy): (f64, f64), n: NodeId, radius: f64) -> bool {
+    let (x, y) = topo.position(n);
+    ((x - cx).powi(2) + (y - cy).powi(2)).sqrt() <= radius
 }
 
 #[cfg(test)]
@@ -260,6 +338,28 @@ mod tests {
         assert!(t.len() < row.len());
         let t0 = truncate(&topo, &row, center, 0.0);
         assert_eq!(t0, vec![center]);
+    }
+
+    /// Every node starts on exactly one listed walk of each kind, and that
+    /// walk is its region.
+    #[test]
+    fn walks_list_each_region_once() {
+        type Region = fn(&Topology, NodeId, f64) -> Vec<NodeId>;
+        let geometric = Topology::random_geometric(30, 5.0, 1.7, 7).unwrap();
+        for topo in [Topology::grid(5, 3), geometric] {
+            let regions: [Region; 2] = [storage_region, join_region];
+            for (walks, region) in walks(&topo, 1.7).into_iter().zip(regions) {
+                let mut starts = Vec::new();
+                for walk in &walks {
+                    for i in walk.starts.clone() {
+                        assert_eq!(region(&topo, walk.path[i], 1.7), walk.path);
+                        starts.push(walk.path[i]);
+                    }
+                }
+                starts.sort();
+                assert_eq!(starts, topo.nodes().collect::<Vec<_>>());
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use sensorlog_netsim::{NodeId, Topology};
 use sensorlog_telemetry::{CounterId, Scope, Telemetry};
+use std::cell::OnceCell;
 use std::sync::OnceLock;
 
 /// Next-hop oracle over a topology. Holds nothing for grids; off-grid it
@@ -104,6 +105,77 @@ impl Router {
                 .get_or_init(|| reg.counter(Scope::Layer("netstack"), name));
             reg.inc(*id);
         }
+    }
+}
+
+/// The hops of the routes a [`Router`] takes, counted without routing:
+/// what a deployment prices its waits by before anything is sent. A grid
+/// answers by coordinate in O(1); elsewhere one breadth-first search per
+/// source asked about, kept here. A router's tables are BFS trees, so its
+/// routes are shortest paths and take exactly these hops, and no router's
+/// table is built to count them.
+#[derive(Debug)]
+pub struct RouteHops<'t> {
+    topo: &'t Topology,
+    /// Off the grid, `from[n][m]`: hops from `n` to `m` (`u32::MAX` = none),
+    /// searched on first use.
+    from: Vec<OnceCell<Box<[u32]>>>,
+}
+
+impl<'t> RouteHops<'t> {
+    pub fn new(topo: &'t Topology) -> RouteHops<'t> {
+        let searched = match topo.grid_dims() {
+            Some(_) => 0,
+            None => topo.len(),
+        };
+        RouteHops {
+            topo,
+            from: (0..searched).map(|_| OnceCell::new()).collect(),
+        }
+    }
+
+    /// Hops of the route from `from` to `dest`: 0 where there is none, as
+    /// nothing waits for a message a partition drops.
+    pub fn between(&self, from: NodeId, dest: NodeId) -> u64 {
+        if let (Some((fx, fy)), Some((dx, dy))) =
+            (self.topo.grid_coords(from), self.topo.grid_coords(dest))
+        {
+            return u64::from(fx.abs_diff(dx)) + u64::from(fy.abs_diff(dy));
+        }
+        match self.searched(from)[dest.index()] {
+            NONE => 0,
+            hops => u64::from(hops),
+        }
+    }
+
+    /// Route hops from `path`'s first member to each member, along it.
+    pub fn along(&self, path: &[NodeId]) -> Vec<u64> {
+        let mut sum = 0;
+        let steps = path.windows(2).map(|w| {
+            sum += self.between(w[0], w[1]);
+            sum
+        });
+        std::iter::once(0).chain(steps).collect()
+    }
+
+    /// A bound on the most hops any route takes: exact on a grid, where
+    /// routes go by coordinate; elsewhere twice one node's eccentricity.
+    pub fn most(&self) -> u64 {
+        if let Some((cols, rows)) = self.topo.grid_dims() {
+            return (u64::from(cols) + u64::from(rows)).saturating_sub(2);
+        }
+        let ecc = (self.topo.nodes().next()).and_then(|n| {
+            self.searched(n)
+                .iter()
+                .filter(|&&d| d != NONE)
+                .max()
+                .copied()
+        });
+        2 * u64::from(ecc.unwrap_or(0))
+    }
+
+    fn searched(&self, from: NodeId) -> &[u32] {
+        self.from[from.index()].get_or_init(|| self.topo.bfs(from).dist.into_boxed_slice())
     }
 }
 
@@ -335,6 +407,26 @@ mod tests {
             hops += 1;
             assert!(hops <= topo.len(), "routing loop");
         }
+    }
+
+    /// Counted hops are the hops the router's routes take, on a grid and
+    /// off it, and the most of them is within the bound `most` gives.
+    #[test]
+    fn route_hops_are_the_routers_hops() {
+        let geometric = Topology::random_geometric(40, 6.0, 1.7, 1).unwrap();
+        for topo in [Topology::grid(6, 4), geometric] {
+            let (router, hops) = (Router::new(&topo), RouteHops::new(&topo));
+            let mut longest = 0;
+            for a in topo.nodes() {
+                for b in topo.nodes() {
+                    let path = route_path(&router, &topo, a, b).unwrap();
+                    assert_eq!(hops.between(a, b), path.len() as u64 - 1, "{a} -> {b}");
+                    longest = longest.max(path.len() as u64 - 1);
+                }
+            }
+            assert!(hops.most() >= longest);
+        }
+        assert_eq!(RouteHops::new(&Topology::grid(6, 4)).most(), 8);
     }
 
     #[test]
