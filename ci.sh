@@ -113,9 +113,16 @@ cargo test --workspace -q
 #    reading sends nothing), and it replays its 64 newest tombstones.
 #  - core: every wait bounds the walk it waits for — at every node the
 #    priced storage and join legs cover the route hops of the storage walk
-#    and of every pass of the join walk `Strategy` builds, on 10x5 and 20x20
-#    grids (20x20 cut to r = 8 too) and on Fig. 16's geometric graphs,
-#    under PA and LocalStorage (a leg priced one hop short fails it).
+#    and of every pass of the join walk the runtime reads from the
+#    deployment's table, on 10x5 and 20x20 grids (20x20 cut to r = 8 too)
+#    and on Fig. 16's geometric graphs, under PA and LocalStorage (a leg
+#    priced one hop short fails it);
+#  - core: a walk message carries the deployment's walk — a PA update's
+#    two storage walks and its probe hold the table's `Arc` (earlier trees
+#    built, cloned and reversed a region per update);
+#  - core: LocalStorage cut to a radius, the one cut walk that skips
+#    members (Fig. 7's located join, r = 4 on 8x8): exact, with tx, store
+#    and probe sends and probe steps pinned (14,055 / 0 / 4,714 / 3,928).
 # Each gate names its crate, its test target (`--lib` or `--test=<file>`)
 # and the test. The boundary-resolve cap (tests/boundary_sites.rs) ran with
 # the workspace tests above.
@@ -158,7 +165,9 @@ for gate in \
     "sensorlog --test=chaos restarted_source_state_matches_never_crashed_run" \
     "sensorlog --test=chaos with_the_plane_off_a_restarted_node_keeps_nothing" \
     "sensorlog --test=chaos a_restart_replays_the_64_newest_tombstones" \
-    "sensorlog-core --lib plan::tests::priced_legs_cover_every_walk_the_runtime_takes"; do
+    "sensorlog-core --lib plan::tests::priced_legs_cover_every_walk_the_runtime_takes" \
+    "sensorlog-core --lib runtime::tests::walk_messages_carry_the_deployments_walks" \
+    "sensorlog-core --test=distributed local_storage_cut_to_a_radius_is_exact_and_pinned"; do
     read -r crate target name <<<"$gate"
     out=$(cargo test -q -p "$crate" "$target" -- --exact "$name" 2>&1) || { echo "$out"; exit 1; }
     grep -q "test result: ok. 1 passed" <<<"$out" || {
@@ -214,6 +223,14 @@ fi
 # walks from the widest band, hundreds of hops past the walks they bound.
 if grep -n 'grid_dims\|widest_band' crates/core/src/plan.rs; then
     echo "a second pricing path is back: price every walk through plan::Walks"; exit 1
+fi
+# One region list: the runtime sends every storage walk and probe along the
+# walks the deployment prices (`DistProgram::walks_of`), cut as it steps
+# (`regions::Walk::kept`). Earlier trees built each update's regions anew
+# (`Strategy::storage_region` / `join_region`) and cut them with
+# `regions::truncate`, a second listing and a second cut.
+if grep -rn 'storage_region\|join_region\|truncate(' crates/core/src; then
+    echo "a region is built per update again: read the deployment's walks (DistProgram::walks_of)"; exit 1
 fi
 if [[ $(grep -rn 'fn field_raw' crates src | wc -l) -ne 1 ]]; then
     grep -rn 'fn field_raw' crates src
@@ -417,6 +434,63 @@ for name in tree_programs_are_oracle_exact_where_arrivals_settle \
         echo "staggered_arrivals $name did not run (renamed or filtered out?)"; exit 1; }
 done
 
+# The pinned bench case and gate lists (checked against a fresh run below).
+# The committed BENCH.json must report every pinned gate: a gate the file
+# lacks was added to the bench without regenerating it.
+bench_cases="fig4_5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 table1 table2 table3 table4_5 smoke micro grid4k chaos prov intern diag scale"
+bench_gates="fig4_5.runs_with_results fig4_5.runs_oracle_exact fig4_5.pa_tx fig4_5.centroid_tx
+    fig4_5.broadcast_tx fig4_5.localstore_tx
+    fig6.runs_with_results fig6.runs_oracle_exact
+    fig7.runs_with_results fig7.runs_oracle_exact fig7.tx
+    fig8.trees_correct fig8.logicH_tx fig8.logicJ_tx
+    fig8.logicH_settle_ms fig8.logicJ_settle_ms fig8.flood_settle_ms
+    fig8.logicH_flat_settle_ms fig8.logicJ_flat_settle_ms
+    fig9.loss_free_runs_oracle_exact fig9.spurious_results
+    fig9.pa_found fig9.pa_arq_found fig9.centroid_found fig9.centroid_arq_found
+    fig10.runs_with_results fig10.runs_oracle_exact fig10.tx
+    fig11.counting_agrees_with_set_of_derivations fig11.rederive_agrees_with_set_of_derivations
+    fig12.magic_applied fig12.magic_answers_equal_full
+    fig13.spurious_results fig13.pa_found fig13.centroid_found
+    fig14.tag_equals_oracle fig14.central_equals_oracle
+    fig15.staggered fig15.flat_100ms fig15.none_1ms
+    fig16.runs_with_results fig16.runs_oracle_exact
+    fig16.pa_settle_ms_25_nodes fig16.pa_settle_ms_50_nodes fig16.pa_settle_ms_100_nodes
+    table1.peaks_within_static_bound table1.logicJ_static_bounds_hold
+    table1.logicJ_tree_correct table1.runs_with_results table1.runs_oracle_exact
+    table2.spurious_results table2.found
+    table3.trace_sends_equal_metrics_tx table3.loss_free_sends_all_delivered
+    table3.loss_free_runs_oracle_exact table3.lossy_attempts_cover_deliveries_and_drops
+    table3.lossy_runs_drop table3.lossy_drops
+    table4_5.trees_correct table4_5.runs_with_results table4_5.runs_oracle_exact
+    table4_5.runs_with_pred_traffic table4_5.runs_with_deliveries
+    smoke.snapshot_schema_is_golden smoke.snapshot_plausible smoke.pa_join_at_hop_bound_exact
+    micro.inc_ledger_keys_equal_live_tuples micro.inc_support_bytes_per_derivation
+    grid4k.heap_journal_pin
+    chaos.heap_journal_pin
+    chaos.convergence_violations
+    prov.journal_pin prov.journal_identical_off_vs_on prov.records_when_disabled
+    prov.sampled_critical_path_is_causal
+    intern.engine_hot_resolves intern.journal_pin intern.deploy_hot_resolves
+    intern.boundary_resolves_le_journal_records
+    diag.logicH_5x5_h_pin diag.logicH_5x5_hp_pin diag.frontier_unbounded
+    diag.frontier_looser_than_legacy diag.frontier_unsound diag.frontier_over_10x_live
+    diag.mirror_legacy_frontier
+    scale.tx_50_nodes scale.tx_98_nodes
+    scale.logicJ_tx_50_nodes scale.logicJ_tx_98_nodes
+    scale.settle_ms_50_nodes scale.settle_ms_98_nodes
+    scale.logicJ_settle_ms_50_nodes scale.logicJ_settle_ms_98_nodes
+    scale.flood_settle_ms_50_nodes scale.flood_settle_ms_98_nodes
+    scale.results_equal_oracle_50_nodes scale.results_equal_oracle_98_nodes
+    scale.logicJ_results_equal_oracle_50_nodes scale.logicJ_results_equal_oracle_98_nodes"
+echo "== BENCH.json reports every pinned bench gate =="
+python3 - BENCH.json $bench_gates <<'PY'
+import json, sys
+have = {f'{r["case"]}.{g["name"]}' for r in json.load(open(sys.argv[1])) for g in r["gates"]}
+missing = [g for g in sys.argv[2:] if g not in have]
+if missing:
+    sys.exit(f"BENCH.json lacks pinned gates {missing}: regenerate those cases' blocks")
+PY
+
 if [[ "$fast" -eq 0 ]]; then
     echo "== cargo build --release (workspace, timed) =="
     build_start=$SECONDS
@@ -452,51 +526,6 @@ if [[ "$fast" -eq 0 ]]; then
     # `bench_cases` must equal
     # `bench --list` (crates/bench/tests/parallel_driver.rs).
     echo "== bench --quick (all cases; gate set pinned) =="
-    bench_cases="fig4_5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 table1 table2 table3 table4_5 smoke micro grid4k chaos prov intern diag scale"
-    bench_gates="fig4_5.runs_with_results fig4_5.runs_oracle_exact fig4_5.pa_tx fig4_5.centroid_tx
-        fig4_5.broadcast_tx fig4_5.localstore_tx
-        fig6.runs_with_results fig6.runs_oracle_exact
-        fig7.runs_with_results fig7.runs_oracle_exact fig7.tx
-        fig8.trees_correct fig8.logicH_tx fig8.logicJ_tx
-        fig8.logicH_settle_ms fig8.logicJ_settle_ms fig8.flood_settle_ms
-        fig8.logicH_flat_settle_ms fig8.logicJ_flat_settle_ms
-        fig9.loss_free_runs_oracle_exact fig9.spurious_results
-        fig9.pa_found fig9.pa_arq_found fig9.centroid_found fig9.centroid_arq_found
-        fig10.runs_with_results fig10.runs_oracle_exact fig10.tx
-        fig11.counting_agrees_with_set_of_derivations fig11.rederive_agrees_with_set_of_derivations
-        fig12.magic_applied fig12.magic_answers_equal_full
-        fig13.spurious_results fig13.pa_found fig13.centroid_found
-        fig14.tag_equals_oracle fig14.central_equals_oracle
-        fig15.staggered fig15.flat_100ms fig15.none_1ms
-        fig16.runs_with_results fig16.runs_oracle_exact
-        fig16.pa_settle_ms_25_nodes fig16.pa_settle_ms_50_nodes fig16.pa_settle_ms_100_nodes
-        table1.peaks_within_static_bound table1.logicJ_static_bounds_hold
-        table1.logicJ_tree_correct table1.runs_with_results table1.runs_oracle_exact
-        table2.spurious_results table2.found
-        table3.trace_sends_equal_metrics_tx table3.loss_free_sends_all_delivered
-        table3.loss_free_runs_oracle_exact table3.lossy_attempts_cover_deliveries_and_drops
-        table3.lossy_runs_drop table3.lossy_drops
-        table4_5.trees_correct table4_5.runs_with_results table4_5.runs_oracle_exact
-        table4_5.runs_with_pred_traffic table4_5.runs_with_deliveries
-        smoke.snapshot_schema_is_golden smoke.snapshot_plausible smoke.pa_join_at_hop_bound_exact
-        micro.inc_ledger_keys_equal_live_tuples micro.inc_support_bytes_per_derivation
-        grid4k.heap_journal_pin
-        chaos.heap_journal_pin
-        chaos.convergence_violations
-        prov.journal_pin prov.journal_identical_off_vs_on prov.records_when_disabled
-        prov.sampled_critical_path_is_causal
-        intern.engine_hot_resolves intern.journal_pin intern.deploy_hot_resolves
-        intern.boundary_resolves_le_journal_records
-        diag.logicH_5x5_h_pin diag.logicH_5x5_hp_pin diag.frontier_unbounded
-        diag.frontier_looser_than_legacy diag.frontier_unsound diag.frontier_over_10x_live
-        diag.mirror_legacy_frontier
-        scale.tx_50_nodes scale.tx_98_nodes
-        scale.logicJ_tx_50_nodes scale.logicJ_tx_98_nodes
-        scale.settle_ms_50_nodes scale.settle_ms_98_nodes
-        scale.logicJ_settle_ms_50_nodes scale.logicJ_settle_ms_98_nodes
-        scale.flood_settle_ms_50_nodes scale.flood_settle_ms_98_nodes
-        scale.results_equal_oracle_50_nodes scale.results_equal_oracle_98_nodes
-        scale.logicJ_results_equal_oracle_50_nodes scale.logicJ_results_equal_oracle_98_nodes"
     bench_out=$(mktemp /tmp/bench.XXXXXX.json)
     cargo run -q --release -p sensorlog-bench --bin bench -- --quick $bench_cases --out "$bench_out"
     python3 - "$bench_out" $bench_gates <<'PY'

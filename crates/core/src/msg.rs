@@ -12,22 +12,86 @@
 use crate::partial::Partial;
 use crate::tupleid::{DerivationKey, FactRecord, TupleId};
 use sensorlog_logic::{Symbol, Tuple};
-use sensorlog_netsim::{MsgMeta, NodeId, SimTime};
+use sensorlog_netsim::{MsgMeta, NodeId, SimTime, Topology};
+use sensorlog_netstack::regions::Walk;
 use std::sync::Arc;
+
+/// Where a storage walk or a probe stands on one of its deployment's walks
+/// (`plan::DistProgram::walks_of`): the walk itself, shared with the table
+/// and every other message on it, and its place there. Its members are
+/// fixed when it starts, as a deployment may stop cutting mid-run.
+#[derive(Clone, Debug, Default)]
+pub struct OnWalk {
+    /// The deployment's walk; `None` (the default): the one node the
+    /// message is at — the probe of an update that joins where it stands, or
+    /// a plane tuple's copy for one neighbour.
+    pub walk: Option<Arc<Walk>>,
+    /// Position on the walk of the member headed to / being processed at.
+    pub pos: u32,
+    /// Position of the member the update started at.
+    pub from: u32,
+    /// Whether the walk is cut to its predicate's radius around `from`.
+    pub cut: bool,
+    /// Even passes walk toward the walk's end, odd ones back toward its
+    /// start: a probe's pass of its work items' pass plans
+    /// ([`crate::plan::PassPlan`]), which U-turns at the end of a pass
+    /// while some partial can still complete on the next; a storage walk's
+    /// two sides from its node are passes 0 and 1.
+    pub pass: u8,
+}
+
+impl OnWalk {
+    /// A storage walk's side from `walk`'s member at `from`, cut to
+    /// `radius` around it when there is one: pass 0 toward the walk's end,
+    /// 1 toward its start.
+    pub fn side(walk: &Arc<Walk>, from: usize, radius: Option<f64>, pass: u8) -> OnWalk {
+        OnWalk {
+            walk: Some(Arc::clone(walk)),
+            pos: from as u32,
+            from: from as u32,
+            cut: radius.is_some(),
+            pass,
+        }
+    }
+
+    /// A probe's walk of `walk` for its member at `from`, cut to `radius`
+    /// around it when there is one: from the first member the cut keeps
+    /// (`from` itself when it keeps none).
+    pub fn probe(topo: &Topology, walk: &Arc<Walk>, from: usize, radius: Option<f64>) -> OnWalk {
+        let first = walk.kept(topo, from, radius, 0..walk.path.len()).next();
+        OnWalk {
+            pos: first.unwrap_or(from) as u32,
+            ..OnWalk::side(walk, from, radius, 0)
+        }
+    }
+
+    /// The member headed to; `None`: no walk, only the node it is at.
+    pub fn at(&self) -> Option<NodeId> {
+        Some(self.walk.as_ref()?.path[self.pos as usize])
+    }
+
+    /// The position of the next member on this pass (`behind`: the one
+    /// before), on the walk cut to `radius` around `from` when it is cut.
+    pub fn next(&self, topo: &Topology, radius: Option<f64>, behind: bool) -> Option<u32> {
+        let walk = self.walk.as_ref()?;
+        let radius = radius.filter(|_| self.cut);
+        let kept = |range| walk.kept(topo, self.from as usize, radius, range);
+        let pos = self.pos as usize;
+        let next = if (self.pass % 2 == 1) != behind {
+            kept(0..pos).next_back()
+        } else {
+            kept(pos + 1..walk.path.len()).next()
+        };
+        next.map(|k| k as u32)
+    }
+}
 
 /// Join-probe state carried along the join-computation region.
 #[derive(Clone, Debug)]
 pub struct ProbeMsg {
     pub update: FactRecord,
-    /// The ordered join-computation region.
-    pub walk: Arc<Vec<NodeId>>,
-    /// Index of the walk member this probe is headed to / being processed
-    /// at.
-    pub pos: usize,
-    /// Current pass (0-based) of the work items' pass plans
-    /// ([`crate::plan::PassPlan`]); a probe U-turns at the end of its walk
-    /// while some partial can still complete on the next pass.
-    pub pass: u8,
+    /// Where it stands on its join walk, and on which pass.
+    pub on: OnWalk,
     /// Per-rule work: partial-result sets.
     pub work: Vec<RuleWork>,
 }
@@ -67,11 +131,7 @@ pub enum Payload {
     /// which sends `inner` alone.
     Routed { dest: NodeId, inner: Msg },
     /// Storage-phase walk: store a replica (or tombstone) and pass along.
-    StoreWalk {
-        fact: FactRecord,
-        walk: Arc<Vec<NodeId>>,
-        pos: usize,
-    },
+    StoreWalk { fact: FactRecord, on: OnWalk },
     /// NaiveBroadcast storage: flood a replica everywhere.
     FloodStore { fact: FactRecord },
     /// Neighbourhood plane: an update sensed away from the node it is
@@ -114,6 +174,10 @@ pub enum Payload {
         entries: Vec<(NodeId, SimTime, bool, SimTime)>,
     },
 }
+
+// The largest variant sizes every message allocation: a probe's walk state
+// rides in the bytes its pointer and position took.
+const _: () = assert!(std::mem::size_of::<Payload>() <= 96);
 
 impl MsgMeta for Payload {
     fn size_bytes(&self) -> usize {
@@ -240,10 +304,13 @@ mod tests {
 
     #[test]
     fn kinds_and_sizes() {
+        let walk = Walk::line(vec![NodeId(0), NodeId(1)]);
         let store = Payload::StoreWalk {
             fact: fact(),
-            walk: Arc::new(vec![NodeId(0), NodeId(1)]),
-            pos: 0,
+            on: OnWalk {
+                walk: Some(Arc::new(walk)),
+                ..OnWalk::default()
+            },
         };
         assert_eq!(store.kind(), "store");
         assert!(store.size_bytes() > 0);
@@ -289,9 +356,7 @@ mod sizing_tests {
         };
         let small = ProbeMsg {
             update: update.clone(),
-            walk: Arc::new(vec![NodeId(0)]),
-            pos: 0,
-            pass: 0,
+            on: OnWalk::default(),
             work: vec![RuleWork {
                 rule_idx: 0,
                 occ: 0,

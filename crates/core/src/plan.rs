@@ -23,12 +23,13 @@
 //! transition before it finalizes it (Sec. IV-C: "we need to wait for an
 //! appropriate time before actually finalizing a derived fact (since it may
 //! be retracted/deleted later)"). Theorems 1–3 assume those delays are
-//! bounded; these are the bounds, priced by the walks the deployment's
-//! regions take on every topology (`Walks`). An XY component's holddowns
-//! are staggered along its certified stage-local order, one retraction
-//! chain per step, so retractions (`hp`) settle before the tuples they
-//! block (`h`) propagate. A `.holddown` declaration overrides its
-//! predicate's.
+//! bounded; these are the bounds, priced on every topology by the walks
+//! the deployment keeps, the ones its runtime sends every storage walk and
+//! probe along (`Walks`, `DistProgram::walks_of`). An XY component's
+//! holddowns are staggered along its certified stage-local order, one
+//! retraction chain per step, so retractions (`hp`) settle before the
+//! tuples they block (`h`) propagate. A `.holddown` declaration overrides
+//! its predicate's.
 
 use crate::partial::MAX_BODY_LITERALS;
 use crate::strategy::{PassMode, Strategy};
@@ -43,11 +44,12 @@ use sensorlog_logic::span::Span;
 use sensorlog_logic::xy::{self, OnPlane, Place, Radius, Store};
 use sensorlog_logic::{Symbol, Tuple};
 use sensorlog_netsim::{NodeId, Topology};
-use sensorlog_netstack::regions;
+use sensorlog_netstack::regions::Walk;
 use sensorlog_netstack::{ght, RouteHops};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// A body-literal occurrence of some predicate.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -154,6 +156,8 @@ pub struct DistProgram {
     /// How long an owner holds a liveness transition of each derived
     /// predicate on this deployment before propagating it (Sec. IV-C).
     holddowns: BTreeMap<Symbol, Delay>,
+    /// The walks this deployment's updates take, and their hops.
+    walks: Walks,
     /// Whether regions are cut to their radius. The cut measures from the
     /// node holding a tuple, so `Deployment` clears this at the first event
     /// of a radius predicate whose location column is not its node's
@@ -210,16 +214,25 @@ pub struct Waits {
     pub retain: Option<Delay>,
 }
 
-/// The hops a deployment's walks take: each region the runtime walks
-/// (`Strategy::walks`), a route (`netstack::RouteHops`) from each member to
-/// the next.
+/// A deployment's walks: each region the runtime walks listed once
+/// (`Strategy::walks`) and shared by every message on it, and the hops they
+/// take, a route (`netstack::RouteHops`) from each member to the next.
+#[derive(Debug, Default)]
 struct Walks {
     /// The most hops a route takes: a flood's leg, a hashed owner's result.
     route: u64,
     /// The storage walks' and the join walks' longest parts, uncut (`None`)
     /// and cut to each radius some predicate's regions are.
     by_cut: Vec<(Option<f64>, [Spans; 2])>,
+    /// Each node's storage walk and join walk, and its position on each:
+    /// none for an update stored where it stands (LocalStorage), and no
+    /// entry at all on a deployment whose updates walk no region.
+    on: Vec<[Option<Start>; 2]>,
 }
+
+/// Where a node's updates start one of their walks: the deployment's walk,
+/// shared, and the node's position on it.
+pub(crate) type Start = (Arc<Walk>, usize);
 
 /// The longest parts of one kind of walk, in hops: a side from its node (a
 /// storage walk goes both ways, `initiate_update`), the route from a node to
@@ -250,15 +263,23 @@ impl Walks {
         }
         // No predicate walks a region: list none.
         let listed = (!by_cut.is_empty()).then(|| strategy.walks(topo));
+        let mut on = vec![[None, None]; if listed.is_some() { topo.len() } else { 0 }];
         for (kind, walks) in listed.into_iter().flatten().enumerate() {
             for walk in walks {
+                let walk = Arc::new(walk);
                 let along = hops.along(&walk.path);
                 for i in walk.starts.clone() {
+                    on[walk.path[i].index()][kind] = Some((Arc::clone(&walk), i));
                     for (cut, spans) in &mut by_cut {
-                        // A node whose cut keeps nothing walks alone.
-                        let Some((a, b)) = regions::cut_ends(topo, &walk.path, i, *cut) else {
+                        // Priced between the first and last members the cut
+                        // keeps: a route is no longer than the routes through
+                        // the members it skips. A node whose cut keeps nothing
+                        // walks alone.
+                        let mut kept = walk.kept(topo, i, *cut, 0..walk.path.len());
+                        let Some(a) = kept.next() else {
                             continue;
                         };
+                        let b = kept.next_back().unwrap_or(a);
                         let s = &mut spans[kind];
                         s.side = (s.side.max(along[i] - along[a])).max(along[b] - along[i]);
                         s.to_first = s.to_first.max(hops.between(walk.path[i], walk.path[a]));
@@ -270,6 +291,7 @@ impl Walks {
         Walks {
             route: hops.most(),
             by_cut,
+            on,
         }
     }
 
@@ -322,10 +344,11 @@ impl PassPlan {
         }
     }
 
-    /// Passes a probe walks over a walk of `nodes` nodes (≥ 1): one more
-    /// than planned for `Negations::Repass` when the walk leaves its node.
-    pub fn passes(&self, nodes: usize) -> usize {
-        self.passes.len() + usize::from(self.negations == Negations::Repass && nodes > 1)
+    /// Passes a probe walks: one more than planned for
+    /// `Negations::Repass` when its walk `leaves` its node (keeps more than
+    /// one member).
+    pub fn passes(&self, leaves: bool) -> usize {
+        self.passes.len() + usize::from(self.negations == Negations::Repass && leaves)
     }
 
     /// Whether a complete partial waits for the end of the walk, checked
@@ -415,11 +438,11 @@ impl DistProgram {
         self.reach = (self.places.iter())
             .filter_map(|(&p, place)| Some((p, travels(place)?)))
             .collect();
-        let walks = Walks::of(topo, strategy, &self.reach);
-        let legs = self.legs(&walks, true);
+        self.walks = Walks::of(topo, strategy, &self.reach);
+        let legs = self.legs(true);
         self.waits = self.waits_of(&legs);
         if (self.reach.values()).any(|r| matches!(r, Reach::Regions(Some(_)))) {
-            self.uncut = self.waits_of(&self.legs(&walks, false));
+            self.uncut = self.waits_of(&self.legs(false));
             // The cut moves a windowed predicate's retention only where that
             // predicate has a radius itself (`xy::locate`: a rule reading one
             // reads only such predicates), so `Deployment::schedule_all`,
@@ -429,16 +452,25 @@ impl DistProgram {
                 uncut.retain == self.waits[&p].retain || self.radius(p).is_some()
             }));
         }
-        self.holddowns = self.holddowns_of(&walks, &legs);
+        self.holddowns = self.holddowns_of(&legs);
         self
+    }
+
+    /// `node`'s storage walk and join walk on this deployment, each shared
+    /// by every message that takes it, with `node`'s position there: no
+    /// storage walk for an update stored where it stands (LocalStorage).
+    /// Asked only on a deployment whose updates walk regions
+    /// (`Reach::Regions`).
+    pub(crate) fn walks_of(&self, node: NodeId) -> &[Option<Start>; 2] {
+        &self.walks.on[node.index()]
     }
 
     /// The storage and join legs (hops) of each predicate that travels,
     /// its regions cut to its radius or not.
-    fn legs(&self, walks: &Walks, cut: bool) -> BTreeMap<Symbol, (u64, u64)> {
+    fn legs(&self, cut: bool) -> BTreeMap<Symbol, (u64, u64)> {
         let passes = |pred: Symbol| {
             let occs = self.occurrences.get(&pred).into_iter().flatten();
-            occs.map(|o| self.pass_plan(o.rule_idx, o.lit_idx).passes(2) as u64)
+            occs.map(|o| self.pass_plan(o.rule_idx, o.lit_idx).passes(true) as u64)
                 .max()
                 .unwrap_or(1)
         };
@@ -448,7 +480,7 @@ impl DistProgram {
                     Reach::Regions(Some(_)) if !cut => Reach::Regions(None),
                     reach => reach,
                 };
-                (p, walks.legs(reach, passes(p)))
+                (p, self.walks.legs(reach, passes(p)))
             })
             .collect()
     }
@@ -497,11 +529,7 @@ impl DistProgram {
     /// stored, joined, its result sent to its owner and that owner's update
     /// stored, at the component's longest. A `.holddown` declaration
     /// overrides it.
-    fn holddowns_of(
-        &self,
-        walks: &Walks,
-        legs: &BTreeMap<Symbol, (u64, u64)>,
-    ) -> BTreeMap<Symbol, Delay> {
+    fn holddowns_of(&self, legs: &BTreeMap<Symbol, (u64, u64)>) -> BTreeMap<Symbol, Delay> {
         let rules = &self.analysis.program.rules;
         let result = |h: Symbol| {
             let on_plane = |a: &Atom| matches!(self.reach.get(&a.pred), Some(Reach::Plane(_)));
@@ -511,7 +539,7 @@ impl DistProgram {
             if placed {
                 1
             } else {
-                walks.route
+                self.walks.route
             }
         };
         // Hops of each chain; τs adds one clock skew to each.
@@ -743,6 +771,7 @@ pub fn compile(analysis: Analysis, reg: BuiltinRegistry) -> Result<DistProgram, 
         waits: BTreeMap::new(),
         uncut: BTreeMap::new(),
         holddowns: BTreeMap::new(),
+        walks: Walks::default(),
         cut: AtomicBool::new(true),
     })
 }
@@ -903,14 +932,16 @@ mod tests {
     }
 
     /// Every wait bounds the walk it waits for: at every node, the priced
-    /// storage leg covers both parts of the storage walk `initiate_update`
+    /// storage leg covers both sides of the storage walk `initiate_update`
     /// sends, and the priced join leg covers the route to the join walk
     /// and each of its passes (each turning back at the walk's end), all
     /// counted hop by hop along the deployment router's routes over the
-    /// regions `Strategy` builds. On grids (cut and uncut) and on Fig. 16's
-    /// random geometric graphs, under PA and LocalStorage.
+    /// walks the runtime reads from the deployment's table, stepped as the
+    /// runtime steps them (`msg::OnWalk`). On grids (cut and uncut) and on
+    /// Fig. 16's random geometric graphs, under PA and LocalStorage.
     #[test]
     fn priced_legs_cover_every_walk_the_runtime_takes() {
+        use crate::msg::OnWalk;
         use sensorlog_netstack::Router;
         let geometric = |n, side| Topology::random_geometric(n, side, 1.7, 97).unwrap();
         let cases = [
@@ -923,14 +954,21 @@ mod tests {
         ];
         for (topo, band_width, cut) in cases {
             let router = Router::new(&topo);
-            // Hops from `from` along every member of `walk` in turn.
-            let walked = |from: NodeId, walk: &mut dyn Iterator<Item = NodeId>| {
-                let (mut at, mut hops) = (from, 0);
-                for next in walk {
-                    while at != next {
-                        at = router.next_hop(&topo, at, next).expect("connected");
-                        hops += 1;
-                    }
+            let route = |mut at: NodeId, to: NodeId| {
+                let mut hops = 0;
+                while at != to {
+                    at = router.next_hop(&topo, at, to).expect("connected");
+                    hops += 1;
+                }
+                hops
+            };
+            // Hops of the rest of `on`'s pass, member by member.
+            let pass = |on: &mut OnWalk| {
+                let mut hops = 0;
+                while let Some(pos) = on.next(&topo, cut, false) {
+                    let at = on.at().unwrap();
+                    on.pos = pos;
+                    hops += route(at, on.at().unwrap());
                 }
                 hops
             };
@@ -942,21 +980,24 @@ mod tests {
                 let reach = BTreeMap::from([(sym("r"), Reach::Regions(radius))]);
                 let walks = Walks::of(&topo, strategy, &reach);
                 for node in topo.nodes() {
-                    let store = strategy.storage_region(&topo, node, cut);
-                    let i = store.iter().position(|&n| n == node).unwrap();
-                    let right = walked(node, &mut store[i + 1..].iter().copied());
-                    let left = walked(node, &mut store[..i].iter().rev().copied());
-                    let join = strategy.join_region(&topo, node, cut);
-                    let to = walked(node, &mut join.iter().copied().take(1));
-                    let forth = walked(join[0], &mut join.iter().copied());
-                    let back = walked(join[join.len() - 1], &mut join.iter().rev().copied());
+                    let [store, join] = &walks.on[node.index()];
+                    let sides = store.iter().flat_map(|(walk, i)| {
+                        [0, 1].map(|k| pass(&mut OnWalk::side(walk, *i, cut, k)))
+                    });
+                    let store_hops = sides.max().unwrap_or(0);
+                    let (walk, i) = join.as_ref().expect("a join walk");
+                    let probe = OnWalk::probe(&topo, walk, *i, cut);
                     for passes in 1..=3 {
                         let (priced_store, priced_join) =
                             walks.legs(Reach::Regions(radius), passes);
-                        let turns = (0..passes).map(|k| if k % 2 == 0 { forth } else { back });
-                        let join_hops = to + turns.sum::<u64>();
+                        let mut on = probe.clone();
+                        let mut join_hops = route(node, on.at().unwrap());
+                        for k in 0..passes {
+                            on.pass = k as u8;
+                            join_hops += pass(&mut on);
+                        }
                         let at = format!("{}, {:?} at {node}", strategy.name(), cut);
-                        assert!(priced_store >= right.max(left), "{at}: storage leg");
+                        assert!(priced_store >= store_hops, "{at}: storage leg");
                         assert!(priced_join >= join_hops, "{at}, {passes} passes: join leg");
                     }
                 }
@@ -1020,7 +1061,7 @@ mod tests {
         let p = logic_h();
         let passes = |p: &DistProgram, rule: usize, lit: usize| {
             let plan = p.pass_plan(rule, lit);
-            (0..plan.passes(1))
+            (0..plan.passes(false))
                 .map(|k| plan.extends(k))
                 .collect::<Vec<u64>>()
         };
@@ -1053,7 +1094,7 @@ mod tests {
         for pin in [0, 1] {
             let plan = p.pass_plan(3, pin);
             assert_eq!(plan.negations, Negations::Repass, "pinned at {pin}");
-            assert_eq!((plan.passes(1), plan.passes(5)), (1, 2));
+            assert_eq!((plan.passes(false), plan.passes(true)), (1, 2));
             assert!(plan.holds_complete());
         }
         // Pinned on its own negated literal, the rule has no other.
@@ -1061,7 +1102,7 @@ mod tests {
         assert_eq!(p.pass_plan(2, 0).negations, Negations::None);
         let multi = logic_h().with_pass_mode(PassMode::MultiPass);
         assert_eq!(multi.pass_plan(3, 0).negations, Negations::Repass);
-        assert_eq!(multi.pass_plan(3, 0).passes(5), 2);
+        assert_eq!(multi.pass_plan(3, 0).passes(true), 2);
 
         let alert = compile_source(
             ".output alert. alert(V, K) :- sight(V, K), near(K), not cov(V, K).",
@@ -1071,7 +1112,7 @@ mod tests {
         .unwrap();
         let plan = alert.pass_plan(0, 0);
         assert_eq!(plan.negations, Negations::Held, "sight grounds cov");
-        assert_eq!(plan.passes(5), 1);
+        assert_eq!(plan.passes(true), 1);
         assert!(plan.holds_complete());
         assert_eq!(alert.pass_plan(0, 1).negations, Negations::Repass);
     }

@@ -20,7 +20,7 @@
 //! that needs it, and the fault plane's state another, present only with
 //! the plane on.
 
-use crate::msg::{Msg, Payload, ProbeMsg, RuleWork};
+use crate::msg::{Msg, OnWalk, Payload, ProbeMsg, RuleWork};
 use crate::partial::{
     process_partials, seed_partial, Fragments, LocalCtx, Partial, ProbeWork, Replica, RuleShape,
 };
@@ -870,7 +870,9 @@ impl SensorlogNode {
                 }
                 self.store_replica(ctx, &fact);
                 for &nb in plan::store_targets(topo, self.id, on, &fact.tuple) {
-                    self.send_store_walk(ctx, &fact, vec![nb]);
+                    let fact = fact.clone();
+                    let on = OnWalk::default();
+                    self.route(ctx, nb, Payload::StoreWalk { fact, on });
                 }
             }
             Reach::Flood => {
@@ -881,25 +883,14 @@ impl SensorlogNode {
                 ctx.broadcast(Arc::new(Payload::FloodStore { fact: fact.clone() }));
             }
             Reach::Regions(radius) => {
-                let radius = radius.map(|rad| rad.r);
-                let region =
-                    (self.ctx.cfg.strategy).storage_region(&self.ctx.net.topo, self.id, radius);
                 self.store_replica(ctx, &fact);
-                let my_pos = region.iter().position(|&n| n == self.id);
-                let walk: Vec<NodeId> = match my_pos {
-                    Some(i) => {
-                        // Walk right then wrap to the left part: two walks.
-                        let right: Vec<NodeId> = region[i + 1..].to_vec();
-                        let left: Vec<NodeId> = region[..i].iter().rev().copied().collect();
-                        if !right.is_empty() {
-                            self.send_store_walk(ctx, &fact, right);
-                        }
-                        left
+                // Its storage walk from here toward the end, then toward
+                // the start: passes 0 and 1.
+                if let Some((walk, i)) = self.ctx.prog.walks_of(self.id)[0].clone() {
+                    for pass in 0..2 {
+                        let on = OnWalk::side(&walk, i, radius.map(|rad| rad.r), pass);
+                        self.forward_store_walk(ctx, fact.clone(), on);
                     }
-                    None => region,
-                };
-                if !walk.is_empty() {
-                    self.send_store_walk(ctx, &fact, walk);
                 }
             }
         }
@@ -909,14 +900,20 @@ impl SensorlogNode {
         self.set_timer(ctx, delay, TimerAction::StartJoin(fact));
     }
 
-    fn send_store_walk(&mut self, ctx: &mut Ctx<Msg>, fact: &FactRecord, walk: Vec<NodeId>) {
-        let first = walk[0];
-        let msg = Payload::StoreWalk {
-            fact: fact.clone(),
-            walk: Arc::new(walk),
-            pos: 0,
-        };
-        self.route(ctx, first, msg);
+    /// Send `fact`'s storage walk on to the member after `on`'s, if any.
+    fn forward_store_walk(&mut self, ctx: &mut Ctx<Msg>, fact: FactRecord, mut on: OnWalk) {
+        if let Some(pos) = self.next_member(&on, fact.pred, false) {
+            on.pos = pos;
+            let next = on.at().expect("a member of a walk");
+            self.route(ctx, next, Payload::StoreWalk { fact, on });
+        }
+    }
+
+    /// The position of the member after `on`'s on its pass (`behind`: the
+    /// one before), its walk cut to `pred`'s radius when it is cut.
+    fn next_member(&self, on: &OnWalk, pred: Symbol, behind: bool) -> Option<u32> {
+        let radius = on.cut.then(|| self.ctx.prog.radius(pred)).flatten();
+        on.next(&self.ctx.net.topo, radius.map(|rad| rad.r), behind)
     }
 
     /// Store `fact`'s copy of its replica. True iff that changed the store:
@@ -1021,18 +1018,15 @@ impl SensorlogNode {
             return;
         }
         // Only an update walking regions joins anywhere but where it stands.
-        let region = match self.ctx.prog.reach(fact.pred) {
-            Reach::Regions(radius) => {
-                let radius = radius.map(|rad| rad.r);
-                (self.ctx.cfg.strategy).join_region(&self.ctx.net.topo, self.id, radius)
+        let mut on = OnWalk::default();
+        if let Reach::Regions(radius) = self.ctx.prog.reach(fact.pred) {
+            if let Some((walk, i)) = &self.ctx.prog.walks_of(self.id)[1] {
+                on = OnWalk::probe(&self.ctx.net.topo, walk, *i, radius.map(|rad| rad.r));
             }
-            _ => vec![self.id],
-        };
+        }
         let probe = ProbeMsg {
             update: fact,
-            walk: Arc::new(region),
-            pos: 0,
-            pass: 0,
+            on,
             work,
         };
         self.deliver_probe(ctx, probe);
@@ -1040,11 +1034,9 @@ impl SensorlogNode {
 
     /// Route the probe to its current walk target (possibly ourselves).
     fn deliver_probe(&mut self, ctx: &mut Ctx<Msg>, probe: ProbeMsg) {
-        let target = probe.walk[probe.pos];
-        if target == self.id {
-            self.process_probe(ctx, probe);
-        } else {
-            self.route(ctx, target, Payload::Probe(probe));
+        match probe.on.at() {
+            Some(target) if target != self.id => self.route(ctx, target, Payload::Probe(probe)),
+            _ => self.process_probe(ctx, probe),
         }
     }
 
@@ -1058,6 +1050,8 @@ impl SensorlogNode {
             .with_sim(ctx.local_time.saturating_sub(tau));
         self.stats.probes_processed += 1;
         let sign_base = probe.update.kind;
+        let pred = probe.update.pred;
+        let ahead = self.next_member(&probe.on, pred, false);
         self.ctx
             .tele
             .bump(Scope::Pred(probe.update.pred.as_str()), "probes_processed");
@@ -1077,8 +1071,10 @@ impl SensorlogNode {
                 // (see `LocalCtx::generous`). Inert when faults are off.
                 generous: self.ctx.cfg.faults.is_some() && sign_base == UpdateKind::Delete,
             };
-            let last_node = probe.pos + 1 == probe.walk.len();
-            let pass = probe.pass as usize;
+            let last_node = ahead.is_none();
+            // The walk leaves its node unless no member is behind its last.
+            let leaves = !last_node || self.next_member(&probe.on, pred, true).is_some();
+            let pass = probe.on.pass as usize;
 
             for workitem in &mut probe.work {
                 let (rule_idx, pin) = (workitem.rule_idx as usize, workitem.occ as usize);
@@ -1098,7 +1094,7 @@ impl SensorlogNode {
                 );
                 // The end of this rule's own last pass: what is complete is
                 // emitted, what is not never will be.
-                let walk_done = last_node && pass + 1 >= plan.passes(probe.walk.len());
+                let walk_done = last_node && pass + 1 >= plan.passes(leaves);
                 // The end of an earlier pass keeps only the partials that
                 // have joined every literal up to it.
                 let joined = plan.joined(pass);
@@ -1173,19 +1169,15 @@ impl SensorlogNode {
         }
 
         // Forward.
-        if probe.pos + 1 < probe.walk.len() {
-            probe.pos += 1;
+        if let Some(pos) = ahead {
+            probe.on.pos = pos;
             self.deliver_probe(ctx, probe);
         } else if probe.work.iter().any(|w| !w.partials.is_empty()) {
             // A partial that can still complete on the next pass: U-turn,
             // carrying only the rules that have one.
             probe.work.retain(|w| !w.partials.is_empty());
-            let mut walk = probe.walk.as_ref().clone();
-            walk.reverse();
-            probe.walk = Arc::new(walk);
-            probe.pos = 0;
-            probe.pass += 1;
-            // Already at the first node of the reversed walk (ourselves).
+            probe.on.pass += 1;
+            // Already at the first node of the pass back (ourselves).
             self.process_probe(ctx, probe);
         }
         // else: traversal done; undischarged partials discarded
@@ -1803,29 +1795,12 @@ impl SensorlogNode {
         match Arc::unwrap_or_clone(msg) {
             Payload::Routed { inner, .. } => self.handle_msg(ctx, inner),
             Payload::FloodStore { .. } => unreachable!("handled by reference above"),
-            Payload::StoreWalk { fact, walk, pos } => {
+            Payload::StoreWalk { fact, on } => {
                 self.store_replica(ctx, &fact);
-                if pos + 1 < walk.len() {
-                    let next = walk[pos + 1];
-                    self.route(
-                        ctx,
-                        next,
-                        Payload::StoreWalk {
-                            fact,
-                            walk,
-                            pos: pos + 1,
-                        },
-                    );
-                }
+                self.forward_store_walk(ctx, fact, on);
             }
-            Payload::Probe(probe) => {
-                if probe.walk[probe.pos] == self.id {
-                    self.process_probe(ctx, probe);
-                } else {
-                    // Mid-route to its walk target.
-                    self.deliver_probe(ctx, probe);
-                }
-            }
+            // At its walk target, or mid-route to it.
+            Payload::Probe(probe) => self.deliver_probe(ctx, probe),
             Payload::DerivDelta {
                 pred,
                 tuple,
@@ -1927,6 +1902,7 @@ mod tests {
     use super::*;
     use proptest::prelude::{prop, prop_assert, prop_assert_eq, proptest, ProptestConfig};
     use sensorlog_eval::relation::Relation;
+    use sensorlog_netstack::regions::Walk;
 
     #[test]
     fn netinfo_asks_the_router() {
@@ -2307,7 +2283,11 @@ mod tests {
     #[test]
     fn a_duplicated_walk_message_is_processed_as_two_copies() {
         let mut d = deploy(".output q.\nq(X, Y) :- r1(X, T), r2(Y, T).", 4);
-        let walk = Arc::new(vec![NodeId(1), NodeId(2), NodeId(3)]);
+        let walk = Walk::line(vec![NodeId(1), NodeId(2), NodeId(3)]);
+        let on = OnWalk {
+            walk: Some(Arc::new(walk)),
+            ..OnWalk::default()
+        };
         let (r1, tuple, id) = (Symbol::intern("r1"), ints(&[1, 5]), some_id(0, 10));
         let fact = FactRecord::insert(r1, tuple.clone(), id);
         let prog = d.node(NodeId(1)).ctx.prog.clone();
@@ -2315,14 +2295,11 @@ mod tests {
         let seed = seed_partial(&prog, rule, 0, false, &tuple, id).expect("r1 seeds the rule");
         let store: Msg = Arc::new(Payload::StoreWalk {
             fact: fact.clone(),
-            walk: walk.clone(),
-            pos: 0,
+            on: on.clone(),
         });
         let probe: Msg = Arc::new(Payload::Probe(ProbeMsg {
             update: fact,
-            walk,
-            pos: 0,
-            pass: 0,
+            on,
             work: vec![RuleWork {
                 rule_idx: 0,
                 occ: 0,
@@ -2340,21 +2317,54 @@ mod tests {
                     assert_eq!(*to, NodeId(2));
                     assert!(!Arc::ptr_eq(next, msg), "the step is a copy");
                     match &**next {
-                        Payload::StoreWalk { pos, .. } => assert_eq!(*pos, 1),
+                        Payload::StoreWalk { on, .. } => assert_eq!(on.pos, 1),
                         Payload::Probe(p) => {
-                            assert_eq!((p.pos, p.work[0].partials.len()), (1, 1))
+                            assert_eq!((p.on.pos, p.work[0].partials.len()), (1, 1))
                         }
                         other => panic!("unexpected {other:?}"),
                     }
                 });
             }
             match &**msg {
-                Payload::StoreWalk { pos, .. } => assert_eq!(*pos, 0),
-                Payload::Probe(p) => assert_eq!((p.pos, p.work[0].partials.len()), (0, 1)),
+                Payload::StoreWalk { on, .. } => assert_eq!(on.pos, 0),
+                Payload::Probe(p) => assert_eq!((p.on.pos, p.work[0].partials.len()), (0, 1)),
                 other => panic!("unexpected {other:?}"),
             }
         }
         assert_eq!(d.node(NodeId(1)).stats.probes_processed, 2);
+    }
+
+    /// A PA update's storage walks and its probe carry the deployment's own
+    /// walks, shared, not a region built for the update: node 5, at (1, 1)
+    /// of a 4×4 grid, sends its row's `Arc` both ways along the row and its
+    /// column's to the column's first member.
+    #[test]
+    fn walk_messages_carry_the_deployments_walks() {
+        let mut d = deploy(".output q.\nq(X, Y) :- r1(X, T), r2(Y, T).", 4);
+        let node = NodeId(5);
+        let fact = FactRecord::insert(Symbol::intern("r1"), ints(&[1, 5]), some_id(5, 10));
+        let [store, join] = (d.prog.walks_of(node).clone()).map(|w| w.expect("PA walks").0);
+        let carried = |msg: &Msg| match &**msg {
+            Payload::StoreWalk { on, .. } => on.walk.clone().unwrap(),
+            Payload::Probe(p) => p.on.walk.clone().unwrap(),
+            other => panic!("unexpected {other:?}"),
+        };
+        d.sim.invoke(node, |n, ctx| {
+            n.initiate_update(ctx, fact.clone());
+            let [(right, a), (left, b)] = ctx.buffered_sends() else {
+                panic!("two storage walks");
+            };
+            assert_eq!((*right, *left), (NodeId(6), NodeId(4)));
+            assert!(Arc::ptr_eq(&carried(a), &store) && Arc::ptr_eq(&carried(b), &store));
+        });
+        d.sim.invoke(node, |n, ctx| {
+            n.start_join(ctx, fact);
+            let [(first, probe)] = ctx.buffered_sends() else {
+                panic!("one probe");
+            };
+            assert_eq!(*first, NodeId(1));
+            assert!(Arc::ptr_eq(&carried(probe), &join));
+        });
     }
 
     const WINDOWED_JOIN: &str =

@@ -19,8 +19,10 @@
 //! from the program by one walk (`logic::xy::locate`). A deployment turns
 //! the strategy and the places into one `plan::Reach` per predicate, which
 //! the runtime matches once per update; only PA's and LocalStorage's
-//! regions are ever walked, so [`Strategy::storage_region`] /
-//! [`Strategy::join_region`] name only theirs.
+//! regions are ever walked, so `Strategy::walks` lists only theirs, each
+//! once. The deployment keeps that list: it prices every wait from it and
+//! the runtime sends every storage walk and probe along it
+//! (`plan::DistProgram::walks_of`).
 //!
 //! A predicate of the neighbourhood plane gets its own regions — the node
 //! it is about plus the radio neighbours its rules read it at
@@ -30,12 +32,12 @@
 //! stands at once.
 //!
 //! A spatial join constraint (`dist(L1, L2) <= r`, Sec. III-A) cuts the
-//! storage and join regions of an update to its predicate's radius around
-//! the node holding it: the widest such bound of the rules reading the
-//! predicate, stated once, in the program. On a grid the row of `a` and
-//! the column of `b` cross at `(x_b, y_a)`, within `dist(a, b)` of both,
-//! so the cut keeps the crossing of every pair the bound admits. Off the
-//! grid the bands can cross at a detour node
+//! storage and join walks of an update to its predicate's radius around
+//! the node holding it (`netstack::regions::Walk::kept`): the widest such
+//! bound of the rules reading the predicate, stated once, in the program.
+//! On a grid the row of `a` and the column of `b` cross at `(x_b, y_a)`,
+//! within `dist(a, b)` of both, so the cut keeps the crossing of every pair
+//! the bound admits. Off the grid the bands can cross at a detour node
 //! (`regions::augment_with_detours`) that nothing keeps within reach, so
 //! nothing is cut there. The cut measures from the node, so it holds only
 //! while each tuple sits at its node's position: `Deployment::schedule`
@@ -78,41 +80,10 @@ impl Strategy {
         }
     }
 
-    /// Ordered storage region for a tuple generated at `node`, cut to
-    /// `radius` around it when its predicate has one
-    /// (`DistProgram::cut_radius`): PA's row, else `node` alone.
-    pub fn storage_region(
-        &self,
-        topo: &Topology,
-        node: NodeId,
-        radius: Option<f64>,
-    ) -> Vec<NodeId> {
-        let region = match *self {
-            Strategy::Perpendicular { band_width } => {
-                regions::storage_region(topo, node, band_width)
-            }
-            _ => vec![node],
-        };
-        within(topo, region, node, radius)
-    }
-
-    /// Ordered join-computation region for an update at `node`, cut to
-    /// `radius` around it as [`Strategy::storage_region`] is: PA's column,
-    /// LocalStorage's whole network, else `node` alone.
-    pub fn join_region(&self, topo: &Topology, node: NodeId, radius: Option<f64>) -> Vec<NodeId> {
-        let region = match *self {
-            Strategy::Perpendicular { band_width } => regions::join_region(topo, node, band_width),
-            Strategy::LocalStorage => all_nodes_snake(topo),
-            _ => vec![node],
-        };
-        within(topo, region, node, radius)
-    }
-
     /// Every distinct storage region and every distinct join region once,
-    /// uncut, with the nodes whose region it is ([`Strategy::storage_region`],
-    /// [`Strategy::join_region`]): PA's rows and columns or bands,
-    /// LocalStorage's one walk over every node. A node stored alone walks
-    /// nothing and is not listed.
+    /// uncut, with the nodes whose region it is: PA's rows and columns or
+    /// bands, LocalStorage's one walk over every node. A node stored alone
+    /// walks nothing and is not listed.
     pub(crate) fn walks(&self, topo: &Topology) -> [Vec<Walk>; 2] {
         match *self {
             Strategy::Perpendicular { band_width } => regions::walks(topo, band_width),
@@ -131,21 +102,6 @@ impl Strategy {
             .fold((0.0, 0.0), |(ax, ay), (x, y)| (ax + x, ay + y));
         let n = topo.len() as f64;
         topo.closest_node(sx / n, sy / n)
-    }
-}
-
-/// `region` cut down to the spatial-constraint radius around `node`, when
-/// there is one (Fig. 7 experiments); never empty — `node` itself is the
-/// region of last resort.
-fn within(topo: &Topology, region: Vec<NodeId>, node: NodeId, radius: Option<f64>) -> Vec<NodeId> {
-    let Some(r) = radius else {
-        return region;
-    };
-    let t = regions::truncate(topo, &region, node, r);
-    if t.is_empty() {
-        vec![node]
-    } else {
-        t
     }
 }
 
@@ -175,34 +131,57 @@ pub fn all_nodes_snake(topo: &Topology) -> Vec<NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{compile_source, DistProgram, PlanTiming};
+    use sensorlog_logic::builtin::BuiltinRegistry;
+    use std::sync::Arc;
 
+    /// A two-stream join deployed under `strategy` on `topo`: the table of
+    /// walks its runtime reads.
+    fn deployed(topo: &Topology, strategy: Strategy) -> DistProgram {
+        let src = ".output q.\nq(X, Y) :- r1(X, K), r2(Y, K).";
+        let p = compile_source(src, BuiltinRegistry::standard(), PlanTiming).unwrap();
+        p.with_reach(strategy, false, true, topo)
+    }
+
+    /// Every node's storage walk meets every node's join walk, in the table
+    /// the runtime reads: on a 6×6 grid and on Fig. 16's three graphs.
     #[test]
     fn pa_regions_intersect_pairwise() {
-        let topo = Topology::square_grid(6);
-        let s = Strategy::Perpendicular { band_width: 1.0 };
-        for a in topo.nodes() {
-            let store = s.storage_region(&topo, a, None);
-            for b in topo.nodes() {
-                let join = s.join_region(&topo, b, None);
-                assert!(
-                    store.iter().any(|m| join.contains(m)),
-                    "GPA invariant violated for {a}/{b}"
-                );
+        let geometric = |n, side| Topology::random_geometric(n, side, 1.7, 97).unwrap();
+        for (topo, band_width) in [
+            (Topology::square_grid(6), 1.0),
+            (geometric(25, 4.0), 1.7),
+            (geometric(50, 5.5), 1.7),
+            (geometric(100, 8.0), 1.7),
+        ] {
+            let p = deployed(&topo, Strategy::Perpendicular { band_width });
+            let path = |n: NodeId, kind: usize| &p.walks_of(n)[kind].as_ref().unwrap().0.path;
+            for a in topo.nodes() {
+                for b in topo.nodes() {
+                    let join = path(b, 1);
+                    assert!(
+                        path(a, 0).iter().any(|m| join.contains(m)),
+                        "GPA invariant violated for {a}/{b}"
+                    );
+                }
             }
         }
     }
 
-    /// LocalStorage stores at the node and joins over the whole network;
-    /// NaiveBroadcast's storage is a flood, not a region, and it joins at
-    /// the node.
+    /// LocalStorage stores at the node and joins over the whole network, one
+    /// walk every node shares; NaiveBroadcast's storage is a flood, not a
+    /// region, and it joins at the node.
     #[test]
     fn degenerate_strategies_intersect() {
         let topo = Topology::square_grid(4);
-        let s = Strategy::LocalStorage;
-        assert_eq!(s.storage_region(&topo, NodeId(3), None), vec![NodeId(3)]);
-        assert_eq!(s.join_region(&topo, NodeId(9), None).len(), 16);
-        let s = Strategy::NaiveBroadcast;
-        assert_eq!(s.join_region(&topo, NodeId(9), None), vec![NodeId(9)]);
+        let p = deployed(&topo, Strategy::LocalStorage);
+        let [store, join] = p.walks_of(NodeId(3));
+        assert!(store.is_none());
+        let (all, at) = join.as_ref().unwrap();
+        assert_eq!((all.path.len(), all.path[*at]), (16, NodeId(3)));
+        let shared = |n: NodeId| Arc::ptr_eq(&p.walks_of(n)[1].as_ref().unwrap().0, all);
+        assert!(topo.nodes().all(shared));
+        assert_eq!(Strategy::NaiveBroadcast.walks(&topo), [vec![], vec![]]);
     }
 
     #[test]
@@ -220,19 +199,5 @@ mod tests {
         for w in snake.windows(2) {
             assert!(topo.are_neighbors(w[0], w[1]));
         }
-    }
-
-    #[test]
-    fn spatial_truncation_shrinks_regions() {
-        let topo = Topology::square_grid(9);
-        let s = Strategy::Perpendicular { band_width: 1.0 };
-        let mid = topo.node_at(4, 4).unwrap();
-        let full = s.storage_region(&topo, mid, None);
-        let cut = s.storage_region(&topo, mid, Some(2.0));
-        assert!(cut.len() < full.len());
-        assert!(cut.contains(&mid));
-        // Radius 0 degenerates to the local node.
-        let local = s.join_region(&topo, mid, Some(0.0));
-        assert_eq!(local, vec![mid]);
     }
 }

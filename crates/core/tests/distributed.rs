@@ -728,6 +728,39 @@ fn dist_bound_truncates_regions_and_stays_exact() {
     assert!(cut < whole, "radius 2 sent {cut}, radius 100 sent {whole}");
 }
 
+/// LocalStorage cut to a radius: each join walk is the snake of every node
+/// filtered to the nodes within 4 of the update's own, so it skips members
+/// of the snake, where PA's cut rows and columns only end early. On an 8×8
+/// grid the run is exact, and its transmissions, its store and probe sends
+/// (a tuple stored alone sends no storage walk) and the probe steps
+/// processed are pinned.
+#[test]
+fn local_storage_cut_to_a_radius_is_exact_and_pinned() {
+    let topo = Topology::square_grid(8);
+    let events = located_events(&topo);
+    let mut d = Deployment::new(
+        &fig7_program(4.0),
+        BuiltinRegistry::standard(),
+        topo,
+        config_with(Strategy::LocalStorage),
+    )
+    .unwrap();
+    assert_eq!(d.prog.cut_radius(sym("s1")), Some(4.0));
+    d.schedule_all(events.clone()).unwrap();
+    d.run(120_000_000);
+    let report = oracle::check(&d, &events, sym("q"));
+    assert!(
+        report.exact() && report.expected > 0,
+        "missing {:?} spurious {:?}",
+        report.missing,
+        report.spurious
+    );
+    let m = d.metrics();
+    let probes: u64 = d.node_stats().iter().map(|s| s.probes_processed).sum();
+    let got = (m.total_tx(), m.tx_of("store"), m.tx_of("probe"), probes);
+    assert_eq!(got, (14_055, 0, 4_714, 3_928));
+}
+
 /// Profile (B): an event whose location is not its node's position would
 /// miss partners in regions cut around its node, so scheduling it stops the
 /// deployment cutting, and the run stays exact.
@@ -981,7 +1014,7 @@ fn geometric_topology_banded_pa() {
 fn fig16_seed_geometric_completeness_is_exact() {
     // Regression for the Fig. 16 completeness gap (0.95 at 50 nodes): a
     // plain vertical band could miss a storage band entirely, so the pair
-    // never met. The detour rule in `netstack::regions::join_region` must
+    // never met. The detour rule of `netstack::regions`' join bands must
     // close the gap — completeness exactly 1.0 on the shipped Fig. 16
     // seed and workload, not merely "close". At `hop_delay: (29, 30)` every
     // hop takes about the most one may, so a wait priced shorter than the

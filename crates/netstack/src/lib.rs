@@ -9,9 +9,10 @@
 //!   and the fault plane's greedy detour step;
 //! * [`ght`] — geographic hashing: derived tuples meet at their owner node
 //!   (Sec. III-B);
-//! * [`regions`] — PA storage/join regions: grid rows & columns, coordinate
-//!   bands for general topologies, spatial-constraint truncation
-//!   (Sec. III-A), and each distinct region listed once as a [`regions::Walk`];
+//! * [`regions`] — PA storage/join regions: grid rows & columns and
+//!   coordinate bands for general topologies, each distinct region listed
+//!   once as a [`regions::Walk`], cut to a spatial constraint's radius as it
+//!   is walked (Sec. III-A);
 //! * [`tree`] — data-gathering spanning trees (`Topology::bfs` rooted at
 //!   the sink);
 //! * [`tag`] — TAG-style in-network aggregation (the paper's citation \[32\]);

@@ -5,36 +5,18 @@
 //! horizontal line, the GPA intersection invariant. In general topologies
 //! rows/columns generalize to coordinate *bands* whose width guarantees a
 //! connected walk (the banded scheme standing in for \[44\]'s construction).
-//! Spatial join constraints truncate regions to the constraint radius
-//! (Sec. III-A "Function Symbols and Spatial Constraints").
 //!
 //! [`walks`] lists each distinct region once, as the [`Walk`] the runtime
 //! takes, with the nodes whose region it is: a grid's rows and columns, one
-//! band per node elsewhere. A deployment
-//! prices its waits from them (`core::plan`), so each wait bounds the
-//! walk it waits for on every topology.
+//! band per node elsewhere. A deployment keeps that list, prices its waits
+//! from it and sends every storage walk and probe along it (`core::plan`),
+//! so each wait bounds the walk it waits for by construction. A spatial
+//! join constraint cuts a walk to the members within its radius of the node
+//! the update starts at (Sec. III-A "Function Symbols and Spatial
+//! Constraints", [`Walk::kept`]); no region is built per update.
 
 use sensorlog_netsim::{NodeId, Topology, TopologyKind};
 use std::ops::Range;
-
-/// The ordered list of nodes in `node`'s grid row (left → right). Falls
-/// back to a unit-width horizontal band on non-grid topologies rather
-/// than panicking.
-pub fn grid_row(topo: &Topology, node: NodeId) -> Vec<NodeId> {
-    match (topo.grid_coords(node), topo.grid_dims()) {
-        (Some((_, y)), Some((cols, _))) => (0..cols).filter_map(|x| topo.node_at(x, y)).collect(),
-        _ => horizontal_band(topo, node, 1.0),
-    }
-}
-
-/// The ordered list of nodes in `node`'s grid column (bottom → top).
-/// Falls back to a unit-width vertical band on non-grid topologies.
-pub fn grid_col(topo: &Topology, node: NodeId) -> Vec<NodeId> {
-    match (topo.grid_coords(node), topo.grid_dims()) {
-        (Some((x, _)), Some((_, rows))) => (0..rows).filter_map(|y| topo.node_at(x, y)).collect(),
-        _ => vertical_band(topo, node, 1.0),
-    }
-}
 
 /// Horizontal band: nodes with `|y − y(node)| ≤ width/2`, ordered by x.
 /// With `width ≥` the radio radius, consecutive members are mutually
@@ -96,39 +78,45 @@ impl Walk {
         };
         Walk { path, starts }
     }
+
+    /// The positions in `range` of the members this walk keeps cut to
+    /// `radius` around its member `path[from]` (`None`: uncut, every
+    /// member), in walk order — the spatial-constraint optimization: "store
+    /// each tuple over only an appropriate part of the horizontal path, and
+    /// similarly traverse only an appropriate part of the vertical path". A
+    /// member past the radius is skipped and the walk goes on: a snake over
+    /// every node cut to a radius keeps a stretch of each of several rows.
+    pub fn kept<'a>(
+        &'a self,
+        topo: &'a Topology,
+        from: usize,
+        radius: Option<f64>,
+        range: Range<usize>,
+    ) -> impl DoubleEndedIterator<Item = usize> + 'a {
+        let center = topo.position(self.path[from]);
+        range.filter(move |&k| radius.is_none_or(|r| within(topo, center, self.path[k], r)))
+    }
 }
 
-/// Every distinct PA storage region and every distinct join region once
-/// ([`storage_region`], [`join_region`]): a grid's rows and columns, one
-/// band of each kind per node elsewhere.
+/// Every distinct PA storage region and every distinct join region once: a
+/// grid's rows (left → right) and columns (bottom → top), and elsewhere one
+/// horizontal band and one detour-augmented vertical band (`join_band`)
+/// per node.
 pub fn walks(topo: &Topology, band_width: f64) -> [Vec<Walk>; 2] {
     match topo.kind {
-        TopologyKind::Grid { cols, rows } => [
-            (0..rows)
-                .filter_map(|y| topo.node_at(0, y))
-                .map(|n| Walk::line(grid_row(topo, n)))
-                .collect(),
-            (0..cols)
-                .filter_map(|x| topo.node_at(x, 0))
-                .map(|n| Walk::line(grid_col(topo, n)))
-                .collect(),
-        ],
-        TopologyKind::Geometric { .. } => [storage_region, join_region].map(|region| {
+        TopologyKind::Grid { cols, rows } => {
+            let row = |y| Walk::line((0..cols).filter_map(|x| topo.node_at(x, y)).collect());
+            let col = |x| Walk::line((0..rows).filter_map(|y| topo.node_at(x, y)).collect());
+            [(0..rows).map(row).collect(), (0..cols).map(col).collect()]
+        }
+        TopologyKind::Geometric { .. } => [horizontal_band, join_band].map(|region| {
             let own = |n| Walk::of(region(topo, n, band_width), n);
             topo.nodes().map(own).collect()
         }),
     }
 }
 
-/// Storage region for PA: row on grids, horizontal band elsewhere.
-pub fn storage_region(topo: &Topology, node: NodeId, band_width: f64) -> Vec<NodeId> {
-    match topo.kind {
-        TopologyKind::Grid { .. } => grid_row(topo, node),
-        TopologyKind::Geometric { .. } => horizontal_band(topo, node, band_width),
-    }
-}
-
-/// Join-computation region for PA: column on grids, vertical band elsewhere.
+/// PA's join-computation region off the grid: `node`'s vertical band.
 ///
 /// On geometric topologies the plain vertical band can miss a storage band
 /// entirely — when no band member's y-coordinate falls within `width/2` of
@@ -138,15 +126,10 @@ pub fn storage_region(topo: &Topology, node: NodeId, band_width: f64) -> Vec<Nod
 /// \[44\]-style detour rule (see [`augment_with_detours`]), which restores
 /// the GPA intersection invariant: every join region intersects every
 /// storage region.
-pub fn join_region(topo: &Topology, node: NodeId, band_width: f64) -> Vec<NodeId> {
-    match topo.kind {
-        TopologyKind::Grid { .. } => grid_col(topo, node),
-        TopologyKind::Geometric { .. } => {
-            let mut band = vertical_band(topo, node, band_width);
-            augment_with_detours(topo, node, band_width, &mut band);
-            band
-        }
-    }
+fn join_band(topo: &Topology, node: NodeId, band_width: f64) -> Vec<NodeId> {
+    let mut band = vertical_band(topo, node, band_width);
+    augment_with_detours(topo, node, band_width, &mut band);
+    band
 }
 
 /// The detour rule: for every node `a` whose horizontal storage band the
@@ -198,38 +181,7 @@ fn augment_with_detours(topo: &Topology, node: NodeId, width: f64, band: &mut Ve
     band.dedup();
 }
 
-/// Truncate a region to the nodes within Euclidean `radius` of `center`,
-/// preserving order — the spatial-constraint optimization: "store each
-/// tuple over only an appropriate part of the horizontal path, and
-/// similarly traverse only an appropriate part of the vertical path".
-pub fn truncate(topo: &Topology, region: &[NodeId], center: NodeId, radius: f64) -> Vec<NodeId> {
-    let center = topo.position(center);
-    (region.iter().copied())
-        .filter(|&n| within(topo, center, n, radius))
-        .collect()
-}
-
-/// The first and last positions of `path` that [`truncate`] keeps cutting
-/// it to `radius` around its member `path[i]` (`None`: uncut, all of it);
-/// none when it keeps nothing. What it keeps is a subsequence, and the walk along `path`
-/// between these ends bounds its walk: a route is no longer than the
-/// routes through the members it skips.
-pub fn cut_ends(
-    topo: &Topology,
-    path: &[NodeId],
-    i: usize,
-    radius: Option<f64>,
-) -> Option<(usize, usize)> {
-    let Some(r) = radius else {
-        return Some((0, path.len() - 1));
-    };
-    let center = topo.position(path[i]);
-    let keeps = |&n: &NodeId| within(topo, center, n, r);
-    Some((path.iter().position(keeps)?, path.iter().rposition(keeps)?))
-}
-
-/// Whether [`truncate`] keeps `n` in a region cut to `radius` around the
-/// point `(cx, cy)`.
+/// Whether a walk cut to `radius` around the point `(cx, cy)` keeps `n`.
 fn within(topo: &Topology, (cx, cy): (f64, f64), n: NodeId, radius: f64) -> bool {
     let (x, y) = topo.position(n);
     ((x - cx).powi(2) + (y - cy).powi(2)).sqrt() <= radius
@@ -239,22 +191,27 @@ fn within(topo: &Topology, (cx, cy): (f64, f64), n: NodeId, radius: f64) -> bool
 mod tests {
     use super::*;
 
+    /// A grid's storage walks are its rows and its join walks its columns,
+    /// every member the start of its own, and every row meets every column
+    /// (the GPA invariant).
     #[test]
     fn rows_and_cols() {
         let topo = Topology::square_grid(4);
-        let n = topo.node_at(2, 1).unwrap();
-        let row = grid_row(&topo, n);
-        assert_eq!(row.len(), 4);
-        assert!(row.iter().all(|&m| topo.grid_coords(m).unwrap().1 == 1));
-        let col = grid_col(&topo, n);
-        assert_eq!(col.len(), 4);
-        assert!(col.iter().all(|&m| topo.grid_coords(m).unwrap().0 == 2));
-        // Every row intersects every column (the GPA invariant).
-        for y in 0..4 {
-            let r = grid_row(&topo, topo.node_at(0, y).unwrap());
-            for x in 0..4 {
-                let c = grid_col(&topo, topo.node_at(x, 0).unwrap());
-                assert!(r.iter().any(|m| c.contains(m)));
+        let [rows, cols] = walks(&topo, 1.0);
+        assert_eq!((rows.len(), cols.len()), (4, 4));
+        let at = |walk: &Walk| -> Vec<(u32, u32)> {
+            (walk.path.iter())
+                .map(|&m| topo.grid_coords(m).unwrap())
+                .collect()
+        };
+        for (y, row) in (0..).zip(&rows) {
+            assert_eq!(at(row), (0..4).map(|x| (x, y)).collect::<Vec<_>>());
+            assert_eq!(row.starts, 0..4);
+        }
+        for (x, col) in (0..).zip(&cols) {
+            assert_eq!(at(col), (0..4).map(|y| (x, y)).collect::<Vec<_>>());
+            for row in &rows {
+                assert!(row.path.iter().any(|m| col.path.contains(m)));
             }
         }
     }
@@ -280,22 +237,26 @@ mod tests {
         }
     }
 
+    /// The Fig. 16 regression: on sparse geometric layouts the plain
+    /// vertical band can miss a storage band entirely; the detour rule must
+    /// guarantee that every listed join walk meets every listed storage
+    /// walk — on the 50-node layouts of five seeds and on Fig. 16's three
+    /// graphs.
     #[test]
     fn geometric_join_regions_meet_every_storage_band() {
-        // The Fig. 16 regression: on sparse geometric layouts the plain
-        // vertical band can miss a storage band entirely; the detour rule
-        // must guarantee a non-empty intersection for EVERY pair.
-        for seed in [3u64, 5, 7, 13, 97] {
-            let topo = Topology::random_geometric(50, 5.5, 1.7, seed).unwrap();
-            let w = 1.7;
-            for b in topo.nodes() {
-                let j = join_region(&topo, b, w);
-                assert!(j.contains(&b), "join region must contain its owner");
-                for a in topo.nodes() {
-                    let h = storage_region(&topo, a, w);
+        let layouts = [(50, 5.5, 3), (50, 5.5, 5), (50, 5.5, 7), (50, 5.5, 13)];
+        let fig16 = [(25, 4.0, 97), (50, 5.5, 97), (100, 8.0, 97)];
+        for (n, side, seed) in layouts.into_iter().chain(fig16) {
+            let topo = Topology::random_geometric(n, side, 1.7, seed).unwrap();
+            let [stores, joins] = walks(&topo, 1.7);
+            for j in &joins {
+                let owner = j.path[j.starts.start];
+                assert_eq!(j.starts.len(), 1, "{n} nodes, seed {seed}: {owner}");
+                for h in &stores {
                     assert!(
-                        j.iter().any(|m| h.contains(m)),
-                        "seed {seed}: empty intersection J({b}) ∩ H({a})"
+                        j.path.iter().any(|m| h.path.contains(m)),
+                        "{n} nodes, seed {seed}: empty intersection J({owner}) ∩ H({})",
+                        h.path[h.starts.start]
                     );
                 }
             }
@@ -306,7 +267,7 @@ mod tests {
     fn detour_augmented_band_stays_ordered_and_deduped() {
         let topo = Topology::random_geometric(50, 5.5, 1.7, 97).unwrap();
         for b in topo.nodes() {
-            let j = join_region(&topo, b, 1.7);
+            let j = join_band(&topo, b, 1.7);
             for w in j.windows(2) {
                 assert!(topo.position(w[0]).1 <= topo.position(w[1]).1);
                 assert_ne!(w[0], w[1]);
@@ -327,48 +288,52 @@ mod tests {
         }
     }
 
+    /// A row cut to a radius keeps one stretch around its member; a snake
+    /// cut to one skips the members of each row past it and goes on; a
+    /// radius of 0 keeps the member alone, and a negative one keeps none.
     #[test]
-    fn truncation_filters_by_radius() {
+    fn a_cut_walk_keeps_the_members_within_its_radius() {
         let topo = Topology::square_grid(8);
-        let center = topo.node_at(4, 4).unwrap();
-        let row = grid_row(&topo, center);
-        let t = truncate(&topo, &row, center, 2.0);
-        // x ∈ {2..6} at distance ≤ 2 from x=4.
-        assert_eq!(t.len(), 5);
-        assert!(t.len() < row.len());
-        let t0 = truncate(&topo, &row, center, 0.0);
-        assert_eq!(t0, vec![center]);
+        let [rows, _] = walks(&topo, 1.0);
+        let row = &rows[4];
+        let all = 0..row.path.len();
+        let kept = |r: Option<f64>| row.kept(&topo, 4, r, all.clone()).collect::<Vec<_>>();
+        assert_eq!(kept(Some(2.0)), vec![2, 3, 4, 5, 6]);
+        assert_eq!(kept(None), all.clone().collect::<Vec<_>>());
+        assert_eq!(kept(Some(0.0)), vec![4]);
+        assert_eq!(kept(Some(-1.0)), Vec::<usize>::new());
+        // From the middle, toward the end and back toward the start.
+        assert_eq!(row.kept(&topo, 4, Some(2.0), 5..8).next(), Some(5));
+        assert_eq!(row.kept(&topo, 4, Some(2.0), 0..2).next_back(), None);
+
+        let snake = [(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (0, 1)];
+        let snake = Walk::line(snake.map(|(x, y)| topo.node_at(x, y).unwrap()).to_vec());
+        let kept: Vec<usize> = snake.kept(&topo, 0, Some(1.0), 0..6).collect();
+        assert_eq!(kept, vec![0, 1, 5], "(2, 0) and two of row 1 skipped");
     }
 
-    /// Every node starts on exactly one listed walk of each kind, and that
-    /// walk is its region.
+    /// Every node starts on exactly one listed walk of each kind, at its own
+    /// position; off the grid that walk is its band.
     #[test]
     fn walks_list_each_region_once() {
         type Region = fn(&Topology, NodeId, f64) -> Vec<NodeId>;
         let geometric = Topology::random_geometric(30, 5.0, 1.7, 7).unwrap();
         for topo in [Topology::grid(5, 3), geometric] {
-            let regions: [Region; 2] = [storage_region, join_region];
+            let regions: [Region; 2] = [horizontal_band, join_band];
             for (walks, region) in walks(&topo, 1.7).into_iter().zip(regions) {
                 let mut starts = Vec::new();
                 for walk in &walks {
                     for i in walk.starts.clone() {
-                        assert_eq!(region(&topo, walk.path[i], 1.7), walk.path);
-                        starts.push(walk.path[i]);
+                        let node = walk.path[i];
+                        if topo.grid_dims().is_none() {
+                            assert_eq!(region(&topo, node, 1.7), walk.path);
+                        }
+                        starts.push(node);
                     }
                 }
                 starts.sort();
                 assert_eq!(starts, topo.nodes().collect::<Vec<_>>());
             }
         }
-    }
-
-    #[test]
-    fn storage_join_dispatch() {
-        let grid = Topology::square_grid(4);
-        assert_eq!(storage_region(&grid, NodeId(5), 1.0).len(), 4);
-        assert_eq!(join_region(&grid, NodeId(5), 1.0).len(), 4);
-        let geo = Topology::random_geometric(20, 4.0, 1.6, 5).unwrap();
-        assert!(!storage_region(&geo, NodeId(2), 1.6).is_empty());
-        assert!(!join_region(&geo, NodeId(2), 1.6).is_empty());
     }
 }

@@ -158,20 +158,22 @@ impl<'t> RouteHops<'t> {
         std::iter::once(0).chain(steps).collect()
     }
 
-    /// A bound on the most hops any route takes: exact on a grid, where
-    /// routes go by coordinate; elsewhere twice one node's eccentricity.
+    /// The most hops any route takes: on a grid, where routes go by
+    /// coordinate, its two sides' hops; elsewhere the longest route of every
+    /// node's search (one breadth-first search per node).
     pub fn most(&self) -> u64 {
         if let Some((cols, rows)) = self.topo.grid_dims() {
             return (u64::from(cols) + u64::from(rows)).saturating_sub(2);
         }
-        let ecc = (self.topo.nodes().next()).and_then(|n| {
+        let longest = |n| {
             self.searched(n)
                 .iter()
-                .filter(|&&d| d != NONE)
-                .max()
                 .copied()
-        });
-        2 * u64::from(ecc.unwrap_or(0))
+                .filter(|&d| d != NONE)
+                .max()
+        };
+        let most = self.topo.nodes().filter_map(longest).max();
+        u64::from(most.unwrap_or(0))
     }
 
     fn searched(&self, from: NodeId) -> &[u32] {
@@ -410,11 +412,19 @@ mod tests {
     }
 
     /// Counted hops are the hops the router's routes take, on a grid and
-    /// off it, and the most of them is within the bound `most` gives.
+    /// off it, and `most` is the most of them.
+    /// On Fig. 16's 25-, 50- and 100-node graphs the longest routes are 4,
+    /// 5 and 9 hops (twice node 0's eccentricity read 6, 8 and 14).
     #[test]
     fn route_hops_are_the_routers_hops() {
-        let geometric = Topology::random_geometric(40, 6.0, 1.7, 1).unwrap();
-        for topo in [Topology::grid(6, 4), geometric] {
+        let geometric = |n, side, seed| Topology::random_geometric(n, side, 1.7, seed).unwrap();
+        for (topo, most) in [
+            (Topology::grid(6, 4), Some(8)),
+            (geometric(40, 6.0, 1), None),
+            (geometric(25, 4.0, 97), Some(4)),
+            (geometric(50, 5.5, 97), Some(5)),
+            (geometric(100, 8.0, 97), Some(9)),
+        ] {
             let (router, hops) = (Router::new(&topo), RouteHops::new(&topo));
             let mut longest = 0;
             for a in topo.nodes() {
@@ -424,9 +434,12 @@ mod tests {
                     longest = longest.max(path.len() as u64 - 1);
                 }
             }
-            assert!(hops.most() >= longest);
+            assert_eq!(hops.most(), longest);
+            assert!(
+                most.is_none_or(|most| most == longest),
+                "{most:?} {longest}"
+            );
         }
-        assert_eq!(RouteHops::new(&Topology::grid(6, 4)).most(), 8);
     }
 
     #[test]
