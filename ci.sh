@@ -19,6 +19,9 @@ cargo fmt --all -- --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (deny warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== cargo test (workspace) =="
 cargo test --workspace -q
 
@@ -250,6 +253,18 @@ fi
 echo "== one implementation of each built-in (no second copy of the system functions or of comparison under crates/logic/src) =="
 if grep -rnE 'arith_syms|fn arith2|fn minmax2|fn num2|Num2|fn call_func|pub fn compare' crates/logic/src; then
     echo "a second implementation of a built-in is back: register a builtin::Op and evaluate it in flat::apply_interpreted"; exit 1
+fi
+
+# One ground matcher and evaluator: the kernel (`flat_match_args`,
+# `flat_eval`) matches and evaluates every ground term, aggregates and the
+# incremental engine's group seed included. Earlier trees kept a boxed copy
+# beside it — `unify::match_term`, `BuiltinRegistry::eval_term` and the
+# `FlatSubst::from_subst` that brought their bindings back — and the copies
+# disagreed: the syntactic `match_term` could not seed a group keyed by
+# `X + 1`, so `IncrementalEngine` never derived it.
+echo "== one ground matcher (no match_term(, eval_term( or from_subst( under crates/ src/ tests/ examples/) =="
+if grep -rnE '\b(match_term|eval_term|from_subst)\(' crates src tests examples; then
+    echo "a boxed copy of the ground matcher or evaluator is back: use flat::flat_match_args / flat::flat_eval"; exit 1
 fi
 
 # DESIGN.md's "System inventory" names each crate's key modules. Every

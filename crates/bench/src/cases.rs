@@ -30,8 +30,8 @@ use sensorlog_eval::{Database, Engine, IncrementalEngine, Update, UpdateKind};
 use sensorlog_logic::absint::frontier;
 use sensorlog_logic::builtin::BuiltinRegistry;
 use sensorlog_logic::diag::BoundParams;
+use sensorlog_logic::flat::{flat_match_args, FlatSubst};
 use sensorlog_logic::parser::parse_term;
-use sensorlog_logic::unify::{match_term, Subst};
 use sensorlog_logic::{intern, Symbol, Term, Tuple};
 use sensorlog_netsim::{FaultSchedule, Journal, NodeId, RandomFaults, SimConfig, Topology};
 use sensorlog_netstack::flood::run_flood;
@@ -253,13 +253,16 @@ fn micro(quick: bool, r: &mut Report) {
         ]);
     }
 
-    let pattern = parse_term("f(X, g(Y, 3), X)").expect("pattern parses");
+    let pattern = [parse_term("f(X, g(Y, 3), X)").expect("pattern parses")];
     let value = parse_term("f(7, g(\"abc\", 3), 7)").expect("value parses");
+    let value = [intern::intern_term(&value).expect("value is ground")];
+    let reg = BuiltinRegistry::standard();
     let iters = if quick { 20_000 } else { 2_000_000 };
     let ns = ns_per_call(iters, || {
-        match_term(black_box(&pattern), black_box(&value), &mut Subst::new())
+        let mut s = FlatSubst::new();
+        flat_match_args(&reg, black_box(&pattern), black_box(&value), &mut s)
     });
-    r.row(row!["loop" => "match_term_nested", "ns_per_call" => ns]);
+    r.row(row!["loop" => "flat_match_nested", "ns_per_call" => ns]);
 
     let topo = Topology::square_grid(8);
     let tree = GatherTree::bfs(&topo, NodeId(0));

@@ -11,7 +11,7 @@
 //! joins it at all, which node owns a derived tuple
 //! ([`DistProgram::owner_of`]), which predicates join where they stand,
 //! stored only at the neighbours their rules read them at
-//! ([`store_targets`]), and how far a base tuple's join partners can be.
+//! (`store_targets`), and how far a base tuple's join partners can be.
 //! A deployment turns that into one [`Reach`] per predicate
 //! (`DistProgram::with_reach`): where its updates go under its strategy.
 //!
@@ -174,8 +174,8 @@ pub enum Reach {
     /// To Centroid's central server, which runs the centralized engine.
     Center,
     /// On the neighbourhood plane: the update starts at the node it is
-    /// about ([`plane_node`]), is stored there and at the radio neighbours
-    /// its rules read it at ([`store_targets`]), and joins there.
+    /// about (`plane_node`), is stored there and at the radio neighbours
+    /// its rules read it at (`store_targets`), and joins there.
     Plane(OnPlane),
     /// Nowhere: no rule joins it with a partner, so no probe looks for it;
     /// it joins where it stands at once. Its results "will anyway be hashed

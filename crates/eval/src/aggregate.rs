@@ -4,19 +4,25 @@
 //! (Sec. IV-C): the aggregate rule's body is evaluated to completion, the
 //! solutions are grouped by the non-aggregate head arguments, and the
 //! aggregate folds the *distinct* values of the aggregate term per group.
+//! Both run on the kernel's interned ids: a group key is the group-by
+//! arguments under `flat_eval` (a [`Tuple`], like any head), a value the id
+//! `flat_eval` gives the aggregate term, and min / max / sum / avg read
+//! their numbers from the pool entries.
 
 use crate::error::EvalError;
+use crate::eval_body::ground_atom;
 use sensorlog_logic::ast::{AggFunc, Rule};
 use sensorlog_logic::builtin::BuiltinRegistry;
-use sensorlog_logic::flat::FlatSubst;
-use sensorlog_logic::intern;
-use sensorlog_logic::unify::Subst;
-use sensorlog_logic::{Term, Tuple};
-use std::collections::{BTreeMap, BTreeSet};
+use sensorlog_logic::flat::{flat_eval, FlatSubst};
+use sensorlog_logic::intern::{self, ConstId, Val};
+use sensorlog_logic::term::F64;
+use sensorlog_logic::Tuple;
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
 
 /// Group the body solutions of an aggregate rule and fold each group.
 /// Returns the head tuples (group key with the aggregate value spliced in at
-/// the aggregate position).
+/// the aggregate position), in group-key order.
 pub fn aggregate_rule(
     rule: &Rule,
     solutions: &[FlatSubst],
@@ -26,122 +32,89 @@ pub fn aggregate_rule(
         .agg
         .as_ref()
         .expect("aggregate_rule requires an aggregate head");
-    let mut groups: BTreeMap<Vec<Term>, BTreeSet<Term>> = BTreeMap::new();
+    let mut groups: BTreeMap<Tuple, Vec<ConstId>> = BTreeMap::new();
     for sol in solutions {
-        // Aggregates work on boxed terms, off the fixpoint hot path: a flat
-        // solution is resolved once.
-        let subst = intern::boundary(|| sol.to_subst());
-        let key = key_of(rule, &subst, reg)?;
-        let value = evaluated(rule, &subst, &agg.term, reg)?;
-        groups.entry(key).or_default().insert(value);
+        let key = group_key(rule, sol, reg)?;
+        let value = flat_eval(reg, &agg.term, sol)?;
+        groups.entry(key).or_default().push(value);
     }
     let mut out = Vec::with_capacity(groups.len());
-    for (key, values) in groups {
-        let v = fold(agg.func, &values)?;
-        let mut args = key;
-        args.insert(agg.pos.min(args.len()), v);
-        out.push(Tuple::new(args));
+    for (key, mut values) in groups {
+        // Distinct values in value order: the order min / max break ties
+        // in and sum adds floats in.
+        values.sort_unstable_by(|&a, &b| intern::cmp_ids(a, b));
+        values.dedup();
+        let mut ids = key.ids().to_vec();
+        ids.insert(agg.pos.min(ids.len()), fold(agg.func, &values)?);
+        out.push(Tuple::from_ids(ids));
     }
     Ok(out)
 }
 
 /// The group a solution of an aggregate rule falls in: its head's group-by
 /// arguments, evaluated.
-pub fn group_key(
+pub(crate) fn group_key(
     rule: &Rule,
     sol: &FlatSubst,
     reg: &BuiltinRegistry,
-) -> Result<Vec<Term>, EvalError> {
-    key_of(rule, &intern::boundary(|| sol.to_subst()), reg)
+) -> Result<Tuple, EvalError> {
+    ground_atom(reg, &rule.head, sol)?
+        .ok_or_else(|| EvalError::Internal(format!("group key of rule #{} is unbound", rule.id)))
 }
 
-fn key_of(rule: &Rule, subst: &Subst, reg: &BuiltinRegistry) -> Result<Vec<Term>, EvalError> {
-    (rule.head.args.iter())
-        .map(|a| evaluated(rule, subst, a, reg))
-        .collect()
-}
-
-/// `t` of `rule` under `subst`, evaluated.
-fn evaluated(
-    rule: &Rule,
-    subst: &Subst,
-    t: &Term,
-    reg: &BuiltinRegistry,
-) -> Result<Term, EvalError> {
-    let g = subst.apply(t);
-    if !g.is_ground() {
-        return Err(EvalError::Internal(format!(
-            "`{t}` unbound in rule #{}",
-            rule.id
-        )));
-    }
-    Ok(reg.eval_term(&g)?)
-}
-
-/// Fold distinct values with the aggregate function.
-pub fn fold(func: AggFunc, values: &BTreeSet<Term>) -> Result<Term, EvalError> {
+/// Fold a group's distinct values, in value order, with the aggregate
+/// function.
+fn fold(func: AggFunc, values: &[ConstId]) -> Result<ConstId, EvalError> {
     debug_assert!(!values.is_empty(), "aggregate over empty group");
-    match func {
-        AggFunc::Count => Ok(Term::Int(values.len() as i64)),
-        AggFunc::Min => Ok(min_numeric(values)),
-        AggFunc::Max => Ok(max_numeric(values)),
-        AggFunc::Sum => sum(values),
+    let vals = || values.iter().copied();
+    Ok(match func {
+        AggFunc::Count => intern::intern_int(values.len() as i64),
+        AggFunc::Min => vals()
+            .min_by(|&a, &b| numeric_order(a, b))
+            .expect("nonempty"),
+        AggFunc::Max => vals()
+            .max_by(|&a, &b| numeric_order(a, b))
+            .expect("nonempty"),
+        AggFunc::Sum => intern::intern_val(sum(values)?),
         AggFunc::Avg => {
-            let total = sum(values)?;
-            let n = values.len() as f64;
-            let t = total
-                .as_f64()
+            let total = (sum(values)?.as_f64())
                 .ok_or_else(|| EvalError::Internal("avg over non-numeric values".into()))?;
-            Ok(Term::float(t / n))
+            intern::intern_float(F64::new(total / values.len() as f64))
         }
+    })
+}
+
+/// Numeric comparison where possible (1 < 1.5 < 2), value order otherwise.
+fn numeric_order(a: ConstId, b: ConstId) -> Ordering {
+    match (intern::entry(a).val.as_f64(), intern::entry(b).val.as_f64()) {
+        (Some(x), Some(y)) => x.partial_cmp(&y).unwrap_or(Ordering::Equal),
+        _ => intern::cmp_ids(a, b),
     }
 }
 
-fn min_numeric(values: &BTreeSet<Term>) -> Term {
-    // Numeric comparison where possible (1 < 1.5 < 2), term order otherwise.
-    values
-        .iter()
-        .cloned()
-        .min_by(|a, b| match (a.as_f64(), b.as_f64()) {
-            (Some(x), Some(y)) => x.partial_cmp(&y).unwrap_or(std::cmp::Ordering::Equal),
-            _ => a.cmp(b),
-        })
-        .expect("nonempty")
-}
-
-fn max_numeric(values: &BTreeSet<Term>) -> Term {
-    values
-        .iter()
-        .cloned()
-        .max_by(|a, b| match (a.as_f64(), b.as_f64()) {
-            (Some(x), Some(y)) => x.partial_cmp(&y).unwrap_or(std::cmp::Ordering::Equal),
-            _ => a.cmp(b),
-        })
-        .expect("nonempty")
-}
-
-fn sum(values: &BTreeSet<Term>) -> Result<Term, EvalError> {
-    let all_int = values.iter().all(|v| matches!(v, Term::Int(_)));
-    if all_int {
+/// An integer sum while every value is an integer, a float sum otherwise.
+fn sum(values: &[ConstId]) -> Result<Val, EvalError> {
+    let vals = || values.iter().map(|&v| &intern::entry(v).val);
+    if vals().all(|v| matches!(v, Val::Int(_))) {
         let mut acc: i64 = 0;
-        for v in values {
-            if let Term::Int(i) = v {
-                acc = acc.checked_add(*i).ok_or(EvalError::LimitExceeded {
-                    what: "sum overflow",
-                    limit: i64::MAX as usize,
-                })?;
-            }
+        for v in vals().filter_map(Val::as_i64) {
+            acc = acc.checked_add(v).ok_or(EvalError::LimitExceeded {
+                what: "sum overflow",
+                limit: i64::MAX as usize,
+            })?;
         }
-        Ok(Term::Int(acc))
-    } else {
-        let mut acc = 0.0f64;
-        for v in values {
-            acc += v
-                .as_f64()
-                .ok_or_else(|| EvalError::Internal(format!("sum over non-numeric value {v}")))?;
-        }
-        Ok(Term::float(acc))
+        return Ok(Val::Int(acc));
     }
+    let mut acc = 0.0f64;
+    for v in vals() {
+        acc += v.as_f64().ok_or_else(|| {
+            EvalError::Internal(format!(
+                "sum over non-numeric values {}",
+                Tuple::from_slice(values)
+            ))
+        })?;
+    }
+    Ok(Val::Float(F64::new(acc)))
 }
 
 #[cfg(test)]

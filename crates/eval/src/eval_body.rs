@@ -363,7 +363,7 @@ pub fn instantiate_head(
     subst: &FlatSubst,
     reg: &BuiltinRegistry,
 ) -> Result<Tuple, EvalError> {
-    debug_assert!(rule.agg.is_none(), "aggregate heads use aggregate::finish");
+    debug_assert!(rule.agg.is_none(), "aggregate heads use aggregate_rule");
     ground_atom(reg, &rule.head, subst)?.ok_or_else(|| {
         EvalError::Internal(format!("head of rule #{} has unbound variables", rule.id))
     })

@@ -36,10 +36,9 @@ use crate::seminaive::effective_windows;
 use crate::MAX_CASCADE;
 use sensorlog_logic::analyze::{Analysis, ProgramClass};
 use sensorlog_logic::builtin::BuiltinRegistry;
-use sensorlog_logic::flat::FlatSubst;
+use sensorlog_logic::flat::{flat_match_args, FlatSubst};
 use sensorlog_logic::intern::{IdHashMap, IdHashSet};
-use sensorlog_logic::unify::{match_term, Subst};
-use sensorlog_logic::{Symbol, Term, Tuple};
+use sensorlog_logic::{Symbol, Tuple};
 use sensorlog_telemetry::Profiler;
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
@@ -125,7 +124,7 @@ fn cascade(
 /// input belongs to is read off the rule.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Derivation {
-    /// Index of the rule in the program (its [`Rule::id`] as parsed).
+    /// Index of the rule in the program (its `Rule::id` as parsed).
     pub rule_id: u32,
     pub inputs: Box<[Tuple]>,
 }
@@ -286,7 +285,7 @@ pub struct IncrementalEngine<K: LedgerKey = Derivation> {
     /// per-update peak needs no walk ([`Self::derivation_count`] audits it).
     deriv_entries: usize,
     /// Current head tuple per (agg rule id, group key).
-    agg_groups: HashMap<(usize, Vec<Term>), Tuple>,
+    agg_groups: HashMap<(usize, Tuple), Tuple>,
     plans: DeltaPlans,
     /// Derived predicates (for stale-update suppression).
     idb: BTreeSet<Symbol>,
@@ -368,7 +367,7 @@ impl<K: LedgerKey> IncrementalEngine<K> {
         let mut db = Database::new();
         let plans = DeltaPlans::compile(&analysis, &mut db);
         // `recompute_agg_group` evaluates an aggregate rule seeded with its
-        // group key.
+        // group key (unseeded, it runs the unpinned order `compile` registered).
         crate::planner::register_head_seeded_indexes(
             &mut db,
             analysis.program.rules.iter().filter(|r| r.agg.is_some()),
@@ -532,7 +531,7 @@ impl<K: LedgerKey> IncrementalEngine<K> {
 
         // Delta computation per occurrence.
         let mut deltas: Vec<(Symbol, Tuple, K, i64)> = Vec::new();
-        let mut agg_dirty: Vec<(usize, Vec<Term>)> = Vec::new();
+        let mut agg_dirty: Vec<(usize, Tuple)> = Vec::new();
         let rules = &self.analysis.program.rules;
         let reg = &self.reg;
         self.stats.body_evals += self.plans.for_each_delta(
@@ -681,20 +680,20 @@ impl<K: LedgerKey> IncrementalEngine<K> {
     fn recompute_agg_group(
         &mut self,
         ri: usize,
-        key: Vec<Term>,
+        key: Tuple,
         ts: u64,
         out: &mut Vec<Update>,
     ) -> Result<(), EvalError> {
         let _span = self.profiler.span("inc.agg_group");
         let rule = &self.analysis.program.rules[ri];
-        // Seed the body with the group key by matching head args.
-        let mut boxed_seed = Subst::new();
-        for (pat, val) in rule.head.args.iter().zip(key.iter()) {
-            if !match_term(pat, val, &mut boxed_seed) {
-                return Ok(()); // key shape impossible (stale)
-            }
+        // Seed the body with the group key by the semantic head match
+        // `rederivable` uses: `deg(X + 1, …)` against key 2 binds `X = 1`.
+        // A key the head cannot be inverted on (`X * 2`) leaves the body
+        // unseeded, and the group-key filter below keeps the group.
+        let mut seed = FlatSubst::new();
+        if !flat_match_args(&self.reg, &rule.head.args, key.ids(), &mut seed) {
+            seed = FlatSubst::new();
         }
-        let seed = FlatSubst::from_subst(&boxed_seed).expect("group-key bindings are ground");
         let ev = BodyEval::new(&self.db, &self.reg);
         self.stats.body_evals += 1;
         let sols = ev.solutions(&rule.body, seed, None)?;
@@ -1155,31 +1154,60 @@ mod tests {
         assert_matches_oracle(&e, src);
     }
 
+    /// Group-by arguments: a variable, a key the head match inverts
+    /// (`X + 1`) and one it cannot (`X * 2`), each with the `(a, b)` of its
+    /// value `a * X + b`.
+    const GROUP_KEYS: [(&str, i64, i64); 3] = [("X", 1, 0), ("X + 1", 1, 1), ("X * 2", 2, 0)];
+
+    /// Drive `rule`, its group-by argument `KEY` set to each of
+    /// [`GROUP_KEYS`], over `steps`: after every update the head's groups
+    /// are the step's `(x, value)` pairs under that key, and the engine
+    /// equals `Engine::run` over the same base facts.
+    fn assert_groups_after_each_step(rule: &str, steps: &[(Update, Vec<(i64, i64)>)]) {
+        for (key, a, b) in GROUP_KEYS {
+            let src = rule.replace("KEY", key);
+            let mut e = engine(&src);
+            let pred = e.analysis.program.rules[0].head.pred;
+            for (i, (u, groups)) in steps.iter().enumerate() {
+                e.apply(u.clone()).unwrap();
+                let mut want: Vec<Tuple> = (groups.iter())
+                    .map(|&(x, v)| tup(&format!("{}, {v}", a * x + b)))
+                    .collect();
+                want.sort();
+                assert_eq!(e.db.sorted(pred), want, "`{src}` after step {i}");
+                assert_matches_oracle(&e, &src);
+            }
+        }
+    }
+
     #[test]
     fn aggregate_maintenance() {
-        let src = "best(G, min<V>) :- m(G, V).";
-        let mut e = engine(src);
-        e.apply(ins("m(1, 5)", 1)).unwrap();
-        assert!(e.db.contains(sym("best"), &tup("1, 5")));
-        e.apply(ins("m(1, 3)", 2)).unwrap();
-        assert!(e.db.contains(sym("best"), &tup("1, 3")));
-        assert!(!e.db.contains(sym("best"), &tup("1, 5")));
-        e.apply(del("m(1, 3)", 3)).unwrap();
-        assert!(e.db.contains(sym("best"), &tup("1, 5")));
-        e.apply(del("m(1, 5)", 4)).unwrap();
-        assert_eq!(e.db.len_of(sym("best")), 0);
-        assert_matches_oracle(&e, src);
+        assert_groups_after_each_step(
+            "best(KEY, min<V>) :- m(X, V).",
+            &[
+                (ins("m(1, 5)", 1), vec![(1, 5)]),
+                (ins("m(1, 3)", 2), vec![(1, 3)]),
+                (ins("m(2, 7)", 3), vec![(1, 3), (2, 7)]),
+                (del("m(1, 3)", 4), vec![(1, 5), (2, 7)]),
+                (del("m(1, 5)", 5), vec![(2, 7)]),
+                (del("m(2, 7)", 6), vec![]),
+            ],
+        );
     }
 
     #[test]
     fn aggregate_count_updates() {
-        let src = "deg(X, count<Y>) :- e(X, Y).";
-        let mut e = engine(src);
-        e.apply(ins("e(1, 2)", 1)).unwrap();
-        e.apply(ins("e(1, 3)", 2)).unwrap();
-        assert!(e.db.contains(sym("deg"), &tup("1, 2")));
-        e.apply(del("e(1, 2)", 3)).unwrap();
-        assert!(e.db.contains(sym("deg"), &tup("1, 1")));
+        assert_groups_after_each_step(
+            "deg(KEY, count<Y>) :- e(X, Y).",
+            &[
+                (ins("e(1, 2)", 1), vec![(1, 1)]),
+                (ins("e(1, 3)", 2), vec![(1, 2)]),
+                (ins("e(2, 3)", 3), vec![(1, 2), (2, 1)]),
+                (del("e(1, 2)", 4), vec![(1, 1), (2, 1)]),
+                (del("e(2, 3)", 5), vec![(1, 1)]),
+                (del("e(1, 3)", 6), vec![]),
+            ],
+        );
     }
 
     #[test]

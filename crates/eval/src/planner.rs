@@ -20,10 +20,10 @@
 //! seeded with the casualty, an aggregate group recomputed from its key —
 //! add those plans with [`register_head_seeded_indexes`].
 //!
-//! [`DeltaPlans`] is the same idea for the maintenance engines' delta pass:
+//! `DeltaPlans` is the same idea for the maintenance engines' delta pass:
 //! which rules an update can fire, in which literal order, under which
 //! staircase exclusions, is a function of the program, so it is compiled
-//! when an engine is built and [`DeltaPlans::for_each_delta`] — the one
+//! when an engine is built and `DeltaPlans::for_each_delta` — the one
 //! delta pass all three engines run — reads it per update.
 //!
 //! [`order_literals`]: sensorlog_logic::boundness::order_literals

@@ -382,7 +382,7 @@ impl<X> Relation<X> {
         }
     }
 
-    /// Visit what matches `key` at `cols` ([`Relation::lookup`]: a range
+    /// Visit what matches `key` at `cols` (`Relation::lookup`: a range
     /// where the signature allows one), tuple and metadata, borrowing both
     /// from the primary map. The distributed runtime's node join
     /// (`core::partial`) reads its fragment stores through this; a tuple
@@ -403,7 +403,7 @@ impl<X> Relation<X> {
         });
     }
 
-    /// The tuples matching `key` at `cols` ([`Relation::lookup`]), by value
+    /// The tuples matching `key` at `cols` (`Relation::lookup`), by value
     /// into `out`. The engines' body walk visits the same lookup in place.
     pub fn select(&self, cols: &[usize], key: &[ConstId], out: &mut Vec<Tuple>) {
         if cols.is_empty() {

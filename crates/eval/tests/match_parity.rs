@@ -10,10 +10,16 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sensorlog_logic::builtin::BuiltinRegistry;
-use sensorlog_logic::flat::{flat_match_args, FlatSubst};
+use sensorlog_logic::flat::{flat_eval, flat_match_args, FlatSubst};
 use sensorlog_logic::intern;
 use sensorlog_logic::unify::Subst;
 use sensorlog_logic::{Symbol, Term, Tuple};
+
+/// A ground term evaluated and resolved: the kernel under no bindings, as
+/// the boxed matcher's evaluator was.
+fn eval_ground(reg: &BuiltinRegistry, t: &Term) -> Option<Term> {
+    intern::boundary(|| flat_eval(reg, t, &FlatSubst::new()).map(intern::resolve)).ok()
+}
 
 /// The boxed matcher as it stood in `eval_body`: ground patterns are
 /// evaluated and compared, an unbound variable binds, 2-ary `add` / `sub`
@@ -21,7 +27,7 @@ use sensorlog_logic::{Symbol, Term, Tuple};
 fn sem_match(reg: &BuiltinRegistry, pat: &Term, val: &Term, s: &mut Subst) -> bool {
     let p = s.apply(pat);
     if p.is_ground() {
-        return reg.eval_term(&p).is_ok_and(|v| &v == val);
+        return eval_ground(reg, &p).is_some_and(|v| &v == val);
     }
     match (&p, val) {
         (Term::Var(v), _) => {

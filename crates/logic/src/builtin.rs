@@ -12,8 +12,7 @@
 //! which the interned kernel ([`crate::flat`]) evaluates; procedural ones
 //! are closures over resolved terms.
 
-use crate::flat::{flat_eval, FlatSubst};
-use crate::intern::{self, IdHashMap};
+use crate::intern::IdHashMap;
 use crate::symbol::Symbol;
 use crate::term::Term;
 use std::fmt;
@@ -162,14 +161,6 @@ impl BuiltinRegistry {
             Some(p) => p(args),
             None => Err(BuiltinError::new(format!("unknown builtin predicate {s}"))),
         }
-    }
-
-    /// Evaluate interpreted function symbols bottom-up in a ground term.
-    /// Uninterpreted applications (constructors like `$cons`, `loc`) are left
-    /// intact with evaluated arguments. The boxed adapter of the kernel:
-    /// [`flat_eval`] under no bindings, its value resolved at the boundary.
-    pub fn eval_term(&self, t: &Term) -> Result<Term, BuiltinError> {
-        intern::boundary(|| flat_eval(self, t, &FlatSubst::new()).map(intern::resolve))
     }
 }
 
@@ -348,31 +339,22 @@ pub mod stdlib {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flat::{flat_eval, FlatSubst};
+    use crate::intern;
     use crate::parser::parse_term;
+
+    /// `src` evaluated by the kernel under no bindings, its value resolved.
+    fn eval(r: &BuiltinRegistry, src: &str) -> Result<Term, BuiltinError> {
+        let t = parse_term(src).unwrap();
+        intern::boundary(|| flat_eval(r, &t, &FlatSubst::new()).map(intern::resolve))
+    }
 
     #[test]
     fn arithmetic_int() {
         let r = BuiltinRegistry::standard();
-        let t = parse_term("1 + 2 * 3").unwrap();
-        assert_eq!(r.eval_term(&t).unwrap(), Term::Int(7));
-        let t = parse_term("7 / 2").unwrap();
-        assert_eq!(r.eval_term(&t).unwrap(), Term::Int(3));
-        let t = parse_term("mod(7, 2)").unwrap();
-        assert_eq!(r.eval_term(&t).unwrap(), Term::Int(1));
-    }
-
-    #[test]
-    fn arithmetic_mixed_promotes_to_float() {
-        let r = BuiltinRegistry::standard();
-        let t = parse_term("1 + 2.5").unwrap();
-        assert_eq!(r.eval_term(&t).unwrap(), Term::float(3.5));
-    }
-
-    #[test]
-    fn division_by_zero_errors() {
-        let r = BuiltinRegistry::standard();
-        assert!(r.eval_term(&parse_term("1 / 0").unwrap()).is_err());
-        assert!(r.eval_term(&parse_term("mod(1, 0)").unwrap()).is_err());
+        assert_eq!(eval(&r, "1 + 2 * 3").unwrap(), Term::Int(7));
+        assert_eq!(eval(&r, "7 / 2").unwrap(), Term::Int(3));
+        assert_eq!(eval(&r, "mod(7, 2)").unwrap(), Term::Int(1));
     }
 
     /// `min2` / `max2` keep integers integral and promote a mixed pair to
@@ -381,12 +363,11 @@ mod tests {
     #[test]
     fn two_argument_builtins_keep_their_types_and_errors() {
         let r = BuiltinRegistry::standard();
-        let eval = |src: &str| r.eval_term(&parse_term(src).unwrap());
-        assert_eq!(eval("min2(3, -2)").unwrap(), Term::Int(-2));
-        assert_eq!(eval("max2(3, -2)").unwrap(), Term::Int(3));
-        assert_eq!(eval("min2(3, 2.5)").unwrap(), Term::float(2.5));
-        assert_eq!(eval("max2(1.5, 2)").unwrap(), Term::float(2.0));
-        let err = |src: &str| eval(src).unwrap_err().message;
+        assert_eq!(eval(&r, "min2(3, -2)").unwrap(), Term::Int(-2));
+        assert_eq!(eval(&r, "max2(3, -2)").unwrap(), Term::Int(3));
+        assert_eq!(eval(&r, "min2(3, 2.5)").unwrap(), Term::float(2.5));
+        assert_eq!(eval(&r, "max2(1.5, 2)").unwrap(), Term::float(2.0));
+        let err = |src: &str| eval(&r, src).unwrap_err().message;
         assert_eq!(err("max2(1)"), "max2 expects 2 arguments");
         assert_eq!(
             err("min2(a, 1)"),
@@ -396,60 +377,24 @@ mod tests {
         assert_eq!(err("div(7, 0)"), "div(7, 0) failed");
     }
 
-    #[test]
-    fn overflow_checked() {
-        let r = BuiltinRegistry::standard();
-        let big = Term::app("add", vec![Term::Int(i64::MAX), Term::Int(1)]);
-        assert!(r.eval_term(&big).is_err());
-    }
-
     /// `i64::MIN` has no negation or absolute value in `i64`: both are
     /// errors, as `add`'s overflow is, not a panic or a negative `abs`. A
     /// rule reaches it through `sub(sub(0, 9223372036854775807), 1)`.
     #[test]
     fn neg_and_abs_of_the_least_int_error() {
         let r = BuiltinRegistry::standard();
-        let min = parse_term("sub(sub(0, 9223372036854775807), 1)").unwrap();
-        assert_eq!(r.eval_term(&min).unwrap(), Term::Int(i64::MIN));
+        let min = "sub(sub(0, 9223372036854775807), 1)";
+        assert_eq!(eval(&r, min).unwrap(), Term::Int(i64::MIN));
         for f in ["neg", "abs"] {
-            let err = r.eval_term(&Term::app(f, vec![min.clone()])).unwrap_err();
+            let err = eval(&r, &format!("{f}({min})")).unwrap_err();
             assert_eq!(err.message, format!("{f}(-9223372036854775808) failed"));
         }
         let max = Term::Int(i64::MAX);
         assert_eq!(
-            r.eval_term(&Term::app("neg", vec![max.clone()])).unwrap(),
+            eval(&r, "neg(9223372036854775807)").unwrap(),
             Term::Int(-i64::MAX)
         );
-        assert_eq!(
-            r.eval_term(&Term::app("abs", vec![Term::Int(-i64::MAX)]))
-                .unwrap(),
-            max
-        );
-    }
-
-    #[test]
-    fn constructors_left_uninterpreted() {
-        let r = BuiltinRegistry::standard();
-        let t = parse_term("loc(1 + 1, 3)").unwrap();
-        assert_eq!(
-            r.eval_term(&t).unwrap(),
-            Term::app("loc", vec![Term::Int(2), Term::Int(3)])
-        );
-    }
-
-    #[test]
-    fn dist_on_points_and_numbers() {
-        let r = BuiltinRegistry::standard();
-        let t = parse_term("dist(loc(0, 0), loc(3, 4))").unwrap();
-        assert_eq!(r.eval_term(&t).unwrap(), Term::float(5.0));
-        let t = parse_term("dist(10, 7)").unwrap();
-        assert_eq!(r.eval_term(&t).unwrap(), Term::float(3.0));
-    }
-
-    #[test]
-    fn unbound_variable_is_error() {
-        let r = BuiltinRegistry::standard();
-        assert!(r.eval_term(&Term::var("X")).is_err());
+        assert_eq!(eval(&r, "abs(neg(9223372036854775807))").unwrap(), max);
     }
 
     #[test]
@@ -476,19 +421,16 @@ mod tests {
         let mut r = BuiltinRegistry::standard();
         stdlib::register_lists(&mut r);
         let l = parse_term("[1, 2, 3]").unwrap();
-        let eval = |src: &str| r.eval_term(&parse_term(src).unwrap()).unwrap();
-        assert_eq!(eval("first([1, 2, 3])"), Term::Int(1));
-        assert_eq!(eval("last([1, 2, 3])"), Term::Int(3));
-        assert_eq!(eval("len([1, 2, 3])"), Term::Int(3));
-        assert_eq!(eval("len([])"), Term::Int(0));
-        assert_eq!(eval("reverse([1, 2, 3])"), parse_term("[3, 2, 1]").unwrap());
-        assert_eq!(
-            eval("append([1], [2, 3])"),
-            parse_term("[1, 2, 3]").unwrap()
-        );
-        assert_eq!(eval("nth([1, 2, 3], 1)"), Term::Int(2));
-        assert!(r.eval_term(&parse_term("nth([1], 5)").unwrap()).is_err());
-        assert!(r.eval_term(&parse_term("first([])").unwrap()).is_err());
+        let ok = |src: &str| eval(&r, src).unwrap();
+        assert_eq!(ok("first([1, 2, 3])"), Term::Int(1));
+        assert_eq!(ok("last([1, 2, 3])"), Term::Int(3));
+        assert_eq!(ok("len([1, 2, 3])"), Term::Int(3));
+        assert_eq!(ok("len([])"), Term::Int(0));
+        assert_eq!(ok("reverse([1, 2, 3])"), parse_term("[3, 2, 1]").unwrap());
+        assert_eq!(ok("append([1], [2, 3])"), parse_term("[1, 2, 3]").unwrap());
+        assert_eq!(ok("nth([1, 2, 3], 1)"), Term::Int(2));
+        assert!(eval(&r, "nth([1], 5)").is_err());
+        assert!(eval(&r, "first([])").is_err());
         let member = Symbol::intern("member");
         assert!(r.call_pred(member, &[Term::Int(2), l.clone()]).unwrap());
         assert!(!r.call_pred(member, &[Term::Int(9), l]).unwrap());

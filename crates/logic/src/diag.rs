@@ -1,7 +1,7 @@
 //! Whole-program static analysis: memory bounds, plan lints, placement and
 //! message envelopes (`sensorlog check`).
 //!
-//! Runs after [`crate::analyze`] and emits structured, span-carrying
+//! Runs after [`crate::analyze()`] and emits structured, span-carrying
 //! [`Diagnostic`]s plus a static model of the program:
 //!
 //! 1. **Memory bounds** (paper Sec. V "Memory Requirements", computed by

@@ -1,12 +1,12 @@
 //! Flat evaluation kernel: substitutions, interpreted evaluation, semantic
 //! matching and comparisons over interned [`ConstId`]s.
 //!
-//! This is the one implementation of the system functions ([`Op`]) and of
-//! comparison: every engine, every node and the boxed adapter
-//! [`BuiltinRegistry::eval_term`] evaluate through it. It touches only pool
-//! entries, so the fixpoint inner loop performs zero id → `Term` resolves.
-//! Cold paths (user procedural functions, error-message construction)
-//! resolve inside an [`intern::boundary`] scope.
+//! This is the one matcher and evaluator of ground terms, and the one
+//! implementation of the system functions ([`Op`]) and of comparison: every
+//! engine, every node and every aggregate evaluate through it. It touches
+//! only pool entries, so the fixpoint inner loop performs zero id → `Term`
+//! resolves. Cold paths (user procedural functions, error-message
+//! construction) resolve inside an [`intern::boundary`] scope.
 
 use crate::ast::CmpOp;
 use crate::builtin::{BuiltinError, BuiltinRegistry, Func, FuncImpl, Op};
@@ -23,7 +23,7 @@ use std::cmp::Ordering;
 const INLINE: usize = 8;
 
 /// A binding of variables to interned constants — the hot-path substitution.
-/// Backed by an inline association array of [`INLINE`] slots with a spill
+/// Backed by an inline association array of `INLINE` (8) slots with a spill
 /// vector for pathological rules, so cloning per candidate never allocates
 /// in the common case.
 #[derive(Clone, PartialEq)]
@@ -112,23 +112,13 @@ impl FlatSubst {
     }
 
     /// Materialize as a boxed [`Subst`] (counted resolves — boundary callers
-    /// such as lineage export should wrap in [`intern::boundary`]).
+    /// such as a why-not report's text should wrap in [`intern::boundary`]).
     pub fn to_subst(&self) -> Subst {
         let mut s = Subst::new();
         for (v, id) in self.iter() {
             s.bind(v, intern::resolve(id));
         }
         s
-    }
-
-    /// Intern a boxed substitution. Returns `None` if any binding is
-    /// non-ground (flat bindings are ground by construction).
-    pub fn from_subst(s: &Subst) -> Option<FlatSubst> {
-        let mut out = FlatSubst::new();
-        for (v, t) in s.iter() {
-            out.bind(*v, intern::intern_term(t)?);
-        }
-        Some(out)
     }
 }
 
@@ -608,8 +598,9 @@ mod tests {
         let s = seven_and_a_half();
         let got = flat_eval(&r, &parse_term("X + 1").unwrap(), &s).unwrap();
         assert_eq!(intern::resolve(got), parse_term("sum(7, 1)").unwrap());
+        let ground = flat_eval(&r, &parse_term("add(1, 2)").unwrap(), &FlatSubst::new());
         assert_eq!(
-            r.eval_term(&parse_term("add(1, 2)").unwrap()).unwrap(),
+            intern::resolve(ground.unwrap()),
             parse_term("sum(1, 2)").unwrap()
         );
         let raw = id_of(&Term::app("add", vec![Term::Int(1), Term::Int(2)]));
@@ -719,21 +710,44 @@ mod tests {
         assert!(!flat_match(&r, &pat, w, &mut s));
     }
 
+    /// A repeated variable matches equal values only, and a value of
+    /// another shape or constant does not match at all.
     #[test]
-    fn subst_round_trip() {
+    fn flat_match_args_is_nonlinear_and_structural() {
+        let r = reg();
+        let pats = [parse_term("f(X, X)").unwrap(), Term::Int(1)];
+        let at = |src: &str| [id_of(&parse_term(src).unwrap()), intern::intern_int(1)];
+        let mut s = FlatSubst::new();
+        assert!(flat_match_args(&r, &pats, &at("f(1, 1)"), &mut s));
+        assert_eq!(s.get(Symbol::intern("X")), Some(intern::intern_int(1)));
+        for miss in ["f(1, 2)", "g(1, 1)", "f(1)"] {
+            assert!(
+                !flat_match_args(&r, &pats, &at(miss), &mut FlatSubst::new()),
+                "{miss}"
+            );
+        }
+        let two = [
+            id_of(&parse_term("f(1, 1)").unwrap()),
+            intern::intern_int(2),
+        ];
+        assert!(!flat_match_args(&r, &pats, &two, &mut FlatSubst::new()));
+        assert!(!flat_match_args(
+            &r,
+            &pats[..1],
+            &two,
+            &mut FlatSubst::new()
+        ));
+    }
+
+    #[test]
+    fn to_subst_resolves_every_binding() {
         let mut f = FlatSubst::new();
         f.bind(Symbol::intern("A"), intern::intern_int(1));
-        f.bind(
-            Symbol::intern("B"),
-            id_of(&Term::app("loc", vec![Term::Int(2), Term::Int(3)])),
-        );
+        let loc = Term::app("loc", vec![Term::Int(2), Term::Int(3)]);
+        f.bind(Symbol::intern("B"), id_of(&loc));
         let boxed = intern::boundary(|| f.to_subst());
-        let back = FlatSubst::from_subst(&boxed).unwrap();
-        assert_eq!(back.get(Symbol::intern("A")), f.get(Symbol::intern("A")));
-        assert_eq!(back.get(Symbol::intern("B")), f.get(Symbol::intern("B")));
-        // Non-ground substitutions don't intern.
-        let mut open = Subst::new();
-        open.bind(Symbol::intern("C"), Term::var("D"));
-        assert!(FlatSubst::from_subst(&open).is_none());
+        assert_eq!(boxed.len(), 2);
+        assert_eq!(boxed.get(Symbol::intern("A")), Some(&Term::Int(1)));
+        assert_eq!(boxed.get(Symbol::intern("B")), Some(&loc));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Every ground constant the engines touch — integers, floats, strings,
 //! atoms, and ground applications — is interned exactly once into a
-//! process-wide [`ConstPool`] and referred to by a [`ConstId`] everywhere on
+//! process-wide pool and referred to by a [`ConstId`] everywhere on
 //! the evaluation hot path. Id equality is structural equality, so join
 //! probes, substitution bindings and tuple comparisons reduce to `u32`
 //! operations; the boxed [`Term`] representation survives only at the

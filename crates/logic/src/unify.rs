@@ -1,16 +1,19 @@
-//! Substitutions and matching.
+//! Boxed substitutions.
 //!
-//! The bottom-up engine *matches* rule patterns against ground facts: the
-//! term-matching operator the paper mentions for function symbols
-//! (Sec. IV-C).
+//! Every engine and node matches and evaluates on interned ids
+//! (`flat::FlatSubst`, `flat::flat_match_args`, `flat::flat_eval`): that is
+//! the term-matching operator the paper mentions for function symbols
+//! (Sec. IV-C). A [`Subst`] is kept for what only it can hold: bindings to
+//! non-ground terms, as `absint` embeds one rule's pattern in another, and
+//! the resolved text of a binding, as provenance prints a why-not witness
+//! (`FlatSubst::to_subst`).
 
 use crate::symbol::Symbol;
 use crate::term::Term;
 use std::collections::HashMap;
 
-/// A binding of variables to terms. Bindings produced by [`match_term`]
-/// against ground facts are always ground; a binding made with
-/// [`Subst::bind`] may be non-ground, and [`Subst::apply`] follows it.
+/// A binding of variables to terms. A binding may be non-ground, and
+/// [`Subst::apply`] follows it.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Subst {
     map: HashMap<Symbol, Term>,
@@ -85,79 +88,9 @@ impl Subst {
     }
 }
 
-/// Match `pattern` (may contain variables) against ground `value`, extending
-/// `subst`. Returns false (with `subst` possibly partially extended — callers
-/// discard on failure) if they don't match.
-pub fn match_term(pattern: &Term, value: &Term, subst: &mut Subst) -> bool {
-    debug_assert!(value.is_ground(), "match_term target must be ground");
-    match pattern {
-        Term::Var(v) => match subst.get(*v) {
-            Some(bound) => bound == value,
-            None => {
-                subst.bind(*v, value.clone());
-                true
-            }
-        },
-        Term::App(f, args) => match value {
-            Term::App(g, vargs) if f == g && args.len() == vargs.len() => args
-                .iter()
-                .zip(vargs.iter())
-                .all(|(p, v)| match_term(p, v, subst)),
-            _ => false,
-        },
-        _ => pattern == value,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn match_binds_vars() {
-        let mut s = Subst::new();
-        let pat = Term::app("f", vec![Term::var("X"), Term::Int(2)]);
-        let val = Term::app("f", vec![Term::Int(1), Term::Int(2)]);
-        assert!(match_term(&pat, &val, &mut s));
-        assert_eq!(s.get(Symbol::intern("X")), Some(&Term::Int(1)));
-    }
-
-    #[test]
-    fn match_respects_existing_bindings() {
-        let mut s = Subst::new();
-        s.bind(Symbol::intern("X"), Term::Int(5));
-        assert!(match_term(&Term::var("X"), &Term::Int(5), &mut s));
-        assert!(!match_term(&Term::var("X"), &Term::Int(6), &mut s));
-    }
-
-    #[test]
-    fn match_nonlinear_pattern() {
-        // f(X, X) matches f(1, 1) but not f(1, 2).
-        let pat = Term::app("f", vec![Term::var("X"), Term::var("X")]);
-        let mut s = Subst::new();
-        assert!(match_term(
-            &pat,
-            &Term::app("f", vec![Term::Int(1), Term::Int(1)]),
-            &mut s
-        ));
-        let mut s = Subst::new();
-        assert!(!match_term(
-            &pat,
-            &Term::app("f", vec![Term::Int(1), Term::Int(2)]),
-            &mut s
-        ));
-    }
-
-    #[test]
-    fn match_structural_mismatch() {
-        let mut s = Subst::new();
-        assert!(!match_term(
-            &Term::app("f", vec![Term::var("X")]),
-            &Term::app("g", vec![Term::Int(1)]),
-            &mut s
-        ));
-        assert!(!match_term(&Term::Int(1), &Term::Int(2), &mut s));
-    }
 
     #[test]
     fn apply_substitutes_recursively() {

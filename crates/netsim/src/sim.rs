@@ -7,7 +7,7 @@
 //! one binary heap and pop in `(at, tie)` order. Deterministic for a fixed
 //! seed: ties are origin-keyed, `(origin_node << 32) | per-origin counter`,
 //! and every random draw on the message path comes from the *sender's*
-//! private [`NodeRng`] stream. A send's tie and draws therefore depend on
+//! private `NodeRng` stream. A send's tie and draws therefore depend on
 //! its sender's own history alone — so which same-tick event runs first is
 //! one choice point in one queue (what a schedule explorer permutes), and a
 //! fault on one link never shifts any other node's stream.

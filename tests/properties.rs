@@ -56,18 +56,23 @@ proptest! {
         prop_assert_eq!(Tuple::new(parsed), tuple);
     }
 
-    /// match_term(pattern, apply(pattern, σ)) succeeds for any ground σ.
+    /// flat_match_args(pattern, the interned apply(pattern, σ)) succeeds
+    /// for any ground σ and binds σ back. The registry interprets no
+    /// function symbol, so a generated `add(…)` is a constructor here.
     #[test]
     fn match_after_apply(x in ground_term(), y in ground_term()) {
-        use sensorlog::logic::unify::{match_term, Subst};
+        use sensorlog::logic::flat::{flat_match_args, FlatSubst};
+        use sensorlog::logic::intern;
+        use sensorlog::logic::unify::Subst;
         let pattern = Term::app("f", vec![Term::var("X"), Term::var("Y"), Term::var("X")]);
         let mut s = Subst::new();
-        s.bind(sym("X"), x);
+        s.bind(sym("X"), x.clone());
         s.bind(sym("Y"), y);
-        let value = s.apply(&pattern);
-        let mut s2 = Subst::new();
-        prop_assert!(match_term(&pattern, &value, &mut s2));
-        prop_assert_eq!(s2.get(sym("X")), s.get(sym("X")));
+        let value = intern::intern_term(&s.apply(&pattern)).unwrap();
+        let mut s2 = FlatSubst::new();
+        let reg = BuiltinRegistry::default();
+        prop_assert!(flat_match_args(&reg, &[pattern], &[value], &mut s2));
+        prop_assert_eq!(s2.get(sym("X")), intern::intern_term(&x));
     }
 }
 
