@@ -58,9 +58,10 @@ cargo test --workspace -q
 #  - logic: reading every small int (`0..4096`, its own id) mints no row in
 #    the constant pool's value -> id map, and `pool_len` still counts them
 #    in the next id (earlier trees pre-seeded 4,096 rows on first touch);
-#  - core: a node's pending expiries are one queue with its head armed, so
-#    the simulator never holds as many events as the network holds windowed
-#    replicas (a timer per replica does), each generation still leaves at
+#  - core: a node's pending expiries are its predicates' queues with the
+#    earliest head armed, so the simulator never holds as many events as the
+#    network holds windowed replicas (a timer per replica does), each
+#    generation still leaves at
 #    exactly tau + retention, and — the two regressions beside it — an
 #    expiry drops only the generation it was queued for, replica or owned;
 #  - core: a hop moves a pointer — a relay queues the `Arc` it received
@@ -407,8 +408,8 @@ if grep -rnE 'tau_s|tau_j|holddown_base|xy_stagger|DEFAULT_HOLDDOWN_BASE_MS|DEFA
     echo "a settable timing constant is back: derive the wait from the deployment's delay bound (plan::Delay)"; exit 1
 fi
 
-# An expiry names its replica once: a queue entry is `{ due, tag, tuple,
-# pred, owned, armed }`, and a pop drops whichever generation is stored once
+# An expiry names its replica once: a queue entry is `{ due, tag, tuple }`,
+# and a pop drops whichever generation is stored once
 # that one is past its own retention (`runtime::past_retention`, the rule
 # `store_replica` refuses a late copy by). Earlier trees queued an
 # `Expiring::Replica(pred, tuple, id)` that repeated the stored generation's
@@ -416,6 +417,28 @@ fi
 echo "== an expiry names its replica once (no Expiring under crates/core/src) =="
 if grep -rn 'Expiring' crates/core/src; then
     echo "an expiry entry repeats its replica again: name the replica by pred and tuple, and pop by past_retention"; exit 1
+fi
+
+# One record per predicate: a node keeps its replicas of a predicate as one
+# entry of its fragment store's vector (`eval::relation::Database`), and all
+# else it keeps per predicate — the expiry queues of its replicas and of its
+# owned entries, its owned-entry count and its stored peak — in that
+# predicate's `runtime::PredRecord`; an expiry entry is `{ due, tag, tuple }`
+# (32 B), its queue naming the predicate and the kind, and the node keeps the
+# few tags with a timer in flight. Earlier trees kept each fragment store in
+# a `BTreeMap` (an 11-slot leaf for one or two predicates), a peak map and an
+# owned-count map beside it, and one node-wide queue of 40 B entries that
+# named their predicate and carried an `armed` flag each: together about a
+# seventh of `battlefield_pa`'s peak heap.
+echo "== one record per predicate (no predicate-keyed peak or owned-count map under crates/core/src, no BTreeMap<Symbol, Relation in eval's relation.rs, no pred or armed field in Expiry) =="
+expiry=$(sed -n '/^struct Expiry {$/,/^}$/p' crates/core/src/runtime.rs)
+grep -q 'due' <<<"$expiry" || { echo "runtime.rs's struct Expiry not found (renamed?)"; exit 1; }
+found=0
+grep -rnE 'peak_pred_stored: BTreeMap|per_pred:' crates/core/src && found=1
+grep -n 'BTreeMap<Symbol, Relation' crates/eval/src/relation.rs && found=1
+grep -nE '^ +(pred|armed):' <<<"$expiry" && found=1
+if [[ "$found" -ne 0 ]]; then
+    echo "a predicate-keyed map beside the store, or an expiry naming its predicate or timer: keep it in the predicate's PredRecord (or Database's vector)"; exit 1
 fi
 
 # One crash record: what a node keeps across a crash (its facts, sequence

@@ -689,7 +689,8 @@ fn diag(quick: bool, r: &mut Report) {
                     .sim
                     .topology()
                     .nodes()
-                    .filter_map(|id| d.sim.node(id).peak_pred_stored().get(&p).copied())
+                    .filter_map(|id| d.sim.node(id).peak_pred_stored().find(|&(q, _)| q == p))
+                    .map(|(_, peak)| peak)
                     .max();
                 let b = PredBounds {
                     legacy: fr.paper.get(&p).and_then(|b| b.eval(&params)),

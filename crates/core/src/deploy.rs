@@ -496,7 +496,7 @@ impl Deployment {
         rollup.gauge_set(Scope::Global, "intern.boundary.resolves", rc.boundary);
         rollup.gauge_set(Scope::Global, "intern.hot.resolves", rc.hot);
         for n in self.sim.nodes() {
-            for (&pred, &peak) in n.peak_pred_stored() {
+            for (pred, peak) in n.peak_pred_stored() {
                 rollup.gauge_max(Scope::Pred(pred.as_str()), "peak_stored", peak as u64);
             }
             rollup.gauge_max(Scope::Global, "peak_replicas", n.stats.peak_replicas as u64);
@@ -539,7 +539,7 @@ impl Deployment {
         let caps = crate::invariants::node_caps(self, &params);
         let mut peaks: BTreeMap<Symbol, u64> = BTreeMap::new();
         for n in self.sim.nodes() {
-            for (&pred, &peak) in n.peak_pred_stored() {
+            for (pred, peak) in n.peak_pred_stored() {
                 let e = peaks.entry(pred).or_insert(0);
                 *e = (*e).max(peak as u64);
             }

@@ -267,7 +267,7 @@ pub fn check_static_bounds(d: &Deployment) -> InvariantReport {
             continue;
         }
         let node = d.sim.node(id);
-        for (&pred, &peak) in node.peak_pred_stored() {
+        for (pred, peak) in node.peak_pred_stored() {
             // Unknown to the analyzer (e.g. magic), or unbounded.
             let Some(&Some(cap)) = caps.get(&pred) else {
                 continue;

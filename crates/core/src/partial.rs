@@ -481,7 +481,7 @@ mod tests {
         // A node holding f(2, 9) extends the partial to completion.
         let mut db = Fragments::default();
         let (fp, ft) = fact("f(2, 9)");
-        db.relation_mut(fp).insert(ft, stored(3, tid(4, 3)));
+        db.relation_or_insert(fp).insert(ft, stored(3, tid(4, 3)));
         let c = ctx(&prog, &db, 10);
         let mut work = ProbeWork::default();
         let out = process_partials(&c, rule, &shape, vec![seed.clone()], None, EVERY, &mut work);
@@ -508,7 +508,7 @@ mod tests {
         // original survives.
         let mut db = Fragments::default();
         let (fp, ft) = fact("f(2, -3)");
-        db.relation_mut(fp).insert(ft, stored(3, tid(4, 3)));
+        db.relation_or_insert(fp).insert(ft, stored(3, tid(4, 3)));
         let c = ctx(&prog, &db, 10);
         let mut work = ProbeWork::default();
         let out = process_partials(&c, rule, &shape, vec![seed], None, EVERY, &mut work);
@@ -526,8 +526,8 @@ mod tests {
         let mut db = Fragments::default();
         let (fp, ft) = fact("f(2, 9)");
         let (bp, bt) = fact("bad(9)");
-        db.relation_mut(fp).insert(ft, stored(3, tid(4, 3)));
-        db.relation_mut(bp).insert(bt, stored(2, tid(5, 2)));
+        db.relation_or_insert(fp).insert(ft, stored(3, tid(4, 3)));
+        db.relation_or_insert(bp).insert(bt, stored(2, tid(5, 2)));
         let c = ctx(&prog, &db, 10);
         let mut work = ProbeWork::default();
         let out = process_partials(&c, rule, &shape, vec![seed], None, EVERY, &mut work);
@@ -547,9 +547,10 @@ mod tests {
         let mut db = Fragments::default();
         let (fp, ft) = fact("f(2, 9)");
         let (bp, bt) = fact("bad(9)");
-        db.relation_mut(fp).insert(ft, stored(3, tid(4, 3)));
-        db.relation_mut(bp).insert(bt.clone(), stored(2, tid(5, 2)));
-        tombstone(db.relation_mut(bp), &bt, 8);
+        db.relation_or_insert(fp).insert(ft, stored(3, tid(4, 3)));
+        db.relation_or_insert(bp)
+            .insert(bt.clone(), stored(2, tid(5, 2)));
+        tombstone(db.relation_mut(bp).unwrap(), &bt, 8);
         let completed = |tau| {
             let c = ctx(&prog, &db, tau);
             let mut work = ProbeWork::default();
@@ -574,7 +575,7 @@ mod tests {
         // Fragment generated *after* the probe's tau is invisible.
         let mut db = Fragments::default();
         let (fp, ft) = fact("f(2, 9)");
-        db.relation_mut(fp).insert(ft, stored(50, tid(4, 50)));
+        db.relation_or_insert(fp).insert(ft, stored(50, tid(4, 50)));
         let c = ctx(&prog, &db, 10);
         let mut work = ProbeWork::default();
         let out = process_partials(&c, rule, &shape, vec![seed], None, EVERY, &mut work);
@@ -605,7 +606,7 @@ mod tests {
         let seed = seed_partial(&prog, rule, 0, false, &et, tid(0, 5)).unwrap();
         let mut db = Fragments::default();
         let (fp, ft) = fact("f(2, 9)");
-        db.relation_mut(fp).insert(ft, stored(3, tid(4, 3)));
+        db.relation_or_insert(fp).insert(ft, stored(3, tid(4, 3)));
         let c = ctx(&prog, &db, 10);
         // A pass of literal 0 (already bound) blocks the f-extension; a
         // pass of literal 1 makes it.
@@ -641,8 +642,8 @@ mod tests {
         let mut db = Fragments::default();
         let (tp, t1) = fact("t(2, 7)");
         let (_, t2) = fact("t(2, 8)");
-        db.relation_mut(tp).insert(t1, stored(1, tid(9, 1)));
-        db.relation_mut(tp).insert(t2, stored(1, tid(9, 1)));
+        db.relation_or_insert(tp).insert(t1, stored(1, tid(9, 1)));
+        db.relation_or_insert(tp).insert(t2, stored(1, tid(9, 1)));
         let c = ctx(&prog, &db, 10);
         let mut work = ProbeWork::default();
         let out = process_partials(&c, rule, &shape, vec![seed], None, EVERY, &mut work);
@@ -713,7 +714,7 @@ mod tests {
         let (mut visited, mut dropped) = (0, 0);
         for _ in 0..400 {
             let mut db = Fragments::default();
-            db.relation_mut(f); // an empty store is a case too
+            db.relation_or_insert(f); // an empty store is a case too
             for _ in 0..rng.gen_range(0..14) {
                 let t = Tuple::new(vec![
                     Term::Int(rng.gen_range(0..4)),
@@ -725,11 +726,12 @@ mod tests {
                     ts: if rng.gen_range(0..6) > 0 { gen_ts } else { 40 },
                     seq: rng.gen_range(0..3),
                 };
-                db.relation_mut(f).insert(t.clone(), stored(gen_ts, id));
+                db.relation_or_insert(f)
+                    .insert(t.clone(), stored(gen_ts, id));
                 if let Some(del) =
                     [None, None, Some(tau - 1), Some(tau), Some(tau + 5)][rng.gen_range(0..5)]
                 {
-                    tombstone(db.relation_mut(f), &t, del);
+                    tombstone(db.relation_mut(f).unwrap(), &t, del);
                 }
             }
             for generous in [false, true] {

@@ -22,7 +22,7 @@
 
 use crate::msg::{Msg, OnWalk, Payload, ProbeMsg, RuleWork};
 use crate::partial::{
-    process_partials, seed_partial, Fragments, LocalCtx, Partial, ProbeWork, Replica, RuleShape,
+    process_partials, seed_partial, Fragments, LocalCtx, ProbeWork, Replica, RuleShape,
 };
 use crate::plan::{self, Delay, DistProgram, Reach};
 use crate::prov::{ProvRecord, Provenance};
@@ -37,9 +37,8 @@ use sensorlog_netsim::{App, Ctx, MsgMeta, NodeId, SimConfig, SimTime, Topology};
 use sensorlog_netstack::Router;
 use sensorlog_telemetry::{HistId, Scope, Telemetry};
 use std::cmp::Reverse;
-use std::collections::binary_heap::PeekMut;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Shared routing context: the topology, the next-hop oracle over it, the
@@ -204,25 +203,32 @@ struct Owned {
 }
 
 /// The derived tuples this node owns (`DistProgram::owner_of`), with the
-/// two counts kept in step with the map so no delta pays a walk of it.
+/// counts kept in step with the map so no delta pays a walk of it: its
+/// derivation keys here, each predicate's entries in that predicate's
+/// [`PredRecord`].
 #[derive(Debug, Default)]
 struct OwnedTable {
     entries: IdHashMap<(Symbol, Tuple), Owned>,
-    /// Entries per predicate.
-    per_pred: IdHashMap<Symbol, usize>,
     /// Derivation keys stored across all entries
     /// ([`SensorlogNode::derivation_count`] is the walk).
     derivations: usize,
 }
 
 impl OwnedTable {
-    /// Count one derivation delta into the entry of `(pred, tuple)` — which
-    /// its first delta creates — unless the clamp absorbs it.
-    fn book(&mut self, pred: Symbol, tuple: &Tuple, key: DerivationKey, sign: i8) -> &mut Owned {
-        let entry = match self.entries.entry((pred, tuple.clone())) {
+    /// Count one derivation delta into the entry of `tuple` of `record`'s
+    /// predicate — which its first delta creates — unless the clamp
+    /// absorbs it.
+    fn book(
+        &mut self,
+        record: &mut PredRecord,
+        tuple: &Tuple,
+        key: DerivationKey,
+        sign: i8,
+    ) -> &mut Owned {
+        let entry = match self.entries.entry((record.pred, tuple.clone())) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => {
-                *self.per_pred.entry(pred).or_insert(0) += 1;
+                record.owned += 1;
                 e.insert(Owned::default())
             }
         };
@@ -235,12 +241,10 @@ impl OwnedTable {
         entry
     }
 
-    fn remove(&mut self, pred: Symbol, tuple: Tuple) {
-        if let Some(gone) = self.entries.remove(&(pred, tuple)) {
+    fn remove(&mut self, record: &mut PredRecord, tuple: Tuple) {
+        if let Some(gone) = self.entries.remove(&(record.pred, tuple)) {
             self.derivations -= gone.support.entries().len();
-            if let Some(c) = self.per_pred.get_mut(&pred) {
-                *c = c.saturating_sub(1);
-            }
+            record.owned -= 1;
         }
     }
 }
@@ -357,15 +361,16 @@ enum TimerAction {
     Tick(Tick),
 }
 
-/// One entry of a node's expiry queue ([`NodeStore::expiries`]): what
-/// leaves the node when its time comes. Not `owned`: the replica of `pred`'s
-/// `tuple`, if it is past its own retention (Sec. IV-B "Tuple Expiry":
-/// (τs + τc) + τj + (τw + τc) after generation, [`past_retention`]) — the
-/// stored generation's `gen_ts` says which one that is, so a tuple generated
-/// again inside its predecessor's retention stays until its own entry.
-/// `owned`: silently expire the owned derived tuple (window-based, no join
-/// phase — "independently expiring a tuple after sufficient time"), unless
-/// a later delta queued a later expiry ([`Owned::expiry`]).
+/// One entry of an expiry queue of a predicate's [`PredRecord`]: what
+/// leaves the node when its time comes. Its queue says which predicate and
+/// which kind. A replica's: the replica of `tuple`, if it is past its own
+/// retention (Sec. IV-B "Tuple Expiry": (τs + τc) + τj + (τw + τc) after
+/// generation, [`past_retention`]) — the stored generation's `gen_ts` says
+/// which one that is, so a tuple generated again inside its predecessor's
+/// retention stays until its own entry. An owned entry's: silently expire
+/// the owned derived tuple (window-based, no join phase — "independently
+/// expiring a tuple after sufficient time"), unless a later delta queued a
+/// later expiry ([`Owned::expiry`]).
 ///
 /// Ordered by due local time, then by timer tag: queueing order, the order
 /// a node's same-tick timers fire in. (Tags are unique, so the derived
@@ -375,15 +380,15 @@ struct Expiry {
     due: SimTime,
     tag: u64,
     tuple: Tuple,
-    pred: Symbol,
-    owned: bool,
-    /// A simulator timer for it is in flight.
-    armed: bool,
 }
 
 // One entry per windowed replica, beside the replica itself: 64 B when it
-// repeated the replica's generation id (`TupleId`).
-const _: () = assert!(std::mem::size_of::<Expiry>() <= 40);
+// repeated the replica's generation id (`TupleId`), 40 B while it named its
+// predicate, its kind and whether its timer was in flight.
+const _: () = assert!(std::mem::size_of::<Expiry>() <= 32);
+
+/// A queue of pending expiries, earliest first.
+type ExpiryQueue = BinaryHeap<Reverse<Expiry>>;
 
 /// Whether a replica generated at `gen_ts` is past its `retention` (`None`:
 /// its stream is not windowed) at `now`: too old to store, and too old to
@@ -475,6 +480,58 @@ impl DeployContext {
     }
 }
 
+/// What a node keeps of one predicate beside its replicas, which are the
+/// predicate's relation in [`NodeStore::frags`]: the expiry queues of its
+/// replicas and of its owned entries, and its counts. Made by the first
+/// replica, owned entry or expiry of the predicate at the node.
+#[derive(Debug)]
+struct PredRecord {
+    pred: Symbol,
+    /// When each stored replica of `pred` goes.
+    replica_expiries: ExpiryQueue,
+    /// When each owned entry of `pred` goes (windowed derived predicates).
+    owned_expiries: ExpiryQueue,
+    /// Entries of `pred` in [`OwnedTable::entries`].
+    owned: usize,
+    /// Peak stored items (fragment replicas + owned derived entries),
+    /// cross-validated against the static memory bounds of `logic::diag`
+    /// by `crate::invariants::check_static_bounds`.
+    peak: usize,
+}
+
+impl PredRecord {
+    /// `pred`'s record among `records`, made in its place in `Symbol` order
+    /// if there is none. A node keeps a handful: scanned, grown one at a
+    /// time.
+    fn of(records: &mut Vec<PredRecord>, pred: Symbol) -> &mut PredRecord {
+        let i = records.iter().position(|r| r.pred == pred);
+        let i = i.unwrap_or_else(|| {
+            let at = records.partition_point(|r| r.pred < pred);
+            records.reserve_exact(1);
+            records.insert(
+                at,
+                PredRecord {
+                    pred,
+                    replica_expiries: ExpiryQueue::new(),
+                    owned_expiries: ExpiryQueue::new(),
+                    owned: 0,
+                    peak: 0,
+                },
+            );
+            at
+        });
+        &mut records[i]
+    }
+
+    fn queue(&mut self, owned: bool) -> &mut ExpiryQueue {
+        if owned {
+            &mut self.owned_expiries
+        } else {
+            &mut self.replica_expiries
+        }
+    }
+}
+
 /// What a node holds once it stores a replica, owns a derived tuple, arms
 /// a timer, or sees a flood — allocated by the first such operation.
 /// Under Centroid no node but the center ever does.
@@ -485,20 +542,20 @@ struct NodeStore {
     frags: Fragments,
     /// Tuples in `frags`, kept in step with it ([`SensorlogNode::replica_count`]).
     replicas: usize,
-    /// Pending expiries, earliest first: the only record of when a replica
-    /// or an owned entry goes. Each takes a timer tag when queued and fires
-    /// as that timer at exactly its due time, but only the head is armed in
-    /// the simulator (an expiry is armed when it becomes the head, so armed
-    /// ones fire in queue order), and pending events do not scale with
-    /// stored replicas.
-    expiries: BinaryHeap<Reverse<Expiry>>,
+    /// One record per predicate the node keeps anything of, in `Symbol`
+    /// order: its expiry queues and its counts.
+    preds: Vec<PredRecord>,
+    /// Tags of the pending expiries a simulator timer is in flight for.
+    /// Each expiry takes a timer tag when queued and fires as that timer at
+    /// exactly its due time, but only the earliest of all queue heads is
+    /// armed (an expiry is armed when it becomes that head, so armed ones
+    /// fire in queue order): this holds it and any an earlier one displaced
+    /// before it fired — a few at most, empty exactly when nothing is
+    /// pending — and pending events do not scale with stored replicas.
+    expiries: Vec<u64>,
     /// Derived tuples this node owns (`DistProgram::owner_of`).
     owned: OwnedTable,
     timers: IdHashMap<u64, TimerAction>,
-    /// Peak stored items per predicate (fragment replicas + owned derived
-    /// entries), cross-validated against the static memory bounds of
-    /// `logic::diag` by `crate::invariants::check_static_bounds`.
-    peak_pred_stored: BTreeMap<Symbol, usize>,
     /// Output-predicate transitions observed at this owner.
     output_log: Vec<(Symbol, Tuple, UpdateKind, SimTime)>,
     /// Ids of the [`PROBE_HISTS`] histograms per update predicate, resolved
@@ -524,20 +581,30 @@ const CENTER_SEQ_BASE: u32 = 0x8000_0000;
 impl NodeStore {
     /// Record the current stored-item count for `pred` into its peak.
     fn note_stored(&mut self, pred: Symbol) {
-        let owned = self.owned.per_pred.get(&pred).copied().unwrap_or(0);
-        let cur = self.frags.len_of(pred) + owned;
-        let peak = self.peak_pred_stored.entry(pred).or_insert(0);
-        *peak = (*peak).max(cur);
+        let replicas = self.frags.len_of(pred);
+        let record = PredRecord::of(&mut self.preds, pred);
+        record.peak = record.peak.max(replicas + record.owned);
     }
 
-    /// Keep the head of the expiry queue armed: a no-op unless the head
-    /// moved earlier or the armed one just fired.
+    /// The earliest pending expiry, the smallest `(due, tag)` among the
+    /// queue heads: `(due, tag, record index, owned)`.
+    fn next_expiry(&self) -> Option<(SimTime, u64, usize, bool)> {
+        let heads = self.preds.iter().enumerate().flat_map(|(i, r)| {
+            let queues = [(false, &r.replica_expiries), (true, &r.owned_expiries)];
+            (queues.into_iter()).filter_map(move |(owned, q)| {
+                q.peek().map(|head| (head.0.due, head.0.tag, i, owned))
+            })
+        });
+        heads.min()
+    }
+
+    /// Keep the earliest pending expiry armed: a no-op unless it moved
+    /// earlier or the armed one just fired.
     fn arm_next_expiry(&mut self, ctx: &mut Ctx<Msg>) {
-        // (`peek_mut` re-sifts the heap when written through: look first.)
-        if self.expiries.peek().is_some_and(|head| !head.0.armed) {
-            if let Some(mut head) = self.expiries.peek_mut() {
-                head.0.armed = true;
-                ctx.set_timer(head.0.due.saturating_sub(ctx.local_time), head.0.tag);
+        if let Some((due, tag, ..)) = self.next_expiry() {
+            if !self.expiries.contains(&tag) {
+                self.expiries.push(tag);
+                ctx.set_timer(due.saturating_sub(ctx.local_time), tag);
             }
         }
     }
@@ -620,11 +687,12 @@ impl SensorlogNode {
     }
 
     /// Peak stored items per predicate (fragment replicas + owned derived
-    /// entries), cross-validated against the static memory bounds of
-    /// `logic::diag` by `crate::invariants::check_static_bounds`.
-    pub fn peak_pred_stored(&self) -> &BTreeMap<Symbol, usize> {
-        static NONE: BTreeMap<Symbol, usize> = BTreeMap::new();
-        self.store.as_ref().map_or(&NONE, |s| &s.peak_pred_stored)
+    /// entries), in `Symbol` order, cross-validated against the static
+    /// memory bounds of `logic::diag` by
+    /// `crate::invariants::check_static_bounds`.
+    pub fn peak_pred_stored(&self) -> impl Iterator<Item = (Symbol, usize)> + '_ {
+        let records = self.store.iter().flat_map(|s| s.preds.iter());
+        records.map(|r| (r.pred, r.peak))
     }
 
     /// Output-predicate transitions observed at this owner.
@@ -667,7 +735,8 @@ impl SensorlogNode {
         let id = self.fresh_id(ctx);
         let key = DerivationKey::new(EDB_RULE, Vec::new());
         let store = self.store_mut();
-        let entry = store.owned.book(pred, &tuple, key, 1);
+        let record = PredRecord::of(&mut store.preds, pred);
+        let entry = store.owned.book(record, &tuple, key, 1);
         entry.id = Some(id);
         entry.propagated_live = true;
         store.note_stored(pred);
@@ -747,8 +816,9 @@ impl SensorlogNode {
             return 0;
         };
         let pending = |pred: Symbol, tuple: &Tuple, due: SimTime| {
-            (store.expiries.iter())
-                .any(|e| !e.0.owned && e.0.pred == pred && e.0.tuple == *tuple && e.0.due == due)
+            let queues = store.preds.iter().filter(|r| r.pred == pred);
+            (queues.flat_map(|r| r.replica_expiries.iter()))
+                .any(|e| e.0.tuple == *tuple && e.0.due == due)
         };
         let mut unexpiring = 0;
         for pred in store.frags.preds() {
@@ -929,7 +999,7 @@ impl SensorlogNode {
         let retention = self.ctx.retention(fact.pred);
         let now = ctx.local_time;
         let store = self.store.get_or_insert_with(Box::default);
-        let rel = store.frags.relation_mut(fact.pred);
+        let rel = store.frags.relation_or_insert(fact.pred);
         // Generation-aware replica storage: insert and delete walks may
         // arrive in either order (independent multi-hop routes), so the
         // replica tracks the newest tuple *generation* (by ID, Definition 2)
@@ -991,15 +1061,18 @@ impl SensorlogNode {
 
     /// Build and launch the join probe for `fact`.
     fn start_join(&mut self, ctx: &mut Ctx<Msg>, fact: FactRecord) {
-        let Some(occs) = self.ctx.prog.occurrences.get(&fact.pred).cloned() else {
+        // (A clone of the pointer: the occurrences are borrowed from the
+        // program while the node sends.)
+        let shared = Arc::clone(&self.ctx);
+        let Some(occs) = shared.prog.occurrences.get(&fact.pred) else {
             return; // pred not consumed by any rule
         };
-        let _span = self.ctx.tele.span("core.join.start");
+        let _span = shared.tele.span("core.join.start");
         let mut work = Vec::new();
-        for occ in &occs {
-            let rule = &self.ctx.prog.analysis.program.rules[occ.rule_idx];
+        for occ in occs {
+            let rule = &shared.prog.analysis.program.rules[occ.rule_idx];
             if let Some(p) = seed_partial(
-                &self.ctx.prog,
+                &shared.prog,
                 rule,
                 occ.lit_idx,
                 occ.negated,
@@ -1102,29 +1175,29 @@ impl SensorlogNode {
                     (UpdateKind::Insert, false) | (UpdateKind::Delete, true) => 1i8,
                     _ => -1i8,
                 };
-                let mut keep: Vec<Partial> = Vec::new();
-                for p in processed {
-                    if p.is_complete(shape) {
-                        if plan.holds_complete() && !walk_done {
-                            keep.push(p); // keep checking negations
-                        } else {
-                            match instantiate_head(rule, &p.bindings, &self.ctx.prog.reg) {
-                                Ok(tuple) => {
-                                    let key = DerivationKey::new(rule.id, p.inputs);
-                                    emissions.push((rule.head.pred, tuple, key, sign));
-                                }
-                                Err(_) => {
-                                    self.stats.eval_errors += 1;
-                                    let head = Scope::Pred(rule.head.pred.as_str());
-                                    self.ctx.tele.bump(head, "eval_errors");
-                                }
-                            }
-                        }
-                    } else if !last_node || (!walk_done && p.bound & joined == joined) {
-                        keep.push(p);
+                // What goes on stays where it arrived: filtered in place.
+                let kept = processed.into_iter().filter_map(|p| {
+                    if !p.is_complete(shape) {
+                        return (!last_node || (!walk_done && p.bound & joined == joined))
+                            .then_some(p);
                     }
-                }
-                workitem.partials = keep;
+                    if plan.holds_complete() && !walk_done {
+                        return Some(p); // keep checking negations
+                    }
+                    match instantiate_head(rule, &p.bindings, &self.ctx.prog.reg) {
+                        Ok(tuple) => {
+                            let key = DerivationKey::new(rule.id, p.inputs);
+                            emissions.push((rule.head.pred, tuple, key, sign));
+                        }
+                        Err(_) => {
+                            self.stats.eval_errors += 1;
+                            let head = Scope::Pred(rule.head.pred.as_str());
+                            self.ctx.tele.bump(head, "eval_errors");
+                        }
+                    }
+                    None
+                });
+                workitem.partials = kept.collect();
             }
         }
         if self.ctx.tele.is_enabled() {
@@ -1219,7 +1292,8 @@ impl SensorlogNode {
         let expiry = (self.ctx.prog.windows.get(&pred).copied())
             .map(|w| self.expire_in(ctx, w + self.ctx.net.tau_c + 1, pred, tuple.clone(), true));
         let store = self.store.get_or_insert_with(Box::default);
-        let entry = store.owned.book(pred, &tuple, key, sign);
+        let record = PredRecord::of(&mut store.preds, pred);
+        let entry = store.owned.book(record, &tuple, key, sign);
         entry.expiry = expiry;
         let view = LiveView::of(&self.ctx.prog, self.faults.as_deref());
         let wants_holddown = view.wants_holddown(entry);
@@ -1637,38 +1711,35 @@ impl SensorlogNode {
         let tag = self.next_tag;
         self.next_tag += 1;
         let store = self.store_mut();
-        store.expiries.push(Reverse(Expiry {
-            due: ctx.local_time + delay,
-            tag,
-            tuple,
-            pred,
-            owned,
-            armed: false,
-        }));
+        let due = ctx.local_time + delay;
+        let queue = PredRecord::of(&mut store.preds, pred).queue(owned);
+        queue.push(Reverse(Expiry { due, tag, tuple }));
         store.arm_next_expiry(ctx);
         tag
     }
 
-    /// The head of the expiry queue came due as timer `tag`: drop what it
+    /// The earliest pending expiry came due as timer `tag`: drop what it
     /// names if it is still due to go, then arm the next.
     fn fire_expiry(&mut self, ctx: &mut Ctx<Msg>, tag: u64) {
         let Some(store) = self.store.as_deref_mut() else {
             return; // no timer of ours
         };
-        let Some(head) = store.expiries.peek_mut().filter(|head| head.0.tag == tag) else {
+        let Some((_, _, i, owned)) = store.next_expiry().filter(|head| head.1 == tag) else {
             return; // no timer of ours
         };
-        let Expiry {
-            pred, tuple, owned, ..
-        } = PeekMut::pop(head).0;
-        let now = ctx.local_time;
+        let record = &mut store.preds[i];
+        let head = record.queue(owned).pop();
+        let Reverse(Expiry { tuple, .. }) = head.expect("the head next_expiry found");
+        store.expiries.retain(|&armed| armed != tag);
+        let (pred, now) = (record.pred, ctx.local_time);
         if !owned {
             // Whichever generation is stored now, if it is past its own
             // retention: a newer one generated later stays for its own entry.
-            let rel = store.frags.relation_mut(pred);
             let past = |gen_ts| past_retention(gen_ts, self.ctx.retention(pred), now);
-            if rel.meta(&tuple).is_some_and(|m| past(m.gen_ts)) && rel.remove(&tuple) {
-                store.replicas -= 1;
+            if let Some(rel) = store.frags.relation_mut(pred) {
+                if rel.meta(&tuple).is_some_and(|m| past(m.gen_ts)) && rel.remove(&tuple) {
+                    store.replicas -= 1;
+                }
             }
         } else if let (Some(&w), Some(entry)) = (
             self.ctx.prog.windows.get(&pred),
@@ -1677,7 +1748,7 @@ impl SensorlogNode {
             // The latest delta's expiry, and genuinely past the window.
             let stale = entry.id.is_none_or(|id| id.ts.saturating_add(w) < now);
             if entry.expiry == Some(tag) && stale && !entry.holddown_armed {
-                store.owned.remove(pred, tuple);
+                store.owned.remove(record, tuple);
             }
         }
         store.arm_next_expiry(ctx);
@@ -1891,7 +1962,7 @@ impl App for SensorlogNode {
             Some(TimerAction::StartJoin(fact)) => self.start_join(ctx, fact),
             Some(TimerAction::Holddown(pred, tuple)) => self.fire_holddown(ctx, pred, tuple),
             Some(TimerAction::Tick(tick)) => self.fire_tick(ctx, tick),
-            // Not a timer of its own: the expiry queue's head.
+            // Not a timer of its own: the earliest pending expiry.
             None => self.fire_expiry(ctx, tag),
         }
     }
@@ -1903,6 +1974,7 @@ mod tests {
     use proptest::prelude::{prop, prop_assert, prop_assert_eq, proptest, ProptestConfig};
     use sensorlog_eval::relation::Relation;
     use sensorlog_netstack::regions::Walk;
+    use std::collections::BTreeMap;
 
     #[test]
     fn netinfo_asks_the_router() {
@@ -2185,7 +2257,8 @@ mod tests {
         let fact = r1_insert(some_id(9, 50));
         let expiries = |d: &crate::Deployment| {
             let store = d.node(NodeId(5)).store.as_ref();
-            store.map_or(0, |s| s.expiries.len())
+            let queues = store.iter().flat_map(|s| s.preds.iter());
+            queues.map(|r| r.replica_expiries.len()).sum::<usize>()
         };
         assert_eq!(flood_copy(&mut d, &fact), 4);
         assert_eq!(expiries(&d), 1);

@@ -478,8 +478,10 @@ impl<K: LedgerKey> IncrementalEngine<K> {
     pub fn advance_time(&mut self, now: u64) {
         let preds: Vec<(Symbol, u64)> = self.windows.iter().map(|(&p, &w)| (p, w)).collect();
         for (p, w) in preds {
-            let expired = self.db.relation_mut(p).expire(w, now);
-            for t in expired {
+            let Some(rel) = self.db.relation_mut(p) else {
+                continue;
+            };
+            for t in rel.expire(w, now) {
                 if let Some(support) = self.derivs.remove(&(p, t)) {
                     self.deriv_entries -= support.entries.len();
                 }
@@ -516,7 +518,7 @@ impl<K: LedgerKey> IncrementalEngine<K> {
             UpdateKind::Insert => {
                 if !self
                     .db
-                    .relation_mut(u.pred)
+                    .relation_or_insert(u.pred)
                     .insert(u.tuple.clone(), TupleMeta::at(u.ts))
                 {
                     return Ok(()); // duplicate: not a generation

@@ -132,7 +132,7 @@ impl RederiveEngine {
         let _span = self.profiler.span("dred.insert");
         if !self
             .db
-            .relation_mut(u.pred)
+            .relation_or_insert(u.pred)
             .insert(u.tuple.clone(), TupleMeta::at(u.ts))
         {
             return Ok(());
@@ -145,7 +145,7 @@ impl RederiveEngine {
     /// propagate.
     fn store(&mut self, mut heads: Heads, ts: u64) -> Heads {
         heads.retain(|(p, t)| {
-            let rel = self.db.relation_mut(*p);
+            let rel = self.db.relation_or_insert(*p);
             rel.insert(t.clone(), TupleMeta::at(ts))
         });
         heads
@@ -231,7 +231,7 @@ impl RederiveEngine {
             for (p, t) in remaining {
                 if self.rederivable(p, &t)? {
                     self.db
-                        .relation_mut(p)
+                        .relation_or_insert(p)
                         .insert(t.clone(), TupleMeta::at(u.ts));
                     changed = true;
                 } else {

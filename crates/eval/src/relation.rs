@@ -444,17 +444,19 @@ impl<X> Relation<X> {
     }
 }
 
-/// A named collection of relations.
+/// A named collection of relations: one `(Symbol, Relation)` per predicate
+/// it holds, in `Symbol` order, grown one relation at a time. A program has
+/// a handful of predicates, so a relation is found by a scan for its id; at
+/// a sensor node, which stores one or two, that is one allocation of one or
+/// two entries where a map leaf had room for eleven.
 #[derive(Clone, Debug)]
 pub struct Database<X = ()> {
-    rels: BTreeMap<Symbol, Relation<X>>,
+    rels: Vec<(Symbol, Relation<X>)>,
 }
 
 impl<X> Default for Database<X> {
     fn default() -> Database<X> {
-        Database {
-            rels: BTreeMap::new(),
-        }
+        Database { rels: Vec::new() }
     }
 }
 
@@ -464,7 +466,7 @@ impl Database {
     }
 
     pub fn insert(&mut self, p: Symbol, t: Tuple) -> bool {
-        self.relation_mut(p).insert(t, TupleMeta::default())
+        self.relation_or_insert(p).insert(t, TupleMeta::default())
     }
 
     /// Load facts from a text block of `pred(args).` facts (multiple per
@@ -480,39 +482,57 @@ impl Database {
 }
 
 impl<X> Database<X> {
-    pub fn relation(&self, p: Symbol) -> Option<&Relation<X>> {
-        self.rels.get(&p)
+    fn position(&self, p: Symbol) -> Option<usize> {
+        self.rels.iter().position(|(q, _)| *q == p)
     }
 
-    pub fn relation_mut(&mut self, p: Symbol) -> &mut Relation<X> {
-        self.rels.entry(p).or_default()
+    pub fn relation(&self, p: Symbol) -> Option<&Relation<X>> {
+        self.position(p).map(|i| &self.rels[i].1)
+    }
+
+    /// The relation of `p`, if the database holds one: a lookup that
+    /// creates nothing, for reads and removals.
+    pub fn relation_mut(&mut self, p: Symbol) -> Option<&mut Relation<X>> {
+        self.position(p).map(|i| &mut self.rels[i].1)
+    }
+
+    /// The relation of `p`, created empty in its place in `Symbol` order if
+    /// the database holds none: the one lookup that inserts, for writes
+    /// that store.
+    pub fn relation_or_insert(&mut self, p: Symbol) -> &mut Relation<X> {
+        let i = self.position(p).unwrap_or_else(|| {
+            let at = self.rels.partition_point(|(q, _)| *q < p);
+            self.rels.reserve_exact(1);
+            self.rels.insert(at, (p, Relation::default()));
+            at
+        });
+        &mut self.rels[i].1
     }
 
     pub fn preds(&self) -> impl Iterator<Item = Symbol> + '_ {
-        self.rels.keys().copied()
+        self.rels.iter().map(|(p, _)| *p)
     }
 
     pub fn remove(&mut self, p: Symbol, t: &Tuple) -> bool {
-        self.relation_mut(p).remove(t)
+        self.relation_mut(p).is_some_and(|r| r.remove(t))
     }
 
     pub fn contains(&self, p: Symbol, t: &Tuple) -> bool {
-        self.rels.get(&p).is_some_and(|r| r.contains(t))
+        self.relation(p).is_some_and(|r| r.contains(t))
     }
 
     pub fn len_of(&self, p: Symbol) -> usize {
-        self.rels.get(&p).map_or(0, Relation::len)
+        self.relation(p).map_or(0, Relation::len)
     }
 
     /// Total number of tuples across all relations.
     pub fn total_tuples(&self) -> usize {
-        self.rels.values().map(Relation::len).sum()
+        self.rels.iter().map(|(_, r)| r.len()).sum()
     }
 
     /// Sorted tuples of a relation — deterministic views for tests/output.
     pub fn sorted(&self, p: Symbol) -> Vec<Tuple> {
-        self.rels
-            .get(&p)
+        self.relation(p)
             .map(|r| r.tuples().cloned().collect())
             .unwrap_or_default()
     }
@@ -520,13 +540,13 @@ impl<X> Database<X> {
     /// Register a persistent index signature on relation `p` (see
     /// [`Relation::register_index`]).
     pub fn register_index(&mut self, p: Symbol, cols: &[usize]) {
-        self.relation_mut(p).register_index(cols);
+        self.relation_or_insert(p).register_index(cols);
     }
 
     /// Probe counters summed across all relations.
     pub fn index_stats(&self) -> IndexStatsSnapshot {
         let mut s = IndexStatsSnapshot::default();
-        for r in self.rels.values() {
+        for (_, r) in &self.rels {
             s.merge(r.index_stats());
         }
         s
@@ -821,6 +841,25 @@ mod tests {
         let gone = r.expire(100, 100);
         assert_eq!(gone, vec![tup(vec![1])]);
         assert_eq!(r.len(), 1);
+    }
+
+    /// Reads and removals find what is there and create nothing: only a
+    /// store makes a relation, in `Symbol` order whatever the order of
+    /// first stores.
+    #[test]
+    fn a_lookup_creates_nothing() {
+        let mut db = Database::new();
+        assert!(!db.remove(sym("absent"), &tup(vec![1])));
+        assert!(db.relation_mut(sym("absent")).is_none());
+        assert!(!db.contains(sym("absent"), &tup(vec![1])));
+        assert_eq!(db.preds().count(), 0);
+        for p in ["m", "b", "z", "b"] {
+            db.insert(sym(p), tup(vec![1]));
+        }
+        let preds: Vec<&str> = db.preds().map(Symbol::as_str).collect();
+        assert_eq!(preds, ["b", "m", "z"]);
+        assert!(db.remove(sym("m"), &tup(vec![1])));
+        assert_eq!(db.len_of(sym("m")), 0);
     }
 
     #[test]

@@ -153,7 +153,7 @@ impl Engine {
             }
         }
         for (p, t) in pending {
-            db.relation_mut(p).insert(t, TupleMeta::default());
+            db.relation_or_insert(p).insert(t, TupleMeta::default());
         }
         Ok(())
     }
@@ -179,7 +179,10 @@ impl Engine {
             }
         }
         for (p, t) in round0 {
-            if db.relation_mut(p).insert(t.clone(), TupleMeta::default()) {
+            if db
+                .relation_or_insert(p)
+                .insert(t.clone(), TupleMeta::default())
+            {
                 delta.entry(p).or_default().push(t);
             }
         }
@@ -216,7 +219,10 @@ impl Engine {
             }
             let mut next: HashMap<Symbol, Vec<Tuple>> = HashMap::new();
             for (p, t) in produced {
-                if db.relation_mut(p).insert(t.clone(), TupleMeta::default()) {
+                if db
+                    .relation_or_insert(p)
+                    .insert(t.clone(), TupleMeta::default())
+                {
                     next.entry(p).or_default().push(t);
                 }
             }
@@ -248,7 +254,7 @@ impl Engine {
             let sols = ev.solutions(&rule.body, FlatSubst::new(), None)?;
             for sol in &sols {
                 let t = instantiate_head(rule, sol, &self.reg)?;
-                db.relation_mut(rule.head.pred)
+                db.relation_or_insert(rule.head.pred)
                     .insert(t, TupleMeta::default());
             }
         }
@@ -296,7 +302,7 @@ impl Engine {
                     }
                     for t in new_tuples {
                         if let Val::Int(s) = intern::entry(t.id(hpos)).val {
-                            if db.relation_mut(pred).insert(t, TupleMeta::default()) {
+                            if db.relation_or_insert(pred).insert(t, TupleMeta::default()) {
                                 hi = hi.max(s);
                             }
                         } else {

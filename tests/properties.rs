@@ -206,14 +206,21 @@ proptest! {
         use sensorlog::eval::{Database as Db};
         let mut db = Db::new();
         let p = sym("rel_prop");
+        let mut inserted = false;
         for &(insert, a, b) in &ops {
             if insert {
                 db.insert(p, tuple2(a, b));
             } else {
                 db.remove(p, &tuple2(a, b));
             }
-            // Interleave lookups so the index is built mid-sequence.
-            let rel = db.relation(p).unwrap();
+            inserted |= insert;
+            // Interleave lookups so the index is built mid-sequence. Only
+            // an insert makes the relation: a remove before one creates
+            // nothing.
+            let Some(rel) = db.relation(p) else {
+                prop_assert!(!inserted);
+                continue;
+            };
             let mut via_index = Vec::new();
             rel.select(&[0], &[sensorlog::logic::intern::intern_int(probe)], &mut via_index);
             let mut via_scan: Vec<Tuple> = rel

@@ -102,7 +102,7 @@ fn static_bounds_dominate_200_node_run() {
     // Observed network-wide per-predicate peaks, and the domination margin.
     let mut observed: BTreeMap<Symbol, usize> = BTreeMap::new();
     for id in d.sim.topology().nodes() {
-        for (&pred, &peak) in d.sim.node(id).peak_pred_stored() {
+        for (pred, peak) in d.sim.node(id).peak_pred_stored() {
             let e = observed.entry(pred).or_insert(0);
             *e = (*e).max(peak);
         }
@@ -312,7 +312,7 @@ proptest! {
         };
         let fr = frontier(&d.prog.analysis);
         for id in d.sim.topology().nodes() {
-            for (&pred, &peak) in d.sim.node(id).peak_pred_stored() {
+            for (pred, peak) in d.sim.node(id).peak_pred_stored() {
                 let Some(t) = fr.bounds.get(&pred).and_then(|b| b.eval(&params)) else {
                     continue;
                 };

@@ -200,3 +200,53 @@ fn skewed_trace_is_pinned() {
     let report = oracle::check(&d, &events, Symbol::intern("q"));
     assert_eq!(report.found, 285, "Table 2's 4x4 run found {report:?}");
 }
+
+/// Example 1 as `examples/programs/battlefield.dl` states it, `.window veh
+/// 60000`, on a lossy 6×6 PA grid run past its retention: every replica of
+/// `veh` and `cov` and the owned entries of `cov` and `uncov` are queued to
+/// expire, and their expiries fire in the journal. No other pin runs a
+/// windowed program.
+const WINDOWED_PIN: (usize, u64, u64) = (2620, 0xd1e0994b74d5a3e6, 1055);
+
+#[test]
+fn windowed_battlefield_trace_is_pinned() {
+    use sensorlog::core::workload::VehicleWorkload;
+
+    let topo = Topology::square_grid(6);
+    let cfg = DeployConfig {
+        sim: SimConfig {
+            loss_prob: 0.05,
+            seed: 23,
+            ..SimConfig::default()
+        },
+        ..DeployConfig::default()
+    };
+    let program = include_str!("../examples/programs/battlefield.dl");
+    let events = VehicleWorkload {
+        n_enemy: 4,
+        n_friendly: 4,
+        interval: 2_000,
+        duration: 12_000,
+        seed: 5,
+    }
+    .events(&topo);
+    let mut d = Deployment::new(program, BuiltinRegistry::standard(), topo, cfg).unwrap();
+    let journal = d.attach_journal();
+    d.schedule_all(events).unwrap();
+    let end = d.run(10_000_000);
+    let j = journal.take();
+    let got = (j.records.len(), j.content_hash(), d.metrics().total_tx());
+    assert_eq!(got, WINDOWED_PIN, "the windowed journal drifted");
+    // Past the last sighting's retention every replica has expired, and
+    // owned entries with them.
+    assert!(end > 60_000, "quiescent at {end}");
+    let nodes = || d.sim.nodes();
+    assert!(nodes().map(|n| n.stats.peak_replicas).sum::<usize>() > 300);
+    assert_eq!(nodes().map(|n| n.replica_count()).sum::<usize>(), 0);
+    let peak: usize = nodes().map(|n| n.stats.peak_derivations).sum();
+    let held: usize = nodes().map(|n| n.derivation_count()).sum();
+    assert!(
+        held < peak / 2,
+        "{held} of a peak of {peak} derivations held"
+    );
+}
