@@ -29,7 +29,7 @@ use crate::prov::{ProvRecord, Provenance};
 use crate::strategy::{PassMode, Strategy};
 use crate::tupleid::{clamp_absorbs, DerivationKey, FactRecord, TupleId, EDB_RULE};
 use sensorlog_eval::eval_body::instantiate_head;
-use sensorlog_eval::relation::TupleMeta;
+use sensorlog_eval::relation::{self, TupleMeta};
 use sensorlog_eval::{EvalError, Firing, IncrementalEngine, Support, Update, UpdateKind};
 use sensorlog_logic::intern::IdHashMap;
 use sensorlog_logic::{Literal, Symbol, Tuple};
@@ -483,7 +483,10 @@ impl DeployContext {
 /// What a node keeps of one predicate beside its replicas, which are the
 /// predicate's relation in [`NodeStore::frags`]: the expiry queues of its
 /// replicas and of its owned entries, and its counts. Made by the first
-/// replica, owned entry or expiry of the predicate at the node.
+/// replica, owned entry or expiry of the predicate at the node. It stays
+/// beside the relation, not in it: `frags` is a [`Fragments`], the `eval`
+/// `Database` probes read as the node's local database
+/// (`partial::LocalCtx`), and the evaluator knows no timers or owners.
 #[derive(Debug)]
 struct PredRecord {
     pred: Symbol,
@@ -501,25 +504,17 @@ struct PredRecord {
 
 impl PredRecord {
     /// `pred`'s record among `records`, made in its place in `Symbol` order
-    /// if there is none. A node keeps a handful: scanned, grown one at a
-    /// time.
+    /// if there is none ([`relation::slot`], the insert `Database` grows its
+    /// relations by).
     fn of(records: &mut Vec<PredRecord>, pred: Symbol) -> &mut PredRecord {
-        let i = records.iter().position(|r| r.pred == pred);
-        let i = i.unwrap_or_else(|| {
-            let at = records.partition_point(|r| r.pred < pred);
-            records.reserve_exact(1);
-            records.insert(
-                at,
-                PredRecord {
-                    pred,
-                    replica_expiries: ExpiryQueue::new(),
-                    owned_expiries: ExpiryQueue::new(),
-                    owned: 0,
-                    peak: 0,
-                },
-            );
-            at
-        });
+        let empty = || PredRecord {
+            pred,
+            replica_expiries: ExpiryQueue::new(),
+            owned_expiries: ExpiryQueue::new(),
+            owned: 0,
+            peak: 0,
+        };
+        let i = relation::slot(records, pred, |r| r.pred, empty);
         &mut records[i]
     }
 
@@ -552,7 +547,7 @@ struct NodeStore {
     /// fire in queue order): this holds it and any an earlier one displaced
     /// before it fired — a few at most, empty exactly when nothing is
     /// pending — and pending events do not scale with stored replicas.
-    expiries: Vec<u64>,
+    armed: Vec<u64>,
     /// Derived tuples this node owns (`DistProgram::owner_of`).
     owned: OwnedTable,
     timers: IdHashMap<u64, TimerAction>,
@@ -602,8 +597,8 @@ impl NodeStore {
     /// earlier or the armed one just fired.
     fn arm_next_expiry(&mut self, ctx: &mut Ctx<Msg>) {
         if let Some((due, tag, ..)) = self.next_expiry() {
-            if !self.expiries.contains(&tag) {
-                self.expiries.push(tag);
+            if !self.armed.contains(&tag) {
+                self.armed.push(tag);
                 ctx.set_timer(due.saturating_sub(ctx.local_time), tag);
             }
         }
@@ -1730,7 +1725,7 @@ impl SensorlogNode {
         let record = &mut store.preds[i];
         let head = record.queue(owned).pop();
         let Reverse(Expiry { tuple, .. }) = head.expect("the head next_expiry found");
-        store.expiries.retain(|&armed| armed != tag);
+        store.armed.retain(|&armed| armed != tag);
         let (pred, now) = (record.pred, ctx.local_time);
         if !owned {
             // Whichever generation is stored now, if it is past its own
@@ -2762,7 +2757,8 @@ mod tests {
         /// its answer, the fragment store, `replica_count()` and
         /// `id_bindings()` say what the model says, a delete of generation g
         /// never touches a stored g′ ≠ g, and in the end every stored
-        /// generation has expired, a tombstone whose insert never came too.
+        /// generation has expired, a tombstone whose insert never came too,
+        /// and no expiry is left queued or armed.
         #[test]
         fn replica_store_views_agree_under_random_histories(
             steps in prop::collection::vec((0u8..4, 0i64..3, 0u32..4, 1u64..4_000), 1..48)
@@ -2812,7 +2808,8 @@ mod tests {
             prop_assert!(end <= 4_000 * 48 + windowed_join_retention(3));
             model.expire(end);
             let node = d.node(at);
-            prop_assert!(node.store.as_ref().is_none_or(|s| s.expiries.is_empty()));
+            prop_assert!(node.store.as_ref().is_none_or(|s| s.armed.is_empty()
+                && s.preds.iter().all(|r| r.replica_expiries.is_empty() && r.owned_expiries.is_empty())));
             prop_assert!(model.pending.is_empty());
             prop_assert!(model.stored.is_empty());
             prop_assert_eq!(node.replica_count(), 0);

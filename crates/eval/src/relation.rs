@@ -444,6 +444,25 @@ impl<X> Relation<X> {
     }
 }
 
+/// The index of `key`'s entry in `v`, a vector in `Symbol` order by
+/// `key_of` that holds a handful of entries, one per predicate: found by a
+/// scan for the id, or made by `make` in its place, the vector grown by
+/// one. The one sorted insert of a per-predicate vector ([`Database`]'s
+/// relations, a sensor node's per-predicate records).
+pub fn slot<T>(
+    v: &mut Vec<T>,
+    key: Symbol,
+    key_of: impl Fn(&T) -> Symbol,
+    make: impl FnOnce() -> T,
+) -> usize {
+    v.iter().position(|e| key_of(e) == key).unwrap_or_else(|| {
+        let at = v.partition_point(|e| key_of(e) < key);
+        v.reserve_exact(1);
+        v.insert(at, make());
+        at
+    })
+}
+
 /// A named collection of relations: one `(Symbol, Relation)` per predicate
 /// it holds, in `Symbol` order, grown one relation at a time. A program has
 /// a handful of predicates, so a relation is found by a scan for its id; at
@@ -500,12 +519,7 @@ impl<X> Database<X> {
     /// the database holds none: the one lookup that inserts, for writes
     /// that store.
     pub fn relation_or_insert(&mut self, p: Symbol) -> &mut Relation<X> {
-        let i = self.position(p).unwrap_or_else(|| {
-            let at = self.rels.partition_point(|(q, _)| *q < p);
-            self.rels.reserve_exact(1);
-            self.rels.insert(at, (p, Relation::default()));
-            at
-        });
+        let i = slot(&mut self.rels, p, |(q, _)| *q, || (p, Relation::default()));
         &mut self.rels[i].1
     }
 

@@ -207,6 +207,9 @@ fn skewed_trace_is_pinned() {
 /// expire, and their expiries fire in the journal. No other pin runs a
 /// windowed program.
 const WINDOWED_PIN: (usize, u64, u64) = (2620, 0xd1e0994b74d5a3e6, 1055);
+/// Derivations of that run still held at quiescence, of a peak of 30: the
+/// owned entries that outlive their window (see the test's last check).
+const WINDOWED_HELD: usize = 10;
 
 #[test]
 fn windowed_battlefield_trace_is_pinned() {
@@ -237,16 +240,21 @@ fn windowed_battlefield_trace_is_pinned() {
     let j = journal.take();
     let got = (j.records.len(), j.content_hash(), d.metrics().total_tx());
     assert_eq!(got, WINDOWED_PIN, "the windowed journal drifted");
-    // Past the last sighting's retention every replica has expired, and
-    // owned entries with them.
+    // Past the last sighting's retention every replica has expired.
     assert!(end > 60_000, "quiescent at {end}");
     let nodes = || d.sim.nodes();
     assert!(nodes().map(|n| n.stats.peak_replicas).sum::<usize>() > 300);
     assert_eq!(nodes().map(|n| n.replica_count()).sum::<usize>(), 0);
-    let peak: usize = nodes().map(|n| n.stats.peak_derivations).sum();
-    let held: usize = nodes().map(|n| n.derivation_count()).sum();
-    assert!(
-        held < peak / 2,
-        "{held} of a peak of {peak} derivations held"
-    );
+    // Owned entries should have gone with them, but some `cov` / `uncov`
+    // entries stay for good: `runtime::fire_expiry` keeps a windowed owned
+    // entry whose id its holddown minted after its one expiry was queued,
+    // since that id is not yet past the window when the expiry fires, and
+    // nothing queues another (CHANGES.md, the FOUND on `fire_expiry`).
+    // Mending that brings `WINDOWED_HELD` to 0 and is a deliberate repin.
+    let held: Vec<(Symbol, Tuple, i64)> =
+        nodes().flat_map(|n| n.derivation_count_entries()).collect();
+    assert_eq!(held.len(), WINDOWED_HELD, "derivations held: {held:?}");
+    assert!(held
+        .iter()
+        .all(|(p, ..)| ["cov", "uncov"].contains(&p.as_str())));
 }
