@@ -419,26 +419,33 @@ if grep -rn 'Expiring' crates/core/src; then
     echo "an expiry entry repeats its replica again: name the replica by pred and tuple, and pop by past_retention"; exit 1
 fi
 
-# One record per predicate: a node keeps its replicas of a predicate as one
-# entry of its fragment store's vector (`eval::relation::Database`), and all
-# else it keeps per predicate — the expiry queues of its replicas and of its
-# owned entries, its owned-entry count and its stored peak — in that
-# predicate's `runtime::PredRecord`; an expiry entry is `{ due, tag, tuple }`
-# (32 B), its queue naming the predicate and the kind, and the node keeps the
-# few tags with a timer in flight. Earlier trees kept each fragment store in
-# a `BTreeMap` (an 11-slot leaf for one or two predicates), a peak map and an
-# owned-count map beside it, and one node-wide queue of 40 B entries that
-# named their predicate and carried an `armed` flag each: together about a
-# seventh of `battlefield_pa`'s peak heap.
-echo "== one record per predicate (no predicate-keyed peak or owned-count map under crates/core/src, no BTreeMap<Symbol, Relation in eval's relation.rs, no pred or armed field in Expiry) =="
+# One record per predicate: everything a node keeps of a predicate is one
+# entry of its fragment store's vector (`eval::relation::Database`): the
+# predicate's replicas, and beside them, as the entry's extension, its
+# `runtime::PredRecord` — the expiry queues of its replicas and of its owned
+# entries, its owned entries keyed by tuple alone, and its stored peak. An
+# expiry entry is `{ due, tag, tuple }` (32 B), its queue naming the
+# predicate and the kind, and the node keeps the few tags with a timer in
+# flight. Earlier trees kept each fragment store in a `BTreeMap` (an 11-slot
+# leaf for one or two predicates), a peak map and an owned-count map beside
+# it, and one node-wide queue of 40 B entries that named their predicate and
+# carried an `armed` flag each: together about a seventh of
+# `battlefield_pa`'s peak heap. After that a second `Symbol`-sorted vector of
+# records (`preds: Vec<PredRecord>`) still stood beside the store, each
+# record naming its predicate, and the owned entries were one node-wide map
+# keyed `(Symbol, Tuple)`, repeating the predicate in every key.
+echo "== one record per predicate (no predicate vector, predicate-keyed peak or owned-count map, or (Symbol, Tuple)-keyed owned map under crates/core/src; no BTreeMap<Symbol, Relation in eval's relation.rs; no pred field in PredRecord, no pred or armed field in Expiry) =="
 expiry=$(sed -n '/^struct Expiry {$/,/^}$/p' crates/core/src/runtime.rs)
 grep -q 'due' <<<"$expiry" || { echo "runtime.rs's struct Expiry not found (renamed?)"; exit 1; }
+record=$(sed -n '/^struct PredRecord {$/,/^}$/p' crates/core/src/runtime.rs)
+grep -q 'peak' <<<"$record" || { echo "runtime.rs's struct PredRecord not found (renamed?)"; exit 1; }
 found=0
-grep -rnE 'peak_pred_stored: BTreeMap|per_pred:' crates/core/src && found=1
+grep -rnE 'peak_pred_stored: BTreeMap|per_pred:|^ +preds: Vec<|\(Symbol, Tuple\), Owned>' crates/core/src && found=1
 grep -n 'BTreeMap<Symbol, Relation' crates/eval/src/relation.rs && found=1
+grep -nE '^ +pred:' <<<"$record" && found=1
 grep -nE '^ +(pred|armed):' <<<"$expiry" && found=1
 if [[ "$found" -ne 0 ]]; then
-    echo "a predicate-keyed map beside the store, or an expiry naming its predicate or timer: keep it in the predicate's PredRecord (or Database's vector)"; exit 1
+    echo "a second per-predicate structure beside the store, a record or expiry naming its predicate, or an expiry naming its timer: keep it in the predicate's Database entry (its PredRecord)"; exit 1
 fi
 
 # One crash record: what a node keeps across a crash (its facts, sequence

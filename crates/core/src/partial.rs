@@ -130,9 +130,9 @@ pub fn seed_partial(
     })
 }
 
-/// A node's fragment store: its replicas, each entry carrying its
-/// [`Replica`] record.
-pub type Fragments = Database<Replica>;
+/// A node's fragment store: its replicas, each carrying its [`Replica`]
+/// record, and beside each predicate's relation an `E` no probe reads.
+pub type Fragments<E = ()> = Database<Replica, E>;
 
 /// A replica's own record in the fragment store: the id of the generation
 /// stored (derivation inputs, and the tie-break of Definition 2) and its
@@ -183,9 +183,9 @@ pub fn visible_at(m: &TupleMeta<Replica>, tau: u64, window: Option<u64>) -> bool
 }
 
 /// Local fragment lookup context at a node.
-pub struct LocalCtx<'a> {
+pub struct LocalCtx<'a, E = ()> {
     pub prog: &'a DistProgram,
-    pub db: &'a Fragments,
+    pub db: &'a Fragments<E>,
     /// Probe event timestamp (Theorem 3 visibility).
     pub tau: SimTime,
     /// The probe's update tuple ID: ties in local timestamps serialize by
@@ -206,7 +206,7 @@ pub struct LocalCtx<'a> {
     pub generous: bool,
 }
 
-impl<'a> LocalCtx<'a> {
+impl<E> LocalCtx<'_, E> {
     /// The sliding window of `pred`, if it has one.
     fn window(&self, pred: Symbol) -> Option<u64> {
         self.prog.windows.get(&pred).copied()
@@ -263,8 +263,8 @@ pub struct ProbeWork {
 ///
 /// `pinned` is the probe's pinned literal (its negation check is skipped
 /// per the `T_s1` construction).
-pub fn process_partials(
-    ctx: &LocalCtx<'_>,
+pub fn process_partials<E>(
+    ctx: &LocalCtx<'_, E>,
     rule: &Rule,
     shape: &RuleShape,
     partials: Vec<Partial>,
@@ -281,8 +281,8 @@ pub fn process_partials(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn grow(
-    ctx: &LocalCtx<'_>,
+fn grow<E>(
+    ctx: &LocalCtx<'_, E>,
     rule: &Rule,
     shape: &RuleShape,
     mut p: Partial,

@@ -29,7 +29,7 @@ use crate::prov::{ProvRecord, Provenance};
 use crate::strategy::{PassMode, Strategy};
 use crate::tupleid::{clamp_absorbs, DerivationKey, FactRecord, TupleId, EDB_RULE};
 use sensorlog_eval::eval_body::instantiate_head;
-use sensorlog_eval::relation::{self, TupleMeta};
+use sensorlog_eval::relation::TupleMeta;
 use sensorlog_eval::{EvalError, Firing, IncrementalEngine, Support, Update, UpdateKind};
 use sensorlog_logic::intern::IdHashMap;
 use sensorlog_logic::{Literal, Symbol, Tuple};
@@ -37,7 +37,6 @@ use sensorlog_netsim::{App, Ctx, MsgMeta, NodeId, SimConfig, SimTime, Topology};
 use sensorlog_netstack::Router;
 use sensorlog_telemetry::{HistId, Scope, Telemetry};
 use std::cmp::Reverse;
-use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -200,53 +199,8 @@ struct Owned {
     /// Windowed predicates: the tag of the `owned` [`Expiry`] its latest
     /// delta queued — the only one that may drop the entry.
     expiry: Option<u64>,
-}
-
-/// The derived tuples this node owns (`DistProgram::owner_of`), with the
-/// counts kept in step with the map so no delta pays a walk of it: its
-/// derivation keys here, each predicate's entries in that predicate's
-/// [`PredRecord`].
-#[derive(Debug, Default)]
-struct OwnedTable {
-    entries: IdHashMap<(Symbol, Tuple), Owned>,
-    /// Derivation keys stored across all entries
-    /// ([`SensorlogNode::derivation_count`] is the walk).
-    derivations: usize,
-}
-
-impl OwnedTable {
-    /// Count one derivation delta into the entry of `tuple` of `record`'s
-    /// predicate — which its first delta creates — unless the clamp
-    /// absorbs it.
-    fn book(
-        &mut self,
-        record: &mut PredRecord,
-        tuple: &Tuple,
-        key: DerivationKey,
-        sign: i8,
-    ) -> &mut Owned {
-        let entry = match self.entries.entry((record.pred, tuple.clone())) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                record.owned += 1;
-                e.insert(Owned::default())
-            }
-        };
-        if !clamp_absorbs(entry.support.count(&key), sign) {
-            let before = entry.support.add(key, i64::from(sign));
-            // Stored counts are never zero: a key that cancels leaves.
-            self.derivations += usize::from(before == 0);
-            self.derivations -= usize::from(before + i64::from(sign) == 0);
-        }
-        entry
-    }
-
-    fn remove(&mut self, record: &mut PredRecord, tuple: Tuple) {
-        if let Some(gone) = self.entries.remove(&(record.pred, tuple)) {
-            self.derivations -= gone.support.entries().len();
-            record.owned -= 1;
-        }
-    }
+    /// That expiry came due with a holddown in flight, which drops it.
+    expired: bool,
 }
 
 /// What decides whether a stored derivation still counts: the fault plane's
@@ -370,7 +324,8 @@ enum TimerAction {
 /// retention stays until its own entry. An owned entry's: silently expire
 /// the owned derived tuple (window-based, no join phase — "independently
 /// expiring a tuple after sufficient time"), unless a later delta queued a
-/// later expiry ([`Owned::expiry`]).
+/// later expiry ([`Owned::expiry`]) — at its due, whenever the entry's id
+/// was minted.
 ///
 /// Ordered by due local time, then by timer tag: queueing order, the order
 /// a node's same-tick timers fire in. (Tags are unique, so the derived
@@ -480,22 +435,19 @@ impl DeployContext {
     }
 }
 
-/// What a node keeps of one predicate beside its replicas, which are the
-/// predicate's relation in [`NodeStore::frags`]: the expiry queues of its
-/// replicas and of its owned entries, and its counts. Made by the first
-/// replica, owned entry or expiry of the predicate at the node. It stays
-/// beside the relation, not in it: `frags` is a [`Fragments`], the `eval`
-/// `Database` probes read as the node's local database
-/// (`partial::LocalCtx`), and the evaluator knows no timers or owners.
-#[derive(Debug)]
+/// What a node keeps of one predicate beside its replicas: the extension
+/// of the predicate's entry in [`NodeStore::frags`], made with its relation
+/// by the first replica, owned entry or expiry of the predicate at the node.
+#[derive(Debug, Default)]
 struct PredRecord {
-    pred: Symbol,
-    /// When each stored replica of `pred` goes.
+    /// When each stored replica of the predicate goes.
     replica_expiries: ExpiryQueue,
-    /// When each owned entry of `pred` goes (windowed derived predicates).
+    /// When each owned entry goes (windowed derived predicates).
     owned_expiries: ExpiryQueue,
-    /// Entries of `pred` in [`OwnedTable::entries`].
-    owned: usize,
+    /// The derived tuples of the predicate this node owns
+    /// (`DistProgram::owner_of`), in tuple order: a few per node, where a
+    /// hash table's smallest allocation holds four.
+    owned_entries: Vec<(Tuple, Owned)>,
     /// Peak stored items (fragment replicas + owned derived entries),
     /// cross-validated against the static memory bounds of `logic::diag`
     /// by `crate::invariants::check_static_bounds`.
@@ -503,27 +455,58 @@ struct PredRecord {
 }
 
 impl PredRecord {
-    /// `pred`'s record among `records`, made in its place in `Symbol` order
-    /// if there is none ([`relation::slot`], the insert `Database` grows its
-    /// relations by).
-    fn of(records: &mut Vec<PredRecord>, pred: Symbol) -> &mut PredRecord {
-        let empty = || PredRecord {
-            pred,
-            replica_expiries: ExpiryQueue::new(),
-            owned_expiries: ExpiryQueue::new(),
-            owned: 0,
-            peak: 0,
-        };
-        let i = relation::slot(records, pred, |r| r.pred, empty);
-        &mut records[i]
-    }
-
     fn queue(&mut self, owned: bool) -> &mut ExpiryQueue {
         if owned {
             &mut self.owned_expiries
         } else {
             &mut self.replica_expiries
         }
+    }
+
+    /// Count one derivation delta into the owned entry of `tuple` — which
+    /// its first delta creates — unless the clamp absorbs it, keeping
+    /// `derivations`, the node's count of stored derivation keys, in step.
+    fn book(
+        &mut self,
+        derivations: &mut usize,
+        tuple: &Tuple,
+        key: DerivationKey,
+        sign: i8,
+    ) -> &mut Owned {
+        let i = self.find(tuple).unwrap_or_else(|at| {
+            let v = &mut self.owned_entries;
+            // Doubling from one entry, not from `Vec`'s four.
+            if v.len() == v.capacity() {
+                v.reserve_exact(v.len().max(1));
+            }
+            v.insert(at, (tuple.clone(), Owned::default()));
+            at
+        });
+        let entry = &mut self.owned_entries[i].1;
+        if !clamp_absorbs(entry.support.count(&key), sign) {
+            let before = entry.support.add(key, i64::from(sign));
+            // Stored counts are never zero: a key that cancels leaves.
+            *derivations += usize::from(before == 0);
+            *derivations -= usize::from(before + i64::from(sign) == 0);
+        }
+        entry
+    }
+
+    /// Drop the owned entry at `i`, its derivation keys with it.
+    fn drop_owned(&mut self, i: usize, derivations: &mut usize) {
+        let (_, gone) = self.owned_entries.remove(i);
+        *derivations -= gone.support.entries().len();
+    }
+
+    /// Where the owned entry of `tuple` is, or would go.
+    fn find(&self, tuple: &Tuple) -> Result<usize, usize> {
+        self.owned_entries.binary_search_by(|(t, _)| t.cmp(tuple))
+    }
+
+    /// Record the stored-item count, `replicas` of the predicate and its
+    /// owned entries, into the peak.
+    fn note_stored(&mut self, replicas: usize) {
+        self.peak = self.peak.max(replicas + self.owned_entries.len());
     }
 }
 
@@ -532,14 +515,11 @@ impl PredRecord {
 /// Under Centroid no node but the center ever does.
 #[derive(Default)]
 struct NodeStore {
-    /// Replicated stream fragments: the one record of a replica — tuple,
-    /// gen/del timestamps and the id of the generation stored.
-    frags: Fragments,
-    /// Tuples in `frags`, kept in step with it ([`SensorlogNode::replica_count`]).
-    replicas: usize,
-    /// One record per predicate the node keeps anything of, in `Symbol`
-    /// order: its expiry queues and its counts.
-    preds: Vec<PredRecord>,
+    /// One entry per predicate the node keeps anything of, in `Symbol`
+    /// order: its replicas — the one record of a replica: tuple, gen/del
+    /// timestamps and the id of the generation stored — and its
+    /// [`PredRecord`].
+    frags: Fragments<PredRecord>,
     /// Tags of the pending expiries a simulator timer is in flight for.
     /// Each expiry takes a timer tag when queued and fires as that timer at
     /// exactly its due time, but only the earliest of all queue heads is
@@ -548,8 +528,10 @@ struct NodeStore {
     /// before it fired — a few at most, empty exactly when nothing is
     /// pending — and pending events do not scale with stored replicas.
     armed: Vec<u64>,
-    /// Derived tuples this node owns (`DistProgram::owner_of`).
-    owned: OwnedTable,
+    /// Derivation keys stored across the owned entries, kept in step with
+    /// them so no delta pays a walk ([`SensorlogNode::derivation_count`] is
+    /// the walk).
+    derivations: usize,
     timers: IdHashMap<u64, TimerAction>,
     /// Output-predicate transitions observed at this owner.
     output_log: Vec<(Symbol, Tuple, UpdateKind, SimTime)>,
@@ -574,23 +556,31 @@ struct NodeStore {
 const CENTER_SEQ_BASE: u32 = 0x8000_0000;
 
 impl NodeStore {
-    /// Record the current stored-item count for `pred` into its peak.
-    fn note_stored(&mut self, pred: Symbol) {
-        let replicas = self.frags.len_of(pred);
-        let record = PredRecord::of(&mut self.preds, pred);
-        record.peak = record.peak.max(replicas + record.owned);
-    }
-
     /// The earliest pending expiry, the smallest `(due, tag)` among the
-    /// queue heads: `(due, tag, record index, owned)`.
-    fn next_expiry(&self) -> Option<(SimTime, u64, usize, bool)> {
-        let heads = self.preds.iter().enumerate().flat_map(|(i, r)| {
+    /// queue heads: `(due, tag, pred, owned)`.
+    fn next_expiry(&self) -> Option<(SimTime, u64, Symbol, bool)> {
+        let heads = self.frags.entries().flat_map(|(pred, _, r)| {
             let queues = [(false, &r.replica_expiries), (true, &r.owned_expiries)];
             (queues.into_iter()).filter_map(move |(owned, q)| {
-                q.peek().map(|head| (head.0.due, head.0.tag, i, owned))
+                q.peek().map(|head| (head.0.due, head.0.tag, pred, owned))
             })
         });
         heads.min()
+    }
+
+    /// Queue `expiry` of `pred`'s replica or `owned` entry, and keep the
+    /// earliest armed.
+    fn queue_expiry(&mut self, ctx: &mut Ctx<Msg>, pred: Symbol, owned: bool, expiry: Expiry) {
+        let (_, record) = self.frags.entry_or_insert(pred);
+        record.queue(owned).push(Reverse(expiry));
+        self.arm_next_expiry(ctx);
+    }
+
+    /// The entry of the derived `(pred, tuple)` this node owns.
+    fn owned_mut(&mut self, pred: Symbol, tuple: &Tuple) -> Option<&mut Owned> {
+        let (_, record) = self.frags.entry_mut(pred)?;
+        let i = record.find(tuple).ok()?;
+        Some(&mut record.owned_entries[i].1)
     }
 
     /// Keep the earliest pending expiry armed: a no-op unless it moved
@@ -686,8 +676,9 @@ impl SensorlogNode {
     /// memory bounds of `logic::diag` by
     /// `crate::invariants::check_static_bounds`.
     pub fn peak_pred_stored(&self) -> impl Iterator<Item = (Symbol, usize)> + '_ {
-        let records = self.store.iter().flat_map(|s| s.preds.iter());
-        records.map(|r| (r.pred, r.peak))
+        let entries = self.store.iter().flat_map(|s| s.frags.entries());
+        // An entry whose every copy was refused stored nothing.
+        entries.filter_map(|(p, _, r)| (r.peak > 0).then_some((p, r.peak)))
     }
 
     /// Output-predicate transitions observed at this owner.
@@ -730,11 +721,11 @@ impl SensorlogNode {
         let id = self.fresh_id(ctx);
         let key = DerivationKey::new(EDB_RULE, Vec::new());
         let store = self.store_mut();
-        let record = PredRecord::of(&mut store.preds, pred);
-        let entry = store.owned.book(record, &tuple, key, 1);
+        let (rel, record) = store.frags.entry_or_insert(pred);
+        let entry = record.book(&mut store.derivations, &tuple, key, 1);
         entry.id = Some(id);
         entry.propagated_live = true;
-        store.note_stored(pred);
+        record.note_stored(rel.len());
         self.log_output(pred, &tuple, UpdateKind::Insert, ctx.local_time);
         self.source_update(ctx, FactRecord::insert(pred, tuple, id));
     }
@@ -757,20 +748,20 @@ impl SensorlogNode {
     /// Live result tuples of `pred` owned by this node.
     pub fn owned_live(&self, pred: Symbol) -> Vec<Tuple> {
         let view = self.view();
-        (self.owned())
-            .filter(|((p, _), o)| *p == pred && view.live(o))
-            .map(|((_, t), _)| t.clone())
-            .collect()
+        let owned = self.owned().filter(|&(p, _, o)| p == pred && view.live(o));
+        owned.map(|(_, t, _)| t.clone()).collect()
     }
 
-    /// The entries of the derived tuples this node owns.
-    fn owned(&self) -> impl Iterator<Item = (&(Symbol, Tuple), &Owned)> {
-        self.store.iter().flat_map(|s| s.owned.entries.iter())
+    /// The entries of the derived tuples this node owns, with their
+    /// predicates.
+    fn owned(&self) -> impl Iterator<Item = (Symbol, &Tuple, &Owned)> {
+        let entries = self.store.iter().flat_map(|s| s.frags.entries());
+        entries.flat_map(|(p, _, r)| r.owned_entries.iter().map(move |(t, o)| (p, t, o)))
     }
 
     /// Current replica count (fragment tuples stored here).
     pub fn replica_count(&self) -> usize {
-        self.store.as_ref().map_or(0, |s| s.replicas)
+        self.store.as_ref().map_or(0, |s| s.frags.total_tuples())
     }
 
     /// Join-index activity on this node: fragment-store probes plus, on a
@@ -794,8 +785,8 @@ impl SensorlogNode {
     /// at quiescence all of these must be non-negative.
     pub fn derivation_count_entries(&self) -> Vec<(Symbol, Tuple, i64)> {
         let mut out: Vec<(Symbol, Tuple, i64)> = (self.owned())
-            .flat_map(|((p, t), o)| {
-                (o.support.entries().iter()).map(move |&(_, c)| (*p, t.clone(), c))
+            .flat_map(|(p, t, o)| {
+                (o.support.entries().iter()).map(move |&(_, c)| (p, t.clone(), c))
             })
             .collect();
         out.sort();
@@ -810,23 +801,15 @@ impl SensorlogNode {
         let Some(store) = &self.store else {
             return 0;
         };
-        let pending = |pred: Symbol, tuple: &Tuple, due: SimTime| {
-            let queues = store.preds.iter().filter(|r| r.pred == pred);
-            (queues.flat_map(|r| r.replica_expiries.iter()))
-                .any(|e| e.0.tuple == *tuple && e.0.due == due)
-        };
         let mut unexpiring = 0;
-        for pred in store.frags.preds() {
+        for (pred, rel, record) in store.frags.entries() {
             let Some(r) = self.ctx.retention(pred) else {
                 continue;
             };
-            for (tuple, m) in store
-                .frags
-                .relation(pred)
-                .into_iter()
-                .flat_map(|r| r.iter())
-            {
-                unexpiring += usize::from(!pending(pred, tuple, m.gen_ts + r));
+            for (tuple, m) in rel.iter() {
+                let due = m.gen_ts + r;
+                let mut queued = record.replica_expiries.iter();
+                unexpiring += usize::from(!queued.any(|e| e.0.tuple == *tuple && e.0.due == due));
             }
         }
         unexpiring
@@ -842,13 +825,10 @@ impl SensorlogNode {
                 .iter()
                 .map(|((p, t), &id)| (id, *p, t.clone())),
         );
-        if let Some(frags) = self.store.as_ref().map(|s| &s.frags) {
-            for p in frags.preds() {
-                let stored = frags.relation(p).into_iter().flat_map(|r| r.iter());
-                out.extend(stored.map(|(t, m)| (m.extra.id, p, t.clone())));
-            }
+        for (p, rel, _) in self.store.iter().flat_map(|s| s.frags.entries()) {
+            out.extend(rel.iter().map(|(t, m)| (m.extra.id, p, t.clone())));
         }
-        out.extend((self.owned()).filter_map(|((p, t), o)| o.id.map(|id| (id, *p, t.clone()))));
+        out.extend((self.owned()).filter_map(|(p, t, o)| o.id.map(|id| (id, p, t.clone()))));
         out.sort();
         out
     }
@@ -859,8 +839,8 @@ impl SensorlogNode {
     pub fn unsettled_owned(&self) -> Vec<(Symbol, Tuple)> {
         let view = self.view();
         let mut out: Vec<(Symbol, Tuple)> = (self.owned())
-            .filter(|(_, o)| o.holddown_armed || view.wants_holddown(o))
-            .map(|((p, t), _)| (*p, t.clone()))
+            .filter(|(_, _, o)| o.holddown_armed || view.wants_holddown(o))
+            .map(|(p, t, _)| (p, t.clone()))
             .collect();
         out.sort();
         out
@@ -868,7 +848,9 @@ impl SensorlogNode {
 
     /// Current stored derivation count, by walking the owned entries.
     pub fn derivation_count(&self) -> usize {
-        (self.owned()).map(|(_, o)| o.support.entries().len()).sum()
+        (self.owned())
+            .map(|(_, _, o)| o.support.entries().len())
+            .sum()
     }
 
     /// The facts this node generated and still holds, with their ids
@@ -994,7 +976,7 @@ impl SensorlogNode {
         let retention = self.ctx.retention(fact.pred);
         let now = ctx.local_time;
         let store = self.store.get_or_insert_with(Box::default);
-        let rel = store.frags.relation_or_insert(fact.pred);
+        let (rel, record) = store.frags.entry_or_insert(fact.pred);
         // Generation-aware replica storage: insert and delete walks may
         // arrive in either order (independent multi-hop routes), so the
         // replica tracks the newest tuple *generation* (by ID, Definition 2)
@@ -1003,7 +985,7 @@ impl SensorlogNode {
         // the stored generation, in place of an older one's entry if there
         // is one, generated at `gen_ts`.
         let (mut tombstoned, mut new_gen) = (false, None);
-        let new = rel.update(fact.tuple.clone(), |stored| {
+        rel.update(fact.tuple.clone(), |stored| {
             let mut replica = Replica::live(fact.id);
             let gen_ts = match (fact.kind, stored) {
                 // Same generation already here (possibly tombstoned by an
@@ -1040,16 +1022,20 @@ impl SensorlogNode {
         let Some(gen_ts) = new_gen else {
             return tombstoned;
         };
+        record.note_stored(rel.len());
         self.ctx
             .tele
             .bump(Scope::Pred(fact.pred.as_str()), "replicas_stored");
-        store.replicas += usize::from(new);
-        debug_assert_eq!(store.replicas, store.frags.total_tuples());
-        self.stats.peak_replicas = self.stats.peak_replicas.max(store.replicas);
-        store.note_stored(fact.pred);
+        let replicas = store.frags.total_tuples();
+        self.stats.peak_replicas = self.stats.peak_replicas.max(replicas);
         if let Some(r) = retention {
             let due = gen_ts.saturating_add(r);
-            self.expire_in(ctx, due - now, fact.pred, fact.tuple.clone(), false);
+            let expiry = Expiry {
+                due,
+                tag: self.take_tag(),
+                tuple: fact.tuple.clone(),
+            };
+            self.store_mut().queue_expiry(ctx, fact.pred, false, expiry);
         }
         true
     }
@@ -1128,7 +1114,7 @@ impl SensorlogNode {
         let mut work = ProbeWork::default();
         {
             // A node that stores nothing joins against no fragments.
-            let none = Fragments::default();
+            let none = Fragments::<PredRecord>::default();
             let lctx = LocalCtx {
                 prog: self.ctx.prog.as_ref(),
                 db: self.store.as_ref().map_or(&none, |s| &s.frags),
@@ -1282,18 +1268,23 @@ impl SensorlogNode {
             at: ctx.local_time,
         });
         // Windowed derived streams: owned state expires with the window
-        // (silent, Sec. II-B). Queued anew by each delta so the entry
-        // outlives its last activity by one window.
-        let expiry = (self.ctx.prog.windows.get(&pred).copied())
-            .map(|w| self.expire_in(ctx, w + self.ctx.net.tau_c + 1, pred, tuple.clone(), true));
+        // (silent, Sec. II-B), a window and τc after its last delta —
+        // queued anew by each delta, whatever its holddown mints since.
+        let window = self.ctx.prog.windows.get(&pred).copied();
+        let tag = window.map(|_| self.take_tag());
         let store = self.store.get_or_insert_with(Box::default);
-        let record = PredRecord::of(&mut store.preds, pred);
-        let entry = store.owned.book(record, &tuple, key, sign);
-        entry.expiry = expiry;
+        let (rel, record) = store.frags.entry_or_insert(pred);
+        let entry = record.book(&mut store.derivations, &tuple, key, sign);
+        (entry.expiry, entry.expired) = (tag, false);
         let view = LiveView::of(&self.ctx.prog, self.faults.as_deref());
         let wants_holddown = view.wants_holddown(entry);
-        store.note_stored(pred);
-        let derivations = store.owned.derivations;
+        record.note_stored(rel.len());
+        if let (Some(w), Some(tag)) = (window, tag) {
+            let due = ctx.local_time + w + self.ctx.net.tau_c + 1;
+            let tuple = tuple.clone();
+            store.queue_expiry(ctx, pred, true, Expiry { due, tag, tuple });
+        }
+        let derivations = store.derivations;
         debug_assert_eq!(derivations, self.derivation_count());
         self.stats.peak_derivations = self.stats.peak_derivations.max(derivations);
         if wants_holddown {
@@ -1305,13 +1296,15 @@ impl SensorlogNode {
     /// its holddown on this deployment (`DistProgram::holddown`) runs from
     /// now.
     fn arm_holddown(&mut self, ctx: &mut Ctx<Msg>, pred: Symbol, tuple: Tuple) {
-        let slot = (pred, tuple);
-        let owned = self.store.as_mut().map(|s| &mut s.owned.entries);
-        if let Some(entry) = owned.and_then(|entries| entries.get_mut(&slot)) {
+        if let Some(entry) = self
+            .store
+            .as_deref_mut()
+            .and_then(|s| s.owned_mut(pred, &tuple))
+        {
             entry.holddown_armed = true;
         }
         let holddown = self.ctx.net.wait(self.ctx.prog.holddown(pred));
-        self.set_timer(ctx, holddown, TimerAction::Holddown(pred, slot.1));
+        self.set_timer(ctx, holddown, TimerAction::Holddown(pred, tuple));
     }
 
     /// Holddown expired: propagate the tuple's liveness if it still differs
@@ -1319,28 +1312,37 @@ impl SensorlogNode {
     /// finalizing a derived fact").
     fn fire_holddown(&mut self, ctx: &mut Ctx<Msg>, pred: Symbol, tuple: Tuple) {
         let now = ctx.local_time;
-        let slot = (pred, tuple);
-        let owned = self.store.as_mut().map(|s| &mut s.owned.entries);
-        let Some(entry) = owned.and_then(|entries| entries.get_mut(&slot)) else {
+        let view = LiveView::of(&self.ctx.prog, self.faults.as_deref());
+        let Some(store) = self.store.as_deref_mut() else {
             return;
         };
+        let found =
+            (store.frags.entry_mut(pred)).and_then(|(_, r)| Some((r.find(&tuple).ok()?, r)));
+        let Some((i, record)) = found else {
+            return;
+        };
+        let entry = &mut record.owned_entries[i].1;
         entry.holddown_armed = false;
-        let live = LiveView::of(&self.ctx.prog, self.faults.as_deref()).live(entry);
-        if live == entry.propagated_live {
+        // An entry whose window closed meanwhile is dead, and goes.
+        let live = !entry.expired && view.live(entry);
+        let (debounced, minted) = (live == entry.propagated_live, entry.id);
+        entry.propagated_live = live;
+        if entry.expired {
+            record.drop_owned(i, &mut store.derivations);
+        }
+        if debounced {
             return; // transition debounced away
         }
-        entry.propagated_live = live;
-        let minted = entry.id;
         self.ctx
             .tele
             .bump(Scope::Pred(pred.as_str()), "holddown_fired");
         let fact = if live {
             // A new generation of the tuple: it gets its own id.
             let id = self.fresh_id(ctx);
-            if let Some(entry) = self.store_mut().owned.entries.get_mut(&slot) {
+            if let Some(entry) = self.store_mut().owned_mut(pred, &tuple) {
                 entry.id = Some(id);
             }
-            FactRecord::insert(pred, slot.1.clone(), id)
+            FactRecord::insert(pred, tuple.clone(), id)
         } else {
             let Some(id) = minted else {
                 // Died before its insert was ever propagated (the holddown
@@ -1349,7 +1351,7 @@ impl SensorlogNode {
                 self.stats.routing_drops += 1;
                 return;
             };
-            FactRecord::delete(pred, slot.1.clone(), id, now)
+            FactRecord::delete(pred, tuple.clone(), id, now)
         };
         self.ctx.prov.record_with(|| ProvRecord::Mint {
             owner: self.id,
@@ -1359,7 +1361,7 @@ impl SensorlogNode {
             kind: fact.kind,
             at: now,
         });
-        self.log_output(pred, &slot.1, fact.kind, now);
+        self.log_output(pred, &tuple, fact.kind, now);
         self.initiate_update(ctx, fact);
     }
 
@@ -1609,8 +1611,8 @@ impl SensorlogNode {
     fn rescan_owned(&mut self, ctx: &mut Ctx<Msg>) {
         let view = self.view();
         let mut arm: Vec<(Symbol, Tuple)> = (self.owned())
-            .filter(|(_, o)| view.wants_holddown(o))
-            .map(|((p, t), _)| (*p, t.clone()))
+            .filter(|(_, _, o)| view.wants_holddown(o))
+            .map(|(p, t, _)| (p, t.clone()))
             .collect();
         arm.sort();
         for (pred, tuple) in arm {
@@ -1686,31 +1688,15 @@ impl SensorlogNode {
 
     /// Arm a timer: `action` runs after `delay` ms of local time.
     fn set_timer(&mut self, ctx: &mut Ctx<Msg>, delay: SimTime, action: TimerAction) {
-        let tag = self.next_tag;
-        self.next_tag += 1;
+        let tag = self.take_tag();
         self.store_mut().timers.insert(tag, action);
         ctx.set_timer(delay, tag);
     }
 
-    /// Queue the replica of `pred`'s `tuple`, or its `owned` entry, to
-    /// expire after `delay` ms of local time; returns the timer tag it will
-    /// fire as.
-    fn expire_in(
-        &mut self,
-        ctx: &mut Ctx<Msg>,
-        delay: SimTime,
-        pred: Symbol,
-        tuple: Tuple,
-        owned: bool,
-    ) -> u64 {
-        let tag = self.next_tag;
+    /// The next timer tag: a timer's, or an expiry's that fires as one.
+    fn take_tag(&mut self) -> u64 {
         self.next_tag += 1;
-        let store = self.store_mut();
-        let due = ctx.local_time + delay;
-        let queue = PredRecord::of(&mut store.preds, pred).queue(owned);
-        queue.push(Reverse(Expiry { due, tag, tuple }));
-        store.arm_next_expiry(ctx);
-        tag
+        self.next_tag - 1
     }
 
     /// The earliest pending expiry came due as timer `tag`: drop what it
@@ -1719,31 +1705,32 @@ impl SensorlogNode {
         let Some(store) = self.store.as_deref_mut() else {
             return; // no timer of ours
         };
-        let Some((_, _, i, owned)) = store.next_expiry().filter(|head| head.1 == tag) else {
+        let Some((_, _, pred, owned)) = store.next_expiry().filter(|head| head.1 == tag) else {
             return; // no timer of ours
         };
-        let record = &mut store.preds[i];
+        let (rel, record) = store
+            .frags
+            .entry_mut(pred)
+            .expect("the entry next_expiry found");
         let head = record.queue(owned).pop();
         let Reverse(Expiry { tuple, .. }) = head.expect("the head next_expiry found");
         store.armed.retain(|&armed| armed != tag);
-        let (pred, now) = (record.pred, ctx.local_time);
         if !owned {
             // Whichever generation is stored now, if it is past its own
             // retention: a newer one generated later stays for its own entry.
+            let now = ctx.local_time;
             let past = |gen_ts| past_retention(gen_ts, self.ctx.retention(pred), now);
-            if let Some(rel) = store.frags.relation_mut(pred) {
-                if rel.meta(&tuple).is_some_and(|m| past(m.gen_ts)) && rel.remove(&tuple) {
-                    store.replicas -= 1;
-                }
+            if rel.meta(&tuple).is_some_and(|m| past(m.gen_ts)) {
+                rel.remove(&tuple);
             }
-        } else if let (Some(&w), Some(entry)) = (
-            self.ctx.prog.windows.get(&pred),
-            store.owned.entries.get(&(pred, tuple.clone())),
-        ) {
-            // The latest delta's expiry, and genuinely past the window.
-            let stale = entry.id.is_none_or(|id| id.ts.saturating_add(w) < now);
-            if entry.expiry == Some(tag) && stale && !entry.holddown_armed {
-                store.owned.remove(record, tuple);
+        } else if let Ok(i) = record.find(&tuple) {
+            // The latest delta's expiry: the entry goes at the due its queue
+            // held, or with the holddown in flight then, which still sends
+            // its transition.
+            let entry = &mut record.owned_entries[i].1;
+            entry.expired = entry.expiry == Some(tag);
+            if entry.expired && !entry.holddown_armed {
+                record.drop_owned(i, &mut store.derivations);
             }
         }
         store.arm_next_expiry(ctx);
@@ -2117,7 +2104,7 @@ mod tests {
                 .map(|&(_, _, c)| c)
                 .collect();
             assert_eq!(stored, if want == 0 { vec![] } else { vec![want] });
-            let booked = node.store.as_ref().map_or(0, |s| s.owned.derivations);
+            let booked = node.store.as_ref().map_or(0, |s| s.derivations);
             assert_eq!(node.derivation_count(), booked);
             assert_eq!(
                 node.owned_live(q),
@@ -2252,8 +2239,10 @@ mod tests {
         let fact = r1_insert(some_id(9, 50));
         let expiries = |d: &crate::Deployment| {
             let store = d.node(NodeId(5)).store.as_ref();
-            let queues = store.iter().flat_map(|s| s.preds.iter());
-            queues.map(|r| r.replica_expiries.len()).sum::<usize>()
+            let records = store.iter().flat_map(|s| s.frags.entries());
+            records
+                .map(|(_, _, r)| r.replica_expiries.len())
+                .sum::<usize>()
         };
         assert_eq!(flood_copy(&mut d, &fact), 4);
         assert_eq!(expiries(&d), 1);
@@ -2695,6 +2684,102 @@ mod tests {
         assert!(d.sim.is_quiescent());
     }
 
+    /// Regression: an owned entry whose holddown minted its id after its
+    /// one expiry was queued outlived its window for good. The expiry found
+    /// the id younger than a window and kept the entry, and nothing queued
+    /// another. It goes at the due its queue holds.
+    #[test]
+    fn an_entry_minted_after_its_expiry_was_queued_goes_at_that_due() {
+        let mut d = deploy(
+            ".window q 1000.\n.output q.\nq(X, Y) :- r1(X, T), r2(Y, T).",
+            3,
+        );
+        let (q, owner, tuple) = (Symbol::intern("q"), NodeId(4), ints(&[1, 2]));
+        let (minted, due) = (
+            100 + d.net().wait(d.prog.holddown(q)),
+            1_101 + d.net().tau_c,
+        );
+        assert!(
+            minted + 1_000 >= due,
+            "the mint is not a window old at the due"
+        );
+        let id = |n: u32| TupleId {
+            node: NodeId(n),
+            ts: 100,
+            seq: 0,
+        };
+        d.sim.run_until(100);
+        let key = DerivationKey::new(0, vec![(0, id(0)), (1, id(8))]);
+        d.sim.invoke(owner, |node, ctx| {
+            node.handle_deriv_delta(ctx, q, tuple.clone(), key, 1, 100, id(8));
+        });
+        d.sim.run_until(due - 1);
+        let log = d.node(owner).output_log();
+        assert_eq!(log, [(q, tuple.clone(), UpdateKind::Insert, minted)]);
+        assert_eq!(d.node(owner).derivation_count(), 1);
+        d.sim.run_to_quiescence(SimTime::MAX);
+        assert_eq!(d.node(owner).derivation_count(), 0);
+        assert!(d.node(owner).owned_live(q).is_empty());
+    }
+
+    /// An entry whose window closes while a holddown is in flight goes
+    /// with that holddown, which still propagates its transition: here a
+    /// fault-driven retraction armed one ms before the due. Dropped at the
+    /// due, the entry left the holddown nothing to retract, and the
+    /// network kept the announced tuple.
+    #[test]
+    fn a_holddown_in_flight_at_the_due_retracts_then_drops_the_entry() {
+        let config = crate::DeployConfig {
+            rt: RtConfig {
+                faults: Some(FaultPlaneCfg { active_until: 0 }),
+                ..RtConfig::default()
+            },
+            ..crate::DeployConfig::default()
+        };
+        let mut d = crate::Deployment::new(
+            ".window q 1000.\n.output q.\nq(X, Y) :- r1(X, T), r2(Y, T).",
+            sensorlog_logic::builtin::BuiltinRegistry::standard(),
+            Topology::square_grid(3),
+            config,
+        )
+        .unwrap();
+        let (q, owner, tuple) = (Symbol::intern("q"), NodeId(4), ints(&[1, 2]));
+        let holddown = d.net().wait(d.prog.holddown(q));
+        let (minted, due) = (100 + holddown, 1_101 + d.net().tau_c);
+        let suspected = due - 1;
+        assert!(minted < suspected && suspected + holddown > due);
+        // Inputs from nodes outside the grid: no heartbeat or rebuttal
+        // speaks for them.
+        let id = |n: u32| TupleId {
+            node: NodeId(n),
+            ts: 100,
+            seq: 0,
+        };
+        d.sim.run_until(100);
+        let key = DerivationKey::new(0, vec![(0, id(98)), (1, id(99))]);
+        d.sim.invoke(owner, |node, ctx| {
+            node.handle_deriv_delta(ctx, q, tuple.clone(), key, 1, 100, id(99));
+        });
+        d.sim.run_until(suspected);
+        d.sim.invoke(owner, |node, ctx| {
+            node.apply_liveness(ctx, NodeId(99), 1_000_000, false, 0);
+        });
+        d.sim.run_until(due);
+        assert_eq!(d.node(owner).derivation_count(), 1, "held past the due");
+        d.sim.run_to_quiescence(SimTime::MAX);
+        let log = d.node(owner).output_log();
+        let retracted = suspected + holddown;
+        assert_eq!(
+            log,
+            [
+                (q, tuple.clone(), UpdateKind::Insert, minted),
+                (q, tuple.clone(), UpdateKind::Delete, retracted),
+            ]
+        );
+        assert_eq!(d.node(owner).derivation_count(), 0);
+        assert!(d.node(owner).unsettled_owned().is_empty());
+    }
+
     /// What `store_replica` and the expiry queue must leave in the store,
     /// written as the decision table over a plain map and a list.
     #[derive(Default)]
@@ -2809,7 +2894,7 @@ mod tests {
             model.expire(end);
             let node = d.node(at);
             prop_assert!(node.store.as_ref().is_none_or(|s| s.armed.is_empty()
-                && s.preds.iter().all(|r| r.replica_expiries.is_empty() && r.owned_expiries.is_empty())));
+                && s.frags.entries().all(|(_, _, r)| r.replica_expiries.is_empty() && r.owned_expiries.is_empty())));
             prop_assert!(model.pending.is_empty());
             prop_assert!(model.stored.is_empty());
             prop_assert_eq!(node.replica_count(), 0);

@@ -444,37 +444,20 @@ impl<X> Relation<X> {
     }
 }
 
-/// The index of `key`'s entry in `v`, a vector in `Symbol` order by
-/// `key_of` that holds a handful of entries, one per predicate: found by a
-/// scan for the id, or made by `make` in its place, the vector grown by
-/// one. The one sorted insert of a per-predicate vector ([`Database`]'s
-/// relations, a sensor node's per-predicate records).
-pub fn slot<T>(
-    v: &mut Vec<T>,
-    key: Symbol,
-    key_of: impl Fn(&T) -> Symbol,
-    make: impl FnOnce() -> T,
-) -> usize {
-    v.iter().position(|e| key_of(e) == key).unwrap_or_else(|| {
-        let at = v.partition_point(|e| key_of(e) < key);
-        v.reserve_exact(1);
-        v.insert(at, make());
-        at
-    })
-}
-
-/// A named collection of relations: one `(Symbol, Relation)` per predicate
-/// it holds, in `Symbol` order, grown one relation at a time. A program has
-/// a handful of predicates, so a relation is found by a scan for its id; at
-/// a sensor node, which stores one or two, that is one allocation of one or
-/// two entries where a map leaf had room for eleven.
+/// A named collection of relations: one `(Symbol, Relation, E)` per
+/// predicate it holds, in `Symbol` order, grown one at a time and found by
+/// a scan for the id (a program has a handful of predicates, a sensor node
+/// stores one or two). `E` is what a user keeps of a predicate beside its
+/// relation, made and dropped with it: every engine keeps `()`, and nothing
+/// in `eval` reads it; a sensor node keeps its expiry queues and owned
+/// entries there (`core::runtime`).
 #[derive(Clone, Debug)]
-pub struct Database<X = ()> {
-    rels: Vec<(Symbol, Relation<X>)>,
+pub struct Database<X = (), E = ()> {
+    rels: Vec<(Symbol, Relation<X>, E)>,
 }
 
-impl<X> Default for Database<X> {
-    fn default() -> Database<X> {
+impl<X, E> Default for Database<X, E> {
+    fn default() -> Database<X, E> {
         Database { rels: Vec::new() }
     }
 }
@@ -500,9 +483,36 @@ impl Database {
     }
 }
 
-impl<X> Database<X> {
+impl<X, E: Default> Database<X, E> {
+    /// The entry of `p`, created empty — its relation and a default `E` —
+    /// in its place in `Symbol` order if the database holds none: the one
+    /// lookup that inserts, for writes that store.
+    pub fn entry_or_insert(&mut self, p: Symbol) -> (&mut Relation<X>, &mut E) {
+        let i = self.position(p).unwrap_or_else(|| {
+            let at = self.rels.partition_point(|(q, ..)| *q < p);
+            self.rels.reserve_exact(1);
+            self.rels.insert(at, (p, Relation::default(), E::default()));
+            at
+        });
+        let (_, rel, extra) = &mut self.rels[i];
+        (rel, extra)
+    }
+
+    /// The relation of `p`, created as [`Database::entry_or_insert`] does.
+    pub fn relation_or_insert(&mut self, p: Symbol) -> &mut Relation<X> {
+        self.entry_or_insert(p).0
+    }
+
+    /// Register a persistent index signature on relation `p` (see
+    /// [`Relation::register_index`]).
+    pub fn register_index(&mut self, p: Symbol, cols: &[usize]) {
+        self.relation_or_insert(p).register_index(cols);
+    }
+}
+
+impl<X, E> Database<X, E> {
     fn position(&self, p: Symbol) -> Option<usize> {
-        self.rels.iter().position(|(q, _)| *q == p)
+        self.rels.iter().position(|(q, ..)| *q == p)
     }
 
     pub fn relation(&self, p: Symbol) -> Option<&Relation<X>> {
@@ -515,16 +525,20 @@ impl<X> Database<X> {
         self.position(p).map(|i| &mut self.rels[i].1)
     }
 
-    /// The relation of `p`, created empty in its place in `Symbol` order if
-    /// the database holds none: the one lookup that inserts, for writes
-    /// that store.
-    pub fn relation_or_insert(&mut self, p: Symbol) -> &mut Relation<X> {
-        let i = slot(&mut self.rels, p, |(q, _)| *q, || (p, Relation::default()));
-        &mut self.rels[i].1
+    /// The entry of `p`, if the database holds one: creates nothing.
+    pub fn entry_mut(&mut self, p: Symbol) -> Option<(&mut Relation<X>, &mut E)> {
+        let i = self.position(p)?;
+        let (_, rel, extra) = &mut self.rels[i];
+        Some((rel, extra))
+    }
+
+    /// Every entry, in `Symbol` order.
+    pub fn entries(&self) -> impl Iterator<Item = (Symbol, &Relation<X>, &E)> {
+        self.rels.iter().map(|(p, rel, extra)| (*p, rel, extra))
     }
 
     pub fn preds(&self) -> impl Iterator<Item = Symbol> + '_ {
-        self.rels.iter().map(|(p, _)| *p)
+        self.rels.iter().map(|(p, ..)| *p)
     }
 
     pub fn remove(&mut self, p: Symbol, t: &Tuple) -> bool {
@@ -541,7 +555,7 @@ impl<X> Database<X> {
 
     /// Total number of tuples across all relations.
     pub fn total_tuples(&self) -> usize {
-        self.rels.iter().map(|(_, r)| r.len()).sum()
+        self.rels.iter().map(|(_, r, _)| r.len()).sum()
     }
 
     /// Sorted tuples of a relation — deterministic views for tests/output.
@@ -551,16 +565,10 @@ impl<X> Database<X> {
             .unwrap_or_default()
     }
 
-    /// Register a persistent index signature on relation `p` (see
-    /// [`Relation::register_index`]).
-    pub fn register_index(&mut self, p: Symbol, cols: &[usize]) {
-        self.relation_or_insert(p).register_index(cols);
-    }
-
     /// Probe counters summed across all relations.
     pub fn index_stats(&self) -> IndexStatsSnapshot {
         let mut s = IndexStatsSnapshot::default();
-        for (_, r) in &self.rels {
+        for (_, r, _) in &self.rels {
             s.merge(r.index_stats());
         }
         s
@@ -874,6 +882,40 @@ mod tests {
         assert_eq!(preds, ["b", "m", "z"]);
         assert!(db.remove(sym("m"), &tup(vec![1])));
         assert_eq!(db.len_of(sym("m")), 0);
+    }
+
+    /// A per-predicate extension is made with its relation, default, by
+    /// the one lookup that inserts, and kept beside it in `Symbol` order;
+    /// no other lookup makes either.
+    #[test]
+    fn an_extension_is_made_with_its_relation() {
+        let mut db: Database<(), Vec<usize>> = Database::default();
+        assert!(db.relation_mut(sym("m")).is_none());
+        assert!(db.entry_mut(sym("m")).is_none());
+        assert!(!db.remove(sym("m"), &tup(vec![1])));
+        assert_eq!(db.entries().count(), 0);
+        for (i, p) in ["m", "b", "z", "b"].into_iter().enumerate() {
+            let (rel, extra) = db.entry_or_insert(sym(p));
+            rel.insert(tup(vec![i as i64]), TupleMeta::default());
+            extra.push(i);
+        }
+        db.relation_or_insert(sym("a"));
+        let entries: Vec<(&str, usize, &[usize])> = (db.entries())
+            .map(|(p, rel, extra)| (p.as_str(), rel.len(), extra.as_slice()))
+            .collect();
+        let want: [(&str, usize, &[usize]); 4] = [
+            ("a", 0, &[]),
+            ("b", 2, &[1, 3]),
+            ("m", 1, &[0]),
+            ("z", 1, &[2]),
+        ];
+        assert_eq!(entries, want);
+        let preds: Vec<&str> = db.preds().map(Symbol::as_str).collect();
+        assert_eq!(preds, ["a", "b", "m", "z"]);
+        let z = db
+            .entry_mut(sym("z"))
+            .map(|(rel, extra)| (rel.len(), extra.len()));
+        assert_eq!(z, Some((1, 1)));
     }
 
     #[test]

@@ -161,6 +161,19 @@ impl fmt::Display for TraceRecord {
     }
 }
 
+/// An FNV-1a hash of the text written to it.
+struct Fnv1a(u64);
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for b in s.bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        Ok(())
+    }
+}
+
 /// Receiver of trace records. Implementations must not assume anything
 /// about call frequency; the simulator calls `record` once per event in
 /// event order.
@@ -180,24 +193,27 @@ impl Journal {
     /// Canonical textual rendering. Byte-identical across runs iff the
     /// runs produced identical event sequences.
     pub fn to_text(&self) -> String {
-        use fmt::Write;
         let mut s = String::with_capacity(self.records.len() * 48 + 16);
-        let _ = writeln!(s, "seed={}", self.seed);
-        for r in &self.records {
-            let _ = writeln!(s, "{r}");
-        }
+        self.render(&mut s);
         s
     }
 
     /// FNV-1a hash of [`Journal::to_text`] — a compact fingerprint for
-    /// logging alongside experiment rows.
+    /// logging alongside experiment rows. The text is hashed as it is
+    /// rendered, a line at a time, never held whole.
     pub fn content_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.to_text().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+        self.render(&mut h);
+        h.0
+    }
+
+    /// Write [`Journal::to_text`] to `out`: the seed line, then one line
+    /// per record.
+    fn render(&self, out: &mut impl fmt::Write) {
+        let _ = writeln!(out, "seed={}", self.seed);
+        for r in &self.records {
+            let _ = writeln!(out, "{r}");
         }
-        h
     }
 
     /// Aggregate counters for experiment tables.
@@ -724,6 +740,22 @@ mod tests {
         assert!(text.contains("drop n1->n0 ping loss"));
         assert_eq!(text, j.to_text(), "rendering must be a pure function");
         assert_eq!(j.content_hash(), j.content_hash());
+    }
+
+    /// The hash streamed through the renderer is FNV-1a of the rendered
+    /// text, byte for byte.
+    #[test]
+    fn content_hash_is_fnv1a_of_the_text() {
+        let fnv1a = |text: String| {
+            (text.bytes()).fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+            })
+        };
+        let j = sample_journal();
+        assert_eq!(j.content_hash(), fnv1a(j.to_text()));
+        let empty = Journal::default();
+        assert_eq!(empty.content_hash(), fnv1a(empty.to_text()));
+        assert_ne!(j.content_hash(), empty.content_hash());
     }
 
     #[test]

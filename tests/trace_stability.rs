@@ -207,9 +207,10 @@ fn skewed_trace_is_pinned() {
 /// expire, and their expiries fire in the journal. No other pin runs a
 /// windowed program.
 const WINDOWED_PIN: (usize, u64, u64) = (2620, 0xd1e0994b74d5a3e6, 1055);
-/// Derivations of that run still held at quiescence, of a peak of 30: the
-/// owned entries that outlive their window (see the test's last check).
-const WINDOWED_HELD: usize = 10;
+/// Derivations of that run still held at quiescence, of a peak of 30: none,
+/// every owned entry goes a window after its last delta (10 stayed while an
+/// entry minted after its expiry was queued outlived its window).
+const WINDOWED_HELD: usize = 0;
 
 #[test]
 fn windowed_battlefield_trace_is_pinned() {
@@ -245,12 +246,8 @@ fn windowed_battlefield_trace_is_pinned() {
     let nodes = || d.sim.nodes();
     assert!(nodes().map(|n| n.stats.peak_replicas).sum::<usize>() > 300);
     assert_eq!(nodes().map(|n| n.replica_count()).sum::<usize>(), 0);
-    // Owned entries should have gone with them, but some `cov` / `uncov`
-    // entries stay for good: `runtime::fire_expiry` keeps a windowed owned
-    // entry whose id its holddown minted after its one expiry was queued,
-    // since that id is not yet past the window when the expiry fires, and
-    // nothing queues another (CHANGES.md, the FOUND on `fire_expiry`).
-    // Mending that brings `WINDOWED_HELD` to 0 and is a deliberate repin.
+    // Owned entries have gone with them: each at the due its last delta
+    // queued (`runtime::fire_expiry`), whenever its holddown minted its id.
     let held: Vec<(Symbol, Tuple, i64)> =
         nodes().flat_map(|n| n.derivation_count_entries()).collect();
     assert_eq!(held.len(), WINDOWED_HELD, "derivations held: {held:?}");
