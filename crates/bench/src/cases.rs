@@ -322,12 +322,14 @@ fn micro(quick: bool, r: &mut Report) {
 }
 
 /// `IncrementalEngine::support_bytes` per derivation, `--quick` or not:
-/// every support holds one derivation, in one 32-byte slot, beside its two
-/// inputs. With four slots reserved for the first (`Vec::insert` into an
-/// empty vector) it read 160. `inc_ledger_bytes_per_derivation` adds the
-/// table, whose capacity follows the hash layout of process-minted ids:
-/// 142 B when the quick stream runs alone, 144 B after the other cases.
-const INC_SUPPORT_BYTES: usize = 64;
+/// every support holds one derivation, inline, as one 28-byte id slice (the
+/// rule id and two arity-3 inputs). With a one-slot entry vector beside a
+/// boxed slice of the two input tuples it read 64; with four slots reserved
+/// for the first (`Vec::insert` into an empty vector), 160.
+/// `inc_ledger_bytes_per_derivation` adds the tables, whose capacity follows
+/// the hash layout of process-minted ids: 96 B on the quick stream, alone
+/// or after the other cases, and 97 B at full size.
+const INC_SUPPORT_BYTES: usize = 28;
 
 // --------------------------------------------------------------- grid4k
 

@@ -1429,11 +1429,11 @@ impl SensorlogNode {
             tau,
         } in firings
         {
-            let rule = &rules[d.rule_id as usize];
-            let inputs: Option<Vec<(u16, TupleId)>> = (rule.positive_atoms().zip(&d.inputs))
+            let rule = &rules[d.rule_id()];
+            let inputs: Option<Vec<(u16, TupleId)>> = (rule.positive_atoms().zip(d.inputs(rule)))
                 .enumerate()
                 .map(|(i, (a, t))| {
-                    let id = store.center_ids.get(&(a.pred, t.clone()))?;
+                    let id = store.center_ids.get(&(a.pred, t))?;
                     Some((i as u16, *id))
                 })
                 .collect();

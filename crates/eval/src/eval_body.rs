@@ -143,9 +143,10 @@ pub fn eval_check(
             _ => return Ok(Check::Unbound),
         },
         Literal::Builtin(atom) => {
-            let Some(ids) = ground_args(reg, atom, subst)? else {
+            let mut ids = vec![0; atom.args.len()];
+            if !ground_args(reg, atom, subst, &mut ids)? {
                 return Ok(Check::Unbound);
-            };
+            }
             // The procedural-builtin boundary: cross it once with resolved
             // terms.
             let args: Vec<Term> = intern::boundary(|| intern::resolve_slice(&ids));
@@ -158,30 +159,42 @@ pub fn eval_check(
     Ok(if holds { Check::Holds } else { Check::Fails })
 }
 
+/// Fill `ids` with `atom`'s arguments evaluated under `subst`; `false`
+/// while any argument still has an unbound variable.
 fn ground_args(
     reg: &BuiltinRegistry,
     atom: &Atom,
     subst: &FlatSubst,
-) -> Result<Option<Vec<ConstId>>, EvalError> {
-    let mut ids = Vec::with_capacity(atom.args.len());
-    for a in atom.args.iter() {
+    ids: &mut [ConstId],
+) -> Result<bool, EvalError> {
+    for (slot, a) in ids.iter_mut().zip(atom.args.iter()) {
         if !flat_is_ground(a, subst) {
-            return Ok(None);
+            return Ok(false);
         }
-        ids.push(flat_eval(reg, a, subst)?);
+        *slot = flat_eval(reg, a, subst)?;
     }
-    Ok(Some(ids))
+    Ok(true)
 }
 
 /// Instantiate `atom` (a negated subgoal, a rule head) under `subst`,
 /// evaluating interpreted functions; `None` while any argument still has an
-/// unbound variable.
+/// unbound variable. Up to [`Tuple::INLINE`] arguments are evaluated on the
+/// stack, with no allocation.
 pub fn ground_atom(
     reg: &BuiltinRegistry,
     atom: &Atom,
     subst: &FlatSubst,
 ) -> Result<Option<Tuple>, EvalError> {
-    Ok(ground_args(reg, atom, subst)?.map(Tuple::from_ids))
+    let n = atom.args.len();
+    if n <= Tuple::INLINE {
+        let mut ids = [0; Tuple::INLINE];
+        let ground = ground_args(reg, atom, subst, &mut ids[..n])?;
+        Ok(ground.then(|| Tuple::from_slice(&ids[..n])))
+    } else {
+        let mut ids = vec![0; n];
+        let ground = ground_args(reg, atom, subst, &mut ids)?;
+        Ok(ground.then(|| Tuple::from_ids(ids)))
+    }
 }
 
 /// The program's ground empty-body rules (`h(0, 0, 0).`) as `(rule index,
